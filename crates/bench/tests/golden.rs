@@ -4,7 +4,7 @@
 //! and compared byte-for-byte against `tests/golden/*.txt`, so a refactor
 //! cannot silently shift the paper numbers. Every binary is additionally
 //! run at two thread counts (or the one `REACKED_THREADS` the environment
-//! pins, e.g. in CI's per-thread-count jobs): matching the same golden
+//! pins): matching the same golden
 //! bytes at both counts proves the sweep engine's parallel == sequential
 //! guarantee end to end.
 //!
@@ -28,7 +28,7 @@ const GOLDEN_SCAN_DOMAINS: &str = "20000";
 const GOLDEN_LOAD_ARRIVALS: &str = "2000";
 
 /// Thread counts to exercise: the pinned `REACKED_THREADS` when the
-/// environment sets one (CI's determinism jobs), else both 1 and 4.
+/// environment sets one, else both 1 and 4.
 fn thread_counts() -> Vec<String> {
     match std::env::var("REACKED_THREADS") {
         Ok(v) if !v.trim().is_empty() => vec![v],
@@ -62,149 +62,37 @@ fn assert_matches_golden(bin_path: &str, name: &str, golden: &str) {
     }
 }
 
-#[test]
-fn exp_fig02_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig02"),
-        "exp_fig02",
-        include_str!("golden/exp_fig02.txt"),
-    );
+/// One `<binary>_matches_golden` test per listed `exp_*` binary.
+macro_rules! golden_tests {
+    ($($test:ident => $bin:literal,)*) => {$(
+        #[test]
+        fn $test() {
+            assert_matches_golden(
+                env!(concat!("CARGO_BIN_EXE_", $bin)),
+                $bin,
+                include_str!(concat!("golden/", $bin, ".txt")),
+            );
+        }
+    )*};
 }
 
-#[test]
-fn exp_fig06_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig06"),
-        "exp_fig06",
-        include_str!("golden/exp_fig06.txt"),
-    );
-}
-
-#[test]
-fn exp_tab03_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_tab03"),
-        "exp_tab03",
-        include_str!("golden/exp_tab03.txt"),
-    );
-}
-
-#[test]
-fn exp_impairment_sweep_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_impairment_sweep"),
-        "exp_impairment_sweep",
-        include_str!("golden/exp_impairment_sweep.txt"),
-    );
-}
-
-#[test]
-fn exp_resumption_sweep_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_resumption_sweep"),
-        "exp_resumption_sweep",
-        include_str!("golden/exp_resumption_sweep.txt"),
-    );
-}
-
-#[test]
-fn exp_server_load_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_server_load"),
-        "exp_server_load",
-        include_str!("golden/exp_server_load.txt"),
-    );
-}
-
-#[test]
-fn exp_metrics_report_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_metrics_report"),
-        "exp_metrics_report",
-        include_str!("golden/exp_metrics_report.txt"),
-    );
-}
-
-#[test]
-fn exp_transfer_sweep_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_transfer_sweep"),
-        "exp_transfer_sweep",
-        include_str!("golden/exp_transfer_sweep.txt"),
-    );
-}
-
-#[test]
-fn exp_fault_sweep_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fault_sweep"),
-        "exp_fault_sweep",
-        include_str!("golden/exp_fault_sweep.txt"),
-    );
-}
-
-#[test]
-fn exp_migration_sweep_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_migration_sweep"),
-        "exp_migration_sweep",
-        include_str!("golden/exp_migration_sweep.txt"),
-    );
-}
-
-// The wild pipeline: the sharded scan and the longitudinal study must
-// print the same bytes at every thread count.
-
-#[test]
-fn exp_tab01_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_tab01"),
-        "exp_tab01",
-        include_str!("golden/exp_tab01.txt"),
-    );
-}
-
-#[test]
-fn exp_fig08_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig08"),
-        "exp_fig08",
-        include_str!("golden/exp_fig08.txt"),
-    );
-}
-
-#[test]
-fn exp_fig09_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig09"),
-        "exp_fig09",
-        include_str!("golden/exp_fig09.txt"),
-    );
-}
-
-#[test]
-fn exp_fig10_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig10"),
-        "exp_fig10",
-        include_str!("golden/exp_fig10.txt"),
-    );
-}
-
-#[test]
-fn exp_fig14_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig14"),
-        "exp_fig14",
-        include_str!("golden/exp_fig14.txt"),
-    );
-}
-
-#[test]
-fn exp_fig15_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig15"),
-        "exp_fig15",
-        include_str!("golden/exp_fig15.txt"),
-    );
+golden_tests! {
+    exp_fig02_matches_golden => "exp_fig02",
+    exp_fig06_matches_golden => "exp_fig06",
+    exp_tab03_matches_golden => "exp_tab03",
+    exp_impairment_sweep_matches_golden => "exp_impairment_sweep",
+    exp_resumption_sweep_matches_golden => "exp_resumption_sweep",
+    exp_server_load_matches_golden => "exp_server_load",
+    exp_metrics_report_matches_golden => "exp_metrics_report",
+    exp_transfer_sweep_matches_golden => "exp_transfer_sweep",
+    exp_fault_sweep_matches_golden => "exp_fault_sweep",
+    exp_migration_sweep_matches_golden => "exp_migration_sweep",
+    // The wild pipeline: the sharded scan and the longitudinal study must
+    // print the same bytes at every thread count.
+    exp_tab01_matches_golden => "exp_tab01",
+    exp_fig08_matches_golden => "exp_fig08",
+    exp_fig09_matches_golden => "exp_fig09",
+    exp_fig10_matches_golden => "exp_fig10",
+    exp_fig14_matches_golden => "exp_fig14",
+    exp_fig15_matches_golden => "exp_fig15",
 }

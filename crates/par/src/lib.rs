@@ -94,18 +94,9 @@ impl IndexQueue {
 /// * `threads <= 1` (or `n <= 1`) runs inline without spawning.
 /// * A panic in any worker is propagated to the caller after the
 ///   remaining workers finish.
-pub fn sweep<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    sweep_with(n, threads, None, f)
-}
-
-/// [`sweep`] with an optional [`ProfileSink`] recording per-worker
-/// busy/claim/merge spans and chunk sizes. `sink: None` is the exact
-/// unprofiled code path.
-pub fn sweep_with<T, F>(n: usize, threads: usize, sink: Option<&ProfileSink>, f: F) -> Vec<T>
+/// * An attached [`ProfileSink`] records per-worker busy/claim/merge
+///   spans and chunk sizes; `sink: None` is the exact unprofiled path.
+fn sweep_with<T, F>(n: usize, threads: usize, sink: Option<&ProfileSink>, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -192,149 +183,13 @@ where
         .collect()
 }
 
-/// Like [`sweep`], but hands workers whole index *ranges* of size
-/// `chunk` instead of single indices, calling `f` once per range.
-///
-/// This is the coarse-batching primitive for sweeps whose per-item cost
-/// is small relative to per-task overhead (allocator churn, scenario
-/// cloning): the callback can set up scratch state once per chunk and
-/// reuse it across the chunk's items. `f` must return exactly one result
-/// per index in the range, in range order; output across chunks is in
-/// index order, so the result is bit-identical to the sequential
-/// `(0..n).map(..)` at every worker count and chunk size.
-pub fn sweep_chunked<T, F>(n: usize, threads: usize, chunk: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> Vec<T> + Sync,
-{
-    sweep_chunked_with(n, threads, chunk, None, f)
-}
-
-/// [`sweep_chunked`] with an optional [`ProfileSink`]; see
-/// [`sweep_with`].
-pub fn sweep_chunked_with<T, F>(
-    n: usize,
-    threads: usize,
-    chunk: usize,
-    sink: Option<&ProfileSink>,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> Vec<T> + Sync,
-{
-    let chunk = chunk.max(1);
-    let threads = threads.clamp(1, n.max(1));
-    let enabled = sink.is_some();
-    if threads <= 1 {
-        let t_wall = span_start(enabled);
-        let mut spans = WorkerSpans::default();
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0;
-        while start < n {
-            let range = start..(start + chunk).min(n);
-            if enabled {
-                spans.chunks.push(range.len());
-            }
-            let produced = f(range.clone());
-            assert_eq!(produced.len(), range.len(), "chunk produced wrong count");
-            out.extend(produced);
-            start = range.end;
-        }
-        if let (Some(s), Some(t0)) = (sink, t_wall) {
-            let wall = t0.elapsed();
-            spans.busy_ns = wall.as_nanos() as u64;
-            s.record_worker(spans);
-            s.record_sweep(wall, 1);
-        }
-        return out;
-    }
-
-    let queue = IndexQueue {
-        next: AtomicUsize::new(0),
-        len: n,
-        chunk,
-    };
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let filled = Mutex::new(&mut slots);
-    let mut panic_payload = None;
-
-    let t_wall = span_start(enabled);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut spans = WorkerSpans::default();
-                    let mut local: Vec<(usize, Vec<T>)> = Vec::new();
-                    loop {
-                        let t_claim = span_start(enabled);
-                        let claimed = queue.claim();
-                        span_lap(t_claim, &mut spans.claim_ns);
-                        let Some(range) = claimed else { break };
-                        if enabled {
-                            spans.chunks.push(range.len());
-                        }
-                        let start = range.start;
-                        let t_busy = span_start(enabled);
-                        let produced = f(range.clone());
-                        span_lap(t_busy, &mut spans.busy_ns);
-                        assert_eq!(produced.len(), range.len(), "chunk produced wrong count");
-                        local.push((start, produced));
-                    }
-                    let t_merge = span_start(enabled);
-                    {
-                        let mut slots = filled.lock().unwrap();
-                        for (start, values) in local {
-                            for (off, value) in values.into_iter().enumerate() {
-                                slots[start + off] = Some(value);
-                            }
-                        }
-                    }
-                    span_lap(t_merge, &mut spans.merge_ns);
-                    if let Some(s) = sink {
-                        s.record_worker(spans);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                panic_payload.get_or_insert(payload);
-            }
-        }
-    });
-    if let (Some(s), Some(t0)) = (sink, t_wall) {
-        s.record_sweep(t0.elapsed(), threads);
-    }
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
-}
-
-/// [`sweep`] over borrowed items instead of raw indices, preserving
-/// input order in the output.
-pub fn sweep_slice<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    sweep(items.len(), threads, |i| f(&items[i]))
-}
-
 /// A reusable parallel sweep configuration for experiment drivers.
 ///
 /// Thread count comes from `REACKED_THREADS` (default: available
 /// parallelism); `REACKED_THREADS=1` forces the sequential path. The
-/// runner is just a thread count plus the [`sweep`]/[`sweep_slice`]
-/// order guarantee, so any index-keyed pure computation fanned through
-/// it is bit-identical at every worker count.
+/// runner is just a thread count plus the pool's index-order guarantee,
+/// so any index-keyed pure computation fanned through it is
+/// bit-identical at every worker count.
 ///
 /// Attach a [`ProfileSink`] with [`SweepRunner::with_profile`] to
 /// record where the wall-clock goes; profiling observes timing only
@@ -396,18 +251,6 @@ impl SweepRunner {
     {
         sweep_with(items.len(), self.threads, self.profile(), |i| f(&items[i]))
     }
-
-    /// Coarse-chunked fan-out: `f` receives whole index ranges of
-    /// roughly `n / threads` items (so each worker typically claims one
-    /// chunk and sets scratch state up once). See [`sweep_chunked`].
-    pub fn run_chunked<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> Vec<T> + Sync,
-    {
-        let chunk = n.div_ceil(self.threads.max(1)).max(1);
-        sweep_chunked_with(n, self.threads, chunk, self.profile(), f)
-    }
 }
 
 impl Default for SweepRunner {
@@ -419,6 +262,11 @@ impl Default for SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unprofiled sweep at an explicit worker count.
+    fn sweep<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        SweepRunner::new(threads).run(n, f)
+    }
 
     #[test]
     fn results_are_in_index_order() {
@@ -478,12 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_slice_preserves_input_order() {
-        let items = ["a", "bb", "ccc", "dddd"];
-        assert_eq!(sweep_slice(&items, 4, |s| s.len()), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn index_queue_covers_every_index_once() {
         let q = IndexQueue::new(10, 3);
         let mut seen = Vec::new();
@@ -500,39 +342,23 @@ mod tests {
         assert_eq!(runner.run(5, |i| i * 2), vec![0, 2, 4, 6, 8]);
         let items = [10, 20, 30];
         assert_eq!(runner.map(&items, |x| x + 1), vec![11, 21, 31]);
+        let words = ["a", "bb", "ccc", "dddd"];
+        assert_eq!(runner.map(&words, |s| s.len()), vec![1, 2, 3, 4]);
         // 0 workers degrades to 1, never panics.
         assert_eq!(SweepRunner::new(0).threads(), 1);
     }
 
     #[test]
     fn chunked_sweep_matches_sequential_at_any_geometry() {
-        let want: Vec<usize> = (0..97).map(|i| i * 5 + 1).collect();
-        for threads in [1, 2, 4, 7] {
-            for chunk in [1, 3, 16, 97, 200] {
-                let got = sweep_chunked(97, threads, chunk, |r| {
-                    r.map(|i| i * 5 + 1).collect::<Vec<_>>()
-                });
-                assert_eq!(got, want, "threads={threads} chunk={chunk}");
+        // The queue's chunk size follows from (items, workers): cover
+        // chunk = 1, ragged last chunks and more workers than items.
+        for n in [0, 1, 5, 16, 97, 200] {
+            let want: Vec<usize> = (0..n).map(|i| i * 5 + 1).collect();
+            for threads in [1, 2, 4, 7] {
+                let got = sweep(n, threads, |i| i * 5 + 1);
+                assert_eq!(got, want, "n={n} threads={threads}");
             }
         }
-        let empty: Vec<usize> = sweep_chunked(0, 4, 8, |r| r.collect());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn run_chunked_hands_each_worker_about_one_chunk() {
-        use std::sync::Mutex;
-        let calls = Mutex::new(Vec::new());
-        let runner = SweepRunner::new(4);
-        let out = runner.run_chunked(100, |r| {
-            calls.lock().unwrap().push(r.clone());
-            r.map(|i| i * 2).collect::<Vec<_>>()
-        });
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        let calls = calls.lock().unwrap();
-        // 100 items over 4 workers → 25-item chunks, 4 callback calls.
-        assert_eq!(calls.len(), 4);
-        assert!(calls.iter().all(|r| r.len() == 25));
     }
 
     #[test]
@@ -569,7 +395,7 @@ mod tests {
     fn sequential_profile_records_busy_equal_to_wall() {
         let sink = Arc::new(ProfileSink::new());
         let runner = SweepRunner::new(1).with_profile(sink.clone());
-        let out = runner.run_chunked(10, |r| r.map(|i| i + 1).collect::<Vec<_>>());
+        let out = runner.run(10, |i| i + 1);
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
         let report = sink.report();
         assert_eq!(report.sweeps, 1);

@@ -239,8 +239,10 @@ pub struct Connection {
     address_validated: bool,
     /// Datagrams fully assembled and ready to go.
     ready_datagrams: VecDeque<Vec<u8>>,
-    /// Buffered packets for which keys are not yet available.
-    pending_packets: Vec<(PlainPacket, [u8; 16], usize)>,
+    /// Buffered packets for which keys are not yet available: the decoded
+    /// packet, its payload wire bytes (what the tag authenticates), the
+    /// tag, and the packet's wire size.
+    pending_packets: Vec<(PlainPacket, Vec<u8>, [u8; 16], usize)>,
     events: VecDeque<ConnEvent>,
     /// qlog event log for this endpoint.
     pub log: EventLog,
@@ -345,71 +347,19 @@ impl Connection {
             ..TlsClientConfig::full()
         });
         tls.start();
-        let early = tls.early_keys().cloned();
-        let initial = initial_keys(original_dcid.as_slice());
-        let ping_budget = if cfg.quirks.drop_ping_reply_coalesced {
-            1
-        } else {
-            0
-        };
-        let mut conn = Connection {
-            role: Role::Client,
-            pto: PtoState::new(cfg.default_pto),
-            cc: cfg.cc_algorithm.build(),
-            last_cc_state: CcState::SlowStart,
-            largest_acked_sent_time: None,
-            tls,
-            spaces: Default::default(),
-            trackers: Default::default(),
-            rtt,
-            keys: [Some(initial), None, None],
-            local_cid,
-            peer_cid: original_dcid,
-            original_dcid,
-            bytes_received: 0,
-            bytes_sent: 0,
-            address_validated: true, // clients are never amplification-limited
-            ready_datagrams: VecDeque::new(),
-            pending_packets: Vec::new(),
-            events: VecDeque::new(),
-            log: EventLog::new(format!("client:{}", cfg.name)),
-            handshake_complete: false,
-            handshake_confirmed: false,
-            handshake_done_pending: false,
-            iack_received: false,
-            initial_ping_pns: Vec::new(),
-            self_dropped: 0,
-            ping_reply_drop_budget: ping_budget,
-            initial_crypto_copy: Vec::new(),
-            flight2_sent: false,
-            streams: StreamSet::new(cfg.initial_max_data, cfg.initial_max_stream_data),
-            last_activity: None,
-            last_eliciting_send: None,
-            first_send_at: None,
-            closed: false,
-            close_frame_pending: None,
-            amp_blocked_logged: false,
-            token: Vec::new(),
-            use_retry: false,
-            retry_sent: false,
-            waiting_for_cert: false,
-            new_ack_packets: 0,
-            buffered_hs_before_keys: false,
-            early_keys: early,
-            early_rejected: false,
-            cid_seed,
-            peer_cid_pool: Vec::new(),
-            peer_cid_seq: 0,
-            pending_new_cids: Vec::new(),
-            pending_retire_cids: Vec::new(),
-            pending_path_response: None,
-            path_challenge: None,
-            paths: Vec::new(),
-            active_path: 0,
-            stats: ConnStats::default(),
-            last_metrics_sample: None,
+        let mut conn = Connection::new(
+            Role::Client,
             cfg,
-        };
+            cid_seed,
+            tls,
+            rtt,
+            local_cid,
+            original_dcid,
+        );
+        conn.early_keys = conn.tls.early_keys().cloned();
+        if conn.cfg.quirks.drop_ping_reply_coalesced {
+            conn.ping_reply_drop_budget = 1;
+        }
         // Queue the ClientHello into the Initial crypto stream.
         if let Some(ch) = conn.tls.take_output(Level::Initial) {
             conn.initial_crypto_copy = ch.to_vec();
@@ -430,9 +380,35 @@ impl Connection {
             ticket_key: cfg.ticket_key,
             accept_ticket_keys: cfg.accept_ticket_keys.clone(),
         });
-        let initial = initial_keys(original_dcid.as_slice());
+        let rtt = RttEstimator::new(cfg.max_ack_delay);
+        Connection::new(
+            Role::Server,
+            cfg,
+            cid_seed,
+            tls,
+            rtt,
+            local_cid,
+            original_dcid,
+        )
+    }
+
+    /// The state both roles start from; `client`/`server` supply what
+    /// differs (TLS session, RTT quirks, CIDs).
+    fn new(
+        role: Role,
+        cfg: EndpointConfig,
+        cid_seed: u64,
+        tls: TlsSession,
+        rtt: RttEstimator,
+        local_cid: ConnectionId,
+        original_dcid: ConnectionId,
+    ) -> Self {
+        let (role_name, peer_cid) = match role {
+            Role::Client => ("client", original_dcid),
+            Role::Server => ("server", ConnectionId::EMPTY), // learned from the client's SCID
+        };
         Connection {
-            role: Role::Server,
+            role,
             pto: PtoState::new(cfg.default_pto),
             cc: cfg.cc_algorithm.build(),
             last_cc_state: CcState::SlowStart,
@@ -440,18 +416,19 @@ impl Connection {
             tls,
             spaces: Default::default(),
             trackers: Default::default(),
-            rtt: RttEstimator::new(cfg.max_ack_delay),
-            keys: [Some(initial), None, None],
+            rtt,
+            keys: [Some(initial_keys(original_dcid.as_slice())), None, None],
             local_cid,
-            peer_cid: ConnectionId::EMPTY, // learned from the client's SCID
+            peer_cid,
             original_dcid,
             bytes_received: 0,
             bytes_sent: 0,
-            address_validated: false,
+            // Clients are never amplification-limited.
+            address_validated: role == Role::Client,
             ready_datagrams: VecDeque::new(),
             pending_packets: Vec::new(),
             events: VecDeque::new(),
-            log: EventLog::new(format!("server:{}", cfg.name)),
+            log: EventLog::new(format!("{role_name}:{}", cfg.name)),
             handshake_complete: false,
             handshake_confirmed: false,
             handshake_done_pending: false,
@@ -460,7 +437,8 @@ impl Connection {
             self_dropped: 0,
             ping_reply_drop_budget: 0,
             initial_crypto_copy: Vec::new(),
-            flight2_sent: true, // server has no client flight 2
+            // A server has no client flight 2.
+            flight2_sent: role == Role::Server,
             streams: StreamSet::new(cfg.initial_max_data, cfg.initial_max_stream_data),
             last_activity: None,
             last_eliciting_send: None,
@@ -818,25 +796,36 @@ impl Connection {
 
         let mut rest = data;
         while !rest.is_empty() {
-            let Ok((pkt, tag, consumed)) = PlainPacket::decode(rest, 8) else {
+            let Ok((pkt, payload, tag, consumed)) = PlainPacket::decode_with_payload(rest, 8)
+            else {
                 return; // undecodable remainder: drop silently
             };
             rest = &rest[consumed..];
-            self.accept_packet(now, pkt, tag, consumed);
+            self.accept_packet(now, pkt, payload, tag, consumed);
         }
         // Server address validation: a Handshake packet proves the client
         // owns the address (RFC 9000 §8.1).
         self.flush_pending(now);
     }
 
-    fn accept_packet(&mut self, now: SimTime, pkt: PlainPacket, tag: [u8; 16], size: usize) {
+    /// Key-gates and authenticates one decoded packet. `payload` is the
+    /// packet's frame bytes as they arrived: the tag is verified over the
+    /// wire bytes, never over a re-encoding.
+    fn accept_packet(
+        &mut self,
+        now: SimTime,
+        pkt: PlainPacket,
+        payload: &[u8],
+        tag: [u8; 16],
+        size: usize,
+    ) {
         let space = pkt.space();
         let idx = space.index();
         if self.spaces[idx].discarded {
             return;
         }
         if pkt.header.ty == PacketType::Retry {
-            self.on_retry(now, pkt);
+            self.on_retry(pkt);
             return;
         }
         // Server-side Retry (RFC 9000 §8.1.2): demand an address-validation
@@ -846,11 +835,8 @@ impl Connection {
                 if !self.retry_sent {
                     self.retry_sent = true;
                     self.peer_cid = pkt.header.scid;
-                    let token = retry_token_for(&pkt.header.scid);
-                    let hdr = Header::retry(self.peer_cid, self.local_cid, token);
-                    let retry = PlainPacket::new(hdr, Vec::new()).expect("retry has no frames");
                     self.ready_datagrams
-                        .push_back(retry.to_bytes(&[0u8; 16]).to_vec());
+                        .push_back(stateless_retry_datagram(self.peer_cid, self.local_cid));
                 }
                 return; // drop the tokenless Initial
             }
@@ -876,7 +862,8 @@ impl Connection {
                     if self.early_rejected || self.keys[1].is_some() {
                         return;
                     }
-                    self.pending_packets.push((pkt, tag, size));
+                    self.pending_packets
+                        .push((pkt, payload.to_vec(), tag, size));
                     return;
                 }
             }
@@ -889,7 +876,8 @@ impl Connection {
                     if space == PacketNumberSpace::Handshake {
                         self.buffered_hs_before_keys = true;
                     }
-                    self.pending_packets.push((pkt, tag, size));
+                    self.pending_packets
+                        .push((pkt, payload.to_vec(), tag, size));
                     return;
                 }
             }
@@ -899,8 +887,7 @@ impl Connection {
             Role::Server => KeySide::Client,
         };
         let key = keys.for_side(peer_side);
-        let payload_check = packet_auth_bytes(&pkt);
-        if !verify_tag(key, pkt.header.pn, &payload_check, &tag) {
+        if !verify_tag(key, pkt.header.pn, payload, &tag) {
             return; // forged/corrupt packet: drop
         }
         self.process_packet(now, pkt, size);
@@ -912,8 +899,8 @@ impl Connection {
             return;
         }
         let pending = std::mem::take(&mut self.pending_packets);
-        for (pkt, tag, size) in pending {
-            self.accept_packet(now, pkt, tag, size);
+        for (pkt, payload, tag, size) in pending {
+            self.accept_packet(now, pkt, &payload, tag, size);
         }
     }
 
@@ -980,7 +967,7 @@ impl Connection {
         if self.role == Role::Server && pkt.header.ty == PacketType::Handshake {
             self.address_validated = true;
             // Receiving Handshake also means Initial keys can be discarded.
-            self.discard_space(now, PacketNumberSpace::Initial);
+            self.discard_space(PacketNumberSpace::Initial);
         }
 
         let frames = pkt.frames.clone();
@@ -1118,7 +1105,7 @@ impl Connection {
                     self.handshake_confirmed = true;
                     self.log.push(now, EventData::HandshakeConfirmed);
                     self.events.push_back(ConnEvent::HandshakeConfirmed);
-                    self.discard_space(now, PacketNumberSpace::Handshake);
+                    self.discard_space(PacketNumberSpace::Handshake);
                 }
             }
             Frame::ConnectionClose {
@@ -1400,7 +1387,7 @@ impl Connection {
                 self.log.push(now, EventData::EarlyData { accepted: false });
                 self.early_rejected = true;
                 if self.role == Role::Client {
-                    self.requeue_zero_rtt(now);
+                    self.requeue_zero_rtt();
                 }
                 self.early_keys = None;
             }
@@ -1440,7 +1427,7 @@ impl Connection {
                         if self.cfg.send_handshake_space_acks && !self.cfg.no_initial_acks {
                             self.queue_handshake_ack(now);
                         }
-                        self.discard_space(now, PacketNumberSpace::Handshake);
+                        self.discard_space(PacketNumberSpace::Handshake);
                     }
                     Role::Client => {
                         // Client Finished (and any 1-RTT request already
@@ -1467,7 +1454,7 @@ impl Connection {
 
     /// 0-RTT was rejected: remove the early packets from tracking and
     /// requeue their content for 1-RTT transmission (RFC 9001 §4.6.2).
-    fn requeue_zero_rtt(&mut self, now: SimTime) {
+    fn requeue_zero_rtt(&mut self) {
         let idx = PacketNumberSpace::Application.index();
         if self.spaces[idx].zero_rtt_pns.is_empty() {
             return;
@@ -1492,7 +1479,6 @@ impl Connection {
             // {accepted: false}` event already marks the unwind.
         }
         self.cc.on_discarded(freed);
-        let _ = now;
     }
 
     /// Server driver callback: the certificate arrived from the store.
@@ -1507,26 +1493,22 @@ impl Connection {
         self.pump_tls_output();
     }
 
+    /// Builds a pure-ACK Initial datagram right now, ahead of the flight.
     fn queue_instant_ack(&mut self, now: SimTime, pad_to_mtu: bool) {
-        // Build a pure-ACK Initial datagram right now, ahead of the flight.
-        let idx = 0;
-        let Some(ack_list) = self.spaces[idx].recv.ack_list().map(<[u64]>::to_vec) else {
+        let Some(ack) = self.take_ack_frame(now, 0) else {
             return;
         };
-        let ack = AckFrame::from_sorted_desc(&ack_list, self.report_ack_delay(now, idx));
-        let mut frames = vec![Frame::Ack(ack)];
+        let mut frames = vec![ack];
         if pad_to_mtu {
+            // The ablation's frame-level policy (not §14.1 datagram
+            // padding): a closed form landing on exactly 1200 bytes.
             let base = 1 + 4 + 1 + 8 + 1 + 8 + 1 + 2 + 4 + frames[0].encoded_len() + 16;
             frames.push(Frame::Padding {
                 len: MIN_INITIAL_DATAGRAM.saturating_sub(base),
             });
         }
-        let pn = self.spaces[idx].alloc_pn();
-        let header = Header::initial(self.peer_cid, self.local_cid, Vec::new(), pn);
-        let pkt = PlainPacket::new(header, frames).expect("ack frame valid in initial");
-        if let Some(dgram) = self.seal_and_register(now, pkt, true) {
+        if let Some(dgram) = self.emit_datagram(now, vec![(PacketNumberSpace::Initial, frames)]) {
             self.ready_datagrams.push_back(dgram);
-            self.spaces[idx].recv.on_ack_sent();
             self.log.push(now, EventData::InstantAck { sent: true });
         }
     }
@@ -1534,22 +1516,26 @@ impl Connection {
     /// Emits a standalone Handshake-space ACK (used by server stacks that
     /// acknowledge the client Finished before discarding the space).
     fn queue_handshake_ack(&mut self, now: SimTime) {
-        let idx = 1;
-        if self.keys[idx].is_none() || self.spaces[idx].discarded {
+        if self.keys[1].is_none() || self.spaces[1].discarded {
             return;
         }
-        let Some(list) = self.spaces[idx].recv.ack_list().map(<[u64]>::to_vec) else {
+        let Some(ack) = self.take_ack_frame(now, 1) else {
             return;
         };
-        let delay = self.report_ack_delay(now, idx);
-        let ack = AckFrame::from_sorted_desc(&list, delay);
-        let pn = self.spaces[idx].alloc_pn();
-        let header = Header::handshake(self.peer_cid, self.local_cid, pn);
-        let pkt = PlainPacket::new(header, vec![Frame::Ack(ack)]).expect("ack valid in handshake");
-        if let Some(dgram) = self.seal_and_register(now, pkt, false) {
+        if let Some(dgram) =
+            self.emit_datagram(now, vec![(PacketNumberSpace::Handshake, vec![ack])])
+        {
             self.ready_datagrams.push_back(dgram);
-            self.spaces[idx].recv.on_ack_sent();
         }
+    }
+
+    /// The ACK frame for everything received so far in space `idx`
+    /// (`None` before the first packet), marking the owed ACK as sent.
+    fn take_ack_frame(&mut self, now: SimTime, idx: usize) -> Option<Frame> {
+        let list = self.spaces[idx].recv.ack_list()?;
+        let ack = AckFrame::from_sorted_desc(list, self.report_ack_delay(now, idx));
+        self.spaces[idx].recv.on_ack_sent();
+        Some(Frame::Ack(ack))
     }
 
     fn report_ack_delay(&self, now: SimTime, space_idx: usize) -> u64 {
@@ -1571,7 +1557,7 @@ impl Connection {
         }
     }
 
-    fn on_retry(&mut self, now: SimTime, pkt: PlainPacket) {
+    fn on_retry(&mut self, pkt: PlainPacket) {
         if self.role != Role::Client || self.iack_received || !self.token.is_empty() {
             return; // only one Retry per connection, clients only
         }
@@ -1585,11 +1571,9 @@ impl Connection {
             self.initial_crypto_copy = ch.to_vec();
             self.spaces[0].crypto.queue_tx(&ch);
         }
-        // A Retry can serve as the first RTT estimate (paper §5).
-        let _ = now;
     }
 
-    fn discard_space(&mut self, now: SimTime, space: PacketNumberSpace) {
+    fn discard_space(&mut self, space: PacketNumberSpace) {
         let idx = space.index();
         if self.spaces[idx].discarded {
             return;
@@ -1600,7 +1584,6 @@ impl Connection {
         self.keys[idx] = None;
         // Key discard resets the PTO backoff and timer (RFC 9002 §6.2.2).
         self.pto.on_progress();
-        let _ = now;
     }
 
     fn abort(&mut self, now: SimTime, error_code: u64, reason: &str) {
@@ -1668,31 +1651,23 @@ impl Connection {
         if self.waiting_for_cert {
             return None;
         }
-        if let Some(d) = self.ready_datagrams.pop_front() {
-            self.note_datagram_sent(now, d.len());
-            return Some(d);
-        }
-        if self.closed {
-            if let Some((code, reason)) = self.close_frame_pending.take() {
+        if self.ready_datagrams.is_empty() {
+            if self.closed {
+                let (code, reason) = self.close_frame_pending.take()?;
                 return self.build_close_datagram(now, code, &reason);
             }
-            return None;
-        }
-        // Client flight 2: emitted as an explicit datagram plan honoring
-        // the per-implementation coalescing layout (Table 4).
-        if self.role == Role::Client && self.handshake_complete && !self.flight2_sent {
-            self.build_client_flight2(now);
-            if let Some(d) = self.ready_datagrams.pop_front() {
-                self.bytes_sent += d.len();
-                self.last_activity = Some(now);
-                self.first_send_at.get_or_insert(now);
-                return Some(d);
+            // Client flight 2: emitted as an explicit datagram plan honoring
+            // the per-implementation coalescing layout (Table 4).
+            if self.role == Role::Client && self.handshake_complete && !self.flight2_sent {
+                self.build_client_flight2(now);
             }
         }
-        self.build_datagram(now).map(|d| {
-            self.note_datagram_sent(now, d.len());
-            d
-        })
+        let d = match self.ready_datagrams.pop_front() {
+            Some(d) => d,
+            None => self.build_datagram(now)?,
+        };
+        self.note_datagram_sent(now, d.len());
+        Some(d)
     }
 
     /// Books an outgoing datagram against global and per-path
@@ -1706,19 +1681,15 @@ impl Connection {
         self.first_send_at.get_or_insert(now);
     }
 
-    /// Builds one generic datagram by greedily coalescing per-space packets.
+    /// Plans one generic datagram by greedily coalescing per-space packets.
     fn build_datagram(&mut self, now: SimTime) -> Option<Vec<u8>> {
-        let mut budget = MAX_DATAGRAM_SIZE;
         // Amplification gate (whole-datagram granularity).
         let amp = self.amplification_budget();
         if amp == 0 {
             return None;
         }
-        budget = budget.min(amp);
-
-        let mut datagram: Vec<u8> = Vec::new();
-        let mut contains_client_initial = false;
-        let mut planned: Vec<PlainPacket> = Vec::new();
+        let mut budget = MAX_DATAGRAM_SIZE.min(amp);
+        let mut plan = Vec::new();
 
         for space in PacketNumberSpace::ALL {
             let idx = space.index();
@@ -1731,18 +1702,17 @@ impl Connection {
                 break;
             }
             let max_payload = budget - overhead;
-            let (frames, _probe) = self.build_frames_for_space(now, space, max_payload);
+            let frames = self.build_frames_for_space(now, space, max_payload);
             if frames.is_empty() {
                 continue;
             }
-            if space == PacketNumberSpace::Initial && self.role == Role::Client {
-                contains_client_initial = true;
-            }
-            let pkt = self.make_packet(space, frames);
-            budget = budget.saturating_sub(pkt.encoded_len());
-            planned.push(pkt);
+            // The next space fills what this packet's exact encoding leaves.
+            let payload = frames.iter().map(Frame::encoded_len).sum();
+            let size = PlainPacket::wire_len(&self.header_for(space, 0), payload);
+            budget = budget.saturating_sub(size);
+            plan.push((space, frames));
         }
-        if planned.is_empty() {
+        if plan.is_empty() {
             if !self.amp_blocked_logged
                 && self.amplification_budget() < MAX_DATAGRAM_SIZE
                 && self.wants_to_send()
@@ -1759,30 +1729,7 @@ impl Connection {
             }
             return None;
         }
-        // Client datagrams containing Initial packets pad to 1200 bytes
-        // (RFC 9000 §14.1). Sizes come from the exact packet encodings.
-        if contains_client_initial {
-            let used: usize = planned.iter().map(PlainPacket::encoded_len).sum();
-            if used < MIN_INITIAL_DATAGRAM {
-                let pad = MIN_INITIAL_DATAGRAM - used;
-                let last = planned.last_mut().unwrap();
-                last.frames.push(Frame::Padding { len: pad });
-                // A grown length varint can leave us 1-2 bytes short; fix up.
-                let total: usize = planned.iter().map(PlainPacket::encoded_len).sum::<usize>();
-                if total < MIN_INITIAL_DATAGRAM {
-                    if let Some(Frame::Padding { len }) =
-                        planned.last_mut().unwrap().frames.last_mut()
-                    {
-                        *len += MIN_INITIAL_DATAGRAM - total;
-                    }
-                }
-            }
-        }
-        for pkt in planned {
-            let bytes = self.seal_and_register(now, pkt, true)?;
-            datagram.extend_from_slice(&bytes);
-        }
-        (!datagram.is_empty()).then_some(datagram)
+        self.emit_datagram(now, plan)
     }
 
     /// True if any space has content waiting (used for the
@@ -1818,17 +1765,16 @@ impl Connection {
     }
 
     /// Assembles the frame list for one packet in `space`, consuming
-    /// pending state. Returns `(frames, is_probe_only)`.
+    /// pending state.
     fn build_frames_for_space(
         &mut self,
         now: SimTime,
         space: PacketNumberSpace,
         max_payload: usize,
-    ) -> (Vec<Frame>, bool) {
+    ) -> Vec<Frame> {
         let idx = space.index();
         let mut frames = Vec::new();
         let mut used = 0usize;
-        let mut probe_only = true;
         // Building a 0-RTT packet: ACK and HANDSHAKE_DONE frames are not
         // permitted there (RFC 9000 §12.4), and neither arises before the
         // handshake anyway.
@@ -1866,13 +1812,9 @@ impl Connection {
             attach_ack = false;
         }
         if attach_ack {
-            if let Some(list) = self.spaces[idx].recv.ack_list().map(<[u64]>::to_vec) {
-                let delay = self.report_ack_delay(now, idx);
-                let ack = AckFrame::from_sorted_desc(&list, delay);
-                let f = Frame::Ack(ack);
+            if let Some(f) = self.take_ack_frame(now, idx) {
                 used += f.encoded_len();
                 frames.push(f);
-                self.spaces[idx].recv.on_ack_sent();
             }
         }
 
@@ -1896,7 +1838,6 @@ impl Connection {
                 if data.len() <= room {
                     used += 10 + data.len();
                     frames.push(Frame::Crypto { offset: off, data });
-                    probe_only = false;
                 } else {
                     let head = data.slice(..room);
                     let tail = data.slice(room..);
@@ -1906,7 +1847,6 @@ impl Connection {
                         data: head,
                     });
                     leftover.crypto.push((off + room as u64, tail));
-                    probe_only = false;
                 }
             }
             for (sid, off, data, fin) in item.stream {
@@ -1923,7 +1863,6 @@ impl Connection {
                         data,
                         fin,
                     });
-                    probe_only = false;
                 } else {
                     let head = data.slice(..room);
                     let tail = data.slice(room..);
@@ -1935,14 +1874,12 @@ impl Connection {
                         fin: false,
                     });
                     leftover.stream.push((sid, off + room as u64, tail, fin));
-                    probe_only = false;
                 }
             }
             if item.handshake_done {
                 if used + 1 <= max_payload {
                     frames.push(Frame::HandshakeDone);
                     used += 1;
-                    probe_only = false;
                 } else {
                     leftover.handshake_done = true;
                 }
@@ -1950,12 +1887,10 @@ impl Connection {
             if let Some(md) = item.max_data {
                 frames.push(Frame::MaxData { max: md });
                 used += 9;
-                probe_only = false;
             }
             for (sid, v) in item.max_stream_data {
                 frames.push(Frame::MaxStreamData { id: sid, max: v });
                 used += 12;
-                probe_only = false;
             }
             for (seq, rpt, cid) in item.new_cids {
                 frames.push(Frame::NewConnectionId {
@@ -1964,7 +1899,6 @@ impl Connection {
                     cid,
                 });
                 used += 30;
-                probe_only = false;
             }
             self.spaces[idx].queue_retx(leftover);
         }
@@ -1978,7 +1912,6 @@ impl Connection {
             if let Some((off, data)) = self.spaces[idx].crypto.take_tx(room) {
                 used += 10 + data.len();
                 frames.push(Frame::Crypto { offset: off, data });
-                probe_only = false;
             } else {
                 break;
             }
@@ -1990,7 +1923,6 @@ impl Connection {
                 self.handshake_done_pending = false;
                 frames.push(Frame::HandshakeDone);
                 used += 1;
-                probe_only = false;
             }
             // Migration plumbing: challenge/response first (time-critical),
             // then CID bookkeeping. All empty when cid_pool is 0.
@@ -1999,7 +1931,6 @@ impl Connection {
                     if let Some(data) = self.pending_path_response.take() {
                         frames.push(Frame::PathResponse { data });
                         used += 9;
-                        probe_only = false;
                     }
                 }
                 let challenge = self.path_challenge.as_ref().and_then(|ch| {
@@ -2009,14 +1940,12 @@ impl Connection {
                     self.path_challenge.as_mut().unwrap().needs_send = false;
                     frames.push(Frame::PathChallenge { data });
                     used += 9;
-                    probe_only = false;
                     self.log.push(now, EventData::PathChallengeSent { path });
                 }
                 while !self.pending_retire_cids.is_empty() && used + 2 <= max_payload {
                     let seq = self.pending_retire_cids.remove(0);
                     frames.push(Frame::RetireConnectionId { seq });
                     used += 2;
-                    probe_only = false;
                 }
                 while !self.pending_new_cids.is_empty() && used + 30 <= max_payload {
                     let (seq, retire_prior_to, cid) = self.pending_new_cids.remove(0);
@@ -2026,14 +1955,12 @@ impl Connection {
                         cid,
                     });
                     used += 30;
-                    probe_only = false;
                 }
             }
             if self.streams.should_send_max_data() && used + 9 <= max_payload {
                 let v = self.streams.next_max_data();
                 frames.push(Frame::MaxData { max: v });
                 used += 9;
-                probe_only = false;
             }
             for (sid, grant) in self.streams.stream_credit_updates() {
                 if used + 12 > max_payload {
@@ -2044,7 +1971,6 @@ impl Connection {
                     max: grant,
                 });
                 used += 12;
-                probe_only = false;
             }
             // Stream data, congestion-controlled.
             if self.streams.want_send() {
@@ -2075,22 +2001,48 @@ impl Connection {
                             data,
                             fin,
                         });
-                        probe_only = false;
                     }
                 }
             }
         }
 
-        let has_real_content = frames
-            .iter()
-            .any(|f| !matches!(f, Frame::Ack(_) | Frame::Padding { .. }));
-        (frames, probe_only && !has_real_content)
+        frames
+    }
+
+    /// The one place a UDP payload is produced. Every packet of the plan
+    /// gets its packet number and header first, a client datagram carrying
+    /// an Initial is padded (RFC 9000 §14.1), and then each packet is
+    /// encoded once straight into the datagram, sealed over the bytes just
+    /// written and registered — in wire order, because sealing the
+    /// client's first Handshake packet discards its Initial keys.
+    fn emit_datagram(
+        &mut self,
+        now: SimTime,
+        plan: Vec<(PacketNumberSpace, Vec<Frame>)>,
+    ) -> Option<Vec<u8>> {
+        let mut pkts: Vec<PlainPacket> = plan
+            .into_iter()
+            .filter(|(_, frames)| !frames.is_empty())
+            .map(|(space, frames)| self.make_packet(space, frames))
+            .collect();
+        if self.role == Role::Client {
+            pad_client_initial(&mut pkts);
+        }
+        let mut datagram = Vec::with_capacity(pkts.iter().map(PlainPacket::encoded_len).sum());
+        for pkt in pkts {
+            self.seal_into(now, pkt, &mut datagram);
+        }
+        (!datagram.is_empty()).then_some(datagram)
     }
 
     fn make_packet(&mut self, space: PacketNumberSpace, frames: Vec<Frame>) -> PlainPacket {
-        let idx = space.index();
-        let pn = self.spaces[idx].alloc_pn();
-        let header = match space {
+        let pn = self.spaces[space.index()].alloc_pn();
+        PlainPacket::new(self.header_for(space, pn), frames)
+            .expect("frame permissions checked by construction")
+    }
+
+    fn header_for(&self, space: PacketNumberSpace, pn: u64) -> Header {
+        match space {
             PacketNumberSpace::Initial => {
                 Header::initial(self.peer_cid, self.local_cid, self.token.clone(), pn)
             }
@@ -2106,32 +2058,33 @@ impl Connection {
                     Header::zero_rtt(self.peer_cid, self.local_cid, pn)
                 }
             }
-        };
-        PlainPacket::new(header, frames).expect("frame permissions checked by construction")
+        }
     }
 
-    /// Seals a packet, registers it with recovery/cc, and returns its
-    /// bytes. `count_in_flight` is false for pure-ACK packets.
-    fn seal_and_register(
-        &mut self,
-        now: SimTime,
-        pkt: PlainPacket,
-        _count: bool,
-    ) -> Option<Vec<u8>> {
+    /// Encodes `pkt` once onto the end of `datagram`, tags the payload
+    /// bytes just written, and registers the packet with recovery,
+    /// congestion control, retransmission state and qlog. Appends nothing
+    /// when the packet's keys are missing.
+    fn seal_into(&mut self, now: SimTime, pkt: PlainPacket, datagram: &mut Vec<u8>) {
         let space = pkt.space();
         let idx = space.index();
         let keys = if pkt.header.ty == PacketType::ZeroRtt {
-            self.early_keys.as_ref()?
+            self.early_keys.as_ref()
         } else {
-            self.keys[idx].as_ref()?
+            self.keys[idx].as_ref()
+        };
+        let Some(keys) = keys else {
+            return;
         };
         let side = match self.role {
             Role::Client => KeySide::Client,
             Role::Server => KeySide::Server,
         };
         let key = keys.for_side(side);
-        let tag = seal_tag(key, pkt.header.pn, &packet_auth_bytes(&pkt));
-        let bytes = pkt.to_bytes(&tag);
+        let start = datagram.len();
+        pkt.encode_sealed(datagram, |payload| seal_tag(key, pkt.header.pn, payload))
+            .expect("encode cannot fail after construction");
+        let size = datagram.len() - start;
         let ack_eliciting = pkt.is_ack_eliciting();
         let in_flight = ack_eliciting
             || pkt
@@ -2158,11 +2111,11 @@ impl Connection {
             time_sent: now,
             ack_eliciting,
             in_flight,
-            size: bytes.len(),
+            size,
             retx_token: token,
         });
         if in_flight {
-            self.cc.on_sent(bytes.len());
+            self.cc.on_sent(size);
         }
         if ack_eliciting {
             self.last_eliciting_send = Some(now);
@@ -2173,16 +2126,15 @@ impl Connection {
             EventData::PacketSent {
                 space: space_name(space),
                 pn: pkt.header.pn,
-                size: bytes.len(),
+                size,
                 ack_eliciting,
                 frames: frame_summaries(&pkt.frames),
             },
         );
         // Client: sending the first Handshake packet discards Initial keys.
         if self.role == Role::Client && space == PacketNumberSpace::Handshake {
-            self.discard_space(now, PacketNumberSpace::Initial);
+            self.discard_space(PacketNumberSpace::Initial);
         }
-        Some(bytes.to_vec())
     }
 
     /// Builds the client's second flight according to the coalescing
@@ -2190,32 +2142,14 @@ impl Connection {
     /// first 1-RTT packet, spread over `flight2_datagrams` datagrams.
     fn build_client_flight2(&mut self, now: SimTime) {
         self.flight2_sent = true;
-        let mut groups: Vec<Vec<(PacketNumberSpace, Vec<Frame>)>> = Vec::new();
-
         // Packet A: Initial ACK (if Initial space still alive).
-        let pkt_a = if !self.spaces[0].discarded && self.keys[0].is_some() {
-            self.spaces[0]
-                .recv
-                .ack_list()
-                .map(<[u64]>::to_vec)
-                .map(|list| {
-                    let delay = self.report_ack_delay(now, 0);
-                    self.spaces[0].recv.on_ack_sent();
-                    (
-                        PacketNumberSpace::Initial,
-                        vec![Frame::Ack(AckFrame::from_sorted_desc(&list, delay))],
-                    )
-                })
-        } else {
-            None
-        };
-        // Packet B: Handshake ACK + client Finished.
-        let mut b_frames = Vec::new();
-        if let Some(list) = self.spaces[1].recv.ack_list().map(<[u64]>::to_vec) {
-            let delay = self.report_ack_delay(now, 1);
-            b_frames.push(Frame::Ack(AckFrame::from_sorted_desc(&list, delay)));
-            self.spaces[1].recv.on_ack_sent();
+        let mut a_frames = Vec::new();
+        if !self.spaces[0].discarded && self.keys[0].is_some() {
+            a_frames.extend(self.take_ack_frame(now, 0));
         }
+        let pkt_a = (PacketNumberSpace::Initial, a_frames);
+        // Packet B: Handshake ACK + client Finished.
+        let mut b_frames = Vec::from_iter(self.take_ack_frame(now, 1));
         while let Some((off, data)) = self.spaces[1].crypto.take_tx(usize::MAX) {
             b_frames.push(Frame::Crypto { offset: off, data });
         }
@@ -2243,137 +2177,53 @@ impl Connection {
                 }
             }
         }
-        let pkt_c = (!c_frames.is_empty()).then_some((PacketNumberSpace::Application, c_frames));
+        let pkt_c = (PacketNumberSpace::Application, c_frames);
 
-        // Distribute packets over datagrams per the layout.
-        match self.cfg.flight2_datagrams {
-            1 => {
-                let mut g = Vec::new();
-                if let Some(a) = pkt_a {
-                    g.push(a);
-                }
-                g.push(pkt_b);
-                if let Some(c) = pkt_c {
-                    g.push(c);
-                }
-                groups.push(g);
-            }
-            2 => {
-                let mut g1 = Vec::new();
-                if let Some(a) = pkt_a {
-                    g1.push(a);
-                }
-                g1.push(pkt_b);
-                groups.push(g1);
-                if let Some(c) = pkt_c {
-                    groups.push(vec![c]);
-                }
-            }
+        // Distribute packets over datagrams per the layout; the emitter
+        // skips a packet left without frames.
+        let groups = match self.cfg.flight2_datagrams {
+            1 => vec![vec![pkt_a, pkt_b, pkt_c]],
+            2 => vec![vec![pkt_a, pkt_b], vec![pkt_c]],
             4 => {
-                if let Some(a) = pkt_a {
-                    groups.push(vec![a]);
-                }
                 // picoquic sends a separate HS ACK datagram before the FIN.
-                let (hs, mut fin_frames) = (pkt_b.0, pkt_b.1);
+                let (hs, mut fin_frames) = pkt_b;
                 let ack_frame: Vec<Frame> = fin_frames
                     .iter()
                     .position(|f| matches!(f, Frame::Ack(_)))
                     .map(|i| vec![fin_frames.remove(i)])
                     .unwrap_or_default();
-                if !ack_frame.is_empty() {
-                    groups.push(vec![(hs, ack_frame)]);
-                }
-                groups.push(vec![(hs, fin_frames)]);
-                if let Some(c) = pkt_c {
-                    groups.push(vec![c]);
-                }
+                vec![
+                    vec![pkt_a],
+                    vec![(hs, ack_frame)],
+                    vec![(hs, fin_frames)],
+                    vec![pkt_c],
+                ]
             }
-            _ => {
-                // 3 (default): [Initial ACK], [HS FIN], [1-RTT].
-                if let Some(a) = pkt_a {
-                    groups.push(vec![a]);
-                }
-                groups.push(vec![pkt_b]);
-                if let Some(c) = pkt_c {
-                    groups.push(vec![c]);
-                }
-            }
-        }
-
+            // 3 (default): [Initial ACK], [HS FIN], [1-RTT].
+            _ => vec![vec![pkt_a], vec![pkt_b], vec![pkt_c]],
+        };
         for group in groups {
-            // Build the packets first so padding uses exact sizes.
-            let mut pkts: Vec<PlainPacket> = Vec::new();
-            let mut has_initial = false;
-            for (space, frames) in group {
-                if frames.is_empty() {
-                    continue;
-                }
-                if space == PacketNumberSpace::Initial {
-                    has_initial = true;
-                }
-                pkts.push(self.make_packet(space, frames));
-            }
-            if pkts.is_empty() {
-                continue;
-            }
-            // Datagrams carrying an Initial packet pad to 1200 bytes.
-            if has_initial {
-                let total: usize = pkts.iter().map(PlainPacket::encoded_len).sum();
-                if total < MIN_INITIAL_DATAGRAM {
-                    pkts.last_mut().unwrap().frames.push(Frame::Padding {
-                        len: MIN_INITIAL_DATAGRAM - total,
-                    });
-                    let total2: usize = pkts.iter().map(PlainPacket::encoded_len).sum();
-                    if total2 < MIN_INITIAL_DATAGRAM {
-                        if let Some(Frame::Padding { len }) =
-                            pkts.last_mut().unwrap().frames.last_mut()
-                        {
-                            *len += MIN_INITIAL_DATAGRAM - total2;
-                        }
-                    }
-                }
-            }
-            let mut dgram = Vec::new();
-            for pkt in pkts {
-                if let Some(bytes) = self.seal_and_register(now, pkt, true) {
-                    dgram.extend_from_slice(&bytes);
-                }
-            }
-            if !dgram.is_empty() {
+            if let Some(dgram) = self.emit_datagram(now, group) {
                 self.ready_datagrams.push_back(dgram);
             }
         }
     }
 
+    /// Sends CONNECTION_CLOSE in the highest available space.
     fn build_close_datagram(&mut self, now: SimTime, code: u64, reason: &str) -> Option<Vec<u8>> {
-        // Send CONNECTION_CLOSE in the highest available space.
-        for space in [
+        let space = [
             PacketNumberSpace::Application,
             PacketNumberSpace::Handshake,
             PacketNumberSpace::Initial,
-        ] {
-            let idx = space.index();
-            if self.keys[idx].is_some() && !self.spaces[idx].discarded {
-                let frame = Frame::ConnectionClose {
-                    error_code: code,
-                    reason: reason.to_string(),
-                    app: false,
-                };
-                let mut pkt = self.make_packet(space, vec![frame]);
-                // Client datagrams carrying Initial packets pad to 1200 B
-                // (RFC 9000 §14.1) — including the close.
-                if self.role == Role::Client && space == PacketNumberSpace::Initial {
-                    let len = pkt.encoded_len();
-                    if len < MIN_INITIAL_DATAGRAM {
-                        pkt.frames.push(Frame::Padding {
-                            len: MIN_INITIAL_DATAGRAM - len,
-                        });
-                    }
-                }
-                return self.seal_and_register(now, pkt, false);
-            }
-        }
-        None
+        ]
+        .into_iter()
+        .find(|s| self.keys[s.index()].is_some() && !self.spaces[s.index()].discarded)?;
+        let frame = Frame::ConnectionClose {
+            error_code: code,
+            reason: reason.to_string(),
+            app: false,
+        };
+        self.emit_datagram(now, vec![(space, vec![frame])])
     }
 
     // ------------------------------------------------------------------
@@ -2444,9 +2294,10 @@ impl Connection {
         }
     }
 
-    /// The PTO deadline (RFC 9002 A.8 + the handshake-deadlock rule).
-    fn pto_deadline(&self) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
+    /// The armed space whose PTO expires first, with that deadline
+    /// (RFC 9002 A.8); the lower space wins a tie.
+    fn earliest_pto_space(&self) -> Option<(SimTime, PacketNumberSpace)> {
+        let mut best: Option<(SimTime, PacketNumberSpace)> = None;
         for space in PacketNumberSpace::ALL {
             let idx = space.index();
             if self.spaces[idx].discarded || self.keys[idx].is_none() {
@@ -2461,9 +2312,17 @@ impl Connection {
             }
             if let Some(base) = self.trackers[idx].last_ack_eliciting_sent {
                 let d = base + self.pto_duration_for(is_app);
-                earliest = Some(earliest.map_or(d, |e| e.min(d)));
+                if best.is_none_or(|(b, _)| d < b) {
+                    best = Some((d, space));
+                }
             }
         }
+        best
+    }
+
+    /// The PTO deadline (RFC 9002 A.8 + the handshake-deadlock rule).
+    fn pto_deadline(&self) -> Option<SimTime> {
+        let mut earliest = self.earliest_pto_space().map(|(d, _)| d);
         // Deadlock prevention: a client with nothing in flight but an
         // unconfirmed handshake must keep probing (RFC 9002 §6.2.2.1).
         // mvfst/picoquic quirk: "receiving an instant ACK does not cause
@@ -2555,36 +2414,17 @@ impl Connection {
 
     fn on_pto(&mut self, now: SimTime) {
         // Which space does this PTO belong to? Earliest armed space wins.
-        let mut target: Option<PacketNumberSpace> = None;
-        let mut best: Option<SimTime> = None;
-        for space in PacketNumberSpace::ALL {
-            let idx = space.index();
-            if self.spaces[idx].discarded || self.keys[idx].is_none() {
-                continue;
-            }
-            if !self.trackers[idx].has_ack_eliciting_in_flight() {
-                continue;
-            }
-            let is_app = space == PacketNumberSpace::Application;
-            if is_app && !self.handshake_complete {
-                continue;
-            }
-            if let Some(base) = self.trackers[idx].last_ack_eliciting_sent {
-                let d = base + self.pto_duration_for(is_app);
-                if best.map_or(true, |b| d < b) {
-                    best = Some(d);
-                    target = Some(space);
+        let space = self.earliest_pto_space().map_or_else(
+            || {
+                // Deadlock-prevention probe: Initial until handshake keys exist.
+                if self.keys[1].is_some() && !self.spaces[1].discarded {
+                    PacketNumberSpace::Handshake
+                } else {
+                    PacketNumberSpace::Initial
                 }
-            }
-        }
-        let space = target.unwrap_or({
-            // Deadlock-prevention probe: Initial until handshake keys exist.
-            if self.keys[1].is_some() && !self.spaces[1].discarded {
-                PacketNumberSpace::Handshake
-            } else {
-                PacketNumberSpace::Initial
-            }
-        });
+            },
+            |(_, space)| space,
+        );
         let idx = space.index();
         self.pto.on_pto_expired();
         self.stats.pto_expirations += 1;
@@ -2645,6 +2485,25 @@ impl Connection {
 // Helpers
 // ----------------------------------------------------------------------
 
+/// RFC 9000 §14.1: a client datagram carrying an Initial packet is padded
+/// to [`MIN_INITIAL_DATAGRAM`] with a PADDING frame on its last packet.
+///
+/// Known deviation: the padding can grow the last packet's length varint
+/// from one byte to two, so `Initial[ACK] + short Handshake` comes out at
+/// 1201 bytes — one over [`MAX_DATAGRAM_SIZE`]. Every byte sent moves the
+/// amplification budget and the simulated link time, so the goldens and
+/// the benchmark fingerprints pin this size (ROADMAP item 4b).
+fn pad_client_initial(pkts: &mut [PlainPacket]) {
+    let has_initial = pkts.iter().any(|p| p.header.ty == PacketType::Initial);
+    let used: usize = pkts.iter().map(PlainPacket::encoded_len).sum();
+    if has_initial && used < MIN_INITIAL_DATAGRAM {
+        let last = pkts.last_mut().expect("the Initial packet is in the list");
+        last.frames.push(Frame::Padding {
+            len: MIN_INITIAL_DATAGRAM - used,
+        });
+    }
+}
+
 /// Deterministic retry token bound to the client's source CID.
 fn retry_token_for(scid: &ConnectionId) -> Vec<u8> {
     let mut t = b"retry-token:".to_vec();
@@ -2686,15 +2545,6 @@ pub fn stateless_retry_datagram(client_scid: ConnectionId, server_cid: Connectio
     let hdr = Header::retry(client_scid, server_cid, token);
     let pkt = PlainPacket::new(hdr, Vec::new()).expect("retry has no frames");
     pkt.to_bytes(&[0u8; 16]).to_vec()
-}
-
-/// The byte string authenticated by the packet tag: the serialized frames.
-fn packet_auth_bytes(pkt: &PlainPacket) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(pkt.payload_len());
-    for f in &pkt.frames {
-        f.encode(&mut buf);
-    }
-    buf
 }
 
 fn space_name(space: PacketNumberSpace) -> SpaceName {
@@ -2963,6 +2813,79 @@ mod tests {
             "client Initial padded to 1200, got {}",
             d.len()
         );
+    }
+
+    #[test]
+    fn pad_routine_sizes() {
+        let cid = ConnectionId::from_u64(7);
+        let total = |pkts: &[PlainPacket]| -> usize {
+            pkts.iter().map(PlainPacket::encoded_len).sum::<usize>()
+        };
+        let ack = || Frame::Ack(AckFrame::single(0, 0));
+        // A lone ClientHello-sized Initial lands on exactly 1200 bytes.
+        let hello = Frame::Crypto {
+            offset: 0,
+            data: Bytes::from(vec![1u8; 300]),
+        };
+        let mut lone =
+            vec![PlainPacket::new(Header::initial(cid, cid, Vec::new(), 0), vec![hello]).unwrap()];
+        pad_client_initial(&mut lone);
+        assert_eq!(total(&lone), MIN_INITIAL_DATAGRAM);
+        // Known deviation (see `pad_client_initial`): padding a short last
+        // packet grows its length varint by one byte, so this shape leaves
+        // at 1201 bytes, one over MAX_DATAGRAM_SIZE. Goldens and benchmark
+        // fingerprints pin it; changing it is a behaviour change.
+        let mut flight2 = vec![
+            PlainPacket::new(Header::initial(cid, cid, Vec::new(), 1), vec![ack()]).unwrap(),
+            PlainPacket::new(Header::handshake(cid, cid, 0), vec![ack()]).unwrap(),
+        ];
+        pad_client_initial(&mut flight2);
+        assert_eq!(total(&flight2), MAX_DATAGRAM_SIZE + 1);
+        assert!(matches!(
+            flight2[1].frames.last(),
+            Some(Frame::Padding { .. })
+        ));
+        // No Initial inside: untouched.
+        let mut hs_only =
+            vec![PlainPacket::new(Header::handshake(cid, cid, 1), vec![ack()]).unwrap()];
+        pad_client_initial(&mut hs_only);
+        assert_eq!(hs_only[0].frames.len(), 1);
+    }
+
+    #[test]
+    fn tampered_handshake_datagram_is_dropped_and_original_still_accepted() {
+        let mut c = client();
+        let mut s = server(ServerAckMode::WaitForCertificate);
+        let now = SimTime::ZERO;
+        let hello = c.poll_transmit(now).expect("client hello");
+        s.handle_datagram(now, &hello);
+        s.certificate_ready(now);
+        while s.poll_event().is_some() {}
+        // First datagram: ServerHello + start of the Handshake flight; it
+        // gives the client its Handshake keys.
+        let first = s.poll_transmit(now).expect("server flight");
+        c.handle_datagram(now, &first);
+        while c.poll_event().is_some() {}
+        let sealed = std::iter::from_fn(|| s.poll_transmit(now))
+            .find(|d| {
+                let info = rq_wire::classify_datagram(d, 8).unwrap();
+                info.packets.iter().all(|p| p.ty == PacketType::Handshake)
+            })
+            .expect("a Handshake-only datagram");
+        let (_, payload, _, used) = PlainPacket::decode_with_payload(&sealed, 8).unwrap();
+        let payload_mid = used - rq_wire::AEAD_TAG_LEN - payload.len() / 2;
+        let before = c.stats().packets_opened;
+        for flip_at in [payload_mid, used - 1] {
+            let mut bad = sealed.clone();
+            bad[flip_at] ^= 0x01;
+            // Still well-formed: only the tag check can reject it.
+            assert!(PlainPacket::decode(&bad, 8).is_ok(), "byte {flip_at}");
+            c.handle_datagram(now, &bad);
+            assert_eq!(c.stats().packets_opened, before, "byte {flip_at}");
+            assert!(c.poll_event().is_none(), "byte {flip_at}");
+        }
+        c.handle_datagram(now, &sealed);
+        assert!(c.stats().packets_opened[1] > before[1]);
     }
 
     #[test]

@@ -345,20 +345,7 @@ pub trait SweepScenarios {
 
 impl SweepScenarios for SweepRunner {
     fn run_repetitions(&self, sc: &Scenario, n: usize) -> Vec<RunResult> {
-        // Coarse chunks (≈ n / threads): each worker claims about one
-        // chunk, clones the scenario scratch once per chunk, and only
-        // bumps the seed per repetition. Fine-grained one-task-per-rep
-        // scheduling cost the short resumption/wild sweeps more than
-        // the parallelism bought back (see BENCH_sweep.json history).
-        self.run_chunked(n, |range| {
-            let mut scratch = sc.clone();
-            range
-                .map(|i| {
-                    scratch.seed = sc.seed.wrapping_add(i as u64 * 7919);
-                    run_scenario(&scratch)
-                })
-                .collect()
-        })
+        self.run(n, |i| run_scenario(&rep_scenario(sc, i)))
     }
 }
 

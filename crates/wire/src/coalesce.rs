@@ -163,8 +163,8 @@ pub fn coalesce(packets: &[(PlainPacket, [u8; crate::packet::AEAD_TAG_LEN])]) ->
         if pkt.header.ty == PacketType::OneRtt {
             debug_assert_eq!(i, packets.len() - 1, "short-header packet must be last");
         }
-        let bytes = pkt.to_bytes(tag);
-        out.extend_from_slice(&bytes);
+        pkt.encode_sealed(&mut out, |_| *tag)
+            .expect("encode cannot fail after construction");
     }
     out
 }

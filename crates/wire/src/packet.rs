@@ -5,7 +5,7 @@
 //! verifies nothing here — key gating and tag verification happen in the
 //! connection layer, which knows which keys exist at which time.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::frame::Frame;
 use crate::header::{Header, PacketType};
@@ -114,13 +114,19 @@ impl PlainPacket {
 
     /// Total on-wire size of this packet including header and tag.
     pub fn encoded_len(&self) -> usize {
-        let payload = self.payload_len();
-        match self.header.ty {
-            PacketType::Retry => self.header.encoded_len(),
-            PacketType::OneRtt => self.header.encoded_len() + payload + AEAD_TAG_LEN,
+        Self::wire_len(&self.header, self.payload_len())
+    }
+
+    /// On-wire size of a packet with `header` and `payload_len` bytes of
+    /// encoded frames. Packet numbers are always 4 bytes, so the size does
+    /// not depend on which number the packet ends up carrying.
+    pub fn wire_len(header: &Header, payload_len: usize) -> usize {
+        match header.ty {
+            PacketType::Retry => header.encoded_len(),
+            PacketType::OneRtt => header.encoded_len() + payload_len + AEAD_TAG_LEN,
             _ => {
-                let body = 4 + payload + AEAD_TAG_LEN; // pn + payload + tag
-                self.header.encoded_len()
+                let body = 4 + payload_len + AEAD_TAG_LEN; // pn + payload + tag
+                header.encoded_len()
                     + crate::varint::VarInt::try_from(body).unwrap().encoded_len()
                     - 4 // header.encoded_len already counts pn for long headers
                     + body
@@ -128,38 +134,46 @@ impl PlainPacket {
         }
     }
 
+    /// Serializes the packet onto the end of `out` exactly once: header,
+    /// frames, then the tag `seal` computes over the payload bytes just
+    /// written (the frames as they sit in `out`, which is what the receiver
+    /// authenticates). Retry packets carry no payload or tag, so `seal` is
+    /// not called for them.
+    pub fn encode_sealed(
+        &self,
+        out: &mut Vec<u8>,
+        seal: impl FnOnce(&[u8]) -> [u8; AEAD_TAG_LEN],
+    ) -> Result<()> {
+        let length = match self.header.ty {
+            PacketType::Retry => return self.header.encode(out, 0),
+            PacketType::OneRtt => 0,
+            _ => 4 + self.payload_len() + AEAD_TAG_LEN,
+        };
+        self.header.encode(out, length)?;
+        let payload_start = out.len();
+        for f in &self.frames {
+            f.encode(out);
+        }
+        let tag = seal(&out[payload_start..]);
+        out.extend_from_slice(&tag);
+        Ok(())
+    }
+
     /// Serializes the packet, appending `tag` after the payload.
     /// Retry packets carry no payload or tag.
     pub fn encode<B: BufMut>(&self, buf: &mut B, tag: &[u8; AEAD_TAG_LEN]) -> Result<()> {
-        match self.header.ty {
-            PacketType::Retry => {
-                self.header.encode(buf, 0)?;
-            }
-            PacketType::OneRtt => {
-                self.header.encode(buf, 0)?;
-                for f in &self.frames {
-                    f.encode(buf);
-                }
-                buf.put_slice(tag);
-            }
-            _ => {
-                let body_len = 4 + self.payload_len() + AEAD_TAG_LEN;
-                self.header.encode(buf, body_len)?;
-                for f in &self.frames {
-                    f.encode(buf);
-                }
-                buf.put_slice(tag);
-            }
-        }
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_sealed(&mut out, |_| *tag)?;
+        buf.put_slice(&out);
         Ok(())
     }
 
     /// Serializes into a fresh buffer.
     pub fn to_bytes(&self, tag: &[u8; AEAD_TAG_LEN]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode(&mut buf, tag)
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_sealed(&mut out, |_| *tag)
             .expect("encode cannot fail after construction");
-        buf.freeze()
+        Bytes::from(out)
     }
 
     /// Decodes one packet from the front of `datagram`, returning the packet,
@@ -169,6 +183,17 @@ impl PlainPacket {
         datagram: &[u8],
         short_dcid_len: usize,
     ) -> Result<(PlainPacket, [u8; AEAD_TAG_LEN], usize)> {
+        let (pkt, _, tag, consumed) = Self::decode_with_payload(datagram, short_dcid_len)?;
+        Ok((pkt, tag, consumed))
+    }
+
+    /// [`PlainPacket::decode`] that also hands back the payload slice of
+    /// `datagram` (the encoded frames, between packet number and tag) — the
+    /// wire bytes the tag authenticates. Empty for Retry packets.
+    pub fn decode_with_payload(
+        datagram: &[u8],
+        short_dcid_len: usize,
+    ) -> Result<(PlainPacket, &[u8], [u8; AEAD_TAG_LEN], usize)> {
         let mut buf = datagram;
         let (header, body) = Header::decode(&mut buf, short_dcid_len)?;
         let consumed_header = datagram.len() - buf.len();
@@ -182,6 +207,7 @@ impl PlainPacket {
                     header,
                     frames: Vec::new(),
                 },
+                &[],
                 [0; AEAD_TAG_LEN],
                 consumed_header,
             ));
@@ -206,6 +232,7 @@ impl PlainPacket {
         }
         Ok((
             PlainPacket { header, frames },
+            payload,
             tag,
             consumed_header + body_len,
         ))

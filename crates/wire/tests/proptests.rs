@@ -128,5 +128,24 @@ proptest! {
         let (decoded, _, used) = PlainPacket::decode(&bytes, 8).unwrap();
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(decoded, pkt);
+        // Sealing in place: `seal` sees the payload as it sits in the
+        // output buffer, and the decoder hands back exactly that slice.
+        let tag_of = |payload: &[u8]| {
+            let mut tag = [payload.len() as u8; 16];
+            for (i, b) in payload.iter().enumerate() {
+                tag[i % 16] ^= *b;
+            }
+            tag
+        };
+        let mut macced = Vec::new();
+        let mut sealed = vec![0xEE; 3]; // appends after existing content
+        pkt.encode_sealed(&mut sealed, |payload| {
+            macced = payload.to_vec();
+            tag_of(payload)
+        }).unwrap();
+        let (_, payload, tag, _) = PlainPacket::decode_with_payload(&sealed[3..], 8).unwrap();
+        prop_assert_eq!(payload, &macced[..]);
+        prop_assert_eq!(tag, tag_of(payload));
+        prop_assert_eq!(&sealed[3..], &pkt.to_bytes(&tag_of(payload))[..]);
     }
 }
