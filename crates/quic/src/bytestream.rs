@@ -1,0 +1,175 @@
+//! The ordered byte stream under both CRYPTO and STREAM (RFC 9000 §2.2,
+//! §19.6, §19.8): bytes at offsets, cut into `(offset, bytes)` frames on
+//! the way out and put back in order on the way in. [`SendBuf`] is the
+//! first half, [`Reassembler`] the second; what differs between the two
+//! frame types (FIN, flow control, the retransmission-overlap signal)
+//! stays with [`crate::space::CryptoStream`] and [`crate::streams`].
+
+use std::collections::{BTreeMap, VecDeque};
+
+use bytes::Bytes;
+
+/// A run of stream bytes and the offset of its first byte: the content
+/// of one CRYPTO or STREAM frame.
+pub type Run = (u64, Bytes);
+
+/// Outgoing half: an append-only queue of written bytes and a cursor
+/// through it. `write` copies its input once, into shared chunks; `take`
+/// hands out views into them, so it costs nothing in what is still
+/// queued, frames in flight hold no second copy, and a chunk is freed as
+/// soon as the frames cut from it are acknowledged.
+#[derive(Debug, Default)]
+pub struct SendBuf {
+    /// Written and not yet taken, oldest first; the front chunk is cut
+    /// from the front as bytes are taken.
+    chunks: VecDeque<Bytes>,
+    /// Bytes written and not yet taken.
+    len: usize,
+    /// Stream offset of the next byte `take` hands out.
+    offset: u64,
+}
+
+/// Largest chunk `write` stores: what a stream that is mostly sent and
+/// acknowledged can still pin in memory through its last frames.
+const CHUNK: usize = 64 * 1024;
+
+impl SendBuf {
+    /// Appends `data` behind everything already written.
+    pub fn write(&mut self, data: &[u8]) {
+        self.chunks
+            .extend(data.chunks(CHUNK).map(Bytes::copy_from_slice));
+        self.len += data.len();
+    }
+
+    /// Bytes written and not yet taken.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when every written byte has been taken.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Stream offset of the next byte to be taken.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Takes the next `min(len, max)` bytes as one run;
+    /// `None` when that is nothing. Chunk boundaries do not show: a run
+    /// that spans two is gathered into one.
+    pub fn take(&mut self, max: usize) -> Option<Run> {
+        let n = self.len.min(max);
+        if n == 0 {
+            return None;
+        }
+        let mut data = self.cut_front(n);
+        if data.len() < n {
+            let mut run = data.to_vec();
+            while run.len() < n {
+                run.extend_from_slice(&self.cut_front(n - run.len()));
+            }
+            data = Bytes::from(run);
+        }
+        let offset = self.offset;
+        self.offset += n as u64;
+        self.len -= n;
+        Some((offset, data))
+    }
+
+    /// Up to `max` bytes off the front of the oldest chunk, as a view.
+    fn cut_front(&mut self, max: usize) -> Bytes {
+        let front = self.chunks.front_mut().expect("len counts queued bytes");
+        let cut = front.split_to(front.len().min(max));
+        if front.is_empty() {
+            self.chunks.pop_front();
+        }
+        cut
+    }
+}
+
+/// Incoming half: buffers out-of-order segments and hands out each byte
+/// exactly once, in order.
+#[derive(Debug, Default)]
+pub struct Reassembler {
+    /// Segments not yet contiguous with the cursor: offset → bytes.
+    segments: BTreeMap<u64, Bytes>,
+    /// Every byte below this offset has been handed out.
+    offset: u64,
+}
+
+impl Reassembler {
+    /// The contiguous-delivery cursor.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Accepts `data` at `offset` and returns the bytes this made
+    /// contiguous — empty for a duplicate or for data beyond a gap.
+    pub fn insert(&mut self, offset: u64, data: &[u8]) -> Vec<u8> {
+        let end = offset + data.len() as u64;
+        if end > self.offset {
+            // Trim the already-delivered prefix.
+            let skip = self.offset.saturating_sub(offset) as usize;
+            self.segments
+                .entry(offset.max(self.offset))
+                .or_insert_with(|| Bytes::copy_from_slice(&data[skip..]));
+        }
+        let mut out = Vec::new();
+        while let Some(entry) = self.segments.first_entry() {
+            let seg_off = *entry.key();
+            if seg_off > self.offset {
+                break;
+            }
+            let seg = entry.remove();
+            let skip = (self.offset - seg_off) as usize;
+            if skip < seg.len() {
+                out.extend_from_slice(&seg[skip..]);
+                self.offset = seg_off + seg.len() as u64;
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn take_runs_span_writes_and_offsets_advance() {
+        let mut b = SendBuf::default();
+        b.write(b"abc");
+        b.write(b"defgh");
+        assert_eq!(b.take(5), Some((0, Bytes::from_static(b"abcde"))));
+        assert_eq!(b.take(0), None);
+        assert_eq!(b.take(usize::MAX), Some((5, Bytes::from_static(b"fgh"))));
+        assert!(b.is_empty());
+        assert_eq!(b.take(1), None);
+        // Writing after a full drain continues at the next offset.
+        b.write(b"ij");
+        assert_eq!((b.len(), b.offset()), (2, 8));
+        assert_eq!(b.take(9), Some((8, Bytes::from_static(b"ij"))));
+        // One write larger than a chunk still comes out in `max`-sized runs.
+        let big: Vec<u8> = (0..2 * CHUNK + 7).map(|i| (i % 251) as u8).collect();
+        b.write(&big);
+        let mut out = Vec::new();
+        while let Some((offset, run)) = b.take(1150) {
+            assert_eq!(offset, 10 + out.len() as u64);
+            assert!(run.len() == 1150 || b.is_empty());
+            out.extend_from_slice(&run);
+        }
+        assert_eq!(out, big);
+    }
+
+    #[test]
+    fn reassembler_delivers_each_byte_once() {
+        let mut r = Reassembler::default();
+        assert!(r.insert(5, b"world").is_empty());
+        assert_eq!(r.insert(0, b"hello"), b"helloworld");
+        assert!(r.insert(2, b"llowor").is_empty());
+        assert_eq!(r.insert(8, b"ld!"), b"!");
+        assert_eq!(r.offset(), 11);
+    }
+}

@@ -30,6 +30,7 @@ use rq_wire::{
     MIN_INITIAL_DATAGRAM,
 };
 
+use crate::bytestream::Run;
 use crate::config::{AckDelayReport, EndpointConfig, ProbePolicy, ServerAckMode};
 use crate::space::{retx_content_of, RetxContent, SpaceState};
 use crate::streams::StreamSet;
@@ -970,9 +971,8 @@ impl Connection {
             self.discard_space(PacketNumberSpace::Initial);
         }
 
-        let frames = pkt.frames.clone();
-        for frame in frames {
-            self.process_frame(now, space, &pkt, &frame);
+        for frame in &pkt.frames {
+            self.process_frame(now, space, &pkt, frame);
             if self.closed {
                 return;
             }
@@ -1135,8 +1135,11 @@ impl Connection {
         ack: &AckFrame,
     ) {
         let idx = space.index();
-        let acked: Vec<u64> = ack.iter_acked().collect();
-        let outcome = self.trackers[idx].on_ack(&acked, ack.largest, now, &self.rtt);
+        if ack.largest >= self.spaces[idx].next_pn {
+            return; // acknowledges a packet never sent: forged or corrupt
+        }
+        let outcome =
+            self.trackers[idx].on_ack_ranges(ack.acked_ranges(), ack.largest, now, &self.rtt);
         if outcome.newly_acked.is_empty() {
             return;
         }
@@ -1532,8 +1535,9 @@ impl Connection {
     /// The ACK frame for everything received so far in space `idx`
     /// (`None` before the first packet), marking the owed ACK as sent.
     fn take_ack_frame(&mut self, now: SimTime, idx: usize) -> Option<Frame> {
-        let list = self.spaces[idx].recv.ack_list()?;
-        let ack = AckFrame::from_sorted_desc(list, self.report_ack_delay(now, idx));
+        let ack = self.spaces[idx]
+            .recv
+            .ack_frame(self.report_ack_delay(now, idx))?;
         self.spaces[idx].recv.on_ack_sent();
         Some(Frame::Ack(ack))
     }
@@ -1579,6 +1583,11 @@ impl Connection {
             return;
         }
         self.spaces[idx].discarded = true;
+        // Nothing is retransmitted in a discarded space; what was kept for
+        // that holds views into the crypto flight, which would stay
+        // allocated with them.
+        self.spaces[idx].retx.clear();
+        self.spaces[idx].retx_queue.clear();
         let freed = self.trackers[idx].discard();
         self.cc.on_discarded(freed);
         self.keys[idx] = None;
@@ -1830,51 +1839,29 @@ impl Connection {
         for item in retx_items {
             let mut leftover = RetxContent::default();
             for (off, data) in item.crypto {
-                let room = max_payload.saturating_sub(used + 10);
-                if room == 0 {
-                    leftover.crypto.push((off, data));
-                    continue;
-                }
-                if data.len() <= room {
+                let (head, tail) = fit(off, data, max_payload.saturating_sub(used + 10));
+                if let Some((offset, data)) = head {
                     used += 10 + data.len();
-                    frames.push(Frame::Crypto { offset: off, data });
-                } else {
-                    let head = data.slice(..room);
-                    let tail = data.slice(room..);
-                    used += 10 + head.len();
-                    frames.push(Frame::Crypto {
-                        offset: off,
-                        data: head,
-                    });
-                    leftover.crypto.push((off + room as u64, tail));
+                    frames.push(Frame::Crypto { offset, data });
                 }
+                leftover.crypto.extend(tail);
             }
-            for (sid, off, data, fin) in item.stream {
-                let room = max_payload.saturating_sub(used + 12);
-                if room == 0 {
-                    leftover.stream.push((sid, off, data, fin));
-                    continue;
-                }
-                if data.len() <= room {
+            for (id, off, data, fin) in item.stream {
+                let (head, tail) = fit(off, data, max_payload.saturating_sub(used + 12));
+                if let Some((offset, data)) = head {
                     used += 12 + data.len();
+                    // FIN rides on the frame that carries the last byte.
+                    let fin = fin && tail.is_none();
                     frames.push(Frame::Stream {
-                        id: sid,
-                        offset: off,
+                        id,
+                        offset,
                         data,
                         fin,
                     });
-                } else {
-                    let head = data.slice(..room);
-                    let tail = data.slice(room..);
-                    used += 12 + head.len();
-                    frames.push(Frame::Stream {
-                        id: sid,
-                        offset: off,
-                        data: head,
-                        fin: false,
-                    });
-                    leftover.stream.push((sid, off + room as u64, tail, fin));
                 }
+                leftover
+                    .stream
+                    .extend(tail.map(|(off, data)| (id, off, data, fin)));
             }
             if item.handshake_done {
                 if used + 1 <= max_payload {
@@ -1904,17 +1891,10 @@ impl Connection {
         }
 
         // 4. Fresh crypto data.
-        while self.spaces[idx].crypto.tx_len() > 0 {
-            let room = max_payload.saturating_sub(used + 10);
-            if room == 0 {
-                break;
-            }
-            if let Some((off, data)) = self.spaces[idx].crypto.take_tx(room) {
-                used += 10 + data.len();
-                frames.push(Frame::Crypto { offset: off, data });
-            } else {
-                break;
-            }
+        let room = max_payload.saturating_sub(used + 10);
+        if let Some((offset, data)) = self.spaces[idx].crypto.take_tx(room) {
+            used += 10 + data.len();
+            frames.push(Frame::Crypto { offset, data });
         }
 
         // 5. Application-space extras.
@@ -1973,40 +1953,46 @@ impl Connection {
                 used += 12;
             }
             // Stream data, congestion-controlled.
-            if self.streams.want_send() {
-                let cc_room = self.cc.available();
-                let conn_fc = self.streams.conn_send_budget() as usize;
-                let ids: Vec<u64> = self
-                    .streams
-                    .send
-                    .iter()
-                    .filter(|(_, s)| s.want_send())
-                    .map(|(id, _)| *id)
-                    .collect();
-                for sid in ids {
-                    let room = max_payload
-                        .saturating_sub(used + 12)
-                        .min(cc_room.saturating_sub(used))
-                        .min(conn_fc);
-                    if room == 0 {
-                        break;
-                    }
-                    let ss = self.streams.send_stream(sid);
-                    if let Some((off, data, fin)) = ss.take(room) {
-                        self.streams.data_sent += data.len() as u64;
-                        used += 12 + data.len();
-                        frames.push(Frame::Stream {
-                            id: sid,
-                            offset: off,
-                            data,
-                            fin,
-                        });
-                    }
-                }
-            }
+            let cc_room = self.cc.available();
+            let conn_fc = self.streams.conn_send_budget() as usize;
+            self.push_stream_frames(&mut frames, |spent| {
+                let used = used + spent;
+                max_payload
+                    .saturating_sub(used + 12)
+                    .min(cc_room.saturating_sub(used))
+                    .min(conn_fc)
+            });
         }
 
         frames
+    }
+
+    /// Appends one STREAM frame of fresh data from every stream that
+    /// wants to send, in stream-id order. `room(spent)` is the data
+    /// budget of the next frame once `spent` payload bytes (frame
+    /// overheads included) have gone to the frames before it; the first
+    /// stream left without room ends the round.
+    fn push_stream_frames(&mut self, frames: &mut Vec<Frame>, room: impl Fn(usize) -> usize) {
+        if !self.streams.want_send() {
+            return;
+        }
+        let mut spent = 0;
+        for (&id, ss) in self.streams.send.iter_mut().filter(|(_, s)| s.want_send()) {
+            let room = room(spent);
+            if room == 0 {
+                break;
+            }
+            if let Some((offset, data, fin)) = ss.take(room) {
+                self.streams.data_sent += data.len() as u64;
+                spent += 12 + data.len();
+                frames.push(Frame::Stream {
+                    id,
+                    offset,
+                    data,
+                    fin,
+                });
+            }
+        }
     }
 
     /// The one place a UDP payload is produced. Every packet of the plan
@@ -2150,33 +2136,12 @@ impl Connection {
         let pkt_a = (PacketNumberSpace::Initial, a_frames);
         // Packet B: Handshake ACK + client Finished.
         let mut b_frames = Vec::from_iter(self.take_ack_frame(now, 1));
-        while let Some((off, data)) = self.spaces[1].crypto.take_tx(usize::MAX) {
-            b_frames.push(Frame::Crypto { offset: off, data });
-        }
+        let finished = self.spaces[1].crypto.take_tx(usize::MAX);
+        b_frames.extend(finished.map(|(offset, data)| Frame::Crypto { offset, data }));
         let pkt_b = (PacketNumberSpace::Handshake, b_frames);
         // Packet C: first 1-RTT packet (request or ACK of early server data).
         let mut c_frames = Vec::new();
-        if self.streams.want_send() {
-            let ids: Vec<u64> = self
-                .streams
-                .send
-                .iter()
-                .filter(|(_, s)| s.want_send())
-                .map(|(id, _)| *id)
-                .collect();
-            for sid in ids {
-                let ss = self.streams.send_stream(sid);
-                if let Some((off, data, fin)) = ss.take(1000) {
-                    self.streams.data_sent += data.len() as u64;
-                    c_frames.push(Frame::Stream {
-                        id: sid,
-                        offset: off,
-                        data,
-                        fin,
-                    });
-                }
-            }
-        }
+        self.push_stream_frames(&mut c_frames, |_| 1000);
         let pkt_c = (PacketNumberSpace::Application, c_frames);
 
         // Distribute packets over datagrams per the layout; the emitter
@@ -2485,6 +2450,20 @@ impl Connection {
 // Helpers
 // ----------------------------------------------------------------------
 
+/// Fits the run `(offset, data)` of a CRYPTO or STREAM retransmission
+/// into `room` data bytes: what goes into the frame now — the whole run
+/// if it fits, else its head — and what goes back on the queue.
+fn fit(offset: u64, mut data: Bytes, room: usize) -> (Option<Run>, Option<Run>) {
+    if room == 0 {
+        (None, Some((offset, data)))
+    } else if data.len() <= room {
+        (Some((offset, data)), None)
+    } else {
+        let head = data.split_to(room);
+        (Some((offset, head)), Some((offset + room as u64, data)))
+    }
+}
+
 /// RFC 9000 §14.1: a client datagram carrying an Initial packet is padded
 /// to [`MIN_INITIAL_DATAGRAM`] with a PADDING frame on its last packet.
 ///
@@ -2642,8 +2621,6 @@ fn frame_summaries(frames: &[Frame]) -> Vec<FrameSummary> {
         })
         .collect()
 }
-
-pub use crate::streams::id as stream_ids;
 
 #[cfg(test)]
 mod tests {
@@ -2886,6 +2863,75 @@ mod tests {
         }
         c.handle_datagram(now, &sealed);
         assert!(c.stats().packets_opened[1] > before[1]);
+    }
+
+    /// An Initial packet from the client's address with `payload` as its
+    /// frame bytes, correctly tagged: Initial keys derive from the DCID on
+    /// the wire, so anyone who saw the first datagram can mint one.
+    fn forged_initial(original_dcid: ConnectionId, pn: u64, payload: &[u8]) -> Vec<u8> {
+        let keys = initial_keys(original_dcid.as_slice());
+        let header = Header::initial(
+            original_dcid,
+            derived_cid(1, CID_KIND_CLIENT, 0),
+            vec![],
+            pn,
+        );
+        let shell = PlainPacket::new(header, vec![Frame::Padding { len: payload.len() }]).unwrap();
+        let mut datagram = Vec::new();
+        shell
+            .encode_sealed(&mut datagram, |_| {
+                seal_tag(keys.for_side(KeySide::Client), pn, payload)
+            })
+            .unwrap();
+        let payload_at = datagram.len() - rq_wire::AEAD_TAG_LEN - payload.len();
+        datagram[payload_at..payload_at + payload.len()].copy_from_slice(payload);
+        datagram
+    }
+
+    #[test]
+    fn forged_initial_with_hostile_ack_changes_nothing() {
+        let max = [0xffu8; 8];
+        // A 62-bit range count, and one range over every packet number.
+        let huge_count = [&[0x02, 0x00, 0x00][..], &max, &[0x00]].concat();
+        let whole_space = [&[0x02][..], &max, &[0x00, 0x00], &max].concat();
+        for (pn, payload) in [(7, huge_count), (8, whole_space)] {
+            let mut c = client();
+            let mut s = server(ServerAckMode::WaitForCertificate);
+            let now = SimTime::ZERO;
+            let hello = c.poll_transmit(now).expect("client hello");
+            s.handle_datagram(now, &hello);
+            s.certificate_ready(now);
+            while s.poll_event().is_some() {}
+            while s.poll_transmit(now).is_some() {}
+            let recovery_state = |s: &Connection| {
+                (
+                    s.trackers.each_ref().map(SentTracker::tracked),
+                    s.trackers.each_ref().map(SentTracker::bytes_in_flight),
+                    s.trackers[0].largest_acked,
+                    s.cc.bytes_in_flight(),
+                    s.rtt.sample_count(),
+                    s.new_ack_packets,
+                    s.poll_timeout(),
+                )
+            };
+            let before = recovery_state(&s);
+            assert!(before.0[0] > 0, "the ServerHello is in flight");
+            let forged = forged_initial(s.original_dcid(), pn, &payload);
+            // The tag is good: only what the frame says can stop it.
+            let tag = forged[forged.len() - rq_wire::AEAD_TAG_LEN..]
+                .try_into()
+                .unwrap();
+            let keys = initial_keys(s.original_dcid().as_slice());
+            assert!(verify_tag(
+                keys.for_side(KeySide::Client),
+                pn,
+                &payload,
+                &tag
+            ));
+            s.handle_datagram(at(1), &forged);
+            assert_eq!(recovery_state(&s), before, "pn {pn}");
+            assert!(!s.is_closed() && s.poll_event().is_none(), "pn {pn}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! anti-amplification limit, per-implementation packet coalescing, PTO
 //! probing policies, and the client quirks Appendix E/F documents.
 
+pub mod bytestream;
 pub mod config;
 pub mod connection;
 pub mod server;

@@ -2,10 +2,13 @@
 //! ACK bookkeeping, crypto-stream assembly, and retransmittable content.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use rq_sim::SimTime;
-use rq_wire::Frame;
+use rq_wire::{AckFrame, Frame};
+
+use crate::bytestream::{Reassembler, Run, SendBuf};
 
 /// Content of a sent packet that must be retransmitted if it is lost.
 ///
@@ -13,8 +16,8 @@ use rq_wire::Frame;
 /// connection can rebuild equivalent frames on loss or PTO.
 #[derive(Debug, Clone, Default)]
 pub struct RetxContent {
-    /// CRYPTO ranges: (offset, bytes).
-    pub crypto: Vec<(u64, Bytes)>,
+    /// CRYPTO runs.
+    pub crypto: Vec<Run>,
     /// STREAM ranges: (id, offset, bytes, fin).
     pub stream: Vec<(u64, u64, Bytes, bool)>,
     /// HANDSHAKE_DONE was carried.
@@ -43,8 +46,9 @@ impl RetxContent {
 /// acknowledge.
 #[derive(Debug, Default)]
 pub struct RecvState {
-    /// All received packet numbers (kept sorted descending for ACK frames).
-    received: Vec<u64>,
+    /// Received packet numbers as disjoint, non-adjacent ranges, highest
+    /// first — the shape an ACK frame carries them in.
+    ranges: Vec<RangeInclusive<u64>>,
     /// Arrival time of the largest received packet (ack-delay basis).
     pub largest_recv_time: Option<SimTime>,
     /// Ack-eliciting packets received since the last ACK we sent.
@@ -59,18 +63,30 @@ pub struct RecvState {
     pub ack_overdue: bool,
 }
 
+/// Packet numbers one ACK frame covers: the newest this many. Older
+/// packets were acknowledged by earlier ACK frames, exactly as real
+/// stacks bound their ACK state.
+const ACK_FRAME_PNS: u64 = 128;
+
 impl RecvState {
     /// Records a received packet. Returns `false` if it was a duplicate.
     ///
-    /// The list is kept sorted descending; insertion uses binary search so
-    /// bulk transfers (thousands of packets) stay O(log n) per lookup
-    /// instead of re-sorting.
+    /// An in-order arrival extends the first range in place; anything
+    /// else is a binary search over the ranges, of which there is one
+    /// per loss gap rather than one per packet.
     pub fn on_packet(&mut self, pn: u64, ack_eliciting: bool, now: SimTime) -> bool {
-        match self.received.binary_search_by(|probe| pn.cmp(probe)) {
-            Ok(_) => return false, // duplicate
-            Err(idx) => self.received.insert(idx, pn),
+        // `ranges[..i]` lie wholly above `pn`.
+        let i = self.ranges.partition_point(|r| *r.start() > pn);
+        if self.ranges.get(i).is_some_and(|r| r.contains(&pn)) {
+            return false; // duplicate
         }
-        if Some(pn) == self.received.first().copied() {
+        // The new range replaces whichever neighbours `pn` touches.
+        let above = self.ranges[..i].last().filter(|r| *r.start() == pn + 1);
+        let below = self.ranges.get(i).filter(|r| *r.end() + 1 == pn);
+        let merged = below.map_or(pn, |r| *r.start())..=above.map_or(pn, |r| *r.end());
+        let replaced = i - usize::from(above.is_some())..i + usize::from(below.is_some());
+        self.ranges.splice(replaced, [merged]);
+        if Some(pn) == self.largest() {
             self.largest_recv_time = Some(now);
         }
         if ack_eliciting {
@@ -82,19 +98,19 @@ impl RecvState {
 
     /// Largest received packet number.
     pub fn largest(&self) -> Option<u64> {
-        self.received.first().copied()
+        self.ranges.first().map(|r| *r.end())
     }
 
-    /// Packet numbers to encode in an ACK frame (descending), or `None`
-    /// if nothing was received yet. Capped to the newest 128 entries —
-    /// older packets were acknowledged by earlier ACK frames and their
-    /// ranges pruned, exactly as real stacks bound their ACK state.
-    pub fn ack_list(&self) -> Option<&[u64]> {
-        if self.received.is_empty() {
-            None
-        } else {
-            Some(&self.received[..self.received.len().min(128)])
-        }
+    /// The ACK frame for what was received so far, or `None` if that is
+    /// nothing: the newest [`ACK_FRAME_PNS`] packet numbers.
+    pub fn ack_frame(&self, ack_delay_us: u64) -> Option<AckFrame> {
+        let mut left = ACK_FRAME_PNS;
+        let newest = self.ranges.iter().map_while(|r| {
+            let n = left.min(r.end() - r.start() + 1);
+            left -= n;
+            (n > 0).then(|| r.end() + 1 - n..=*r.end())
+        });
+        AckFrame::from_ranges_desc(newest, ack_delay_us)
     }
 
     /// Marks an ACK as sent.
@@ -105,89 +121,47 @@ impl RecvState {
         self.ack_overdue = false;
     }
 
-    /// Count of distinct packets received.
-    pub fn count(&self) -> usize {
-        self.received.len()
-    }
-
     /// True if the received packet numbers form `0..=largest` with no gap
     /// (a gap means at least one peer packet was lost or dropped).
     pub fn is_contiguous_from_zero(&self) -> bool {
-        match self.largest() {
-            None => true,
-            Some(largest) => self.received.len() as u64 == largest + 1,
+        match self.ranges.as_slice() {
+            [] => true,
+            [only] => *only.start() == 0,
+            _ => false,
         }
     }
 }
 
-/// Crypto-stream reassembly and transmission for one space.
+/// Crypto stream of one space: a [`SendBuf`] out, a [`Reassembler`] in.
 #[derive(Debug, Default)]
 pub struct CryptoStream {
-    /// Outgoing bytes not yet packetized.
-    pub tx_pending: BytesMut,
-    /// Next crypto offset to assign on send.
-    pub tx_offset: u64,
-    /// In-order delivery cursor on the receive side.
-    pub rx_offset: u64,
-    /// Out-of-order segments: offset → bytes.
-    rx_segments: BTreeMap<u64, Bytes>,
-    /// Highest contiguous crypto byte handed to TLS (mirror of rx_offset).
-    pub rx_delivered: u64,
+    tx: SendBuf,
+    rx: Reassembler,
 }
 
 impl CryptoStream {
     /// Queues outgoing handshake bytes.
     pub fn queue_tx(&mut self, data: &[u8]) {
-        self.tx_pending.extend_from_slice(data);
+        self.tx.write(data);
     }
 
     /// Takes up to `max` pending bytes for a CRYPTO frame, advancing the
-    /// send offset. Returns `(offset, data)`.
-    pub fn take_tx(&mut self, max: usize) -> Option<(u64, Bytes)> {
-        if self.tx_pending.is_empty() || max == 0 {
-            return None;
-        }
-        let n = self.tx_pending.len().min(max);
-        let data = self.tx_pending.split_to(n).freeze();
-        let offset = self.tx_offset;
-        self.tx_offset += n as u64;
-        Some((offset, data))
+    /// send offset.
+    pub fn take_tx(&mut self, max: usize) -> Option<Run> {
+        self.tx.take(max)
     }
 
     /// Accepts a received CRYPTO frame; returns newly contiguous bytes (may
     /// be empty for duplicates/out-of-order data). `true` in the second
     /// tuple slot if any byte of the frame was a retransmission overlap.
     pub fn on_rx(&mut self, offset: u64, data: &[u8]) -> (Vec<u8>, bool) {
-        let end = offset + data.len() as u64;
-        let duplicate_overlap = offset < self.rx_offset && !data.is_empty();
-        if end > self.rx_offset {
-            // Trim the already-delivered prefix.
-            let skip = self.rx_offset.saturating_sub(offset) as usize;
-            let useful_offset = offset.max(self.rx_offset);
-            self.rx_segments
-                .entry(useful_offset)
-                .or_insert_with(|| Bytes::copy_from_slice(&data[skip.min(data.len())..]));
-        }
-        // Drain contiguous segments.
-        let mut out = Vec::new();
-        while let Some((&seg_off, _seg)) = self.rx_segments.iter().next() {
-            if seg_off > self.rx_offset {
-                break;
-            }
-            let seg = self.rx_segments.remove(&seg_off).unwrap();
-            let skip = (self.rx_offset - seg_off) as usize;
-            if skip < seg.len() {
-                out.extend_from_slice(&seg[skip..]);
-                self.rx_offset = seg_off + seg.len() as u64;
-            }
-        }
-        self.rx_delivered = self.rx_offset;
-        (out, duplicate_overlap)
+        let overlap = offset < self.rx.offset() && !data.is_empty();
+        (self.rx.insert(offset, data), overlap)
     }
 
     /// Bytes waiting to be sent.
     pub fn tx_len(&self) -> usize {
-        self.tx_pending.len()
+        self.tx.len()
     }
 }
 
@@ -306,7 +280,15 @@ mod tests {
         assert!(r.on_packet(2, true, t));
         assert!(!r.on_packet(0, true, t), "duplicate rejected");
         assert_eq!(r.largest(), Some(2));
-        assert_eq!(r.ack_list().unwrap(), &[2, 0]);
+        assert_eq!(r.ack_frame(0), Some(AckFrame::from_sorted_desc(&[2, 0], 0)));
+        assert!(!r.is_contiguous_from_zero());
+        // Filling the gap merges the two ranges into one.
+        assert!(r.on_packet(1, false, t));
+        assert!(r.is_contiguous_from_zero());
+        assert_eq!(
+            r.ack_frame(0),
+            Some(AckFrame::from_sorted_desc(&[2, 1, 0], 0))
+        );
         assert_eq!(r.unacked_eliciting, 2);
         r.on_ack_sent();
         assert!(!r.ack_pending);
@@ -349,7 +331,6 @@ mod tests {
         assert!(out.is_empty());
         let (out, _) = c.on_rx(0, b"hello");
         assert_eq!(out, b"helloworld");
-        assert_eq!(c.rx_offset, 10);
     }
 
     #[test]

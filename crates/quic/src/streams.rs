@@ -7,7 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+
+use crate::bytestream::{Reassembler, SendBuf};
 
 /// Stream-ID helpers (RFC 9000 §2.1): two LSBs encode initiator and
 /// directionality.
@@ -26,13 +28,12 @@ pub mod id {
     pub const SERVER_UNI_0: u64 = 3;
 }
 
-/// Send half of a stream.
+/// Send half of a stream: a [`SendBuf`] plus FIN and the peer's
+/// flow-control limit.
 #[derive(Debug, Default)]
 pub struct SendStream {
-    /// Queued-but-unsent bytes.
-    pub pending: BytesMut,
-    /// Next offset to assign.
-    pub offset: u64,
+    /// Queued-but-unsent bytes and the offset they go out at.
+    pub buf: SendBuf,
     /// FIN queued after pending bytes drain.
     pub fin_queued: bool,
     /// FIN has been packetized.
@@ -44,7 +45,7 @@ pub struct SendStream {
 impl SendStream {
     /// Queues data; `fin` marks the end of the stream.
     pub fn write(&mut self, data: &[u8], fin: bool) {
-        self.pending.extend_from_slice(data);
+        self.buf.write(data);
         if fin {
             self.fin_queued = true;
         }
@@ -52,21 +53,21 @@ impl SendStream {
 
     /// Bytes currently sendable under the stream flow-control limit.
     pub fn sendable(&self) -> usize {
-        let limit = self.max_stream_data.saturating_sub(self.offset) as usize;
-        self.pending.len().min(limit)
+        let limit = self.max_stream_data.saturating_sub(self.buf.offset()) as usize;
+        self.buf.len().min(limit)
     }
 
     /// Takes up to `max` bytes for a STREAM frame. Returns
     /// `(offset, data, fin)`; `None` when nothing can be sent.
     pub fn take(&mut self, max: usize) -> Option<(u64, Bytes, bool)> {
-        let n = self.sendable().min(max);
-        if n == 0 && !(self.fin_queued && !self.fin_sent && self.pending.is_empty()) {
-            return None;
-        }
-        let data = self.pending.split_to(n).freeze();
-        let offset = self.offset;
-        self.offset += n as u64;
-        let fin = self.fin_queued && self.pending.is_empty();
+        let fin_only = self.buf.is_empty() && self.fin_queued && !self.fin_sent;
+        let (offset, data) = match self.buf.take(self.sendable().min(max)) {
+            Some(run) => run,
+            // Nothing left to carry: a FIN still owed goes out by itself.
+            None if fin_only => (self.buf.offset(), Bytes::new()),
+            None => return None,
+        };
+        let fin = self.fin_queued && self.buf.is_empty();
         if fin {
             self.fin_sent = true;
         }
@@ -79,12 +80,11 @@ impl SendStream {
     }
 }
 
-/// Receive half of a stream with out-of-order reassembly.
+/// Receive half of a stream: a [`Reassembler`] plus FIN and the credit
+/// granted to the peer.
 #[derive(Debug, Default)]
 pub struct RecvStream {
-    segments: BTreeMap<u64, Bytes>,
-    /// Contiguous-delivery cursor.
-    pub offset: u64,
+    rx: Reassembler,
     /// Final size once FIN was received.
     pub fin_at: Option<u64>,
     /// Total contiguous bytes handed to the application.
@@ -92,8 +92,6 @@ pub struct RecvStream {
     /// Flow-control credit we last granted the peer for this stream
     /// (0 = still on the connection default).
     pub granted: u64,
-    /// Time-ordering hook: set true on first delivered byte.
-    pub got_first_byte: bool,
 }
 
 impl RecvStream {
@@ -102,29 +100,8 @@ impl RecvStream {
         if fin {
             self.fin_at = Some(offset + data.len() as u64);
         }
-        let end = offset + data.len() as u64;
-        if end > self.offset {
-            let skip = self.offset.saturating_sub(offset) as usize;
-            self.segments
-                .entry(offset.max(self.offset))
-                .or_insert_with(|| Bytes::copy_from_slice(&data[skip.min(data.len())..]));
-        }
-        let mut out = Vec::new();
-        while let Some((&seg_off, _)) = self.segments.iter().next() {
-            if seg_off > self.offset {
-                break;
-            }
-            let seg = self.segments.remove(&seg_off).unwrap();
-            let skip = (self.offset - seg_off) as usize;
-            if skip < seg.len() {
-                out.extend_from_slice(&seg[skip..]);
-                self.offset = seg_off + seg.len() as u64;
-            }
-        }
-        self.delivered = self.offset;
-        if !out.is_empty() {
-            self.got_first_byte = true;
-        }
+        let out = self.rx.insert(offset, data);
+        self.delivered = self.rx.offset();
         out
     }
 

@@ -1,0 +1,67 @@
+//! Complexity regression test for the send path (ROADMAP item 2): what
+//! `SendStream::take` asks of the allocator must not depend on how much
+//! is still queued behind the bytes it hands out. Counted in bytes
+//! requested, so the verdict is the same on any machine; in a binary of
+//! its own because the counter is the process's global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use rq_quic::streams::SendStream;
+
+thread_local! {
+    /// Bytes this thread has requested (const-initialised and without a
+    /// destructor, so reading it inside the allocator allocates nothing).
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// plain thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.with(|r| r.set(r.get() + layout.size() as u64));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.with(|r| r.set(r.get() + new_size as u64));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes requested from the allocator by 100 packet-sized takes with
+/// `pending` bytes queued (the layer benchmark's `take_us` kernel).
+fn requested_by_100_takes(pending: usize) -> u64 {
+    let body = vec![0xA5u8; pending];
+    let mut s = SendStream {
+        max_stream_data: u64::MAX,
+        ..SendStream::default()
+    };
+    s.write(&body, true);
+    let before = REQUESTED.get();
+    for _ in 0..100 {
+        black_box(s.take(1150));
+    }
+    REQUESTED.get() - before
+}
+
+#[test]
+fn take_cost_is_independent_of_bytes_pending() {
+    let small = requested_by_100_takes(256 * 1024);
+    let large = requested_by_100_takes(5 * 1024 * 1024);
+    assert_eq!(large, small, "take must not pay for what stays queued");
+    // ...and is bounded by what it hands out (a draining buffer asked for
+    // the whole remainder again on every call: ~500 MiB here).
+    assert!(small <= 2 * 100 * 1150, "{small} bytes for 115,000 taken");
+}

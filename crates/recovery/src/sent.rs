@@ -1,6 +1,7 @@
 //! Sent-packet tracking and ACK-driven loss detection (RFC 9002 §6.1).
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use rq_sim::{SimDuration, SimTime};
 
@@ -10,7 +11,7 @@ use crate::rtt::RttEstimator;
 pub const PACKET_THRESHOLD: u64 = 3;
 
 /// Metadata retained for each sent packet until it is acked or lost.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SentPacket {
     /// Packet number.
     pub pn: u64,
@@ -28,7 +29,7 @@ pub struct SentPacket {
 }
 
 /// Result of processing one ACK frame.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct AckOutcome {
     /// Packets newly acknowledged (ascending pn).
     pub newly_acked: Vec<SentPacket>,
@@ -93,9 +94,9 @@ impl SentTracker {
         self.sent.values().find(|p| p.ack_eliciting)
     }
 
-    /// Processes an ACK covering `acked_pns` (any order), received at
-    /// `now` with `ack_delay`. Returns newly acked and newly lost packets
-    /// plus an RTT sample when the rules produce one.
+    /// Processes an ACK of the individual packet numbers `acked_pns`,
+    /// highest first: [`Self::on_ack_ranges`] for callers that hold
+    /// packet numbers rather than ranges.
     pub fn on_ack(
         &mut self,
         acked_pns: &[u64],
@@ -103,79 +104,48 @@ impl SentTracker {
         now: SimTime,
         rtt: &RttEstimator,
     ) -> AckOutcome {
-        let mut out = AckOutcome::default();
-        let mut newly_acked_largest = false;
-        let mut any_ack_eliciting = false;
+        let ranges = acked_pns.iter().map(|&pn| pn..=pn);
+        self.on_ack_ranges(ranges, largest_in_frame, now, rtt)
+    }
 
-        let mut pns: Vec<u64> = acked_pns.to_vec();
-        pns.sort_unstable();
-        for pn in pns {
-            if let Some(p) = self.sent.remove(&pn) {
-                if p.ack_eliciting {
-                    any_ack_eliciting = true;
-                    self.ack_eliciting_outstanding -= 1;
-                }
-                if p.in_flight {
-                    self.bytes_in_flight -= p.size;
-                }
-                if pn == largest_in_frame {
-                    newly_acked_largest = true;
-                    out.rtt_sample = Some(now.since(p.time_sent));
-                }
-                out.newly_acked.push(p);
+    /// Processes an ACK frame received at `now`: `acked` are its ranges,
+    /// highest first as the frame carries them, `largest_in_frame` its
+    /// largest acknowledged. Returns newly acked and newly lost packets
+    /// plus an RTT sample when the rules produce one. Costs the tracked
+    /// packets the ranges cover, not the packet numbers they span.
+    pub fn on_ack_ranges(
+        &mut self,
+        acked: impl IntoIterator<Item = RangeInclusive<u64>>,
+        largest_in_frame: u64,
+        now: SimTime,
+        rtt: &RttEstimator,
+    ) -> AckOutcome {
+        let mut out = AckOutcome::default();
+        for range in acked.into_iter().filter(|r| !r.is_empty()) {
+            while let Some((&pn, _)) = self.sent.range(range.clone()).next_back() {
+                out.newly_acked.extend(self.remove(pn));
             }
         }
-        if out.newly_acked.is_empty() {
+        // Collected highest first; reported ascending.
+        out.newly_acked.reverse();
+        let Some(newest) = out.newly_acked.last() else {
             return out;
-        }
+        };
         // RTT sample only if the largest acknowledged packet is newly acked
         // and at least one newly acked packet was ack-eliciting.
-        if !(newly_acked_largest && any_ack_eliciting) {
-            out.rtt_sample = None;
+        if newest.pn == largest_in_frame && out.newly_acked.iter().any(|p| p.ack_eliciting) {
+            out.rtt_sample = Some(now.since(newest.time_sent));
         }
-        self.largest_acked = Some(
-            self.largest_acked
-                .map_or(largest_in_frame, |l| l.max(largest_in_frame)),
-        );
-
-        // Loss detection (RFC 9002 §6.1): packets below largest_acked by
-        // kPacketThreshold, or older than the time threshold, are lost.
-        let loss_delay = rtt.loss_delay();
-        let largest = self.largest_acked.unwrap();
-        let mut lost_pns = Vec::new();
-        self.loss_time = None;
-        for (&pn, p) in self.sent.iter() {
-            if pn > largest {
-                break;
-            }
-            let too_old_by_count = largest >= pn + PACKET_THRESHOLD;
-            let lost_deadline = p.time_sent + loss_delay;
-            let too_old_by_time = now >= lost_deadline;
-            if too_old_by_count || too_old_by_time {
-                lost_pns.push(pn);
-            } else {
-                // Earliest pending time-threshold loss.
-                self.loss_time = Some(match self.loss_time {
-                    Some(t) => t.min(lost_deadline),
-                    None => lost_deadline,
-                });
-            }
-        }
-        for pn in lost_pns {
-            let p = self.sent.remove(&pn).unwrap();
-            if p.ack_eliciting {
-                self.ack_eliciting_outstanding -= 1;
-            }
-            if p.in_flight {
-                self.bytes_in_flight -= p.size;
-            }
-            out.lost.push(p);
-        }
+        self.largest_acked = self.largest_acked.max(Some(largest_in_frame));
+        out.lost = self.detect_time_lost(now, rtt);
         out
     }
 
-    /// Re-evaluates the time threshold at `now` (called when `loss_time`
-    /// fires). Returns newly lost packets.
+    /// Loss detection (RFC 9002 §6.1), run on every ACK that newly
+    /// acknowledges something and again when `loss_time` fires: removes
+    /// and returns the packets below `largest_acked` by kPacketThreshold
+    /// or older than the time threshold at `now`, and re-arms `loss_time`
+    /// for the younger ones.
     pub fn detect_time_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
         let Some(largest) = self.largest_acked else {
             return Vec::new();
@@ -183,32 +153,35 @@ impl SentTracker {
         let loss_delay = rtt.loss_delay();
         let mut lost_pns = Vec::new();
         self.loss_time = None;
-        for (&pn, p) in self.sent.iter() {
-            if pn > largest {
-                break;
-            }
-            let deadline = p.time_sent + loss_delay;
-            if now >= deadline {
+        for (&pn, p) in self.sent.range(..=largest) {
+            let lost_deadline = p.time_sent + loss_delay;
+            if largest >= pn + PACKET_THRESHOLD || now >= lost_deadline {
                 lost_pns.push(pn);
             } else {
-                self.loss_time = Some(match self.loss_time {
-                    Some(t) => t.min(deadline),
-                    None => deadline,
-                });
+                // Earliest pending time-threshold loss.
+                self.loss_time = Some(
+                    self.loss_time
+                        .map_or(lost_deadline, |t| t.min(lost_deadline)),
+                );
             }
         }
-        let mut out = Vec::new();
-        for pn in lost_pns {
-            let p = self.sent.remove(&pn).unwrap();
-            if p.ack_eliciting {
-                self.ack_eliciting_outstanding -= 1;
-            }
-            if p.in_flight {
-                self.bytes_in_flight -= p.size;
-            }
-            out.push(p);
+        lost_pns
+            .into_iter()
+            .filter_map(|pn| self.remove(pn))
+            .collect()
+    }
+
+    /// Stops tracking `pn` (acknowledged or lost) and takes it out of the
+    /// in-flight and ack-eliciting accounting.
+    fn remove(&mut self, pn: u64) -> Option<SentPacket> {
+        let p = self.sent.remove(&pn)?;
+        if p.ack_eliciting {
+            self.ack_eliciting_outstanding -= 1;
         }
-        out
+        if p.in_flight {
+            self.bytes_in_flight -= p.size;
+        }
+        Some(p)
     }
 
     /// Discards all state (used when Initial/Handshake keys are dropped,
@@ -309,7 +282,7 @@ mod tests {
         t.on_sent(pkt(1, 1, true));
         let _ = t.on_ack(&[1], 1, at(10), &fresh_rtt());
         // Second ACK only newly-acks pn 0 although frame's largest is 1.
-        let out = t.on_ack(&[0, 1], 1, at(20), &fresh_rtt());
+        let out = t.on_ack(&[1, 0], 1, at(20), &fresh_rtt());
         assert_eq!(out.newly_acked.len(), 1);
         assert_eq!(out.rtt_sample, None);
     }

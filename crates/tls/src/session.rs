@@ -163,9 +163,9 @@ pub struct TlsSession {
     out_handshake: BytesMut,
     out_app: BytesMut,
     /// Reassembled-but-unparsed input per level.
-    in_initial: BytesMut,
-    in_handshake: BytesMut,
-    in_app: BytesMut,
+    in_initial: Vec<u8>,
+    in_handshake: Vec<u8>,
+    in_app: Vec<u8>,
     handshake_keys: Option<LevelKeys>,
     application_keys: Option<LevelKeys>,
     /// 0-RTT early-data keys (client: from the offered ticket; server:
@@ -218,9 +218,9 @@ impl TlsSession {
             out_initial: BytesMut::new(),
             out_handshake: BytesMut::new(),
             out_app: BytesMut::new(),
-            in_initial: BytesMut::new(),
-            in_handshake: BytesMut::new(),
-            in_app: BytesMut::new(),
+            in_initial: Vec::new(),
+            in_handshake: Vec::new(),
+            in_app: Vec::new(),
             handshake_keys: None,
             application_keys: None,
             early: None,
@@ -329,13 +329,13 @@ impl TlsSession {
             Level::Handshake => &mut self.in_handshake,
             Level::Application => &mut self.in_app,
         };
-        let mut peek = Bytes::copy_from_slice(buf);
+        let mut peek = &buf[..];
         let Some(msg) = HandshakeMessage::decode(&mut peek)? else {
             return Ok(());
         };
         // Consume the parsed bytes from the real buffer.
         let consumed = buf.len() - peek.len();
-        let _ = buf.split_to(consumed);
+        buf.drain(..consumed);
 
         match self.state {
             StateMachine::Client(state) => {

@@ -6,6 +6,8 @@
 //! the quiche duplicate-retirement quirk), PING probes, HANDSHAKE_DONE and
 //! CONNECTION_CLOSE.
 
+use std::ops::RangeInclusive;
+
 use bytes::{Buf, BufMut, Bytes};
 
 use crate::header::PacketType;
@@ -55,63 +57,61 @@ impl AckFrame {
     /// Builds an ACK frame from a sorted-descending list of distinct packet
     /// numbers. Panics if `pns` is empty or unsorted.
     pub fn from_sorted_desc(pns: &[u64], ack_delay_us: u64) -> Self {
-        assert!(!pns.is_empty());
-        let largest = pns[0];
-        let mut first_range = 0u64;
-        let mut i = 1;
-        while i < pns.len() && pns[i] + 1 == pns[i - 1] {
-            first_range += 1;
-            i += 1;
-        }
-        let mut ranges = Vec::new();
-        while i < pns.len() {
-            // smallest acked so far:
-            let smallest_prev = pns[i - 1];
-            let next = pns[i];
-            assert!(
-                next < smallest_prev,
-                "pns must be sorted descending and distinct"
-            );
-            let gap = smallest_prev - next - 2; // RFC 9000 §19.3.1 gap encoding
-            let mut len = 0u64;
-            let mut j = i + 1;
-            while j < pns.len() && pns[j] + 1 == pns[j - 1] {
-                len += 1;
-                j += 1;
+        let runs = pns.chunk_by(|above, pn| *above == pn + 1);
+        Self::from_ranges_desc(runs.map(|run| run[run.len() - 1]..=run[0]), ack_delay_us)
+            .expect("pns must not be empty")
+    }
+
+    /// Builds an ACK frame from packet-number ranges listed highest first;
+    /// `None` if there are none. Panics unless the ranges are disjoint,
+    /// non-adjacent and descending.
+    pub fn from_ranges_desc(
+        ranges: impl IntoIterator<Item = RangeInclusive<u64>>,
+        ack_delay_us: u64,
+    ) -> Option<Self> {
+        let mut ranges = ranges.into_iter();
+        let first = ranges.next()?;
+        let mut smallest = *first.start();
+        let lower = ranges.map(|r| {
+            // RFC 9000 §19.3.1 gap encoding.
+            let gap = smallest.checked_sub(r.end() + 2);
+            smallest = *r.start();
+            AckRange {
+                gap: gap.expect("ranges must be descending with a gap between them"),
+                len: r.end() - r.start(),
             }
-            ranges.push(AckRange { gap, len });
-            i = j;
-        }
-        AckFrame {
-            largest,
+        });
+        Some(AckFrame {
+            largest: *first.end(),
             ack_delay_us,
-            first_range,
-            ranges,
-        }
+            first_range: first.end() - first.start(),
+            ranges: lower.collect(),
+        })
+    }
+
+    /// The acknowledged packet-number ranges, highest first, computed as
+    /// they are asked for: a frame costs its range count, however many
+    /// packet numbers the ranges span.
+    pub fn acked_ranges(&self) -> impl Iterator<Item = RangeInclusive<u64>> + '_ {
+        let first = self.largest.saturating_sub(self.first_range)..=self.largest;
+        let mut smallest = *first.start();
+        std::iter::once(first).chain(self.ranges.iter().map(move |r| {
+            // Next range's largest = previous smallest - gap - 2. Decoded
+            // frames never descend below 0; hand-built ones saturate.
+            let hi = smallest.saturating_sub(r.gap.saturating_add(2));
+            smallest = hi.saturating_sub(r.len);
+            smallest..=hi
+        }))
     }
 
     /// Iterates over all acknowledged packet numbers, highest first.
     pub fn iter_acked(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut out = Vec::new();
-        let mut hi = self.largest;
-        let mut lo = self.largest - self.first_range;
-        for pn in (lo..=hi).rev() {
-            out.push(pn);
-        }
-        for r in &self.ranges {
-            // Next range's largest = previous smallest - gap - 2.
-            hi = lo.saturating_sub(r.gap + 2);
-            lo = hi.saturating_sub(r.len);
-            for pn in (lo..=hi).rev() {
-                out.push(pn);
-            }
-        }
-        out.into_iter()
+        self.acked_ranges().flat_map(Iterator::rev)
     }
 
     /// True if `pn` is acknowledged by this frame.
     pub fn acks(&self, pn: u64) -> bool {
-        self.iter_acked().any(|p| p == pn)
+        self.acked_ranges().any(|r| r.contains(&pn))
     }
 }
 
@@ -468,13 +468,21 @@ impl Frame {
                     .saturating_mul(ACK_DELAY_UNIT_US);
                 let range_count = VarInt::decode(buf)?.value();
                 let first_range = VarInt::decode(buf)?.value();
-                if first_range > largest {
-                    return Err(WireError::MalformedAck);
-                }
-                let mut ranges = Vec::with_capacity(range_count as usize);
+                // No range may descend below packet number 0.
+                let mut smallest = largest
+                    .checked_sub(first_range)
+                    .ok_or(WireError::MalformedAck)?;
+                // A range is at least two bytes: the count field cannot
+                // reserve more than the buffer could hold.
+                let mut ranges =
+                    Vec::with_capacity(range_count.min(buf.remaining() as u64 / 2) as usize);
                 for _ in 0..range_count {
                     let gap = VarInt::decode(buf)?.value();
                     let len = VarInt::decode(buf)?.value();
+                    smallest = smallest
+                        .checked_sub(gap + 2)
+                        .and_then(|hi| hi.checked_sub(len))
+                        .ok_or(WireError::MalformedAck)?;
                     ranges.push(AckRange { gap, len });
                 }
                 if ty == 0x03 {
@@ -694,7 +702,15 @@ mod tests {
         let ack = AckFrame::from_sorted_desc(&[20, 19, 18, 10, 9, 3], 0);
         assert_eq!(ack.largest, 20);
         assert_eq!(ack.first_range, 2);
-        assert_eq!(ack.ranges.len(), 2);
+        assert_eq!(
+            ack.ranges,
+            [AckRange { gap: 6, len: 1 }, AckRange { gap: 4, len: 0 }]
+        );
+        assert_eq!(
+            AckFrame::from_ranges_desc([18..=20, 9..=10, 3..=3], 0).as_ref(),
+            Some(&ack)
+        );
+        assert_eq!(AckFrame::from_ranges_desc([], 0), None);
         let acked: Vec<u64> = ack.iter_acked().collect();
         assert_eq!(acked, vec![20, 19, 18, 10, 9, 3]);
         let f = Frame::Ack(ack);

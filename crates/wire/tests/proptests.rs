@@ -5,7 +5,7 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use rq_wire::{
     classify_datagram, coalesce::coalesce, AckFrame, ConnectionId, Frame, Header, PlainPacket,
-    VarInt,
+    VarInt, WireError,
 };
 
 proptest! {
@@ -148,4 +148,52 @@ proptest! {
         prop_assert_eq!(tag, tag_of(payload));
         prop_assert_eq!(&sealed[3..], &pkt.to_bytes(&tag_of(payload))[..]);
     }
+}
+
+/// Hostile ACK frames found by reading, fixed beside the fuzz property:
+/// none may panic, over-reserve, or take time in the packet numbers it
+/// claims to cover.
+#[test]
+fn decoder_survives_hostile_ack_frames() {
+    // A 62-bit range count in a 12-byte frame: the reservation is bounded
+    // by the buffer, and the missing ranges are an ordinary short read.
+    let huge_count: &[u8] = &[
+        0x02, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00,
+    ];
+    assert_eq!(
+        Frame::decode(&mut &huge_count[..]),
+        Err(WireError::UnexpectedEnd)
+    );
+    let _ = classify_datagram(huge_count, 8);
+
+    // largest = first_range = 2^62 - 1 is well-formed: one range over the
+    // whole packet-number space, walked as a range and never expanded.
+    let max = [0xffu8; 8];
+    let whole_space = [&[0x02][..], &max, &[0x00, 0x00], &max].concat();
+    let Ok(Frame::Ack(ack)) = Frame::decode(&mut &whole_space[..]) else {
+        panic!("a single full-width range is a valid ACK frame");
+    };
+    assert_eq!(ack.acked_ranges().collect::<Vec<_>>(), [0..=(1 << 62) - 1]);
+    assert!(ack.acks(0) && ack.acks((1 << 62) - 1));
+    assert_eq!(ack.iter_acked().next(), Some((1 << 62) - 1));
+
+    // Ranges that descend below packet number 0 are malformed, whether it
+    // is the first range, a gap, or a later range's length that does it.
+    for below_zero in [
+        &[0x02, 0x05, 0x00, 0x00, 0x06][..],
+        &[0x02, 0x05, 0x00, 0x01, 0x00, 0x04, 0x00],
+        &[0x02, 0x05, 0x00, 0x01, 0x00, 0x02, 0x02],
+    ] {
+        assert_eq!(
+            Frame::decode(&mut &below_zero[..]),
+            Err(WireError::MalformedAck),
+            "{below_zero:02x?}"
+        );
+    }
+    // ...and the tightest frame that does not is accepted: 5, then 1..=0.
+    let tight: &[u8] = &[0x02, 0x05, 0x00, 0x01, 0x00, 0x02, 0x01];
+    let Ok(Frame::Ack(ack)) = Frame::decode(&mut &tight[..]) else {
+        panic!("ranges reaching exactly packet number 0 are valid");
+    };
+    assert_eq!(ack.acked_ranges().collect::<Vec<_>>(), [5..=5, 0..=1]);
 }
