@@ -1,46 +1,16 @@
-//! Per-packet-number-space state: packet number allocation, receive-side
-//! ACK bookkeeping, crypto-stream assembly, and retransmittable content.
+//! Per-packet-number-space state: keys, packet number allocation,
+//! receive-side ACK bookkeeping, crypto-stream assembly, sent-packet
+//! tracking and what is retransmitted when a sent packet is lost.
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
-use bytes::Bytes;
+use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker};
 use rq_sim::SimTime;
-use rq_wire::{AckFrame, Frame};
+use rq_tls::LevelKeys;
+use rq_wire::{AckFrame, Frame, PacketType};
 
 use crate::bytestream::{Reassembler, Run, SendBuf};
-
-/// Content of a sent packet that must be retransmitted if it is lost.
-///
-/// Stored per packet (keyed by `retx_token` in the recovery tracker) so the
-/// connection can rebuild equivalent frames on loss or PTO.
-#[derive(Debug, Clone, Default)]
-pub struct RetxContent {
-    /// CRYPTO runs.
-    pub crypto: Vec<Run>,
-    /// STREAM ranges: (id, offset, bytes, fin).
-    pub stream: Vec<(u64, u64, Bytes, bool)>,
-    /// HANDSHAKE_DONE was carried.
-    pub handshake_done: bool,
-    /// NEW_CONNECTION_ID frames carried: (seq, retire_prior_to, cid).
-    pub new_cids: Vec<(u64, u64, Vec<u8>)>,
-    /// MAX_DATA carried (value).
-    pub max_data: Option<u64>,
-    /// MAX_STREAM_DATA carried: (id, value).
-    pub max_stream_data: Vec<(u64, u64)>,
-}
-
-impl RetxContent {
-    /// True if nothing in this packet needs retransmission.
-    pub fn is_empty(&self) -> bool {
-        self.crypto.is_empty()
-            && self.stream.is_empty()
-            && !self.handshake_done
-            && self.new_cids.is_empty()
-            && self.max_data.is_none()
-            && self.max_stream_data.is_empty()
-    }
-}
 
 /// Receive-side tracking: which packet numbers we have received and must
 /// acknowledge.
@@ -165,33 +135,44 @@ impl CryptoStream {
     }
 }
 
-/// All mutable state for one packet number space.
+/// The one owner of a packet number space: its keys, packet numbers,
+/// receive and crypto state, the packets in flight, what each carried,
+/// and what is queued to be sent again.
 ///
 /// The Application instance doubles as the 0-RTT space: 0-RTT and 1-RTT
-/// packets share its packet number sequence (RFC 9000 §12.3), with
-/// [`SpaceState::zero_rtt_pns`] remembering which numbers went out as
-/// 0-RTT so a server reject can surgically unwind exactly those sends.
+/// packets share its packet number sequence (RFC 9000 §12.3) and it holds
+/// the 0-RTT keys beside the 1-RTT ones, with `zero_rtt_pns` remembering
+/// which numbers went out as 0-RTT.
 #[derive(Debug, Default)]
-pub struct SpaceState {
-    /// Next packet number to assign.
-    pub next_pn: u64,
+pub struct Space {
+    /// Packet protection keys: `None` until installed and after discard.
+    pub keys: Option<LevelKeys>,
+    /// 0-RTT packet protection (Application space only): the client
+    /// derives these from its ticket before the first flight, the server
+    /// after validating the ticket.
+    pub early_keys: Option<LevelKeys>,
     /// Receive bookkeeping.
     pub recv: RecvState,
     /// Crypto stream (unused in the Application space once complete).
     pub crypto: CryptoStream,
-    /// Retransmittable content of sent packets, by retx token.
-    pub retx: BTreeMap<u64, RetxContent>,
-    /// Content queued for (re)transmission after loss.
-    pub retx_queue: Vec<RetxContent>,
     /// Number of PING probes queued for immediate send.
     pub pending_pings: usize,
+    /// Next packet number to assign.
+    next_pn: u64,
+    /// Sent packets not yet acknowledged or declared lost.
+    sent: SentTracker,
+    /// The retransmittable frames of each tracked packet that has any,
+    /// by packet number, in the order they are resent.
+    carried: BTreeMap<u64, Vec<Frame>>,
+    /// Frames queued for retransmission, oldest first.
+    requeued: Vec<Frame>,
     /// Space has been discarded (keys dropped).
-    pub discarded: bool,
+    discarded: bool,
     /// Packet numbers sent as 0-RTT packets (Application space only).
-    pub zero_rtt_pns: Vec<u64>,
+    zero_rtt_pns: Vec<u64>,
 }
 
-impl SpaceState {
+impl Space {
     /// Allocates the next packet number.
     pub fn alloc_pn(&mut self) -> u64 {
         let pn = self.next_pn;
@@ -199,63 +180,314 @@ impl SpaceState {
         pn
     }
 
-    /// Records a packet number as sent in a 0-RTT packet.
-    pub fn mark_zero_rtt(&mut self, pn: u64) {
-        self.zero_rtt_pns.push(pn);
-    }
-
-    /// Whether `pn` was sent as 0-RTT.
-    pub fn is_zero_rtt(&self, pn: u64) -> bool {
-        self.zero_rtt_pns.contains(&pn)
-    }
-
-    /// Queues content for retransmission.
-    pub fn queue_retx(&mut self, content: RetxContent) {
-        if !content.is_empty() {
-            self.retx_queue.push(content);
+    /// The keys protecting packets of type `ty` in this space.
+    pub fn keys_for(&self, ty: PacketType) -> Option<&LevelKeys> {
+        match ty {
+            PacketType::ZeroRtt => self.early_keys.as_ref(),
+            _ => self.keys.as_ref(),
         }
+    }
+
+    /// Whether keys are installed and the space has not been discarded.
+    pub fn usable(&self) -> bool {
+        self.keys.is_some() && !self.discarded
+    }
+
+    /// Whether the space has been discarded.
+    pub fn is_discarded(&self) -> bool {
+        self.discarded
+    }
+
+    /// The packets in flight (read-only view).
+    pub fn sent(&self) -> &SentTracker {
+        &self.sent
+    }
+
+    /// Registers a sent packet and keeps the retransmittable part of the
+    /// `frames` it carried until it is acknowledged or lost. `zero_rtt`
+    /// marks a 0-RTT send so a server reject can [`Space::unwind`] it.
+    pub fn on_sent(&mut self, packet: SentPacket, frames: Vec<Frame>, zero_rtt: bool) {
+        if zero_rtt {
+            self.zero_rtt_pns.push(packet.pn);
+        }
+        let frames = retransmittable(frames);
+        if !frames.is_empty() {
+            self.carried.insert(packet.pn, frames);
+        }
+        self.sent.on_sent(packet);
+    }
+
+    /// Processes a received ACK frame: forgets what the newly acked
+    /// packets carried and requeues what the newly lost ones did. A frame
+    /// acknowledging a packet never sent (forged or corrupt) changes nothing.
+    pub fn on_ack(&mut self, ack: &AckFrame, now: SimTime, rtt: &RttEstimator) -> AckOutcome {
+        if ack.largest >= self.next_pn {
+            return AckOutcome::default();
+        }
+        let outcome = self
+            .sent
+            .on_ack_ranges(ack.acked_ranges(), ack.largest, now, rtt);
+        for p in &outcome.newly_acked {
+            self.carried.remove(&p.pn);
+        }
+        self.requeue_carried(&outcome.lost);
+        outcome
+    }
+
+    /// Time-threshold loss detection at `now` (the `loss_time` timer):
+    /// requeues what the lost packets carried and returns them.
+    pub fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
+        let lost = self.sent.detect_time_lost(now, rtt);
+        self.requeue_carried(&lost);
+        lost
+    }
+
+    /// Queues what `packets`, no longer tracked, carried.
+    fn requeue_carried(&mut self, packets: &[SentPacket]) {
+        for p in packets {
+            self.requeued
+                .extend(self.carried.remove(&p.pn).unwrap_or_default());
+        }
+    }
+
+    /// Queues the retransmittable ones of `frames` to be sent again.
+    pub fn requeue(&mut self, frames: Vec<Frame>) {
+        self.requeued.extend(retransmittable(frames));
+    }
+
+    /// Probe content (RFC 9002 §6.2.4): queues a copy of what the oldest
+    /// unacknowledged ack-eliciting packet carried, leaving the packet
+    /// tracked. `false` when there is no such packet or it carried
+    /// nothing retransmittable.
+    pub fn requeue_oldest(&mut self) -> bool {
+        let oldest = self.sent.oldest_ack_eliciting();
+        let Some(frames) = oldest.and_then(|p| self.carried.get(&p.pn)) else {
+            return false;
+        };
+        self.requeued.extend(frames.iter().cloned());
+        true
+    }
+
+    /// 0-RTT was rejected (RFC 9001 §4.6.2): stops tracking the early
+    /// packets — they are neither acknowledged nor declared lost — and
+    /// requeues what they carried for 1-RTT transmission. Returns the
+    /// bytes that leave flight.
+    pub fn unwind(&mut self) -> usize {
+        if self.zero_rtt_pns.is_empty() {
+            return 0;
+        }
+        let early = self.sent.drain();
+        debug_assert!(
+            early.iter().all(|p| self.zero_rtt_pns.contains(&p.pn)),
+            "only 0-RTT packets live in the app space before 1-RTT keys"
+        );
+        self.requeue_carried(&early);
+        early.iter().filter(|p| p.in_flight).map(|p| p.size).sum()
+    }
+
+    /// Discards the space (RFC 9002 §6.2.2): drops the keys and stops
+    /// tracking and retransmitting — what was kept for that holds views
+    /// into the crypto flight, which would stay allocated with them.
+    /// Returns the bytes that leave flight.
+    pub fn discard(&mut self) -> usize {
+        self.discarded = true;
+        self.keys = None;
+        self.carried.clear();
+        self.requeued.clear();
+        self.sent.discard()
+    }
+
+    /// Restarts the space after a Retry: packet numbers, tracking,
+    /// receive state and the crypto stream start over; the keys stay.
+    pub fn reset(&mut self) {
+        *self = Space {
+            keys: self.keys.take(),
+            ..Space::default()
+        };
     }
 
     /// Whether this space has anything useful to send (ACK not counted).
     pub fn has_data_to_send(&self) -> bool {
-        self.crypto.tx_len() > 0 || !self.retx_queue.is_empty() || self.pending_pings > 0
+        self.crypto.tx_len() > 0 || !self.requeued.is_empty() || self.pending_pings > 0
+    }
+
+    /// Moves queued retransmissions onto `frames`, a packet payload of at
+    /// most `max_payload` bytes of which `used` are taken. CRYPTO and
+    /// STREAM data is cut to the room left and its tail stays queued;
+    /// HANDSHAKE_DONE waits for a free byte; flow-control and
+    /// connection-ID frames always go. What stays keeps its order.
+    pub fn take_requeued(&mut self, frames: &mut Vec<Frame>, used: &mut usize, max_payload: usize) {
+        for frame in std::mem::take(&mut self.requeued) {
+            let (_, overhead) = retx_kind(&frame).expect("only retransmittable kinds are queued");
+            let room = max_payload.saturating_sub(*used + overhead);
+            let (now, later) = match frame {
+                Frame::Crypto { .. } | Frame::Stream { .. } => split_data(frame, room),
+                Frame::HandshakeDone if *used + overhead > max_payload => (None, Some(frame)),
+                control => (Some(control), None),
+            };
+            if let Some(frame) = now {
+                *used += overhead + frame.data_len();
+                frames.push(frame);
+            }
+            self.requeued.extend(later);
+        }
+    }
+
+    /// When the owed ACK must leave, if one is owed and timed.
+    pub fn ack_deadline(&self) -> Option<SimTime> {
+        self.recv.ack_deadline.filter(|_| self.recv.ack_pending)
+    }
+
+    /// The send the PTO timer of this space runs from (RFC 9002 A.8):
+    /// the latest ack-eliciting one, while the space is usable and has
+    /// ack-eliciting packets in flight.
+    pub fn pto_base(&self) -> Option<SimTime> {
+        let armed = self.usable() && self.sent.has_ack_eliciting_in_flight();
+        self.sent.last_ack_eliciting_sent.filter(|_| armed)
     }
 }
 
-/// Extracts the retransmittable content from an encoded frame list (used
-/// when registering sent packets).
-pub fn retx_content_of(frames: &[Frame]) -> RetxContent {
-    let mut c = RetxContent::default();
-    for f in frames {
-        match f {
-            Frame::Crypto { offset, data } => c.crypto.push((*offset, data.clone())),
-            Frame::Stream {
+/// The frame kinds that are sent again when the packet carrying them is
+/// lost, as (resend rank, payload bytes budgeted for the frame besides
+/// its data); `None` for the rest — ACK, PING and PADDING are made afresh,
+/// path and close frames run on timers of their own.
+fn retx_kind(frame: &Frame) -> Option<(u8, usize)> {
+    match frame {
+        Frame::Crypto { .. } => Some((0, 10)),
+        Frame::Stream { .. } => Some((1, 12)),
+        Frame::HandshakeDone => Some((2, 1)),
+        Frame::MaxData { .. } => Some((3, 9)),
+        Frame::MaxStreamData { .. } => Some((4, 12)),
+        Frame::NewConnectionId { .. } => Some((5, 30)),
+        _ => None,
+    }
+}
+
+/// What is resent if the packet that carried `frames` is lost: the
+/// retransmittable kinds, in resend order.
+fn retransmittable(mut frames: Vec<Frame>) -> Vec<Frame> {
+    frames.retain(|f| retx_kind(f).is_some());
+    frames.sort_by_key(|f| retx_kind(f).map(|(rank, _)| rank));
+    // Limits only grow: a packet's last MAX_DATA supersedes its others.
+    frames.dedup_by(|later, kept| {
+        let both = matches!(
+            (&*later, &*kept),
+            (Frame::MaxData { .. }, Frame::MaxData { .. })
+        );
+        both && {
+            std::mem::swap(later, kept);
+            true
+        }
+    });
+    frames
+}
+
+/// Cuts a CRYPTO or STREAM retransmission to `room` data bytes: what goes
+/// out now — the whole frame if it fits, else its head — and what stays
+/// queued. FIN rides on the piece that carries the last byte.
+fn split_data(frame: Frame, room: usize) -> (Option<Frame>, Option<Frame>) {
+    if room == 0 {
+        return (None, Some(frame));
+    }
+    if frame.data_len() <= room {
+        return (Some(frame), None);
+    }
+    let cut = room as u64;
+    match frame {
+        Frame::Crypto { offset, mut data } => {
+            let head = data.split_to(room);
+            let tail = Frame::Crypto {
+                offset: offset + cut,
+                data,
+            };
+            (Some(Frame::Crypto { offset, data: head }), Some(tail))
+        }
+        Frame::Stream {
+            id,
+            offset,
+            mut data,
+            fin,
+        } => {
+            let head = Frame::Stream {
                 id,
                 offset,
+                data: data.split_to(room),
+                fin: false,
+            };
+            let tail = Frame::Stream {
+                id,
+                offset: offset + cut,
                 data,
                 fin,
-            } => c.stream.push((*id, *offset, data.clone(), *fin)),
-            Frame::HandshakeDone => c.handshake_done = true,
-            Frame::NewConnectionId {
-                seq,
-                retire_prior_to,
-                cid,
-            } => c.new_cids.push((*seq, *retire_prior_to, cid.clone())),
-            Frame::MaxData { max } => c.max_data = Some(*max),
-            Frame::MaxStreamData { id, max } => c.max_stream_data.push((*id, *max)),
-            _ => {}
+            };
+            (Some(head), Some(tail))
         }
+        other => (Some(other), None),
     }
-    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use rq_sim::SimDuration;
+    use rq_tls::initial_keys;
+
+    const SIZE: usize = 1200;
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// A 100 ms path: nothing sent in the last ~112 ms is lost by time.
+    fn rtt() -> RttEstimator {
+        let mut rtt = RttEstimator::new(SimDuration::ZERO);
+        rtt.update(SimDuration::from_millis(100), SimDuration::ZERO, false);
+        rtt
+    }
+
+    fn stream(offset: u64, data: &'static [u8], fin: bool) -> Frame {
+        Frame::Stream {
+            id: 0,
+            offset,
+            data: Bytes::from_static(data),
+            fin,
+        }
+    }
+
+    fn new_cid() -> Frame {
+        Frame::NewConnectionId {
+            seq: 1,
+            retire_prior_to: 0,
+            cid: vec![7; 8],
+        }
+    }
+
+    /// Sends an in-flight `SIZE`-byte packet carrying `frames` at `ms`.
+    fn send(s: &mut Space, ms: u64, frames: Vec<Frame>, zero_rtt: bool) -> u64 {
+        let pn = s.alloc_pn();
+        let packet = SentPacket {
+            pn,
+            time_sent: at(ms),
+            ack_eliciting: frames.iter().any(Frame::is_ack_eliciting),
+            in_flight: true,
+            size: SIZE,
+            retx_token: pn,
+        };
+        s.on_sent(packet, frames, zero_rtt);
+        pn
+    }
+
+    /// Everything queued for retransmission, taken with ample room.
+    fn requeued(s: &mut Space) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        s.take_requeued(&mut frames, &mut 0, 10_000);
+        frames
+    }
 
     #[test]
     fn pn_allocation_monotonic() {
-        let mut s = SpaceState::default();
+        let mut s = Space::default();
         assert_eq!(s.alloc_pn(), 0);
         assert_eq!(s.alloc_pn(), 1);
         assert_eq!(s.alloc_pn(), 2);
@@ -263,13 +495,124 @@ mod tests {
 
     #[test]
     fn zero_rtt_and_one_rtt_share_the_pn_sequence() {
-        let mut s = SpaceState::default();
-        let early = s.alloc_pn();
-        s.mark_zero_rtt(early);
-        let one_rtt = s.alloc_pn();
+        let mut s = Space::default();
+        let early = send(&mut s, 0, vec![Frame::Ping], true);
+        let one_rtt = send(&mut s, 1, vec![Frame::Ping], false);
         assert_eq!((early, one_rtt), (0, 1));
-        assert!(s.is_zero_rtt(early));
-        assert!(!s.is_zero_rtt(one_rtt));
+        assert_eq!(s.zero_rtt_pns, [early]);
+    }
+
+    #[test]
+    fn discard_leaves_nothing_tracked_queued_or_keyed() {
+        let mut s = Space {
+            keys: Some(initial_keys(&[1; 8])),
+            ..Space::default()
+        };
+        send(&mut s, 0, vec![stream(0, b"lost", false)], false);
+        send(&mut s, 1, vec![stream(4, b"kept", false)], false);
+        s.requeue_oldest();
+        assert!(s.usable() && s.has_data_to_send());
+        assert_eq!(s.discard(), 2 * SIZE, "both packets leave flight");
+        assert!(s.is_discarded() && !s.usable() && s.keys.is_none());
+        assert_eq!(s.sent().tracked(), 0);
+        assert!(!s.has_data_to_send());
+        assert!(!s.requeue_oldest(), "what the packets carried is gone too");
+        assert_eq!((s.sent().loss_time, s.pto_base()), (None, None));
+    }
+
+    #[test]
+    fn reset_restarts_numbers_and_tracking_but_keeps_keys() {
+        let keys = initial_keys(&[2; 8]);
+        let mut s = Space {
+            keys: Some(keys.clone()),
+            ..Space::default()
+        };
+        s.crypto.queue_tx(b"client hello");
+        send(&mut s, 0, vec![stream(0, b"x", false)], false);
+        s.recv.on_packet(5, true, at(1));
+        s.requeue_oldest();
+        s.pending_pings = 1;
+        s.reset();
+        assert_eq!(s.keys, Some(keys));
+        assert_eq!(s.alloc_pn(), 0, "packet numbers start over");
+        assert_eq!(s.sent().tracked(), 0);
+        assert_eq!(s.recv.largest(), None);
+        assert!(!s.has_data_to_send() && !s.is_discarded());
+    }
+
+    #[test]
+    fn unwind_requeues_the_zero_rtt_packets() {
+        let mut s = Space::default();
+        assert_eq!(s.unwind(), 0, "nothing was sent early");
+        send(&mut s, 0, vec![stream(0, b"GET /", false)], true);
+        send(&mut s, 1, vec![Frame::Ping], true);
+        send(&mut s, 2, vec![stream(5, b"index", true)], true);
+        assert_eq!(s.unwind(), 3 * SIZE);
+        assert_eq!(s.sent().tracked(), 0);
+        assert_eq!(s.pto_base(), None, "no early packet arms a timer");
+        assert_eq!(
+            requeued(&mut s),
+            [stream(0, b"GET /", false), stream(5, b"index", true)]
+        );
+    }
+
+    #[test]
+    fn requeue_oldest_copies_the_oldest_ack_eliciting_packet() {
+        let mut s = Space::default();
+        assert!(!s.requeue_oldest(), "nothing sent");
+        send(&mut s, 0, vec![Frame::Ack(AckFrame::single(0, 0))], false);
+        send(&mut s, 1, vec![Frame::Ping], false);
+        assert!(
+            !s.requeue_oldest(),
+            "the oldest probe-worthy packet is a PING"
+        );
+        let mut s = Space::default();
+        send(&mut s, 0, vec![Frame::Ack(AckFrame::single(0, 0))], false);
+        send(&mut s, 1, vec![stream(0, b"old", false)], false);
+        send(&mut s, 2, vec![stream(3, b"new", false)], false);
+        assert!(s.requeue_oldest());
+        assert_eq!(requeued(&mut s), [stream(0, b"old", false)]);
+        assert_eq!(s.sent().tracked(), 3, "the packet itself stays in flight");
+        // Still carried: a second probe resends it again.
+        assert!(s.requeue_oldest());
+    }
+
+    #[test]
+    fn lost_content_is_requeued_in_resend_order() {
+        let mut s = Space::default();
+        let carried = vec![Frame::HandshakeDone, new_cid(), stream(0, b"body", true)];
+        send(&mut s, 0, carried, false);
+        for ms in 1..=3 {
+            send(&mut s, ms, vec![Frame::Ping], false);
+        }
+        // An ACK from beyond what was sent changes nothing.
+        let forged = s.on_ack(&AckFrame::single(4, 0), at(9), &rtt());
+        assert_eq!(forged, AckOutcome::default());
+        assert_eq!(s.sent().tracked(), 4);
+        // Acking pn 3 puts pn 0 past the packet threshold.
+        let outcome = s.on_ack(&AckFrame::single(3, 0), at(10), &rtt());
+        assert_eq!(outcome.lost.iter().map(|p| p.pn).collect::<Vec<_>>(), [0]);
+        assert_eq!(
+            requeued(&mut s),
+            [stream(0, b"body", true), Frame::HandshakeDone, new_cid()]
+        );
+        assert!(!s.has_data_to_send());
+    }
+
+    #[test]
+    fn oversized_stream_frame_goes_head_now_tail_later() {
+        let mut s = Space::default();
+        s.requeue(vec![stream(100, b"0123456789", true), Frame::HandshakeDone]);
+        // 16 bytes left: 12 of STREAM overhead leave room for 4 of data,
+        // and then none for HANDSHAKE_DONE.
+        let (mut frames, mut used) = (Vec::new(), 84);
+        s.take_requeued(&mut frames, &mut used, 100);
+        assert_eq!(frames, [stream(100, b"0123", false)]);
+        assert_eq!(used, 100);
+        assert_eq!(
+            requeued(&mut s),
+            [stream(104, b"456789", true), Frame::HandshakeDone]
+        );
     }
 
     #[test]
@@ -348,27 +691,28 @@ mod tests {
 
     #[test]
     fn retx_content_extraction() {
+        let crypto = Frame::Crypto {
+            offset: 10,
+            data: Bytes::from_static(b"abc"),
+        };
         let frames = vec![
             Frame::Ping,
-            Frame::Crypto {
-                offset: 10,
-                data: Bytes::from_static(b"abc"),
-            },
-            Frame::Stream {
-                id: 0,
-                offset: 0,
-                data: Bytes::from_static(b"req"),
-                fin: true,
-            },
+            Frame::MaxData { max: 1024 },
             Frame::HandshakeDone,
+            stream(0, b"req", true),
             Frame::MaxData { max: 4096 },
+            crypto.clone(),
+            Frame::Ack(AckFrame::single(0, 0)),
         ];
-        let c = retx_content_of(&frames);
-        assert_eq!(c.crypto.len(), 1);
-        assert_eq!(c.stream.len(), 1);
-        assert!(c.handshake_done);
-        assert_eq!(c.max_data, Some(4096));
-        assert!(!c.is_empty());
-        assert!(retx_content_of(&[Frame::Ping]).is_empty());
+        assert_eq!(
+            retransmittable(frames),
+            [
+                crypto,
+                stream(0, b"req", true),
+                Frame::HandshakeDone,
+                Frame::MaxData { max: 4096 }
+            ]
+        );
+        assert!(retransmittable(vec![Frame::Ping, Frame::Padding { len: 9 }]).is_empty());
     }
 }

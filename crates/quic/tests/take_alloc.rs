@@ -1,14 +1,16 @@
-//! Complexity regression test for the send path (ROADMAP item 2): what
+//! Complexity regression tests for the send path (ROADMAP item 2): what
 //! `SendStream::take` asks of the allocator must not depend on how much
-//! is still queued behind the bytes it hands out. Counted in bytes
-//! requested, so the verdict is the same on any machine; in a binary of
-//! its own because the counter is the process's global allocator.
+//! is still queued behind the bytes it hands out, and tagging a packet
+//! must ask for nothing at all. Counted in bytes requested, so the
+//! verdict is the same on any machine; in a binary of its own because
+//! the counter is the process's global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
 use rq_quic::streams::SendStream;
+use rq_tls::{initial_keys, seal_tag, verify_tag};
 
 thread_local! {
     /// Bytes this thread has requested (const-initialised and without a
@@ -64,4 +66,16 @@ fn take_cost_is_independent_of_bytes_pending() {
     // ...and is bounded by what it hands out (a draining buffer asked for
     // the whole remainder again on every call: ~500 MiB here).
     assert!(small <= 2 * 100 * 1150, "{small} bytes for 115,000 taken");
+}
+
+#[test]
+fn packet_tags_are_computed_without_the_allocator() {
+    let key = initial_keys(&[7; 8]).client;
+    let payload = vec![0xA5u8; 1200];
+    let before = REQUESTED.get();
+    for pn in 0..100 {
+        let tag = seal_tag(&key, pn, black_box(&payload));
+        assert!(verify_tag(&key, pn, &payload, black_box(&tag)));
+    }
+    assert_eq!(REQUESTED.get() - before, 0);
 }

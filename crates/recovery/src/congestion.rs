@@ -189,45 +189,34 @@ impl NewReno {
             recovery_start: None,
         }
     }
+}
 
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> usize {
+impl CongestionControl for NewReno {
+    fn cwnd(&self) -> usize {
         self.cwnd
     }
 
-    /// Bytes in flight.
-    pub fn bytes_in_flight(&self) -> usize {
+    fn bytes_in_flight(&self) -> usize {
         self.bytes_in_flight
     }
 
-    /// Available send budget.
-    pub fn available(&self) -> usize {
-        self.cwnd.saturating_sub(self.bytes_in_flight)
-    }
-
-    /// Whether an in-flight packet of `size` bytes may be sent.
-    pub fn can_send(&self, size: usize) -> bool {
-        self.bytes_in_flight + size <= self.cwnd
-    }
-
-    /// True while in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 
-    /// Registers an in-flight send.
-    pub fn on_sent(&mut self, size: usize) {
+    fn in_recovery(&self) -> bool {
+        self.recovery_start.is_some()
+    }
+
+    fn on_sent(&mut self, size: usize) {
         self.bytes_in_flight += size;
     }
 
-    /// Registers bytes leaving flight without CC feedback (e.g. discarding
-    /// a packet number space).
-    pub fn on_discarded(&mut self, size: usize) {
+    fn on_discarded(&mut self, size: usize) {
         self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
     }
 
-    /// Processes an acked in-flight packet.
-    pub fn on_ack(&mut self, size: usize, time_sent: SimTime) {
+    fn on_ack(&mut self, size: usize, time_sent: SimTime, _now: SimTime, _rtt: &RttEstimator) {
         self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
         // No window growth for packets sent during recovery.
         if let Some(start) = self.recovery_start {
@@ -246,9 +235,7 @@ impl NewReno {
         }
     }
 
-    /// Processes lost in-flight packets; `now` starts a recovery episode
-    /// unless one already covers the loss.
-    pub fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
+    fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
         for s in sizes {
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*s);
         }
@@ -263,54 +250,9 @@ impl NewReno {
         }
     }
 
-    /// Collapses the window on persistent congestion (RFC 9002 §7.6).
-    pub fn on_persistent_congestion(&mut self) {
+    fn on_persistent_congestion(&mut self) {
         self.cwnd = MIN_WINDOW;
         self.recovery_start = None;
-    }
-
-    /// Detects persistent congestion: the span of lost ack-eliciting
-    /// packets exceeds `threshold * (pto)` with no ack in between.
-    pub fn persistent_congestion_duration(pto: SimDuration) -> SimDuration {
-        persistent_congestion_duration(pto)
-    }
-}
-
-impl CongestionControl for NewReno {
-    fn cwnd(&self) -> usize {
-        NewReno::cwnd(self)
-    }
-
-    fn bytes_in_flight(&self) -> usize {
-        NewReno::bytes_in_flight(self)
-    }
-
-    fn in_slow_start(&self) -> bool {
-        NewReno::in_slow_start(self)
-    }
-
-    fn in_recovery(&self) -> bool {
-        self.recovery_start.is_some()
-    }
-
-    fn on_sent(&mut self, size: usize) {
-        NewReno::on_sent(self, size)
-    }
-
-    fn on_discarded(&mut self, size: usize) {
-        NewReno::on_discarded(self, size)
-    }
-
-    fn on_ack(&mut self, size: usize, time_sent: SimTime, _now: SimTime, _rtt: &RttEstimator) {
-        NewReno::on_ack(self, size, time_sent)
-    }
-
-    fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
-        NewReno::on_loss(self, sizes, latest_loss_sent, now)
-    }
-
-    fn on_persistent_congestion(&mut self) {
-        NewReno::on_persistent_congestion(self)
     }
 }
 
@@ -609,6 +551,13 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    /// Acks one 1200-byte packet sent at `time_sent`; NewReno reads
+    /// neither the clock nor the RTT estimator.
+    fn ack(cc: &mut NewReno, time_sent: SimTime) {
+        let rtt = RttEstimator::new(SimDuration::ZERO);
+        cc.on_ack(1200, time_sent, time_sent, &rtt);
+    }
+
     #[test]
     fn initial_window() {
         let cc = NewReno::new();
@@ -628,7 +577,7 @@ mod tests {
         }
         assert!(!cc.can_send(1200));
         for _ in 0..n {
-            cc.on_ack(1200, at(0));
+            ack(&mut cc, at(0));
         }
         assert_eq!(cc.cwnd(), 2 * start);
     }
@@ -668,9 +617,9 @@ mod tests {
         }
         cc.on_loss(&[1200], at(5), at(10));
         let w = cc.cwnd();
-        cc.on_ack(1200, at(8)); // sent before recovery start
+        ack(&mut cc, at(8)); // sent before recovery start
         assert_eq!(cc.cwnd(), w);
-        cc.on_ack(1200, at(15)); // sent after: recovery exits, growth resumes
+        ack(&mut cc, at(15)); // sent after: recovery exits, growth resumes
         assert!(cc.cwnd() > w);
     }
 
@@ -687,7 +636,7 @@ mod tests {
             cc.on_sent(1200);
         }
         for _ in 0..n {
-            cc.on_ack(1200, at(10));
+            ack(&mut cc, at(10));
         }
         // Integer arithmetic under-shoots one MSS slightly as cwnd grows
         // mid-round; anything in [0.9, 1.05] MSS is the expected band.
@@ -728,7 +677,7 @@ mod tests {
         let mut guard = 0;
         while cc.in_slow_start() {
             cc.on_sent(1200);
-            cc.on_ack(1200, at(100 + guard));
+            ack(&mut cc, at(100 + guard));
             guard += 1;
             assert!(guard < 100, "slow start must terminate");
         }
@@ -864,7 +813,7 @@ mod tests {
         cc.on_loss(&[1200], at(1), at(2));
         assert_eq!(CongestionControl::state(&cc), CcState::Recovery);
         cc.on_sent(1200);
-        cc.on_ack(1200, at(5));
+        ack(&mut cc, at(5));
         assert_eq!(CongestionControl::state(&cc), CcState::CongestionAvoidance);
     }
 }

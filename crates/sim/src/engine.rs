@@ -150,7 +150,7 @@ impl Network {
             nodes: Vec::new(),
             links: Vec::new(),
             link_index: HashMap::new(),
-            queue: BinaryHeap::with_capacity(1024),
+            queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
             started: 0,

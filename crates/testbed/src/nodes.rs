@@ -10,7 +10,7 @@
 //! via `Rc<RefCell<..>>` so the runner can read qlog/status after (or
 //! during) the simulation.
 
-use std::cell::RefCell;
+use std::cell::{LazyCell, RefCell};
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -22,7 +22,7 @@ use rq_quic::{
 };
 use rq_sim::{Context, FaultTimeline, Node, NodeId, SimDuration, SimRng, SimTime};
 use rq_tls::TicketKeySchedule;
-use rq_wire::{ConnectionId, PacketType};
+use rq_wire::{ConnectionId, Header, PacketType};
 
 use crate::scenario::ReconnectPolicy;
 
@@ -481,6 +481,10 @@ impl PeerState {
     }
 }
 
+/// The first packet header of a datagram (`None` if it does not parse),
+/// decoded when first looked at.
+type FirstHeader<F> = LazyCell<Option<Header>, F>;
+
 /// What the server does with an incoming datagram, as decided by the
 /// admission layer (which cannot send by itself — `on_datagram` owns the
 /// [`Context`]).
@@ -593,10 +597,17 @@ impl ServerNode {
         self.frozen_until.map(|t| now < t).unwrap_or(false)
     }
 
-    /// Decides what to do with a datagram from `key`, running the
+    /// Decides what to do with a datagram from `key` whose first packet
+    /// header is `header` (`None` if it does not parse), running the
     /// engine's admission path for unknown peers (and, on fault-aware
     /// servers, for reconnecting ones).
-    fn admission(&mut self, key: usize, from: NodeId, payload: &[u8], now: SimTime) -> Admission {
+    fn admission(
+        &mut self,
+        key: usize,
+        from: NodeId,
+        header: &FirstHeader<impl FnOnce() -> Option<Header>>,
+        now: SimTime,
+    ) -> Admission {
         let has_conn = self.engine.borrow().has_conn(key as u64);
         if let Some(peer) = self.peers.get(&key) {
             if has_conn {
@@ -605,8 +616,7 @@ impl ServerNode {
                     // the live connection's is a reconnect attempt (the
                     // old one gave up client-side): retire the stale
                     // state and re-run admission as a fresh arrival.
-                    if let Ok((pkt, _, _)) = rq_wire::PlainPacket::decode(payload, 8) {
-                        let h = &pkt.header;
+                    if let Some(h) = header.as_ref() {
                         if h.ty == PacketType::Initial && h.token.is_empty() && h.dcid != peer.dcid
                         {
                             let stale =
@@ -616,7 +626,7 @@ impl ServerNode {
                             if stale == Some(true) {
                                 self.engine.borrow_mut().retire(key as u64, false);
                                 self.peers.remove(&key);
-                                return self.admit_new(key, from, payload, now);
+                                return self.admit_new(key, from, header.as_ref(), now);
                             }
                         }
                     }
@@ -627,10 +637,9 @@ impl ServerNode {
                 // Retry-deferred peer knocking again: only a tokened
                 // Initial re-enters admission; everything else (late
                 // retransmits of the tokenless one) stays stateless.
-                let Ok((pkt, _, _)) = rq_wire::PlainPacket::decode(payload, 8) else {
+                let Some(h) = header.as_ref() else {
                     return Admission::Drop;
                 };
-                let h = pkt.header;
                 if h.ty != PacketType::Initial || h.token.is_empty() {
                     return Admission::Drop;
                 }
@@ -663,11 +672,10 @@ impl ServerNode {
                 // Fault-aware servers let a *reconnect* (fresh DCID) back
                 // into admission; retransmits of the shed Initial stay
                 // dropped, preserving once-shed-always-shed for them.
-                if let Ok((pkt, _, _)) = rq_wire::PlainPacket::decode(payload, 8) {
-                    let h = &pkt.header;
+                if let Some(h) = header.as_ref() {
                     if h.ty == PacketType::Initial && h.dcid != peer.dcid {
                         self.peers.remove(&key);
-                        return self.admit_new(key, from, payload, now);
+                        return self.admit_new(key, from, header.as_ref(), now);
                     }
                 }
             }
@@ -677,21 +685,21 @@ impl ServerNode {
             // double-counted as fresh arrivals.
             return Admission::Drop;
         }
-        self.admit_new(key, from, payload, now)
+        self.admit_new(key, from, header.as_ref(), now)
     }
 
     /// Runs a previously unseen Initial through the engine's admission
     /// valve and records the outcome in the peer table.
-    fn admit_new(&mut self, key: usize, from: NodeId, payload: &[u8], now: SimTime) -> Admission {
+    fn admit_new(
+        &mut self,
+        key: usize,
+        from: NodeId,
+        header: Option<&Header>,
+        now: SimTime,
+    ) -> Admission {
         // Derive the Initial keys from the client's DCID (first header).
-        let (dcid, scid, has_token) = rq_wire::PlainPacket::decode(payload, 8)
-            .map(|(pkt, _, _)| {
-                (
-                    pkt.header.dcid,
-                    pkt.header.scid,
-                    !pkt.header.token.is_empty(),
-                )
-            })
+        let (dcid, scid, has_token) = header
+            .map(|h| (h.dcid, h.scid, !h.token.is_empty()))
             .unwrap_or((ConnectionId::EMPTY, ConnectionId::EMPTY, false));
         let conn_seed = self.conn_seed(key);
         let now_secs = now.as_nanos() / 1_000_000_000;
@@ -958,20 +966,24 @@ impl Node for ServerNode {
             // Frozen process: the kernel buffer overflows, packets die.
             return;
         }
+        // Routing and admission read only the first packet's header:
+        // parsed once, and not at all for a live connection's datagrams
+        // on a server that follows neither migrations nor faults.
+        let header = FirstHeader::new(|| Header::decode(&mut &payload[..], 8).ok().map(|(h, _)| h));
         // Migration-aware servers route by connection ID first — a
         // migrated client may arrive under a rotated CID — and fall back
         // to the sender's NodeId for pre-handshake packets (whose DCID
         // is the client's choice, not one of ours).
         let key = if self.migration_aware {
-            rq_wire::PlainPacket::decode(payload, 8)
-                .ok()
-                .and_then(|(pkt, _, _)| self.engine.borrow().key_for_cid(&pkt.header.dcid))
+            header
+                .as_ref()
+                .and_then(|h| self.engine.borrow().key_for_cid(&h.dcid))
                 .map(|k| k as usize)
                 .unwrap_or_else(|| from.index())
         } else {
             from.index()
         };
-        match self.admission(key, from, payload, ctx.now()) {
+        match self.admission(key, from, &header, ctx.now()) {
             Admission::Process => {}
             Admission::Drop => return,
             Admission::Respond(datagram) => {

@@ -6,7 +6,7 @@
 //! protect Initial packets before any TLS exchange. Strength is not a goal
 //! (see DESIGN.md substitutions); timing and availability are.
 
-use crate::sha256::{hkdf_expand_label, hkdf_extract, hmac_sha256, DIGEST_LEN};
+use crate::sha256::{hkdf_expand_label, hkdf_extract, hmac_sha256_parts, DIGEST_LEN};
 
 /// Fixed salt for Initial secrets (stands in for RFC 9001's version salt).
 const INITIAL_SALT: &[u8] = b"reacked-quicer-v1-initial-salt";
@@ -105,10 +105,7 @@ pub const TAG_LEN: usize = 16;
 /// Computes the 16-byte authentication tag for a packet: truncated
 /// HMAC over packet number and payload under the direction key.
 pub fn seal_tag(key: &[u8; DIGEST_LEN], pn: u64, payload: &[u8]) -> [u8; TAG_LEN] {
-    let mut msg = Vec::with_capacity(8 + payload.len());
-    msg.extend_from_slice(&pn.to_be_bytes());
-    msg.extend_from_slice(payload);
-    let full = hmac_sha256(key, &msg);
+    let full = hmac_sha256_parts(key, &[&pn.to_be_bytes(), payload]);
     let mut tag = [0u8; TAG_LEN];
     tag.copy_from_slice(&full[..TAG_LEN]);
     tag

@@ -152,6 +152,12 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 
 /// HMAC-SHA256 (RFC 2104).
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+    hmac_sha256_parts(key, &[message])
+}
+
+/// HMAC-SHA256 over the concatenation of `parts`, which are streamed
+/// into the hash as they are: nothing is joined or heap-allocated.
+pub(crate) fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     let mut k = [0u8; 64];
     if key.len() > 64 {
         k[..32].copy_from_slice(&sha256(key));
@@ -159,14 +165,13 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
         k[..key.len()].copy_from_slice(key);
     }
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
+    inner.update(&k.map(|b| b ^ 0x36));
+    for part in parts {
+        inner.update(part);
+    }
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
+    outer.update(&k.map(|b| b ^ 0x5c));
+    outer.update(&inner.finalize());
     outer.finalize()
 }
 

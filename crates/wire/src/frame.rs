@@ -254,6 +254,39 @@ impl Frame {
         }
     }
 
+    /// qlog's snake_case frame name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Frame::Padding { .. } => "padding",
+            Frame::Ping => "ping",
+            Frame::Ack(_) => "ack",
+            Frame::Crypto { .. } => "crypto",
+            Frame::NewToken { .. } => "new_token",
+            Frame::Stream { .. } => "stream",
+            Frame::MaxData { .. } => "max_data",
+            Frame::MaxStreamData { .. } => "max_stream_data",
+            Frame::MaxStreams { .. } => "max_streams",
+            Frame::DataBlocked { .. } => "data_blocked",
+            Frame::NewConnectionId { .. } => "new_connection_id",
+            Frame::RetireConnectionId { .. } => "retire_connection_id",
+            Frame::PathChallenge { .. } => "path_challenge",
+            Frame::PathResponse { .. } => "path_response",
+            Frame::ConnectionClose { .. } => "connection_close",
+            Frame::HandshakeDone => "handshake_done",
+        }
+    }
+
+    /// Bytes of data the frame carries (padding counts its length); 0 for
+    /// frames that carry only control fields.
+    pub fn data_len(&self) -> usize {
+        match self {
+            Frame::Padding { len } => *len,
+            Frame::Crypto { data, .. } | Frame::Stream { data, .. } => data.len(),
+            Frame::NewToken { token } => token.len(),
+            _ => 0,
+        }
+    }
+
     /// Checks whether this frame may appear in packets of `ty`
     /// (RFC 9000 §12.4, Table 3). Initial/Handshake packets may carry only
     /// PADDING, PING, ACK, CRYPTO and CONNECTION_CLOSE (transport).
