@@ -4,6 +4,8 @@
 //! Figure 2, the sweet-spot analysis of Figure 4, and the deployment
 //! guideline matrix of Table 2.
 
+#![forbid(unsafe_code)]
+
 pub mod ack_delay;
 pub mod guidelines;
 pub mod pto_model;

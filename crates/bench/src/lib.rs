@@ -5,6 +5,8 @@
 //! they share: table formatting, repetition counts, the standard scenario
 //! grids, and the Table 3 ack-delay capture harness.
 
+#![forbid(unsafe_code)]
+
 use rq_http::HttpVersion;
 use rq_profiles::{all_clients, ClientProfile};
 use rq_quic::ServerAckMode;

@@ -29,6 +29,8 @@
 //!         > comparison.iack.first_pto_ms.unwrap() + 60.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rq_analysis as analysis;
 pub use rq_http as http;
 pub use rq_profiles as profiles;

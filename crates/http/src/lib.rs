@@ -11,7 +11,10 @@
 //! * HTTP/3 (RFC 9114 subset): unidirectional control streams carrying
 //!   SETTINGS, and HEADERS/DATA frames on request streams. Header blocks
 //!   are literal text rather than QPACK — the paper's metrics depend on
-//!   frame timing and sizes, not on header compression (see DESIGN.md).
+//!   frame timing and sizes, not on header compression (see
+//!   "Substitutions" in the root `README.md`).
+
+#![forbid(unsafe_code)]
 
 pub mod h1;
 pub mod h3;

@@ -12,6 +12,8 @@
 //!   When the variable is unset every call site reduces to one relaxed
 //!   atomic load and a branch.
 
+#![forbid(unsafe_code)]
+
 mod logger;
 mod registry;
 

@@ -8,6 +8,8 @@
 //! a parallel sweep is bit-identical to its sequential counterpart, just
 //! faster. No work stealing, no channels, no external dependencies.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -6,6 +6,8 @@
 //! `rq_quic::EndpointConfig` plus a qlog [`MetricsExposure`], so the
 //! protocol core stays implementation-agnostic.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod server;
 

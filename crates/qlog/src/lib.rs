@@ -8,6 +8,8 @@
 //! reproduces both the event stream and that exposure fidelity, plus the
 //! PTO-reconstruction pipeline the paper uses to compare behaviours.
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod exposure;
 pub mod json;

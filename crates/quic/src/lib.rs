@@ -6,6 +6,8 @@
 //! anti-amplification limit, per-implementation packet coalescing, PTO
 //! probing policies, and the client quirks Appendix E/F documents.
 
+#![forbid(unsafe_code)]
+
 pub mod bytestream;
 pub mod config;
 pub mod connection;

@@ -1,16 +1,17 @@
 //! Complexity regression tests for the send path (ROADMAP item 2): what
 //! `SendStream::take` asks of the allocator must not depend on how much
 //! is still queued behind the bytes it hands out, and tagging a packet
-//! must ask for nothing at all. Counted in bytes requested, so the
-//! verdict is the same on any machine; in a binary of its own because
-//! the counter is the process's global allocator.
+//! or deriving a level's keys must ask for nothing at all. Counted in
+//! bytes requested, so the verdict is the same on any machine; in a
+//! binary of its own because the counter is the process's global
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
 use rq_quic::streams::SendStream;
-use rq_tls::{initial_keys, seal_tag, verify_tag};
+use rq_tls::{application_keys, handshake_keys, initial_keys, seal_tag, verify_tag};
 
 thread_local! {
     /// Bytes this thread has requested (const-initialised and without a
@@ -77,5 +78,15 @@ fn packet_tags_are_computed_without_the_allocator() {
         let tag = seal_tag(&key, pn, black_box(&payload));
         assert!(verify_tag(&key, pn, &payload, black_box(&tag)));
     }
+    assert_eq!(REQUESTED.get() - before, 0);
+}
+
+#[test]
+fn level_keys_are_derived_without_the_allocator() {
+    let transcript_hash = [0x5Au8; 32];
+    let before = REQUESTED.get();
+    black_box(initial_keys(black_box(&[7; 8])));
+    black_box(handshake_keys(black_box(&transcript_hash)));
+    black_box(application_keys(black_box(&transcript_hash)));
     assert_eq!(REQUESTED.get() - before, 0);
 }

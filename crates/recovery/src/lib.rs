@@ -8,6 +8,8 @@
 //! [`CcAlgorithm`]. The QUIC connection layer composes these per packet
 //! number space.
 
+#![forbid(unsafe_code)]
+
 pub mod congestion;
 pub mod pto;
 pub mod rtt;

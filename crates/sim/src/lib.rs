@@ -13,6 +13,8 @@
 //! callbacks plus a [`node::Context`] for output. No wall-clock time, no
 //! threads, no sockets.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod fault;
 pub mod impair;

@@ -11,6 +11,8 @@
 //! shedding, ticket-key rotation — with the legacy single-pair runner
 //! re-expressed as its N = 1 case.
 
+#![forbid(unsafe_code)]
+
 pub mod matrix;
 pub mod nodes;
 pub mod runner;

@@ -4,7 +4,8 @@
 //! running transcript, separate client/server keys, and Initial secrets
 //! derived from the client's destination connection ID so both sides can
 //! protect Initial packets before any TLS exchange. Strength is not a goal
-//! (see DESIGN.md substitutions); timing and availability are.
+//! (see "Substitutions" in the root `README.md`); timing and availability
+//! are.
 
 use crate::sha256::{hkdf_expand_label, hkdf_extract, hmac_sha256_parts, DIGEST_LEN};
 

@@ -3,9 +3,12 @@
 //! Implements the *shape* of the QUIC-TLS handshake — message framing and
 //! byte-accurate sizes, per-level key availability, a server-side pause
 //! while the certificate is fetched from the store — without cryptographic
-//! strength (see `DESIGN.md` for the substitution rationale). The paper's
-//! effects under study are timing effects of message sizes and key
-//! availability, both of which this crate preserves exactly.
+//! strength (see "Substitutions" in the root `README.md` for the
+//! rationale). The paper's effects under study are timing effects of
+//! message sizes and key availability, both of which this crate preserves
+//! exactly.
+
+#![deny(unsafe_code)]
 
 pub mod keys;
 pub mod messages;

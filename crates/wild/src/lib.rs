@@ -18,6 +18,8 @@
 //! streaming, mergeable aggregates (see [`aggregate`]), and results are
 //! byte-identical at every `REACKED_THREADS` setting.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod cdn;
 pub mod longitudinal;

@@ -5,8 +5,8 @@
 //! packet headers, the frame set required for 1-RTT handshakes and data
 //! transfer, and UDP datagram coalescing.
 //!
-//! Two deliberate simplifications versus a production stack (documented in
-//! `DESIGN.md`):
+//! Two deliberate simplifications versus a production stack (listed with
+//! the others under "Substitutions" in the root `README.md`):
 //!
 //! * Packet numbers are always encoded with the maximum 4-byte length
 //!   (a valid choice per RFC 9000 §17.1) instead of being truncated to the
@@ -18,6 +18,8 @@
 //!   caller (`rq-tls` in this workspace). The tag length matches AES-GCM so
 //!   all datagram sizes — and therefore all anti-amplification arithmetic —
 //!   are byte-accurate.
+
+#![forbid(unsafe_code)]
 
 pub mod coalesce;
 pub mod error;
