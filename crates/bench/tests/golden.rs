@@ -95,4 +95,32 @@ golden_tests! {
     exp_fig10_matches_golden => "exp_fig10",
     exp_fig14_matches_golden => "exp_fig14",
     exp_fig15_matches_golden => "exp_fig15",
+    exp_fig03_matches_golden => "exp_fig03",
+    exp_fig04_matches_golden => "exp_fig04",
+    exp_fig05_matches_golden => "exp_fig05",
+    exp_fig07_matches_golden => "exp_fig07",
+    exp_fig12_matches_golden => "exp_fig12",
+    exp_fig13_matches_golden => "exp_fig13",
+    exp_fig16_matches_golden => "exp_fig16",
+    exp_tab02_matches_golden => "exp_tab02",
+    exp_tab04_matches_golden => "exp_tab04",
+    exp_appendix_d_matches_golden => "exp_appendix_d",
+    exp_ablation_padded_iack_matches_golden => "exp_ablation_padded_iack",
+    exp_ablation_probe_policy_matches_golden => "exp_ablation_probe_policy",
+    exp_ablation_server_pto_matches_golden => "exp_ablation_server_pto",
+}
+
+/// Eight 10 MB transfers: over a minute per thread count in a debug
+/// build, so this golden is checked under `cargo test --release` only
+/// (CI runs it).
+#[test]
+fn exp_fig11_matches_golden() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    assert_matches_golden(
+        env!("CARGO_BIN_EXE_exp_fig11"),
+        "exp_fig11",
+        include_str!("golden/exp_fig11.txt"),
+    );
 }
