@@ -10,7 +10,7 @@
 //! implementation profiles, a qlog-style analysis pipeline, a synthetic
 //! CDN/Internet model for the macroscopic study, and the closed-form PTO
 //! analysis — everything needed to regenerate every table and figure of
-//! the paper (see the `rq-bench` crate's `exp_*` binaries).
+//! the paper (see the `rq-bench` crate's `exp` binary).
 //!
 //! ## Quick start
 //!

@@ -71,6 +71,6 @@ fn main() {
         "\nTTFB predates the flip, so it never moves; the response tail pays the new\n\
          path's RTT plus the per-path congestion reset. A rebind discovers the move\n\
          one flight later than a deliberate migration. Sweep the full grid with:\n\
-         cargo run --release --bin exp_migration_sweep"
+         cargo run --release --bin exp -- exp_migration_sweep"
     );
 }
