@@ -189,18 +189,6 @@ impl Registry {
         }
     }
 
-    /// Fold an entire histogram in under `name`.
-    pub fn observe_hist(&mut self, name: &str, h: &Histogram) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(mine) => mine.merge(h),
-            _ => panic!("metric kind mismatch observing {name:?}"),
-        }
-    }
-
     /// Counter value (zero if absent or a different kind).
     pub fn counter(&self, name: &str) -> u64 {
         match self.metrics.get(name) {
@@ -236,16 +224,6 @@ impl Registry {
                 }
             }
         }
-    }
-
-    /// Re-home every metric under `prefix/`, e.g. to tag a snapshot
-    /// with its subsystem or vantage before merging upward.
-    pub fn prefixed(&self, prefix: &str) -> Registry {
-        let mut out = Registry::new();
-        for (name, m) in &self.metrics {
-            out.metrics.insert(format!("{prefix}/{name}"), m.clone());
-        }
-        out
     }
 
     /// Deterministic aligned table, one metric per line.

@@ -136,10 +136,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    pub fn wall_ms(&self) -> f64 {
-        self.wall_ns as f64 / 1e6
-    }
-
     /// Fraction of `workers x wall` covered by the named spans
     /// (busy/claim/merge/idle). 1.0 by construction unless nothing ran.
     pub fn attributed_share(&self) -> f64 {
@@ -157,13 +153,5 @@ impl ProfileReport {
             return 0.0;
         }
         (self.busy_ns + self.claim_ns + self.merge_ns) as f64 / self.worker_wall_ns as f64
-    }
-
-    pub fn mean_chunk(&self) -> f64 {
-        if self.claims == 0 {
-            0.0
-        } else {
-            self.chunk_items as f64 / self.claims as f64
-        }
     }
 }

@@ -222,12 +222,6 @@ impl EndpointConfig {
         self.cert_len = len;
         self
     }
-
-    /// Sets the server-side resumption policy.
-    pub fn with_resumption(mut self, resumption: rq_tls::ServerResumption) -> Self {
-        self.resumption = resumption;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! current active count, keys only on the schedule and the accept time,
 //! so a sharded simulation reproduces one big server exactly.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rq_qlog::{EventData, EventLog};
 use rq_sim::SimTime;
@@ -220,6 +220,8 @@ pub enum AcceptOutcome {
 struct ConnSlot {
     conn: Connection,
     costed: bool,
+    /// What the slot's CID pool derives from (see `cid_index`).
+    conn_seed: u64,
 }
 
 /// One server's shared state: the connection table, the admission policy,
@@ -236,13 +238,16 @@ pub struct ServerEngine {
     concurrency_limit: usize,
     /// What to do with arrivals beyond the limit.
     pub overload: OverloadPolicy,
-    conns: HashMap<u64, ConnSlot>,
+    /// Ordered by key, so iterating it is deterministic. Slots are boxed:
+    /// a tree node moves its entries on every split and merge, and a
+    /// `Connection` is kilobytes.
+    conns: BTreeMap<u64, Box<ConnSlot>>,
     /// Demux by connection ID: every CID a connection has announced (or
     /// will announce — the pool is derivable at accept time) maps to its
     /// table key, so a migrated client is routed to its existing state
     /// even when its 4-tuple (sim `NodeId` + path) changed. Empty when
     /// the template's `cid_pool` is 0.
-    cid_index: HashMap<u64, u64>,
+    cid_index: BTreeMap<u64, u64>,
     /// Running aggregates.
     pub accounting: ServerAccounting,
     /// Listener-level qlog events (crashes — things no single
@@ -265,8 +270,8 @@ impl ServerEngine {
             cost_model: ServerCostModel::default(),
             concurrency_limit: concurrency_limit.max(1),
             overload: OverloadPolicy::Shed,
-            conns: HashMap::new(),
-            cid_index: HashMap::new(),
+            conns: BTreeMap::new(),
+            cid_index: BTreeMap::new(),
             accounting: ServerAccounting::default(),
             log: EventLog::new("server:engine".to_string()),
         }
@@ -312,13 +317,9 @@ impl ServerEngine {
         self.cid_index.get(&cid_u64(cid)).copied()
     }
 
-    /// Keys of all active connections, sorted — the only safe way to
-    /// iterate the table for side effects (raw `HashMap` order would
-    /// leak nondeterminism into the event stream).
+    /// Keys of all active connections, in ascending order.
     pub fn active_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.conns.keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        self.conns.keys().copied().collect()
     }
 
     /// Admits or refuses a new connection whose first datagram carried
@@ -381,22 +382,15 @@ impl ServerEngine {
         if has_token {
             conn.use_retry = true;
         }
-        self.conns.insert(
-            key,
-            ConnSlot {
-                conn,
-                costed: false,
-            },
-        );
-        // Register the connection's whole CID pool for migration demux:
-        // seq 0 (the handshake CID) plus every spare it will announce.
-        // The pool is a pure function of (conn_seed, seq), so it is
-        // indexable before a single NEW_CONNECTION_ID leaves.
-        if self.template.cid_pool > 0 {
-            for seq in 0..=self.template.cid_pool as u64 {
-                let cid = derived_cid(conn_seed, CID_KIND_SERVER, seq);
-                self.cid_index.insert(cid_u64(&cid), key);
-            }
+        let slot = ConnSlot {
+            conn,
+            costed: false,
+            conn_seed,
+        };
+        self.conns.insert(key, Box::new(slot));
+        // Register the connection's whole CID pool for migration demux.
+        for cid in self.pool_cids(conn_seed) {
+            self.cid_index.insert(cid, key);
         }
         self.accounting.peak_active = self.accounting.peak_active.max(self.conns.len() as u64);
         AcceptOutcome::Accepted
@@ -407,13 +401,9 @@ impl ServerEngine {
     /// stateless-reset-style signal from the caller, or time out), and
     /// with `forget_ticket_epochs` the restarted process also loses the
     /// previous ticket-key epochs, so outstanding tickets degrade to
-    /// full handshakes. Returns the orphaned keys in sorted order —
-    /// *never* iterate the connection table directly for side effects;
-    /// `HashMap` order would leak nondeterminism into the event stream.
+    /// full handshakes. Returns the orphaned keys in ascending order.
     pub fn crash_and_restart(&mut self, now: SimTime, forget_ticket_epochs: bool) -> Vec<u64> {
-        let mut orphans: Vec<u64> = self.conns.keys().copied().collect();
-        orphans.sort_unstable();
-        self.conns.clear();
+        let orphans: Vec<u64> = std::mem::take(&mut self.conns).into_keys().collect();
         self.cid_index.clear();
         self.accounting.crashes += 1;
         self.accounting.reset_conns += orphans.len() as u64;
@@ -469,21 +459,33 @@ impl ServerEngine {
     /// and returns the connection for final inspection.
     pub fn retire(&mut self, key: u64, completed: bool) -> Option<Connection> {
         let slot = self.conns.remove(&key)?;
-        self.cid_index.retain(|_, v| *v != key);
+        for cid in self.pool_cids(slot.conn_seed) {
+            self.cid_index.remove(&cid);
+        }
         if completed {
             self.accounting.completed += 1;
         } else {
             self.accounting.failed += 1;
         }
-        if slot
-            .conn
-            .log
-            .first(|d| matches!(d, EventData::AmplificationBlocked { .. }))
-            .is_some()
-        {
+        // The counter and the `AmplificationBlocked` qlog event are
+        // written together; the log may have been moved out by now.
+        if slot.conn.stats().amp_stalls > 0 {
             self.accounting.amp_blocked_conns += 1;
         }
         Some(slot.conn)
+    }
+
+    /// Index keys of the CID pool of a connection seeded with
+    /// `conn_seed`: seq 0 (the handshake CID) plus every spare it will
+    /// announce. The pool is a pure function of (seed, seq), so it is
+    /// indexable before a single NEW_CONNECTION_ID leaves. Empty when
+    /// the template issues no pool.
+    fn pool_cids(&self, conn_seed: u64) -> impl Iterator<Item = u64> {
+        let seqs = match self.template.cid_pool as u64 {
+            0 => 0..0,
+            pool => 0..pool + 1,
+        };
+        seqs.map(move |seq| cid_u64(&derived_cid(conn_seed, CID_KIND_SERVER, seq)))
     }
 }
 
@@ -705,9 +707,45 @@ mod tests {
             assert_eq!(e.key_for_cid(&cid), Some(10), "seq {seq} not indexed");
         }
         assert_eq!(e.key_for_cid(&dcid(0xDEAD)), None);
+        // A second connection's pool is its own: retiring the first
+        // takes exactly the first's CIDs out of the index.
+        e.accept(11, 43, dcid(2), 0, false, false);
         e.retire(10, true);
-        let cid = derived_cid(42, CID_KIND_SERVER, 1);
-        assert_eq!(e.key_for_cid(&cid), None, "index must not outlive conn");
+        for seq in 0..=2u64 {
+            let gone = derived_cid(42, CID_KIND_SERVER, seq);
+            assert_eq!(e.key_for_cid(&gone), None, "index must not outlive conn");
+            let kept = derived_cid(43, CID_KIND_SERVER, seq);
+            assert_eq!(e.key_for_cid(&kept), Some(11));
+        }
+    }
+
+    #[test]
+    fn retire_counts_amp_blocked_from_the_stall_counter() {
+        // A 5 kB certificate flight against one 1,200-byte Initial hits
+        // the 3x limit. The tally must not depend on the qlog still
+        // being inside the connection (the full-detail runner moves it
+        // out before retiring).
+        let template = EndpointConfig::rfc_default().with_cert_len(rq_tls::CERT_LARGE);
+        let mut e = ServerEngine::new(template, TicketKeySchedule::fixed(7), 4);
+        let mut client = Connection::client(EndpointConfig::rfc_default(), 1, false);
+        let hello = client.poll_transmit(SimTime::ZERO).expect("client Initial");
+        let first = rq_wire::Header::decode(&mut &hello[..], 8).unwrap().0;
+        e.accept(1, 9, first.dcid, 0, false, false);
+        let server = e.conn_mut(1).unwrap();
+        server.handle_datagram_on_path(SimTime::ZERO, &hello, 0);
+        while server.poll_event().is_some() {}
+        server.certificate_ready(SimTime::ZERO);
+        while server.poll_transmit(SimTime::ZERO).is_some() {}
+        assert_eq!(server.stats().amp_stalls, 1);
+        server.log = EventLog::default();
+        e.retire(1, false);
+        assert_eq!(e.accounting.amp_blocked_conns, 1);
+        e.accept(2, 10, dcid(2), 0, false, false);
+        e.retire(2, false);
+        assert_eq!(
+            e.accounting.amp_blocked_conns, 1,
+            "an idle conn never stalled"
+        );
     }
 
     #[test]

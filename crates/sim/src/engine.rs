@@ -1,7 +1,7 @@
 //! The discrete-event engine: event queue, node registry, link registry.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::link::{Link, LinkConfig, LinkStats, TransmitResult};
 use crate::node::{Context, Node, NodeId};
@@ -119,10 +119,17 @@ impl PartialOrd for Event {
 pub struct Network {
     /// Node slots; retired nodes leave a tombstone so IDs stay stable.
     nodes: Vec<Option<Box<dyn Node>>>,
-    links: Vec<Link>,
-    /// O(1) endpoint-pair → link-slot lookup (both orientations). The
-    /// legacy linear scan was fine for one pair, not for thousands.
-    link_index: HashMap<(usize, usize), usize>,
+    /// Link slots; a retired node's links leave holes that `free_links`
+    /// hands to later connects, so a slot number stays valid for as long
+    /// as its link lives.
+    links: Vec<Option<Link>>,
+    free_links: Vec<usize>,
+    /// Every link's slot under `(from, to, path)`, in both orientations.
+    /// Ordered, so all links of one node are one contiguous range.
+    link_index: BTreeMap<(usize, usize, u64), usize>,
+    /// The path a pair's traffic rides, for pairs a path change moved
+    /// off path 0 (both orientations).
+    rerouted: BTreeMap<(usize, usize), u64>,
     queue: BinaryHeap<Reverse<Event>>,
     now: SimTime,
     seq: u64,
@@ -149,7 +156,9 @@ impl Network {
         Network {
             nodes: Vec::new(),
             links: Vec::new(),
-            link_index: HashMap::new(),
+            free_links: Vec::new(),
+            link_index: BTreeMap::new(),
+            rerouted: BTreeMap::new(),
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -176,20 +185,36 @@ impl Network {
         self.connect_path(a, b, 0, config);
     }
 
-    /// Registers a link realizing `path` between `a` and `b`. Path 0
-    /// becomes the pair's active route immediately (first link wins,
-    /// matching the old linear scan); other paths lie dormant until a
+    /// Registers a link realizing `path` between `a` and `b` (the first
+    /// one registered for a pair and path wins). Path 0 is the pair's
+    /// active route from the start; other paths lie dormant until a
     /// [`Network::schedule_path_change`] event activates them, so a
     /// network that never schedules one behaves byte-identically to a
     /// single-path network.
     pub fn connect_path(&mut self, a: NodeId, b: NodeId, path: u64, config: LinkConfig) {
         assert!(a != b, "cannot connect a node to itself");
-        let slot = self.links.len();
-        self.links.push(Link::on_path(a, b, path, config));
-        if path == 0 {
-            self.link_index.entry((a.0, b.0)).or_insert(slot);
-            self.link_index.entry((b.0, a.0)).or_insert(slot);
+        if self.link_index.contains_key(&(a.0, b.0, path)) {
+            return;
         }
+        let link = Some(Link::on_path(a, path, config));
+        let slot = match self.free_links.pop() {
+            Some(slot) => {
+                self.links[slot] = link;
+                slot
+            }
+            None => {
+                self.links.push(link);
+                self.links.len() - 1
+            }
+        };
+        self.link_index.insert((a.0, b.0, path), slot);
+        self.link_index.insert((b.0, a.0, path), slot);
+    }
+
+    /// Slot of the link currently carrying `from → to` traffic.
+    fn active_slot(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let path = self.rerouted.get(&(from.0, to.0)).copied().unwrap_or(0);
+        self.link_index.get(&(from.0, to.0, path)).copied()
     }
 
     /// Schedules the route between `a` and `b` to flip to `path` at `at`.
@@ -216,13 +241,12 @@ impl Network {
         if self.nodes[a.0].is_none() || self.nodes[b.0].is_none() {
             return;
         }
-        let slot = self
-            .links
-            .iter()
-            .position(|l| l.path == path && ((l.a == a && l.b == b) || (l.a == b && l.b == a)))
-            .unwrap_or_else(|| panic!("no path {path} link between {a:?} and {b:?}"));
-        self.link_index.insert((a.0, b.0), slot);
-        self.link_index.insert((b.0, a.0), slot);
+        assert!(
+            self.link_index.contains_key(&(a.0, b.0, path)),
+            "no path {path} link between {a:?} and {b:?}"
+        );
+        self.rerouted.insert((a.0, b.0), path);
+        self.rerouted.insert((b.0, a.0), path);
     }
 
     /// Current virtual time.
@@ -237,19 +261,8 @@ impl Network {
 
     /// Stats for the link between `a` and `b`, if one exists.
     pub fn link_stats(&self, a: NodeId, b: NodeId) -> Option<LinkStats> {
-        self.link_index
-            .get(&(a.0, b.0))
-            .map(|&slot| self.links[slot].stats)
-    }
-
-    /// Mutable access to a node (for post-run inspection, downcast by the
-    /// caller through `as_any`-style helpers on concrete types). Panics
-    /// for retired nodes.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node {
-        self.nodes[id.0]
-            .as_mut()
-            .expect("node was retired")
-            .as_mut()
+        let link = self.links[self.active_slot(a, b)?].as_ref();
+        Some(link.expect("indexed link is live").stats)
     }
 
     /// Queues a Start event for `node` at time `at` (which must not be in
@@ -267,34 +280,14 @@ impl Network {
     /// skipped when they surface. Returns the node for final inspection.
     pub fn retire_node(&mut self, id: NodeId) -> Option<Box<dyn Node>> {
         let node = self.nodes[id.0].take()?;
-        let mut slot = 0;
-        while slot < self.links.len() {
-            let (a, b) = (self.links[slot].a, self.links[slot].b);
-            if a == id || b == id {
-                self.link_index.remove(&(a.0, b.0));
-                self.link_index.remove(&(b.0, a.0));
-                let moved_from = self.links.len() - 1;
-                self.links.swap_remove(slot);
-                // The link moved into `slot` (if any) needs its index
-                // entries repointed — but only the entries that actually
-                // pointed at its old slot, since a pair with several path
-                // links shares one (possibly dormant) index entry.
-                if slot < self.links.len() {
-                    let (ma, mb) = (self.links[slot].a, self.links[slot].b);
-                    if let Some(e) = self.link_index.get_mut(&(ma.0, mb.0)) {
-                        if *e == moved_from {
-                            *e = slot;
-                        }
-                    }
-                    if let Some(e) = self.link_index.get_mut(&(mb.0, ma.0)) {
-                        if *e == moved_from {
-                            *e = slot;
-                        }
-                    }
-                }
-            } else {
-                slot += 1;
-            }
+        let mine = (id.0, 0, 0)..=(id.0, usize::MAX, u64::MAX);
+        while let Some((&(_, peer, path), &slot)) = self.link_index.range(mine.clone()).next() {
+            self.link_index.remove(&(id.0, peer, path));
+            self.link_index.remove(&(peer, id.0, path));
+            self.rerouted.remove(&(id.0, peer));
+            self.rerouted.remove(&(peer, id.0));
+            self.links[slot] = None;
+            self.free_links.push(slot);
         }
         Some(node)
     }
@@ -425,7 +418,7 @@ impl Network {
     }
 
     fn dispatch_send(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) {
-        let Some(&slot) = self.link_index.get(&(from.0, to.0)) else {
+        let Some(slot) = self.active_slot(from, to) else {
             // A send whose peer has been retired vanishes on the floor
             // (the datagram would have died with the link anyway); a send
             // between two *live* unconnected nodes is a harness bug.
@@ -434,7 +427,7 @@ impl Network {
             }
             panic!("no link between {from:?} and {to:?}");
         };
-        let link = &mut self.links[slot];
+        let link = self.links[slot].as_mut().expect("indexed link is live");
         let path = link.path;
         let (result, index) = link.transmit(from, &payload, self.now);
         match result {
@@ -898,6 +891,53 @@ mod tests {
         // nor resurrect the route.
         assert_eq!(net.run_until(t(30)), RunOutcome::TimeLimit);
         assert_eq!(net.trace.all("rx").len(), 2);
+    }
+
+    #[test]
+    fn retirement_takes_every_path_and_leaves_neighbours_alone() {
+        // A hub with three peers, the middle one multi-path and moved
+        // onto its second path: retiring it drops both of its links (and
+        // the reroute), its slots go to the next connects, and the other
+        // pairs keep exchanging on theirs.
+        let mut net = Network::new(false);
+        let hub = net.add_node(Box::new(Counter));
+        let peers: Vec<NodeId> = (0..3)
+            .map(|_| net.add_node(Box::new(Chatter { peer: hub })))
+            .collect();
+        let ms = SimDuration::from_millis;
+        let t = |n| SimTime::ZERO + ms(n);
+        for p in &peers {
+            net.connect(*p, hub, LinkConfig::paper_default(ms(1)));
+        }
+        net.connect_path(peers[1], hub, 1, LinkConfig::paper_default(ms(2)));
+        net.schedule_path_change(t(3), peers[1], hub, 1, false);
+        net.prime();
+        net.run_until(t(7));
+        assert_eq!(net.links.iter().flatten().count(), 4);
+        assert_eq!(net.rerouted.len(), 2);
+
+        net.retire_node(peers[1]);
+        assert_eq!(net.links.iter().flatten().count(), 2);
+        assert_eq!(net.free_links.len(), 2);
+        assert!(net.rerouted.is_empty());
+        assert!(net.link_stats(peers[1], hub).is_none());
+        for p in [peers[0], peers[2]] {
+            assert!(net.link_stats(p, hub).is_some());
+            assert!(net.link_stats(hub, p).is_some());
+        }
+        // Let what the retired peer had in flight land, then: two
+        // chatterers left, one send each per 5 ms.
+        net.run_until(t(9));
+        let before = net.trace.all("rx").len();
+        net.run_until(t(14));
+        assert_eq!(net.trace.all("rx").len(), before + 2);
+
+        // A newcomer takes over a freed slot; the table does not grow.
+        let late = net.add_node(Box::new(Chatter { peer: hub }));
+        net.connect(late, hub, LinkConfig::paper_default(ms(1)));
+        assert_eq!(net.links.len(), 4);
+        assert_eq!(net.free_links.len(), 1);
+        assert_eq!(net.link_stats(late, hub), Some(LinkStats::default()));
     }
 
     #[test]

@@ -172,12 +172,6 @@ impl FaultTimeline {
 
         timeline
     }
-
-    /// Whether a datagram sent at `now` in `direction` is blacked out.
-    #[inline]
-    pub fn blackout_at(&self, now: SimTime, direction: Direction) -> bool {
-        self.blackouts.iter().any(|b| b.covers(now, direction))
-    }
 }
 
 #[cfg(test)]

@@ -61,18 +61,6 @@ impl LinkConfig {
         self.blackouts = blackouts;
         self
     }
-
-    /// Ideal link: zero delay, infinite bandwidth (useful in unit tests).
-    pub fn ideal() -> Self {
-        LinkConfig {
-            one_way_delay: SimDuration::ZERO,
-            bandwidth_bps: None,
-            loss: Box::new(NoLoss),
-            impairment: None,
-            mtu: 65_535,
-            blackouts: Vec::new(),
-        }
-    }
 }
 
 impl std::fmt::Debug for LinkConfig {
@@ -102,8 +90,8 @@ pub struct LinkStats {
 
 /// Internal link state.
 pub(crate) struct Link {
+    /// The endpoint whose sends travel in direction `AtoB`.
     pub(crate) a: NodeId,
-    pub(crate) b: NodeId,
     /// Path id this link realizes between its endpoint pair. 0 is the
     /// default path every [`crate::Network::connect`] creates; extra paths
     /// (registered via [`crate::Network::connect_path`]) carry their own
@@ -131,10 +119,9 @@ pub(crate) enum TransmitResult {
 }
 
 impl Link {
-    pub(crate) fn on_path(a: NodeId, b: NodeId, path: u64, config: LinkConfig) -> Self {
+    pub(crate) fn on_path(a: NodeId, path: u64, config: LinkConfig) -> Self {
         Link {
             a,
-            b,
             path,
             config,
             counters: [0, 0],
@@ -253,7 +240,7 @@ mod tests {
     use crate::loss::DropIndices;
 
     fn link(cfg: LinkConfig) -> Link {
-        Link::on_path(NodeId(0), NodeId(1), 0, cfg)
+        Link::on_path(NodeId(0), 0, cfg)
     }
 
     #[test]

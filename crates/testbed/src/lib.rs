@@ -21,11 +21,11 @@ pub mod server_load;
 pub mod stats;
 
 pub use matrix::{MatrixCell, ScenarioMatrix};
-pub use nodes::{ClientNode, ClientStatus, ServerControl, ServerNode};
+pub use nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode};
 pub use rq_recovery::{CcAlgorithm, CcState, CongestionControl};
 pub use runner::{
-    apply_exposure, rep_scenario, run_repetitions, run_scenario, run_scenario_with_trace,
-    ProfileReport, ProfileSink, RunResult, SweepRunner, SweepScenarios,
+    rep_scenario, run_repetitions, run_scenario, run_scenario_with_trace, ProfileReport,
+    ProfileSink, RunResult, SweepRunner, SweepScenarios,
 };
 pub use scenario::{FaultSpec, HandshakeClass, LossSpec, MigrationSpec, ReconnectPolicy, Scenario};
 pub use server_load::{

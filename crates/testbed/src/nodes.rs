@@ -8,11 +8,12 @@
 //! connection-ID routing. The single-pair scenarios of the paper are the
 //! N = 1 case of the same code path. Both node types expose shared state
 //! via `Rc<RefCell<..>>` so the runner can read qlog/status after (or
-//! during) the simulation.
+//! during) the simulation, and both drive their connections through the
+//! one [`ConnDriver`].
 
 use std::cell::{LazyCell, RefCell};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use rq_http::{h1, h3, HttpVersion};
@@ -35,17 +36,12 @@ const TIMER_KIND_CERT: u64 = 1;
 /// Stream tag: client reconnect-backoff jitter draws.
 const RECONNECT_STREAM: u64 = 0x2ECC_0;
 
-/// High bit marking server fault-timeline timers (crash/freeze/thaw);
-/// peer keys are sim node indices and never come near it.
-const FAULT_BIT: u64 = 1 << 63;
-/// Fault timer kinds (low two bits under [`FAULT_BIT`]).
-const FAULT_CRASH: u64 = 0;
-const FAULT_FREEZE: u64 = 1;
-const FAULT_THAW: u64 = 2;
-
-fn fault_token(index: usize, kind: u64) -> u64 {
-    FAULT_BIT | ((index as u64) << 2) | kind
-}
+/// Timer tokens of the server's fault timeline: the process crashes,
+/// freezes, thaws. The high bit keeps them clear of the per-connection
+/// tokens (peer keys are sim node indices and never come near it).
+const FAULT_CRASH: u64 = 1 << 63;
+const FAULT_FREEZE: u64 = FAULT_CRASH | 1;
+const FAULT_THAW: u64 = FAULT_CRASH | 2;
 
 /// Encodes a per-connection timer token: the peer key in the high bits,
 /// the timer kind in the low bit. Token values never influence event
@@ -112,6 +108,44 @@ impl ClientStatus {
     }
 }
 
+/// The one place a [`Connection`] is pumped and its timers are run:
+/// whoever owns a connection (the client node its one, the server node
+/// one per admitted peer) drives it through these two functions.
+struct ConnDriver;
+
+impl ConnDriver {
+    /// Sends every datagram `conn` has ready to `peer`, then arms its
+    /// next deadline under `token` (one already past fires "now").
+    fn pump(conn: &mut Connection, ctx: &mut Context<'_>, peer: NodeId, token: u64) {
+        let now = ctx.now();
+        while let Some(datagram) = conn.poll_transmit(now) {
+            ctx.send(peer, datagram);
+        }
+        if let Some(deadline) = conn.poll_timeout() {
+            ctx.set_timer(deadline.max(now), token);
+        }
+    }
+
+    /// Runs `conn`'s timers if its deadline has come. A wake-up armed
+    /// for a deadline that has since moved is not due and does nothing.
+    fn fire_if_due(conn: &mut Connection, now: SimTime) -> bool {
+        let due = conn.poll_timeout().is_some_and(|deadline| deadline <= now);
+        if due {
+            conn.handle_timeout(now);
+        }
+        due
+    }
+}
+
+/// Progress of one request stream at the client.
+#[derive(Debug, Clone, Copy, Default)]
+struct Response {
+    /// Body bytes received so far.
+    bytes: usize,
+    /// The response completed.
+    done: bool,
+}
+
 /// Client endpoint node: performs one HTTP GET over QUIC.
 pub struct ClientNode {
     /// The QUIC connection (shared with the runner for post-run reads).
@@ -124,12 +158,9 @@ pub struct ClientNode {
     pub status: Rc<RefCell<ClientStatus>>,
     server: NodeId,
     http: HttpVersion,
-    /// Number of parallel request streams (client bidi IDs 0, 4, 8, …).
-    streams: usize,
-    /// Per-stream received body byte counts.
-    stream_bytes: HashMap<u64, usize>,
-    /// Streams whose response completed.
-    streams_done: HashSet<u64>,
+    /// One entry per parallel request stream (client bidi IDs 0, 4, 8,
+    /// …; stream ID / 4 is the index).
+    responses: Vec<Response>,
     expected_body: usize,
     got_first_byte: bool,
     done: bool,
@@ -147,25 +178,24 @@ pub struct ClientNode {
     /// Seeded jitter stream, created lazily on the first reconnect so
     /// reconnect-free runs draw nothing.
     backoff_rng: Option<SimRng>,
-    attempts: u32,
 }
 
-/// Queues one GET per stream onto the connection (client bidi IDs 0, 4,
-/// 8, …); they ride in the second client flight (or as 0-RTT early data).
-fn queue_requests(conn: &mut Connection, http: HttpVersion, file_size: usize, streams: usize) {
-    let path = format!("/{file_size}");
-    for i in 0..streams {
-        let id = stream_id::CLIENT_BIDI_0 + 4 * i as u64;
-        match http {
-            HttpVersion::H1 => {
-                let req = h1::H1Request::get(&path, "testbed.local").encode();
-                conn.send_stream_data(id, &req, true);
-            }
-            HttpVersion::H3 => {
-                let req = h3::request_bytes(&path, "testbed.local");
-                conn.send_stream_data(id, &req, true);
-            }
-        }
+/// Queues a GET for `/<file_size>` on each of the request streams
+/// `streams` (indices into client bidi IDs 0, 4, 8, …); they ride in the
+/// second client flight (or as 0-RTT early data).
+fn queue_requests(
+    conn: &mut Connection,
+    http: HttpVersion,
+    file_size: usize,
+    streams: Range<usize>,
+) {
+    for i in streams {
+        let path = format!("/{file_size}");
+        let request = match http {
+            HttpVersion::H1 => h1::H1Request::get(&path, "testbed.local").encode(),
+            HttpVersion::H3 => h3::request_bytes(&path, "testbed.local"),
+        };
+        conn.send_stream_data(stream_id::CLIENT_BIDI_0 + 4 * i as u64, &request, true);
     }
 }
 
@@ -180,16 +210,14 @@ impl ClientNode {
         rtt_quirk_applies: bool,
     ) -> Self {
         let mut conn = Connection::client(cfg.clone(), seed, rtt_quirk_applies);
-        queue_requests(&mut conn, http, file_size, 1);
+        queue_requests(&mut conn, http, file_size, 0..1);
         ClientNode {
             conn: Rc::new(RefCell::new(conn)),
             ticket: Rc::new(RefCell::new(None)),
             status: Rc::new(RefCell::new(ClientStatus::default())),
             server,
             http,
-            streams: 1,
-            stream_bytes: HashMap::new(),
-            streams_done: HashSet::new(),
+            responses: vec![Response::default()],
             expected_body: file_size,
             got_first_byte: false,
             done: false,
@@ -199,7 +227,6 @@ impl ClientNode {
             rtt_quirk_applies,
             reconnect: None,
             backoff_rng: None,
-            attempts: 0,
         }
     }
 
@@ -216,16 +243,9 @@ impl ClientNode {
     pub fn with_streams(mut self, streams: usize) -> Self {
         assert!(streams >= 1, "at least one request stream");
         // Stream 0's request was queued by `new`; add the others.
-        for i in 1..streams {
-            let id = stream_id::CLIENT_BIDI_0 + 4 * i as u64;
-            let path = format!("/{}", self.expected_body);
-            let req = match self.http {
-                HttpVersion::H1 => h1::H1Request::get(&path, "testbed.local").encode(),
-                HttpVersion::H3 => h3::request_bytes(&path, "testbed.local"),
-            };
-            self.conn.borrow_mut().send_stream_data(id, &req, true);
-        }
-        self.streams = streams;
+        let (http, file_size) = (self.http, self.expected_body);
+        queue_requests(&mut self.conn.borrow_mut(), http, file_size, 1..streams);
+        self.responses.resize(streams, Response::default());
         self
     }
 
@@ -239,17 +259,15 @@ impl ClientNode {
 
     /// Schedules the next reconnect attempt, if the policy allows one.
     fn try_schedule_reconnect(&mut self, ctx: &mut Context<'_>) -> bool {
-        let Some(policy) = self.reconnect else {
+        let attempts = self.status.borrow().attempts;
+        let Some(policy) = self.reconnect.filter(|p| attempts < p.max_attempts) else {
             return false;
         };
-        if self.attempts >= policy.max_attempts {
-            return false;
-        }
         let seed = self.seed;
         let rng = self
             .backoff_rng
             .get_or_insert_with(|| SimRng::derive(seed, &[RECONNECT_STREAM]));
-        let exp = self.attempts.min(20);
+        let exp = attempts.min(20);
         let base = policy
             .base_backoff
             .as_nanos()
@@ -265,80 +283,82 @@ impl ClientNode {
     /// timer fired). The new connection gets a fresh CID seed, so the
     /// server sees a brand-new arrival, not a retransmit.
     fn reconnect_now(&mut self, ctx: &mut Context<'_>) {
-        self.attempts += 1;
-        let attempt_seed = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(self.attempts as u64);
-        let mut conn = Connection::client(self.cfg.clone(), attempt_seed, self.rtt_quirk_applies);
-        queue_requests(&mut conn, self.http, self.expected_body, self.streams);
-        *self.conn.borrow_mut() = conn;
-        self.stream_bytes.clear();
-        self.streams_done.clear();
-        self.got_first_byte = false;
-        {
+        let attempt = {
             let mut st = self.status.borrow_mut();
             st.reconnect_pending = false;
             st.closed_at = None;
-            st.attempts = self.attempts;
-        }
-        self.flush(ctx);
+            st.attempts += 1;
+            st.attempts
+        };
+        let attempt_seed = self
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(attempt as u64);
+        let mut conn = Connection::client(self.cfg.clone(), attempt_seed, self.rtt_quirk_applies);
+        let streams = 0..self.responses.len();
+        queue_requests(&mut conn, self.http, self.expected_body, streams);
+        *self.conn.borrow_mut() = conn;
+        self.responses.fill(Response::default());
+        self.got_first_byte = false;
+        self.drive(ctx, |_| false);
     }
 
-    fn flush(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        loop {
-            let out = self.conn.borrow_mut().poll_transmit(now);
-            match out {
-                Some(d) => ctx.send(self.server, d),
-                None => break,
-            }
-        }
-        if let Some(t) = self.conn.borrow().poll_timeout() {
-            ctx.set_timer(t.max(now), TOKEN_CONN);
-        }
+    /// Records that the milestone `label` was reached now, in both of the
+    /// client's records: its field of the status cell (the first time
+    /// only) and the trace.
+    fn mark(
+        &self,
+        ctx: &mut Context<'_>,
+        label: &str,
+        field: impl FnOnce(&mut ClientStatus) -> &mut Option<SimTime>,
+    ) {
+        let (me, now) = (ctx.me(), ctx.now());
+        field(&mut self.status.borrow_mut()).get_or_insert(now);
+        ctx.trace().milestone(me, now, label);
     }
 
-    fn drain_events(&mut self, ctx: &mut Context<'_>) {
-        let me = ctx.me();
-        let now = ctx.now();
-        loop {
-            let ev = self.conn.borrow_mut().poll_event();
-            let Some(ev) = ev else { break };
+    /// One callback's worth of work on the connection: `act` on it,
+    /// handle the events that produced if it says there may be any, and
+    /// pump.
+    fn drive(&mut self, ctx: &mut Context<'_>, act: impl FnOnce(&mut Connection) -> bool) {
+        let cell = Rc::clone(&self.conn);
+        let conn = &mut *cell.borrow_mut();
+        if act(conn) {
+            self.drain_events(conn, ctx);
+        }
+        ConnDriver::pump(conn, ctx, self.server, TOKEN_CONN);
+    }
+
+    fn drain_events(&mut self, conn: &mut Connection, ctx: &mut Context<'_>) {
+        while let Some(ev) = conn.poll_event() {
             match ev {
                 ConnEvent::HandshakeComplete => {
-                    let mut st = self.status.borrow_mut();
-                    st.handshake_at.get_or_insert(now);
-                    drop(st);
-                    ctx.trace()
-                        .milestone(me, now, milestones::HANDSHAKE_COMPLETE);
+                    self.mark(ctx, milestones::HANDSHAKE_COMPLETE, |st| {
+                        &mut st.handshake_at
+                    });
                 }
                 ConnEvent::HandshakeConfirmed => {
+                    let (me, now) = (ctx.me(), ctx.now());
                     ctx.trace()
                         .milestone(me, now, milestones::HANDSHAKE_CONFIRMED);
                 }
                 ConnEvent::StreamData { data, fin, id } => {
                     if !data.is_empty() && !self.got_first_byte {
                         self.got_first_byte = true;
-                        self.status.borrow_mut().ttfb_at.get_or_insert(now);
-                        ctx.trace().milestone(me, now, milestones::TTFB);
+                        self.mark(ctx, milestones::TTFB, |st| &mut st.ttfb_at);
                     }
-                    let is_request_stream = id % 4 == 0 && id < 4 * self.streams as u64;
-                    if is_request_stream {
-                        let bytes = self.stream_bytes.entry(id).or_insert(0);
-                        *bytes += data.len();
-                        let complete = match self.http {
-                            HttpVersion::H1 => fin && *bytes >= self.expected_body,
+                    let request_stream = (id % 4 == 0)
+                        .then(|| self.responses.get_mut((id / 4) as usize))
+                        .flatten();
+                    if let Some(response) = request_stream {
+                        response.bytes += data.len();
+                        response.done |= match self.http {
+                            HttpVersion::H1 => fin && response.bytes >= self.expected_body,
                             HttpVersion::H3 => fin,
                         };
-                        if complete {
-                            self.streams_done.insert(id);
-                        }
-                        if self.streams_done.len() == self.streams && !self.done {
+                        if !self.done && self.responses.iter().all(|r| r.done) {
                             self.done = true;
-                            self.status.borrow_mut().complete_at.get_or_insert(now);
-                            ctx.trace()
-                                .milestone(me, now, milestones::RESPONSE_COMPLETE);
+                            self.mark(ctx, milestones::RESPONSE_COMPLETE, |st| &mut st.complete_at);
                             if self.stop_when_done {
                                 ctx.stop();
                             }
@@ -346,12 +366,10 @@ impl ClientNode {
                     }
                 }
                 ConnEvent::Closed { error_code, .. } => {
-                    {
-                        let mut st = self.status.borrow_mut();
-                        st.closed_at.get_or_insert(now);
+                    self.mark(ctx, milestones::CLOSED, |st| {
                         st.close_code.get_or_insert(error_code);
-                    }
-                    ctx.trace().milestone(me, now, milestones::CLOSED);
+                        &mut st.closed_at
+                    });
                     if !self.done && self.try_schedule_reconnect(ctx) {
                         // A reconnect is on the way: not done yet.
                     } else if self.stop_when_done {
@@ -369,56 +387,56 @@ impl ClientNode {
 
 impl Node for ClientNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let me = ctx.me();
-        let now = ctx.now();
-        self.status.borrow_mut().hello_at.get_or_insert(now);
-        ctx.trace()
-            .milestone(me, now, milestones::CLIENT_HELLO_SENT);
-        self.flush(ctx);
+        self.mark(ctx, milestones::CLIENT_HELLO_SENT, |st| &mut st.hello_at);
+        self.drive(ctx, |_| false);
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
-        let path = ctx.path();
-        self.conn
-            .borrow_mut()
-            .handle_datagram_on_path(ctx.now(), payload, path);
-        self.drain_events(ctx);
-        self.flush(ctx);
+        let (now, path) = (ctx.now(), ctx.path());
+        self.drive(ctx, |conn| {
+            conn.handle_datagram_on_path(now, payload, path);
+            true
+        });
     }
 
     fn on_path_change(&mut self, ctx: &mut Context<'_>, path: u64) {
         // The OS told us the route moved (deliberate migration): rotate
         // the DCID and start validating the new path.
         let now = ctx.now();
-        self.conn.borrow_mut().migrate(now, path);
-        self.drain_events(ctx);
-        self.flush(ctx);
+        self.drive(ctx, |conn| {
+            conn.migrate(now, path);
+            true
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token == TOKEN_RECONNECT {
-            if !self.done {
-                self.reconnect_now(ctx);
-            }
-            return;
+        let now = ctx.now();
+        match token {
+            TOKEN_RECONNECT if !self.done => self.reconnect_now(ctx),
+            TOKEN_CONN => self.drive(ctx, |conn| ConnDriver::fire_if_due(conn, now)),
+            _ => {}
         }
-        if token != TOKEN_CONN {
-            return;
-        }
-        let due = {
-            let conn = self.conn.borrow();
-            conn.poll_timeout().map(|t| t <= ctx.now()).unwrap_or(false)
-        };
-        if due {
-            self.conn.borrow_mut().handle_timeout(ctx.now());
-            self.drain_events(ctx);
-        }
-        self.flush(ctx);
     }
 
     fn name(&self) -> &str {
         "client"
     }
+}
+
+/// The server's word on how one peer's connection went. Latched: a flag
+/// once set stays set through server crashes and client reconnects.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PeerOutcome {
+    /// An Initial of the peer's was load-shed (admission refused),
+    /// explicit busy refusals under `CloseWithBackoff` included.
+    pub shed: bool,
+    /// The peer's connection closed at the server.
+    pub closed: bool,
+    /// The peer was Retry-deferred under overload and later admitted
+    /// with a valid token.
+    pub retried: bool,
+    /// A server crash dropped the peer's connection state mid-flight.
+    pub reset: bool,
 }
 
 /// Driver-facing control surface of a [`ServerNode`], shared via
@@ -428,17 +446,50 @@ pub struct ServerControl {
     /// Per-peer server connection seed (keyed by the peer's `NodeId`
     /// index). Peers without an entry use the node's own seed XOR
     /// `0x5EED`, which is exactly the legacy single-pair derivation.
-    pub conn_seeds: HashMap<usize, u64>,
-    /// Peers whose Initial was load-shed (admission refused), including
-    /// explicit busy refusals under `CloseWithBackoff`.
-    pub shed: HashSet<usize>,
-    /// Peers whose connection closed at the server.
-    pub closed: HashSet<usize>,
-    /// Peers that were Retry-deferred under overload and later admitted
-    /// with a valid token.
-    pub retried: HashSet<usize>,
-    /// Peers whose connection state a server crash dropped mid-flight.
-    pub reset: HashSet<usize>,
+    pub conn_seeds: BTreeMap<usize, u64>,
+    /// Everything the server node keeps per peer that ever knocked,
+    /// indexed by `NodeId` index (dense, so a plain table: the driver
+    /// reads an outcome per live connection per sweep). The node writes
+    /// it, the driver reads the outcome.
+    peers: Vec<Option<PeerRecord>>,
+}
+
+impl ServerControl {
+    /// How the connection of the peer with `NodeId` index `key` went
+    /// (all clear for a peer that never knocked).
+    pub fn outcome(&self, key: usize) -> PeerOutcome {
+        let peer = self.peers.get(key).and_then(Option::as_ref);
+        peer.map(|p| p.outcome).unwrap_or_default()
+    }
+
+    fn peer_mut(&mut self, key: usize) -> Option<&mut PeerRecord> {
+        self.peers.get_mut(key)?.as_mut()
+    }
+}
+
+/// One peer's record at the server.
+#[derive(Debug)]
+struct PeerRecord {
+    /// Seed of the peer's server-side connections (looked up in
+    /// `conn_seeds` on the first knock).
+    conn_seed: u64,
+    outcome: PeerOutcome,
+    /// The server process's memory of the peer's current connection
+    /// attempt. A crash wipes it and a reconnect replaces it; a peer
+    /// without one is a stranger to admission.
+    session: Option<Session>,
+}
+
+/// Where admission left a peer's current attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Standing {
+    /// A connection was created (the driver may have retired it since).
+    Admitted,
+    /// Refused: the server stays stateless for this attempt.
+    Shed,
+    /// Retry-deferred under overload: admission is retried on tokened
+    /// re-knocks.
+    Deferred,
 }
 
 /// One request stream's server-side state.
@@ -448,36 +499,68 @@ struct StreamReq {
     responded: bool,
 }
 
-/// Per-peer application state (one HTTP exchange per request stream).
+/// Per-attempt application state (one HTTP exchange per request stream).
 #[derive(Debug)]
-struct PeerState {
+struct Session {
     node: NodeId,
-    /// Request reassembly + response latch, keyed by client bidi stream
-    /// ID (0, 4, 8, …).
-    requests: HashMap<u64, StreamReq>,
-    settings_sent: bool,
-    cert_timer_at: Option<SimTime>,
-    shed: bool,
-    /// Retry-deferred under overload: admission retried on tokened
-    /// re-knocks.
-    deferred: bool,
+    standing: Standing,
     /// DCID of the Initial that led to this admission decision; a
     /// *different* DCID from the same node is a fresh connection attempt
     /// (reconnect), not a retransmit.
     dcid: ConnectionId,
+    /// Request reassembly + response latch, keyed by client bidi stream
+    /// ID (0, 4, 8, …).
+    requests: BTreeMap<u64, StreamReq>,
+    settings_sent: bool,
+    cert_timer_at: Option<SimTime>,
 }
 
-impl PeerState {
-    fn new(node: NodeId) -> Self {
-        PeerState {
-            node,
-            requests: HashMap::new(),
-            settings_sent: false,
-            cert_timer_at: None,
-            shed: false,
-            deferred: false,
-            dcid: ConnectionId::EMPTY,
+impl Session {
+    /// Opens the H3 control stream once the 1-RTT keys exist.
+    fn maybe_send_settings(&mut self, conn: &mut Connection, http: HttpVersion) {
+        if !self.settings_sent && http == HttpVersion::H3 && conn.app_keys_available() {
+            self.settings_sent = true;
+            let prelude = h3::control_stream_prelude();
+            conn.send_stream_data(stream_id::SERVER_UNI_0, &prelude, false);
         }
+    }
+
+    /// The certificate store answered: hand the connection its
+    /// certificate (the one place that happens, Δt = 0 included).
+    fn deliver_certificate(
+        &mut self,
+        conn: &mut Connection,
+        ctx: &mut Context<'_>,
+        http: HttpVersion,
+    ) {
+        let (me, now) = (ctx.me(), ctx.now());
+        self.cert_timer_at = None;
+        ctx.trace().milestone(me, now, milestones::CERT_READY);
+        conn.certificate_ready(now);
+        self.maybe_send_settings(conn, http);
+    }
+
+    /// Request bytes arrived on stream `id`: once the request parses,
+    /// answer it with a body of as many bytes as its path names.
+    fn on_request_data(&mut self, conn: &mut Connection, http: HttpVersion, id: u64, data: &[u8]) {
+        let req = self.requests.entry(id).or_default();
+        if req.responded {
+            return;
+        }
+        req.buf.extend_from_slice(data);
+        let path = match http {
+            HttpVersion::H1 => h1::H1Request::decode(&req.buf).map(|r| r.path),
+            HttpVersion::H3 => h3::parse_request_path(&req.buf),
+        };
+        let Some(body_len) = path.and_then(|p| p.trim_start_matches('/').parse().ok()) else {
+            return;
+        };
+        req.responded = true;
+        let response = match http {
+            HttpVersion::H1 => h1::H1Response::ok(body_len).encode(),
+            HttpVersion::H3 => h3::response_bytes(body_len),
+        };
+        conn.send_stream_data(id, &response, true);
     }
 }
 
@@ -485,33 +568,22 @@ impl PeerState {
 /// decoded when first looked at.
 type FirstHeader<F> = LazyCell<Option<Header>, F>;
 
-/// What the server does with an incoming datagram, as decided by the
-/// admission layer (which cannot send by itself — `on_datagram` owns the
-/// [`Context`]).
-enum Admission {
-    /// A connection exists for this peer: feed it the datagram.
-    Process,
-    /// Shed/stale/frozen: drop on the floor.
-    Drop,
-    /// Answer with a pre-built stateless datagram (Retry or busy close)
-    /// without committing any state.
-    Respond(Vec<u8>),
-}
-
 /// Server endpoint node: one shared listener hosting any number of
 /// connections, each serving `GET /<n>`. Incoming datagrams are demuxed
 /// by sender `NodeId`; admission, ticket-key epochs, and cost accounting
-/// live in the shared [`ServerEngine`].
+/// live in the shared [`ServerEngine`], everything else the node knows
+/// about a peer in that peer's record in the shared [`ServerControl`].
+/// A callback borrows both once and works on the connection and the
+/// record it resolved.
 pub struct ServerNode {
     /// The shared server engine (connection table + accounting), exposed
     /// so the runner can read connections and aggregates after the run.
     pub engine: Rc<RefCell<ServerEngine>>,
-    /// Driver control surface (per-peer seeds, shed/closed sets).
+    /// Driver control surface (per-peer seeds and outcomes).
     pub control: Rc<RefCell<ServerControl>>,
     http: HttpVersion,
     /// Frontend ↔ certificate store delay Δt.
     cert_delay: SimDuration,
-    peers: HashMap<usize, PeerState>,
     seed: u64,
     /// Scheduled crash/freeze events (empty in fault-free runs).
     faults: FaultTimeline,
@@ -522,15 +594,27 @@ pub struct ServerNode {
     /// DCID from a known peer re-enters admission). Off by default so
     /// legacy scenarios keep their exact wire behaviour.
     fault_aware: bool,
-    /// While set, the server process is frozen: datagrams are dropped
-    /// and timers are swallowed until the thaw event at this time.
-    frozen_until: Option<SimTime>,
+    /// The server process is frozen: datagrams are dropped and timers
+    /// are swallowed until the thaw event. (A freeze's thaw timer is
+    /// armed at start-up, so it fires ahead of anything else due at the
+    /// instant the freeze ends.)
+    frozen: bool,
     /// Migration-aware servers additionally demux arriving datagrams by
     /// connection ID (the engine's CID index) before falling back to the
     /// sender's `NodeId`, so a client knocking from a new path under a
     /// rotated CID still lands on its connection. Off by default so
     /// legacy scenarios keep their exact behaviour.
     migration_aware: bool,
+}
+
+/// One datagram's sender, as admission sees it.
+#[derive(Clone, Copy)]
+struct Knock {
+    /// The engine's key for the sender: its `NodeId` index.
+    key: u64,
+    from: NodeId,
+    /// Arrival time in whole virtual seconds (selects the ticket key).
+    now_secs: u64,
 }
 
 impl ServerNode {
@@ -564,12 +648,11 @@ impl ServerNode {
             control,
             http,
             cert_delay,
-            peers: HashMap::new(),
             seed,
             faults: FaultTimeline::none(),
             forget_epochs: false,
             fault_aware: false,
-            frozen_until: None,
+            frozen: false,
             migration_aware: false,
         }
     }
@@ -593,379 +676,230 @@ impl ServerNode {
         self
     }
 
-    fn frozen(&self, now: SimTime) -> bool {
-        self.frozen_until.map(|t| now < t).unwrap_or(false)
-    }
-
-    /// Decides what to do with a datagram from `key` whose first packet
-    /// header is `header` (`None` if it does not parse), running the
-    /// engine's admission path for unknown peers (and, on fault-aware
-    /// servers, for reconnecting ones).
-    fn admission(
-        &mut self,
-        key: usize,
-        from: NodeId,
+    /// Decides whether a datagram from the peer recorded in `peer`, whose
+    /// first packet header is `header` (`None` if it does not parse), is
+    /// for a connection of ours — running the engine's admission path
+    /// for strangers (and, on fault-aware servers, for reconnecting
+    /// peers) and answering refusals that deserve an answer.
+    fn admits(
+        &self,
+        engine: &mut ServerEngine,
+        peer: &mut PeerRecord,
+        knock: Knock,
         header: &FirstHeader<impl FnOnce() -> Option<Header>>,
-        now: SimTime,
-    ) -> Admission {
-        let has_conn = self.engine.borrow().has_conn(key as u64);
-        if let Some(peer) = self.peers.get(&key) {
-            if has_conn {
-                if self.fault_aware {
-                    // A tokenless Initial under a *different* DCID than
-                    // the live connection's is a reconnect attempt (the
-                    // old one gave up client-side): retire the stale
-                    // state and re-run admission as a fresh arrival.
-                    if let Some(h) = header.as_ref() {
-                        if h.ty == PacketType::Initial && h.token.is_empty() && h.dcid != peer.dcid
-                        {
-                            let stale =
-                                self.engine.borrow_mut().conn_mut(key as u64).map(|c| {
-                                    h.dcid != c.original_dcid() && h.dcid != c.local_cid()
-                                });
-                            if stale == Some(true) {
-                                self.engine.borrow_mut().retire(key as u64, false);
-                                self.peers.remove(&key);
-                                return self.admit_new(key, from, header.as_ref(), now);
-                            }
-                        }
-                    }
+        ctx: &mut Context<'_>,
+    ) -> bool {
+        let Some(session) = peer.session.as_mut() else {
+            return self.admit_new(engine, peer, knock, header.as_ref(), ctx);
+        };
+        // Fault-aware servers take an Initial under a *different* DCID
+        // than the one admission saw for a fresh connection attempt
+        // (the header stays unparsed on every other server).
+        let reconnect = || {
+            let h = self.fault_aware.then(|| header.as_ref()).flatten()?;
+            (h.ty == PacketType::Initial && h.dcid != session.dcid).then_some(h)
+        };
+        match session.standing {
+            Standing::Admitted => {
+                // A tokenless reconnect whose DCID the live connection
+                // does not know either: the old attempt gave up
+                // client-side. Retire the stale state and re-run
+                // admission as a fresh arrival.
+                let stale = reconnect().filter(|h| h.token.is_empty()).is_some_and(|h| {
+                    engine.conn_mut(knock.key).is_some_and(|conn| {
+                        h.dcid != conn.original_dcid() && h.dcid != conn.local_cid()
+                    })
+                });
+                if stale {
+                    engine.retire(knock.key, false);
+                    return self.admit_new(engine, peer, knock, header.as_ref(), ctx);
                 }
-                return Admission::Process;
+                // Late datagrams for a connection the driver has retired
+                // since go nowhere: they must not re-enter admission and
+                // be double-counted as fresh arrivals.
+                true
             }
-            if peer.deferred {
-                // Retry-deferred peer knocking again: only a tokened
-                // Initial re-enters admission; everything else (late
-                // retransmits of the tokenless one) stays stateless.
-                let Some(h) = header.as_ref() else {
-                    return Admission::Drop;
-                };
-                if h.ty != PacketType::Initial || h.token.is_empty() {
-                    return Admission::Drop;
-                }
-                let conn_seed = self.conn_seed(key);
-                let now_secs = now.as_nanos() / 1_000_000_000;
-                // Initial keys derive from the *first* Initial's DCID
-                // (which the peer entry remembers) — the post-Retry
-                // Initial addresses the Retry's SCID instead.
-                let original_dcid = peer.dcid;
-                let outcome = self.engine.borrow_mut().accept(
-                    key as u64,
-                    conn_seed,
-                    original_dcid,
-                    now_secs,
-                    true,
-                    true,
-                );
-                if outcome == AcceptOutcome::Accepted {
-                    if let Some(peer) = self.peers.get_mut(&key) {
-                        peer.deferred = false;
-                    }
-                    self.control.borrow_mut().retried.insert(key);
-                    return Admission::Process;
-                }
-                // Still over capacity: keep deferring — the client's PTO
+            Standing::Deferred => {
+                // Only a tokened Initial re-enters admission; everything
+                // else (late retransmits of the tokenless one) stays
+                // stateless. Initial keys derive from the *first*
+                // Initial's DCID (which the session remembers) — the
+                // post-Retry Initial addresses the Retry's SCID instead.
+                // While the server stays over capacity the client's PTO
                 // loop re-sends the tokened Initial until a slot frees.
-                return Admission::Drop;
-            }
-            if peer.shed && self.fault_aware {
-                // Fault-aware servers let a *reconnect* (fresh DCID) back
-                // into admission; retransmits of the shed Initial stay
-                // dropped, preserving once-shed-always-shed for them.
-                if let Some(h) = header.as_ref() {
-                    if h.ty == PacketType::Initial && h.dcid != peer.dcid {
-                        self.peers.remove(&key);
-                        return self.admit_new(key, from, header.as_ref(), now);
-                    }
+                let tokened = header
+                    .as_ref()
+                    .is_some_and(|h| h.ty == PacketType::Initial && !h.token.is_empty());
+                let seed = peer.conn_seed;
+                let admitted = tokened
+                    && engine.accept(knock.key, seed, session.dcid, knock.now_secs, true, true)
+                        == AcceptOutcome::Accepted;
+                if admitted {
+                    session.standing = Standing::Admitted;
+                    peer.outcome.retried = true;
                 }
+                admitted
             }
-            // A known peer with no engine entry was either shed or
-            // already retired; late datagrams (still in flight when the
-            // connection ended) must not re-enter admission and be
-            // double-counted as fresh arrivals.
-            return Admission::Drop;
+            // Fault-aware servers let a *reconnect* back into admission;
+            // retransmits of the shed Initial stay dropped, preserving
+            // once-shed-always-shed for them.
+            Standing::Shed => {
+                reconnect().is_some() && self.admit_new(engine, peer, knock, header.as_ref(), ctx)
+            }
         }
-        self.admit_new(key, from, header.as_ref(), now)
     }
 
     /// Runs a previously unseen Initial through the engine's admission
-    /// valve and records the outcome in the peer table.
+    /// valve and opens the peer's session with the outcome.
     fn admit_new(
-        &mut self,
-        key: usize,
-        from: NodeId,
+        &self,
+        engine: &mut ServerEngine,
+        peer: &mut PeerRecord,
+        knock: Knock,
         header: Option<&Header>,
-        now: SimTime,
-    ) -> Admission {
+        ctx: &mut Context<'_>,
+    ) -> bool {
         // Derive the Initial keys from the client's DCID (first header).
         let (dcid, scid, has_token) = header
             .map(|h| (h.dcid, h.scid, !h.token.is_empty()))
             .unwrap_or((ConnectionId::EMPTY, ConnectionId::EMPTY, false));
-        let conn_seed = self.conn_seed(key);
-        let now_secs = now.as_nanos() / 1_000_000_000;
-        let outcome = self
-            .engine
-            .borrow_mut()
-            .accept(key as u64, conn_seed, dcid, now_secs, has_token, false);
-        let peer = self
-            .peers
-            .entry(key)
-            .or_insert_with(|| PeerState::new(from));
-        peer.dcid = dcid;
-        match outcome {
-            AcceptOutcome::Accepted => Admission::Process,
-            AcceptOutcome::Shed => {
-                // Once shed, always shed: the server stays stateless for
-                // this peer, so retransmitted Initials cannot sneak in
-                // after capacity frees up.
-                peer.shed = true;
-                self.control.borrow_mut().shed.insert(key);
-                Admission::Drop
-            }
+        let seed = peer.conn_seed;
+        let standing = match engine.accept(knock.key, seed, dcid, knock.now_secs, has_token, false)
+        {
+            AcceptOutcome::Accepted => Standing::Admitted,
+            // Once shed, always shed: the server stays stateless for
+            // this attempt, so retransmitted Initials cannot sneak in
+            // after capacity frees up.
+            AcceptOutcome::Shed => Standing::Shed,
+            // Stateless Retry: cheap admission valve. The client burns
+            // an RTT echoing the token; by then capacity may have freed
+            // up.
             AcceptOutcome::RetryDefer => {
-                // Stateless Retry: cheap admission valve. The client
-                // burns an RTT echoing the token; by then capacity may
-                // have freed up.
-                peer.deferred = true;
-                let server_cid = derived_cid(self.seed, CID_KIND_RETRY, key as u64);
-                Admission::Respond(stateless_retry_datagram(scid, server_cid))
+                let server_cid = derived_cid(self.seed, CID_KIND_RETRY, knock.key);
+                ctx.send(knock.from, stateless_retry_datagram(scid, server_cid));
+                Standing::Deferred
             }
             AcceptOutcome::Busy => {
-                peer.shed = true;
-                self.control.borrow_mut().shed.insert(key);
-                Admission::Respond(server_busy_datagram())
+                ctx.send(knock.from, server_busy_datagram());
+                Standing::Shed
             }
-        }
+        };
+        peer.outcome.shed |= standing == Standing::Shed;
+        peer.session = Some(Session {
+            node: knock.from,
+            standing,
+            dcid,
+            requests: BTreeMap::new(),
+            settings_sent: false,
+            cert_timer_at: None,
+        });
+        standing == Standing::Admitted
     }
 
-    fn conn_seed(&self, key: usize) -> u64 {
-        self.control
-            .borrow()
-            .conn_seeds
-            .get(&key)
-            .copied()
-            .unwrap_or(self.seed ^ 0x5EED)
-    }
-
-    fn with_conn<R>(&self, key: usize, f: impl FnOnce(&mut Connection) -> R) -> Option<R> {
-        self.engine.borrow_mut().conn_mut(key as u64).map(f)
-    }
-
-    fn flush(&mut self, ctx: &mut Context<'_>, key: usize) {
-        let Some(client) = self.peers.get(&key).map(|p| p.node) else {
+    /// One callback's worth of work on the connection behind `key`, the
+    /// peer recorded in `peer`: `act` on it, handle the events that
+    /// produced if it says there may be any, and pump. Nothing happens
+    /// without a live connection (retired, or lost to a crash).
+    fn drive(
+        &self,
+        engine: &mut ServerEngine,
+        peer: &mut PeerRecord,
+        ctx: &mut Context<'_>,
+        key: usize,
+        act: impl FnOnce(&mut Connection, &mut Session, &mut Context<'_>) -> bool,
+    ) {
+        let (Some(conn), Some(session)) = (engine.conn_mut(key as u64), peer.session.as_mut())
+        else {
             return;
         };
-        let now = ctx.now();
-        loop {
-            let out = self.with_conn(key, |c| c.poll_transmit(now)).flatten();
-            match out {
-                Some(d) => ctx.send(client, d),
-                None => break,
-            }
+        let handshaking = !conn.is_established();
+        if act(conn, session, ctx) {
+            self.drain_events(conn, session, &mut peer.outcome, ctx, key);
         }
-        if let Some(t) = self.with_conn(key, |c| c.poll_timeout()).flatten() {
-            ctx.set_timer(t.max(now), conn_token(key));
-        }
-    }
-
-    fn maybe_send_settings(&mut self, key: usize) {
-        let sent = self
-            .peers
-            .get(&key)
-            .map(|p| p.settings_sent)
-            .unwrap_or(true);
-        if sent || self.http != HttpVersion::H3 {
-            return;
-        }
-        let ready = self
-            .with_conn(key, |c| c.app_keys_available())
-            .unwrap_or(false);
-        if ready {
-            if let Some(peer) = self.peers.get_mut(&key) {
-                peer.settings_sent = true;
-            }
-            self.with_conn(key, |c| {
-                c.send_stream_data(
-                    stream_id::SERVER_UNI_0,
-                    &h3::control_stream_prelude(),
-                    false,
-                );
-            });
+        session.maybe_send_settings(conn, self.http);
+        ConnDriver::pump(conn, ctx, session.node, conn_token(key));
+        // The handshake's cost is billed in the callback that completes it.
+        if handshaking && conn.is_established() {
+            engine.note_handshake_outcome(key as u64);
         }
     }
 
-    fn drain_events(&mut self, ctx: &mut Context<'_>, key: usize) {
+    /// Runs what has gone due on the connection behind `key`: its
+    /// certificate-store timer if `cert`, its own timers if `timers`.
+    fn catch_up(
+        &self,
+        engine: &mut ServerEngine,
+        peer: &mut PeerRecord,
+        ctx: &mut Context<'_>,
+        key: usize,
+        cert: bool,
+        timers: bool,
+    ) {
+        let (now, http) = (ctx.now(), self.http);
+        self.drive(engine, peer, ctx, key, |conn, session, ctx| {
+            if cert && session.cert_timer_at.is_some_and(|at| at <= now) {
+                session.deliver_certificate(conn, ctx, http);
+            }
+            timers && ConnDriver::fire_if_due(conn, now)
+        });
+    }
+
+    fn drain_events(
+        &self,
+        conn: &mut Connection,
+        session: &mut Session,
+        outcome: &mut PeerOutcome,
+        ctx: &mut Context<'_>,
+        key: usize,
+    ) {
         let me = ctx.me();
         let now = ctx.now();
-        loop {
-            let ev = self.with_conn(key, |c| c.poll_event()).flatten();
-            let Some(ev) = ev else { break };
+        while let Some(ev) = conn.poll_event() {
             match ev {
                 ConnEvent::CertificateNeeded => {
                     ctx.trace().milestone(me, now, milestones::CERT_REQUESTED);
                     if self.cert_delay == SimDuration::ZERO {
-                        self.with_conn(key, |c| c.certificate_ready(now));
-                        ctx.trace().milestone(me, now, milestones::CERT_READY);
-                        self.maybe_send_settings(key);
+                        session.deliver_certificate(conn, ctx, self.http);
                     } else {
                         let at = now + self.cert_delay;
-                        if let Some(peer) = self.peers.get_mut(&key) {
-                            peer.cert_timer_at = Some(at);
-                        }
+                        session.cert_timer_at = Some(at);
                         ctx.set_timer(at, cert_token(key));
                     }
                 }
-                ConnEvent::StreamData { id, data, .. } => {
-                    // Any client-initiated bidi stream (0, 4, 8, …)
-                    // carries a request.
-                    if id % 4 == 0 {
-                        let responded = self
-                            .peers
-                            .get(&key)
-                            .and_then(|p| p.requests.get(&id))
-                            .map(|r| r.responded)
-                            .unwrap_or(false);
-                        if !responded {
-                            if let Some(peer) = self.peers.get_mut(&key) {
-                                peer.requests
-                                    .entry(id)
-                                    .or_default()
-                                    .buf
-                                    .extend_from_slice(&data);
-                            }
-                            self.try_respond(key, id);
-                        }
-                    }
+                // Any client-initiated bidi stream (0, 4, 8, …) carries
+                // a request.
+                ConnEvent::StreamData { id, data, .. } if id % 4 == 0 => {
+                    session.on_request_data(conn, self.http, id, &data);
                 }
                 ConnEvent::Closed { .. } => {
                     ctx.trace().milestone(me, now, milestones::CLOSED);
-                    self.control.borrow_mut().closed.insert(key);
+                    outcome.closed = true;
                 }
                 _ => {}
             }
-        }
-    }
-
-    fn try_respond(&mut self, key: usize, id: u64) {
-        let Some(req) = self
-            .peers
-            .get_mut(&key)
-            .and_then(|p| p.requests.get_mut(&id))
-        else {
-            return;
-        };
-        let body_len = match self.http {
-            HttpVersion::H1 => match h1::H1Request::decode(&req.buf) {
-                Some(r) => r.path.trim_start_matches('/').parse::<usize>().ok(),
-                None => None,
-            },
-            HttpVersion::H3 => match h3::parse_request_path(&req.buf) {
-                Some(path) => path.trim_start_matches('/').parse::<usize>().ok(),
-                None => None,
-            },
-        };
-        let Some(body_len) = body_len else { return };
-        req.responded = true;
-        let response = match self.http {
-            HttpVersion::H1 => h1::H1Response::ok(body_len).encode(),
-            HttpVersion::H3 => h3::response_bytes(body_len),
-        };
-        self.with_conn(key, |c| c.send_stream_data(id, &response, true));
-    }
-}
-
-impl ServerNode {
-    /// Handles a fault-timeline timer: crash, freeze, or thaw.
-    fn on_fault_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        let now = ctx.now();
-        let index = ((token & !FAULT_BIT) >> 2) as usize;
-        match token & 0b11 {
-            FAULT_CRASH => {
-                let orphans = self
-                    .engine
-                    .borrow_mut()
-                    .crash_and_restart(now, self.forget_epochs);
-                let mut control = self.control.borrow_mut();
-                for k in &orphans {
-                    let key = *k as usize;
-                    control.reset.insert(key);
-                    if let Some(peer) = self.peers.remove(&key) {
-                        // Stateless-reset stand-in: the restarted process
-                        // no longer recognises the CID, so it answers the
-                        // orphan's next-arriving packets out-of-band.
-                        ctx.send(
-                            peer.node,
-                            stateless_reset_datagram(ConnectionId::from_u64(*k)),
-                        );
-                    }
-                }
-                drop(control);
-                // A restarted process forgets shed/deferred bookkeeping
-                // too — its peer table is gone with the rest of it.
-                self.peers.clear();
-            }
-            FAULT_FREEZE => {
-                if let Some(f) = self.faults.freezes.get(index) {
-                    self.frozen_until = Some(f.end);
-                }
-            }
-            FAULT_THAW => {
-                self.frozen_until = None;
-                // Catch up on everything that went due while frozen, in
-                // sorted key order for determinism.
-                let keys = self.engine.borrow().active_keys();
-                for k in keys {
-                    let key = k as usize;
-                    let cert_due = self
-                        .peers
-                        .get(&key)
-                        .and_then(|p| p.cert_timer_at)
-                        .map(|at| at <= now)
-                        .unwrap_or(false);
-                    if cert_due {
-                        if let Some(peer) = self.peers.get_mut(&key) {
-                            peer.cert_timer_at = None;
-                        }
-                        let me = ctx.me();
-                        ctx.trace().milestone(me, now, milestones::CERT_READY);
-                        self.with_conn(key, |c| c.certificate_ready(now));
-                        self.maybe_send_settings(key);
-                    }
-                    let due = self
-                        .with_conn(key, |c| c.poll_timeout().map(|t| t <= now).unwrap_or(false))
-                        .unwrap_or(false);
-                    if due {
-                        self.with_conn(key, |c| c.handle_timeout(now));
-                        self.drain_events(ctx, key);
-                        self.engine.borrow_mut().note_handshake_outcome(key as u64);
-                    }
-                    self.flush(ctx, key);
-                }
-            }
-            _ => {}
         }
     }
 }
 
 impl Node for ServerNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if self.faults.crashes.is_empty() && self.faults.freezes.is_empty() {
-            return;
+        for at in &self.faults.crashes {
+            ctx.set_timer(*at, FAULT_CRASH);
         }
-        for (i, at) in self.faults.crashes.clone().iter().enumerate() {
-            ctx.set_timer(*at, fault_token(i, FAULT_CRASH));
-        }
-        for (i, f) in self.faults.freezes.clone().iter().enumerate() {
-            ctx.set_timer(f.start, fault_token(i, FAULT_FREEZE));
-            ctx.set_timer(f.end, fault_token(i, FAULT_THAW));
+        for f in &self.faults.freezes {
+            ctx.set_timer(f.start, FAULT_FREEZE);
+            ctx.set_timer(f.end, FAULT_THAW);
         }
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
-        if self.frozen(ctx.now()) {
+        let now = ctx.now();
+        if self.frozen {
             // Frozen process: the kernel buffer overflows, packets die.
             return;
         }
+        let (engine, control) = (Rc::clone(&self.engine), Rc::clone(&self.control));
+        let (engine, control) = (&mut *engine.borrow_mut(), &mut *control.borrow_mut());
         // Routing and admission read only the first packet's header:
         // parsed once, and not at all for a live connection's datagrams
         // on a server that follows neither migrations nor faults.
@@ -974,70 +908,79 @@ impl Node for ServerNode {
         // migrated client may arrive under a rotated CID — and fall back
         // to the sender's NodeId for pre-handshake packets (whose DCID
         // is the client's choice, not one of ours).
-        let key = if self.migration_aware {
-            header
-                .as_ref()
-                .and_then(|h| self.engine.borrow().key_for_cid(&h.dcid))
-                .map(|k| k as usize)
-                .unwrap_or_else(|| from.index())
-        } else {
-            from.index()
-        };
-        match self.admission(key, from, &header, ctx.now()) {
-            Admission::Process => {}
-            Admission::Drop => return,
-            Admission::Respond(datagram) => {
-                ctx.send(from, datagram);
-                return;
-            }
+        let routed = (self.migration_aware.then(|| header.as_ref()).flatten())
+            .and_then(|h| engine.key_for_cid(&h.dcid));
+        let key = routed.map_or(from.index(), |k| k as usize);
+        if control.peers.len() <= key {
+            control.peers.resize_with(key + 1, || None);
         }
-        let path = ctx.path();
-        self.with_conn(key, |c| c.handle_datagram_on_path(ctx.now(), payload, path));
-        self.drain_events(ctx, key);
-        self.engine.borrow_mut().note_handshake_outcome(key as u64);
-        self.maybe_send_settings(key);
-        self.flush(ctx, key);
+        let seeds = &control.conn_seeds;
+        let peer = control.peers[key].get_or_insert_with(|| PeerRecord {
+            conn_seed: seeds.get(&key).copied().unwrap_or(self.seed ^ 0x5EED),
+            outcome: PeerOutcome::default(),
+            session: None,
+        });
+        let knock = Knock {
+            key: key as u64,
+            from,
+            now_secs: now.as_nanos() / 1_000_000_000,
+        };
+        if self.admits(engine, peer, knock, &header, ctx) {
+            let path = ctx.path();
+            self.drive(engine, peer, ctx, key, |conn, _, _| {
+                conn.handle_datagram_on_path(now, payload, path);
+                true
+            });
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token & FAULT_BIT != 0 {
-            self.on_fault_timer(ctx, token);
-            return;
-        }
-        let now = ctx.now();
-        if self.frozen(now) {
-            // Timers are swallowed while frozen; the thaw handler
-            // re-drives every overdue connection.
-            return;
-        }
-        let key = (token >> 1) as usize;
-        if token & TIMER_KIND_CERT != 0 {
-            let due = self
-                .peers
-                .get(&key)
-                .and_then(|p| p.cert_timer_at)
-                .map(|at| now >= at)
-                .unwrap_or(false);
-            if due {
-                if let Some(peer) = self.peers.get_mut(&key) {
-                    peer.cert_timer_at = None;
+        let (engine, control) = (Rc::clone(&self.engine), Rc::clone(&self.control));
+        let (engine, control) = (&mut *engine.borrow_mut(), &mut *control.borrow_mut());
+        match token {
+            FAULT_CRASH => {
+                let orphans = engine.crash_and_restart(ctx.now(), self.forget_epochs);
+                for k in orphans {
+                    let Some(peer) = control.peer_mut(k as usize) else {
+                        continue;
+                    };
+                    peer.outcome.reset = true;
+                    if let Some(session) = &peer.session {
+                        // Stateless-reset stand-in: the restarted process
+                        // no longer recognises the CID, so it answers the
+                        // orphan's next-arriving packets out-of-band.
+                        let reset = stateless_reset_datagram(ConnectionId::from_u64(k));
+                        ctx.send(session.node, reset);
+                    }
                 }
-                let me = ctx.me();
-                ctx.trace().milestone(me, now, milestones::CERT_READY);
-                self.with_conn(key, |c| c.certificate_ready(now));
-                self.maybe_send_settings(key);
+                // A restarted process forgets shed/deferred bookkeeping
+                // too — every session is gone with the rest of it.
+                for peer in control.peers.iter_mut().flatten() {
+                    peer.session = None;
+                }
             }
-        } else {
-            let due = self
-                .with_conn(key, |c| c.poll_timeout().map(|t| t <= now).unwrap_or(false))
-                .unwrap_or(false);
-            if due {
-                self.with_conn(key, |c| c.handle_timeout(now));
-                self.drain_events(ctx, key);
-                self.engine.borrow_mut().note_handshake_outcome(key as u64);
+            FAULT_FREEZE => self.frozen = true,
+            FAULT_THAW => {
+                self.frozen = false;
+                // Catch up on everything that went due while frozen, in
+                // key order.
+                for k in engine.active_keys() {
+                    if let Some(peer) = control.peer_mut(k as usize) {
+                        self.catch_up(engine, peer, ctx, k as usize, true, true);
+                    }
+                }
+            }
+            // Timers are swallowed while frozen; the thaw re-drives
+            // every overdue connection.
+            _ if self.frozen => {}
+            _ => {
+                let key = (token >> 1) as usize;
+                if let Some(peer) = control.peer_mut(key) {
+                    let cert = token & TIMER_KIND_CERT != 0;
+                    self.catch_up(engine, peer, ctx, key, cert, !cert);
+                }
             }
         }
-        self.flush(ctx, key);
     }
 
     fn name(&self) -> &str {

@@ -1,13 +1,12 @@
 //! Scenario execution and metric extraction.
 
-use rq_qlog::{first_pto_ms, EventData, EventLog, MetricsExposure, QlogEvent};
-use rq_quic::Connection;
-use rq_sim::{NodeId, SimDuration, SimRng, SimTime};
-use rq_tls::TicketKeySchedule;
+use rq_qlog::{first_pto_ms, EventData, EventLog};
+use rq_sim::{NodeId, SimRng, SimTime};
 
-use crate::nodes::milestones;
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
-use crate::server_load::{drive_conn_plans, ConnPlan, Detail};
+use crate::server_load::{
+    drive_conn_plans, ConnOutcome, ConnPlan, Detail, ServerLoadSpec, Spawned,
+};
 
 /// Metrics extracted from one run.
 #[derive(Debug)]
@@ -81,53 +80,6 @@ pub struct RunResult {
     /// (`sim/`), server admission (`server/`), and both endpoints' QUIC
     /// counters (`quic/client/`, `quic/server/`).
     pub metrics: rq_obs::Registry,
-}
-
-/// Applies a qlog exposure policy to a log: drops unexposed metrics
-/// updates, hides the variance, quantizes timestamps (Appendix E).
-///
-/// Full-fidelity exposure is the identity transform, so it returns a
-/// plain copy without walking/quantizing every event.
-pub fn apply_exposure(log: &EventLog, exposure: MetricsExposure) -> EventLog {
-    if exposure.is_identity() {
-        return log.clone();
-    }
-    let mut out = EventLog::new(log.vantage.clone());
-    let mut metric_idx = 0usize;
-    for ev in &log.events {
-        match &ev.data {
-            EventData::MetricsUpdated {
-                smoothed_rtt_ms,
-                rtt_variance_ms,
-                latest_rtt_ms,
-                pto_count,
-            } => {
-                let keep = exposure.exposes_update(metric_idx);
-                metric_idx += 1;
-                if !keep {
-                    continue;
-                }
-                out.events.push(QlogEvent {
-                    time_ms: exposure.quantize_ms(ev.time_ms),
-                    data: EventData::MetricsUpdated {
-                        smoothed_rtt_ms: *smoothed_rtt_ms,
-                        rtt_variance_ms: if exposure.exposes_variance {
-                            *rtt_variance_ms
-                        } else {
-                            None
-                        },
-                        latest_rtt_ms: *latest_rtt_ms,
-                        pto_count: *pto_count,
-                    },
-                });
-            }
-            other => out.events.push(QlogEvent {
-                time_ms: exposure.quantize_ms(ev.time_ms),
-                data: other.clone(),
-            }),
-        }
-    }
-    out
 }
 
 /// Runs one scenario to completion (or abort/time limit).
@@ -204,91 +156,51 @@ fn run_connection(
 ) -> (RunResult, rq_sim::Trace, Option<rq_tls::SessionTicket>) {
     // The single pair is the N = 1 case of the many-connection driver:
     // one plan arriving at t = 0, fixed ticket key, no concurrency
-    // limit, full trace detail.
-    let schedule = TicketKeySchedule::fixed(
-        rq_profiles::server::testbed_server(sc.ack_mode, sc.cert_len).ticket_key,
-    );
+    // limit, full detail.
     let plan = ConnPlan {
         scenario: sc.clone(),
         arrival: SimTime::ZERO,
         ticket,
     };
-    let mut out = drive_conn_plans(
-        sc,
-        resumption_active,
-        schedule,
-        usize::MAX,
-        rq_quic::OverloadPolicy::Shed,
-        vec![plan],
-        Detail::Full,
-        SimDuration::from_secs(120),
-    );
-    let mut result = out.results[0].take().expect("single plan yields a result");
+    let spec = ServerLoadSpec::single(sc.clone());
+    let out = drive_conn_plans(&spec, vec![plan], resumption_active, Detail::Full);
+    let (mut result, trace, minted) = out.full.expect("full detail yields the run");
     result.metrics = out.metrics;
-    let minted = out.tickets[0].take();
-    (result, out.trace, minted)
+    (result, trace, minted)
 }
 
-/// Builds a [`RunResult`] from one finished connection's trace
-/// milestones, qlogs, and connection state. Milestone lookups are
-/// per-node, so the extraction works unchanged whether the trace holds
-/// one connection or many.
-pub(crate) fn extract_run_result(
-    sc: &Scenario,
+/// Builds the [`RunResult`] of the retired connection `s`: the timing
+/// and handshake fields of its `outcome` plus what only the kept qlogs,
+/// the trace's datagram capture and the client's connection state can
+/// say.
+pub(crate) fn full_result(
+    s: &Spawned,
+    outcome: &ConnOutcome,
+    aborted: bool,
     trace: &rq_sim::Trace,
-    client_id: NodeId,
     server_id: NodeId,
-    client: &Connection,
-    client_log: EventLog,
     server_log: EventLog,
 ) -> RunResult {
-    let started = trace
-        .first_by(client_id, milestones::CLIENT_HELLO_SENT)
-        .expect("client start");
-    let rel = |label: &str| {
-        trace
-            .first_by(client_id, label)
-            .map(|t| t.since(started).as_millis_f64())
-    };
-    let completed = trace
-        .first_by(client_id, milestones::RESPONSE_COMPLETE)
-        .is_some();
-    let closed = trace
-        .first_by(client_id, milestones::CLOSED)
-        .or_else(|| trace.first_by(server_id, milestones::CLOSED))
-        .is_some();
-    let aborted = closed && !completed;
-
+    let (sc, client_id) = (&s.scenario, s.id);
+    let client = &mut *s.conn.borrow_mut();
+    let client_log = std::mem::take(&mut client.log);
     let first_srtt_ms = client_log.metrics_updates().next().map(|(_, srtt, _)| srtt);
-    let exposure = sc.client.metrics_exposure();
-    // Counting survivors needs no materialized filtered log (and for
-    // full-fidelity clients no filtering at all).
-    let exposed_metric_updates =
-        exposure.exposed_update_count(client_log.metrics_updates().count());
-
-    let ttfb_ms = rel(milestones::TTFB);
-    let response_ms = rel(milestones::RESPONSE_COMPLETE);
-    let download_complete_ms = match (ttfb_ms, response_ms) {
-        (Some(first), Some(last)) => Some(last - first),
-        _ => None,
-    };
-    let goodput_mbps = response_ms.and_then(|ms| {
-        if ms <= 0.0 {
-            return None;
-        }
-        let bits = (sc.streams * sc.file_size) as f64 * 8.0;
-        Some(bits / (ms / 1000.0) / 1e6)
-    });
-
+    // Counting survivors of the client's exposure policy needs no
+    // filtered copy of the log (and for full-fidelity clients no
+    // filtering at all).
+    let exposed_metric_updates = sc
+        .client
+        .metrics_exposure()
+        .exposed_update_count(client_log.metrics_updates().count());
     RunResult {
         label: sc.label(),
-        completed,
+        completed: outcome.response_ms.is_some(),
         aborted,
-        ttfb_ms,
-        response_ms,
-        download_complete_ms,
-        goodput_mbps,
-        handshake_ms: rel(milestones::HANDSHAKE_COMPLETE),
+        ttfb_ms: outcome.ttfb_ms,
+        response_ms: outcome.response_ms,
+        download_complete_ms: outcome.download_complete_ms,
+        goodput_mbps: outcome.goodput_mbps,
+        handshake_ms: outcome.handshake_ms,
         first_pto_ms: first_pto_ms(&client_log),
         first_srtt_ms,
         client_rtt_samples: client.rtt().sample_count(),
@@ -308,9 +220,9 @@ pub(crate) fn extract_run_result(
             + trace.dropped_count(server_id, client_id),
         duplicated_datagrams: trace.duplicated_count(client_id, server_id)
             + trace.duplicated_count(server_id, client_id),
-        resumed: client.is_resumed(),
-        early_data_accepted: client.early_data_accepted(),
-        migrated: client.active_path() != 0,
+        resumed: outcome.resumed,
+        early_data_accepted: outcome.early_data_accepted,
+        migrated: outcome.migrated,
         client_log,
         server_log,
         metrics: rq_obs::Registry::default(),
@@ -355,10 +267,57 @@ mod tests {
     use crate::scenario::LossSpec;
     use rq_http::HttpVersion;
     use rq_profiles::client_by_name;
+    use rq_qlog::{MetricsExposure, QlogEvent};
     use rq_quic::ServerAckMode;
 
     const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
     const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
+
+    /// Applies a qlog exposure policy to a log: drops unexposed metrics
+    /// updates, hides the variance, quantizes timestamps (Appendix E) —
+    /// the materialized log the runner's count-only
+    /// `exposed_update_count` must agree with.
+    fn apply_exposure(log: &EventLog, exposure: MetricsExposure) -> EventLog {
+        if exposure.is_identity() {
+            return log.clone();
+        }
+        let mut out = EventLog::new(log.vantage.clone());
+        let mut metric_idx = 0usize;
+        for ev in &log.events {
+            match &ev.data {
+                EventData::MetricsUpdated {
+                    smoothed_rtt_ms,
+                    rtt_variance_ms,
+                    latest_rtt_ms,
+                    pto_count,
+                } => {
+                    let keep = exposure.exposes_update(metric_idx);
+                    metric_idx += 1;
+                    if !keep {
+                        continue;
+                    }
+                    out.events.push(QlogEvent {
+                        time_ms: exposure.quantize_ms(ev.time_ms),
+                        data: EventData::MetricsUpdated {
+                            smoothed_rtt_ms: *smoothed_rtt_ms,
+                            rtt_variance_ms: if exposure.exposes_variance {
+                                *rtt_variance_ms
+                            } else {
+                                None
+                            },
+                            latest_rtt_ms: *latest_rtt_ms,
+                            pto_count: *pto_count,
+                        },
+                    });
+                }
+                other => out.events.push(QlogEvent {
+                    time_ms: exposure.quantize_ms(ev.time_ms),
+                    data: other.clone(),
+                }),
+            }
+        }
+        out
+    }
 
     fn base(name: &str, mode: ServerAckMode, http: HttpVersion) -> Scenario {
         Scenario::base(client_by_name(name).unwrap(), mode, http)
@@ -431,6 +390,10 @@ mod tests {
             res.server_amp_blocked,
             "5113 B cert must exceed 3x1200 budget"
         );
+        // The engine's tally says so too, although the server qlog had
+        // left the connection by the time the engine retired it.
+        assert_eq!(res.metrics.counter("server/amp_blocked_conns"), 1);
+        assert_eq!(res.metrics.counter("quic/server/amp_stalls"), 1);
     }
 
     #[test]

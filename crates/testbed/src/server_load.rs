@@ -26,8 +26,8 @@ use rq_quic::{
 use rq_sim::{FaultTimeline, LinkConfig, Network, NodeId, SimDuration, SimRng, SimTime};
 use rq_tls::{mint_ticket, SessionTicket, TicketKeySchedule};
 
-use crate::nodes::{ClientNode, ServerControl, ServerNode};
-use crate::runner::{extract_run_result, rep_scenario, RunResult};
+use crate::nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode};
+use crate::runner::{full_result, rep_scenario, RunResult};
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
 use crate::stats::LatencyHistogram;
 
@@ -495,7 +495,8 @@ pub struct ServerLoadRun {
 /// How much detail [`drive_conn_plans`] keeps per connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Detail {
-    /// Full trace + qlog extraction ([`RunResult`]s) — the legacy
+    /// The one connection's [`RunResult`] on top of its outcome: the
+    /// same path plus qlogs, trace counts and the issued ticket — the
     /// single-pair mode.
     Full,
     /// Compact outcomes only; trace recording off, finished connections
@@ -504,47 +505,58 @@ pub(crate) enum Detail {
     Aggregate,
 }
 
-/// Everything a drive produces; `results`/`tickets` are only populated
-/// in [`Detail::Full`] mode.
+/// Everything a drive produces.
 pub(crate) struct DriveOutput {
-    pub results: Vec<Option<RunResult>>,
+    /// One outcome per plan, in plan order.
     pub outcomes: Vec<ConnOutcome>,
     pub accounting: ServerAccounting,
-    pub trace: rq_sim::Trace,
-    pub tickets: Vec<Option<SessionTicket>>,
     /// Snapshot of every instrument the drive touched: sim-engine
     /// tallies (`sim/`), server admission + active-conn gauge
     /// (`server/`), and the retired connections' aggregated QUIC
     /// counters (`quic/client/`, `quic/server/`).
     pub metrics: rq_obs::Registry,
+    /// [`Detail::Full`] only: the connection's full result, the
+    /// simulation trace, and the ticket the server issued it.
+    pub full: Option<(RunResult, rq_sim::Trace, Option<SessionTicket>)>,
 }
 
 /// A spawned, not-yet-retired client connection.
-struct Spawned {
+pub(crate) struct Spawned {
     plan_idx: usize,
-    id: NodeId,
+    pub id: NodeId,
     arrival: SimTime,
-    scenario: Scenario,
-    conn: Rc<RefCell<Connection>>,
-    status: Rc<RefCell<crate::nodes::ClientStatus>>,
+    pub scenario: Scenario,
+    pub conn: Rc<RefCell<Connection>>,
+    status: Rc<RefCell<ClientStatus>>,
     ticket_rc: Rc<RefCell<Option<SessionTicket>>>,
 }
 
-/// THE simulation driver: hosts every plan's client against one shared
-/// server on a single event loop. `run_scenario` routes through here
-/// with one plan; `run_server_load` with many.
-pub(crate) fn drive_conn_plans(
-    base: &Scenario,
-    resumption_active: bool,
-    schedule: TicketKeySchedule,
-    concurrency_limit: usize,
-    overload: OverloadPolicy,
-    plans: Vec<ConnPlan>,
-    detail: Detail,
+/// One drive's state: the event loop, the server's shared cells, and
+/// the connections still on the loop.
+struct Drive {
+    net: Network,
+    engine: Rc<RefCell<ServerEngine>>,
+    control: Rc<RefCell<ServerControl>>,
+    spawned: Vec<Spawned>,
+    outcomes: Vec<Option<ConnOutcome>>,
+    /// (client, server) QUIC counter totals, folded in retirement order.
+    conn_totals: (ConnStats, ConnStats),
     conn_deadline: SimDuration,
+}
+
+/// THE simulation driver: hosts every plan's client against one shared
+/// server (configured by `spec`) on a single event loop. `run_scenario`
+/// routes through here with one plan; `run_server_load` with many.
+pub(crate) fn drive_conn_plans(
+    spec: &ServerLoadSpec,
+    plans: Vec<ConnPlan>,
+    resumption_active: bool,
+    detail: Detail,
 ) -> DriveOutput {
+    let base = &spec.base;
     let full = detail == Detail::Full;
     let n = plans.len();
+    assert!(!full || n == 1, "full detail is the single-pair mode");
     let mut net = Network::new(base.capture_payloads && full);
     if !full {
         net.trace.recording = false;
@@ -553,17 +565,21 @@ pub(crate) fn drive_conn_plans(
     // with the population (it stays a runaway backstop, not a budget).
     net.event_limit = net.event_limit.max(n as u64 * 20_000);
 
+    // 10 MB at 10 Mbit/s takes ~8.4 s; loss + 300 ms RTT backoffs can add
+    // several more. 120 s of virtual time per connection bounds every
+    // paper scenario.
+    let last_arrival = plans.last().map_or(SimTime::ZERO, |p| p.arrival);
+    let end = last_arrival + spec.conn_deadline;
     // The fault timeline is a pure function of the base seed and the
-    // run's horizon (last arrival + deadline), fixed before any client
-    // spawns. `FaultSpec::none()` yields an empty timeline and draws
-    // nothing, keeping fault-free runs byte-identical.
+    // run's horizon, fixed before any client spawns. `FaultSpec::none()`
+    // yields an empty timeline and draws nothing, keeping fault-free
+    // runs byte-identical.
     let timeline = if base.faults.is_none() {
         FaultTimeline::none()
     } else {
-        let horizon = plans.last().map(|p| p.arrival).unwrap_or(SimTime::ZERO) + conn_deadline;
         let fault_seed = SimRng::derive(base.seed, &[FAULT_STREAM]).next_u64();
         base.faults
-            .timeline(fault_seed, SimDuration::from_nanos(horizon.as_nanos()))
+            .timeline(fault_seed, SimDuration::from_nanos(end.as_nanos()))
     };
 
     let mut server_cfg = rq_profiles::server::testbed_server(base.ack_mode, base.cert_len);
@@ -576,9 +592,9 @@ pub(crate) fn drive_conn_plans(
     if resumption_active {
         server_cfg.resumption = base.resumption.server_resumption();
     }
-    let engine = Rc::new(RefCell::new(
-        ServerEngine::new(server_cfg, schedule, concurrency_limit).with_overload_policy(overload),
-    ));
+    let engine = ServerEngine::new(server_cfg, spec.schedule(), spec.concurrency_limit)
+        .with_overload_policy(spec.overload);
+    let engine = Rc::new(RefCell::new(engine));
     let control = Rc::new(RefCell::new(ServerControl::default()));
     let mut server_node = ServerNode::with_engine(
         Rc::clone(&engine),
@@ -596,28 +612,21 @@ pub(crate) fn drive_conn_plans(
     let server_id = net.add_node(Box::new(server_node));
     net.prime();
 
-    let mut spawned: Vec<Spawned> = Vec::new();
-    let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-    let mut outcomes: Vec<Option<ConnOutcome>> = vec![None; n];
-    let mut tickets: Vec<Option<SessionTicket>> = (0..n).map(|_| None).collect();
-    let mut last_arrival = SimTime::ZERO;
-    // (client, server) QUIC counter totals, folded in retirement order.
-    let mut conn_totals = (ConnStats::default(), ConnStats::default());
+    let mut drive = Drive {
+        net,
+        engine,
+        control,
+        spawned: Vec::new(),
+        outcomes: vec![None; n],
+        conn_totals: Default::default(),
+        conn_deadline: spec.conn_deadline,
+    };
 
     for (i, plan) in plans.into_iter().enumerate() {
         let sc = plan.scenario;
-        net.run_until(plan.arrival);
+        drive.net.run_until(plan.arrival);
         if !full {
-            sweep_finished(
-                &mut net,
-                &engine,
-                &control,
-                &mut spawned,
-                &mut outcomes,
-                &mut conn_totals,
-                conn_deadline,
-                false,
-            );
+            drive.sweep(false);
         }
 
         let mut rng = SimRng::new(sc.seed ^ 0xBEEF_CAFE);
@@ -646,7 +655,7 @@ pub(crate) fn drive_conn_plans(
             rtt_quirk_applies,
         )
         .with_streams(sc.streams);
-        if !(full && n == 1) {
+        if !full {
             client_node = client_node.detached();
         }
         if let Some(policy) = sc.faults.reconnect {
@@ -655,8 +664,10 @@ pub(crate) fn drive_conn_plans(
         let conn = Rc::clone(&client_node.conn);
         let status = Rc::clone(&client_node.status);
         let ticket_rc = Rc::clone(&client_node.ticket);
+        let net = &mut drive.net;
         let client_id = net.add_node(Box::new(client_node));
-        control
+        drive
+            .control
             .borrow_mut()
             .conn_seeds
             .insert(client_id.index(), sc.seed ^ 0x5EED);
@@ -667,9 +678,7 @@ pub(crate) fn drive_conn_plans(
         if let Some(spec) = sc.impairment() {
             link = link.with_impairment(spec, sc.impairment_seed());
         }
-        if !timeline.blackouts.is_empty() {
-            link = link.with_blackouts(timeline.blackouts.clone());
-        }
+        link = link.with_blackouts(timeline.blackouts.clone());
         net.connect(client_id, server_id, link);
         if let Some(at) = sc.migration.at {
             // Register the new path's link and schedule the route flip.
@@ -682,9 +691,7 @@ pub(crate) fn drive_conn_plans(
             if let Some(spec) = sc.migration.impairment {
                 mig_link = mig_link.with_impairment(spec, rng.next_u64());
             }
-            if !timeline.blackouts.is_empty() {
-                mig_link = mig_link.with_blackouts(timeline.blackouts.clone());
-            }
+            mig_link = mig_link.with_blackouts(timeline.blackouts.clone());
             net.connect_path(client_id, server_id, MIGRATION_PATH, mig_link);
             let jitter =
                 SimDuration::from_nanos(rng.gen_range(SimDuration::from_millis(1).as_nanos()));
@@ -697,8 +704,7 @@ pub(crate) fn drive_conn_plans(
             );
         }
         net.schedule_start(client_id, plan.arrival);
-        last_arrival = plan.arrival;
-        spawned.push(Spawned {
+        drive.spawned.push(Spawned {
             plan_idx: i,
             id: client_id,
             arrival: plan.arrival,
@@ -709,12 +715,8 @@ pub(crate) fn drive_conn_plans(
         });
     }
 
-    // 10 MB at 10 Mbit/s takes ~8.4 s; loss + 300 ms RTT backoffs can add
-    // several more. 120 s of virtual time per connection bounds every
-    // paper scenario.
-    let end = last_arrival + conn_deadline;
-    if full || (overload == OverloadPolicy::Shed && base.faults.is_none()) {
-        let _outcome = net.run_until(end);
+    if full || (spec.overload == OverloadPolicy::Shed && base.faults.is_none()) {
+        let _outcome = drive.net.run_until(end);
     } else {
         // Deferred admission and fault recovery both need the tail of
         // the run to keep making progress after the last arrival:
@@ -723,19 +725,10 @@ pub(crate) fn drive_conn_plans(
         // instead of once at the end. Fault-free `Shed` runs never take
         // this branch, keeping the legacy event stream byte-identical.
         let step = SimDuration::from_millis(250);
-        while net.now() < end {
-            let next = (net.now() + step).min(end);
-            let outcome = net.run_until(next);
-            sweep_finished(
-                &mut net,
-                &engine,
-                &control,
-                &mut spawned,
-                &mut outcomes,
-                &mut conn_totals,
-                conn_deadline,
-                false,
-            );
+        while drive.net.now() < end {
+            let next = (drive.net.now() + step).min(end);
+            let outcome = drive.net.run_until(next);
+            drive.sweep(false);
             if outcome == rq_sim::RunOutcome::QueueEmpty {
                 // Nothing left to happen: no pending datagrams or
                 // timers, so later sweeps could not observe anything new.
@@ -744,143 +737,113 @@ pub(crate) fn drive_conn_plans(
         }
     }
 
-    if full {
-        for s in &spawned {
-            let client_log = std::mem::take(&mut s.conn.borrow_mut().log);
-            let server_log = engine
-                .borrow_mut()
-                .conn_mut(s.id.index() as u64)
-                .map(|c| std::mem::take(&mut c.log))
-                .unwrap_or_default();
-            let client = s.conn.borrow();
-            results[s.plan_idx] = Some(extract_run_result(
-                &s.scenario,
-                &net.trace,
-                s.id,
-                server_id,
-                &client,
-                client_log,
-                server_log,
-            ));
-            drop(client);
-            tickets[s.plan_idx] = s.ticket_rc.borrow_mut().take();
-        }
-    }
-    sweep_finished(
-        &mut net,
-        &engine,
-        &control,
-        &mut spawned,
-        &mut outcomes,
-        &mut conn_totals,
-        conn_deadline,
-        true,
-    );
+    // Full detail is the aggregate path plus what only a kept trace and
+    // kept logs can say: the connection retires like any other and hands
+    // over its halves on the way out.
+    let full = full.then(|| {
+        let s = drive.spawned.pop().expect("the one plan was spawned");
+        let st = *s.status.borrow();
+        let peer = drive.control.borrow().outcome(s.id.index());
+        let server = drive.retire(&s, st, peer);
+        let outcome = drive.outcomes[s.plan_idx].as_ref().expect("just retired");
+        let aborted = (st.close_code.is_some() || peer.closed) && st.complete_at.is_none();
+        let server_log = server.map(|c| c.log).unwrap_or_default();
+        let trace = &drive.net.trace;
+        let result = full_result(&s, outcome, aborted, trace, server_id, server_log);
+        let ticket = s.ticket_rc.borrow_mut().take();
+        (result, std::mem::take(&mut drive.net.trace), ticket)
+    });
+    drive.sweep(true);
 
     let mut metrics = rq_obs::Registry::default();
-    net.stats.export(&mut metrics);
-    engine.borrow().export_metrics("server/", &mut metrics);
-    conn_totals.0.export("quic/client/", &mut metrics);
-    conn_totals.1.export("quic/server/", &mut metrics);
+    drive.net.stats.export(&mut metrics);
+    drive
+        .engine
+        .borrow()
+        .export_metrics("server/", &mut metrics);
+    drive.conn_totals.0.export("quic/client/", &mut metrics);
+    drive.conn_totals.1.export("quic/server/", &mut metrics);
 
-    let accounting = engine.borrow().accounting;
+    let accounting = drive.engine.borrow().accounting;
     DriveOutput {
-        results,
-        outcomes: outcomes
+        outcomes: drive
+            .outcomes
             .into_iter()
             .map(|o| o.expect("every plan produced an outcome"))
             .collect(),
         accounting,
-        trace: std::mem::take(&mut net.trace),
-        tickets,
         metrics,
+        full,
     }
 }
 
-/// Retires finished (or expired) connections: reads the final outcome
-/// off the shared status cell, tallies the engine, and removes both the
-/// client node and the server-side connection from the event loop so
-/// memory tracks the *active* set.
-fn sweep_finished(
-    net: &mut Network,
-    engine: &Rc<RefCell<ServerEngine>>,
-    control: &Rc<RefCell<ServerControl>>,
-    spawned: &mut Vec<Spawned>,
-    outcomes: &mut [Option<ConnOutcome>],
-    conn_totals: &mut (ConnStats, ConnStats),
-    conn_deadline: SimDuration,
-    final_pass: bool,
-) {
-    let now = net.now();
-    spawned.retain(|s| {
-        let st = *s.status.borrow();
-        let key = s.id.index();
-        let (shed, server_closed, reset, retried) = {
-            let ctl = control.borrow();
-            (
-                ctl.shed.contains(&key),
-                ctl.closed.contains(&key),
-                ctl.reset.contains(&key),
-                ctl.retried.contains(&key),
-            )
-        };
-        let expired = now >= s.arrival + conn_deadline;
-        let pending_reconnect = st.reconnect_pending && !expired && !final_pass;
-        if pending_reconnect || !(final_pass || st.done() || shed || server_closed || expired) {
-            return true;
-        }
+impl Drive {
+    /// Retires finished (or expired) connections — all that are left on
+    /// the `final_pass` — so memory tracks the *active* set.
+    fn sweep(&mut self, final_pass: bool) {
+        let now = self.net.now();
+        let mut spawned = std::mem::take(&mut self.spawned);
+        spawned.retain(|s| {
+            let st = *s.status.borrow();
+            let peer = self.control.borrow().outcome(s.id.index());
+            let expired = now >= s.arrival + self.conn_deadline;
+            let pending_reconnect = st.reconnect_pending && !expired && !final_pass;
+            let over = final_pass || st.done() || peer.shed || peer.closed || expired;
+            if pending_reconnect || !over {
+                return true;
+            }
+            self.retire(s, st, peer);
+            false
+        });
+        self.spawned = spawned;
+    }
+
+    /// Takes one connection off the loop: turns its status cell `st` and
+    /// the server's word `peer` into its [`ConnOutcome`] (the one place
+    /// the timing fields are derived), folds both halves' counters into
+    /// the totals, tallies the engine, and removes the client node and
+    /// the server-side connection — which it returns.
+    fn retire(&mut self, s: &Spawned, st: ClientStatus, peer: PeerOutcome) -> Option<Connection> {
         let completed = st.complete_at.is_some();
         // Fate precedence: a served response trumps everything (however
         // bumpy the road); otherwise the *first* death wins — a give-up
         // after a crash-reset is still a Reset.
-        let fate = if completed {
-            if retried {
-                ConnFate::RetriedThenAccepted
-            } else {
-                ConnFate::Completed
-            }
+        let fate = if completed && peer.retried {
+            ConnFate::RetriedThenAccepted
+        } else if completed {
+            ConnFate::Completed
         } else if st.close_code == Some(ERROR_GIVE_UP) {
             ConnFate::GaveUp
-        } else if reset {
+        } else if peer.reset {
             ConnFate::Reset
-        } else if shed {
+        } else if peer.shed {
             ConnFate::Shed
         } else {
             ConnFate::Failed
         };
         let start = st.hello_at.unwrap_or(s.arrival);
         let rel = |t: Option<SimTime>| t.map(|t| t.since(start).as_millis_f64());
-        let download_complete_ms = match (rel(st.ttfb_at), rel(st.complete_at)) {
-            (Some(first), Some(last)) => Some(last - first),
-            _ => None,
-        };
-        let goodput_mbps = rel(st.complete_at).and_then(|ms| {
-            if ms <= 0.0 {
-                return None;
-            }
-            let bits = (s.scenario.streams * s.scenario.file_size) as f64 * 8.0;
-            Some(bits / (ms / 1000.0) / 1e6)
-        });
+        let (ttfb_ms, response_ms) = (rel(st.ttfb_at), rel(st.complete_at));
+        let bits = (s.scenario.streams * s.scenario.file_size) as f64 * 8.0;
+        let key = s.id.index() as u64;
         let conn = s.conn.borrow();
         let client_stats = conn.stats();
-        // The server half's counters, read before the engine retires it.
-        let server_stats = engine
-            .borrow_mut()
-            .conn_mut(key as u64)
-            .map(|c| c.stats())
-            .unwrap_or_default();
-        conn_totals.0.merge(&client_stats);
-        conn_totals.1.merge(&server_stats);
-        outcomes[s.plan_idx] = Some(ConnOutcome {
+        let server = self.engine.borrow_mut().retire(key, completed);
+        let server_stats = server.as_ref().map(|c| c.stats()).unwrap_or_default();
+        self.conn_totals.0.merge(&client_stats);
+        self.conn_totals.1.merge(&server_stats);
+        self.outcomes[s.plan_idx] = Some(ConnOutcome {
             index: s.plan_idx,
             arrival: s.arrival,
             class: s.scenario.handshake_class,
             fate,
-            ttfb_ms: rel(st.ttfb_at),
+            ttfb_ms,
             handshake_ms: rel(st.handshake_at),
-            response_ms: rel(st.complete_at),
-            download_complete_ms,
-            goodput_mbps,
+            response_ms,
+            download_complete_ms: ttfb_ms.zip(response_ms).map(|(first, last)| last - first),
+            goodput_mbps: response_ms
+                .filter(|ms| *ms > 0.0)
+                .map(|ms| bits / (ms / 1000.0) / 1e6),
             resumed: conn.is_resumed(),
             early_data_accepted: conn.early_data_accepted(),
             reconnects: st.attempts,
@@ -890,11 +853,9 @@ fn sweep_finished(
             client_packets_lost: client_stats.packets_lost,
             server_packets_lost: server_stats.packets_lost,
         });
-        drop(conn);
-        engine.borrow_mut().retire(key as u64, completed);
-        net.retire_node(s.id);
-        false
-    });
+        self.net.retire_node(s.id);
+        server
+    }
 }
 
 /// Runs one server-load spec on a single shared event loop, returning
@@ -904,21 +865,12 @@ pub fn run_server_load(spec: &ServerLoadSpec) -> ServerLoadRun {
     let resumption_active = plans
         .iter()
         .any(|p| p.scenario.handshake_class != HandshakeClass::Full);
-    let out = drive_conn_plans(
-        &spec.base,
-        resumption_active,
-        spec.schedule(),
-        spec.concurrency_limit,
-        spec.overload,
-        plans,
-        Detail::Aggregate,
-        spec.conn_deadline,
-    );
+    let out = drive_conn_plans(spec, plans, resumption_active, Detail::Aggregate);
     let mut report = ServerLoadReport {
         accounting: out.accounting,
+        metrics: out.metrics,
         ..ServerLoadReport::default()
     };
-    report.metrics.merge(&out.metrics);
     for o in &out.outcomes {
         report.record(o);
     }

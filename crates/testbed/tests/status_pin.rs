@@ -82,7 +82,7 @@ fn runner_view(trace: &rq_sim::Trace) -> View {
 }
 
 fn server_closed(control: &ServerControl, key: usize) -> bool {
-    control.closed.contains(&key)
+    control.outcome(key).closed
 }
 
 /// One server and its clients, wired the way the run driver wires them.
@@ -350,7 +350,7 @@ fn status_and_milestones_agree_for_a_retry_deferred_peer() {
         (accounting.retry_deferred, accounting.retry_admitted),
         (1, 1)
     );
-    assert!(bed.control.borrow().retried.contains(&peers[1].id.index()));
+    assert!(bed.control.borrow().outcome(peers[1].id.index()).retried);
     for peer in &peers {
         let (from_trace, from_status) = bed.views(peer);
         assert_eq!(from_trace, from_status);
