@@ -454,6 +454,74 @@ mod tests {
     }
 
     #[test]
+    fn headers_roundtrip_at_every_cid_length() {
+        for len in [0usize, 8, MAX_CID_LEN] {
+            let dcid = ConnectionId::new(&vec![0xd0 | len as u8; len]).unwrap();
+            let scid = ConnectionId::new(&vec![0x50 | len as u8; len]).unwrap();
+            for h in [
+                Header::initial(dcid, scid, vec![0xaa; 3], 5),
+                Header::handshake(dcid, scid, 6),
+                Header::zero_rtt(dcid, scid, 7),
+            ] {
+                let mut buf = BytesMut::new();
+                h.encode(&mut buf, 4 + 9).unwrap();
+                buf.extend_from_slice(&[0u8; 9]);
+                let mut slice = &buf[..];
+                let (out, rest) = Header::decode(&mut slice, len).unwrap();
+                assert_eq!((out, rest), (h, Some(9)), "long header, {len}-byte CIDs");
+                assert_eq!(slice.len(), 9);
+            }
+            let h = Header::one_rtt(dcid, 99);
+            let mut buf = BytesMut::new();
+            h.encode(&mut buf, 0).unwrap();
+            buf.extend_from_slice(b"xyz");
+            let mut slice = &buf[..];
+            let (out, rest) = Header::decode(&mut slice, len).unwrap();
+            assert_eq!((out, rest), (h, None), "short header, {len}-byte CID");
+            assert_eq!(slice, b"xyz");
+        }
+    }
+
+    #[test]
+    fn rejects_21_byte_cids_on_the_wire() {
+        // Long header: the DCID length byte (offset 5) says 21.
+        let h = Header::handshake(ConnectionId::new(&[7; 20]).unwrap(), cid(2), 0);
+        let mut buf = BytesMut::new();
+        h.encode(&mut buf, 4).unwrap();
+        buf.extend_from_slice(&[0u8; 8]);
+        buf[5] = 21;
+        let mut slice = &buf[..];
+        assert!(matches!(
+            Header::decode(&mut slice, 8),
+            Err(WireError::CidTooLong(21))
+        ));
+        // ...and the same for the SCID (empty DCID, so its length is at 6).
+        let h = Header::handshake(ConnectionId::EMPTY, ConnectionId::new(&[7; 20]).unwrap(), 0);
+        let mut buf = BytesMut::new();
+        h.encode(&mut buf, 4).unwrap();
+        buf.extend_from_slice(&[0u8; 8]);
+        buf[6] = 21;
+        let mut slice = &buf[..];
+        assert!(matches!(
+            Header::decode(&mut slice, 8),
+            Err(WireError::CidTooLong(21))
+        ));
+        // Short header: a receiver claiming a 21-byte local CID.
+        let short = [0b0100_0011u8; 1 + 21 + 4 + 3];
+        let mut slice = &short[..];
+        assert!(matches!(
+            Header::decode(&mut slice, MAX_CID_LEN + 1),
+            Err(WireError::CidTooLong(21))
+        ));
+        // A datagram too short for the claimed CID is still just short.
+        let mut slice = &short[..20];
+        assert!(matches!(
+            Header::decode(&mut slice, MAX_CID_LEN + 1),
+            Err(WireError::UnexpectedEnd)
+        ));
+    }
+
+    #[test]
     fn cid_from_u64_is_8_bytes() {
         let c = ConnectionId::from_u64(0x0102_0304_0506_0708);
         assert_eq!(c.len(), 8);
