@@ -7,20 +7,21 @@
 //! (`Registry::default()` is the identity), which the property tests
 //! pin.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Log2-bucketed integer histogram (65 buckets: one for zero, one per
-/// bit position). Exact counts, exact sum, exact min/max — quantiles
-/// are bucket-upper-bound approximations, which is all the reporting
-/// layer needs and keeps merging exact.
+/// bit position; boxed, so a [`Metric`] is 48 bytes rather than 560).
+/// Exact counts, sum, min and max — quantiles are bucket-upper-bound
+/// approximations: all the reporting layer needs, and merging is exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     pub count: u64,
     pub sum: u64,
     pub min: u64,
     pub max: u64,
-    buckets: [u64; 65],
+    buckets: Box<[u64; 65]>,
 }
 
 impl Default for Histogram {
@@ -30,7 +31,7 @@ impl Default for Histogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: [0; 65],
+            buckets: Box::new([0; 65]),
         }
     }
 }
@@ -68,7 +69,7 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += *b;
         }
     }
@@ -137,11 +138,12 @@ impl Metric {
 }
 
 /// Hierarchical metrics registry. Names are `/`-separated paths
-/// (`"sim/events/datagram"`); iteration and rendering follow the
-/// `BTreeMap` order, so output is deterministic by construction.
+/// (`"sim/events/datagram"`), a `&'static str` or a run-time `String`,
+/// stored only when new; iteration and rendering follow the `BTreeMap`
+/// order, so output is deterministic by construction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    metrics: BTreeMap<String, Metric>,
+    metrics: BTreeMap<Cow<'static, str>, Metric>,
 }
 
 impl Registry {
@@ -150,42 +152,43 @@ impl Registry {
     }
 
     /// Add to a counter, creating it at zero first.
-    pub fn add(&mut self, name: &str, by: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
-            Metric::Counter(c) => *c += by,
-            _ => panic!("metric kind mismatch adding to {name:?}"),
+    pub fn add(&mut self, name: impl Into<Cow<'static, str>>, by: u64) {
+        let name = name.into();
+        match self.metrics.get_mut(name.as_ref()) {
+            Some(Metric::Counter(c)) => *c += by,
+            Some(_) => panic!("metric kind mismatch adding to {name:?}"),
+            None => drop(self.metrics.insert(name, Metric::Counter(by))),
         }
     }
 
     /// Record a gauge observation: current level plus its high-water
     /// mark. Merging sums levels and maxes peaks.
-    pub fn gauge(&mut self, name: &str, level: i64, peak: i64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Gauge { level: 0, peak: 0 })
-        {
-            Metric::Gauge { level: l, peak: p } => {
+    pub fn gauge(&mut self, name: impl Into<Cow<'static, str>>, level: i64, peak: i64) {
+        let name = name.into();
+        match self.metrics.get_mut(name.as_ref()) {
+            Some(Metric::Gauge { level: l, peak: p }) => {
                 *l += level;
                 *p = (*p).max(peak);
             }
-            _ => panic!("metric kind mismatch gauging {name:?}"),
+            Some(_) => panic!("metric kind mismatch gauging {name:?}"),
+            None => {
+                let peak = peak.max(0);
+                self.metrics.insert(name, Metric::Gauge { level, peak });
+            }
         }
     }
 
     /// Record one observation into a histogram metric.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.observe(v),
-            _ => panic!("metric kind mismatch observing {name:?}"),
+    pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, v: u64) {
+        let name = name.into();
+        match self.metrics.get_mut(name.as_ref()) {
+            Some(Metric::Histogram(h)) => h.observe(v),
+            Some(_) => panic!("metric kind mismatch observing {name:?}"),
+            None => {
+                let mut h = Histogram::default();
+                h.observe(v);
+                self.metrics.insert(name, Metric::Histogram(h));
+            }
         }
     }
 
@@ -210,7 +213,7 @@ impl Registry {
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.metrics.iter().map(|(k, v)| (k.as_ref(), v))
     }
 
     /// Monoid merge: union of names, per-kind combination. Panics on a

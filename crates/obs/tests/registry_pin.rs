@@ -19,10 +19,10 @@ fn sample() -> Registry {
 fn sample_owned() -> Registry {
     let mut r = Registry::new();
     let name = |parts: [&str; 2]| parts.join("/");
-    r.observe(&name(["load", "lost_per_conn"]), 5);
-    r.observe(&name(["load", "lost_per_conn"]), 0);
-    r.gauge(&name(["server", "active_conns"]), 2, 7);
-    r.add(&name(["quic/client", "packets_lost"]), 3);
+    r.observe(name(["load", "lost_per_conn"]), 5);
+    r.observe(name(["load", "lost_per_conn"]), 0);
+    r.gauge(name(["server", "active_conns"]), 2, 7);
+    r.add(name(["quic/client", "packets_lost"]), 3);
     r
 }
 

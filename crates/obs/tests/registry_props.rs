@@ -17,13 +17,13 @@ fn registry_from(ops: &[u64]) -> Registry {
         let slot = (op >> 32) % 9;
         let v = op & 0xFFFF_FFFF;
         match slot % 3 {
-            0 => r.add(&format!("c/counter{}", slot / 3), v % 1_000),
+            0 => r.add(format!("c/counter{}", slot / 3), v % 1_000),
             1 => r.gauge(
-                &format!("g/gauge{}", slot / 3),
+                format!("g/gauge{}", slot / 3),
                 (v % 100) as i64,
                 (v % 257) as i64,
             ),
-            _ => r.observe(&format!("h/hist{}", slot / 3), v % 100_000),
+            _ => r.observe(format!("h/hist{}", slot / 3), v % 100_000),
         }
     }
     r

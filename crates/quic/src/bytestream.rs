@@ -106,17 +106,20 @@ impl Reassembler {
     }
 
     /// Accepts `data` at `offset` and returns the bytes this made
-    /// contiguous — empty for a duplicate or for data beyond a gap.
+    /// contiguous — empty for a duplicate or for data beyond a gap, the
+    /// only data that is stored.
     pub fn insert(&mut self, offset: u64, data: &[u8]) -> Vec<u8> {
-        let end = offset + data.len() as u64;
-        if end > self.offset {
-            // Trim the already-delivered prefix.
-            let skip = self.offset.saturating_sub(offset) as usize;
+        if offset > self.offset {
             self.segments
-                .entry(offset.max(self.offset))
-                .or_insert_with(|| Bytes::copy_from_slice(&data[skip..]));
+                .entry(offset)
+                .or_insert_with(|| Bytes::copy_from_slice(data));
+            return Vec::new();
         }
-        let mut out = Vec::new();
+        // In order: deliver what lies past the already-delivered prefix
+        // (nothing, for a duplicate), then the buffered segments it reached.
+        let skip = ((self.offset - offset) as usize).min(data.len());
+        let mut out = data[skip..].to_vec();
+        self.offset += out.len() as u64;
         while let Some(entry) = self.segments.first_entry() {
             let seg_off = *entry.key();
             if seg_off > self.offset {
@@ -171,5 +174,55 @@ mod tests {
         assert!(r.insert(2, b"llowor").is_empty());
         assert_eq!(r.insert(8, b"ld!"), b"!");
         assert_eq!(r.offset(), 11);
+    }
+
+    /// The store-everything-then-drain formulation `insert` replaced,
+    /// kept as the oracle for its overlap semantics.
+    fn insert_via_map(
+        segments: &mut BTreeMap<u64, Bytes>,
+        cursor: &mut u64,
+        offset: u64,
+        data: &[u8],
+    ) -> Vec<u8> {
+        if offset + data.len() as u64 > *cursor {
+            let skip = cursor.saturating_sub(offset) as usize;
+            segments
+                .entry(offset.max(*cursor))
+                .or_insert_with(|| Bytes::copy_from_slice(&data[skip..]));
+        }
+        let mut out = Vec::new();
+        while let Some(entry) = segments.first_entry() {
+            let seg_off = *entry.key();
+            if seg_off > *cursor {
+                break;
+            }
+            let seg = entry.remove();
+            let skip = (*cursor - seg_off) as usize;
+            if skip < seg.len() {
+                out.extend_from_slice(&seg[skip..]);
+                *cursor = seg_off + seg.len() as u64;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn reassembler_matches_the_map_formulation_on_overlapping_segments() {
+        let mut rng = rq_sim::SimRng::new(20);
+        let mut draw = |n: u64| rng.gen_range(n);
+        for _case in 0..200 {
+            let mut r = Reassembler::default();
+            let (mut segments, mut cursor) = (BTreeMap::new(), 0u64);
+            for _ in 0..40 {
+                // Offsets cluster around the cursor so duplicates, partial
+                // overlaps, exact continuations and gaps all occur; the
+                // bytes differ per segment so "which copy won" shows.
+                let offset = (cursor + draw(12)).saturating_sub(draw(12));
+                let data: Vec<u8> = (0..draw(9)).map(|_| draw(256) as u8).collect();
+                let expected = insert_via_map(&mut segments, &mut cursor, offset, &data);
+                assert_eq!(r.insert(offset, &data), expected);
+                assert_eq!(r.offset(), cursor);
+            }
+        }
     }
 }

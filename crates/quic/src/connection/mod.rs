@@ -146,8 +146,8 @@ pub enum ConnEvent {
 
 /// Per-connection protocol counters. Plain integers on the hot path
 /// (the `ScanShard` pattern — a map lookup per packet would not be
-/// zero-cost), exported into an [`rq_obs::Registry`] under a
-/// caller-chosen prefix at snapshot time. Field-wise summable, so
+/// zero-cost), exported into an [`rq_obs::Registry`] under the
+/// endpoint's role at snapshot time. Field-wise summable, so
 /// merged snapshots are independent of worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnStats {
@@ -184,25 +184,29 @@ impl ConnStats {
         self.amp_stalls += other.amp_stalls;
     }
 
-    /// Exports every counter into `reg` under `prefix` (no separator is
-    /// added — pass e.g. `"quic/client/"`).
-    pub fn export(&self, prefix: &str, reg: &mut rq_obs::Registry) {
-        const SPACES: [&str; 3] = ["initial", "handshake", "app"];
-        for (i, space) in SPACES.iter().enumerate() {
-            reg.add(
-                &format!("{prefix}packets_sealed/{space}"),
-                self.packets_sealed[i],
-            );
-            reg.add(
-                &format!("{prefix}packets_opened/{space}"),
-                self.packets_opened[i],
-            );
+    /// Exports every counter into `reg` under the names of the endpoint
+    /// that counted them: `quic/client/…` or `quic/server/…`.
+    pub fn export(&self, role: Role, reg: &mut rq_obs::Registry) {
+        macro_rules! add {
+            ($name:literal, $value:expr) => {
+                let name = match role {
+                    Role::Client => concat!("quic/client/", $name),
+                    Role::Server => concat!("quic/server/", $name),
+                };
+                reg.add(name, $value);
+            };
         }
-        reg.add(&format!("{prefix}packets_lost"), self.packets_lost);
-        reg.add(&format!("{prefix}cc_transitions"), self.cc_transitions);
-        reg.add(&format!("{prefix}pto_expirations"), self.pto_expirations);
-        reg.add(&format!("{prefix}cid_rotations"), self.cid_rotations);
-        reg.add(&format!("{prefix}amp_stalls"), self.amp_stalls);
+        add!("packets_sealed/initial", self.packets_sealed[0]);
+        add!("packets_sealed/handshake", self.packets_sealed[1]);
+        add!("packets_sealed/app", self.packets_sealed[2]);
+        add!("packets_opened/initial", self.packets_opened[0]);
+        add!("packets_opened/handshake", self.packets_opened[1]);
+        add!("packets_opened/app", self.packets_opened[2]);
+        add!("packets_lost", self.packets_lost);
+        add!("cc_transitions", self.cc_transitions);
+        add!("pto_expirations", self.pto_expirations);
+        add!("cid_rotations", self.cid_rotations);
+        add!("amp_stalls", self.amp_stalls);
     }
 }
 

@@ -12,6 +12,18 @@ use super::{space_name, summaries, Connection, Role, MAX_DATAGRAM_SIZE};
 use crate::config::AckDelayReport;
 use crate::space::Space;
 
+/// The frames of one datagram's packets, by packet number space: a
+/// datagram coalesces at most one packet per space, in space order, and
+/// an empty list means no packet.
+type Plan = [Vec<Frame>; 3];
+
+/// The plan of a datagram with one packet.
+fn solo(space: PacketNumberSpace, frames: Vec<Frame>) -> Plan {
+    let mut plan = Plan::default();
+    plan[space.index()] = frames;
+    plan
+}
+
 impl Connection {
     /// Produces the next outgoing UDP datagram, or `None` when idle.
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<Vec<u8>> {
@@ -57,7 +69,7 @@ impl Connection {
             return None;
         }
         let mut budget = MAX_DATAGRAM_SIZE.min(amp);
-        let mut plan = Vec::new();
+        let mut plan = Plan::default();
 
         for space in PacketNumberSpace::ALL {
             let idx = space.index();
@@ -78,9 +90,9 @@ impl Connection {
             let payload = frames.iter().map(Frame::encoded_len).sum();
             let size = PlainPacket::wire_len(&self.header_for(space, 0), payload);
             budget = budget.saturating_sub(size);
-            plan.push((space, frames));
+            plan[idx] = frames;
         }
-        if plan.is_empty() {
+        if plan.iter().all(Vec::is_empty) {
             if !self.amp_blocked_logged
                 && self.amplification_budget() < MAX_DATAGRAM_SIZE
                 && self.wants_to_send()
@@ -293,31 +305,26 @@ impl Connection {
     /// an Initial is padded (RFC 9000 §14.1), and then each packet is
     /// encoded once straight into the datagram, sealed over the bytes just
     /// written and registered — in wire order, because sealing the
-    /// client's first Handshake packet discards its Initial keys.
-    fn emit_datagram(
-        &mut self,
-        now: SimTime,
-        plan: Vec<(PacketNumberSpace, Vec<Frame>)>,
-    ) -> Option<Vec<u8>> {
-        let mut pkts: Vec<PlainPacket> = plan
-            .into_iter()
-            .filter(|(_, frames)| !frames.is_empty())
-            .map(|(space, frames)| self.make_packet(space, frames))
-            .collect();
-        if self.role == Role::Client {
-            pad_client_initial(&mut pkts);
+    /// client's first Handshake packet discards its Initial keys. Plan and
+    /// packets live on the stack: the datagram is the one allocation.
+    fn emit_datagram(&mut self, now: SimTime, plan: Plan) -> Option<Vec<u8>> {
+        let mut pkts: [Option<PlainPacket>; 3] = [None, None, None];
+        for (space, frames) in PacketNumberSpace::ALL.into_iter().zip(plan) {
+            if !frames.is_empty() {
+                let pn = self.spaces[space.index()].alloc_pn();
+                let pkt = PlainPacket::new(self.header_for(space, pn), frames);
+                pkts[space.index()] = Some(pkt.expect("frame permissions checked by construction"));
+            }
         }
-        let mut datagram = Vec::with_capacity(pkts.iter().map(PlainPacket::encoded_len).sum());
-        for pkt in pkts {
+        if self.role == Role::Client {
+            pad_client_initial(pkts.iter_mut().flatten());
+        }
+        let len = pkts.iter().flatten().map(PlainPacket::encoded_len).sum();
+        let mut datagram = Vec::with_capacity(len);
+        for pkt in pkts.into_iter().flatten() {
             self.seal_into(now, pkt, &mut datagram);
         }
         (!datagram.is_empty()).then_some(datagram)
-    }
-
-    fn make_packet(&mut self, space: PacketNumberSpace, frames: Vec<Frame>) -> PlainPacket {
-        let pn = self.spaces[space.index()].alloc_pn();
-        PlainPacket::new(self.header_for(space, pn), frames)
-            .expect("frame permissions checked by construction")
     }
 
     fn header_for(&self, space: PacketNumberSpace, pn: u64) -> Header {
@@ -411,44 +418,35 @@ impl Connection {
     fn build_client_flight2(&mut self, now: SimTime) {
         self.flight2_sent = true;
         // Packet A: Initial ACK (if Initial space still alive).
-        let mut a_frames = Vec::new();
+        let mut pkt_a = Vec::new();
         if self.spaces[0].usable() {
-            a_frames.extend(self.take_ack_frame(now, 0));
+            pkt_a.extend(self.take_ack_frame(now, 0));
         }
-        let pkt_a = (PacketNumberSpace::Initial, a_frames);
         // Packet B: Handshake ACK + client Finished.
-        let mut b_frames = Vec::from_iter(self.take_ack_frame(now, 1));
+        let mut pkt_b = Vec::from_iter(self.take_ack_frame(now, 1));
         let finished = self.spaces[1].crypto.take_tx(usize::MAX);
-        b_frames.extend(finished.map(|(offset, data)| Frame::Crypto { offset, data }));
-        let pkt_b = (PacketNumberSpace::Handshake, b_frames);
+        pkt_b.extend(finished.map(|(offset, data)| Frame::Crypto { offset, data }));
         // Packet C: first 1-RTT packet (request or ACK of early server data).
-        let mut c_frames = Vec::new();
-        self.push_stream_frames(&mut c_frames, |_| 1000);
-        let pkt_c = (PacketNumberSpace::Application, c_frames);
+        let mut pkt_c = Vec::new();
+        self.push_stream_frames(&mut pkt_c, |_| 1000);
 
-        // Distribute packets over datagrams per the layout; the emitter
-        // skips a packet left without frames.
-        let groups = match self.cfg.flight2_datagrams {
-            1 => vec![vec![pkt_a, pkt_b, pkt_c]],
-            2 => vec![vec![pkt_a, pkt_b], vec![pkt_c]],
+        // Which datagram each packet rides in, per the layout; the emitter
+        // skips a packet left without frames and a datagram without packets.
+        let mut groups: [Plan; 4] = Default::default();
+        let [a, b, c] = match self.cfg.flight2_datagrams {
+            1 => [0, 0, 0],
+            2 => [0, 0, 1],
             4 => {
                 // picoquic sends a separate HS ACK datagram before the FIN.
-                let (hs, mut fin_frames) = pkt_b;
-                let ack_frame: Vec<Frame> = fin_frames
-                    .iter()
-                    .position(|f| matches!(f, Frame::Ack(_)))
-                    .map(|i| vec![fin_frames.remove(i)])
-                    .unwrap_or_default();
-                vec![
-                    vec![pkt_a],
-                    vec![(hs, ack_frame)],
-                    vec![(hs, fin_frames)],
-                    vec![pkt_c],
-                ]
+                if let Some(i) = pkt_b.iter().position(|f| matches!(f, Frame::Ack(_))) {
+                    groups[1][1] = vec![pkt_b.remove(i)];
+                }
+                [0, 2, 3]
             }
             // 3 (default): [Initial ACK], [HS FIN], [1-RTT].
-            _ => vec![vec![pkt_a], vec![pkt_b], vec![pkt_c]],
+            _ => [0, 1, 2],
         };
+        (groups[a][0], groups[b][1], groups[c][2]) = (pkt_a, pkt_b, pkt_c);
         for group in groups {
             if let Some(dgram) = self.emit_datagram(now, group) {
                 self.ready_datagrams.push_back(dgram);
@@ -470,7 +468,7 @@ impl Connection {
             reason: reason.to_string(),
             app: false,
         };
-        self.emit_datagram(now, vec![(space, vec![frame])])
+        self.emit_datagram(now, solo(space, vec![frame]))
     }
 
     /// Builds a pure-ACK Initial datagram right now, ahead of the flight.
@@ -487,7 +485,7 @@ impl Connection {
                 len: MIN_INITIAL_DATAGRAM.saturating_sub(base),
             });
         }
-        if let Some(dgram) = self.emit_datagram(now, vec![(PacketNumberSpace::Initial, frames)]) {
+        if let Some(dgram) = self.emit_datagram(now, solo(PacketNumberSpace::Initial, frames)) {
             self.ready_datagrams.push_back(dgram);
             self.log.push(now, EventData::InstantAck { sent: true });
         }
@@ -502,8 +500,7 @@ impl Connection {
         let Some(ack) = self.take_ack_frame(now, 1) else {
             return;
         };
-        if let Some(dgram) =
-            self.emit_datagram(now, vec![(PacketNumberSpace::Handshake, vec![ack])])
+        if let Some(dgram) = self.emit_datagram(now, solo(PacketNumberSpace::Handshake, vec![ack]))
         {
             self.ready_datagrams.push_back(dgram);
         }
@@ -547,11 +544,14 @@ impl Connection {
 /// 1201 bytes — one over [`MAX_DATAGRAM_SIZE`]. Every byte sent moves the
 /// amplification budget and the simulated link time, so the goldens and
 /// the benchmark fingerprints pin this size (ROADMAP item 4b).
-pub(super) fn pad_client_initial(pkts: &mut [PlainPacket]) {
-    let has_initial = pkts.iter().any(|p| p.header.ty == PacketType::Initial);
-    let used: usize = pkts.iter().map(PlainPacket::encoded_len).sum();
-    if has_initial && used < MIN_INITIAL_DATAGRAM {
-        let last = pkts.last_mut().expect("the Initial packet is in the list");
+pub(super) fn pad_client_initial<'a>(pkts: impl IntoIterator<Item = &'a mut PlainPacket>) {
+    let (mut has_initial, mut used, mut last) = (false, 0, None);
+    for pkt in pkts {
+        has_initial |= pkt.header.ty == PacketType::Initial;
+        used += pkt.encoded_len();
+        last = Some(pkt);
+    }
+    if let Some(last) = last.filter(|_| has_initial && used < MIN_INITIAL_DATAGRAM) {
         last.frames.push(Frame::Padding {
             len: MIN_INITIAL_DATAGRAM - used,
         });

@@ -481,11 +481,17 @@ fn conn_stats_count_handshake_traffic() {
     merged.merge(&cs);
     merged.merge(&ss);
     let mut reg = rq_obs::Registry::default();
-    merged.export("quic/", &mut reg);
+    merged.export(Role::Client, &mut reg);
     assert_eq!(
-        reg.counter("quic/packets_sealed/initial"),
+        reg.counter("quic/client/packets_sealed/initial"),
         cs.packets_sealed[0] + ss.packets_sealed[0]
     );
+    ss.export(Role::Server, &mut reg);
+    assert_eq!(
+        reg.counter("quic/server/packets_opened/app"),
+        ss.packets_opened[2]
+    );
+    assert_eq!(reg.len(), 22);
 }
 
 #[test]

@@ -121,40 +121,32 @@ impl ServerAccounting {
         self.reset_conns += other.reset_conns;
     }
 
-    /// Exports every counter into `reg` under `prefix` (no separator is
-    /// added — pass e.g. `"server/"`). `cpu_cost` is scaled to integer
-    /// milli-units so the registry stays a pure integer monoid; the
-    /// active-connection peak is exported by
+    /// Exports every counter into `reg` under `server/`. `cpu_cost` is
+    /// scaled to integer milli-units so the registry stays a pure
+    /// integer monoid; the active-connection peak is exported by
     /// [`ServerEngine::export_metrics`], which also knows the current
     /// level.
-    pub fn export(&self, prefix: &str, reg: &mut rq_obs::Registry) {
-        reg.add(&format!("{prefix}arrivals"), self.arrivals);
-        reg.add(&format!("{prefix}accepted"), self.accepted);
-        reg.add(&format!("{prefix}shed"), self.shed);
-        reg.add(&format!("{prefix}completed"), self.completed);
-        reg.add(&format!("{prefix}failed"), self.failed);
-        reg.add(&format!("{prefix}full_handshakes"), self.full_handshakes);
-        reg.add(
-            &format!("{prefix}resumed_handshakes"),
-            self.resumed_handshakes,
-        );
-        reg.add(
-            &format!("{prefix}zero_rtt_accepted"),
-            self.zero_rtt_accepted,
-        );
-        reg.add(
-            &format!("{prefix}cpu_cost_milli"),
-            (self.cpu_cost * 1000.0).round() as u64,
-        );
-        reg.add(
-            &format!("{prefix}amp_blocked_conns"),
-            self.amp_blocked_conns,
-        );
-        reg.add(&format!("{prefix}retry_deferred"), self.retry_deferred);
-        reg.add(&format!("{prefix}retry_admitted"), self.retry_admitted);
-        reg.add(&format!("{prefix}busy_refused"), self.busy_refused);
-        reg.add(&format!("{prefix}crashes"), self.crashes);
-        reg.add(&format!("{prefix}reset_conns"), self.reset_conns);
+    pub fn export(&self, reg: &mut rq_obs::Registry) {
+        let cpu_cost_milli = (self.cpu_cost * 1000.0).round() as u64;
+        for (name, value) in [
+            ("server/arrivals", self.arrivals),
+            ("server/accepted", self.accepted),
+            ("server/shed", self.shed),
+            ("server/completed", self.completed),
+            ("server/failed", self.failed),
+            ("server/full_handshakes", self.full_handshakes),
+            ("server/resumed_handshakes", self.resumed_handshakes),
+            ("server/zero_rtt_accepted", self.zero_rtt_accepted),
+            ("server/cpu_cost_milli", cpu_cost_milli),
+            ("server/amp_blocked_conns", self.amp_blocked_conns),
+            ("server/retry_deferred", self.retry_deferred),
+            ("server/retry_admitted", self.retry_admitted),
+            ("server/busy_refused", self.busy_refused),
+            ("server/crashes", self.crashes),
+            ("server/reset_conns", self.reset_conns),
+        ] {
+            reg.add(name, value);
+        }
     }
 
     /// Mean active-connection count seen by arriving work.
@@ -295,11 +287,11 @@ impl ServerEngine {
 
     /// Exports the engine's admission accounting plus an
     /// active-connection gauge (current level, observed peak) into `reg`
-    /// under `prefix`.
-    pub fn export_metrics(&self, prefix: &str, reg: &mut rq_obs::Registry) {
-        self.accounting.export(prefix, reg);
+    /// under `server/`.
+    pub fn export_metrics(&self, reg: &mut rq_obs::Registry) {
+        self.accounting.export(reg);
         reg.gauge(
-            &format!("{prefix}active_conns"),
+            "server/active_conns",
             self.conns.len() as i64,
             self.accounting.peak_active as i64,
         );

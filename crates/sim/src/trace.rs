@@ -67,21 +67,28 @@ pub struct Trace {
 }
 
 impl Default for Trace {
+    /// An empty recording trace that owns no memory yet — what
+    /// `std::mem::take` leaves behind.
     fn default() -> Self {
-        Trace::new(false)
+        Trace {
+            datagrams: Vec::new(),
+            milestones: Vec::new(),
+            capture_payloads: false,
+            recording: true,
+        }
     }
 }
 
 impl Trace {
     /// Creates a trace; `capture_payloads` controls whether payload bytes
-    /// are stored in each record. Vectors are pre-sized for a typical
-    /// handshake-plus-transfer run so the hot path rarely reallocates.
+    /// are stored in each record. Vectors are pre-sized for one handshake
+    /// plus a short transfer (about 27 datagrams); longer runs grow them.
     pub fn new(capture_payloads: bool) -> Self {
         Trace {
-            datagrams: Vec::with_capacity(256),
-            milestones: Vec::with_capacity(16),
+            datagrams: Vec::with_capacity(32),
+            milestones: Vec::with_capacity(8),
             capture_payloads,
-            recording: true,
+            ..Trace::default()
         }
     }
 

@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use rq_par::SweepRunner;
 use rq_quic::{
-    ConnStats, Connection, OverloadPolicy, ServerAccounting, ServerEngine, ERROR_GIVE_UP,
+    ConnStats, Connection, OverloadPolicy, Role, ServerAccounting, ServerEngine, ERROR_GIVE_UP,
 };
 use rq_sim::{FaultTimeline, LinkConfig, Network, NodeId, SimDuration, SimRng, SimTime};
 use rq_tls::{mint_ticket, SessionTicket, TicketKeySchedule};
@@ -757,12 +757,9 @@ pub(crate) fn drive_conn_plans(
 
     let mut metrics = rq_obs::Registry::default();
     drive.net.stats.export(&mut metrics);
-    drive
-        .engine
-        .borrow()
-        .export_metrics("server/", &mut metrics);
-    drive.conn_totals.0.export("quic/client/", &mut metrics);
-    drive.conn_totals.1.export("quic/server/", &mut metrics);
+    drive.engine.borrow().export_metrics(&mut metrics);
+    drive.conn_totals.0.export(Role::Client, &mut metrics);
+    drive.conn_totals.1.export(Role::Server, &mut metrics);
 
     let accounting = drive.engine.borrow().accounting;
     DriveOutput {

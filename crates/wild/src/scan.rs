@@ -113,18 +113,18 @@ impl ScanReport {
         for row in &self.rows {
             let cdn = row.cdn.name().to_ascii_lowercase();
             let t = self.aggregates.totals(row.cdn);
-            reg.add(&format!("{prefix}{cdn}/handshakes_ok"), t.ok);
-            reg.add(&format!("{prefix}{cdn}/instant_ack"), t.iack);
-            reg.add(&format!("{prefix}{cdn}/tickets"), t.tickets);
-            reg.add(&format!("{prefix}{cdn}/zero_rtt"), t.zero_rtt);
-            reg.add(&format!("{prefix}{cdn}/migration"), t.migration);
+            reg.add(format!("{prefix}{cdn}/handshakes_ok"), t.ok);
+            reg.add(format!("{prefix}{cdn}/instant_ack"), t.iack);
+            reg.add(format!("{prefix}{cdn}/tickets"), t.tickets);
+            reg.add(format!("{prefix}{cdn}/zero_rtt"), t.zero_rtt);
+            reg.add(format!("{prefix}{cdn}/migration"), t.migration);
             reg.add(
-                &format!("{prefix}{cdn}/domains_reachable"),
+                format!("{prefix}{cdn}/domains_reachable"),
                 row.domains as u64,
             );
-            reg.add(&format!("{prefix}handshakes_ok"), t.ok);
-            reg.add(&format!("{prefix}instant_ack"), t.iack);
-            reg.add(&format!("{prefix}domains_reachable"), row.domains as u64);
+            reg.add(format!("{prefix}handshakes_ok"), t.ok);
+            reg.add(format!("{prefix}instant_ack"), t.iack);
+            reg.add(format!("{prefix}domains_reachable"), row.domains as u64);
         }
     }
 }

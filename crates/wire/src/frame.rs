@@ -373,11 +373,7 @@ impl Frame {
     /// Appends the wire encoding of this frame to `buf`.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
-            Frame::Padding { len } => {
-                for _ in 0..*len {
-                    buf.put_u8(0x00);
-                }
-            }
+            Frame::Padding { len } => buf.put_bytes(0x00, *len),
             Frame::Ping => buf.put_u8(0x01),
             Frame::Ack(a) => {
                 buf.put_u8(0x02);

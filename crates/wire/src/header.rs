@@ -280,11 +280,9 @@ impl Header {
             if buf.remaining() < short_dcid_len + 4 {
                 return Err(WireError::UnexpectedEnd);
             }
-            let mut cid = vec![0u8; short_dcid_len];
-            buf.copy_to_slice(&mut cid);
+            let dcid = take_cid(buf, short_dcid_len)?;
             let pn = u64::from(buf.get_u32());
-            let header = Header::one_rtt(ConnectionId::new(&cid)?, pn);
-            return Ok((header, None));
+            return Ok((Header::one_rtt(dcid, pn), None));
         }
         // Long header.
         if buf.remaining() < 4 {
@@ -359,9 +357,18 @@ fn decode_cid<B: Buf>(buf: &mut B) -> Result<ConnectionId> {
     if buf.remaining() < len {
         return Err(WireError::UnexpectedEnd);
     }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    ConnectionId::new(&bytes)
+    take_cid(buf, len)
+}
+
+/// Reads a `len`-byte connection ID the caller has checked `buf` holds.
+fn take_cid<B: Buf>(buf: &mut B, len: usize) -> Result<ConnectionId> {
+    let mut bytes = [0u8; MAX_CID_LEN];
+    let cid = bytes.get_mut(..len).ok_or(WireError::CidTooLong(len))?;
+    buf.copy_to_slice(cid);
+    Ok(ConnectionId {
+        len: len as u8,
+        bytes,
+    })
 }
 
 #[cfg(test)]
