@@ -78,10 +78,13 @@ impl H1Response {
         .into_bytes()
     }
 
-    /// Full response: headers followed by a deterministic body.
+    /// Full response: headers followed by a deterministic body, written
+    /// into one buffer of the response's size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.header_bytes();
-        out.extend(body_bytes(self.body_len));
+        let header = self.header_bytes();
+        let mut out = Vec::with_capacity(header.len() + self.body_len);
+        out.extend_from_slice(&header);
+        append_body(&mut out, self.body_len);
         out
     }
 
@@ -110,12 +113,18 @@ impl H1Response {
 /// the paper's "randomly generated files").
 pub fn body_bytes(len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
+    append_body(&mut out, len);
+    out
+}
+
+/// Appends the `len` bytes of [`body_bytes`] to `out`, so an encoder
+/// generates the body where the response is being built.
+pub fn append_body(out: &mut Vec<u8>, len: usize) {
     let mut x: u32 = 0x9E37_79B9;
     for _ in 0..len {
         x = x.wrapping_mul(1664525).wrapping_add(1013904223);
         out.push((x >> 24) as u8);
     }
-    out
 }
 
 #[cfg(test)]
@@ -144,6 +153,16 @@ mod tests {
         let (parsed, header_len) = H1Response::decode_header(&bytes).unwrap();
         assert_eq!(parsed, resp);
         assert_eq!(bytes.len() - header_len, 10_240);
+    }
+
+    #[test]
+    fn response_is_its_header_block_then_the_body() {
+        for len in [0, 1, 100, 10_240, 70_000] {
+            let resp = H1Response::ok(len);
+            let mut expected = resp.header_bytes();
+            expected.extend(body_bytes(len));
+            assert_eq!(resp.encode(), expected, "{len}");
+        }
     }
 
     #[test]

@@ -70,41 +70,30 @@ pub enum H3Frame {
 impl H3Frame {
     fn type_id(&self) -> u64 {
         match self {
-            H3Frame::Data { .. } => 0x00,
+            H3Frame::Data { .. } => DATA_TYPE,
             H3Frame::Headers { .. } => 0x01,
             H3Frame::Settings { .. } => 0x04,
         }
     }
 
+    fn payload(&self) -> &[u8] {
+        match self {
+            H3Frame::Data { payload } | H3Frame::Settings { payload } => payload,
+            H3Frame::Headers { block } => block.as_bytes(),
+        }
+    }
+
     /// Serializes type + length + payload.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        VarInt::new(self.type_id()).unwrap().encode(buf);
-        match self {
-            H3Frame::Data { payload } => {
-                VarInt::new(payload.len() as u64).unwrap().encode(buf);
-                buf.put_slice(payload);
-            }
-            H3Frame::Headers { block } => {
-                VarInt::new(block.len() as u64).unwrap().encode(buf);
-                buf.put_slice(block.as_bytes());
-            }
-            H3Frame::Settings { payload } => {
-                VarInt::new(payload.len() as u64).unwrap().encode(buf);
-                buf.put_slice(payload);
-            }
-        }
+        let payload = self.payload();
+        put_frame_header(buf, self.type_id(), payload.len());
+        buf.put_slice(payload);
     }
 
     /// Serialized length.
     pub fn encoded_len(&self) -> usize {
-        let payload_len = match self {
-            H3Frame::Data { payload } => payload.len(),
-            H3Frame::Headers { block } => block.len(),
-            H3Frame::Settings { payload } => payload.len(),
-        };
-        VarInt::new(self.type_id()).unwrap().encoded_len()
-            + VarInt::new(payload_len as u64).unwrap().encoded_len()
-            + payload_len
+        let payload_len = self.payload().len();
+        frame_header_len(self.type_id(), payload_len) + payload_len
     }
 
     /// Decodes one frame if complete; consumes nothing otherwise.
@@ -127,6 +116,20 @@ impl H3Frame {
             _ => return H3Frame::decode(buf),
         })
     }
+}
+
+/// Type of a DATA frame (RFC 9114 §7.2.1).
+const DATA_TYPE: u64 = 0x00;
+
+/// Writes a frame's type and the length of the payload that follows.
+fn put_frame_header<B: BufMut>(buf: &mut B, type_id: u64, payload_len: usize) {
+    VarInt::new(type_id).unwrap().encode(buf);
+    VarInt::new(payload_len as u64).unwrap().encode(buf);
+}
+
+fn frame_header_len(type_id: u64, payload_len: usize) -> usize {
+    VarInt::new(type_id).unwrap().encoded_len()
+        + VarInt::new(payload_len as u64).unwrap().encoded_len()
 }
 
 /// Builds the bytes a server writes at the head of its control stream:
@@ -154,16 +157,18 @@ pub fn request_bytes(path: &str, host: &str) -> Vec<u8> {
 }
 
 /// Builds an HTTP/3 response: HEADERS then one DATA frame of `body_len`
-/// deterministic bytes.
+/// deterministic bytes, the body generated in place in the one buffer
+/// that is returned.
 pub fn response_bytes(body_len: usize) -> Vec<u8> {
-    let block = format!(":status: 200\ncontent-length: {body_len}");
-    let mut out = BytesMut::new();
-    H3Frame::Headers { block }.encode(&mut out);
-    H3Frame::Data {
-        payload: Bytes::from(crate::h1::body_bytes(body_len)),
-    }
-    .encode(&mut out);
-    out.to_vec()
+    let headers = H3Frame::Headers {
+        block: format!(":status: 200\ncontent-length: {body_len}"),
+    };
+    let len = headers.encoded_len() + frame_header_len(DATA_TYPE, body_len) + body_len;
+    let mut out = Vec::with_capacity(len);
+    headers.encode(&mut out);
+    put_frame_header(&mut out, DATA_TYPE, body_len);
+    crate::h1::append_body(&mut out, body_len);
+    out
 }
 
 /// Extracts the `:path` pseudo-header from a request stream's bytes.
@@ -234,6 +239,22 @@ mod tests {
     fn request_path_extraction() {
         let req = request_bytes("/10240", "example.org");
         assert_eq!(parse_request_path(&req).unwrap(), "/10240");
+    }
+
+    #[test]
+    fn response_is_a_headers_frame_then_one_data_frame() {
+        for len in [0, 1, 63, 64, 10_240, 16_383, 16_384, 70_000] {
+            let mut expected = BytesMut::new();
+            H3Frame::Headers {
+                block: format!(":status: 200\ncontent-length: {len}"),
+            }
+            .encode(&mut expected);
+            H3Frame::Data {
+                payload: Bytes::from(crate::h1::body_bytes(len)),
+            }
+            .encode(&mut expected);
+            assert_eq!(response_bytes(len), expected.to_vec(), "{len}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 
 /// A run of stream bytes and the offset of its first byte: the content
 /// of one CRYPTO or STREAM frame.
@@ -90,10 +90,15 @@ impl SendBuf {
 }
 
 /// Incoming half: buffers out-of-order segments and hands out each byte
-/// exactly once, in order.
+/// exactly once, in order. Segments arrive as views of the datagram that
+/// carried them and leave the same way whenever they can.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    /// Segments not yet contiguous with the cursor: offset → bytes.
+    /// Segments not yet contiguous with the cursor: offset → bytes. Each
+    /// is the view it arrived as, so it keeps its whole datagram alive —
+    /// until the gap below it fills, which is as long as a loss takes to
+    /// repair. The receive path stores a view nowhere else but in the
+    /// connection's packets waiting for keys, which are as short-lived.
     segments: BTreeMap<u64, Bytes>,
     /// Every byte below this offset has been handed out.
     offset: u64,
@@ -107,32 +112,45 @@ impl Reassembler {
 
     /// Accepts `data` at `offset` and returns the bytes this made
     /// contiguous — empty for a duplicate or for data beyond a gap, the
-    /// only data that is stored.
-    pub fn insert(&mut self, offset: u64, data: &[u8]) -> Vec<u8> {
+    /// only data that is stored. An in-order segment that reaches nothing
+    /// buffered comes back as a view of itself; one that does is gathered
+    /// with what it reached into one buffer of the run's length.
+    pub fn insert(&mut self, offset: u64, data: Bytes) -> Bytes {
         if offset > self.offset {
-            self.segments
-                .entry(offset)
-                .or_insert_with(|| Bytes::copy_from_slice(data));
-            return Vec::new();
+            self.segments.entry(offset).or_insert(data);
+            return Bytes::new();
         }
         // In order: deliver what lies past the already-delivered prefix
         // (nothing, for a duplicate), then the buffered segments it reached.
         let skip = ((self.offset - offset) as usize).min(data.len());
-        let mut out = data[skip..].to_vec();
-        self.offset += out.len() as u64;
-        while let Some(entry) = self.segments.first_entry() {
-            let seg_off = *entry.key();
-            if seg_off > self.offset {
+        let head = data.slice(skip..);
+        self.offset += head.len() as u64;
+        if (self.segments.first_key_value()).is_none_or(|(&seg_off, _)| seg_off > self.offset) {
+            return head;
+        }
+        let mut end = self.offset;
+        for (&seg_off, seg) in &self.segments {
+            if seg_off > end {
                 break;
             }
-            let seg = entry.remove();
-            let skip = (self.offset - seg_off) as usize;
-            if skip < seg.len() {
-                out.extend_from_slice(&seg[skip..]);
-                self.offset = seg_off + seg.len() as u64;
-            }
+            end = end.max(seg_off + seg.len() as u64);
         }
-        out
+        let run = head.len() + (end - self.offset) as usize;
+        Bytes::build(run, |mut out| {
+            out.put_slice(&head);
+            while let Some(entry) = self.segments.first_entry() {
+                let seg_off = *entry.key();
+                if seg_off > self.offset {
+                    break;
+                }
+                let seg = entry.remove();
+                let skip = (self.offset - seg_off) as usize;
+                if skip < seg.len() {
+                    out.put_slice(&seg[skip..]);
+                    self.offset = seg_off + seg.len() as u64;
+                }
+            }
+        })
     }
 }
 
@@ -169,11 +187,29 @@ mod tests {
     #[test]
     fn reassembler_delivers_each_byte_once() {
         let mut r = Reassembler::default();
-        assert!(r.insert(5, b"world").is_empty());
-        assert_eq!(r.insert(0, b"hello"), b"helloworld");
-        assert!(r.insert(2, b"llowor").is_empty());
-        assert_eq!(r.insert(8, b"ld!"), b"!");
+        assert!(r.insert(5, Bytes::from_static(b"world")).is_empty());
+        assert_eq!(r.insert(0, Bytes::from_static(b"hello")), b"helloworld"[..]);
+        assert!(r.insert(2, Bytes::from_static(b"llowor")).is_empty());
+        assert_eq!(r.insert(8, Bytes::from_static(b"ld!")), b"!"[..]);
         assert_eq!(r.offset(), 11);
+    }
+
+    #[test]
+    fn in_order_segments_come_back_as_views_of_what_arrived() {
+        let datagram = Bytes::from_static(b"..hello, world..");
+        let mut r = Reassembler::default();
+        let out = r.insert(0, datagram.slice(2..7));
+        assert_eq!(out.as_ptr(), datagram[2..].as_ptr());
+        // A retransmission overlapping the delivered prefix: the new tail.
+        let out = r.insert(3, datagram.slice(5..14));
+        assert_eq!(
+            (&out[..], out.as_ptr()),
+            (&b", world"[..], datagram[7..].as_ptr())
+        );
+        // A segment that reaches a buffered one is gathered with it.
+        assert!(r.insert(14, Bytes::from_static(b"!")).is_empty());
+        assert_eq!(r.insert(12, Bytes::from_static(b"??")), b"??!"[..]);
+        assert_eq!(r.offset(), 15);
     }
 
     /// The store-everything-then-drain formulation `insert` replaced,
@@ -210,19 +246,31 @@ mod tests {
     fn reassembler_matches_the_map_formulation_on_overlapping_segments() {
         let mut rng = rq_sim::SimRng::new(20);
         let mut draw = |n: u64| rng.gen_range(n);
-        for _case in 0..200 {
+        // A narrow spread makes duplicates, partial overlaps and exact
+        // continuations the common case, a wide one reordering: several
+        // buffered segments, some overlapping each other, reached at once.
+        for case in 0..400 {
+            let spread = if case % 2 == 0 { 12 } else { 60 };
             let mut r = Reassembler::default();
             let (mut segments, mut cursor) = (BTreeMap::new(), 0u64);
+            let (mut delivered, mut expected_stream) = (Vec::new(), Vec::new());
             for _ in 0..40 {
-                // Offsets cluster around the cursor so duplicates, partial
-                // overlaps, exact continuations and gaps all occur; the
-                // bytes differ per segment so "which copy won" shows.
-                let offset = (cursor + draw(12)).saturating_sub(draw(12));
-                let data: Vec<u8> = (0..draw(9)).map(|_| draw(256) as u8).collect();
+                // The bytes differ per segment so "which copy won" shows,
+                // and each segment is a view into a longer datagram.
+                let offset = (cursor + draw(spread)).saturating_sub(draw(spread));
+                let datagram: Vec<u8> = (0..4 + draw(9)).map(|_| draw(256) as u8).collect();
+                let datagram = Bytes::from(datagram);
+                let data = datagram.slice(2..datagram.len() - 2);
                 let expected = insert_via_map(&mut segments, &mut cursor, offset, &data);
-                assert_eq!(r.insert(offset, &data), expected);
+                let out = r.insert(offset, data);
+                assert_eq!(out, expected);
                 assert_eq!(r.offset(), cursor);
+                delivered.extend_from_slice(&out);
+                expected_stream.extend_from_slice(&expected);
             }
+            // Each byte below the cursor was handed out exactly once.
+            assert_eq!(delivered.len() as u64, cursor);
+            assert_eq!(delivered, expected_stream);
         }
     }
 }

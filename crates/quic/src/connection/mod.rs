@@ -6,8 +6,14 @@
 //! quirk the paper traces performance differences to.
 //!
 //! The API is poll-based:
-//! * [`Connection::handle_datagram`] — feed a received UDP payload;
-//! * [`Connection::poll_transmit`] — drain outgoing UDP payloads;
+//! * [`Connection::handle_datagram_on_path`] — feed a received UDP
+//!   payload, owned: the `Bytes` is the only buffer, the decoded CRYPTO
+//!   and STREAM payloads and what [`ConnEvent::StreamData`] delivers are
+//!   views of it. [`Connection::handle_datagram`] is the same for a
+//!   caller that holds a `&[u8]`: it copies the slice once into a
+//!   `Bytes` and runs the same code;
+//! * [`Connection::poll_transmit`] — drain outgoing UDP payloads, each
+//!   the one allocation its packets were encoded and sealed into;
 //! * [`Connection::poll_timeout`] / [`Connection::handle_timeout`] — timer
 //!   management (loss detection, PTO, delayed ACKs);
 //! * [`Connection::poll_event`] — application-facing events.
@@ -19,6 +25,7 @@
 
 use std::collections::VecDeque;
 
+use bytes::{BufMut, Bytes};
 use rq_qlog::{EventData, EventLog, FrameSummary, SpaceName};
 use rq_recovery::{CcState, CongestionControl, PtoState, RttEstimator, RttVariant};
 use rq_sim::{SimRng, SimTime};
@@ -128,8 +135,10 @@ pub enum ConnEvent {
     StreamData {
         /// Stream ID.
         id: u64,
-        /// Newly contiguous bytes.
-        data: Vec<u8>,
+        /// Newly contiguous bytes: a view of the datagram that completed
+        /// them when they arrived in order, so drop it (or copy what is
+        /// to be kept) before long.
+        data: Bytes,
         /// Stream finished.
         fin: bool,
     },
@@ -238,11 +247,12 @@ pub struct Connection {
     bytes_sent: usize,
     address_validated: bool,
     /// Datagrams fully assembled and ready to go.
-    ready_datagrams: VecDeque<Vec<u8>>,
+    ready_datagrams: VecDeque<Bytes>,
     /// Buffered packets for which keys are not yet available: the decoded
-    /// packet, its payload wire bytes (what the tag authenticates), the
+    /// packet, its payload wire bytes (what the tag authenticates; a view
+    /// of the datagram, held until the keys arrive or the space dies), the
     /// tag, and the packet's wire size.
-    pending_packets: Vec<(PlainPacket, Vec<u8>, [u8; 16], usize)>,
+    pending_packets: Vec<(PlainPacket, Bytes, [u8; 16], usize)>,
     events: VecDeque<ConnEvent>,
     /// qlog event log for this endpoint.
     pub log: EventLog,
@@ -741,15 +751,17 @@ pub const SERVER_BUSY_PREFIX: &[u8] = b"\x00reacked:server-busy";
 
 /// Builds the stateless-reset-style datagram a restarted server sends to
 /// a connection it no longer remembers.
-pub fn stateless_reset_datagram(orphan_cid: ConnectionId) -> Vec<u8> {
-    let mut d = STATELESS_RESET_PREFIX.to_vec();
-    d.extend_from_slice(orphan_cid.as_slice());
-    d
+pub fn stateless_reset_datagram(orphan_cid: ConnectionId) -> Bytes {
+    let cid = orphan_cid.as_slice();
+    Bytes::build(STATELESS_RESET_PREFIX.len() + cid.len(), |mut d| {
+        d.put_slice(STATELESS_RESET_PREFIX);
+        d.put_slice(cid);
+    })
 }
 
 /// Builds the busy-refusal datagram of the `CloseWithBackoff` policy.
-pub fn server_busy_datagram() -> Vec<u8> {
-    SERVER_BUSY_PREFIX.to_vec()
+pub fn server_busy_datagram() -> Bytes {
+    Bytes::copy_from_slice(SERVER_BUSY_PREFIX)
 }
 
 /// Builds a *stateless* Retry datagram for a tokenless client Initial —
@@ -757,11 +769,11 @@ pub fn server_busy_datagram() -> Vec<u8> {
 /// exactly like a production server validating addresses before
 /// committing state. `client_scid` is the Initial's SCID (the token is
 /// bound to it); `server_cid` becomes the Retry's SCID.
-pub fn stateless_retry_datagram(client_scid: ConnectionId, server_cid: ConnectionId) -> Vec<u8> {
+pub fn stateless_retry_datagram(client_scid: ConnectionId, server_cid: ConnectionId) -> Bytes {
     let token = retry_token_for(&client_scid);
     let hdr = Header::retry(client_scid, server_cid, token);
     let pkt = PlainPacket::new(hdr, Vec::new()).expect("retry has no frames");
-    pkt.to_bytes(&[0u8; 16]).to_vec()
+    pkt.to_bytes(&[0u8; 16])
 }
 
 fn space_name(space: PacketNumberSpace) -> SpaceName {

@@ -1,6 +1,7 @@
 //! The receive path: datagrams in, packets key-gated and authenticated,
 //! frames dispatched, acknowledgments and losses fed to recovery.
 
+use bytes::{Buf, Bytes};
 use rq_qlog::EventData;
 use rq_recovery::{persistent_congestion_duration, SentPacket};
 use rq_sim::{SimDuration, SimTime};
@@ -13,17 +14,21 @@ use super::{
 };
 
 impl Connection {
-    /// Processes one received UDP datagram (on the active path).
+    /// Processes one received UDP datagram (on the active path), copying
+    /// it once; a caller that owns the datagram passes it to
+    /// [`Connection::handle_datagram_on_path`] and saves the copy.
     pub fn handle_datagram(&mut self, now: SimTime, data: &[u8]) {
         let path = self.active_path;
-        self.handle_datagram_on_path(now, data, path);
+        self.handle_datagram_on_path(now, Bytes::copy_from_slice(data), path);
     }
 
     /// Processes one received UDP datagram that arrived on `path`.
     /// Migration-aware drivers pass the simulator's per-event path id so
     /// the connection can notice the peer moving (RFC 9000 §9.5: a packet
-    /// from a new address is an implicit migration/NAT rebind).
-    pub fn handle_datagram_on_path(&mut self, now: SimTime, data: &[u8], path: u64) {
+    /// from a new address is an implicit migration/NAT rebind). `data` is
+    /// decoded where it lies: frame payloads, and the stream bytes handed
+    /// to the application, are views of it.
+    pub fn handle_datagram_on_path(&mut self, now: SimTime, data: Bytes, path: u64) {
         if self.closed {
             return;
         }
@@ -65,7 +70,7 @@ impl Connection {
         // reply to one of our PING probes, together with all coalesced
         // packets (paper §4.1).
         if self.ping_reply_drop_budget > 0 {
-            if let Ok((pkt, _, used)) = PlainPacket::decode(data, 8) {
+            if let Ok((pkt, _, _, used)) = PlainPacket::decode_with_payload(&data, 8) {
                 // "together with coalesced packets": the bug only hits
                 // datagrams where the ping-acking Initial is followed by
                 // further coalesced packets.
@@ -84,11 +89,11 @@ impl Connection {
 
         let mut rest = data;
         while !rest.is_empty() {
-            let Ok((pkt, payload, tag, consumed)) = PlainPacket::decode_with_payload(rest, 8)
+            let Ok((pkt, payload, tag, consumed)) = PlainPacket::decode_with_payload(&rest, 8)
             else {
                 return; // undecodable remainder: drop silently
             };
-            rest = &rest[consumed..];
+            rest.advance(consumed);
             self.accept_packet(now, pkt, payload, tag, consumed);
         }
         // Server address validation: a Handshake packet proves the client
@@ -103,7 +108,7 @@ impl Connection {
         &mut self,
         now: SimTime,
         pkt: PlainPacket,
-        payload: &[u8],
+        payload: Bytes,
         tag: [u8; 16],
         size: usize,
     ) {
@@ -152,8 +157,7 @@ impl Connection {
             }
             // Buffered until the keys are available (e.g. Handshake packets
             // arriving while the ServerHello is lost).
-            self.pending_packets
-                .push((pkt, payload.to_vec(), tag, size));
+            self.pending_packets.push((pkt, payload, tag, size));
             return;
         };
         let peer_side = match self.role {
@@ -161,7 +165,7 @@ impl Connection {
             Role::Server => KeySide::Client,
         };
         let key = keys.for_side(peer_side);
-        if !verify_tag(key, pkt.header.pn, payload, &tag) {
+        if !verify_tag(key, pkt.header.pn, &payload, &tag) {
             return; // forged/corrupt packet: drop
         }
         self.process_packet(now, pkt, size);
@@ -174,7 +178,7 @@ impl Connection {
         }
         let pending = std::mem::take(&mut self.pending_packets);
         for (pkt, payload, tag, size) in pending {
-            self.accept_packet(now, pkt, &payload, tag, size);
+            self.accept_packet(now, pkt, payload, tag, size);
         }
     }
 
@@ -264,7 +268,7 @@ impl Connection {
             Frame::Padding { .. } | Frame::Ping => {}
             Frame::Ack(ack) => self.on_ack_frame(now, space, pkt, ack),
             Frame::Crypto { offset, data } => {
-                let (contiguous, dup) = self.spaces[idx].crypto.on_rx(*offset, data);
+                let (contiguous, dup) = self.spaces[idx].crypto.on_rx(*offset, data.clone());
                 // A server receiving a retransmitted ClientHello treats it
                 // as a probe that its first flight was lost and resends the
                 // oldest unacked flight data (the mechanism behind the
@@ -308,7 +312,7 @@ impl Connection {
                 fin,
             } => {
                 let rs = self.streams.recv_stream(*id);
-                let newly = rs.on_frame(*offset, data, *fin);
+                let newly = rs.on_frame_owned(*offset, data.clone(), *fin);
                 let complete = rs.is_complete();
                 if !newly.is_empty() || (*fin && complete) {
                     self.streams.data_recvd += newly.len() as u64;

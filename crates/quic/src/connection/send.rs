@@ -2,6 +2,7 @@
 //! of the next datagram, and the one emitter numbers, pads, encodes, seals
 //! and registers them.
 
+use bytes::Bytes;
 use rq_qlog::EventData;
 use rq_recovery::SentPacket;
 use rq_sim::SimTime;
@@ -26,7 +27,7 @@ fn solo(space: PacketNumberSpace, frames: Vec<Frame>) -> Plan {
 
 impl Connection {
     /// Produces the next outgoing UDP datagram, or `None` when idle.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Vec<u8>> {
+    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Bytes> {
         // WFC server blocked on the certificate store: fully silent.
         if self.waiting_for_cert {
             return None;
@@ -62,7 +63,7 @@ impl Connection {
     }
 
     /// Plans one generic datagram by greedily coalescing per-space packets.
-    fn build_datagram(&mut self, now: SimTime) -> Option<Vec<u8>> {
+    fn build_datagram(&mut self, now: SimTime) -> Option<Bytes> {
         // Amplification gate (whole-datagram granularity).
         let amp = self.amplification_budget();
         if amp == 0 {
@@ -306,8 +307,10 @@ impl Connection {
     /// encoded once straight into the datagram, sealed over the bytes just
     /// written and registered — in wire order, because sealing the
     /// client's first Handshake packet discards its Initial keys. Plan and
-    /// packets live on the stack: the datagram is the one allocation.
-    fn emit_datagram(&mut self, now: SimTime, plan: Plan) -> Option<Vec<u8>> {
+    /// packets live on the stack: the datagram is the one allocation, made
+    /// at its final length as the shared storage the simulator carries and
+    /// the receiver decodes in place.
+    fn emit_datagram(&mut self, now: SimTime, plan: Plan) -> Option<Bytes> {
         let mut pkts: [Option<PlainPacket>; 3] = [None, None, None];
         for (space, frames) in PacketNumberSpace::ALL.into_iter().zip(plan) {
             if !frames.is_empty() {
@@ -320,11 +323,14 @@ impl Connection {
             pad_client_initial(pkts.iter_mut().flatten());
         }
         let len = pkts.iter().flatten().map(PlainPacket::encoded_len).sum();
-        let mut datagram = Vec::with_capacity(len);
-        for pkt in pkts.into_iter().flatten() {
-            self.seal_into(now, pkt, &mut datagram);
-        }
-        (!datagram.is_empty()).then_some(datagram)
+        let mut written = 0;
+        let datagram = Bytes::build(len, |buf| {
+            for pkt in pkts.into_iter().flatten() {
+                written += self.seal_into(now, pkt, &mut buf[written..]);
+            }
+        });
+        // Shorter than planned only when a packet's keys were missing.
+        (written > 0).then(|| datagram.slice(..written))
     }
 
     fn header_for(&self, space: PacketNumberSpace, pn: u64) -> Header {
@@ -347,25 +353,24 @@ impl Connection {
         }
     }
 
-    /// Encodes `pkt` once onto the end of `datagram`, tags the payload
-    /// bytes just written, and registers the packet with recovery,
-    /// congestion control, retransmission state and qlog. Appends nothing
-    /// when the packet's keys are missing.
-    fn seal_into(&mut self, now: SimTime, pkt: PlainPacket, datagram: &mut Vec<u8>) {
+    /// Encodes `pkt` once at the front of `out`, tags the payload bytes
+    /// just written, and registers the packet with recovery, congestion
+    /// control, retransmission state and qlog. Returns the packet's size
+    /// on the wire: 0, with nothing written, when its keys are missing.
+    fn seal_into(&mut self, now: SimTime, pkt: PlainPacket, out: &mut [u8]) -> usize {
         let space = pkt.space();
         let idx = space.index();
         let Some(keys) = self.spaces[idx].keys_for(pkt.header.ty) else {
-            return;
+            return 0;
         };
         let side = match self.role {
             Role::Client => KeySide::Client,
             Role::Server => KeySide::Server,
         };
         let key = keys.for_side(side);
-        let start = datagram.len();
-        pkt.encode_sealed(datagram, |payload| seal_tag(key, pkt.header.pn, payload))
+        let size = pkt
+            .encode_sealed(out, |payload| seal_tag(key, pkt.header.pn, payload))
             .expect("encode cannot fail after construction");
-        let size = datagram.len() - start;
         let ack_eliciting = pkt.is_ack_eliciting();
         let in_flight = ack_eliciting
             || pkt
@@ -410,6 +415,7 @@ impl Connection {
         if self.role == Role::Client && space == PacketNumberSpace::Handshake {
             self.discard_space(PacketNumberSpace::Initial);
         }
+        size
     }
 
     /// Builds the client's second flight according to the coalescing
@@ -455,7 +461,7 @@ impl Connection {
     }
 
     /// Sends CONNECTION_CLOSE in the highest available space.
-    fn build_close_datagram(&mut self, now: SimTime, code: u64, reason: &str) -> Option<Vec<u8>> {
+    fn build_close_datagram(&mut self, now: SimTime, code: u64, reason: &str) -> Option<Bytes> {
         let space = [
             PacketNumberSpace::Application,
             PacketNumberSpace::Handshake,

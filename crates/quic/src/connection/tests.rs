@@ -234,7 +234,7 @@ fn tampered_handshake_datagram_is_dropped_and_original_still_accepted() {
     let payload_mid = used - rq_wire::AEAD_TAG_LEN - payload.len() / 2;
     let before = c.stats().packets_opened;
     for flip_at in [payload_mid, used - 1] {
-        let mut bad = sealed.clone();
+        let mut bad = sealed.to_vec();
         bad[flip_at] ^= 0x01;
         // Still well-formed: only the tag check can reject it.
         assert!(PlainPacket::decode(&bad, 8).is_ok(), "byte {flip_at}");
@@ -258,7 +258,7 @@ fn forged_initial(original_dcid: ConnectionId, pn: u64, payload: &[u8]) -> Vec<u
         pn,
     );
     let shell = PlainPacket::new(header, vec![Frame::Padding { len: payload.len() }]).unwrap();
-    let mut datagram = Vec::new();
+    let mut datagram = vec![0; shell.encoded_len()];
     shell
         .encode_sealed(&mut datagram, |_| {
             seal_tag(keys.for_side(KeySide::Client), pn, payload)
@@ -855,11 +855,11 @@ fn pump_on_path(c: &mut Connection, s: &mut Connection, now: SimTime, path: u64)
     loop {
         let mut progress = false;
         while let Some(d) = c.poll_transmit(now) {
-            s.handle_datagram_on_path(now, &d, path);
+            s.handle_datagram_on_path(now, d, path);
             progress = true;
         }
         while let Some(d) = s.poll_transmit(now) {
-            c.handle_datagram_on_path(now, &d, path);
+            c.handle_datagram_on_path(now, d, path);
             progress = true;
         }
         if !progress {
@@ -973,7 +973,7 @@ fn unvalidated_path_is_amplification_limited() {
     c.migrate(now, 3);
     // Deliver exactly one client datagram on the new path, then stop.
     let d = c.poll_transmit(now).expect("challenge datagram");
-    s.handle_datagram_on_path(now, &d, 3);
+    s.handle_datagram_on_path(now, d.clone(), 3);
     let p = s.path_state(3).expect("server must track the new path");
     assert!(!p.validated);
     assert_eq!(

@@ -724,7 +724,7 @@ mod tests {
         let first = rq_wire::Header::decode(&mut &hello[..], 8).unwrap().0;
         e.accept(1, 9, first.dcid, 0, false, false);
         let server = e.conn_mut(1).unwrap();
-        server.handle_datagram_on_path(SimTime::ZERO, &hello, 0);
+        server.handle_datagram_on_path(SimTime::ZERO, hello, 0);
         while server.poll_event().is_some() {}
         server.certificate_ready(SimTime::ZERO);
         while server.poll_transmit(SimTime::ZERO).is_some() {}

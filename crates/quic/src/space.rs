@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
+use bytes::Bytes;
 use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker};
 use rq_sim::SimTime;
 use rq_tls::LevelKeys;
@@ -124,7 +125,7 @@ impl CryptoStream {
     /// Accepts a received CRYPTO frame; returns newly contiguous bytes (may
     /// be empty for duplicates/out-of-order data). `true` in the second
     /// tuple slot if any byte of the frame was a retransmission overlap.
-    pub fn on_rx(&mut self, offset: u64, data: &[u8]) -> (Vec<u8>, bool) {
+    pub fn on_rx(&mut self, offset: u64, data: Bytes) -> (Bytes, bool) {
         let overlap = offset < self.rx.offset() && !data.is_empty();
         (self.rx.insert(offset, data), overlap)
     }
@@ -429,7 +430,6 @@ fn split_data(frame: Frame, room: usize) -> (Option<Frame>, Option<Frame>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use rq_sim::SimDuration;
     use rq_tls::initial_keys;
 
@@ -660,32 +660,32 @@ mod tests {
     #[test]
     fn crypto_rx_in_order() {
         let mut c = CryptoStream::default();
-        let (out, dup) = c.on_rx(0, b"hello");
-        assert_eq!(out, b"hello");
+        let (out, dup) = c.on_rx(0, Bytes::from_static(b"hello"));
+        assert_eq!(out, b"hello"[..]);
         assert!(!dup);
-        let (out, _) = c.on_rx(5, b" world");
-        assert_eq!(out, b" world");
+        let (out, _) = c.on_rx(5, Bytes::from_static(b" world"));
+        assert_eq!(out, b" world"[..]);
     }
 
     #[test]
     fn crypto_rx_out_of_order_buffers() {
         let mut c = CryptoStream::default();
-        let (out, _) = c.on_rx(5, b"world");
+        let (out, _) = c.on_rx(5, Bytes::from_static(b"world"));
         assert!(out.is_empty());
-        let (out, _) = c.on_rx(0, b"hello");
-        assert_eq!(out, b"helloworld");
+        let (out, _) = c.on_rx(0, Bytes::from_static(b"hello"));
+        assert_eq!(out, b"helloworld"[..]);
     }
 
     #[test]
     fn crypto_rx_duplicate_flagged() {
         let mut c = CryptoStream::default();
-        let _ = c.on_rx(0, b"hello");
-        let (out, dup) = c.on_rx(0, b"hello");
+        let _ = c.on_rx(0, Bytes::from_static(b"hello"));
+        let (out, dup) = c.on_rx(0, Bytes::from_static(b"hello"));
         assert!(out.is_empty());
         assert!(dup, "full duplicate must be flagged");
         // Partial overlap delivers only the new tail.
-        let (out, dup) = c.on_rx(3, b"lo more");
-        assert_eq!(out, b" more");
+        let (out, dup) = c.on_rx(3, Bytes::from_static(b"lo more"));
+        assert_eq!(out, b" more"[..]);
         assert!(dup);
     }
 

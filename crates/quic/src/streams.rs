@@ -95,8 +95,15 @@ pub struct RecvStream {
 }
 
 impl RecvStream {
-    /// Accepts a STREAM frame; returns newly contiguous bytes.
-    pub fn on_frame(&mut self, offset: u64, data: &[u8], fin: bool) -> Vec<u8> {
+    /// [`RecvStream::on_frame_owned`] for a caller that holds a slice:
+    /// copies `data` once.
+    pub fn on_frame(&mut self, offset: u64, data: &[u8], fin: bool) -> Bytes {
+        self.on_frame_owned(offset, Bytes::copy_from_slice(data), fin)
+    }
+
+    /// Accepts a STREAM frame; returns newly contiguous bytes — a view of
+    /// `data` when the frame arrived in order.
+    pub fn on_frame_owned(&mut self, offset: u64, data: Bytes, fin: bool) -> Bytes {
         if fin {
             self.fin_at = Some(offset + data.len() as u64);
         }
@@ -256,14 +263,14 @@ mod tests {
         let mut r = RecvStream::default();
         assert!(r.on_frame(5, b"world", true).is_empty());
         let out = r.on_frame(0, b"hello", false);
-        assert_eq!(out, b"helloworld");
+        assert_eq!(out, b"helloworld"[..]);
         assert!(r.is_complete());
     }
 
     #[test]
     fn recv_stream_duplicates_ignored() {
         let mut r = RecvStream::default();
-        assert_eq!(r.on_frame(0, b"abc", false), b"abc");
+        assert_eq!(r.on_frame(0, b"abc", false), b"abc"[..]);
         assert!(r.on_frame(0, b"abc", false).is_empty());
         assert_eq!(r.delivered, 3);
     }

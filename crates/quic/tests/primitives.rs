@@ -8,7 +8,7 @@ use rq_quic::space::{CryptoStream, RecvState};
 use rq_quic::streams::RecvStream;
 use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, PACKET_THRESHOLD};
 use rq_sim::{SimDuration, SimTime};
-use rq_wire::AckFrame;
+use rq_wire::{AckFrame, Bytes};
 
 fn at_us(us: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_micros(us)
@@ -74,7 +74,7 @@ proptest! {
         });
         for (start, end) in segments.chain([whole]) {
             let data = &body[start..end];
-            let (out, overlap) = crypto.on_rx(start as u64, data);
+            let (out, overlap) = crypto.on_rx(start as u64, Bytes::copy_from_slice(data));
             prop_assert_eq!(overlap, start < delivered.len());
             let fin = end == body_len;
             prop_assert_eq!(&stream.on_frame(start as u64, data, fin), &out);

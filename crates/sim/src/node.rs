@@ -1,5 +1,7 @@
 //! Node trait and the context handed to nodes during event handling.
 
+use rq_wire::Bytes;
+
 use crate::time::SimTime;
 use crate::trace::Trace;
 
@@ -26,6 +28,14 @@ pub trait Node {
 
     /// Called when a datagram addressed to this node is delivered.
     fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]);
+
+    /// The form of [`Node::on_datagram`] the engine calls: it hands over
+    /// the delivered datagram itself, so a node that keeps or decodes the
+    /// bytes overrides this and shares the buffer where `on_datagram`
+    /// would have to copy it.
+    fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        self.on_datagram(ctx, from, &payload);
+    }
 
     /// Called when a timer set by this node fires. `token` is the value
     /// passed to [`Context::set_timer`]. Timers cannot be cancelled; nodes
@@ -54,7 +64,7 @@ pub struct Context<'a> {
     pub(crate) now: SimTime,
     pub(crate) me: NodeId,
     pub(crate) path: u64,
-    pub(crate) sends: Vec<(NodeId, Vec<u8>)>,
+    pub(crate) sends: Vec<(NodeId, Bytes)>,
     pub(crate) timers: Vec<(SimTime, u64)>,
     pub(crate) stop: bool,
     pub(crate) trace: &'a mut Trace,
@@ -79,9 +89,10 @@ impl<'a> Context<'a> {
     }
 
     /// Queues a datagram to `to`. There must be a link between the nodes
-    /// (checked when the engine applies the send).
-    pub fn send(&mut self, to: NodeId, payload: Vec<u8>) {
-        self.sends.push((to, payload));
+    /// (checked when the engine applies the send). A `Bytes` travels as
+    /// it is; a `Vec<u8>` is copied once into one.
+    pub fn send(&mut self, to: NodeId, payload: impl Into<Bytes>) {
+        self.sends.push((to, payload.into()));
     }
 
     /// Arms a timer that fires at absolute time `at` with `token`.

@@ -23,7 +23,7 @@ use rq_quic::{
 };
 use rq_sim::{Context, FaultTimeline, Node, NodeId, SimDuration, SimRng, SimTime};
 use rq_tls::TicketKeySchedule;
-use rq_wire::{ConnectionId, Header, PacketType};
+use rq_wire::{Bytes, ConnectionId, Header, PacketType};
 
 use crate::scenario::ReconnectPolicy;
 
@@ -391,7 +391,11 @@ impl Node for ClientNode {
         self.drive(ctx, |_| false);
     }
 
-    fn on_datagram(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
+    fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
+        self.on_datagram_owned(ctx, from, Bytes::copy_from_slice(payload));
+    }
+
+    fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
         let (now, path) = (ctx.now(), ctx.path());
         self.drive(ctx, |conn| {
             conn.handle_datagram_on_path(now, payload, path);
@@ -893,6 +897,10 @@ impl Node for ServerNode {
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
+        self.on_datagram_owned(ctx, from, Bytes::copy_from_slice(payload));
+    }
+
+    fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
         let now = ctx.now();
         if self.frozen {
             // Frozen process: the kernel buffer overflows, packets die.

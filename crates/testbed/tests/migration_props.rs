@@ -124,11 +124,11 @@ proptest! {
             for _ in 0..50 {
                 let mut progress = false;
                 while let Some(d) = c.poll_transmit(start) {
-                    s.handle_datagram_on_path(start, &d, path);
+                    s.handle_datagram_on_path(start, d, path);
                     progress = true;
                 }
                 while let Some(d) = s.poll_transmit(start) {
-                    c.handle_datagram_on_path(start, &d, path);
+                    c.handle_datagram_on_path(start, d, path);
                     progress = true;
                 }
                 if !progress {
@@ -181,7 +181,7 @@ proptest! {
         // the client never sees them, so the path stays unvalidated.
         for _ in 0..deliveries {
             let Some(d) = c.poll_transmit(now) else { break };
-            s.handle_datagram_on_path(now, &d, path);
+            s.handle_datagram_on_path(now, d, path);
             while s.poll_transmit(now).is_some() {}
             let p = s.path_state(path).expect("server tracks the new path");
             prop_assert!(!p.validated, "path validated without a response");

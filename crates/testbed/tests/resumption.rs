@@ -150,7 +150,7 @@ fn retry_composes_with_zero_rtt_resumption() {
             loop {
                 let mut progress = false;
                 while let Some(d) = c.poll_transmit(now) {
-                    to_server.push(d.clone());
+                    to_server.push(d.to_vec());
                     s.handle_datagram(now, &d);
                     progress = true;
                 }

@@ -18,12 +18,12 @@
 //! After any completed handshake a ticket-issuing server queues a
 //! NewSessionTicket at the Application level (a 1-RTT CRYPTO frame).
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::keys::{
     application_keys, early_keys, handshake_keys, resumption_secret, Level, LevelKeys,
 };
-use crate::messages::{HandshakeMessage, HandshakeType, DEFAULT_CLIENT_HELLO_LEN};
+use crate::messages::{HandshakeMessage, HandshakeType, DEFAULT_CLIENT_HELLO_LEN, FINISHED_LEN};
 use crate::resumption::{mint_ticket, open_ticket, ServerResumption, SessionTicket};
 use crate::sha256::Sha256;
 use crate::TlsError;
@@ -163,9 +163,9 @@ pub struct TlsSession {
     out_handshake: BytesMut,
     out_app: BytesMut,
     /// Reassembled-but-unparsed input per level.
-    in_initial: Vec<u8>,
-    in_handshake: Vec<u8>,
-    in_app: Vec<u8>,
+    in_initial: Bytes,
+    in_handshake: Bytes,
+    in_app: Bytes,
     handshake_keys: Option<LevelKeys>,
     application_keys: Option<LevelKeys>,
     /// 0-RTT early-data keys (client: from the offered ticket; server:
@@ -182,6 +182,16 @@ pub struct TlsSession {
     /// Resumption secret derived at handshake completion (pairs an
     /// incoming NewSessionTicket with the client's own transcript).
     res_secret: Option<[u8; 32]>,
+}
+
+/// Encodes `msg` onto the end of `out` — reserving its size, unless the
+/// caller already reserved a whole flight's — and hashes the bytes just
+/// written into the transcript.
+fn queue(out: &mut BytesMut, transcript: &mut Sha256, msg: &HandshakeMessage) {
+    let start = out.len();
+    out.reserve(msg.wire_len());
+    msg.encode(out);
+    transcript.update(&out[start..]);
 }
 
 impl TlsSession {
@@ -218,9 +228,9 @@ impl TlsSession {
             out_initial: BytesMut::new(),
             out_handshake: BytesMut::new(),
             out_app: BytesMut::new(),
-            in_initial: Vec::new(),
-            in_handshake: Vec::new(),
-            in_app: Vec::new(),
+            in_initial: Bytes::new(),
+            in_handshake: Bytes::new(),
+            in_app: Bytes::new(),
             handshake_keys: None,
             application_keys: None,
             early: None,
@@ -263,10 +273,7 @@ impl TlsSession {
                     self.client_cfg.client_hello_len,
                 ),
             };
-            let mut enc = BytesMut::new();
-            ch.encode(&mut enc);
-            self.transcript.update(&enc);
-            self.out_initial.extend_from_slice(&enc);
+            queue(&mut self.out_initial, &mut self.transcript, &ch);
             *state = ClientState::WaitServerHello;
         }
     }
@@ -281,87 +288,86 @@ impl TlsSession {
         self.out_initial.clear();
         self.out_handshake.clear();
         self.out_app.clear();
-        self.in_initial.clear();
-        self.in_handshake.clear();
-        self.in_app.clear();
+        self.in_initial = Bytes::new();
+        self.in_handshake = Bytes::new();
+        self.in_app = Bytes::new();
         self.offered_early = false;
         self.early = None;
         self.start();
     }
 
-    /// Feeds contiguous crypto bytes received at `level`.
+    /// Feeds contiguous crypto bytes received at `level`. They are copied
+    /// into the level's own buffer: the message bodies cut from it never
+    /// keep the caller's datagram alive.
     pub fn read_crypto(&mut self, level: Level, data: &[u8]) -> Result<Vec<TlsEvent>, TlsError> {
-        match level {
-            Level::Initial => self.in_initial.extend_from_slice(data),
-            Level::Handshake => self.in_handshake.extend_from_slice(data),
-            Level::Application => {
-                // Post-handshake messages (NewSessionTicket) flow
-                // server → client only.
-                if self.role == Role::Server {
-                    return Err(TlsError::UnexpectedMessage("crypto at 1-RTT to server"));
-                }
-                self.in_app.extend_from_slice(data);
-            }
+        // Post-handshake messages (NewSessionTicket) flow server → client
+        // only.
+        if level == Level::Application && self.role == Role::Server {
+            return Err(TlsError::UnexpectedMessage("crypto at 1-RTT to server"));
         }
+        let buf = self.in_buf(level);
+        *buf = if buf.is_empty() {
+            Bytes::copy_from_slice(data)
+        } else {
+            // Behind the partial message still waiting for these bytes.
+            Bytes::build(buf.len() + data.len(), |mut joined| {
+                joined.put_slice(buf);
+                joined.put_slice(data);
+            })
+        };
         let mut events = Vec::new();
-        loop {
-            let before = (
-                self.in_initial.len(),
-                self.in_handshake.len(),
-                self.in_app.len(),
-            );
-            self.advance(level, &mut events)?;
-            let after = (
-                self.in_initial.len(),
-                self.in_handshake.len(),
-                self.in_app.len(),
-            );
-            if before == after {
-                break;
-            }
+        while self.advance(level, &mut events)? {}
+        // Read to the end: let go of the storage instead of an empty view.
+        let buf = self.in_buf(level);
+        if buf.is_empty() {
+            *buf = Bytes::new();
         }
         Ok(events)
     }
 
-    fn advance(&mut self, level: Level, events: &mut Vec<TlsEvent>) -> Result<(), TlsError> {
-        let buf = match level {
+    fn in_buf(&mut self, level: Level) -> &mut Bytes {
+        match level {
             Level::Initial => &mut self.in_initial,
             Level::Handshake => &mut self.in_handshake,
             Level::Application => &mut self.in_app,
-        };
-        let mut peek = &buf[..];
-        let Some(msg) = HandshakeMessage::decode(&mut peek)? else {
-            return Ok(());
-        };
-        // Consume the parsed bytes from the real buffer.
-        let consumed = buf.len() - peek.len();
-        buf.drain(..consumed);
+        }
+    }
 
+    /// Handles the next message buffered at `level`; `false` when no
+    /// complete one is.
+    fn advance(&mut self, level: Level, events: &mut Vec<TlsEvent>) -> Result<bool, TlsError> {
+        let buf = self.in_buf(level);
+        let arrived = buf.clone();
+        let Some(msg) = HandshakeMessage::decode(buf)? else {
+            return Ok(false);
+        };
+        // The message as it sat on the wire, which is what the
+        // transcript hashes.
+        let wire = arrived.slice(..arrived.len() - buf.len());
         match self.state {
             StateMachine::Client(state) => {
-                let next = self.client_handle(state, &msg, level, events)?;
+                let next = self.client_handle(state, &msg, &wire, level, events)?;
                 self.state = StateMachine::Client(next);
             }
             StateMachine::Server(state) => {
-                let next = self.server_handle(state, &msg, level, events)?;
+                let next = self.server_handle(state, &msg, &wire, level, events)?;
                 self.state = StateMachine::Server(next);
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     fn client_handle(
         &mut self,
         state: ClientState,
         msg: &HandshakeMessage,
+        wire: &[u8],
         level: Level,
         events: &mut Vec<TlsEvent>,
     ) -> Result<ClientState, TlsError> {
-        let mut enc = BytesMut::new();
-        msg.encode(&mut enc);
         Ok(match (state, msg.ty, level) {
             (ClientState::WaitServerHello, HandshakeType::ServerHello, Level::Initial) => {
-                self.transcript.update(&enc);
+                self.transcript.update(wire);
                 let th = self.transcript.clone().finalize();
                 self.handshake_keys = Some(handshake_keys(&th));
                 events.push(TlsEvent::KeysReady(Level::Handshake));
@@ -398,7 +404,7 @@ impl TlsSession {
                 HandshakeType::EncryptedExtensions,
                 Level::Handshake,
             ) => {
-                self.transcript.update(&enc);
+                self.transcript.update(wire);
                 if self.resumed {
                     // Abbreviated flight: the server Finished comes next.
                     ClientState::WaitFinished
@@ -407,7 +413,7 @@ impl TlsSession {
                 }
             }
             (ClientState::WaitCertificate, HandshakeType::Certificate, Level::Handshake) => {
-                self.transcript.update(&enc);
+                self.transcript.update(wire);
                 ClientState::WaitCertificateVerify
             }
             (
@@ -415,20 +421,17 @@ impl TlsSession {
                 HandshakeType::CertificateVerify,
                 Level::Handshake,
             ) => {
-                self.transcript.update(&enc);
+                self.transcript.update(wire);
                 ClientState::WaitFinished
             }
             (ClientState::WaitFinished, HandshakeType::Finished, Level::Handshake) => {
-                self.transcript.update(&enc);
+                self.transcript.update(wire);
                 let th = self.transcript.clone().finalize();
                 self.application_keys = Some(application_keys(&th));
                 events.push(TlsEvent::KeysReady(Level::Application));
                 // Client Finished: verify-data = transcript hash.
                 let fin = HandshakeMessage::finished(th);
-                let mut fin_enc = BytesMut::new();
-                fin.encode(&mut fin_enc);
-                self.transcript.update(&fin_enc);
-                self.out_handshake.extend_from_slice(&fin_enc);
+                queue(&mut self.out_handshake, &mut self.transcript, &fin);
                 // The resumption secret covers the client Finished too.
                 let th_res = self.transcript.clone().finalize();
                 self.res_secret = Some(resumption_secret(&th_res));
@@ -464,14 +467,13 @@ impl TlsSession {
         &mut self,
         state: ServerState,
         msg: &HandshakeMessage,
+        wire: &[u8],
         level: Level,
         events: &mut Vec<TlsEvent>,
     ) -> Result<ServerState, TlsError> {
-        let mut enc = BytesMut::new();
-        msg.encode(&mut enc);
         Ok(match (state, msg.ty, level) {
             (ServerState::WaitClientHello, HandshakeType::ClientHello, Level::Initial) => {
-                self.transcript.update(&enc);
+                self.transcript.update(wire);
                 let offer = msg.resumption_offer();
                 let secret = offer.as_ref().and_then(|(ticket, _)| {
                     self.server_cfg
@@ -529,7 +531,7 @@ impl TlsSession {
             (ServerState::WaitClientFinished, HandshakeType::Finished, Level::Handshake) => {
                 // Verify-data check: must equal our transcript hash at the
                 // point the client computed it (before its own Finished).
-                self.transcript.update(&enc);
+                self.transcript.update(wire);
                 let th_res = self.transcript.clone().finalize();
                 let secret = resumption_secret(&th_res);
                 self.res_secret = Some(secret);
@@ -540,9 +542,8 @@ impl TlsSession {
                         self.server_cfg.resumption.advertise_early_data,
                         &ticket,
                     );
-                    let mut nst_enc = BytesMut::new();
-                    nst.encode(&mut nst_enc);
-                    self.out_app.extend_from_slice(&nst_enc);
+                    self.out_app.reserve(nst.wire_len());
+                    nst.encode(&mut self.out_app);
                 }
                 self.complete = true;
                 events.push(TlsEvent::HandshakeComplete);
@@ -556,32 +557,27 @@ impl TlsSession {
     /// handshake and application keys along the way.
     fn flight_core(&mut self, sh: HandshakeMessage, with_cert: bool, events: &mut Vec<TlsEvent>) {
         // ServerHello at Initial level.
-        let mut enc = BytesMut::new();
-        sh.encode(&mut enc);
-        self.transcript.update(&enc);
-        self.out_initial.extend_from_slice(&enc);
+        queue(&mut self.out_initial, &mut self.transcript, &sh);
         let th = self.transcript.clone().finalize();
         self.handshake_keys = Some(handshake_keys(&th));
         events.push(TlsEvent::KeysReady(Level::Handshake));
 
-        // EE (+ CERT, CV) and FIN at Handshake level.
-        let mut middle = vec![HandshakeMessage::encrypted_extensions()];
-        if with_cert {
-            middle.push(HandshakeMessage::certificate(self.server_cfg.cert_len));
-            middle.push(HandshakeMessage::certificate_verify());
-        }
-        for m in middle {
-            let mut e = BytesMut::new();
-            m.encode(&mut e);
-            self.transcript.update(&e);
-            self.out_handshake.extend_from_slice(&e);
+        // EE (+ CERT, CV) and FIN at Handshake level, under one
+        // reservation for the level's whole flight.
+        let ee = HandshakeMessage::encrypted_extensions();
+        let cert = with_cert.then(|| {
+            let cert = HandshakeMessage::certificate(self.server_cfg.cert_len);
+            [cert, HandshakeMessage::certificate_verify()]
+        });
+        let middle = || std::iter::once(&ee).chain(cert.iter().flatten());
+        let flight: usize = middle().map(HandshakeMessage::wire_len).sum();
+        self.out_handshake.reserve(flight + FINISHED_LEN);
+        for m in middle() {
+            queue(&mut self.out_handshake, &mut self.transcript, m);
         }
         let th_fin = self.transcript.clone().finalize();
         let fin = HandshakeMessage::finished(th_fin);
-        let mut e = BytesMut::new();
-        fin.encode(&mut e);
-        self.transcript.update(&e);
-        self.out_handshake.extend_from_slice(&e);
+        queue(&mut self.out_handshake, &mut self.transcript, &fin);
         // Server can send 1-RTT data once its Finished is queued.
         let th_app = self.transcript.clone().finalize();
         self.application_keys = Some(application_keys(&th_app));

@@ -5,6 +5,8 @@
 //! QUIC *content*, not their index. This module decodes a datagram into
 //! per-packet summaries that loss rules and the qlog pipeline consume.
 
+use bytes::{Buf, Bytes};
+
 use crate::frame::Frame;
 use crate::header::PacketType;
 use crate::packet::{PacketNumberSpace, PlainPacket};
@@ -143,11 +145,11 @@ impl DatagramInfo {
 /// the rest of the datagram), matching RFC 9000 §12.2.
 pub fn classify_datagram(datagram: &[u8], short_dcid_len: usize) -> Result<DatagramInfo> {
     let mut packets = Vec::new();
-    let mut rest = datagram;
+    let mut rest = Bytes::copy_from_slice(datagram);
     while !rest.is_empty() {
-        let (pkt, _tag, consumed) = PlainPacket::decode(rest, short_dcid_len)?;
+        let (pkt, _, _, consumed) = PlainPacket::decode_with_payload(&rest, short_dcid_len)?;
         packets.push(PacketSummary::of(&pkt, consumed));
-        rest = &rest[consumed..];
+        rest.advance(consumed);
     }
     Ok(DatagramInfo {
         packets,
@@ -158,12 +160,14 @@ pub fn classify_datagram(datagram: &[u8], short_dcid_len: usize) -> Result<Datag
 /// Assembles multiple packets into one datagram buffer (coalescing).
 /// The tag for every packet is supplied by the caller per-packet.
 pub fn coalesce(packets: &[(PlainPacket, [u8; crate::packet::AEAD_TAG_LEN])]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = vec![0; packets.iter().map(|(pkt, _)| pkt.encoded_len()).sum()];
+    let mut at = 0;
     for (i, (pkt, tag)) in packets.iter().enumerate() {
         if pkt.header.ty == PacketType::OneRtt {
             debug_assert_eq!(i, packets.len() - 1, "short-header packet must be last");
         }
-        pkt.encode_sealed(&mut out, |_| *tag)
+        at += pkt
+            .encode_sealed(&mut out[at..], |_| *tag)
             .expect("encode cannot fail after construction");
     }
     out

@@ -28,6 +28,9 @@ pub mod header;
 pub mod packet;
 pub mod varint;
 
+/// The shared byte buffer datagrams and frame payloads travel in,
+/// re-exported so the crates above reach it without an edge of their own.
+pub use bytes::Bytes;
 pub use coalesce::{classify_datagram, DatagramInfo, PacketSummary};
 pub use error::WireError;
 pub use frame::{AckFrame, AckRange, Frame};

@@ -134,67 +134,80 @@ impl PlainPacket {
         }
     }
 
-    /// Serializes the packet onto the end of `out` exactly once: header,
+    /// Serializes the packet at the front of `out` exactly once — header,
     /// frames, then the tag `seal` computes over the payload bytes just
     /// written (the frames as they sit in `out`, which is what the receiver
-    /// authenticates). Retry packets carry no payload or tag, so `seal` is
-    /// not called for them.
+    /// authenticates) — and returns the bytes written,
+    /// [`PlainPacket::encoded_len`]. Panics when `out` is shorter than
+    /// that. Retry packets carry no payload or tag, so `seal` is not called
+    /// for them.
     pub fn encode_sealed(
         &self,
-        out: &mut Vec<u8>,
+        out: &mut [u8],
         seal: impl FnOnce(&[u8]) -> [u8; AEAD_TAG_LEN],
-    ) -> Result<()> {
+    ) -> Result<usize> {
+        let room = out.len();
+        let mut cursor = &mut *out;
         let length = match self.header.ty {
-            PacketType::Retry => return self.header.encode(out, 0),
-            PacketType::OneRtt => 0,
+            PacketType::Retry | PacketType::OneRtt => 0,
             _ => 4 + self.payload_len() + AEAD_TAG_LEN,
         };
-        self.header.encode(out, length)?;
-        let payload_start = out.len();
-        for f in &self.frames {
-            f.encode(out);
+        self.header.encode(&mut cursor, length)?;
+        let payload_start = room - cursor.len();
+        if self.header.ty == PacketType::Retry {
+            return Ok(payload_start);
         }
-        let tag = seal(&out[payload_start..]);
-        out.extend_from_slice(&tag);
-        Ok(())
+        for f in &self.frames {
+            f.encode(&mut cursor);
+        }
+        let payload_end = room - cursor.len();
+        let tag = seal(&out[payload_start..payload_end]);
+        out[payload_end..payload_end + AEAD_TAG_LEN].copy_from_slice(&tag);
+        Ok(payload_end + AEAD_TAG_LEN)
     }
 
     /// Serializes the packet, appending `tag` after the payload.
     /// Retry packets carry no payload or tag.
     pub fn encode<B: BufMut>(&self, buf: &mut B, tag: &[u8; AEAD_TAG_LEN]) -> Result<()> {
-        let mut out = Vec::with_capacity(self.encoded_len());
+        let mut out = vec![0; self.encoded_len()];
         self.encode_sealed(&mut out, |_| *tag)?;
         buf.put_slice(&out);
         Ok(())
     }
 
-    /// Serializes into a fresh buffer.
+    /// Serializes into a fresh buffer: one allocation, written in place.
     pub fn to_bytes(&self, tag: &[u8; AEAD_TAG_LEN]) -> Bytes {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_sealed(&mut out, |_| *tag)
-            .expect("encode cannot fail after construction");
-        Bytes::from(out)
+        Bytes::build(self.encoded_len(), |out| {
+            self.encode_sealed(out, |_| *tag)
+                .expect("encode cannot fail after construction");
+        })
     }
 
     /// Decodes one packet from the front of `datagram`, returning the packet,
     /// its tag, and the number of bytes consumed. `short_dcid_len` is the
-    /// receiver's CID length for short headers.
+    /// receiver's CID length for short headers. Copies `datagram` once and
+    /// runs [`PlainPacket::decode_with_payload`] over the copy.
     pub fn decode(
         datagram: &[u8],
         short_dcid_len: usize,
     ) -> Result<(PlainPacket, [u8; AEAD_TAG_LEN], usize)> {
-        let (pkt, _, tag, consumed) = Self::decode_with_payload(datagram, short_dcid_len)?;
+        let datagram = Bytes::copy_from_slice(datagram);
+        let (pkt, _, tag, consumed) = Self::decode_with_payload(&datagram, short_dcid_len)?;
         Ok((pkt, tag, consumed))
     }
 
-    /// [`PlainPacket::decode`] that also hands back the payload slice of
-    /// `datagram` (the encoded frames, between packet number and tag) — the
-    /// wire bytes the tag authenticates. Empty for Retry packets.
+    /// Decodes one packet from the front of `datagram` without copying
+    /// any of it: CRYPTO, STREAM and NEW_TOKEN payloads come out as views
+    /// of `datagram`, and so does the second element, the packet's
+    /// payload (the encoded frames, between packet number and tag) — the
+    /// wire bytes the tag authenticates; empty for Retry packets. A view
+    /// keeps the whole datagram alive, so nothing long-lived should hold
+    /// one. Also returns the tag and the number of bytes consumed.
     pub fn decode_with_payload(
-        datagram: &[u8],
+        datagram: &Bytes,
         short_dcid_len: usize,
-    ) -> Result<(PlainPacket, &[u8], [u8; AEAD_TAG_LEN], usize)> {
-        let mut buf = datagram;
+    ) -> Result<(PlainPacket, Bytes, [u8; AEAD_TAG_LEN], usize)> {
+        let mut buf = datagram.clone();
         let (header, body) = Header::decode(&mut buf, short_dcid_len)?;
         let consumed_header = datagram.len() - buf.len();
         let body_len = match body {
@@ -207,7 +220,7 @@ impl PlainPacket {
                     header,
                     frames: Vec::new(),
                 },
-                &[],
+                Bytes::new(),
                 [0; AEAD_TAG_LEN],
                 consumed_header,
             ));
@@ -215,11 +228,11 @@ impl PlainPacket {
         if body_len < AEAD_TAG_LEN || buf.len() < body_len {
             return Err(WireError::BadLength);
         }
-        let payload = &buf[..body_len - AEAD_TAG_LEN];
+        let payload = buf.split_to(body_len - AEAD_TAG_LEN);
         let mut tag = [0u8; AEAD_TAG_LEN];
-        tag.copy_from_slice(&buf[body_len - AEAD_TAG_LEN..body_len]);
+        tag.copy_from_slice(&buf[..AEAD_TAG_LEN]);
         let mut frames = Vec::new();
-        let mut p = payload;
+        let mut p = payload.clone();
         while !p.is_empty() {
             let f = Frame::decode(&mut p)?;
             if !f.permitted_in(header.ty) {

@@ -1,6 +1,6 @@
 //! Property-based tests for the QUIC wire format.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use rq_wire::{
@@ -105,6 +105,45 @@ proptest! {
         let _ = Frame::decode(&mut slice);
     }
 
+    /// Byte soup decodes to the same `Result` over a slice cursor (which
+    /// copies payloads out) and over a `Bytes` cursor (which hands out
+    /// views): same frames, same errors, same bytes left behind.
+    #[test]
+    fn slice_and_bytes_cursors_decode_alike(data in pvec(any::<u8>(), 0..300)) {
+        assert_decode_parity(&data);
+    }
+
+    /// The same for input that is almost a packet: a well-formed datagram
+    /// cut at every length, so every length field points past the end at
+    /// some cut and has to fail closed on both cursors.
+    #[test]
+    fn truncated_packets_decode_alike(
+        crypto_len in 1usize..400,
+        stream_len in 1usize..400,
+        pn in 0u64..1_000_000,
+    ) {
+        let (dcid, scid) = (ConnectionId::from_u64(1), ConnectionId::from_u64(2));
+        let hs = PlainPacket::new(
+            Header::handshake(dcid, scid, pn),
+            vec![
+                Frame::Ack(AckFrame::from_sorted_desc(&[9, 8, 3], 80)),
+                Frame::Crypto { offset: 7, data: Bytes::from(vec![1u8; crypto_len]) },
+            ],
+        ).unwrap();
+        let app = PlainPacket::new(
+            Header::one_rtt(dcid, pn),
+            vec![
+                Frame::NewToken { token: Bytes::from(vec![4u8; 20]) },
+                Frame::Stream { id: 4, offset: 1 << 20, data: Bytes::from(vec![2u8; stream_len]), fin: true },
+            ],
+        ).unwrap();
+        let tag = [5u8; 16];
+        let dgram = coalesce(&[(hs, tag), (app, tag)]);
+        for cut in 0..=dgram.len() {
+            assert_decode_parity(&dgram[..cut]);
+        }
+    }
+
     /// Packet encoded_len always equals the serialized size.
     #[test]
     fn packet_encoded_len_exact(
@@ -138,15 +177,55 @@ proptest! {
             tag
         };
         let mut macced = Vec::new();
-        let mut sealed = vec![0xEE; 3]; // appends after existing content
-        pkt.encode_sealed(&mut sealed, |payload| {
+        let mut sealed = vec![0xEE; 3 + pkt.encoded_len() + 2]; // writes where it is pointed
+        let written = pkt.encode_sealed(&mut sealed[3..], |payload| {
             macced = payload.to_vec();
             tag_of(payload)
         }).unwrap();
-        let (_, payload, tag, _) = PlainPacket::decode_with_payload(&sealed[3..], 8).unwrap();
-        prop_assert_eq!(payload, &macced[..]);
-        prop_assert_eq!(tag, tag_of(payload));
-        prop_assert_eq!(&sealed[3..], &pkt.to_bytes(&tag_of(payload))[..]);
+        prop_assert_eq!(written, pkt.encoded_len());
+        prop_assert_eq!((&sealed[..3], &sealed[3 + written..]), (&[0xEE; 3][..], &[0xEE; 2][..]));
+        let wire = Bytes::copy_from_slice(&sealed[3..3 + written]);
+        let (_, payload, tag, _) = PlainPacket::decode_with_payload(&wire, 8).unwrap();
+        prop_assert_eq!(&payload, &macced);
+        prop_assert_eq!(tag, tag_of(&payload));
+        prop_assert_eq!(&wire, &pkt.to_bytes(&tag_of(&payload)));
+    }
+}
+
+/// Decodes `data` as a header, as a run of frames and as a datagram of
+/// packets, once over `&[u8]` and once over `Bytes`, and holds the two
+/// equal at every step.
+fn assert_decode_parity(data: &[u8]) {
+    let shared = Bytes::copy_from_slice(data);
+
+    let (mut slice, mut bytes) = (data, shared.clone());
+    assert_eq!(Header::decode(&mut slice, 8), Header::decode(&mut bytes, 8));
+    assert_eq!(slice, &bytes[..]);
+
+    let (mut slice, mut bytes) = (data, shared.clone());
+    loop {
+        let (a, b) = (Frame::decode(&mut slice), Frame::decode(&mut bytes));
+        assert_eq!(a, b);
+        assert_eq!(slice, &bytes[..]);
+        if a.is_err() || slice.is_empty() {
+            break;
+        }
+    }
+
+    let (mut slice, mut bytes) = (data, shared);
+    while !slice.is_empty() {
+        let a = PlainPacket::decode(slice, 8);
+        let b = PlainPacket::decode_with_payload(&bytes, 8);
+        assert_eq!(a, b.clone().map(|(pkt, _, tag, used)| (pkt, tag, used)));
+        let Ok((_, payload, _, used)) = b else {
+            break;
+        };
+        // The payload view is the wire bytes between packet number and tag.
+        if !payload.is_empty() {
+            assert_eq!(payload, slice[used - 16 - payload.len()..used - 16]);
+        }
+        slice = &slice[used..];
+        bytes.advance(used);
     }
 }
 

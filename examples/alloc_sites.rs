@@ -10,11 +10,13 @@
 //! as in `benchmark/src/alloc.rs`, so two commits compare line by line.
 //!
 //! Run with:
-//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load]`
+//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load|bulk]`
 //! (defaults: `quic-go iack 8 3`; release because `[profile.release]`
 //! keeps debug info, so inlined frames resolve to their own lines).
 //! Op `i` is `Scenario::base(client, mode, H1)` at seed `i`; with `load`
-//! the ops are the arrivals of one `run_server_load` instead.
+//! the ops are the arrivals of one `run_server_load` instead, and with
+//! `bulk` each op is a 2 × 1 MiB H3/CUBIC download, where the data path
+//! does the asking.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -24,6 +26,7 @@ use std::io::Write as _;
 use std::sync::Mutex;
 
 use reacked_quicer::prelude::*;
+use reacked_quicer::recovery::CcAlgorithm;
 use reacked_quicer::testbed::{run_server_load, ArrivalProcess, ServerLoadSpec};
 
 thread_local! {
@@ -130,7 +133,7 @@ fn main() {
     let arg = |i: usize, default: &str| args.get(i).map_or(default, String::as_str).to_string();
     let usage = |what: &str| -> ! {
         eprintln!(
-            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load]"
+            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load|bulk]"
         );
         std::process::exit(2);
     };
@@ -148,18 +151,26 @@ fn main() {
     let depth: usize = arg(3, "3")
         .parse()
         .unwrap_or_else(|_| usage("depth is a count"));
-    let load = match args.get(4).map(String::as_str) {
-        None => false,
-        Some("load") => true,
-        Some(_) => usage("the fifth argument can only be `load`"),
-    };
+    let shape = args.get(4).map(String::as_str);
+    if !matches!(shape, None | Some("load" | "bulk")) {
+        usage("the fifth argument can only be `load` or `bulk`");
+    }
     if ops == 0 || depth == 0 {
         usage("ops and depth start at 1");
     }
     DEPTH.set(depth);
 
-    let base = Scenario::base(client.clone(), mode, HttpVersion::H1);
-    if load {
+    let base = if shape == Some("bulk") {
+        Scenario {
+            streams: 2,
+            file_size: 1024 * 1024,
+            cc: CcAlgorithm::Cubic,
+            ..Scenario::base(client.clone(), mode, HttpVersion::H3)
+        }
+    } else {
+        Scenario::base(client.clone(), mode, HttpVersion::H1)
+    };
+    if shape == Some("load") {
         let spec = ServerLoadSpec::new(
             base,
             ops as usize,
@@ -194,10 +205,10 @@ fn main() {
          {:>10} {:>10}  site (innermost frame first)\n",
         client.name,
         arg(1, "iack"),
-        if load {
-            "run_server_load"
-        } else {
-            "run_scenario"
+        match shape {
+            Some("load") => "run_server_load",
+            Some(_) => "run_scenario, 2 x 1 MiB H3 download",
+            None => "run_scenario",
         },
         per_op(calls),
         per_op(bytes) / 1024.0,
