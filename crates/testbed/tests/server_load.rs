@@ -10,7 +10,7 @@ use rq_quic::{OverloadPolicy, ServerAckMode};
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
     run_scenario, run_server_load, run_server_load_sharded, ArrivalProcess, ClassMix, ConnFate,
-    HandshakeClass, ReconnectPolicy, Scenario, ServerLoadSpec, SweepRunner,
+    HandshakeClass, LossSpec, ReconnectPolicy, Scenario, ServerLoadSpec, SweepRunner,
 };
 
 const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
@@ -129,29 +129,71 @@ fn flash_crowd_sheds_beyond_the_limit() {
 
 // ---- N = 1 reproduces the legacy single-pair runner -------------------
 
+/// Every `quic/*` counter of a run's metrics snapshot: both endpoints'
+/// `ConnStats`, by name.
+fn quic_counters(metrics: &rq_obs::Registry) -> Vec<(&str, u64)> {
+    let counter = |(name, metric): (_, &rq_obs::Metric)| match metric {
+        rq_obs::Metric::Counter(v) => Some((name, *v)),
+        _ => None,
+    };
+    let quic = metrics.iter().filter(|(name, _)| name.starts_with("quic/"));
+    quic.filter_map(counter).collect()
+}
+
+/// The aggregate N = 1 run of `sc` against its full-detail run. The
+/// aggregate run captures no qlog and the full run does; the full run
+/// stops the simulation at the last response byte and the aggregate one
+/// runs on until the connection is retired. So: the same outcome, and
+/// every `quic/*` counter at or past the full run's — the aggregate run
+/// is the full one plus a tail (the client's last ACKs reaching the
+/// server), which on a clean path touches the application space's packet
+/// counts and nothing else.
+fn assert_aggregate_matches_full(sc: Scenario, what: &str) {
+    let clean = sc.loss == LossSpec::None;
+    let legacy = run_scenario(&sc);
+    let load = run_server_load(&ServerLoadSpec::single(sc));
+    assert_eq!(load.outcomes.len(), 1);
+    let o = &load.outcomes[0];
+    assert_eq!(o.fate == ConnFate::Completed, legacy.completed, "{what}");
+    assert_eq!(o.ttfb_ms, legacy.ttfb_ms, "{what}");
+    assert_eq!(o.handshake_ms, legacy.handshake_ms, "{what}");
+    assert_eq!(o.response_ms, legacy.response_ms, "{what}");
+    assert_eq!(o.resumed, legacy.resumed, "{what}");
+    assert_eq!(o.early_data_accepted, legacy.early_data_accepted, "{what}");
+    assert_eq!(o.migrated, legacy.migrated, "{what}");
+    let (aggregate, full) = (
+        quic_counters(&load.report.metrics),
+        quic_counters(&legacy.metrics),
+    );
+    assert_eq!(aggregate.len(), 22, "11 counters per endpoint");
+    for ((name, got), (full_name, expected)) in aggregate.into_iter().zip(full) {
+        assert_eq!(name, full_name);
+        let handshake_era = name.ends_with("/initial") || name.ends_with("/handshake");
+        if clean && (handshake_era || !name.contains("/packets_")) {
+            assert_eq!(got, expected, "{what}: {name}");
+        } else {
+            assert!(got >= expected, "{what}: {name} {got} < {expected}");
+        }
+    }
+}
+
 #[test]
 fn single_connection_matches_run_scenario() {
-    for (mode, class) in [
-        (WFC, HandshakeClass::Full),
-        (IACK, HandshakeClass::Full),
-        (WFC, HandshakeClass::Resumed),
-        (IACK, HandshakeClass::ZeroRtt),
+    let lossy = ImpairmentSpec::none().with_iid_loss(0.05);
+    for (mode, class, loss) in [
+        (WFC, HandshakeClass::Full, None),
+        (IACK, HandshakeClass::Full, None),
+        (WFC, HandshakeClass::Resumed, None),
+        (IACK, HandshakeClass::ZeroRtt, None),
+        (IACK, HandshakeClass::Full, Some(lossy)),
+        (WFC, HandshakeClass::ZeroRtt, Some(lossy)),
     ] {
         let mut sc = base(mode, 42);
         sc.handshake_class = class;
-        let legacy = run_scenario(&sc);
-        let load = run_server_load(&ServerLoadSpec::single(sc));
-        assert_eq!(load.outcomes.len(), 1);
-        let o = &load.outcomes[0];
-        assert_eq!(o.fate, ConnFate::Completed, "{mode:?}/{class:?}");
-        assert_eq!(o.ttfb_ms, legacy.ttfb_ms, "{mode:?}/{class:?}");
-        assert_eq!(o.handshake_ms, legacy.handshake_ms, "{mode:?}/{class:?}");
-        assert_eq!(o.response_ms, legacy.response_ms, "{mode:?}/{class:?}");
-        assert_eq!(o.resumed, legacy.resumed, "{mode:?}/{class:?}");
-        assert_eq!(
-            o.early_data_accepted, legacy.early_data_accepted,
-            "{mode:?}/{class:?}"
-        );
+        if let Some(spec) = loss {
+            sc.loss = LossSpec::Random(spec);
+        }
+        assert_aggregate_matches_full(sc, &format!("{mode:?}/{class:?}/{loss:?}"));
     }
 }
 
@@ -457,14 +499,11 @@ proptest! {
     /// The N = 1 server-load run matches the legacy `run_scenario`
     /// observables for any seed.
     #[test]
-    fn n1_matches_legacy_for_any_seed(seed in 1u64..10_000) {
-        let sc = base(WFC, seed);
-        let legacy = run_scenario(&sc);
-        let load = run_server_load(&ServerLoadSpec::single(sc));
-        let o = &load.outcomes[0];
-        prop_assert_eq!(o.ttfb_ms, legacy.ttfb_ms);
-        prop_assert_eq!(o.handshake_ms, legacy.handshake_ms);
-        prop_assert_eq!(o.response_ms, legacy.response_ms);
-        prop_assert_eq!(o.fate == ConnFate::Completed, legacy.completed);
+    fn n1_matches_legacy_for_any_seed(seed in 1u64..10_000, lossy in any::<bool>()) {
+        let mut sc = base(WFC, seed);
+        if lossy {
+            sc.loss = LossSpec::Random(ImpairmentSpec::none().with_iid_loss(0.05));
+        }
+        assert_aggregate_matches_full(sc, "any seed");
     }
 }
