@@ -1,5 +1,7 @@
 //! HTTP/1.1 over QUIC streams.
 
+use bytes::{BufMut, Bytes};
+
 /// A parsed (or to-be-serialized) HTTP/1.1 GET request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct H1Request {
@@ -78,14 +80,21 @@ impl H1Response {
         .into_bytes()
     }
 
-    /// Full response: headers followed by a deterministic body, written
-    /// into one buffer of the response's size.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Full response: headers followed by a deterministic body, built
+    /// in place in shared storage of the response's size — ready to be
+    /// handed to a stream, and to the next one as a clone.
+    pub fn to_bytes(&self) -> Bytes {
         let header = self.header_bytes();
-        let mut out = Vec::with_capacity(header.len() + self.body_len);
-        out.extend_from_slice(&header);
-        append_body(&mut out, self.body_len);
-        out
+        Bytes::build(header.len() + self.body_len, |mut out| {
+            out.put_slice(&header);
+            fill_body(out);
+        })
+    }
+
+    /// [`H1Response::to_bytes`] for a caller that wants a `Vec`: copies
+    /// the response once.
+    pub fn encode(&self) -> Vec<u8> {
+        self.to_bytes().to_vec()
     }
 
     /// Parses the status line and Content-Length from a response prefix.
@@ -112,18 +121,18 @@ impl H1Response {
 /// Deterministic pseudo-random body content of `len` bytes (stands in for
 /// the paper's "randomly generated files").
 pub fn body_bytes(len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    append_body(&mut out, len);
+    let mut out = vec![0; len];
+    fill_body(&mut out);
     out
 }
 
-/// Appends the `len` bytes of [`body_bytes`] to `out`, so an encoder
-/// generates the body where the response is being built.
-pub fn append_body(out: &mut Vec<u8>, len: usize) {
+/// Writes the `out.len()` bytes of [`body_bytes`] over `out`, so an
+/// encoder generates the body where the response is being built.
+pub fn fill_body(out: &mut [u8]) {
     let mut x: u32 = 0x9E37_79B9;
-    for _ in 0..len {
+    for byte in out {
         x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-        out.push((x >> 24) as u8);
+        *byte = (x >> 24) as u8;
     }
 }
 
@@ -162,6 +171,7 @@ mod tests {
             let mut expected = resp.header_bytes();
             expected.extend(body_bytes(len));
             assert_eq!(resp.encode(), expected, "{len}");
+            assert_eq!(resp.to_bytes(), expected, "{len}");
         }
     }
 

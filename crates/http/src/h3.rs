@@ -157,18 +157,19 @@ pub fn request_bytes(path: &str, host: &str) -> Vec<u8> {
 }
 
 /// Builds an HTTP/3 response: HEADERS then one DATA frame of `body_len`
-/// deterministic bytes, the body generated in place in the one buffer
-/// that is returned.
-pub fn response_bytes(body_len: usize) -> Vec<u8> {
+/// deterministic bytes, headers, frame header and body written in place
+/// in the shared storage that is returned — ready to be handed to a
+/// stream, and to the next one as a clone.
+pub fn response_bytes(body_len: usize) -> Bytes {
     let headers = H3Frame::Headers {
         block: format!(":status: 200\ncontent-length: {body_len}"),
     };
     let len = headers.encoded_len() + frame_header_len(DATA_TYPE, body_len) + body_len;
-    let mut out = Vec::with_capacity(len);
-    headers.encode(&mut out);
-    put_frame_header(&mut out, DATA_TYPE, body_len);
-    crate::h1::append_body(&mut out, body_len);
-    out
+    Bytes::build(len, |mut out| {
+        headers.encode(&mut out);
+        put_frame_header(&mut out, DATA_TYPE, body_len);
+        crate::h1::fill_body(out);
+    })
 }
 
 /// Extracts the `:path` pseudo-header from a request stream's bytes.
@@ -259,8 +260,7 @@ mod tests {
 
     #[test]
     fn response_carries_body() {
-        let resp = response_bytes(64);
-        let mut buf = Bytes::copy_from_slice(&resp);
+        let mut buf = response_bytes(64);
         let headers = H3Frame::decode(&mut buf).unwrap();
         assert!(matches!(headers, H3Frame::Headers { .. }));
         match H3Frame::decode(&mut buf).unwrap() {

@@ -222,6 +222,8 @@ pub struct EventLog {
     pub vantage: String,
     /// Events in record order.
     pub events: Vec<QlogEvent>,
+    /// Nobody will read this log: `push` records nothing.
+    off: bool,
 }
 
 impl EventLog {
@@ -230,15 +232,31 @@ impl EventLog {
         EventLog {
             vantage: vantage.into(),
             events: Vec::new(),
+            off: false,
         }
+    }
+
+    /// The log with capture switched on or off; an off log stays empty
+    /// whatever is pushed.
+    pub fn capturing(mut self, on: bool) -> Self {
+        self.off = !on;
+        self
     }
 
     /// Records an event at `at`.
     pub fn push(&mut self, at: SimTime, data: EventData) {
-        self.events.push(QlogEvent {
-            time_ms: at.as_millis_f64(),
-            data,
-        });
+        self.push_with(at, || data);
+    }
+
+    /// Records the event `data` builds at `at`, and does not build it
+    /// when capture is off — for payloads that cost an allocation.
+    pub fn push_with(&mut self, at: SimTime, data: impl FnOnce() -> EventData) {
+        if !self.off {
+            self.events.push(QlogEvent {
+                time_ms: at.as_millis_f64(),
+                data: data(),
+            });
+        }
     }
 
     /// All metrics updates in time order.
@@ -472,6 +490,19 @@ mod tests {
             .first(|d| matches!(d, EventData::HandshakeComplete))
             .is_some());
         assert_eq!(log.count(|d| matches!(d, EventData::PacketLost { .. })), 0);
+    }
+
+    #[test]
+    fn an_off_log_stays_empty_and_builds_nothing() {
+        let mut log = EventLog::new("server:test").capturing(false);
+        log.push(t(1), EventData::HandshakeComplete);
+        log.push_with(t(2), || unreachable!("an off log asks for no payload"));
+        assert!(log.events.is_empty());
+        assert_eq!(log.vantage, "server:test");
+        // Default and `new` capture.
+        let mut log = EventLog::default().capturing(true);
+        log.push_with(t(3), || EventData::HandshakeConfirmed);
+        assert_eq!(log.events.len(), 1);
     }
 
     #[test]

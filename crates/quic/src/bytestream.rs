@@ -13,11 +13,13 @@ use bytes::{BufMut, Bytes};
 /// of one CRYPTO or STREAM frame.
 pub type Run = (u64, Bytes);
 
-/// Outgoing half: an append-only queue of written bytes and a cursor
-/// through it. `write` copies its input once, into shared chunks; `take`
-/// hands out views into them, so it costs nothing in what is still
-/// queued, frames in flight hold no second copy, and a chunk is freed as
-/// soon as the frames cut from it are acknowledged.
+/// Outgoing half: an append-only queue of written buffers and a cursor
+/// through it. `write_owned` adopts its input as one chunk and `write`
+/// copies a slice into one; `take` hands out views into them, so it costs
+/// nothing in what is still queued, frames in flight hold no second copy,
+/// and a written buffer is freed once the frames cut from it are
+/// acknowledged — or never was this stream's alone, when the writer kept
+/// a clone to hand the same bytes to the next stream.
 #[derive(Debug, Default)]
 pub struct SendBuf {
     /// Written and not yet taken, oldest first; the front chunk is cut
@@ -29,16 +31,20 @@ pub struct SendBuf {
     offset: u64,
 }
 
-/// Largest chunk `write` stores: what a stream that is mostly sent and
-/// acknowledged can still pin in memory through its last frames.
-const CHUNK: usize = 64 * 1024;
-
 impl SendBuf {
-    /// Appends `data` behind everything already written.
+    /// [`SendBuf::write_owned`] for a caller that holds a slice: copies
+    /// `data` once.
     pub fn write(&mut self, data: &[u8]) {
-        self.chunks
-            .extend(data.chunks(CHUNK).map(Bytes::copy_from_slice));
-        self.len += data.len();
+        self.write_owned(Bytes::copy_from_slice(data));
+    }
+
+    /// Appends `data` behind everything already written, as it is: the
+    /// queue holds the caller's storage, not a copy of it.
+    pub fn write_owned(&mut self, data: Bytes) {
+        if !data.is_empty() {
+            self.len += data.len();
+            self.chunks.push_back(data);
+        }
     }
 
     /// Bytes written and not yet taken.
@@ -57,8 +63,8 @@ impl SendBuf {
     }
 
     /// Takes the next `min(len, max)` bytes as one run;
-    /// `None` when that is nothing. Chunk boundaries do not show: a run
-    /// that spans two is gathered into one.
+    /// `None` when that is nothing. The seams between writes do not show:
+    /// a run that spans two is gathered into one.
     pub fn take(&mut self, max: usize) -> Option<Run> {
         let n = self.len.min(max);
         if n == 0 {
@@ -172,13 +178,15 @@ mod tests {
         b.write(b"ij");
         assert_eq!((b.len(), b.offset()), (2, 8));
         assert_eq!(b.take(9), Some((8, Bytes::from_static(b"ij"))));
-        // One write larger than a chunk still comes out in `max`-sized runs.
-        let big: Vec<u8> = (0..2 * CHUNK + 7).map(|i| (i % 251) as u8).collect();
-        b.write(&big);
+        // One large write comes out in `max`-sized runs, each a view of it.
+        let big: Vec<u8> = (0..128 * 1024 + 7).map(|i| (i % 251) as u8).collect();
+        let owned = Bytes::from(big.clone());
+        b.write_owned(owned.clone());
         let mut out = Vec::new();
         while let Some((offset, run)) = b.take(1150) {
             assert_eq!(offset, 10 + out.len() as u64);
             assert!(run.len() == 1150 || b.is_empty());
+            assert_eq!(run.as_ptr(), owned[out.len()..].as_ptr());
             out.extend_from_slice(&run);
         }
         assert_eq!(out, big);

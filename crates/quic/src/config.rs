@@ -171,6 +171,10 @@ pub struct EndpointConfig {
     /// after the handshake completes. `None` (the default) emits
     /// nothing, keeping every legacy trace byte-identical.
     pub metrics_sample_every: Option<SimDuration>,
+    /// Capture the connection's qlog. `true` (the default) everywhere a
+    /// log is read; a driver that drops its connections' logs unread
+    /// switches it off, and nothing but the log differs.
+    pub capture_qlog: bool,
     /// Label for logs/plots ("quic-go", "neqo", ...).
     pub name: &'static str,
 }
@@ -207,6 +211,7 @@ impl EndpointConfig {
             initial_max_stream_data: 256 * 1024,
             cid_pool: 0,
             metrics_sample_every: None,
+            capture_qlog: true,
             name: "rfc-default",
         }
     }

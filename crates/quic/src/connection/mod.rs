@@ -12,6 +12,10 @@
 //!   views of it. [`Connection::handle_datagram`] is the same for a
 //!   caller that holds a `&[u8]`: it copies the slice once into a
 //!   `Bytes` and runs the same code;
+//! * [`Connection::send_stream_data_owned`] — queue application bytes,
+//!   owned: the stream adopts the `Bytes` and its STREAM frames are views
+//!   of it. [`Connection::send_stream_data`] is the same for a caller
+//!   that holds a `&[u8]`, copied once;
 //! * [`Connection::poll_transmit`] — drain outgoing UDP payloads, each
 //!   the one allocation its packets were encoded and sealed into;
 //! * [`Connection::poll_timeout`] / [`Connection::handle_timeout`] — timer
@@ -429,7 +433,7 @@ impl Connection {
             ready_datagrams: VecDeque::new(),
             pending_packets: Vec::new(),
             events: VecDeque::new(),
-            log: EventLog::new(format!("{role_name}:{}", cfg.name)),
+            log: EventLog::new(format!("{role_name}:{}", cfg.name)).capturing(cfg.capture_qlog),
             handshake_complete: false,
             handshake_confirmed: false,
             handshake_done_pending: false,
@@ -721,9 +725,18 @@ impl Connection {
     // Application data API
     // ------------------------------------------------------------------
 
-    /// Opens/extends a send stream with `data` (+FIN).
+    /// [`Connection::send_stream_data_owned`] for a caller that holds a
+    /// slice: copies `data` once.
     pub fn send_stream_data(&mut self, stream_id: u64, data: &[u8], fin: bool) {
-        self.streams.send_stream(stream_id).write(data, fin);
+        self.send_stream_data_owned(stream_id, Bytes::copy_from_slice(data), fin);
+    }
+
+    /// Opens/extends a send stream with `data` (+FIN), owned: the stream
+    /// queues the `Bytes` itself and every STREAM frame it sends is a
+    /// view of it, so a caller that keeps a clone serves the same
+    /// storage to any number of streams and connections.
+    pub fn send_stream_data_owned(&mut self, stream_id: u64, data: Bytes, fin: bool) {
+        self.streams.send_stream(stream_id).write_owned(data, fin);
     }
 }
 

@@ -194,16 +194,13 @@ impl Connection {
             return; // duplicate
         }
         self.stats.packets_opened[idx] += 1;
-        self.log.push(
-            now,
-            EventData::PacketReceived {
-                space: space_name(space),
-                pn: pkt.header.pn,
-                size,
-                ack_eliciting,
-                frames: summaries(&pkt.frames),
-            },
-        );
+        self.log.push_with(now, || EventData::PacketReceived {
+            space: space_name(space),
+            pn: pkt.header.pn,
+            size,
+            ack_eliciting,
+            frames: summaries(&pkt.frames),
+        });
         // Arm the delayed-ACK deadline. Application space: max_ack_delay.
         // Handshake spaces at the *client*: a short batching window so the
         // first server flight is acknowledged as part of the second client

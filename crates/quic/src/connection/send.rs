@@ -283,7 +283,7 @@ impl Connection {
             return;
         }
         let mut spent = 0;
-        for (&id, ss) in self.streams.send.iter_mut().filter(|(_, s)| s.want_send()) {
+        for (id, ss) in self.streams.send.iter_mut().filter(|(_, s)| s.want_send()) {
             let room = room(spent);
             if room == 0 {
                 break;
@@ -390,16 +390,13 @@ impl Connection {
             self.last_eliciting_send = Some(now);
         }
         self.stats.packets_sealed[idx] += 1;
-        self.log.push(
-            now,
-            EventData::PacketSent {
-                space: space_name(space),
-                pn: pkt.header.pn,
-                size,
-                ack_eliciting,
-                frames: summaries(&pkt.frames),
-            },
-        );
+        self.log.push_with(now, || EventData::PacketSent {
+            space: space_name(space),
+            pn: pkt.header.pn,
+            size,
+            ack_eliciting,
+            frames: summaries(&pkt.frames),
+        });
         let sent = SentPacket {
             pn: pkt.header.pn,
             time_sent: now,

@@ -455,7 +455,7 @@ fn stream_data_flows_after_handshake() {
     let delivered = s
         .streams
         .recv
-        .get(&stream_id::CLIENT_BIDI_0)
+        .get(stream_id::CLIENT_BIDI_0)
         .map(|r| r.delivered)
         .unwrap_or(0);
     assert!(
@@ -771,7 +771,7 @@ fn rejected_early_data_is_retransmitted_as_one_rtt() {
     let delivered = s
         .streams
         .recv
-        .get(&stream_id::CLIENT_BIDI_0)
+        .get(stream_id::CLIENT_BIDI_0)
         .map(|r| r.delivered)
         .unwrap_or(0);
     assert_eq!(delivered as usize, b"GET / HTTP/1.1\r\n\r\n".len());

@@ -2,11 +2,10 @@
 //! receive-side ACK bookkeeping, crypto-stream assembly, sent-packet
 //! tracking and what is retransmitted when a sent packet is lost.
 
-use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
 use bytes::Bytes;
-use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker};
+use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, SeqMap, FLIGHT};
 use rq_sim::SimTime;
 use rq_tls::LevelKeys;
 use rq_wire::{AckFrame, Frame, PacketType};
@@ -164,7 +163,7 @@ pub struct Space {
     sent: SentTracker,
     /// The retransmittable frames of each tracked packet that has any,
     /// by packet number, in the order they are resent.
-    carried: BTreeMap<u64, Vec<Frame>>,
+    carried: SeqMap<Vec<Frame>, FLIGHT>,
     /// Frames queued for retransmission, oldest first.
     requeued: Vec<Frame>,
     /// Space has been discarded (keys dropped).
@@ -229,7 +228,7 @@ impl Space {
             .sent
             .on_ack_ranges(ack.acked_ranges(), ack.largest, now, rtt);
         for p in &outcome.newly_acked {
-            self.carried.remove(&p.pn);
+            self.carried.remove(p.pn);
         }
         self.requeue_carried(&outcome.lost);
         outcome
@@ -247,7 +246,7 @@ impl Space {
     fn requeue_carried(&mut self, packets: &[SentPacket]) {
         for p in packets {
             self.requeued
-                .extend(self.carried.remove(&p.pn).unwrap_or_default());
+                .extend(self.carried.remove(p.pn).unwrap_or_default());
         }
     }
 
@@ -262,7 +261,7 @@ impl Space {
     /// nothing retransmittable.
     pub fn requeue_oldest(&mut self) -> bool {
         let oldest = self.sent.oldest_ack_eliciting();
-        let Some(frames) = oldest.and_then(|p| self.carried.get(&p.pn)) else {
+        let Some(frames) = oldest.and_then(|p| self.carried.get(p.pn)) else {
             return false;
         };
         self.requeued.extend(frames.iter().cloned());
@@ -277,13 +276,16 @@ impl Space {
         if self.zero_rtt_pns.is_empty() {
             return 0;
         }
-        let early = self.sent.drain();
-        debug_assert!(
-            early.iter().all(|p| self.zero_rtt_pns.contains(&p.pn)),
-            "only 0-RTT packets live in the app space before 1-RTT keys"
-        );
-        self.requeue_carried(&early);
-        early.iter().filter(|p| p.in_flight).map(|p| p.size).sum()
+        let mut freed = 0;
+        for p in self.sent.drain() {
+            debug_assert!(
+                self.zero_rtt_pns.contains(&p.pn),
+                "only 0-RTT packets live in the app space before 1-RTT keys"
+            );
+            self.requeue_carried(std::slice::from_ref(&p));
+            freed += if p.in_flight { p.size } else { 0 };
+        }
+        freed
     }
 
     /// Discards the space (RFC 9002 §6.2.2): drops the keys and stops

@@ -5,9 +5,8 @@
 //! request streams) and server-initiated unidirectional streams (the HTTP/3
 //! control stream whose SETTINGS frame defines the paper's HTTP/3 TTFB).
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
+use rq_recovery::SeqMap;
 
 use crate::bytestream::{Reassembler, SendBuf};
 
@@ -43,9 +42,16 @@ pub struct SendStream {
 }
 
 impl SendStream {
-    /// Queues data; `fin` marks the end of the stream.
+    /// [`SendStream::write_owned`] for a caller that holds a slice:
+    /// copies `data` once.
     pub fn write(&mut self, data: &[u8], fin: bool) {
-        self.buf.write(data);
+        self.write_owned(Bytes::copy_from_slice(data), fin);
+    }
+
+    /// Queues `data` as it is — the frames cut from it are views of the
+    /// caller's storage; `fin` marks the end of the stream.
+    pub fn write_owned(&mut self, data: Bytes, fin: bool) {
+        self.buf.write_owned(data);
         if fin {
             self.fin_queued = true;
         }
@@ -122,9 +128,9 @@ impl RecvStream {
 #[derive(Debug)]
 pub struct StreamSet {
     /// Send halves by stream ID.
-    pub send: BTreeMap<u64, SendStream>,
+    pub send: SeqMap<SendStream>,
     /// Receive halves by stream ID.
-    pub recv: BTreeMap<u64, RecvStream>,
+    pub recv: SeqMap<RecvStream>,
     /// Peer's connection-level limit on our sending.
     pub peer_max_data: u64,
     /// Our advertised limit on the peer's sending.
@@ -143,8 +149,8 @@ impl StreamSet {
     /// Creates a stream set with symmetric initial limits.
     pub fn new(initial_max_data: u64, initial_max_stream_data: u64) -> Self {
         StreamSet {
-            send: BTreeMap::new(),
-            recv: BTreeMap::new(),
+            send: SeqMap::new(),
+            recv: SeqMap::new(),
             peer_max_data: initial_max_data,
             local_max_data: initial_max_data,
             data_sent: 0,
@@ -157,7 +163,7 @@ impl StreamSet {
     /// Opens (or returns) the send half of `id`.
     pub fn send_stream(&mut self, stream_id: u64) -> &mut SendStream {
         let credit = self.default_stream_credit;
-        self.send.entry(stream_id).or_insert_with(|| SendStream {
+        self.send.get_or_insert_with(stream_id, || SendStream {
             max_stream_data: credit,
             ..SendStream::default()
         })
@@ -165,7 +171,7 @@ impl StreamSet {
 
     /// Returns the receive half of `id`, creating it on first use.
     pub fn recv_stream(&mut self, stream_id: u64) -> &mut RecvStream {
-        self.recv.entry(stream_id).or_default()
+        self.recv.get_or_insert_with(stream_id, RecvStream::default)
     }
 
     /// Connection-level send budget remaining.
@@ -199,7 +205,7 @@ impl StreamSet {
     pub fn stream_credit_updates(&mut self) -> Vec<(u64, u64)> {
         let default = self.default_stream_credit;
         let mut out = Vec::new();
-        for (&sid, rs) in self.recv.iter_mut() {
+        for (sid, rs) in self.recv.iter_mut() {
             if rs.fin_at.is_some() {
                 continue; // finished streams need no more credit
             }

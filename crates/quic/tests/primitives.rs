@@ -1,9 +1,11 @@
 //! Model-based property tests, one per primitive: the byte-stream
-//! reassembler under `CryptoStream` and `RecvStream`, and packet numbers
-//! as ranges from `RecvState` through `AckFrame` into `SentTracker`.
+//! reassembler under `CryptoStream` and `RecvStream`, the send buffer
+//! under slice and owned writes, and packet numbers as ranges from
+//! `RecvState` through `AckFrame` into `SentTracker`.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use rq_quic::bytestream::SendBuf;
 use rq_quic::space::{CryptoStream, RecvState};
 use rq_quic::streams::RecvStream;
 use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, PACKET_THRESHOLD};
@@ -85,6 +87,39 @@ proptest! {
             prop_assert_eq!(stream.is_complete(), ended && delivered.len() == body_len);
         }
         prop_assert_eq!(delivered, body);
+    }
+
+    /// Any interleaving of slice and owned writes, taken in any sizes:
+    /// the runs are those of the concatenated stream cut at the same
+    /// offsets, whichever way each write went in.
+    #[test]
+    fn send_buf_runs_do_not_depend_on_how_writes_went_in(
+        writes in pvec(0usize..6000, 1..8),
+        takes in pvec(0usize..2500, 1..24),
+    ) {
+        let (mut mixed, mut slices) = (SendBuf::default(), SendBuf::default());
+        let mut stream = Vec::new();
+        for (i, &draw) in writes.iter().enumerate() {
+            // Up to 3,000 bytes (a few packets' worth), either way in.
+            let data: Vec<u8> = (0..draw / 2).map(|b| (b * 7 + i) as u8).collect();
+            if draw % 2 == 1 {
+                mixed.write_owned(Bytes::from(data.clone()));
+            } else {
+                mixed.write(&data);
+            }
+            slices.write(&data);
+            stream.extend(data);
+        }
+        prop_assert_eq!((mixed.len(), slices.len()), (stream.len(), stream.len()));
+        let mut at = 0;
+        for max in takes.into_iter().chain([usize::MAX]) {
+            let n = max.min(stream.len() - at);
+            let run = (n > 0).then(|| (at as u64, Bytes::copy_from_slice(&stream[at..at + n])));
+            prop_assert_eq!(mixed.take(max), run.clone());
+            prop_assert_eq!(slices.take(max), run);
+            at += n;
+        }
+        prop_assert!(mixed.is_empty() && slices.is_empty());
     }
 
     /// A reordered, duplicated, gappy packet arrival sequence: the

@@ -1,7 +1,8 @@
 //! RFC 9002 loss recovery for the ReACKed-QUICer reproduction.
 //!
 //! Split into the RTT estimator ([`rtt`]), sent-packet tracking with
-//! packet- and time-threshold loss detection ([`sent`]), probe-timeout
+//! packet- and time-threshold loss detection ([`sent`]) over the ordered
+//! table the connection layer shares ([`seqmap`]), probe-timeout
 //! arithmetic with exponential backoff ([`pto`]), and the congestion
 //! controller suite ([`congestion`]): a [`CongestionControl`] trait with
 //! NewReno, CUBIC, and BBR-lite implementations selected via
@@ -14,6 +15,7 @@ pub mod congestion;
 pub mod pto;
 pub mod rtt;
 pub mod sent;
+pub mod seqmap;
 
 pub use congestion::{
     persistent_congestion_duration, BbrLite, CcAlgorithm, CcState, CongestionControl, Cubic,
@@ -21,4 +23,5 @@ pub use congestion::{
 };
 pub use pto::{PtoState, RFC_DEFAULT_PTO};
 pub use rtt::{first_pto_after_sample, RttEstimator, RttVariant, GRANULARITY};
-pub use sent::{AckOutcome, SentPacket, SentTracker, PACKET_THRESHOLD};
+pub use sent::{AckOutcome, SentPacket, SentTracker, FLIGHT, PACKET_THRESHOLD};
+pub use seqmap::SeqMap;

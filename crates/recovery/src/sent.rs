@@ -1,11 +1,12 @@
 //! Sent-packet tracking and ACK-driven loss detection (RFC 9002 §6.1).
 
-use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
 use rq_sim::{SimDuration, SimTime};
 
+use crate::congestion::{INITIAL_WINDOW, MAX_DATAGRAM};
 use crate::rtt::RttEstimator;
+use crate::seqmap::SeqMap;
 
 /// Packet-reordering threshold, `kPacketThreshold` (RFC 9002 §6.1.1).
 pub const PACKET_THRESHOLD: u64 = 3;
@@ -40,10 +41,17 @@ pub struct AckOutcome {
     pub rtt_sample: Option<SimDuration>,
 }
 
+/// Packets a space's tables make room for when the first is sent: the
+/// initial congestion window, which is all a sender can have in flight
+/// before the first acknowledgment (a server's certificate flight is
+/// five packets, a 10 KB response nine).
+pub const FLIGHT: usize = INITIAL_WINDOW / MAX_DATAGRAM;
+
 /// Per-packet-number-space sent-packet tracker.
 #[derive(Debug, Default)]
 pub struct SentTracker {
-    sent: BTreeMap<u64, SentPacket>,
+    /// By packet number.
+    sent: SeqMap<SentPacket, FLIGHT>,
     /// Largest packet number acknowledged by the peer in this space.
     pub largest_acked: Option<u64>,
     /// Earliest time at which a tracked packet qualifies for time-threshold
@@ -122,7 +130,11 @@ impl SentTracker {
     ) -> AckOutcome {
         let mut out = AckOutcome::default();
         for range in acked.into_iter().filter(|r| !r.is_empty()) {
-            while let Some((&pn, _)) = self.sent.range(range.clone()).next_back() {
+            loop {
+                let newest = self.sent.range(range.clone()).next_back();
+                let Some(pn) = newest.map(|(pn, _)| pn) else {
+                    break;
+                };
                 out.newly_acked.extend(self.remove(pn));
             }
         }
@@ -153,7 +165,7 @@ impl SentTracker {
         let loss_delay = rtt.loss_delay();
         let mut lost_pns = Vec::new();
         self.loss_time = None;
-        for (&pn, p) in self.sent.range(..=largest) {
+        for (pn, p) in self.sent.range(..=largest) {
             let lost_deadline = p.time_sent + loss_delay;
             if largest >= pn + PACKET_THRESHOLD || now >= lost_deadline {
                 lost_pns.push(pn);
@@ -174,7 +186,7 @@ impl SentTracker {
     /// Stops tracking `pn` (acknowledged or lost) and takes it out of the
     /// in-flight and ack-eliciting accounting.
     fn remove(&mut self, pn: u64) -> Option<SentPacket> {
-        let p = self.sent.remove(&pn)?;
+        let p = self.sent.remove(pn)?;
         if p.ack_eliciting {
             self.ack_eliciting_outstanding -= 1;
         }
@@ -202,13 +214,12 @@ impl SentTracker {
     /// rejects 0-RTT, the client removes the early packets from tracking
     /// and retransmits their content under 1-RTT keys — they are neither
     /// acknowledged nor declared lost through the normal detectors).
-    pub fn drain(&mut self) -> Vec<SentPacket> {
-        let out: Vec<SentPacket> = std::mem::take(&mut self.sent).into_values().collect();
+    pub fn drain(&mut self) -> impl Iterator<Item = SentPacket> {
         self.bytes_in_flight = 0;
         self.ack_eliciting_outstanding = 0;
         self.loss_time = None;
         self.last_ack_eliciting_sent = None;
-        out
+        std::mem::take(&mut self.sent).into_values()
     }
 }
 
@@ -248,7 +259,7 @@ mod tests {
         t.on_sent(pkt(2, 2, false));
         assert_eq!(t.bytes_in_flight(), 3600);
         let drained = t.drain();
-        assert_eq!(drained.iter().map(|p| p.pn).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(drained.map(|p| p.pn).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(t.tracked(), 0);
         assert_eq!(t.bytes_in_flight(), 0);
         assert!(!t.has_ack_eliciting_in_flight());

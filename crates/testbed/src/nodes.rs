@@ -21,6 +21,7 @@ use rq_quic::{
     derived_cid, server_busy_datagram, stateless_reset_datagram, stateless_retry_datagram,
     stream_id, AcceptOutcome, ConnEvent, Connection, EndpointConfig, ServerEngine, CID_KIND_RETRY,
 };
+use rq_recovery::SeqMap;
 use rq_sim::{Context, FaultTimeline, Node, NodeId, SimDuration, SimRng, SimTime};
 use rq_tls::TicketKeySchedule;
 use rq_wire::{Bytes, ConnectionId, Header, PacketType};
@@ -514,7 +515,7 @@ struct Session {
     dcid: ConnectionId,
     /// Request reassembly + response latch, keyed by client bidi stream
     /// ID (0, 4, 8, …).
-    requests: BTreeMap<u64, StreamReq>,
+    requests: SeqMap<StreamReq>,
     settings_sent: bool,
     cert_timer_at: Option<SimTime>,
 }
@@ -545,9 +546,17 @@ impl Session {
     }
 
     /// Request bytes arrived on stream `id`: once the request parses,
-    /// answer it with a body of as many bytes as its path names.
-    fn on_request_data(&mut self, conn: &mut Connection, http: HttpVersion, id: u64, data: &[u8]) {
-        let req = self.requests.entry(id).or_default();
+    /// answer it with a body of as many bytes as its path names, taken
+    /// from `responses`.
+    fn on_request_data(
+        &mut self,
+        conn: &mut Connection,
+        http: HttpVersion,
+        responses: &mut ResponseCache,
+        id: u64,
+        data: &[u8],
+    ) {
+        let req = self.requests.get_or_insert_with(id, StreamReq::default);
         if req.responded {
             return;
         }
@@ -559,12 +568,40 @@ impl Session {
         let Some(body_len) = path.and_then(|p| p.trim_start_matches('/').parse().ok()) else {
             return;
         };
-        req.responded = true;
-        let response = match http {
-            HttpVersion::H1 => h1::H1Response::ok(body_len).encode(),
-            HttpVersion::H3 => h3::response_bytes(body_len),
+        // Answered: the request bytes have said all they had to.
+        *req = StreamReq {
+            buf: Vec::new(),
+            responded: true,
         };
-        conn.send_stream_data(id, &response, true);
+        conn.send_stream_data_owned(id, responses.get(http, body_len), true);
+    }
+}
+
+/// The last response a server built. One slot, keyed by the body
+/// length the request named (all a response depends on besides the
+/// server's one HTTP flavour): a server asked for the same object again
+/// — what a CDN edge sees — hands out a clone of the same storage, one
+/// asked for alternating sizes rebuilds each time. It never holds more
+/// than one response, however many sizes are asked for.
+#[derive(Debug, Default)]
+struct ResponseCache {
+    last: Option<(usize, Bytes)>,
+}
+
+impl ResponseCache {
+    /// The encoded `http` response carrying `body_len` body bytes.
+    fn get(&mut self, http: HttpVersion, body_len: usize) -> Bytes {
+        match &self.last {
+            Some((len, response)) if *len == body_len => response.clone(),
+            _ => {
+                let response = match http {
+                    HttpVersion::H1 => h1::H1Response::ok(body_len).to_bytes(),
+                    HttpVersion::H3 => h3::response_bytes(body_len),
+                };
+                self.last = Some((body_len, response.clone()));
+                response
+            }
+        }
     }
 }
 
@@ -609,6 +646,8 @@ pub struct ServerNode {
     /// rotated CID still lands on its connection. Off by default so
     /// legacy scenarios keep their exact behaviour.
     migration_aware: bool,
+    /// The response every session asking for the same size is handed.
+    responses: ResponseCache,
 }
 
 /// One datagram's sender, as admission sees it.
@@ -658,6 +697,7 @@ impl ServerNode {
             fault_aware: false,
             frozen: false,
             migration_aware: false,
+            responses: ResponseCache::default(),
         }
     }
 
@@ -793,7 +833,7 @@ impl ServerNode {
             node: knock.from,
             standing,
             dcid,
-            requests: BTreeMap::new(),
+            requests: SeqMap::new(),
             settings_sent: false,
             cert_timer_at: None,
         });
@@ -805,7 +845,7 @@ impl ServerNode {
     /// produced if it says there may be any, and pump. Nothing happens
     /// without a live connection (retired, or lost to a crash).
     fn drive(
-        &self,
+        &mut self,
         engine: &mut ServerEngine,
         peer: &mut PeerRecord,
         ctx: &mut Context<'_>,
@@ -831,7 +871,7 @@ impl ServerNode {
     /// Runs what has gone due on the connection behind `key`: its
     /// certificate-store timer if `cert`, its own timers if `timers`.
     fn catch_up(
-        &self,
+        &mut self,
         engine: &mut ServerEngine,
         peer: &mut PeerRecord,
         ctx: &mut Context<'_>,
@@ -849,7 +889,7 @@ impl ServerNode {
     }
 
     fn drain_events(
-        &self,
+        &mut self,
         conn: &mut Connection,
         session: &mut Session,
         outcome: &mut PeerOutcome,
@@ -873,7 +913,7 @@ impl ServerNode {
                 // Any client-initiated bidi stream (0, 4, 8, …) carries
                 // a request.
                 ConnEvent::StreamData { id, data, .. } if id % 4 == 0 => {
-                    session.on_request_data(conn, self.http, id, &data);
+                    session.on_request_data(conn, self.http, &mut self.responses, id, &data);
                 }
                 ConnEvent::Closed { .. } => {
                     ctx.trace().milestone(me, now, milestones::CLOSED);
@@ -993,5 +1033,27 @@ impl Node for ServerNode {
 
     fn name(&self) -> &str {
         "server"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn response_cache_is_one_slot_keyed_by_body_length() {
+        for http in [HttpVersion::H1, HttpVersion::H3] {
+            let mut cache = ResponseCache::default();
+            let first = cache.get(http, 1000);
+            let other = cache.get(http, 2000);
+            let again = cache.get(http, 1000);
+            assert!(first.ends_with(&h1::body_bytes(1000)) && first.len() < 1100);
+            assert!(other.ends_with(&h1::body_bytes(2000)) && other.len() > 2000);
+            // A different size took the slot: the same bytes, built anew.
+            assert_eq!(again, first);
+            assert_ne!(again.as_ptr(), first.as_ptr());
+            // The next session asking for the same size shares storage.
+            assert_eq!(cache.get(http, 1000).as_ptr(), again.as_ptr());
+        }
     }
 }

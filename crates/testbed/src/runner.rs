@@ -169,19 +169,20 @@ fn run_connection(
     (result, trace, minted)
 }
 
-/// Builds the [`RunResult`] of the retired connection `s`: the timing
-/// and handshake fields of its `outcome` plus what only the kept qlogs,
-/// the trace's datagram capture and the client's connection state can
-/// say.
+/// Builds the [`RunResult`] of the retired connection `s`, which ran
+/// `sc`: the timing and handshake fields of its `outcome` plus what only
+/// the kept qlogs, the trace's datagram capture and the client's
+/// connection state can say.
 pub(crate) fn full_result(
     s: &Spawned,
+    sc: &Scenario,
     outcome: &ConnOutcome,
     aborted: bool,
     trace: &rq_sim::Trace,
     server_id: NodeId,
     server_log: EventLog,
 ) -> RunResult {
-    let (sc, client_id) = (&s.scenario, s.id);
+    let client_id = s.id;
     let client = &mut *s.conn.borrow_mut();
     let client_log = std::mem::take(&mut client.log);
     let first_srtt_ms = client_log.metrics_updates().next().map(|(_, srtt, _)| srtt);

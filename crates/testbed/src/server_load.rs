@@ -499,9 +499,10 @@ pub(crate) enum Detail {
     /// same path plus qlogs, trace counts and the issued ticket — the
     /// single-pair mode.
     Full,
-    /// Compact outcomes only; trace recording off, finished connections
-    /// retired as the run goes so memory stays bounded by the active
-    /// set.
+    /// Compact outcomes only; trace recording and both endpoints' qlog
+    /// capture off (nothing here would read either), finished
+    /// connections retired as the run goes so memory stays bounded by
+    /// the active set.
     Aggregate,
 }
 
@@ -525,7 +526,10 @@ pub(crate) struct Spawned {
     plan_idx: usize,
     pub id: NodeId,
     arrival: SimTime,
-    pub scenario: Scenario,
+    /// What retirement reads of the plan's scenario: its handshake class
+    /// and the response body bytes across its streams.
+    class: HandshakeClass,
+    body_bytes: usize,
     pub conn: Rc<RefCell<Connection>>,
     status: Rc<RefCell<ClientStatus>>,
     ticket_rc: Rc<RefCell<Option<SessionTicket>>>,
@@ -549,7 +553,7 @@ struct Drive {
 /// routes through here with one plan; `run_server_load` with many.
 pub(crate) fn drive_conn_plans(
     spec: &ServerLoadSpec,
-    plans: Vec<ConnPlan>,
+    mut plans: Vec<ConnPlan>,
     resumption_active: bool,
     detail: Detail,
 ) -> DriveOutput {
@@ -586,6 +590,7 @@ pub(crate) fn drive_conn_plans(
     server_cfg.cc_algorithm = base.cc;
     server_cfg.cid_pool = base.migration.cid_pool;
     server_cfg.metrics_sample_every = base.metrics_sample_every;
+    server_cfg.capture_qlog = full;
     if let Some(pto) = base.server_default_pto {
         server_cfg.default_pto = pto;
     }
@@ -622,9 +627,9 @@ pub(crate) fn drive_conn_plans(
         conn_deadline: spec.conn_deadline,
     };
 
-    for (i, plan) in plans.into_iter().enumerate() {
-        let sc = plan.scenario;
-        drive.net.run_until(plan.arrival);
+    for (i, plan) in plans.iter_mut().enumerate() {
+        let (arrival, sc) = (plan.arrival, &plan.scenario);
+        drive.net.run_until(arrival);
         if !full {
             drive.sweep(false);
         }
@@ -640,12 +645,13 @@ pub(crate) fn drive_conn_plans(
         if let Some(policy) = sc.probe_policy_override {
             client_cfg.probe_policy = policy;
         }
-        client_cfg.session_ticket = plan.ticket;
+        client_cfg.session_ticket = plan.ticket.take();
         client_cfg.enable_early_data = sc.handshake_class == HandshakeClass::ZeroRtt;
         client_cfg.give_up_after = sc.faults.give_up_after;
         client_cfg.give_up_pto_count = sc.faults.give_up_pto_count;
         client_cfg.cid_pool = sc.migration.cid_pool;
         client_cfg.metrics_sample_every = sc.metrics_sample_every;
+        client_cfg.capture_qlog = full;
         let mut client_node = ClientNode::new(
             client_cfg,
             server_id,
@@ -696,23 +702,31 @@ pub(crate) fn drive_conn_plans(
             let jitter =
                 SimDuration::from_nanos(rng.gen_range(SimDuration::from_millis(1).as_nanos()));
             net.schedule_path_change(
-                plan.arrival + at + jitter,
+                arrival + at + jitter,
                 client_id,
                 server_id,
                 MIGRATION_PATH,
                 sc.migration.deliberate,
             );
         }
-        net.schedule_start(client_id, plan.arrival);
+        net.schedule_start(client_id, arrival);
         drive.spawned.push(Spawned {
             plan_idx: i,
             id: client_id,
-            arrival: plan.arrival,
-            scenario: sc,
+            arrival,
+            class: sc.handshake_class,
+            body_bytes: sc.streams * sc.file_size,
             conn,
             status,
             ticket_rc,
         });
+    }
+
+    // A connection on the loop carries what it needs of its plan, and the
+    // rest of the run is where the heap peaks: the plans go now (all but
+    // the one whose scenario the full result describes).
+    if !full {
+        plans = Vec::new();
     }
 
     if full || (spec.overload == OverloadPolicy::Shed && base.faults.is_none()) {
@@ -748,8 +762,8 @@ pub(crate) fn drive_conn_plans(
         let outcome = drive.outcomes[s.plan_idx].as_ref().expect("just retired");
         let aborted = (st.close_code.is_some() || peer.closed) && st.complete_at.is_none();
         let server_log = server.map(|c| c.log).unwrap_or_default();
-        let trace = &drive.net.trace;
-        let result = full_result(&s, outcome, aborted, trace, server_id, server_log);
+        let (sc, trace) = (&plans[s.plan_idx].scenario, &drive.net.trace);
+        let result = full_result(&s, sc, outcome, aborted, trace, server_id, server_log);
         let ticket = s.ticket_rc.borrow_mut().take();
         (result, std::mem::take(&mut drive.net.trace), ticket)
     });
@@ -821,7 +835,7 @@ impl Drive {
         let start = st.hello_at.unwrap_or(s.arrival);
         let rel = |t: Option<SimTime>| t.map(|t| t.since(start).as_millis_f64());
         let (ttfb_ms, response_ms) = (rel(st.ttfb_at), rel(st.complete_at));
-        let bits = (s.scenario.streams * s.scenario.file_size) as f64 * 8.0;
+        let bits = s.body_bytes as f64 * 8.0;
         let key = s.id.index() as u64;
         let conn = s.conn.borrow();
         let client_stats = conn.stats();
@@ -832,7 +846,7 @@ impl Drive {
         self.outcomes[s.plan_idx] = Some(ConnOutcome {
             index: s.plan_idx,
             arrival: s.arrival,
-            class: s.scenario.handshake_class,
+            class: s.class,
             fate,
             ttfb_ms,
             handshake_ms: rel(st.handshake_at),

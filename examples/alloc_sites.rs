@@ -10,24 +10,38 @@
 //! as in `benchmark/src/alloc.rs`, so two commits compare line by line.
 //!
 //! Run with:
-//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load|bulk]`
+//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load|bulk|live]`
 //! (defaults: `quic-go iack 8 3`; release because `[profile.release]`
 //! keeps debug info, so inlined frames resolve to their own lines).
 //! Op `i` is `Scenario::base(client, mode, H1)` at seed `i`; with `load`
 //! the ops are the arrivals of one `run_server_load` instead, and with
 //! `bulk` each op is a 2 × 1 MiB H3/CUBIC download, where the data path
 //! does the asking.
+//!
+//! `live` asks a different question — not what was requested over a run
+//! but what is *held* at its peak, by whom (the benchmark's
+//! `peak_heap_mib`, broken down). The run is one `run_server_load` of
+//! `ops` arrivals in the benchmark's steady shape (200 µs apart on a
+//! 100 ms path, 30 % resumed, 20 % 0-RTT, a quarter under 2 % loss), so
+//! the pairs interleave, and it is made three times: once numbering
+//! every allocation and finding the number at which most bytes were
+//! live, once snapshotting the allocations live at that number, once
+//! capturing a backtrace for those only (about a tenth of them all). The
+//! passes must repeat each other — same count, same fold of every size —
+//! or the profiler says so and stops. Rows are allocations, KiB and
+//! share per site and sum to the peak; the header divides it by
+//! `server/active_conns`' peak.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::sync::Mutex;
 
 use reacked_quicer::prelude::*;
 use reacked_quicer::recovery::CcAlgorithm;
-use reacked_quicer::testbed::{run_server_load, ArrivalProcess, ServerLoadSpec};
+use reacked_quicer::testbed::{run_server_load, ArrivalProcess, ClassMix, ServerLoadSpec};
 
 thread_local! {
     /// True while this thread's allocations are being attributed. The
@@ -43,42 +57,130 @@ thread_local! {
 /// Site → (calls, bytes requested).
 static SITES: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
 
+/// The `live` passes' state; `None` in every other mode.
+static CENSUS: Mutex<Option<Census>> = Mutex::new(None);
+
+/// One pass over a run whose allocations are numbered as they happen: an
+/// allocation's number is its identity from pass to pass.
+#[derive(Default)]
+struct Census {
+    /// Allocations (and reallocations) seen so far.
+    seq: u64,
+    /// A fold of every one's size, to tell whether a pass repeated the
+    /// one before it.
+    fold: u64,
+    /// What is live: address → (number, bytes).
+    by_addr: HashMap<usize, (u64, usize)>,
+    live: usize,
+    peak: usize,
+    /// The number of the allocation that reached the peak.
+    peak_seq: u64,
+    /// Second pass: the number to snapshot the live set after.
+    snapshot_at: Option<u64>,
+    /// The live set at the peak, (number, bytes) by number: taken by the
+    /// second pass, given to the third, which attributes exactly these.
+    at_peak: Vec<(u64, usize)>,
+}
+
+impl Census {
+    fn on_alloc(&mut self, addr: usize, bytes: usize) {
+        self.seq += 1;
+        self.fold = self.fold.wrapping_mul(0x100_0000_01B3) ^ bytes as u64;
+        self.by_addr.insert(addr, (self.seq, bytes));
+        self.live += bytes;
+        if self.live > self.peak {
+            (self.peak, self.peak_seq) = (self.live, self.seq);
+        }
+        if self.snapshot_at == Some(self.seq) {
+            // Second pass, at the peak.
+            self.at_peak = self.by_addr.values().copied().collect();
+            self.at_peak.sort_unstable();
+        } else if self.snapshot_at.is_none() {
+            // Third pass (in the first the set is empty): one of the set?
+            let wanted = self.at_peak.binary_search_by_key(&self.seq, |a| a.0);
+            if wanted.is_ok() {
+                attribute(bytes);
+            }
+        }
+    }
+
+    /// An allocation made outside the window is not in the table and
+    /// does not count.
+    fn on_free(&mut self, addr: usize) {
+        if let Some((_, bytes)) = self.by_addr.remove(&addr) {
+            self.live -= bytes;
+        }
+    }
+}
+
 struct Attributing;
 
-fn record(bytes: usize) {
-    if !WINDOW.replace(false) {
-        return;
-    }
+/// Adds one allocation of `bytes` to the site the current backtrace names.
+fn attribute(bytes: usize) {
     let site = site_of(&Backtrace::force_capture().to_string(), DEPTH.get());
     let mut sites = SITES.lock().expect("no panic while the table is held");
     let slot = sites.entry(site).or_default();
     slot.0 += 1;
     slot.1 += bytes as u64;
-    drop(sites);
+}
+
+/// `bytes` were allocated at `addr`, in place of what was at `moved_from`
+/// if this was a reallocation.
+fn record(addr: *mut u8, bytes: usize, moved_from: Option<*mut u8>) {
+    if !WINDOW.replace(false) {
+        return;
+    }
+    let mut census = CENSUS.lock().expect("no panic while the census is held");
+    match census.as_mut() {
+        Some(census) => {
+            if let Some(old) = moved_from {
+                census.on_free(old as usize);
+            }
+            census.on_alloc(addr as usize, bytes);
+        }
+        None => attribute(bytes),
+    }
+    drop(census);
+    WINDOW.set(true);
+}
+
+fn record_free(addr: *mut u8) {
+    if !WINDOW.replace(false) {
+        return;
+    }
+    let mut census = CENSUS.lock().expect("no panic while the census is held");
+    if let Some(census) = census.as_mut() {
+        census.on_free(addr as usize);
+    }
+    drop(census);
     WINDOW.set(true);
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// runs before it and never touches the memory handed out.
+// reads the address handed out and never touches the memory behind it.
 unsafe impl GlobalAlloc for Attributing {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
+        let addr = unsafe { System.alloc(layout) };
+        record(addr, layout.size(), None);
+        addr
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
+        let addr = unsafe { System.alloc_zeroed(layout) };
+        record(addr, layout.size(), None);
+        addr
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record_free(ptr);
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let addr = unsafe { System.realloc(ptr, layout, new_size) };
+        record(addr, new_size, Some(ptr));
+        addr
     }
 }
 
@@ -133,7 +235,7 @@ fn main() {
     let arg = |i: usize, default: &str| args.get(i).map_or(default, String::as_str).to_string();
     let usage = |what: &str| -> ! {
         eprintln!(
-            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load|bulk]"
+            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load|bulk|live]"
         );
         std::process::exit(2);
     };
@@ -152,8 +254,8 @@ fn main() {
         .parse()
         .unwrap_or_else(|_| usage("depth is a count"));
     let shape = args.get(4).map(String::as_str);
-    if !matches!(shape, None | Some("load" | "bulk")) {
-        usage("the fifth argument can only be `load` or `bulk`");
+    if !matches!(shape, None | Some("load" | "bulk" | "live")) {
+        usage("the fifth argument can only be `load`, `bulk` or `live`");
     }
     if ops == 0 || depth == 0 {
         usage("ops and depth start at 1");
@@ -170,6 +272,9 @@ fn main() {
     } else {
         Scenario::base(client.clone(), mode, HttpVersion::H1)
     };
+    if shape == Some("live") {
+        return live_census(base, client.name, &arg(1, "iack"), ops as usize, depth);
+    }
     if shape == Some("load") {
         let spec = ServerLoadSpec::new(
             base,
@@ -224,5 +329,76 @@ fn main() {
         );
     }
     // `| head` closing the pipe early is how this is usually read.
+    let _ = std::io::stdout().write_all(out.as_bytes());
+}
+
+/// The `live` mode: who holds what when a loaded server's heap peaks.
+fn live_census(mut base: Scenario, client: &str, mode: &str, ops: usize, depth: usize) {
+    base.rtt = SimDuration::from_millis(100);
+    base.seed = 1;
+    let gap = ArrivalProcess::Poisson {
+        mean_gap: SimDuration::from_micros(200),
+    };
+    let mut spec = ServerLoadSpec::new(base, ops, gap);
+    spec.mix = Some(ClassMix {
+        resumed: 0.3,
+        zero_rtt: 0.2,
+    });
+    spec.impaired = Some((0.25, ImpairmentSpec::none().with_iid_loss(0.02)));
+    let pass = |census: Census| {
+        *CENSUS.lock().expect("the hook is idle") = Some(census);
+        WINDOW.set(true);
+        let run = run_server_load(&spec);
+        WINDOW.set(false);
+        let census = CENSUS.lock().expect("the hook is idle").take();
+        (
+            census.expect("still there"),
+            run.report.accounting.peak_active,
+        )
+    };
+    let (numbered, pairs) = pass(Census::default());
+    let (snapshot, _) = pass(Census {
+        snapshot_at: Some(numbered.peak_seq),
+        ..Census::default()
+    });
+    let (resolved, _) = pass(Census {
+        at_peak: snapshot.at_peak.clone(),
+        ..Census::default()
+    });
+    for again in [&snapshot, &resolved] {
+        assert_eq!(
+            (again.seq, again.fold, again.peak, again.peak_seq),
+            (
+                numbered.seq,
+                numbered.fold,
+                numbered.peak,
+                numbered.peak_seq
+            ),
+            "the allocation sequence did not repeat"
+        );
+    }
+    let sites = std::mem::take(&mut *SITES.lock().expect("the hook is idle"));
+    let held: u64 = sites.values().map(|(_, bytes)| bytes).sum();
+    assert_eq!(held, numbered.peak as u64, "rows sum to the peak");
+    let kib = |bytes: u64| bytes as f64 / 1024.0;
+    let mut rows: Vec<_> = sites.iter().collect();
+    rows.sort_by(|a, b| (b.1 .1, a.0).cmp(&(a.1 .1, b.0)));
+    let mut out = format!(
+        "{client} {mode} x {ops} (run_server_load, live at the peak): {:.2} MiB in {} of {} \
+         allocations, {pairs} pairs live = {:.1} KiB per pair, {} sites at depth {depth}\n\
+         {:>10} {:>10} {:>7}  site (innermost frame first)\n",
+        kib(held) / 1024.0,
+        snapshot.at_peak.len(),
+        numbered.seq,
+        kib(held) / pairs as f64,
+        sites.len(),
+        "allocs",
+        "KiB",
+        "share",
+    );
+    for (site, (calls, bytes)) in rows {
+        let share = 100.0 * *bytes as f64 / held as f64;
+        out += &format!("{calls:>10} {:>10.1} {share:>6.1}%  {site}\n", kib(*bytes));
+    }
     let _ = std::io::stdout().write_all(out.as_bytes());
 }
