@@ -31,6 +31,6 @@ pub use impair::{ImpairedFate, Impairment, ImpairmentSpec, Jitter, LossModel};
 pub use link::{LinkConfig, LinkStats};
 pub use loss::{Direction, DropContentMatch, DropIndices, LossRule, NoLoss};
 pub use node::{Context, Node, NodeId};
-pub use rng::SimRng;
+pub use rng::{NormalDraw, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{CaptureRecord, DatagramFate, Trace};

@@ -12,6 +12,31 @@ fn splitmix_mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One normal variate as drawn, before the Box–Muller transform: the
+/// two uniforms [`SimRng::draw_normal`] consumed. Drawing and
+/// transforming are separate so a caller that needs the stream position
+/// but not (yet) the value can skip the `ln`/`sqrt`/`cos`/`exp`;
+/// transforming later yields the bits `gen_normal` / `gen_lognormal`
+/// would have returned at the draw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NormalDraw {
+    u1: f64,
+    u2: f64,
+}
+
+impl NormalDraw {
+    /// The standard-normal value of this draw (Box–Muller).
+    pub fn normal(self) -> f64 {
+        (-2.0 * self.u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * self.u2).cos()
+    }
+
+    /// The log-normal value of this draw, parameterized by the median
+    /// and sigma of the underlying normal.
+    pub fn lognormal(self, median: f64, sigma: f64) -> f64 {
+        median * (sigma * self.normal()).exp()
+    }
+}
+
 /// Deterministic RNG (xoshiro256** seeded via SplitMix64).
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -100,11 +125,18 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Standard-normal draw (Box–Muller, deterministic).
-    pub fn gen_normal(&mut self) -> f64 {
+    /// Draws the two uniforms of one normal variate without transforming
+    /// them (see [`NormalDraw`]): the stream advances exactly as
+    /// [`SimRng::gen_normal`] advances it.
+    pub fn draw_normal(&mut self) -> NormalDraw {
         let u1 = self.gen_f64().max(f64::MIN_POSITIVE);
         let u2 = self.gen_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        NormalDraw { u1, u2 }
+    }
+
+    /// Standard-normal draw (Box–Muller, deterministic).
+    pub fn gen_normal(&mut self) -> f64 {
+        self.draw_normal().normal()
     }
 
     /// Exponential draw with mean `mean`.
@@ -116,7 +148,7 @@ impl SimRng {
     /// Log-normal draw parameterized by the median and sigma of the
     /// underlying normal (used for wild-measurement delay distributions).
     pub fn gen_lognormal(&mut self, median: f64, sigma: f64) -> f64 {
-        median * (sigma * self.gen_normal()).exp()
+        self.draw_normal().lognormal(median, sigma)
     }
 
     /// Uniform duration in `[0, max]` (nanosecond resolution).
@@ -197,6 +229,22 @@ mod tests {
         v.sort_by(f64::total_cmp);
         let median = v[5000];
         assert!((median - 4.0).abs() < 0.3, "median {median}");
+    }
+
+    #[test]
+    fn drawn_pairs_transform_to_the_same_bits_and_stream_position() {
+        let mut a = SimRng::new(13);
+        let mut b = SimRng::new(13);
+        for i in 0..500 {
+            if i % 2 == 0 {
+                assert_eq!(a.draw_normal().normal().to_bits(), b.gen_normal().to_bits());
+            } else {
+                let later = a.draw_normal();
+                let now = b.gen_lognormal(3.2, 0.6);
+                assert_eq!(later.lognormal(3.2, 0.6).to_bits(), now.to_bits());
+            }
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

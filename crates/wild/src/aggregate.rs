@@ -254,13 +254,14 @@ impl MeasCounts {
         self.migration += other.migration;
     }
 
-    /// Folds one successful observation in.
-    pub fn record(&mut self, obs: &crate::prober::ProbeObservation) {
+    /// Folds one successful handshake's classification in.
+    pub fn record(&mut self, class: &crate::prober::ProbeClass) {
+        debug_assert!(class.handshake_ok);
         self.ok += 1;
-        self.iack += obs.instant_ack as u64;
-        self.tickets += obs.ticket_offered as u64;
-        self.zero_rtt += obs.zero_rtt_accepted as u64;
-        self.migration += obs.migration_capable as u64;
+        self.iack += class.instant_ack as u64;
+        self.tickets += class.ticket_offered as u64;
+        self.zero_rtt += class.zero_rtt_accepted as u64;
+        self.migration += class.migration_capable as u64;
     }
 }
 
@@ -690,18 +691,18 @@ mod tests {
                 let mut shard = ScanShard::new(start, end - start, true);
                 for i in start..end {
                     let rng = crate::prober::probe_rng(9, crate::Vantage::SaoPaulo, 0, i);
-                    let Some(obs) =
-                        crate::prober::probe(&pop.domains[i], crate::Vantage::SaoPaulo, rng)
+                    let Some(class) =
+                        crate::prober::classify(&pop.domains[i], crate::Vantage::SaoPaulo, rng)
                     else {
                         continue;
                     };
-                    if !obs.handshake_ok {
+                    if !class.handshake_ok {
                         continue;
                     }
                     shard.mark_ok(i - start);
-                    let c = obs.cdn.index();
-                    shard.counts[c].record(&obs);
-                    shard.cells.as_mut().unwrap()[c].record(&obs);
+                    let c = class.cdn.index();
+                    shard.counts[c].record(&class);
+                    shard.cells.as_mut().unwrap()[c].record(&class.timings());
                 }
                 agg.absorb(0, 0, &shard);
             }

@@ -34,9 +34,10 @@ impl Cdn {
         Cdn::Others,
     ];
 
-    /// Index into per-CDN aggregate arrays (position in [`Cdn::ALL`]).
+    /// Index into per-CDN aggregate arrays and the profile table: the
+    /// declaration order, which is also the position in [`Cdn::ALL`].
     pub fn index(self) -> usize {
-        Cdn::ALL.iter().position(|c| *c == self).unwrap()
+        self as usize
     }
 
     /// Display name.
@@ -127,162 +128,165 @@ pub struct CdnProfile {
     pub migration_share: f64,
 }
 
-/// The calibrated profile set (paper Table 1, §4.3, Figure 10, App. G).
-pub fn profiles() -> Vec<CdnProfile> {
-    let all = [true, true, true, true];
-    vec![
-        CdnProfile {
-            cdn: Cdn::Akamai,
-            domains: 533,
-            iack_share: 0.322,
-            iack_share_jitter: 0.065,
-            ack_sh_delay_median_ms: 20.9,
-            ack_sh_delay_sigma: 0.9,
-            coalesced_share: 0.05,
-            coalesced_ack_delay_rtt_factor: 1.4,
-            iack_ack_delay_rtt_factor: 0.7, // 61% below the RTT
-            reachable_from: all,
-            resumption_share: 0.85,
-            zero_rtt_share: 0.25,
-            ticket_lifetime_median_s: 7200.0,
-            ticket_lifetime_sigma: 0.6,
-            migration_share: 0.62,
-        },
-        CdnProfile {
-            cdn: Cdn::Amazon,
-            domains: 4338,
-            iack_share: 0.41,
-            iack_share_jitter: 0.09,
-            ack_sh_delay_median_ms: 6.4,
-            ack_sh_delay_sigma: 0.8,
-            coalesced_share: 0.10,
-            coalesced_ack_delay_rtt_factor: 1.2,
-            iack_ack_delay_rtt_factor: 1.3,
-            reachable_from: all,
-            resumption_share: 0.8,
-            zero_rtt_share: 0.15,
-            ticket_lifetime_median_s: 43200.0,
-            ticket_lifetime_sigma: 0.7,
-            migration_share: 0.48,
-        },
-        CdnProfile {
-            cdn: Cdn::Cloudflare,
-            domains: 247_407,
-            iack_share: 0.999,
-            iack_share_jitter: 0.0005,
-            ack_sh_delay_median_ms: 3.2,
-            ack_sh_delay_sigma: 0.6,
-            // One probe per domain per day rarely hits a warm frontend
-            // cache; coalescing is popularity-driven (see `longitudinal`).
-            coalesced_share: 0.002,
-            coalesced_ack_delay_rtt_factor: 1.3,
-            iack_ack_delay_rtt_factor: 1.4,
-            reachable_from: all,
-            resumption_share: 0.99,
-            zero_rtt_share: 0.88,
-            ticket_lifetime_median_s: 64800.0,
-            ticket_lifetime_sigma: 0.3,
-            migration_share: 0.93,
-        },
-        CdnProfile {
-            cdn: Cdn::Fastly,
-            domains: 3960,
-            iack_share: 0.0,
-            iack_share_jitter: 0.0,
-            ack_sh_delay_median_ms: 1.0,
-            ack_sh_delay_sigma: 0.5,
-            coalesced_share: 1.0,
-            coalesced_ack_delay_rtt_factor: 0.9, // 60.5% exceed → close call
-            iack_ack_delay_rtt_factor: 1.0,
-            reachable_from: all,
-            resumption_share: 0.95,
-            zero_rtt_share: 0.1,
-            ticket_lifetime_median_s: 43200.0,
-            ticket_lifetime_sigma: 0.5,
-            migration_share: 0.71,
-        },
-        CdnProfile {
-            cdn: Cdn::Google,
-            domains: 6062,
-            iack_share: 0.115,
-            iack_share_jitter: 0.055,
-            ack_sh_delay_median_ms: 30.3,
-            ack_sh_delay_sigma: 0.9,
-            coalesced_share: 0.15,
-            coalesced_ack_delay_rtt_factor: 0.8, // only 34.8% exceed the RTT
-            iack_ack_delay_rtt_factor: 1.2,
-            // Google IACK deployments significantly reachable only from
-            // Sao Paulo (vantage index 3).
-            reachable_from: [false, false, false, true],
-            resumption_share: 0.97,
-            zero_rtt_share: 0.65,
-            ticket_lifetime_median_s: 28800.0,
-            ticket_lifetime_sigma: 0.4,
-            migration_share: 0.96,
-        },
-        CdnProfile {
-            cdn: Cdn::Meta,
-            domains: 112,
-            iack_share: 0.0,
-            iack_share_jitter: 0.0,
-            ack_sh_delay_median_ms: 1.0,
-            ack_sh_delay_sigma: 0.4,
-            coalesced_share: 1.0,
-            coalesced_ack_delay_rtt_factor: 1.5, // 100% exceed
-            iack_ack_delay_rtt_factor: 1.0,
-            reachable_from: all,
-            resumption_share: 0.92,
-            zero_rtt_share: 0.0,
-            ticket_lifetime_median_s: 86400.0,
-            ticket_lifetime_sigma: 0.3,
-            migration_share: 0.88,
-        },
-        CdnProfile {
-            cdn: Cdn::Microsoft,
-            domains: 34,
-            iack_share: 0.0,
-            iack_share_jitter: 0.0,
-            ack_sh_delay_median_ms: 1.5,
-            ack_sh_delay_sigma: 0.4,
-            coalesced_share: 1.0,
-            coalesced_ack_delay_rtt_factor: 1.1,
-            iack_ack_delay_rtt_factor: 1.0,
-            reachable_from: all,
-            resumption_share: 0.75,
-            zero_rtt_share: 0.05,
-            ticket_lifetime_median_s: 36000.0,
-            ticket_lifetime_sigma: 0.6,
-            migration_share: 0.55,
-        },
-        CdnProfile {
-            cdn: Cdn::Others,
-            domains: 26_404,
-            iack_share: 0.215,
-            iack_share_jitter: 0.012,
-            ack_sh_delay_median_ms: 8.0,
-            ack_sh_delay_sigma: 1.1,
-            // Hosting providers mostly terminate TLS locally; cache-driven
-            // coalescing is rare at scan rates (Table 1's 21.5% share is a
-            // *deployment* share, which the scan must recover).
-            coalesced_share: 0.03,
-            coalesced_ack_delay_rtt_factor: 1.1,
-            iack_ack_delay_rtt_factor: 0.6, // 79.1% below the RTT
-            reachable_from: all,
-            resumption_share: 0.6,
-            zero_rtt_share: 0.12,
-            ticket_lifetime_median_s: 7200.0,
-            ticket_lifetime_sigma: 0.9,
-            migration_share: 0.34,
-        },
-    ]
+/// Reachable from every vantage point.
+const EVERYWHERE: [bool; 4] = [true; 4];
+
+/// The calibrated profile set (paper Table 1, §4.3, Figure 10, App. G),
+/// in [`Cdn`] declaration order so [`Cdn::index`] addresses it.
+static PROFILES: [CdnProfile; Cdn::ALL.len()] = [
+    CdnProfile {
+        cdn: Cdn::Akamai,
+        domains: 533,
+        iack_share: 0.322,
+        iack_share_jitter: 0.065,
+        ack_sh_delay_median_ms: 20.9,
+        ack_sh_delay_sigma: 0.9,
+        coalesced_share: 0.05,
+        coalesced_ack_delay_rtt_factor: 1.4,
+        iack_ack_delay_rtt_factor: 0.7, // 61% below the RTT
+        reachable_from: EVERYWHERE,
+        resumption_share: 0.85,
+        zero_rtt_share: 0.25,
+        ticket_lifetime_median_s: 7200.0,
+        ticket_lifetime_sigma: 0.6,
+        migration_share: 0.62,
+    },
+    CdnProfile {
+        cdn: Cdn::Amazon,
+        domains: 4338,
+        iack_share: 0.41,
+        iack_share_jitter: 0.09,
+        ack_sh_delay_median_ms: 6.4,
+        ack_sh_delay_sigma: 0.8,
+        coalesced_share: 0.10,
+        coalesced_ack_delay_rtt_factor: 1.2,
+        iack_ack_delay_rtt_factor: 1.3,
+        reachable_from: EVERYWHERE,
+        resumption_share: 0.8,
+        zero_rtt_share: 0.15,
+        ticket_lifetime_median_s: 43200.0,
+        ticket_lifetime_sigma: 0.7,
+        migration_share: 0.48,
+    },
+    CdnProfile {
+        cdn: Cdn::Cloudflare,
+        domains: 247_407,
+        iack_share: 0.999,
+        iack_share_jitter: 0.0005,
+        ack_sh_delay_median_ms: 3.2,
+        ack_sh_delay_sigma: 0.6,
+        // One probe per domain per day rarely hits a warm frontend
+        // cache; coalescing is popularity-driven (see `longitudinal`).
+        coalesced_share: 0.002,
+        coalesced_ack_delay_rtt_factor: 1.3,
+        iack_ack_delay_rtt_factor: 1.4,
+        reachable_from: EVERYWHERE,
+        resumption_share: 0.99,
+        zero_rtt_share: 0.88,
+        ticket_lifetime_median_s: 64800.0,
+        ticket_lifetime_sigma: 0.3,
+        migration_share: 0.93,
+    },
+    CdnProfile {
+        cdn: Cdn::Fastly,
+        domains: 3960,
+        iack_share: 0.0,
+        iack_share_jitter: 0.0,
+        ack_sh_delay_median_ms: 1.0,
+        ack_sh_delay_sigma: 0.5,
+        coalesced_share: 1.0,
+        coalesced_ack_delay_rtt_factor: 0.9, // 60.5% exceed → close call
+        iack_ack_delay_rtt_factor: 1.0,
+        reachable_from: EVERYWHERE,
+        resumption_share: 0.95,
+        zero_rtt_share: 0.1,
+        ticket_lifetime_median_s: 43200.0,
+        ticket_lifetime_sigma: 0.5,
+        migration_share: 0.71,
+    },
+    CdnProfile {
+        cdn: Cdn::Google,
+        domains: 6062,
+        iack_share: 0.115,
+        iack_share_jitter: 0.055,
+        ack_sh_delay_median_ms: 30.3,
+        ack_sh_delay_sigma: 0.9,
+        coalesced_share: 0.15,
+        coalesced_ack_delay_rtt_factor: 0.8, // only 34.8% exceed the RTT
+        iack_ack_delay_rtt_factor: 1.2,
+        // Google IACK deployments significantly reachable only from
+        // Sao Paulo (vantage index 3).
+        reachable_from: [false, false, false, true],
+        resumption_share: 0.97,
+        zero_rtt_share: 0.65,
+        ticket_lifetime_median_s: 28800.0,
+        ticket_lifetime_sigma: 0.4,
+        migration_share: 0.96,
+    },
+    CdnProfile {
+        cdn: Cdn::Meta,
+        domains: 112,
+        iack_share: 0.0,
+        iack_share_jitter: 0.0,
+        ack_sh_delay_median_ms: 1.0,
+        ack_sh_delay_sigma: 0.4,
+        coalesced_share: 1.0,
+        coalesced_ack_delay_rtt_factor: 1.5, // 100% exceed
+        iack_ack_delay_rtt_factor: 1.0,
+        reachable_from: EVERYWHERE,
+        resumption_share: 0.92,
+        zero_rtt_share: 0.0,
+        ticket_lifetime_median_s: 86400.0,
+        ticket_lifetime_sigma: 0.3,
+        migration_share: 0.88,
+    },
+    CdnProfile {
+        cdn: Cdn::Microsoft,
+        domains: 34,
+        iack_share: 0.0,
+        iack_share_jitter: 0.0,
+        ack_sh_delay_median_ms: 1.5,
+        ack_sh_delay_sigma: 0.4,
+        coalesced_share: 1.0,
+        coalesced_ack_delay_rtt_factor: 1.1,
+        iack_ack_delay_rtt_factor: 1.0,
+        reachable_from: EVERYWHERE,
+        resumption_share: 0.75,
+        zero_rtt_share: 0.05,
+        ticket_lifetime_median_s: 36000.0,
+        ticket_lifetime_sigma: 0.6,
+        migration_share: 0.55,
+    },
+    CdnProfile {
+        cdn: Cdn::Others,
+        domains: 26_404,
+        iack_share: 0.215,
+        iack_share_jitter: 0.012,
+        ack_sh_delay_median_ms: 8.0,
+        ack_sh_delay_sigma: 1.1,
+        // Hosting providers mostly terminate TLS locally; cache-driven
+        // coalescing is rare at scan rates (Table 1's 21.5% share is a
+        // *deployment* share, which the scan must recover).
+        coalesced_share: 0.03,
+        coalesced_ack_delay_rtt_factor: 1.1,
+        iack_ack_delay_rtt_factor: 0.6, // 79.1% below the RTT
+        reachable_from: EVERYWHERE,
+        resumption_share: 0.6,
+        zero_rtt_share: 0.12,
+        ticket_lifetime_median_s: 7200.0,
+        ticket_lifetime_sigma: 0.9,
+        migration_share: 0.34,
+    },
+];
+
+/// The calibrated profile set, one entry per CDN in [`Cdn::ALL`] order.
+pub fn profiles() -> &'static [CdnProfile] {
+    &PROFILES
 }
 
 /// Looks up the profile for a CDN.
-pub fn profile_of(cdn: Cdn) -> CdnProfile {
-    profiles()
-        .into_iter()
-        .find(|p| p.cdn == cdn)
-        .expect("all CDNs profiled")
+pub fn profile_of(cdn: Cdn) -> &'static CdnProfile {
+    &PROFILES[cdn.index()]
 }
 
 #[cfg(test)]
@@ -329,8 +333,13 @@ mod tests {
 
     #[test]
     fn index_round_trips_through_all() {
+        // `profile_of` indexes the table by discriminant, so the enum,
+        // `Cdn::ALL` and the table must list the CDNs in one order.
         for (i, cdn) in Cdn::ALL.into_iter().enumerate() {
+            assert_eq!(cdn as usize, i);
             assert_eq!(cdn.index(), i);
+            assert_eq!(profiles()[i].cdn, cdn);
+            assert_eq!(profile_of(cdn).cdn, cdn);
         }
     }
 }

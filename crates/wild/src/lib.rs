@@ -32,6 +32,6 @@ pub use aggregate::{FixedHistogram, MeasCounts, Reservoir, ScanAggregates, Vanta
 pub use cdn::{Cdn, CdnProfile};
 pub use longitudinal::{LongitudinalStudy, MinuteObservation};
 pub use population::{Domain, Population};
-pub use prober::{probe, probe_rng, ProbeObservation};
+pub use prober::{classify, probe, probe_rng, ProbeClass, ProbeObservation};
 pub use scan::{scan, scan_with, CdnScanRow, ScanReport};
 pub use vantage::{Vantage, VANTAGES};

@@ -5,8 +5,23 @@
 //! fields — from the domain's CDN profile, then classifies them exactly
 //! the way the paper's pipeline does (ACK preceding the SH in a separate
 //! datagram ⇒ instant ACK; same datagram ⇒ coalesced).
+//!
+//! A probe has two stages, split where the paper's pipeline splits:
+//!
+//! * [`classify`] consumes the probe's whole RNG stream and decides
+//!   everything Table 1 counts — reachable or not, handshake lost or
+//!   not, instant ACK or coalesced, ticket, 0-RTT, migration. Each
+//!   normal variate the timings are made of is drawn here but kept
+//!   untransformed ([`NormalDraw`]), so the draw order is written once.
+//! * [`ProbeClass::timings`] turns the kept draws into the five `*_ms`
+//!   fields of a [`ProbeObservation`]: log-normal arithmetic only, no
+//!   RNG access.
+//!
+//! [`probe`] is the first followed by the second. The scan asks for
+//! timings only on the measurement whose CDFs are read (see
+//! [`crate::scan`]); the other measurements pay for no `ln`/`exp`.
 
-use rq_sim::SimRng;
+use rq_sim::{NormalDraw, SimRng};
 
 use crate::cdn::{profile_of, Cdn};
 use crate::population::Domain;
@@ -68,10 +83,47 @@ pub fn probe_rng(scan_seed: u64, vantage: Vantage, rep: u64, domain_index: usize
     )
 }
 
-/// Probes `domain` from `vantage`, consuming a derived per-probe RNG
-/// (see [`probe_rng`]). Day-to-day deployment jitter comes from the
-/// repetition coordinate baked into that stream.
-pub fn probe(domain: &Domain, vantage: Vantage, mut rng: SimRng) -> Option<ProbeObservation> {
+/// What one probe established without any timing arithmetic: the
+/// response class and the per-deployment facts Table 1 counts, plus the
+/// untransformed draws [`ProbeClass::timings`] needs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeClass {
+    /// CDN serving the domain.
+    pub cdn: Cdn,
+    /// The handshake succeeded and the first ACK was captured.
+    pub handshake_ok: bool,
+    /// The first ACK arrived in its own datagram before the SH.
+    pub instant_ack: bool,
+    /// The server issued a NewSessionTicket.
+    pub ticket_offered: bool,
+    /// The deployment additionally accepts 0-RTT early data.
+    pub zero_rtt_accepted: bool,
+    /// The deployment supports connection migration.
+    pub migration_capable: bool,
+    /// `Some` exactly when `handshake_ok`.
+    kept: Option<KeptDraws>,
+}
+
+/// The inputs of a successful handshake's timings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct KeptDraws {
+    vantage: Vantage,
+    /// The deployment's IACK setting on this measurement (after churn).
+    iack_enabled: bool,
+    delta_t_scale: f64,
+    ticket_lifetime_s: f64,
+    rtt: NormalDraw,
+    delta_t: NormalDraw,
+    /// Stack processing before the instant ACK; `Some` exactly when
+    /// `instant_ack`.
+    stack: Option<NormalDraw>,
+    ack_delay: NormalDraw,
+}
+
+/// Stage one of [`probe`]: every draw of the probe's stream, in order,
+/// and every decision that depends on one. `None` when the domain does
+/// not answer QUIC from `vantage`.
+pub fn classify(domain: &Domain, vantage: Vantage, mut rng: SimRng) -> Option<ProbeClass> {
     let cdn = domain.cdn?;
     let profile = profile_of(cdn);
     // Per-epoch deployment churn: a domain's IACK setting can differ
@@ -88,63 +140,120 @@ pub fn probe(domain: &Domain, vantage: Vantage, mut rng: SimRng) -> Option<Probe
         return None;
     }
     if rng.gen_bool(PROBE_LOSS) {
-        return Some(ProbeObservation {
+        return Some(ProbeClass {
             cdn,
             handshake_ok: false,
             instant_ack: false,
-            ack_sh_delay_ms: 0.0,
-            rtt_ms: 0.0,
-            ack_delay_field_ms: 0.0,
-            time_to_ack_ms: 0.0,
-            time_to_sh_ms: 0.0,
             ticket_offered: false,
             zero_rtt_accepted: false,
-            ticket_lifetime_s: 0.0,
             migration_capable: false,
+            kept: None,
         });
     }
 
-    let rtt = rng.gen_lognormal(vantage.rtt_median_ms(cdn), 0.25).max(0.5);
+    let rtt = rng.draw_normal();
     // Frontend-to-store delay for this handshake.
-    let delta_t = rng
-        .gen_lognormal(
-            profile.ack_sh_delay_median_ms * domain.delta_t_scale,
-            profile.ack_sh_delay_sigma,
-        )
-        .max(0.05);
-
+    let delta_t = rng.draw_normal();
     // Certificate cache hit ⇒ coalesced ACK–SH regardless of IACK config.
     let coalesced = !iack_enabled || rng.gen_bool(profile.coalesced_share);
-
-    let (instant_ack, ack_sh_delay, time_to_ack, time_to_sh, ack_delay_field) = if coalesced {
-        let t = rtt + if iack_enabled { 0.0 } else { delta_t };
-        let field = rtt * rng.gen_lognormal(profile.coalesced_ack_delay_rtt_factor, 0.3);
-        (false, 0.0, t, t, field)
-    } else {
-        let t_ack = rtt + rng.gen_lognormal(0.3, 0.5); // stack processing
-        let t_sh = t_ack + delta_t;
-        let field = rtt * rng.gen_lognormal(profile.iack_ack_delay_rtt_factor, 0.3);
-        (true, t_sh - t_ack, t_ack, t_sh, field)
-    };
+    let stack = (!coalesced).then(|| rng.draw_normal());
+    let ack_delay = rng.draw_normal();
 
     // Resumption observables are per-domain deployment facts read off
     // the completed handshake (ticket in the server's post-handshake
     // flight) — deliberately no extra RNG draws, so every pre-resumption
     // observable above keeps its exact value.
-    Some(ProbeObservation {
+    Some(ProbeClass {
         cdn,
         handshake_ok: true,
-        instant_ack,
-        ack_sh_delay_ms: ack_sh_delay,
-        rtt_ms: rtt,
-        ack_delay_field_ms: ack_delay_field,
-        time_to_ack_ms: time_to_ack,
-        time_to_sh_ms: time_to_sh,
+        instant_ack: !coalesced,
         ticket_offered: domain.resumption_supported,
         zero_rtt_accepted: domain.zero_rtt_enabled,
-        ticket_lifetime_s: domain.ticket_lifetime_s,
         migration_capable: domain.migration_supported,
+        kept: Some(KeptDraws {
+            vantage,
+            iack_enabled,
+            delta_t_scale: domain.delta_t_scale,
+            ticket_lifetime_s: domain.ticket_lifetime_s,
+            rtt,
+            delta_t,
+            stack,
+            ack_delay,
+        }),
     })
+}
+
+impl ProbeClass {
+    /// Stage two of [`probe`]: the full observation, its timing fields
+    /// computed from the draws [`classify`] kept.
+    pub fn timings(&self) -> ProbeObservation {
+        let cdn = self.cdn;
+        let Some(kept) = &self.kept else {
+            return ProbeObservation {
+                cdn,
+                handshake_ok: false,
+                instant_ack: false,
+                ack_sh_delay_ms: 0.0,
+                rtt_ms: 0.0,
+                ack_delay_field_ms: 0.0,
+                time_to_ack_ms: 0.0,
+                time_to_sh_ms: 0.0,
+                ticket_offered: false,
+                zero_rtt_accepted: false,
+                ticket_lifetime_s: 0.0,
+                migration_capable: false,
+            };
+        };
+        let profile = profile_of(cdn);
+        let rtt = kept
+            .rtt
+            .lognormal(kept.vantage.rtt_median_ms(cdn), 0.25)
+            .max(0.5);
+        let delta_t = kept
+            .delta_t
+            .lognormal(
+                profile.ack_sh_delay_median_ms * kept.delta_t_scale,
+                profile.ack_sh_delay_sigma,
+            )
+            .max(0.05);
+
+        let (ack_sh_delay, time_to_ack, time_to_sh, ack_delay_field) = match kept.stack {
+            None => {
+                let t = rtt + if kept.iack_enabled { 0.0 } else { delta_t };
+                let factor = profile.coalesced_ack_delay_rtt_factor;
+                (0.0, t, t, rtt * kept.ack_delay.lognormal(factor, 0.3))
+            }
+            Some(stack) => {
+                let t_ack = rtt + stack.lognormal(0.3, 0.5); // stack processing
+                let t_sh = t_ack + delta_t;
+                let factor = profile.iack_ack_delay_rtt_factor;
+                let field = rtt * kept.ack_delay.lognormal(factor, 0.3);
+                (t_sh - t_ack, t_ack, t_sh, field)
+            }
+        };
+
+        ProbeObservation {
+            cdn,
+            handshake_ok: true,
+            instant_ack: self.instant_ack,
+            ack_sh_delay_ms: ack_sh_delay,
+            rtt_ms: rtt,
+            ack_delay_field_ms: ack_delay_field,
+            time_to_ack_ms: time_to_ack,
+            time_to_sh_ms: time_to_sh,
+            ticket_offered: self.ticket_offered,
+            zero_rtt_accepted: self.zero_rtt_accepted,
+            ticket_lifetime_s: kept.ticket_lifetime_s,
+            migration_capable: self.migration_capable,
+        }
+    }
+}
+
+/// Probes `domain` from `vantage`, consuming a derived per-probe RNG
+/// (see [`probe_rng`]). Day-to-day deployment jitter comes from the
+/// repetition coordinate baked into that stream.
+pub fn probe(domain: &Domain, vantage: Vantage, rng: SimRng) -> Option<ProbeObservation> {
+    classify(domain, vantage, rng).map(|class| class.timings())
 }
 
 #[cfg(test)]
@@ -154,7 +263,6 @@ mod tests {
 
     fn sample_domain(cdn: Cdn, iack: bool) -> Domain {
         Domain {
-            rank: 1,
             cdn: Some(cdn),
             iack_enabled: iack,
             delta_t_scale: 1.0,
@@ -168,7 +276,6 @@ mod tests {
     #[test]
     fn non_quic_domain_yields_none() {
         let d = Domain {
-            rank: 1,
             cdn: None,
             iack_enabled: false,
             delta_t_scale: 1.0,

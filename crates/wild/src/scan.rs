@@ -10,19 +10,41 @@
 //! size is fixed — so the report is byte-identical at every thread
 //! count and memory stays bounded at Top-1M scale (no raw observation
 //! is ever buffered).
+//!
+//! A scan costs what its QUIC-reachable domains cost:
+//!
+//! * Only hosted domains are visited. [`scan_with`] indexes the domains
+//!   with a CDN once, and a shard walks its slice of that index: a
+//!   domain that cannot answer derives no RNG stream and is not read.
+//! * Each probe is classified ([`classify`]) and counted; its timings
+//!   ([`ProbeClass::timings`](crate::prober::ProbeClass::timings)) are
+//!   computed only on the observation-retaining repetition, whose
+//!   shards carry the figure cells the timings go into.
+//! * A measurement runs in waves of [`WAVE_SHARDS`] shards, each wave
+//!   absorbed (in domain order) before the next starts, so at most one
+//!   wave of partial aggregates is alive however long the population.
+
+use std::ops::Range;
 
 use rq_par::SweepRunner;
 
 use crate::aggregate::{RttAckDeltaStats, ScanAggregates, ScanShard, VantageCdnAgg};
 use crate::cdn::Cdn;
 use crate::population::Population;
-use crate::prober::{probe, probe_rng};
+use crate::prober::{classify, probe_rng};
 use crate::vantage::{Vantage, VANTAGES};
 
 /// Domains per shard. Fixed (rather than derived from the worker
 /// count) so the shard layout — and with it every merge — is identical
 /// no matter how many threads execute the sweep.
 const SHARD_DOMAINS: usize = 8192;
+
+/// Shards per wave: how many partial aggregates a measurement holds
+/// before merging them. Fixed for the same reason as [`SHARD_DOMAINS`];
+/// 16 keeps every worker of a small pool busy between merges while a
+/// retained wave (eight 8 KB histograms and up to 32 reservoirs per
+/// shard) stays near 1 MiB.
+const WAVE_SHARDS: usize = 16;
 
 /// One row of Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,33 +151,60 @@ impl ScanReport {
     }
 }
 
-/// Scans one shard: the domains `start..end` of measurement
+/// The domain range of shard `s` of an `n`-domain population.
+fn shard_domains(s: usize, n: usize) -> Range<usize> {
+    let start = s * SHARD_DOMAINS;
+    start..(start + SHARD_DOMAINS).min(n)
+}
+
+/// Indices of the domains a probe can reach at all (those with a CDN),
+/// ascending. Built per scan rather than stored on [`Population`],
+/// whose `domains` is public and could change under a stored copy.
+fn hosted_index(population: &Population) -> Vec<u32> {
+    assert!(
+        u32::try_from(population.len()).is_ok(),
+        "domain indices are held as u32"
+    );
+    let hosted = || {
+        let indexed = population.domains.iter().enumerate();
+        indexed.filter_map(|(i, d)| d.cdn.map(|_| i as u32))
+    };
+    // Counted first so the index is one exact-capacity allocation.
+    let mut index = Vec::with_capacity(hosted().count());
+    index.extend(hosted());
+    index
+}
+
+/// Scans one shard: the hosted domains within `domains` of measurement
 /// `(vantage, rep)`. Pure — every probe derives its RNG from the scan
 /// coordinates, so the shard's aggregate is independent of whatever ran
 /// before it.
 fn scan_shard(
     population: &Population,
+    hosted: &[u32],
     vantage: Vantage,
     rep: usize,
     seed: u64,
-    start: usize,
-    end: usize,
+    domains: Range<usize>,
     retain_observations: bool,
 ) -> ScanShard {
-    let mut shard = ScanShard::new(start, end - start, retain_observations);
-    for i in start..end {
+    let mut shard = ScanShard::new(domains.start, domains.len(), retain_observations);
+    let lo = hosted.partition_point(|&i| (i as usize) < domains.start);
+    let hi = hosted.partition_point(|&i| (i as usize) < domains.end);
+    for &i in &hosted[lo..hi] {
+        let i = i as usize;
         let rng = probe_rng(seed, vantage, rep as u64, i);
-        let Some(obs) = probe(&population.domains[i], vantage, rng) else {
+        let Some(class) = classify(&population.domains[i], vantage, rng) else {
             continue;
         };
-        if !obs.handshake_ok {
+        if !class.handshake_ok {
             continue;
         }
-        shard.mark_ok(i - start);
-        let c = obs.cdn.index();
-        shard.counts[c].record(&obs);
+        shard.mark_ok(i - domains.start);
+        let c = class.cdn.index();
+        shard.counts[c].record(&class);
         if let Some(cells) = &mut shard.cells {
-            cells[c].record(&obs);
+            cells[c].record(&class.timings());
         }
     }
     shard
@@ -172,6 +221,7 @@ pub fn scan_with(
 ) -> ScanReport {
     let n = population.len();
     let shards = n.div_ceil(SHARD_DOMAINS);
+    let hosted = hosted_index(population);
     let mut agg = ScanAggregates::new(n, VANTAGES.len(), repetitions);
     for (v_idx, vantage) in VANTAGES.iter().enumerate() {
         for rep in 0..repetitions {
@@ -179,16 +229,32 @@ pub fn scan_with(
             // repetition per vantage (one day's worth, like the
             // paper's CDF figures).
             let retain = rep + 1 == repetitions;
-            let partials = runner.run(shards, |s| {
-                let start = s * SHARD_DOMAINS;
-                let end = (start + SHARD_DOMAINS).min(n);
-                scan_shard(population, *vantage, rep, seed, start, end, retain)
-            });
-            // Merge in shard (= domain) order; only this one
-            // measurement's partials are ever alive at once.
-            for shard in &partials {
-                agg.absorb(v_idx, rep, shard);
+            for wave in (0..shards).step_by(WAVE_SHARDS) {
+                let partials = runner.run(WAVE_SHARDS.min(shards - wave), |s| {
+                    let domains = shard_domains(wave + s, n);
+                    scan_shard(population, &hosted, *vantage, rep, seed, domains, retain)
+                });
+                // Merge in shard (= domain) order before the next wave
+                // starts; only this wave's partials are alive.
+                for shard in &partials {
+                    agg.absorb(v_idx, rep, shard);
+                }
             }
+        }
+    }
+    table1(population, &hosted, agg)
+}
+
+/// Derives the Table 1 rows from the merged aggregates.
+fn table1(population: &Population, hosted: &[u32], agg: ScanAggregates) -> ScanReport {
+    // Table 1's "Domains" column: hosted domains with a handshake.
+    let mut reachable = [0usize; Cdn::ALL.len()];
+    for i in hosted.iter().map(|&i| i as usize) {
+        if !agg.domain_reachable(i) {
+            continue;
+        }
+        if let Some(cdn) = population.domains[i].cdn {
+            reachable[cdn.index()] += 1;
         }
     }
 
@@ -203,13 +269,9 @@ pub fn scan_with(
             0.0
         };
         let max_of = |shares: Vec<f64>| shares.into_iter().fold(0.0f64, f64::max);
-        let domains = population
-            .hosted_by(cdn)
-            .filter(|d| agg.domain_reachable(d.rank - 1))
-            .count();
         rows.push(CdnScanRow {
             cdn,
-            domains,
+            domains: reachable[cdn.index()],
             iack_share: max_share,
             max_variation,
             resumption_share: max_of(agg.measurement_shares_of(cdn, |c| c.tickets)),
@@ -410,6 +472,86 @@ mod tests {
         assert_eq!(a, b);
         let c = scan_with(&pop, 1, 5, &SweepRunner::new(1));
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn counts_only_shards_count_what_retaining_shards_count() {
+        // A shard without cells skips the timing arithmetic; what Table 1
+        // reads from it must not notice.
+        let pop = Population::synthesize(20_001, &mut SimRng::new(0x5EED));
+        let hosted = hosted_index(&pop);
+        let shard = |vantage, rep, s: usize, retain| {
+            let domains = shard_domains(s, pop.len());
+            scan_shard(&pop, &hosted, vantage, rep, 0xD017, domains, retain)
+        };
+        for vantage in VANTAGES {
+            for rep in 0..2 {
+                for s in 0..pop.len().div_ceil(SHARD_DOMAINS) {
+                    let counted = shard(vantage, rep, s, false);
+                    let retained = shard(vantage, rep, s, true);
+                    assert!(counted.cells.is_none() && retained.cells.is_some());
+                    assert_eq!(counted.counts, retained.counts, "{vantage:?}/{rep}/{s}");
+                    assert_eq!(counted.ok_bits, retained.ok_bits, "{vantage:?}/{rep}/{s}");
+                    assert!(counted.counts.iter().any(|c| c.ok > 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn waves_merge_like_one_whole_measurement_sweep() {
+        // Two waves with a ragged tail: 17 full shards and one domain.
+        let pop = Population::synthesize(SHARD_DOMAINS * 17 + 1, &mut SimRng::new(9));
+        let (reps, seed) = (2, 0xA11);
+        let one = scan_with(&pop, reps, seed, &SweepRunner::new(1));
+        for workers in [2, 4] {
+            let many = scan_with(&pop, reps, seed, &SweepRunner::new(workers));
+            assert_eq!(one, many, "{workers} workers");
+        }
+
+        // The loop `scan_with` had before waves: every shard of a
+        // measurement held until the last one finishes, then absorbed.
+        let n = pop.len();
+        let hosted = hosted_index(&pop);
+        let mut agg = ScanAggregates::new(n, VANTAGES.len(), reps);
+        for (v_idx, vantage) in VANTAGES.iter().enumerate() {
+            for rep in 0..reps {
+                let retain = rep + 1 == reps;
+                let partials: Vec<ScanShard> = (0..n.div_ceil(SHARD_DOMAINS))
+                    .map(|s| {
+                        let domains = shard_domains(s, n);
+                        scan_shard(&pop, &hosted, *vantage, rep, seed, domains, retain)
+                    })
+                    .collect();
+                assert!(partials.len() > WAVE_SHARDS);
+                for shard in &partials {
+                    agg.absorb(v_idx, rep, shard);
+                }
+            }
+        }
+        assert_eq!(one, table1(&pop, &hosted, agg));
+    }
+
+    #[test]
+    fn hosted_index_lists_exactly_the_domains_with_a_cdn() {
+        let pop = Population::synthesize(3_000, &mut SimRng::new(2));
+        let hosted = hosted_index(&pop);
+        assert_eq!(hosted.len(), hosted.capacity());
+        let want: Vec<u32> = (0..3_000u32)
+            .filter(|&i| pop.domains[i as usize].cdn.is_some())
+            .collect();
+        assert_eq!(hosted, want);
+        // "Domains" counted over the index equals the per-CDN filter.
+        let report = scan_with(&pop, 1, 4, &SweepRunner::new(1));
+        for row in &report.rows {
+            let by_filter = pop
+                .domains
+                .iter()
+                .enumerate()
+                .filter(|(i, d)| d.cdn == Some(row.cdn) && report.aggregates.domain_reachable(*i))
+                .count();
+            assert_eq!(row.domains, by_filter, "{:?}", row.cdn);
+        }
     }
 
     #[test]
