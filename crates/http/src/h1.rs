@@ -20,13 +20,29 @@ impl H1Request {
         }
     }
 
+    /// The pieces the serialized request is made of, in order.
+    fn parts(&self) -> [&str; 5] {
+        [
+            "GET ",
+            &self.path,
+            " HTTP/1.1\r\nHost: ",
+            &self.host,
+            "\r\nUser-Agent: reacked-quicer/0.1\r\n\r\n",
+        ]
+    }
+
     /// Serializes the request.
     pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "GET {} HTTP/1.1\r\nHost: {}\r\nUser-Agent: reacked-quicer/0.1\r\n\r\n",
-            self.path, self.host
-        )
-        .into_bytes()
+        self.parts().concat().into_bytes()
+    }
+
+    /// Serializes the request in place in shared storage of its size —
+    /// ready to be handed to a stream.
+    pub fn to_bytes(&self) -> Bytes {
+        let parts = self.parts();
+        Bytes::build(parts.iter().map(|p| p.len()).sum(), |mut out| {
+            parts.iter().for_each(|p| out.put_slice(p.as_bytes()));
+        })
     }
 
     /// Parses a request from bytes; `None` until the blank line arrives.
@@ -144,6 +160,11 @@ mod tests {
     fn request_roundtrip() {
         let req = H1Request::get("/10240", "example.org");
         let bytes = req.encode();
+        assert_eq!(
+            bytes,
+            b"GET /10240 HTTP/1.1\r\nHost: example.org\r\nUser-Agent: reacked-quicer/0.1\r\n\r\n"
+        );
+        assert_eq!(req.to_bytes(), bytes[..]);
         let parsed = H1Request::decode(&bytes).unwrap();
         assert_eq!(parsed, req);
     }

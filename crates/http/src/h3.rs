@@ -146,14 +146,14 @@ pub fn control_stream_prelude() -> Vec<u8> {
     out.to_vec()
 }
 
-/// Builds an HTTP/3 GET request (HEADERS frame) for `path`.
-pub fn request_bytes(path: &str, host: &str) -> Vec<u8> {
+/// Builds an HTTP/3 GET request (HEADERS frame) for `path`, written in
+/// place in shared storage of its size — ready to be handed to a stream.
+pub fn request_bytes(path: &str, host: &str) -> Bytes {
     let block = format!(
         ":method: GET\n:scheme: https\n:authority: {host}\n:path: {path}\nuser-agent: reacked-quicer/0.1"
     );
-    let mut out = BytesMut::new();
-    H3Frame::Headers { block }.encode(&mut out);
-    out.to_vec()
+    let headers = H3Frame::Headers { block };
+    Bytes::build(headers.encoded_len(), |mut out| headers.encode(&mut out))
 }
 
 /// Builds an HTTP/3 response: HEADERS then one DATA frame of `body_len`

@@ -270,8 +270,8 @@ pub struct Connection {
     initial_ping_pns: Vec<u64>,
     /// Ping-reply drop budget remaining (quiche quirk).
     ping_reply_drop_budget: usize,
-    /// Copy of the ClientHello crypto bytes for probe retransmission.
-    initial_crypto_copy: Vec<u8>,
+    /// The ClientHello crypto bytes, kept for probe retransmission.
+    initial_crypto_copy: Bytes,
     /// Whether the client's second flight was already emitted.
     flight2_sent: bool,
     /// Streams.
@@ -367,8 +367,8 @@ impl Connection {
         }
         // Queue the ClientHello into the Initial crypto stream.
         if let Some(ch) = conn.tls.take_output(Level::Initial) {
-            conn.initial_crypto_copy = ch.to_vec();
-            conn.spaces[0].crypto.queue_tx(&ch);
+            conn.initial_crypto_copy = ch.clone();
+            conn.spaces[0].crypto.queue_tx(ch);
         }
         conn
     }
@@ -440,7 +440,7 @@ impl Connection {
             iack_received: false,
             initial_ping_pns: Vec::new(),
             ping_reply_drop_budget: 0,
-            initial_crypto_copy: Vec::new(),
+            initial_crypto_copy: Bytes::new(),
             // A server has no client flight 2.
             flight2_sent: role == Role::Server,
             streams: StreamSet::new(cfg.initial_max_data, cfg.initial_max_stream_data),
@@ -647,7 +647,7 @@ impl Connection {
     fn pump_tls_output(&mut self) {
         for (idx, level) in LEVELS.into_iter().enumerate() {
             if let Some(out) = self.tls.take_output(level) {
-                self.spaces[idx].crypto.queue_tx(&out);
+                self.spaces[idx].crypto.queue_tx(out);
             }
         }
     }

@@ -94,7 +94,9 @@ impl Connection {
                 return; // undecodable remainder: drop silently
             };
             rest.advance(consumed);
-            self.accept_packet(now, pkt, payload, tag, consumed);
+            if !self.accept_packet(now, &pkt, &payload, &tag, consumed) {
+                self.pending_packets.push((pkt, payload, tag, consumed));
+            }
         }
         // Server address validation: a Handshake packet proves the client
         // owns the address (RFC 9000 §8.1).
@@ -103,23 +105,26 @@ impl Connection {
 
     /// Key-gates and authenticates one decoded packet. `payload` is the
     /// packet's frame bytes as they arrived: the tag is verified over the
-    /// wire bytes, never over a re-encoding.
+    /// wire bytes, never over a re-encoding. `false` when the packet's
+    /// keys are not there yet and the caller is to keep it for
+    /// [`Connection::flush_pending`]; the packet is looked at where the
+    /// decoder left it and moved only then.
     fn accept_packet(
         &mut self,
         now: SimTime,
-        pkt: PlainPacket,
-        payload: Bytes,
-        tag: [u8; 16],
+        pkt: &PlainPacket,
+        payload: &[u8],
+        tag: &[u8; 16],
         size: usize,
-    ) {
+    ) -> bool {
         let space = pkt.space();
         let idx = space.index();
         if self.spaces[idx].is_discarded() {
-            return;
+            return true;
         }
         if pkt.header.ty == PacketType::Retry {
             self.on_retry(pkt);
-            return;
+            return true;
         }
         // Server-side Retry (RFC 9000 §8.1.2): demand an address-validation
         // token before processing the first Initial.
@@ -131,7 +136,7 @@ impl Connection {
                     self.ready_datagrams
                         .push_back(stateless_retry_datagram(self.peer_cid, self.local_cid));
                 }
-                return; // drop the tokenless Initial
+                return true; // drop the tokenless Initial
             }
             if pkt.header.token == retry_token_for(&pkt.header.scid) {
                 // A valid token proves the client address (no 3x limit).
@@ -142,7 +147,7 @@ impl Connection {
         // (not-yet-existing) 1-RTT keys of their shared number space.
         let zero_rtt = pkt.header.ty == PacketType::ZeroRtt;
         if zero_rtt && self.role != Role::Server {
-            return; // only servers receive 0-RTT
+            return true; // only servers receive 0-RTT
         }
         let Some(keys) = self.spaces[idx].keys_for(pkt.header.ty) else {
             if zero_rtt {
@@ -152,23 +157,22 @@ impl Connection {
                 // per RFC 9001 §5.7. Otherwise the 0-RTT packet raced
                 // ahead of the CH — buffer it.
                 if self.early_rejected || self.spaces[1].keys.is_some() {
-                    return;
+                    return true;
                 }
             }
             // Buffered until the keys are available (e.g. Handshake packets
             // arriving while the ServerHello is lost).
-            self.pending_packets.push((pkt, payload, tag, size));
-            return;
+            return false;
         };
         let peer_side = match self.role {
             Role::Client => KeySide::Server,
             Role::Server => KeySide::Client,
         };
         let key = keys.for_side(peer_side);
-        if !verify_tag(key, pkt.header.pn, &payload, &tag) {
-            return; // forged/corrupt packet: drop
-        }
-        self.process_packet(now, pkt, size);
+        if verify_tag(key, pkt.header.pn, payload, tag) {
+            self.process_packet(now, pkt, size);
+        } // else forged/corrupt packet: drop
+        true
     }
 
     /// Re-processes buffered packets once keys become available.
@@ -176,13 +180,13 @@ impl Connection {
         if self.pending_packets.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.pending_packets);
-        for (pkt, payload, tag, size) in pending {
-            self.accept_packet(now, pkt, payload, tag, size);
-        }
+        let mut pending = std::mem::take(&mut self.pending_packets);
+        pending
+            .retain(|(pkt, payload, tag, size)| !self.accept_packet(now, pkt, payload, tag, *size));
+        self.pending_packets.append(&mut pending);
     }
 
-    fn process_packet(&mut self, now: SimTime, pkt: PlainPacket, size: usize) {
+    fn process_packet(&mut self, now: SimTime, pkt: &PlainPacket, size: usize) {
         let space = pkt.space();
         let idx = space.index();
         let ack_eliciting = pkt.is_ack_eliciting();
@@ -246,7 +250,7 @@ impl Connection {
         }
 
         for frame in &pkt.frames {
-            self.process_frame(now, space, &pkt, frame);
+            self.process_frame(now, space, pkt, frame);
             if self.closed {
                 return;
             }
@@ -601,7 +605,7 @@ impl Connection {
         }
     }
 
-    fn on_retry(&mut self, pkt: PlainPacket) {
+    fn on_retry(&mut self, pkt: &PlainPacket) {
         if self.role != Role::Client || self.iack_received || !self.token.is_empty() {
             return; // only one Retry per connection, clients only
         }
@@ -611,8 +615,8 @@ impl Connection {
         self.tls.reset_for_retry();
         self.spaces[0].reset();
         if let Some(ch) = self.tls.take_output(Level::Initial) {
-            self.initial_crypto_copy = ch.to_vec();
-            self.spaces[0].crypto.queue_tx(&ch);
+            self.initial_crypto_copy = ch.clone();
+            self.spaces[0].crypto.queue_tx(ch);
         }
     }
 }

@@ -7,7 +7,9 @@ use rq_qlog::EventData;
 use rq_recovery::SentPacket;
 use rq_sim::SimTime;
 use rq_tls::{seal_tag, KeySide};
-use rq_wire::{Frame, Header, PacketNumberSpace, PacketType, PlainPacket, MIN_INITIAL_DATAGRAM};
+use rq_wire::{
+    Frame, FrameList, Header, PacketNumberSpace, PacketType, PlainPacket, MIN_INITIAL_DATAGRAM,
+};
 
 use super::{space_name, summaries, Connection, Role, MAX_DATAGRAM_SIZE};
 use crate::config::AckDelayReport;
@@ -16,12 +18,12 @@ use crate::space::Space;
 /// The frames of one datagram's packets, by packet number space: a
 /// datagram coalesces at most one packet per space, in space order, and
 /// an empty list means no packet.
-type Plan = [Vec<Frame>; 3];
+type Plan = [FrameList; 3];
 
 /// The plan of a datagram with one packet.
-fn solo(space: PacketNumberSpace, frames: Vec<Frame>) -> Plan {
+fn solo(space: PacketNumberSpace, frames: impl IntoIterator<Item = Frame>) -> Plan {
     let mut plan = Plan::default();
-    plan[space.index()] = frames;
+    plan[space.index()].extend(frames);
     plan
 }
 
@@ -83,17 +85,16 @@ impl Connection {
                 break;
             }
             let max_payload = budget - overhead;
-            let frames = self.build_frames_for_space(now, space, max_payload);
-            if frames.is_empty() {
+            self.build_frames_for_space(now, space, max_payload, &mut plan[idx]);
+            if plan[idx].is_empty() {
                 continue;
             }
             // The next space fills what this packet's exact encoding leaves.
-            let payload = frames.iter().map(Frame::encoded_len).sum();
+            let payload = plan[idx].iter().map(Frame::encoded_len).sum();
             let size = PlainPacket::wire_len(&self.header_for(space, 0), payload);
             budget = budget.saturating_sub(size);
-            plan[idx] = frames;
         }
-        if plan.iter().all(Vec::is_empty) {
+        if plan.iter().all(|frames| frames.is_empty()) {
             if !self.amp_blocked_logged
                 && self.amplification_budget() < MAX_DATAGRAM_SIZE
                 && self.wants_to_send()
@@ -110,7 +111,7 @@ impl Connection {
             }
             return None;
         }
-        self.emit_datagram(now, plan)
+        self.emit_datagram(now, &mut plan)
     }
 
     /// True if any space has content waiting (used for the
@@ -145,16 +146,16 @@ impl Connection {
         }
     }
 
-    /// Assembles the frame list for one packet in `space`, consuming
-    /// pending state.
+    /// Assembles the frame list for one packet in `space` in `frames`,
+    /// which starts out empty, consuming pending state.
     fn build_frames_for_space(
         &mut self,
         now: SimTime,
         space: PacketNumberSpace,
         max_payload: usize,
-    ) -> Vec<Frame> {
+        frames: &mut FrameList,
+    ) {
         let idx = space.index();
-        let mut frames = Vec::new();
         let mut used = 0usize;
         // Building a 0-RTT packet: ACK and HANDSHAKE_DONE frames are not
         // permitted there (RFC 9000 §12.4), and neither arises before the
@@ -194,7 +195,7 @@ impl Connection {
         }
 
         // 3. Retransmission queue.
-        self.spaces[idx].take_requeued(&mut frames, &mut used, max_payload);
+        self.spaces[idx].take_requeued(frames, &mut used, max_payload);
 
         // 4. Fresh crypto data.
         let room = max_payload.saturating_sub(used + 10);
@@ -261,7 +262,7 @@ impl Connection {
             // Stream data, congestion-controlled.
             let cc_room = self.cc.available();
             let conn_fc = self.streams.conn_send_budget() as usize;
-            self.push_stream_frames(&mut frames, |spent| {
+            self.push_stream_frames(frames, |spent| {
                 let used = used + spent;
                 max_payload
                     .saturating_sub(used + 12)
@@ -269,8 +270,6 @@ impl Connection {
                     .min(conn_fc)
             });
         }
-
-        frames
     }
 
     /// Appends one STREAM frame of fresh data from every stream that
@@ -278,7 +277,7 @@ impl Connection {
     /// budget of the next frame once `spent` payload bytes (frame
     /// overheads included) have gone to the frames before it; the first
     /// stream left without room ends the round.
-    fn push_stream_frames(&mut self, frames: &mut Vec<Frame>, room: impl Fn(usize) -> usize) {
+    fn push_stream_frames(&mut self, frames: &mut FrameList, room: impl Fn(usize) -> usize) {
         if !self.streams.want_send() {
             return;
         }
@@ -307,15 +306,18 @@ impl Connection {
     /// encoded once straight into the datagram, sealed over the bytes just
     /// written and registered — in wire order, because sealing the
     /// client's first Handshake packet discards its Initial keys. Plan and
-    /// packets live on the stack: the datagram is the one allocation, made
-    /// at its final length as the shared storage the simulator carries and
-    /// the receiver decodes in place.
-    fn emit_datagram(&mut self, now: SimTime, plan: Plan) -> Option<Bytes> {
+    /// packets live on the stack, and a frame list is moved twice on the
+    /// way — out of the plan into its packet, out of the packet into
+    /// what the space keeps — and otherwise worked on where it is: the
+    /// datagram is the one allocation, made at its final length as the
+    /// shared storage the simulator carries and the receiver decodes in
+    /// place. Leaves `plan` empty.
+    fn emit_datagram(&mut self, now: SimTime, plan: &mut Plan) -> Option<Bytes> {
         let mut pkts: [Option<PlainPacket>; 3] = [None, None, None];
         for (space, frames) in PacketNumberSpace::ALL.into_iter().zip(plan) {
             if !frames.is_empty() {
                 let pn = self.spaces[space.index()].alloc_pn();
-                let pkt = PlainPacket::new(self.header_for(space, pn), frames);
+                let pkt = PlainPacket::new(self.header_for(space, pn), std::mem::take(frames));
                 pkts[space.index()] = Some(pkt.expect("frame permissions checked by construction"));
             }
         }
@@ -325,7 +327,7 @@ impl Connection {
         let len = pkts.iter().flatten().map(PlainPacket::encoded_len).sum();
         let mut written = 0;
         let datagram = Bytes::build(len, |buf| {
-            for pkt in pkts.into_iter().flatten() {
+            for pkt in pkts.iter_mut().flatten() {
                 written += self.seal_into(now, pkt, &mut buf[written..]);
             }
         });
@@ -355,9 +357,10 @@ impl Connection {
 
     /// Encodes `pkt` once at the front of `out`, tags the payload bytes
     /// just written, and registers the packet with recovery, congestion
-    /// control, retransmission state and qlog. Returns the packet's size
-    /// on the wire: 0, with nothing written, when its keys are missing.
-    fn seal_into(&mut self, now: SimTime, pkt: PlainPacket, out: &mut [u8]) -> usize {
+    /// control, retransmission state (which takes its frames) and qlog.
+    /// Returns the packet's size on the wire: 0, with nothing written,
+    /// when its keys are missing.
+    fn seal_into(&mut self, now: SimTime, pkt: &mut PlainPacket, out: &mut [u8]) -> usize {
         let space = pkt.space();
         let idx = space.index();
         let Some(keys) = self.spaces[idx].keys_for(pkt.header.ty) else {
@@ -407,7 +410,7 @@ impl Connection {
         };
         // 0-RTT sends are marked so a server reject can unwind them.
         let zero_rtt = pkt.header.ty == PacketType::ZeroRtt;
-        self.spaces[idx].on_sent(sent, pkt.frames, zero_rtt);
+        self.spaces[idx].on_sent(sent, std::mem::take(&mut pkt.frames), zero_rtt);
         // Client: sending the first Handshake packet discards Initial keys.
         if self.role == Role::Client && space == PacketNumberSpace::Handshake {
             self.discard_space(PacketNumberSpace::Initial);
@@ -421,16 +424,16 @@ impl Connection {
     fn build_client_flight2(&mut self, now: SimTime) {
         self.flight2_sent = true;
         // Packet A: Initial ACK (if Initial space still alive).
-        let mut pkt_a = Vec::new();
+        let mut pkt_a = FrameList::new();
         if self.spaces[0].usable() {
             pkt_a.extend(self.take_ack_frame(now, 0));
         }
         // Packet B: Handshake ACK + client Finished.
-        let mut pkt_b = Vec::from_iter(self.take_ack_frame(now, 1));
+        let mut pkt_b = FrameList::from_iter(self.take_ack_frame(now, 1));
         let finished = self.spaces[1].crypto.take_tx(usize::MAX);
         pkt_b.extend(finished.map(|(offset, data)| Frame::Crypto { offset, data }));
         // Packet C: first 1-RTT packet (request or ACK of early server data).
-        let mut pkt_c = Vec::new();
+        let mut pkt_c = FrameList::new();
         self.push_stream_frames(&mut pkt_c, |_| 1000);
 
         // Which datagram each packet rides in, per the layout; the emitter
@@ -442,7 +445,7 @@ impl Connection {
             4 => {
                 // picoquic sends a separate HS ACK datagram before the FIN.
                 if let Some(i) = pkt_b.iter().position(|f| matches!(f, Frame::Ack(_))) {
-                    groups[1][1] = vec![pkt_b.remove(i)];
+                    groups[1][1].push(pkt_b.remove(i));
                 }
                 [0, 2, 3]
             }
@@ -450,8 +453,8 @@ impl Connection {
             _ => [0, 1, 2],
         };
         (groups[a][0], groups[b][1], groups[c][2]) = (pkt_a, pkt_b, pkt_c);
-        for group in groups {
-            if let Some(dgram) = self.emit_datagram(now, group) {
+        for mut group in groups {
+            if let Some(dgram) = self.emit_datagram(now, &mut group) {
                 self.ready_datagrams.push_back(dgram);
             }
         }
@@ -471,7 +474,7 @@ impl Connection {
             reason: reason.to_string(),
             app: false,
         };
-        self.emit_datagram(now, solo(space, vec![frame]))
+        self.emit_datagram(now, &mut solo(space, [frame]))
     }
 
     /// Builds a pure-ACK Initial datagram right now, ahead of the flight.
@@ -479,16 +482,15 @@ impl Connection {
         let Some(ack) = self.take_ack_frame(now, 0) else {
             return;
         };
-        let mut frames = vec![ack];
-        if pad_to_mtu {
-            // The ablation's frame-level policy (not §14.1 datagram
-            // padding): a closed form landing on exactly 1200 bytes.
-            let base = 1 + 4 + 1 + 8 + 1 + 8 + 1 + 2 + 4 + frames[0].encoded_len() + 16;
-            frames.push(Frame::Padding {
-                len: MIN_INITIAL_DATAGRAM.saturating_sub(base),
-            });
-        }
-        if let Some(dgram) = self.emit_datagram(now, solo(PacketNumberSpace::Initial, frames)) {
+        // The ablation's frame-level policy (not §14.1 datagram padding):
+        // a closed form landing on exactly 1200 bytes.
+        let base = 1 + 4 + 1 + 8 + 1 + 8 + 1 + 2 + 4 + ack.encoded_len() + 16;
+        let padding = pad_to_mtu.then(|| Frame::Padding {
+            len: MIN_INITIAL_DATAGRAM.saturating_sub(base),
+        });
+        let frames = [ack].into_iter().chain(padding);
+        let mut plan = solo(PacketNumberSpace::Initial, frames);
+        if let Some(dgram) = self.emit_datagram(now, &mut plan) {
             self.ready_datagrams.push_back(dgram);
             self.log.push(now, EventData::InstantAck { sent: true });
         }
@@ -503,8 +505,8 @@ impl Connection {
         let Some(ack) = self.take_ack_frame(now, 1) else {
             return;
         };
-        if let Some(dgram) = self.emit_datagram(now, solo(PacketNumberSpace::Handshake, vec![ack]))
-        {
+        let mut plan = solo(PacketNumberSpace::Handshake, [ack]);
+        if let Some(dgram) = self.emit_datagram(now, &mut plan) {
             self.ready_datagrams.push_back(dgram);
         }
     }

@@ -1,10 +1,9 @@
 //! Timers: the next deadline over loss detection, PTO, delayed ACKs,
 //! handshake give-up and path validation, and what each does on expiry.
 
-use bytes::Bytes;
 use rq_qlog::EventData;
 use rq_sim::{SimDuration, SimTime};
-use rq_wire::{Frame, PacketNumberSpace};
+use rq_wire::{Frame, FrameList, PacketNumberSpace};
 
 use super::{space_name, Connection, Role, ERROR_GIVE_UP};
 use crate::config::ProbePolicy;
@@ -212,11 +211,10 @@ impl Connection {
                     {
                         // The paper's §5 improvement: resend the ClientHello
                         // instead of a PING so the server can recover.
-                        let ch = Bytes::copy_from_slice(&self.initial_crypto_copy);
-                        self.spaces[idx].requeue(vec![Frame::Crypto {
+                        self.spaces[idx].requeue(FrameList::from_iter([Frame::Crypto {
                             offset: 0,
-                            data: ch,
-                        }]);
+                            data: self.initial_crypto_copy.clone(),
+                        }]));
                     } else {
                         self.spaces[idx].pending_pings += 1;
                     }

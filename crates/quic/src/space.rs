@@ -2,13 +2,14 @@
 //! receive-side ACK bookkeeping, crypto-stream assembly, sent-packet
 //! tracking and what is retransmitted when a sent packet is lost.
 
-use std::ops::RangeInclusive;
+use std::collections::VecDeque;
+use std::ops::{Range, RangeInclusive};
 
 use bytes::Bytes;
-use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, SeqMap, FLIGHT};
+use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, FLIGHT};
 use rq_sim::SimTime;
 use rq_tls::LevelKeys;
-use rq_wire::{AckFrame, Frame, PacketType};
+use rq_wire::{AckFrame, Frame, FrameList, PacketType};
 
 use crate::bytestream::{Reassembler, Run, SendBuf};
 
@@ -110,9 +111,9 @@ pub struct CryptoStream {
 }
 
 impl CryptoStream {
-    /// Queues outgoing handshake bytes.
-    pub fn queue_tx(&mut self, data: &[u8]) {
-        self.tx.write(data);
+    /// Queues outgoing handshake bytes: the caller's storage, not a copy.
+    pub fn queue_tx(&mut self, data: Bytes) {
+        self.tx.write_owned(data);
     }
 
     /// Takes up to `max` pending bytes for a CRYPTO frame, advancing the
@@ -161,9 +162,8 @@ pub struct Space {
     next_pn: u64,
     /// Sent packets not yet acknowledged or declared lost.
     sent: SentTracker,
-    /// The retransmittable frames of each tracked packet that has any,
-    /// by packet number, in the order they are resent.
-    carried: SeqMap<Vec<Frame>, FLIGHT>,
+    /// The retransmittable frames of each tracked packet that has any.
+    carried: Carried,
     /// Frames queued for retransmission, oldest first.
     requeued: Vec<Frame>,
     /// Space has been discarded (keys dropped).
@@ -206,14 +206,11 @@ impl Space {
     /// Registers a sent packet and keeps the retransmittable part of the
     /// `frames` it carried until it is acknowledged or lost. `zero_rtt`
     /// marks a 0-RTT send so a server reject can [`Space::unwind`] it.
-    pub fn on_sent(&mut self, packet: SentPacket, frames: Vec<Frame>, zero_rtt: bool) {
+    pub fn on_sent(&mut self, packet: SentPacket, frames: impl Into<FrameList>, zero_rtt: bool) {
         if zero_rtt {
             self.zero_rtt_pns.push(packet.pn);
         }
-        let frames = retransmittable(frames);
-        if !frames.is_empty() {
-            self.carried.insert(packet.pn, frames);
-        }
+        self.carried.insert(packet.pn, retransmittable(frames));
         self.sent.on_sent(packet);
     }
 
@@ -228,7 +225,7 @@ impl Space {
             .sent
             .on_ack_ranges(ack.acked_ranges(), ack.largest, now, rtt);
         for p in &outcome.newly_acked {
-            self.carried.remove(p.pn);
+            drop(self.carried.take(p.pn));
         }
         self.requeue_carried(&outcome.lost);
         outcome
@@ -245,13 +242,12 @@ impl Space {
     /// Queues what `packets`, no longer tracked, carried.
     fn requeue_carried(&mut self, packets: &[SentPacket]) {
         for p in packets {
-            self.requeued
-                .extend(self.carried.remove(p.pn).unwrap_or_default());
+            self.requeued.extend(self.carried.take(p.pn));
         }
     }
 
     /// Queues the retransmittable ones of `frames` to be sent again.
-    pub fn requeue(&mut self, frames: Vec<Frame>) {
+    pub fn requeue(&mut self, frames: impl Into<FrameList>) {
         self.requeued.extend(retransmittable(frames));
     }
 
@@ -260,12 +256,12 @@ impl Space {
     /// tracked. `false` when there is no such packet or it carried
     /// nothing retransmittable.
     pub fn requeue_oldest(&mut self) -> bool {
-        let oldest = self.sent.oldest_ack_eliciting();
-        let Some(frames) = oldest.and_then(|p| self.carried.get(p.pn)) else {
+        let Some(oldest) = self.sent.oldest_ack_eliciting() else {
             return false;
         };
-        self.requeued.extend(frames.iter().cloned());
-        true
+        let queued = self.requeued.len();
+        self.requeued.extend(self.carried.of(oldest.pn).cloned());
+        self.requeued.len() > queued
     }
 
     /// 0-RTT was rejected (RFC 9001 §4.6.2): stops tracking the early
@@ -319,7 +315,12 @@ impl Space {
     /// STREAM data is cut to the room left and its tail stays queued;
     /// HANDSHAKE_DONE waits for a free byte; flow-control and
     /// connection-ID frames always go. What stays keeps its order.
-    pub fn take_requeued(&mut self, frames: &mut Vec<Frame>, used: &mut usize, max_payload: usize) {
+    pub fn take_requeued(
+        &mut self,
+        frames: &mut impl Extend<Frame>,
+        used: &mut usize,
+        max_payload: usize,
+    ) {
         for frame in std::mem::take(&mut self.requeued) {
             let (_, overhead) = retx_kind(&frame).expect("only retransmittable kinds are queued");
             let room = max_payload.saturating_sub(*used + overhead);
@@ -330,7 +331,7 @@ impl Space {
             };
             if let Some(frame) = now {
                 *used += overhead + frame.data_len();
-                frames.push(frame);
+                frames.extend([frame]);
             }
             self.requeued.extend(later);
         }
@@ -347,6 +348,61 @@ impl Space {
     pub fn pto_base(&self) -> Option<SimTime> {
         let armed = self.usable() && self.sent.has_ack_eliciting_in_flight();
         self.sent.last_ack_eliciting_sent.filter(|_| armed)
+    }
+}
+
+/// What the packets in flight carried, as one run of (packet number,
+/// frame) in packet number order, a packet's frames side by side in the
+/// order they are resent. Two thirds of the packets sent carry one
+/// retransmittable frame, a third none and one in a hundred two, so a
+/// packet costs its frames and nothing for holding them.
+#[derive(Debug, Default)]
+struct Carried {
+    frames: VecDeque<(u64, Frame)>,
+}
+
+impl Carried {
+    /// Where packet `pn`'s frames sit, or would. The newest packet
+    /// (being recorded) and the oldest (being acknowledged) are the usual
+    /// ones asked for and are found without a search.
+    fn span(&self, pn: u64) -> Range<usize> {
+        let start = match (self.frames.front(), self.frames.back()) {
+            (_, Some((last, _))) if *last < pn => self.frames.len(),
+            (Some((first, _)), _) if *first >= pn => 0,
+            _ => self.frames.partition_point(|(k, _)| *k < pn),
+        };
+        let len = self.frames.range(start..).take_while(|(k, _)| *k == pn);
+        start..start + len.count()
+    }
+
+    /// Records that packet `pn` carried `frames`; the first into room for
+    /// a flight, like the sent-packet table beside it.
+    fn insert(&mut self, pn: u64, frames: FrameList) {
+        if frames.is_empty() {
+            return;
+        }
+        if self.frames.capacity() == 0 {
+            self.frames.reserve_exact(FLIGHT);
+        }
+        let at = self.span(pn).end;
+        for (i, frame) in frames.into_iter().enumerate() {
+            self.frames.insert(at + i, (pn, frame));
+        }
+    }
+
+    /// What packet `pn` carried.
+    fn of(&self, pn: u64) -> impl Iterator<Item = &Frame> {
+        self.frames.range(self.span(pn)).map(|(_, f)| f)
+    }
+
+    /// Forgets packet `pn`, handing back what it carried.
+    fn take(&mut self, pn: u64) -> impl Iterator<Item = Frame> + '_ {
+        self.frames.drain(self.span(pn)).map(|(_, f)| f)
+    }
+
+    /// Drops everything and releases the storage.
+    fn clear(&mut self) {
+        self.frames = VecDeque::new();
     }
 }
 
@@ -368,7 +424,8 @@ fn retx_kind(frame: &Frame) -> Option<(u8, usize)> {
 
 /// What is resent if the packet that carried `frames` is lost: the
 /// retransmittable kinds, in resend order.
-fn retransmittable(mut frames: Vec<Frame>) -> Vec<Frame> {
+fn retransmittable(frames: impl Into<FrameList>) -> FrameList {
+    let mut frames = frames.into();
     frames.retain(|f| retx_kind(f).is_some());
     frames.sort_by_key(|f| retx_kind(f).map(|(rank, _)| rank));
     // Limits only grow: a packet's last MAX_DATA supersedes its others.
@@ -529,7 +586,7 @@ mod tests {
             keys: Some(keys.clone()),
             ..Space::default()
         };
-        s.crypto.queue_tx(b"client hello");
+        s.crypto.queue_tx(Bytes::from_static(b"client hello"));
         send(&mut s, 0, vec![stream(0, b"x", false)], false);
         s.recv.on_packet(5, true, at(1));
         s.requeue_oldest();
@@ -602,6 +659,36 @@ mod tests {
     }
 
     #[test]
+    fn what_packets_carried_is_one_run_by_packet_number() {
+        let mut s = Space::default();
+        send(&mut s, 0, vec![stream(0, b"a", false)], false);
+        send(&mut s, 1, vec![Frame::Ping], false);
+        let both = vec![Frame::MaxData { max: 9 }, stream(1, b"b", false)];
+        send(&mut s, 2, both, false);
+        send(&mut s, 3, vec![stream(2, b"c", true)], false);
+        let pns = |s: &Space| {
+            s.carried
+                .frames
+                .iter()
+                .map(|(pn, _)| *pn)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pns(&s), [0, 2, 2, 3], "a PING is not carried");
+        assert_eq!(s.carried.frames.capacity(), FLIGHT, "room for a flight");
+        let of_2: Vec<_> = s.carried.of(2).cloned().collect();
+        assert_eq!(of_2, [stream(1, b"b", false), Frame::MaxData { max: 9 }]);
+        assert_eq!(s.carried.of(1).count() + s.carried.of(7).count(), 0);
+        // Acknowledged from the middle: its neighbours keep theirs.
+        s.on_ack(&AckFrame::single(2, 0), at(5), &rtt());
+        assert_eq!(pns(&s), [0, 3]);
+        assert!(s.carried.take(3).eq([stream(2, b"c", true)]));
+        assert!(s.requeue_oldest());
+        assert_eq!(requeued(&mut s), [stream(0, b"a", false)]);
+        s.discard();
+        assert_eq!(s.carried.frames.capacity(), 0, "discarding frees the run");
+    }
+
+    #[test]
     fn oversized_stream_frame_goes_head_now_tail_later() {
         let mut s = Space::default();
         s.requeue(vec![stream(100, b"0123456789", true), Frame::HandshakeDone]);
@@ -651,7 +738,7 @@ mod tests {
     #[test]
     fn crypto_tx_chunks_respect_max() {
         let mut c = CryptoStream::default();
-        c.queue_tx(&[1u8; 100]);
+        c.queue_tx(Bytes::from(vec![1u8; 100]));
         let (off, data) = c.take_tx(60).unwrap();
         assert_eq!((off, data.len()), (0, 60));
         let (off, data) = c.take_tx(60).unwrap();

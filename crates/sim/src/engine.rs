@@ -723,12 +723,7 @@ mod tests {
         let mut net = Network::new(false);
         net.add_node(Box::new(TwoTimers { order: Vec::new() }));
         net.run(SimDuration::from_secs(1));
-        let labels: Vec<&str> = net
-            .trace
-            .milestones
-            .iter()
-            .map(|m| m.label.as_str())
-            .collect();
+        let labels: Vec<&str> = net.trace.milestones.iter().map(|m| &*m.label).collect();
         assert_eq!(labels, vec!["tok101", "tok102"]);
     }
 

@@ -5,6 +5,8 @@
 //! record named milestones (handshake complete, first payload byte, ...)
 //! which the testbed turns into the paper's metrics (TTFB etc.).
 
+use std::borrow::Cow;
+
 use crate::node::NodeId;
 use crate::time::SimTime;
 
@@ -46,8 +48,9 @@ pub struct Milestone {
     pub node: NodeId,
     /// Virtual time of the event.
     pub at: SimTime,
-    /// Milestone label, e.g. `"first_payload_byte"`.
-    pub label: String,
+    /// Milestone label, e.g. `"first_payload_byte"`: borrowed when it
+    /// is a constant, as every label of a handshake is.
+    pub label: Cow<'static, str>,
 }
 
 /// Shared capture state for one simulation run.
@@ -128,7 +131,7 @@ impl Trace {
     }
 
     /// Records a milestone.
-    pub fn milestone(&mut self, node: NodeId, at: SimTime, label: impl Into<String>) {
+    pub fn milestone(&mut self, node: NodeId, at: SimTime, label: impl Into<Cow<'static, str>>) {
         if !self.recording {
             return;
         }

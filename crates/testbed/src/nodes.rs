@@ -193,10 +193,10 @@ fn queue_requests(
     for i in streams {
         let path = format!("/{file_size}");
         let request = match http {
-            HttpVersion::H1 => h1::H1Request::get(&path, "testbed.local").encode(),
+            HttpVersion::H1 => h1::H1Request::get(&path, "testbed.local").to_bytes(),
             HttpVersion::H3 => h3::request_bytes(&path, "testbed.local"),
         };
-        conn.send_stream_data(stream_id::CLIENT_BIDI_0 + 4 * i as u64, &request, true);
+        conn.send_stream_data_owned(stream_id::CLIENT_BIDI_0 + 4 * i as u64, request, true);
     }
 }
 
@@ -310,7 +310,7 @@ impl ClientNode {
     fn mark(
         &self,
         ctx: &mut Context<'_>,
-        label: &str,
+        label: &'static str,
         field: impl FnOnce(&mut ClientStatus) -> &mut Option<SimTime>,
     ) {
         let (me, now) = (ctx.me(), ctx.now());

@@ -105,12 +105,13 @@ fn one_handshake_stays_under_its_ceiling() {
         assert!(result.completed);
         result
     });
-    // Measured 263 calls / 95,113 bytes at the end of PR 22, debug and
-    // release alike (264 / 110,391 before it: the send buffer's copy of
-    // the 10 KB response is gone; 333 / 154,200 before PR 21, 585 calls
-    // before PR 20); the ceilings leave 2 %.
-    assert!(calls <= 268, "{calls} allocations for one handshake");
-    assert!(bytes <= 97_000, "{bytes} bytes requested for one handshake");
+    // Measured 200 calls / 85,396 bytes at the end of PR 24, debug and
+    // release alike (263 / 95,113 before it: a heap list of frames per
+    // packet decoded, built and in flight, 46 of them; 264 / 110,391
+    // before PR 22, 333 / 154,200 before PR 21, 585 calls before PR 20);
+    // the ceilings leave 2 %.
+    assert!(calls <= 204, "{calls} allocations for one handshake");
+    assert!(bytes <= 87_100, "{bytes} bytes requested for one handshake");
 }
 
 #[test]
@@ -128,17 +129,17 @@ fn one_download_requests_three_and_a_half_times_what_it_delivers() {
         assert!(result.completed);
         result
     });
-    // Per delivered KiB, measured at the end of PR 22, debug and release
-    // alike: 3.47 KiB (5.13 before it, 10.1 before PR 21) — half a KiB of
-    // response (built once, the second stream is handed the first's), a
-    // little over one of datagrams, and the rest bookkeeping (frame
-    // lists, sent-packet records, both qlogs, the trace, the event
-    // queue). The send buffer holds the response itself, so the datagram
+    // Per delivered KiB, measured at the end of PR 24, debug and release
+    // alike: 2.90 KiB (3.47 before it, 5.13 before PR 22, 10.1 before
+    // PR 21) — half a KiB of response (built once, the second stream is
+    // handed the first's), a little over one of datagrams, and the rest
+    // bookkeeping (sent-packet records and what they carried, both
+    // qlogs, the trace, the event queue). The send buffer holds the response itself, so the datagram
     // is the only buffer a delivered byte is copied into.
     let delivered = (sc.streams * sc.file_size) as f64;
     let per_kib = bytes as f64 / delivered;
     assert!(
-        per_kib <= 3.54,
+        per_kib <= 2.96,
         "{per_kib:.2} KiB requested per KiB delivered"
     );
 }
@@ -167,12 +168,12 @@ fn a_live_connection_pair_stays_under_its_weight() {
     assert_eq!(pairs, 600, "every arrival is live at the peak");
     // Everything the run holds at its peak — both connections, the
     // datagrams in flight, the timer heap and the testbed's own records
-    // — per client–server pair. Measured 24,890 bytes at the
-    // end of PR 22, debug and release alike (40,385 before it: a private
-    // copy of the response, a B-tree leaf per table, two qlogs nobody
-    // read); the ceiling leaves 3 %.
+    // — per client–server pair. Measured 23,840 bytes at the
+    // end of PR 24, debug and release alike (24,890 before it: a heap
+    // list per packet in flight and a second copy of the ClientHello;
+    // 40,385 before PR 22); the ceiling leaves 3 %.
     let per_pair = peak / pairs;
-    assert!(per_pair <= 25_600, "{per_pair} bytes per live pair");
+    assert!(per_pair <= 24_550, "{per_pair} bytes per live pair");
 }
 
 #[test]
@@ -252,11 +253,11 @@ fn a_datagram_is_one_allocation_and_its_frames_are_views() {
         (calls, bytes / 8),
         (1, (wire.len() as u64 + 16).div_ceil(8))
     );
-    // Decoding it allocates the frame list and nothing per payload; the
+    // Decoding it allocates nothing: the frame list is inline and the
     // STREAM data is the datagram's own bytes.
     let mut decoded = None;
     let (calls, _) = requested_by(|| decoded = PlainPacket::decode_with_payload(&wire, 8).ok());
-    assert_eq!(calls, 1);
+    assert_eq!(calls, 0);
     let (decoded, payload, _, used) = decoded.unwrap();
     assert_eq!((decoded == pkt, used), (true, wire.len()));
     let Frame::Stream { data, .. } = &decoded.frames[0] else {

@@ -62,10 +62,10 @@ fn run(http: HttpVersion, streams: usize, body: usize, v: Variant) -> Run {
     let mut server_cfg = testbed_server(IACK, rq_tls::CERT_SMALL);
     client_cfg.capture_qlog = v.capture;
     server_cfg.capture_qlog = v.capture;
-    let request = Bytes::from(match http {
-        HttpVersion::H1 => h1::H1Request::get(&format!("/{body}"), "testbed.local").encode(),
+    let request = match http {
+        HttpVersion::H1 => h1::H1Request::get(&format!("/{body}"), "testbed.local").to_bytes(),
         HttpVersion::H3 => h3::request_bytes(&format!("/{body}"), "testbed.local"),
-    });
+    };
     let response = response(http, body);
     let loss = ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.3, 0.0, 0.5);
     let mut channel = Impairment::new(loss, 0x5EED);

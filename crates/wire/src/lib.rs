@@ -24,6 +24,7 @@
 pub mod coalesce;
 pub mod error;
 pub mod frame;
+pub mod frame_list;
 pub mod header;
 pub mod packet;
 pub mod varint;
@@ -34,6 +35,7 @@ pub use bytes::Bytes;
 pub use coalesce::{classify_datagram, DatagramInfo, PacketSummary};
 pub use error::WireError;
 pub use frame::{AckFrame, AckRange, Frame};
+pub use frame_list::FrameList;
 pub use header::{ConnectionId, Header, PacketType};
 pub use packet::{PacketNumberSpace, PlainPacket, AEAD_TAG_LEN};
 pub use varint::VarInt;

@@ -8,6 +8,7 @@
 use bytes::{BufMut, Bytes};
 
 use crate::frame::Frame;
+use crate::frame_list::FrameList;
 use crate::header::{Header, PacketType};
 use crate::{Result, WireError};
 
@@ -69,12 +70,13 @@ pub struct PlainPacket {
     /// The packet header.
     pub header: Header,
     /// Frames in wire order.
-    pub frames: Vec<Frame>,
+    pub frames: FrameList,
 }
 
 impl PlainPacket {
     /// Creates a packet, validating frame/packet-type permissions.
-    pub fn new(header: Header, frames: Vec<Frame>) -> Result<Self> {
+    pub fn new(header: Header, frames: impl Into<FrameList>) -> Result<Self> {
+        let frames = frames.into();
         for f in &frames {
             if !f.permitted_in(header.ty) {
                 return Err(WireError::FrameNotPermitted {
@@ -218,7 +220,7 @@ impl PlainPacket {
             return Ok((
                 PlainPacket {
                     header,
-                    frames: Vec::new(),
+                    frames: FrameList::new(),
                 },
                 Bytes::new(),
                 [0; AEAD_TAG_LEN],
@@ -231,24 +233,23 @@ impl PlainPacket {
         let payload = buf.split_to(body_len - AEAD_TAG_LEN);
         let mut tag = [0u8; AEAD_TAG_LEN];
         tag.copy_from_slice(&buf[..AEAD_TAG_LEN]);
-        let mut frames = Vec::new();
+        // The frames are decoded into the packet that is returned.
+        let mut pkt = PlainPacket {
+            header,
+            frames: FrameList::new(),
+        };
         let mut p = payload.clone();
         while !p.is_empty() {
             let f = Frame::decode(&mut p)?;
-            if !f.permitted_in(header.ty) {
+            if !f.permitted_in(pkt.header.ty) {
                 return Err(WireError::FrameNotPermitted {
                     frame_type: f.type_id(),
-                    packet_type: header.ty.name(),
+                    packet_type: pkt.header.ty.name(),
                 });
             }
-            frames.push(f);
+            pkt.frames.push(f);
         }
-        Ok((
-            PlainPacket { header, frames },
-            payload,
-            tag,
-            consumed_header + body_len,
-        ))
+        Ok((pkt, payload, tag, consumed_header + body_len))
     }
 }
 
