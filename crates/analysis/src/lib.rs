@@ -9,11 +9,9 @@
 pub mod ack_delay;
 pub mod guidelines;
 pub mod pto_model;
-pub mod trace_report;
 
 pub use ack_delay::{
     ack_delay_plausible, first_pto_with_strategy, rtts_until_converged, AckDelayStrategy,
 };
 pub use guidelines::{recommend, Advice, DeploymentScenario};
 pub use pto_model::{first_pto_reduction_rtt, pto_evolution, spurious_retransmit, PtoPoint};
-pub use trace_report::{trace_report, CcResidency, Flight, LossEpisode, TraceReport};

@@ -273,24 +273,19 @@ pub(crate) fn delta_cell(from: Option<f64>, to: Option<f64>, width: usize) -> St
     }
 }
 
-/// The paper tables' aggregation rule: the median of a cell's metric, or
-/// `None` when fewer than half of the `reps` repetitions produced it
+/// The paper tables' aggregation rule: the median of one metric over a
+/// cell's repetitions, or `None` when fewer than half of them produced it
 /// (e.g. the quiche abort).
-pub fn half_median(values: &[f64], reps: usize) -> Option<f64> {
-    if values.len() * 2 < reps {
-        None
-    } else {
-        median(values)
-    }
-}
-
-/// [`half_median`] of one metric over a cell's repetitions.
 pub(crate) fn median_by(
     results: &[RunResult],
     metric: impl Fn(&RunResult) -> Option<f64>,
 ) -> Option<f64> {
     let values: Vec<f64> = results.iter().filter_map(metric).collect();
-    half_median(&values, results.len())
+    if values.len() * 2 < results.len() {
+        None
+    } else {
+        median(&values)
+    }
 }
 
 /// Runs `reps` repetitions of `base` under WFC and under IACK and returns

@@ -41,7 +41,7 @@ impl StreamType {
 
 /// The fixed SETTINGS payload our server advertises (three standard
 /// identifiers, mirroring quic-go's defaults).
-pub const SETTINGS_PAYLOAD: &[u8] = &[
+const SETTINGS_PAYLOAD: &[u8] = &[
     0x01, 0x40, 0x64, // QPACK_MAX_TABLE_CAPACITY = 100
     0x07, 0x40, 0x64, // QPACK_BLOCKED_STREAMS = 100
     0x33, 0x01, // H3_DATAGRAM-ish filler = 1

@@ -20,7 +20,7 @@ pub mod h1;
 pub mod h3;
 
 pub use h1::{H1Request, H1Response};
-pub use h3::{H3Frame, StreamType, SETTINGS_PAYLOAD};
+pub use h3::{H3Frame, StreamType};
 
 /// Which HTTP flavour a testbed run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

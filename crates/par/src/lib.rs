@@ -54,7 +54,7 @@ pub fn parse_threads(raw: Option<&str>) -> usize {
 
 /// Thread count from the `REACKED_THREADS` environment variable
 /// (default: available parallelism).
-pub fn threads_from_env() -> usize {
+fn threads_from_env() -> usize {
     parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
 }
 
@@ -376,10 +376,6 @@ mod tests {
         };
         let got = runner.run(64, work);
         assert_eq!(got, (0..64).map(work).collect::<Vec<_>>());
-        runner
-            .profile()
-            .unwrap()
-            .record_setup(std::time::Duration::from_nanos(10));
 
         let report = sink.report();
         assert_eq!(report.sweeps, 1);
@@ -389,8 +385,6 @@ mod tests {
         assert!(report.chunk_min >= 1 && report.chunk_max <= 64);
         // busy + claim + merge + idle == workers x wall exactly.
         assert!((report.attributed_share() - 1.0).abs() < 1e-9);
-        assert!(report.measured_share() <= 1.0 + 1e-9);
-        assert_eq!(report.setup_ns, 10);
     }
 
     #[test]

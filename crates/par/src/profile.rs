@@ -4,8 +4,6 @@
 //! records, per worker and per sweep, where the wall-clock goes:
 //!
 //! * **busy** — inside the caller's work closure;
-//! * **setup** — the slice of busy the caller tags as per-task setup
-//!   (scratch cloning, arena init) via [`ProfileSink::record_setup`];
 //! * **claim** — taking chunks off the shared index queue (the
 //!   queue-contention counter);
 //! * **merge** — waiting on and holding the result-slot mutex;
@@ -41,22 +39,12 @@ pub struct ProfileSink {
     /// Sum over sweeps of `workers x wall` — the denominator every
     /// span share is computed against.
     worker_wall_ns: AtomicU64,
-    /// Caller-tagged per-task setup time (a subset of busy).
-    setup_ns: AtomicU64,
     workers: Mutex<Vec<WorkerSpans>>,
 }
 
 impl ProfileSink {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Tag `d` as per-task setup cost. Call from inside a sweep
-    /// closure; the time stays inside the busy span and is broken out
-    /// separately in the report.
-    pub fn record_setup(&self, d: Duration) {
-        self.setup_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_worker(&self, spans: WorkerSpans) {
@@ -99,7 +87,6 @@ impl ProfileSink {
             wall_ns: self.wall_ns.load(Ordering::Relaxed),
             worker_wall_ns,
             busy_ns,
-            setup_ns: self.setup_ns.load(Ordering::Relaxed).min(busy_ns),
             claim_ns,
             merge_ns,
             idle_ns,
@@ -121,8 +108,6 @@ pub struct ProfileReport {
     /// idle equals this by construction.
     pub worker_wall_ns: u64,
     pub busy_ns: u64,
-    /// Caller-tagged slice of busy spent on per-task setup.
-    pub setup_ns: u64,
     pub claim_ns: u64,
     pub merge_ns: u64,
     /// Residual: spawn, join, and end-of-sweep tail waiting.
@@ -144,14 +129,5 @@ impl ProfileReport {
         }
         (self.busy_ns + self.claim_ns + self.merge_ns + self.idle_ns) as f64
             / self.worker_wall_ns as f64
-    }
-
-    /// Fraction of `workers x wall` directly measured inside spans
-    /// (excludes the derived idle residual).
-    pub fn measured_share(&self) -> f64 {
-        if self.worker_wall_ns == 0 {
-            return 0.0;
-        }
-        (self.busy_ns + self.claim_ns + self.merge_ns) as f64 / self.worker_wall_ns as f64
     }
 }

@@ -17,4 +17,4 @@ pub mod metrics;
 
 pub use events::{EventData, EventLog, FrameSummary, QlogEvent, SpaceName};
 pub use exposure::MetricsExposure;
-pub use metrics::{first_pto_ms, packets_lost, pto_expirations, pto_series, MetricsPoint};
+pub use metrics::{first_pto_ms, packets_lost, pto_expirations};

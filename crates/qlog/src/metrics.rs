@@ -6,7 +6,7 @@ use crate::events::{EventData, EventLog};
 
 /// A reconstructed PTO data point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricsPoint {
+struct MetricsPoint {
     /// Event time in ms.
     pub time_ms: f64,
     /// Smoothed RTT in ms.
@@ -24,7 +24,7 @@ pub struct MetricsPoint {
 /// RFC 9002 recursion, seeding `var = srtt/2` at the first update — the
 /// same fallback the paper applies ("we calculate it from the sent and
 /// received packets instead").
-pub fn pto_series(log: &EventLog) -> Vec<MetricsPoint> {
+fn pto_series(log: &EventLog) -> Vec<MetricsPoint> {
     let mut out = Vec::new();
     let mut recon_var: Option<f64> = None;
     let mut prev_srtt: Option<f64> = None;

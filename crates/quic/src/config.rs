@@ -183,7 +183,7 @@ impl EndpointConfig {
     /// A well-behaved RFC-default endpoint.
     pub fn rfc_default() -> Self {
         EndpointConfig {
-            default_pto: SimDuration::from_millis(1000),
+            default_pto: rq_recovery::RFC_DEFAULT_PTO,
             max_ack_delay: SimDuration::from_millis(25),
             flight2_datagrams: 3,
             probe_policy: ProbePolicy::Ping,
@@ -215,18 +215,6 @@ impl EndpointConfig {
             name: "rfc-default",
         }
     }
-
-    /// Switches the server to instant-ACK mode.
-    pub fn with_instant_ack(mut self, pad_to_mtu: bool) -> Self {
-        self.ack_mode = ServerAckMode::InstantAck { pad_to_mtu };
-        self
-    }
-
-    /// Sets the certificate size.
-    pub fn with_cert_len(mut self, len: usize) -> Self {
-        self.cert_len = len;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -240,14 +228,5 @@ mod tests {
             ServerAckMode::InstantAck { pad_to_mtu: false }.label(),
             "IACK"
         );
-    }
-
-    #[test]
-    fn builder_helpers() {
-        let cfg = EndpointConfig::rfc_default()
-            .with_instant_ack(true)
-            .with_cert_len(rq_tls::CERT_LARGE);
-        assert_eq!(cfg.ack_mode, ServerAckMode::InstantAck { pad_to_mtu: true });
-        assert_eq!(cfg.cert_len, rq_tls::CERT_LARGE);
     }
 }

@@ -509,11 +509,6 @@ impl Connection {
         self.new_ack_packets
     }
 
-    /// Whether the connection is closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Whether the handshake completed at this endpoint.
     pub fn is_established(&self) -> bool {
         self.handshake_complete

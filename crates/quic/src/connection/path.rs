@@ -54,11 +54,6 @@ impl Connection {
         self.path_challenge.is_some()
     }
 
-    /// Spare CIDs the peer has announced and we have not rotated to yet.
-    pub fn spare_peer_cids(&self) -> usize {
-        self.peer_cid_pool.len()
-    }
-
     pub(super) fn ensure_path(&mut self, id: u64) -> &mut PathState {
         if let Some(i) = self.paths.iter().position(|p| p.id == id) {
             return &mut self.paths[i];

@@ -311,15 +311,18 @@ fn forged_initial_with_hostile_ack_changes_nothing() {
         ));
         s.handle_datagram(at(1), &forged);
         assert_eq!(recovery_state(&s), before, "pn {pn}");
-        assert!(!s.is_closed() && s.poll_event().is_none(), "pn {pn}");
+        assert!(!s.closed && s.poll_event().is_none(), "pn {pn}");
     }
 }
 
 #[test]
 fn server_amplification_limit_enforced_with_large_cert() {
     let mut c = client();
-    let mut cfg = EndpointConfig::rfc_default().with_cert_len(rq_tls::CERT_LARGE);
-    cfg.ack_mode = ServerAckMode::WaitForCertificate;
+    let cfg = EndpointConfig {
+        cert_len: rq_tls::CERT_LARGE,
+        ack_mode: ServerAckMode::WaitForCertificate,
+        ..EndpointConfig::rfc_default()
+    };
     let mut s = Connection::server(cfg, 2, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
     let ch = c.poll_transmit(at(0)).unwrap();
     let ch_len = ch.len();
@@ -577,7 +580,7 @@ fn connection_close_propagates() {
         }
     }
     assert!(closed);
-    assert!(s.is_closed());
+    assert!(s.closed);
 }
 
 #[test]
@@ -894,8 +897,8 @@ fn cid_derivation_is_collision_free() {
 fn cid_pool_announced_after_handshake() {
     let (mut c, mut s) = migration_pair();
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
-    assert_eq!(c.spare_peer_cids(), 2, "server pool not banked at client");
-    assert_eq!(s.spare_peer_cids(), 2, "client pool not banked at server");
+    assert_eq!(c.peer_cid_pool.len(), 2, "server pool not banked at client");
+    assert_eq!(s.peer_cid_pool.len(), 2, "client pool not banked at server");
     // The spares are exactly the derivable pool CIDs.
     assert_eq!(c.peer_cid_pool[0].1, derived_cid(2, CID_KIND_SERVER, 1));
     assert_eq!(s.peer_cid_pool[1].1, derived_cid(1, CID_KIND_CLIENT, 2));
@@ -906,8 +909,8 @@ fn cid_pool_disabled_changes_nothing() {
     let mut c = client();
     let mut s = server(ServerAckMode::WaitForCertificate);
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
-    assert_eq!(c.spare_peer_cids(), 0);
-    assert_eq!(s.spare_peer_cids(), 0);
+    assert_eq!(c.peer_cid_pool.len(), 0);
+    assert_eq!(s.peer_cid_pool.len(), 0);
     assert_eq!(
         c.log
             .count(|d| matches!(d, EventData::MigrationStarted { .. })),

@@ -280,11 +280,6 @@ impl ServerEngine {
         self.schedule
     }
 
-    /// Currently active connections.
-    pub fn active(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Exports the engine's admission accounting plus an
     /// active-connection gauge (current level, observed peak) into `reg`
     /// under `server/`.
@@ -295,11 +290,6 @@ impl ServerEngine {
             self.conns.len() as i64,
             self.accounting.peak_active as i64,
         );
-    }
-
-    /// Whether `key` has an active connection.
-    pub fn has_conn(&self, key: u64) -> bool {
-        self.conns.contains_key(&key)
     }
 
     /// Looks up the connection owning `cid` (any CID from its announced
@@ -521,7 +511,7 @@ mod tests {
             e.accept(3, 3, dcid(3), 0, false, false),
             AcceptOutcome::Shed
         );
-        assert_eq!(e.active(), 2);
+        assert_eq!(e.conns.len(), 2);
         assert_eq!(e.accounting.arrivals, 3);
         assert_eq!(e.accounting.accepted, 2);
         assert_eq!(e.accounting.shed, 1);
@@ -619,7 +609,7 @@ mod tests {
             e.accept(2, 2, dcid(2), 0, false, false),
             AcceptOutcome::RetryDefer
         );
-        assert_eq!(e.active(), 1);
+        assert_eq!(e.conns.len(), 1);
         assert_eq!(e.accounting.retry_deferred, 1);
         assert_eq!(e.accounting.shed, 0);
         // Still full: the tokened revisit keeps knocking, uncounted.
@@ -662,7 +652,7 @@ mod tests {
         }
         let orphans = e.crash_and_restart(SimTime::ZERO, false);
         assert_eq!(orphans, vec![1, 3, 5], "orphans must come out sorted");
-        assert_eq!(e.active(), 0);
+        assert_eq!(e.conns.len(), 0);
         assert_eq!(e.accounting.crashes, 1);
         assert_eq!(e.accounting.reset_conns, 3);
         assert!(e
@@ -717,7 +707,10 @@ mod tests {
         // the 3x limit. The tally must not depend on the qlog still
         // being inside the connection (the full-detail runner moves it
         // out before retiring).
-        let template = EndpointConfig::rfc_default().with_cert_len(rq_tls::CERT_LARGE);
+        let template = EndpointConfig {
+            cert_len: rq_tls::CERT_LARGE,
+            ..EndpointConfig::rfc_default()
+        };
         let mut e = ServerEngine::new(template, TicketKeySchedule::fixed(7), 4);
         let mut client = Connection::client(EndpointConfig::rfc_default(), 1, false);
         let hello = client.poll_transmit(SimTime::ZERO).expect("client Initial");

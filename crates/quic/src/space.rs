@@ -131,7 +131,7 @@ impl CryptoStream {
     }
 
     /// Bytes waiting to be sent.
-    pub fn tx_len(&self) -> usize {
+    fn tx_len(&self) -> usize {
         self.tx.len()
     }
 }

@@ -10,17 +10,9 @@ use rq_recovery::SeqMap;
 
 use crate::bytestream::{Reassembler, SendBuf};
 
-/// Stream-ID helpers (RFC 9000 §2.1): two LSBs encode initiator and
-/// directionality.
+/// The stream IDs the stack opens (RFC 9000 §2.1: the two LSBs encode
+/// initiator and directionality).
 pub mod id {
-    /// True if the stream was initiated by the client.
-    pub fn is_client_initiated(id: u64) -> bool {
-        id & 0x1 == 0
-    }
-    /// True for bidirectional streams.
-    pub fn is_bidi(id: u64) -> bool {
-        id & 0x2 == 0
-    }
     /// First client-initiated bidirectional stream.
     pub const CLIENT_BIDI_0: u64 = 0;
     /// First server-initiated unidirectional stream (HTTP/3 control).
@@ -58,7 +50,7 @@ impl SendStream {
     }
 
     /// Bytes currently sendable under the stream flow-control limit.
-    pub fn sendable(&self) -> usize {
+    fn sendable(&self) -> usize {
         let limit = self.max_stream_data.saturating_sub(self.buf.offset()) as usize;
         self.buf.len().min(limit)
     }
@@ -226,11 +218,9 @@ mod tests {
 
     #[test]
     fn stream_id_properties() {
-        assert!(id::is_client_initiated(0));
-        assert!(id::is_bidi(0));
-        assert!(!id::is_client_initiated(3));
-        assert!(!id::is_bidi(3));
-        assert!(id::is_client_initiated(4));
+        // Bit 0: initiator (0 = client); bit 1: direction (0 = bidi).
+        assert_eq!(id::CLIENT_BIDI_0 & 0x3, 0b00);
+        assert_eq!(id::SERVER_UNI_0 & 0x3, 0b11);
     }
 
     #[test]

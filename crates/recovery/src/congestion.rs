@@ -29,18 +29,18 @@ pub const INITIAL_WINDOW: usize = 12_000;
 /// Minimum congestion window (2 datagrams).
 pub const MIN_WINDOW: usize = 2 * MAX_DATAGRAM;
 /// Loss-reduction factor (halving).
-pub const LOSS_REDUCTION: f64 = 0.5;
+const LOSS_REDUCTION: f64 = 0.5;
 /// Persistent-congestion threshold multiplier.
-pub const PERSISTENT_CONGESTION_THRESHOLD: u64 = 3;
+const PERSISTENT_CONGESTION_THRESHOLD: u64 = 3;
 /// CUBIC aggressiveness constant (RFC 8312 §5: C = 0.4, in MSS/s³).
-pub const CUBIC_C: f64 = 0.4;
+const CUBIC_C: f64 = 0.4;
 /// CUBIC multiplicative-decrease factor (RFC 8312 §4.5: β = 0.7).
-pub const CUBIC_BETA: f64 = 0.7;
+const CUBIC_BETA: f64 = 0.7;
 /// BBR-lite window gain over the estimated BDP.
-pub const BBR_CWND_GAIN: f64 = 2.0;
+const BBR_CWND_GAIN: f64 = 2.0;
 /// BBR-lite startup exits after this many bandwidth-probe rounds without
 /// a ≥ 25 % bottleneck-bandwidth improvement.
-pub const BBR_PLATEAU_ROUNDS: u32 = 3;
+const BBR_PLATEAU_ROUNDS: u32 = 3;
 
 /// The persistent-congestion span (RFC 9002 §7.6.1): lost ack-eliciting
 /// packets covering more than `threshold × PTO` with no ack in between

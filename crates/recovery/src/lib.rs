@@ -22,6 +22,6 @@ pub use congestion::{
     NewReno,
 };
 pub use pto::{PtoState, RFC_DEFAULT_PTO};
-pub use rtt::{first_pto_after_sample, RttEstimator, RttVariant, GRANULARITY};
+pub use rtt::{RttEstimator, RttVariant, GRANULARITY};
 pub use sent::{AckOutcome, SentPacket, SentTracker, FLIGHT, PACKET_THRESHOLD};
 pub use seqmap::SeqMap;

@@ -196,12 +196,6 @@ impl RttEstimator {
     }
 }
 
-/// The expected first PTO after a single clean RTT sample: `3 x sample`
-/// (used in analytical models and asserted in tests).
-pub fn first_pto_after_sample(sample: SimDuration) -> SimDuration {
-    sample + (sample.div(2)).mul(4).max(GRANULARITY)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +222,6 @@ mod tests {
         let mut r = RttEstimator::new(SimDuration::ZERO);
         r.update(ms(9), SimDuration::ZERO, false);
         assert_eq!(r.pto_base(), Some(ms(27)));
-        assert_eq!(first_pto_after_sample(ms(9)), ms(27));
         let mut r2 = RttEstimator::new(SimDuration::ZERO);
         r2.update(ms(25), SimDuration::ZERO, false);
         assert_eq!(r2.pto_base(), Some(ms(75)));

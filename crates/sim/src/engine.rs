@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rq_wire::Bytes;
 
-use crate::link::{Link, LinkConfig, LinkStats, TransmitResult};
+use crate::link::{Link, LinkConfig, TransmitResult};
 use crate::node::{Context, Node, NodeId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DatagramFate, Trace};
@@ -264,17 +264,6 @@ impl Network {
         self.now
     }
 
-    /// Number of live (non-retired) nodes.
-    pub fn live_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
-    }
-
-    /// Stats for the link between `a` and `b`, if one exists.
-    pub fn link_stats(&self, a: NodeId, b: NodeId) -> Option<LinkStats> {
-        let link = self.links[self.active_slot(a, b)?].as_ref();
-        Some(link.expect("indexed link is live").stats)
-    }
-
     /// Queues a Start event for `node` at time `at` (which must not be in
     /// the past) and marks it started. This is how the server-load driver
     /// brings mid-run arrivals to life; nodes covered by a blanket
@@ -507,7 +496,14 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkStats;
     use crate::loss::{Direction, DropIndices};
+
+    /// Counters of the live link from `a` to `b`, if one exists.
+    fn link_stats(net: &Network, a: NodeId, b: NodeId) -> Option<LinkStats> {
+        let link = net.links[net.active_slot(a, b)?].as_ref();
+        Some(link.expect("indexed link is live").stats)
+    }
 
     /// Test node: replies to every datagram with "pong" until a count is
     /// reached, records milestones on receipt.
@@ -677,7 +673,7 @@ mod tests {
         assert_eq!(at[0], at[1]);
         assert_eq!(net.trace.sent_count(b, a), 1);
         assert_eq!(net.trace.duplicated_count(b, a), 1);
-        assert_eq!(net.link_stats(a, b).unwrap().duplicated, 1);
+        assert_eq!(link_stats(&net, a, b).unwrap().duplicated, 1);
     }
 
     #[test]
@@ -801,14 +797,14 @@ mod tests {
         net.prime();
         let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
         net.run_until(t(7));
-        assert_eq!(net.live_nodes(), 2);
+        assert_eq!(net.nodes.iter().flatten().count(), 2);
         // Retire the receiver: b keeps chattering into the void — queued
         // timer events for b still fire, its sends vanish (no link), and
         // stale datagrams addressed to a are skipped.
         let retired = net.retire_node(a);
         assert!(retired.is_some());
-        assert_eq!(net.live_nodes(), 1);
-        assert!(net.link_stats(a, b).is_none());
+        assert_eq!(net.nodes.iter().flatten().count(), 1);
+        assert!(link_stats(&net, a, b).is_none());
         assert_eq!(net.run_until(t(30)), RunOutcome::TimeLimit);
         // Only the pre-retirement deliveries (t=1, t=6) were counted.
         assert_eq!(net.trace.all("rx").len(), 2);
@@ -941,10 +937,10 @@ mod tests {
         assert_eq!(net.links.iter().flatten().count(), 2);
         assert_eq!(net.free_links.len(), 2);
         assert!(net.rerouted.is_empty());
-        assert!(net.link_stats(peers[1], hub).is_none());
+        assert!(link_stats(&net, peers[1], hub).is_none());
         for p in [peers[0], peers[2]] {
-            assert!(net.link_stats(p, hub).is_some());
-            assert!(net.link_stats(hub, p).is_some());
+            assert!(link_stats(&net, p, hub).is_some());
+            assert!(link_stats(&net, hub, p).is_some());
         }
         // Let what the retired peer had in flight land, then: two
         // chatterers left, one send each per 5 ms.
@@ -958,7 +954,7 @@ mod tests {
         net.connect(late, hub, LinkConfig::paper_default(ms(1)));
         assert_eq!(net.links.len(), 4);
         assert_eq!(net.free_links.len(), 1);
-        assert_eq!(net.link_stats(late, hub), Some(LinkStats::default()));
+        assert_eq!(link_stats(&net, late, hub), Some(LinkStats::default()));
     }
 
     #[test]

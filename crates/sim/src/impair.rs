@@ -150,7 +150,7 @@ impl ImpairmentSpec {
     }
 
     /// True when the spec is the identity channel.
-    pub fn is_noop(&self) -> bool {
+    fn is_noop(&self) -> bool {
         matches!(self.loss, LossModel::None)
             && self.reorder_probability == 0.0
             && self.duplicate_probability == 0.0
@@ -158,7 +158,7 @@ impl ImpairmentSpec {
     }
 
     /// Panics unless every probability lies in `[0, 1]`.
-    pub fn validate(&self) {
+    fn validate(&self) {
         let check = |name: &str, p: f64| {
             assert!(
                 (0.0..=1.0).contains(&p),

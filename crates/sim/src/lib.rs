@@ -28,7 +28,7 @@ pub mod trace;
 pub use engine::{EngineStats, Network, RunOutcome};
 pub use fault::{Blackout, FaultProfile, FaultTimeline, Freeze};
 pub use impair::{ImpairedFate, Impairment, ImpairmentSpec, Jitter, LossModel};
-pub use link::{LinkConfig, LinkStats};
+pub use link::LinkConfig;
 pub use loss::{Direction, DropContentMatch, DropIndices, LossRule, NoLoss};
 pub use node::{Context, Node, NodeId};
 pub use rng::{NormalDraw, SimRng};

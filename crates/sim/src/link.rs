@@ -45,7 +45,8 @@ impl LinkConfig {
     }
 
     /// Replaces the loss rule.
-    pub fn with_loss(mut self, loss: impl LossRule + 'static) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_loss(mut self, loss: impl LossRule + 'static) -> Self {
         self.loss = Box::new(loss);
         self
     }

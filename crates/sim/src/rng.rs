@@ -16,8 +16,8 @@ fn splitmix_mix(mut z: u64) -> u64 {
 /// two uniforms [`SimRng::draw_normal`] consumed. Drawing and
 /// transforming are separate so a caller that needs the stream position
 /// but not (yet) the value can skip the `ln`/`sqrt`/`cos`/`exp`;
-/// transforming later yields the bits `gen_normal` / `gen_lognormal`
-/// would have returned at the draw.
+/// transforming later yields the bits `gen_lognormal` would have
+/// returned at the draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalDraw {
     u1: f64,
@@ -26,7 +26,7 @@ pub struct NormalDraw {
 
 impl NormalDraw {
     /// The standard-normal value of this draw (Box–Muller).
-    pub fn normal(self) -> f64 {
+    fn normal(self) -> f64 {
         (-2.0 * self.u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * self.u2).cos()
     }
 
@@ -127,16 +127,11 @@ impl SimRng {
 
     /// Draws the two uniforms of one normal variate without transforming
     /// them (see [`NormalDraw`]): the stream advances exactly as
-    /// [`SimRng::gen_normal`] advances it.
+    /// [`SimRng::gen_lognormal`] advances it.
     pub fn draw_normal(&mut self) -> NormalDraw {
         let u1 = self.gen_f64().max(f64::MIN_POSITIVE);
         let u2 = self.gen_f64();
         NormalDraw { u1, u2 }
-    }
-
-    /// Standard-normal draw (Box–Muller, deterministic).
-    pub fn gen_normal(&mut self) -> f64 {
-        self.draw_normal().normal()
     }
 
     /// Exponential draw with mean `mean`.
@@ -210,7 +205,7 @@ mod tests {
     fn normal_mean_near_zero() {
         let mut r = SimRng::new(5);
         let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.gen_normal()).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| r.draw_normal().normal()).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
     }
 
@@ -235,14 +230,10 @@ mod tests {
     fn drawn_pairs_transform_to_the_same_bits_and_stream_position() {
         let mut a = SimRng::new(13);
         let mut b = SimRng::new(13);
-        for i in 0..500 {
-            if i % 2 == 0 {
-                assert_eq!(a.draw_normal().normal().to_bits(), b.gen_normal().to_bits());
-            } else {
-                let later = a.draw_normal();
-                let now = b.gen_lognormal(3.2, 0.6);
-                assert_eq!(later.lognormal(3.2, 0.6).to_bits(), now.to_bits());
-            }
+        for _ in 0..500 {
+            let later = a.draw_normal();
+            let now = b.gen_lognormal(3.2, 0.6);
+            assert_eq!(later.lognormal(3.2, 0.6).to_bits(), now.to_bits());
             assert_eq!(a.next_u64(), b.next_u64());
         }
     }

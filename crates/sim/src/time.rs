@@ -35,12 +35,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// From fractional milliseconds (used for RTT sweeps such as 0.5 ms
-    /// one-way delay).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms * 1e6).round() as u64)
-    }
-
     /// Nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -130,9 +124,6 @@ pub struct SimTime(u64);
 impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
-    /// A time later than any the engine will ever reach; used as an
-    /// "unarmed" timer sentinel.
-    pub const NEVER: SimTime = SimTime(u64::MAX);
 
     /// From a raw nanosecond count.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -185,7 +176,6 @@ mod tests {
     fn conversions() {
         assert_eq!(SimDuration::from_millis(9).as_micros(), 9_000);
         assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
-        assert_eq!(SimDuration::from_millis_f64(0.5).as_micros(), 500);
         assert_eq!(SimDuration::from_micros(250).as_nanos(), 250_000);
     }
 
@@ -209,7 +199,6 @@ mod tests {
         let t1 = t0 + SimDuration::from_millis(25);
         assert_eq!(t1.since(t0).as_millis(), 25);
         assert_eq!(t0.saturating_since(t1), SimDuration::ZERO);
-        assert!(SimTime::NEVER > t1);
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub use server_load::{
     run_server_load, run_server_load_sharded, ArrivalProcess, ClassMix, ConnFate, ConnOutcome,
     ConnPlan, FateTally, ServerLoadReport, ServerLoadRun, ServerLoadSpec, DEFAULT_SHARD_ARRIVALS,
 };
-pub use stats::{median, median_sorted, percentile, percentile_sorted, LatencyHistogram, Summary};
+pub use stats::{median, percentile, LatencyHistogram};

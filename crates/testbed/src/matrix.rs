@@ -18,7 +18,7 @@ use rq_recovery::CcAlgorithm;
 use rq_sim::SimDuration;
 
 use crate::runner::{rep_scenario, run_scenario, RunResult, SweepRunner};
-use crate::scenario::{HandshakeClass, LossSpec, MigrationSpec, Scenario};
+use crate::scenario::{HandshakeClass, LossSpec, Scenario};
 
 /// A cross product of scenario axes, expanded from a base scenario.
 ///
@@ -26,7 +26,7 @@ use crate::scenario::{HandshakeClass, LossSpec, MigrationSpec, Scenario};
 /// `with_*` call replaces that axis with an explicit list. Axis order in
 /// the expansion (outermost first): clients, ack modes, handshake
 /// classes, RTTs, cert sizes, cert delays, losses, congestion
-/// controllers, migrations.
+/// controllers. Every cell keeps the base scenario's migration.
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
     base: Scenario,
@@ -38,7 +38,6 @@ pub struct ScenarioMatrix {
     cert_delays: Vec<SimDuration>,
     losses: Vec<LossSpec>,
     cc_algorithms: Vec<CcAlgorithm>,
-    migrations: Vec<MigrationSpec>,
 }
 
 /// One expanded matrix cell together with its repetition results.
@@ -55,11 +54,6 @@ impl MatrixCell {
     pub fn ttfbs_ms(&self) -> Vec<f64> {
         self.results.iter().filter_map(|r| r.ttfb_ms).collect()
     }
-
-    /// Handshake times of the completed repetitions, in repetition order.
-    pub fn handshakes_ms(&self) -> Vec<f64> {
-        self.results.iter().filter_map(|r| r.handshake_ms).collect()
-    }
 }
 
 impl ScenarioMatrix {
@@ -74,7 +68,6 @@ impl ScenarioMatrix {
             cert_delays: vec![base.cert_delay],
             losses: vec![base.loss],
             cc_algorithms: vec![base.cc],
-            migrations: vec![base.migration.clone()],
             base,
         }
     }
@@ -135,13 +128,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Replaces the connection-migration axis.
-    pub fn migrations(mut self, migrations: &[MigrationSpec]) -> Self {
-        assert!(!migrations.is_empty(), "empty migration axis");
-        self.migrations = migrations.to_vec();
-        self
-    }
-
     /// Number of cells in the cross product.
     pub fn len(&self) -> usize {
         self.clients.len()
@@ -152,7 +138,6 @@ impl ScenarioMatrix {
             * self.cert_delays.len()
             * self.losses.len()
             * self.cc_algorithms.len()
-            * self.migrations.len()
     }
 
     /// True when the matrix expands to no cells (never: axes are
@@ -173,19 +158,16 @@ impl ScenarioMatrix {
                             for &cert_delay in &self.cert_delays {
                                 for &loss in &self.losses {
                                     for &cc in &self.cc_algorithms {
-                                        for migration in &self.migrations {
-                                            let mut sc = self.base.clone();
-                                            sc.client = client.clone();
-                                            sc.ack_mode = ack_mode;
-                                            sc.handshake_class = class;
-                                            sc.rtt = rtt;
-                                            sc.cert_len = cert_len;
-                                            sc.cert_delay = cert_delay;
-                                            sc.loss = loss;
-                                            sc.cc = cc;
-                                            sc.migration = migration.clone();
-                                            out.push(sc);
-                                        }
+                                        let mut sc = self.base.clone();
+                                        sc.client = client.clone();
+                                        sc.ack_mode = ack_mode;
+                                        sc.handshake_class = class;
+                                        sc.rtt = rtt;
+                                        sc.cert_len = cert_len;
+                                        sc.cert_delay = cert_delay;
+                                        sc.loss = loss;
+                                        sc.cc = cc;
+                                        out.push(sc);
                                     }
                                 }
                             }
@@ -299,7 +281,6 @@ mod tests {
         let m = ScenarioMatrix::new(base());
         let cells = m.run(&SweepRunner::new(1), 3);
         assert_eq!(cells[0].ttfbs_ms().len(), 3);
-        assert_eq!(cells[0].handshakes_ms().len(), 3);
     }
 
     #[test]
@@ -321,28 +302,6 @@ mod tests {
         assert_eq!(cells[2].loss, LossSpec::None);
         assert_eq!(cells[3].loss, LossSpec::ServerFlightTail);
         assert_eq!(cells[3].cc, CcAlgorithm::NewReno);
-    }
-
-    #[test]
-    fn migration_axis_is_innermost() {
-        let m = ScenarioMatrix::new(base())
-            .cc_algorithms(&[CcAlgorithm::NewReno, CcAlgorithm::Cubic])
-            .migrations(&[
-                MigrationSpec::none(),
-                MigrationSpec::deliberate_at(
-                    SimDuration::from_millis(20),
-                    SimDuration::from_millis(40),
-                ),
-            ]);
-        assert_eq!(m.len(), 4);
-        let cells = m.build();
-        assert!(cells[0].migration.is_none());
-        assert!(!cells[1].migration.is_none());
-        assert_eq!(cells[1].cc, CcAlgorithm::NewReno);
-        assert!(cells[2].migration.is_none());
-        assert_eq!(cells[2].cc, CcAlgorithm::Cubic);
-        // Labels distinguish migrated cells.
-        assert_ne!(cells[0].label(), cells[1].label());
     }
 
     #[test]

@@ -67,13 +67,13 @@ pub mod milestones {
     /// Handshake completed at the client.
     pub const HANDSHAKE_COMPLETE: &str = "handshake_complete";
     /// Handshake confirmed at the client.
-    pub const HANDSHAKE_CONFIRMED: &str = "handshake_confirmed";
+    pub(crate) const HANDSHAKE_CONFIRMED: &str = "handshake_confirmed";
     /// The connection died (quirk abort or close).
     pub const CLOSED: &str = "closed";
     /// Server asked the certificate store.
-    pub const CERT_REQUESTED: &str = "cert_requested";
+    pub(crate) const CERT_REQUESTED: &str = "cert_requested";
     /// Certificate arrived at the frontend.
-    pub const CERT_READY: &str = "cert_ready";
+    pub(crate) const CERT_READY: &str = "cert_ready";
 }
 
 /// Progress of one client connection, updated live by [`ClientNode`].

@@ -76,7 +76,7 @@ pub struct ClassMix {
 
 impl ClassMix {
     /// Draws one class (consumes exactly one uniform variate).
-    pub fn draw(&self, rng: &mut SimRng) -> HandshakeClass {
+    fn draw(&self, rng: &mut SimRng) -> HandshakeClass {
         let u = rng.gen_f64();
         if u < self.zero_rtt {
             HandshakeClass::ZeroRtt

@@ -8,7 +8,7 @@ pub fn median(values: &[f64]) -> Option<f64> {
 }
 
 /// [`median`] over an already-sorted sample (no clone, no re-sort).
-pub fn median_sorted(sorted: &[f64]) -> Option<f64> {
+fn median_sorted(sorted: &[f64]) -> Option<f64> {
     if sorted.is_empty() {
         return None;
     }
@@ -35,7 +35,7 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
 
 /// [`percentile`] over an already-sorted sample (no clone, no re-sort);
 /// same explicit edge-case behavior.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
     if sorted.is_empty() {
         return None;
     }
@@ -47,44 +47,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Five-number summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes the summary; `None` for empty samples (a single-element
-    /// sample collapses every quantile onto that element). Sorts exactly
-    /// once and reads every quantile off the sorted sample.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut v = values.to_vec();
-        v.sort_by(f64::total_cmp);
-        Some(Summary {
-            n: v.len(),
-            min: v[0],
-            p25: percentile_sorted(&v, 25.0).unwrap(),
-            median: median_sorted(&v).unwrap(),
-            p75: percentile_sorted(&v, 75.0).unwrap(),
-            max: v[v.len() - 1],
-        })
-    }
 }
 
 /// Width of one latency bin in milliseconds.
@@ -146,11 +108,6 @@ impl LatencyHistogram {
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Largest recorded sample (0.0 when empty).
-    pub fn max_ms(&self) -> f64 {
-        self.max_ms
     }
 
     /// Folds another histogram into this one (shard merge).
@@ -234,22 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[5.0, 1.0, 3.0, 2.0, 4.0]).unwrap();
-        assert_eq!(s.n, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.max, 5.0);
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
     fn empty_inputs_yield_none_everywhere() {
         assert_eq!(median(&[]), None);
         assert_eq!(median_sorted(&[]), None);
         assert_eq!(percentile(&[], 50.0), None);
         assert_eq!(percentile_sorted(&[], 0.0), None);
-        assert!(Summary::of(&[]).is_none());
     }
 
     #[test]
@@ -258,11 +204,6 @@ mod tests {
             assert_eq!(percentile(&[7.5], p), Some(7.5));
         }
         assert_eq!(median(&[7.5]), Some(7.5));
-        let s = Summary::of(&[7.5]).unwrap();
-        assert_eq!(
-            (s.n, s.min, s.p25, s.median, s.p75, s.max),
-            (1, 7.5, 7.5, 7.5, 7.5, 7.5)
-        );
     }
 
     #[test]
@@ -316,7 +257,7 @@ mod tests {
         h.record(60_000.0);
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(1.0), Some(60_000.0));
-        assert_eq!(h.max_ms(), 60_000.0);
+        assert_eq!(h.max_ms, 60_000.0);
         // Negative and non-finite samples are ignored.
         h.record(-3.0);
         h.record(f64::NAN);

@@ -101,7 +101,7 @@ pub fn early_keys(resumption_secret: &[u8; DIGEST_LEN]) -> LevelKeys {
 }
 
 /// AEAD-like tag length (matches the wire crate's `AEAD_TAG_LEN`).
-pub const TAG_LEN: usize = 16;
+const TAG_LEN: usize = 16;
 
 /// Computes the 16-byte authentication tag for a packet: truncated
 /// HMAC over packet number and payload under the direction key.

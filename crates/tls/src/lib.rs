@@ -18,11 +18,9 @@ pub mod sha256;
 
 pub use keys::{
     application_keys, early_keys, handshake_keys, initial_keys, resumption_secret, seal_tag,
-    verify_tag, KeySide, Level, LevelKeys, TAG_LEN,
+    verify_tag, KeySide, Level, LevelKeys,
 };
-pub use messages::{
-    HandshakeMessage, HandshakeType, CERT_LARGE, CERT_SMALL, NEW_SESSION_TICKET_LEN,
-};
+pub use messages::{HandshakeMessage, HandshakeType, CERT_LARGE, CERT_SMALL};
 pub use resumption::{
     mint_ticket, open_ticket, ServerResumption, SessionCache, SessionTicket, TicketKeySchedule,
     TICKET_LEN,

@@ -44,7 +44,7 @@ impl HandshakeType {
     }
 
     /// Parses a wire code.
-    pub fn from_code(code: u8) -> Result<Self, TlsError> {
+    fn from_code(code: u8) -> Result<Self, TlsError> {
         Ok(match code {
             1 => HandshakeType::ClientHello,
             2 => HandshakeType::ServerHello,
@@ -63,11 +63,11 @@ impl HandshakeType {
 pub const DEFAULT_CLIENT_HELLO_LEN: usize = 320;
 /// Total ServerHello size in bytes (90-byte body + 4-byte framing is the
 /// common X25519 SH shape).
-pub const SERVER_HELLO_LEN: usize = 94;
+const SERVER_HELLO_LEN: usize = 94;
 /// Total EncryptedExtensions size.
-pub const ENCRYPTED_EXTENSIONS_LEN: usize = 70;
+const ENCRYPTED_EXTENSIONS_LEN: usize = 70;
 /// Total CertificateVerify size (ECDSA-P256 signature).
-pub const CERTIFICATE_VERIFY_LEN: usize = 268;
+const CERTIFICATE_VERIFY_LEN: usize = 268;
 /// Total Finished size (32-byte verify-data + framing).
 pub const FINISHED_LEN: usize = 36;
 
@@ -79,7 +79,7 @@ pub const CERT_LARGE: usize = 5113;
 
 /// Total NewSessionTicket size: 4-byte framing + lifetime (4) + flags (1)
 /// + opaque ticket.
-pub const NEW_SESSION_TICKET_LEN: usize = 4 + 4 + 1 + TICKET_LEN;
+pub(crate) const NEW_SESSION_TICKET_LEN: usize = 4 + 4 + 1 + TICKET_LEN;
 
 /// Marker byte at body offset 32 distinguishing resumption-capable
 /// CH/SH bodies from the plain fillers (`0x43` / `0x53`), standing in

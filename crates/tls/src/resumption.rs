@@ -143,7 +143,7 @@ impl TicketKeySchedule {
     }
 
     /// Whether this schedule ever rotates.
-    pub fn rotates(&self) -> bool {
+    fn rotates(&self) -> bool {
         self.period_secs > 0
     }
 
@@ -159,7 +159,7 @@ impl TicketKeySchedule {
     }
 
     /// The rotation epoch containing time `now_secs`.
-    pub fn epoch_at(&self, now_secs: u64) -> u64 {
+    fn epoch_at(&self, now_secs: u64) -> u64 {
         if self.period_secs == 0 {
             0
         } else {
@@ -169,7 +169,7 @@ impl TicketKeySchedule {
 
     /// The ticket key of `epoch` (epoch 0 of a non-rotating schedule is
     /// `base_key` itself, keeping legacy wire images byte-identical).
-    pub fn key_for_epoch(&self, epoch: u64) -> u64 {
+    fn key_for_epoch(&self, epoch: u64) -> u64 {
         if !self.rotates() || epoch == 0 {
             return self.base_key;
         }

@@ -20,7 +20,7 @@
 use crate::cdn::Cdn;
 
 /// Sample bound for [`Reservoir`]s (per vantage × CDN cell).
-pub const RESERVOIR_CAP: usize = 4096;
+const RESERVOIR_CAP: usize = 4096;
 
 /// Fixed-bin histogram over `[lo, hi)` with out-of-range values clamped
 /// into the edge bins. Merge is bin-wise addition, so it is a
@@ -56,14 +56,6 @@ impl FixedHistogram {
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Values recorded strictly below `threshold` (bin-resolution:
-    /// `threshold` should be a bin edge for exact results).
-    pub fn count_below(&self, threshold: f64) -> u64 {
-        let full_bins =
-            (((threshold - self.lo) / self.width).ceil().max(0.0) as usize).min(self.bins.len());
-        self.bins[..full_bins].iter().sum()
     }
 
     /// The `p`-th percentile (`0..=100`, clamped), interpolated
@@ -220,12 +212,6 @@ impl RttAckDeltaStats {
     pub fn exceed_rtt_share(&self) -> Option<f64> {
         (self.n > 0).then(|| self.exceeds_rtt as f64 / self.n as f64)
     }
-
-    /// Share of deltas strictly above zero — the reported delay sits
-    /// *below* the RTT (`None` when the class was never observed).
-    pub fn below_rtt_share(&self) -> Option<f64> {
-        self.exceed_rtt_share().map(|s| 1.0 - s)
-    }
 }
 
 /// Exact per-(measurement, CDN) counters: handshakes, instant ACKs, and
@@ -381,14 +367,6 @@ impl DomainBitSet {
     /// Whether domain `i` is marked.
     pub fn get(&self, i: usize) -> bool {
         self.words[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Unions `other` (same length) into `self`.
-    pub fn union(&mut self, other: &DomainBitSet) {
-        assert_eq!(self.len, other.len, "bitset length");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
     }
 }
 
@@ -573,8 +551,8 @@ mod tests {
         h.record(-5.0);
         h.record(500.0);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.count_below(1.0), 1);
-        assert_eq!(h.count_below(10.0), 2);
+        assert_eq!(h.bins[0], 1);
+        assert_eq!(h.bins[9], 1);
     }
 
     #[test]
@@ -663,17 +641,13 @@ mod tests {
     }
 
     #[test]
-    fn bitset_set_get_union() {
+    fn bitset_set_get() {
         let mut a = DomainBitSet::new(130);
         a.set(0);
         a.set(64);
         a.set(129);
         assert!(a.get(0) && a.get(64) && a.get(129));
         assert!(!a.get(1) && !a.get(128));
-        let mut b = DomainBitSet::new(130);
-        b.set(1);
-        b.union(&a);
-        assert!(b.get(0) && b.get(1) && b.get(129));
     }
 
     #[test]

@@ -16,9 +16,9 @@ use rq_sim::SimRng;
 use crate::vantage::Vantage;
 
 /// Frontends per colo the cache model spreads requests over.
-pub const FRONTENDS_PER_COLO: f64 = 128.0;
+const FRONTENDS_PER_COLO: f64 = 128.0;
 /// Certificate cache residency in seconds.
-pub const CACHE_TTL_S: f64 = 10.0;
+const CACHE_TTL_S: f64 = 10.0;
 
 /// A domain under longitudinal observation.
 #[derive(Debug, Clone)]
@@ -86,7 +86,7 @@ impl LongitudinalStudy {
     /// peak at 14:00 **local** — study minutes count UTC, so each
     /// vantage's peak lands on a different study minute, shifted by
     /// [`Vantage::utc_offset_hours`]).
-    pub fn delta_t_at(&self, minute: u64) -> f64 {
+    fn delta_t_at(&self, minute: u64) -> f64 {
         let utc_hour = minute as f64 / 60.0;
         let local_hour = (utc_hour + self.vantage.utc_offset_hours() as f64).rem_euclid(24.0);
         let phase = (local_hour - 14.0) / 24.0 * std::f64::consts::TAU;

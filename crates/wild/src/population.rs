@@ -113,7 +113,8 @@ impl Population {
     }
 
     /// Domains hosted by `cdn`.
-    pub fn hosted_by(&self, cdn: Cdn) -> impl Iterator<Item = &Domain> {
+    #[cfg(test)]
+    pub(crate) fn hosted_by(&self, cdn: Cdn) -> impl Iterator<Item = &Domain> {
         self.domains.iter().filter(move |d| d.cdn == Some(cdn))
     }
 }

@@ -107,12 +107,6 @@ impl ScanReport {
         self.cell(vantage, cdn).delay_quantile(p)
     }
 
-    /// Bounded sample of the positive (IACK) ACK→SH delays for one CDN
-    /// at one vantage, in domain order (Figure 8's per-CDN gap sample).
-    pub fn ack_sh_delays(&self, vantage: Vantage, cdn: Cdn) -> &[f64] {
-        self.cell(vantage, cdn).iack_delays.sample()
-    }
-
     /// Median IACK→SH gap for one CDN at one vantage; `None` when no
     /// instant ACK was ever observed there.
     pub fn iack_gap_median(&self, vantage: Vantage, cdn: Cdn) -> Option<f64> {
@@ -445,7 +439,7 @@ mod tests {
                 if report.handshakes(v, cdn) == 0 {
                     assert_eq!(q, None, "{v:?}/{cdn:?}");
                 }
-                if report.ack_sh_delays(v, cdn).is_empty() {
+                if report.cell(v, cdn).iack_delays.sample().is_empty() {
                     assert_eq!(m, None, "{v:?}/{cdn:?}");
                 }
             }
@@ -457,7 +451,7 @@ mod tests {
         let report = small_scan();
         let below_share = |c: Cdn| {
             let (_, iack) = report.rtt_minus_ack_delay(c);
-            iack.below_rtt_share().unwrap_or(0.0)
+            iack.exceed_rtt_share().map_or(0.0, |s| 1.0 - s)
         };
         // Fig. 10b: Akamai IACK ack delays are below the RTT for ~61%,
         // Cloudflare's mostly exceed it.

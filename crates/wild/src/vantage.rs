@@ -36,20 +36,10 @@ impl Vantage {
         }
     }
 
-    /// Index into per-vantage arrays.
+    /// Index into per-vantage arrays: the declaration order, which is
+    /// also the position in [`VANTAGES`].
     pub fn index(self) -> usize {
-        VANTAGES.iter().position(|v| *v == self).unwrap()
-    }
-
-    /// IATA code of the co-located anycast PoP (the Cf-Ray location the
-    /// longitudinal study filters on).
-    pub fn iata(self) -> &'static str {
-        match self {
-            Vantage::Hamburg => "HAM",
-            Vantage::HongKong => "HKG",
-            Vantage::LosAngeles => "LAX",
-            Vantage::SaoPaulo => "GRU",
-        }
+        self as usize
     }
 
     /// UTC offset of the vantage's local clock in hours (study-period
@@ -94,12 +84,9 @@ mod tests {
     fn indices_are_stable() {
         assert_eq!(Vantage::Hamburg.index(), 0);
         assert_eq!(Vantage::SaoPaulo.index(), 3);
-    }
-
-    #[test]
-    fn iata_codes() {
-        assert_eq!(Vantage::SaoPaulo.iata(), "GRU");
-        assert_eq!(Vantage::Hamburg.iata(), "HAM");
+        for (i, v) in VANTAGES.into_iter().enumerate() {
+            assert_eq!(v.index(), i, "{v:?}");
+        }
     }
 
     #[test]

@@ -97,22 +97,6 @@ impl DatagramInfo {
         self.packets.iter().any(|p| p.space == space)
     }
 
-    /// True if the datagram is exactly an instant ACK as the paper defines
-    /// it: a lone Initial packet that is ACK-only (optionally padded).
-    pub fn is_instant_ack(&self) -> bool {
-        self.packets.len() == 1
-            && self.packets[0].ty == PacketType::Initial
-            && self.packets[0].ack_only
-    }
-
-    /// True if the datagram carries CRYPTO bytes in the Initial space
-    /// starting at offset 0 from the server side — i.e. the ServerHello.
-    pub fn carries_server_hello(&self) -> bool {
-        self.packets
-            .iter()
-            .any(|p| p.ty == PacketType::Initial && p.crypto_bytes > 0)
-    }
-
     /// Total CRYPTO bytes in `space` within this datagram.
     pub fn crypto_bytes_in(&self, space: PacketNumberSpace) -> usize {
         self.packets
@@ -236,9 +220,12 @@ mod tests {
     fn instant_ack_detected() {
         let dgram = coalesce(&[(initial_ack(), TAG)]);
         let info = classify_datagram(&dgram, 8).unwrap();
-        assert!(info.is_instant_ack());
+        // The paper's instant ACK: a lone Initial packet, ACK-only.
+        assert_eq!(info.packets.len(), 1);
+        assert_eq!(info.packets[0].ty, PacketType::Initial);
+        assert!(info.packets[0].ack_only);
         assert!(!info.ack_eliciting());
-        assert!(!info.carries_server_hello());
+        assert_eq!(info.crypto_bytes_in(PacketNumberSpace::Initial), 0);
     }
 
     #[test]
@@ -251,8 +238,6 @@ mod tests {
         ]);
         let info = classify_datagram(&dgram, 8).unwrap();
         assert_eq!(info.packets.len(), 3);
-        assert!(!info.is_instant_ack());
-        assert!(info.carries_server_hello());
         assert_eq!(info.crypto_bytes_in(PacketNumberSpace::Initial), 90);
         assert_eq!(info.crypto_bytes_in(PacketNumberSpace::Handshake), 700);
         assert_eq!(info.stream_bytes(), 200);

@@ -635,7 +635,7 @@ impl Frame {
 
 /// Our fixed ack_delay_exponent is 3, so the on-wire unit is 8 µs
 /// (the RFC 9000 default).
-pub const ACK_DELAY_UNIT_US: u64 = 8;
+const ACK_DELAY_UNIT_US: u64 = 8;
 
 fn take_bytes<B: Buf>(buf: &mut B, len: usize) -> Result<Bytes> {
     if buf.remaining() < len {

@@ -40,7 +40,7 @@ enum Repr {
 impl FrameList {
     /// Frames held without a heap allocation: the most any packet of the
     /// handshake matrix carries.
-    pub const INLINE: usize = 3;
+    const INLINE: usize = 3;
 
     /// An empty list.
     pub const fn new() -> Self {

@@ -10,7 +10,7 @@ use crate::varint::VarInt;
 use crate::{Result, WireError, QUIC_V1};
 
 /// Maximum connection ID length (RFC 9000 §17.2).
-pub const MAX_CID_LEN: usize = 20;
+const MAX_CID_LEN: usize = 20;
 
 /// A QUIC connection ID: up to 20 opaque bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]

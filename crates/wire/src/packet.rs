@@ -37,7 +37,7 @@ impl PacketNumberSpace {
     ];
 
     /// The space a packet type belongs to.
-    pub fn for_type(ty: PacketType) -> Self {
+    fn for_type(ty: PacketType) -> Self {
         match ty {
             PacketType::Initial | PacketType::Retry => PacketNumberSpace::Initial,
             PacketType::Handshake => PacketNumberSpace::Handshake,
