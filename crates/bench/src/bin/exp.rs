@@ -3,7 +3,7 @@
 //!
 //! Knobs (validated once, here; a malformed value exits 2):
 //! `REACKED_REPS`, `REACKED_SCAN_DOMAINS`, `REACKED_LOAD_ARRIVALS`,
-//! `REACKED_LOAD_DETAIL`, `REACKED_THREADS` — see `rq_bench::RunConfig`.
+//! `REACKED_THREADS` — see `rq_bench::RunConfig`.
 
 use std::process::ExitCode;
 

@@ -18,9 +18,6 @@ pub struct RunConfig {
     /// Arrivals per server-load section (`REACKED_LOAD_ARRIVALS`, default
     /// 100k; the engine is sized for 10k–1M).
     pub load_arrivals: usize,
-    /// Whether `exp_server_load` appends its loss/PTO detail columns
-    /// (`REACKED_LOAD_DETAIL=1`).
-    pub load_detail: bool,
     /// The one sweep pool every experiment fans out over
     /// (`REACKED_THREADS`, default: all cores).
     pub runner: SweepRunner,
@@ -49,21 +46,11 @@ impl RunConfig {
                 _ => Err(format!("{var}={value:?}: expected a positive integer")),
             },
         };
-        let load_detail = match lookup("REACKED_LOAD_DETAIL") {
-            None => false,
-            Some(value) if value == "1" => true,
-            Some(value) => {
-                return Err(format!(
-                    "REACKED_LOAD_DETAIL={value:?}: expected 1, or unset"
-                ))
-            }
-        };
         let threads = rq_par::parse_threads(lookup(rq_par::THREADS_ENV).as_deref());
         Ok(RunConfig {
             reps: count("REACKED_REPS", 15)?,
             scan_domains: count("REACKED_SCAN_DOMAINS", 100_000)?,
             load_arrivals: count("REACKED_LOAD_ARRIVALS", 100_000)?,
-            load_detail,
             runner: SweepRunner::new(threads),
         })
     }
@@ -88,7 +75,6 @@ mod tests {
             (cfg.reps, cfg.scan_domains, cfg.load_arrivals),
             (15, 100_000, 100_000)
         );
-        assert!(!cfg.load_detail);
     }
 
     #[test]
@@ -97,7 +83,6 @@ mod tests {
             ("REACKED_REPS", "3"),
             ("REACKED_SCAN_DOMAINS", "20000"),
             ("REACKED_LOAD_ARRIVALS", "2000"),
-            ("REACKED_LOAD_DETAIL", "1"),
             ("REACKED_THREADS", "4"),
         ])
         .unwrap();
@@ -105,7 +90,6 @@ mod tests {
             (cfg.reps, cfg.scan_domains, cfg.load_arrivals),
             (3, 20_000, 2_000)
         );
-        assert!(cfg.load_detail);
         assert_eq!(cfg.runner.threads(), 4);
     }
 
@@ -122,16 +106,6 @@ mod tests {
                     format!("{var}={bad:?}: expected a positive integer")
                 );
             }
-        }
-    }
-
-    #[test]
-    fn load_detail_is_one_or_unset() {
-        for bad in ["0", "true", ""] {
-            assert_eq!(
-                parse(&[("REACKED_LOAD_DETAIL", bad)]).unwrap_err(),
-                format!("REACKED_LOAD_DETAIL={bad:?}: expected 1, or unset")
-            );
         }
     }
 

@@ -80,10 +80,9 @@ fn ttfb_tail_cells(r: &ServerLoadReport) -> String {
 /// ceiling. This experiment drives the many-connection server engine:
 /// a seeded arrival process spawns N full scenario connections against
 /// one shared server, and the engine folds per-class handshake CPU cost,
-/// queue depth, shed counts, and TTFB tails into a mergeable report.
-///
-/// `REACKED_LOAD_DETAIL=1` appends loss/PTO detail columns, fed by the
-/// metrics registry snapshot each report carries.
+/// queue depth, shed counts, and TTFB tails into a mergeable report,
+/// plus loss/PTO detail columns fed by the metrics registry snapshot each
+/// report carries.
 pub(crate) fn server_load(cfg: &RunConfig) {
     let arrivals = cfg.load_arrivals;
     println!(
@@ -93,19 +92,8 @@ pub(crate) fn server_load(cfg: &RunConfig) {
     // Section 1: WFC vs IACK vs 0-RTT server cost. The 0-RTT population
     // arrives with synthetic tickets minted under the server's key
     // schedule, so its handshakes run the abbreviated PSK path.
-    let detail = |cells: String| {
-        if cfg.load_detail {
-            cells
-        } else {
-            String::new()
-        }
-    };
-    let detail_header = detail(format!(
-        " {:>7} {:>8} {:>8} {:>8}",
-        "pto", "lost(cl)", "lost(sv)", "lp99"
-    ));
     println!(
-        "{:<12} {:>9} {:>9} {:>7} {:>10} {:>9} {:>7} {:>9} {:>9} {:>9}{detail_header}",
+        "{:<12} {:>9} {:>9} {:>7} {:>10} {:>9} {:>7} {:>9} {:>9} {:>9} {:>7} {:>8} {:>8} {:>8}",
         "population",
         "completed",
         "failed",
@@ -115,7 +103,11 @@ pub(crate) fn server_load(cfg: &RunConfig) {
         "depth",
         "p50",
         "p99",
-        "p999"
+        "p999",
+        "pto",
+        "lost(cl)",
+        "lost(sv)",
+        "lp99"
     );
     let mut iack_0rtt = poisson_spec(IACK, arrivals, 2);
     iack_0rtt.base.handshake_class = HandshakeClass::ZeroRtt;
@@ -132,9 +124,8 @@ pub(crate) fn server_load(cfg: &RunConfig) {
         } else {
             0.0
         };
-        let detail = detail(detail_cells(&report));
         println!(
-            "{label:<12} {:>9} {:>9} {:>7} {:>10.1} {:>9.3} {:>7.1} {}{detail}",
+            "{label:<12} {:>9} {:>9} {:>7} {:>10.1} {:>9.3} {:>7.1} {}{}",
             a.completed,
             a.failed,
             a.shed,
@@ -142,6 +133,7 @@ pub(crate) fn server_load(cfg: &RunConfig) {
             per_conn,
             a.mean_depth(),
             ttfb_tail_cells(&report),
+            detail_cells(&report),
         );
     }
 
@@ -184,14 +176,12 @@ pub(crate) fn server_load(cfg: &RunConfig) {
          RTT sample lands, not what the handshake costs the server — resumption does: the \
          0-RTT population completes the same arrivals at ~1/3 the handshake CPU."
     );
-    if cfg.load_detail {
-        println!(
-            "\npto / lost(cl) / lost(sv) sum client PTO expirations and client/server lost \
-             packets over each population's completed-or-failed connections; lp99 bounds the \
-             per-connection client loss count at the 99th percentile (log2-bucket upper bound). \
-             All four come from the metrics registry snapshot every report carries."
-        );
-    }
+    println!(
+        "\npto / lost(cl) / lost(sv) sum client PTO expirations and client/server lost \
+         packets over each population's completed-or-failed connections; lp99 bounds the \
+         per-connection client loss count at the 99th percentile (log2-bucket upper bound). \
+         All four come from the metrics registry snapshot every report carries."
+    );
 }
 
 fn fault_spec(mode: ServerAckMode, class: HandshakeClass, arrivals: usize) -> ServerLoadSpec {

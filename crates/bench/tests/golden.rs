@@ -12,14 +12,17 @@
 //! are listed once below; `table_goldens_and_tests_are_one_set` fails
 //! until a new table row has both its golden file and its test.
 //!
+//! Each run's wall time is printed as `exp <name> threads=<n>: <s> s`;
+//! `cargo test --test golden -- --nocapture` shows the rows.
+//!
 //! Regenerate after an intentional output change with:
-//! `REACKED_REPS=3 REACKED_SCAN_DOMAINS=20000 REACKED_LOAD_ARRIVALS=2000 \
-//!  REACKED_LOAD_DETAIL=1 REACKED_THREADS=1 \
+//! `REACKED_REPS=3 REACKED_SCAN_DOMAINS=20000 REACKED_LOAD_ARRIVALS=2000 REACKED_THREADS=1 \
 //!  cargo run --release --bin exp -- <name> > crates/bench/tests/golden/<name>.txt`
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::Instant;
 
 use rq_bench::{Experiment, EXPERIMENTS};
 
@@ -33,8 +36,7 @@ fn exp() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp"));
     cmd.env("REACKED_REPS", "3")
         .env("REACKED_SCAN_DOMAINS", "20000")
-        .env("REACKED_LOAD_ARRIVALS", "2000")
-        .env("REACKED_LOAD_DETAIL", "1");
+        .env("REACKED_LOAD_ARRIVALS", "2000");
     cmd
 }
 
@@ -65,11 +67,14 @@ fn assert_matches_golden(test: &str) {
     let golden = std::fs::read_to_string(golden_dir().join(format!("{name}.txt")))
         .unwrap_or_else(|e| panic!("tests/golden/{name}.txt: {e}"));
     for threads in thread_counts() {
+        let started = Instant::now();
         let out = exp()
             .arg(name)
             .env("REACKED_THREADS", &threads)
             .output()
             .unwrap_or_else(|e| panic!("failed to spawn exp {name}: {e}"));
+        let secs = started.elapsed().as_secs_f64();
+        println!("exp {name} threads={threads}: {secs:.1} s");
         assert!(
             out.status.success(),
             "exp {name} (threads={threads}) exited with {:?}\nstderr:\n{}",
@@ -174,7 +179,7 @@ fn malformed_knob_exits_2_without_running_anything() {
         ("REACKED_REPS", "x1"),
         ("REACKED_REPS", "0"),
         ("REACKED_SCAN_DOMAINS", "20k"),
-        ("REACKED_LOAD_DETAIL", "yes"),
+        ("REACKED_LOAD_ARRIVALS", "-5"),
     ] {
         let out = exp().arg("exp_fig02").env(var, value).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{var}={value}");

@@ -52,7 +52,6 @@ impl ClientProfile {
         cfg.probe_policy = ProbePolicy::Ping;
         cfg.quirks = ClientQuirks {
             buggy_rtt_preinit: self.buggy_rtt_preinit.map(|(d, _)| d),
-            buggy_rtt_probability: self.buggy_rtt_preinit.map(|(_, p)| p).unwrap_or(0.0),
             aioquic_rttvar: self.aioquic_rttvar,
             no_probe_after_iack: self.no_probe_after_iack,
             ignore_iack_rtt: self.ignore_iack_rtt,

@@ -6,6 +6,24 @@
 
 use rq_sim::SimDuration;
 
+/// `max_ack_delay` transport parameter every endpoint advertises (the RFC
+/// 9000 default).
+pub(crate) const MAX_ACK_DELAY: SimDuration = SimDuration::from_millis(25);
+
+/// Application-space ACK threshold: an ACK goes out after this many
+/// ack-eliciting packets (the RFC-recommended 2).
+pub(crate) const ACK_ELICITING_THRESHOLD: usize = 2;
+
+/// Initial connection-level flow control credit offered to the peer.
+/// Receive windows are sized like real stacks (hundreds of KiB): large
+/// transfers then require a steady stream of MAX_DATA / MAX_STREAM_DATA
+/// grants — the ack-eliciting client packets behind Figure 11's
+/// RTT-sample counts.
+pub(crate) const INITIAL_MAX_DATA: u64 = 512 * 1024;
+
+/// Initial per-stream flow control credit (see [`INITIAL_MAX_DATA`]).
+pub(crate) const INITIAL_MAX_STREAM_DATA: u64 = 256 * 1024;
+
 /// How the server acknowledges the client Initial while the certificate is
 /// being fetched (the paper's central dichotomy, Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,10 +83,8 @@ pub struct ClientQuirks {
     /// go-x-net: with this set, the RTT estimator pretends `Some(d)` was
     /// already installed as smoothed RTT, so the first sample blends
     /// instead of initializing ("smoothed RTT is initialized at 90 ms").
+    /// Whether it applies to a given run is the driver's draw.
     pub buggy_rtt_preinit: Option<SimDuration>,
-    /// Probability (0..1) that `buggy_rtt_preinit` applies to a given run
-    /// (go-x-net only misbehaves in part of its measurements).
-    pub buggy_rtt_probability: f64,
     /// aioquic: non-standard rttvar update order.
     pub aioquic_rttvar: bool,
     /// mvfst / picoquic: receiving an instant ACK does not cause the client
@@ -98,8 +114,6 @@ pub struct ClientQuirks {
 pub struct EndpointConfig {
     /// Default (pre-RTT-sample) PTO. Paper Table 4; RFC recommends 1 s.
     pub default_pto: SimDuration,
-    /// `max_ack_delay` transport parameter advertised to the peer.
-    pub max_ack_delay: SimDuration,
     /// Number of UDP datagrams the client's second flight is spread over
     /// (paper Table 4: 1 for quiche, 2 for neqo, 3 for most, 4 for
     /// picoquic).
@@ -125,9 +139,6 @@ pub struct EndpointConfig {
     pub cert_len: usize,
     /// Client quirks.
     pub quirks: ClientQuirks,
-    /// Application-space ACK threshold: send an ACK after this many
-    /// ack-eliciting packets (2 is the RFC-recommended behaviour).
-    pub ack_eliciting_threshold: usize,
     /// Client: session ticket to offer for an abbreviated handshake.
     pub session_ticket: Option<rq_tls::SessionTicket>,
     /// Client: send queued stream data as 0-RTT early data with the
@@ -157,10 +168,6 @@ pub struct EndpointConfig {
     /// handshake-era traces byte-identical; CUBIC/BBR-lite are the
     /// transfer-sweep alternatives).
     pub cc_algorithm: rq_recovery::CcAlgorithm,
-    /// Initial connection-level flow control credit offered to the peer.
-    pub initial_max_data: u64,
-    /// Initial per-stream flow control credit.
-    pub initial_max_stream_data: u64,
     /// Number of spare connection IDs announced via NEW_CONNECTION_ID
     /// once the handshake completes — the pool the peer rotates through
     /// on migration (RFC 9000 §5.1.1). 0 (the default) disables the
@@ -184,7 +191,6 @@ impl EndpointConfig {
     pub fn rfc_default() -> Self {
         EndpointConfig {
             default_pto: rq_recovery::RFC_DEFAULT_PTO,
-            max_ack_delay: SimDuration::from_millis(25),
             flight2_datagrams: 3,
             probe_policy: ProbePolicy::Ping,
             ack_mode: ServerAckMode::WaitForCertificate,
@@ -194,7 +200,6 @@ impl EndpointConfig {
             no_initial_acks: false,
             cert_len: rq_tls::CERT_SMALL,
             quirks: ClientQuirks::default(),
-            ack_eliciting_threshold: 2,
             session_ticket: None,
             enable_early_data: false,
             resumption: rq_tls::ServerResumption::disabled(),
@@ -203,12 +208,6 @@ impl EndpointConfig {
             give_up_after: None,
             give_up_pto_count: None,
             cc_algorithm: rq_recovery::CcAlgorithm::NewReno,
-            // Receive windows sized like real stacks (hundreds of KiB):
-            // large transfers then require a steady stream of MAX_DATA /
-            // MAX_STREAM_DATA grants — the ack-eliciting client packets
-            // behind Figure 11's RTT-sample counts.
-            initial_max_data: 512 * 1024,
-            initial_max_stream_data: 256 * 1024,
             cid_pool: 0,
             metrics_sample_every: None,
             capture_qlog: true,

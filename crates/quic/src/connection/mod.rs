@@ -39,7 +39,9 @@ use rq_tls::{
 };
 use rq_wire::{ConnectionId, Frame, Header, PacketNumberSpace, PlainPacket};
 
-use crate::config::{EndpointConfig, ServerAckMode};
+use crate::config::{
+    EndpointConfig, ServerAckMode, INITIAL_MAX_DATA, INITIAL_MAX_STREAM_DATA, MAX_ACK_DELAY,
+};
 use crate::space::Space;
 use crate::streams::StreamSet;
 
@@ -76,17 +78,17 @@ pub enum Role {
 const CID_STREAM: u64 = 0xC1D_0;
 
 /// CID kind: a client's locally chosen CIDs (seq 0 = handshake CID).
-pub const CID_KIND_CLIENT: u64 = 0;
+const CID_KIND_CLIENT: u64 = 0;
 /// CID kind: the client's original destination CID (Initial keys).
 pub const CID_KIND_ORIGINAL_DCID: u64 = 1;
 /// CID kind: a server's locally chosen CIDs (seq 0 = handshake CID).
-pub const CID_KIND_SERVER: u64 = 2;
+const CID_KIND_SERVER: u64 = 2;
 /// CID kind: the CID a stateless Retry hands the client.
 pub const CID_KIND_RETRY: u64 = 3;
 
-/// Derives the 8-byte connection ID at `(kind, seq)` for `cid_seed`.
-/// Drivers use this to predict every CID a connection will announce
-/// (e.g. to index migrated clients by rotated CID without extra state).
+/// Derives the 8-byte connection ID at `(kind, seq)` for `cid_seed`: every
+/// CID a connection announces is predictable from its seed (drivers use
+/// it for the CID a stateless Retry hands out).
 pub fn derived_cid(cid_seed: u64, kind: u64, seq: u64) -> ConnectionId {
     let mut rng = SimRng::derive(cid_seed, &[CID_STREAM, kind, seq]);
     ConnectionId::from_u64(rng.next_u64())
@@ -337,7 +339,7 @@ impl Connection {
     pub fn client(cfg: EndpointConfig, cid_seed: u64, rtt_quirk_applies: bool) -> Self {
         let local_cid = derived_cid(cid_seed, CID_KIND_CLIENT, 0);
         let original_dcid = derived_cid(cid_seed, CID_KIND_ORIGINAL_DCID, 0);
-        let mut rtt = RttEstimator::new(cfg.max_ack_delay);
+        let mut rtt = RttEstimator::new(MAX_ACK_DELAY);
         if cfg.quirks.aioquic_rttvar {
             rtt = rtt.with_variant(RttVariant::AioquicOrder);
         }
@@ -385,7 +387,7 @@ impl Connection {
             ticket_key: cfg.ticket_key,
             accept_ticket_keys: cfg.accept_ticket_keys.clone(),
         });
-        let rtt = RttEstimator::new(cfg.max_ack_delay);
+        let rtt = RttEstimator::new(MAX_ACK_DELAY);
         Connection::new(
             Role::Server,
             cfg,
@@ -443,7 +445,7 @@ impl Connection {
             initial_crypto_copy: Bytes::new(),
             // A server has no client flight 2.
             flight2_sent: role == Role::Server,
-            streams: StreamSet::new(cfg.initial_max_data, cfg.initial_max_stream_data),
+            streams: StreamSet::new(INITIAL_MAX_DATA, INITIAL_MAX_STREAM_DATA),
             last_activity: None,
             last_eliciting_send: None,
             first_send_at: None,
@@ -676,14 +678,6 @@ impl Connection {
         }
         self.closed = true;
         self.close_frame_pending = Some((error_code, reason.to_string()));
-        rq_obs::obs_log!(
-            "quic/conn",
-            rq_obs::Level::Warn,
-            "{} closing: code={:#x} reason={}",
-            self.cfg.name,
-            error_code,
-            reason
-        );
         self.log.push(
             now,
             EventData::ConnectionClosed {

@@ -6,6 +6,7 @@ use rq_recovery::{CcState, RttEstimator, RttVariant};
 use rq_sim::{SimDuration, SimRng, SimTime};
 
 use super::{Connection, PathChallengeState, PathState, Role};
+use crate::config::MAX_ACK_DELAY;
 
 /// Stream tag for PATH_CHALLENGE probe data.
 const CHALLENGE_STREAM: u64 = 0xCA_11E;
@@ -126,7 +127,7 @@ impl Connection {
     /// RFC 9000 §9.4: RTT and congestion state do not carry over to a new
     /// path; both restart from initial values.
     fn reset_path_metrics(&mut self) {
-        let mut rtt = RttEstimator::new(self.cfg.max_ack_delay);
+        let mut rtt = RttEstimator::new(MAX_ACK_DELAY);
         if self.cfg.quirks.aioquic_rttvar {
             rtt = rtt.with_variant(RttVariant::AioquicOrder);
         }

@@ -12,6 +12,7 @@ use super::{
     retry_token_for, space_name, stateless_retry_datagram, summaries, ConnEvent, Connection, Role,
     ERROR_SERVER_BUSY, ERROR_STATELESS_RESET, LEVELS, SERVER_BUSY_PREFIX, STATELESS_RESET_PREFIX,
 };
+use crate::config::MAX_ACK_DELAY;
 
 impl Connection {
     /// Processes one received UDP datagram (on the active path), copying
@@ -211,7 +212,7 @@ impl Connection {
         // flight (Figure 3's wire image / Table 4's datagram mapping)
         // rather than with one standalone ACK per arriving datagram.
         let batching = if space == PacketNumberSpace::Application {
-            Some(self.cfg.max_ack_delay)
+            Some(MAX_ACK_DELAY)
         } else if self.role == Role::Client && !self.handshake_complete {
             Some(SimDuration::from_millis(2))
         } else {

@@ -12,7 +12,7 @@ use rq_wire::{
 };
 
 use super::{space_name, summaries, Connection, Role, MAX_DATAGRAM_SIZE};
-use crate::config::AckDelayReport;
+use crate::config::{AckDelayReport, ACK_ELICITING_THRESHOLD};
 use crate::space::Space;
 
 /// The frames of one datagram's packets, by packet number space: a
@@ -169,7 +169,7 @@ impl Connection {
         let recv = &self.spaces[idx].recv;
         let deadline_passed = recv.ack_overdue || recv.ack_deadline.is_some_and(|d| now >= d);
         let ack_due = if space == PacketNumberSpace::Application {
-            recv.unacked_eliciting >= self.cfg.ack_eliciting_threshold || deadline_passed
+            recv.unacked_eliciting >= ACK_ELICITING_THRESHOLD || deadline_passed
         } else {
             deadline_passed || self.role == Role::Server || self.handshake_complete
         };

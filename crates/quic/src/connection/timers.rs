@@ -182,14 +182,6 @@ impl Connection {
         let idx = space.index();
         self.pto.on_pto_expired();
         self.stats.pto_expirations += 1;
-        rq_obs::obs_log!(
-            "quic/pto",
-            rq_obs::Level::Debug,
-            "{} pto expired space={:?} count={}",
-            self.cfg.name,
-            space_name(space),
-            self.pto.pto_count
-        );
         self.log.push(
             now,
             EventData::PtoExpired {

@@ -18,9 +18,9 @@ pub mod streams;
 pub use config::{AckDelayReport, ClientQuirks, EndpointConfig, ProbePolicy, ServerAckMode};
 pub use connection::{
     derived_cid, server_busy_datagram, stateless_reset_datagram, stateless_retry_datagram,
-    ConnEvent, ConnStats, Connection, PathState, Role, CID_KIND_CLIENT, CID_KIND_ORIGINAL_DCID,
-    CID_KIND_RETRY, CID_KIND_SERVER, ERROR_GIVE_UP, ERROR_SERVER_BUSY, ERROR_STATELESS_RESET,
-    MAX_DATAGRAM_SIZE, SERVER_BUSY_PREFIX, STATELESS_RESET_PREFIX,
+    ConnEvent, ConnStats, Connection, PathState, Role, CID_KIND_ORIGINAL_DCID, CID_KIND_RETRY,
+    ERROR_GIVE_UP, ERROR_SERVER_BUSY, ERROR_STATELESS_RESET, MAX_DATAGRAM_SIZE, SERVER_BUSY_PREFIX,
+    STATELESS_RESET_PREFIX,
 };
 pub use server::{AcceptOutcome, OverloadPolicy, ServerAccounting, ServerCostModel, ServerEngine};
 pub use streams::id as stream_id;

@@ -24,7 +24,7 @@ use rq_tls::TicketKeySchedule;
 use rq_wire::ConnectionId;
 
 use crate::config::EndpointConfig;
-use crate::connection::{derived_cid, Connection, CID_KIND_SERVER};
+use crate::connection::Connection;
 
 /// Relative CPU cost of completing each handshake class, in units of one
 /// full handshake. The asymmetric signature + key exchange dominates a
@@ -212,8 +212,6 @@ pub enum AcceptOutcome {
 struct ConnSlot {
     conn: Connection,
     costed: bool,
-    /// What the slot's CID pool derives from (see `cid_index`).
-    conn_seed: u64,
 }
 
 /// One server's shared state: the connection table, the admission policy,
@@ -221,7 +219,9 @@ struct ConnSlot {
 ///
 /// Connections are addressed by an opaque `u64` key chosen by the caller
 /// (the testbed uses the peer's sim `NodeId` index — QUIC's "demux by
-/// connection ID" collapsed to its essence).
+/// connection ID" collapsed to its essence: a simulated path change moves
+/// a peer's datagrams to another link, never to another `NodeId`, so the
+/// key a datagram arrives under is always its connection's).
 pub struct ServerEngine {
     template: EndpointConfig,
     schedule: TicketKeySchedule,
@@ -234,12 +234,6 @@ pub struct ServerEngine {
     /// a tree node moves its entries on every split and merge, and a
     /// `Connection` is kilobytes.
     conns: BTreeMap<u64, Box<ConnSlot>>,
-    /// Demux by connection ID: every CID a connection has announced (or
-    /// will announce — the pool is derivable at accept time) maps to its
-    /// table key, so a migrated client is routed to its existing state
-    /// even when its 4-tuple (sim `NodeId` + path) changed. Empty when
-    /// the template's `cid_pool` is 0.
-    cid_index: BTreeMap<u64, u64>,
     /// Running aggregates.
     pub accounting: ServerAccounting,
     /// Listener-level qlog events (crashes — things no single
@@ -263,7 +257,6 @@ impl ServerEngine {
             concurrency_limit: concurrency_limit.max(1),
             overload: OverloadPolicy::Shed,
             conns: BTreeMap::new(),
-            cid_index: BTreeMap::new(),
             accounting: ServerAccounting::default(),
             log: EventLog::new("server:engine".to_string()),
         }
@@ -290,13 +283,6 @@ impl ServerEngine {
             self.conns.len() as i64,
             self.accounting.peak_active as i64,
         );
-    }
-
-    /// Looks up the connection owning `cid` (any CID from its announced
-    /// pool, current or spare). `None` for unknown CIDs or when the
-    /// engine's template doesn't issue CID pools.
-    pub fn key_for_cid(&self, cid: &ConnectionId) -> Option<u64> {
-        self.cid_index.get(&cid_u64(cid)).copied()
     }
 
     /// Keys of all active connections, in ascending order.
@@ -331,11 +317,6 @@ impl ServerEngine {
             return match self.overload {
                 OverloadPolicy::Shed => {
                     self.accounting.shed += 1;
-                    rq_obs::obs_log!(
-                        "quic/server",
-                        rq_obs::Level::Info,
-                        "shed arrival key={key} at depth={depth}"
-                    );
                     AcceptOutcome::Shed
                 }
                 OverloadPolicy::RetryDefer => {
@@ -367,13 +348,8 @@ impl ServerEngine {
         let slot = ConnSlot {
             conn,
             costed: false,
-            conn_seed,
         };
         self.conns.insert(key, Box::new(slot));
-        // Register the connection's whole CID pool for migration demux.
-        for cid in self.pool_cids(conn_seed) {
-            self.cid_index.insert(cid, key);
-        }
         self.accounting.peak_active = self.accounting.peak_active.max(self.conns.len() as u64);
         AcceptOutcome::Accepted
     }
@@ -386,16 +362,8 @@ impl ServerEngine {
     /// full handshakes. Returns the orphaned keys in ascending order.
     pub fn crash_and_restart(&mut self, now: SimTime, forget_ticket_epochs: bool) -> Vec<u64> {
         let orphans: Vec<u64> = std::mem::take(&mut self.conns).into_keys().collect();
-        self.cid_index.clear();
         self.accounting.crashes += 1;
         self.accounting.reset_conns += orphans.len() as u64;
-        rq_obs::obs_log!(
-            "quic/server",
-            rq_obs::Level::Warn,
-            "crash_and_restart dropped {} conns (forget_epochs={})",
-            orphans.len(),
-            forget_ticket_epochs
-        );
         if forget_ticket_epochs {
             self.schedule = self.schedule.forget_old_epochs();
         }
@@ -441,9 +409,6 @@ impl ServerEngine {
     /// and returns the connection for final inspection.
     pub fn retire(&mut self, key: u64, completed: bool) -> Option<Connection> {
         let slot = self.conns.remove(&key)?;
-        for cid in self.pool_cids(slot.conn_seed) {
-            self.cid_index.remove(&cid);
-        }
         if completed {
             self.accounting.completed += 1;
         } else {
@@ -456,28 +421,6 @@ impl ServerEngine {
         }
         Some(slot.conn)
     }
-
-    /// Index keys of the CID pool of a connection seeded with
-    /// `conn_seed`: seq 0 (the handshake CID) plus every spare it will
-    /// announce. The pool is a pure function of (seed, seq), so it is
-    /// indexable before a single NEW_CONNECTION_ID leaves. Empty when
-    /// the template issues no pool.
-    fn pool_cids(&self, conn_seed: u64) -> impl Iterator<Item = u64> {
-        let seqs = match self.template.cid_pool as u64 {
-            0 => 0..0,
-            pool => 0..pool + 1,
-        };
-        seqs.map(move |seq| cid_u64(&derived_cid(conn_seed, CID_KIND_SERVER, seq)))
-    }
-}
-
-/// First 8 bytes of a CID as a map key (all simulator CIDs are 8 bytes).
-fn cid_u64(cid: &ConnectionId) -> u64 {
-    let s = cid.as_slice();
-    let mut b = [0u8; 8];
-    let n = s.len().min(8);
-    b[..n].copy_from_slice(&s[..n]);
-    u64::from_be_bytes(b)
 }
 
 #[cfg(test)]
@@ -678,30 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn cid_index_routes_pool_cids_until_retire() {
-        let mut template = EndpointConfig::rfc_default();
-        template.cid_pool = 2;
-        let mut e = ServerEngine::new(template, TicketKeySchedule::fixed(7), 4);
-        e.accept(10, 42, dcid(1), 0, false, false);
-        // Handshake CID and both spares route to the connection.
-        for seq in 0..=2u64 {
-            let cid = derived_cid(42, CID_KIND_SERVER, seq);
-            assert_eq!(e.key_for_cid(&cid), Some(10), "seq {seq} not indexed");
-        }
-        assert_eq!(e.key_for_cid(&dcid(0xDEAD)), None);
-        // A second connection's pool is its own: retiring the first
-        // takes exactly the first's CIDs out of the index.
-        e.accept(11, 43, dcid(2), 0, false, false);
-        e.retire(10, true);
-        for seq in 0..=2u64 {
-            let gone = derived_cid(42, CID_KIND_SERVER, seq);
-            assert_eq!(e.key_for_cid(&gone), None, "index must not outlive conn");
-            let kept = derived_cid(43, CID_KIND_SERVER, seq);
-            assert_eq!(e.key_for_cid(&kept), Some(11));
-        }
-    }
-
-    #[test]
     fn retire_counts_amp_blocked_from_the_stall_counter() {
         // A 5 kB certificate flight against one 1,200-byte Initial hits
         // the 3x limit. The tally must not depend on the qlog still
@@ -731,13 +650,6 @@ mod tests {
             e.accounting.amp_blocked_conns, 1,
             "an idle conn never stalled"
         );
-    }
-
-    #[test]
-    fn cid_index_empty_without_pool() {
-        let mut e = engine(4);
-        e.accept(1, 42, dcid(1), 0, false, false);
-        assert_eq!(e.key_for_cid(&derived_cid(42, CID_KIND_SERVER, 0)), None);
     }
 
     #[test]

@@ -163,11 +163,6 @@ impl RttEstimator {
         self.samples
     }
 
-    /// The peer's `max_ack_delay`.
-    pub fn max_ack_delay(&self) -> SimDuration {
-        self.max_ack_delay
-    }
-
     /// The sample-based PTO **base**: `smoothed_rtt + max(4*rttvar,
     /// kGranularity)` (RFC 9002 §6.2.1), before any `max_ack_delay` or
     /// backoff multipliers. `None` until a sample exists.

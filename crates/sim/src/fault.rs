@@ -14,7 +14,6 @@
 //! random draws, so a fault-free run is byte-identical to one performed
 //! before this module existed.
 
-use crate::loss::Direction;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -26,23 +25,20 @@ const CRASH_STREAM: u64 = 0xC2A5_4;
 const FREEZE_STREAM: u64 = 0xF2EE_2E;
 
 /// One link blackout window: every datagram offered during
-/// `[start, end)` is dropped (in the matching direction, or both).
+/// `[start, end)` is dropped, in both directions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blackout {
     /// First instant of the outage.
     pub start: SimTime,
     /// First instant after the outage.
     pub end: SimTime,
-    /// Affected direction; `None` blacks out both.
-    pub direction: Option<Direction>,
 }
 
 impl Blackout {
-    /// Whether a datagram sent at `now` in `direction` falls into this
-    /// window.
+    /// Whether a datagram sent at `now` falls into this window.
     #[inline]
-    pub fn covers(&self, now: SimTime, direction: Direction) -> bool {
-        self.direction.map_or(true, |d| d == direction) && now >= self.start && now < self.end
+    pub fn covers(&self, now: SimTime) -> bool {
+        now >= self.start && now < self.end
     }
 }
 
@@ -65,8 +61,6 @@ pub struct FaultProfile {
     pub blackout_every: Option<SimDuration>,
     /// Duration of each blackout window.
     pub blackout_duration: SimDuration,
-    /// Direction blackouts affect; `None` = both.
-    pub blackout_direction: Option<Direction>,
     /// Mean gap between server crashes; `None` = no crashes.
     pub crash_every: Option<SimDuration>,
     /// Mean gap between server freezes; `None` = no freezes.
@@ -134,7 +128,6 @@ impl FaultTimeline {
                 timeline.blackouts.push(Blackout {
                     start: SimTime::from_nanos(t),
                     end: SimTime::from_nanos(end),
-                    direction: profile.blackout_direction,
                 });
                 t = end;
             }
@@ -245,22 +238,14 @@ mod tests {
     }
 
     #[test]
-    fn blackout_covers_respects_direction_and_interval() {
+    fn blackout_covers_its_half_open_interval() {
         let w = Blackout {
             start: SimTime::from_nanos(1000),
             end: SimTime::from_nanos(2000),
-            direction: Some(Direction::AtoB),
         };
-        assert!(w.covers(SimTime::from_nanos(1000), Direction::AtoB));
-        assert!(
-            !w.covers(SimTime::from_nanos(2000), Direction::AtoB),
-            "end exclusive"
-        );
-        assert!(!w.covers(SimTime::from_nanos(1500), Direction::BtoA));
-        let both = Blackout {
-            direction: None,
-            ..w
-        };
-        assert!(both.covers(SimTime::from_nanos(1500), Direction::BtoA));
+        assert!(!w.covers(SimTime::from_nanos(999)));
+        assert!(w.covers(SimTime::from_nanos(1000)));
+        assert!(w.covers(SimTime::from_nanos(1999)));
+        assert!(!w.covers(SimTime::from_nanos(2000)), "end exclusive");
     }
 }

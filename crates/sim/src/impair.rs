@@ -55,12 +55,6 @@ pub enum Jitter {
         /// Upper bound of the extra delay.
         max: SimDuration,
     },
-    /// Exponential extra delay with the given mean (heavy-ish tail, the
-    /// classic queueing-delay stand-in).
-    Exponential {
-        /// Mean extra delay.
-        mean: SimDuration,
-    },
 }
 
 /// Plain-data description of a stochastic channel.
@@ -140,12 +134,6 @@ impl ImpairmentSpec {
     /// Uniform jitter in `[0, max]` on every delivered copy.
     pub fn with_uniform_jitter(mut self, max: SimDuration) -> Self {
         self.jitter = Jitter::Uniform { max };
-        self
-    }
-
-    /// Exponential jitter with the given mean on every delivered copy.
-    pub fn with_exponential_jitter(mut self, mean: SimDuration) -> Self {
-        self.jitter = Jitter::Exponential { mean };
         self
     }
 
@@ -235,9 +223,6 @@ impl ImpairmentSpec {
             Jitter::None => {}
             Jitter::Uniform { max } => {
                 parts.push(format!("jit{:.0}ms", max.as_millis_f64()));
-            }
-            Jitter::Exponential { mean } => {
-                parts.push(format!("jitexp{:.0}ms", mean.as_millis_f64()));
             }
         }
         parts.join("+")
@@ -357,9 +342,6 @@ impl Impairment {
         let jitter = match spec.jitter {
             Jitter::None => SimDuration::ZERO,
             Jitter::Uniform { max } => rng.gen_duration(max),
-            Jitter::Exponential { mean } => {
-                SimDuration::from_nanos(rng.gen_exp(mean.as_nanos() as f64).round() as u64)
-            }
         };
         let reorder = if spec.reorder_probability > 0.0
             && spec.reorder_window > SimDuration::ZERO

@@ -169,13 +169,7 @@ impl Link {
 
         // Blackout windows drop first: deterministic like the loss rule,
         // so neither consumes random draws on behalf of the other.
-        if !self.config.blackouts.is_empty()
-            && self
-                .config
-                .blackouts
-                .iter()
-                .any(|b| b.covers(now, direction))
-        {
+        if self.config.blackouts.iter().any(|b| b.covers(now)) {
             self.stats.dropped += 1;
             return (TransmitResult::Drop, index);
         }
@@ -315,27 +309,25 @@ mod tests {
     }
 
     #[test]
-    fn blackout_window_drops_matching_direction_only() {
+    fn blackout_window_drops_both_directions() {
         let mut l = link(
             LinkConfig::paper_default(SimDuration::ZERO).with_blackouts(vec![Blackout {
                 start: SimTime::from_nanos(1_000),
                 end: SimTime::from_nanos(2_000),
-                direction: Some(Direction::AtoB),
             }]),
         );
         // Before the window: delivered.
         let (r, _) = l.transmit(NodeId(0), &[0u8; 10], SimTime::ZERO);
         assert!(matches!(r, TransmitResult::Deliver { .. }));
-        // Inside the window, matching direction: dropped.
+        // Inside the window: dropped, whichever way the datagram goes.
         let (r, _) = l.transmit(NodeId(0), &[0u8; 10], SimTime::from_nanos(1_500));
         assert!(matches!(r, TransmitResult::Drop));
-        // Inside the window, opposite direction: delivered.
         let (r, _) = l.transmit(NodeId(1), &[0u8; 10], SimTime::from_nanos(1_500));
-        assert!(matches!(r, TransmitResult::Deliver { .. }));
+        assert!(matches!(r, TransmitResult::Drop));
         // At the (exclusive) end: delivered again.
         let (r, _) = l.transmit(NodeId(0), &[0u8; 10], SimTime::from_nanos(2_000));
         assert!(matches!(r, TransmitResult::Deliver { .. }));
-        assert_eq!(l.stats.dropped, 1);
+        assert_eq!(l.stats.dropped, 2);
     }
 
     #[test]

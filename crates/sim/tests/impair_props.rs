@@ -117,10 +117,9 @@ fn spec_from(
         1 => spec.with_iid_loss(pm(loss_pm)),
         _ => spec.with_gilbert_elliott(pm(loss_pm), 0.3, 0.0, 0.9),
     };
-    match jitter_kind % 3 {
+    match jitter_kind % 2 {
         0 => spec,
-        1 => spec.with_uniform_jitter(SimDuration::from_millis(u64::from(jitter_ms % 8))),
-        _ => spec.with_exponential_jitter(SimDuration::from_millis(u64::from(jitter_ms % 4))),
+        _ => spec.with_uniform_jitter(SimDuration::from_millis(u64::from(jitter_ms % 8))),
     }
 }
 

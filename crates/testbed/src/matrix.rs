@@ -14,7 +14,6 @@
 
 use rq_profiles::ClientProfile;
 use rq_quic::ServerAckMode;
-use rq_recovery::CcAlgorithm;
 use rq_sim::SimDuration;
 
 use crate::runner::{rep_scenario, run_scenario, RunResult, SweepRunner};
@@ -25,8 +24,8 @@ use crate::scenario::{HandshakeClass, LossSpec, Scenario};
 /// Every axis defaults to the single value of the base scenario; each
 /// `with_*` call replaces that axis with an explicit list. Axis order in
 /// the expansion (outermost first): clients, ack modes, handshake
-/// classes, RTTs, cert sizes, cert delays, losses, congestion
-/// controllers. Every cell keeps the base scenario's migration.
+/// classes, RTTs, cert sizes, cert delays, losses. Every cell keeps the
+/// base scenario's congestion controller and migration.
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
     base: Scenario,
@@ -37,7 +36,6 @@ pub struct ScenarioMatrix {
     cert_lens: Vec<usize>,
     cert_delays: Vec<SimDuration>,
     losses: Vec<LossSpec>,
-    cc_algorithms: Vec<CcAlgorithm>,
 }
 
 /// One expanded matrix cell together with its repetition results.
@@ -67,7 +65,6 @@ impl ScenarioMatrix {
             cert_lens: vec![base.cert_len],
             cert_delays: vec![base.cert_delay],
             losses: vec![base.loss],
-            cc_algorithms: vec![base.cc],
             base,
         }
     }
@@ -121,13 +118,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Replaces the congestion-controller axis.
-    pub fn cc_algorithms(mut self, algorithms: &[CcAlgorithm]) -> Self {
-        assert!(!algorithms.is_empty(), "empty cc axis");
-        self.cc_algorithms = algorithms.to_vec();
-        self
-    }
-
     /// Number of cells in the cross product.
     pub fn len(&self) -> usize {
         self.clients.len()
@@ -137,7 +127,6 @@ impl ScenarioMatrix {
             * self.cert_lens.len()
             * self.cert_delays.len()
             * self.losses.len()
-            * self.cc_algorithms.len()
     }
 
     /// True when the matrix expands to no cells (never: axes are
@@ -157,18 +146,15 @@ impl ScenarioMatrix {
                         for &cert_len in &self.cert_lens {
                             for &cert_delay in &self.cert_delays {
                                 for &loss in &self.losses {
-                                    for &cc in &self.cc_algorithms {
-                                        let mut sc = self.base.clone();
-                                        sc.client = client.clone();
-                                        sc.ack_mode = ack_mode;
-                                        sc.handshake_class = class;
-                                        sc.rtt = rtt;
-                                        sc.cert_len = cert_len;
-                                        sc.cert_delay = cert_delay;
-                                        sc.loss = loss;
-                                        sc.cc = cc;
-                                        out.push(sc);
-                                    }
+                                    let mut sc = self.base.clone();
+                                    sc.client = client.clone();
+                                    sc.ack_mode = ack_mode;
+                                    sc.handshake_class = class;
+                                    sc.rtt = rtt;
+                                    sc.cert_len = cert_len;
+                                    sc.cert_delay = cert_delay;
+                                    sc.loss = loss;
+                                    out.push(sc);
                                 }
                             }
                         }
@@ -250,8 +236,10 @@ mod tests {
         assert_eq!(cells[1].loss, LossSpec::ServerFlightTail);
         assert_eq!(cells[2].rtt, SimDuration::from_millis(9));
         assert_eq!(cells[4].ack_mode, IACK);
-        // Untouched axes keep the base value.
+        // Untouched axes, and the fields that are no axis, keep the base
+        // value.
         assert!(cells.iter().all(|c| c.cert_len == base().cert_len));
+        assert!(cells.iter().all(|c| c.cc == base().cc));
     }
 
     #[test]
@@ -287,21 +275,6 @@ mod tests {
     #[should_panic(expected = "empty rtt axis")]
     fn empty_axis_rejected() {
         let _ = ScenarioMatrix::new(base()).rtts(&[]);
-    }
-
-    #[test]
-    fn cc_axis_is_innermost() {
-        let m = ScenarioMatrix::new(base())
-            .losses(&[LossSpec::None, LossSpec::ServerFlightTail])
-            .cc_algorithms(&CcAlgorithm::ALL);
-        assert_eq!(m.len(), 6);
-        let cells = m.build();
-        assert_eq!(cells[0].cc, CcAlgorithm::NewReno);
-        assert_eq!(cells[1].cc, CcAlgorithm::Cubic);
-        assert_eq!(cells[2].cc, CcAlgorithm::BbrLite);
-        assert_eq!(cells[2].loss, LossSpec::None);
-        assert_eq!(cells[3].loss, LossSpec::ServerFlightTail);
-        assert_eq!(cells[3].cc, CcAlgorithm::NewReno);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! during) the simulation, and both drive their connections through the
 //! one [`ConnDriver`].
 
-use std::cell::{LazyCell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
@@ -605,10 +605,6 @@ impl ResponseCache {
     }
 }
 
-/// The first packet header of a datagram (`None` if it does not parse),
-/// decoded when first looked at.
-type FirstHeader<F> = LazyCell<Option<Header>, F>;
-
 /// Server endpoint node: one shared listener hosting any number of
 /// connections, each serving `GET /<n>`. Incoming datagrams are demuxed
 /// by sender `NodeId`; admission, ticket-key epochs, and cost accounting
@@ -631,21 +627,11 @@ pub struct ServerNode {
     /// Crashes also rotate away old ticket-key epochs, so resumption
     /// tickets from before the crash degrade to full handshakes.
     forget_epochs: bool,
-    /// Fault-aware servers additionally recognise reconnects (a fresh
-    /// DCID from a known peer re-enters admission). Off by default so
-    /// legacy scenarios keep their exact wire behaviour.
-    fault_aware: bool,
     /// The server process is frozen: datagrams are dropped and timers
     /// are swallowed until the thaw event. (A freeze's thaw timer is
     /// armed at start-up, so it fires ahead of anything else due at the
     /// instant the freeze ends.)
     frozen: bool,
-    /// Migration-aware servers additionally demux arriving datagrams by
-    /// connection ID (the engine's CID index) before falling back to the
-    /// sender's `NodeId`, so a client knocking from a new path under a
-    /// rotated CID still lands on its connection. Off by default so
-    /// legacy scenarios keep their exact behaviour.
-    migration_aware: bool,
     /// The response every session asking for the same size is handed.
     responses: ResponseCache,
 }
@@ -694,69 +680,56 @@ impl ServerNode {
             seed,
             faults: FaultTimeline::none(),
             forget_epochs: false,
-            fault_aware: false,
             frozen: false,
-            migration_aware: false,
             responses: ResponseCache::default(),
         }
     }
 
-    /// Turns on CID-based demux for migrated clients (scenarios with a
-    /// [`crate::scenario::MigrationSpec`]).
-    pub fn with_migration(mut self) -> Self {
-        self.migration_aware = true;
-        self
-    }
-
-    /// Arms the server with a fault timeline (crashes and freezes) and
-    /// turns on fault-aware admission: reconnecting peers (fresh DCID)
-    /// re-enter admission instead of being treated as retransmits. A
-    /// timeline may be empty — give-up-only scenarios still want the
-    /// reconnect handling.
+    /// Arms the server with a fault timeline (crashes and freezes);
+    /// crashes also forget old ticket-key epochs if `forget_epochs`.
     pub fn with_faults(mut self, faults: FaultTimeline, forget_epochs: bool) -> Self {
         self.faults = faults;
         self.forget_epochs = forget_epochs;
-        self.fault_aware = true;
         self
     }
 
     /// Decides whether a datagram from the peer recorded in `peer`, whose
     /// first packet header is `header` (`None` if it does not parse), is
     /// for a connection of ours — running the engine's admission path
-    /// for strangers (and, on fault-aware servers, for reconnecting
-    /// peers) and answering refusals that deserve an answer.
+    /// for strangers and reconnecting peers, and answering refusals that
+    /// deserve an answer.
     fn admits(
         &self,
         engine: &mut ServerEngine,
         peer: &mut PeerRecord,
         knock: Knock,
-        header: &FirstHeader<impl FnOnce() -> Option<Header>>,
+        header: Option<&Header>,
         ctx: &mut Context<'_>,
     ) -> bool {
         let Some(session) = peer.session.as_mut() else {
-            return self.admit_new(engine, peer, knock, header.as_ref(), ctx);
+            // A datagram without a parseable header fails closed: it is
+            // dropped before admission, leaving no session and no arrival
+            // behind, so the peer's real Initial still finds the door open.
+            return header.is_some_and(|h| self.admit_new(engine, peer, knock, h, ctx));
         };
-        // Fault-aware servers take an Initial under a *different* DCID
-        // than the one admission saw for a fresh connection attempt
-        // (the header stays unparsed on every other server).
-        let reconnect = || {
-            let h = self.fault_aware.then(|| header.as_ref()).flatten()?;
-            (h.ty == PacketType::Initial && h.dcid != session.dcid).then_some(h)
-        };
+        // An Initial under a *different* DCID than the one admission saw
+        // is a fresh connection attempt (a reconnect), not a retransmit.
+        let reconnect = header.filter(|h| h.ty == PacketType::Initial && h.dcid != session.dcid);
         match session.standing {
             Standing::Admitted => {
                 // A tokenless reconnect whose DCID the live connection
                 // does not know either: the old attempt gave up
                 // client-side. Retire the stale state and re-run
                 // admission as a fresh arrival.
-                let stale = reconnect().filter(|h| h.token.is_empty()).is_some_and(|h| {
-                    engine.conn_mut(knock.key).is_some_and(|conn| {
-                        h.dcid != conn.original_dcid() && h.dcid != conn.local_cid()
-                    })
+                let stale = reconnect.filter(|h| {
+                    h.token.is_empty()
+                        && engine.conn_mut(knock.key).is_some_and(|conn| {
+                            h.dcid != conn.original_dcid() && h.dcid != conn.local_cid()
+                        })
                 });
-                if stale {
+                if let Some(h) = stale {
                     engine.retire(knock.key, false);
-                    return self.admit_new(engine, peer, knock, header.as_ref(), ctx);
+                    return self.admit_new(engine, peer, knock, h, ctx);
                 }
                 // Late datagrams for a connection the driver has retired
                 // since go nowhere: they must not re-enter admission and
@@ -771,9 +744,8 @@ impl ServerNode {
                 // post-Retry Initial addresses the Retry's SCID instead.
                 // While the server stays over capacity the client's PTO
                 // loop re-sends the tokened Initial until a slot frees.
-                let tokened = header
-                    .as_ref()
-                    .is_some_and(|h| h.ty == PacketType::Initial && !h.token.is_empty());
+                let tokened =
+                    header.is_some_and(|h| h.ty == PacketType::Initial && !h.token.is_empty());
                 let seed = peer.conn_seed;
                 let admitted = tokened
                     && engine.accept(knock.key, seed, session.dcid, knock.now_secs, true, true)
@@ -784,29 +756,28 @@ impl ServerNode {
                 }
                 admitted
             }
-            // Fault-aware servers let a *reconnect* back into admission;
-            // retransmits of the shed Initial stay dropped, preserving
-            // once-shed-always-shed for them.
+            // A *reconnect* goes back into admission; retransmits of the
+            // shed Initial stay dropped, preserving once-shed-always-shed
+            // for them.
             Standing::Shed => {
-                reconnect().is_some() && self.admit_new(engine, peer, knock, header.as_ref(), ctx)
+                reconnect.is_some_and(|h| self.admit_new(engine, peer, knock, h, ctx))
             }
         }
     }
 
-    /// Runs a previously unseen Initial through the engine's admission
-    /// valve and opens the peer's session with the outcome.
+    /// Runs a previously unseen Initial, whose first header is `header`,
+    /// through the engine's admission valve and opens the peer's session
+    /// with the outcome.
     fn admit_new(
         &self,
         engine: &mut ServerEngine,
         peer: &mut PeerRecord,
         knock: Knock,
-        header: Option<&Header>,
+        header: &Header,
         ctx: &mut Context<'_>,
     ) -> bool {
-        // Derive the Initial keys from the client's DCID (first header).
-        let (dcid, scid, has_token) = header
-            .map(|h| (h.dcid, h.scid, !h.token.is_empty()))
-            .unwrap_or((ConnectionId::EMPTY, ConnectionId::EMPTY, false));
+        // Derive the Initial keys from the client's DCID.
+        let (dcid, has_token) = (header.dcid, !header.token.is_empty());
         let seed = peer.conn_seed;
         let standing = match engine.accept(knock.key, seed, dcid, knock.now_secs, has_token, false)
         {
@@ -820,7 +791,10 @@ impl ServerNode {
             // up.
             AcceptOutcome::RetryDefer => {
                 let server_cid = derived_cid(self.seed, CID_KIND_RETRY, knock.key);
-                ctx.send(knock.from, stateless_retry_datagram(scid, server_cid));
+                ctx.send(
+                    knock.from,
+                    stateless_retry_datagram(header.scid, server_cid),
+                );
                 Standing::Deferred
             }
             AcceptOutcome::Busy => {
@@ -948,17 +922,11 @@ impl Node for ServerNode {
         }
         let (engine, control) = (Rc::clone(&self.engine), Rc::clone(&self.control));
         let (engine, control) = (&mut *engine.borrow_mut(), &mut *control.borrow_mut());
-        // Routing and admission read only the first packet's header:
-        // parsed once, and not at all for a live connection's datagrams
-        // on a server that follows neither migrations nor faults.
-        let header = FirstHeader::new(|| Header::decode(&mut &payload[..], 8).ok().map(|(h, _)| h));
-        // Migration-aware servers route by connection ID first — a
-        // migrated client may arrive under a rotated CID — and fall back
-        // to the sender's NodeId for pre-handshake packets (whose DCID
-        // is the client's choice, not one of ours).
-        let routed = (self.migration_aware.then(|| header.as_ref()).flatten())
-            .and_then(|h| engine.key_for_cid(&h.dcid));
-        let key = routed.map_or(from.index(), |k| k as usize);
+        // Admission reads only the first packet's header. A datagram is
+        // demuxed by its sender's NodeId: a migrated client changes its
+        // path and CID, never its node, so no CID index is needed.
+        let header = Header::decode(&mut &payload[..], 8).ok().map(|(h, _)| h);
+        let key = from.index();
         if control.peers.len() <= key {
             control.peers.resize_with(key + 1, || None);
         }
@@ -973,7 +941,7 @@ impl Node for ServerNode {
             from,
             now_secs: now.as_nanos() / 1_000_000_000,
         };
-        if self.admits(engine, peer, knock, &header, ctx) {
+        if self.admits(engine, peer, knock, header.as_ref(), ctx) {
             let path = ctx.path();
             self.drive(engine, peer, ctx, key, |conn, _, _| {
                 conn.handle_datagram_on_path(now, payload, path);

@@ -141,7 +141,6 @@ impl FaultSpec {
                 .blackout
                 .map(|(_, dur)| dur)
                 .unwrap_or(SimDuration::ZERO),
-            blackout_direction: None,
             crash_every: self.crash_every,
             freeze_every: self.freeze.map(|(gap, _)| gap),
             freeze_duration: self.freeze.map(|(_, dur)| dur).unwrap_or(SimDuration::ZERO),

@@ -601,19 +601,14 @@ pub(crate) fn drive_conn_plans(
         .with_overload_policy(spec.overload);
     let engine = Rc::new(RefCell::new(engine));
     let control = Rc::new(RefCell::new(ServerControl::default()));
-    let mut server_node = ServerNode::with_engine(
+    let server_node = ServerNode::with_engine(
         Rc::clone(&engine),
         Rc::clone(&control),
         base.http,
         base.cert_delay,
         base.seed,
-    );
-    if !base.faults.is_none() {
-        server_node = server_node.with_faults(timeline.clone(), base.faults.forget_ticket_epochs);
-    }
-    if !base.migration.is_none() {
-        server_node = server_node.with_migration();
-    }
+    )
+    .with_faults(timeline.clone(), base.faults.forget_ticket_epochs);
     let server_id = net.add_node(Box::new(server_node));
     net.prime();
 

@@ -283,8 +283,8 @@ fn tickets_within_overlap_still_resume_after_one_rotation() {
 fn empty_fault_timeline_reproduces_baseline_byte_for_byte() {
     // A fault axis whose derived timeline contains no events must leave
     // every outcome and the whole report untouched: the fault seed is an
-    // independent RNG stream, and a fault-aware server with nothing
-    // scheduled takes the same wire actions as a fault-blind one.
+    // independent RNG stream, and a server with nothing scheduled takes
+    // the same wire actions as one never handed a timeline.
     let baseline = run_server_load(&mixed_spec(42, 40));
     let mut spec = mixed_spec(42, 40);
     // Mean crash gap ~12 days of virtual time against a ~2 minute

@@ -151,10 +151,18 @@ fn transfer_matrix_is_thread_count_invariant() {
     sc.streams = 2;
     sc.loss =
         LossSpec::Random(rq_sim::ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.3, 0.0, 0.5));
-    let matrix = ScenarioMatrix::new(sc).cc_algorithms(&CcAlgorithm::ALL);
+    // One single-cell matrix per controller: the matrix has no cc axis,
+    // each cell keeps its base scenario's.
+    let matrices: Vec<ScenarioMatrix> = CcAlgorithm::ALL
+        .iter()
+        .map(|&cc| ScenarioMatrix::new(Scenario { cc, ..sc.clone() }))
+        .collect();
     let reps = 3;
-    let seq = matrix.run(&SweepRunner::new(1), reps);
-    let par = matrix.run(&SweepRunner::new(4), reps);
+    let run = |threads| -> Vec<_> {
+        let runner = SweepRunner::new(threads);
+        matrices.iter().flat_map(|m| m.run(&runner, reps)).collect()
+    };
+    let (seq, par) = (run(1), run(4));
     assert_eq!(seq.len(), 3);
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.scenario.label(), b.scenario.label());
