@@ -3,9 +3,8 @@
 //! merge being associative and commutative with `Registry::default()`
 //! as identity, so shard order and thread count cannot matter.
 
-use proptest::collection;
-use proptest::prelude::*;
 use rq_obs::Registry;
+use rq_testkit::prop::{cases, SimRng};
 
 /// Fold raw draws into a registry. The metric kind is a pure function
 /// of the name slot, so arbitrarily interleaved op streams can never
@@ -35,49 +34,53 @@ fn merged(a: &Registry, b: &Registry) -> Registry {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+/// Fewer than `max_len` raw draws.
+fn ops(rng: &mut SimRng, max_len: u64) -> Vec<u64> {
+    (0..rng.gen_range(max_len))
+        .map(|_| rng.next_u64())
+        .collect()
+}
 
-    #[test]
-    fn merge_is_associative(
-        a in collection::vec(any::<u64>(), 0..24),
-        b in collection::vec(any::<u64>(), 0..24),
-        c in collection::vec(any::<u64>(), 0..24),
-    ) {
+#[test]
+fn merge_is_associative() {
+    cases(128, |rng| {
+        let (a, b, c) = (ops(rng, 24), ops(rng, 24), ops(rng, 24));
         let (ra, rb, rc) = (registry_from(&a), registry_from(&b), registry_from(&c));
         let left = merged(&merged(&ra, &rb), &rc);
         let right = merged(&ra, &merged(&rb, &rc));
-        prop_assert_eq!(left, right);
-    }
+        assert_eq!(left, right);
+    });
+}
 
-    #[test]
-    fn merge_is_commutative(
-        a in collection::vec(any::<u64>(), 0..24),
-        b in collection::vec(any::<u64>(), 0..24),
-    ) {
-        let (ra, rb) = (registry_from(&a), registry_from(&b));
-        prop_assert_eq!(merged(&ra, &rb), merged(&rb, &ra));
-    }
+#[test]
+fn merge_is_commutative() {
+    cases(128, |rng| {
+        let (ra, rb) = (registry_from(&ops(rng, 24)), registry_from(&ops(rng, 24)));
+        assert_eq!(merged(&ra, &rb), merged(&rb, &ra));
+    });
+}
 
-    #[test]
-    fn default_is_identity(a in collection::vec(any::<u64>(), 0..24)) {
-        let ra = registry_from(&a);
-        prop_assert_eq!(merged(&ra, &Registry::default()), ra.clone());
-        prop_assert_eq!(merged(&Registry::default(), &ra), ra);
-    }
+#[test]
+fn default_is_identity() {
+    cases(128, |rng| {
+        let ra = registry_from(&ops(rng, 24));
+        assert_eq!(merged(&ra, &Registry::default()), ra.clone());
+        assert_eq!(merged(&Registry::default(), &ra), ra);
+    });
+}
 
-    #[test]
-    fn sharded_fold_equals_sequential_fold(
-        ops in collection::vec(any::<u64>(), 0..64),
-        shard in 1usize..8,
-    ) {
+#[test]
+fn sharded_fold_equals_sequential_fold() {
+    cases(128, |rng| {
+        let stream = ops(rng, 64);
+        let shard = 1 + rng.gen_range(7) as usize;
         // The exact shape the sweep engine relies on: folding per-shard
         // registries in shard order equals folding everything into one.
-        let sequential = registry_from(&ops);
+        let sequential = registry_from(&stream);
         let mut sharded = Registry::default();
-        for chunk in ops.chunks(shard) {
+        for chunk in stream.chunks(shard) {
             sharded.merge(&registry_from(chunk));
         }
-        prop_assert_eq!(sharded, sequential);
-    }
+        assert_eq!(sharded, sequential);
+    });
 }

@@ -159,12 +159,6 @@ pub enum EventData {
         /// True at the issuer, false at the receiver.
         sent: bool,
     },
-    /// The server crashed and restarted, dropping all per-connection
-    /// state (fault injection).
-    ServerCrashed {
-        /// Connections orphaned by the crash.
-        dropped_conns: usize,
-    },
     /// The client abandoned a handshake that exceeded its give-up
     /// deadline or consecutive-PTO budget.
     HandshakeAbandoned {
@@ -343,7 +337,6 @@ impl EventData {
             EventData::ResumptionUsed => "resumption_used",
             EventData::EarlyData { .. } => "early_data",
             EventData::SessionTicket { .. } => "session_ticket",
-            EventData::ServerCrashed { .. } => "server_crashed",
             EventData::HandshakeAbandoned { .. } => "handshake_abandoned",
             EventData::StatelessReset => "stateless_reset",
             EventData::MigrationStarted { .. } => "migration_started",
@@ -441,9 +434,6 @@ impl EventData {
             }
             EventData::SessionTicket { sent } => {
                 fields.push(("sent".into(), Json::Bool(*sent)));
-            }
-            EventData::ServerCrashed { dropped_conns } => {
-                fields.push(("dropped_conns".into(), Json::size(*dropped_conns)));
             }
             EventData::HandshakeAbandoned { pto_count } => {
                 fields.push(("pto_count".into(), Json::uint(*pto_count)));

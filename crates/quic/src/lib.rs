@@ -22,5 +22,5 @@ pub use connection::{
     ERROR_GIVE_UP, ERROR_SERVER_BUSY, ERROR_STATELESS_RESET, MAX_DATAGRAM_SIZE, SERVER_BUSY_PREFIX,
     STATELESS_RESET_PREFIX,
 };
-pub use server::{AcceptOutcome, OverloadPolicy, ServerAccounting, ServerCostModel, ServerEngine};
+pub use server::{AcceptOutcome, OverloadPolicy, ServerAccounting, ServerEngine};
 pub use streams::id as stream_id;

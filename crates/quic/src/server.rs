@@ -18,38 +18,23 @@
 
 use std::collections::BTreeMap;
 
-use rq_qlog::{EventData, EventLog};
-use rq_sim::SimTime;
 use rq_tls::TicketKeySchedule;
 use rq_wire::ConnectionId;
 
 use crate::config::EndpointConfig;
 use crate::connection::Connection;
 
-/// Relative CPU cost of completing each handshake class, in units of one
-/// full handshake. The asymmetric signature + key exchange dominates a
-/// full handshake; PSK resumption replaces it with symmetric crypto, and
-/// an accepted 0-RTT handshake adds early-data key derivation on top of
-/// the PSK path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerCostModel {
-    /// Full 1-RTT handshake (certificate + CertificateVerify).
-    pub full: f64,
-    /// Abbreviated PSK handshake.
-    pub resumed: f64,
-    /// PSK handshake with accepted 0-RTT early data.
-    pub zero_rtt: f64,
-}
-
-impl Default for ServerCostModel {
-    fn default() -> Self {
-        ServerCostModel {
-            full: 1.0,
-            resumed: 0.3,
-            zero_rtt: 0.35,
-        }
-    }
-}
+// Relative CPU cost of completing each handshake class, in units of one
+// full handshake. The asymmetric signature + key exchange dominates a full
+// handshake; PSK resumption replaces it with symmetric crypto, and an
+// accepted 0-RTT handshake adds early-data key derivation on top of the
+// PSK path.
+/// Full 1-RTT handshake (certificate + CertificateVerify).
+const COST_FULL: f64 = 1.0;
+/// Abbreviated PSK handshake.
+const COST_RESUMED: f64 = 0.3;
+/// PSK handshake with accepted 0-RTT early data.
+const COST_ZERO_RTT: f64 = 0.35;
 
 /// Server-side aggregates across a connection population. Plain sums and
 /// maxima, so shard accountings [`merge`](ServerAccounting::merge) into
@@ -225,8 +210,6 @@ struct ConnSlot {
 pub struct ServerEngine {
     template: EndpointConfig,
     schedule: TicketKeySchedule,
-    /// Cost per completed handshake, by class.
-    pub cost_model: ServerCostModel,
     concurrency_limit: usize,
     /// What to do with arrivals beyond the limit.
     pub overload: OverloadPolicy,
@@ -236,9 +219,6 @@ pub struct ServerEngine {
     conns: BTreeMap<u64, Box<ConnSlot>>,
     /// Running aggregates.
     pub accounting: ServerAccounting,
-    /// Listener-level qlog events (crashes — things no single
-    /// connection's log can own).
-    pub log: EventLog,
 }
 
 impl ServerEngine {
@@ -253,12 +233,10 @@ impl ServerEngine {
         ServerEngine {
             template,
             schedule,
-            cost_model: ServerCostModel::default(),
             concurrency_limit: concurrency_limit.max(1),
             overload: OverloadPolicy::Shed,
             conns: BTreeMap::new(),
             accounting: ServerAccounting::default(),
-            log: EventLog::new("server:engine".to_string()),
         }
     }
 
@@ -360,19 +338,13 @@ impl ServerEngine {
     /// with `forget_ticket_epochs` the restarted process also loses the
     /// previous ticket-key epochs, so outstanding tickets degrade to
     /// full handshakes. Returns the orphaned keys in ascending order.
-    pub fn crash_and_restart(&mut self, now: SimTime, forget_ticket_epochs: bool) -> Vec<u64> {
+    pub fn crash_and_restart(&mut self, forget_ticket_epochs: bool) -> Vec<u64> {
         let orphans: Vec<u64> = std::mem::take(&mut self.conns).into_keys().collect();
         self.accounting.crashes += 1;
         self.accounting.reset_conns += orphans.len() as u64;
         if forget_ticket_epochs {
             self.schedule = self.schedule.forget_old_epochs();
         }
-        self.log.push(
-            now,
-            EventData::ServerCrashed {
-                dropped_conns: orphans.len(),
-            },
-        );
         orphans
     }
 
@@ -395,13 +367,13 @@ impl ServerEngine {
         let zero_rtt = slot.conn.early_data_accepted() == Some(true);
         if zero_rtt {
             self.accounting.zero_rtt_accepted += 1;
-            self.accounting.cpu_cost += self.cost_model.zero_rtt;
+            self.accounting.cpu_cost += COST_ZERO_RTT;
         } else if resumed {
             self.accounting.resumed_handshakes += 1;
-            self.accounting.cpu_cost += self.cost_model.resumed;
+            self.accounting.cpu_cost += COST_RESUMED;
         } else {
             self.accounting.full_handshakes += 1;
-            self.accounting.cpu_cost += self.cost_model.full;
+            self.accounting.cpu_cost += COST_FULL;
         }
     }
 
@@ -426,6 +398,8 @@ impl ServerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq_qlog::EventLog;
+    use rq_sim::SimTime;
 
     fn engine(limit: usize) -> ServerEngine {
         ServerEngine::new(
@@ -593,15 +567,11 @@ mod tests {
         for k in [5u64, 1, 3] {
             e.accept(k, k, dcid(k), 0, false, false);
         }
-        let orphans = e.crash_and_restart(SimTime::ZERO, false);
+        let orphans = e.crash_and_restart(false);
         assert_eq!(orphans, vec![1, 3, 5], "orphans must come out sorted");
         assert_eq!(e.conns.len(), 0);
         assert_eq!(e.accounting.crashes, 1);
         assert_eq!(e.accounting.reset_conns, 3);
-        assert!(e
-            .log
-            .first(|d| matches!(d, EventData::ServerCrashed { dropped_conns: 3 }))
-            .is_some());
         // The table is usable again immediately.
         assert_eq!(
             e.accept(7, 7, dcid(7), 0, false, false),
@@ -614,7 +584,7 @@ mod tests {
         let schedule = TicketKeySchedule::rotating(99, 100, 2);
         let mut e = ServerEngine::new(EndpointConfig::rfc_default(), schedule, 4);
         assert_eq!(e.schedule().accept_keys(250).len(), 3);
-        e.crash_and_restart(SimTime::ZERO, true);
+        e.crash_and_restart(true);
         // Only the current epoch survives the restart.
         assert_eq!(e.schedule().accept_keys(250).len(), 1);
         assert_eq!(e.schedule().mint_key(250), schedule.mint_key(250));

@@ -3,13 +3,12 @@
 //! under slice and owned writes, and packet numbers as ranges from
 //! `RecvState` through `AckFrame` into `SentTracker`.
 
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
 use rq_quic::bytestream::SendBuf;
 use rq_quic::space::{CryptoStream, RecvState};
 use rq_quic::streams::RecvStream;
 use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, PACKET_THRESHOLD};
 use rq_sim::{SimDuration, SimTime};
+use rq_testkit::prop::cases;
 use rq_wire::{AckFrame, Bytes};
 
 fn at_us(us: u64) -> SimTime {
@@ -52,17 +51,16 @@ impl ExpandingTracker {
     }
 }
 
-proptest! {
-    /// Random segments of a known body — overlapping, duplicated, in any
-    /// order — through both users of the reassembler: what comes out is a
-    /// byte-exact prefix of the body with each byte delivered once, both
-    /// users agree, and CRYPTO's overlap flag is "starts below what was
-    /// already delivered".
-    #[test]
-    fn reassembly_delivers_a_prefix_once(
-        body_len in 1usize..3000,
-        cuts in pvec(any::<u64>(), 1..80),
-    ) {
+/// Random segments of a known body — overlapping, duplicated, in any
+/// order — through both users of the reassembler: what comes out is a
+/// byte-exact prefix of the body with each byte delivered once, both
+/// users agree, and CRYPTO's overlap flag is "starts below what was
+/// already delivered".
+#[test]
+fn reassembly_delivers_a_prefix_once() {
+    cases(256, |rng| {
+        let body_len = 1 + rng.gen_range(2999) as usize;
+        let cuts: Vec<u64> = (0..1 + rng.gen_range(79)).map(|_| rng.next_u64()).collect();
         let body: Vec<u8> = (0..body_len).map(|i| (i * 31 % 251) as u8).collect();
         let mut crypto = CryptoStream::default();
         let mut stream = RecvStream::default();
@@ -77,26 +75,31 @@ proptest! {
         for (start, end) in segments.chain([whole]) {
             let data = &body[start..end];
             let (out, overlap) = crypto.on_rx(start as u64, Bytes::copy_from_slice(data));
-            prop_assert_eq!(overlap, start < delivered.len());
+            assert_eq!(overlap, start < delivered.len());
             let fin = end == body_len;
-            prop_assert_eq!(&stream.on_frame(start as u64, data, fin), &out);
+            assert_eq!(&stream.on_frame(start as u64, data, fin), &out);
             delivered.extend_from_slice(&out);
-            prop_assert_eq!(&delivered[..], &body[..delivered.len()]);
-            prop_assert_eq!(stream.delivered, delivered.len() as u64);
+            assert_eq!(&delivered[..], &body[..delivered.len()]);
+            assert_eq!(stream.delivered, delivered.len() as u64);
             let ended = stream.fin_at == Some(body_len as u64);
-            prop_assert_eq!(stream.is_complete(), ended && delivered.len() == body_len);
+            assert_eq!(stream.is_complete(), ended && delivered.len() == body_len);
         }
-        prop_assert_eq!(delivered, body);
-    }
+        assert_eq!(delivered, body);
+    });
+}
 
-    /// Any interleaving of slice and owned writes, taken in any sizes:
-    /// the runs are those of the concatenated stream cut at the same
-    /// offsets, whichever way each write went in.
-    #[test]
-    fn send_buf_runs_do_not_depend_on_how_writes_went_in(
-        writes in pvec(0usize..6000, 1..8),
-        takes in pvec(0usize..2500, 1..24),
-    ) {
+/// Any interleaving of slice and owned writes, taken in any sizes:
+/// the runs are those of the concatenated stream cut at the same
+/// offsets, whichever way each write went in.
+#[test]
+fn send_buf_runs_do_not_depend_on_how_writes_went_in() {
+    cases(256, |rng| {
+        let writes: Vec<usize> = (0..1 + rng.gen_range(7))
+            .map(|_| rng.gen_range(6000) as usize)
+            .collect();
+        let takes: Vec<usize> = (0..1 + rng.gen_range(23))
+            .map(|_| rng.gen_range(2500) as usize)
+            .collect();
         let (mut mixed, mut slices) = (SendBuf::default(), SendBuf::default());
         let mut stream = Vec::new();
         for (i, &draw) in writes.iter().enumerate() {
@@ -110,29 +113,32 @@ proptest! {
             slices.write(&data);
             stream.extend(data);
         }
-        prop_assert_eq!((mixed.len(), slices.len()), (stream.len(), stream.len()));
+        assert_eq!((mixed.len(), slices.len()), (stream.len(), stream.len()));
         let mut at = 0;
         for max in takes.into_iter().chain([usize::MAX]) {
             let n = max.min(stream.len() - at);
             let run = (n > 0).then(|| (at as u64, Bytes::copy_from_slice(&stream[at..at + n])));
-            prop_assert_eq!(mixed.take(max), run.clone());
-            prop_assert_eq!(slices.take(max), run);
+            assert_eq!(mixed.take(max), run.clone());
+            assert_eq!(slices.take(max), run);
             at += n;
         }
-        prop_assert!(mixed.is_empty() && slices.is_empty());
-    }
+        assert!(mixed.is_empty() && slices.is_empty());
+    });
+}
 
-    /// A reordered, duplicated, gappy packet arrival sequence: the
-    /// receiver's range set agrees with a plain list of packet numbers
-    /// (duplicates, largest, contiguity, and the ACK frame over the
-    /// newest 128), and the sender fed those frames as ranges reports what
-    /// a sender fed every acknowledged packet number one by one reports.
-    #[test]
-    fn ack_ranges_agree_with_packet_number_lists(
-        jitter in pvec(any::<u8>(), 1..500),
-        ack_every in 1usize..12,
-    ) {
-        const SENT: u64 = 400;
+/// A reordered, duplicated, gappy packet arrival sequence: the
+/// receiver's range set agrees with a plain list of packet numbers
+/// (duplicates, largest, contiguity, and the ACK frame over the
+/// newest 128), and the sender fed those frames as ranges reports what
+/// a sender fed every acknowledged packet number one by one reports.
+#[test]
+fn ack_ranges_agree_with_packet_number_lists() {
+    const SENT: u64 = 400;
+    cases(256, |rng| {
+        let jitter: Vec<u64> = (0..1 + rng.gen_range(499))
+            .map(|_| rng.gen_range(7))
+            .collect();
+        let ack_every = 1 + rng.gen_range(11) as usize;
         let mut rtt = RttEstimator::new(SimDuration::ZERO);
         rtt.update(SimDuration::from_millis(10), SimDuration::ZERO, false);
         let mut tracker = SentTracker::new();
@@ -154,36 +160,41 @@ proptest! {
         let mut seen: Vec<u64> = Vec::new(); // descending
         for (i, j) in jitter.iter().enumerate() {
             // Mostly forward, with reordering, repeats and skipped numbers.
-            let pn = (i as u64 * 3 / 4 + u64::from(j % 7)).min(SENT - 1);
+            let pn = (i as u64 * 3 / 4 + j).min(SENT - 1);
             let now = at_us(SENT * 100 + i as u64 * 50);
             let fresh = !seen.contains(&pn);
-            prop_assert_eq!(recv.on_packet(pn, true, now), fresh);
+            assert_eq!(recv.on_packet(pn, true, now), fresh);
             if fresh {
                 seen.push(pn);
                 seen.sort_unstable_by(|a, b| b.cmp(a));
             }
-            prop_assert_eq!(recv.largest(), seen.first().copied());
+            assert_eq!(recv.largest(), seen.first().copied());
             let gapless = seen.len() as u64 == seen[0] + 1;
-            prop_assert_eq!(recv.is_contiguous_from_zero(), gapless);
+            assert_eq!(recv.is_contiguous_from_zero(), gapless);
 
             if i % ack_every != 0 {
                 continue;
             }
-            let frame = recv.ack_frame(8 * i as u64).expect("something was received");
+            let frame = recv
+                .ack_frame(8 * i as u64)
+                .expect("something was received");
             let newest = &seen[..seen.len().min(128)];
-            prop_assert_eq!(&frame, &AckFrame::from_sorted_desc(newest, 8 * i as u64));
+            assert_eq!(&frame, &AckFrame::from_sorted_desc(newest, 8 * i as u64));
 
             let got = tracker.on_ack_ranges(frame.acked_ranges(), frame.largest, now, &rtt);
-            prop_assert_eq!(got, model.on_ack(&frame, now, &rtt));
-            prop_assert_eq!(tracker.tracked(), model.sent.len());
-            prop_assert_eq!(tracker.largest_acked, model.largest_acked);
+            assert_eq!(got, model.on_ack(&frame, now, &rtt));
+            assert_eq!(tracker.tracked(), model.sent.len());
+            assert_eq!(tracker.largest_acked, model.largest_acked);
             let in_flight = model.sent.iter().filter(|p| p.in_flight).map(|p| p.size);
-            prop_assert_eq!(tracker.bytes_in_flight(), in_flight.sum::<usize>());
+            assert_eq!(tracker.bytes_in_flight(), in_flight.sum::<usize>());
             let eliciting = model.sent.iter().any(|p| p.ack_eliciting);
-            prop_assert_eq!(tracker.has_ack_eliciting_in_flight(), eliciting);
-            let armed = model.sent.iter().filter(|p| Some(p.pn) <= model.largest_acked);
+            assert_eq!(tracker.has_ack_eliciting_in_flight(), eliciting);
+            let armed = model
+                .sent
+                .iter()
+                .filter(|p| Some(p.pn) <= model.largest_acked);
             let armed = armed.map(|p| p.time_sent + rtt.loss_delay()).min();
-            prop_assert_eq!(tracker.loss_time, armed);
+            assert_eq!(tracker.loss_time, armed);
         }
-    }
+    });
 }

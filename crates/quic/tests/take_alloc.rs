@@ -6,39 +6,11 @@
 //! binary of its own because the counter is the process's global
 //! allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
 use rq_quic::streams::SendStream;
+use rq_testkit::alloc::{requested_by, Counting};
 use rq_tls::{application_keys, handshake_keys, initial_keys, seal_tag, verify_tag};
-
-thread_local! {
-    /// Bytes this thread has requested (const-initialised and without a
-    /// destructor, so reading it inside the allocator allocates nothing).
-    static REQUESTED: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// plain thread-local integer.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.with(|r| r.set(r.get() + layout.size() as u64));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.with(|r| r.set(r.get() + new_size as u64));
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -52,11 +24,12 @@ fn requested_by_100_takes(pending: usize) -> u64 {
         ..SendStream::default()
     };
     s.write(&body, true);
-    let before = REQUESTED.get();
-    for _ in 0..100 {
-        black_box(s.take(1150));
-    }
-    REQUESTED.get() - before
+    let (_, bytes) = requested_by(|| {
+        for _ in 0..100 {
+            black_box(s.take(1150));
+        }
+    });
+    bytes
 }
 
 #[test]
@@ -73,20 +46,24 @@ fn take_cost_is_independent_of_bytes_pending() {
 fn packet_tags_are_computed_without_the_allocator() {
     let key = initial_keys(&[7; 8]).client;
     let payload = vec![0xA5u8; 1200];
-    let before = REQUESTED.get();
-    for pn in 0..100 {
-        let tag = seal_tag(&key, pn, black_box(&payload));
-        assert!(verify_tag(&key, pn, &payload, black_box(&tag)));
-    }
-    assert_eq!(REQUESTED.get() - before, 0);
+    let tags = requested_by(|| {
+        for pn in 0..100 {
+            let tag = seal_tag(&key, pn, black_box(&payload));
+            assert!(verify_tag(&key, pn, &payload, black_box(&tag)));
+        }
+    });
+    assert_eq!(tags, (0, 0));
 }
 
 #[test]
 fn level_keys_are_derived_without_the_allocator() {
     let transcript_hash = [0x5Au8; 32];
-    let before = REQUESTED.get();
-    black_box(initial_keys(black_box(&[7; 8])));
-    black_box(handshake_keys(black_box(&transcript_hash)));
-    black_box(application_keys(black_box(&transcript_hash)));
-    assert_eq!(REQUESTED.get() - before, 0);
+    let keys = requested_by(|| {
+        (
+            initial_keys(black_box(&[7; 8])),
+            handshake_keys(black_box(&transcript_hash)),
+            application_keys(black_box(&transcript_hash)),
+        )
+    });
+    assert_eq!(keys, (0, 0));
 }

@@ -13,12 +13,12 @@
 //!    delivery schedule (fates, times, duplicates), and the schedule is a
 //!    pure function of the scenario seed alone.
 
-use proptest::prelude::*;
 use rq_sim::trace::CaptureRecord;
 use rq_sim::{
     Context, DatagramFate, ImpairmentSpec, LinkConfig, Network, Node, NodeId, RunOutcome,
-    SimDuration, SimTime,
+    SimDuration, SimRng, SimTime,
 };
+use rq_testkit::prop::cases;
 
 /// Sends `count` distinct-payload datagrams, one every `gap`.
 struct Flooder {
@@ -98,28 +98,24 @@ fn run_flood(
     (records, arrivals)
 }
 
-/// Draws an arbitrary impairment spec from the proptest RNG. Raw integer
-/// inputs keep the vendored strategy layer simple.
-fn spec_from(
-    loss_kind: u8,
-    loss_pm: u16,
-    reorder_pm: u16,
-    dup_pm: u16,
-    jitter_kind: u8,
-    jitter_ms: u8,
-) -> ImpairmentSpec {
-    let pm = |v: u16| f64::from(v % 1000) / 1000.0;
+/// Draws an arbitrary impairment spec: reordering and duplication up to
+/// 99.9 %, no loss, i.i.d. or Gilbert-Elliott loss at
+/// `min_loss_pm..400` per mille, with or without up to 7 ms of jitter.
+fn spec_from(rng: &mut SimRng, min_loss_pm: u64) -> ImpairmentSpec {
+    let mut per_mille = |lo: u64, hi: u64| (lo + rng.gen_range(hi - lo)) as f64 / 1000.0;
+    let (reorder, dup) = (per_mille(0, 1000), per_mille(0, 1000));
+    let loss = per_mille(min_loss_pm, 400);
     let mut spec = ImpairmentSpec::none()
-        .with_reordering(pm(reorder_pm), SimDuration::from_millis(4))
-        .with_duplication(pm(dup_pm));
-    spec = match loss_kind % 3 {
+        .with_reordering(reorder, SimDuration::from_millis(4))
+        .with_duplication(dup);
+    spec = match rng.gen_range(3) {
         0 => spec,
-        1 => spec.with_iid_loss(pm(loss_pm)),
-        _ => spec.with_gilbert_elliott(pm(loss_pm), 0.3, 0.0, 0.9),
+        1 => spec.with_iid_loss(loss),
+        _ => spec.with_gilbert_elliott(loss, 0.3, 0.0, 0.9),
     };
-    match jitter_kind % 2 {
+    match rng.gen_range(2) {
         0 => spec,
-        _ => spec.with_uniform_jitter(SimDuration::from_millis(u64::from(jitter_ms % 8))),
+        _ => spec.with_uniform_jitter(SimDuration::from_millis(rng.gen_range(8))),
     }
 }
 
@@ -129,95 +125,75 @@ const SERIALIZATION: SimDuration = SimDuration::from_nanos(51_200);
 const ONE_WAY: SimDuration = SimDuration::from_millis(2);
 const COUNT: u64 = 40;
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Invariant 1: delivered datagrams are a subsequence-with-duplicates
-    /// of the sent ones — same payload per index, at most one fabricated
-    /// copy, nothing invented.
-    #[test]
-    fn delivered_is_subsequence_with_duplicates(
-        loss_kind in any::<u8>(),
-        loss_pm in 0u16..400,
-        reorder_pm in any::<u16>(),
-        dup_pm in any::<u16>(),
-        jitter_kind in any::<u8>(),
-        jitter_ms in any::<u8>(),
-        seed in any::<u64>(),
-    ) {
-        let spec = spec_from(loss_kind, loss_pm, reorder_pm, dup_pm, jitter_kind, jitter_ms);
-        let (records, arrivals) = run_flood(spec, seed, COUNT);
+/// Invariant 1: delivered datagrams are a subsequence-with-duplicates
+/// of the sent ones — same payload per index, at most one fabricated
+/// copy, nothing invented.
+#[test]
+fn delivered_is_subsequence_with_duplicates() {
+    cases(64, |rng| {
+        let spec = spec_from(rng, 0);
+        let (records, arrivals) = run_flood(spec, rng.next_u64(), COUNT);
 
         // The sender offered exactly COUNT originals, in sequence order.
         let originals: Vec<&CaptureRecord> = records.iter().filter(|r| !r.duplicate).collect();
-        prop_assert_eq!(originals.len() as u64, COUNT);
+        assert_eq!(originals.len() as u64, COUNT);
         for (i, rec) in originals.iter().enumerate() {
-            prop_assert_eq!(rec.index, i);
+            assert_eq!(rec.index, i);
         }
         // Each duplicate shadows a *delivered* original of the same index
         // with identical payload bytes; at most one copy per original.
         for dup in records.iter().filter(|r| r.duplicate) {
             let orig = originals[dup.index];
-            prop_assert!(matches!(orig.fate, DatagramFate::Delivered(_)));
-            prop_assert_eq!(&orig.payload, &dup.payload);
+            assert!(matches!(orig.fate, DatagramFate::Delivered(_)));
+            assert_eq!(&orig.payload, &dup.payload);
         }
         for idx in 0..COUNT as usize {
-            let copies = records.iter().filter(|r| r.duplicate && r.index == idx).count();
-            prop_assert!(copies <= 1, "index {idx} duplicated {copies} times");
+            let copies = records
+                .iter()
+                .filter(|r| r.duplicate && r.index == idx)
+                .count();
+            assert!(copies <= 1, "index {idx} duplicated {copies} times");
         }
         // Every arrival at the receiver corresponds to a delivered record
         // of that sequence number — delivery count per seq matches.
         for seq in 0..COUNT {
             let delivered = records
                 .iter()
-                .filter(|r| r.index == seq as usize
-                    && matches!(r.fate, DatagramFate::Delivered(_)))
+                .filter(|r| r.index == seq as usize && matches!(r.fate, DatagramFate::Delivered(_)))
                 .count();
             let arrived = arrivals.iter().filter(|(s, _)| *s == seq).count();
-            prop_assert_eq!(delivered, arrived, "seq {seq}");
+            assert_eq!(delivered, arrived, "seq {seq}");
         }
-    }
+    });
+}
 
-    /// Invariant 2: per-datagram delay ≥ serialization + one-way delay,
-    /// for originals and fabricated copies alike.
-    #[test]
-    fn delivery_delay_at_least_one_way(
-        loss_kind in any::<u8>(),
-        loss_pm in 0u16..400,
-        reorder_pm in any::<u16>(),
-        dup_pm in any::<u16>(),
-        jitter_kind in any::<u8>(),
-        jitter_ms in any::<u8>(),
-        seed in any::<u64>(),
-    ) {
-        let spec = spec_from(loss_kind, loss_pm, reorder_pm, dup_pm, jitter_kind, jitter_ms);
-        let (records, _) = run_flood(spec, seed, COUNT);
+/// Invariant 2: per-datagram delay ≥ serialization + one-way delay,
+/// for originals and fabricated copies alike.
+#[test]
+fn delivery_delay_at_least_one_way() {
+    cases(64, |rng| {
+        let spec = spec_from(rng, 0);
+        let (records, _) = run_flood(spec, rng.next_u64(), COUNT);
         for rec in &records {
             if let DatagramFate::Delivered(at) = rec.fate {
                 let delay = at.since(rec.sent);
-                prop_assert!(
+                assert!(
                     delay >= ONE_WAY + SERIALIZATION,
                     "index {} delay {delay} below floor",
                     rec.index
                 );
             }
         }
-    }
+    });
+}
 
-    /// Invariant 3: identical seeds reproduce identical delivery
-    /// schedules; a different seed perturbs the schedule whenever the
-    /// spec actually randomises anything.
-    #[test]
-    fn identical_seeds_identical_schedules(
-        loss_kind in any::<u8>(),
-        loss_pm in 50u16..400,
-        reorder_pm in any::<u16>(),
-        dup_pm in any::<u16>(),
-        jitter_kind in any::<u8>(),
-        jitter_ms in any::<u8>(),
-        seed in any::<u64>(),
-    ) {
-        let spec = spec_from(loss_kind, loss_pm, reorder_pm, dup_pm, jitter_kind, jitter_ms);
+/// Invariant 3: identical seeds reproduce identical delivery
+/// schedules; a different seed perturbs the schedule whenever the
+/// spec actually randomises anything.
+#[test]
+fn identical_seeds_identical_schedules() {
+    cases(64, |rng| {
+        let spec = spec_from(rng, 50);
         let schedule = |seed: u64| {
             let (records, arrivals) = run_flood(spec, seed, COUNT);
             let fates: Vec<(usize, bool, DatagramFate)> = records
@@ -226,11 +202,9 @@ proptest! {
                 .collect();
             (fates, arrivals)
         };
-        let a = schedule(seed);
-        let b = schedule(seed);
-        prop_assert_eq!(&a.0, &b.0);
-        prop_assert_eq!(&a.1, &b.1);
-    }
+        let seed = rng.next_u64();
+        assert_eq!(schedule(seed), schedule(seed));
+    });
 }
 
 /// Non-property sanity check: a lossless, jitter-free spec preserves FIFO

@@ -955,7 +955,7 @@ impl Node for ServerNode {
         let (engine, control) = (&mut *engine.borrow_mut(), &mut *control.borrow_mut());
         match token {
             FAULT_CRASH => {
-                let orphans = engine.crash_and_restart(ctx.now(), self.forget_epochs);
+                let orphans = engine.crash_and_restart(self.forget_epochs);
                 for k in orphans {
                     let Some(peer) = control.peer_mut(k as usize) else {
                         continue;

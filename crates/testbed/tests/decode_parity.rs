@@ -9,27 +9,7 @@ use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
 use rq_quic::ServerAckMode;
 use rq_testbed::{run_scenario_with_trace, Scenario};
-use rq_wire::{Bytes, Frame, Header, PlainPacket};
-
-/// Header, then frames until one fails or the bytes run out, on both
-/// cursors in step; then the packet decoders, which must agree with
-/// each other and never panic.
-fn assert_decode_parity(data: &[u8]) {
-    let (mut slice, mut bytes) = (data, Bytes::copy_from_slice(data));
-    let whole = bytes.clone();
-    assert_eq!(Header::decode(&mut slice, 8), Header::decode(&mut bytes, 8));
-    while !slice.is_empty() {
-        let (a, b) = (Frame::decode(&mut slice), Frame::decode(&mut bytes));
-        assert_eq!(a, b);
-        assert_eq!(slice, &bytes[..]);
-        if a.is_err() {
-            break;
-        }
-    }
-    let copied = PlainPacket::decode(data, 8);
-    let viewed = PlainPacket::decode_with_payload(&whole, 8);
-    assert_eq!(copied, viewed.map(|(pkt, _, tag, used)| (pkt, tag, used)));
-}
+use rq_testkit::wire::assert_decode_parity;
 
 #[test]
 fn captured_datagrams_decode_alike_at_every_length() {

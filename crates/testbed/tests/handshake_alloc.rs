@@ -10,10 +10,6 @@
 //! builds; in a binary of its own because the counter is the process's
 //! global allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::hint::black_box;
-
 use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
 use rq_profiles::server::testbed_server;
@@ -24,76 +20,12 @@ use rq_sim::{EngineStats, ImpairmentSpec, SimDuration, Trace};
 use rq_testbed::{
     run_scenario, run_server_load, ArrivalProcess, ClassMix, Scenario, ServerLoadSpec,
 };
+use rq_testkit::alloc::{peak_live_during, requested_by, Counting};
 use rq_tls::TicketKeySchedule;
 use rq_wire::{Bytes, ConnectionId, Frame, Header, PlainPacket};
 
-thread_local! {
-    /// (calls, bytes requested) by this thread. Const-initialised and
-    /// without a destructor, so the allocator can read it at any time.
-    static REQUESTED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    /// (bytes live, their peak) on this thread since the last reset;
-    /// signed, because a window may free what was allocated before it.
-    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
-}
-
-fn count(bytes: usize) {
-    REQUESTED.with(|r| {
-        let (calls, total) = r.get();
-        r.set((calls + 1, total + bytes as u64));
-    });
-}
-
-fn hold(bytes: i64) {
-    LIVE.with(|l| {
-        let (live, peak) = l.get();
-        l.set((live + bytes, peak.max(live + bytes)));
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// plain thread-local pair of integers.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        hold(layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        hold(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        hold(new_size as i64 - layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// (calls, bytes) `f` asked of the allocator; its result is dropped
-/// after the reading.
-fn requested_by<T>(f: impl FnOnce() -> T) -> (u64, u64) {
-    let before = REQUESTED.get();
-    let out = black_box(f());
-    let after = REQUESTED.get();
-    drop(out);
-    (after.0 - before.0, after.1 - before.1)
-}
-
-/// The most bytes `f` held at once beyond what was live when it began,
-/// and its result.
-fn peak_live_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    LIVE.set((0, 0));
-    let out = f();
-    (LIVE.get().1 as u64, out)
-}
 
 #[test]
 fn one_handshake_stays_under_its_ceiling() {

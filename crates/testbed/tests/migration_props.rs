@@ -16,7 +16,6 @@
 //!    carries more than 3× the bytes received on it (§9.5 mirrors the
 //!    address-validation 3× of §8.1).
 
-use proptest::prelude::*;
 use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
 use rq_quic::{
@@ -26,6 +25,7 @@ use rq_sim::{SimDuration, SimTime};
 use rq_testbed::{
     run_scenario_with_trace, MigrationSpec, RunResult, Scenario, SweepRunner, SweepScenarios,
 };
+use rq_testkit::prop::cases;
 
 fn at(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
@@ -88,22 +88,18 @@ fn fingerprint(r: &RunResult) -> (Option<f64>, Option<f64>, bool, bool, usize, u
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Invariant 1: path validation terminates for any path id and CID
-    /// pool — validated when probes flow, abandoned (but still resolved)
-    /// when the new path black-holes everything.
-    #[test]
-    fn path_validation_always_terminates(
-        path in 1u64..64,
-        pool in 1usize..4,
-        black_hole in any::<bool>(),
-    ) {
-        let (mut c, mut s) = established_pair(pool);
+/// Invariant 1: path validation terminates for any path id and CID
+/// pool — validated when probes flow, abandoned (but still resolved)
+/// when the new path black-holes everything.
+#[test]
+fn path_validation_always_terminates() {
+    cases(64, |rng| {
+        let path = 1 + rng.gen_range(63);
+        let (mut c, mut s) = established_pair(1 + rng.gen_range(3) as usize);
         let start = at(500);
         c.migrate(start, path);
-        prop_assert!(c.path_validation_pending());
+        assert!(c.path_validation_pending());
+        let black_hole = rng.gen_bool(0.5);
         if black_hole {
             // Swallow every probe and let the retry clock run: the
             // challenge must exhaust its retries and resolve, not spin.
@@ -114,10 +110,14 @@ proptest! {
                     break;
                 }
                 let Some(t) = c.poll_timeout() else { break };
-                now = if t > now { t } else { now + SimDuration::from_millis(1) };
+                now = if t > now {
+                    t
+                } else {
+                    now + SimDuration::from_millis(1)
+                };
                 c.handle_timeout(now);
             }
-            prop_assert!(!c.path_validation_pending(), "validation never resolved");
+            assert!(!c.path_validation_pending(), "validation never resolved");
         } else {
             // Zero-delay exchange on the new path until quiescent.
             for _ in 0..50 {
@@ -134,109 +134,107 @@ proptest! {
                     break;
                 }
             }
-            prop_assert!(!c.path_validation_pending());
-            prop_assert!(c.path_state(path).unwrap().validated, "client path");
-            prop_assert!(s.path_state(path).unwrap().validated, "server path");
-            prop_assert_eq!(s.active_path(), path);
+            assert!(!c.path_validation_pending());
+            assert!(c.path_state(path).unwrap().validated, "client path");
+            assert!(s.path_state(path).unwrap().validated, "server path");
+            assert_eq!(s.active_path(), path);
         }
-    }
+    });
+}
 
-    /// Invariant 2: CID rotation is a pure function of
-    /// `(seed, kind, seq)` — rederiving gives the same CID, and distinct
-    /// sequence numbers in the same (seed, kind) stream never collide.
-    /// Every kind, not only the four the connection uses.
-    #[test]
-    fn cid_derivation_is_a_pure_function_of_the_seed(
-        seed in any::<u64>(),
-        kind in any::<u64>(),
-        seq_a in 0u64..1024,
-        seq_b in 0u64..1024,
-    ) {
-        prop_assert_eq!(derived_cid(seed, kind, seq_a), derived_cid(seed, kind, seq_a));
+/// Invariant 2: CID rotation is a pure function of
+/// `(seed, kind, seq)` — rederiving gives the same CID, and distinct
+/// sequence numbers in the same (seed, kind) stream never collide.
+/// Every kind, not only the four the connection uses.
+#[test]
+fn cid_derivation_is_a_pure_function_of_the_seed() {
+    cases(64, |rng| {
+        let (seed, kind) = (rng.next_u64(), rng.next_u64());
+        let (seq_a, seq_b) = (rng.gen_range(1024), rng.gen_range(1024));
+        assert_eq!(
+            derived_cid(seed, kind, seq_a),
+            derived_cid(seed, kind, seq_a)
+        );
         if seq_a != seq_b {
-            prop_assert_ne!(derived_cid(seed, kind, seq_a), derived_cid(seed, kind, seq_b));
+            assert_ne!(
+                derived_cid(seed, kind, seq_a),
+                derived_cid(seed, kind, seq_b)
+            );
         }
-    }
+    });
+}
 
-    /// Invariant 5: while a post-migration path is unvalidated, the
-    /// server never sends more than 3× the bytes it received on it, no
-    /// matter how many client datagrams trickle in before validation.
-    #[test]
-    fn unvalidated_path_never_exceeds_three_times_received(
-        path in 1u64..32,
-        pool in 1usize..4,
-        deliveries in 1usize..4,
-    ) {
-        let (mut c, mut s) = established_pair(pool);
+/// Invariant 5: while a post-migration path is unvalidated, the
+/// server never sends more than 3× the bytes it received on it, no
+/// matter how many client datagrams trickle in before validation.
+#[test]
+fn unvalidated_path_never_exceeds_three_times_received() {
+    cases(64, |rng| {
+        let path = 1 + rng.gen_range(31);
+        let (mut c, mut s) = established_pair(1 + rng.gen_range(3) as usize);
         let now = at(500);
         c.migrate(now, path);
-        // Deliver up to `deliveries` client datagrams on the new path,
-        // draining (and discarding) the server's responses after each —
-        // the client never sees them, so the path stays unvalidated.
-        for _ in 0..deliveries {
+        // Deliver up to 3 client datagrams on the new path, draining
+        // (and discarding) the server's responses after each — the
+        // client never sees them, so the path stays unvalidated.
+        for _ in 0..1 + rng.gen_range(3) {
             let Some(d) = c.poll_transmit(now) else { break };
             s.handle_datagram_on_path(now, d, path);
             while s.poll_transmit(now).is_some() {}
             let p = s.path_state(path).expect("server tracks the new path");
-            prop_assert!(!p.validated, "path validated without a response");
-            prop_assert!(
+            assert!(!p.validated, "path validated without a response");
+            assert!(
                 p.bytes_sent <= 3 * p.bytes_received,
                 "sent {} > 3x received {}",
                 p.bytes_sent,
                 p.bytes_received
             );
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Invariant 3: a migrated sweep is byte-identical at 1 and 4
-    /// workers for any flip time, new RTT, and migration flavour.
-    #[test]
-    fn migrated_sweeps_are_thread_count_invariant(
-        at_ms in 10u64..150,
-        rtt_ms in 5u64..45,
-        deliberate in any::<bool>(),
-        seed in 1u64..10_000,
-    ) {
+/// Invariant 3: a migrated sweep is byte-identical at 1 and 4
+/// workers for any flip time, new RTT, and migration flavour.
+#[test]
+fn migrated_sweeps_are_thread_count_invariant() {
+    cases(12, |rng| {
         let mut sc = download_base(64 * 1024);
-        sc.seed = seed;
-        let (a, r) = (SimDuration::from_millis(at_ms), SimDuration::from_millis(rtt_ms));
+        let flip = SimDuration::from_millis(10 + rng.gen_range(140));
+        let rtt = SimDuration::from_millis(5 + rng.gen_range(40));
+        let deliberate = rng.gen_bool(0.5);
         sc.migration = if deliberate {
-            MigrationSpec::deliberate_at(a, r)
+            MigrationSpec::deliberate_at(flip, rtt)
         } else {
-            MigrationSpec::rebind_at(a, r)
+            MigrationSpec::rebind_at(flip, rtt)
         };
+        sc.seed = 1 + rng.gen_range(9_999);
         let seq = SweepRunner::new(1).run_repetitions(&sc, 3);
         let par = SweepRunner::new(4).run_repetitions(&sc, 3);
-        prop_assert_eq!(seq.len(), par.len());
+        assert_eq!(seq.len(), par.len());
         for (x, y) in seq.iter().zip(&par) {
-            prop_assert_eq!(fingerprint(x), fingerprint(y));
+            assert_eq!(fingerprint(x), fingerprint(y));
         }
-    }
+    });
+}
 
-    /// Invariant 4: carrying `MigrationSpec::none` leaves the whole
-    /// datagram trace identical to a scenario without the field set —
-    /// the axis is free when unused, for any seed and transfer size.
-    #[test]
-    fn none_spec_leaves_the_trace_identical(
-        seed in 1u64..10_000,
-        file_kb in 1usize..64,
-    ) {
-        let mut plain = download_base(file_kb * 1024);
-        plain.seed = seed;
+/// Invariant 4: carrying `MigrationSpec::none` leaves the whole
+/// datagram trace identical to a scenario without the field set —
+/// the axis is free when unused, for any seed and transfer size.
+#[test]
+fn none_spec_leaves_the_trace_identical() {
+    cases(12, |rng| {
+        let mut plain = download_base((1 + rng.gen_range(63) as usize) * 1024);
+        plain.seed = 1 + rng.gen_range(9_999);
         let mut with_none = plain.clone();
         with_none.migration = MigrationSpec::none();
         let (ra, ta) = run_scenario_with_trace(&plain);
         let (rb, tb) = run_scenario_with_trace(&with_none);
-        prop_assert_eq!(fingerprint(&ra), fingerprint(&rb));
-        prop_assert!(!ra.migrated);
-        prop_assert_eq!(ta.datagrams.len(), tb.datagrams.len());
+        assert_eq!(fingerprint(&ra), fingerprint(&rb));
+        assert!(!ra.migrated);
+        assert_eq!(ta.datagrams.len(), tb.datagrams.len());
         for (x, y) in ta.datagrams.iter().zip(&tb.datagrams) {
-            prop_assert_eq!(x.sent, y.sent);
-            prop_assert_eq!(x.size, y.size);
+            assert_eq!(x.sent, y.sent);
+            assert_eq!(x.size, y.size);
         }
-    }
+    });
 }

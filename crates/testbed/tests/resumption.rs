@@ -2,12 +2,12 @@
 //! two-connection priming flow, the three handshake classes, fallback on
 //! ticketless servers, and the 0-RTT reject/retransmit path.
 
-use proptest::prelude::*;
 use rq_http::HttpVersion;
 use rq_profiles::{client_by_name, ResumptionProfile};
 use rq_quic::ServerAckMode;
 use rq_sim::SimDuration;
 use rq_testbed::{run_scenario, HandshakeClass, Scenario};
+use rq_testkit::prop::cases;
 
 const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
 const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
@@ -324,41 +324,43 @@ fn retry_composes_with_zero_rtt_resumption() {
     );
 }
 
-proptest! {
-    // Each case runs a priming + measured simulation pair; keep the case
-    // count modest so the suite stays fast in debug CI runs.
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+// Each case runs a priming + measured simulation pair; keep the case
+// count modest so the suite stays fast in debug CI runs.
 
-    /// For any seed, a 0-RTT offer against an early-data-rejecting server
-    /// still completes the response — retransmitted as 1-RTT — and
-    /// reports `early_data_accepted == Some(false)`.
-    #[test]
-    fn rejected_early_data_always_completes(seed in 1u64..10_000) {
+/// For any seed, a 0-RTT offer against an early-data-rejecting server
+/// still completes the response — retransmitted as 1-RTT — and
+/// reports `early_data_accepted == Some(false)`.
+#[test]
+fn rejected_early_data_always_completes() {
+    cases(8, |rng| {
         let mut sc = with_class(
             WFC,
             HandshakeClass::ZeroRtt,
             ResumptionProfile::rejecting_early_data(),
         );
-        sc.seed = seed;
+        sc.seed = 1 + rng.gen_range(9_999);
         let res = run_scenario(&sc);
-        prop_assert!(res.completed, "seed {seed}: {res:?}");
-        prop_assert!(res.resumed, "PSK accepted even though 0-RTT is not");
-        prop_assert_eq!(res.early_data_accepted, Some(false));
-    }
+        assert!(res.completed, "seed {}: {res:?}", sc.seed);
+        assert!(res.resumed, "PSK accepted even though 0-RTT is not");
+        assert_eq!(res.early_data_accepted, Some(false));
+    });
+}
 
-    /// Same seed ⇒ byte-identical two-connection composite, for every
-    /// handshake class.
-    #[test]
-    fn classes_are_pure_functions_of_the_seed(seed in 1u64..10_000) {
+/// Same seed ⇒ byte-identical two-connection composite, for every
+/// handshake class.
+#[test]
+fn classes_are_pure_functions_of_the_seed() {
+    cases(8, |rng| {
+        let seed = 1 + rng.gen_range(9_999);
         for class in HandshakeClass::ALL {
             let mut sc = with_class(WFC, class, ResumptionProfile::accepting());
             sc.seed = seed;
             let a = run_scenario(&sc);
             let b = run_scenario(&sc);
-            prop_assert_eq!(a.ttfb_ms, b.ttfb_ms, "{} seed {}", class.label(), seed);
-            prop_assert_eq!(a.resumed, b.resumed);
-            prop_assert_eq!(a.early_data_accepted, b.early_data_accepted);
-            prop_assert_eq!(a.client_log.events.len(), b.client_log.events.len());
+            assert_eq!(a.ttfb_ms, b.ttfb_ms, "{} seed {}", class.label(), seed);
+            assert_eq!(a.resumed, b.resumed);
+            assert_eq!(a.early_data_accepted, b.early_data_accepted);
+            assert_eq!(a.client_log.events.len(), b.client_log.events.len());
         }
-    }
+    });
 }

@@ -3,7 +3,6 @@
 //! reproducing the legacy single-pair runner exactly, and ticket-key
 //! rotation bounding how long a minted ticket stays resumable.
 
-use proptest::prelude::*;
 use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
 use rq_quic::{OverloadPolicy, ServerAckMode};
@@ -12,6 +11,7 @@ use rq_testbed::{
     run_scenario, run_server_load, run_server_load_sharded, ArrivalProcess, ClassMix, ConnFate,
     HandshakeClass, LossSpec, ReconnectPolicy, Scenario, ServerLoadSpec, SweepRunner,
 };
+use rq_testkit::prop::cases;
 
 const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
 const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
@@ -422,88 +422,84 @@ fn crash_forgetting_epochs_degrades_resumption_to_full_handshakes() {
 
 // ---- property tests ---------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// The arrival schedule is a pure function of the seed: rebuild the
-    /// spec from scratch and the times match; they are non-decreasing
-    /// and pinned to t = 0, for both processes.
-    #[test]
-    fn arrival_schedule_is_a_pure_function_of_the_seed(
-        seed in 1u64..100_000,
-        arrivals in 1usize..200,
-        flash in any::<bool>(),
-    ) {
-        let process = if flash {
-            ArrivalProcess::FlashCrowd { window: SimDuration::from_millis(100) }
+/// The arrival schedule is a pure function of the seed: rebuild the
+/// spec from scratch and the times match; they are non-decreasing
+/// and pinned to t = 0, for both processes.
+#[test]
+fn arrival_schedule_is_a_pure_function_of_the_seed() {
+    cases(16, |rng| {
+        let seed = 1 + rng.gen_range(99_999);
+        let arrivals = 1 + rng.gen_range(199) as usize;
+        let process = if rng.gen_bool(0.5) {
+            ArrivalProcess::FlashCrowd {
+                window: SimDuration::from_millis(100),
+            }
         } else {
             poisson(2)
         };
         let a = ServerLoadSpec::new(base(IACK, seed), arrivals, process).arrival_times();
         let b = ServerLoadSpec::new(base(IACK, seed), arrivals, process).arrival_times();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.len(), arrivals);
-        prop_assert_eq!(a[0], rq_sim::SimTime::ZERO);
-        prop_assert!(a.windows(2).all(|w| w[0] <= w[1]), "non-decreasing");
-    }
+        assert_eq!(&a, &b);
+        assert_eq!(a.len(), arrivals);
+        assert_eq!(a[0], rq_sim::SimTime::ZERO);
+        assert!(a.windows(2).all(|w| w[0] <= w[1]), "non-decreasing");
+    });
+}
 
-    /// Admission bookkeeping: shed + completed + failed == arrivals, for
-    /// any seed and any (small) concurrency limit.
-    #[test]
-    fn shed_completed_failed_partition_arrivals(
-        seed in 1u64..10_000,
-        limit in 1usize..6,
-    ) {
-        let mut spec = ServerLoadSpec::new(base(IACK, seed), 20, poisson(1));
-        spec.concurrency_limit = limit;
+/// Admission bookkeeping: shed + completed + failed == arrivals, for
+/// any seed and any (small) concurrency limit.
+#[test]
+fn shed_completed_failed_partition_arrivals() {
+    cases(16, |rng| {
+        let mut spec = ServerLoadSpec::new(base(IACK, 1 + rng.gen_range(9_999)), 20, poisson(1));
+        spec.concurrency_limit = 1 + rng.gen_range(5) as usize;
         let run = run_server_load(&spec);
         let a = run.report.accounting;
-        prop_assert_eq!(a.arrivals, 20);
-        prop_assert_eq!(a.shed + a.completed + a.failed, a.arrivals);
-        prop_assert!(a.peak_active <= limit as u64);
-        prop_assert_eq!(run.outcomes.len(), 20);
-    }
+        assert_eq!(a.arrivals, 20);
+        assert_eq!(a.shed + a.completed + a.failed, a.arrivals);
+        assert!(a.peak_active <= spec.concurrency_limit as u64);
+        assert_eq!(run.outcomes.len(), 20);
+    });
+}
 
-    /// Under any combination of crashes, give-up budgets, reconnects,
-    /// concurrency pressure, and overload policy, every planned
-    /// connection lands in exactly one fate bucket:
-    /// completed + retried + shed + gave_up + reset + failed == plans.
-    #[test]
-    fn fates_partition_the_population_under_faults(
-        seed in 1u64..5_000,
-        limit in 2usize..8,
-        crash_ms in 150u64..2_000,
-        policy_idx in 0usize..3,
-        reconnect in any::<bool>(),
-    ) {
-        let mut spec = ServerLoadSpec::new(base(IACK, seed), 15, poisson(10));
-        spec.concurrency_limit = limit;
+/// Under any combination of crashes, give-up budgets, reconnects,
+/// concurrency pressure, and overload policy, every planned
+/// connection lands in exactly one fate bucket:
+/// completed + retried + shed + gave_up + reset + failed == plans.
+#[test]
+fn fates_partition_the_population_under_faults() {
+    cases(16, |rng| {
+        let mut spec = ServerLoadSpec::new(base(IACK, 1 + rng.gen_range(4_999)), 15, poisson(10));
+        spec.concurrency_limit = 2 + rng.gen_range(6) as usize;
         spec.overload = [
             OverloadPolicy::Shed,
             OverloadPolicy::RetryDefer,
             OverloadPolicy::CloseWithBackoff,
-        ][policy_idx];
+        ][rng.gen_range(3) as usize];
+        let crash_ms = 150 + rng.gen_range(1_850);
         spec.base.faults.crash_every = Some(SimDuration::from_millis(crash_ms));
         spec.base.faults.give_up_pto_count = Some(4);
-        if reconnect {
+        if rng.gen_bool(0.5) {
             spec.base.faults.reconnect = Some(ReconnectPolicy {
                 max_attempts: 2,
                 ..ReconnectPolicy::default()
             });
         }
         let run = run_server_load(&spec);
-        prop_assert_eq!(run.outcomes.len(), 15);
-        prop_assert_eq!(run.report.fates.total(), 15);
-    }
+        assert_eq!(run.outcomes.len(), 15);
+        assert_eq!(run.report.fates.total(), 15);
+    });
+}
 
-    /// The N = 1 server-load run matches the legacy `run_scenario`
-    /// observables for any seed.
-    #[test]
-    fn n1_matches_legacy_for_any_seed(seed in 1u64..10_000, lossy in any::<bool>()) {
-        let mut sc = base(WFC, seed);
-        if lossy {
+/// The N = 1 server-load run matches the legacy `run_scenario`
+/// observables for any seed.
+#[test]
+fn n1_matches_legacy_for_any_seed() {
+    cases(16, |rng| {
+        let mut sc = base(WFC, 1 + rng.gen_range(9_999));
+        if rng.gen_bool(0.5) {
             sc.loss = LossSpec::Random(ImpairmentSpec::none().with_iid_loss(0.05));
         }
         assert_aggregate_matches_full(sc, "any seed");
-    }
+    });
 }

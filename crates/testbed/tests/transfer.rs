@@ -16,7 +16,6 @@
 //!    to be dead code. The qlog assertion fails if the detection is
 //!    unwired.
 
-use proptest::prelude::*;
 use rq_qlog::EventData;
 use rq_recovery::congestion::MIN_WINDOW;
 use rq_recovery::{CcAlgorithm, RttEstimator};
@@ -25,6 +24,7 @@ use rq_testbed::{
     rep_scenario, run_scenario, run_server_load, FaultSpec, LossSpec, Scenario, ScenarioMatrix,
     ServerLoadSpec, SweepRunner,
 };
+use rq_testkit::prop::cases;
 
 const WFC: rq_quic::ServerAckMode = rq_quic::ServerAckMode::WaitForCertificate;
 
@@ -104,24 +104,26 @@ fn drive(algo: CcAlgorithm, seed: u64, steps: usize) -> Vec<usize> {
     trace
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Window floor + conservation for every controller, any op stream.
-    #[test]
-    fn controller_invariants_hold(seed in any::<u64>()) {
+/// Window floor + conservation for every controller, any op stream.
+#[test]
+fn controller_invariants_hold() {
+    cases(24, |rng| {
+        let seed = rng.next_u64();
         for algo in CcAlgorithm::ALL {
             drive(algo, seed, 400);
         }
-    }
+    });
+}
 
-    /// Identical seeds ⇒ identical cwnd traces (controller determinism).
-    #[test]
-    fn controller_trace_is_deterministic(seed in any::<u64>()) {
+/// Identical seeds ⇒ identical cwnd traces (controller determinism).
+#[test]
+fn controller_trace_is_deterministic() {
+    cases(24, |rng| {
+        let seed = rng.next_u64();
         for algo in CcAlgorithm::ALL {
-            prop_assert_eq!(drive(algo, seed, 300), drive(algo, seed, 300));
+            assert_eq!(drive(algo, seed, 300), drive(algo, seed, 300));
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------

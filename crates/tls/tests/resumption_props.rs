@@ -7,7 +7,7 @@
 //! after corruption (so cross-server replay falls back to a full
 //! handshake instead of desynchronizing keys).
 
-use proptest::prelude::*;
+use rq_testkit::prop::cases;
 use rq_tls::{early_keys, mint_ticket, open_ticket, resumption_secret};
 
 fn secret_from(seed: u64) -> [u8; 32] {
@@ -20,52 +20,59 @@ fn secret_from(seed: u64) -> [u8; 32] {
     s
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    /// Same seed ⇒ same ticket bytes, and the issuing key recovers the
-    /// exact secret (the resumed connection derives identical keys).
-    #[test]
-    fn mint_is_deterministic_and_open_roundtrips(key in any::<u64>(), seed in any::<u64>()) {
-        let secret = secret_from(seed);
+/// Same seed ⇒ same ticket bytes, and the issuing key recovers the
+/// exact secret (the resumed connection derives identical keys).
+#[test]
+fn mint_is_deterministic_and_open_roundtrips() {
+    cases(128, |rng| {
+        let (key, secret) = (rng.next_u64(), secret_from(rng.next_u64()));
         let a = mint_ticket(key, &secret);
         let b = mint_ticket(key, &secret);
-        prop_assert_eq!(a, b, "same inputs must mint identical ticket bytes");
-        prop_assert_eq!(open_ticket(key, &a), Some(secret));
-    }
+        assert_eq!(a, b, "same inputs must mint identical ticket bytes");
+        assert_eq!(open_ticket(key, &a), Some(secret));
+    });
+}
 
-    /// A different ticket key neither mints the same bytes nor opens the
-    /// other key's tickets.
-    #[test]
-    fn wrong_key_is_rejected(key in any::<u64>(), other in any::<u64>(), seed in any::<u64>()) {
+/// A different ticket key neither mints the same bytes nor opens the
+/// other key's tickets.
+#[test]
+fn wrong_key_is_rejected() {
+    cases(128, |rng| {
+        let (key, other, seed) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
         if key == other {
-            return Ok(()); // vacuous case (no prop_assume in the vendored crate)
+            return; // vacuous case
         }
         let secret = secret_from(seed);
         let ticket = mint_ticket(key, &secret);
-        prop_assert_ne!(mint_ticket(other, &secret), ticket);
-        prop_assert_eq!(open_ticket(other, &ticket), None);
-    }
+        assert_ne!(mint_ticket(other, &secret), ticket);
+        assert_eq!(open_ticket(other, &ticket), None);
+    });
+}
 
-    /// Any single-byte corruption invalidates the ticket.
-    #[test]
-    fn corruption_is_rejected(key in any::<u64>(), seed in any::<u64>(), pos in 0usize..48, flip in 1u8..=255) {
-        let secret = secret_from(seed);
+/// Any single-byte corruption invalidates the ticket.
+#[test]
+fn corruption_is_rejected() {
+    cases(128, |rng| {
+        let (key, secret) = (rng.next_u64(), secret_from(rng.next_u64()));
+        let (pos, flip) = (rng.gen_range(48) as usize, 1 + rng.gen_range(255) as u8);
         let mut ticket = mint_ticket(key, &secret);
         ticket[pos] ^= flip;
-        prop_assert_eq!(open_ticket(key, &ticket), None);
-    }
+        assert_eq!(open_ticket(key, &ticket), None);
+    });
+}
 
-    /// Distinct transcripts yield distinct resumption secrets and early
-    /// keys (no cross-connection key reuse).
-    #[test]
-    fn secrets_and_early_keys_separate_by_transcript(a in any::<u64>(), b in any::<u64>()) {
+/// Distinct transcripts yield distinct resumption secrets and early
+/// keys (no cross-connection key reuse).
+#[test]
+fn secrets_and_early_keys_separate_by_transcript() {
+    cases(128, |rng| {
+        let (a, b) = (rng.next_u64(), rng.next_u64());
         if a == b {
-            return Ok(()); // vacuous case
+            return; // vacuous case
         }
         let (ta, tb) = (secret_from(a), secret_from(b));
         let (ra, rb) = (resumption_secret(&ta), resumption_secret(&tb));
-        prop_assert_ne!(ra, rb);
-        prop_assert_ne!(early_keys(&ra), early_keys(&rb));
-    }
+        assert_ne!(ra, rb);
+        assert_ne!(early_keys(&ra), early_keys(&rb));
+    });
 }

@@ -7,8 +7,8 @@
 //! the two must agree on every field, floats by bit pattern, because the
 //! scan goldens and the benchmark's pins hash those bits.
 
-use proptest::prelude::*;
 use rq_sim::SimRng;
+use rq_testkit::prop::cases;
 use rq_wild::cdn::profile_of;
 use rq_wild::prober::classify;
 use rq_wild::{probe, probe_rng, Cdn, Domain, ProbeObservation, Vantage, VANTAGES};
@@ -126,80 +126,64 @@ fn check(
     seed: u64,
     rep: u64,
     index: usize,
-) -> Result<Option<ProbeObservation>, TestCaseError> {
+) -> Option<ProbeObservation> {
     let rng = || probe_rng(seed, vantage, rep, index);
     let got = probe(d, vantage, rng());
     let want = reference_probe(d, vantage, rng());
-    prop_assert_eq!(
+    assert_eq!(
         got.as_ref().map(bits),
         want.as_ref().map(bits),
-        "{:?} from {:?}, seed {} rep {} index {}",
-        d,
-        vantage,
-        seed,
-        rep,
-        index
+        "{d:?} from {vantage:?}, seed {seed} rep {rep} index {index}"
     );
     let class = classify(d, vantage, rng());
-    prop_assert_eq!(class.is_none(), got.is_none());
+    assert_eq!(class.is_none(), got.is_none());
     if let (Some(c), Some(o)) = (class, got) {
-        prop_assert_eq!(
+        assert_eq!(
             (c.cdn, c.handshake_ok, c.instant_ack),
             (o.cdn, o.handshake_ok, o.instant_ack)
         );
-        prop_assert_eq!(
+        assert_eq!(
             (c.ticket_offered, c.zero_rtt_accepted, c.migration_capable),
             (o.ticket_offered, o.zero_rtt_accepted, o.migration_capable)
         );
-        prop_assert_eq!(bits(&c.timings()), bits(&o));
+        assert_eq!(bits(&c.timings()), bits(&o));
     }
-    Ok(got)
+    got
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    #[test]
-    fn probe_equals_the_single_stage_reference(
-        seed in any::<u64>(),
-        v_idx in 0usize..4,
-        rep in 0u64..4,
-        index in 0usize..1_000_000,
-        cdn_idx in 0usize..8,
-        iack_enabled in any::<bool>(),
-        scale_milli in 50u64..8_000,
-        deployment in 0u8..8,
-    ) {
-        let d = domain(
-            Cdn::ALL[cdn_idx],
-            iack_enabled,
-            scale_milli as f64 / 1000.0,
-            deployment,
-        );
+#[test]
+fn probe_equals_the_single_stage_reference() {
+    cases(256, |rng| {
+        let seed = rng.next_u64();
+        let vantage = VANTAGES[rng.gen_range(4) as usize];
+        let rep = rng.gen_range(4);
+        let index = rng.gen_range(1_000_000) as usize;
+        let cdn = Cdn::ALL[rng.gen_range(8) as usize];
+        let iack_enabled = rng.gen_bool(0.5);
+        let scale_milli = 50 + rng.gen_range(7_950);
+        let deployment = rng.gen_range(8) as u8;
+        let d = domain(cdn, iack_enabled, scale_milli as f64 / 1000.0, deployment);
         // A run of neighbouring indices per case, so one case crosses
         // the coalesced/instant and (for jittered CDNs) flipped branches.
         for i in index..index + 32 {
-            check(&d, VANTAGES[v_idx], seed, rep, i)?;
+            check(&d, vantage, seed, rep, i);
         }
-    }
+    });
 }
 
 /// The three branches a uniform draw of inputs reaches rarely, each
 /// reached for certain: unreachable Google, a lost probe, a jitter flip.
 #[test]
 fn rare_branches_agree_with_the_reference() {
-    let pass =
-        |r: Result<Option<ProbeObservation>, TestCaseError>| r.unwrap_or_else(|e| panic!("{e}"));
-
     // Google with IACK answers only from Sao Paulo: `None` elsewhere,
     // after the jitter draw (some flips make it reachable again).
     let google = domain(Cdn::Google, true, 1.0, 7);
     let mut unreachable = 0;
     for i in 0..400 {
-        if pass(check(&google, Vantage::Hamburg, 3, 1, i)).is_none() {
+        if check(&google, Vantage::Hamburg, 3, 1, i).is_none() {
             unreachable += 1;
         }
-        assert!(pass(check(&google, Vantage::SaoPaulo, 3, 1, i)).is_some());
+        assert!(check(&google, Vantage::SaoPaulo, 3, 1, i).is_some());
     }
     assert!((300..400).contains(&unreachable), "{unreachable} of 400");
 
@@ -207,7 +191,7 @@ fn rare_branches_agree_with_the_reference() {
     let cloudflare = domain(Cdn::Cloudflare, true, 0.8, 3);
     let lost = (0..4_000)
         .filter(|&i| {
-            let obs = pass(check(&cloudflare, Vantage::HongKong, 11, 0, i));
+            let obs = check(&cloudflare, Vantage::HongKong, 11, 0, i);
             !obs.expect("Cloudflare is reachable everywhere")
                 .handshake_ok
         })
@@ -219,7 +203,7 @@ fn rare_branches_agree_with_the_reference() {
     let amazon = domain(Cdn::Amazon, false, 1.7, 5);
     let flipped = (0..1_000)
         .filter(|&i| {
-            let obs = pass(check(&amazon, Vantage::LosAngeles, 5, 2, i));
+            let obs = check(&amazon, Vantage::LosAngeles, 5, 2, i);
             obs.is_some_and(|o| o.instant_ack)
         })
         .count();

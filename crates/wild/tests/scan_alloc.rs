@@ -6,52 +6,15 @@
 //! and in debug and release builds; in a binary of its own because the
 //! counter is the process's global allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
 use rq_par::SweepRunner;
 use rq_sim::SimRng;
+use rq_testkit::alloc::{requested_by, Counting};
 use rq_wild::{probe, probe_rng, scan_with, Population, VANTAGES};
-
-thread_local! {
-    /// Allocator calls by this thread. Const-initialised and without a
-    /// destructor, so the allocator can read it at any time.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// plain thread-local integer.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.set(CALLS.get() + 1);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.set(CALLS.get() + 1);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Allocator calls `f` made; its result is dropped after the reading.
-fn calls_by<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = CALLS.get();
-    let out = black_box(f());
-    let calls = CALLS.get() - before;
-    drop(out);
-    calls
-}
 
 #[test]
 fn a_probe_does_not_allocate() {
@@ -64,7 +27,7 @@ fn a_probe_does_not_allocate() {
         .take(10_000)
         .collect();
     assert_eq!(hosted.len(), 10_000);
-    let calls = calls_by(|| {
+    let (calls, _) = requested_by(|| {
         let mut answered = 0;
         for &(i, d) in &hosted {
             let vantage = VANTAGES[i % VANTAGES.len()];
@@ -80,7 +43,7 @@ fn a_scan_allocates_per_shard_not_per_probe() {
     let pop = Population::synthesize(100_000, &mut SimRng::new(42));
     // One worker: the sweep runs on this thread, where the counter is.
     let runner = SweepRunner::new(1);
-    let calls = calls_by(|| scan_with(&pop, 1, 7, &runner));
+    let (calls, _) = requested_by(|| scan_with(&pop, 1, 7, &runner));
     // 13 shards of 8,192 domains x 4 vantages. Measured 5,887 calls =
     // 113 per shard, debug and release alike — the shard's ok-bitset,
     // eight histograms and the reservoirs its probes grow — against

@@ -7,9 +7,9 @@
 //! pipeline, and (property-tested) per-domain observation independence
 //! from the iteration order.
 
-use proptest::prelude::*;
 use rq_par::SweepRunner;
 use rq_sim::SimRng;
+use rq_testkit::prop::cases;
 use rq_wild::{probe, probe_rng, scan_with, Cdn, Population, ProbeObservation, Vantage, VANTAGES};
 
 /// Same seed ⇒ identical `ScanReport` — rows *and* aggregates — across
@@ -63,23 +63,17 @@ fn probe_all(
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Property: a domain's observation depends only on
-    /// `(seed, vantage, rep, domain index)` — never on which domains
-    /// were probed before it or how many. Visiting an arbitrary
-    /// permutation-prefix of the population reproduces the in-order
-    /// observations exactly.
-    #[test]
-    fn observations_independent_of_iteration_order(
-        pop_seed in any::<u64>(),
-        scan_seed in any::<u64>(),
-        order_seed in any::<u64>(),
-        v_idx in 0usize..4,
-        rep in 0u64..3,
-    ) {
-        let vantage = VANTAGES[v_idx];
+/// Property: a domain's observation depends only on
+/// `(seed, vantage, rep, domain index)` — never on which domains
+/// were probed before it or how many. Visiting an arbitrary
+/// permutation-prefix of the population reproduces the in-order
+/// observations exactly.
+#[test]
+fn observations_independent_of_iteration_order() {
+    cases(24, |rng| {
+        let (pop_seed, scan_seed, order_seed) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
+        let vantage = VANTAGES[rng.gen_range(4) as usize];
+        let rep = rng.gen_range(3);
         let pop = Population::synthesize(400, &mut SimRng::new(pop_seed));
         let in_order = probe_all(&pop, vantage, rep, scan_seed);
 
@@ -87,19 +81,23 @@ proptest! {
         let mut order: Vec<usize> = (0..pop.domains.len()).collect();
         SimRng::new(order_seed).shuffle(&mut order);
         for i in order {
-            let obs = probe(&pop.domains[i], vantage, probe_rng(scan_seed, vantage, rep, i));
-            prop_assert_eq!(obs, in_order[i], "domain {}", i);
+            let obs = probe(
+                &pop.domains[i],
+                vantage,
+                probe_rng(scan_seed, vantage, rep, i),
+            );
+            assert_eq!(obs, in_order[i], "domain {i}");
         }
-    }
+    });
+}
 
-    /// Property: distinct (vantage, rep, index) coordinates draw from
-    /// unrelated streams — no collisions of the kind the old
-    /// `seed ^ (v << 32) ^ (rep << 16)` mixing produced.
-    #[test]
-    fn derived_streams_differ_across_coordinates(
-        seed in any::<u64>(),
-        idx in any::<usize>(),
-    ) {
+/// Property: distinct (vantage, rep, index) coordinates draw from
+/// unrelated streams — no collisions of the kind the old
+/// `seed ^ (v << 32) ^ (rep << 16)` mixing produced.
+#[test]
+fn derived_streams_differ_across_coordinates() {
+    cases(24, |rng| {
+        let (seed, idx) = (rng.next_u64(), rng.next_u64() as usize);
         for (v, rep, di) in [
             (Vantage::Hamburg, 1, idx),
             (Vantage::HongKong, 0, idx),
@@ -107,8 +105,10 @@ proptest! {
         ] {
             let mut base = probe_rng(seed, Vantage::Hamburg, 0, idx);
             let mut other = probe_rng(seed, v, rep, di);
-            let same = (0..32).filter(|_| base.next_u64() == other.next_u64()).count();
-            prop_assert!(same < 4, "stream overlap {} for {:?}/{}/{}", same, v, rep, di);
+            let same = (0..32)
+                .filter(|_| base.next_u64() == other.next_u64())
+                .count();
+            assert!(same < 4, "stream overlap {same} for {v:?}/{rep}/{di}");
         }
-    }
+    });
 }

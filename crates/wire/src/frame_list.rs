@@ -217,7 +217,7 @@ impl<'a> IntoIterator for &'a FrameList {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use proptest::prelude::*;
+    use rq_testkit::prop::cases;
 
     /// A frame told from every other by `tag`, of a kind by `tag % 4`
     /// (`frame(0)` is what a vacant slot holds).
@@ -242,17 +242,17 @@ mod tests {
         frame.type_id()
     }
 
-    proptest! {
-        /// Whatever the stack does to a packet's frames gives the same
-        /// list as doing it to a `Vec<Frame>`, on both sides of the spill.
-        #[test]
-        fn behaves_as_the_vec_it_replaces(
-            start in 0usize..(2 * FrameList::INLINE + 2),
-            ops in prop::collection::vec(0u64..512, 0..24),
-        ) {
-            let mut oracle: Vec<Frame> = (0..start as u64).map(frame).collect();
+    /// Whatever the stack does to a packet's frames gives the same list as
+    /// doing it to a `Vec<Frame>`, on both sides of the spill.
+    #[test]
+    fn behaves_as_the_vec_it_replaces() {
+        cases(256, |rng| {
+            let start = rng.gen_range(2 * FrameList::INLINE as u64 + 2);
+            let mut oracle: Vec<Frame> = (0..start).map(frame).collect();
             let mut list = FrameList::from(oracle.clone());
-            for (op, arg) in ops.into_iter().map(|draw| (draw % 8, draw / 8)) {
+            for _ in 0..rng.gen_range(24) {
+                let draw = rng.gen_range(512);
+                let (op, arg) = (draw % 8, draw / 8);
                 match op {
                     0 | 1 => {
                         list.push(frame(arg));
@@ -284,26 +284,26 @@ mod tests {
                     }
                     6 if !oracle.is_empty() => {
                         let at = arg as usize % oracle.len();
-                        prop_assert_eq!(list.remove(at), oracle.remove(at));
+                        assert_eq!(list.remove(at), oracle.remove(at));
                     }
                     _ => {
                         list.truncate(arg as usize % 8);
                         oracle.truncate(arg as usize % 8);
                     }
                 }
-                prop_assert_eq!(&list[..], &oracle[..]);
-                prop_assert_eq!(list.len(), oracle.len());
-                prop_assert!(list.iter().eq(oracle.iter()));
-                prop_assert!((&list).into_iter().eq(&oracle));
-                prop_assert!(list.clone() == list);
-                prop_assert!(list == FrameList::from(oracle.clone()));
-                prop_assert!(list == oracle.iter().cloned().collect::<FrameList>());
+                assert_eq!(&list[..], &oracle[..]);
+                assert_eq!(list.len(), oracle.len());
+                assert!(list.iter().eq(oracle.iter()));
+                assert!((&list).into_iter().eq(&oracle));
+                assert!(list.clone() == list);
+                assert!(list == FrameList::from(oracle.clone()));
+                assert!(list == oracle.iter().cloned().collect::<FrameList>());
                 let mut longer = list.clone();
                 longer.push(Frame::Ping);
-                prop_assert!(longer != list);
+                assert!(longer != list);
             }
-            prop_assert!(list.into_iter().eq(oracle));
-        }
+            assert!(list.into_iter().eq(oracle));
+        });
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property-based and invariant tests across the protocol stack: whatever
 //! the scenario parameters, certain protocol rules must always hold.
 
-use proptest::prelude::*;
 use reacked_quicer::prelude::*;
 use reacked_quicer::qlog::{EventData, SpaceName};
 use reacked_quicer::testbed::run_scenario_with_trace;
+use rq_testkit::prop::cases;
 
 fn scenario(
     client_idx: usize,
@@ -38,26 +38,32 @@ fn scenario(
     sc
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Every scenario either completes or aborts via the modeled quiche
-    /// quirk — the state machines never wedge silently.
-    #[test]
-    fn every_scenario_terminates(
-        client_idx in 0usize..8,
-        iack in any::<bool>(),
-        rtt_ms in prop::sample::select(vec![1u64, 9, 20, 100]),
-        cert_delay_ms in prop::sample::select(vec![0u64, 4, 25, 200]),
-        big_cert in any::<bool>(),
-        loss_kind in 0u8..3,
-        seed in 0u64..1000,
-    ) {
-        let sc = scenario(client_idx, iack, rtt_ms, cert_delay_ms, big_cert, loss_kind, seed);
+/// Every scenario either completes or aborts via the modeled quiche
+/// quirk — the state machines never wedge silently.
+#[test]
+fn every_scenario_terminates() {
+    cases(24, |rng| {
+        let client_idx = rng.gen_range(8) as usize;
+        let iack = rng.gen_bool(0.5);
+        let rtt_ms = [1, 9, 20, 100][rng.gen_range(4) as usize];
+        let cert_delay_ms = [0, 4, 25, 200][rng.gen_range(4) as usize];
+        let big_cert = rng.gen_bool(0.5);
+        let loss_kind = rng.gen_range(3) as u8;
+        let seed = rng.gen_range(1000);
+        let sc = scenario(
+            client_idx,
+            iack,
+            rtt_ms,
+            cert_delay_ms,
+            big_cert,
+            loss_kind,
+            seed,
+        );
         let (res, trace) = run_scenario_with_trace(&sc);
-        prop_assert!(
+        assert!(
             res.completed || res.aborted,
-            "{}: neither completed nor aborted", res.label
+            "{}: neither completed nor aborted",
+            res.label
         );
 
         // Anti-amplification: before the client's second flight arrives,
@@ -82,7 +88,7 @@ proptest! {
             } else {
                 sent_by_server += d.size as u64;
                 if !validated {
-                    prop_assert!(
+                    assert!(
                         sent_by_server <= 3 * sent_by_client,
                         "{}: server sent {sent_by_server} > 3x{sent_by_client}",
                         res.label
@@ -96,7 +102,7 @@ proptest! {
             if let Some(p) = &d.payload {
                 if let Ok(info) = reacked_quicer::wire::classify_datagram(p, 8) {
                     if info.has_space(reacked_quicer::wire::PacketNumberSpace::Initial) {
-                        prop_assert!(
+                        assert!(
                             d.size >= 1200,
                             "{}: client Initial datagram only {} B",
                             res.label,
@@ -106,27 +112,28 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    /// Packet numbers are strictly monotonic per space in each endpoint's
-    /// qlog, and the first PTO never undercuts 3x the true minimum RTT
-    /// minus granularity slack.
-    #[test]
-    fn qlog_consistency(
-        client_idx in 0usize..8,
-        iack in any::<bool>(),
-        cert_delay_ms in prop::sample::select(vec![0u64, 25]),
-        seed in 0u64..500,
-    ) {
+/// Packet numbers are strictly monotonic per space in each endpoint's
+/// qlog, and the first PTO never undercuts 3x the true minimum RTT
+/// minus granularity slack.
+#[test]
+fn qlog_consistency() {
+    cases(24, |rng| {
+        let client_idx = rng.gen_range(8) as usize;
+        let iack = rng.gen_bool(0.5);
+        let cert_delay_ms = [0, 25][rng.gen_range(2) as usize];
+        let seed = rng.gen_range(500);
         let sc = scenario(client_idx, iack, 9, cert_delay_ms, false, 0, seed);
         let (res, _) = run_scenario_with_trace(&sc);
-        prop_assert!(res.completed);
+        assert!(res.completed);
         for log in [&res.client_log, &res.server_log] {
             let mut last_pn: std::collections::BTreeMap<SpaceName, u64> = Default::default();
             for ev in &log.events {
                 if let EventData::PacketSent { space, pn, .. } = &ev.data {
                     if let Some(prev) = last_pn.get(space) {
-                        prop_assert!(pn > prev, "{}: pn regression in {space:?}", log.vantage);
+                        assert!(pn > prev, "{}: pn regression in {space:?}", log.vantage);
                     }
                     last_pn.insert(*space, *pn);
                 }
@@ -135,25 +142,26 @@ proptest! {
         if let Some(pto) = res.first_pto_ms {
             // 3 x RTT is the sample-based floor; the go-x-net quirk can
             // only inflate it.
-            prop_assert!(pto >= 3.0 * 9.0 - 1.0, "first PTO {pto:.2} below 3xRTT");
+            assert!(pto >= 3.0 * 9.0 - 1.0, "first PTO {pto:.2} below 3xRTT");
         }
-    }
+    });
+}
 
-    /// Determinism: identical scenarios produce identical outcomes.
-    #[test]
-    fn scenario_determinism(
-        client_idx in 0usize..8,
-        iack in any::<bool>(),
-        loss_kind in 0u8..3,
-        seed in 0u64..100,
-    ) {
+/// Determinism: identical scenarios produce identical outcomes.
+#[test]
+fn scenario_determinism() {
+    cases(24, |rng| {
+        let client_idx = rng.gen_range(8) as usize;
+        let iack = rng.gen_bool(0.5);
+        let loss_kind = rng.gen_range(3) as u8;
+        let seed = rng.gen_range(100);
         let sc = scenario(client_idx, iack, 9, 4, false, loss_kind, seed);
         let a = run_scenario(&sc);
         let b = run_scenario(&sc);
-        prop_assert_eq!(a.ttfb_ms, b.ttfb_ms);
-        prop_assert_eq!(a.completed, b.completed);
-        prop_assert_eq!(a.client_rtt_samples, b.client_rtt_samples);
-    }
+        assert_eq!(a.ttfb_ms, b.ttfb_ms);
+        assert_eq!(a.completed, b.completed);
+        assert_eq!(a.client_rtt_samples, b.client_rtt_samples);
+    });
 }
 
 /// The Retry handshake extension (paper §5 generalization): a server

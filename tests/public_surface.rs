@@ -7,7 +7,8 @@
 //! cut out, and no `tests.rs`. A `pub use` re-export is not a use, and
 //! neither is a comment, a string or another item's declaration. The check
 //! is by name, not by path: a name used anywhere else clears every
-//! declaration of it.
+//! declaration of it. `crates/testkit` is the one exception: tests are its
+//! only callers, so for its items the integration-test files count too.
 //!
 //! An item that only a test in another crate needs is listed in
 //! `tests/public_surface.allow` with that test; an entry that is used now,
@@ -228,6 +229,21 @@ fn uses(code: &str) -> BTreeSet<&str> {
     out
 }
 
+/// The test-support crate, whose callers are tests.
+const TESTKIT: &str = "crates/testkit/";
+
+/// Every declaration in `decls` whose name no file of `callers` other
+/// than its own uses; for a declaration under [`TESTKIT`], no file of
+/// `tests` either.
+fn flag(decls: &[&Source], callers: &[&Source], tests: &[&Source]) -> Flagged {
+    let (testkit, product): (Vec<&Source>, Vec<&Source>) =
+        decls.iter().partition(|s| s.path.starts_with(TESTKIT));
+    let with_tests: Vec<&Source> = callers.iter().chain(tests).copied().collect();
+    let mut out = unused(&product, callers);
+    out.extend(unused(&testkit, &with_tests));
+    out
+}
+
 /// Every declaration in `decls` whose name no file of `callers` other
 /// than its own uses.
 fn unused(decls: &[&Source], callers: &[&Source]) -> Flagged {
@@ -335,11 +351,11 @@ fn collect(dir: &Path, out: &mut Vec<Source>) {
     }
 }
 
-/// `src` of every package directory under `parent`.
-fn package_sources(parent: &str) -> Vec<Source> {
+/// `sub` (`src` or `tests`) of every package directory under `parent`.
+fn package_sources(parent: &str, sub: &str) -> Vec<Source> {
     let mut dirs: Vec<_> = fs::read_dir(root().join(parent))
         .unwrap()
-        .map(|e| e.unwrap().path().join("src"))
+        .map(|e| e.unwrap().path().join(sub))
         .filter(|p| p.is_dir())
         .collect();
     dirs.sort();
@@ -352,16 +368,16 @@ fn package_sources(parent: &str) -> Vec<Source> {
 
 #[test]
 fn every_public_item_has_a_caller_or_an_allow_entry() {
-    let crates = package_sources("crates");
-    let vendor = package_sources("vendor");
+    let crates = package_sources("crates", "src");
+    let vendor = package_sources("vendor", "src");
     let mut outside = Vec::new();
     collect(&root().join("examples"), &mut outside);
     collect(&root().join("benchmark/src"), &mut outside);
+    let mut tests = package_sources("crates", "tests");
+    collect(&root().join("tests"), &mut tests);
     let decls: Vec<&Source> = crates.iter().chain(&vendor).collect();
-    // The vendored stubs call each other too: `proptest!` expands to
-    // `TestCaseError::fail` and `TestRng::deterministic`.
     let callers: Vec<&Source> = decls.iter().copied().chain(&outside).collect();
-    let flagged = unused(&decls, &callers);
+    let flagged = flag(&decls, &callers, &tests.iter().collect::<Vec<_>>());
 
     let allow_text = fs::read_to_string(root().join("tests/public_surface.allow")).unwrap();
     let allow = parse_allow(&allow_text).unwrap_or_else(|e| panic!("{e}"));
@@ -408,9 +424,11 @@ mod tests {
 fn t() { a::tested(\"\"); }
 ",
     );
-    let flagged = unused(&[&lib, &m], &[&lib, &m, &user]);
+    // An integration test's call clears nothing here...
+    let test = Source::new("b/tests/t.rs", "fn t() { a::tested(); helper(); }\n");
+    let flagged = flag(&[&lib, &m], &[&lib, &m, &user], &[&test]);
     let names: Vec<&str> = flagged.keys().map(|(_, name)| name.as_str()).collect();
-    // `called` is used in another file; the re-export, the test-only use,
+    // `called` is used in another file; the re-export, the test-only uses,
     // the string and the comment clear nothing; `private` is not `pub`.
     assert_eq!(names, ["LIMIT", "exported", "tested"]);
     assert_eq!(violations(&flagged, &[]).len(), 3);
@@ -429,4 +447,15 @@ fn t() { a::tested(\"\"); }
     assert!(bad[0].contains("`a/m.rs called` is stale"), "{}", bad[0]);
     assert!(bad[1].contains("`a/m.rs vanished` is stale"), "{}", bad[1]);
     assert!(parse_allow("a/m.rs LIMIT\n").is_err());
+
+    // ...but in the test-support crate, whose callers are tests, it does.
+    let kit = Source::new(
+        "crates/testkit/src/lib.rs",
+        "pub fn helper() {}\npub fn spare() {}\n",
+    );
+    let flagged = flag(&[&kit], &[&kit], &[&test]);
+    assert_eq!(
+        flagged.keys().map(|(_, n)| n.as_str()).collect::<Vec<_>>(),
+        ["spare"]
+    );
 }
