@@ -11,9 +11,10 @@
 #![forbid(unsafe_code)]
 
 use rq_http::HttpVersion;
+use rq_obs::median;
 use rq_profiles::{all_clients, client_by_name, ClientProfile};
 use rq_quic::ServerAckMode;
-use rq_testbed::{median, rep_scenario, run_scenario, RunResult, Scenario, SweepRunner};
+use rq_testbed::{rep_scenario, run_scenario, RunResult, Scenario, SweepRunner};
 
 mod ablations;
 mod analysis;

@@ -1,7 +1,8 @@
 //! The one-week Cloudflare longitudinal study (Figures 9 and 15): one
 //! probe per minute against our own domain, Cf-Ray-filtered.
 
-use rq_wild::longitudinal::{median_of, StudyDomain};
+use rq_obs::median;
+use rq_wild::longitudinal::StudyDomain;
 use rq_wild::{LongitudinalStudy, MinuteObservation, Vantage, VANTAGES};
 
 use crate::{cell, RunConfig};
@@ -20,15 +21,21 @@ fn week(cfg: &RunConfig, vantage: Vantage, seed: u64) -> Vec<MinuteObservation> 
 
 /// Median ACK→SH gap over the observations that saw both separately.
 fn median_gap<'a>(obs: impl Iterator<Item = &'a MinuteObservation>) -> Option<f64> {
-    median_of(obs.filter_map(|o| Some(o.time_to_sh_ms? - o.time_to_ack_ms?)))
+    let gaps: Vec<f64> = obs
+        .filter_map(|o| Some(o.time_to_sh_ms? - o.time_to_ack_ms?))
+        .collect();
+    median(&gaps)
 }
 
 /// The `ACK`, `SH` and `ACK,SH` columns: median time since ClientHello
 /// to each kind of first server datagram.
 fn latency_cells<'a>(obs: impl Iterator<Item = &'a MinuteObservation> + Clone) -> String {
-    let ack = median_of(obs.clone().filter_map(|o| o.time_to_ack_ms));
-    let sh = median_of(obs.clone().filter_map(|o| o.time_to_sh_ms));
-    let coalesced = median_of(obs.filter_map(|o| o.time_to_coalesced_ms));
+    let column = |f: fn(&MinuteObservation) -> Option<f64>| {
+        median(&obs.clone().filter_map(f).collect::<Vec<f64>>())
+    };
+    let ack = column(|o| o.time_to_ack_ms);
+    let sh = column(|o| o.time_to_sh_ms);
+    let coalesced = column(|o| o.time_to_coalesced_ms);
     [ack, sh, coalesced].map(|v| cell(v, 10, 2)).join(" ")
 }
 

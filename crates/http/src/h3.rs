@@ -4,7 +4,7 @@
 //! paper's HTTP/3 observable is the *timing* of the first SETTINGS STREAM
 //! frame and the response DATA frames, which this preserves.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use rq_wire::VarInt;
 
 /// Unidirectional stream types (RFC 9114 §6.2).
@@ -72,7 +72,7 @@ impl H3Frame {
         match self {
             H3Frame::Data { .. } => DATA_TYPE,
             H3Frame::Headers { .. } => 0x01,
-            H3Frame::Settings { .. } => 0x04,
+            H3Frame::Settings { .. } => SETTINGS_TYPE,
         }
     }
 
@@ -120,6 +120,8 @@ impl H3Frame {
 
 /// Type of a DATA frame (RFC 9114 §7.2.1).
 const DATA_TYPE: u64 = 0x00;
+/// Type of a SETTINGS frame (RFC 9114 §7.2.4).
+const SETTINGS_TYPE: u64 = 0x04;
 
 /// Writes a frame's type and the length of the payload that follows.
 fn put_frame_header<B: BufMut>(buf: &mut B, type_id: u64, payload_len: usize) {
@@ -135,15 +137,13 @@ fn frame_header_len(type_id: u64, payload_len: usize) -> usize {
 /// Builds the bytes a server writes at the head of its control stream:
 /// the stream type then SETTINGS.
 pub fn control_stream_prelude() -> Vec<u8> {
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     VarInt::new(StreamType::Control.code())
         .unwrap()
         .encode(&mut out);
-    H3Frame::Settings {
-        payload: Bytes::from_static(SETTINGS_PAYLOAD),
-    }
-    .encode(&mut out);
-    out.to_vec()
+    put_frame_header(&mut out, SETTINGS_TYPE, SETTINGS_PAYLOAD.len());
+    out.put_slice(SETTINGS_PAYLOAD);
+    out
 }
 
 /// Builds an HTTP/3 GET request (HEADERS frame) for `path`, written in
@@ -195,19 +195,19 @@ mod tests {
     fn frames_roundtrip() {
         for frame in [
             H3Frame::Data {
-                payload: Bytes::from_static(b"hello"),
+                payload: Bytes::copy_from_slice(b"hello"),
             },
             H3Frame::Headers {
                 block: ":status: 200".into(),
             },
             H3Frame::Settings {
-                payload: Bytes::from_static(SETTINGS_PAYLOAD),
+                payload: Bytes::copy_from_slice(SETTINGS_PAYLOAD),
             },
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             frame.encode(&mut buf);
             assert_eq!(buf.len(), frame.encoded_len());
-            let mut bytes = buf.freeze();
+            let mut bytes = Bytes::from(buf);
             assert_eq!(H3Frame::decode(&mut bytes), Some(frame));
             assert!(bytes.is_empty());
         }
@@ -218,7 +218,7 @@ mod tests {
         let frame = H3Frame::Data {
             payload: Bytes::from(vec![1u8; 100]),
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         frame.encode(&mut buf);
         let mut partial = Bytes::copy_from_slice(&buf[..50]);
         assert_eq!(H3Frame::decode(&mut partial), None);
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn response_is_a_headers_frame_then_one_data_frame() {
         for len in [0, 1, 63, 64, 10_240, 16_383, 16_384, 70_000] {
-            let mut expected = BytesMut::new();
+            let mut expected = Vec::new();
             H3Frame::Headers {
                 block: format!(":status: 200\ncontent-length: {len}"),
             }
@@ -254,7 +254,7 @@ mod tests {
                 payload: Bytes::from(crate::h1::body_bytes(len)),
             }
             .encode(&mut expected);
-            assert_eq!(response_bytes(len), expected.to_vec(), "{len}");
+            assert_eq!(response_bytes(len), expected, "{len}");
         }
     }
 
@@ -271,16 +271,16 @@ mod tests {
 
     #[test]
     fn unknown_frame_types_skipped() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         // GOAWAY (0x07) with 1-byte payload, then DATA.
         VarInt::new(0x07).unwrap().encode(&mut buf);
         VarInt::new(1).unwrap().encode(&mut buf);
         buf.put_u8(0);
         H3Frame::Data {
-            payload: Bytes::from_static(b"x"),
+            payload: Bytes::copy_from_slice(b"x"),
         }
         .encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Bytes::from(buf);
         match H3Frame::decode(&mut bytes).unwrap() {
             H3Frame::Data { payload } => assert_eq!(&payload[..], b"x"),
             other => panic!("{other:?}"),

@@ -169,15 +169,18 @@ mod tests {
         let mut b = SendBuf::default();
         b.write(b"abc");
         b.write(b"defgh");
-        assert_eq!(b.take(5), Some((0, Bytes::from_static(b"abcde"))));
+        assert_eq!(b.take(5), Some((0, Bytes::copy_from_slice(b"abcde"))));
         assert_eq!(b.take(0), None);
-        assert_eq!(b.take(usize::MAX), Some((5, Bytes::from_static(b"fgh"))));
+        assert_eq!(
+            b.take(usize::MAX),
+            Some((5, Bytes::copy_from_slice(b"fgh")))
+        );
         assert!(b.is_empty());
         assert_eq!(b.take(1), None);
         // Writing after a full drain continues at the next offset.
         b.write(b"ij");
         assert_eq!((b.len(), b.offset()), (2, 8));
-        assert_eq!(b.take(9), Some((8, Bytes::from_static(b"ij"))));
+        assert_eq!(b.take(9), Some((8, Bytes::copy_from_slice(b"ij"))));
         // One large write comes out in `max`-sized runs, each a view of it.
         let big: Vec<u8> = (0..128 * 1024 + 7).map(|i| (i % 251) as u8).collect();
         let owned = Bytes::from(big.clone());
@@ -195,16 +198,19 @@ mod tests {
     #[test]
     fn reassembler_delivers_each_byte_once() {
         let mut r = Reassembler::default();
-        assert!(r.insert(5, Bytes::from_static(b"world")).is_empty());
-        assert_eq!(r.insert(0, Bytes::from_static(b"hello")), b"helloworld"[..]);
-        assert!(r.insert(2, Bytes::from_static(b"llowor")).is_empty());
-        assert_eq!(r.insert(8, Bytes::from_static(b"ld!")), b"!"[..]);
+        assert!(r.insert(5, Bytes::copy_from_slice(b"world")).is_empty());
+        assert_eq!(
+            r.insert(0, Bytes::copy_from_slice(b"hello")),
+            b"helloworld"[..]
+        );
+        assert!(r.insert(2, Bytes::copy_from_slice(b"llowor")).is_empty());
+        assert_eq!(r.insert(8, Bytes::copy_from_slice(b"ld!")), b"!"[..]);
         assert_eq!(r.offset(), 11);
     }
 
     #[test]
     fn in_order_segments_come_back_as_views_of_what_arrived() {
-        let datagram = Bytes::from_static(b"..hello, world..");
+        let datagram = Bytes::copy_from_slice(b"..hello, world..");
         let mut r = Reassembler::default();
         let out = r.insert(0, datagram.slice(2..7));
         assert_eq!(out.as_ptr(), datagram[2..].as_ptr());
@@ -215,8 +221,8 @@ mod tests {
             (&b", world"[..], datagram[7..].as_ptr())
         );
         // A segment that reaches a buffered one is gathered with it.
-        assert!(r.insert(14, Bytes::from_static(b"!")).is_empty());
-        assert_eq!(r.insert(12, Bytes::from_static(b"??")), b"??!"[..]);
+        assert!(r.insert(14, Bytes::copy_from_slice(b"!")).is_empty());
+        assert_eq!(r.insert(12, Bytes::copy_from_slice(b"??")), b"??!"[..]);
         assert_eq!(r.offset(), 15);
     }
 

@@ -509,7 +509,7 @@ mod tests {
         Frame::Stream {
             id: 0,
             offset,
-            data: Bytes::from_static(data),
+            data: Bytes::copy_from_slice(data),
             fin,
         }
     }
@@ -586,7 +586,7 @@ mod tests {
             keys: Some(keys.clone()),
             ..Space::default()
         };
-        s.crypto.queue_tx(Bytes::from_static(b"client hello"));
+        s.crypto.queue_tx(Bytes::copy_from_slice(b"client hello"));
         send(&mut s, 0, vec![stream(0, b"x", false)], false);
         s.recv.on_packet(5, true, at(1));
         s.requeue_oldest();
@@ -749,31 +749,31 @@ mod tests {
     #[test]
     fn crypto_rx_in_order() {
         let mut c = CryptoStream::default();
-        let (out, dup) = c.on_rx(0, Bytes::from_static(b"hello"));
+        let (out, dup) = c.on_rx(0, Bytes::copy_from_slice(b"hello"));
         assert_eq!(out, b"hello"[..]);
         assert!(!dup);
-        let (out, _) = c.on_rx(5, Bytes::from_static(b" world"));
+        let (out, _) = c.on_rx(5, Bytes::copy_from_slice(b" world"));
         assert_eq!(out, b" world"[..]);
     }
 
     #[test]
     fn crypto_rx_out_of_order_buffers() {
         let mut c = CryptoStream::default();
-        let (out, _) = c.on_rx(5, Bytes::from_static(b"world"));
+        let (out, _) = c.on_rx(5, Bytes::copy_from_slice(b"world"));
         assert!(out.is_empty());
-        let (out, _) = c.on_rx(0, Bytes::from_static(b"hello"));
+        let (out, _) = c.on_rx(0, Bytes::copy_from_slice(b"hello"));
         assert_eq!(out, b"helloworld"[..]);
     }
 
     #[test]
     fn crypto_rx_duplicate_flagged() {
         let mut c = CryptoStream::default();
-        let _ = c.on_rx(0, Bytes::from_static(b"hello"));
-        let (out, dup) = c.on_rx(0, Bytes::from_static(b"hello"));
+        let _ = c.on_rx(0, Bytes::copy_from_slice(b"hello"));
+        let (out, dup) = c.on_rx(0, Bytes::copy_from_slice(b"hello"));
         assert!(out.is_empty());
         assert!(dup, "full duplicate must be flagged");
         // Partial overlap delivers only the new tail.
-        let (out, dup) = c.on_rx(3, Bytes::from_static(b"lo more"));
+        let (out, dup) = c.on_rx(3, Bytes::copy_from_slice(b"lo more"));
         assert_eq!(out, b" more"[..]);
         assert!(dup);
     }
@@ -782,7 +782,7 @@ mod tests {
     fn retx_content_extraction() {
         let crypto = Frame::Crypto {
             offset: 10,
-            data: Bytes::from_static(b"abc"),
+            data: Bytes::copy_from_slice(b"abc"),
         };
         let frames = vec![
             Frame::Ping,

@@ -22,6 +22,7 @@ pub mod stats;
 
 pub use matrix::{MatrixCell, ScenarioMatrix};
 pub use nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode};
+pub use rq_obs::{median, percentile};
 pub use rq_recovery::{CcAlgorithm, CcState, CongestionControl};
 pub use runner::{
     rep_scenario, run_repetitions, run_scenario, run_scenario_with_trace, ProfileReport,
@@ -32,4 +33,4 @@ pub use server_load::{
     run_server_load, run_server_load_sharded, ArrivalProcess, ClassMix, ConnFate, ConnOutcome,
     ConnPlan, FateTally, ServerLoadReport, ServerLoadRun, ServerLoadSpec, DEFAULT_SHARD_ARRIVALS,
 };
-pub use stats::{median, percentile, LatencyHistogram};
+pub use stats::LatencyHistogram;

@@ -5,7 +5,7 @@
 //! the paper's amplification-limit results depend on the *byte sizes* of
 //! the server's first flight (certificate 1,212 B vs 5,113 B).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::resumption::TICKET_LEN;
 use crate::TlsError;
@@ -125,27 +125,11 @@ impl HandshakeMessage {
         if buf.remaining() < 4 {
             return Ok(None);
         }
-        let chunk = buf.chunk();
-        // Peek without consuming in case the body is incomplete.
-        let (ty_code, len) = if chunk.len() >= 4 {
-            (
-                chunk[0],
-                ((chunk[1] as usize) << 16) | ((chunk[2] as usize) << 8) | chunk[3] as usize,
-            )
-        } else {
-            let mut head = [0u8; 4];
-            let mut peek = buf.chunk();
-            let mut copied = 0;
-            while copied < 4 && !peek.is_empty() {
-                head[copied] = peek[0];
-                peek = &peek[1..];
-                copied += 1;
-            }
-            (
-                head[0],
-                ((head[1] as usize) << 16) | ((head[2] as usize) << 8) | head[3] as usize,
-            )
-        };
+        // Peek without consuming in case the body is incomplete; `chunk`
+        // is every remaining byte, so it holds the whole header.
+        let head = buf.chunk();
+        let ty_code = head[0];
+        let len = ((head[1] as usize) << 16) | ((head[2] as usize) << 8) | head[3] as usize;
         if buf.remaining() < 4 + len {
             return Ok(None);
         }
@@ -160,12 +144,12 @@ impl HandshakeMessage {
     /// Builds a ClientHello of `total_len` bytes carrying a 32-byte random.
     pub fn client_hello(random: [u8; 32], total_len: usize) -> Self {
         assert!(total_len >= 4 + 32, "ClientHello must fit its random");
-        let mut body = BytesMut::with_capacity(total_len - 4);
-        body.put_slice(&random);
-        body.resize(total_len - 4, 0x43); // 'C' filler standing in for extensions
         HandshakeMessage {
             ty: HandshakeType::ClientHello,
-            body: body.freeze(),
+            body: Bytes::build(total_len - 4, |mut body| {
+                body.put_slice(&random);
+                body.fill(0x43); // 'C' filler standing in for extensions
+            }),
         }
     }
 
@@ -182,19 +166,19 @@ impl HandshakeMessage {
     ) -> Self {
         let floor = 4 + 32 + 2 + TICKET_LEN;
         let total_len = total_len.max(floor);
-        let mut body = BytesMut::with_capacity(total_len - 4);
-        body.put_slice(&random);
-        body.put_u8(RESUMPTION_MARKER);
-        body.put_u8(if early_data {
-            FLAG_EARLY_DATA_OFFERED
-        } else {
-            0
-        });
-        body.put_slice(ticket);
-        body.resize(total_len - 4, 0x43);
         HandshakeMessage {
             ty: HandshakeType::ClientHello,
-            body: body.freeze(),
+            body: Bytes::build(total_len - 4, |mut body| {
+                body.put_slice(&random);
+                body.put_u8(RESUMPTION_MARKER);
+                body.put_u8(if early_data {
+                    FLAG_EARLY_DATA_OFFERED
+                } else {
+                    0
+                });
+                body.put_slice(ticket);
+                body.fill(0x43);
+            }),
         }
     }
 
@@ -215,30 +199,30 @@ impl HandshakeMessage {
 
     /// Builds a ServerHello carrying a 32-byte random.
     pub fn server_hello(random: [u8; 32]) -> Self {
-        let mut body = BytesMut::with_capacity(SERVER_HELLO_LEN - 4);
-        body.put_slice(&random);
-        body.resize(SERVER_HELLO_LEN - 4, 0x53); // 'S'
         HandshakeMessage {
             ty: HandshakeType::ServerHello,
-            body: body.freeze(),
+            body: Bytes::build(SERVER_HELLO_LEN - 4, |mut body| {
+                body.put_slice(&random);
+                body.fill(0x53); // 'S'
+            }),
         }
     }
 
     /// Builds the ServerHello of an abbreviated (PSK-accepted) handshake,
     /// flagging whether offered early data was accepted.
     pub fn server_hello_resumed(random: [u8; 32], early_data_accepted: bool) -> Self {
-        let mut body = BytesMut::with_capacity(SERVER_HELLO_LEN - 4);
-        body.put_slice(&random);
-        body.put_u8(RESUMPTION_MARKER);
         let mut flags = FLAG_PSK_ACCEPTED;
         if early_data_accepted {
             flags |= FLAG_EARLY_DATA_ACCEPTED;
         }
-        body.put_u8(flags);
-        body.resize(SERVER_HELLO_LEN - 4, 0x53);
         HandshakeMessage {
             ty: HandshakeType::ServerHello,
-            body: body.freeze(),
+            body: Bytes::build(SERVER_HELLO_LEN - 4, |mut body| {
+                body.put_slice(&random);
+                body.put_u8(RESUMPTION_MARKER);
+                body.put_u8(flags);
+                body.fill(0x53);
+            }),
         }
     }
 
@@ -266,13 +250,13 @@ impl HandshakeMessage {
         early_data_allowed: bool,
         ticket: &[u8; TICKET_LEN],
     ) -> Self {
-        let mut body = BytesMut::with_capacity(NEW_SESSION_TICKET_LEN - 4);
-        body.put_u32(lifetime_secs);
-        body.put_u8(early_data_allowed as u8);
-        body.put_slice(ticket);
         HandshakeMessage {
             ty: HandshakeType::NewSessionTicket,
-            body: body.freeze(),
+            body: Bytes::build(NEW_SESSION_TICKET_LEN - 4, |mut body| {
+                body.put_u32(lifetime_secs);
+                body.put_u8(early_data_allowed as u8);
+                body.put_slice(ticket);
+            }),
         }
     }
 
@@ -293,7 +277,7 @@ impl HandshakeMessage {
     pub fn encrypted_extensions() -> Self {
         HandshakeMessage {
             ty: HandshakeType::EncryptedExtensions,
-            body: Bytes::from(vec![0x45; ENCRYPTED_EXTENSIONS_LEN - 4]),
+            body: Bytes::build(ENCRYPTED_EXTENSIONS_LEN - 4, |body| body.fill(0x45)),
         }
     }
 
@@ -303,7 +287,7 @@ impl HandshakeMessage {
         assert!(total_len > 4);
         HandshakeMessage {
             ty: HandshakeType::Certificate,
-            body: Bytes::from(vec![0x30; total_len - 4]), // DER SEQUENCE filler
+            body: Bytes::build(total_len - 4, |body| body.fill(0x30)), // DER SEQUENCE filler
         }
     }
 
@@ -311,7 +295,7 @@ impl HandshakeMessage {
     pub fn certificate_verify() -> Self {
         HandshakeMessage {
             ty: HandshakeType::CertificateVerify,
-            body: Bytes::from(vec![0x56; CERTIFICATE_VERIFY_LEN - 4]),
+            body: Bytes::build(CERTIFICATE_VERIFY_LEN - 4, |body| body.fill(0x56)),
         }
     }
 
@@ -339,10 +323,10 @@ mod tests {
     use super::*;
 
     fn roundtrip(m: HandshakeMessage) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         m.encode(&mut buf);
         assert_eq!(buf.len(), m.wire_len());
-        let mut slice = buf.freeze();
+        let mut slice = Bytes::from(buf);
         let out = HandshakeMessage::decode(&mut slice).unwrap().unwrap();
         assert_eq!(out, m);
         assert_eq!(slice.remaining(), 0);
@@ -454,7 +438,7 @@ mod tests {
     #[test]
     fn partial_decode_returns_none() {
         let m = HandshakeMessage::certificate(100);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         m.encode(&mut buf);
         let mut partial = Bytes::copy_from_slice(&buf[..50]);
         assert_eq!(HandshakeMessage::decode(&mut partial).unwrap(), None);
@@ -464,10 +448,10 @@ mod tests {
 
     #[test]
     fn streaming_decode_across_messages() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         HandshakeMessage::server_hello([9; 32]).encode(&mut buf);
         HandshakeMessage::encrypted_extensions().encode(&mut buf);
-        let mut stream = buf.freeze();
+        let mut stream = Bytes::from(buf);
         let m1 = HandshakeMessage::decode(&mut stream).unwrap().unwrap();
         let m2 = HandshakeMessage::decode(&mut stream).unwrap().unwrap();
         assert_eq!(m1.ty, HandshakeType::ServerHello);

@@ -18,7 +18,7 @@
 //! After any completed handshake a ticket-issuing server queues a
 //! NewSessionTicket at the Application level (a 1-RTT CRYPTO frame).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::keys::{
     application_keys, early_keys, handshake_keys, resumption_secret, Level, LevelKeys,
@@ -159,9 +159,9 @@ pub struct TlsSession {
     server_cfg: ServerConfig,
     transcript: Sha256,
     /// Pending output bytes per level: Initial, Handshake, Application.
-    out_initial: BytesMut,
-    out_handshake: BytesMut,
-    out_app: BytesMut,
+    out_initial: Vec<u8>,
+    out_handshake: Vec<u8>,
+    out_app: Vec<u8>,
     /// Reassembled-but-unparsed input per level.
     in_initial: Bytes,
     in_handshake: Bytes,
@@ -187,7 +187,7 @@ pub struct TlsSession {
 /// Encodes `msg` onto the end of `out` — reserving its size, unless the
 /// caller already reserved a whole flight's — and hashes the bytes just
 /// written into the transcript.
-fn queue(out: &mut BytesMut, transcript: &mut Sha256, msg: &HandshakeMessage) {
+fn queue(out: &mut Vec<u8>, transcript: &mut Sha256, msg: &HandshakeMessage) {
     let start = out.len();
     out.reserve(msg.wire_len());
     msg.encode(out);
@@ -225,9 +225,9 @@ impl TlsSession {
             client_cfg: ClientConfig::full(),
             server_cfg: ServerConfig::default(),
             transcript: Sha256::new(),
-            out_initial: BytesMut::new(),
-            out_handshake: BytesMut::new(),
-            out_app: BytesMut::new(),
+            out_initial: Vec::new(),
+            out_handshake: Vec::new(),
+            out_app: Vec::new(),
             in_initial: Bytes::new(),
             in_handshake: Bytes::new(),
             in_app: Bytes::new(),
@@ -615,7 +615,7 @@ impl TlsSession {
         if buf.is_empty() {
             None
         } else {
-            Some(buf.split().freeze())
+            Some(Bytes::from(std::mem::take(buf)))
         }
     }
 
@@ -829,7 +829,7 @@ mod tests {
         client.start();
         // Server Finished before ServerHello is a protocol violation.
         let fin = HandshakeMessage::finished([0; 32]);
-        let mut enc = BytesMut::new();
+        let mut enc = Vec::new();
         fin.encode(&mut enc);
         assert!(client.read_crypto(Level::Initial, &enc).is_err());
     }

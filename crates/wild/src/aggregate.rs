@@ -138,9 +138,9 @@ impl Reservoir {
     }
 
     /// Median of the retained sample (`None` when empty). Even-length
-    /// samples average the middle pair, matching `rq_testbed::median`.
+    /// samples average the middle pair, as [`rq_obs::median`] does.
     pub fn median(&self) -> Option<f64> {
-        rq_testbed::median(&self.values)
+        rq_obs::median(&self.values)
     }
 
     /// Appends `other`'s sample (up to capacity); counts always add.
@@ -204,7 +204,7 @@ pub struct RttAckDeltaStats {
 impl RttAckDeltaStats {
     /// Median delta (`None` when the class was never observed).
     pub fn median(&self) -> Option<f64> {
-        rq_testbed::median(&self.sample)
+        rq_obs::median(&self.sample)
     }
 
     /// Exact share of deltas where the reported ack delay exceeds the
@@ -497,7 +497,7 @@ impl ScanAggregates {
         for cells in &self.cells {
             sample.extend_from_slice(cells[cdn.index()].ticket_lifetimes_s.sample());
         }
-        rq_testbed::median(&sample)
+        rq_obs::median(&sample)
     }
 
     /// Whether domain `i` completed at least one handshake anywhere.

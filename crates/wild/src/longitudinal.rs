@@ -168,15 +168,6 @@ impl LongitudinalStudy {
     }
 }
 
-/// Median helper for observation streams. Delegates to
-/// [`rq_testbed::median`], which averages the middle pair for
-/// even-length samples (the previous upper-median shortcut here
-/// disagreed with every other median in the workspace).
-pub fn median_of(values: impl Iterator<Item = f64>) -> Option<f64> {
-    let v: Vec<f64> = values.collect();
-    rq_testbed::median(&v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +217,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let med = median_of(gaps.into_iter()).unwrap();
+        let med = rq_obs::median(&gaps).unwrap();
         // §4.3: the IACK arrives on median 2.1 ms (Sao Paulo) before SH.
         assert!((1.5..=3.5).contains(&med), "median gap {med}");
     }
@@ -256,15 +247,6 @@ mod tests {
         // Angeles (UTC−8).
         assert_eq!(ham, 13 * 60, "hamburg peak at {ham}");
         assert_eq!(lax, 22 * 60, "los angeles peak at {lax}");
-    }
-
-    #[test]
-    fn median_of_averages_even_length_samples() {
-        // Regression: the old helper returned the upper median for even
-        // sizes, disagreeing with rq_testbed::median.
-        assert_eq!(median_of([1.0, 2.0, 3.0, 4.0].into_iter()), Some(2.5));
-        assert_eq!(median_of([3.0, 1.0, 2.0].into_iter()), Some(2.0));
-        assert_eq!(median_of(std::iter::empty()), None);
     }
 
     #[test]

@@ -647,10 +647,9 @@ fn take_bytes<B: Buf>(buf: &mut B, len: usize) -> Result<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn roundtrip(frame: Frame) -> Frame {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         frame.encode(&mut buf);
         assert_eq!(
             buf.len(),
@@ -692,7 +691,7 @@ mod tests {
         let f = Frame::Stream {
             id: 4,
             offset: 65536,
-            data: Bytes::from_static(b"hello"),
+            data: Bytes::copy_from_slice(b"hello"),
             fin: true,
         };
         assert_eq!(roundtrip(f.clone()), f);
@@ -703,7 +702,7 @@ mod tests {
         let f = Frame::Stream {
             id: 0,
             offset: 0,
-            data: Bytes::from_static(b"GET /"),
+            data: Bytes::copy_from_slice(b"GET /"),
             fin: false,
         };
         assert_eq!(roundtrip(f.clone()), f);
@@ -759,7 +758,7 @@ mod tests {
     #[test]
     fn malformed_ack_rejected() {
         // first_range > largest.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(0x02);
         VarInt::new(2).unwrap().encode(&mut buf);
         VarInt::new(0).unwrap().encode(&mut buf);
@@ -847,7 +846,7 @@ mod tests {
             },
             Frame::DataBlocked { limit: 4096 },
             Frame::NewToken {
-                token: Bytes::from_static(&[9; 32]),
+                token: Bytes::copy_from_slice(&[9; 32]),
             },
         ] {
             assert_eq!(roundtrip(f.clone()), f);

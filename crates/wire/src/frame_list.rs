@@ -232,7 +232,7 @@ mod tests {
             _ => Frame::Stream {
                 id: tag % 8,
                 offset: tag,
-                data: Bytes::from_static(b"body"),
+                data: Bytes::copy_from_slice(b"body"),
                 fin: tag % 8 > 3,
             },
         }

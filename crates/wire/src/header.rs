@@ -374,7 +374,6 @@ fn take_cid<B: Buf>(buf: &mut B, len: usize) -> Result<ConnectionId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn cid(v: u64) -> ConnectionId {
         ConnectionId::from_u64(v)
@@ -383,7 +382,7 @@ mod tests {
     #[test]
     fn initial_header_roundtrip() {
         let h = Header::initial(cid(1), cid(2), vec![0xaa; 7], 42);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 4 + 100 + 16).unwrap();
         // Fill the declared payload so decode sees enough bytes.
         buf.extend_from_slice(&[0u8; 116]);
@@ -396,7 +395,7 @@ mod tests {
     #[test]
     fn handshake_header_roundtrip() {
         let h = Header::handshake(cid(3), cid(4), 7);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 4 + 20).unwrap();
         buf.extend_from_slice(&[0u8; 20]);
         let mut slice = &buf[..];
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn short_header_roundtrip() {
         let h = Header::one_rtt(cid(9), 1234);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 0).unwrap();
         buf.extend_from_slice(b"payload");
         let mut slice = &buf[..];
@@ -421,7 +420,7 @@ mod tests {
     #[test]
     fn retry_header_roundtrip() {
         let h = Header::retry(cid(5), cid(6), vec![1, 2, 3, 4]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 0).unwrap();
         let mut slice = &buf[..];
         let (out, _) = Header::decode(&mut slice, 8).unwrap();
@@ -441,7 +440,7 @@ mod tests {
     #[test]
     fn rejects_unknown_version() {
         let h = Header::handshake(cid(1), cid(2), 0);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 4).unwrap();
         // Corrupt the version field (bytes 1..5).
         buf[1] = 0xde;
@@ -470,7 +469,7 @@ mod tests {
                 Header::handshake(dcid, scid, 6),
                 Header::zero_rtt(dcid, scid, 7),
             ] {
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 h.encode(&mut buf, 4 + 9).unwrap();
                 buf.extend_from_slice(&[0u8; 9]);
                 let mut slice = &buf[..];
@@ -479,7 +478,7 @@ mod tests {
                 assert_eq!(slice.len(), 9);
             }
             let h = Header::one_rtt(dcid, 99);
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             h.encode(&mut buf, 0).unwrap();
             buf.extend_from_slice(b"xyz");
             let mut slice = &buf[..];
@@ -493,7 +492,7 @@ mod tests {
     fn rejects_21_byte_cids_on_the_wire() {
         // Long header: the DCID length byte (offset 5) says 21.
         let h = Header::handshake(ConnectionId::new(&[7; 20]).unwrap(), cid(2), 0);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 4).unwrap();
         buf.extend_from_slice(&[0u8; 8]);
         buf[5] = 21;
@@ -504,7 +503,7 @@ mod tests {
         ));
         // ...and the same for the SCID (empty DCID, so its length is at 6).
         let h = Header::handshake(ConnectionId::EMPTY, ConnectionId::new(&[7; 20]).unwrap(), 0);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 4).unwrap();
         buf.extend_from_slice(&[0u8; 8]);
         buf[6] = 21;
@@ -538,7 +537,7 @@ mod tests {
     #[test]
     fn length_must_cover_packet_number() {
         let h = Header::handshake(cid(1), cid(2), 0);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, 2).unwrap(); // invalid: < 4
         let mut slice = &buf[..];
         assert!(matches!(

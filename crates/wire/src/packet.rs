@@ -295,7 +295,7 @@ mod tests {
                 Frame::Stream {
                     id: 0,
                     offset: 0,
-                    data: Bytes::from_static(b"GET / HTTP/1.1\r\n"),
+                    data: Bytes::copy_from_slice(b"GET / HTTP/1.1\r\n"),
                     fin: false,
                 },
                 Frame::Ack(AckFrame::single(1, 0)),
@@ -352,7 +352,7 @@ mod tests {
                 Frame::Ack(AckFrame::single(0, 0)),
                 Frame::Crypto {
                     offset: 0,
-                    data: Bytes::from_static(&[2; 90]),
+                    data: Bytes::copy_from_slice(&[2; 90]),
                 },
             ],
         )
@@ -397,7 +397,7 @@ mod tests {
             Header::handshake(cid(1), cid(2), 0),
             vec![Frame::Crypto {
                 offset: 0,
-                data: Bytes::from_static(&[1; 64]),
+                data: Bytes::copy_from_slice(&[1; 64]),
             }],
         )
         .unwrap();

@@ -133,11 +133,10 @@ impl std::fmt::Display for VarInt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn roundtrip(v: u64) -> (usize, u64) {
         let vi = VarInt::new(v).unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         vi.encode(&mut buf);
         let len = buf.len();
         let mut slice = &buf[..];

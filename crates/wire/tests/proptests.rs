@@ -1,6 +1,6 @@
 //! Property-based tests for the QUIC wire format.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use rq_testkit::prop::{cases, SimRng};
 use rq_testkit::wire::assert_decode_parity;
 use rq_wire::{
@@ -21,7 +21,7 @@ fn varint_roundtrip() {
     cases(256, |rng| {
         let v = rng.gen_range(1 << 62);
         let vi = VarInt::new(v).unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         vi.encode(&mut buf);
         assert_eq!(buf.len(), vi.encoded_len());
         let mut slice = &buf[..];
@@ -42,7 +42,7 @@ fn ack_frame_reconstructs_pn_set() {
         sorted.dedup();
         let ack = AckFrame::from_sorted_desc(&sorted, 0);
         let frame = Frame::Ack(ack);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         frame.encode(&mut buf);
         let mut slice = &buf[..];
         let Frame::Ack(decoded) = Frame::decode(&mut slice).unwrap() else {
@@ -62,7 +62,7 @@ fn crypto_frame_roundtrip() {
             offset,
             data: Bytes::from(data),
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         f.encode(&mut buf);
         assert_eq!(buf.len(), f.encoded_len());
         let mut slice = &buf[..];
@@ -84,7 +84,7 @@ fn stream_frame_roundtrip() {
             data: Bytes::from(data),
             fin,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         f.encode(&mut buf);
         assert_eq!(buf.len(), f.encoded_len());
         let mut slice = &buf[..];

@@ -4,7 +4,8 @@
 //! coalescing rates.
 
 use reacked_quicer::sim::SimRng;
-use reacked_quicer::wild::longitudinal::{median_of, LongitudinalStudy, StudyDomain};
+use reacked_quicer::testbed::median;
+use reacked_quicer::wild::longitudinal::{LongitudinalStudy, StudyDomain};
 use reacked_quicer::wild::{scan, Cdn, Population, Vantage, VANTAGES};
 
 fn standard_scan() -> reacked_quicer::wild::ScanReport {
@@ -140,13 +141,15 @@ fn longitudinal_diurnal_gap_and_median() {
     let obs = study.run(7 * 24 * 60, 99);
     // Median IACK→SH gap ≈ 2.1 ms (§4.3).
     let gap = |pred: &dyn Fn(u64) -> bool| {
-        median_of(obs.iter().filter(|o| pred(o.minute)).filter_map(|o| {
-            match (o.time_to_ack_ms, o.time_to_sh_ms) {
+        let gaps: Vec<f64> = obs
+            .iter()
+            .filter(|o| pred(o.minute))
+            .filter_map(|o| match (o.time_to_ack_ms, o.time_to_sh_ms) {
                 (Some(a), Some(s)) => Some(s - a),
                 _ => None,
-            }
-        }))
-        .unwrap()
+            })
+            .collect();
+        median(&gaps).unwrap()
     };
     let all = gap(&|_| true);
     assert!((1.5..3.5).contains(&all), "median gap {all}");
