@@ -19,9 +19,10 @@
 //!
 //! // Compare WFC and IACK for a quic-go client: 10 KB transfer, 9 ms RTT,
 //! // 25 ms certificate-store delay.
-//! let comparison = compare_modes("quic-go", CompareOptions {
-//!     cert_delay_ms: 25,
-//!     ..CompareOptions::default()
+//! let quic_go = client_by_name("quic-go").unwrap();
+//! let comparison = compare_modes(&Scenario {
+//!     cert_delay: SimDuration::from_millis(25),
+//!     ..Scenario::base(quic_go, ServerAckMode::WaitForCertificate, HttpVersion::H1)
 //! });
 //! // The instant ACK gives the client an uninflated first RTT sample, so
 //! // its first PTO is ~3 x 25 ms lower.
@@ -43,15 +44,12 @@ pub use rq_tls as tls;
 pub use rq_wild as wild;
 pub use rq_wire as wire;
 
-use rq_http::HttpVersion;
-use rq_profiles::client_by_name;
 use rq_quic::ServerAckMode;
-use rq_sim::SimDuration;
-use rq_testbed::{run_scenario, LossSpec, RunResult, Scenario};
+use rq_testbed::{run_scenario, RunResult, Scenario};
 
 /// Convenient re-exports for examples and downstream users.
 pub mod prelude {
-    pub use crate::{compare_modes, CompareOptions, ModeComparison};
+    pub use crate::{compare_modes, ModeComparison};
     pub use rq_analysis::{first_pto_reduction_rtt, pto_evolution, recommend, spurious_retransmit};
     pub use rq_http::HttpVersion;
     pub use rq_profiles::{all_clients, all_servers, client_by_name, server_by_name};
@@ -61,39 +59,6 @@ pub mod prelude {
         run_repetitions, run_scenario, LossSpec, MatrixCell, Scenario, ScenarioMatrix, SweepRunner,
     };
     pub use rq_wild::{scan, Population, Vantage};
-}
-
-/// Options for [`compare_modes`].
-#[derive(Debug, Clone)]
-pub struct CompareOptions {
-    /// Path RTT in milliseconds.
-    pub rtt_ms: u64,
-    /// Frontend ↔ certificate store delay Δt in milliseconds.
-    pub cert_delay_ms: u64,
-    /// Certificate size in bytes.
-    pub cert_len: usize,
-    /// Response size in bytes.
-    pub file_size: usize,
-    /// HTTP flavour.
-    pub http: HttpVersion,
-    /// Loss pattern.
-    pub loss: LossSpec,
-    /// Repetition seed.
-    pub seed: u64,
-}
-
-impl Default for CompareOptions {
-    fn default() -> Self {
-        CompareOptions {
-            rtt_ms: 9,
-            cert_delay_ms: 0,
-            cert_len: rq_tls::CERT_SMALL,
-            file_size: 10 * 1024,
-            http: HttpVersion::H1,
-            loss: LossSpec::None,
-            seed: 1,
-        }
-    }
 }
 
 /// Results of one WFC-vs-IACK comparison.
@@ -113,41 +78,44 @@ impl ModeComparison {
     }
 }
 
-/// Runs the same scenario under both server behaviours for the named
-/// client implementation (`"quic-go"`, `"neqo"`, ... — see
-/// [`rq_profiles::all_clients`]). Panics on unknown names.
-pub fn compare_modes(client: &str, opts: CompareOptions) -> ModeComparison {
-    let profile = client_by_name(client)
-        .unwrap_or_else(|| panic!("unknown client implementation {client:?}"));
-    let build = |mode: ServerAckMode| {
-        let mut sc = Scenario::base(profile.clone(), mode, opts.http);
-        sc.rtt = SimDuration::from_millis(opts.rtt_ms);
-        sc.cert_delay = SimDuration::from_millis(opts.cert_delay_ms);
-        sc.cert_len = opts.cert_len;
-        sc.file_size = opts.file_size;
-        sc.loss = opts.loss;
-        sc.seed = opts.seed;
-        sc
+/// Runs `scenario` under both server behaviours: its own `ack_mode` is
+/// replaced by wait-for-certificate for one run and by an unpadded
+/// instant ACK for the other.
+pub fn compare_modes(scenario: &Scenario) -> ModeComparison {
+    let run = |ack_mode| {
+        run_scenario(&Scenario {
+            ack_mode,
+            ..scenario.clone()
+        })
     };
     ModeComparison {
-        wfc: run_scenario(&build(ServerAckMode::WaitForCertificate)),
-        iack: run_scenario(&build(ServerAckMode::InstantAck { pad_to_mtu: false })),
+        wfc: run(ServerAckMode::WaitForCertificate),
+        iack: run(ServerAckMode::InstantAck { pad_to_mtu: false }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq_http::HttpVersion;
+    use rq_profiles::client_by_name;
+    use rq_sim::SimDuration;
+    use rq_testbed::LossSpec;
+
+    /// The paper's base scenario for a client named the way the examples
+    /// and experiment tables name them.
+    fn base(client: &str) -> Scenario {
+        let profile = client_by_name(client)
+            .unwrap_or_else(|| panic!("unknown client implementation {client:?}"));
+        Scenario::base(profile, ServerAckMode::WaitForCertificate, HttpVersion::H1)
+    }
 
     #[test]
     fn compare_modes_basic() {
-        let c = compare_modes(
-            "quic-go",
-            CompareOptions {
-                cert_delay_ms: 25,
-                ..Default::default()
-            },
-        );
+        let c = compare_modes(&Scenario {
+            cert_delay: SimDuration::from_millis(25),
+            ..base("quic-go")
+        });
         assert!(c.wfc.completed);
         assert!(c.iack.completed);
         let wfc_pto = c.wfc.first_pto_ms.unwrap();
@@ -158,39 +126,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown client")]
     fn unknown_client_panics() {
-        let _ = compare_modes("not-a-stack", CompareOptions::default());
-    }
-
-    #[test]
-    fn scenario_base_matches_compare_defaults() {
-        // `compare_modes` builds scenarios from `CompareOptions`; the two
-        // sets of defaults must agree so `Scenario::base(..)` and
-        // `compare_modes(.., CompareOptions::default())` describe the
-        // same experiment.
-        let opts = CompareOptions::default();
-        let sc = Scenario::base(
-            client_by_name("quic-go").unwrap(),
-            ServerAckMode::WaitForCertificate,
-            opts.http,
-        );
-        assert_eq!(sc.rtt, SimDuration::from_millis(opts.rtt_ms));
-        assert_eq!(sc.cert_delay, SimDuration::from_millis(opts.cert_delay_ms));
-        assert_eq!(sc.cert_len, opts.cert_len);
-        assert_eq!(sc.file_size, opts.file_size);
-        assert_eq!(sc.loss, opts.loss);
-        assert_eq!(sc.seed, opts.seed);
+        let _ = compare_modes(&base("not-a-stack"));
     }
 
     #[test]
     fn ttfb_delta_sign() {
-        let c = compare_modes(
-            "quic-go",
-            CompareOptions {
-                loss: LossSpec::SecondClientFlight,
-                cert_delay_ms: 4,
-                ..Default::default()
-            },
-        );
+        let c = compare_modes(&Scenario {
+            loss: LossSpec::SecondClientFlight,
+            cert_delay: SimDuration::from_millis(4),
+            ..base("quic-go")
+        });
         assert!(
             c.ttfb_delta_ms().unwrap() < 0.0,
             "IACK wins under client-flight loss"

@@ -24,8 +24,10 @@
 //!
 //! This file holds the state, the constructors and accessors, handshake
 //! driving (TLS events, key installation and discard) and closing; the
-//! receive path, the transmit path, the timers and path management are
-//! further `impl Connection` blocks in `recv`, `send`, `timers`, `path`.
+//! receive path, the transmit path and the timers are further
+//! `impl Connection` blocks in `recv`, `send`, `timers`. Everything about
+//! the connection's paths — the amplification budget, connection IDs,
+//! migration and path validation — is owned by `path::Paths`.
 
 use std::collections::VecDeque;
 
@@ -44,6 +46,8 @@ use crate::config::{
 };
 use crate::space::Space;
 use crate::streams::StreamSet;
+pub use path::PathState;
+use path::Paths;
 
 mod path;
 mod recv;
@@ -72,7 +76,7 @@ pub enum Role {
 }
 
 /// Stream tag of the CID-derivation coordinate space: every connection ID
-/// is `derive(cid_seed, [CID_STREAM, kind, seq])`, a pure function of its
+/// is `derive(seed, [CID_STREAM, kind, seq])`, a pure function of its
 /// coordinates, so rotated CIDs from one seed can never collide the way
 /// the old XOR-of-constants scheme could.
 const CID_STREAM: u64 = 0xC1D_0;
@@ -86,45 +90,24 @@ const CID_KIND_SERVER: u64 = 2;
 /// CID kind: the CID a stateless Retry hands the client.
 pub const CID_KIND_RETRY: u64 = 3;
 
-/// Derives the 8-byte connection ID at `(kind, seq)` for `cid_seed`: every
+/// Derives the 8-byte connection ID at `(kind, seq)` for `seed`: every
 /// CID a connection announces is predictable from its seed (drivers use
 /// it for the CID a stateless Retry hands out).
-pub fn derived_cid(cid_seed: u64, kind: u64, seq: u64) -> ConnectionId {
-    let mut rng = SimRng::derive(cid_seed, &[CID_STREAM, kind, seq]);
+pub fn derived_cid(seed: u64, kind: u64, seq: u64) -> ConnectionId {
+    let mut rng = SimRng::derive(seed, &[CID_STREAM, kind, seq]);
     ConnectionId::from_u64(rng.next_u64())
 }
 
-/// Per-path accounting and validation state (RFC 9000 §9). The implicit
-/// handshake path (id 0) is validated by the handshake itself and never
-/// appears here; entries exist only for paths seen after a migration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathState {
-    /// Path id (the simulator's link path).
-    pub id: u64,
-    /// Bytes sent while this path was active.
-    pub bytes_sent: usize,
-    /// Bytes received on this path.
-    pub bytes_received: usize,
-    /// PATH_RESPONSE received: the peer is reachable on this path.
-    pub validated: bool,
-    /// Validation abandoned after exhausting challenge retries.
-    pub abandoned: bool,
-}
-
-/// An in-flight PATH_CHALLENGE (one at a time; a new migration replaces
-/// any outstanding probe).
-#[derive(Debug, Clone)]
-struct PathChallengeState {
-    /// Random probe data the response must echo (RFC 9000 §8.2.1).
-    data: u64,
-    /// Path being validated.
-    path: u64,
-    /// When the current attempt times out.
-    deadline: SimTime,
-    /// Retransmissions so far.
-    retries: u32,
-    /// The frame for the current attempt has not left yet.
-    needs_send: bool,
+/// How far a connection has closed (RFC 9000 §10).
+#[derive(PartialEq, Eq)]
+enum CloseState {
+    /// Open.
+    Open,
+    /// Closed here: the CONNECTION_CLOSE with this code and reason is the
+    /// next datagram.
+    Owed(u64, String),
+    /// Closed, and nothing more leaves.
+    Closed,
 }
 
 /// Application-visible connection events.
@@ -248,10 +231,6 @@ pub struct Connection {
     peer_cid: ConnectionId,
     /// The client's original DCID (Initial key derivation).
     original_dcid: ConnectionId,
-    /// Anti-amplification accounting (server).
-    bytes_received: usize,
-    bytes_sent: usize,
-    address_validated: bool,
     /// Datagrams fully assembled and ready to go.
     ready_datagrams: VecDeque<Bytes>,
     /// Buffered packets for which keys are not yet available: the decoded
@@ -286,11 +265,8 @@ pub struct Connection {
     /// Client: when the first datagram left (base of the `give_up_after`
     /// handshake deadline).
     first_send_at: Option<SimTime>,
-    /// Close state.
-    closed: bool,
-    close_frame_pending: Option<(u64, String)>,
-    /// Amplification-blocked diagnostic latch (one event per stall).
-    amp_blocked_logged: bool,
+    /// Open, or closed with or without a CONNECTION_CLOSE still to send.
+    closing: CloseState,
     /// Retry support: token we must echo in Initials (client).
     token: Vec<u8>,
     /// Server: require a Retry round trip before accepting.
@@ -306,26 +282,9 @@ pub struct Connection {
     /// Early data was rejected (or the PSK offer failed): the client
     /// requeues 0-RTT content as 1-RTT, the server drops 0-RTT packets.
     early_rejected: bool,
-    /// Seed all locally derived CIDs and challenge data come from.
-    cid_seed: u64,
-    /// Spare CIDs the peer announced via NEW_CONNECTION_ID: (seq, cid),
-    /// not yet rotated to.
-    peer_cid_pool: Vec<(u64, ConnectionId)>,
-    /// Sequence number of the peer CID currently in `peer_cid`.
-    peer_cid_seq: u64,
-    /// NEW_CONNECTION_ID announcements owed to the peer
-    /// (seq, retire_prior_to, cid bytes).
-    pending_new_cids: Vec<(u64, u64, Vec<u8>)>,
-    /// RETIRE_CONNECTION_ID frames owed to the peer.
-    pending_retire_cids: Vec<u64>,
-    /// PATH_RESPONSE data owed (echo of a received PATH_CHALLENGE).
-    pending_path_response: Option<u64>,
-    /// Outstanding path validation, if any.
-    path_challenge: Option<PathChallengeState>,
-    /// Per-path accounting; empty until a non-default path appears.
-    paths: Vec<PathState>,
-    /// Path id of the currently active path (0 = handshake path).
-    active_path: u64,
+    /// Every path, its amplification accounting, the CIDs and the path
+    /// validation probe.
+    paths: Paths,
     /// Aggregated protocol counters (see [`ConnStats`]).
     stats: ConnStats,
     /// Time of the last periodic `metrics_sampled` emission.
@@ -333,12 +292,12 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Creates a client connection. `cid_seed` individualizes connection
-    /// IDs; `rtt_quirk_applies` resolves the probabilistic go-x-net quirk
-    /// for this run (decided by the testbed's seeded RNG).
-    pub fn client(cfg: EndpointConfig, cid_seed: u64, rtt_quirk_applies: bool) -> Self {
-        let local_cid = derived_cid(cid_seed, CID_KIND_CLIENT, 0);
-        let original_dcid = derived_cid(cid_seed, CID_KIND_ORIGINAL_DCID, 0);
+    /// Creates a client connection. `seed` individualizes connection IDs;
+    /// `rtt_quirk_applies` resolves the probabilistic go-x-net quirk for
+    /// this run (decided by the testbed's seeded RNG).
+    pub fn client(cfg: EndpointConfig, seed: u64, rtt_quirk_applies: bool) -> Self {
+        let local_cid = derived_cid(seed, CID_KIND_CLIENT, 0);
+        let original_dcid = derived_cid(seed, CID_KIND_ORIGINAL_DCID, 0);
         let mut rtt = RttEstimator::new(MAX_ACK_DELAY);
         if cfg.quirks.aioquic_rttvar {
             rtt = rtt.with_variant(RttVariant::AioquicOrder);
@@ -354,15 +313,7 @@ impl Connection {
             ..TlsClientConfig::full()
         });
         tls.start();
-        let mut conn = Connection::new(
-            Role::Client,
-            cfg,
-            cid_seed,
-            tls,
-            rtt,
-            local_cid,
-            original_dcid,
-        );
+        let mut conn = Connection::new(Role::Client, cfg, seed, tls, rtt, local_cid, original_dcid);
         conn.spaces[2].early_keys = conn.tls.early_keys().cloned();
         if conn.cfg.quirks.drop_ping_reply_coalesced {
             conn.ping_reply_drop_budget = 1;
@@ -377,8 +328,8 @@ impl Connection {
 
     /// Creates a server connection for a new 4-tuple whose first datagram
     /// carried `original_dcid` (Initial key derivation input).
-    pub fn server(cfg: EndpointConfig, cid_seed: u64, original_dcid: ConnectionId) -> Self {
-        let local_cid = derived_cid(cid_seed, CID_KIND_SERVER, 0);
+    pub fn server(cfg: EndpointConfig, seed: u64, original_dcid: ConnectionId) -> Self {
+        let local_cid = derived_cid(seed, CID_KIND_SERVER, 0);
         let tls = TlsSession::server(TlsServerConfig {
             cert_len: cfg.cert_len,
             random: [0x22; 32],
@@ -388,15 +339,7 @@ impl Connection {
             accept_ticket_keys: cfg.accept_ticket_keys.clone(),
         });
         let rtt = RttEstimator::new(MAX_ACK_DELAY);
-        Connection::new(
-            Role::Server,
-            cfg,
-            cid_seed,
-            tls,
-            rtt,
-            local_cid,
-            original_dcid,
-        )
+        Connection::new(Role::Server, cfg, seed, tls, rtt, local_cid, original_dcid)
     }
 
     /// The state both roles start from; `client`/`server` supply what
@@ -404,7 +347,7 @@ impl Connection {
     fn new(
         role: Role,
         cfg: EndpointConfig,
-        cid_seed: u64,
+        seed: u64,
         tls: TlsSession,
         rtt: RttEstimator,
         local_cid: ConnectionId,
@@ -428,10 +371,6 @@ impl Connection {
             local_cid,
             peer_cid,
             original_dcid,
-            bytes_received: 0,
-            bytes_sent: 0,
-            // Clients are never amplification-limited.
-            address_validated: role == Role::Client,
             ready_datagrams: VecDeque::new(),
             pending_packets: Vec::new(),
             events: VecDeque::new(),
@@ -449,24 +388,14 @@ impl Connection {
             last_activity: None,
             last_eliciting_send: None,
             first_send_at: None,
-            closed: false,
-            close_frame_pending: None,
-            amp_blocked_logged: false,
+            closing: CloseState::Open,
             token: Vec::new(),
             use_retry: false,
             retry_sent: false,
             waiting_for_cert: false,
             new_ack_packets: 0,
             early_rejected: false,
-            cid_seed,
-            peer_cid_pool: Vec::new(),
-            peer_cid_seq: 0,
-            pending_new_cids: Vec::new(),
-            pending_retire_cids: Vec::new(),
-            pending_path_response: None,
-            path_challenge: None,
-            paths: Vec::new(),
-            active_path: 0,
+            paths: Paths::new(role, seed),
             stats: ConnStats::default(),
             last_metrics_sample: None,
             cfg,
@@ -600,19 +529,7 @@ impl Connection {
                 self.handshake_complete = true;
                 self.log.push(now, EventData::HandshakeComplete);
                 self.events.push_back(ConnEvent::HandshakeComplete);
-                // Announce the spare-CID pool the peer rotates through on
-                // migration (RFC 9000 §5.1.1). Seq 0 is the handshake CID.
-                if self.cfg.cid_pool > 0 {
-                    let kind = match self.role {
-                        Role::Client => CID_KIND_CLIENT,
-                        Role::Server => CID_KIND_SERVER,
-                    };
-                    for seq in 1..=self.cfg.cid_pool as u64 {
-                        let cid = derived_cid(self.cid_seed, kind, seq);
-                        self.pending_new_cids
-                            .push((seq, 0, cid.as_slice().to_vec()));
-                    }
-                }
+                self.paths.announce_cids(self.cfg.cid_pool);
                 match self.role {
                     Role::Server => {
                         self.handshake_done_pending = true;
@@ -672,12 +589,21 @@ impl Connection {
         self.pto.on_progress();
     }
 
-    fn abort(&mut self, now: SimTime, error_code: u64, reason: &str) {
-        if self.closed {
+    /// Closes the connection: the one way a connection closes, for the
+    /// application and the stack alike. With `send_close`, the next
+    /// datagram is a CONNECTION_CLOSE carrying `error_code` and `reason`;
+    /// without, the connection falls silent, because the peer closed
+    /// first, forgot us, refused us, or is presumed gone. A no-op once
+    /// closed.
+    pub fn close(&mut self, now: SimTime, error_code: u64, reason: &str, send_close: bool) {
+        if self.is_closed() {
             return;
         }
-        self.closed = true;
-        self.close_frame_pending = Some((error_code, reason.to_string()));
+        self.closing = if send_close {
+            CloseState::Owed(error_code, reason.to_string())
+        } else {
+            CloseState::Closed
+        };
         self.log.push(
             now,
             EventData::ConnectionClosed {
@@ -691,9 +617,8 @@ impl Connection {
         });
     }
 
-    /// Application API: closes the connection with an application error.
-    pub fn close(&mut self, now: SimTime, error_code: u64, reason: &str) {
-        self.abort(now, error_code, reason);
+    fn is_closed(&self) -> bool {
+        self.closing != CloseState::Open
     }
 
     fn log_metrics(&mut self, now: SimTime) {

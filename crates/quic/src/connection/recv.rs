@@ -6,7 +6,7 @@ use rq_qlog::EventData;
 use rq_recovery::{persistent_congestion_duration, SentPacket};
 use rq_sim::{SimDuration, SimTime};
 use rq_tls::{verify_tag, KeySide, Level};
-use rq_wire::{AckFrame, ConnectionId, Frame, PacketNumberSpace, PacketType, PlainPacket};
+use rq_wire::{AckFrame, Frame, PacketNumberSpace, PacketType, PlainPacket};
 
 use super::{
     retry_token_for, space_name, stateless_retry_datagram, summaries, ConnEvent, Connection, Role,
@@ -19,7 +19,7 @@ impl Connection {
     /// it once; a caller that owns the datagram passes it to
     /// [`Connection::handle_datagram_on_path`] and saves the copy.
     pub fn handle_datagram(&mut self, now: SimTime, data: &[u8]) {
-        let path = self.active_path;
+        let path = self.paths.active();
         self.handle_datagram_on_path(now, Bytes::copy_from_slice(data), path);
     }
 
@@ -30,42 +30,25 @@ impl Connection {
     /// decoded where it lies: frame payloads, and the stream bytes handed
     /// to the application, are views of it.
     pub fn handle_datagram_on_path(&mut self, now: SimTime, data: Bytes, path: u64) {
-        if self.closed {
+        if self.is_closed() {
             return;
         }
-        if path != self.active_path {
-            if self.role == Role::Server && self.cfg.cid_pool > 0 && self.handshake_complete {
-                self.on_peer_path_switch(now, path);
-            } else {
-                // Clients (and pre-migration-era endpoints) simply follow
-                // the route: their sends already ride the rebound link.
-                self.active_path = path;
-                if path != 0 {
-                    self.ensure_path(path).validated = true;
-                }
-            }
-        }
+        self.follow_datagram_path(now, path);
         // Fault-injection signals travel outside the packet codec (their
         // leading 0x00 byte fails the fixed-bit check of every real
         // packet). The connection dies silently: there is no point
         // closing back at a peer that already forgot us or refused us.
         if data.starts_with(STATELESS_RESET_PREFIX) {
             self.log.push(now, EventData::StatelessReset);
-            self.abort(now, ERROR_STATELESS_RESET, "stateless reset");
-            self.close_frame_pending = None;
+            self.close(now, ERROR_STATELESS_RESET, "stateless reset", false);
             return;
         }
         if data.starts_with(SERVER_BUSY_PREFIX) {
-            self.abort(now, ERROR_SERVER_BUSY, "server busy");
-            self.close_frame_pending = None;
+            self.close(now, ERROR_SERVER_BUSY, "server busy", false);
             return;
         }
         self.last_activity = Some(now);
-        self.bytes_received += data.len();
-        if path != 0 {
-            self.ensure_path(path).bytes_received += data.len();
-        }
-        self.amp_blocked_logged = false;
+        self.paths.on_received(path, data.len());
 
         // quiche quirk: drop a datagram whose leading Initial packet is a
         // reply to one of our PING probes, together with all coalesced
@@ -141,7 +124,7 @@ impl Connection {
             }
             if pkt.header.token == retry_token_for(&pkt.header.scid) {
                 // A valid token proves the client address (no 3x limit).
-                self.address_validated = true;
+                self.paths.validate_address();
             }
         }
         // 0-RTT packets are protected under the early keys, not the
@@ -245,14 +228,14 @@ impl Connection {
 
         // Server: Handshake packet validates the client address.
         if self.role == Role::Server && pkt.header.ty == PacketType::Handshake {
-            self.address_validated = true;
+            self.paths.validate_address();
             // Receiving Handshake also means Initial keys can be discarded.
             self.discard_space(PacketNumberSpace::Initial);
         }
 
         for frame in &pkt.frames {
             self.process_frame(now, space, pkt, frame);
-            if self.closed {
+            if self.is_closed() {
                 return;
             }
         }
@@ -292,7 +275,7 @@ impl Connection {
                     && space == PacketNumberSpace::Initial
                     && !self.spaces[idx].recv.is_contiguous_from_zero()
                 {
-                    self.abort(now, 0x0a, "duplicate connection id retirement");
+                    self.close(now, 0x0a, "duplicate connection id retirement", true);
                     return;
                 }
                 if !contiguous.is_empty() {
@@ -303,7 +286,7 @@ impl Connection {
                                 self.on_tls_event(now, ev);
                             }
                         }
-                        Err(_) => self.abort(now, 0x0d, "tls protocol violation"),
+                        Err(_) => self.close(now, 0x0d, "tls protocol violation", true),
                     }
                 }
             }
@@ -337,37 +320,10 @@ impl Connection {
                 }
             }
             Frame::MaxStreams { .. } | Frame::DataBlocked { .. } => {}
-            Frame::NewConnectionId { seq, cid, .. } => {
-                // Bank the spare CID for rotation on migration. Endpoints
-                // that never migrate (cid_pool = 0) keep ignoring these.
-                if self.cfg.cid_pool > 0 && !self.peer_cid_pool.iter().any(|(s, _)| s == seq) {
-                    if let Ok(c) = ConnectionId::new(cid) {
-                        self.peer_cid_pool.push((*seq, c));
-                    }
-                }
-            }
-            Frame::RetireConnectionId { seq } => {
-                if self.cfg.cid_pool > 0 {
-                    self.log.push(now, EventData::CidRetired { seq: *seq });
-                }
-            }
-            Frame::PathChallenge { data } => {
-                // Echo back on our next send (RFC 9000 §8.2.2).
-                self.pending_path_response = Some(*data);
-            }
-            Frame::PathResponse { data } => {
-                if let Some(ch) = self.path_challenge.take() {
-                    if ch.data == *data {
-                        let path = ch.path;
-                        self.ensure_path(path).validated = true;
-                        self.log.push(now, EventData::PathValidated { path });
-                        self.amp_blocked_logged = false;
-                    } else {
-                        // Stale echo of an older probe: keep waiting.
-                        self.path_challenge = Some(ch);
-                    }
-                }
-            }
+            Frame::NewConnectionId { .. }
+            | Frame::RetireConnectionId { .. }
+            | Frame::PathChallenge { .. }
+            | Frame::PathResponse { .. } => self.on_path_frame(now, frame),
             Frame::NewToken { token } => {
                 self.token = token.to_vec();
             }
@@ -381,20 +337,7 @@ impl Connection {
             }
             Frame::ConnectionClose {
                 error_code, reason, ..
-            } => {
-                self.closed = true;
-                self.log.push(
-                    now,
-                    EventData::ConnectionClosed {
-                        error_code: *error_code,
-                        reason: reason.clone(),
-                    },
-                );
-                self.events.push_back(ConnEvent::Closed {
-                    error_code: *error_code,
-                    reason: reason.clone(),
-                });
-            }
+            } => self.close(now, *error_code, reason, false),
         }
     }
 

@@ -11,7 +11,7 @@ use rq_wire::{
     Frame, FrameList, Header, PacketNumberSpace, PacketType, PlainPacket, MIN_INITIAL_DATAGRAM,
 };
 
-use super::{space_name, summaries, Connection, Role, MAX_DATAGRAM_SIZE};
+use super::{space_name, summaries, CloseState, Connection, Role, MAX_DATAGRAM_SIZE};
 use crate::config::{AckDelayReport, ACK_ELICITING_THRESHOLD};
 use crate::space::Space;
 
@@ -35,9 +35,8 @@ impl Connection {
             return None;
         }
         if self.ready_datagrams.is_empty() {
-            if self.closed {
-                let (code, reason) = self.close_frame_pending.take()?;
-                return self.build_close_datagram(now, code, &reason);
+            if self.is_closed() {
+                return self.build_close_datagram(now);
             }
             // Client flight 2: emitted as an explicit datagram plan honoring
             // the per-implementation coalescing layout (Table 4).
@@ -53,13 +52,10 @@ impl Connection {
         Some(d)
     }
 
-    /// Books an outgoing datagram against global and per-path
+    /// Books an outgoing datagram against the active path's
     /// anti-amplification accounting.
     fn note_datagram_sent(&mut self, now: SimTime, len: usize) {
-        self.bytes_sent += len;
-        if self.active_path != 0 {
-            self.ensure_path(self.active_path).bytes_sent += len;
-        }
+        self.paths.on_sent(len);
         self.last_activity = Some(now);
         self.first_send_at.get_or_insert(now);
     }
@@ -95,11 +91,10 @@ impl Connection {
             budget = budget.saturating_sub(size);
         }
         if plan.iter().all(|frames| frames.is_empty()) {
-            if !self.amp_blocked_logged
-                && self.amplification_budget() < MAX_DATAGRAM_SIZE
+            if self.amplification_budget() < MAX_DATAGRAM_SIZE
                 && self.wants_to_send()
+                && self.paths.latch_amp_stall()
             {
-                self.amp_blocked_logged = true;
                 self.stats.amp_stalls += 1;
                 self.log.push(
                     now,
@@ -120,10 +115,7 @@ impl Connection {
         self.spaces.iter().any(Space::has_data_to_send)
             || self.streams.want_send()
             || self.handshake_done_pending
-            || self.pending_path_response.is_some()
-            || self.path_challenge.as_ref().is_some_and(|c| c.needs_send)
-            || !self.pending_retire_cids.is_empty()
-            || !self.pending_new_cids.is_empty()
+            || self.paths.wants_to_send()
     }
 
     /// Whether this endpoint may emit 0-RTT packets right now: a client
@@ -211,38 +203,9 @@ impl Connection {
                 frames.push(Frame::HandshakeDone);
                 used += 1;
             }
-            // Migration plumbing: challenge/response first (time-critical),
-            // then CID bookkeeping. All empty when cid_pool is 0.
+            // Migration plumbing (all empty when cid_pool is 0).
             if !early {
-                if used + 9 <= max_payload {
-                    if let Some(data) = self.pending_path_response.take() {
-                        frames.push(Frame::PathResponse { data });
-                        used += 9;
-                    }
-                }
-                let challenge = self.path_challenge.as_ref().and_then(|ch| {
-                    (ch.needs_send && used + 9 <= max_payload).then_some((ch.data, ch.path))
-                });
-                if let Some((data, path)) = challenge {
-                    self.path_challenge.as_mut().unwrap().needs_send = false;
-                    frames.push(Frame::PathChallenge { data });
-                    used += 9;
-                    self.log.push(now, EventData::PathChallengeSent { path });
-                }
-                while !self.pending_retire_cids.is_empty() && used + 2 <= max_payload {
-                    let seq = self.pending_retire_cids.remove(0);
-                    frames.push(Frame::RetireConnectionId { seq });
-                    used += 2;
-                }
-                while !self.pending_new_cids.is_empty() && used + 30 <= max_payload {
-                    let (seq, retire_prior_to, cid) = self.pending_new_cids.remove(0);
-                    frames.push(Frame::NewConnectionId {
-                        seq,
-                        retire_prior_to,
-                        cid,
-                    });
-                    used += 30;
-                }
+                self.push_path_frames(now, max_payload, &mut used, frames);
             }
             if self.streams.should_send_max_data() && used + 9 <= max_payload {
                 let v = self.streams.next_max_data();
@@ -460,8 +423,14 @@ impl Connection {
         }
     }
 
-    /// Sends CONNECTION_CLOSE in the highest available space.
-    fn build_close_datagram(&mut self, now: SimTime, code: u64, reason: &str) -> Option<Bytes> {
+    /// Sends the owed CONNECTION_CLOSE, once, in the highest available
+    /// space.
+    fn build_close_datagram(&mut self, now: SimTime) -> Option<Bytes> {
+        let CloseState::Owed(error_code, reason) =
+            std::mem::replace(&mut self.closing, CloseState::Closed)
+        else {
+            return None;
+        };
         let space = [
             PacketNumberSpace::Application,
             PacketNumberSpace::Handshake,
@@ -470,8 +439,8 @@ impl Connection {
         .into_iter()
         .find(|s| self.spaces[s.index()].usable())?;
         let frame = Frame::ConnectionClose {
-            error_code: code,
-            reason: reason.to_string(),
+            error_code,
+            reason,
             app: false,
         };
         self.emit_datagram(now, &mut solo(space, [frame]))

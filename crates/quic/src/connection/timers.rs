@@ -12,7 +12,7 @@ use crate::space::Space;
 impl Connection {
     /// The next timer deadline, if any.
     pub fn poll_timeout(&self) -> Option<SimTime> {
-        if self.closed {
+        if self.is_closed() {
             return None;
         }
         let deadlines = [
@@ -20,7 +20,7 @@ impl Connection {
             self.pto_deadline(),
             self.ack_deadline(),
             self.give_up_deadline(),
-            self.path_challenge.as_ref().map(|c| c.deadline),
+            self.paths.deadline(),
         ];
         deadlines.into_iter().flatten().min()
     }
@@ -45,8 +45,7 @@ impl Connection {
                 pto_count: self.pto.count(),
             },
         );
-        self.abort(now, ERROR_GIVE_UP, "handshake give-up");
-        self.close_frame_pending = None;
+        self.close(now, ERROR_GIVE_UP, "handshake give-up", false);
     }
 
     fn loss_time(&self) -> Option<SimTime> {
@@ -110,7 +109,7 @@ impl Connection {
 
     /// Handles an expired timer at `now`.
     pub fn handle_timeout(&mut self, now: SimTime) {
-        if self.closed {
+        if self.is_closed() {
             return;
         }
         // 0. Handshake give-up deadline (checked first: an expired
@@ -143,12 +142,7 @@ impl Connection {
             return;
         }
         // 3. Path-validation retry/abandon.
-        if self
-            .path_challenge
-            .as_ref()
-            .is_some_and(|c| now >= c.deadline)
-        {
-            self.on_path_challenge_timeout(now);
+        if self.on_path_timeout(now) {
             return;
         }
         // 4. PTO.

@@ -4,17 +4,16 @@
 //! Run with: `cargo run --example quickstart`
 
 use reacked_quicer::prelude::*;
-use reacked_quicer::{compare_modes, CompareOptions};
 
 fn main() {
     // The paper's Figure 1 setup: a CDN frontend 9 ms from the client,
     // 25 ms from its certificate store.
-    let opts = CompareOptions {
-        rtt_ms: 9,
-        cert_delay_ms: 25,
-        ..CompareOptions::default()
-    };
-    let c = compare_modes("quic-go", opts);
+    let quic_go = client_by_name("quic-go").expect("a known client");
+    let c = compare_modes(&Scenario {
+        rtt: SimDuration::from_millis(9),
+        cert_delay: SimDuration::from_millis(25),
+        ..Scenario::base(quic_go, ServerAckMode::WaitForCertificate, HttpVersion::H1)
+    });
 
     println!("== ReACKed QUICer quickstart ==");
     println!("client quic-go, RTT 9 ms, certificate-store delay Δt = 25 ms, 10 KB response\n");

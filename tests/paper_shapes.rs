@@ -2,23 +2,30 @@
 //! paper result: who wins, in which scenario, by roughly what factor.
 
 use reacked_quicer::prelude::*;
-use reacked_quicer::{compare_modes, CompareOptions};
 
 const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
+
+fn ms(v: u64) -> SimDuration {
+    SimDuration::from_millis(v)
+}
+
+/// The paper's base scenario (10 KB over HTTP/1.1, 9 ms RTT, small
+/// certificate, no Δt, no loss, instant ACK) for the named client;
+/// `compare_modes` sets the server's ACK mode itself.
+fn base(client: &str) -> Scenario {
+    Scenario::base(client_by_name(client).unwrap(), IACK, HttpVersion::H1)
+}
 
 /// Figure 2/§4.1: the first PTO improves by 3x the certificate-store
 /// delay, independent of the RTT.
 #[test]
 fn first_pto_improvement_is_three_delta_t_across_rtts() {
     for rtt_ms in [9u64, 25, 100] {
-        let c = compare_modes(
-            "quic-go",
-            CompareOptions {
-                rtt_ms,
-                cert_delay_ms: 10,
-                ..CompareOptions::default()
-            },
-        );
+        let c = compare_modes(&Scenario {
+            rtt: ms(rtt_ms),
+            cert_delay: ms(10),
+            ..base("quic-go")
+        });
         let delta = c.wfc.first_pto_ms.unwrap() - c.iack.first_pto_ms.unwrap();
         assert!(
             (delta - 30.0).abs() < 8.0,
@@ -33,26 +40,20 @@ fn first_pto_improvement_is_three_delta_t_across_rtts() {
 #[test]
 fn amplification_blocked_scenario_favours_iack_for_probing_clients() {
     for name in ["neqo", "ngtcp2"] {
-        let c = compare_modes(
-            name,
-            CompareOptions {
-                cert_len: reacked_quicer::tls::CERT_LARGE,
-                cert_delay_ms: 200,
-                ..CompareOptions::default()
-            },
-        );
+        let c = compare_modes(&Scenario {
+            cert_len: reacked_quicer::tls::CERT_LARGE,
+            cert_delay: ms(200),
+            ..base(name)
+        });
         assert!(c.iack.server_amp_blocked || c.wfc.server_amp_blocked);
         let d = c.ttfb_delta_ms().unwrap();
         assert!(d < -4.0, "{name}: IACK must win by ~1 RTT, delta {d:.1}");
     }
-    let pico = compare_modes(
-        "picoquic",
-        CompareOptions {
-            cert_len: reacked_quicer::tls::CERT_LARGE,
-            cert_delay_ms: 200,
-            ..CompareOptions::default()
-        },
-    );
+    let pico = compare_modes(&Scenario {
+        cert_len: reacked_quicer::tls::CERT_LARGE,
+        cert_delay: ms(200),
+        ..base("picoquic")
+    });
     let d = pico.ttfb_delta_ms().unwrap();
     assert!(
         d.abs() < 4.0,
@@ -65,21 +66,15 @@ fn amplification_blocked_scenario_favours_iack_for_probing_clients() {
 #[test]
 fn http3_ttfb_one_rtt_below_http11() {
     for rtt_ms in [9u64, 20] {
-        let h1 = compare_modes(
-            "quic-go",
-            CompareOptions {
-                rtt_ms,
-                ..CompareOptions::default()
-            },
-        );
-        let h3 = compare_modes(
-            "quic-go",
-            CompareOptions {
-                rtt_ms,
-                http: HttpVersion::H3,
-                ..CompareOptions::default()
-            },
-        );
+        let h1 = compare_modes(&Scenario {
+            rtt: ms(rtt_ms),
+            ..base("quic-go")
+        });
+        let h3 = compare_modes(&Scenario {
+            rtt: ms(rtt_ms),
+            http: HttpVersion::H3,
+            ..base("quic-go")
+        });
         let gap = h1.wfc.ttfb_ms.unwrap() - h3.wfc.ttfb_ms.unwrap();
         assert!(
             (gap - rtt_ms as f64).abs() < 3.0,
@@ -92,13 +87,10 @@ fn http3_ttfb_one_rtt_below_http11() {
 /// server's default PTO (200 ms for the quic-go testbed server).
 #[test]
 fn server_flight_loss_penalizes_iack_by_server_default_pto() {
-    let c = compare_modes(
-        "quic-go",
-        CompareOptions {
-            loss: LossSpec::ServerFlightTail,
-            ..CompareOptions::default()
-        },
-    );
+    let c = compare_modes(&Scenario {
+        loss: LossSpec::ServerFlightTail,
+        ..base("quic-go")
+    });
     let d = c.ttfb_delta_ms().unwrap();
     assert!(
         (120.0..260.0).contains(&d),
@@ -110,27 +102,21 @@ fn server_flight_loss_penalizes_iack_by_server_default_pto() {
 /// Figure 6 IACK + HTTP/1.1 case and nowhere else.
 #[test]
 fn quiche_aborts_only_under_iack_with_server_flight_loss_http1() {
-    let c = compare_modes(
-        "quiche",
-        CompareOptions {
-            loss: LossSpec::ServerFlightTail,
-            ..CompareOptions::default()
-        },
-    );
+    let c = compare_modes(&Scenario {
+        loss: LossSpec::ServerFlightTail,
+        ..base("quiche")
+    });
     assert!(c.wfc.completed, "quiche WFC completes");
     assert!(
         c.iack.aborted,
         "quiche IACK aborts (duplicate CID retirement)"
     );
     // HTTP/3 does not hit the bug (§4.2).
-    let h3 = compare_modes(
-        "quiche",
-        CompareOptions {
-            loss: LossSpec::ServerFlightTail,
-            http: HttpVersion::H3,
-            ..CompareOptions::default()
-        },
-    );
+    let h3 = compare_modes(&Scenario {
+        loss: LossSpec::ServerFlightTail,
+        http: HttpVersion::H3,
+        ..base("quiche")
+    });
     assert!(h3.iack.completed, "quiche HTTP/3 behaves like the others");
 }
 
@@ -139,25 +125,19 @@ fn quiche_aborts_only_under_iack_with_server_flight_loss_http1() {
 #[test]
 fn client_flight_loss_favours_iack_except_picoquic() {
     for name in ["aioquic", "neqo", "ngtcp2", "quic-go", "quiche", "mvfst"] {
-        let c = compare_modes(
-            name,
-            CompareOptions {
-                loss: LossSpec::SecondClientFlight,
-                cert_delay_ms: 4,
-                ..CompareOptions::default()
-            },
-        );
+        let c = compare_modes(&Scenario {
+            loss: LossSpec::SecondClientFlight,
+            cert_delay: ms(4),
+            ..base(name)
+        });
         let d = c.ttfb_delta_ms().unwrap();
         assert!(d < -3.0, "{name}: IACK should win, delta {d:.1}");
     }
-    let pico = compare_modes(
-        "picoquic",
-        CompareOptions {
-            loss: LossSpec::SecondClientFlight,
-            cert_delay_ms: 4,
-            ..CompareOptions::default()
-        },
-    );
+    let pico = compare_modes(&Scenario {
+        loss: LossSpec::SecondClientFlight,
+        cert_delay: ms(4),
+        ..base("picoquic")
+    });
     let d = pico.ttfb_delta_ms().unwrap();
     assert!(d.abs() < 2.0, "picoquic parity expected, delta {d:.1}");
 }
@@ -168,15 +148,12 @@ fn client_flight_loss_favours_iack_except_picoquic() {
 fn client_flight_loss_improvement_is_absolute_not_relative() {
     let mut improvements = Vec::new();
     for rtt_ms in [9u64, 100] {
-        let c = compare_modes(
-            "quic-go",
-            CompareOptions {
-                rtt_ms,
-                loss: LossSpec::SecondClientFlight,
-                cert_delay_ms: 4,
-                ..CompareOptions::default()
-            },
-        );
+        let c = compare_modes(&Scenario {
+            rtt: ms(rtt_ms),
+            loss: LossSpec::SecondClientFlight,
+            cert_delay: ms(4),
+            ..base("quic-go")
+        });
         improvements.push(-c.ttfb_delta_ms().unwrap());
     }
     let (small_rtt, large_rtt) = (improvements[0], improvements[1]);
@@ -208,14 +185,11 @@ fn guideline_matrix_matches_testbed() {
         ),
     ];
     for (loss, expected_loss, dt) in cases {
-        let c = compare_modes(
-            "quic-go",
-            CompareOptions {
-                loss,
-                cert_delay_ms: dt,
-                ..CompareOptions::default()
-            },
-        );
+        let c = compare_modes(&Scenario {
+            loss,
+            cert_delay: ms(dt),
+            ..base("quic-go")
+        });
         let measured = if c.ttfb_delta_ms().unwrap() < 0.0 {
             Advice::Iack
         } else {
@@ -235,12 +209,12 @@ fn guideline_matrix_matches_testbed() {
 /// server-flight loss roughly a server PTO sooner than PING probes.
 #[test]
 fn client_hello_retransmit_policy_beats_ping_probes() {
-    let client = client_by_name("quic-go").unwrap();
     let run = |policy| {
-        let mut sc = Scenario::base(client.clone(), IACK, HttpVersion::H1);
-        sc.loss = LossSpec::ServerFlightTail;
-        sc.probe_policy_override = Some(policy);
-        run_scenario(&sc)
+        run_scenario(&Scenario {
+            loss: LossSpec::ServerFlightTail,
+            probe_policy_override: Some(policy),
+            ..base("quic-go")
+        })
     };
     let ping = run(ProbePolicy::Ping).ttfb_ms.unwrap();
     let rech = run(ProbePolicy::RetransmitOldest).ttfb_ms.unwrap();
@@ -254,16 +228,13 @@ fn client_hello_retransmit_policy_beats_ping_probes() {
 /// budget and never helps when the certificate already exceeds the limit.
 #[test]
 fn padded_iack_never_faster_when_amplification_blocked() {
-    let client = client_by_name("neqo").unwrap();
     let run = |pad| {
-        let mut sc = Scenario::base(
-            client.clone(),
-            ServerAckMode::InstantAck { pad_to_mtu: pad },
-            HttpVersion::H1,
-        );
-        sc.cert_len = reacked_quicer::tls::CERT_LARGE;
-        sc.cert_delay = SimDuration::from_millis(200);
-        run_scenario(&sc)
+        run_scenario(&Scenario {
+            ack_mode: ServerAckMode::InstantAck { pad_to_mtu: pad },
+            cert_len: reacked_quicer::tls::CERT_LARGE,
+            cert_delay: ms(200),
+            ..base("neqo")
+        })
     };
     let plain = run(false).ttfb_ms.unwrap();
     let padded = run(true).ttfb_ms.unwrap();
@@ -277,14 +248,14 @@ fn padded_iack_never_faster_when_amplification_blocked() {
 /// 90 ms smoothed-RTT initialization (first PTO far above 3 x RTT).
 #[test]
 fn go_x_net_mis_initializes_in_part_of_runs() {
-    let client = client_by_name("go-x-net").unwrap();
     let mut buggy = 0;
     let mut clean = 0;
     for seed in 0..30 {
-        let mut sc = Scenario::base(client.clone(), IACK, HttpVersion::H1);
-        sc.cert_delay = SimDuration::from_millis(4);
-        sc.seed = seed;
-        let res = run_scenario(&sc);
+        let res = run_scenario(&Scenario {
+            cert_delay: ms(4),
+            seed,
+            ..base("go-x-net")
+        });
         let pto = res.first_pto_ms.unwrap();
         if pto > 100.0 {
             buggy += 1;
