@@ -38,8 +38,10 @@ pub trait Node {
     }
 
     /// Called when a timer set by this node fires. `token` is the value
-    /// passed to [`Context::set_timer`]. Timers cannot be cancelled; nodes
-    /// must ignore stale wakeups (compare against their own armed deadline).
+    /// passed to [`Context::set_timer`]. Timers cannot be cancelled, so a
+    /// node whose deadline moved later is still woken at the old one: it
+    /// compares against its own current deadline and, while that is
+    /// still ahead, does no work but re-arm it.
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: u64) {}
 
     /// Called when a [`crate::Network::schedule_path_change`] event with

@@ -48,7 +48,7 @@ pub mod milestones {
 
 /// The one place a [`Connection`] is pumped and its timers are run:
 /// whoever owns a connection (the client node its one, the server node
-/// one per admitted peer) drives it through these two functions.
+/// one per admitted peer) drives it through these functions.
 struct ConnDriver;
 
 impl ConnDriver {
@@ -64,14 +64,33 @@ impl ConnDriver {
         }
     }
 
-    /// Runs `conn`'s timers if its deadline has come. A wake-up armed
-    /// for a deadline that has since moved is not due and does nothing.
-    fn fire_if_due(conn: &mut Connection, now: SimTime) -> bool {
-        let due = conn.poll_timeout().is_some_and(|deadline| deadline <= now);
-        if due {
-            conn.handle_timeout(now);
+    /// A wake-up of `conn`'s timer `token`. If the deadline has come,
+    /// runs its timers and returns `true`: the caller drains the events
+    /// that produced and pumps. A wake-up armed for a deadline that has
+    /// since moved later re-arms that deadline and returns `false`, with
+    /// nothing to pump: every callback ends in a pump that leaves `conn`
+    /// with nothing to send, and before its deadline time alone gives it
+    /// nothing new.
+    fn wake(conn: &mut Connection, ctx: &mut Context<'_>, token: u64) -> bool {
+        let fired = Self::fire_if_due(conn, ctx.now());
+        if let Err(Some(deadline)) = fired {
+            ctx.set_timer(deadline, token);
         }
-        due
+        fired.is_ok()
+    }
+
+    /// Runs `conn`'s timers if its deadline has come; otherwise returns
+    /// the deadline still ahead, if any. [`ConnDriver::wake`] for a timer
+    /// wake-up; the server's thaw calls it directly, since its drive
+    /// pumps and re-arms every connection anyway.
+    fn fire_if_due(conn: &mut Connection, now: SimTime) -> Result<(), Option<SimTime>> {
+        match conn.poll_timeout() {
+            Some(deadline) if deadline <= now => {
+                conn.handle_timeout(now);
+                Ok(())
+            }
+            ahead => Err(ahead),
+        }
     }
 }
 

@@ -331,10 +331,13 @@ impl Node for ClientNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        let now = ctx.now();
         match token {
             TOKEN_RECONNECT if !self.done => self.reconnect_now(ctx),
-            TOKEN_CONN => self.drive(ctx, |conn| ConnDriver::fire_if_due(conn, now)),
+            TOKEN_CONN => {
+                if ConnDriver::wake(&mut self.conn.borrow_mut(), ctx, TOKEN_CONN) {
+                    self.drive(ctx, |_| true);
+                }
+            }
             _ => {}
         }
     }

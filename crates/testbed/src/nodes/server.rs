@@ -427,22 +427,22 @@ impl ServerNode {
     }
 
     /// Runs what has gone due on the connection behind `key`: its
-    /// certificate-store timer if `cert`, its own timers if `timers`.
+    /// certificate-store timer, and its own timers if `timers` (the
+    /// thaw, which drives every connection).
     fn catch_up(
         &mut self,
         engine: &mut ServerEngine,
         peer: &mut PeerRecord,
         ctx: &mut Context<'_>,
         key: usize,
-        cert: bool,
         timers: bool,
     ) {
         let (now, http) = (ctx.now(), self.http);
         self.drive(engine, peer, ctx, key, |conn, session, ctx| {
-            if cert && session.cert_timer_at.is_some_and(|at| at <= now) {
+            if session.cert_timer_at.is_some_and(|at| at <= now) {
                 session.deliver_certificate(conn, ctx, http);
             }
-            timers && ConnDriver::fire_if_due(conn, now)
+            timers && ConnDriver::fire_if_due(conn, now).is_ok()
         });
     }
 
@@ -566,7 +566,7 @@ impl Node for ServerNode {
                 // key order.
                 for k in engine.active_keys() {
                     if let Some(peer) = control.peer_mut(k as usize) {
-                        self.catch_up(engine, peer, ctx, k as usize, true, true);
+                        self.catch_up(engine, peer, ctx, k as usize, true);
                     }
                 }
             }
@@ -576,8 +576,15 @@ impl Node for ServerNode {
             _ => {
                 let key = (token >> 1) as usize;
                 if let Some(peer) = control.peer_mut(key) {
-                    let cert = token & TIMER_KIND_CERT != 0;
-                    self.catch_up(engine, peer, ctx, key, cert, !cert);
+                    if token & TIMER_KIND_CERT != 0 {
+                        self.catch_up(engine, peer, ctx, key, false);
+                    } else if peer.session.is_some()
+                        && engine
+                            .conn_mut(key as u64)
+                            .is_some_and(|conn| ConnDriver::wake(conn, ctx, token))
+                    {
+                        self.drive(engine, peer, ctx, key, |_, _, _| true);
+                    }
                 }
             }
         }

@@ -1,7 +1,10 @@
-//! Three choices that must not show on the wire: whether the
+//! Four choices that must not show on the wire: whether the
 //! application hands a connection its stream data as a slice or as an
-//! owned `Bytes`, whether the endpoints capture qlog, and whether the
-//! server built the response for this request or for an earlier one.
+//! owned `Bytes`, whether the endpoints capture qlog, whether the
+//! server built the response for this request or for an earlier one,
+//! and whether a connection is asked for datagrams at wake-ups before
+//! its deadline (the testbed's driver skips the asking: it only
+//! re-arms).
 
 use std::collections::VecDeque;
 
@@ -25,6 +28,9 @@ struct Variant {
     owned: bool,
     /// Both endpoints capture qlog.
     capture: bool,
+    /// Both endpoints are woken, and asked for a datagram, at instants
+    /// strictly before the next deadline or arrival.
+    early_wakes: bool,
 }
 
 /// What a run leaves behind.
@@ -37,6 +43,8 @@ struct Run {
     logged: (usize, usize),
     /// What the client received, per request stream.
     bodies: Vec<Vec<u8>>,
+    /// Early wake-ups of either endpoint.
+    early_wakes: usize,
 }
 
 fn response(http: HttpVersion, body: usize) -> Bytes {
@@ -81,6 +89,7 @@ fn run(http: HttpVersion, streams: usize, body: usize, v: Variant) -> Run {
         stats: Default::default(),
         logged: (0, 0),
         bodies: vec![Vec::new(); streams],
+        early_wakes: 0,
     };
     let mut finished = 0;
     let mut now = SimTime::ZERO;
@@ -102,7 +111,31 @@ fn run(http: HttpVersion, streams: usize, body: usize, v: Variant) -> Run {
         ];
         let arrival = wire.front().map(|w| w.0);
         let next = timeouts.into_iter().chain([arrival]).flatten().min();
-        now = now.max(next.expect("an unfinished exchange has something pending"));
+        let next = next.expect("an unfinished exchange has something pending");
+        if v.early_wakes {
+            let (from, to) = (now.as_nanos(), next.as_nanos());
+            let instants = [
+                from,
+                from + 1,
+                from + to.saturating_sub(from) / 2,
+                to.saturating_sub(1),
+            ];
+            for at in instants
+                .into_iter()
+                .filter(|&t| t < to)
+                .map(SimTime::from_nanos)
+            {
+                for conn in [Some(&mut client), server.as_mut()].into_iter().flatten() {
+                    assert!(conn.poll_timeout().is_none_or(|t| t > at));
+                    assert!(
+                        conn.poll_transmit(at).is_none(),
+                        "a wake-up before the deadline plans a datagram at {at}"
+                    );
+                    out.early_wakes += 1;
+                }
+            }
+        }
+        now = now.max(next);
         assert!(now < SimTime::ZERO + SimDuration::from_secs(120), "stalled");
         while wire.front().is_some_and(|w| w.0 <= now) {
             let (_, from_client, d) = wire.pop_front().unwrap();
@@ -145,6 +178,7 @@ fn run(http: HttpVersion, streams: usize, body: usize, v: Variant) -> Run {
 const SLICE: Variant = Variant {
     owned: false,
     capture: true,
+    early_wakes: false,
 };
 
 #[test]
@@ -198,6 +232,30 @@ fn capture_off_changes_nothing_but_the_log_which_is_empty() {
         assert_eq!(on.bodies, off.bodies);
         assert!(on.logged.0 > 20 && on.logged.1 > 20, "{:?}", on.logged);
         assert_eq!(off.logged, (0, 0));
+    }
+}
+
+#[test]
+fn wake_ups_before_the_deadline_have_nothing_to_send_and_change_nothing() {
+    for (http, streams, body) in [
+        (HttpVersion::H1, 1, 10 * 1024),
+        (HttpVersion::H3, 2, 256 * 1024),
+    ] {
+        let plain = run(http, streams, body, SLICE);
+        let woken = run(
+            http,
+            streams,
+            body,
+            Variant {
+                early_wakes: true,
+                ..SLICE
+            },
+        );
+        assert!(woken.early_wakes > 20, "{http:?}: {}", woken.early_wakes);
+        assert!(plain.datagrams == woken.datagrams, "{http:?}");
+        assert_eq!(plain.stats, woken.stats);
+        assert_eq!(plain.logged, woken.logged);
+        assert_eq!(plain.bodies, woken.bodies);
     }
 }
 

@@ -480,10 +480,15 @@ impl Frame {
         let ty = VarInt::decode(buf)?.value();
         match ty {
             0x00 => {
+                // The run of zeros goes in one scan of each chunk.
                 let mut len = 1usize;
-                while buf.has_remaining() && buf.chunk()[0] == 0x00 {
-                    buf.advance(1);
-                    len += 1;
+                loop {
+                    let run = buf.chunk().iter().take_while(|&&b| b == 0x00).count();
+                    if run == 0 {
+                        break;
+                    }
+                    buf.advance(run);
+                    len += run;
                 }
                 Ok(Frame::Padding { len })
             }
@@ -675,6 +680,22 @@ mod tests {
     fn padding_merges() {
         let f = Frame::Padding { len: 37 };
         assert_eq!(roundtrip(f.clone()), f);
+    }
+
+    #[test]
+    fn a_zero_run_decodes_as_one_padding_frame() {
+        for n in [1, 2, 37, 1200] {
+            let mut bytes = vec![0u8; n];
+            bytes.push(0x01);
+            let mut buf = &bytes[..];
+            assert_eq!(Frame::decode(&mut buf).unwrap(), Frame::Padding { len: n });
+            assert_eq!(Frame::decode(&mut buf).unwrap(), Frame::Ping);
+            assert!(buf.is_empty());
+            // A run to the end of the buffer is one frame too.
+            let mut tail = &bytes[..n];
+            assert_eq!(Frame::decode(&mut tail).unwrap(), Frame::Padding { len: n });
+            assert!(tail.is_empty());
+        }
     }
 
     #[test]
