@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 
 use bytes::{BufMut, Bytes};
 use rq_qlog::{EventData, EventLog, FrameSummary, SpaceName};
-use rq_recovery::{CcState, CongestionControl, PtoState, RttEstimator, RttVariant};
+use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator, RttVariant};
 use rq_sim::{SimRng, SimTime};
 use rq_tls::{
     initial_keys, ClientConfig as TlsClientConfig, Level, ServerConfig as TlsServerConfig,
@@ -218,7 +218,7 @@ pub struct Connection {
     spaces: [Space; 3],
     rtt: RttEstimator,
     pto: PtoState,
-    cc: Box<dyn CongestionControl>,
+    cc: CongestionController,
     /// Last controller phase reported to qlog (transitions only).
     last_cc_state: CcState,
     /// Send time of the latest acked ack-eliciting packet: losses of

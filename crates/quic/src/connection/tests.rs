@@ -844,7 +844,7 @@ fn server_rtt_sample_absent_under_iack_before_handshake_ack() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn connection_size_is_pinned() {
-    assert_eq!(std::mem::size_of::<Connection>(), 3408);
+    assert_eq!(std::mem::size_of::<Connection>(), 3480);
 }
 
 include!("path/tests.rs");

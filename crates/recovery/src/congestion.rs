@@ -1,19 +1,21 @@
-//! Congestion control (RFC 9002 §7) — a pluggable controller suite.
+//! Congestion control (RFC 9002 §7): one controller, three window rules.
 //!
 //! The paper's scenarios are handshake- and tail-latency-bound rather than
 //! congestion-bound, but the 10 MB transfers (Figure 11) need a working
 //! controller to pace thousands of packets across a 10 Mbit/s link. The
-//! data-phase sweeps compare three deterministic controllers behind one
-//! [`CongestionControl`] trait:
+//! data-phase sweeps compare three deterministic window rules, picked by
+//! [`CcAlgorithm`] and held by value in one [`CongestionController`]:
 //!
-//! * [`NewReno`] — RFC 9002's reference controller (the historical
-//!   default; its arithmetic is pinned by the unit tests below).
-//! * [`Cubic`] — RFC 8312 window growth with a 0.7 multiplicative
-//!   decrease and the cubic convergence curve around `w_max`.
-//! * [`BbrLite`] — a model-based controller that probes bottleneck
-//!   bandwidth and min-RTT from the existing [`RttEstimator`] and sizes
-//!   the window from the estimated BDP instead of loss.
+//! * NewReno — RFC 9002's reference controller (the historical default;
+//!   its arithmetic is pinned by the unit tests below).
+//! * CUBIC — RFC 8312 window growth with a 0.7 multiplicative decrease
+//!   and the cubic convergence curve around `w_max`.
+//! * BBR-lite — a model-based rule that probes bottleneck bandwidth and
+//!   min-RTT from the existing [`RttEstimator`] and sizes the window from
+//!   the estimated BDP instead of loss.
 //!
+//! The controller keeps what all three share (window, threshold, bytes in
+//! flight, the recovery episode); [`Window`] keeps each rule's own state.
 //! All three are pure functions of their inputs — no wall clocks, no
 //! randomness — so every transfer stays byte-identical across runs and
 //! thread counts.
@@ -72,56 +74,6 @@ impl CcState {
     }
 }
 
-/// A congestion controller as the connection layer sees it.
-///
-/// `on_ack` receives the clock and the RTT estimator so model-based
-/// controllers (CUBIC's convergence curve, BBR's BDP) can read time and
-/// path estimates; NewReno ignores both, which keeps its historical
-/// arithmetic byte-identical.
-pub trait CongestionControl: std::fmt::Debug {
-    /// Current congestion window in bytes.
-    fn cwnd(&self) -> usize;
-    /// Bytes in flight.
-    fn bytes_in_flight(&self) -> usize;
-    /// True while the controller is in its exponential-growth phase.
-    fn in_slow_start(&self) -> bool;
-    /// True while a loss-recovery episode is open.
-    fn in_recovery(&self) -> bool;
-    /// Registers an in-flight send.
-    fn on_sent(&mut self, size: usize);
-    /// Registers bytes leaving flight without CC feedback (e.g.
-    /// discarding a packet number space).
-    fn on_discarded(&mut self, size: usize);
-    /// Processes an acked in-flight packet.
-    fn on_ack(&mut self, size: usize, time_sent: SimTime, now: SimTime, rtt: &RttEstimator);
-    /// Processes one burst of lost in-flight packets; `now` starts a
-    /// recovery episode unless one already covers the loss.
-    fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime);
-    /// Collapses the window on persistent congestion (RFC 9002 §7.6).
-    fn on_persistent_congestion(&mut self);
-
-    /// Available send budget.
-    fn available(&self) -> usize {
-        self.cwnd().saturating_sub(self.bytes_in_flight())
-    }
-
-    /// Whether an in-flight packet of `size` bytes may be sent.
-    fn can_send(&self, size: usize) -> bool {
-        self.bytes_in_flight() + size <= self.cwnd()
-    }
-
-    /// The coarse phase the controller is in.
-    fn state(&self) -> CcState {
-        if self.in_recovery() {
-            CcState::Recovery
-        } else if self.in_slow_start() {
-            CcState::SlowStart
-        } else {
-            CcState::CongestionAvoidance
-        }
-    }
-}
-
 /// Which controller a scenario (or endpoint) runs — the data-phase sweep
 /// axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,394 +104,333 @@ impl CcAlgorithm {
         }
     }
 
-    /// Builds a fresh controller of this kind.
-    pub fn build(&self) -> Box<dyn CongestionControl> {
-        match self {
-            CcAlgorithm::NewReno => Box::new(NewReno::new()),
-            CcAlgorithm::Cubic => Box::new(Cubic::new()),
-            CcAlgorithm::BbrLite => Box::new(BbrLite::new()),
+    /// Builds a fresh controller of this kind with the RFC initial window.
+    pub fn build(&self) -> CongestionController {
+        let window = match self {
+            CcAlgorithm::NewReno => Window::NewReno,
+            CcAlgorithm::Cubic => Window::Cubic {
+                w_max: 0.0,
+                k: 0.0,
+                epoch_start: None,
+                w_est: INITIAL_WINDOW as f64,
+            },
+            CcAlgorithm::BbrLite => Window::BbrLite {
+                btl_bw: 0.0,
+                round_start: None,
+                round_bytes: 0,
+                plateau_rounds: 0,
+                startup: true,
+            },
+        };
+        CongestionController {
+            cwnd: INITIAL_WINDOW,
+            ssthresh: usize::MAX,
+            bytes_in_flight: 0,
+            recovery_start: None,
+            window,
         }
     }
 }
 
-/// NewReno controller state.
+/// A congestion controller as the connection layer sees it.
+///
+/// `on_ack` receives the clock and the RTT estimator so the model-based
+/// rules (CUBIC's convergence curve, BBR's BDP) can read time and path
+/// estimates; NewReno ignores both, which keeps its historical arithmetic
+/// byte-identical.
 #[derive(Debug, Clone)]
-pub struct NewReno {
+pub struct CongestionController {
     cwnd: usize,
+    /// Slow-start threshold; BBR-lite never reads it (its slow start is
+    /// its startup phase).
     ssthresh: usize,
     /// Bytes currently in flight across all spaces.
     bytes_in_flight: usize,
     /// Start of the current recovery episode, if any.
     recovery_start: Option<SimTime>,
+    window: Window,
 }
 
-impl Default for NewReno {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NewReno {
-    /// Fresh controller with the RFC initial window.
-    pub fn new() -> Self {
-        NewReno {
-            cwnd: INITIAL_WINDOW,
-            ssthresh: usize::MAX,
-            bytes_in_flight: 0,
-            recovery_start: None,
-        }
-    }
-}
-
-impl CongestionControl for NewReno {
-    fn cwnd(&self) -> usize {
-        self.cwnd
-    }
-
-    fn bytes_in_flight(&self) -> usize {
-        self.bytes_in_flight
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn in_recovery(&self) -> bool {
-        self.recovery_start.is_some()
-    }
-
-    fn on_sent(&mut self, size: usize) {
-        self.bytes_in_flight += size;
-    }
-
-    fn on_discarded(&mut self, size: usize) {
-        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
-    }
-
-    fn on_ack(&mut self, size: usize, time_sent: SimTime, _now: SimTime, _rtt: &RttEstimator) {
-        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
-        // No window growth for packets sent during recovery.
-        if let Some(start) = self.recovery_start {
-            if time_sent <= start {
-                return;
-            }
-            self.recovery_start = None;
-        }
-        if self.in_slow_start() {
-            // RFC 9002 §7.3.1: slow start ends *at* ssthresh — the
-            // crossing ack must not overshoot the threshold.
-            self.cwnd = (self.cwnd + size).min(self.ssthresh);
-        } else {
-            // Congestion avoidance: +MSS per cwnd of acked data.
-            self.cwnd += MAX_DATAGRAM * size / self.cwnd;
-        }
-    }
-
-    fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
-        for s in sizes {
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*s);
-        }
-        let in_recovery = self
-            .recovery_start
-            .map(|start| latest_loss_sent <= start)
-            .unwrap_or(false);
-        if !in_recovery {
-            self.recovery_start = Some(now);
-            self.cwnd = ((self.cwnd as f64 * LOSS_REDUCTION) as usize).max(MIN_WINDOW);
-            self.ssthresh = self.cwnd;
-        }
-    }
-
-    fn on_persistent_congestion(&mut self) {
-        self.cwnd = MIN_WINDOW;
-        self.recovery_start = None;
-    }
+/// The per-algorithm part of a controller: how the window answers an
+/// ack, how far a loss reduces it and how it collapses on persistent
+/// congestion.
+#[derive(Debug, Clone)]
+enum Window {
+    /// RFC 9002 NewReno: the shared window is all its state.
+    NewReno,
+    /// RFC 8312 CUBIC.
+    Cubic {
+        /// Window (bytes) at the last reduction — the curve's plateau.
+        w_max: f64,
+        /// Seconds from epoch start until the curve re-reaches `w_max`.
+        k: f64,
+        /// Start of the current congestion-avoidance epoch.
+        epoch_start: Option<SimTime>,
+        /// Reno-equivalent window estimate (bytes) — RFC 8312 §4.2's
+        /// TCP-friendly region. At short RTTs the cubic curve needs whole
+        /// seconds to regrow, so without this floor CUBIC loses to
+        /// NewReno.
+        w_est: f64,
+    },
+    /// BBR-lite: window = gain × estimated BDP, with the bandwidth
+    /// estimate fed by per-RTT delivery sampling and the min-RTT taken
+    /// from the shared [`RttEstimator`].
+    BbrLite {
+        /// Best observed delivery rate, bytes/second.
+        btl_bw: f64,
+        /// Start of the current bandwidth-sample round.
+        round_start: Option<SimTime>,
+        /// Bytes acked inside the current round.
+        round_bytes: usize,
+        /// Rounds since the bandwidth estimate last improved ≥ 25 %.
+        plateau_rounds: u32,
+        /// Startup phase: exponential window growth until `btl_bw`
+        /// plateaus.
+        startup: bool,
+    },
 }
 
 fn secs(d: SimDuration) -> f64 {
     d.as_secs_f64()
 }
 
-/// CUBIC controller state (RFC 8312).
-#[derive(Debug, Clone)]
-pub struct Cubic {
-    cwnd: usize,
-    ssthresh: usize,
-    bytes_in_flight: usize,
-    recovery_start: Option<SimTime>,
-    /// Window (bytes) at the last reduction — the curve's plateau.
-    w_max: f64,
-    /// Seconds from epoch start until the curve re-reaches `w_max`.
-    k: f64,
-    /// Start of the current congestion-avoidance epoch.
-    epoch_start: Option<SimTime>,
-    /// Reno-equivalent window estimate (bytes) — RFC 8312 §4.2's
-    /// TCP-friendly region. At short RTTs the cubic curve needs whole
-    /// seconds to regrow, so without this floor CUBIC loses to NewReno.
-    w_est: f64,
+/// The cubic window (bytes) `t` seconds into the epoch
+/// (RFC 8312 §4.1: `W_cubic(t) = C·(t − K)³ + W_max`, in MSS units).
+fn w_cubic(w_max: f64, k: f64, t: f64) -> f64 {
+    CUBIC_C * (t - k).powi(3) * MAX_DATAGRAM as f64 + w_max
 }
 
-impl Default for Cubic {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The window BBR-lite's model asks for: gain × btl_bw × min_rtt.
+fn bbr_model_cwnd(btl_bw: f64, rtt: &RttEstimator) -> usize {
+    let bdp = btl_bw * secs(rtt.min_rtt());
+    ((bdp * BBR_CWND_GAIN) as usize).max(MIN_WINDOW)
 }
 
-impl Cubic {
-    /// Fresh controller with the RFC initial window.
-    pub fn new() -> Self {
-        Cubic {
-            cwnd: INITIAL_WINDOW,
-            ssthresh: usize::MAX,
-            bytes_in_flight: 0,
-            recovery_start: None,
-            w_max: 0.0,
-            k: 0.0,
-            epoch_start: None,
-            w_est: INITIAL_WINDOW as f64,
-        }
-    }
-
-    /// The cubic window (bytes) `t` seconds into the epoch
-    /// (RFC 8312 §4.1: `W_cubic(t) = C·(t − K)³ + W_max`, in MSS units).
-    fn w_cubic(&self, t: f64) -> f64 {
-        CUBIC_C * (t - self.k).powi(3) * MAX_DATAGRAM as f64 + self.w_max
-    }
-}
-
-impl CongestionControl for Cubic {
-    fn cwnd(&self) -> usize {
+impl CongestionController {
+    /// Current congestion window in bytes.
+    pub fn cwnd(&self) -> usize {
         self.cwnd
     }
 
-    fn bytes_in_flight(&self) -> usize {
+    /// Bytes in flight.
+    pub fn bytes_in_flight(&self) -> usize {
         self.bytes_in_flight
     }
 
+    /// True while the controller is in its exponential-growth phase.
     fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
+        match self.window {
+            Window::BbrLite { startup, .. } => startup,
+            _ => self.cwnd < self.ssthresh,
+        }
     }
 
-    fn in_recovery(&self) -> bool {
-        self.recovery_start.is_some()
-    }
-
-    fn on_sent(&mut self, size: usize) {
+    /// Registers an in-flight send.
+    pub fn on_sent(&mut self, size: usize) {
         self.bytes_in_flight += size;
     }
 
-    fn on_discarded(&mut self, size: usize) {
+    /// Registers bytes leaving flight without CC feedback (e.g.
+    /// discarding a packet number space).
+    pub fn on_discarded(&mut self, size: usize) {
         self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
     }
 
-    fn on_ack(&mut self, size: usize, time_sent: SimTime, now: SimTime, rtt: &RttEstimator) {
+    /// Processes an acked in-flight packet.
+    pub fn on_ack(&mut self, size: usize, time_sent: SimTime, now: SimTime, rtt: &RttEstimator) {
         self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
         if let Some(start) = self.recovery_start {
-            if time_sent <= start {
+            // No window growth for packets sent during recovery. BBR-lite
+            // is model-driven: any ack ends its episode.
+            if time_sent <= start && !matches!(self.window, Window::BbrLite { .. }) {
                 return;
             }
             self.recovery_start = None;
         }
-        if self.in_slow_start() {
-            self.cwnd = (self.cwnd + size).min(self.ssthresh);
-            self.w_est = self.w_est.max(self.cwnd as f64);
+        match &mut self.window {
+            Window::NewReno | Window::Cubic { .. } if self.cwnd < self.ssthresh => {
+                // RFC 9002 §7.3.1: slow start ends *at* ssthresh — the
+                // crossing ack must not overshoot the threshold.
+                self.cwnd = (self.cwnd + size).min(self.ssthresh);
+                if let Window::Cubic { w_est, .. } = &mut self.window {
+                    *w_est = w_est.max(self.cwnd as f64);
+                }
+            }
+            Window::NewReno => {
+                // Congestion avoidance: +MSS per cwnd of acked data.
+                self.cwnd += MAX_DATAGRAM * size / self.cwnd;
+            }
+            Window::Cubic {
+                w_max,
+                k,
+                epoch_start,
+                w_est,
+            } => {
+                // TCP-friendly estimate (RFC 8312 §4.2), grown per ack:
+                // 3(1−β)/(1+β) MSS per congestion-free RTT.
+                *w_est += 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
+                    * (size as f64 / self.cwnd as f64)
+                    * MAX_DATAGRAM as f64;
+                let epoch = *epoch_start.get_or_insert(now);
+                let rtt_s = secs(rtt.smoothed().unwrap_or_else(|| rtt.latest()));
+                // Target: where the curve wants the window one RTT from
+                // now, clamped to 1.5 × cwnd per RFC 8312 §4.1's growth cap.
+                let t = secs(now.since(epoch));
+                let target = w_cubic(*w_max, *k, t + rtt_s)
+                    .min(self.cwnd as f64 * 1.5)
+                    .max(MIN_WINDOW as f64);
+                if w_cubic(*w_max, *k, t) < *w_est {
+                    // TCP-friendly region: the curve lags what a Reno flow
+                    // would have; take the Reno-equivalent window instead.
+                    self.cwnd = self.cwnd.max(*w_est as usize);
+                } else if target > self.cwnd as f64 {
+                    // Per-ack convergence toward the target (the RFC's
+                    // `(target − cwnd) / cwnd` step, scaled by acked bytes).
+                    self.cwnd +=
+                        ((target - self.cwnd as f64) * size as f64 / self.cwnd as f64) as usize;
+                }
+            }
+            Window::BbrLite {
+                btl_bw,
+                round_start,
+                round_bytes,
+                plateau_rounds,
+                startup,
+            } => {
+                *round_bytes += size;
+                let round = *round_start.get_or_insert(now);
+                // One delivery-rate sample per smoothed RTT.
+                let round_len = rtt
+                    .smoothed()
+                    .unwrap_or_else(|| rtt.latest())
+                    .max(crate::rtt::GRANULARITY);
+                let elapsed = now.since(round);
+                if elapsed >= round_len {
+                    let bw = *round_bytes as f64 / secs(elapsed);
+                    if bw > *btl_bw * 1.25 {
+                        *plateau_rounds = 0;
+                    } else {
+                        *plateau_rounds += 1;
+                    }
+                    if bw > *btl_bw {
+                        *btl_bw = bw;
+                    }
+                    if *startup && *plateau_rounds >= BBR_PLATEAU_ROUNDS {
+                        // The pipe is full: stop growing exponentially and
+                        // let the BDP model own the window.
+                        *startup = false;
+                    }
+                    *round_start = Some(now);
+                    *round_bytes = 0;
+                    if !*startup {
+                        self.cwnd = bbr_model_cwnd(*btl_bw, rtt);
+                    }
+                }
+                if *startup {
+                    // Startup doubles the window per RTT of acked data, but
+                    // never below what the model already justifies.
+                    self.cwnd = (self.cwnd + size).max(bbr_model_cwnd(*btl_bw, rtt));
+                }
+            }
+        }
+    }
+
+    /// Processes one burst of lost in-flight packets; `now` starts a
+    /// recovery episode unless one already covers the loss.
+    pub fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
+        for s in sizes {
+            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*s);
+        }
+        if self
+            .recovery_start
+            .is_some_and(|start| latest_loss_sent <= start)
+        {
             return;
         }
-        // TCP-friendly estimate (RFC 8312 §4.2), grown per ack:
-        // 3(1−β)/(1+β) MSS per congestion-free RTT.
-        self.w_est += 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
-            * (size as f64 / self.cwnd as f64)
-            * MAX_DATAGRAM as f64;
-        let epoch = *self.epoch_start.get_or_insert(now);
-        let rtt_s = secs(rtt.smoothed().unwrap_or_else(|| rtt.latest()));
-        // Target: where the curve wants the window one RTT from now,
-        // clamped to 1.5 × cwnd per RFC 8312 §4.1's growth cap.
-        let t = secs(now.since(epoch));
-        let target = self
-            .w_cubic(t + rtt_s)
-            .min(self.cwnd as f64 * 1.5)
-            .max(MIN_WINDOW as f64);
-        if self.w_cubic(t) < self.w_est {
-            // TCP-friendly region: the curve lags what a Reno flow would
-            // have; take the Reno-equivalent window instead.
-            self.cwnd = self.cwnd.max(self.w_est as usize);
-        } else if target > self.cwnd as f64 {
-            // Per-ack convergence toward the target (the RFC's
-            // `(target − cwnd) / cwnd` step, scaled by acked bytes).
-            self.cwnd += ((target - self.cwnd as f64) * size as f64 / self.cwnd as f64) as usize;
+        self.recovery_start = Some(now);
+        match &mut self.window {
+            Window::NewReno => {
+                self.cwnd = ((self.cwnd as f64 * LOSS_REDUCTION) as usize).max(MIN_WINDOW);
+            }
+            Window::Cubic {
+                w_max,
+                k,
+                epoch_start,
+                w_est,
+            } => {
+                *epoch_start = None;
+                *w_max = self.cwnd as f64;
+                self.cwnd = ((self.cwnd as f64 * CUBIC_BETA) as usize).max(MIN_WINDOW);
+                *w_est = self.cwnd as f64;
+                // K: time for the curve to climb back to w_max (RFC 8312 §4.1).
+                *k = (*w_max * (1.0 - CUBIC_BETA) / (CUBIC_C * MAX_DATAGRAM as f64)).cbrt();
+            }
+            Window::BbrLite {
+                btl_bw, startup, ..
+            } => {
+                // BBR is model-driven, not loss-driven: a loss burst ends
+                // startup (the pipe is evidently full) and caps the window
+                // at the model's BDP, but does not halve anything.
+                *startup = false;
+                if *btl_bw > 0.0 {
+                    // Known bug, kept because the transfer goldens pin it:
+                    // `btl_bw × gain` is a rate in bytes per second, not a
+                    // BDP in bytes (that needs × min_rtt, as in
+                    // `bbr_model_cwnd`), so at 10 Mbit/s this cap is never
+                    // below the window and never binds.
+                    let bdp_cap = ((*btl_bw * BBR_CWND_GAIN) as usize).max(MIN_WINDOW);
+                    self.cwnd = self.cwnd.min(bdp_cap.max(MIN_WINDOW));
+                }
+                self.cwnd = self.cwnd.max(MIN_WINDOW);
+            }
         }
+        self.ssthresh = self.cwnd;
     }
 
-    fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
-        for s in sizes {
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*s);
-        }
-        let in_recovery = self
-            .recovery_start
-            .map(|start| latest_loss_sent <= start)
-            .unwrap_or(false);
-        if !in_recovery {
-            self.recovery_start = Some(now);
-            self.epoch_start = None;
-            self.w_max = self.cwnd as f64;
-            self.cwnd = ((self.cwnd as f64 * CUBIC_BETA) as usize).max(MIN_WINDOW);
-            self.ssthresh = self.cwnd;
-            self.w_est = self.cwnd as f64;
-            // K: time for the curve to climb back to w_max (RFC 8312 §4.1).
-            self.k = (self.w_max * (1.0 - CUBIC_BETA) / (CUBIC_C * MAX_DATAGRAM as f64)).cbrt();
-        }
-    }
-
-    fn on_persistent_congestion(&mut self) {
+    /// Collapses the window on persistent congestion (RFC 9002 §7.6).
+    pub fn on_persistent_congestion(&mut self) {
         self.cwnd = MIN_WINDOW;
-        self.w_max = MIN_WINDOW as f64;
-        self.k = 0.0;
-        self.w_est = MIN_WINDOW as f64;
         self.recovery_start = None;
-        self.epoch_start = None;
-    }
-}
-
-/// BBR-lite controller state: window = gain × estimated BDP, with the
-/// bandwidth estimate fed by per-RTT delivery sampling and the min-RTT
-/// taken from the shared [`RttEstimator`].
-#[derive(Debug, Clone)]
-pub struct BbrLite {
-    cwnd: usize,
-    bytes_in_flight: usize,
-    /// Best observed delivery rate, bytes/second.
-    btl_bw: f64,
-    /// Start of the current bandwidth-sample round.
-    round_start: Option<SimTime>,
-    /// Bytes acked inside the current round.
-    round_bytes: usize,
-    /// Rounds since the bandwidth estimate last improved ≥ 25 %.
-    plateau_rounds: u32,
-    /// Startup phase: exponential window growth until `btl_bw` plateaus.
-    startup: bool,
-    recovery_start: Option<SimTime>,
-}
-
-impl Default for BbrLite {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BbrLite {
-    /// Fresh controller with the RFC initial window.
-    pub fn new() -> Self {
-        BbrLite {
-            cwnd: INITIAL_WINDOW,
-            bytes_in_flight: 0,
-            btl_bw: 0.0,
-            round_start: None,
-            round_bytes: 0,
-            plateau_rounds: 0,
-            startup: true,
-            recovery_start: None,
-        }
-    }
-
-    /// The window the current model asks for: gain × btl_bw × min_rtt.
-    fn model_cwnd(&self, rtt: &RttEstimator) -> usize {
-        let bdp = self.btl_bw * secs(rtt.min_rtt());
-        ((bdp * BBR_CWND_GAIN) as usize).max(MIN_WINDOW)
-    }
-}
-
-impl CongestionControl for BbrLite {
-    fn cwnd(&self) -> usize {
-        self.cwnd
-    }
-
-    fn bytes_in_flight(&self) -> usize {
-        self.bytes_in_flight
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.startup
-    }
-
-    fn in_recovery(&self) -> bool {
-        self.recovery_start.is_some()
-    }
-
-    fn on_sent(&mut self, size: usize) {
-        self.bytes_in_flight += size;
-    }
-
-    fn on_discarded(&mut self, size: usize) {
-        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
-    }
-
-    fn on_ack(&mut self, size: usize, _time_sent: SimTime, now: SimTime, rtt: &RttEstimator) {
-        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
-        self.recovery_start = None;
-        self.round_bytes += size;
-        let round = *self.round_start.get_or_insert(now);
-        // One delivery-rate sample per smoothed RTT.
-        let window = rtt
-            .smoothed()
-            .unwrap_or_else(|| rtt.latest())
-            .max(crate::rtt::GRANULARITY);
-        let elapsed = now.since(round);
-        if elapsed >= window {
-            let bw = self.round_bytes as f64 / secs(elapsed);
-            if bw > self.btl_bw * 1.25 {
-                self.plateau_rounds = 0;
-            } else {
-                self.plateau_rounds += 1;
+        match &mut self.window {
+            Window::NewReno => {}
+            Window::Cubic {
+                w_max,
+                k,
+                epoch_start,
+                w_est,
+            } => {
+                *w_max = MIN_WINDOW as f64;
+                *k = 0.0;
+                *w_est = MIN_WINDOW as f64;
+                *epoch_start = None;
             }
-            if bw > self.btl_bw {
-                self.btl_bw = bw;
-            }
-            if self.startup && self.plateau_rounds >= BBR_PLATEAU_ROUNDS {
-                // The pipe is full: stop growing exponentially and let
-                // the BDP model own the window.
-                self.startup = false;
-            }
-            self.round_start = Some(now);
-            self.round_bytes = 0;
-            if !self.startup {
-                self.cwnd = self.model_cwnd(rtt);
+            Window::BbrLite {
+                btl_bw,
+                round_start,
+                round_bytes,
+                ..
+            } => {
+                *btl_bw /= 2.0;
+                *round_start = None;
+                *round_bytes = 0;
             }
         }
-        if self.startup {
-            // Startup doubles the window per RTT of acked data, but never
-            // below what the model already justifies.
-            self.cwnd = (self.cwnd + size).max(self.model_cwnd(rtt));
-        }
     }
 
-    fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
-        for s in sizes {
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*s);
-        }
-        let in_recovery = self
-            .recovery_start
-            .map(|start| latest_loss_sent <= start)
-            .unwrap_or(false);
-        if !in_recovery {
-            self.recovery_start = Some(now);
-            // BBR is model-driven, not loss-driven: a loss burst ends
-            // startup (the pipe is evidently full) and caps the window at
-            // the model's BDP, but does not halve anything.
-            self.startup = false;
-            if self.btl_bw > 0.0 {
-                let bdp_cap = ((self.btl_bw * BBR_CWND_GAIN) as usize).max(MIN_WINDOW);
-                self.cwnd = self.cwnd.min(bdp_cap.max(MIN_WINDOW));
-            }
-            self.cwnd = self.cwnd.max(MIN_WINDOW);
-        }
+    /// Available send budget.
+    pub fn available(&self) -> usize {
+        self.cwnd.saturating_sub(self.bytes_in_flight)
     }
 
-    fn on_persistent_congestion(&mut self) {
-        self.cwnd = MIN_WINDOW;
-        self.btl_bw /= 2.0;
-        self.round_start = None;
-        self.round_bytes = 0;
-        self.recovery_start = None;
+    /// The coarse phase the controller is in.
+    pub fn state(&self) -> CcState {
+        if self.recovery_start.is_some() {
+            CcState::Recovery
+        } else if self.in_slow_start() {
+            CcState::SlowStart
+        } else {
+            CcState::CongestionAvoidance
+        }
     }
 }
 
@@ -553,29 +444,29 @@ mod tests {
 
     /// Acks one 1200-byte packet sent at `time_sent`; NewReno reads
     /// neither the clock nor the RTT estimator.
-    fn ack(cc: &mut NewReno, time_sent: SimTime) {
+    fn ack(cc: &mut CongestionController, time_sent: SimTime) {
         let rtt = RttEstimator::new(SimDuration::ZERO);
         cc.on_ack(1200, time_sent, time_sent, &rtt);
     }
 
     #[test]
     fn initial_window() {
-        let cc = NewReno::new();
+        let cc = CcAlgorithm::NewReno.build();
         assert_eq!(cc.cwnd(), INITIAL_WINDOW);
         assert!(cc.in_slow_start());
-        assert!(cc.can_send(1200));
+        assert!(cc.available() >= 1200);
     }
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         // Send and ack a full window: cwnd should double.
         let start = cc.cwnd();
         let n = start / 1200;
         for _ in 0..n {
             cc.on_sent(1200);
         }
-        assert!(!cc.can_send(1200));
+        assert!(cc.available() < 1200);
         for _ in 0..n {
             ack(&mut cc, at(0));
         }
@@ -584,7 +475,7 @@ mod tests {
 
     #[test]
     fn loss_halves_window_and_exits_slow_start() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         for _ in 0..10 {
             cc.on_sent(1200);
         }
@@ -595,7 +486,7 @@ mod tests {
 
     #[test]
     fn one_reduction_per_recovery_episode() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         for _ in 0..10 {
             cc.on_sent(1200);
         }
@@ -611,7 +502,7 @@ mod tests {
 
     #[test]
     fn acks_during_recovery_do_not_grow_window() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         for _ in 0..10 {
             cc.on_sent(1200);
         }
@@ -625,7 +516,7 @@ mod tests {
 
     #[test]
     fn congestion_avoidance_grows_linearly() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         cc.on_sent(1200);
         cc.on_loss(&[1200], at(1), at(2)); // force out of slow start
         let w = cc.cwnd();
@@ -646,7 +537,7 @@ mod tests {
 
     #[test]
     fn window_floor() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         for i in 0..20 {
             cc.on_sent(1200);
             cc.on_loss(&[1200], at(100 * i + 1), at(100 * i + 2));
@@ -656,14 +547,14 @@ mod tests {
 
     #[test]
     fn persistent_congestion_collapses_window() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         cc.on_persistent_congestion();
         assert_eq!(cc.cwnd(), MIN_WINDOW);
     }
 
     #[test]
     fn slow_start_exits_exactly_at_ssthresh() {
-        let mut cc = NewReno::new();
+        let mut cc = CcAlgorithm::NewReno.build();
         // Establish a finite ssthresh, then collapse below it: the climb
         // back up must stop exactly at the threshold (RFC 9002 §7.3.1),
         // not a packet past it.
@@ -692,19 +583,19 @@ mod tests {
 
     #[test]
     fn cubic_reduces_by_beta_and_regrows_toward_w_max() {
-        let mut cc = Cubic::new();
+        let mut cc = CcAlgorithm::Cubic.build();
         let rtt = rtt_with_sample(9);
         for _ in 0..10 {
             cc.on_sent(1200);
         }
-        let before = CongestionControl::cwnd(&cc);
+        let before = cc.cwnd();
         cc.on_loss(&[1200], at(5), at(10));
-        let floor = CongestionControl::cwnd(&cc);
+        let floor = cc.cwnd();
         assert_eq!(
             floor,
             ((before as f64 * CUBIC_BETA) as usize).max(MIN_WINDOW)
         );
-        assert!(!CongestionControl::in_slow_start(&cc));
+        assert!(!cc.in_slow_start());
         // Acks over time climb back toward w_max along the cubic curve.
         let mut t = 20u64;
         for _ in 0..200 {
@@ -712,14 +603,14 @@ mod tests {
             cc.on_ack(1200, at(t), at(t + 9), &rtt);
             t += 9;
         }
-        let after = CongestionControl::cwnd(&cc);
+        let after = cc.cwnd();
         assert!(after > floor, "cubic must regrow: {after} <= {floor}");
     }
 
     #[test]
     fn cubic_trace_is_deterministic() {
         let run = || {
-            let mut cc = Cubic::new();
+            let mut cc = CcAlgorithm::Cubic.build();
             let rtt = rtt_with_sample(9);
             let mut trace = Vec::new();
             for i in 0..100u64 {
@@ -729,7 +620,7 @@ mod tests {
                 } else {
                     cc.on_ack(1200, at(i), at(i + 9), &rtt);
                 }
-                trace.push(CongestionControl::cwnd(&cc));
+                trace.push(cc.cwnd());
             }
             trace
         };
@@ -738,7 +629,7 @@ mod tests {
 
     #[test]
     fn bbr_sizes_window_from_bandwidth_and_min_rtt() {
-        let mut cc = BbrLite::new();
+        let mut cc = CcAlgorithm::BbrLite.build();
         let rtt = rtt_with_sample(10);
         // Deliver ~1200 B/ms for a while: btl_bw ≈ 1.2 MB/s,
         // BDP ≈ 12 kB, cwnd ≈ gain × BDP once startup ends.
@@ -748,8 +639,8 @@ mod tests {
             cc.on_ack(1200, at(t), at(t + 1), &rtt);
             t += 1;
         }
-        assert!(!CongestionControl::in_slow_start(&cc), "startup must end");
-        let cwnd = CongestionControl::cwnd(&cc);
+        assert!(!cc.in_slow_start(), "startup must end");
+        let cwnd = cc.cwnd();
         let bdp = (1_200_000.0 * 0.010 * BBR_CWND_GAIN) as usize;
         assert!(
             cwnd >= bdp / 2 && cwnd <= bdp * 2,
@@ -759,7 +650,7 @@ mod tests {
 
     #[test]
     fn bbr_ignores_isolated_loss_but_collapses_on_persistent_congestion() {
-        let mut cc = BbrLite::new();
+        let mut cc = CcAlgorithm::BbrLite.build();
         let rtt = rtt_with_sample(10);
         let mut t = 0u64;
         for _ in 0..400 {
@@ -767,16 +658,16 @@ mod tests {
             cc.on_ack(1200, at(t), at(t + 1), &rtt);
             t += 1;
         }
-        let before = CongestionControl::cwnd(&cc);
+        let before = cc.cwnd();
         cc.on_sent(1200);
         cc.on_loss(&[1200], at(t), at(t + 1));
-        let after = CongestionControl::cwnd(&cc);
+        let after = cc.cwnd();
         assert!(
             after * 2 > before,
             "a single loss must not halve the model window ({before} -> {after})"
         );
         cc.on_persistent_congestion();
-        assert_eq!(CongestionControl::cwnd(&cc), MIN_WINDOW);
+        assert_eq!(cc.cwnd(), MIN_WINDOW);
     }
 
     #[test]
@@ -807,13 +698,44 @@ mod tests {
 
     #[test]
     fn trait_state_reporting() {
-        let mut cc = NewReno::new();
-        assert_eq!(CongestionControl::state(&cc), CcState::SlowStart);
+        let mut cc = CcAlgorithm::NewReno.build();
+        assert_eq!(cc.state(), CcState::SlowStart);
         cc.on_sent(1200);
         cc.on_loss(&[1200], at(1), at(2));
-        assert_eq!(CongestionControl::state(&cc), CcState::Recovery);
+        assert_eq!(cc.state(), CcState::Recovery);
         cc.on_sent(1200);
         ack(&mut cc, at(5));
-        assert_eq!(CongestionControl::state(&cc), CcState::CongestionAvoidance);
+        assert_eq!(cc.state(), CcState::CongestionAvoidance);
+    }
+
+    #[test]
+    fn only_bbr_leaves_recovery_on_an_ack_sent_before_it() {
+        let rtt = rtt_with_sample(10);
+        for algo in CcAlgorithm::ALL {
+            let mut cc = algo.build();
+            cc.on_sent(1200);
+            cc.on_sent(1200);
+            cc.on_loss(&[1200], at(1), at(2));
+            assert_eq!(cc.state(), CcState::Recovery, "{algo:?}");
+            // Sent at 1 ms, before the episode began at 2 ms.
+            cc.on_ack(1200, at(1), at(12), &rtt);
+            let in_recovery = cc.state() == CcState::Recovery;
+            assert_eq!(in_recovery, algo != CcAlgorithm::BbrLite, "{algo:?}");
+        }
+    }
+
+    #[test]
+    fn cubic_slow_start_raises_the_reno_estimate_with_the_window() {
+        let mut cc = CcAlgorithm::Cubic.build();
+        let rtt = rtt_with_sample(10);
+        for i in 0..20 {
+            cc.on_sent(1200);
+            cc.on_ack(1200, at(i), at(i + 10), &rtt);
+            assert!(cc.in_slow_start());
+            let Window::Cubic { w_est, .. } = cc.window else {
+                unreachable!()
+            };
+            assert_eq!(w_est, cc.cwnd() as f64);
+        }
     }
 }

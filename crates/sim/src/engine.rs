@@ -28,7 +28,7 @@ pub struct EngineStats {
     pub stale_events: u64,
     /// Datagrams accepted by a link for delivery.
     pub datagrams_forwarded: u64,
-    /// Datagrams a link dropped (loss rule, blackout, impairment).
+    /// Datagrams a link dropped (drop list, blackout, impairment).
     pub datagrams_dropped: u64,
     /// Extra copies fabricated by duplicating impairments.
     pub datagrams_duplicated: u64,
@@ -190,7 +190,7 @@ impl Network {
     }
 
     /// Connects two nodes with a bidirectional link on the default path 0.
-    /// Direction `AtoB` in loss rules refers to `a → b`.
+    /// Direction `AtoB` in a drop list refers to `a → b`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
         self.connect_path(a, b, 0, config);
     }

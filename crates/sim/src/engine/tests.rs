@@ -57,7 +57,7 @@ fn ping_pong_round_trips() {
         LinkConfig {
             one_way_delay: SimDuration::from_millis(10),
             bandwidth_bps: None,
-            loss: Box::new(crate::loss::NoLoss),
+            loss: None,
             impairment: None,
             mtu: 1500,
             blackouts: Vec::new(),

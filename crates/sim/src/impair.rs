@@ -1,7 +1,7 @@
 //! Seeded stochastic link impairments.
 //!
 //! The paper measures instant-ACK gains under three hand-picked,
-//! content-matched loss patterns ([`crate::loss`]). Real paths — the ones
+//! index-mapped loss patterns ([`crate::loss`]). Real paths — the ones
 //! the paper's wild measurements implicitly sample — additionally show
 //! random loss, loss *bursts*, reordering, duplication, and delay jitter.
 //! This module models those as a per-link [`ImpairmentSpec`]: a plain-data

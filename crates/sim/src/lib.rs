@@ -3,7 +3,7 @@
 //! This crate replaces the paper's Docker/QUIC-Interop-Runner testbed with a
 //! virtual-time simulation: nodes exchange UDP datagrams over links with a
 //! configurable one-way delay, serialization bandwidth (10 Mbit/s in the
-//! paper), *content-matched* loss rules, and seeded stochastic impairments
+//! paper), *index-mapped* datagram drops, and seeded stochastic impairments
 //! (i.i.d. or Gilbert–Elliott bursty loss, reordering, duplication, delay
 //! jitter — see [`impair`]). All randomness comes from a seeded
 //! [`rng::SimRng`], so every run is exactly reproducible.
@@ -29,7 +29,7 @@ pub use engine::{EngineStats, Network, RunOutcome};
 pub use fault::{Blackout, FaultProfile, FaultTimeline, Freeze};
 pub use impair::{ImpairedFate, Impairment, ImpairmentSpec, Jitter, LossModel};
 pub use link::LinkConfig;
-pub use loss::{Direction, DropContentMatch, DropIndices, LossRule, NoLoss};
+pub use loss::{Direction, DropIndices};
 pub use node::{Context, Node, NodeId};
 pub use rng::{NormalDraw, SimRng};
 pub use time::{SimDuration, SimTime};

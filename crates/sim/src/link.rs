@@ -4,10 +4,12 @@
 //! (bandwidth-limited, FIFO) followed by a fixed propagation delay. The
 //! paper's testbed uses symmetric one-way delays between 0.5 ms and 150 ms
 //! and 10 Mbit/s of bandwidth; `LinkConfig` captures exactly those knobs.
+//! Its deterministic losses are index-mapped: a [`DropIndices`] list names
+//! the dropped datagrams by direction and per-direction index.
 
 use crate::fault::Blackout;
 use crate::impair::{ImpairedFate, Impairment, ImpairmentSpec};
-use crate::loss::{DatagramMeta, Direction, LossRule, NoLoss};
+use crate::loss::{Direction, DropIndices};
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 
@@ -18,15 +20,15 @@ pub struct LinkConfig {
     pub one_way_delay: SimDuration,
     /// Serialization bandwidth in bits per second. `None` = infinite.
     pub bandwidth_bps: Option<u64>,
-    /// Loss rule applied to every datagram on this link.
-    pub loss: Box<dyn LossRule>,
+    /// Datagrams this link drops by index; `None` drops none.
+    pub loss: Option<DropIndices>,
     /// Optional seeded stochastic channel (random loss, reordering,
-    /// duplication, jitter) applied after the deterministic loss rule.
+    /// duplication, jitter) applied after the drop list.
     pub impairment: Option<Impairment>,
     /// Maximum UDP payload; larger sends panic (QUIC never exceeds this).
     pub mtu: usize,
     /// Fault-injection blackout windows: datagrams offered inside one are
-    /// dropped deterministically (before the loss rule, consuming no
+    /// dropped deterministically (before the drop list, consuming no
     /// random draws). Empty for every non-fault scenario.
     pub blackouts: Vec<Blackout>,
 }
@@ -37,17 +39,17 @@ impl LinkConfig {
         LinkConfig {
             one_way_delay,
             bandwidth_bps: Some(10_000_000),
-            loss: Box::new(NoLoss),
+            loss: None,
             impairment: None,
             mtu: 1500,
             blackouts: Vec::new(),
         }
     }
 
-    /// Replaces the loss rule.
+    /// Sets the drop list.
     #[cfg(test)]
-    pub(crate) fn with_loss(mut self, loss: impl LossRule + 'static) -> Self {
-        self.loss = Box::new(loss);
+    pub(crate) fn with_loss(mut self, loss: DropIndices) -> Self {
+        self.loss = Some(loss);
         self
     }
 
@@ -81,7 +83,8 @@ impl std::fmt::Debug for LinkConfig {
 pub struct LinkStats {
     /// Datagrams accepted for transmission (including later drops).
     pub sent: usize,
-    /// Datagrams dropped by the loss rule or the random loss process.
+    /// Datagrams dropped by a blackout, the drop list or the random loss
+    /// process.
     pub dropped: usize,
     /// Extra datagram copies created by the impairment channel.
     pub duplicated: usize,
@@ -100,7 +103,7 @@ pub(crate) struct Link {
     /// path-change event repoints the pair's route at them.
     pub(crate) path: u64,
     pub(crate) config: LinkConfig,
-    /// Per-direction datagram counters (indices for loss rules).
+    /// Per-direction datagram counters (indices for the drop list).
     counters: [usize; 2],
     /// Per-direction transmitter-busy-until times (FIFO serialization).
     busy_until: [SimTime; 2],
@@ -115,7 +118,7 @@ pub(crate) enum TransmitResult {
         at: SimTime,
         duplicate: Option<SimTime>,
     },
-    /// Dropped by the loss rule or the random loss process.
+    /// Dropped by a blackout, the drop list or the random loss process.
     Drop,
 }
 
@@ -167,24 +170,23 @@ impl Link {
         self.stats.sent += 1;
         self.stats.bytes += payload.len();
 
-        // Blackout windows drop first: deterministic like the loss rule,
+        // Blackout windows drop first: deterministic like the drop list,
         // so neither consumes random draws on behalf of the other.
         if self.config.blackouts.iter().any(|b| b.covers(now)) {
             self.stats.dropped += 1;
             return (TransmitResult::Drop, index);
         }
-        let meta = DatagramMeta {
-            direction,
-            index,
-            payload,
-            now,
-        };
-        if self.config.loss.should_drop(&meta) {
+        if self
+            .config
+            .loss
+            .as_ref()
+            .is_some_and(|l| l.drops(direction, index))
+        {
             self.stats.dropped += 1;
             return (TransmitResult::Drop, index);
         }
-        // The stochastic channel decides after the deterministic rule, so
-        // paper-style content-matched drops never consume random draws.
+        // The stochastic channel decides after the drop list, so the
+        // paper's index-mapped drops never consume random draws.
         let fate = match &mut self.config.impairment {
             Some(imp) => imp.next_fate(direction),
             None => ImpairedFate::Deliver {
@@ -232,7 +234,6 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::DropIndices;
 
     fn link(cfg: LinkConfig) -> Link {
         Link::on_path(NodeId(0), 0, cfg)
@@ -243,7 +244,7 @@ mod tests {
         let mut l = link(LinkConfig {
             one_way_delay: SimDuration::from_millis(5),
             bandwidth_bps: None,
-            loss: Box::new(NoLoss),
+            loss: None,
             impairment: None,
             mtu: 1500,
             blackouts: Vec::new(),
@@ -342,7 +343,7 @@ mod tests {
             LinkConfig {
                 one_way_delay: owd,
                 bandwidth_bps: None,
-                loss: Box::new(NoLoss),
+                loss: None,
                 impairment: None,
                 mtu: 1500,
                 blackouts: Vec::new(),

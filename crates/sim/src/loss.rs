@@ -1,19 +1,15 @@
-//! Datagram loss rules.
+//! Deterministic datagram drops, by index.
 //!
 //! The paper emulates *particular* datagram losses rather than random drop
-//! rates, and matches lost datagrams to their QUIC content so that
-//! different packet coalescence across implementations still drops equal
-//! information (§3, Appendix E). [`DropIndices`] implements index-based
-//! drops; [`DropContentMatch`] implements content-matched drops using a
-//! caller-supplied classifier over the datagram bytes.
+//! rates, such as the second and third UDP datagram the server sends (§3,
+//! Appendix E, Table 4). A link's [`DropIndices`] names those datagrams by
+//! direction and 0-based per-direction index; the scenario layer maps each
+//! paper loss case to its indices.
 //!
-//! These rules are deterministic by design. For *stochastic* channel
-//! behaviour — i.i.d. or Gilbert–Elliott random loss, reordering,
-//! duplication, jitter — attach a seeded [`crate::impair::ImpairmentSpec`]
-//! to the link instead; a link consults its loss rule first, then the
-//! impairment channel.
-
-use crate::time::SimTime;
+//! For *stochastic* channel behaviour — i.i.d. or Gilbert–Elliott random
+//! loss, reordering, duplication, jitter — attach a seeded
+//! [`crate::impair::ImpairmentSpec`] to the link instead; a link consults
+//! its drop list first, then the impairment channel.
 
 /// Direction of travel on a link between nodes `a` and `b` as passed to
 /// [`crate::Network::connect`].
@@ -23,36 +19,6 @@ pub enum Direction {
     AtoB,
     /// From the second connected node toward the first.
     BtoA,
-}
-
-/// Metadata handed to loss rules for each datagram traversing a link.
-#[derive(Debug)]
-pub struct DatagramMeta<'a> {
-    /// Direction of travel.
-    pub direction: Direction,
-    /// 0-based index of this datagram among all datagrams sent in this
-    /// direction on this link.
-    pub index: usize,
-    /// UDP payload.
-    pub payload: &'a [u8],
-    /// Virtual send time.
-    pub now: SimTime,
-}
-
-/// Decides whether a datagram is dropped in flight.
-pub trait LossRule {
-    /// Returns `true` to drop the datagram described by `meta`.
-    fn should_drop(&mut self, meta: &DatagramMeta<'_>) -> bool;
-}
-
-/// Never drops anything.
-#[derive(Debug, Default, Clone)]
-pub struct NoLoss;
-
-impl LossRule for NoLoss {
-    fn should_drop(&mut self, _meta: &DatagramMeta<'_>) -> bool {
-        false
-    }
 }
 
 /// Drops datagrams by per-direction index (0-based).
@@ -74,95 +40,10 @@ impl DropIndices {
             indices: indices.to_vec(),
         }
     }
-}
 
-impl LossRule for DropIndices {
-    fn should_drop(&mut self, meta: &DatagramMeta<'_>) -> bool {
-        meta.direction == self.direction && self.indices.contains(&meta.index)
-    }
-}
-
-/// Drops up to `max_drops` datagrams in `direction` whose *content* matches
-/// a predicate. The predicate receives the raw UDP payload; callers
-/// typically classify it with `rq_wire::classify_datagram`.
-pub struct DropContentMatch {
-    direction: Direction,
-    predicate: Box<dyn FnMut(&[u8]) -> bool>,
-    remaining: usize,
-    /// Number of datagrams actually dropped so far.
-    pub dropped: usize,
-}
-
-impl DropContentMatch {
-    /// Creates a content-matched drop rule.
-    pub fn new(
-        direction: Direction,
-        max_drops: usize,
-        predicate: impl FnMut(&[u8]) -> bool + 'static,
-    ) -> Self {
-        DropContentMatch {
-            direction,
-            predicate: Box::new(predicate),
-            remaining: max_drops,
-            dropped: 0,
-        }
-    }
-}
-
-impl std::fmt::Debug for DropContentMatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DropContentMatch")
-            .field("direction", &self.direction)
-            .field("remaining", &self.remaining)
-            .field("dropped", &self.dropped)
-            .finish()
-    }
-}
-
-impl LossRule for DropContentMatch {
-    fn should_drop(&mut self, meta: &DatagramMeta<'_>) -> bool {
-        if meta.direction != self.direction || self.remaining == 0 {
-            return false;
-        }
-        if (self.predicate)(meta.payload) {
-            self.remaining -= 1;
-            self.dropped += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Combines several rules; a datagram is dropped if *any* rule matches.
-#[derive(Default)]
-pub struct AnyOf {
-    rules: Vec<Box<dyn LossRule>>,
-}
-
-impl AnyOf {
-    /// Creates an empty combinator.
-    pub fn new() -> Self {
-        AnyOf { rules: Vec::new() }
-    }
-
-    /// Adds a rule.
-    pub fn push(mut self, rule: impl LossRule + 'static) -> Self {
-        self.rules.push(Box::new(rule));
-        self
-    }
-}
-
-impl LossRule for AnyOf {
-    fn should_drop(&mut self, meta: &DatagramMeta<'_>) -> bool {
-        // Evaluate all rules so stateful rules keep consistent counters.
-        let mut drop = false;
-        for r in &mut self.rules {
-            if r.should_drop(meta) {
-                drop = true;
-            }
-        }
-        drop
+    /// Whether the `index`-th datagram travelling in `direction` is dropped.
+    pub fn drops(&self, direction: Direction, index: usize) -> bool {
+        direction == self.direction && self.indices.contains(&index)
     }
 }
 
@@ -170,57 +51,13 @@ impl LossRule for AnyOf {
 mod tests {
     use super::*;
 
-    fn meta(direction: Direction, index: usize, payload: &[u8]) -> DatagramMeta<'_> {
-        DatagramMeta {
-            direction,
-            index,
-            payload,
-            now: SimTime::ZERO,
-        }
-    }
-
-    #[test]
-    fn no_loss_never_drops() {
-        let mut r = NoLoss;
-        assert!(!r.should_drop(&meta(Direction::AtoB, 0, b"x")));
-    }
-
     #[test]
     fn drop_indices_matches_direction_and_index() {
-        let mut r = DropIndices::new(Direction::BtoA, &[1, 2]);
-        assert!(!r.should_drop(&meta(Direction::BtoA, 0, b"")));
-        assert!(r.should_drop(&meta(Direction::BtoA, 1, b"")));
-        assert!(r.should_drop(&meta(Direction::BtoA, 2, b"")));
-        assert!(!r.should_drop(&meta(Direction::AtoB, 1, b"")));
-        assert!(!r.should_drop(&meta(Direction::BtoA, 3, b"")));
-    }
-
-    #[test]
-    fn content_match_respects_budget() {
-        let mut r = DropContentMatch::new(Direction::AtoB, 2, |p| p.starts_with(b"drop"));
-        assert!(r.should_drop(&meta(Direction::AtoB, 0, b"drop-me")));
-        assert!(!r.should_drop(&meta(Direction::AtoB, 1, b"keep")));
-        assert!(r.should_drop(&meta(Direction::AtoB, 2, b"drop-me-too")));
-        // Budget exhausted.
-        assert!(!r.should_drop(&meta(Direction::AtoB, 3, b"drop-again")));
-        assert_eq!(r.dropped, 2);
-    }
-
-    #[test]
-    fn content_match_ignores_other_direction() {
-        let mut r = DropContentMatch::new(Direction::AtoB, 1, |_| true);
-        assert!(!r.should_drop(&meta(Direction::BtoA, 0, b"x")));
-        assert_eq!(r.dropped, 0);
-    }
-
-    #[test]
-    fn any_of_combines() {
-        let mut r = AnyOf::new()
-            .push(DropIndices::new(Direction::AtoB, &[0]))
-            .push(DropContentMatch::new(Direction::BtoA, 1, |p| p == b"bad"));
-        assert!(r.should_drop(&meta(Direction::AtoB, 0, b"ok")));
-        assert!(!r.should_drop(&meta(Direction::AtoB, 1, b"ok")));
-        assert!(r.should_drop(&meta(Direction::BtoA, 0, b"bad")));
-        assert!(!r.should_drop(&meta(Direction::BtoA, 1, b"bad")));
+        let r = DropIndices::new(Direction::BtoA, &[1, 2]);
+        assert!(!r.drops(Direction::BtoA, 0));
+        assert!(r.drops(Direction::BtoA, 1));
+        assert!(r.drops(Direction::BtoA, 2));
+        assert!(!r.drops(Direction::AtoB, 1));
+        assert!(!r.drops(Direction::BtoA, 3));
     }
 }

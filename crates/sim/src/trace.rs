@@ -15,7 +15,8 @@ use crate::time::SimTime;
 pub enum DatagramFate {
     /// Delivered at the contained time.
     Delivered(SimTime),
-    /// Dropped by a loss rule at send time.
+    /// Dropped by the link at send time (blackout, drop list or
+    /// impairment).
     Dropped,
 }
 

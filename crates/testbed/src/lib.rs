@@ -1,7 +1,7 @@
 //! The emulation harness: our stand-in for the QUIC Interop Runner.
 //!
 //! Wires `rq-quic` endpoints into the `rq-sim` network, defines the
-//! paper's scenarios (certificate sizes, Δt, RTT sweeps, content-matched
+//! paper's scenarios (certificate sizes, Δt, RTT sweeps, index-mapped
 //! loss), runs repetitions, and extracts the metrics the paper reports
 //! (TTFB, first PTO, RTT-sample counts, instant-ACK observations).
 //!
@@ -23,7 +23,7 @@ pub mod stats;
 pub use matrix::{MatrixCell, ScenarioMatrix};
 pub use nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode};
 pub use rq_obs::{median, percentile};
-pub use rq_recovery::{CcAlgorithm, CcState, CongestionControl};
+pub use rq_recovery::{CcAlgorithm, CcState};
 pub use runner::{
     rep_scenario, run_repetitions, run_scenario, run_scenario_with_trace, ProfileReport,
     ProfileSink, RunResult, SweepRunner, SweepScenarios,

@@ -5,10 +5,7 @@ use rq_http::HttpVersion;
 use rq_profiles::{ClientProfile, ResumptionProfile};
 use rq_quic::ServerAckMode;
 use rq_recovery::CcAlgorithm;
-use rq_sim::{
-    Direction, DropIndices, FaultProfile, FaultTimeline, ImpairmentSpec, LossRule, NoLoss,
-    SimDuration,
-};
+use rq_sim::{Direction, DropIndices, FaultProfile, FaultTimeline, ImpairmentSpec, SimDuration};
 
 /// Which handshake class the *measured* connection runs. Resumed and
 /// 0-RTT scenarios are two-connection runs: an unmeasured priming
@@ -318,7 +315,7 @@ impl Scenario {
         }
     }
 
-    /// Builds the loss rule for this scenario.
+    /// The link's drop list for this scenario (`None` drops nothing).
     ///
     /// Direction `AtoB` is client→server in the runner's topology.
     /// Index mappings follow the paper exactly:
@@ -328,24 +325,24 @@ impl Scenario {
     /// * `SecondClientFlight`: client→server datagram indices 1..=N where
     ///   N is the client's Table 4 second-flight datagram count; the
     ///   static mapping is intentional (Appendix E).
-    pub fn loss_rule(&self) -> Box<dyn LossRule> {
+    pub fn loss_rule(&self) -> Option<DropIndices> {
         match self.loss {
-            LossSpec::None => Box::new(NoLoss),
+            LossSpec::None => None,
             LossSpec::ServerFlightTail => {
                 let indices: &[usize] = match self.ack_mode {
                     ServerAckMode::InstantAck { .. } => &[1, 2],
                     ServerAckMode::WaitForCertificate => &[1],
                 };
-                Box::new(DropIndices::new(Direction::BtoA, indices))
+                Some(DropIndices::new(Direction::BtoA, indices))
             }
             LossSpec::SecondClientFlight => {
                 let n = self.client.flight2_datagrams;
                 let indices: Vec<usize> = (1..=n).collect();
-                Box::new(DropIndices::new(Direction::AtoB, &indices))
+                Some(DropIndices::new(Direction::AtoB, &indices))
             }
-            // Random impairments are not a per-datagram rule; the runner
+            // Random impairments are not a per-datagram list; the runner
             // attaches them to the link via `impairment()`.
-            LossSpec::Random(_) => Box::new(NoLoss),
+            LossSpec::Random(_) => None,
         }
     }
 
@@ -414,16 +411,11 @@ impl Scenario {
 mod tests {
     use super::*;
     use rq_profiles::client_by_name;
-    use rq_sim::loss::DatagramMeta;
-    use rq_sim::SimTime;
 
-    fn meta(direction: Direction, index: usize) -> DatagramMeta<'static> {
-        DatagramMeta {
-            direction,
-            index,
-            payload: b"",
-            now: SimTime::ZERO,
-        }
+    /// Whether a link with `rule` drops the `index`-th datagram going
+    /// `direction`.
+    fn drops(rule: &Option<DropIndices>, direction: Direction, index: usize) -> bool {
+        rule.as_ref().is_some_and(|r| r.drops(direction, index))
     }
 
     #[test]
@@ -434,17 +426,17 @@ mod tests {
             HttpVersion::H1,
         );
         iack.loss = LossSpec::ServerFlightTail;
-        let mut rule = iack.loss_rule();
-        assert!(!rule.should_drop(&meta(Direction::BtoA, 0)));
-        assert!(rule.should_drop(&meta(Direction::BtoA, 1)));
-        assert!(rule.should_drop(&meta(Direction::BtoA, 2)));
-        assert!(!rule.should_drop(&meta(Direction::BtoA, 3)));
+        let rule = iack.loss_rule();
+        assert!(!drops(&rule, Direction::BtoA, 0));
+        assert!(drops(&rule, Direction::BtoA, 1));
+        assert!(drops(&rule, Direction::BtoA, 2));
+        assert!(!drops(&rule, Direction::BtoA, 3));
 
         let mut wfc = iack.clone();
         wfc.ack_mode = ServerAckMode::WaitForCertificate;
-        let mut rule = wfc.loss_rule();
-        assert!(rule.should_drop(&meta(Direction::BtoA, 1)));
-        assert!(!rule.should_drop(&meta(Direction::BtoA, 2)));
+        let rule = wfc.loss_rule();
+        assert!(drops(&rule, Direction::BtoA, 1));
+        assert!(!drops(&rule, Direction::BtoA, 2));
     }
 
     #[test]
@@ -461,18 +453,12 @@ mod tests {
                 HttpVersion::H1,
             );
             sc.loss = LossSpec::SecondClientFlight;
-            let mut rule = sc.loss_rule();
-            assert!(
-                !rule.should_drop(&meta(Direction::AtoB, 0)),
-                "{name}: CH survives"
-            );
+            let rule = sc.loss_rule();
+            assert!(!drops(&rule, Direction::AtoB, 0), "{name}: CH survives");
             for i in 1..=n {
-                assert!(
-                    rule.should_drop(&meta(Direction::AtoB, i)),
-                    "{name} idx {i}"
-                );
+                assert!(drops(&rule, Direction::AtoB, i), "{name} idx {i}");
             }
-            assert!(!rule.should_drop(&meta(Direction::AtoB, n + 1)), "{name}");
+            assert!(!drops(&rule, Direction::AtoB, n + 1), "{name}");
         }
     }
 
@@ -488,9 +474,9 @@ mod tests {
         sc.loss = LossSpec::Random(spec);
         assert_eq!(sc.impairment(), Some(spec));
         // The rule side is transparent; the channel handles the drops.
-        let mut rule = sc.loss_rule();
+        let rule = sc.loss_rule();
         for i in 0..50 {
-            assert!(!rule.should_drop(&meta(Direction::BtoA, i)));
+            assert!(!drops(&rule, Direction::BtoA, i));
         }
     }
 

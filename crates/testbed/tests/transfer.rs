@@ -58,7 +58,7 @@ fn drive(algo: CcAlgorithm, seed: u64, steps: usize) -> Vec<usize> {
             // gates them.
             0..=4 => {
                 let size = 40 + rng.gen_range(1160) as usize;
-                if cc.can_send(size) {
+                if size <= cc.available() {
                     cc.on_sent(size);
                     outstanding.push((size, now));
                 }
@@ -124,6 +124,101 @@ fn controller_trace_is_deterministic() {
             assert_eq!(drive(algo, seed, 300), drive(algo, seed, 300));
         }
     });
+}
+
+/// FNV-1a over a cwnd trace, each entry as 8 little-endian bytes.
+fn trace_hash(trace: &[usize]) -> u64 {
+    trace
+        .iter()
+        .flat_map(|w| (*w as u64).to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// An ack-clocked flow: the window is kept full of 1200-byte packets,
+/// each acked one seeded RTT (40–60 ms) after it was sent, and one ack
+/// in 400 is a loss instead. `drive`'s op mix keeps every window near the
+/// floor; this one reaches slow-start exit, CUBIC's curve and BBR's model
+/// window. Returns the cwnd after every ack or loss.
+fn flow(algo: CcAlgorithm, seed: u64, steps: usize) -> Vec<usize> {
+    let mut cc = algo.build();
+    let mut rng = SimRng::new(seed);
+    let mut rtt = RttEstimator::new(SimDuration::from_millis(25));
+    let mut now = SimTime::ZERO;
+    let mut outstanding = std::collections::VecDeque::new();
+    let mut trace = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        while 1200 <= cc.available() {
+            cc.on_sent(1200);
+            outstanding.push_back(now);
+        }
+        let sent = outstanding.pop_front().unwrap();
+        now = now.max(sent + SimDuration::from_micros(40_000 + rng.gen_range(20_000)));
+        if rng.gen_range(400) == 0 {
+            cc.on_loss(&[1200], sent, now);
+        } else {
+            rtt.update(now.since(sent), SimDuration::ZERO, true);
+            cc.on_ack(1200, sent, now, &rtt);
+        }
+        trace.push(cc.cwnd());
+    }
+    trace
+}
+
+/// Each controller's exact cwnd traces, pinned by hash for two seeds:
+/// `drive`'s op mix and `flow`'s steady transfer, 2,000 steps each. The
+/// invariant and determinism tests above pass for any arithmetic; this
+/// one fails when a change to a controller moves a window by one byte.
+#[test]
+fn controller_traces_are_pinned() {
+    let pinned = [
+        (
+            CcAlgorithm::NewReno,
+            1,
+            0x32ef_04a2_9079_29b8,
+            0xf396_f26d_8db3_75ea,
+        ),
+        (
+            CcAlgorithm::NewReno,
+            0xC0FFEE,
+            0x2b9e_c505_957f_7dbc,
+            0xc4fe_ec3d_a0a2_700e,
+        ),
+        (
+            CcAlgorithm::Cubic,
+            1,
+            0xd74b_6d8c_e712_ec86,
+            0x3582_47d2_896c_9ddc,
+        ),
+        (
+            CcAlgorithm::Cubic,
+            0xC0FFEE,
+            0xbc44_85ef_c692_4362,
+            0x54d8_ae59_e761_f6f8,
+        ),
+        (
+            CcAlgorithm::BbrLite,
+            1,
+            0xdd1b_89b9_924e_fd21,
+            0xe5ee_19e7_ec6b_abe7,
+        ),
+        (
+            CcAlgorithm::BbrLite,
+            0xC0FFEE,
+            0x918e_ba21_6ba2_00e0,
+            0xcf10_b896_775b_8f45,
+        ),
+    ];
+    for (algo, seed, drive_hash, flow_hash) in pinned {
+        let got = trace_hash(&drive(algo, seed, 2_000));
+        assert_eq!(
+            got, drive_hash,
+            "{algo:?} drive seed {seed:#x}: {got:#018x}"
+        );
+        let got = trace_hash(&flow(algo, seed, 2_000));
+        assert_eq!(got, flow_hash, "{algo:?} flow seed {seed:#x}: {got:#018x}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,9 @@
 //! UDP datagram coalescing and content classification (RFC 9000 §12.2).
 //!
 //! Implementations coalesce QUIC packets into UDP datagrams differently
-//! (paper Table 4), so the testbed's loss rules match datagrams by their
-//! QUIC *content*, not their index. This module decodes a datagram into
-//! per-packet summaries that loss rules and the qlog pipeline consume.
+//! (paper Table 4), so a datagram's index says little about what it
+//! carries. This module decodes a datagram into per-packet summaries, the
+//! QUIC *content* that Figure 3's wire-image capture and the tests read.
 
 use bytes::{Buf, Bytes};
 

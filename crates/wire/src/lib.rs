@@ -12,8 +12,8 @@
 //!   (a valid choice per RFC 9000 §17.1) instead of being truncated to the
 //!   shortest representation, and header protection is not applied. The
 //!   paper's results depend on packet timing and sizes, not on header
-//!   confidentiality; keeping packet numbers readable makes content-matched
-//!   loss rules and qlog reconstruction exact.
+//!   confidentiality; keeping packet numbers readable makes datagram
+//!   classification and qlog reconstruction exact.
 //! * Payload protection is a 16-byte authentication tag provided by the
 //!   caller (`rq-tls` in this workspace). The tag length matches AES-GCM so
 //!   all datagram sizes — and therefore all anti-amplification arithmetic —
