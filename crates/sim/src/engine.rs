@@ -1,7 +1,6 @@
 //! The discrete-event engine: event queue, node registry, link registry.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rq_wire::Bytes;
@@ -10,6 +9,10 @@ use crate::link::{Link, LinkConfig, TransmitResult};
 use crate::node::{Context, Node, NodeId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DatagramFate, Trace};
+
+mod queue;
+
+use queue::Queue;
 
 /// Plain-integer engine counters, incremented on the hot path and
 /// exported into an [`rq_obs::Registry`] at snapshot time (the
@@ -65,7 +68,6 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-#[derive(Debug, PartialEq, Eq)]
 enum EventKind {
     Datagram {
         from: NodeId,
@@ -73,7 +75,7 @@ enum EventKind {
         /// Path id of the link that carried the datagram.
         path: u64,
         /// The datagram's storage, not a `Bytes` view of it: half the
-        /// size, which is what keeps an [`Event`] within a cache line.
+        /// size, which is what keeps a queue slot within a cache line.
         payload: Arc<[u8]>,
     },
     Timer {
@@ -94,29 +96,20 @@ enum EventKind {
     },
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct Event {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
+// Room for this many events before the queue's tables grow: most
+// handshakes stay under it, so a `run_scenario` network allocates each
+// table once.
+const QUEUE_CAPACITY: usize = 32;
 
-// Every push and pop sifts events through a heap tens of thousands deep
-// under load: at 80 bytes (a `Bytes` payload) a 10 MiB download ran a
-// quarter slower than at 64.
-const _: () = assert!(std::mem::size_of::<Event>() <= 64);
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+// The heap sifts run keys; events wait in slots. A 24-byte key alone,
+// without runs, measured no gain on `bulk_transfer` (0.478 against
+// 0.484 s). Runs are the gain, since a burst of wake-ups re-armed to one
+// deadline joins one run in O(1) each: `pass_s_min` 0.418 → 0.222 s
+// (seed 1). Slot size is what a deep queue holds per event
+// (`server_load` `peak_heap_mib` +2 % at 56 bytes).
+const _: () = assert!(
+    std::mem::size_of::<queue::Run>() <= 24 && std::mem::size_of::<queue::Slot<EventKind>>() <= 56
+);
 
 /// A network of nodes and links plus the event queue that drives them.
 ///
@@ -140,13 +133,10 @@ pub struct Network {
     /// The path a pair's traffic rides, for pairs a path change moved
     /// off path 0 (both orientations).
     rerouted: BTreeMap<(usize, usize), u64>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: Queue<EventKind>,
     now: SimTime,
-    seq: u64,
     /// Nodes whose Start event has already been queued.
     started: usize,
-    /// Events processed so far (persists across `run_until` slices).
-    processed: u64,
     /// Packet capture and milestone log for this run.
     pub trace: Trace,
     /// Engine counters (events, drops, queue depth); see [`EngineStats`].
@@ -169,11 +159,9 @@ impl Network {
             free_links: Vec::new(),
             link_index: BTreeMap::new(),
             rerouted: BTreeMap::new(),
-            queue: BinaryHeap::new(),
+            queue: Queue::with_capacity(QUEUE_CAPACITY),
             now: SimTime::ZERO,
-            seq: 0,
             started: 0,
-            processed: 0,
             trace: Trace::new(capture_payloads),
             stats: EngineStats::default(),
             event_limit: 10_000_000,
@@ -292,9 +280,7 @@ impl Network {
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Event { at, seq, kind }));
+        self.queue.push(at, kind);
         self.stats.queue_depth_peak = self.stats.queue_depth_peak.max(self.queue.len() as u64);
     }
 
@@ -321,34 +307,35 @@ impl Network {
     /// started via [`Network::prime`] or [`Network::schedule_start`].
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         loop {
-            match self.queue.peek() {
+            match self.queue.peek_at() {
                 None => return RunOutcome::QueueEmpty,
-                Some(Reverse(head)) if head.at > deadline => {
+                Some(at) if at > deadline => {
                     self.now = deadline;
                     return RunOutcome::TimeLimit;
                 }
                 Some(_) => {}
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked event");
-            self.processed += 1;
-            if self.processed > self.event_limit {
+            // The ceiling is checked before the pop, so a run stopped
+            // by it resumes with every event still queued.
+            if self.stats.events_processed >= self.event_limit {
                 return RunOutcome::EventLimit;
             }
-            self.now = ev.at;
+            let (at, _, kind) = self.queue.pop().expect("peeked event");
+            self.now = at;
             self.stats.events_processed += 1;
-            match &ev.kind {
+            match &kind {
                 EventKind::Datagram { .. } => self.stats.datagram_events += 1,
                 EventKind::Timer { .. } => self.stats.timer_events += 1,
                 EventKind::Start { .. } => self.stats.start_events += 1,
                 EventKind::PathChange { .. } => self.stats.path_change_events += 1,
             }
-            if let EventKind::PathChange { a, b, path, notify } = &ev.kind {
+            if let EventKind::PathChange { a, b, path, notify } = &kind {
                 self.activate_path(*a, *b, *path);
                 if !*notify {
                     continue;
                 }
             }
-            let (node_id, ev_path) = match &ev.kind {
+            let (node_id, ev_path) = match &kind {
                 EventKind::Datagram { to, path, .. } => (*to, *path),
                 EventKind::Timer { node, .. } | EventKind::Start { node } => (*node, 0),
                 EventKind::PathChange { a, path, .. } => (*a, *path),
@@ -371,7 +358,7 @@ impl Network {
                 trace: &mut self.trace,
             };
             let node = self.nodes[node_id.0].as_mut().expect("checked live");
-            match ev.kind {
+            match kind {
                 EventKind::Datagram {
                     from,
                     to: _,

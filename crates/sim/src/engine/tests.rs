@@ -550,3 +550,99 @@ fn send_without_link_panics() {
     // No connect() call.
     net.run(SimDuration::from_secs(1));
 }
+
+#[test]
+fn event_ceiling_stops_before_the_pop() {
+    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    let build = || {
+        let mut net = Network::new(false);
+        let a = net.add_node(Box::new(Counter));
+        let b = net.add_node(Box::new(Chatter { peer: a }));
+        net.connect(a, b, LinkConfig::paper_default(SimDuration::from_millis(1)));
+        net.prime();
+        net
+    };
+    let mut whole = build();
+    assert_eq!(whole.run_until(t(50)), RunOutcome::TimeLimit);
+
+    let mut limited = build();
+    limited.event_limit = 5;
+    assert_eq!(limited.run_until(t(50)), RunOutcome::EventLimit);
+    assert_eq!(limited.stats.events_processed, 5);
+    // A slice that starts at the ceiling stops before its first event.
+    assert_eq!(limited.run_until(t(50)), RunOutcome::EventLimit);
+    assert_eq!(limited.stats.events_processed, 5);
+    // Raised, the ceiling lets the run finish as if it had never bound.
+    limited.event_limit = 1_000;
+    assert_eq!(limited.run_until(t(50)), RunOutcome::TimeLimit);
+    assert_eq!(limited.stats, whole.stats);
+    assert_eq!(limited.trace.all("rx"), whole.trace.all("rx"));
+}
+
+/// The run queue against the plain `(at, seq)` heap it replaced, as an
+/// oracle: random schedules of pushes and pops must pop the same
+/// `(at, seq)` sequence and keep the same length. Instants come from a
+/// window of four just after the last popped one, so runs are broken
+/// and reopened all the time.
+#[test]
+fn queue_pops_in_heap_order() {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    // How often each shape the schedules must include was drawn.
+    let (mut bursts, mut at_drained, mut reopened_drained, mut interleaved) = (0, 0, 0, 0);
+    rq_testkit::prop::cases(256, |rng| {
+        let mut queue = Queue::with_capacity(rng.gen_range(3) as usize);
+        let mut oracle = BinaryHeap::new();
+        let mut next_seq = 0u64;
+        // The instant being drained, and the instants of the last two
+        // pushes and of a pop that took the newest event.
+        let mut now = 0;
+        let mut pushed: [Option<u64>; 2] = [None, None];
+        let mut newest_popped_at = None;
+        for _ in 0..1 + rng.gen_range(300) {
+            let op = rng.gen_range(10);
+            if op < 4 && !oracle.is_empty() {
+                let Reverse(want) = oracle.pop().unwrap();
+                let (at, seq, ()) = queue.pop().expect("the oracle has an event");
+                assert_eq!((at, seq), want);
+                now = at.as_nanos() / 1_000_000;
+                newest_popped_at = (seq + 1 == next_seq).then_some(now);
+            } else {
+                let at = if rng.gen_bool(0.3) {
+                    now
+                } else {
+                    now + rng.gen_range(4)
+                };
+                let n = if op == 9 { 20 + rng.gen_range(40) } else { 1 };
+                bursts += u32::from(n > 1);
+                at_drained += u32::from(at == now && !oracle.is_empty());
+                reopened_drained += u32::from(newest_popped_at == Some(at));
+                interleaved += u32::from(pushed[0] != Some(at) && pushed[1] == Some(at));
+                for _ in 0..n {
+                    queue.push(ms(at), ());
+                    oracle.push(Reverse((ms(at), next_seq)));
+                    next_seq += 1;
+                }
+                pushed = [Some(at), pushed[0]];
+                newest_popped_at = None;
+            }
+            assert_eq!(queue.len(), oracle.len());
+        }
+        while let Some(Reverse(want)) = oracle.pop() {
+            let (at, seq, ()) = queue.pop().expect("the oracle has an event");
+            assert_eq!((at, seq), want);
+        }
+        assert!(queue.pop().is_none());
+        assert_eq!(queue.len(), 0);
+    });
+    for (shape, drawn) in [
+        ("long bursts at one instant", bursts),
+        ("pushes at the instant being drained", at_drained),
+        ("a push where a pop emptied the open run", reopened_drained),
+        ("pushes that reopen an interleaved instant", interleaved),
+    ] {
+        assert!(drawn >= 50, "{shape}: drawn {drawn} times");
+    }
+}

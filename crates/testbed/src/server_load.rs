@@ -23,7 +23,9 @@ use rq_par::SweepRunner;
 use rq_quic::{
     ConnStats, Connection, OverloadPolicy, Role, ServerAccounting, ServerEngine, ERROR_GIVE_UP,
 };
-use rq_sim::{FaultTimeline, LinkConfig, Network, NodeId, SimDuration, SimRng, SimTime};
+use rq_sim::{
+    FaultTimeline, LinkConfig, Network, NodeId, RunOutcome, SimDuration, SimRng, SimTime,
+};
 use rq_tls::{mint_ticket, SessionTicket, TicketKeySchedule};
 
 use crate::nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode};
@@ -738,9 +740,11 @@ pub(crate) fn drive_conn_plans(
             let next = (drive.net.now() + step).min(end);
             let outcome = drive.net.run_until(next);
             drive.sweep(false);
-            if outcome == rq_sim::RunOutcome::QueueEmpty {
-                // Nothing left to happen: no pending datagrams or
-                // timers, so later sweeps could not observe anything new.
+            if matches!(outcome, RunOutcome::QueueEmpty | RunOutcome::EventLimit) {
+                // Nothing left to happen (no pending datagrams or
+                // timers, so later sweeps could not observe anything
+                // new), or the event ceiling stopped the run: a later
+                // slice would stop at it again before its first event.
                 break;
             }
         }
