@@ -48,49 +48,69 @@ pub mod milestones {
 
 /// The one place a [`Connection`] is pumped and its timers are run:
 /// whoever owns a connection (the client node its one, the server node
-/// one per admitted peer) drives it through these functions.
+/// one per admitted peer) drives it through these functions, and keeps
+/// beside it the slot the driver writes the armed deadline to.
+///
+/// The slot holds [`Connection::poll_timeout`] as of the connection's
+/// last pump, and that is still its value at the next callback: every
+/// `&mut` use of a driven connection happens inside a callback that ends
+/// in a pump. So a wake-up reads one slot instead of asking the
+/// connection, and only [`ConnDriver::pump`], where the next timer is
+/// decided, computes the deadline.
 struct ConnDriver;
 
 impl ConnDriver {
     /// Sends every datagram `conn` has ready to `peer`, then arms its
-    /// next deadline under `token` (one already past fires "now").
-    fn pump(conn: &mut Connection, ctx: &mut Context<'_>, peer: NodeId, token: u64) {
+    /// next deadline under `token` (one already past fires "now") and
+    /// stores it in `armed`.
+    fn pump(
+        conn: &mut Connection,
+        armed: &mut Option<SimTime>,
+        ctx: &mut Context<'_>,
+        peer: NodeId,
+        token: u64,
+    ) {
         let now = ctx.now();
         while let Some(datagram) = conn.poll_transmit(now) {
             ctx.send(peer, datagram);
         }
-        if let Some(deadline) = conn.poll_timeout() {
+        *armed = conn.poll_timeout();
+        if let Some(deadline) = *armed {
             ctx.set_timer(deadline.max(now), token);
         }
     }
 
-    /// A wake-up of `conn`'s timer `token`. If the deadline has come,
-    /// runs its timers and returns `true`: the caller drains the events
-    /// that produced and pumps. A wake-up armed for a deadline that has
-    /// since moved later re-arms that deadline and returns `false`, with
-    /// nothing to pump: every callback ends in a pump that leaves `conn`
-    /// with nothing to send, and before its deadline time alone gives it
-    /// nothing new.
-    fn wake(conn: &mut Connection, ctx: &mut Context<'_>, token: u64) -> bool {
-        let fired = Self::fire_if_due(conn, ctx.now());
-        if let Err(Some(deadline)) = fired {
+    /// A wake-up of `conn`'s timer `token`, whose last pump armed
+    /// `armed`. If the deadline has come, runs its timers and returns
+    /// `true`: the caller drains the events that produced and pumps. A
+    /// wake-up armed for a deadline that has since moved later re-arms
+    /// that deadline and returns `false`, with nothing to pump: every
+    /// callback ends in a pump that leaves `conn` with nothing to send,
+    /// and before its deadline time alone gives it nothing new.
+    fn wake(
+        conn: &mut Connection,
+        armed: Option<SimTime>,
+        ctx: &mut Context<'_>,
+        token: u64,
+    ) -> bool {
+        let fired = Self::fire_due(conn, armed, ctx.now());
+        if let (false, Some(deadline)) = (fired, armed) {
             ctx.set_timer(deadline, token);
         }
-        fired.is_ok()
+        fired
     }
 
-    /// Runs `conn`'s timers if its deadline has come; otherwise returns
-    /// the deadline still ahead, if any. [`ConnDriver::wake`] for a timer
-    /// wake-up; the server's thaw calls it directly, since its drive
-    /// pumps and re-arms every connection anyway.
-    fn fire_if_due(conn: &mut Connection, now: SimTime) -> Result<(), Option<SimTime>> {
-        match conn.poll_timeout() {
-            Some(deadline) if deadline <= now => {
-                conn.handle_timeout(now);
-                Ok(())
-            }
-            ahead => Err(ahead),
+    /// Runs `conn`'s timers if `armed`, the deadline its last pump armed,
+    /// has come, and says whether it had. [`ConnDriver::wake`] for a
+    /// timer wake-up; the server's thaw calls it directly, since its
+    /// drive pumps and re-arms every connection anyway.
+    fn fire_due(conn: &mut Connection, armed: Option<SimTime>, now: SimTime) -> bool {
+        debug_assert_eq!(armed, conn.poll_timeout(), "stale armed deadline");
+        let due = armed.is_some_and(|deadline| deadline <= now);
+        if due {
+            conn.handle_timeout(now);
         }
+        due
     }
 }
 

@@ -67,6 +67,8 @@ struct Response {
 pub struct ClientNode {
     /// The QUIC connection (shared with the runner for post-run reads).
     pub conn: Rc<RefCell<Connection>>,
+    /// The deadline the connection's last pump armed ([`ConnDriver`]).
+    armed: Option<SimTime>,
     /// The freshest NewSessionTicket the server issued on this
     /// connection (shared with the runner: the priming connection of a
     /// resumed scenario hands its ticket to the measured one).
@@ -130,6 +132,7 @@ impl ClientNode {
         queue_requests(&mut conn, http, file_size, 0..1);
         ClientNode {
             conn: Rc::new(RefCell::new(conn)),
+            armed: None,
             ticket: Rc::new(RefCell::new(None)),
             status: Rc::new(RefCell::new(ClientStatus::default())),
             server,
@@ -243,7 +246,7 @@ impl ClientNode {
         if act(conn) {
             self.drain_events(conn, ctx);
         }
-        ConnDriver::pump(conn, ctx, self.server, TOKEN_CONN);
+        ConnDriver::pump(conn, &mut self.armed, ctx, self.server, TOKEN_CONN);
     }
 
     fn drain_events(&mut self, conn: &mut Connection, ctx: &mut Context<'_>) {
@@ -334,7 +337,7 @@ impl Node for ClientNode {
         match token {
             TOKEN_RECONNECT if !self.done => self.reconnect_now(ctx),
             TOKEN_CONN => {
-                if ConnDriver::wake(&mut self.conn.borrow_mut(), ctx, TOKEN_CONN) {
+                if ConnDriver::wake(&mut self.conn.borrow_mut(), self.armed, ctx, TOKEN_CONN) {
                     self.drive(ctx, |_| true);
                 }
             }

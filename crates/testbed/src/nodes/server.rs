@@ -130,6 +130,9 @@ struct Session {
     requests: SeqMap<StreamReq>,
     settings_sent: bool,
     cert_timer_at: Option<SimTime>,
+    /// The deadline the connection's last pump armed ([`ConnDriver`]);
+    /// `None` until the admitted connection's first pump.
+    armed: Option<SimTime>,
 }
 
 impl Session {
@@ -394,6 +397,7 @@ impl ServerNode {
             requests: SeqMap::new(),
             settings_sent: false,
             cert_timer_at: None,
+            armed: None,
         });
         standing == Standing::Admitted
     }
@@ -419,7 +423,7 @@ impl ServerNode {
             self.drain_events(conn, session, &mut peer.outcome, ctx, key);
         }
         session.maybe_send_settings(conn, self.http);
-        ConnDriver::pump(conn, ctx, session.node, conn_token(key));
+        ConnDriver::pump(conn, &mut session.armed, ctx, session.node, conn_token(key));
         // The handshake's cost is billed in the callback that completes it.
         if handshaking && conn.is_established() {
             engine.note_handshake_outcome(key as u64);
@@ -442,7 +446,7 @@ impl ServerNode {
             if session.cert_timer_at.is_some_and(|at| at <= now) {
                 session.deliver_certificate(conn, ctx, http);
             }
-            timers && ConnDriver::fire_if_due(conn, now).is_ok()
+            timers && ConnDriver::fire_due(conn, session.armed, now)
         });
     }
 
@@ -575,16 +579,21 @@ impl Node for ServerNode {
             _ if self.frozen => {}
             _ => {
                 let key = (token >> 1) as usize;
-                if let Some(peer) = control.peer_mut(key) {
-                    if token & TIMER_KIND_CERT != 0 {
-                        self.catch_up(engine, peer, ctx, key, false);
-                    } else if peer.session.is_some()
-                        && engine
-                            .conn_mut(key as u64)
-                            .is_some_and(|conn| ConnDriver::wake(conn, ctx, token))
-                    {
-                        self.drive(engine, peer, ctx, key, |_, _, _| true);
-                    }
+                let Some(peer) = control.peer_mut(key) else {
+                    return;
+                };
+                if token & TIMER_KIND_CERT != 0 {
+                    self.catch_up(engine, peer, ctx, key, false);
+                    return;
+                }
+                // A peer whose connection is gone (retired, or lost to a
+                // crash) has nothing to wake.
+                let (Some(session), Some(conn)) = (&peer.session, engine.conn_mut(key as u64))
+                else {
+                    return;
+                };
+                if ConnDriver::wake(conn, session.armed, ctx, token) {
+                    self.drive(engine, peer, ctx, key, |_, _, _| true);
                 }
             }
         }

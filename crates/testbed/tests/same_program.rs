@@ -3,8 +3,8 @@
 //! owned `Bytes`, whether the endpoints capture qlog, whether the
 //! server built the response for this request or for an earlier one,
 //! and whether a connection is asked for datagrams at wake-ups before
-//! its deadline (the testbed's driver skips the asking: it only
-//! re-arms).
+//! its deadline (the testbed's driver skips the asking: it re-arms the
+//! deadline its last pump stored, without touching the connection).
 
 use std::collections::VecDeque;
 
