@@ -26,10 +26,6 @@ use std::time::Instant;
 
 use rq_bench::{Experiment, EXPERIMENTS};
 
-/// Rows checked under `cargo test --release` only (CI runs it): eight
-/// 10 MB transfers take ~96 s across both thread counts in a debug build.
-const RELEASE_ONLY: &[&str] = &["exp_fig11"];
-
 /// `exp` with the knobs the goldens were captured at. The wild-scan and
 /// server-load defaults (100k each) are too slow for a debug test run.
 fn exp() -> Command {
@@ -60,10 +56,10 @@ fn thread_counts() -> Vec<String> {
 /// Checks the table row a `<name>_matches_golden` test is named after.
 fn assert_matches_golden(test: &str) {
     let name = test.strip_suffix("_matches_golden").unwrap();
-    let row = Experiment::by_name(name).unwrap_or_else(|| panic!("{name} is not in EXPERIMENTS"));
-    if cfg!(debug_assertions) && RELEASE_ONLY.contains(&row.name) {
-        return;
-    }
+    assert!(
+        Experiment::by_name(name).is_some(),
+        "{name} is not in EXPERIMENTS"
+    );
     let golden = std::fs::read_to_string(golden_dir().join(format!("{name}.txt")))
         .unwrap_or_else(|e| panic!("tests/golden/{name}.txt: {e}"));
     for threads in thread_counts() {

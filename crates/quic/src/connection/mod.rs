@@ -27,7 +27,9 @@
 //! receive path, the transmit path and the timers are further
 //! `impl Connection` blocks in `recv`, `send`, `timers`. Everything about
 //! the connection's paths — the amplification budget, connection IDs,
-//! migration and path validation — is owned by `path::Paths`.
+//! migration and path validation — is owned by `path::Paths`; everything
+//! read only before confirmation, the Initial and Handshake spaces
+//! included, by `handshake::Handshake`, which confirmation drops.
 
 use std::collections::VecDeque;
 
@@ -36,8 +38,7 @@ use rq_qlog::{EventData, EventLog, FrameSummary, SpaceName};
 use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator, RttVariant};
 use rq_sim::{SimRng, SimTime};
 use rq_tls::{
-    initial_keys, ClientConfig as TlsClientConfig, Level, ServerConfig as TlsServerConfig,
-    TlsEvent, TlsSession,
+    ClientConfig as TlsClientConfig, Level, ServerConfig as TlsServerConfig, TlsEvent, TlsSession,
 };
 use rq_wire::{ConnectionId, Frame, Header, PacketNumberSpace, PlainPacket};
 
@@ -46,9 +47,11 @@ use crate::config::{
 };
 use crate::space::Space;
 use crate::streams::StreamSet;
+use handshake::{space_in, Handshake};
 pub use path::PathState;
 use path::Paths;
 
+mod handshake;
 mod path;
 mod recv;
 mod send;
@@ -66,14 +69,9 @@ pub const ERROR_STATELESS_RESET: u64 = 0x57A7_E1;
 /// overloaded (the `CloseWithBackoff` admission policy).
 pub const ERROR_SERVER_BUSY: u64 = 0xB0_5E;
 
-/// Endpoint role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Client endpoint.
-    Client,
-    /// Server endpoint.
-    Server,
-}
+/// Endpoint role: the TLS session's, which holds that role's
+/// configuration only.
+pub use rq_tls::Role;
 
 /// Stream tag of the CID-derivation coordinate space: every connection ID
 /// is `derive(seed, [CID_STREAM, kind, seq])`, a pure function of its
@@ -213,9 +211,11 @@ pub struct Connection {
     role: Role,
     cfg: EndpointConfig,
     tls: TlsSession,
-    /// The packet number spaces (Initial, Handshake, Application), each
-    /// the owner of its keys, packet numbers and packets in flight.
-    spaces: [Space; 3],
+    /// What only the handshake reads, its two spaces included: `None`
+    /// once confirmed.
+    handshake: Option<Box<Handshake>>,
+    /// The Application packet number space (0-RTT and 1-RTT).
+    app: Space,
     rtt: RttEstimator,
     pto: PtoState,
     cc: CongestionController,
@@ -233,28 +233,12 @@ pub struct Connection {
     original_dcid: ConnectionId,
     /// Datagrams fully assembled and ready to go.
     ready_datagrams: VecDeque<Bytes>,
-    /// Buffered packets for which keys are not yet available: the decoded
-    /// packet, its payload wire bytes (what the tag authenticates; a view
-    /// of the datagram, held until the keys arrive or the space dies), the
-    /// tag, and the packet's wire size.
-    pending_packets: Vec<(PlainPacket, Bytes, [u8; 16], usize)>,
     events: VecDeque<ConnEvent>,
     /// qlog event log for this endpoint.
     pub log: EventLog,
     handshake_complete: bool,
-    handshake_confirmed: bool,
     /// HANDSHAKE_DONE owed to the peer (server).
     handshake_done_pending: bool,
-    /// Client: an instant ACK (pure-ACK Initial) was received.
-    iack_received: bool,
-    /// PNs of PING probes we sent in the Initial space (quiche quirk).
-    initial_ping_pns: Vec<u64>,
-    /// Ping-reply drop budget remaining (quiche quirk).
-    ping_reply_drop_budget: usize,
-    /// The ClientHello crypto bytes, kept for probe retransmission.
-    initial_crypto_copy: Bytes,
-    /// Whether the client's second flight was already emitted.
-    flight2_sent: bool,
     /// Streams.
     pub streams: StreamSet,
     /// Time of last sent or received datagram (deadlock-PTO basis).
@@ -262,26 +246,13 @@ pub struct Connection {
     /// Time of the last ack-eliciting *send* (base for the quirky
     /// "default PTO only" deadlock probe of mvfst/picoquic).
     last_eliciting_send: Option<SimTime>,
-    /// Client: when the first datagram left (base of the `give_up_after`
-    /// handshake deadline).
-    first_send_at: Option<SimTime>,
     /// Open, or closed with or without a CONNECTION_CLOSE still to send.
     closing: CloseState,
-    /// Retry support: token we must echo in Initials (client).
-    token: Vec<u8>,
     /// Server: require a Retry round trip before accepting.
     pub use_retry: bool,
-    retry_sent: bool,
-    /// Server in WFC mode: the request handler is blocked on the
-    /// certificate store; nothing is sent until `certificate_ready`
-    /// (Figure 1a — the sleep covers the whole response path).
-    waiting_for_cert: bool,
     /// Received packets that newly acknowledged at least one of our
     /// packets ("packets with new ACKs", paper Figure 11).
     new_ack_packets: usize,
-    /// Early data was rejected (or the PSK offer failed): the client
-    /// requeues 0-RTT content as 1-RTT, the server drops 0-RTT packets.
-    early_rejected: bool,
     /// Every path, its amplification accounting, the CIDs and the path
     /// validation probe.
     paths: Paths,
@@ -302,10 +273,8 @@ impl Connection {
         if cfg.quirks.aioquic_rttvar {
             rtt = rtt.with_variant(RttVariant::AioquicOrder);
         }
-        if rtt_quirk_applies {
-            if let Some(pre) = cfg.quirks.buggy_rtt_preinit {
-                rtt = rtt.with_buggy_preinit(pre);
-            }
+        if let Some(pre) = cfg.quirks.buggy_rtt_preinit.filter(|_| rtt_quirk_applies) {
+            rtt = rtt.with_buggy_preinit(pre);
         }
         let mut tls = TlsSession::client(TlsClientConfig {
             ticket: cfg.session_ticket.clone(),
@@ -313,17 +282,7 @@ impl Connection {
             ..TlsClientConfig::full()
         });
         tls.start();
-        let mut conn = Connection::new(Role::Client, cfg, seed, tls, rtt, local_cid, original_dcid);
-        conn.spaces[2].early_keys = conn.tls.early_keys().cloned();
-        if conn.cfg.quirks.drop_ping_reply_coalesced {
-            conn.ping_reply_drop_budget = 1;
-        }
-        // Queue the ClientHello into the Initial crypto stream.
-        if let Some(ch) = conn.tls.take_output(Level::Initial) {
-            conn.initial_crypto_copy = ch.clone();
-            conn.spaces[0].crypto.queue_tx(ch);
-        }
-        conn
+        Connection::new(cfg, seed, tls, rtt, local_cid, original_dcid)
     }
 
     /// Creates a server connection for a new 4-tuple whose first datagram
@@ -339,26 +298,27 @@ impl Connection {
             accept_ticket_keys: cfg.accept_ticket_keys.clone(),
         });
         let rtt = RttEstimator::new(MAX_ACK_DELAY);
-        Connection::new(Role::Server, cfg, seed, tls, rtt, local_cid, original_dcid)
+        Connection::new(cfg, seed, tls, rtt, local_cid, original_dcid)
     }
 
     /// The state both roles start from; `client`/`server` supply what
     /// differs (TLS session, RTT quirks, CIDs).
     fn new(
-        role: Role,
         cfg: EndpointConfig,
         seed: u64,
-        tls: TlsSession,
+        mut tls: TlsSession,
         rtt: RttEstimator,
         local_cid: ConnectionId,
         original_dcid: ConnectionId,
     ) -> Self {
+        let role = tls.role();
         let (role_name, peer_cid) = match role {
             Role::Client => ("client", original_dcid),
             Role::Server => ("server", ConnectionId::EMPTY), // learned from the client's SCID
         };
-        let mut spaces: [Space; 3] = Default::default();
-        spaces[0].keys = Some(initial_keys(original_dcid.as_slice()));
+        let handshake = Handshake::new(role, &cfg, original_dcid, &mut tls);
+        let mut app = Space::default();
+        app.early_keys = tls.early_keys().cloned();
         Connection {
             role,
             pto: PtoState::new(cfg.default_pto),
@@ -366,35 +326,23 @@ impl Connection {
             last_cc_state: CcState::SlowStart,
             largest_acked_sent_time: None,
             tls,
-            spaces,
+            handshake: Some(Box::new(handshake)),
+            app,
             rtt,
             local_cid,
             peer_cid,
             original_dcid,
             ready_datagrams: VecDeque::new(),
-            pending_packets: Vec::new(),
             events: VecDeque::new(),
             log: EventLog::new(format!("{role_name}:{}", cfg.name)).capturing(cfg.capture_qlog),
             handshake_complete: false,
-            handshake_confirmed: false,
             handshake_done_pending: false,
-            iack_received: false,
-            initial_ping_pns: Vec::new(),
-            ping_reply_drop_budget: 0,
-            initial_crypto_copy: Bytes::new(),
-            // A server has no client flight 2.
-            flight2_sent: role == Role::Server,
             streams: StreamSet::new(INITIAL_MAX_DATA, INITIAL_MAX_STREAM_DATA),
             last_activity: None,
             last_eliciting_send: None,
-            first_send_at: None,
             closing: CloseState::Open,
-            token: Vec::new(),
             use_retry: false,
-            retry_sent: false,
-            waiting_for_cert: false,
             new_ack_packets: 0,
-            early_rejected: false,
             paths: Paths::new(role, seed),
             stats: ConnStats::default(),
             last_metrics_sample: None,
@@ -426,12 +374,12 @@ impl Connection {
     /// send 1-RTT data (e.g. the HTTP/3 SETTINGS control stream) as soon
     /// as this is true, before the handshake completes (Figure 3).
     pub fn app_keys_available(&self) -> bool {
-        self.spaces[2].keys.is_some()
+        self.app.keys.is_some()
     }
 
-    /// Whether the handshake is confirmed at this endpoint.
+    /// Whether the handshake is confirmed here (its state is gone).
     pub fn is_confirmed(&self) -> bool {
-        self.handshake_confirmed
+        self.handshake.is_none()
     }
 
     /// Number of received packets that newly acknowledged at least one
@@ -470,14 +418,12 @@ impl Connection {
     fn on_tls_event(&mut self, now: SimTime, ev: TlsEvent) {
         match ev {
             TlsEvent::KeysReady(level) => {
-                let space = space_of(level);
-                self.spaces[space.index()].keys = self.tls.keys(level).cloned();
-                self.log.push(
-                    now,
-                    EventData::KeyInstalled {
-                        space: space_name(space),
-                    },
-                );
+                let (idx, keys) = (level as usize, self.tls.keys(level).cloned());
+                if let Some(sp) = self.space_mut(idx) {
+                    sp.keys = keys;
+                }
+                let space = space_name(PacketNumberSpace::ALL[idx]);
+                self.log.push(now, EventData::KeyInstalled { space });
                 // Newly decryptable packets may be buffered.
                 self.flush_pending(now);
             }
@@ -486,13 +432,17 @@ impl Connection {
                 self.events.push_back(ConnEvent::CertificateNeeded);
                 match self.cfg.ack_mode {
                     ServerAckMode::InstantAck { pad_to_mtu } => {
-                        self.queue_instant_ack(now, pad_to_mtu);
+                        if self.queue_ack(now, PacketNumberSpace::Initial, pad_to_mtu) {
+                            self.log.push(now, EventData::InstantAck { sent: true });
+                        }
                     }
                     ServerAckMode::WaitForCertificate => {
                         // The whole response path blocks on the store: no
                         // ACK leaves until the certificate is available
                         // (Figure 1a -- the sleep covers the response path).
-                        self.waiting_for_cert = true;
+                        if let Some(hs) = self.handshake.as_deref_mut() {
+                            hs.waiting_for_cert = true;
+                        }
                     }
                 }
             }
@@ -504,22 +454,24 @@ impl Connection {
                 if self.role == Role::Server {
                     // Install the 0-RTT read keys; the CH datagram may
                     // carry (or be followed by) 0-RTT packets.
-                    self.spaces[2].early_keys = self.tls.early_keys().cloned();
+                    self.app.early_keys = self.tls.early_keys().cloned();
                     self.flush_pending(now);
                 }
             }
             TlsEvent::EarlyDataRejected => {
                 self.log.push(now, EventData::EarlyData { accepted: false });
-                self.early_rejected = true;
+                if let Some(hs) = self.handshake.as_deref_mut() {
+                    hs.early_rejected = true;
+                }
                 if self.role == Role::Client {
                     // No `packet_lost` events: the reject removes the early
                     // packets from tracking (RFC 9001 §4.6.2), loss recovery
                     // did not declare them lost; `early_data {accepted:
                     // false}` above marks the unwind.
-                    let freed = self.spaces[2].unwind();
+                    let freed = self.app.unwind();
                     self.cc.on_discarded(freed);
                 }
-                self.spaces[2].early_keys = None;
+                self.app.early_keys = None;
             }
             TlsEvent::TicketIssued(ticket) => {
                 self.log.push(now, EventData::SessionTicket { sent: false });
@@ -533,7 +485,6 @@ impl Connection {
                 match self.role {
                     Role::Server => {
                         self.handshake_done_pending = true;
-                        self.handshake_confirmed = true;
                         self.log.push(now, EventData::HandshakeConfirmed);
                         // A ticket-issuing server queued its NST at the
                         // Application level when the handshake completed.
@@ -543,9 +494,9 @@ impl Connection {
                         // Some stacks ACK the client Finished in the
                         // Handshake space before discarding it (Table 3).
                         if self.cfg.send_handshake_space_acks && !self.cfg.no_initial_acks {
-                            self.queue_handshake_ack(now);
+                            self.queue_ack(now, PacketNumberSpace::Handshake, false);
                         }
-                        self.discard_space(PacketNumberSpace::Handshake);
+                        self.confirm();
                     }
                     Role::Client => {
                         // Client Finished (and any 1-RTT request already
@@ -560,8 +511,9 @@ impl Connection {
 
     fn pump_tls_output(&mut self) {
         for (idx, level) in LEVELS.into_iter().enumerate() {
-            if let Some(out) = self.tls.take_output(level) {
-                self.spaces[idx].crypto.queue_tx(out);
+            let out = self.tls.take_output(level);
+            if let (Some(out), Some(sp)) = (out, self.space_mut(idx)) {
+                sp.crypto.queue_tx(out);
             }
         }
     }
@@ -569,7 +521,9 @@ impl Connection {
     /// Server driver callback: the certificate arrived from the store.
     pub fn certificate_ready(&mut self, now: SimTime) {
         assert_eq!(self.role, Role::Server);
-        self.waiting_for_cert = false;
+        if let Some(hs) = self.handshake.as_deref_mut() {
+            hs.waiting_for_cert = false;
+        }
         self.log.push(now, EventData::CertificateReady);
         let events = self.tls.provide_certificate();
         for ev in events {
@@ -578,15 +532,42 @@ impl Connection {
         self.pump_tls_output();
     }
 
-    fn discard_space(&mut self, space: PacketNumberSpace) {
-        let sp = &mut self.spaces[space.index()];
-        if sp.is_discarded() {
-            return;
+    /// Space `idx` (Initial, Handshake, Application), while it exists.
+    fn space(&self, idx: usize) -> Option<&Space> {
+        match &self.handshake {
+            _ if idx == 2 => Some(&self.app),
+            hs => hs.as_ref().map(|hs| &hs.spaces[idx]),
         }
+    }
+
+    /// Space `idx`, mutably, while it exists.
+    fn space_mut(&mut self, idx: usize) -> Option<&mut Space> {
+        space_in(&mut self.handshake, &mut self.app, idx)
+    }
+
+    /// Every space that exists, in space order.
+    fn spaces(&self) -> impl Iterator<Item = &Space> {
+        let handshake_spaces = self.handshake.iter().flat_map(|hs| &hs.spaces);
+        handshake_spaces.chain([&self.app])
+    }
+
+    fn discard_space(&mut self, space: PacketNumberSpace) {
+        let sp = self.space_mut(space.index());
+        let Some(sp) = sp.filter(|sp| !sp.is_discarded()) else {
+            return;
+        };
         let freed = sp.discard();
         self.cc.on_discarded(freed);
         // Key discard resets the PTO backoff and timer (RFC 9002 §6.2.2).
         self.pto.on_progress();
+    }
+
+    /// Confirms the handshake: what is left of the handshake spaces is
+    /// discarded, and the handshake state goes with them.
+    fn confirm(&mut self) {
+        self.discard_space(PacketNumberSpace::Initial);
+        self.discard_space(PacketNumberSpace::Handshake);
+        self.handshake = None;
     }
 
     /// Closes the connection: the one way a connection closes, for the
@@ -713,14 +694,6 @@ fn space_name(space: PacketNumberSpace) -> SpaceName {
 
 /// The TLS level of each packet number space, by space index.
 const LEVELS: [Level; 3] = [Level::Initial, Level::Handshake, Level::Application];
-
-fn space_of(level: Level) -> PacketNumberSpace {
-    match level {
-        Level::Initial => PacketNumberSpace::Initial,
-        Level::Handshake => PacketNumberSpace::Handshake,
-        Level::Application => PacketNumberSpace::Application,
-    }
-}
 
 fn summaries(frames: &[Frame]) -> Vec<FrameSummary> {
     let summary = |f: &Frame| FrameSummary {

@@ -5,14 +5,16 @@ use bytes::{Buf, Bytes};
 use rq_qlog::EventData;
 use rq_recovery::{persistent_congestion_duration, SentPacket};
 use rq_sim::{SimDuration, SimTime};
-use rq_tls::{verify_tag, KeySide, Level};
+use rq_tls::{verify_tag, KeySide};
 use rq_wire::{AckFrame, Frame, PacketNumberSpace, PacketType, PlainPacket};
 
 use super::{
-    retry_token_for, space_name, stateless_retry_datagram, summaries, ConnEvent, Connection, Role,
-    ERROR_SERVER_BUSY, ERROR_STATELESS_RESET, LEVELS, SERVER_BUSY_PREFIX, STATELESS_RESET_PREFIX,
+    retry_token_for, space_in, space_name, stateless_retry_datagram, summaries, ConnEvent,
+    Connection, Handshake, Role, ERROR_SERVER_BUSY, ERROR_STATELESS_RESET, LEVELS,
+    SERVER_BUSY_PREFIX, STATELESS_RESET_PREFIX,
 };
 use crate::config::MAX_ACK_DELAY;
+use crate::space::Space;
 
 impl Connection {
     /// Processes one received UDP datagram (on the active path), copying
@@ -53,22 +55,9 @@ impl Connection {
         // quiche quirk: drop a datagram whose leading Initial packet is a
         // reply to one of our PING probes, together with all coalesced
         // packets (paper §4.1).
-        if self.ping_reply_drop_budget > 0 {
-            if let Ok((pkt, _, _, used)) = PlainPacket::decode_with_payload(&data, 8) {
-                // "together with coalesced packets": the bug only hits
-                // datagrams where the ping-acking Initial is followed by
-                // further coalesced packets.
-                if pkt.header.ty == PacketType::Initial && used < data.len() {
-                    let acks_ping = pkt.frames.iter().any(|f| match f {
-                        Frame::Ack(a) => self.initial_ping_pns.iter().any(|pn| a.acks(*pn)),
-                        _ => false,
-                    });
-                    if acks_ping {
-                        self.ping_reply_drop_budget -= 1;
-                        return;
-                    }
-                }
-            }
+        let hs = self.handshake.as_deref_mut();
+        if hs.is_some_and(|hs| hs.drops_ping_reply(&data)) {
+            return;
         }
 
         let mut rest = data;
@@ -78,8 +67,9 @@ impl Connection {
                 return; // undecodable remainder: drop silently
             };
             rest.advance(consumed);
-            if !self.accept_packet(now, &pkt, &payload, &tag, consumed) {
-                self.pending_packets.push((pkt, payload, tag, consumed));
+            let keys_missing = !self.accept_packet(now, &pkt, &payload, &tag, consumed);
+            if let Some(hs) = self.handshake.as_deref_mut().filter(|_| keys_missing) {
+                hs.pending_packets.push((pkt, payload, tag, consumed));
             }
         }
         // Server address validation: a Handshake packet proves the client
@@ -101,9 +91,8 @@ impl Connection {
         tag: &[u8; 16],
         size: usize,
     ) -> bool {
-        let space = pkt.space();
-        let idx = space.index();
-        if self.spaces[idx].is_discarded() {
+        let idx = pkt.space().index();
+        if self.space(idx).is_none_or(Space::is_discarded) {
             return true;
         }
         if pkt.header.ty == PacketType::Retry {
@@ -114,8 +103,8 @@ impl Connection {
         // token before processing the first Initial.
         if self.role == Role::Server && self.use_retry && pkt.header.ty == PacketType::Initial {
             if pkt.header.token.is_empty() {
-                if !self.retry_sent {
-                    self.retry_sent = true;
+                if let Some(hs) = self.handshake.as_deref_mut().filter(|hs| !hs.retry_sent) {
+                    hs.retry_sent = true;
                     self.peer_cid = pkt.header.scid;
                     self.ready_datagrams
                         .push_back(stateless_retry_datagram(self.peer_cid, self.local_cid));
@@ -133,20 +122,15 @@ impl Connection {
         if zero_rtt && self.role != Role::Server {
             return true; // only servers receive 0-RTT
         }
-        let Some(keys) = self.spaces[idx].keys_for(pkt.header.ty) else {
-            if zero_rtt {
-                // Keys exist once the CH's ticket is validated with early
-                // data accepted. If the handshake already progressed
-                // without them, the offer was rejected (or absent): drop
-                // per RFC 9001 §5.7. Otherwise the 0-RTT packet raced
-                // ahead of the CH — buffer it.
-                if self.early_rejected || self.spaces[1].keys.is_some() {
-                    return true;
-                }
-            }
+        let Some(keys) = self.space(idx).and_then(|sp| sp.keys_for(pkt.header.ty)) else {
             // Buffered until the keys are available (e.g. Handshake packets
-            // arriving while the ServerHello is lost).
-            return false;
+            // arriving while the ServerHello is lost). 0-RTT keys exist
+            // once the CH's ticket is validated with early data accepted:
+            // if the handshake already progressed without them, the offer
+            // was rejected (or absent), so drop per RFC 9001 §5.7; else the
+            // 0-RTT packet raced ahead of the CH.
+            let hopeless = |hs: &Handshake| hs.early_rejected || hs.spaces[1].keys.is_some();
+            return zero_rtt && self.handshake.as_deref().is_none_or(hopeless);
         };
         let peer_side = match self.role {
             Role::Client => KeySide::Server,
@@ -161,13 +145,16 @@ impl Connection {
 
     /// Re-processes buffered packets once keys become available.
     pub(super) fn flush_pending(&mut self, now: SimTime) {
-        if self.pending_packets.is_empty() {
+        let hs = self.handshake.as_deref_mut();
+        let Some(hs) = hs.filter(|hs| !hs.pending_packets.is_empty()) else {
             return;
-        }
-        let mut pending = std::mem::take(&mut self.pending_packets);
+        };
+        let mut pending = std::mem::take(&mut hs.pending_packets);
         pending
             .retain(|(pkt, payload, tag, size)| !self.accept_packet(now, pkt, payload, tag, *size));
-        self.pending_packets.append(&mut pending);
+        if let Some(hs) = self.handshake.as_deref_mut() {
+            hs.pending_packets.append(&mut pending);
+        }
     }
 
     fn process_packet(&mut self, now: SimTime, pkt: &PlainPacket, size: usize) {
@@ -175,20 +162,6 @@ impl Connection {
         let idx = space.index();
         let ack_eliciting = pkt.is_ack_eliciting();
         let is_ack_only = pkt.is_ack_only();
-        if !self.spaces[idx]
-            .recv
-            .on_packet(pkt.header.pn, ack_eliciting, now)
-        {
-            return; // duplicate
-        }
-        self.stats.packets_opened[idx] += 1;
-        self.log.push_with(now, || EventData::PacketReceived {
-            space: space_name(space),
-            pn: pkt.header.pn,
-            size,
-            ack_eliciting,
-            frames: summaries(&pkt.frames),
-        });
         // Arm the delayed-ACK deadline. Application space: max_ack_delay.
         // Handshake spaces at the *client*: a short batching window so the
         // first server flight is acknowledged as part of the second client
@@ -201,29 +174,38 @@ impl Connection {
         } else {
             None
         };
-        if ack_eliciting {
-            if let Some(window) = batching {
-                let deadline = now + window;
-                let recv = &mut self.spaces[idx].recv;
-                recv.ack_deadline = Some(recv.ack_deadline.map_or(deadline, |d| d.min(deadline)));
-            }
+        let Some(recv) = self.space_mut(idx).map(|sp| &mut sp.recv) else {
+            return;
+        };
+        if !recv.on_packet(pkt.header.pn, ack_eliciting, now) {
+            return; // duplicate
         }
+        if let Some(window) = batching.filter(|_| ack_eliciting) {
+            let deadline = now + window;
+            recv.ack_deadline = Some(recv.ack_deadline.map_or(deadline, |d| d.min(deadline)));
+        }
+        self.stats.packets_opened[idx] += 1;
+        self.log.push_with(now, || EventData::PacketReceived {
+            space: space_name(space),
+            pn: pkt.header.pn,
+            size,
+            ack_eliciting,
+            frames: summaries(&pkt.frames),
+        });
 
         // Server: learn the client's SCID; client: learn the server's SCID.
-        if pkt.header.ty == PacketType::Initial || pkt.header.ty == PacketType::Handshake {
-            if self.peer_cid.is_empty() || self.role == Role::Client {
-                if !pkt.header.scid.is_empty() {
-                    self.peer_cid = pkt.header.scid;
-                }
-            }
+        let long = matches!(pkt.header.ty, PacketType::Initial | PacketType::Handshake);
+        let learns = self.peer_cid.is_empty() || self.role == Role::Client;
+        if long && learns && !pkt.header.scid.is_empty() {
+            self.peer_cid = pkt.header.scid;
         }
 
         // Client: detect an instant ACK (pure-ACK Initial packet).
-        if self.role == Role::Client && space == PacketNumberSpace::Initial && is_ack_only {
-            if !self.iack_received {
-                self.iack_received = true;
-                self.log.push(now, EventData::InstantAck { sent: false });
-            }
+        let iack = self.role == Role::Client && space == PacketNumberSpace::Initial && is_ack_only;
+        let hs = self.handshake.as_deref_mut();
+        if let Some(hs) = hs.filter(|hs| iack && !hs.iack_received) {
+            hs.iack_received = true;
+            self.log.push(now, EventData::InstantAck { sent: false });
         }
 
         // Server: Handshake packet validates the client address.
@@ -253,14 +235,19 @@ impl Connection {
             Frame::Padding { .. } | Frame::Ping => {}
             Frame::Ack(ack) => self.on_ack_frame(now, space, pkt, ack),
             Frame::Crypto { offset, data } => {
-                let (contiguous, dup) = self.spaces[idx].crypto.on_rx(*offset, data.clone());
+                // Gone if an earlier frame confirmed the handshake.
+                let Some(sp) = self.space_mut(idx) else {
+                    return;
+                };
+                let (contiguous, dup) = sp.crypto.on_rx(*offset, data.clone());
                 // A server receiving a retransmitted ClientHello treats it
                 // as a probe that its first flight was lost and resends the
                 // oldest unacked flight data (the mechanism behind the
                 // paper's §5 client-side improvement).
-                if self.role == Role::Server && dup && space == PacketNumberSpace::Initial {
-                    self.spaces[0].requeue_oldest();
-                    self.spaces[1].requeue_oldest();
+                let hs = self.handshake.as_deref_mut();
+                if let Some(hs) = hs.filter(|_| self.role == Role::Server && dup && idx == 0) {
+                    hs.spaces[0].requeue_oldest();
+                    hs.spaces[1].requeue_oldest();
                 }
                 // quiche quirk (§4.2/App. F): under IACK, receiving the
                 // ServerHello as a *retransmission* — visible on the wire
@@ -269,11 +256,13 @@ impl Connection {
                 // connection. Triggers exactly in the Figure 6/12 loss
                 // pattern (original SH lost, resent after the server PTO)
                 // and never in the in-order Figures 5/7 flows.
+                let gap_after_iack = |hs: &Handshake| {
+                    hs.iack_received && !hs.spaces[0].recv.is_contiguous_from_zero()
+                };
                 if self.role == Role::Client
                     && self.cfg.quirks.abort_on_initial_retransmit_after_iack
-                    && self.iack_received
                     && space == PacketNumberSpace::Initial
-                    && !self.spaces[idx].recv.is_contiguous_from_zero()
+                    && self.handshake.as_deref().is_some_and(gap_after_iack)
                 {
                     self.close(now, 0x0a, "duplicate connection id retirement", true);
                     return;
@@ -325,14 +314,15 @@ impl Connection {
             | Frame::PathChallenge { .. }
             | Frame::PathResponse { .. } => self.on_path_frame(now, frame),
             Frame::NewToken { token } => {
-                self.token = token.to_vec();
+                if let Some(hs) = self.handshake.as_deref_mut() {
+                    hs.token = token.to_vec();
+                }
             }
             Frame::HandshakeDone => {
-                if self.role == Role::Client && !self.handshake_confirmed {
-                    self.handshake_confirmed = true;
+                if self.role == Role::Client && !self.is_confirmed() {
                     self.log.push(now, EventData::HandshakeConfirmed);
                     self.events.push_back(ConnEvent::HandshakeConfirmed);
-                    self.discard_space(PacketNumberSpace::Handshake);
+                    self.confirm();
                 }
             }
             Frame::ConnectionClose {
@@ -348,7 +338,10 @@ impl Connection {
         pkt: &PlainPacket,
         ack: &AckFrame,
     ) {
-        let outcome = self.spaces[space.index()].on_ack(ack, now, &self.rtt);
+        let Some(sp) = space_in(&mut self.handshake, &mut self.app, space.index()) else {
+            return;
+        };
+        let outcome = sp.on_ack(ack, now, &self.rtt);
         if outcome.newly_acked.is_empty() {
             return;
         }
@@ -395,7 +388,7 @@ impl Connection {
             let skip = self.cfg.quirks.ignore_iack_rtt && from_iack && self.role == Role::Client;
             if !skip {
                 let delay = SimDuration::from_micros(ack.ack_delay_us);
-                self.rtt.update(sample, delay, self.handshake_confirmed);
+                self.rtt.update(sample, delay, self.is_confirmed());
                 self.log_metrics(now);
             }
         }
@@ -519,15 +512,7 @@ impl Connection {
         }
         if established {
             self.cc.on_persistent_congestion();
-            self.stats.cc_transitions += 1;
-            self.log.push(
-                now,
-                EventData::CongestionStateUpdated {
-                    new_state: "persistent_congestion",
-                    cwnd: self.cc.cwnd(),
-                    bytes_in_flight: self.cc.bytes_in_flight(),
-                },
-            );
+            self.note_cc_transition(now, "persistent_congestion");
         }
     }
 
@@ -537,30 +522,36 @@ impl Connection {
         let state = self.cc.state();
         if state != self.last_cc_state {
             self.last_cc_state = state;
-            self.stats.cc_transitions += 1;
-            self.log.push(
-                now,
-                EventData::CongestionStateUpdated {
-                    new_state: state.as_str(),
-                    cwnd: self.cc.cwnd(),
-                    bytes_in_flight: self.cc.bytes_in_flight(),
-                },
-            );
+            self.note_cc_transition(now, state.as_str());
         }
     }
 
+    /// Counts a controller phase change and logs it as `new_state`.
+    fn note_cc_transition(&mut self, now: SimTime, new_state: &'static str) {
+        self.stats.cc_transitions += 1;
+        let (cwnd, bytes_in_flight) = (self.cc.cwnd(), self.cc.bytes_in_flight());
+        let update = EventData::CongestionStateUpdated {
+            new_state,
+            cwnd,
+            bytes_in_flight,
+        };
+        self.log.push(now, update);
+    }
+
     fn on_retry(&mut self, pkt: &PlainPacket) {
-        if self.role != Role::Client || self.iack_received || !self.token.is_empty() {
-            return; // only one Retry per connection, clients only
+        if self.role != Role::Client {
+            return; // clients only
         }
-        self.token = pkt.header.token.clone();
+        // Only one Retry per connection.
+        let hs = self.handshake.as_deref_mut();
+        let Some(hs) = hs.filter(|hs| !hs.iack_received && hs.token.is_empty()) else {
+            return;
+        };
+        hs.token = pkt.header.token.clone();
         self.peer_cid = pkt.header.scid;
         // Restart TLS and the Initial crypto stream with the token attached.
         self.tls.reset_for_retry();
-        self.spaces[0].reset();
-        if let Some(ch) = self.tls.take_output(Level::Initial) {
-            self.initial_crypto_copy = ch.clone();
-            self.spaces[0].crypto.queue_tx(ch);
-        }
+        hs.spaces[0].reset();
+        hs.queue_client_hello(&mut self.tls);
     }
 }

@@ -11,7 +11,7 @@ use rq_wire::{
     Frame, FrameList, Header, PacketNumberSpace, PacketType, PlainPacket, MIN_INITIAL_DATAGRAM,
 };
 
-use super::{space_name, summaries, CloseState, Connection, Role, MAX_DATAGRAM_SIZE};
+use super::{space_in, space_name, summaries, CloseState, Connection, Role, MAX_DATAGRAM_SIZE};
 use crate::config::{AckDelayReport, ACK_ELICITING_THRESHOLD};
 use crate::space::Space;
 
@@ -31,7 +31,8 @@ impl Connection {
     /// Produces the next outgoing UDP datagram, or `None` when idle.
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<Bytes> {
         // WFC server blocked on the certificate store: fully silent.
-        if self.waiting_for_cert {
+        let hs = self.handshake.as_deref();
+        if hs.is_some_and(|hs| hs.waiting_for_cert) {
             return None;
         }
         if self.ready_datagrams.is_empty() {
@@ -40,7 +41,10 @@ impl Connection {
             }
             // Client flight 2: emitted as an explicit datagram plan honoring
             // the per-implementation coalescing layout (Table 4).
-            if self.role == Role::Client && self.handshake_complete && !self.flight2_sent {
+            let flight2 = self.role == Role::Client && self.handshake_complete;
+            let hs = self.handshake.as_deref_mut();
+            if let Some(hs) = hs.filter(|hs| flight2 && !hs.flight2_sent) {
+                hs.flight2_sent = true;
                 self.build_client_flight2(now);
             }
         }
@@ -57,7 +61,9 @@ impl Connection {
     fn note_datagram_sent(&mut self, now: SimTime, len: usize) {
         self.paths.on_sent(len);
         self.last_activity = Some(now);
-        self.first_send_at.get_or_insert(now);
+        if let Some(hs) = self.handshake.as_deref_mut() {
+            hs.first_send_at.get_or_insert(now);
+        }
     }
 
     /// Plans one generic datagram by greedily coalescing per-space packets.
@@ -72,8 +78,10 @@ impl Connection {
 
         for space in PacketNumberSpace::ALL {
             let idx = space.index();
-            let early = idx == 2 && self.spaces[idx].keys.is_none() && self.can_send_early();
-            if (self.spaces[idx].keys.is_none() && !early) || self.spaces[idx].is_discarded() {
+            let Some(sp) = self.space(idx).filter(|sp| !sp.is_discarded()) else {
+                continue;
+            };
+            if sp.keys.is_none() && !(idx == 2 && self.can_send_early()) {
                 continue;
             }
             let overhead = self.packet_overhead(space);
@@ -112,7 +120,7 @@ impl Connection {
     /// True if any space has content waiting (used for the
     /// amplification-blocked diagnostic).
     pub(super) fn wants_to_send(&self) -> bool {
-        self.spaces.iter().any(Space::has_data_to_send)
+        self.spaces().any(Space::has_data_to_send)
             || self.streams.want_send()
             || self.handshake_done_pending
             || self.paths.wants_to_send()
@@ -123,9 +131,9 @@ impl Connection {
     /// has not been rejected.
     fn can_send_early(&self) -> bool {
         self.role == Role::Client
-            && self.spaces[2].early_keys.is_some()
+            && self.app.early_keys.is_some()
             && !self.handshake_complete
-            && !self.early_rejected
+            && self.handshake.as_ref().is_some_and(|hs| !hs.early_rejected)
     }
 
     fn packet_overhead(&self, space: PacketNumberSpace) -> usize {
@@ -133,7 +141,7 @@ impl Connection {
         // packets (application space before 1-RTT keys) carry a long
         // header, not the 1-RTT short header.
         match space {
-            PacketNumberSpace::Application if self.spaces[2].keys.is_some() => 1 + 8 + 4 + 16,
+            PacketNumberSpace::Application if self.app.keys.is_some() => 1 + 8 + 4 + 16,
             _ => 1 + 4 + 1 + 8 + 1 + 8 + 1 + 2 + 4 + 16 + 2,
         }
     }
@@ -149,16 +157,19 @@ impl Connection {
     ) {
         let idx = space.index();
         let mut used = 0usize;
+        let Some(sp) = self.space(idx) else {
+            return;
+        };
         // Building a 0-RTT packet: ACK and HANDSHAKE_DONE frames are not
         // permitted there (RFC 9000 §12.4), and neither arises before the
         // handshake anyway.
-        let early = space == PacketNumberSpace::Application && self.spaces[idx].keys.is_none();
+        let early = space == PacketNumberSpace::Application && sp.keys.is_none();
 
         // 1. ACK: attach whenever owed; in handshake spaces attach
         //    opportunistically with any other content too. Clients batch
         //    handshake-space ACKs for a short window (see handshake-space
         //    deadline arming above).
-        let recv = &self.spaces[idx].recv;
+        let recv = &sp.recv;
         let deadline_passed = recv.ack_overdue || recv.ack_deadline.is_some_and(|d| now >= d);
         let ack_due = if space == PacketNumberSpace::Application {
             recv.unacked_eliciting >= ACK_ELICITING_THRESHOLD || deadline_passed
@@ -169,9 +180,8 @@ impl Connection {
         let never_acks = self.cfg.no_initial_acks
             && self.role == Role::Server
             && space != PacketNumberSpace::Application;
-        let attach_ack = recv.ack_pending
-            && (ack_due || self.spaces[idx].has_data_to_send())
-            && !(never_acks || early);
+        let attach_ack =
+            recv.ack_pending && (ack_due || sp.has_data_to_send()) && !(never_acks || early);
         if attach_ack {
             if let Some(f) = self.take_ack_frame(now, idx) {
                 used += f.encoded_len();
@@ -179,19 +189,22 @@ impl Connection {
             }
         }
 
+        let Some(sp) = self.space_mut(idx) else {
+            return;
+        };
         // 2. PING probes.
-        while self.spaces[idx].pending_pings > 0 && used + 1 <= max_payload {
-            self.spaces[idx].pending_pings -= 1;
+        while sp.pending_pings > 0 && used + 1 <= max_payload {
+            sp.pending_pings -= 1;
             frames.push(Frame::Ping);
             used += 1;
         }
 
         // 3. Retransmission queue.
-        self.spaces[idx].take_requeued(frames, &mut used, max_payload);
+        sp.take_requeued(frames, &mut used, max_payload);
 
         // 4. Fresh crypto data.
         let room = max_payload.saturating_sub(used + 10);
-        if let Some((offset, data)) = self.spaces[idx].crypto.take_tx(room) {
+        if let Some((offset, data)) = sp.crypto.take_tx(room) {
             used += 10 + data.len();
             frames.push(Frame::Crypto { offset, data });
         }
@@ -278,11 +291,12 @@ impl Connection {
     fn emit_datagram(&mut self, now: SimTime, plan: &mut Plan) -> Option<Bytes> {
         let mut pkts: [Option<PlainPacket>; 3] = [None, None, None];
         for (space, frames) in PacketNumberSpace::ALL.into_iter().zip(plan) {
-            if !frames.is_empty() {
-                let pn = self.spaces[space.index()].alloc_pn();
-                let pkt = PlainPacket::new(self.header_for(space, pn), std::mem::take(frames));
-                pkts[space.index()] = Some(pkt.expect("frame permissions checked by construction"));
-            }
+            let Some(sp) = self.space_mut(space.index()).filter(|_| !frames.is_empty()) else {
+                continue;
+            };
+            let pn = sp.alloc_pn();
+            let pkt = PlainPacket::new(self.header_for(space, pn), std::mem::take(frames));
+            pkts[space.index()] = Some(pkt.expect("frame permissions checked by construction"));
         }
         if self.role == Role::Client {
             pad_client_initial(pkts.iter_mut().flatten());
@@ -301,7 +315,8 @@ impl Connection {
     fn header_for(&self, space: PacketNumberSpace, pn: u64) -> Header {
         match space {
             PacketNumberSpace::Initial => {
-                Header::initial(self.peer_cid, self.local_cid, self.token.clone(), pn)
+                let token = self.handshake.as_ref().map(|hs| hs.token.clone());
+                Header::initial(self.peer_cid, self.local_cid, token.unwrap_or_default(), pn)
             }
             PacketNumberSpace::Handshake => Header::handshake(self.peer_cid, self.local_cid, pn),
             // Before the 1-RTT keys exist, application-space packets are
@@ -309,7 +324,7 @@ impl Connection {
             // they are short-header 1-RTT packets. Both share the space's
             // packet number sequence (RFC 9000 §12.3).
             PacketNumberSpace::Application => {
-                if self.spaces[2].keys.is_some() {
+                if self.app.keys.is_some() {
                     Header::one_rtt(self.peer_cid, pn)
                 } else {
                     Header::zero_rtt(self.peer_cid, self.local_cid, pn)
@@ -326,7 +341,10 @@ impl Connection {
     fn seal_into(&mut self, now: SimTime, pkt: &mut PlainPacket, out: &mut [u8]) -> usize {
         let space = pkt.space();
         let idx = space.index();
-        let Some(keys) = self.spaces[idx].keys_for(pkt.header.ty) else {
+        let Some(sp) = space_in(&mut self.handshake, &mut self.app, idx) else {
+            return 0;
+        };
+        let Some(keys) = sp.keys_for(pkt.header.ty) else {
             return 0;
         };
         let side = match self.role {
@@ -344,11 +362,8 @@ impl Connection {
                 .iter()
                 .any(|f| matches!(f, Frame::Padding { .. }));
         // Track PING probes for the quiche quirk.
-        if space == PacketNumberSpace::Initial
-            && pkt.frames.iter().any(|f| matches!(f, Frame::Ping))
-        {
-            self.initial_ping_pns.push(pkt.header.pn);
-        }
+        let ping = space == PacketNumberSpace::Initial
+            && pkt.frames.iter().any(|f| matches!(f, Frame::Ping));
         if in_flight {
             self.cc.on_sent(size);
         }
@@ -373,7 +388,10 @@ impl Connection {
         };
         // 0-RTT sends are marked so a server reject can unwind them.
         let zero_rtt = pkt.header.ty == PacketType::ZeroRtt;
-        self.spaces[idx].on_sent(sent, std::mem::take(&mut pkt.frames), zero_rtt);
+        sp.on_sent(sent, std::mem::take(&mut pkt.frames), zero_rtt);
+        if let Some(hs) = self.handshake.as_deref_mut().filter(|_| ping) {
+            hs.initial_ping_pns.push(pkt.header.pn);
+        }
         // Client: sending the first Handshake packet discards Initial keys.
         if self.role == Role::Client && space == PacketNumberSpace::Handshake {
             self.discard_space(PacketNumberSpace::Initial);
@@ -385,15 +403,15 @@ impl Connection {
     /// layout (Table 4): Initial ACK, Handshake FIN (+HS ACK), and the
     /// first 1-RTT packet, spread over `flight2_datagrams` datagrams.
     fn build_client_flight2(&mut self, now: SimTime) {
-        self.flight2_sent = true;
         // Packet A: Initial ACK (if Initial space still alive).
         let mut pkt_a = FrameList::new();
-        if self.spaces[0].usable() {
+        if self.space(0).is_some_and(Space::usable) {
             pkt_a.extend(self.take_ack_frame(now, 0));
         }
         // Packet B: Handshake ACK + client Finished.
         let mut pkt_b = FrameList::from_iter(self.take_ack_frame(now, 1));
-        let finished = self.spaces[1].crypto.take_tx(usize::MAX);
+        let handshake_space = self.space_mut(1);
+        let finished = handshake_space.and_then(|sp| sp.crypto.take_tx(usize::MAX));
         pkt_b.extend(finished.map(|(offset, data)| Frame::Crypto { offset, data }));
         // Packet C: first 1-RTT packet (request or ACK of early server data).
         let mut pkt_c = FrameList::new();
@@ -431,13 +449,8 @@ impl Connection {
         else {
             return None;
         };
-        let space = [
-            PacketNumberSpace::Application,
-            PacketNumberSpace::Handshake,
-            PacketNumberSpace::Initial,
-        ]
-        .into_iter()
-        .find(|s| self.spaces[s.index()].usable())?;
+        let mut highest_first = PacketNumberSpace::ALL.into_iter().rev();
+        let space = highest_first.find(|s| self.space(s.index()).is_some_and(Space::usable))?;
         let frame = Frame::ConnectionClose {
             error_code,
             reason,
@@ -446,66 +459,45 @@ impl Connection {
         self.emit_datagram(now, &mut solo(space, [frame]))
     }
 
-    /// Builds a pure-ACK Initial datagram right now, ahead of the flight.
-    pub(super) fn queue_instant_ack(&mut self, now: SimTime, pad_to_mtu: bool) {
-        let Some(ack) = self.take_ack_frame(now, 0) else {
-            return;
+    /// Queues a datagram of one packet carrying `space`'s ACK ahead of the
+    /// flight: the server's instant ACK, or the Handshake ACK some stacks
+    /// send for the client Finished (Table 3). `true` when it was queued.
+    pub(super) fn queue_ack(&mut self, now: SimTime, space: PacketNumberSpace, pad: bool) -> bool {
+        let Some(ack) = self.take_ack_frame(now, space.index()) else {
+            return false;
         };
-        // The ablation's frame-level policy (not §14.1 datagram padding):
-        // a closed form landing on exactly 1200 bytes.
+        // The padded-IACK ablation's frame-level policy (not §14.1
+        // datagram padding): a closed form landing on exactly 1200 bytes.
         let base = 1 + 4 + 1 + 8 + 1 + 8 + 1 + 2 + 4 + ack.encoded_len() + 16;
-        let padding = pad_to_mtu.then(|| Frame::Padding {
+        let padding = pad.then(|| Frame::Padding {
             len: MIN_INITIAL_DATAGRAM.saturating_sub(base),
         });
-        let frames = [ack].into_iter().chain(padding);
-        let mut plan = solo(PacketNumberSpace::Initial, frames);
-        if let Some(dgram) = self.emit_datagram(now, &mut plan) {
-            self.ready_datagrams.push_back(dgram);
-            self.log.push(now, EventData::InstantAck { sent: true });
-        }
-    }
-
-    /// Emits a standalone Handshake-space ACK (used by server stacks that
-    /// acknowledge the client Finished before discarding the space).
-    pub(super) fn queue_handshake_ack(&mut self, now: SimTime) {
-        if !self.spaces[1].usable() {
-            return;
-        }
-        let Some(ack) = self.take_ack_frame(now, 1) else {
-            return;
+        let mut plan = solo(space, [ack].into_iter().chain(padding));
+        let Some(dgram) = self.emit_datagram(now, &mut plan) else {
+            return false;
         };
-        let mut plan = solo(PacketNumberSpace::Handshake, [ack]);
-        if let Some(dgram) = self.emit_datagram(now, &mut plan) {
-            self.ready_datagrams.push_back(dgram);
-        }
+        self.ready_datagrams.push_back(dgram);
+        true
     }
 
     /// The ACK frame for everything received so far in space `idx`
     /// (`None` before the first packet), marking the owed ACK as sent.
     fn take_ack_frame(&mut self, now: SimTime, idx: usize) -> Option<Frame> {
-        let ack = self.spaces[idx]
-            .recv
-            .ack_frame(self.report_ack_delay(now, idx))?;
-        self.spaces[idx].recv.on_ack_sent();
+        let delay = self.report_ack_delay(now, idx);
+        let recv = &mut self.space_mut(idx)?.recv;
+        let ack = recv.ack_frame(delay)?;
+        recv.on_ack_sent();
         Some(Frame::Ack(ack))
     }
 
-    fn report_ack_delay(&self, now: SimTime, space_idx: usize) -> u64 {
-        let policy = if space_idx == 1 {
-            self.cfg
-                .handshake_ack_delay_report
-                .unwrap_or(self.cfg.ack_delay_report)
-        } else {
-            self.cfg.ack_delay_report
-        };
-        match policy {
+    fn report_ack_delay(&self, now: SimTime, idx: usize) -> u64 {
+        // The Handshake space may report by a policy of its own.
+        let handshake = self.cfg.handshake_ack_delay_report.filter(|_| idx == 1);
+        let largest = self.space(idx).and_then(|sp| sp.recv.largest_recv_time);
+        match handshake.unwrap_or(self.cfg.ack_delay_report) {
             AckDelayReport::Zero => 0,
             AckDelayReport::Fixed(d) => d.as_micros(),
-            AckDelayReport::Actual => self.spaces[space_idx]
-                .recv
-                .largest_recv_time
-                .map(|t| now.saturating_since(t).as_micros())
-                .unwrap_or(0),
+            AckDelayReport::Actual => largest.map_or(0, |t| now.saturating_since(t).as_micros()),
         }
     }
 }

@@ -1,7 +1,7 @@
 use bytes::Bytes;
 use rq_sim::SimDuration;
 use rq_testkit::prop::cases;
-use rq_tls::{seal_tag, verify_tag, KeySide};
+use rq_tls::{initial_keys, seal_tag, verify_tag, KeySide};
 use rq_wire::{AckFrame, PacketType, MIN_INITIAL_DATAGRAM};
 
 use super::path::PATH_CHALLENGE_MAX_RETRIES;
@@ -79,7 +79,7 @@ fn run_handshake(
         if client.is_established()
             && server.is_established()
             && cert_at.is_none()
-            && client.handshake_confirmed
+            && client.is_confirmed()
         {
             break;
         }
@@ -107,14 +107,22 @@ fn full_handshake_wfc() {
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
     assert!(c.is_established());
     assert!(s.is_established());
-    assert!(c.handshake_confirmed);
+    assert!(c.is_confirmed());
     // WFC: no instant ACK anywhere.
     assert_eq!(
         s.log
             .count(|d| matches!(d, EventData::InstantAck { sent: true })),
         0
     );
-    assert!(!c.iack_received);
+    // The handshake state, `iack_received` with it, went at confirmation;
+    // its setter logs the one `InstantAck { sent: false }`.
+    assert_eq!(iacks_received(&c), 0);
+}
+
+/// Instant ACKs the client took note of (its `iack_received` flag set).
+fn iacks_received(c: &Connection) -> usize {
+    c.log
+        .count(|d| matches!(d, EventData::InstantAck { sent: false }))
 }
 
 #[test]
@@ -129,7 +137,7 @@ fn full_handshake_iack() {
             .count(|d| matches!(d, EventData::InstantAck { sent: true })),
         1
     );
-    assert!(c.iack_received, "client must see the instant ACK");
+    assert_eq!(iacks_received(&c), 1, "client must see the instant ACK");
 }
 
 #[test]
@@ -287,9 +295,11 @@ fn forged_initial_with_hostile_ack_changes_nothing() {
         while s.poll_transmit(now).is_some() {}
         let recovery_state = |s: &Connection| {
             (
-                s.spaces.each_ref().map(|sp| sp.sent().tracked()),
-                s.spaces.each_ref().map(|sp| sp.sent().bytes_in_flight()),
-                s.spaces[0].sent().largest_acked,
+                s.spaces().map(|sp| sp.sent().tracked()).collect::<Vec<_>>(),
+                s.spaces()
+                    .map(|sp| sp.sent().bytes_in_flight())
+                    .collect::<Vec<_>>(),
+                s.space(0).map(|sp| sp.sent().largest_acked),
                 s.cc.bytes_in_flight(),
                 s.rtt.sample_count(),
                 s.new_ack_packets,
@@ -600,6 +610,7 @@ fn quiche_drops_coalesced_ping_reply_datagram() {
     while s.poll_event().is_some() {}
     let iack = s.poll_transmit(at(0)).unwrap();
     c.handle_datagram(at(1), &iack);
+    assert!(c.handshake.as_ref().is_some_and(|hs| hs.iack_received));
     // Client probes (PING) after its tiny IACK-derived PTO.
     let pto = c.poll_timeout().unwrap();
     c.handle_timeout(pto);
@@ -844,7 +855,98 @@ fn server_rtt_sample_absent_under_iack_before_handshake_ack() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn connection_size_is_pinned() {
-    assert_eq!(std::mem::size_of::<Connection>(), 3480);
+    assert_eq!(std::mem::size_of::<Connection>(), 2304);
+}
+
+/// Both endpoints' handshake state: present until confirmation, gone
+/// after, and `is_confirmed` says which.
+fn assert_confirmed_iff_forgotten(c: &Connection, s: &Connection, confirmed: bool) {
+    for conn in [c, s] {
+        assert_eq!(conn.is_confirmed(), confirmed, "{:?}", conn.role());
+        assert_eq!(conn.handshake.is_none(), confirmed, "{:?}", conn.role());
+        assert_eq!(conn.spaces().count(), if confirmed { 1 } else { 3 });
+        let confirmations = conn.log.count(|d| *d == EventData::HandshakeConfirmed);
+        assert_eq!(confirmations, usize::from(confirmed), "{:?}", conn.role());
+    }
+}
+
+#[test]
+fn confirmation_drops_the_handshake_state_on_both_sides() {
+    for ack_mode in [
+        ServerAckMode::WaitForCertificate,
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+    ] {
+        let mut c = client();
+        let mut s = server(ack_mode);
+        assert_confirmed_iff_forgotten(&c, &s, false);
+        run_handshake(&mut c, &mut s, ms(20));
+        assert_confirmed_iff_forgotten(&c, &s, true);
+        // A late Initial packet finds its space gone and changes nothing.
+        let before = (s.log.events.len(), s.stats());
+        let stale = forged_initial(s.original_dcid(), 9, &[0x01]);
+        s.handle_datagram(at(500), &stale);
+        assert_eq!((s.log.events.len(), s.stats()), before);
+    }
+}
+
+#[test]
+fn handshake_space_ack_leaves_before_the_state_goes() {
+    let mut cfg = EndpointConfig::rfc_default();
+    cfg.send_handshake_space_acks = true;
+    let mut c = client();
+    let mut s = Connection::server(cfg, 2, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
+    run_handshake(&mut c, &mut s, ms(20));
+    assert_confirmed_iff_forgotten(&c, &s, true);
+    // The server's last Handshake-space packet is the pure ACK of the
+    // client Finished, sent at confirmation; the client reads it.
+    let last_sent = s.log.events.iter().rev().find_map(|e| match &e.data {
+        EventData::PacketSent {
+            space: SpaceName::Handshake,
+            frames,
+            ..
+        } => Some((e.time_ms, only_acks(frames))),
+        _ => None,
+    });
+    let confirmed_at = s.log.first(|d| *d == EventData::HandshakeConfirmed);
+    assert_eq!(last_sent, confirmed_at.map(|e| (e.time_ms, true)));
+    let acks_read = c.log.count(|d| match d {
+        EventData::PacketReceived {
+            space: SpaceName::Handshake,
+            frames,
+            ..
+        } => only_acks(frames),
+        _ => false,
+    });
+    assert_eq!(acks_read, 1);
+}
+
+/// Whether a packet carried ACK frames and nothing else.
+fn only_acks(frames: &[FrameSummary]) -> bool {
+    frames.iter().all(|f| f.name == "ack")
+}
+
+#[test]
+fn retry_handshake_confirms_and_forgets() {
+    let mut c = client();
+    let mut s = server(ServerAckMode::InstantAck { pad_to_mtu: false });
+    s.use_retry = true;
+    assert_confirmed_iff_forgotten(&c, &s, false);
+    run_handshake(&mut c, &mut s, ms(20));
+    assert!(c.is_established() && s.is_established());
+    assert_confirmed_iff_forgotten(&c, &s, true);
+    // The client restarted its Initial space once, on the Retry: its
+    // first ClientHello went out twice as packet 0.
+    let initial_zero = |d: &EventData| {
+        matches!(
+            d,
+            EventData::PacketSent {
+                space: SpaceName::Initial,
+                pn: 0,
+                ..
+            }
+        )
+    };
+    assert_eq!(c.log.count(initial_zero), 2);
 }
 
 include!("path/tests.rs");

@@ -5,7 +5,7 @@ use rq_qlog::EventData;
 use rq_sim::{SimDuration, SimTime};
 use rq_wire::{Frame, FrameList, PacketNumberSpace};
 
-use super::{space_name, Connection, Role, ERROR_GIVE_UP};
+use super::{space_in, space_name, Connection, Role, ERROR_GIVE_UP};
 use crate::config::ProbePolicy;
 use crate::space::Space;
 
@@ -33,32 +33,29 @@ impl Connection {
             return None;
         }
         let after = self.cfg.give_up_after?;
-        Some(self.first_send_at? + after)
+        Some(self.handshake.as_ref()?.first_send_at? + after)
     }
 
     /// Abandons the handshake: silent close, nothing sent to a peer that
     /// is presumed dead or unreachable.
     fn give_up(&mut self, now: SimTime) {
-        self.log.push(
-            now,
-            EventData::HandshakeAbandoned {
-                pto_count: self.pto.count(),
-            },
-        );
+        let pto_count = self.pto.count();
+        self.log
+            .push(now, EventData::HandshakeAbandoned { pto_count });
         self.close(now, ERROR_GIVE_UP, "handshake give-up", false);
     }
 
     fn loss_time(&self) -> Option<SimTime> {
-        self.spaces.iter().filter_map(|s| s.sent().loss_time).min()
+        self.spaces().filter_map(|s| s.sent().loss_time).min()
     }
 
     fn ack_deadline(&self) -> Option<SimTime> {
-        self.spaces.iter().filter_map(Space::ack_deadline).min()
+        self.spaces().filter_map(Space::ack_deadline).min()
     }
 
     /// PTO duration honoring the picoquic default-PTO quirk.
     fn pto_duration_for(&self, is_app: bool) -> SimDuration {
-        if self.cfg.quirks.ignore_iack_rtt && !self.handshake_confirmed {
+        if self.cfg.quirks.ignore_iack_rtt && !self.is_confirmed() {
             self.pto.default_pto.mul(self.pto.backoff())
         } else {
             self.pto.pto_duration(&self.rtt, is_app)
@@ -74,7 +71,7 @@ impl Connection {
             if is_app && !self.handshake_complete {
                 continue; // app PTO only after handshake completes
             }
-            if let Some(base) = self.spaces[space.index()].pto_base() {
+            if let Some(base) = self.space(space.index()).and_then(Space::pto_base) {
                 let d = base + self.pto_duration_for(is_app);
                 if best.is_none_or(|(b, _)| d < b) {
                     best = Some((d, space));
@@ -94,9 +91,8 @@ impl Connection {
         // timer nor shrinks it; the *default* PTO armed at the last
         // ack-eliciting send still runs (paper §4.1: their default client
         // PTO still expires in both WFC and IACK).
-        if earliest.is_none() && self.role == Role::Client && !self.handshake_confirmed {
-            let quirky = self.cfg.quirks.no_probe_after_iack && self.iack_received;
-            if quirky {
+        if let (None, Role::Client, Some(hs)) = (earliest, self.role, self.handshake.as_deref()) {
+            if self.cfg.quirks.no_probe_after_iack && hs.iack_received {
                 if let Some(base) = self.last_eliciting_send {
                     earliest = Some(base + self.pto.default_pto.mul(self.pto.backoff()));
                 }
@@ -121,7 +117,8 @@ impl Connection {
         // 1. Time-threshold loss detection.
         if self.loss_time().is_some_and(|lt| now >= lt) {
             for space in PacketNumberSpace::ALL {
-                let lost = self.spaces[space.index()].detect_lost(now, &self.rtt);
+                let sp = space_in(&mut self.handshake, &mut self.app, space.index());
+                let lost = sp.map_or_else(Vec::new, |sp| sp.detect_lost(now, &self.rtt));
                 let largest_acked = self.largest_acked_sent_time;
                 self.on_packets_lost(now, space, &lost, &[], largest_acked);
             }
@@ -133,7 +130,8 @@ impl Connection {
         // endpoint — e.g. an amplification-limited server — does not spin
         // re-arming a timer in the past.
         if self.ack_deadline().is_some_and(|ad| now >= ad) {
-            for sp in &mut self.spaces {
+            let hs = self.handshake.iter_mut().flat_map(|hs| &mut hs.spaces);
+            for sp in hs.chain([&mut self.app]) {
                 if sp.ack_deadline().is_some_and(|d| now >= d) {
                     sp.recv.ack_deadline = None;
                     sp.recv.ack_overdue = true;
@@ -150,12 +148,10 @@ impl Connection {
             self.on_pto(now);
             // Consecutive-PTO give-up: N expirations without forward
             // progress and the client stops probing a black hole.
-            if self.role == Role::Client && !self.handshake_complete {
-                if let Some(limit) = self.cfg.give_up_pto_count {
-                    if self.pto.count() >= limit {
-                        self.give_up(now);
-                    }
-                }
+            let limit = self.cfg.give_up_pto_count;
+            let spent = limit.is_some_and(|n| self.pto.count() >= n);
+            if self.role == Role::Client && !self.handshake_complete && spent {
+                self.give_up(now);
             }
         }
     }
@@ -165,7 +161,7 @@ impl Connection {
         let space = self.earliest_pto_space().map_or_else(
             || {
                 // Deadlock-prevention probe: Initial until handshake keys exist.
-                if self.spaces[1].usable() {
+                if self.space(1).is_some_and(Space::usable) {
                     PacketNumberSpace::Handshake
                 } else {
                     PacketNumberSpace::Initial
@@ -184,27 +180,21 @@ impl Connection {
             },
         );
         // Queue probe content (RFC 9002 §6.2.4): retransmit oldest unacked
-        // data when available, else PING.
-        if !self.spaces[idx].requeue_oldest() {
-            match self.cfg.probe_policy {
-                ProbePolicy::Ping => {
-                    self.spaces[idx].pending_pings += 1;
-                }
-                ProbePolicy::RetransmitOldest => {
-                    if self.role == Role::Client
-                        && space == PacketNumberSpace::Initial
-                        && !self.initial_crypto_copy.is_empty()
-                    {
-                        // The paper's §5 improvement: resend the ClientHello
-                        // instead of a PING so the server can recover.
-                        self.spaces[idx].requeue(FrameList::from_iter([Frame::Crypto {
-                            offset: 0,
-                            data: self.initial_crypto_copy.clone(),
-                        }]));
-                    } else {
-                        self.spaces[idx].pending_pings += 1;
-                    }
-                }
+        // data when available, else PING. The paper's §5 improvement: a
+        // client resends the ClientHello instead of a PING so the server
+        // can recover.
+        let resend_hello = self.cfg.probe_policy == ProbePolicy::RetransmitOldest
+            && self.role == Role::Client
+            && space == PacketNumberSpace::Initial;
+        let hello = self.handshake.as_ref().map(|hs| &hs.initial_crypto_copy);
+        let hello = hello.filter(|ch| resend_hello && !ch.is_empty()).cloned();
+        let Some(sp) = self.space_mut(idx) else {
+            return;
+        };
+        if !sp.requeue_oldest() {
+            match hello {
+                Some(data) => sp.requeue(FrameList::from_iter([Frame::Crypto { offset: 0, data }])),
+                None => sp.pending_pings += 1,
             }
         }
     }

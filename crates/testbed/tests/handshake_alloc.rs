@@ -37,9 +37,11 @@ fn one_handshake_stays_under_its_ceiling() {
         assert!(result.completed);
         result
     });
-    // Measured 192 calls / 83,327 bytes, debug and release alike, with
-    // each connection's congestion controller held inline. Earlier:
-    // 194 / 83,167 with the controller a boxed trait object, one block per
+    // Measured 192 calls / 81,967 bytes, debug and release alike, with
+    // each connection's handshake state one box that confirmation drops
+    // (190 / 82,127 before it). Earlier: 192 / 83,327 with each
+    // connection's congestion controller held inline; 194 / 83,167 with
+    // the controller a boxed trait object, one block per
     // connection; 199 / 85,111 with the TLS bodies built in a growable
     // buffer and then copied into shared storage; 263 / 95,113 with a
     // heap list of frames per packet decoded, built and in flight (46 of
@@ -105,12 +107,13 @@ fn a_live_connection_pair_stays_under_its_weight() {
     assert_eq!(pairs, 600, "every arrival is live at the peak");
     // Everything the run holds at its peak — both connections, the
     // datagrams in flight, the timer heap and the testbed's own records
-    // — per client–server pair. Measured 23,840 bytes at the
-    // end of PR 24, debug and release alike (24,890 before it: a heap
-    // list per packet in flight and a second copy of the ClientHello;
-    // 40,385 before PR 22); the ceiling leaves 3 %.
+    // — per client–server pair. Measured 22,899 bytes, debug and release
+    // alike, once a confirmed connection drops its handshake state
+    // (24,297 before it; 24,890 with a heap list per packet in flight and
+    // a second copy of the ClientHello, 40,385 before that); the ceiling
+    // leaves 3 %.
     let per_pair = peak / pairs;
-    assert!(per_pair <= 24_550, "{per_pair} bytes per live pair");
+    assert!(per_pair <= 23_600, "{per_pair} bytes per live pair");
 }
 
 #[test]

@@ -145,33 +145,26 @@ enum ServerState {
     Complete,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum StateMachine {
-    Client(ClientState),
-    Server(ServerState),
+/// The role a session plays: that role's configuration and where its
+/// handshake stands, and nothing of the other role's.
+enum Side {
+    Client(ClientConfig, ClientState),
+    Server(ServerConfig, ServerState),
 }
 
 /// A sans-IO TLS 1.3 handshake session.
 pub struct TlsSession {
-    role: Role,
-    state: StateMachine,
-    client_cfg: ClientConfig,
-    server_cfg: ServerConfig,
+    side: Side,
     transcript: Sha256,
-    /// Pending output bytes per level: Initial, Handshake, Application.
-    out_initial: Vec<u8>,
-    out_handshake: Vec<u8>,
-    out_app: Vec<u8>,
+    /// Pending output bytes per level (Initial, Handshake, Application).
+    out: [Vec<u8>; 3],
     /// Reassembled-but-unparsed input per level.
-    in_initial: Bytes,
-    in_handshake: Bytes,
-    in_app: Bytes,
+    input: [Bytes; 3],
     handshake_keys: Option<LevelKeys>,
     application_keys: Option<LevelKeys>,
     /// 0-RTT early-data keys (client: from the offered ticket; server:
     /// from the validated ticket when early data is accepted).
     early: Option<LevelKeys>,
-    complete: bool,
     /// This handshake runs (client: was accepted as) the abbreviated
     /// PSK path.
     resumed: bool,
@@ -183,6 +176,11 @@ pub struct TlsSession {
     /// incoming NewSessionTicket with the client's own transcript).
     res_secret: Option<[u8; 32]>,
 }
+
+/// Indices of the per-level buffers.
+const INITIAL: usize = Level::Initial as usize;
+const HANDSHAKE: usize = Level::Handshake as usize;
+const APPLICATION: usize = Level::Application as usize;
 
 /// Encodes `msg` onto the end of `out` — reserving its size, unless the
 /// caller already reserved a whole flight's — and hashes the bytes just
@@ -198,43 +196,23 @@ impl TlsSession {
     /// Creates a client session. Call [`TlsSession::start`] to queue the
     /// ClientHello.
     pub fn client(cfg: ClientConfig) -> Self {
-        TlsSession {
-            role: Role::Client,
-            state: StateMachine::Client(ClientState::Start),
-            client_cfg: cfg,
-            server_cfg: ServerConfig::default(),
-            ..Self::blank(Role::Client)
-        }
+        Self::new(Side::Client(cfg, ClientState::Start))
     }
 
     /// Creates a server session.
     pub fn server(cfg: ServerConfig) -> Self {
-        TlsSession {
-            role: Role::Server,
-            state: StateMachine::Server(ServerState::WaitClientHello),
-            client_cfg: ClientConfig::full(),
-            server_cfg: cfg,
-            ..Self::blank(Role::Server)
-        }
+        Self::new(Side::Server(cfg, ServerState::WaitClientHello))
     }
 
-    fn blank(role: Role) -> Self {
+    fn new(side: Side) -> Self {
         TlsSession {
-            role,
-            state: StateMachine::Server(ServerState::WaitClientHello),
-            client_cfg: ClientConfig::full(),
-            server_cfg: ServerConfig::default(),
+            side,
             transcript: Sha256::new(),
-            out_initial: Vec::new(),
-            out_handshake: Vec::new(),
-            out_app: Vec::new(),
-            in_initial: Bytes::new(),
-            in_handshake: Bytes::new(),
-            in_app: Bytes::new(),
+            out: Default::default(),
+            input: Default::default(),
             handshake_keys: None,
             application_keys: None,
             early: None,
-            complete: false,
             resumed: false,
             offered_early: false,
             early_data_accepted: None,
@@ -244,36 +222,36 @@ impl TlsSession {
 
     /// Endpoint role.
     pub fn role(&self) -> Role {
-        self.role
+        match self.side {
+            Side::Client(..) => Role::Client,
+            Side::Server(..) => Role::Server,
+        }
     }
 
     /// Queues the ClientHello (client only). Idempotent. A configured
     /// session ticket turns the CH into a resumption offer; with
     /// `early_data` the 0-RTT keys become available immediately.
     pub fn start(&mut self) {
-        if let StateMachine::Client(state @ ClientState::Start) = &mut self.state {
-            let ch = match &self.client_cfg.ticket {
+        if let Side::Client(cfg, state @ ClientState::Start) = &mut self.side {
+            let ch = match &cfg.ticket {
                 Some(ticket) => {
                     // RFC 8446 §4.2.10: early data may only be offered
                     // under a ticket whose issuer advertised support.
-                    let offer_early = self.client_cfg.early_data && ticket.early_data_allowed;
+                    let offer_early = cfg.early_data && ticket.early_data_allowed;
                     if offer_early {
                         self.offered_early = true;
                         self.early = Some(early_keys(&ticket.secret));
                     }
                     HandshakeMessage::client_hello_resumption(
-                        self.client_cfg.random,
-                        self.client_cfg.client_hello_len,
+                        cfg.random,
+                        cfg.client_hello_len,
                         &ticket.ticket,
                         offer_early,
                     )
                 }
-                None => HandshakeMessage::client_hello(
-                    self.client_cfg.random,
-                    self.client_cfg.client_hello_len,
-                ),
+                None => HandshakeMessage::client_hello(cfg.random, cfg.client_hello_len),
             };
-            queue(&mut self.out_initial, &mut self.transcript, &ch);
+            queue(&mut self.out[INITIAL], &mut self.transcript, &ch);
             *state = ClientState::WaitServerHello;
         }
     }
@@ -282,15 +260,13 @@ impl TlsSession {
     /// the transcript restarts and the CH is resent with the server token
     /// carried at the QUIC layer.
     pub fn reset_for_retry(&mut self) {
-        assert_eq!(self.role, Role::Client, "only clients process Retry");
-        self.state = StateMachine::Client(ClientState::Start);
+        let Side::Client(_, state) = &mut self.side else {
+            panic!("only clients process Retry");
+        };
+        *state = ClientState::Start;
         self.transcript = Sha256::new();
-        self.out_initial.clear();
-        self.out_handshake.clear();
-        self.out_app.clear();
-        self.in_initial = Bytes::new();
-        self.in_handshake = Bytes::new();
-        self.in_app = Bytes::new();
+        self.out.iter_mut().for_each(Vec::clear);
+        self.input = Default::default();
         self.offered_early = false;
         self.early = None;
         self.start();
@@ -302,10 +278,10 @@ impl TlsSession {
     pub fn read_crypto(&mut self, level: Level, data: &[u8]) -> Result<Vec<TlsEvent>, TlsError> {
         // Post-handshake messages (NewSessionTicket) flow server → client
         // only.
-        if level == Level::Application && self.role == Role::Server {
+        if level == Level::Application && self.role() == Role::Server {
             return Err(TlsError::UnexpectedMessage("crypto at 1-RTT to server"));
         }
-        let buf = self.in_buf(level);
+        let buf = &mut self.input[level as usize];
         *buf = if buf.is_empty() {
             Bytes::copy_from_slice(data)
         } else {
@@ -318,40 +294,39 @@ impl TlsSession {
         let mut events = Vec::new();
         while self.advance(level, &mut events)? {}
         // Read to the end: let go of the storage instead of an empty view.
-        let buf = self.in_buf(level);
+        let buf = &mut self.input[level as usize];
         if buf.is_empty() {
             *buf = Bytes::new();
         }
         Ok(events)
     }
 
-    fn in_buf(&mut self, level: Level) -> &mut Bytes {
-        match level {
-            Level::Initial => &mut self.in_initial,
-            Level::Handshake => &mut self.in_handshake,
-            Level::Application => &mut self.in_app,
-        }
-    }
-
     /// Handles the next message buffered at `level`; `false` when no
     /// complete one is.
     fn advance(&mut self, level: Level, events: &mut Vec<TlsEvent>) -> Result<bool, TlsError> {
-        let buf = self.in_buf(level);
+        let buf = &mut self.input[level as usize];
         let arrived = buf.clone();
         let Some(msg) = HandshakeMessage::decode(buf)? else {
             return Ok(false);
         };
-        // The message as it sat on the wire, which is what the
-        // transcript hashes.
+        // The transcript hashes every handshake message as it sat on the
+        // wire; the post-handshake NewSessionTicket is none.
         let wire = arrived.slice(..arrived.len() - buf.len());
-        match self.state {
-            StateMachine::Client(state) => {
-                let next = self.client_handle(state, &msg, &wire, level, events)?;
-                self.state = StateMachine::Client(next);
+        if msg.ty != HandshakeType::NewSessionTicket {
+            self.transcript.update(&wire);
+        }
+        match self.side {
+            Side::Client(_, state) => {
+                let next = self.client_handle(state, &msg, level, events)?;
+                if let Side::Client(_, state) = &mut self.side {
+                    *state = next;
+                }
             }
-            StateMachine::Server(state) => {
-                let next = self.server_handle(state, &msg, &wire, level, events)?;
-                self.state = StateMachine::Server(next);
+            Side::Server(_, state) => {
+                let next = self.server_handle(state, &msg, level, events)?;
+                if let Side::Server(_, state) = &mut self.side {
+                    *state = next;
+                }
             }
         }
         Ok(true)
@@ -361,17 +336,17 @@ impl TlsSession {
         &mut self,
         state: ClientState,
         msg: &HandshakeMessage,
-        wire: &[u8],
         level: Level,
         events: &mut Vec<TlsEvent>,
     ) -> Result<ClientState, TlsError> {
+        use ClientState::*;
+        use HandshakeType::*;
         Ok(match (state, msg.ty, level) {
-            (ClientState::WaitServerHello, HandshakeType::ServerHello, Level::Initial) => {
-                self.transcript.update(wire);
+            (WaitServerHello, ServerHello, Level::Initial) => {
                 let th = self.transcript.clone().finalize();
                 self.handshake_keys = Some(handshake_keys(&th));
                 events.push(TlsEvent::KeysReady(Level::Handshake));
-                if self.client_cfg.ticket.is_some() {
+                if matches!(&self.side, Side::Client(cfg, _) if cfg.ticket.is_some()) {
                     match msg.resumption_outcome() {
                         Some((true, early_accepted)) => {
                             self.resumed = true;
@@ -397,49 +372,29 @@ impl TlsSession {
                         }
                     }
                 }
-                ClientState::WaitEncryptedExtensions
+                WaitEncryptedExtensions
             }
-            (
-                ClientState::WaitEncryptedExtensions,
-                HandshakeType::EncryptedExtensions,
-                Level::Handshake,
-            ) => {
-                self.transcript.update(wire);
-                if self.resumed {
-                    // Abbreviated flight: the server Finished comes next.
-                    ClientState::WaitFinished
-                } else {
-                    ClientState::WaitCertificate
-                }
+            // Abbreviated flight: the server Finished comes next.
+            (WaitEncryptedExtensions, EncryptedExtensions, Level::Handshake) if self.resumed => {
+                WaitFinished
             }
-            (ClientState::WaitCertificate, HandshakeType::Certificate, Level::Handshake) => {
-                self.transcript.update(wire);
-                ClientState::WaitCertificateVerify
-            }
-            (
-                ClientState::WaitCertificateVerify,
-                HandshakeType::CertificateVerify,
-                Level::Handshake,
-            ) => {
-                self.transcript.update(wire);
-                ClientState::WaitFinished
-            }
-            (ClientState::WaitFinished, HandshakeType::Finished, Level::Handshake) => {
-                self.transcript.update(wire);
+            (WaitEncryptedExtensions, EncryptedExtensions, Level::Handshake) => WaitCertificate,
+            (WaitCertificate, Certificate, Level::Handshake) => WaitCertificateVerify,
+            (WaitCertificateVerify, CertificateVerify, Level::Handshake) => WaitFinished,
+            (WaitFinished, Finished, Level::Handshake) => {
                 let th = self.transcript.clone().finalize();
                 self.application_keys = Some(application_keys(&th));
                 events.push(TlsEvent::KeysReady(Level::Application));
                 // Client Finished: verify-data = transcript hash.
                 let fin = HandshakeMessage::finished(th);
-                queue(&mut self.out_handshake, &mut self.transcript, &fin);
+                queue(&mut self.out[HANDSHAKE], &mut self.transcript, &fin);
                 // The resumption secret covers the client Finished too.
                 let th_res = self.transcript.clone().finalize();
                 self.res_secret = Some(resumption_secret(&th_res));
-                self.complete = true;
                 events.push(TlsEvent::HandshakeComplete);
-                ClientState::Complete
+                Complete
             }
-            (ClientState::Complete, HandshakeType::NewSessionTicket, Level::Application) => {
+            (Complete, NewSessionTicket, Level::Application) => {
                 let (lifetime, early_allowed, ticket) = msg
                     .parse_new_session_ticket()
                     .ok_or(TlsError::UnexpectedMessage("malformed NewSessionTicket"))?;
@@ -452,11 +407,11 @@ impl TlsSession {
                     lifetime_secs: lifetime,
                     early_data_allowed: early_allowed,
                 }));
-                ClientState::Complete
+                Complete
             }
             (_, got, _) => {
                 return Err(TlsError::UnexpectedMessage(match got {
-                    HandshakeType::ClientHello => "ClientHello at client",
+                    ClientHello => "ClientHello at client",
                     _ => "out-of-order handshake message",
                 }))
             }
@@ -467,32 +422,21 @@ impl TlsSession {
         &mut self,
         state: ServerState,
         msg: &HandshakeMessage,
-        wire: &[u8],
         level: Level,
         events: &mut Vec<TlsEvent>,
     ) -> Result<ServerState, TlsError> {
         Ok(match (state, msg.ty, level) {
             (ServerState::WaitClientHello, HandshakeType::ClientHello, Level::Initial) => {
-                self.transcript.update(wire);
                 let offer = msg.resumption_offer();
-                let secret = offer.as_ref().and_then(|(ticket, _)| {
-                    self.server_cfg
-                        .resumption
-                        .accept_resumption
-                        .then(|| {
-                            // The minting key first, then the rotation
-                            // overlap window; a ticket sealed under a
-                            // retired key opens nowhere and falls back to
-                            // the full handshake below.
-                            open_ticket(self.server_cfg.ticket_key, ticket).or_else(|| {
-                                self.server_cfg
-                                    .accept_ticket_keys
-                                    .iter()
-                                    .find_map(|key| open_ticket(*key, ticket))
-                            })
-                        })
-                        .flatten()
-                });
+                let cfg = self.server_cfg();
+                // The minting key first, then the rotation overlap window;
+                // a ticket sealed under a retired key opens nowhere and
+                // falls back to the full handshake below.
+                let mut keys = std::iter::once(&cfg.ticket_key).chain(&cfg.accept_ticket_keys);
+                let secret = offer
+                    .as_ref()
+                    .filter(|_| cfg.resumption.accept_resumption)
+                    .and_then(|(ticket, _)| keys.find_map(|key| open_ticket(*key, ticket)));
                 if let Some(secret) = secret {
                     // Abbreviated handshake: no certificate, no Δt.
                     self.resumed = true;
@@ -500,7 +444,7 @@ impl TlsSession {
                     let early_offered = offer.map(|(_, e)| e).unwrap_or(false);
                     let mut early_accepted = false;
                     if early_offered {
-                        early_accepted = self.server_cfg.resumption.accept_early_data;
+                        early_accepted = self.server_cfg().resumption.accept_early_data;
                         self.early_data_accepted = Some(early_accepted);
                         if early_accepted {
                             self.early = Some(early_keys(&secret));
@@ -509,7 +453,7 @@ impl TlsSession {
                             events.push(TlsEvent::EarlyDataRejected);
                         }
                     }
-                    self.emit_resumed_flight(early_accepted, events);
+                    self.emit_flight(Some(early_accepted), events);
                     ServerState::WaitClientFinished
                 } else {
                     // Full handshake (offer absent or rejected). A
@@ -519,8 +463,8 @@ impl TlsSession {
                         self.early_data_accepted = Some(false);
                         events.push(TlsEvent::EarlyDataRejected);
                     }
-                    if self.server_cfg.cert_preprovisioned {
-                        self.emit_server_flight(events);
+                    if self.server_cfg().cert_preprovisioned {
+                        self.emit_flight(None, events);
                         ServerState::WaitClientFinished
                     } else {
                         events.push(TlsEvent::NeedCertificate);
@@ -529,23 +473,19 @@ impl TlsSession {
                 }
             }
             (ServerState::WaitClientFinished, HandshakeType::Finished, Level::Handshake) => {
-                // Verify-data check: must equal our transcript hash at the
-                // point the client computed it (before its own Finished).
-                self.transcript.update(wire);
-                let th_res = self.transcript.clone().finalize();
-                let secret = resumption_secret(&th_res);
-                self.res_secret = Some(secret);
-                if self.server_cfg.resumption.issue_tickets {
-                    let ticket = mint_ticket(self.server_cfg.ticket_key, &secret);
+                // The resumption secret covers the client Finished too.
+                let secret = resumption_secret(&self.transcript.clone().finalize());
+                let cfg = self.server_cfg();
+                if cfg.resumption.issue_tickets {
+                    let ticket = mint_ticket(cfg.ticket_key, &secret);
                     let nst = HandshakeMessage::new_session_ticket(
-                        self.server_cfg.resumption.ticket_lifetime_secs,
-                        self.server_cfg.resumption.advertise_early_data,
+                        cfg.resumption.ticket_lifetime_secs,
+                        cfg.resumption.advertise_early_data,
                         &ticket,
                     );
-                    self.out_app.reserve(nst.wire_len());
-                    nst.encode(&mut self.out_app);
+                    self.out[APPLICATION].reserve(nst.wire_len());
+                    nst.encode(&mut self.out[APPLICATION]);
                 }
-                self.complete = true;
                 events.push(TlsEvent::HandshakeComplete);
                 ServerState::Complete
             }
@@ -553,11 +493,17 @@ impl TlsSession {
         })
     }
 
-    /// Emits SH + EE + (CERT + CV for full handshakes) + FIN, deriving
-    /// handshake and application keys along the way.
-    fn flight_core(&mut self, sh: HandshakeMessage, with_cert: bool, events: &mut Vec<TlsEvent>) {
+    /// Emits SH + EE + (CERT + CV for a full handshake) + FIN, deriving
+    /// handshake and application keys along the way. `resumed` carries
+    /// the 0-RTT outcome of an abbreviated handshake.
+    fn emit_flight(&mut self, resumed: Option<bool>, events: &mut Vec<TlsEvent>) {
         // ServerHello at Initial level.
-        queue(&mut self.out_initial, &mut self.transcript, &sh);
+        let random = self.server_cfg().random;
+        let sh = match resumed {
+            Some(early_accepted) => HandshakeMessage::server_hello_resumed(random, early_accepted),
+            None => HandshakeMessage::server_hello(random),
+        };
+        queue(&mut self.out[INITIAL], &mut self.transcript, &sh);
         let th = self.transcript.clone().finalize();
         self.handshake_keys = Some(handshake_keys(&th));
         events.push(TlsEvent::KeysReady(Level::Handshake));
@@ -565,53 +511,48 @@ impl TlsSession {
         // EE (+ CERT, CV) and FIN at Handshake level, under one
         // reservation for the level's whole flight.
         let ee = HandshakeMessage::encrypted_extensions();
-        let cert = with_cert.then(|| {
-            let cert = HandshakeMessage::certificate(self.server_cfg.cert_len);
+        let cert = resumed.is_none().then(|| {
+            let cert = HandshakeMessage::certificate(self.server_cfg().cert_len);
             [cert, HandshakeMessage::certificate_verify()]
         });
         let middle = || std::iter::once(&ee).chain(cert.iter().flatten());
         let flight: usize = middle().map(HandshakeMessage::wire_len).sum();
-        self.out_handshake.reserve(flight + FINISHED_LEN);
+        self.out[HANDSHAKE].reserve(flight + FINISHED_LEN);
         for m in middle() {
-            queue(&mut self.out_handshake, &mut self.transcript, m);
+            queue(&mut self.out[HANDSHAKE], &mut self.transcript, m);
         }
         let th_fin = self.transcript.clone().finalize();
         let fin = HandshakeMessage::finished(th_fin);
-        queue(&mut self.out_handshake, &mut self.transcript, &fin);
+        queue(&mut self.out[HANDSHAKE], &mut self.transcript, &fin);
         // Server can send 1-RTT data once its Finished is queued.
         let th_app = self.transcript.clone().finalize();
         self.application_keys = Some(application_keys(&th_app));
         events.push(TlsEvent::KeysReady(Level::Application));
     }
 
-    fn emit_server_flight(&mut self, events: &mut Vec<TlsEvent>) {
-        let sh = HandshakeMessage::server_hello(self.server_cfg.random);
-        self.flight_core(sh, true, events);
-    }
-
-    fn emit_resumed_flight(&mut self, early_accepted: bool, events: &mut Vec<TlsEvent>) {
-        let sh = HandshakeMessage::server_hello_resumed(self.server_cfg.random, early_accepted);
-        self.flight_core(sh, false, events);
-    }
-
     /// Server only: the certificate arrived from the store. Produces the
     /// ServerHello flight. Returns the resulting events.
     pub fn provide_certificate(&mut self) -> Vec<TlsEvent> {
         let mut events = Vec::new();
-        if let StateMachine::Server(ServerState::WaitCertProvision) = self.state {
-            self.emit_server_flight(&mut events);
-            self.state = StateMachine::Server(ServerState::WaitClientFinished);
+        if let Side::Server(_, state @ ServerState::WaitCertProvision) = &mut self.side {
+            *state = ServerState::WaitClientFinished;
+            self.emit_flight(None, &mut events);
         }
         events
     }
 
+    /// A server session's configuration: the server steps run on server
+    /// sessions only.
+    fn server_cfg(&self) -> &ServerConfig {
+        match &self.side {
+            Side::Server(cfg, _) => cfg,
+            Side::Client(..) => unreachable!("a server step on a client session"),
+        }
+    }
+
     /// Drains pending outgoing crypto bytes for `level`.
     pub fn take_output(&mut self, level: Level) -> Option<Bytes> {
-        let buf = match level {
-            Level::Initial => &mut self.out_initial,
-            Level::Handshake => &mut self.out_handshake,
-            Level::Application => &mut self.out_app,
-        };
+        let buf = &mut self.out[level as usize];
         if buf.is_empty() {
             None
         } else {
@@ -621,11 +562,7 @@ impl TlsSession {
 
     /// Peeks at the number of pending output bytes for `level`.
     pub fn pending_output(&self, level: Level) -> usize {
-        match level {
-            Level::Initial => self.out_initial.len(),
-            Level::Handshake => self.out_handshake.len(),
-            Level::Application => self.out_app.len(),
-        }
+        self.out[level as usize].len()
     }
 
     /// Keys for a level once available.
@@ -656,7 +593,10 @@ impl TlsSession {
 
     /// Whether the handshake is complete at this endpoint.
     pub fn is_complete(&self) -> bool {
-        self.complete
+        matches!(
+            self.side,
+            Side::Client(_, ClientState::Complete) | Side::Server(_, ServerState::Complete)
+        )
     }
 }
 

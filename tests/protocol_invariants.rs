@@ -2,40 +2,82 @@
 //! the scenario parameters, certain protocol rules must always hold.
 
 use reacked_quicer::prelude::*;
-use reacked_quicer::qlog::{EventData, SpaceName};
-use reacked_quicer::testbed::run_scenario_with_trace;
+use reacked_quicer::qlog::{EventData, EventLog, SpaceName};
+use reacked_quicer::recovery::CcAlgorithm;
+use reacked_quicer::sim::SimRng;
+use reacked_quicer::testbed::{run_scenario_with_trace, HandshakeClass};
+use reacked_quicer::tls::{CERT_LARGE, CERT_SMALL};
 use rq_testkit::prop::cases;
 
-fn scenario(
-    client_idx: usize,
-    iack: bool,
-    rtt_ms: u64,
-    cert_delay_ms: u64,
-    big_cert: bool,
-    loss_kind: u8,
-    seed: u64,
-) -> Scenario {
+fn ms(n: u64) -> SimDuration {
+    SimDuration::from_millis(n)
+}
+
+/// A scenario with every axis `run_scenario` takes drawn from `rng`: the
+/// seed-era ones (client, ACK mode, RTT, Δt, certificate size, loss
+/// pattern, seed) and the ones added after them (handshake class,
+/// congestion controller, 1–3 request streams, and iid loss as a fourth
+/// loss kind). A test that holds an axis still sets it afterwards.
+fn scenario(rng: &mut SimRng) -> Scenario {
     let clients = all_clients();
-    let client = clients[client_idx % clients.len()].clone();
-    let mode = if iack {
+    let client = clients[rng.gen_range(clients.len() as u64) as usize].clone();
+    let mode = if rng.gen_bool(0.5) {
         ServerAckMode::InstantAck { pad_to_mtu: false }
     } else {
         ServerAckMode::WaitForCertificate
     };
     let mut sc = Scenario::base(client, mode, HttpVersion::H1);
-    sc.rtt = SimDuration::from_millis(rtt_ms);
-    sc.cert_delay = SimDuration::from_millis(cert_delay_ms);
-    if big_cert {
-        sc.cert_len = reacked_quicer::tls::CERT_LARGE;
+    sc.rtt = ms([1, 9, 20, 100][rng.gen_range(4) as usize]);
+    sc.cert_delay = ms([0, 4, 25, 200][rng.gen_range(4) as usize]);
+    if rng.gen_bool(0.5) {
+        sc.cert_len = CERT_LARGE;
     }
-    sc.loss = match loss_kind % 3 {
+    sc.loss = match rng.gen_range(4) {
         0 => LossSpec::None,
         1 => LossSpec::ServerFlightTail,
-        _ => LossSpec::SecondClientFlight,
+        2 => LossSpec::SecondClientFlight,
+        _ => LossSpec::Random(ImpairmentSpec::none().with_iid_loss(0.05)),
     };
-    sc.seed = seed;
+    sc.seed = rng.gen_range(1000);
+    sc.handshake_class = HandshakeClass::ALL[rng.gen_range(3) as usize];
+    sc.cc = CcAlgorithm::ALL[rng.gen_range(3) as usize];
+    sc.streams = 1 + rng.gen_range(3) as usize;
     sc.capture_payloads = true;
     sc
+}
+
+/// The handshake lifecycle in one endpoint's qlog: the handshake is
+/// confirmed at most once and never before it completes, and no Initial
+/// or Handshake packet is received after confirmation (RFC 9001 §4.9:
+/// those spaces are gone by then).
+fn assert_handshake_lifecycle(log: &EventLog, label: &str) {
+    let who = format!("{label} {}", log.vantage);
+    let confirmations = log.count(|d| *d == EventData::HandshakeConfirmed);
+    assert!(confirmations <= 1, "{who}: confirmed {confirmations} times");
+    let at = |want: EventData| log.events.iter().position(|e| e.data == want);
+    let Some(confirmed) = at(EventData::HandshakeConfirmed) else {
+        return;
+    };
+    let complete = at(EventData::HandshakeComplete);
+    assert!(
+        complete.is_some_and(|c| c < confirmed),
+        "{who}: confirmed before complete"
+    );
+    let confirmed_ms = log.events[confirmed].time_ms;
+    for e in &log.events {
+        if let EventData::PacketReceived {
+            space: space @ (SpaceName::Initial | SpaceName::Handshake),
+            pn,
+            ..
+        } = &e.data
+        {
+            assert!(
+                e.time_ms <= confirmed_ms,
+                "{who}: {space:?} packet {pn} received at {} ms, after confirmation at {confirmed_ms} ms",
+                e.time_ms
+            );
+        }
+    }
 }
 
 /// Every scenario either completes or aborts via the modeled quiche
@@ -43,28 +85,16 @@ fn scenario(
 #[test]
 fn every_scenario_terminates() {
     cases(24, |rng| {
-        let client_idx = rng.gen_range(8) as usize;
-        let iack = rng.gen_bool(0.5);
-        let rtt_ms = [1, 9, 20, 100][rng.gen_range(4) as usize];
-        let cert_delay_ms = [0, 4, 25, 200][rng.gen_range(4) as usize];
-        let big_cert = rng.gen_bool(0.5);
-        let loss_kind = rng.gen_range(3) as u8;
-        let seed = rng.gen_range(1000);
-        let sc = scenario(
-            client_idx,
-            iack,
-            rtt_ms,
-            cert_delay_ms,
-            big_cert,
-            loss_kind,
-            seed,
-        );
+        let sc = scenario(rng);
         let (res, trace) = run_scenario_with_trace(&sc);
         assert!(
             res.completed || res.aborted,
             "{}: neither completed nor aborted",
             res.label
         );
+        for log in [&res.client_log, &res.server_log] {
+            assert_handshake_lifecycle(log, &res.label);
+        }
 
         // Anti-amplification: before the client's second flight arrives,
         // the server never sends more than 3x what it received. Checked
@@ -121,14 +151,15 @@ fn every_scenario_terminates() {
 #[test]
 fn qlog_consistency() {
     cases(24, |rng| {
-        let client_idx = rng.gen_range(8) as usize;
-        let iack = rng.gen_bool(0.5);
-        let cert_delay_ms = [0, 25][rng.gen_range(2) as usize];
-        let seed = rng.gen_range(500);
-        let sc = scenario(client_idx, iack, 9, cert_delay_ms, false, 0, seed);
+        let mut sc = scenario(rng);
+        sc.rtt = ms(9);
+        sc.cert_delay = ms([0, 25][rng.gen_range(2) as usize]);
+        sc.cert_len = CERT_SMALL;
+        sc.loss = LossSpec::None;
         let (res, _) = run_scenario_with_trace(&sc);
-        assert!(res.completed);
+        assert!(res.completed, "{}", res.label);
         for log in [&res.client_log, &res.server_log] {
+            assert_handshake_lifecycle(log, &res.label);
             let mut last_pn: std::collections::BTreeMap<SpaceName, u64> = Default::default();
             for ev in &log.events {
                 if let EventData::PacketSent { space, pn, .. } = &ev.data {
@@ -151,11 +182,8 @@ fn qlog_consistency() {
 #[test]
 fn scenario_determinism() {
     cases(24, |rng| {
-        let client_idx = rng.gen_range(8) as usize;
-        let iack = rng.gen_bool(0.5);
-        let loss_kind = rng.gen_range(3) as u8;
-        let seed = rng.gen_range(100);
-        let sc = scenario(client_idx, iack, 9, 4, false, loss_kind, seed);
+        let mut sc = scenario(rng);
+        (sc.rtt, sc.cert_delay, sc.cert_len) = (ms(9), ms(4), CERT_SMALL);
         let a = run_scenario(&sc);
         let b = run_scenario(&sc);
         assert_eq!(a.ttfb_ms, b.ttfb_ms);
