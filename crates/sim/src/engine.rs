@@ -119,9 +119,14 @@ const _: () = assert!(
 /// slices ([`Network::run_until`]), and retired once their connection is
 /// over ([`Network::retire_node`]) so a long arrival process holds memory
 /// only for the currently-active population.
-pub struct Network {
+///
+/// The network owns its nodes by value: a run over one closed set of
+/// node types passes an enum of them as `N` and dispatches every event
+/// with a `match`. The default, a boxed trait object, serves networks
+/// whose node types are open.
+pub struct Network<N: Node = Box<dyn Node>> {
     /// Node slots; retired nodes leave a tombstone so IDs stay stable.
-    nodes: Vec<Option<Box<dyn Node>>>,
+    nodes: Vec<Option<N>>,
     /// Link slots; a retired node's links leave holes that `free_links`
     /// hands to later connects, so a slot number stays valid for as long
     /// as its link lives.
@@ -149,7 +154,7 @@ pub struct Network {
     scratch_timers: Vec<(SimTime, u64)>,
 }
 
-impl Network {
+impl<N: Node> Network<N> {
     /// Creates an empty network. `capture_payloads` stores full datagram
     /// bytes in the trace (needed by content-sensitive analyses).
     pub fn new(capture_payloads: bool) -> Self {
@@ -171,10 +176,21 @@ impl Network {
     }
 
     /// Adds a node, returning its ID.
-    pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
+    pub fn add_node(&mut self, node: N) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Some(node));
         id
+    }
+
+    /// Node `id`, until it is retired: how the owner of a run reads a
+    /// node's state between slices.
+    pub fn node(&self, id: NodeId) -> Option<&N> {
+        self.nodes.get(id.0)?.as_ref()
+    }
+
+    /// [`Network::node`], mutably.
+    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut N> {
+        self.nodes.get_mut(id.0)?.as_mut()
     }
 
     /// Connects two nodes with a bidirectional link on the default path 0.
@@ -264,8 +280,10 @@ impl Network {
 
     /// Retires a node: its slot is tombstoned, every link touching it is
     /// removed, and already-queued events addressed to it are silently
-    /// skipped when they surface. Returns the node for final inspection.
-    pub fn retire_node(&mut self, id: NodeId) -> Option<Box<dyn Node>> {
+    /// skipped when they surface. Hands the node back to the caller,
+    /// which reads its final state off it; `None` if it was retired
+    /// already.
+    pub fn retire_node(&mut self, id: NodeId) -> Option<N> {
         let node = self.nodes[id.0].take()?;
         let mine = (id.0, 0, 0)..=(id.0, usize::MAX, u64::MAX);
         while let Some((&(_, peer, path), &slot)) = self.link_index.range(mine.clone()).next() {

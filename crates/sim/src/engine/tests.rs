@@ -1,11 +1,10 @@
 use super::*;
-use crate::link::LinkStats;
 use crate::loss::{Direction, DropIndices};
 
-/// Counters of the live link from `a` to `b`, if one exists.
-fn link_stats(net: &Network, a: NodeId, b: NodeId) -> Option<LinkStats> {
-    let link = net.links[net.active_slot(a, b)?].as_ref();
-    Some(link.expect("indexed link is live").stats)
+/// Whether a live link carries `a → b` traffic.
+fn link_exists<N: Node>(net: &Network<N>, a: NodeId, b: NodeId) -> bool {
+    net.active_slot(a, b)
+        .is_some_and(|slot| net.links[slot].is_some())
 }
 
 /// Test node: replies to every datagram with "pong" until a count is
@@ -157,7 +156,7 @@ fn duplicating_channel_delivers_both_copies() {
         }
         fn on_datagram(&mut self, _: &mut Context<'_>, _: NodeId, _: &[u8]) {}
     }
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let a = net.add_node(Box::new(Sink));
     let b = net.add_node(Box::new(OneShot { peer: a }));
     net.connect(
@@ -176,7 +175,7 @@ fn duplicating_channel_delivers_both_copies() {
     assert_eq!(at[0], at[1]);
     assert_eq!(net.trace.sent_count(b, a), 1);
     assert_eq!(net.trace.duplicated_count(b, a), 1);
-    assert_eq!(link_stats(&net, a, b).unwrap().duplicated, 1);
+    assert_eq!(net.stats.datagrams_duplicated, 1);
 }
 
 #[test]
@@ -219,7 +218,7 @@ fn deterministic_event_ordering_at_same_time() {
             ctx.trace().milestone(me, now, format!("tok{token}"));
         }
     }
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     net.add_node(Box::new(TwoTimers { order: Vec::new() }));
     net.run(SimDuration::from_secs(1));
     let labels: Vec<&str> = net.trace.milestones.iter().map(|m| &*m.label).collect();
@@ -254,7 +253,7 @@ impl Node for Counter {
 
 #[test]
 fn run_until_steps_and_resumes() {
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let a = net.add_node(Box::new(Counter));
     let b = net.add_node(Box::new(Chatter { peer: a }));
     net.connect(a, b, LinkConfig::paper_default(SimDuration::from_millis(1)));
@@ -271,7 +270,7 @@ fn run_until_steps_and_resumes() {
 
 #[test]
 fn schedule_start_spawns_mid_run() {
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let sink = net.add_node(Box::new(Counter));
     net.prime();
     let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
@@ -293,7 +292,7 @@ fn schedule_start_spawns_mid_run() {
 
 #[test]
 fn retired_nodes_absorb_events_and_drop_links() {
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let a = net.add_node(Box::new(Counter));
     let b = net.add_node(Box::new(Chatter { peer: a }));
     net.connect(a, b, LinkConfig::paper_default(SimDuration::from_millis(1)));
@@ -307,7 +306,7 @@ fn retired_nodes_absorb_events_and_drop_links() {
     let retired = net.retire_node(a);
     assert!(retired.is_some());
     assert_eq!(net.nodes.iter().flatten().count(), 1);
-    assert!(link_stats(&net, a, b).is_none());
+    assert!(!link_exists(&net, a, b));
     assert_eq!(net.run_until(t(30)), RunOutcome::TimeLimit);
     // Only the pre-retirement deliveries (t=1, t=6) were counted.
     assert_eq!(net.trace.all("rx").len(), 2);
@@ -327,7 +326,7 @@ fn path_change_switches_delivery_profile() {
             ctx.trace().milestone(me, now, format!("rx/p{p}"));
         }
     }
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let a = net.add_node(Box::new(PathCounter));
     let b = net.add_node(Box::new(Chatter { peer: a }));
     net.connect(a, b, LinkConfig::paper_default(SimDuration::from_millis(1)));
@@ -364,7 +363,7 @@ fn path_change_notifies_initiator() {
             ctx.send(self.peer, b"probe".to_vec());
         }
     }
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let sink = net.add_node(Box::new(Counter));
     let m = net.add_node(Box::new(Migrator { peer: sink }));
     net.connect(
@@ -392,7 +391,7 @@ fn path_change_notifies_initiator() {
 
 #[test]
 fn path_change_after_retirement_is_noop() {
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let a = net.add_node(Box::new(Counter));
     let b = net.add_node(Box::new(Chatter { peer: a }));
     net.connect(a, b, LinkConfig::paper_default(SimDuration::from_millis(1)));
@@ -419,7 +418,7 @@ fn retirement_takes_every_path_and_leaves_neighbours_alone() {
     // onto its second path: retiring it drops both of its links (and
     // the reroute), its slots go to the next connects, and the other
     // pairs keep exchanging on theirs.
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     let hub = net.add_node(Box::new(Counter));
     let peers: Vec<NodeId> = (0..3)
         .map(|_| net.add_node(Box::new(Chatter { peer: hub })))
@@ -440,10 +439,10 @@ fn retirement_takes_every_path_and_leaves_neighbours_alone() {
     assert_eq!(net.links.iter().flatten().count(), 2);
     assert_eq!(net.free_links.len(), 2);
     assert!(net.rerouted.is_empty());
-    assert!(link_stats(&net, peers[1], hub).is_none());
+    assert!(!link_exists(&net, peers[1], hub));
     for p in [peers[0], peers[2]] {
-        assert!(link_stats(&net, p, hub).is_some());
-        assert!(link_stats(&net, hub, p).is_some());
+        assert!(link_exists(&net, p, hub));
+        assert!(link_exists(&net, hub, p));
     }
     // Let what the retired peer had in flight land, then: two
     // chatterers left, one send each per 5 ms.
@@ -457,7 +456,24 @@ fn retirement_takes_every_path_and_leaves_neighbours_alone() {
     net.connect(late, hub, LinkConfig::paper_default(ms(1)));
     assert_eq!(net.links.len(), 4);
     assert_eq!(net.free_links.len(), 1);
-    assert_eq!(link_stats(&net, late, hub), Some(LinkStats::default()));
+    assert!(link_exists(&net, late, hub));
+    // A fresh link: the newcomer's first datagram takes index 0.
+    net.schedule_start(late, t(14));
+    net.run_until(t(20));
+    let first = net.trace.datagrams.iter().find(|d| d.from == late);
+    assert_eq!(first.map(|d| d.index), Some(0));
+}
+
+#[test]
+fn a_node_is_readable_until_it_is_retired() {
+    let mut net = Network::new(false);
+    let a = net.add_node(Counter);
+    let b = net.add_node(Counter);
+    assert!(net.node(a).is_some() && net.node_mut(b).is_some());
+    assert!(net.retire_node(a).is_some());
+    assert!(net.node(a).is_none() && net.node_mut(a).is_none());
+    assert!(net.node(b).is_some() && net.node_mut(b).is_some());
+    assert!(net.node(NodeId(2)).is_none(), "never added");
 }
 
 #[test]
@@ -520,7 +536,7 @@ fn engine_stats_count_events_and_drops() {
 
 #[test]
 fn lean_trace_records_nothing() {
-    let mut net = Network::new(false);
+    let mut net = <Network>::new(false);
     net.trace.recording = false;
     let a = net.add_node(Box::new(Counter));
     let b = net.add_node(Box::new(Chatter { peer: a }));
@@ -555,7 +571,7 @@ fn send_without_link_panics() {
 fn event_ceiling_stops_before_the_pop() {
     let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
     let build = || {
-        let mut net = Network::new(false);
+        let mut net = <Network>::new(false);
         let a = net.add_node(Box::new(Counter));
         let b = net.add_node(Box::new(Chatter { peer: a }));
         net.connect(a, b, LinkConfig::paper_default(SimDuration::from_millis(1)));

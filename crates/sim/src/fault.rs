@@ -1,13 +1,13 @@
 //! Seeded fault timelines: link blackouts and server freeze/crash events.
 //!
 //! A [`FaultTimeline`] is a **pure function** of a fault seed (via
-//! [`SimRng::derive`]) and a profile of mean event gaps: the same seed
-//! always yields the same blackout windows, crash instants, and freeze
-//! intervals, so fault-injected runs are exactly as reproducible as
-//! fault-free ones. The timeline itself is inert data — links consult
-//! the blackout windows on every transmit, and higher layers (the
-//! testbed's server node) schedule the crash/freeze instants as timers
-//! on the existing event loop.
+//! [`SimRng::derive`]) and the mean event gaps of each fault class: the
+//! same seed always yields the same blackout windows, crash instants,
+//! and freeze intervals, so fault-injected runs are exactly as
+//! reproducible as fault-free ones. The timeline itself is inert data —
+//! links consult the blackout windows on every transmit, and higher
+//! layers (the testbed's server node) schedule the crash/freeze instants
+//! as timers on the existing event loop.
 //!
 //! An empty timeline is free: no windows means no per-datagram checks
 //! beyond one slice emptiness test, no timers, and — crucially — no
@@ -53,34 +53,6 @@ pub struct Freeze {
     pub end: SimTime,
 }
 
-/// Mean event gaps the timeline generator turns into concrete seeded
-/// schedules. `None`/zero rates disable the corresponding fault class.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultProfile {
-    /// Mean gap between blackout windows; `None` = no blackouts.
-    pub blackout_every: Option<SimDuration>,
-    /// Duration of each blackout window.
-    pub blackout_duration: SimDuration,
-    /// Mean gap between server crashes; `None` = no crashes.
-    pub crash_every: Option<SimDuration>,
-    /// Mean gap between server freezes; `None` = no freezes.
-    pub freeze_every: Option<SimDuration>,
-    /// Duration of each freeze.
-    pub freeze_duration: SimDuration,
-}
-
-impl FaultProfile {
-    /// A profile that injects nothing.
-    pub fn none() -> Self {
-        FaultProfile::default()
-    }
-
-    /// Whether any fault class is enabled.
-    pub fn is_none(&self) -> bool {
-        self.blackout_every.is_none() && self.crash_every.is_none() && self.freeze_every.is_none()
-    }
-}
-
 /// The concrete fault schedule of one run: blackout windows, crash
 /// instants, and freeze intervals, all in increasing time order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -104,67 +76,58 @@ impl FaultTimeline {
         self.blackouts.is_empty() && self.crashes.is_empty() && self.freezes.is_empty()
     }
 
-    /// Generates the timeline for `fault_seed` over `[0, horizon)`.
+    /// Generates the timeline for `fault_seed` over `[0, horizon)`:
+    /// blackouts and freezes as `(mean_gap, duration)`, crashes as a
+    /// mean gap; `None` disables that class.
     ///
     /// Each fault class is an independent Poisson process on its own
     /// [`SimRng::derive`] stream, so enabling one class never shifts
     /// another's schedule. Interval faults (blackouts, freezes) measure
     /// the next gap from the *end* of the previous window, so windows
     /// never overlap.
-    pub fn generate(fault_seed: u64, horizon: SimDuration, profile: &FaultProfile) -> Self {
-        let horizon_ns = horizon.as_nanos();
-        let mut timeline = FaultTimeline::none();
-
-        if let Some(gap) = profile.blackout_every {
-            let mut rng = SimRng::derive(fault_seed, &[BLACKOUT_STREAM]);
-            let dur = profile.blackout_duration.as_nanos();
-            let mut t = 0u64;
-            loop {
-                t = t.saturating_add(rng.gen_exp(gap.as_nanos() as f64) as u64);
-                if t >= horizon_ns {
-                    break;
-                }
-                let end = t.saturating_add(dur);
-                timeline.blackouts.push(Blackout {
-                    start: SimTime::from_nanos(t),
-                    end: SimTime::from_nanos(end),
-                });
-                t = end;
-            }
+    pub fn generate(
+        fault_seed: u64,
+        horizon: SimDuration,
+        blackout: Option<(SimDuration, SimDuration)>,
+        crash_every: Option<SimDuration>,
+        freeze: Option<(SimDuration, SimDuration)>,
+    ) -> Self {
+        let windows = |stream, every| poisson_windows(fault_seed, stream, every, horizon);
+        let crashes = crash_every.map(|gap| (gap, SimDuration::ZERO));
+        FaultTimeline {
+            blackouts: windows(BLACKOUT_STREAM, blackout)
+                .map(|(start, end)| Blackout { start, end })
+                .collect(),
+            crashes: windows(CRASH_STREAM, crashes).map(|(at, _)| at).collect(),
+            freezes: windows(FREEZE_STREAM, freeze)
+                .map(|(start, end)| Freeze { start, end })
+                .collect(),
         }
-
-        if let Some(gap) = profile.crash_every {
-            let mut rng = SimRng::derive(fault_seed, &[CRASH_STREAM]);
-            let mut t = 0u64;
-            loop {
-                t = t.saturating_add(rng.gen_exp(gap.as_nanos() as f64) as u64);
-                if t >= horizon_ns {
-                    break;
-                }
-                timeline.crashes.push(SimTime::from_nanos(t));
-            }
-        }
-
-        if let Some(gap) = profile.freeze_every {
-            let mut rng = SimRng::derive(fault_seed, &[FREEZE_STREAM]);
-            let dur = profile.freeze_duration.as_nanos();
-            let mut t = 0u64;
-            loop {
-                t = t.saturating_add(rng.gen_exp(gap.as_nanos() as f64) as u64);
-                if t >= horizon_ns {
-                    break;
-                }
-                let end = t.saturating_add(dur);
-                timeline.freezes.push(Freeze {
-                    start: SimTime::from_nanos(t),
-                    end: SimTime::from_nanos(end),
-                });
-                t = end;
-            }
-        }
-
-        timeline
     }
+}
+
+/// The `[start, end)` windows of a Poisson process on `stream` over
+/// `[0, horizon)`: gaps of mean `every.0`, each followed by a window of
+/// `every.1` the next gap is measured from. `None` draws nothing.
+fn poisson_windows(
+    fault_seed: u64,
+    stream: u64,
+    every: Option<(SimDuration, SimDuration)>,
+    horizon: SimDuration,
+) -> impl Iterator<Item = (SimTime, SimTime)> {
+    let mut process = every.map(|(gap, dur)| (SimRng::derive(fault_seed, &[stream]), gap, dur));
+    let mut t = 0u64;
+    std::iter::from_fn(move || {
+        let (rng, gap, dur) = process.as_mut()?;
+        t = t.saturating_add(rng.gen_exp(gap.as_nanos() as f64) as u64);
+        if t >= horizon.as_nanos() {
+            process = None;
+            return None;
+        }
+        let start = t;
+        t = t.saturating_add(dur.as_nanos());
+        Some((SimTime::from_nanos(start), SimTime::from_nanos(t)))
+    })
 }
 
 #[cfg(test)]
@@ -177,42 +140,31 @@ mod tests {
 
     #[test]
     fn empty_profile_generates_empty_timeline() {
-        let t = FaultTimeline::generate(7, secs(100), &FaultProfile::none());
+        let t = FaultTimeline::generate(7, secs(100), None, None, None);
         assert!(t.is_empty());
         assert_eq!(t, FaultTimeline::none());
     }
 
     #[test]
     fn timeline_is_a_pure_function_of_the_seed() {
-        let profile = FaultProfile {
-            blackout_every: Some(secs(5)),
-            blackout_duration: SimDuration::from_millis(500),
-            crash_every: Some(secs(20)),
-            freeze_every: Some(secs(11)),
-            freeze_duration: SimDuration::from_millis(200),
-            ..FaultProfile::default()
+        let generate = |seed| {
+            let blackout = Some((secs(5), SimDuration::from_millis(500)));
+            let freeze = Some((secs(11), SimDuration::from_millis(200)));
+            FaultTimeline::generate(seed, secs(120), blackout, Some(secs(20)), freeze)
         };
-        let a = FaultTimeline::generate(42, secs(120), &profile);
-        let b = FaultTimeline::generate(42, secs(120), &profile);
+        let a = generate(42);
+        let b = generate(42);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        let c = FaultTimeline::generate(43, secs(120), &profile);
+        let c = generate(43);
         assert_ne!(a, c, "different seeds draw different schedules");
     }
 
     #[test]
     fn fault_classes_use_independent_streams() {
-        let blackout_only = FaultProfile {
-            blackout_every: Some(secs(3)),
-            blackout_duration: SimDuration::from_millis(100),
-            ..FaultProfile::default()
-        };
-        let both = FaultProfile {
-            crash_every: Some(secs(4)),
-            ..blackout_only
-        };
-        let a = FaultTimeline::generate(9, secs(60), &blackout_only);
-        let b = FaultTimeline::generate(9, secs(60), &both);
+        let blackout = Some((secs(3), SimDuration::from_millis(100)));
+        let a = FaultTimeline::generate(9, secs(60), blackout, None, None);
+        let b = FaultTimeline::generate(9, secs(60), blackout, Some(secs(4)), None);
         assert_eq!(
             a.blackouts, b.blackouts,
             "enabling crashes must not move the blackout schedule"
@@ -222,12 +174,8 @@ mod tests {
 
     #[test]
     fn windows_are_ordered_and_disjoint() {
-        let profile = FaultProfile {
-            blackout_every: Some(SimDuration::from_millis(300)),
-            blackout_duration: SimDuration::from_millis(250),
-            ..FaultProfile::default()
-        };
-        let t = FaultTimeline::generate(5, secs(30), &profile);
+        let blackout = Some((SimDuration::from_millis(300), SimDuration::from_millis(250)));
+        let t = FaultTimeline::generate(5, secs(30), blackout, None, None);
         assert!(t.blackouts.len() > 10);
         for w in &t.blackouts {
             assert!(w.start < w.end);

@@ -78,20 +78,6 @@ impl std::fmt::Debug for LinkConfig {
     }
 }
 
-/// Aggregate counters for one link (both directions).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Datagrams accepted for transmission (including later drops).
-    pub sent: usize,
-    /// Datagrams dropped by a blackout, the drop list or the random loss
-    /// process.
-    pub dropped: usize,
-    /// Extra datagram copies created by the impairment channel.
-    pub duplicated: usize,
-    /// Bytes accepted for transmission.
-    pub bytes: usize,
-}
-
 /// Internal link state.
 pub(crate) struct Link {
     /// The endpoint whose sends travel in direction `AtoB`.
@@ -107,7 +93,6 @@ pub(crate) struct Link {
     counters: [usize; 2],
     /// Per-direction transmitter-busy-until times (FIFO serialization).
     busy_until: [SimTime; 2],
-    pub(crate) stats: LinkStats,
 }
 
 /// Result of offering a datagram to a link.
@@ -130,7 +115,6 @@ impl Link {
             config,
             counters: [0, 0],
             busy_until: [SimTime::ZERO, SimTime::ZERO],
-            stats: LinkStats::default(),
         }
     }
 
@@ -167,13 +151,10 @@ impl Link {
         };
         let index = self.counters[dir_idx];
         self.counters[dir_idx] += 1;
-        self.stats.sent += 1;
-        self.stats.bytes += payload.len();
 
         // Blackout windows drop first: deterministic like the drop list,
         // so neither consumes random draws on behalf of the other.
         if self.config.blackouts.iter().any(|b| b.covers(now)) {
-            self.stats.dropped += 1;
             return (TransmitResult::Drop, index);
         }
         if self
@@ -182,7 +163,6 @@ impl Link {
             .as_ref()
             .is_some_and(|l| l.drops(direction, index))
         {
-            self.stats.dropped += 1;
             return (TransmitResult::Drop, index);
         }
         // The stochastic channel decides after the drop list, so the
@@ -195,10 +175,7 @@ impl Link {
             },
         };
         let (extra, dup_extra) = match fate {
-            ImpairedFate::Drop => {
-                self.stats.dropped += 1;
-                return (TransmitResult::Drop, index);
-            }
+            ImpairedFate::Drop => return (TransmitResult::Drop, index),
             ImpairedFate::Deliver { extra, duplicate } => (extra, duplicate),
         };
 
@@ -217,10 +194,7 @@ impl Link {
         // serializer: extra delays never occupy the transmitter, and every
         // copy still travels at least one propagation delay.
         let base = tx_done + self.config.one_way_delay;
-        let duplicate = dup_extra.map(|d| {
-            self.stats.duplicated += 1;
-            base + d
-        });
+        let duplicate = dup_extra.map(|d| base + d);
         (
             TransmitResult::Deliver {
                 at: base + extra,
@@ -305,8 +279,7 @@ mod tests {
         assert!(matches!(r_a, TransmitResult::Deliver { .. }));
         let (r_b, _) = l.transmit(NodeId(1), &[0u8; 10], SimTime::ZERO);
         assert!(matches!(r_b, TransmitResult::Drop));
-        assert_eq!(l.stats.dropped, 1);
-        assert_eq!(l.stats.sent, 2);
+        assert_eq!(l.counters, [1, 1], "one datagram sent each way");
     }
 
     #[test]
@@ -328,7 +301,7 @@ mod tests {
         // At the (exclusive) end: delivered again.
         let (r, _) = l.transmit(NodeId(0), &[0u8; 10], SimTime::from_nanos(2_000));
         assert!(matches!(r, TransmitResult::Deliver { .. }));
-        assert_eq!(l.stats.dropped, 2);
+        assert_eq!(l.counters, [3, 1], "drops take an index too");
     }
 
     #[test]
@@ -365,8 +338,8 @@ mod tests {
             }
         }
         assert!(dups > 0);
-        assert_eq!(l.stats.duplicated, dups);
-        assert_eq!(l.stats.sent, 200);
+        assert!(dups < 200, "duplication 0.3 copies some, not all: {dups}");
+        assert_eq!(l.counters, [200, 0]);
     }
 
     #[test]
@@ -383,7 +356,7 @@ mod tests {
                 drops += 1;
             }
         }
-        assert_eq!(l.stats.dropped, drops);
+        assert_eq!(l.counters, [400, 0], "drops take an index too");
         assert!(drops > 100 && drops < 300, "drops {drops}");
     }
 

@@ -58,6 +58,34 @@ pub trait Node {
     }
 }
 
+/// A boxed node is a node: what lets a network over a boxed trait
+/// object hold nodes of any type.
+impl<T: Node + ?Sized> Node for Box<T> {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        (**self).on_start(ctx);
+    }
+
+    fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
+        (**self).on_datagram(ctx, from, payload);
+    }
+
+    fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        (**self).on_datagram_owned(ctx, from, payload);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        (**self).on_timer(ctx, token);
+    }
+
+    fn on_path_change(&mut self, ctx: &mut Context<'_>, path: u64) {
+        (**self).on_path_change(ctx, path);
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+}
+
 /// Effects a node can produce while handling an event.
 ///
 /// The context queues sends and timers; the engine applies them after the

@@ -64,7 +64,7 @@ fn run_flood(
     seed: u64,
     count: u64,
 ) -> (Vec<CaptureRecord>, Vec<(u64, SimTime)>) {
-    let mut net = Network::new(true);
+    let mut net = <Network>::new(true);
     let b = net.add_node(Box::new(Recorder));
     let a = net.add_node(Box::new(Flooder {
         peer: b,

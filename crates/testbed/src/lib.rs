@@ -21,7 +21,7 @@ pub mod server_load;
 pub mod stats;
 
 pub use matrix::{MatrixCell, ScenarioMatrix};
-pub use nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode};
+pub use nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode, TestbedNode};
 pub use rq_obs::{median, percentile};
 pub use rq_recovery::{CcAlgorithm, CcState};
 pub use runner::{

@@ -6,18 +6,20 @@
 //! behind one [`rq_quic::ServerEngine`] — each peer node is demuxed to its
 //! own connection by sim `NodeId`, the collapsed stand-in for QUIC's
 //! connection-ID routing. The single-pair scenarios of the paper are the
-//! N = 1 case of the same code path. Both node types expose shared state
-//! via `Rc<RefCell<..>>` so the runner can read qlog/status after (or
-//! during) the simulation, and both drive their connections through the
-//! one [`ConnDriver`].
+//! N = 1 case of the same code path. Both drive their connections
+//! through the one [`ConnDriver`]. The network owns both by value, as a
+//! [`TestbedNode`]: the runner reads a node through
+//! [`rq_sim::Network::node`] while the run goes on and takes it back
+//! from [`rq_sim::Network::retire_node`] when it is over.
 //!
 //! The client node is in `client`, the server node in `server`. This file
-//! holds the milestone labels, the one driver both pump their connections
-//! through, and the one-slot cache the server builds responses in.
+//! holds the node enum, the milestone labels, the one driver both pump
+//! their connections through, and the one-slot cache the server builds
+//! responses in.
 
 use rq_http::{h1, h3, HttpVersion};
 use rq_quic::Connection;
-use rq_sim::{Context, NodeId, SimTime};
+use rq_sim::{Context, Node, NodeId, SimTime};
 use rq_wire::Bytes;
 
 mod client;
@@ -25,6 +27,84 @@ mod server;
 
 pub use client::{ClientNode, ClientStatus};
 pub use server::{PeerOutcome, ServerControl, ServerNode};
+
+/// A node of the testbed's network: the client or the server. Events
+/// reach a node through a `match`, not a vtable; boxing keeps a node
+/// slot at two words whichever kind it holds.
+pub enum TestbedNode {
+    /// One client and its connection.
+    Client(Box<ClientNode>),
+    /// The server and every connection it hosts.
+    Server(Box<ServerNode>),
+}
+
+const _: () = assert!(std::mem::size_of::<Option<TestbedNode>>() == 16);
+
+impl TestbedNode {
+    /// The client this node is, if it is one.
+    pub fn client(&self) -> Option<&ClientNode> {
+        match self {
+            TestbedNode::Client(client) => Some(client),
+            TestbedNode::Server(_) => None,
+        }
+    }
+
+    /// The server this node is, if it is one.
+    pub fn server(&self) -> Option<&ServerNode> {
+        match self {
+            TestbedNode::Server(server) => Some(server),
+            TestbedNode::Client(_) => None,
+        }
+    }
+}
+
+impl From<ClientNode> for TestbedNode {
+    fn from(client: ClientNode) -> Self {
+        TestbedNode::Client(Box::new(client))
+    }
+}
+
+impl From<ServerNode> for TestbedNode {
+    fn from(server: ServerNode) -> Self {
+        TestbedNode::Server(Box::new(server))
+    }
+}
+
+/// Hands the event to whichever node this is.
+macro_rules! dispatch {
+    ($node:expr, $n:ident => $call:expr) => {
+        match $node {
+            TestbedNode::Client($n) => $call,
+            TestbedNode::Server($n) => $call,
+        }
+    };
+}
+
+impl Node for TestbedNode {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        dispatch!(self, n => n.on_start(ctx))
+    }
+
+    fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
+        dispatch!(self, n => n.on_datagram(ctx, from, payload))
+    }
+
+    fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        dispatch!(self, n => n.on_datagram_owned(ctx, from, payload))
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        dispatch!(self, n => n.on_timer(ctx, token))
+    }
+
+    fn on_path_change(&mut self, ctx: &mut Context<'_>, path: u64) {
+        dispatch!(self, n => n.on_path_change(ctx, path))
+    }
+
+    fn name(&self) -> &str {
+        dispatch!(self, n => n.name())
+    }
+}
 
 /// Milestone labels recorded into the trace.
 pub mod milestones {

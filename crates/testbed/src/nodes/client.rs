@@ -24,8 +24,9 @@ const RECONNECT_STREAM: u64 = 0x2ECC_0;
 /// Progress of one client connection, updated live by [`ClientNode`].
 ///
 /// The many-connection driver reads these instead of trace milestones:
-/// bulk runs switch trace recording off entirely, and a shared status
-/// cell is how a retired connection's outcome survives node teardown.
+/// bulk runs switch trace recording off entirely. It reads them through
+/// the network while the client runs, and off the client the network
+/// hands back when it retires it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClientStatus {
     /// First datagram sent (the connection's t = 0).
@@ -65,16 +66,17 @@ struct Response {
 
 /// Client endpoint node: performs one HTTP GET over QUIC.
 pub struct ClientNode {
-    /// The QUIC connection (shared with the runner for post-run reads).
+    /// The QUIC connection. A shared cell only because `rq-layers`
+    /// keeps a clone of it; the runner reads it off the node.
     pub conn: Rc<RefCell<Connection>>,
     /// The deadline the connection's last pump armed ([`ConnDriver`]).
     armed: Option<SimTime>,
     /// The freshest NewSessionTicket the server issued on this
-    /// connection (shared with the runner: the priming connection of a
-    /// resumed scenario hands its ticket to the measured one).
-    pub ticket: Rc<RefCell<Option<rq_tls::SessionTicket>>>,
-    /// Live progress, shared with the many-connection driver.
-    pub status: Rc<RefCell<ClientStatus>>,
+    /// connection (the priming connection of a resumed scenario hands
+    /// its ticket to the measured one).
+    pub ticket: Option<rq_tls::SessionTicket>,
+    /// Live progress.
+    pub status: ClientStatus,
     server: NodeId,
     http: HttpVersion,
     /// One entry per parallel request stream (client bidi IDs 0, 4, 8,
@@ -133,8 +135,8 @@ impl ClientNode {
         ClientNode {
             conn: Rc::new(RefCell::new(conn)),
             armed: None,
-            ticket: Rc::new(RefCell::new(None)),
-            status: Rc::new(RefCell::new(ClientStatus::default())),
+            ticket: None,
+            status: ClientStatus::default(),
             server,
             http,
             responses: vec![Response::default()],
@@ -179,7 +181,7 @@ impl ClientNode {
 
     /// Schedules the next reconnect attempt, if the policy allows one.
     fn try_schedule_reconnect(&mut self, ctx: &mut Context<'_>) -> bool {
-        let attempts = self.status.borrow().attempts;
+        let attempts = self.status.attempts;
         let Some(policy) = self.reconnect.filter(|p| attempts < p.max_attempts) else {
             return false;
         };
@@ -195,7 +197,7 @@ impl ClientNode {
             .min(policy.max_backoff.as_nanos());
         let scaled = (base as f64 * (1.0 + policy.jitter * rng.gen_f64())) as u64;
         ctx.set_timer_after(SimDuration::from_nanos(scaled), TOKEN_RECONNECT);
-        self.status.borrow_mut().reconnect_pending = true;
+        self.status.reconnect_pending = true;
         true
     }
 
@@ -203,13 +205,11 @@ impl ClientNode {
     /// timer fired). The new connection gets a fresh CID seed, so the
     /// server sees a brand-new arrival, not a retransmit.
     fn reconnect_now(&mut self, ctx: &mut Context<'_>) {
-        let attempt = {
-            let mut st = self.status.borrow_mut();
-            st.reconnect_pending = false;
-            st.closed_at = None;
-            st.attempts += 1;
-            st.attempts
-        };
+        let st = &mut self.status;
+        st.reconnect_pending = false;
+        st.closed_at = None;
+        st.attempts += 1;
+        let attempt = st.attempts;
         let attempt_seed = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -224,16 +224,16 @@ impl ClientNode {
     }
 
     /// Records that the milestone `label` was reached now, in both of the
-    /// client's records: its field of the status cell (the first time
-    /// only) and the trace.
+    /// client's records: its field of the status (the first time only)
+    /// and the trace.
     fn mark(
-        &self,
+        &mut self,
         ctx: &mut Context<'_>,
         label: &'static str,
         field: impl FnOnce(&mut ClientStatus) -> &mut Option<SimTime>,
     ) {
         let (me, now) = (ctx.me(), ctx.now());
-        field(&mut self.status.borrow_mut()).get_or_insert(now);
+        field(&mut self.status).get_or_insert(now);
         ctx.trace().milestone(me, now, label);
     }
 
@@ -297,7 +297,7 @@ impl ClientNode {
                     }
                 }
                 ConnEvent::TicketReceived(t) => {
-                    *self.ticket.borrow_mut() = Some(t);
+                    self.ticket = Some(t);
                 }
                 ConnEvent::CertificateNeeded => {}
             }

@@ -56,8 +56,8 @@ pub struct PeerOutcome {
     pub reset: bool,
 }
 
-/// Driver-facing control surface of a [`ServerNode`], shared via
-/// `Rc<RefCell<..>>` with whoever orchestrates the simulation.
+/// Driver-facing control surface of a [`ServerNode`]: what whoever
+/// orchestrates the simulation tells the server and reads back from it.
 #[derive(Debug, Default)]
 pub struct ServerControl {
     /// Per-peer server connection seed (keyed by the peer's `NodeId`
@@ -195,15 +195,17 @@ impl Session {
 /// Server endpoint node: one shared listener hosting any number of
 /// connections, each serving `GET /<n>`. Incoming datagrams are demuxed
 /// by sender `NodeId`; admission, ticket-key epochs, and cost accounting
-/// live in the shared [`ServerEngine`], everything else the node knows
-/// about a peer in that peer's record in the shared [`ServerControl`].
+/// live in the [`ServerEngine`], everything else the node knows about a
+/// peer in that peer's record in the [`ServerControl`].
 /// A callback borrows both once and works on the connection and the
 /// record it resolved.
 pub struct ServerNode {
-    /// The shared server engine (connection table + accounting), exposed
-    /// so the runner can read connections and aggregates after the run.
+    /// The server engine (connection table + accounting), exposed so
+    /// the runner can read connections and aggregates. A shared cell
+    /// only because `rq-layers` keeps a clone of it.
     pub engine: Rc<RefCell<ServerEngine>>,
-    /// Driver control surface (per-peer seeds and outcomes).
+    /// Driver control surface (per-peer seeds and outcomes), a shared
+    /// cell for the same reason.
     pub control: Rc<RefCell<ServerControl>>,
     http: HttpVersion,
     /// Frontend ↔ certificate store delay Δt.
@@ -241,27 +243,20 @@ impl ServerNode {
     pub fn new(cfg: EndpointConfig, http: HttpVersion, cert_delay: SimDuration, seed: u64) -> Self {
         let schedule = TicketKeySchedule::fixed(cfg.ticket_key);
         let engine = ServerEngine::new(cfg, schedule, usize::MAX);
-        ServerNode::with_engine(
-            Rc::new(RefCell::new(engine)),
-            Rc::new(RefCell::new(ServerControl::default())),
-            http,
-            cert_delay,
-            seed,
-        )
+        ServerNode::with_engine(engine, http, cert_delay, seed)
     }
 
-    /// Creates a server around an externally owned engine and control
-    /// block (the many-connection driver's entry point).
+    /// Creates a server around `engine`, configured by the caller (the
+    /// many-connection driver's entry point), with an empty control block.
     pub fn with_engine(
-        engine: Rc<RefCell<ServerEngine>>,
-        control: Rc<RefCell<ServerControl>>,
+        engine: ServerEngine,
         http: HttpVersion,
         cert_delay: SimDuration,
         seed: u64,
     ) -> Self {
         ServerNode {
-            engine,
-            control,
+            engine: Rc::new(RefCell::new(engine)),
+            control: Rc::default(),
             http,
             cert_delay,
             seed,

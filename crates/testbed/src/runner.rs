@@ -4,9 +4,7 @@ use rq_qlog::{first_pto_ms, EventData, EventLog};
 use rq_sim::{NodeId, SimRng, SimTime};
 
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
-use crate::server_load::{
-    drive_conn_plans, ConnOutcome, ConnPlan, Detail, ServerLoadSpec, Spawned,
-};
+use crate::server_load::{drive_conn_plans, ConnOutcome, ConnPlan, Detail, ServerLoadSpec};
 
 /// Metrics extracted from one run.
 #[derive(Debug)]
@@ -96,34 +94,25 @@ const PRIMING_FILE_SIZE: usize = 1024;
 ///
 /// Resumed and 0-RTT scenarios are **two-connection runs**: an unmeasured
 /// priming connection (full handshake, clean path, derived seed) against
-/// the same server profile mints the session ticket into a
-/// [`rq_tls::SessionCache`] keyed by the server's name; the measured
-/// connection takes it out and offers it — with early data for
-/// [`HandshakeClass::ZeroRtt`]. A `no_tickets` server profile leaves the
-/// cache empty and the measured connection falls back to a full
-/// handshake (`RunResult::resumed == false`). The whole two-connection
-/// composite stays a pure function of `Scenario::seed`.
+/// the same server profile is issued the session ticket, and the
+/// measured connection offers it — with early data for
+/// [`HandshakeClass::ZeroRtt`]. A `no_tickets` server profile issues
+/// none and the measured connection falls back to a full handshake
+/// (`RunResult::resumed == false`). The whole two-connection composite
+/// stays a pure function of `Scenario::seed`.
 pub fn run_scenario_with_trace(sc: &Scenario) -> (RunResult, rq_sim::Trace) {
     let ticket = match sc.handshake_class {
         HandshakeClass::Full => None,
-        HandshakeClass::Resumed | HandshakeClass::ZeroRtt => {
-            prime_session_cache(sc).take(server_name(sc))
-        }
+        HandshakeClass::Resumed | HandshakeClass::ZeroRtt => prime_ticket(sc),
     };
     let resumption_active = sc.handshake_class != HandshakeClass::Full;
     let (result, trace, _) = run_connection(sc, ticket, resumption_active);
     (result, trace)
 }
 
-/// Name the testbed server runs under (the session-cache key).
-fn server_name(sc: &Scenario) -> &'static str {
-    rq_profiles::server::testbed_server(sc.ack_mode, sc.cert_len).name
-}
-
 /// Runs the priming connection of a resumed scenario and returns the
-/// client's session cache — holding the issued ticket under the
-/// server's name, or empty when the profile offers none.
-fn prime_session_cache(sc: &Scenario) -> rq_tls::SessionCache {
+/// ticket the server issued it, `None` when the profile offers none.
+fn prime_ticket(sc: &Scenario) -> Option<rq_tls::SessionTicket> {
     let mut priming = sc.clone();
     priming.handshake_class = HandshakeClass::Full;
     priming.loss = LossSpec::None;
@@ -133,12 +122,7 @@ fn prime_session_cache(sc: &Scenario) -> rq_tls::SessionCache {
     // wild scan's per-probe streams) keeps the priming connection's
     // randomness uncorrelated with every measured repetition's.
     priming.seed = SimRng::derive(sc.seed, &[PRIMING_STREAM]).next_u64();
-    let (_, _, ticket) = run_connection(&priming, None, true);
-    let mut cache = rq_tls::SessionCache::new(4);
-    if let Some(t) = ticket {
-        cache.insert(server_name(sc), t);
-    }
-    cache
+    run_connection(&priming, None, true).2
 }
 
 /// Coordinate tag of the priming connection's seed stream.
@@ -169,21 +153,19 @@ fn run_connection(
     (result, trace, minted)
 }
 
-/// Builds the [`RunResult`] of the retired connection `s`, which ran
-/// `sc`: the timing and handshake fields of its `outcome` plus what only
-/// the kept qlogs, the trace's datagram capture and the client's
-/// connection state can say.
+/// Builds the [`RunResult`] of the retired connection `client`, which
+/// ran `sc` between the nodes `(client_id, server_id)`: the timing and
+/// handshake fields of its `outcome` plus what only the kept qlogs, the
+/// trace's datagram capture and the client's connection state can say.
 pub(crate) fn full_result(
-    s: &Spawned,
+    client: &mut rq_quic::Connection,
     sc: &Scenario,
     outcome: &ConnOutcome,
     aborted: bool,
     trace: &rq_sim::Trace,
-    server_id: NodeId,
+    (client_id, server_id): (NodeId, NodeId),
     server_log: EventLog,
 ) -> RunResult {
-    let client_id = s.id;
-    let client = &mut *s.conn.borrow_mut();
     let client_log = std::mem::take(&mut client.log);
     let first_srtt_ms = client_log.metrics_updates().next().map(|(_, srtt, _)| srtt);
     // Counting survivors of the client's exposure policy needs no

@@ -5,7 +5,7 @@ use rq_http::HttpVersion;
 use rq_profiles::{ClientProfile, ResumptionProfile};
 use rq_quic::ServerAckMode;
 use rq_recovery::CcAlgorithm;
-use rq_sim::{Direction, DropIndices, FaultProfile, FaultTimeline, ImpairmentSpec, SimDuration};
+use rq_sim::{Direction, DropIndices, FaultTimeline, ImpairmentSpec, SimDuration};
 
 /// Which handshake class the *measured* connection runs. Resumed and
 /// 0-RTT scenarios are two-connection runs: an unmeasured priming
@@ -130,23 +130,15 @@ impl FaultSpec {
         *self == FaultSpec::none()
     }
 
-    /// The sim-layer fault profile (blackout/crash/freeze rates).
-    pub fn profile(&self) -> FaultProfile {
-        FaultProfile {
-            blackout_every: self.blackout.map(|(gap, _)| gap),
-            blackout_duration: self
-                .blackout
-                .map(|(_, dur)| dur)
-                .unwrap_or(SimDuration::ZERO),
-            crash_every: self.crash_every,
-            freeze_every: self.freeze.map(|(gap, _)| gap),
-            freeze_duration: self.freeze.map(|(_, dur)| dur).unwrap_or(SimDuration::ZERO),
-        }
-    }
-
     /// Generates the concrete seeded fault timeline over `[0, horizon)`.
     pub fn timeline(&self, fault_seed: u64, horizon: SimDuration) -> FaultTimeline {
-        FaultTimeline::generate(fault_seed, horizon, &self.profile())
+        FaultTimeline::generate(
+            fault_seed,
+            horizon,
+            self.blackout,
+            self.crash_every,
+            self.freeze,
+        )
     }
 }
 

@@ -16,9 +16,6 @@
 //! sharded runner splits on a fixed shard size and folds shard reports
 //! in shard order.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rq_par::SweepRunner;
 use rq_quic::{
     ConnStats, Connection, OverloadPolicy, Role, ServerAccounting, ServerEngine, ERROR_GIVE_UP,
@@ -28,7 +25,7 @@ use rq_sim::{
 };
 use rq_tls::{mint_ticket, SessionTicket, TicketKeySchedule};
 
-use crate::nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode};
+use crate::nodes::{ClientNode, PeerOutcome, ServerNode, TestbedNode};
 use crate::runner::{full_result, rep_scenario, RunResult};
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
 use crate::stats::LatencyHistogram;
@@ -523,26 +520,23 @@ pub(crate) struct DriveOutput {
     pub full: Option<(RunResult, rq_sim::Trace, Option<SessionTicket>)>,
 }
 
-/// A spawned, not-yet-retired client connection.
-pub(crate) struct Spawned {
+/// A spawned, not-yet-retired client connection: the client node's
+/// ID and what retirement reads of its plan.
+struct Spawned {
     plan_idx: usize,
-    pub id: NodeId,
+    id: NodeId,
     arrival: SimTime,
-    /// What retirement reads of the plan's scenario: its handshake class
-    /// and the response body bytes across its streams.
+    /// The plan's handshake class and the response body bytes across
+    /// its streams.
     class: HandshakeClass,
     body_bytes: usize,
-    pub conn: Rc<RefCell<Connection>>,
-    status: Rc<RefCell<ClientStatus>>,
-    ticket_rc: Rc<RefCell<Option<SessionTicket>>>,
 }
 
-/// One drive's state: the event loop, the server's shared cells, and
-/// the connections still on the loop.
+/// One drive's state: the event loop, which owns the server and every
+/// client still on it, and what the driver knows of those clients.
 struct Drive {
-    net: Network,
-    engine: Rc<RefCell<ServerEngine>>,
-    control: Rc<RefCell<ServerControl>>,
+    net: Network<TestbedNode>,
+    server_id: NodeId,
     spawned: Vec<Spawned>,
     outcomes: Vec<Option<ConnOutcome>>,
     /// (client, server) QUIC counter totals, folded in retirement order.
@@ -601,23 +595,14 @@ pub(crate) fn drive_conn_plans(
     }
     let engine = ServerEngine::new(server_cfg, spec.schedule(), spec.concurrency_limit)
         .with_overload_policy(spec.overload);
-    let engine = Rc::new(RefCell::new(engine));
-    let control = Rc::new(RefCell::new(ServerControl::default()));
-    let server_node = ServerNode::with_engine(
-        Rc::clone(&engine),
-        Rc::clone(&control),
-        base.http,
-        base.cert_delay,
-        base.seed,
-    )
-    .with_faults(timeline.clone(), base.faults.forget_ticket_epochs);
-    let server_id = net.add_node(Box::new(server_node));
+    let server_node = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed)
+        .with_faults(timeline.clone(), base.faults.forget_ticket_epochs);
+    let server_id = net.add_node(server_node.into());
     net.prime();
 
     let mut drive = Drive {
         net,
-        engine,
-        control,
+        server_id,
         spawned: Vec::new(),
         outcomes: vec![None; n],
         conn_totals: Default::default(),
@@ -664,16 +649,14 @@ pub(crate) fn drive_conn_plans(
         if let Some(policy) = sc.faults.reconnect {
             client_node = client_node.with_reconnect(policy);
         }
-        let conn = Rc::clone(&client_node.conn);
-        let status = Rc::clone(&client_node.status);
-        let ticket_rc = Rc::clone(&client_node.ticket);
-        let net = &mut drive.net;
-        let client_id = net.add_node(Box::new(client_node));
+        let client_id = drive.net.add_node(client_node.into());
         drive
+            .server()
             .control
             .borrow_mut()
             .conn_seeds
             .insert(client_id.index(), sc.seed ^ 0x5EED);
+        let net = &mut drive.net;
 
         // Direction AtoB = client → server (connect order below).
         let mut link = LinkConfig::paper_default(sc.one_way_delay());
@@ -713,9 +696,6 @@ pub(crate) fn drive_conn_plans(
             arrival,
             class: sc.handshake_class,
             body_bytes: sc.streams * sc.file_size,
-            conn,
-            status,
-            ticket_rc,
         });
     }
 
@@ -755,26 +735,30 @@ pub(crate) fn drive_conn_plans(
     // over its halves on the way out.
     let full = full.then(|| {
         let s = drive.spawned.pop().expect("the one plan was spawned");
-        let st = *s.status.borrow();
-        let peer = drive.control.borrow().outcome(s.id.index());
-        let server = drive.retire(&s, st, peer);
+        let peer = drive.peer(&s);
+        let (client, server) = drive.retire(&s, peer);
+        let st = client.status;
         let outcome = drive.outcomes[s.plan_idx].as_ref().expect("just retired");
         let aborted = (st.close_code.is_some() || peer.closed) && st.complete_at.is_none();
         let server_log = server.map(|c| c.log).unwrap_or_default();
         let (sc, trace) = (&plans[s.plan_idx].scenario, &drive.net.trace);
-        let result = full_result(&s, sc, outcome, aborted, trace, server_id, server_log);
-        let ticket = s.ticket_rc.borrow_mut().take();
-        (result, std::mem::take(&mut drive.net.trace), ticket)
+        let ids = (s.id, server_id);
+        let conn = &mut client.conn.borrow_mut();
+        let result = full_result(conn, sc, outcome, aborted, trace, ids, server_log);
+        (result, std::mem::take(&mut drive.net.trace), client.ticket)
     });
     drive.sweep(true);
 
     let mut metrics = rq_obs::Registry::default();
     drive.net.stats.export(&mut metrics);
-    drive.engine.borrow().export_metrics(&mut metrics);
+    let accounting = {
+        let engine = drive.server().engine.borrow();
+        engine.export_metrics(&mut metrics);
+        engine.accounting
+    };
     drive.conn_totals.0.export(Role::Client, &mut metrics);
     drive.conn_totals.1.export(Role::Server, &mut metrics);
 
-    let accounting = drive.engine.borrow().accounting;
     DriveOutput {
         outcomes: drive
             .outcomes
@@ -788,32 +772,49 @@ pub(crate) fn drive_conn_plans(
 }
 
 impl Drive {
+    /// The server node, which is on the loop for the whole drive.
+    fn server(&self) -> &ServerNode {
+        let node = self.net.node(self.server_id).and_then(TestbedNode::server);
+        node.expect("the server is never retired")
+    }
+
+    /// The server's word on how the connection of `s` went.
+    fn peer(&self, s: &Spawned) -> PeerOutcome {
+        self.server().control.borrow().outcome(s.id.index())
+    }
+
     /// Retires finished (or expired) connections — all that are left on
     /// the `final_pass` — so memory tracks the *active* set.
     fn sweep(&mut self, final_pass: bool) {
         let now = self.net.now();
         let mut spawned = std::mem::take(&mut self.spawned);
         spawned.retain(|s| {
-            let st = *s.status.borrow();
-            let peer = self.control.borrow().outcome(s.id.index());
+            let client = self.net.node(s.id).and_then(TestbedNode::client);
+            let st = client.expect("a spawned client is live").status;
+            let peer = self.peer(s);
             let expired = now >= s.arrival + self.conn_deadline;
             let pending_reconnect = st.reconnect_pending && !expired && !final_pass;
             let over = final_pass || st.done() || peer.shed || peer.closed || expired;
             if pending_reconnect || !over {
                 return true;
             }
-            self.retire(s, st, peer);
+            self.retire(s, peer);
             false
         });
         self.spawned = spawned;
     }
 
-    /// Takes one connection off the loop: turns its status cell `st` and
-    /// the server's word `peer` into its [`ConnOutcome`] (the one place
-    /// the timing fields are derived), folds both halves' counters into
-    /// the totals, tallies the engine, and removes the client node and
-    /// the server-side connection — which it returns.
-    fn retire(&mut self, s: &Spawned, st: ClientStatus, peer: PeerOutcome) -> Option<Connection> {
+    /// Takes one connection off the loop: turns the retired client's
+    /// status and the server's word `peer` into its [`ConnOutcome`] (the
+    /// one place the timing fields are derived), folds both halves'
+    /// counters into the totals, tallies the engine, and returns the
+    /// client node and the server-side connection it removed.
+    fn retire(&mut self, s: &Spawned, peer: PeerOutcome) -> (Box<ClientNode>, Option<Connection>) {
+        let client = match self.net.retire_node(s.id) {
+            Some(TestbedNode::Client(client)) => client,
+            _ => unreachable!("a spawned client is retired once"),
+        };
+        let st = client.status;
         let completed = st.complete_at.is_some();
         // Fate precedence: a served response trumps everything (however
         // bumpy the road); otherwise the *first* death wins — a give-up
@@ -836,9 +837,9 @@ impl Drive {
         let (ttfb_ms, response_ms) = (rel(st.ttfb_at), rel(st.complete_at));
         let bits = s.body_bytes as f64 * 8.0;
         let key = s.id.index() as u64;
-        let conn = s.conn.borrow();
+        let conn = client.conn.borrow();
         let client_stats = conn.stats();
-        let server = self.engine.borrow_mut().retire(key, completed);
+        let server = self.server().engine.borrow_mut().retire(key, completed);
         let server_stats = server.as_ref().map(|c| c.stats()).unwrap_or_default();
         self.conn_totals.0.merge(&client_stats);
         self.conn_totals.1.merge(&server_stats);
@@ -863,8 +864,8 @@ impl Drive {
             client_packets_lost: client_stats.packets_lost,
             server_packets_lost: server_stats.packets_lost,
         });
-        self.net.retire_node(s.id);
-        server
+        drop(conn);
+        (client, server)
     }
 }
 

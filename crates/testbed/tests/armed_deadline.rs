@@ -110,7 +110,7 @@ fn drawn_spec(rng: &mut SimRng) -> ServerLoadSpec {
 /// run reports the same.
 fn checked_run(spec: &ServerLoadSpec) -> ServerLoadRun {
     let run = run_server_load(spec);
-    let limit = Network::new(false)
+    let limit = <Network>::new(false)
         .event_limit
         .max(spec.arrivals as u64 * 20_000);
     let processed = run.report.metrics.counter("sim/events/processed");

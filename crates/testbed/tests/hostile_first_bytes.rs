@@ -4,8 +4,6 @@
 //! must fail closed — no panic, no arrival counted, no session opened,
 //! and the peer's real handshake unharmed.
 
-use std::rc::Rc;
-
 use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
 use rq_profiles::server::testbed_server;
@@ -30,6 +28,39 @@ impl Noisy {
     fn send_noise(&self, ctx: &mut Context<'_>) {
         for datagram in &self.noise {
             ctx.send(self.server, datagram.clone());
+        }
+    }
+}
+
+/// The two nodes of a run: the server and the noisy client.
+enum Bed {
+    Server(ServerNode),
+    Noisy(Box<Noisy>),
+}
+
+impl Node for Bed {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        match self {
+            Bed::Server(server) => server.on_start(ctx),
+            Bed::Noisy(noisy) => noisy.on_start(ctx),
+        }
+    }
+
+    fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
+        self.on_datagram_owned(ctx, from, Bytes::copy_from_slice(payload));
+    }
+
+    fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        match self {
+            Bed::Server(server) => server.on_datagram_owned(ctx, from, payload),
+            Bed::Noisy(noisy) => noisy.on_datagram_owned(ctx, from, payload),
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        match self {
+            Bed::Server(server) => server.on_timer(ctx, token),
+            Bed::Noisy(noisy) => noisy.on_timer(ctx, token),
         }
     }
 }
@@ -70,19 +101,17 @@ fn run(noise: Vec<Vec<u8>>, before: bool) -> (ServerAccounting, ClientStatus) {
         SimDuration::ZERO,
         1,
     );
-    let engine = Rc::clone(&server.engine);
-    let server = net.add_node(Box::new(server));
+    let server = net.add_node(Bed::Server(server));
     net.prime();
     let cfg = client_by_name("quic-go").unwrap().endpoint_config(http);
     let client = ClientNode::new(cfg, server, http, 10_000, 7, false);
-    let status = Rc::clone(&client.status);
     let noisy = Noisy {
         client,
         server,
         noise,
         before,
     };
-    let id = net.add_node(Box::new(noisy));
+    let id = net.add_node(Bed::Noisy(Box::new(noisy)));
     net.connect(
         id,
         server,
@@ -90,9 +119,12 @@ fn run(noise: Vec<Vec<u8>>, before: bool) -> (ServerAccounting, ClientStatus) {
     );
     net.schedule_start(id, SimTime::ZERO);
     net.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-    let accounting = engine.borrow().accounting;
-    let status = *status.borrow();
-    (accounting, status)
+    let (Some(Bed::Server(server)), Some(Bed::Noisy(noisy))) = (net.node(server), net.node(id))
+    else {
+        unreachable!("neither node is retired");
+    };
+    let accounting = server.engine.borrow().accounting;
+    (accounting, noisy.client.status)
 }
 
 /// The start of a long-header Initial (QUIC v1) with 8-byte CIDs, up to

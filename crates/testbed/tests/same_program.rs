@@ -15,7 +15,7 @@ use rq_quic::{ConnEvent, ConnStats, Connection, ServerAckMode};
 use rq_sim::{
     Direction, ImpairedFate, Impairment, ImpairmentSpec, LinkConfig, Network, SimDuration, SimTime,
 };
-use rq_testbed::{ClientNode, ServerNode};
+use rq_testbed::{ClientNode, ServerNode, TestbedNode};
 use rq_wire::{Bytes, Frame, PlainPacket};
 
 const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
@@ -299,7 +299,7 @@ fn a_server_asked_for_alternating_sizes_answers_each_exactly() {
         let mut net = Network::new(true);
         let server_cfg = testbed_server(IACK, rq_tls::CERT_SMALL);
         let server = ServerNode::new(server_cfg, http, SimDuration::ZERO, 1);
-        let server = net.add_node(Box::new(server));
+        let server = net.add_node(TestbedNode::from(server));
         net.prime();
         // The last two ask for the same size back to back: the one
         // pair the one-slot cache serves from the same storage.
@@ -308,16 +308,16 @@ fn a_server_asked_for_alternating_sizes_answers_each_exactly() {
             .map(|(&size, i)| {
                 let cfg = client_by_name("quic-go").unwrap().endpoint_config(http);
                 let node = ClientNode::new(cfg, server, http, size, i, false).detached();
-                let status = std::rc::Rc::clone(&node.status);
-                let id = net.add_node(Box::new(node));
+                let id = net.add_node(node.into());
                 net.connect(id, server, LinkConfig::paper_default(ONE_WAY));
                 net.schedule_start(id, SimTime::ZERO + SimDuration::from_millis(100 * i));
-                (id, status, size)
+                (id, size)
             })
             .collect();
         net.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-        for (id, status, size) in clients {
-            assert!(status.borrow().complete_at.is_some(), "{http:?} /{size}");
+        for (id, size) in clients {
+            let client = net.node(id).and_then(TestbedNode::client).unwrap();
+            assert!(client.status.complete_at.is_some(), "{http:?} /{size}");
             let sent = sent_on_stream(&net.trace, server, id, 0);
             assert!(sent[..] == response(http, size)[..], "{http:?} /{size}");
             assert!(sent.ends_with(&h1::body_bytes(size)));

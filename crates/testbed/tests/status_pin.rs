@@ -1,15 +1,12 @@
 //! Two records of one connection must tell one story: the client node
 //! writes every milestone both into the simulation trace (a label per
-//! event) and into its shared [`ClientStatus`] cell, and the server node
-//! writes its half into the [`ServerControl`] block. The runner's timing
+//! event) and into its [`ClientStatus`], and the server node writes its
+//! half into the [`ServerControl`] block. The runner's timing
 //! fields may be derived from either; this file holds the two to
 //! equality over the `tests/protocol_invariants.rs` scenario space, a
 //! crash-then-reconnect connection and a Retry-deferred one, on a
 //! topology built from the node types directly so both records of the
 //! same run are in hand.
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use rq_http::HttpVersion;
 use rq_profiles::{all_clients, server::testbed_server};
@@ -18,7 +15,7 @@ use rq_sim::{FaultTimeline, LinkConfig, Network, NodeId, SimDuration, SimRng, Si
 use rq_testbed::nodes::milestones;
 use rq_testbed::{
     run_scenario_with_trace, ClientNode, ClientStatus, FaultSpec, LossSpec, ReconnectPolicy,
-    RunResult, Scenario, ServerControl, ServerNode,
+    RunResult, Scenario, ServerControl, ServerNode, TestbedNode,
 };
 use rq_tls::TicketKeySchedule;
 
@@ -56,7 +53,7 @@ fn milestone_view(trace: &rq_sim::Trace, client: NodeId, server: NodeId) -> View
     }
 }
 
-/// Read off the status cell plus the server's word on whether it closed
+/// Read off the client's status plus the server's word on whether it closed
 /// the connection. `close_code` — never overwritten — stands for "a
 /// `CLOSED` milestone exists": a reconnect clears `closed_at`, the trace
 /// keeps its first `CLOSED`.
@@ -87,15 +84,12 @@ fn server_closed(control: &ServerControl, key: usize) -> bool {
 
 /// One server and its clients, wired the way the run driver wires them.
 struct Bed {
-    net: Network,
+    net: Network<TestbedNode>,
     server: NodeId,
-    engine: Rc<RefCell<ServerEngine>>,
-    control: Rc<RefCell<ServerControl>>,
 }
 
 struct Peer {
     id: NodeId,
-    status: Rc<RefCell<ClientStatus>>,
 }
 
 impl Bed {
@@ -104,17 +98,8 @@ impl Bed {
         let mut cfg = testbed_server(base.ack_mode, base.cert_len);
         cfg.cc_algorithm = base.cc;
         let schedule = TicketKeySchedule::fixed(cfg.ticket_key);
-        let engine = Rc::new(RefCell::new(
-            ServerEngine::new(cfg, schedule, limit).with_overload_policy(overload),
-        ));
-        let control = Rc::new(RefCell::new(ServerControl::default()));
-        let mut server = ServerNode::with_engine(
-            Rc::clone(&engine),
-            Rc::clone(&control),
-            base.http,
-            base.cert_delay,
-            base.seed,
-        );
+        let engine = ServerEngine::new(cfg, schedule, limit).with_overload_policy(overload);
+        let mut server = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed);
         if !base.faults.is_none() {
             let timeline = FaultTimeline {
                 crashes,
@@ -122,14 +107,25 @@ impl Bed {
             };
             server = server.with_faults(timeline, false);
         }
-        let server = net.add_node(Box::new(server));
+        let server = net.add_node(server.into());
         net.prime();
-        Bed {
-            net,
-            server,
-            engine,
-            control,
-        }
+        Bed { net, server }
+    }
+
+    fn server(&self) -> &ServerNode {
+        self.net
+            .node(self.server)
+            .and_then(TestbedNode::server)
+            .unwrap()
+    }
+
+    /// The status of `peer`'s client, read through the network.
+    fn status(&self, peer: &Peer) -> ClientStatus {
+        self.net
+            .node(peer.id)
+            .and_then(TestbedNode::client)
+            .unwrap()
+            .status
     }
 
     fn spawn(&mut self, sc: &Scenario, arrival: SimTime) -> Peer {
@@ -156,9 +152,9 @@ impl Bed {
         if let Some(policy) = sc.faults.reconnect {
             client = client.with_reconnect(policy);
         }
-        let status = Rc::clone(&client.status);
-        let id = self.net.add_node(Box::new(client));
-        self.control
+        let id = self.net.add_node(client.into());
+        let control = &self.server().control;
+        control
             .borrow_mut()
             .conn_seeds
             .insert(id.index(), sc.seed ^ 0x5EED);
@@ -166,7 +162,7 @@ impl Bed {
         link.loss = sc.loss_rule();
         self.net.connect(id, self.server, link);
         self.net.schedule_start(id, arrival);
-        Peer { id, status }
+        Peer { id }
     }
 
     /// Runs to `end` in 250 ms slices, freeing the engine slot of every
@@ -177,10 +173,11 @@ impl Bed {
             let next = (self.net.now() + SimDuration::from_millis(250)).min(end);
             let outcome = self.net.run_until(next);
             for (p, freed) in peers.iter().zip(&mut freed) {
-                let st = *p.status.borrow();
+                let st = self.status(p);
                 if st.done() && !*freed {
                     *freed = true;
-                    self.engine
+                    let engine = &self.server().engine;
+                    engine
                         .borrow_mut()
                         .retire(p.id.index() as u64, st.complete_at.is_some());
                 }
@@ -194,8 +191,8 @@ impl Bed {
     /// Both records of `peer`, which must agree.
     fn views(&self, peer: &Peer) -> (View, View) {
         let from_trace = milestone_view(&self.net.trace, peer.id, self.server);
-        let closed = server_closed(&self.control.borrow(), peer.id.index());
-        (from_trace, status_view(&peer.status.borrow(), closed))
+        let closed = server_closed(&self.server().control.borrow(), peer.id.index());
+        (from_trace, status_view(&self.status(peer), closed))
     }
 }
 
@@ -301,7 +298,7 @@ fn status_and_milestones_agree_across_a_reconnect() {
         std::slice::from_ref(&peer),
         SimTime::ZERO + SimDuration::from_secs(120),
     );
-    let st = *peer.status.borrow();
+    let st = bed.status(&peer);
     assert!(st.attempts > 0 && st.closed_at.is_none(), "{st:?}");
     assert!(
         st.close_code.is_some() && st.complete_at.is_some(),
@@ -312,7 +309,7 @@ fn status_and_milestones_agree_across_a_reconnect() {
             .trace
             .first_by(peer.id, milestones::CLOSED)
             .is_some(),
-        "the trace keeps the first death the status cell cleared"
+        "the trace keeps the first death the status cleared"
     );
     let (from_trace, from_status) = bed.views(&peer);
     assert_eq!(from_trace, from_status);
@@ -345,19 +342,25 @@ fn status_and_milestones_agree_for_a_retry_deferred_peer() {
     let second = bed.spawn(&sc, SimTime::from_nanos(2_000_000));
     let peers = [first, second];
     bed.run(&peers, SimTime::ZERO + SimDuration::from_secs(120));
-    let accounting = bed.engine.borrow().accounting;
+    let accounting = bed.server().engine.borrow().accounting;
     assert_eq!(
         (accounting.retry_deferred, accounting.retry_admitted),
         (1, 1)
     );
-    assert!(bed.control.borrow().outcome(peers[1].id.index()).retried);
+    assert!(
+        bed.server()
+            .control
+            .borrow()
+            .outcome(peers[1].id.index())
+            .retried
+    );
     for peer in &peers {
         let (from_trace, from_status) = bed.views(peer);
         assert_eq!(from_trace, from_status);
         assert!(from_status.completed, "{from_status:?}");
     }
     let waited = |p: &Peer| {
-        let st = *p.status.borrow();
+        let st = bed.status(p);
         st.handshake_at.unwrap().since(st.hello_at.unwrap())
     };
     assert!(waited(&peers[1]) > waited(&peers[0]), "deferral costs time");

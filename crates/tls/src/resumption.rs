@@ -1,5 +1,4 @@
-//! Session resumption: tickets, the stateless ticket codec, and the
-//! client-side session cache.
+//! Session resumption: tickets and the stateless ticket codec.
 //!
 //! Mirrors the *shape* of TLS 1.3 resumption (RFC 8446 §4.6.1 / §2.2):
 //! after a completed handshake both endpoints derive the same resumption
@@ -241,74 +240,9 @@ pub fn open_ticket(ticket_key: u64, ticket: &[u8; TICKET_LEN]) -> Option<[u8; 32
     Some(secret)
 }
 
-/// A bounded client-side session cache: one ticket per server name, with
-/// deterministic insertion-order eviction (no clocks, no randomness — a
-/// cache operation sequence always produces the same state).
-#[derive(Debug, Clone, Default)]
-pub struct SessionCache {
-    cap: usize,
-    entries: Vec<(String, SessionTicket)>,
-}
-
-impl SessionCache {
-    /// An empty cache holding at most `cap` tickets.
-    pub fn new(cap: usize) -> Self {
-        SessionCache {
-            cap: cap.max(1),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Stores `ticket` for `server`, replacing an existing entry (the
-    /// replacement moves to the back of the eviction order) and evicting
-    /// the oldest entry when full.
-    pub fn insert(&mut self, server: &str, ticket: SessionTicket) {
-        if let Some(pos) = self.entries.iter().position(|(n, _)| n == server) {
-            self.entries.remove(pos);
-        }
-        if self.entries.len() == self.cap {
-            self.entries.remove(0);
-        }
-        self.entries.push((server.to_string(), ticket));
-    }
-
-    /// The cached ticket for `server`, if any.
-    pub fn lookup(&self, server: &str) -> Option<&SessionTicket> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == server)
-            .map(|(_, t)| t)
-    }
-
-    /// Removes and returns the ticket for `server` (single-use tickets).
-    pub fn take(&mut self, server: &str) -> Option<SessionTicket> {
-        let pos = self.entries.iter().position(|(n, _)| n == server)?;
-        Some(self.entries.remove(pos).1)
-    }
-
-    /// Number of cached tickets.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ticket(mark: u8) -> SessionTicket {
-        SessionTicket {
-            ticket: [mark; TICKET_LEN],
-            secret: [mark; 32],
-            lifetime_secs: 7200,
-            early_data_allowed: true,
-        }
-    }
 
     #[test]
     fn mint_open_roundtrip() {
@@ -335,33 +269,6 @@ mod tests {
         let mut t = mint_ticket(1, &[0x22; 32]);
         t[0] ^= 0x01;
         assert_eq!(open_ticket(1, &t), None);
-    }
-
-    #[test]
-    fn cache_insert_lookup_take() {
-        let mut c = SessionCache::new(4);
-        assert!(c.is_empty());
-        c.insert("a.example", ticket(1));
-        c.insert("b.example", ticket(2));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup("a.example"), Some(&ticket(1)));
-        assert_eq!(c.take("a.example"), Some(ticket(1)));
-        assert_eq!(c.lookup("a.example"), None);
-    }
-
-    #[test]
-    fn cache_evicts_oldest_deterministically() {
-        let mut c = SessionCache::new(2);
-        c.insert("a", ticket(1));
-        c.insert("b", ticket(2));
-        c.insert("c", ticket(3)); // evicts "a"
-        assert_eq!(c.lookup("a"), None);
-        assert!(c.lookup("b").is_some() && c.lookup("c").is_some());
-        // Re-inserting refreshes the eviction position.
-        c.insert("b", ticket(4));
-        c.insert("d", ticket(5)); // evicts "c", not the refreshed "b"
-        assert_eq!(c.lookup("c"), None);
-        assert_eq!(c.lookup("b"), Some(&ticket(4)));
     }
 
     #[test]

@@ -96,6 +96,27 @@ fn every_scenario_terminates() {
             assert_handshake_lifecycle(log, &res.label);
         }
 
+        // The registry's counters say what the trace and the qlogs say:
+        // a reader of the wrong node or link would split them.
+        let count = |name| res.metrics.counter(name) as usize;
+        let dropped = count("sim/datagrams/dropped");
+        assert_eq!(dropped, res.dropped_datagrams, "{}", res.label);
+        let duplicated = count("sim/datagrams/duplicated");
+        assert_eq!(duplicated, res.duplicated_datagrams, "{}", res.label);
+        let offered = count("sim/datagrams/forwarded") + dropped;
+        assert_eq!(
+            offered,
+            res.client_datagrams + res.server_datagrams,
+            "{}",
+            res.label
+        );
+        let lost = (
+            count("quic/client/packets_lost"),
+            count("quic/server/packets_lost"),
+        );
+        let qlog_lost = (res.client_packets_lost, res.server_packets_lost);
+        assert_eq!(lost, qlog_lost, "{}", res.label);
+
         // Anti-amplification: before the client's second flight arrives,
         // the server never sends more than 3x what it received. Checked
         // globally per-datagram through the trace: cumulative server bytes
