@@ -855,7 +855,7 @@ fn server_rtt_sample_absent_under_iack_before_handshake_ack() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn connection_size_is_pinned() {
-    assert_eq!(std::mem::size_of::<Connection>(), 2304);
+    assert_eq!(std::mem::size_of::<Connection>(), 2232);
 }
 
 /// Both endpoints' handshake state: present until confirmation, gone

@@ -7,10 +7,21 @@
 //! (see "Substitutions" in the root `README.md`); timing and availability
 //! are.
 
-use crate::sha256::{hkdf_expand_label, hkdf_extract, hmac_sha256_parts, DIGEST_LEN};
+use crate::mac::{mac, DIGEST_LEN};
 
 /// Fixed salt for Initial secrets (stands in for RFC 9001's version salt).
 const INITIAL_SALT: &[u8] = b"reacked-quicer-v1-initial-salt";
+
+/// HKDF-Extract's place (RFC 5869): a secret from a salt and input keying
+/// material.
+fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+    mac(&[0; DIGEST_LEN], &[salt, ikm])
+}
+
+/// HKDF-Expand-Label's place: one labelled 32-byte key from a secret.
+fn expand(secret: &[u8; DIGEST_LEN], label: &str) -> [u8; DIGEST_LEN] {
+    mac(secret, &[label.as_bytes()])
+}
 
 /// Encryption level / packet number space from TLS's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,28 +65,28 @@ impl LevelKeys {
 /// Derives Initial keys from the client's first destination connection ID
 /// (RFC 9001 §5.2 analog). Both endpoints compute identical values.
 pub fn initial_keys(client_dcid: &[u8]) -> LevelKeys {
-    let secret = hkdf_extract(INITIAL_SALT, client_dcid);
+    let secret = extract(INITIAL_SALT, client_dcid);
     LevelKeys {
-        client: hkdf_expand_label(&secret, "client in"),
-        server: hkdf_expand_label(&secret, "server in"),
+        client: expand(&secret, "client in"),
+        server: expand(&secret, "server in"),
     }
 }
 
 /// Derives Handshake keys from the CH..SH transcript hash.
 pub fn handshake_keys(transcript_hash: &[u8; DIGEST_LEN]) -> LevelKeys {
-    let secret = hkdf_extract(b"hs derived", transcript_hash);
+    let secret = extract(b"hs derived", transcript_hash);
     LevelKeys {
-        client: hkdf_expand_label(&secret, "c hs traffic"),
-        server: hkdf_expand_label(&secret, "s hs traffic"),
+        client: expand(&secret, "c hs traffic"),
+        server: expand(&secret, "s hs traffic"),
     }
 }
 
 /// Derives Application keys from the CH..server-Finished transcript hash.
 pub fn application_keys(transcript_hash: &[u8; DIGEST_LEN]) -> LevelKeys {
-    let secret = hkdf_extract(b"ap derived", transcript_hash);
+    let secret = extract(b"ap derived", transcript_hash);
     LevelKeys {
-        client: hkdf_expand_label(&secret, "c ap traffic"),
-        server: hkdf_expand_label(&secret, "s ap traffic"),
+        client: expand(&secret, "c ap traffic"),
+        server: expand(&secret, "s ap traffic"),
     }
 }
 
@@ -84,8 +95,8 @@ pub fn application_keys(transcript_hash: &[u8; DIGEST_LEN]) -> LevelKeys {
 /// analog). Both endpoints compute the same value, which is what lets a
 /// later abbreviated handshake share keys without a certificate flight.
 pub fn resumption_secret(transcript_hash: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN] {
-    let secret = hkdf_extract(b"res derived", transcript_hash);
-    hkdf_expand_label(&secret, "res master")
+    let secret = extract(b"res derived", transcript_hash);
+    expand(&secret, "res master")
 }
 
 /// Derives 0-RTT (early data) keys from a resumption secret. The client
@@ -93,20 +104,20 @@ pub fn resumption_secret(transcript_hash: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN]
 /// server after validating the ticket in the ClientHello — so 0-RTT
 /// packets are protected before any handshake byte returns.
 pub fn early_keys(resumption_secret: &[u8; DIGEST_LEN]) -> LevelKeys {
-    let secret = hkdf_extract(b"early derived", resumption_secret);
+    let secret = extract(b"early derived", resumption_secret);
     LevelKeys {
-        client: hkdf_expand_label(&secret, "c e traffic"),
-        server: hkdf_expand_label(&secret, "s e traffic"),
+        client: expand(&secret, "c e traffic"),
+        server: expand(&secret, "s e traffic"),
     }
 }
 
 /// AEAD-like tag length (matches the wire crate's `AEAD_TAG_LEN`).
 const TAG_LEN: usize = 16;
 
-/// Computes the 16-byte authentication tag for a packet: truncated
-/// HMAC over packet number and payload under the direction key.
+/// Computes the 16-byte authentication tag for a packet: the keyed hash
+/// of packet number and payload under the direction key, truncated.
 pub fn seal_tag(key: &[u8; DIGEST_LEN], pn: u64, payload: &[u8]) -> [u8; TAG_LEN] {
-    let full = hmac_sha256_parts(key, &[&pn.to_be_bytes(), payload]);
+    let full = mac(key, &[&pn.to_be_bytes(), payload]);
     let mut tag = [0u8; TAG_LEN];
     tag.copy_from_slice(&full[..TAG_LEN]);
     tag
@@ -126,6 +137,8 @@ pub fn verify_tag(key: &[u8; DIGEST_LEN], pn: u64, payload: &[u8], tag: &[u8; TA
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use rq_testkit::prop::cases;
 
     #[test]
     fn initial_keys_agree_between_endpoints() {
@@ -165,13 +178,54 @@ mod tests {
         assert_ne!(early.client, early.server);
     }
 
+    /// A tag verifies under the key, packet number and payload it was
+    /// sealed with, and under nothing else: not after any single-bit flip
+    /// or any truncation of the payload, not under the other direction's
+    /// key or another level's, and not at pn ± 1.
     #[test]
     fn seal_and_verify_roundtrip() {
-        let k = initial_keys(&[4u8; 8]);
-        let tag = seal_tag(&k.client, 5, b"payload");
-        assert!(verify_tag(&k.client, 5, b"payload", &tag));
-        assert!(!verify_tag(&k.client, 6, b"payload", &tag));
-        assert!(!verify_tag(&k.client, 5, b"payloae", &tag));
-        assert!(!verify_tag(&k.server, 5, b"payload", &tag));
+        cases(32, |rng| {
+            let th = extract(b"test", &rng.next_u64().to_be_bytes());
+            let dcid = rng.next_u64().to_be_bytes();
+            let levels = [
+                initial_keys(&dcid),
+                handshake_keys(&th),
+                application_keys(&th),
+                early_keys(&th),
+            ];
+            let level = rng.gen_range(levels.len() as u64) as usize;
+            let (side, other) = if rng.gen_bool(0.5) {
+                (KeySide::Client, KeySide::Server)
+            } else {
+                (KeySide::Server, KeySide::Client)
+            };
+            let key = levels[level].for_side(side);
+            let pn = rng.gen_range(1 << 62);
+            let mut payload: Vec<u8> = (0..rng.gen_range(1201))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let tag = seal_tag(key, pn, &payload);
+            assert!(!verify_tag(
+                levels[level].for_side(other),
+                pn,
+                &payload,
+                &tag
+            ));
+            for (l, keys) in levels.iter().enumerate() {
+                let verifies = verify_tag(keys.for_side(side), pn, &payload, &tag);
+                assert_eq!(verifies, l == level, "level {l}");
+            }
+            for wrong_pn in [pn.wrapping_sub(1), pn + 1] {
+                assert!(!verify_tag(key, wrong_pn, &payload, &tag));
+            }
+            for len in 0..payload.len() {
+                assert!(!verify_tag(key, pn, &payload[..len], &tag), "{len} bytes");
+            }
+            for bit in 0..payload.len() * 8 {
+                payload[bit / 8] ^= 1 << (bit % 8);
+                assert!(!verify_tag(key, pn, &payload, &tag), "bit {bit}");
+                payload[bit / 8] ^= 1 << (bit % 8);
+            }
+        });
     }
 }

@@ -8,9 +8,10 @@
 //! message sizes and key availability, both of which this crate preserves
 //! exactly.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod keys;
+pub mod mac;
 pub mod messages;
 pub mod resumption;
 pub mod session;

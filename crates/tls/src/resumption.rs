@@ -14,7 +14,7 @@
 //! and ticket key always produce the same ticket bytes, which is what
 //! keeps resumption scenarios byte-reproducible from the scenario seed.
 
-use crate::sha256::hmac_sha256;
+use crate::mac::{mac, DIGEST_LEN};
 
 /// Wire size of an opaque session ticket: the masked 32-byte resumption
 /// secret plus a 16-byte authenticity tag.
@@ -205,21 +205,29 @@ impl Default for TicketKeySchedule {
     }
 }
 
+/// The hash key a ticket key stands for.
+fn hash_key(ticket_key: u64) -> [u8; DIGEST_LEN] {
+    let mut key = [0; DIGEST_LEN];
+    key[..8].copy_from_slice(&ticket_key.to_be_bytes());
+    key
+}
+
 /// Keystream masking the resumption secret inside a ticket.
-fn ticket_mask(ticket_key: u64) -> [u8; 32] {
-    hmac_sha256(&ticket_key.to_be_bytes(), b"reacked ticket mask")
+fn ticket_mask(key: &[u8; DIGEST_LEN]) -> [u8; 32] {
+    mac(key, &[b"reacked ticket mask"])
 }
 
 /// Mints the opaque ticket for `secret` under `ticket_key`: the masked
-/// secret followed by a truncated-HMAC authenticity tag. Stateless on
-/// the server — the same key recovers the secret from the bytes alone.
+/// secret followed by a truncated keyed-hash authenticity tag. Stateless
+/// on the server — the same key recovers the secret from the bytes alone.
 pub fn mint_ticket(ticket_key: u64, secret: &[u8; 32]) -> [u8; TICKET_LEN] {
-    let mask = ticket_mask(ticket_key);
+    let key = hash_key(ticket_key);
+    let mask = ticket_mask(&key);
     let mut out = [0u8; TICKET_LEN];
     for i in 0..32 {
         out[i] = secret[i] ^ mask[i];
     }
-    let tag = hmac_sha256(&ticket_key.to_be_bytes(), &out[..32]);
+    let tag = mac(&key, &[&out[..32]]);
     out[32..].copy_from_slice(&tag[..16]);
     out
 }
@@ -228,11 +236,12 @@ pub fn mint_ticket(ticket_key: u64, secret: &[u8; 32]) -> [u8; TICKET_LEN] {
 /// secret; `None` for tickets minted under a different key (the server
 /// falls back to a full handshake).
 pub fn open_ticket(ticket_key: u64, ticket: &[u8; TICKET_LEN]) -> Option<[u8; 32]> {
-    let tag = hmac_sha256(&ticket_key.to_be_bytes(), &ticket[..32]);
+    let key = hash_key(ticket_key);
+    let tag = mac(&key, &[&ticket[..32]]);
     if ticket[32..] != tag[..16] {
         return None;
     }
-    let mask = ticket_mask(ticket_key);
+    let mask = ticket_mask(&key);
     let mut secret = [0u8; 32];
     for i in 0..32 {
         secret[i] = ticket[i] ^ mask[i];

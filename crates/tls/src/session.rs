@@ -23,9 +23,9 @@ use bytes::{BufMut, Bytes};
 use crate::keys::{
     application_keys, early_keys, handshake_keys, resumption_secret, Level, LevelKeys,
 };
+use crate::mac::{Mac, DIGEST_LEN};
 use crate::messages::{HandshakeMessage, HandshakeType, DEFAULT_CLIENT_HELLO_LEN, FINISHED_LEN};
 use crate::resumption::{mint_ticket, open_ticket, ServerResumption, SessionTicket};
-use crate::sha256::Sha256;
 use crate::TlsError;
 
 /// Endpoint role.
@@ -155,7 +155,8 @@ enum Side {
 /// A sans-IO TLS 1.3 handshake session.
 pub struct TlsSession {
     side: Side,
-    transcript: Sha256,
+    /// The running transcript hash, under the all-zero key.
+    transcript: Mac,
     /// Pending output bytes per level (Initial, Handshake, Application).
     out: [Vec<u8>; 3],
     /// Reassembled-but-unparsed input per level.
@@ -185,7 +186,7 @@ const APPLICATION: usize = Level::Application as usize;
 /// Encodes `msg` onto the end of `out` — reserving its size, unless the
 /// caller already reserved a whole flight's — and hashes the bytes just
 /// written into the transcript.
-fn queue(out: &mut Vec<u8>, transcript: &mut Sha256, msg: &HandshakeMessage) {
+fn queue(out: &mut Vec<u8>, transcript: &mut Mac, msg: &HandshakeMessage) {
     let start = out.len();
     out.reserve(msg.wire_len());
     msg.encode(out);
@@ -207,7 +208,7 @@ impl TlsSession {
     fn new(side: Side) -> Self {
         TlsSession {
             side,
-            transcript: Sha256::new(),
+            transcript: Mac::new(&[0; DIGEST_LEN]),
             out: Default::default(),
             input: Default::default(),
             handshake_keys: None,
@@ -264,7 +265,7 @@ impl TlsSession {
             panic!("only clients process Retry");
         };
         *state = ClientState::Start;
-        self.transcript = Sha256::new();
+        self.transcript = Mac::new(&[0; DIGEST_LEN]);
         self.out.iter_mut().for_each(Vec::clear);
         self.input = Default::default();
         self.offered_early = false;
@@ -343,7 +344,7 @@ impl TlsSession {
         use HandshakeType::*;
         Ok(match (state, msg.ty, level) {
             (WaitServerHello, ServerHello, Level::Initial) => {
-                let th = self.transcript.clone().finalize();
+                let th = self.transcript.finish();
                 self.handshake_keys = Some(handshake_keys(&th));
                 events.push(TlsEvent::KeysReady(Level::Handshake));
                 if matches!(&self.side, Side::Client(cfg, _) if cfg.ticket.is_some()) {
@@ -382,14 +383,14 @@ impl TlsSession {
             (WaitCertificate, Certificate, Level::Handshake) => WaitCertificateVerify,
             (WaitCertificateVerify, CertificateVerify, Level::Handshake) => WaitFinished,
             (WaitFinished, Finished, Level::Handshake) => {
-                let th = self.transcript.clone().finalize();
+                let th = self.transcript.finish();
                 self.application_keys = Some(application_keys(&th));
                 events.push(TlsEvent::KeysReady(Level::Application));
                 // Client Finished: verify-data = transcript hash.
                 let fin = HandshakeMessage::finished(th);
                 queue(&mut self.out[HANDSHAKE], &mut self.transcript, &fin);
                 // The resumption secret covers the client Finished too.
-                let th_res = self.transcript.clone().finalize();
+                let th_res = self.transcript.finish();
                 self.res_secret = Some(resumption_secret(&th_res));
                 events.push(TlsEvent::HandshakeComplete);
                 Complete
@@ -474,7 +475,7 @@ impl TlsSession {
             }
             (ServerState::WaitClientFinished, HandshakeType::Finished, Level::Handshake) => {
                 // The resumption secret covers the client Finished too.
-                let secret = resumption_secret(&self.transcript.clone().finalize());
+                let secret = resumption_secret(&self.transcript.finish());
                 let cfg = self.server_cfg();
                 if cfg.resumption.issue_tickets {
                     let ticket = mint_ticket(cfg.ticket_key, &secret);
@@ -504,7 +505,7 @@ impl TlsSession {
             None => HandshakeMessage::server_hello(random),
         };
         queue(&mut self.out[INITIAL], &mut self.transcript, &sh);
-        let th = self.transcript.clone().finalize();
+        let th = self.transcript.finish();
         self.handshake_keys = Some(handshake_keys(&th));
         events.push(TlsEvent::KeysReady(Level::Handshake));
 
@@ -521,11 +522,11 @@ impl TlsSession {
         for m in middle() {
             queue(&mut self.out[HANDSHAKE], &mut self.transcript, m);
         }
-        let th_fin = self.transcript.clone().finalize();
+        let th_fin = self.transcript.finish();
         let fin = HandshakeMessage::finished(th_fin);
         queue(&mut self.out[HANDSHAKE], &mut self.transcript, &fin);
         // Server can send 1-RTT data once its Finished is queued.
-        let th_app = self.transcript.clone().finalize();
+        let th_app = self.transcript.finish();
         self.application_keys = Some(application_keys(&th_app));
         events.push(TlsEvent::KeysReady(Level::Application));
     }

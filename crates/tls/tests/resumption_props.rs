@@ -49,15 +49,22 @@ fn wrong_key_is_rejected() {
     });
 }
 
-/// Any single-byte corruption invalidates the ticket.
+/// Any single-byte corruption, and every single-bit flip in the masked
+/// secret or in the tag, invalidates the ticket.
 #[test]
 fn corruption_is_rejected() {
     cases(128, |rng| {
         let (key, secret) = (rng.next_u64(), secret_from(rng.next_u64()));
         let (pos, flip) = (rng.gen_range(48) as usize, 1 + rng.gen_range(255) as u8);
-        let mut ticket = mint_ticket(key, &secret);
-        ticket[pos] ^= flip;
-        assert_eq!(open_ticket(key, &ticket), None);
+        let ticket = mint_ticket(key, &secret);
+        let mut corrupt = ticket;
+        corrupt[pos] ^= flip;
+        assert_eq!(open_ticket(key, &corrupt), None);
+        for bit in 0..ticket.len() * 8 {
+            let mut flipped = ticket;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(open_ticket(key, &flipped), None, "bit {bit}");
+        }
     });
 }
 
