@@ -148,13 +148,11 @@ pub struct EndpointConfig {
     /// acceptance; disabled by default so full-handshake traces keep
     /// their exact wire image).
     pub resumption: rq_tls::ServerResumption,
-    /// Server: key minting/validating stateless session tickets — the
-    /// same key must serve the priming and the resumed connection.
-    pub ticket_key: u64,
-    /// Server: additional ticket keys accepted for validation (the
-    /// overlap window of a rotating [`rq_tls::TicketKeySchedule`]); empty
-    /// for the legacy single-key server.
-    pub accept_ticket_keys: Vec<u64>,
+    /// Server: the schedule of keys minting and validating stateless
+    /// session tickets; the keys in force are resolved per accepted
+    /// connection. A fixed key (the default) serves the priming and the
+    /// resumed connection alike.
+    pub ticket_keys: rq_tls::TicketKeySchedule,
     /// Client: abandon the handshake this long after the first Initial
     /// leaves, closing with [`crate::connection::ERROR_GIVE_UP`]. `None`
     /// (the default) waits forever, like every stack in the paper's
@@ -203,8 +201,7 @@ impl EndpointConfig {
             session_ticket: None,
             enable_early_data: false,
             resumption: rq_tls::ServerResumption::disabled(),
-            ticket_key: 0x7E11_C3E7,
-            accept_ticket_keys: Vec::new(),
+            ticket_keys: rq_tls::TicketKeySchedule::default(),
             give_up_after: None,
             give_up_pto_count: None,
             cc_algorithm: rq_recovery::CcAlgorithm::NewReno,

@@ -32,6 +32,7 @@
 //! included, by `handshake::Handshake`, which confirmation drops.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use bytes::{BufMut, Bytes};
 use rq_qlog::{EventData, EventLog, FrameSummary, SpaceName};
@@ -209,7 +210,8 @@ impl ConnStats {
 /// A fully sans-IO QUIC connection.
 pub struct Connection {
     role: Role,
-    cfg: EndpointConfig,
+    /// Shared with every connection of the endpoint.
+    cfg: Rc<EndpointConfig>,
     tls: TlsSession,
     /// What only the handshake reads, its two spaces included: `None`
     /// once confirmed.
@@ -266,7 +268,8 @@ impl Connection {
     /// Creates a client connection. `seed` individualizes connection IDs;
     /// `rtt_quirk_applies` resolves the probabilistic go-x-net quirk for
     /// this run (decided by the testbed's seeded RNG).
-    pub fn client(cfg: EndpointConfig, seed: u64, rtt_quirk_applies: bool) -> Self {
+    pub fn client(cfg: impl Into<Rc<EndpointConfig>>, seed: u64, rtt_quirk_applies: bool) -> Self {
+        let cfg = cfg.into();
         let local_cid = derived_cid(seed, CID_KIND_CLIENT, 0);
         let original_dcid = derived_cid(seed, CID_KIND_ORIGINAL_DCID, 0);
         let mut rtt = RttEstimator::new(MAX_ACK_DELAY);
@@ -279,23 +282,32 @@ impl Connection {
         let mut tls = TlsSession::client(TlsClientConfig {
             ticket: cfg.session_ticket.clone(),
             early_data: cfg.enable_early_data && cfg.session_ticket.is_some(),
-            ..TlsClientConfig::full()
         });
         tls.start();
         Connection::new(cfg, seed, tls, rtt, local_cid, original_dcid)
     }
 
     /// Creates a server connection for a new 4-tuple whose first datagram
-    /// carried `original_dcid` (Initial key derivation input).
-    pub fn server(cfg: EndpointConfig, seed: u64, original_dcid: ConnectionId) -> Self {
+    /// carried `dcid` (Initial key derivation input), under the ticket
+    /// keys its schedule has in force at time 0.
+    pub fn server(cfg: impl Into<Rc<EndpointConfig>>, seed: u64, dcid: ConnectionId) -> Self {
+        let cfg = cfg.into();
+        Connection::accepted(cfg.ticket_keys.at(0), cfg, seed, dcid)
+    }
+
+    /// [`Connection::server`] under `ticket_keys`, the keys in force
+    /// when the server accepted it.
+    pub(crate) fn accepted(
+        ticket_keys: rq_tls::TicketKeys,
+        cfg: Rc<EndpointConfig>,
+        seed: u64,
+        original_dcid: ConnectionId,
+    ) -> Self {
         let local_cid = derived_cid(seed, CID_KIND_SERVER, 0);
         let tls = TlsSession::server(TlsServerConfig {
             cert_len: cfg.cert_len,
-            random: [0x22; 32],
-            cert_preprovisioned: false,
             resumption: cfg.resumption,
-            ticket_key: cfg.ticket_key,
-            accept_ticket_keys: cfg.accept_ticket_keys.clone(),
+            ticket_keys,
         });
         let rtt = RttEstimator::new(MAX_ACK_DELAY);
         Connection::new(cfg, seed, tls, rtt, local_cid, original_dcid)
@@ -304,7 +316,7 @@ impl Connection {
     /// The state both roles start from; `client`/`server` supply what
     /// differs (TLS session, RTT quirks, CIDs).
     fn new(
-        cfg: EndpointConfig,
+        cfg: Rc<EndpointConfig>,
         seed: u64,
         mut tls: TlsSession,
         rtt: RttEstimator,
@@ -348,6 +360,11 @@ impl Connection {
             last_metrics_sample: None,
             cfg,
         }
+    }
+
+    /// The endpoint configuration this connection shares.
+    pub fn config(&self) -> &Rc<EndpointConfig> {
+        &self.cfg
     }
 
     /// Snapshot of this connection's protocol counters.

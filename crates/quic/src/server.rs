@@ -7,8 +7,8 @@
 //! the paper's WFC/IACK trade-off turns into a server-cost question
 //! (stateless instant ACKs are cheap; certificate flights and full
 //! handshakes are not). [`ServerEngine`] is that shared layer: it accepts
-//! or sheds incoming Initials, derives each connection's ticket keys from
-//! the rotating [`TicketKeySchedule`] at accept time, and folds per-class
+//! or sheds incoming Initials, resolves each connection's ticket keys from
+//! the template's rotating schedule at accept time, and folds per-class
 //! handshake costs and queue-depth observations into a mergeable
 //! [`ServerAccounting`].
 //!
@@ -17,8 +17,8 @@
 //! so a sharded simulation reproduces one big server exactly.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
-use rq_tls::TicketKeySchedule;
 use rq_wire::ConnectionId;
 
 use crate::config::EndpointConfig;
@@ -200,7 +200,8 @@ struct ConnSlot {
 }
 
 /// One server's shared state: the connection table, the admission policy,
-/// the ticket-key schedule, and the cost accounting.
+/// the endpoint configuration with its ticket-key schedule, and the cost
+/// accounting.
 ///
 /// Connections are addressed by an opaque `u64` key chosen by the caller
 /// (the testbed uses the peer's sim `NodeId` index — QUIC's "demux by
@@ -208,8 +209,8 @@ struct ConnSlot {
 /// a peer's datagrams to another link, never to another `NodeId`, so the
 /// key a datagram arrives under is always its connection's).
 pub struct ServerEngine {
-    template: EndpointConfig,
-    schedule: TicketKeySchedule,
+    /// The configuration every accepted connection shares.
+    template: Rc<EndpointConfig>,
     concurrency_limit: usize,
     /// What to do with arrivals beyond the limit.
     pub overload: OverloadPolicy,
@@ -222,17 +223,13 @@ pub struct ServerEngine {
 }
 
 impl ServerEngine {
-    /// A server handing each accepted connection a copy of `template`
-    /// (with the schedule's epoch keys patched in) and shedding arrivals
-    /// beyond `concurrency_limit` active connections.
-    pub fn new(
-        template: EndpointConfig,
-        schedule: TicketKeySchedule,
-        concurrency_limit: usize,
-    ) -> Self {
+    /// A server sharing `template` with each accepted connection (which
+    /// holds the keys its ticket schedule has in force at accept time)
+    /// and shedding arrivals beyond `concurrency_limit` active
+    /// connections.
+    pub fn new(template: EndpointConfig, concurrency_limit: usize) -> Self {
         ServerEngine {
-            template,
-            schedule,
+            template: Rc::new(template),
             concurrency_limit: concurrency_limit.max(1),
             overload: OverloadPolicy::Shed,
             conns: BTreeMap::new(),
@@ -244,11 +241,6 @@ impl ServerEngine {
     pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> Self {
         self.overload = policy;
         self
-    }
-
-    /// The ticket-key schedule connections are minted under.
-    pub fn schedule(&self) -> TicketKeySchedule {
-        self.schedule
     }
 
     /// Exports the engine's admission accounting plus an
@@ -313,10 +305,9 @@ impl ServerEngine {
         if revisit && has_token {
             self.accounting.retry_admitted += 1;
         }
-        let mut cfg = self.template.clone();
-        cfg.ticket_key = self.schedule.mint_key(now_secs);
-        cfg.accept_ticket_keys = self.schedule.accept_keys(now_secs);
-        let mut conn = Connection::server(cfg, conn_seed, original_dcid);
+        let keys = self.template.ticket_keys.at(now_secs);
+        let mut conn =
+            Connection::accepted(keys, Rc::clone(&self.template), conn_seed, original_dcid);
         // A deferred client re-knocks with the token its Retry handed
         // out; the connection must expect (and validate) it so the
         // address counts as validated from the first packet.
@@ -343,7 +334,8 @@ impl ServerEngine {
         self.accounting.crashes += 1;
         self.accounting.reset_conns += orphans.len() as u64;
         if forget_ticket_epochs {
-            self.schedule = self.schedule.forget_old_epochs();
+            let cfg = Rc::make_mut(&mut self.template);
+            cfg.ticket_keys = cfg.ticket_keys.forget_old_epochs();
         }
         orphans
     }
@@ -400,13 +392,21 @@ mod tests {
     use super::*;
     use rq_qlog::EventLog;
     use rq_sim::SimTime;
+    use rq_tls::TicketKeySchedule;
 
     fn engine(limit: usize) -> ServerEngine {
-        ServerEngine::new(
-            EndpointConfig::rfc_default(),
-            TicketKeySchedule::fixed(7),
-            limit,
-        )
+        ServerEngine::new(with_schedule(TicketKeySchedule::fixed(7)), limit)
+    }
+
+    fn with_schedule(ticket_keys: TicketKeySchedule) -> EndpointConfig {
+        EndpointConfig {
+            ticket_keys,
+            ..EndpointConfig::rfc_default()
+        }
+    }
+
+    fn accepted_keys(e: &ServerEngine, now_secs: u64) -> usize {
+        e.template.ticket_keys.at(now_secs).accepted().count()
     }
 
     fn dcid(n: u64) -> ConnectionId {
@@ -582,12 +582,15 @@ mod tests {
     #[test]
     fn crash_can_forget_previous_ticket_epochs() {
         let schedule = TicketKeySchedule::rotating(99, 100, 2);
-        let mut e = ServerEngine::new(EndpointConfig::rfc_default(), schedule, 4);
-        assert_eq!(e.schedule().accept_keys(250).len(), 3);
+        let mut e = ServerEngine::new(with_schedule(schedule), 4);
+        assert_eq!(accepted_keys(&e, 250), 3);
         e.crash_and_restart(true);
         // Only the current epoch survives the restart.
-        assert_eq!(e.schedule().accept_keys(250).len(), 1);
-        assert_eq!(e.schedule().mint_key(250), schedule.mint_key(250));
+        assert_eq!(accepted_keys(&e, 250), 1);
+        assert_eq!(
+            e.template.ticket_keys.at(250).mint(),
+            schedule.at(250).mint()
+        );
     }
 
     #[test]
@@ -600,7 +603,7 @@ mod tests {
             cert_len: rq_tls::CERT_LARGE,
             ..EndpointConfig::rfc_default()
         };
-        let mut e = ServerEngine::new(template, TicketKeySchedule::fixed(7), 4);
+        let mut e = ServerEngine::new(template, 4);
         let mut client = Connection::client(EndpointConfig::rfc_default(), 1, false);
         let hello = client.poll_transmit(SimTime::ZERO).expect("client Initial");
         let first = rq_wire::Header::decode(&mut &hello[..], 8).unwrap().0;
@@ -624,10 +627,9 @@ mod tests {
 
     #[test]
     fn epoch_keys_follow_the_schedule() {
-        let schedule = TicketKeySchedule::rotating(99, 100, 1);
-        let e = ServerEngine::new(EndpointConfig::rfc_default(), schedule, 4);
-        assert_eq!(e.schedule().mint_key(0), 99);
-        assert_ne!(e.schedule().mint_key(250), 99);
-        assert_eq!(e.schedule().accept_keys(250).len(), 2);
+        let e = ServerEngine::new(with_schedule(TicketKeySchedule::rotating(99, 100, 1)), 4);
+        assert_eq!(e.template.ticket_keys.at(0).mint(), 99);
+        assert_ne!(e.template.ticket_keys.at(250).mint(), 99);
+        assert_eq!(accepted_keys(&e, 250), 2);
     }
 }

@@ -188,11 +188,6 @@ impl<N: Node> Network<N> {
         self.nodes.get(id.0)?.as_ref()
     }
 
-    /// [`Network::node`], mutably.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.nodes.get_mut(id.0)?.as_mut()
-    }
-
     /// Connects two nodes with a bidirectional link on the default path 0.
     /// Direction `AtoB` in a drop list refers to `a → b`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {

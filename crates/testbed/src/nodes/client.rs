@@ -84,14 +84,10 @@ pub struct ClientNode {
     responses: Vec<Response>,
     expected_body: usize,
     got_first_byte: bool,
-    done: bool,
     /// Stop the whole simulation once this client finishes. True for the
     /// legacy single-pair runs (the sim *is* this connection); false when
     /// the client is one of many on a shared event loop.
     stop_when_done: bool,
-    /// Endpoint config kept around to rebuild the connection on
-    /// reconnect attempts.
-    cfg: EndpointConfig,
     seed: u64,
     rtt_quirk_applies: bool,
     /// Reconnect policy; `None` (default) dies on the first close.
@@ -130,7 +126,7 @@ impl ClientNode {
         seed: u64,
         rtt_quirk_applies: bool,
     ) -> Self {
-        let mut conn = Connection::client(cfg.clone(), seed, rtt_quirk_applies);
+        let mut conn = Connection::client(cfg, seed, rtt_quirk_applies);
         queue_requests(&mut conn, http, file_size, 0..1);
         ClientNode {
             conn: Rc::new(RefCell::new(conn)),
@@ -142,9 +138,7 @@ impl ClientNode {
             responses: vec![Response::default()],
             expected_body: file_size,
             got_first_byte: false,
-            done: false,
             stop_when_done: true,
-            cfg,
             seed,
             rtt_quirk_applies,
             reconnect: None,
@@ -214,7 +208,9 @@ impl ClientNode {
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(attempt as u64);
-        let mut conn = Connection::client(self.cfg.clone(), attempt_seed, self.rtt_quirk_applies);
+        // The dead connection's configuration, shared with its successor.
+        let cfg = Rc::clone(self.conn.borrow().config());
+        let mut conn = Connection::client(cfg, attempt_seed, self.rtt_quirk_applies);
         let streams = 0..self.responses.len();
         queue_requests(&mut conn, self.http, self.expected_body, streams);
         *self.conn.borrow_mut() = conn;
@@ -276,8 +272,8 @@ impl ClientNode {
                             HttpVersion::H1 => fin && response.bytes >= self.expected_body,
                             HttpVersion::H3 => fin,
                         };
-                        if !self.done && self.responses.iter().all(|r| r.done) {
-                            self.done = true;
+                        let complete = self.status.complete_at.is_some();
+                        if !complete && self.responses.iter().all(|r| r.done) {
                             self.mark(ctx, milestones::RESPONSE_COMPLETE, |st| &mut st.complete_at);
                             if self.stop_when_done {
                                 ctx.stop();
@@ -290,7 +286,7 @@ impl ClientNode {
                         st.close_code.get_or_insert(error_code);
                         &mut st.closed_at
                     });
-                    if !self.done && self.try_schedule_reconnect(ctx) {
+                    if self.status.complete_at.is_none() && self.try_schedule_reconnect(ctx) {
                         // A reconnect is on the way: not done yet.
                     } else if self.stop_when_done {
                         ctx.stop();
@@ -335,7 +331,7 @@ impl Node for ClientNode {
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         match token {
-            TOKEN_RECONNECT if !self.done => self.reconnect_now(ctx),
+            TOKEN_RECONNECT if self.status.complete_at.is_none() => self.reconnect_now(ctx),
             TOKEN_CONN => {
                 if ConnDriver::wake(&mut self.conn.borrow_mut(), self.armed, ctx, TOKEN_CONN) {
                     self.drive(ctx, |_| true);

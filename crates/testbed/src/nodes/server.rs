@@ -13,7 +13,6 @@ use rq_quic::{
 };
 use rq_recovery::SeqMap;
 use rq_sim::{Context, FaultTimeline, Node, NodeId, SimDuration, SimTime};
-use rq_tls::TicketKeySchedule;
 use rq_wire::{Bytes, ConnectionId, Header, PacketType};
 
 use super::{milestones, ConnDriver, ResponseCache};
@@ -237,12 +236,11 @@ struct Knock {
 
 impl ServerNode {
     /// Creates a single-pair server with the given endpoint config and
-    /// Δt: a fixed ticket key (the config's own), no concurrency limit.
-    /// This is the legacy constructor — its wire behaviour is identical
-    /// to the one-connection server it replaces.
+    /// Δt and no concurrency limit. This is the legacy constructor — its
+    /// wire behaviour is identical to the one-connection server it
+    /// replaces.
     pub fn new(cfg: EndpointConfig, http: HttpVersion, cert_delay: SimDuration, seed: u64) -> Self {
-        let schedule = TicketKeySchedule::fixed(cfg.ticket_key);
-        let engine = ServerEngine::new(cfg, schedule, usize::MAX);
+        let engine = ServerEngine::new(cfg, usize::MAX);
         ServerNode::with_engine(engine, http, cert_delay, seed)
     }
 

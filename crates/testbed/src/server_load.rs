@@ -153,15 +153,11 @@ impl ServerLoadSpec {
     }
 
     /// The server's ticket-key schedule: the testbed server's own key,
-    /// rotating per [`Self::rotation_period_secs`].
+    /// rotating per [`Self::rotation_period_secs`] (never, at 0).
     pub fn schedule(&self) -> TicketKeySchedule {
-        let base_key =
-            rq_profiles::server::testbed_server(self.base.ack_mode, self.base.cert_len).ticket_key;
-        if self.rotation_period_secs == 0 {
-            TicketKeySchedule::fixed(base_key)
-        } else {
-            TicketKeySchedule::rotating(base_key, self.rotation_period_secs, self.overlap_epochs)
-        }
+        let fixed = rq_profiles::server::testbed_server(self.base.ack_mode, self.base.cert_len);
+        let base_key = fixed.ticket_keys.base_key;
+        TicketKeySchedule::rotating(base_key, self.rotation_period_secs, self.overlap_epochs)
     }
 
     /// Arrival times in virtual time: a pure function of `base.seed`
@@ -245,7 +241,7 @@ impl ServerLoadSpec {
         let minted_ns = arrival
             .as_nanos()
             .saturating_sub(self.ticket_age.as_nanos());
-        let key = schedule.mint_key(minted_ns / 1_000_000_000);
+        let key = schedule.at(minted_ns / 1_000_000_000).mint();
         let mut rng = SimRng::derive(self.base.seed, &[TICKET_STREAM, i as u64]);
         let mut secret = [0u8; 32];
         for chunk in secret.chunks_mut(8) {
@@ -593,8 +589,9 @@ pub(crate) fn drive_conn_plans(
     if resumption_active {
         server_cfg.resumption = base.resumption.server_resumption();
     }
-    let engine = ServerEngine::new(server_cfg, spec.schedule(), spec.concurrency_limit)
-        .with_overload_policy(spec.overload);
+    server_cfg.ticket_keys = spec.schedule();
+    let engine =
+        ServerEngine::new(server_cfg, spec.concurrency_limit).with_overload_policy(spec.overload);
     let server_node = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed)
         .with_faults(timeline.clone(), base.faults.forget_ticket_epochs);
     let server_id = net.add_node(server_node.into());

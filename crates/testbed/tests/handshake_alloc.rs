@@ -21,7 +21,6 @@ use rq_testbed::{
     run_scenario, run_server_load, ArrivalProcess, ClassMix, Scenario, ServerLoadSpec,
 };
 use rq_testkit::alloc::{peak_live_during, requested_by, Counting};
-use rq_tls::TicketKeySchedule;
 use rq_wire::{Bytes, ConnectionId, Frame, Header, PlainPacket};
 
 #[global_allocator]
@@ -109,22 +108,22 @@ fn a_live_connection_pair_stays_under_its_weight() {
     assert_eq!(pairs, 600, "every arrival is live at the peak");
     // Everything the run holds at its peak — both connections, the
     // datagrams in flight, the timer heap and the testbed's own records
-    // — per client–server pair. Measured 22,596 bytes, debug and release
-    // alike, once a TLS session's transcript is the 40-byte keyed hash
-    // (22,739 with a 112-byte SHA-256 state; 22,899 with the client's
-    // status and ticket in shared cells; 24,297 before a confirmed
-    // connection dropped its handshake state; 24,890 with a heap list per
-    // packet in flight and a second copy of the ClientHello, 40,385 before
-    // that); the ceiling leaves 3 %.
+    // — per client–server pair. Measured 21,948 bytes, debug and release
+    // alike, once connections share their endpoint's configuration
+    // (22,596 with a copy of it in every connection, client node and TLS
+    // session; 22,739 with a 112-byte SHA-256 state; 22,899 with the
+    // client's status and ticket in shared cells; 24,297 before a
+    // confirmed connection dropped its handshake state; 24,890 with a
+    // heap list per packet in flight and a second copy of the
+    // ClientHello, 40,385 before that); the ceiling leaves 3 %.
     let per_pair = peak / pairs;
-    assert!(per_pair <= 23_270, "{per_pair} bytes per live pair");
+    assert!(per_pair <= 22_600, "{per_pair} bytes per live pair");
 }
 
 #[test]
 fn metrics_export_allocates_only_tree_nodes_and_then_nothing() {
     let engine = ServerEngine::new(
         testbed_server(ServerAckMode::WaitForCertificate, 1200),
-        TicketKeySchedule::fixed(1),
         usize::MAX,
     );
     let (sim, conn) = (EngineStats::default(), ConnStats::default());

@@ -17,7 +17,6 @@ use rq_testbed::{
     run_scenario_with_trace, ClientNode, ClientStatus, FaultSpec, LossSpec, ReconnectPolicy,
     RunResult, Scenario, ServerControl, ServerNode, TestbedNode,
 };
-use rq_tls::TicketKeySchedule;
 
 /// The timing fields of a run, from whichever record.
 #[derive(Debug, PartialEq)]
@@ -97,8 +96,7 @@ impl Bed {
         let mut net = Network::new(false);
         let mut cfg = testbed_server(base.ack_mode, base.cert_len);
         cfg.cc_algorithm = base.cc;
-        let schedule = TicketKeySchedule::fixed(cfg.ticket_key);
-        let engine = ServerEngine::new(cfg, schedule, limit).with_overload_policy(overload);
+        let engine = ServerEngine::new(cfg, limit).with_overload_policy(overload);
         let mut server = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed);
         if !base.faults.is_none() {
             let timeline = FaultTimeline {

@@ -306,16 +306,6 @@ impl HandshakeMessage {
             body: Bytes::copy_from_slice(&verify_data),
         }
     }
-
-    /// Extracts the 32-byte random from a CH/SH body.
-    pub fn random(&self) -> Option<[u8; 32]> {
-        if self.body.len() < 32 {
-            return None;
-        }
-        let mut r = [0u8; 32];
-        r.copy_from_slice(&self.body[..32]);
-        Some(r)
-    }
 }
 
 #[cfg(test)]
@@ -368,7 +358,7 @@ mod tests {
             true,
         );
         assert_eq!(ch.wire_len(), DEFAULT_CLIENT_HELLO_LEN);
-        assert_eq!(ch.random(), Some([9; 32]));
+        assert_eq!(ch.body[..32], [9; 32]);
         assert_eq!(ch.resumption_offer(), Some((ticket, true)));
         let no_early = HandshakeMessage::client_hello_resumption(
             [9; 32],
@@ -462,7 +452,7 @@ mod tests {
     #[test]
     fn random_extraction() {
         let m = HandshakeMessage::client_hello([7; 32], 200);
-        assert_eq!(m.random(), Some([7; 32]));
+        assert_eq!(m.body[..32], [7; 32]);
     }
 
     #[test]

@@ -159,11 +159,7 @@ impl TicketKeySchedule {
 
     /// The rotation epoch containing time `now_secs`.
     fn epoch_at(&self, now_secs: u64) -> u64 {
-        if self.period_secs == 0 {
-            0
-        } else {
-            now_secs / self.period_secs
-        }
+        now_secs.checked_div(self.period_secs).unwrap_or(0)
     }
 
     /// The ticket key of `epoch` (epoch 0 of a non-rotating schedule is
@@ -182,20 +178,41 @@ impl TicketKeySchedule {
         z ^ (z >> 31)
     }
 
-    /// The key a ticket minted at `now_secs` is sealed under.
-    pub fn mint_key(&self, now_secs: u64) -> u64 {
-        self.key_for_epoch(self.epoch_at(now_secs))
+    /// The keys in force at `now_secs`: the one a ticket minted then is
+    /// sealed under, and the window a ticket offered then opens in.
+    pub fn at(&self, now_secs: u64) -> TicketKeys {
+        TicketKeys {
+            schedule: *self,
+            epoch: self.epoch_at(now_secs),
+        }
+    }
+}
+
+/// A server's ticket keys at one instant, resolved from its
+/// [`TicketKeySchedule`]: a ticket opens only under a key of the window
+/// it is offered in, and otherwise forces a full handshake.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TicketKeys {
+    schedule: TicketKeySchedule,
+    epoch: u64,
+}
+
+impl TicketKeys {
+    /// The key new tickets are sealed under: the current epoch's.
+    pub fn mint(self) -> u64 {
+        self.schedule.key_for_epoch(self.epoch)
     }
 
-    /// Keys accepted at `now_secs`, newest first: the current epoch's key
-    /// followed by up to `overlap_epochs` predecessors.
-    pub fn accept_keys(&self, now_secs: u64) -> Vec<u64> {
-        let epoch = self.epoch_at(now_secs);
-        let oldest = epoch.saturating_sub(self.overlap_epochs as u64);
-        (oldest..=epoch)
+    /// Keys an offered ticket may open under, newest first: the current
+    /// epoch's key (the minting key) followed by up to `overlap_epochs`
+    /// predecessors.
+    pub fn accepted(self) -> impl Iterator<Item = u64> {
+        let oldest = self
+            .epoch
+            .saturating_sub(self.schedule.overlap_epochs.into());
+        (oldest..=self.epoch)
             .rev()
-            .map(|e| self.key_for_epoch(e))
-            .collect()
+            .map(move |e| self.schedule.key_for_epoch(e))
     }
 }
 
@@ -253,6 +270,10 @@ pub fn open_ticket(ticket_key: u64, ticket: &[u8; TICKET_LEN]) -> Option<[u8; 32
 mod tests {
     use super::*;
 
+    fn accepted(s: TicketKeySchedule, now_secs: u64) -> Vec<u64> {
+        s.at(now_secs).accepted().collect()
+    }
+
     #[test]
     fn mint_open_roundtrip() {
         let secret = [0x5A; 32];
@@ -285,30 +306,30 @@ mod tests {
         let s = TicketKeySchedule::fixed(42);
         assert!(!s.rotates());
         for now in [0u64, 1, 3600, u64::MAX / 2] {
-            assert_eq!(s.mint_key(now), 42);
-            assert_eq!(s.accept_keys(now), vec![42]);
+            assert_eq!(s.at(now).mint(), 42);
+            assert_eq!(accepted(s, now), vec![42]);
         }
     }
 
     #[test]
     fn rotating_schedule_changes_key_per_epoch() {
         let s = TicketKeySchedule::rotating(7, 3600, 1);
-        let k0 = s.mint_key(10);
-        let k1 = s.mint_key(3600);
-        let k2 = s.mint_key(7200);
+        let k0 = s.at(10).mint();
+        let k1 = s.at(3600).mint();
+        let k2 = s.at(7200).mint();
         assert_eq!(k0, 7, "epoch 0 pins the base key");
         assert_ne!(k0, k1);
         assert_ne!(k1, k2);
         assert_ne!(k0, k2);
         // Within an epoch the key is stable.
-        assert_eq!(s.mint_key(3600), s.mint_key(7199));
+        assert_eq!(s.at(3600).mint(), s.at(7199).mint());
     }
 
     #[test]
     fn overlap_window_bounds_accepted_keys() {
         let s = TicketKeySchedule::rotating(9, 100, 2);
         // Epoch 5: keys for epochs 5, 4, 3 accepted — newest first.
-        let keys = s.accept_keys(510);
+        let keys = accepted(s, 510);
         assert_eq!(
             keys,
             vec![s.key_for_epoch(5), s.key_for_epoch(4), s.key_for_epoch(3)]
@@ -320,16 +341,16 @@ mod tests {
         let ok = mint_ticket(s.key_for_epoch(3), &[0x33; 32]);
         assert!(keys.iter().any(|k| open_ticket(*k, &ok).is_some()));
         // Near t=0 the window clips at epoch 0 without underflow.
-        assert_eq!(s.accept_keys(50), vec![s.key_for_epoch(0)]);
+        assert_eq!(accepted(s, 50), vec![s.key_for_epoch(0)]);
     }
 
     #[test]
     fn schedule_is_a_pure_function_of_base_key() {
         let a = TicketKeySchedule::rotating(1234, 60, 3);
         let b = TicketKeySchedule::rotating(1234, 60, 3);
-        assert_eq!(a.accept_keys(100_000), b.accept_keys(100_000));
+        assert_eq!(accepted(a, 100_000), accepted(b, 100_000));
         let c = TicketKeySchedule::rotating(1235, 60, 3);
-        assert_ne!(a.mint_key(100_000), c.mint_key(100_000));
+        assert_ne!(a.at(100_000).mint(), c.at(100_000).mint());
     }
 
     #[test]

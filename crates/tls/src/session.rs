@@ -25,7 +25,9 @@ use crate::keys::{
 };
 use crate::mac::{Mac, DIGEST_LEN};
 use crate::messages::{HandshakeMessage, HandshakeType, DEFAULT_CLIENT_HELLO_LEN, FINISHED_LEN};
-use crate::resumption::{mint_ticket, open_ticket, ServerResumption, SessionTicket};
+use crate::resumption::{
+    mint_ticket, open_ticket, ServerResumption, SessionTicket, TicketKeySchedule, TicketKeys,
+};
 use crate::TlsError;
 
 /// Endpoint role.
@@ -37,13 +39,14 @@ pub enum Role {
     Server,
 }
 
+/// The 32-byte client random every ClientHello carries.
+const CLIENT_RANDOM: [u8; 32] = [0x11; 32];
+/// The 32-byte server random every ServerHello carries.
+const SERVER_RANDOM: [u8; 32] = [0x22; 32];
+
 /// Client-side handshake parameters.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Total ClientHello size in bytes.
-    pub client_hello_len: usize,
-    /// 32-byte client random (drawn from the simulation RNG upstream).
-    pub random: [u8; 32],
     /// Session ticket to offer for an abbreviated handshake, if any.
     pub ticket: Option<SessionTicket>,
     /// Offer 0-RTT early data along with the ticket (requires `ticket`).
@@ -54,8 +57,6 @@ impl ClientConfig {
     /// The full-handshake configuration (no ticket, no early data).
     pub fn full() -> Self {
         ClientConfig {
-            client_hello_len: DEFAULT_CLIENT_HELLO_LEN,
-            random: [0x11; 32],
             ticket: None,
             early_data: false,
         }
@@ -74,30 +75,18 @@ pub struct ServerConfig {
     /// Total Certificate message size in bytes (the paper's 1,212 B small
     /// and 5,113 B large chains are in `messages::CERT_SMALL/_LARGE`).
     pub cert_len: usize,
-    /// 32-byte server random.
-    pub random: [u8; 32],
-    /// If true the certificate is already on the frontend (cache hit):
-    /// the ServerHello flight is produced immediately on ClientHello.
-    pub cert_preprovisioned: bool,
     /// Resumption policy: ticket issuance, PSK acceptance, 0-RTT.
     pub resumption: ServerResumption,
-    /// Key minting/validating stateless session tickets.
-    pub ticket_key: u64,
-    /// Additional keys accepted when validating offered tickets (a
-    /// rotating server's overlap window, newest first). `ticket_key` is
-    /// always tried first; an empty list is the legacy single-key server.
-    pub accept_ticket_keys: Vec<u64>,
+    /// The keys minting and validating stateless session tickets.
+    pub ticket_keys: TicketKeys,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             cert_len: crate::messages::CERT_SMALL,
-            random: [0x22; 32],
-            cert_preprovisioned: false,
             resumption: ServerResumption::disabled(),
-            ticket_key: 0x7E11_C3E7,
-            accept_ticket_keys: Vec::new(),
+            ticket_keys: TicketKeySchedule::default().at(0),
         }
     }
 }
@@ -244,13 +233,13 @@ impl TlsSession {
                         self.early = Some(early_keys(&ticket.secret));
                     }
                     HandshakeMessage::client_hello_resumption(
-                        cfg.random,
-                        cfg.client_hello_len,
+                        CLIENT_RANDOM,
+                        DEFAULT_CLIENT_HELLO_LEN,
                         &ticket.ticket,
                         offer_early,
                     )
                 }
-                None => HandshakeMessage::client_hello(cfg.random, cfg.client_hello_len),
+                None => HandshakeMessage::client_hello(CLIENT_RANDOM, DEFAULT_CLIENT_HELLO_LEN),
             };
             queue(&mut self.out[INITIAL], &mut self.transcript, &ch);
             *state = ClientState::WaitServerHello;
@@ -430,14 +419,14 @@ impl TlsSession {
             (ServerState::WaitClientHello, HandshakeType::ClientHello, Level::Initial) => {
                 let offer = msg.resumption_offer();
                 let cfg = self.server_cfg();
-                // The minting key first, then the rotation overlap window;
-                // a ticket sealed under a retired key opens nowhere and
+                // The window newest first, the minting key leading it; a
+                // ticket sealed under a retired key opens nowhere and
                 // falls back to the full handshake below.
-                let mut keys = std::iter::once(&cfg.ticket_key).chain(&cfg.accept_ticket_keys);
+                let mut keys = cfg.ticket_keys.accepted();
                 let secret = offer
                     .as_ref()
                     .filter(|_| cfg.resumption.accept_resumption)
-                    .and_then(|(ticket, _)| keys.find_map(|key| open_ticket(*key, ticket)));
+                    .and_then(|(ticket, _)| keys.find_map(|key| open_ticket(key, ticket)));
                 if let Some(secret) = secret {
                     // Abbreviated handshake: no certificate, no Δt.
                     self.resumed = true;
@@ -464,13 +453,8 @@ impl TlsSession {
                         self.early_data_accepted = Some(false);
                         events.push(TlsEvent::EarlyDataRejected);
                     }
-                    if self.server_cfg().cert_preprovisioned {
-                        self.emit_flight(None, events);
-                        ServerState::WaitClientFinished
-                    } else {
-                        events.push(TlsEvent::NeedCertificate);
-                        ServerState::WaitCertProvision
-                    }
+                    events.push(TlsEvent::NeedCertificate);
+                    ServerState::WaitCertProvision
                 }
             }
             (ServerState::WaitClientFinished, HandshakeType::Finished, Level::Handshake) => {
@@ -478,7 +462,7 @@ impl TlsSession {
                 let secret = resumption_secret(&self.transcript.finish());
                 let cfg = self.server_cfg();
                 if cfg.resumption.issue_tickets {
-                    let ticket = mint_ticket(cfg.ticket_key, &secret);
+                    let ticket = mint_ticket(cfg.ticket_keys.mint(), &secret);
                     let nst = HandshakeMessage::new_session_ticket(
                         cfg.resumption.ticket_lifetime_secs,
                         cfg.resumption.advertise_early_data,
@@ -499,10 +483,11 @@ impl TlsSession {
     /// the 0-RTT outcome of an abbreviated handshake.
     fn emit_flight(&mut self, resumed: Option<bool>, events: &mut Vec<TlsEvent>) {
         // ServerHello at Initial level.
-        let random = self.server_cfg().random;
         let sh = match resumed {
-            Some(early_accepted) => HandshakeMessage::server_hello_resumed(random, early_accepted),
-            None => HandshakeMessage::server_hello(random),
+            Some(early_accepted) => {
+                HandshakeMessage::server_hello_resumed(SERVER_RANDOM, early_accepted)
+            }
+            None => HandshakeMessage::server_hello(SERVER_RANDOM),
         };
         queue(&mut self.out[INITIAL], &mut self.transcript, &sh);
         let th = self.transcript.finish();

@@ -1,6 +1,16 @@
 use super::*;
 use crate::messages::{CERT_LARGE, CERT_SMALL, NEW_SESSION_TICKET_LEN};
 
+/// Feeds `data` to `server` and, when the server asks for its
+/// certificate, provides it at once (a store with Δt = 0).
+fn serve(server: &mut TlsSession, level: Level, data: &[u8]) -> Vec<TlsEvent> {
+    let mut events = server.read_crypto(level, data).unwrap();
+    if events.contains(&TlsEvent::NeedCertificate) {
+        events.extend(server.provide_certificate());
+    }
+    events
+}
+
 /// Shuttles crypto bytes between two sessions until quiescent,
 /// collecting both sides' events.
 fn pump(client: &mut TlsSession, server: &mut TlsSession) -> (Vec<TlsEvent>, Vec<TlsEvent>) {
@@ -10,7 +20,7 @@ fn pump(client: &mut TlsSession, server: &mut TlsSession) -> (Vec<TlsEvent>, Vec
         let mut progress = false;
         for lvl in [Level::Initial, Level::Handshake, Level::Application] {
             if let Some(out) = client.take_output(lvl) {
-                sev.extend(server.read_crypto(lvl, &out).unwrap());
+                sev.extend(serve(server, lvl, &out));
                 progress = true;
             }
             if let Some(out) = server.take_output(lvl) {
@@ -26,24 +36,19 @@ fn pump(client: &mut TlsSession, server: &mut TlsSession) -> (Vec<TlsEvent>, Vec
 }
 
 /// Runs a full in-memory handshake, shuttling crypto bytes directly.
-fn run_handshake(cert_len: usize, preprovisioned: bool) -> (TlsSession, TlsSession) {
+fn run_handshake(cert_len: usize) -> (TlsSession, TlsSession) {
     let mut client = TlsSession::client(ClientConfig::full());
     let mut server = TlsSession::server(ServerConfig {
         cert_len,
-        cert_preprovisioned: preprovisioned,
         ..ServerConfig::default()
     });
     client.start();
     let ch = client.take_output(Level::Initial).unwrap();
     let ev = server.read_crypto(Level::Initial, &ch).unwrap();
-    if !preprovisioned {
-        assert_eq!(ev, vec![TlsEvent::NeedCertificate]);
-        let ev2 = server.provide_certificate();
-        assert!(ev2.contains(&TlsEvent::KeysReady(Level::Handshake)));
-        assert!(ev2.contains(&TlsEvent::KeysReady(Level::Application)));
-    } else {
-        assert!(ev.contains(&TlsEvent::KeysReady(Level::Handshake)));
-    }
+    assert_eq!(ev, vec![TlsEvent::NeedCertificate]);
+    let ev2 = server.provide_certificate();
+    assert!(ev2.contains(&TlsEvent::KeysReady(Level::Handshake)));
+    assert!(ev2.contains(&TlsEvent::KeysReady(Level::Application)));
     let sh = server.take_output(Level::Initial).unwrap();
     let flight = server.take_output(Level::Handshake).unwrap();
     let ev = client.read_crypto(Level::Initial, &sh).unwrap();
@@ -61,7 +66,6 @@ fn run_handshake(cert_len: usize, preprovisioned: bool) -> (TlsSession, TlsSessi
 /// ticket plus the server config that issued it.
 fn prime_ticket(resumption: ServerResumption) -> (SessionTicket, ServerConfig) {
     let server_cfg = ServerConfig {
-        cert_preprovisioned: true,
         resumption,
         ..ServerConfig::default()
     };
@@ -81,7 +85,7 @@ fn prime_ticket(resumption: ServerResumption) -> (SessionTicket, ServerConfig) {
 
 #[test]
 fn full_handshake_small_cert() {
-    let (client, server) = run_handshake(CERT_SMALL, false);
+    let (client, server) = run_handshake(CERT_SMALL);
     assert!(client.is_complete());
     assert!(server.is_complete());
     assert!(!client.is_resumed() && !server.is_resumed());
@@ -89,21 +93,14 @@ fn full_handshake_small_cert() {
 
 #[test]
 fn full_handshake_large_cert() {
-    let (client, server) = run_handshake(CERT_LARGE, false);
-    assert!(client.is_complete());
-    assert!(server.is_complete());
-}
-
-#[test]
-fn preprovisioned_cert_skips_need_certificate() {
-    let (client, server) = run_handshake(CERT_SMALL, true);
+    let (client, server) = run_handshake(CERT_LARGE);
     assert!(client.is_complete());
     assert!(server.is_complete());
 }
 
 #[test]
 fn both_sides_derive_identical_keys() {
-    let (client, server) = run_handshake(CERT_SMALL, false);
+    let (client, server) = run_handshake(CERT_SMALL);
     assert_eq!(client.keys(Level::Handshake), server.keys(Level::Handshake));
     assert_eq!(
         client.keys(Level::Application),
@@ -119,18 +116,16 @@ fn server_flight_size_scales_with_cert() {
 
     let mut small = TlsSession::server(ServerConfig {
         cert_len: CERT_SMALL,
-        cert_preprovisioned: true,
         ..ServerConfig::default()
     });
-    small.read_crypto(Level::Initial, &ch).unwrap();
+    serve(&mut small, Level::Initial, &ch);
     let small_len = small.pending_output(Level::Handshake);
 
     let mut large = TlsSession::server(ServerConfig {
         cert_len: CERT_LARGE,
-        cert_preprovisioned: true,
         ..ServerConfig::default()
     });
-    large.read_crypto(Level::Initial, &ch).unwrap();
+    serve(&mut large, Level::Initial, &ch);
     let large_len = large.pending_output(Level::Handshake);
 
     assert_eq!(large_len - small_len, CERT_LARGE - CERT_SMALL);
@@ -139,15 +134,12 @@ fn server_flight_size_scales_with_cert() {
 #[test]
 fn fragmented_delivery_still_completes() {
     let mut client = TlsSession::client(ClientConfig::full());
-    let mut server = TlsSession::server(ServerConfig {
-        cert_preprovisioned: true,
-        ..ServerConfig::default()
-    });
+    let mut server = TlsSession::server(ServerConfig::default());
     client.start();
     let ch = client.take_output(Level::Initial).unwrap();
     // Deliver CH one byte at a time.
     for b in ch.iter() {
-        server.read_crypto(Level::Initial, &[*b]).unwrap();
+        serve(&mut server, Level::Initial, &[*b]);
     }
     let sh = server.take_output(Level::Initial).unwrap();
     let flight = server.take_output(Level::Handshake).unwrap();
@@ -204,10 +196,7 @@ fn ticket_issued_after_full_handshake() {
 #[test]
 fn no_ticket_when_issuance_disabled() {
     let mut client = TlsSession::client(ClientConfig::full());
-    let mut server = TlsSession::server(ServerConfig {
-        cert_preprovisioned: true,
-        ..ServerConfig::default()
-    });
+    let mut server = TlsSession::server(ServerConfig::default());
     client.start();
     let (cev, _) = pump(&mut client, &mut server);
     assert!(client.is_complete());
@@ -218,16 +207,13 @@ fn no_ticket_when_issuance_disabled() {
 #[test]
 fn resumed_handshake_skips_certificate_and_need_certificate() {
     let (ticket, server_cfg) = prime_ticket(ServerResumption::accepting(7200));
-    // Resumed connection against a *non-preprovisioned* server: a full
-    // handshake would raise NeedCertificate; the resumed one must not.
+    // A full handshake would raise NeedCertificate; the resumed one
+    // must not.
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         ..ClientConfig::full()
     });
-    let mut server = TlsSession::server(ServerConfig {
-        cert_preprovisioned: false,
-        ..server_cfg
-    });
+    let mut server = TlsSession::server(server_cfg);
     client.start();
     let (cev, sev) = pump(&mut client, &mut server);
     assert!(client.is_complete() && server.is_complete());
@@ -247,26 +233,26 @@ fn overlap_key_resumes_retired_key_falls_back() {
     // window drops it (the rotating-server behaviour the testbed's
     // key schedule drives).
     let (ticket, server_cfg) = prime_ticket(ServerResumption::accepting(7200));
-    let old_key = server_cfg.ticket_key;
-    let rotated = |accept: Vec<u64>| ServerConfig {
-        cert_preprovisioned: true,
-        ticket_key: old_key ^ 0xD00D,
-        accept_ticket_keys: accept,
-        ..server_cfg.clone()
-    };
-    let run = |cfg: ServerConfig| {
+    let old_key = server_cfg.ticket_keys.mint();
+    // Epoch 0 of a schedule is its base key; `now_secs` 150 is epoch 1.
+    let run = |base_key: u64, overlap_epochs: u32, now_secs: u64| {
         let mut client = TlsSession::client(ClientConfig {
             ticket: Some(ticket.clone()),
             ..ClientConfig::full()
         });
-        let mut server = TlsSession::server(cfg);
+        let ticket_keys = TicketKeySchedule::rotating(base_key, 100, overlap_epochs).at(now_secs);
+        assert_ne!(ticket_keys.mint(), old_key, "the server has rotated");
+        let mut server = TlsSession::server(ServerConfig {
+            ticket_keys,
+            ..server_cfg.clone()
+        });
         client.start();
         pump(&mut client, &mut server);
         server.is_resumed()
     };
-    assert!(run(rotated(vec![old_key])), "overlap window resumes");
-    assert!(!run(rotated(vec![old_key ^ 1])), "retired key falls back");
-    assert!(!run(rotated(Vec::new())), "empty window falls back");
+    assert!(run(old_key, 1, 150), "overlap window resumes");
+    assert!(!run(old_key, 1, 250), "retired key falls back");
+    assert!(!run(old_key, 0, 150), "empty window falls back");
 }
 
 #[test]
@@ -277,13 +263,10 @@ fn resumed_flight_is_much_smaller_than_full() {
             ticket,
             ..ClientConfig::full()
         });
-        let mut server = TlsSession::server(ServerConfig {
-            cert_preprovisioned: true,
-            ..server_cfg.clone()
-        });
+        let mut server = TlsSession::server(server_cfg.clone());
         client.start();
         let ch = client.take_output(Level::Initial).unwrap();
-        server.read_crypto(Level::Initial, &ch).unwrap();
+        serve(&mut server, Level::Initial, &ch);
         server.pending_output(Level::Handshake)
     };
     let full = flight_len(None);
@@ -298,7 +281,6 @@ fn early_data_keys_agree_when_accepted() {
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         early_data: true,
-        ..ClientConfig::full()
     });
     let mut server = TlsSession::server(server_cfg);
     client.start();
@@ -319,7 +301,6 @@ fn early_data_rejected_by_policy() {
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         early_data: true,
-        ..ClientConfig::full()
     });
     let mut server = TlsSession::server(server_cfg);
     client.start();
@@ -343,7 +324,6 @@ fn no_early_offer_under_a_ticket_without_early_support() {
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         early_data: true,
-        ..ClientConfig::full()
     });
     client.start();
     assert!(client.early_keys().is_none(), "no offer ⇒ no early keys");
@@ -367,12 +347,8 @@ fn server_records_early_reject_on_psk_fallback() {
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         early_data: true,
-        ..ClientConfig::full()
     });
-    let mut server = TlsSession::server(ServerConfig {
-        cert_preprovisioned: true,
-        ..server_cfg
-    });
+    let mut server = TlsSession::server(server_cfg);
     client.start();
     let (_, sev) = pump(&mut client, &mut server);
     assert!(!server.is_resumed());
@@ -387,12 +363,8 @@ fn invalid_ticket_falls_back_to_full_handshake() {
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         early_data: true,
-        ..ClientConfig::full()
     });
-    let mut server = TlsSession::server(ServerConfig {
-        cert_preprovisioned: true,
-        ..server_cfg
-    });
+    let mut server = TlsSession::server(server_cfg);
     client.start();
     let (cev, _) = pump(&mut client, &mut server);
     assert!(client.is_complete() && server.is_complete());
