@@ -106,32 +106,36 @@ fn scan_for_acks(datagram: &[u8], initial_ms: &mut Option<f64>, handshake_ms: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rq_profiles::server_by_name;
+    use rq_profiles::all_servers;
+
+    fn server(name: &str) -> ServerProfile {
+        all_servers().into_iter().find(|s| s.name == name).unwrap()
+    }
 
     #[test]
     fn quic_go_reports_zero_initial_delay() {
-        let d = measure_first_ack_delays(&server_by_name("quic-go").unwrap(), 1);
+        let d = measure_first_ack_delays(&server("quic-go"), 1);
         assert_eq!(d.initial_ms, Some(0.0));
         assert_eq!(d.handshake_ms, None, "quic-go sends no HS-space ACK");
     }
 
     #[test]
     fn aioquic_reports_3_3ms() {
-        let d = measure_first_ack_delays(&server_by_name("aioquic").unwrap(), 2);
+        let d = measure_first_ack_delays(&server("aioquic"), 2);
         let v = d.initial_ms.unwrap();
         assert!((v - 3.3).abs() < 0.1, "got {v}");
     }
 
     #[test]
     fn msquic_sends_no_initial_or_handshake_acks() {
-        let d = measure_first_ack_delays(&server_by_name("msquic").unwrap(), 3);
+        let d = measure_first_ack_delays(&server("msquic"), 3);
         assert_eq!(d.initial_ms, None);
         assert_eq!(d.handshake_ms, None);
     }
 
     #[test]
     fn lsquic_reports_both_spaces() {
-        let d = measure_first_ack_delays(&server_by_name("lsquic").unwrap(), 4);
+        let d = measure_first_ack_delays(&server("lsquic"), 4);
         let i = d.initial_ms.unwrap();
         assert!((i - 1.2).abs() < 0.1, "initial {i}");
         let h = d.handshake_ms.unwrap();
@@ -140,7 +144,7 @@ mod tests {
 
     #[test]
     fn s2n_delay_exceeds_typical_rtt() {
-        let d = measure_first_ack_delays(&server_by_name("s2n-quic").unwrap(), 5);
+        let d = measure_first_ack_delays(&server("s2n-quic"), 5);
         assert!(d.initial_ms.unwrap() >= 14.0);
     }
 }

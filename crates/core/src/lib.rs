@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::{compare_modes, ModeComparison};
     pub use rq_analysis::{first_pto_reduction_rtt, pto_evolution, recommend, spurious_retransmit};
     pub use rq_http::HttpVersion;
-    pub use rq_profiles::{all_clients, all_servers, client_by_name, server_by_name};
+    pub use rq_profiles::{all_clients, all_servers, client_by_name};
     pub use rq_quic::{ProbePolicy, ServerAckMode};
     pub use rq_sim::{ImpairmentSpec, SimDuration};
     pub use rq_testbed::{
@@ -68,14 +68,6 @@ pub struct ModeComparison {
     pub wfc: RunResult,
     /// The instant-ACK run.
     pub iack: RunResult,
-}
-
-impl ModeComparison {
-    /// TTFB difference `iack - wfc` in ms (negative = IACK faster);
-    /// `None` when either run failed.
-    pub fn ttfb_delta_ms(&self) -> Option<f64> {
-        Some(self.iack.ttfb_ms? - self.wfc.ttfb_ms?)
-    }
 }
 
 /// Runs `scenario` under both server behaviours: its own `ack_mode` is
@@ -136,9 +128,7 @@ mod tests {
             cert_delay: SimDuration::from_millis(4),
             ..base("quic-go")
         });
-        assert!(
-            c.ttfb_delta_ms().unwrap() < 0.0,
-            "IACK wins under client-flight loss"
-        );
+        let delta = c.iack.ttfb_ms.unwrap() - c.wfc.ttfb_ms.unwrap();
+        assert!(delta < 0.0, "IACK wins under client-flight loss");
     }
 }

@@ -12,4 +12,4 @@ pub mod client;
 pub mod server;
 
 pub use client::{all_clients, client_by_name, ClientProfile};
-pub use server::{all_servers, server_by_name, ResumptionProfile, ServerProfile};
+pub use server::{all_servers, ResumptionProfile, ServerProfile};

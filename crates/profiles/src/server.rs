@@ -26,20 +26,9 @@ impl ServerProfile {
         cfg.ack_mode = ServerAckMode::WaitForCertificate;
         match self.initial_ack_delay {
             None => cfg.no_initial_acks = true,
-            Some(d) if d == SimDuration::ZERO => cfg.ack_delay_report = AckDelayReport::Zero,
             Some(d) => cfg.ack_delay_report = AckDelayReport::Fixed(d),
         }
-        match self.handshake_ack_delay {
-            None => cfg.send_handshake_space_acks = false,
-            Some(d) => {
-                cfg.send_handshake_space_acks = true;
-                cfg.handshake_ack_delay_report = Some(if d == SimDuration::ZERO {
-                    AckDelayReport::Zero
-                } else {
-                    AckDelayReport::Fixed(d)
-                });
-            }
-        }
+        cfg.handshake_ack_delay_report = self.handshake_ack_delay.map(AckDelayReport::Fixed);
         cfg
     }
 }
@@ -134,11 +123,6 @@ pub fn all_servers() -> Vec<ServerProfile> {
     ]
 }
 
-/// Looks a server up by name.
-pub fn server_by_name(name: &str) -> Option<ServerProfile> {
-    all_servers().into_iter().find(|s| s.name == name)
-}
-
 /// Per-deployment session-resumption behaviour: whether tickets are
 /// offered at all, whether 0-RTT early data is accepted, and the
 /// advertised ticket lifetime. Real CDNs differ on all three (Cloudflare
@@ -219,13 +203,17 @@ pub fn testbed_server(ack_mode: ServerAckMode, cert_len: usize) -> EndpointConfi
     // quic-go server: 200 ms default PTO (Table 4), zero-reported ack delay
     // (Table 3).
     cfg.default_pto = SimDuration::from_millis(200);
-    cfg.ack_delay_report = AckDelayReport::Zero;
+    cfg.ack_delay_report = AckDelayReport::Fixed(SimDuration::ZERO);
     cfg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn server(name: &str) -> ServerProfile {
+        all_servers().into_iter().find(|s| s.name == name).unwrap()
+    }
 
     #[test]
     fn sixteen_servers_present() {
@@ -234,14 +222,14 @@ mod tests {
 
     #[test]
     fn msquic_sends_no_initial_acks() {
-        let cfg = server_by_name("msquic").unwrap().endpoint_config();
+        let cfg = server("msquic").endpoint_config();
         assert!(cfg.no_initial_acks);
     }
 
     #[test]
     fn s2n_reports_inflated_delay() {
         // Table 3: s2n-quic's reported delay (14-15.2 ms) exceeds the RTT.
-        let s = server_by_name("s2n-quic").unwrap();
+        let s = server("s2n-quic");
         assert!(s.initial_ack_delay.unwrap() > SimDuration::from_millis(10));
     }
 
@@ -257,9 +245,12 @@ mod tests {
 
     #[test]
     fn zero_delay_maps_to_zero_report() {
-        let cfg = server_by_name("quic-go").unwrap().endpoint_config();
-        assert_eq!(cfg.ack_delay_report, AckDelayReport::Zero);
-        let cfg = server_by_name("quiche").unwrap().endpoint_config();
+        let cfg = server("quic-go").endpoint_config();
+        assert_eq!(
+            cfg.ack_delay_report,
+            AckDelayReport::Fixed(SimDuration::ZERO)
+        );
+        let cfg = server("quiche").endpoint_config();
         assert!(matches!(cfg.ack_delay_report, AckDelayReport::Fixed(_)));
     }
 

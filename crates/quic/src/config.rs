@@ -64,14 +64,12 @@ pub enum ProbePolicy {
 }
 
 /// How a server reports the `ACK Delay` field (paper Table 3: six stacks
-/// report 0, others report real or even inflated values).
+/// report 0, a `Fixed` zero; others report real or even inflated values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AckDelayReport {
     /// Report the actual host delay.
     #[default]
     Actual,
-    /// Always report zero.
-    Zero,
     /// Report a fixed value regardless of the actual delay.
     Fixed(SimDuration),
 }
@@ -124,14 +122,13 @@ pub struct EndpointConfig {
     pub ack_mode: ServerAckMode,
     /// How ACK Delay is reported in Initial-space ACKs (Table 3).
     pub ack_delay_report: AckDelayReport,
-    /// Override for Handshake-space ACK delay reporting (Table 3 servers
-    /// report different values per space); falls back to
-    /// `ack_delay_report` when `None`.
+    /// Handshake-space ACK delay reporting (Table 3 servers report
+    /// different values per space). `Some` also makes a server ACK the
+    /// client Finished in the Handshake space before discarding it
+    /// (haproxy, lsquic, mvfst, neqo, xquic in Table 3; most stacks
+    /// discard first and never ACK there). `None` reports Handshake-space
+    /// ACKs by `ack_delay_report`.
     pub handshake_ack_delay_report: Option<AckDelayReport>,
-    /// Server sends a Handshake-space ACK for the client Finished before
-    /// discarding the space (haproxy, lsquic, mvfst, neqo, xquic in
-    /// Table 3; most stacks discard first and never ACK there).
-    pub send_handshake_space_acks: bool,
     /// Never attach ACK frames in the Initial/Handshake spaces (msquic in
     /// Table 3 "does not send Initial and Handshake ACKs").
     pub no_initial_acks: bool,
@@ -194,7 +191,6 @@ impl EndpointConfig {
             ack_mode: ServerAckMode::WaitForCertificate,
             ack_delay_report: AckDelayReport::Actual,
             handshake_ack_delay_report: None,
-            send_handshake_space_acks: false,
             no_initial_acks: false,
             cert_len: rq_tls::CERT_SMALL,
             quirks: ClientQuirks::default(),

@@ -49,7 +49,6 @@ use crate::config::{
 use crate::space::Space;
 use crate::streams::StreamSet;
 use handshake::{space_in, Handshake};
-pub use path::PathState;
 use path::Paths;
 
 mod handshake;
@@ -83,7 +82,7 @@ const CID_STREAM: u64 = 0xC1D_0;
 /// CID kind: a client's locally chosen CIDs (seq 0 = handshake CID).
 const CID_KIND_CLIENT: u64 = 0;
 /// CID kind: the client's original destination CID (Initial keys).
-pub const CID_KIND_ORIGINAL_DCID: u64 = 1;
+const CID_KIND_ORIGINAL_DCID: u64 = 1;
 /// CID kind: a server's locally chosen CIDs (seq 0 = handshake CID).
 const CID_KIND_SERVER: u64 = 2;
 /// CID kind: the CID a stateless Retry hands the client.
@@ -510,7 +509,8 @@ impl Connection {
                         }
                         // Some stacks ACK the client Finished in the
                         // Handshake space before discarding it (Table 3).
-                        if self.cfg.send_handshake_space_acks && !self.cfg.no_initial_acks {
+                        let acks_handshake = self.cfg.handshake_ack_delay_report.is_some();
+                        if acks_handshake && !self.cfg.no_initial_acks {
                             self.queue_ack(now, PacketNumberSpace::Handshake, false);
                         }
                         self.confirm();

@@ -24,7 +24,7 @@ pub(super) const PATH_CHALLENGE_MAX_RETRIES: u32 = 3;
 /// handshake path: its `validated` is the handshake's address validation
 /// (RFC 9000 §8.1), which a client starts with.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PathState {
+pub(super) struct PathState {
     /// Path id (the simulator's link path).
     pub id: u64,
     /// Bytes sent while this path was active.
@@ -231,12 +231,14 @@ impl Connection {
 
     /// Accounting entry for one path, if it ever carried traffic (path 0
     /// always has one).
-    pub fn path_state(&self, id: u64) -> Option<&PathState> {
+    #[cfg(test)]
+    pub(super) fn path_state(&self, id: u64) -> Option<&PathState> {
         self.paths.get(id)
     }
 
     /// Whether a PATH_CHALLENGE is still awaiting its response.
-    pub fn path_validation_pending(&self) -> bool {
+    #[cfg(test)]
+    pub(super) fn path_validation_pending(&self) -> bool {
         self.paths.path_challenge.is_some()
     }
 

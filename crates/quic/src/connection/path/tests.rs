@@ -1,12 +1,18 @@
 // The tests of `path.rs`: connection migration, path validation and the
 // amplification budget. `connection/tests.rs` includes this file, so the
-// tests share its helpers and are named `connection::tests::*`.
+// tests share its helpers and are named `connection::tests::*`. Two are
+// property tests of RFC 9000 §9 invariants for any path id and CID pool:
+// validation terminates, and an unvalidated path never carries more than
+// 3x what it received (`crates/testbed/tests/migration_props.rs` holds
+// the invariants that need the testbed).
 
-fn migration_pair() -> (Connection, Connection) {
+/// A client/server pair with `pool` spare CIDs each, before the
+/// handshake.
+fn migration_pair(pool: usize) -> (Connection, Connection) {
     let mut ccfg = EndpointConfig::rfc_default();
-    ccfg.cid_pool = 2;
+    ccfg.cid_pool = pool;
     let mut scfg = EndpointConfig::rfc_default();
-    scfg.cid_pool = 2;
+    scfg.cid_pool = pool;
     let c = Connection::client(ccfg, 1, false);
     let s = Connection::server(scfg, 2, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
     (c, s)
@@ -55,7 +61,7 @@ fn cid_derivation_is_collision_free() {
 
 #[test]
 fn cid_pool_announced_after_handshake() {
-    let (mut c, mut s) = migration_pair();
+    let (mut c, mut s) = migration_pair(2);
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
     assert_eq!(
         c.paths.spare_peer_cids().len(),
@@ -94,7 +100,7 @@ fn cid_pool_disabled_changes_nothing() {
 
 #[test]
 fn deliberate_migration_rotates_cid_and_validates_path() {
-    let (mut c, mut s) = migration_pair();
+    let (mut c, mut s) = migration_pair(2);
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
     let old_dcid = c.peer_cid;
     let now = at(500);
@@ -144,7 +150,7 @@ fn deliberate_migration_rotates_cid_and_validates_path() {
 
 #[test]
 fn unvalidated_path_is_amplification_limited() {
-    let (mut c, mut s) = migration_pair();
+    let (mut c, mut s) = migration_pair(2);
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
     let now = at(500);
     c.migrate(now, 3);
@@ -172,7 +178,7 @@ fn unvalidated_path_is_amplification_limited() {
 
 #[test]
 fn path_validation_abandons_after_retries() {
-    let (mut c, mut s) = migration_pair();
+    let (mut c, mut s) = migration_pair(2);
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
     let mut now = at(500);
     c.migrate(now, 9);
@@ -200,12 +206,78 @@ fn path_validation_abandons_after_retries() {
     );
 }
 
+/// Path validation terminates for any path id and CID pool: validated
+/// when probes flow, abandoned (but still resolved) when the new path
+/// black-holes everything.
+#[test]
+fn path_validation_always_terminates() {
+    cases(64, |rng| {
+        let path = 1 + rng.gen_range(63);
+        let (mut c, mut s) = migration_pair(1 + rng.gen_range(3) as usize);
+        run_handshake(&mut c, &mut s, SimDuration::ZERO);
+        let start = at(500);
+        c.migrate(start, path);
+        assert!(c.path_validation_pending());
+        if rng.gen_bool(0.5) {
+            // Swallow every probe and let the retry clock run: the
+            // challenge must exhaust its retries and resolve, not spin.
+            let mut now = start;
+            for _ in 0..200 {
+                while c.poll_transmit(now).is_some() {}
+                if !c.path_validation_pending() {
+                    break;
+                }
+                let Some(t) = c.poll_timeout() else { break };
+                now = if t > now { t } else { now + ms(1) };
+                c.handle_timeout(now);
+            }
+            assert!(!c.path_validation_pending(), "validation never resolved");
+        } else {
+            pump_on_path(&mut c, &mut s, start, path);
+            assert!(!c.path_validation_pending());
+            assert!(c.path_state(path).unwrap().validated, "client path");
+            assert!(s.path_state(path).unwrap().validated, "server path");
+            assert_eq!(s.active_path(), path);
+        }
+    });
+}
+
+/// While a post-migration path is unvalidated, the server never sends
+/// more than 3x the bytes it received on it (RFC 9000 §9.5 mirrors the
+/// 3x of §8.1), however many client datagrams trickle in first.
+#[test]
+fn unvalidated_path_never_exceeds_three_times_received() {
+    cases(64, |rng| {
+        let path = 1 + rng.gen_range(31);
+        let (mut c, mut s) = migration_pair(1 + rng.gen_range(3) as usize);
+        run_handshake(&mut c, &mut s, SimDuration::ZERO);
+        let now = at(500);
+        c.migrate(now, path);
+        // Deliver up to 3 client datagrams on the new path, draining
+        // (and discarding) the server's responses after each: the
+        // client never sees them, so the path stays unvalidated.
+        for _ in 0..1 + rng.gen_range(3) {
+            let Some(d) = c.poll_transmit(now) else { break };
+            s.handle_datagram_on_path(now, d, path);
+            while s.poll_transmit(now).is_some() {}
+            let p = s.path_state(path).expect("server tracks the new path");
+            assert!(!p.validated, "path validated without a response");
+            assert!(
+                p.bytes_sent <= 3 * p.bytes_received,
+                "sent {} > 3x received {}",
+                p.bytes_sent,
+                p.bytes_received
+            );
+        }
+    });
+}
+
 #[test]
 fn nat_rebind_without_notification_revalidates() {
     // NAT rebind: the client keeps sending, oblivious; the simulator
     // just delivers its packets on a new path id. The server must
     // notice, probe, and carry on.
-    let (mut c, mut s) = migration_pair();
+    let (mut c, mut s) = migration_pair(2);
     run_handshake(&mut c, &mut s, SimDuration::ZERO);
     let now = at(500);
     c.send_stream_data(stream_id::CLIENT_BIDI_0, b"hello after rebind", true);

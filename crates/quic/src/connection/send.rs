@@ -495,7 +495,6 @@ impl Connection {
         let handshake = self.cfg.handshake_ack_delay_report.filter(|_| idx == 1);
         let largest = self.space(idx).and_then(|sp| sp.recv.largest_recv_time);
         match handshake.unwrap_or(self.cfg.ack_delay_report) {
-            AckDelayReport::Zero => 0,
             AckDelayReport::Fixed(d) => d.as_micros(),
             AckDelayReport::Actual => largest.map_or(0, |t| now.saturating_since(t).as_micros()),
         }

@@ -4,10 +4,10 @@ use rq_testkit::prop::cases;
 use rq_tls::{initial_keys, seal_tag, verify_tag, KeySide};
 use rq_wire::{AckFrame, PacketType, MIN_INITIAL_DATAGRAM};
 
-use super::path::PATH_CHALLENGE_MAX_RETRIES;
+use super::path::{PathState, PATH_CHALLENGE_MAX_RETRIES};
 use super::send::pad_client_initial;
 use super::*;
-use crate::config::ProbePolicy;
+use crate::config::{AckDelayReport, ProbePolicy};
 use crate::streams::id as stream_id;
 
 fn ms(v: u64) -> SimDuration {
@@ -389,7 +389,10 @@ fn pto_probe_policy_retransmit_client_hello() {
     // The probe datagram must carry CRYPTO (the ClientHello), like the
     // first flight, not merely a PING.
     let info = rq_wire::classify_datagram(&probe, 8).unwrap();
-    assert!(info.crypto_bytes_in(PacketNumberSpace::Initial) > 0);
+    assert!(info
+        .packets
+        .iter()
+        .any(|p| p.space == PacketNumberSpace::Initial && p.crypto_bytes > 0));
     let _ = first;
 }
 
@@ -892,7 +895,7 @@ fn confirmation_drops_the_handshake_state_on_both_sides() {
 #[test]
 fn handshake_space_ack_leaves_before_the_state_goes() {
     let mut cfg = EndpointConfig::rfc_default();
-    cfg.send_handshake_space_acks = true;
+    cfg.handshake_ack_delay_report = Some(AckDelayReport::Actual);
     let mut c = client();
     let mut s = Connection::server(cfg, 2, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
     run_handshake(&mut c, &mut s, ms(20));
@@ -934,19 +937,27 @@ fn retry_handshake_confirms_and_forgets() {
     run_handshake(&mut c, &mut s, ms(20));
     assert!(c.is_established() && s.is_established());
     assert_confirmed_iff_forgotten(&c, &s, true);
-    // The client restarted its Initial space once, on the Retry: its
-    // first ClientHello went out twice as packet 0.
-    let initial_zero = |d: &EventData| {
-        matches!(
-            d,
+    // The client restarted its Initial space once, on the Retry, and sent
+    // its ClientHello again; its packet numbers carried on (RFC 9000
+    // §17.2.5.3): packet 0 went out once, and the numbers only grow.
+    let initial: Vec<(u64, bool)> = c
+        .log
+        .events
+        .iter()
+        .filter_map(|e| match &e.data {
             EventData::PacketSent {
                 space: SpaceName::Initial,
-                pn: 0,
+                pn,
+                frames,
                 ..
-            }
-        )
-    };
-    assert_eq!(c.log.count(initial_zero), 2);
+            } => Some((*pn, frames.iter().any(|f| f.name == "crypto"))),
+            _ => None,
+        })
+        .collect();
+    let hellos = initial.iter().filter(|(_, crypto)| *crypto).count();
+    assert_eq!(hellos, 2, "{initial:?}");
+    assert_eq!(initial.iter().filter(|(pn, _)| *pn == 0).count(), 1);
+    assert!(initial.windows(2).all(|w| w[0].0 < w[1].0), "{initial:?}");
 }
 
 include!("path/tests.rs");

@@ -296,11 +296,14 @@ impl Space {
         self.sent.discard()
     }
 
-    /// Restarts the space after a Retry: packet numbers, tracking,
-    /// receive state and the crypto stream start over; the keys stay.
+    /// Restarts the space after a Retry: tracking, receive state and the
+    /// crypto stream start over (RFC 9002 §6.3); the keys stay, and so do
+    /// the packet numbers, which a client must not reset (RFC 9000
+    /// §17.2.5.3).
     pub fn reset(&mut self) {
         *self = Space {
             keys: self.keys.take(),
+            next_pn: self.next_pn,
             ..Space::default()
         };
     }
@@ -580,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_restarts_numbers_and_tracking_but_keeps_keys() {
+    fn reset_restarts_tracking_but_keeps_numbers_and_keys() {
         let keys = initial_keys(&[2; 8]);
         let mut s = Space {
             keys: Some(keys.clone()),
@@ -593,7 +596,7 @@ mod tests {
         s.pending_pings = 1;
         s.reset();
         assert_eq!(s.keys, Some(keys));
-        assert_eq!(s.alloc_pn(), 0, "packet numbers start over");
+        assert_eq!(s.alloc_pn(), 1, "packet numbers carry on");
         assert_eq!(s.sent().tracked(), 0);
         assert_eq!(s.recv.largest(), None);
         assert!(!s.has_data_to_send() && !s.is_discarded());

@@ -11,10 +11,7 @@
 //! counters included, so the untouched datagrams still complete the
 //! handshake and the hostile ones changed nothing.
 
-use rq_quic::{
-    derived_cid, ConnEvent, ConnStats, Connection, EndpointConfig, ServerAckMode,
-    CID_KIND_ORIGINAL_DCID,
-};
+use rq_quic::{ConnEvent, ConnStats, Connection, EndpointConfig, ServerAckMode};
 use rq_sim::{SimRng, SimTime};
 use rq_wire::{Bytes, PlainPacket, AEAD_TAG_LEN};
 
@@ -32,7 +29,7 @@ fn handshake(
     let mut cfg = EndpointConfig::rfc_default();
     let mut c = Connection::client(cfg.clone(), 1, false);
     cfg.ack_mode = mode;
-    let mut s = Connection::server(cfg, 2, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
+    let mut s = Connection::server(cfg, 2, c.original_dcid());
     let mut now = SimTime::ZERO;
     let mut log = Vec::new();
     for _ in 0..100 {

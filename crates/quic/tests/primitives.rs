@@ -6,7 +6,7 @@
 use rq_quic::bytestream::SendBuf;
 use rq_quic::space::{CryptoStream, RecvState};
 use rq_quic::streams::RecvStream;
-use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, PACKET_THRESHOLD};
+use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker};
 use rq_sim::{SimDuration, SimTime};
 use rq_testkit::prop::cases;
 use rq_wire::{AckFrame, Bytes};
@@ -14,6 +14,9 @@ use rq_wire::{AckFrame, Bytes};
 fn at_us(us: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_micros(us)
 }
+
+/// RFC 9002 §6.1.1's `kPacketThreshold`.
+const K_PACKET_THRESHOLD: u64 = 3;
 
 /// The sender the range-walking `SentTracker` must agree with: a flat
 /// list of sent packets, an ACK expanded to every packet number it
@@ -26,7 +29,7 @@ struct ExpandingTracker {
 
 impl ExpandingTracker {
     fn on_ack(&mut self, frame: &AckFrame, now: SimTime, rtt: &RttEstimator) -> AckOutcome {
-        let acked: Vec<u64> = frame.iter_acked().collect();
+        let acked: Vec<u64> = frame.acked_ranges().flat_map(Iterator::rev).collect();
         let mut out = AckOutcome::default();
         let (newly_acked, rest) = std::mem::take(&mut self.sent)
             .into_iter()
@@ -44,7 +47,7 @@ impl ExpandingTracker {
         self.largest_acked = Some(largest);
         let (lost, rest) = std::mem::take(&mut self.sent).into_iter().partition(|p| {
             p.pn <= largest
-                && (largest >= p.pn + PACKET_THRESHOLD || now >= p.time_sent + rtt.loss_delay())
+                && (largest >= p.pn + K_PACKET_THRESHOLD || now >= p.time_sent + rtt.loss_delay())
         });
         (out.lost, self.sent) = (lost, rest);
         out

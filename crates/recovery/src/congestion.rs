@@ -29,7 +29,7 @@ pub const MAX_DATAGRAM: usize = 1200;
 /// Initial window: min(10 * max_datagram, max(2 * max_datagram, 14720)).
 pub const INITIAL_WINDOW: usize = 12_000;
 /// Minimum congestion window (2 datagrams).
-pub const MIN_WINDOW: usize = 2 * MAX_DATAGRAM;
+const MIN_WINDOW: usize = 2 * MAX_DATAGRAM;
 /// Loss-reduction factor (halving).
 const LOSS_REDUCTION: f64 = 0.5;
 /// Persistent-congestion threshold multiplier.

@@ -19,5 +19,5 @@ pub mod seqmap;
 pub use congestion::{persistent_congestion_duration, CcAlgorithm, CcState, CongestionController};
 pub use pto::{PtoState, RFC_DEFAULT_PTO};
 pub use rtt::{RttEstimator, RttVariant, GRANULARITY};
-pub use sent::{AckOutcome, SentPacket, SentTracker, FLIGHT, PACKET_THRESHOLD};
+pub use sent::{AckOutcome, SentPacket, SentTracker, FLIGHT};
 pub use seqmap::SeqMap;

@@ -9,7 +9,7 @@ use crate::rtt::RttEstimator;
 use crate::seqmap::SeqMap;
 
 /// Packet-reordering threshold, `kPacketThreshold` (RFC 9002 §6.1.1).
-pub const PACKET_THRESHOLD: u64 = 3;
+const PACKET_THRESHOLD: u64 = 3;
 
 /// Metadata retained for each sent packet until it is acked or lost.
 #[derive(Debug, Clone, PartialEq)]

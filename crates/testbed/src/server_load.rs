@@ -162,7 +162,7 @@ impl ServerLoadSpec {
 
     /// Arrival times in virtual time: a pure function of `base.seed`
     /// (first arrival pinned to t = 0; non-decreasing).
-    pub fn arrival_times(&self) -> Vec<SimTime> {
+    fn arrival_times(&self) -> Vec<SimTime> {
         let mut rng = SimRng::derive(self.base.seed, &[ARRIVAL_STREAM]);
         let mut times = Vec::with_capacity(self.arrivals);
         match self.process {

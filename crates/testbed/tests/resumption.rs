@@ -201,11 +201,7 @@ fn retry_composes_with_zero_rtt_resumption() {
     // Prime a ticket through a plain full handshake (no Retry needed).
     let ticket = {
         let mut c = Connection::client(EndpointConfig::rfc_default(), 1, false);
-        let mut s = Connection::server(
-            server_cfg(),
-            2,
-            rq_quic::derived_cid(1, rq_quic::CID_KIND_ORIGINAL_DCID, 0),
-        );
+        let mut s = Connection::server(server_cfg(), 2, c.original_dcid());
         let mut now = SimTime::ZERO;
         let mut ticket = None;
         for _ in 0..400 {
@@ -262,11 +258,7 @@ fn retry_composes_with_zero_rtt_resumption() {
     cfg.enable_early_data = true;
     let mut c = Connection::client(cfg, 1, false);
     c.send_stream_data(stream_id::CLIENT_BIDI_0, REQUEST, true);
-    let mut s = Connection::server(
-        server_cfg(),
-        3,
-        rq_quic::derived_cid(1, rq_quic::CID_KIND_ORIGINAL_DCID, 0),
-    );
+    let mut s = Connection::server(server_cfg(), 3, c.original_dcid());
     s.use_retry = true;
 
     let mut to_server = Vec::new();

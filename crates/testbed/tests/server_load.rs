@@ -437,8 +437,11 @@ fn arrival_schedule_is_a_pure_function_of_the_seed() {
         } else {
             poisson(2)
         };
-        let a = ServerLoadSpec::new(base(IACK, seed), arrivals, process).arrival_times();
-        let b = ServerLoadSpec::new(base(IACK, seed), arrivals, process).arrival_times();
+        let arrival_times = || -> Vec<_> {
+            let spec = ServerLoadSpec::new(base(IACK, seed), arrivals, process);
+            spec.plans().iter().map(|p| p.arrival).collect()
+        };
+        let (a, b) = (arrival_times(), arrival_times());
         assert_eq!(&a, &b);
         assert_eq!(a.len(), arrivals);
         assert_eq!(a[0], rq_sim::SimTime::ZERO);

@@ -17,7 +17,7 @@
 //!    unwired.
 
 use rq_qlog::EventData;
-use rq_recovery::congestion::MIN_WINDOW;
+use rq_recovery::congestion::MAX_DATAGRAM;
 use rq_recovery::{CcAlgorithm, RttEstimator};
 use rq_sim::{SimDuration, SimRng, SimTime};
 use rq_testbed::{
@@ -90,8 +90,9 @@ fn drive(algo: CcAlgorithm, seed: u64, steps: usize) -> Vec<usize> {
             expected,
             "{algo:?} bytes_in_flight diverged from the outstanding set"
         );
+        // RFC 9002 §7.2: the minimum window is two maximum datagrams.
         assert!(
-            cc.cwnd() >= MIN_WINDOW,
+            cc.cwnd() >= 2 * MAX_DATAGRAM,
             "{algo:?} cwnd {} fell below the minimum window",
             cc.cwnd()
         );

@@ -53,30 +53,6 @@ impl Cdn {
             Cdn::Others => "Others",
         }
     }
-
-    /// Origin AS numbers used for on-net inference (paper Table 5).
-    pub fn as_numbers(self) -> &'static [u32] {
-        match self {
-            Cdn::Akamai => &[16625, 20940],
-            Cdn::Amazon => &[14618, 16509],
-            Cdn::Cloudflare => &[13335, 209242],
-            Cdn::Fastly => &[54113],
-            Cdn::Google => &[15169, 396982],
-            Cdn::Meta => &[32934],
-            Cdn::Microsoft => &[8075],
-            Cdn::Others => &[],
-        }
-    }
-
-    /// Maps an AS number back to a CDN (the paper's Appendix G mapping).
-    pub fn from_asn(asn: u32) -> Cdn {
-        for cdn in Cdn::ALL {
-            if cdn.as_numbers().contains(&asn) {
-                return cdn;
-            }
-        }
-        Cdn::Others
-    }
 }
 
 /// Behavioural calibration for one CDN.
@@ -293,6 +269,32 @@ pub fn profile_of(cdn: Cdn) -> &'static CdnProfile {
 mod tests {
     use super::*;
 
+    impl Cdn {
+        /// Origin AS numbers used for on-net inference (paper Table 5).
+        fn as_numbers(self) -> &'static [u32] {
+            match self {
+                Cdn::Akamai => &[16625, 20940],
+                Cdn::Amazon => &[14618, 16509],
+                Cdn::Cloudflare => &[13335, 209242],
+                Cdn::Fastly => &[54113],
+                Cdn::Google => &[15169, 396982],
+                Cdn::Meta => &[32934],
+                Cdn::Microsoft => &[8075],
+                Cdn::Others => &[],
+            }
+        }
+
+        /// Maps an AS number back to a CDN (the paper's Appendix G mapping).
+        fn from_asn(asn: u32) -> Cdn {
+            for cdn in Cdn::ALL {
+                if cdn.as_numbers().contains(&asn) {
+                    return cdn;
+                }
+            }
+            Cdn::Others
+        }
+    }
+
     #[test]
     fn asn_mapping_matches_table5() {
         assert_eq!(Cdn::from_asn(13335), Cdn::Cloudflare);
@@ -304,6 +306,15 @@ mod tests {
         assert_eq!(Cdn::from_asn(32934), Cdn::Meta);
         assert_eq!(Cdn::from_asn(8075), Cdn::Microsoft);
         assert_eq!(Cdn::from_asn(64512), Cdn::Others);
+    }
+
+    #[test]
+    fn asn_inference_round_trips_for_every_cdn() {
+        for cdn in Cdn::ALL {
+            for &asn in cdn.as_numbers() {
+                assert_eq!(Cdn::from_asn(asn), cdn);
+            }
+        }
     }
 
     #[test]

@@ -92,20 +92,6 @@ pub struct DatagramInfo {
 }
 
 impl DatagramInfo {
-    /// True if any contained packet is in `space`.
-    pub fn has_space(&self, space: PacketNumberSpace) -> bool {
-        self.packets.iter().any(|p| p.space == space)
-    }
-
-    /// Total CRYPTO bytes in `space` within this datagram.
-    pub fn crypto_bytes_in(&self, space: PacketNumberSpace) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.space == space)
-            .map(|p| p.crypto_bytes)
-            .sum()
-    }
-
     /// Total STREAM (application payload) bytes in this datagram.
     pub fn stream_bytes(&self) -> usize {
         self.packets.iter().map(|p| p.stream_bytes).sum()
@@ -225,7 +211,7 @@ mod tests {
         assert_eq!(info.packets[0].ty, PacketType::Initial);
         assert!(info.packets[0].ack_only);
         assert!(!info.ack_eliciting());
-        assert_eq!(info.crypto_bytes_in(PacketNumberSpace::Initial), 0);
+        assert_eq!(info.packets[0].crypto_bytes, 0);
     }
 
     #[test]
@@ -238,8 +224,19 @@ mod tests {
         ]);
         let info = classify_datagram(&dgram, 8).unwrap();
         assert_eq!(info.packets.len(), 3);
-        assert_eq!(info.crypto_bytes_in(PacketNumberSpace::Initial), 90);
-        assert_eq!(info.crypto_bytes_in(PacketNumberSpace::Handshake), 700);
+        let crypto: Vec<_> = info
+            .packets
+            .iter()
+            .map(|p| (p.space, p.crypto_bytes))
+            .collect();
+        assert_eq!(
+            crypto,
+            [
+                (PacketNumberSpace::Initial, 90),
+                (PacketNumberSpace::Handshake, 700),
+                (PacketNumberSpace::Application, 0),
+            ]
+        );
         assert_eq!(info.stream_bytes(), 200);
         assert!(info.ack_eliciting());
     }

@@ -104,11 +104,6 @@ impl AckFrame {
         }))
     }
 
-    /// Iterates over all acknowledged packet numbers, highest first.
-    pub fn iter_acked(&self) -> impl Iterator<Item = u64> + '_ {
-        self.acked_ranges().flat_map(Iterator::rev)
-    }
-
     /// True if `pn` is acknowledged by this frame.
     pub fn acks(&self, pn: u64) -> bool {
         self.acked_ranges().any(|r| r.contains(&pn))
@@ -760,7 +755,7 @@ mod tests {
             Some(&ack)
         );
         assert_eq!(AckFrame::from_ranges_desc([], 0), None);
-        let acked: Vec<u64> = ack.iter_acked().collect();
+        let acked: Vec<u64> = ack.acked_ranges().flat_map(Iterator::rev).collect();
         assert_eq!(acked, vec![20, 19, 18, 10, 9, 3]);
         let f = Frame::Ack(ack);
         assert_eq!(roundtrip(f.clone()), f);

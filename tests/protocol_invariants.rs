@@ -1,12 +1,16 @@
 //! Property-based and invariant tests across the protocol stack: whatever
 //! the scenario parameters, certain protocol rules must always hold.
 
+use std::collections::HashMap;
+
 use reacked_quicer::prelude::*;
 use reacked_quicer::qlog::{EventData, EventLog, SpaceName};
+use reacked_quicer::quic::MAX_DATAGRAM_SIZE;
 use reacked_quicer::recovery::CcAlgorithm;
-use reacked_quicer::sim::SimRng;
+use reacked_quicer::sim::{CaptureRecord, SimRng};
 use reacked_quicer::testbed::{run_scenario_with_trace, HandshakeClass};
 use reacked_quicer::tls::{CERT_LARGE, CERT_SMALL};
+use reacked_quicer::wire::{classify_datagram, PacketNumberSpace};
 use rq_testkit::prop::cases;
 
 fn ms(n: u64) -> SimDuration {
@@ -84,6 +88,7 @@ fn assert_handshake_lifecycle(log: &EventLog, label: &str) {
 /// quirk — the state machines never wedge silently.
 #[test]
 fn every_scenario_terminates() {
+    let mut oversize = 0;
     cases(24, |rng| {
         let sc = scenario(rng);
         let (res, trace) = run_scenario_with_trace(&sc);
@@ -117,53 +122,74 @@ fn every_scenario_terminates() {
         let qlog_lost = (res.client_packets_lost, res.server_packets_lost);
         assert_eq!(lost, qlog_lost, "{}", res.label);
 
-        // Anti-amplification: before the client's second flight arrives,
-        // the server never sends more than 3x what it received. Checked
-        // globally per-datagram through the trace: cumulative server bytes
-        // at any instant <= 3x cumulative client bytes delivered by then.
-        let mut sent_by_client: u64 = 0;
-        let mut sent_by_server: u64 = 0;
-        let mut validated = false;
-        for d in &trace.datagrams {
-            if d.from.index() == 1 {
-                sent_by_client += d.size as u64;
-                // A client datagram carrying a Handshake packet validates
-                // the address (stop checking afterwards).
-                if let Some(p) = &d.payload {
-                    if let Ok(info) = reacked_quicer::wire::classify_datagram(p, 8) {
-                        if info.has_space(reacked_quicer::wire::PacketNumberSpace::Handshake) {
-                            validated = true;
-                        }
-                    }
-                }
-            } else {
-                sent_by_server += d.size as u64;
-                if !validated {
-                    assert!(
-                        sent_by_server <= 3 * sent_by_client,
-                        "{}: server sent {sent_by_server} > 3x{sent_by_client}",
-                        res.label
-                    );
-                }
-            }
-        }
-
-        // All client datagrams containing Initial packets are >= 1200 B.
-        for d in trace.datagrams.iter().filter(|d| d.from.index() == 1) {
-            if let Some(p) = &d.payload {
-                if let Ok(info) = reacked_quicer::wire::classify_datagram(p, 8) {
-                    if info.has_space(reacked_quicer::wire::PacketNumberSpace::Initial) {
-                        assert!(
-                            d.size >= 1200,
-                            "{}: client Initial datagram only {} B",
-                            res.label,
-                            d.size
-                        );
-                    }
-                }
-            }
-        }
+        oversize += observe_wire(&trace.datagrams, &res.label);
     });
+    println!("every_scenario_terminates: {oversize} client datagrams of 1,201 B (ROADMAP 14(a))");
+}
+
+/// The wire observer: one pass over a run's capture, in send order,
+/// decoding every datagram. It checks
+/// - anti-amplification: until a client datagram carries a Handshake
+///   packet, the server has sent at most 3x what the client sent by then;
+/// - every client datagram with an Initial packet is at least 1,200 B;
+/// - each sender's packet numbers strictly increase within each packet
+///   number space (RFC 9000 §12.3), the fabricated duplicate copies
+///   aside;
+/// - no datagram exceeds `MAX_DATAGRAM_SIZE`, but for client datagrams
+///   of exactly one byte more (ROADMAP 14(a)), whose number it returns.
+fn observe_wire(datagrams: &[CaptureRecord], label: &str) -> usize {
+    let mut sent_by_client: u64 = 0;
+    let mut sent_by_server: u64 = 0;
+    let mut validated = false;
+    let mut largest_pn: HashMap<(usize, PacketNumberSpace), u64> = HashMap::new();
+    let mut oversize = 0;
+    for d in datagrams {
+        let from_client = d.from.index() == 1;
+        let payload = d.payload.as_deref().expect("payloads are captured");
+        let info = classify_datagram(payload, 8)
+            .unwrap_or_else(|e| panic!("{label}: datagram {} does not decode: {e:?}", d.index));
+        let has = |space| info.packets.iter().any(|p| p.space == space);
+        if from_client {
+            sent_by_client += d.size as u64;
+            validated |= has(PacketNumberSpace::Handshake);
+            if has(PacketNumberSpace::Initial) {
+                assert!(
+                    d.size >= 1200,
+                    "{label}: client Initial datagram only {} B",
+                    d.size
+                );
+            }
+        } else {
+            sent_by_server += d.size as u64;
+            assert!(
+                validated || sent_by_server <= 3 * sent_by_client,
+                "{label}: server sent {sent_by_server} > 3x{sent_by_client}"
+            );
+        }
+        if d.duplicate {
+            continue;
+        }
+        for p in &info.packets {
+            let previous = largest_pn.insert((d.from.index(), p.space), p.pn);
+            assert!(
+                previous < Some(p.pn),
+                "{label}: node {} sent {:?} pn {} after pn {previous:?}",
+                d.from.index(),
+                p.space,
+                p.pn
+            );
+        }
+        if d.size > MAX_DATAGRAM_SIZE {
+            assert!(
+                from_client && d.size == MAX_DATAGRAM_SIZE + 1,
+                "{label}: {} B datagram from node {}",
+                d.size,
+                d.from.index()
+            );
+            oversize += 1;
+        }
+    }
+    oversize
 }
 
 /// Packet numbers are strictly monotonic per space in each endpoint's

@@ -158,14 +158,3 @@ fn longitudinal_diurnal_gap_and_median() {
     let night = gap(&|m| !(5..23).contains(&((m / 60) % 24)));
     assert!(day > night, "day {day} vs night {night}");
 }
-
-#[test]
-fn asn_inference_round_trips_via_population() {
-    let pop = Population::synthesize(5_000, &mut SimRng::new(5));
-    for domain in pop.domains.iter().filter(|d| d.cdn.is_some()) {
-        let cdn = domain.cdn.unwrap();
-        for asn in cdn.as_numbers() {
-            assert_eq!(Cdn::from_asn(*asn), cdn);
-        }
-    }
-}
