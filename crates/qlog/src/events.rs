@@ -48,7 +48,8 @@ pub enum EventData {
         size: usize,
         /// Whether the packet elicits an ACK.
         ack_eliciting: bool,
-        /// Frames carried.
+        /// Frames carried. The stack logs none: a packet's frames are read
+        /// from the wire capture, decoded by `rq_wire::classify_datagram`.
         frames: Vec<FrameSummary>,
     },
     /// transport:packet_received
@@ -61,7 +62,8 @@ pub enum EventData {
         size: usize,
         /// Whether the packet elicits an ACK.
         ack_eliciting: bool,
-        /// Frames carried.
+        /// Frames carried. The stack logs none: a packet's frames are read
+        /// from the wire capture, decoded by `rq_wire::classify_datagram`.
         frames: Vec<FrameSummary>,
     },
     /// recovery:packet_lost

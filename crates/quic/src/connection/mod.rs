@@ -35,13 +35,13 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes};
-use rq_qlog::{EventData, EventLog, FrameSummary, SpaceName};
+use rq_qlog::{EventData, EventLog, SpaceName};
 use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator, RttVariant};
 use rq_sim::{SimRng, SimTime};
 use rq_tls::{
     ClientConfig as TlsClientConfig, Level, ServerConfig as TlsServerConfig, TlsEvent, TlsSession,
 };
-use rq_wire::{ConnectionId, Frame, Header, PacketNumberSpace, PlainPacket};
+use rq_wire::{ConnectionId, Header, PacketNumberSpace, PlainPacket};
 
 use crate::config::{
     EndpointConfig, ServerAckMode, INITIAL_MAX_DATA, INITIAL_MAX_STREAM_DATA, MAX_ACK_DELAY,
@@ -711,14 +711,6 @@ fn space_name(space: PacketNumberSpace) -> SpaceName {
 
 /// The TLS level of each packet number space, by space index.
 const LEVELS: [Level; 3] = [Level::Initial, Level::Handshake, Level::Application];
-
-fn summaries(frames: &[Frame]) -> Vec<FrameSummary> {
-    let summary = |f: &Frame| FrameSummary {
-        name: f.name(),
-        len: f.data_len(),
-    };
-    frames.iter().map(summary).collect()
-}
 
 #[cfg(test)]
 mod tests;

@@ -9,9 +9,9 @@ use rq_tls::{verify_tag, KeySide};
 use rq_wire::{AckFrame, Frame, PacketNumberSpace, PacketType, PlainPacket};
 
 use super::{
-    retry_token_for, space_in, space_name, stateless_retry_datagram, summaries, ConnEvent,
-    Connection, Handshake, Role, ERROR_SERVER_BUSY, ERROR_STATELESS_RESET, LEVELS,
-    SERVER_BUSY_PREFIX, STATELESS_RESET_PREFIX,
+    retry_token_for, space_in, space_name, stateless_retry_datagram, ConnEvent, Connection,
+    Handshake, Role, ERROR_SERVER_BUSY, ERROR_STATELESS_RESET, LEVELS, SERVER_BUSY_PREFIX,
+    STATELESS_RESET_PREFIX,
 };
 use crate::config::MAX_ACK_DELAY;
 use crate::space::Space;
@@ -190,7 +190,7 @@ impl Connection {
             pn: pkt.header.pn,
             size,
             ack_eliciting,
-            frames: summaries(&pkt.frames),
+            frames: Vec::new(),
         });
 
         // Server: learn the client's SCID; client: learn the server's SCID.
@@ -360,13 +360,11 @@ impl Connection {
         // after an outage is sent later than the whole lost span and must
         // not veto it (§7.6.2 only bars acked sends *inside* the span).
         let prev_largest_acked = self.largest_acked_sent_time;
-        let mut acked_in_frame: Vec<SimTime> = Vec::new();
-        for p in &outcome.newly_acked {
+        for p in outcome.newly_acked.iter() {
             if p.in_flight {
                 self.cc.on_ack(p.size, p.time_sent, now, &self.rtt);
             }
             if p.ack_eliciting {
-                acked_in_frame.push(p.time_sent);
                 self.largest_acked_sent_time = Some(
                     self.largest_acked_sent_time
                         .map_or(p.time_sent, |t| t.max(p.time_sent)),
@@ -377,7 +375,7 @@ impl Connection {
             now,
             space,
             &outcome.lost,
-            &acked_in_frame,
+            &outcome.newly_acked,
             prev_largest_acked,
         );
         self.log_cc_state(now);
@@ -431,16 +429,16 @@ impl Connection {
     /// multi-packet burst cannot be mis-split across recovery-episode
     /// boundaries.
     ///
-    /// `acked_in_frame` / `prev_largest_acked` carry the acknowledgment
-    /// context persistent-congestion detection needs: the send times
-    /// newly acked by the frame that declared these losses, and the
-    /// largest acked ack-eliciting send time from *before* that frame.
+    /// `acked` / `prev_largest_acked` carry the acknowledgment context
+    /// persistent-congestion detection needs: the packets newly acked by
+    /// the frame that declared these losses, and the largest acked
+    /// ack-eliciting send time from *before* that frame.
     pub(super) fn on_packets_lost(
         &mut self,
         now: SimTime,
         space: PacketNumberSpace,
         lost: &[SentPacket],
-        acked_in_frame: &[SimTime],
+        acked: &[SentPacket],
         prev_largest_acked: Option<SimTime>,
     ) {
         if lost.is_empty() {
@@ -464,7 +462,7 @@ impl Connection {
         }
         if let Some(latest) = latest_sent {
             self.cc.on_loss(&sizes, latest, now);
-            self.detect_persistent_congestion(now, lost, acked_in_frame, prev_largest_acked);
+            self.detect_persistent_congestion(now, lost, acked, prev_largest_acked);
         }
     }
 
@@ -477,7 +475,7 @@ impl Connection {
         &mut self,
         now: SimTime,
         lost: &[SentPacket],
-        acked_in_frame: &[SimTime],
+        acked: &[SentPacket],
         prev_largest_acked: Option<SimTime>,
     ) {
         // §7.6.2: requires an RTT sample; the pre-sample period is exempt.
@@ -496,12 +494,18 @@ impl Connection {
         }
         times.sort_unstable();
         // Walk the lost sends in order, restarting the candidate span
-        // whenever an ack from the declaring frame falls inside it.
+        // whenever an ack-eliciting send the declaring frame acked falls
+        // inside it.
+        let acked_inside = |prev: SimTime, t: SimTime| {
+            acked
+                .iter()
+                .any(|a| a.ack_eliciting && prev < a.time_sent && a.time_sent < t)
+        };
         let mut start = times[0];
         let mut prev = times[0];
         let mut established = false;
         for &t in &times[1..] {
-            if acked_in_frame.iter().any(|&a| prev < a && a < t) {
+            if acked_inside(prev, t) {
                 start = t;
             }
             prev = t;

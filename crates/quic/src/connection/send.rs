@@ -11,7 +11,7 @@ use rq_wire::{
     Frame, FrameList, Header, PacketNumberSpace, PacketType, PlainPacket, MIN_INITIAL_DATAGRAM,
 };
 
-use super::{space_in, space_name, summaries, CloseState, Connection, Role, MAX_DATAGRAM_SIZE};
+use super::{space_in, space_name, CloseState, Connection, Role, MAX_DATAGRAM_SIZE};
 use crate::config::{AckDelayReport, ACK_ELICITING_THRESHOLD};
 use crate::space::Space;
 
@@ -376,7 +376,7 @@ impl Connection {
             pn: pkt.header.pn,
             size,
             ack_eliciting,
-            frames: summaries(&pkt.frames),
+            frames: Vec::new(),
         });
         let sent = SentPacket {
             pn: pkt.header.pn,

@@ -2,7 +2,7 @@ use bytes::Bytes;
 use rq_sim::SimDuration;
 use rq_testkit::prop::cases;
 use rq_tls::{initial_keys, seal_tag, verify_tag, KeySide};
-use rq_wire::{AckFrame, PacketType, MIN_INITIAL_DATAGRAM};
+use rq_wire::{AckFrame, Frame, PacketSummary, PacketType, MIN_INITIAL_DATAGRAM};
 
 use super::path::{PathState, PATH_CHALLENGE_MAX_RETRIES};
 use super::send::pad_client_initial;
@@ -34,6 +34,17 @@ fn run_handshake(
     server: &mut Connection,
     cert_delay: SimDuration,
 ) -> Vec<(SimTime, &'static str)> {
+    run_handshake_recording(client, server, cert_delay, &mut Vec::new())
+}
+
+/// [`run_handshake`], appending each datagram to `wire` with the role
+/// of its sender, in send order.
+fn run_handshake_recording(
+    client: &mut Connection,
+    server: &mut Connection,
+    cert_delay: SimDuration,
+    wire: &mut Vec<(Role, Bytes)>,
+) -> Vec<(SimTime, &'static str)> {
     let mut timeline = Vec::new();
     let mut now = SimTime::ZERO;
     let mut cert_at: Option<SimTime> = None;
@@ -43,6 +54,7 @@ fn run_handshake(
             let mut progress = false;
             while let Some(d) = client.poll_transmit(now) {
                 server.handle_datagram(now, &d);
+                wire.push((Role::Client, d));
                 progress = true;
             }
             while let Some(ev) = server.poll_event() {
@@ -62,6 +74,7 @@ fn run_handshake(
             }
             while let Some(d) = server.poll_transmit(now) {
                 client.handle_datagram(now, &d);
+                wire.push((Role::Server, d));
                 progress = true;
             }
             while let Some(ev) = client.poll_event() {
@@ -898,16 +911,19 @@ fn handshake_space_ack_leaves_before_the_state_goes() {
     cfg.handshake_ack_delay_report = Some(AckDelayReport::Actual);
     let mut c = client();
     let mut s = Connection::server(cfg, 2, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
-    run_handshake(&mut c, &mut s, ms(20));
+    let mut wire = Vec::new();
+    run_handshake_recording(&mut c, &mut s, ms(20), &mut wire);
     assert_confirmed_iff_forgotten(&c, &s, true);
     // The server's last Handshake-space packet is the pure ACK of the
     // client Finished, sent at confirmation; the client reads it.
+    let server_sent = packets_on_wire(&wire, Role::Server);
+    let only_acks = |pn| sent_as(&server_sent, PacketNumberSpace::Handshake, pn).ack_only;
     let last_sent = s.log.events.iter().rev().find_map(|e| match &e.data {
         EventData::PacketSent {
             space: SpaceName::Handshake,
-            frames,
+            pn,
             ..
-        } => Some((e.time_ms, only_acks(frames))),
+        } => Some((e.time_ms, only_acks(*pn))),
         _ => None,
     });
     let confirmed_at = s.log.first(|d| *d == EventData::HandshakeConfirmed);
@@ -915,17 +931,26 @@ fn handshake_space_ack_leaves_before_the_state_goes() {
     let acks_read = c.log.count(|d| match d {
         EventData::PacketReceived {
             space: SpaceName::Handshake,
-            frames,
+            pn,
             ..
-        } => only_acks(frames),
+        } => only_acks(*pn),
         _ => false,
     });
     assert_eq!(acks_read, 1);
 }
 
-/// Whether a packet carried ACK frames and nothing else.
-fn only_acks(frames: &[FrameSummary]) -> bool {
-    frames.iter().all(|f| f.name == "ack")
+/// What `by` sent in `wire`, decoded packet by packet, in send order:
+/// the qlog records packet numbers, the wire what the packets carried.
+fn packets_on_wire(wire: &[(Role, Bytes)], by: Role) -> Vec<PacketSummary> {
+    let sent = wire.iter().filter(|(from, _)| *from == by);
+    let decode = |(_, d): &(Role, Bytes)| rq_wire::classify_datagram(d, 8).unwrap().packets;
+    sent.flat_map(decode).collect()
+}
+
+/// The packet numbered `pn` in `space` among `packets`.
+fn sent_as(packets: &[PacketSummary], space: PacketNumberSpace, pn: u64) -> &PacketSummary {
+    let found = packets.iter().find(|p| p.space == space && p.pn == pn);
+    found.unwrap_or_else(|| panic!("{space:?} packet {pn} is not on the wire"))
 }
 
 #[test]
@@ -934,12 +959,14 @@ fn retry_handshake_confirms_and_forgets() {
     let mut s = server(ServerAckMode::InstantAck { pad_to_mtu: false });
     s.use_retry = true;
     assert_confirmed_iff_forgotten(&c, &s, false);
-    run_handshake(&mut c, &mut s, ms(20));
+    let mut wire = Vec::new();
+    run_handshake_recording(&mut c, &mut s, ms(20), &mut wire);
     assert!(c.is_established() && s.is_established());
     assert_confirmed_iff_forgotten(&c, &s, true);
     // The client restarted its Initial space once, on the Retry, and sent
     // its ClientHello again; its packet numbers carried on (RFC 9000
     // §17.2.5.3): packet 0 went out once, and the numbers only grow.
+    let client_sent = packets_on_wire(&wire, Role::Client);
     let initial: Vec<(u64, bool)> = c
         .log
         .events
@@ -948,9 +975,11 @@ fn retry_handshake_confirms_and_forgets() {
             EventData::PacketSent {
                 space: SpaceName::Initial,
                 pn,
-                frames,
                 ..
-            } => Some((*pn, frames.iter().any(|f| f.name == "crypto"))),
+            } => {
+                let on_wire = sent_as(&client_sent, PacketNumberSpace::Initial, *pn);
+                Some((*pn, on_wire.crypto_bytes > 0))
+            }
             _ => None,
         })
         .collect();

@@ -224,7 +224,7 @@ impl Space {
         let outcome = self
             .sent
             .on_ack_ranges(ack.acked_ranges(), ack.largest, now, rtt);
-        for p in &outcome.newly_acked {
+        for p in outcome.newly_acked.iter() {
             drop(self.carried.take(p.pn));
         }
         self.requeue_carried(&outcome.lost);

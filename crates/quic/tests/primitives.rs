@@ -31,10 +31,10 @@ impl ExpandingTracker {
     fn on_ack(&mut self, frame: &AckFrame, now: SimTime, rtt: &RttEstimator) -> AckOutcome {
         let acked: Vec<u64> = frame.acked_ranges().flat_map(Iterator::rev).collect();
         let mut out = AckOutcome::default();
-        let (newly_acked, rest) = std::mem::take(&mut self.sent)
+        let (newly_acked, rest): (Vec<_>, _) = std::mem::take(&mut self.sent)
             .into_iter()
             .partition(|p| acked.contains(&p.pn));
-        (out.newly_acked, self.sent) = (newly_acked, rest);
+        (out.newly_acked, self.sent) = (newly_acked.into_iter().collect(), rest);
         let Some(newest) = out.newly_acked.last() else {
             return out;
         };

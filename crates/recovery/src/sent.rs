@@ -1,6 +1,6 @@
 //! Sent-packet tracking and ACK-driven loss detection (RFC 9002 §6.1).
 
-use std::ops::RangeInclusive;
+use std::ops::{Deref, DerefMut, RangeInclusive};
 
 use rq_sim::{SimDuration, SimTime};
 
@@ -29,11 +29,112 @@ pub struct SentPacket {
     pub retx_token: u64,
 }
 
+/// What an unused inline slot of [`Acked`] holds.
+const VACANT: SentPacket = SentPacket {
+    pn: 0,
+    time_sent: SimTime::ZERO,
+    ack_eliciting: false,
+    in_flight: false,
+    size: 0,
+    retx_token: 0,
+};
+
+/// The packets one ACK frame newly acknowledges, read as the
+/// `[SentPacket]` it derefs to. Of the ACK frames a handshake processes
+/// none newly acknowledges more than five packets, and a download's
+/// mostly two: the first [`Acked::INLINE`] live in the value itself and
+/// only a longer list (after loss, or a peer that acks rarely) moves to
+/// a `Vec`. The price is its size, 208 bytes where a `Vec` is 24.
+/// Equality sees the packets only, never where they are stored.
+#[derive(Debug)]
+pub struct Acked(AckedRepr);
+
+#[derive(Debug)]
+enum AckedRepr {
+    /// `slots[..len]` are the packets, the rest [`VACANT`].
+    Inline {
+        len: usize,
+        slots: [SentPacket; Acked::INLINE],
+    },
+    Heap(Vec<SentPacket>),
+}
+
+impl Acked {
+    /// Packets held without a heap allocation.
+    const INLINE: usize = 5;
+
+    /// Appends `packet`.
+    fn push(&mut self, packet: SentPacket) {
+        match &mut self.0 {
+            AckedRepr::Inline { len, slots } if *len < Self::INLINE => {
+                slots[*len] = packet;
+                *len += 1;
+            }
+            AckedRepr::Inline { slots, .. } => {
+                let mut spilled = Vec::with_capacity(2 * Self::INLINE);
+                spilled.extend(std::mem::replace(slots, [VACANT; Self::INLINE]));
+                spilled.push(packet);
+                self.0 = AckedRepr::Heap(spilled);
+            }
+            AckedRepr::Heap(packets) => packets.push(packet),
+        }
+    }
+}
+
+impl Default for Acked {
+    fn default() -> Self {
+        Acked(AckedRepr::Inline {
+            len: 0,
+            slots: [VACANT; Self::INLINE],
+        })
+    }
+}
+
+impl Deref for Acked {
+    type Target = [SentPacket];
+
+    fn deref(&self) -> &[SentPacket] {
+        match &self.0 {
+            AckedRepr::Inline { len, slots } => &slots[..*len],
+            AckedRepr::Heap(packets) => packets,
+        }
+    }
+}
+
+impl DerefMut for Acked {
+    fn deref_mut(&mut self) -> &mut [SentPacket] {
+        match &mut self.0 {
+            AckedRepr::Inline { len, slots } => &mut slots[..*len],
+            AckedRepr::Heap(packets) => packets,
+        }
+    }
+}
+
+impl PartialEq for Acked {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Extend<SentPacket> for Acked {
+    fn extend<I: IntoIterator<Item = SentPacket>>(&mut self, packets: I) {
+        packets.into_iter().for_each(|p| self.push(p));
+    }
+}
+
+impl FromIterator<SentPacket> for Acked {
+    fn from_iter<I: IntoIterator<Item = SentPacket>>(packets: I) -> Self {
+        let mut list = Acked::default();
+        list.extend(packets);
+        list
+    }
+}
+
 /// Result of processing one ACK frame.
 #[derive(Debug, Default, PartialEq)]
 pub struct AckOutcome {
     /// Packets newly acknowledged (ascending pn).
-    pub newly_acked: Vec<SentPacket>,
+    pub newly_acked: Acked,
     /// Packets declared lost by the packet threshold or time threshold.
     pub lost: Vec<SentPacket>,
     /// RTT sample, present iff the largest acked packet is newly acked and
@@ -226,6 +327,7 @@ impl SentTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq_testkit::prop::cases;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -370,5 +472,32 @@ mod tests {
         t.on_sent(pkt(0, 0, false));
         t.on_sent(pkt(1, 1, true));
         assert_eq!(t.oldest_ack_eliciting().unwrap().pn, 1);
+    }
+
+    /// Any number of pushes up to three times the inline capacity, on
+    /// both sides of the spill, reads, reverses and compares as the
+    /// `Vec<SentPacket>` it replaces.
+    #[test]
+    fn acked_behaves_as_the_vec_it_replaces() {
+        cases(256, |rng| {
+            let pushes = rng.gen_range(3 * Acked::INLINE as u64 + 1);
+            let (mut list, mut oracle) = (Acked::default(), Vec::new());
+            for i in 0..pushes {
+                let p = pkt(rng.next_u64() % 1000, i, rng.gen_bool(0.5));
+                list.push(p.clone());
+                oracle.push(p);
+                assert_eq!(&list[..], &oracle[..]);
+                let spilled = matches!(list.0, AckedRepr::Heap(_));
+                assert_eq!(spilled, oracle.len() > Acked::INLINE);
+            }
+            list.reverse();
+            oracle.reverse();
+            assert_eq!(&list[..], &oracle[..]);
+            assert_eq!(list.last(), oracle.last());
+            assert!(list == oracle.iter().cloned().collect());
+            let mut longer: Acked = list.iter().cloned().collect();
+            longer.push(pkt(1000, 0, true));
+            assert!(longer != list);
+        });
     }
 }

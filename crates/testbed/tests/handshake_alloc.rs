@@ -36,7 +36,10 @@ fn one_handshake_stays_under_its_ceiling() {
         assert!(result.completed);
         result
     });
-    // Measured 190 calls / 81,679 bytes, debug and release alike, with
+    // Measured 137 calls / 78,743 bytes, debug and release alike, once
+    // qlog packet events stopped listing their frames and an ACK frame's
+    // newly acked packets stopped going to the heap (190 / 80,879
+    // before). Earlier: 190 / 81,679 with
     // the client's status and ticket plain fields of its node (192 /
     // 81,967 with each a shared cell). Earlier: 190 / 82,127 before each
     // connection's handshake state was one box that confirmation drops;
@@ -48,10 +51,9 @@ fn one_handshake_stays_under_its_ceiling() {
     // heap list of frames per packet decoded, built and in flight (46 of
     // them); 264 / 110,391 before live connections stopped holding unread
     // qlogs; 333 / 154,200 before a datagram was one buffer; 585 calls
-    // before that. The call ceiling leaves 2 %; the byte ceiling is the
-    // one set at 83,167 bytes.
-    assert!(calls <= 193, "{calls} allocations for one handshake");
-    assert!(bytes <= 84_800, "{bytes} bytes requested for one handshake");
+    // before that. Both ceilings leave 2 %.
+    assert!(calls <= 139, "{calls} allocations for one handshake");
+    assert!(bytes <= 80_300, "{bytes} bytes requested for one handshake");
 }
 
 #[test]
@@ -64,23 +66,36 @@ fn one_download_requests_three_and_a_half_times_what_it_delivers() {
         cc: CcAlgorithm::Cubic,
         ..Scenario::base(client, iack, HttpVersion::H3)
     };
-    let (_, bytes) = requested_by(|| {
+    let mut datagrams = 0;
+    let (calls, bytes) = requested_by(|| {
         let result = run_scenario(&sc);
         assert!(result.completed);
+        datagrams = result.client_datagrams + result.server_datagrams;
         result
     });
-    // Per delivered KiB, measured at the end of PR 24, debug and release
-    // alike: 2.90 KiB (3.47 before it, 5.13 before PR 22, 10.1 before
+    // Per delivered KiB, debug and release alike: 2.74 KiB once qlog
+    // packet events stopped listing their frames (2.89 before; 2.90 at
+    // the end of PR 24, 3.47 before it, 5.13 before PR 22, 10.1 before
     // PR 21) — half a KiB of response (built once, the second stream is
     // handed the first's), a little over one of datagrams, and the rest
     // bookkeeping (sent-packet records and what they carried, both
-    // qlogs, the trace, the event queue). The send buffer holds the response itself, so the datagram
-    // is the only buffer a delivered byte is copied into.
+    // qlogs, the trace, the event queue). The send buffer holds the
+    // response itself, so the datagram is the only buffer a delivered
+    // byte is copied into.
     let delivered = (sc.streams * sc.file_size) as f64;
     let per_kib = bytes as f64 / delivered;
     assert!(
-        per_kib <= 2.96,
+        per_kib <= 2.79,
         "{per_kib:.2} KiB requested per KiB delivered"
+    );
+    // Per datagram sent, either way: 1.09 calls, the datagram's own
+    // buffer and little else (3.76 while every qlog packet event listed
+    // its frames and every ACK frame collected its acked packets on the
+    // heap). The ceiling leaves 2 %.
+    let per_datagram = calls as f64 / datagrams as f64;
+    assert!(
+        per_datagram <= 1.11,
+        "{per_datagram:.2} allocations per datagram"
     );
 }
 

@@ -122,7 +122,8 @@ fn every_scenario_terminates() {
         let qlog_lost = (res.client_packets_lost, res.server_packets_lost);
         assert_eq!(lost, qlog_lost, "{}", res.label);
 
-        oversize += observe_wire(&trace.datagrams, &res.label);
+        let logs = [&res.client_log, &res.server_log];
+        oversize += observe_wire(&trace.datagrams, logs, &res.label);
     });
     println!("every_scenario_terminates: {oversize} client datagrams of 1,201 B (ROADMAP 14(a))");
 }
@@ -136,8 +137,13 @@ fn every_scenario_terminates() {
 ///   number space (RFC 9000 §12.3), the fabricated duplicate copies
 ///   aside;
 /// - no datagram exceeds `MAX_DATAGRAM_SIZE`, but for client datagrams
-///   of exactly one byte more (ROADMAP 14(a)), whose number it returns.
-fn observe_wire(datagrams: &[CaptureRecord], label: &str) -> usize {
+///   of exactly one byte more (ROADMAP 14(a)), whose number it returns;
+/// - each endpoint's qlog `packet_sent` events, in order, are the packets
+///   its datagrams carry on the wire, in send order, the duplicate
+///   copies aside: the same space, packet number, size and ack-eliciting
+///   flag. `logs` are the client's and the server's.
+fn observe_wire(datagrams: &[CaptureRecord], logs: [&EventLog; 2], label: &str) -> usize {
+    let mut on_wire: [Vec<SentOnWire>; 2] = Default::default();
     let mut sent_by_client: u64 = 0;
     let mut sent_by_server: u64 = 0;
     let mut validated = false;
@@ -170,6 +176,12 @@ fn observe_wire(datagrams: &[CaptureRecord], label: &str) -> usize {
             continue;
         }
         for p in &info.packets {
+            let space = match p.space {
+                PacketNumberSpace::Initial => SpaceName::Initial,
+                PacketNumberSpace::Handshake => SpaceName::Handshake,
+                PacketNumberSpace::Application => SpaceName::ApplicationData,
+            };
+            on_wire[usize::from(!from_client)].push((space, p.pn, p.size, p.ack_eliciting));
             let previous = largest_pn.insert((d.from.index(), p.space), p.pn);
             assert!(
                 previous < Some(p.pn),
@@ -189,8 +201,33 @@ fn observe_wire(datagrams: &[CaptureRecord], label: &str) -> usize {
             oversize += 1;
         }
     }
+    for (log, wire) in logs.into_iter().zip(on_wire) {
+        let logged: Vec<SentOnWire> = log
+            .events
+            .iter()
+            .filter_map(|e| match e.data {
+                EventData::PacketSent {
+                    space,
+                    pn,
+                    size,
+                    ack_eliciting,
+                    ..
+                } => Some((space, pn, size, ack_eliciting)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            logged, wire,
+            "{label}: {}'s qlog against the wire",
+            log.vantage
+        );
+    }
     oversize
 }
+
+/// A packet as both the qlog and the wire tell it: space, packet number,
+/// size on the wire and whether it elicits an acknowledgment.
+type SentOnWire = (SpaceName, u64, usize, bool);
 
 /// Packet numbers are strictly monotonic per space in each endpoint's
 /// qlog, and the first PTO never undercuts 3x the true minimum RTT
