@@ -114,7 +114,7 @@ fn impairment_grid() -> Vec<(&'static str, LossSpec)> {
 
 /// Beyond the paper: instant-ACK gains under *stochastic* impairments.
 ///
-/// The paper hand-picks three deterministic loss patterns; real paths add
+/// The paper hand-picks two deterministic loss patterns; real paths add
 /// random loss, loss bursts, reordering, duplication, and jitter. This
 /// sweep expands a [`ScenarioMatrix`] over ack modes × RTTs × impairment
 /// specs and reports the median TTFB / handshake-time deltas (IACK − WFC)

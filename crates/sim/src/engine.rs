@@ -31,7 +31,7 @@ pub struct EngineStats {
     pub stale_events: u64,
     /// Datagrams accepted by a link for delivery.
     pub datagrams_forwarded: u64,
-    /// Datagrams a link dropped (drop list, blackout, impairment).
+    /// Datagrams a link dropped (drop mask, blackout, impairment).
     pub datagrams_dropped: u64,
     /// Extra copies fabricated by duplicating impairments.
     pub datagrams_duplicated: u64,
@@ -189,7 +189,7 @@ impl<N: Node> Network<N> {
     }
 
     /// Connects two nodes with a bidirectional link on the default path 0.
-    /// Direction `AtoB` in a drop list refers to `a → b`.
+    /// Direction `AtoB` in a drop mask refers to `a → b`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
         self.connect_path(a, b, 0, config);
     }

@@ -1,5 +1,5 @@
 use super::*;
-use crate::loss::{Direction, DropIndices};
+use crate::loss::DropIndices;
 
 /// Whether a live link carries `a → b` traffic.
 fn link_exists<N: Node>(net: &Network<N>, a: NodeId, b: NodeId) -> bool {
@@ -56,7 +56,7 @@ fn ping_pong_round_trips() {
         LinkConfig {
             one_way_delay: SimDuration::from_millis(10),
             bandwidth_bps: None,
-            loss: None,
+            loss: DropIndices::NONE,
             impairment: None,
             mtu: 1500,
             blackouts: Vec::new(),
@@ -117,8 +117,7 @@ fn drops_are_recorded_not_delivered() {
     net.connect(
         a,
         b,
-        LinkConfig::paper_default(SimDuration::from_millis(1))
-            .with_loss(DropIndices::new(Direction::BtoA, &[0])),
+        LinkConfig::paper_default(SimDuration::from_millis(1)).with_loss(DropIndices::new(0, 0b1)),
     );
     // b's first ping (BtoA index 0) is dropped; nothing else happens.
     let outcome = net.run(SimDuration::from_secs(1));
@@ -492,8 +491,7 @@ fn engine_stats_count_events_and_drops() {
     net.connect(
         a,
         b,
-        LinkConfig::paper_default(SimDuration::from_millis(1))
-            .with_loss(DropIndices::new(Direction::BtoA, &[1])),
+        LinkConfig::paper_default(SimDuration::from_millis(1)).with_loss(DropIndices::new(0, 0b10)),
     );
     net.run(SimDuration::from_secs(1));
     let s = net.stats;
@@ -527,8 +525,7 @@ fn engine_stats_count_events_and_drops() {
     net2.connect(
         a2,
         b2,
-        LinkConfig::paper_default(SimDuration::from_millis(1))
-            .with_loss(DropIndices::new(Direction::BtoA, &[1])),
+        LinkConfig::paper_default(SimDuration::from_millis(1)).with_loss(DropIndices::new(0, 0b10)),
     );
     net2.run(SimDuration::from_secs(1));
     assert_eq!(net2.stats, s);

@@ -1,6 +1,6 @@
 //! Seeded stochastic link impairments.
 //!
-//! The paper measures instant-ACK gains under three hand-picked,
+//! The paper measures instant-ACK gains under two hand-picked,
 //! index-mapped loss patterns ([`crate::loss`]). Real paths — the ones
 //! the paper's wild measurements implicitly sample — additionally show
 //! random loss, loss *bursts*, reordering, duplication, and delay jitter.

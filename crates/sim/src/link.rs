@@ -4,7 +4,7 @@
 //! (bandwidth-limited, FIFO) followed by a fixed propagation delay. The
 //! paper's testbed uses symmetric one-way delays between 0.5 ms and 150 ms
 //! and 10 Mbit/s of bandwidth; `LinkConfig` captures exactly those knobs.
-//! Its deterministic losses are index-mapped: a [`DropIndices`] list names
+//! Its deterministic losses are index-mapped: a [`DropIndices`] mask names
 //! the dropped datagrams by direction and per-direction index.
 
 use crate::fault::Blackout;
@@ -20,15 +20,15 @@ pub struct LinkConfig {
     pub one_way_delay: SimDuration,
     /// Serialization bandwidth in bits per second. `None` = infinite.
     pub bandwidth_bps: Option<u64>,
-    /// Datagrams this link drops by index; `None` drops none.
-    pub loss: Option<DropIndices>,
+    /// Datagrams this link drops by index; [`DropIndices::NONE`] drops none.
+    pub loss: DropIndices,
     /// Optional seeded stochastic channel (random loss, reordering,
-    /// duplication, jitter) applied after the drop list.
+    /// duplication, jitter) applied after the drop mask.
     pub impairment: Option<Impairment>,
     /// Maximum UDP payload; larger sends panic (QUIC never exceeds this).
     pub mtu: usize,
     /// Fault-injection blackout windows: datagrams offered inside one are
-    /// dropped deterministically (before the drop list, consuming no
+    /// dropped deterministically (before the drop mask, consuming no
     /// random draws). Empty for every non-fault scenario.
     pub blackouts: Vec<Blackout>,
 }
@@ -39,17 +39,17 @@ impl LinkConfig {
         LinkConfig {
             one_way_delay,
             bandwidth_bps: Some(10_000_000),
-            loss: None,
+            loss: DropIndices::NONE,
             impairment: None,
             mtu: 1500,
             blackouts: Vec::new(),
         }
     }
 
-    /// Sets the drop list.
+    /// Sets the drop mask.
     #[cfg(test)]
     pub(crate) fn with_loss(mut self, loss: DropIndices) -> Self {
-        self.loss = Some(loss);
+        self.loss = loss;
         self
     }
 
@@ -89,7 +89,7 @@ pub(crate) struct Link {
     /// path-change event repoints the pair's route at them.
     pub(crate) path: u64,
     pub(crate) config: LinkConfig,
-    /// Per-direction datagram counters (indices for the drop list).
+    /// Per-direction datagram counters (indices for the drop mask).
     counters: [usize; 2],
     /// Per-direction transmitter-busy-until times (FIFO serialization).
     busy_until: [SimTime; 2],
@@ -103,7 +103,7 @@ pub(crate) enum TransmitResult {
         at: SimTime,
         duplicate: Option<SimTime>,
     },
-    /// Dropped by a blackout, the drop list or the random loss process.
+    /// Dropped by a blackout, the drop mask or the random loss process.
     Drop,
 }
 
@@ -145,27 +145,19 @@ impl Link {
             self.config.mtu
         );
         let direction = self.direction_from(from);
-        let dir_idx = match direction {
-            Direction::AtoB => 0,
-            Direction::BtoA => 1,
-        };
+        let dir_idx = direction as usize;
         let index = self.counters[dir_idx];
         self.counters[dir_idx] += 1;
 
-        // Blackout windows drop first: deterministic like the drop list,
+        // Blackout windows drop first: deterministic like the drop mask,
         // so neither consumes random draws on behalf of the other.
         if self.config.blackouts.iter().any(|b| b.covers(now)) {
             return (TransmitResult::Drop, index);
         }
-        if self
-            .config
-            .loss
-            .as_ref()
-            .is_some_and(|l| l.drops(direction, index))
-        {
+        if self.config.loss.drops(direction, index) {
             return (TransmitResult::Drop, index);
         }
-        // The stochastic channel decides after the drop list, so the
+        // The stochastic channel decides after the drop mask, so the
         // paper's index-mapped drops never consume random draws.
         let fate = match &mut self.config.impairment {
             Some(imp) => imp.next_fate(direction),
@@ -218,7 +210,7 @@ mod tests {
         let mut l = link(LinkConfig {
             one_way_delay: SimDuration::from_millis(5),
             bandwidth_bps: None,
-            loss: None,
+            loss: DropIndices::NONE,
             impairment: None,
             mtu: 1500,
             blackouts: Vec::new(),
@@ -271,10 +263,8 @@ mod tests {
 
     #[test]
     fn loss_rule_consulted_with_direction() {
-        let mut l = link(
-            LinkConfig::paper_default(SimDuration::ZERO)
-                .with_loss(DropIndices::new(Direction::BtoA, &[0])),
-        );
+        let mut l =
+            link(LinkConfig::paper_default(SimDuration::ZERO).with_loss(DropIndices::new(0, 0b1)));
         let (r_a, _) = l.transmit(NodeId(0), &[0u8; 10], SimTime::ZERO);
         assert!(matches!(r_a, TransmitResult::Deliver { .. }));
         let (r_b, _) = l.transmit(NodeId(1), &[0u8; 10], SimTime::ZERO);
@@ -316,7 +306,7 @@ mod tests {
             LinkConfig {
                 one_way_delay: owd,
                 bandwidth_bps: None,
-                loss: None,
+                loss: DropIndices::NONE,
                 impairment: None,
                 mtu: 1500,
                 blackouts: Vec::new(),

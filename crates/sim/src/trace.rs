@@ -15,7 +15,7 @@ use crate::time::SimTime;
 pub enum DatagramFate {
     /// Delivered at the contained time.
     Delivered(SimTime),
-    /// Dropped by the link at send time (blackout, drop list or
+    /// Dropped by the link at send time (blackout, drop mask or
     /// impairment).
     Dropped,
 }

@@ -55,7 +55,7 @@ pub struct RunResult {
     pub client_datagrams: usize,
     /// Server-sent datagram count.
     pub server_datagrams: usize,
-    /// Datagrams dropped by the drop list or the random loss process.
+    /// Datagrams dropped by the drop mask or the random loss process.
     pub dropped_datagrams: usize,
     /// The measured connection ran the abbreviated (session-resumption)
     /// handshake (false when the ticket was missing or rejected and the

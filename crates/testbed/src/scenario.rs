@@ -5,7 +5,7 @@ use rq_http::HttpVersion;
 use rq_profiles::{ClientProfile, ResumptionProfile};
 use rq_quic::ServerAckMode;
 use rq_recovery::CcAlgorithm;
-use rq_sim::{Direction, DropIndices, FaultTimeline, ImpairmentSpec, SimDuration};
+use rq_sim::{DropIndices, FaultTimeline, ImpairmentSpec, SimDuration};
 
 /// Which handshake class the *measured* connection runs. Resumed and
 /// 0-RTT scenarios are two-connection runs: an unmeasured priming
@@ -53,6 +53,11 @@ pub enum LossSpec {
     /// per-implementation datagram mapping of Table 4 (Figure 7 /
     /// Figure 13).
     SecondClientFlight,
+    /// The client→server and server→client datagrams whose bits are set,
+    /// bit `i` for the 0-based index `i` in that direction (the first 64
+    /// each way): the value the two patterns above resolve to, for any
+    /// other pattern of the first flights.
+    Mask(u64, u64),
     /// Seeded stochastic impairments (random/bursty loss, reordering,
     /// duplication, jitter) instead of a hand-picked pattern. The channel
     /// seed is derived from [`Scenario::seed`] alone, so impaired runs
@@ -307,7 +312,7 @@ impl Scenario {
         }
     }
 
-    /// The link's drop list for this scenario (`None` drops nothing).
+    /// The link's drop mask for this scenario.
     ///
     /// Direction `AtoB` is client→server in the runner's topology.
     /// Index mappings follow the paper exactly:
@@ -317,24 +322,19 @@ impl Scenario {
     /// * `SecondClientFlight`: client→server datagram indices 1..=N where
     ///   N is the client's Table 4 second-flight datagram count; the
     ///   static mapping is intentional (Appendix E).
-    pub fn loss_rule(&self) -> Option<DropIndices> {
+    pub fn loss_rule(&self) -> DropIndices {
         match self.loss {
-            LossSpec::None => None,
-            LossSpec::ServerFlightTail => {
-                let indices: &[usize] = match self.ack_mode {
-                    ServerAckMode::InstantAck { .. } => &[1, 2],
-                    ServerAckMode::WaitForCertificate => &[1],
-                };
-                Some(DropIndices::new(Direction::BtoA, indices))
-            }
+            LossSpec::ServerFlightTail => match self.ack_mode {
+                ServerAckMode::InstantAck { .. } => DropIndices::new(0, 0b110),
+                ServerAckMode::WaitForCertificate => DropIndices::new(0, 0b10),
+            },
             LossSpec::SecondClientFlight => {
-                let n = self.client.flight2_datagrams;
-                let indices: Vec<usize> = (1..=n).collect();
-                Some(DropIndices::new(Direction::AtoB, &indices))
+                DropIndices::new(DropIndices::after_first(self.client.flight2_datagrams), 0)
             }
-            // Random impairments are not a per-datagram list; the runner
+            LossSpec::Mask(client, server) => DropIndices::new(client, server),
+            // Random impairments are not a per-datagram mask; the runner
             // attaches them to the link via `impairment()`.
-            LossSpec::Random(_) => None,
+            LossSpec::None | LossSpec::Random(_) => DropIndices::NONE,
         }
     }
 
@@ -402,55 +402,71 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rq_profiles::client_by_name;
+    use rq_profiles::{all_clients, client_by_name};
+    use rq_sim::Direction;
 
-    /// Whether a link with `rule` drops the `index`-th datagram going
-    /// `direction`.
-    fn drops(rule: &Option<DropIndices>, direction: Direction, index: usize) -> bool {
-        rule.as_ref().is_some_and(|r| r.drops(direction, index))
+    /// `sc`'s drop mask, and the one of the `LossSpec::Mask` spelling
+    /// `client` and `server` out.
+    fn rule_and_mask(sc: &Scenario, client: u64, server: u64) -> (DropIndices, DropIndices) {
+        let mut spelled = sc.clone();
+        spelled.loss = LossSpec::Mask(client, server);
+        (sc.loss_rule(), spelled.loss_rule())
     }
 
     #[test]
     fn server_flight_tail_differs_by_mode() {
-        let mut iack = Scenario::base(
-            client_by_name("quic-go").unwrap(),
-            ServerAckMode::InstantAck { pad_to_mtu: false },
-            HttpVersion::H1,
-        );
-        iack.loss = LossSpec::ServerFlightTail;
-        let rule = iack.loss_rule();
-        assert!(!drops(&rule, Direction::BtoA, 0));
-        assert!(drops(&rule, Direction::BtoA, 1));
-        assert!(drops(&rule, Direction::BtoA, 2));
-        assert!(!drops(&rule, Direction::BtoA, 3));
+        for client in all_clients() {
+            let name = client.name;
+            let mut iack = Scenario::base(
+                client,
+                ServerAckMode::InstantAck { pad_to_mtu: false },
+                HttpVersion::H1,
+            );
+            iack.loss = LossSpec::ServerFlightTail;
+            let (rule, mask) = rule_and_mask(&iack, 0, 0b110);
+            assert_eq!(rule, mask, "{name}");
+            assert!(!rule.drops(Direction::BtoA, 0), "{name}");
+            assert!(rule.drops(Direction::BtoA, 1), "{name}");
+            assert!(rule.drops(Direction::BtoA, 2), "{name}");
+            assert!(!rule.drops(Direction::BtoA, 3), "{name}");
+            assert!(!rule.drops(Direction::AtoB, 1), "{name}");
 
-        let mut wfc = iack.clone();
-        wfc.ack_mode = ServerAckMode::WaitForCertificate;
-        let rule = wfc.loss_rule();
-        assert!(drops(&rule, Direction::BtoA, 1));
-        assert!(!drops(&rule, Direction::BtoA, 2));
+            let mut wfc = iack.clone();
+            wfc.ack_mode = ServerAckMode::WaitForCertificate;
+            let (rule, mask) = rule_and_mask(&wfc, 0, 0b10);
+            assert_eq!(rule, mask, "{name}");
+            assert!(rule.drops(Direction::BtoA, 1), "{name}");
+            assert!(!rule.drops(Direction::BtoA, 2), "{name}");
+        }
     }
 
     #[test]
     fn second_client_flight_respects_table4() {
-        for (name, n) in [
-            ("quiche", 1usize),
+        let table4 = [
+            ("aioquic", 3),
+            ("go-x-net", 3),
+            ("mvfst", 3),
             ("neqo", 2),
-            ("quic-go", 3),
+            ("ngtcp2", 3),
             ("picoquic", 4),
-        ] {
-            let mut sc = Scenario::base(
-                client_by_name(name).unwrap(),
-                ServerAckMode::WaitForCertificate,
-                HttpVersion::H1,
-            );
+            ("quic-go", 3),
+            ("quiche", 1),
+        ];
+        let clients = all_clients();
+        assert_eq!(clients.len(), table4.len());
+        for (client, (name, n)) in clients.into_iter().zip(table4) {
+            assert_eq!(client.name, name);
+            let mut sc = Scenario::base(client, ServerAckMode::WaitForCertificate, HttpVersion::H1);
             sc.loss = LossSpec::SecondClientFlight;
-            let rule = sc.loss_rule();
-            assert!(!drops(&rule, Direction::AtoB, 0), "{name}: CH survives");
+            let bits = (1..=n).fold(0, |m, i| m | 1 << i);
+            let (rule, mask) = rule_and_mask(&sc, bits, 0);
+            assert_eq!(rule, mask, "{name}");
+            assert!(!rule.drops(Direction::AtoB, 0), "{name}: CH survives");
             for i in 1..=n {
-                assert!(drops(&rule, Direction::AtoB, i), "{name} idx {i}");
+                assert!(rule.drops(Direction::AtoB, i), "{name} idx {i}");
+                assert!(!rule.drops(Direction::BtoA, i), "{name} idx {i}");
             }
-            assert!(!drops(&rule, Direction::AtoB, n + 1), "{name}");
+            assert!(!rule.drops(Direction::AtoB, n + 1), "{name}");
         }
     }
 
@@ -466,10 +482,7 @@ mod tests {
         sc.loss = LossSpec::Random(spec);
         assert_eq!(sc.impairment(), Some(spec));
         // The rule side is transparent; the channel handles the drops.
-        let rule = sc.loss_rule();
-        for i in 0..50 {
-            assert!(!drops(&rule, Direction::BtoA, i));
-        }
+        assert_eq!(sc.loss_rule(), DropIndices::NONE);
     }
 
     #[test]

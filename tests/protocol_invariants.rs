@@ -7,7 +7,7 @@ use reacked_quicer::prelude::*;
 use reacked_quicer::qlog::{EventData, EventLog, SpaceName};
 use reacked_quicer::quic::MAX_DATAGRAM_SIZE;
 use reacked_quicer::recovery::CcAlgorithm;
-use reacked_quicer::sim::{CaptureRecord, SimRng};
+use reacked_quicer::sim::{CaptureRecord, DatagramFate, SimRng};
 use reacked_quicer::testbed::{run_scenario_with_trace, HandshakeClass};
 use reacked_quicer::tls::{CERT_LARGE, CERT_SMALL};
 use reacked_quicer::wire::{classify_datagram, PacketNumberSpace};
@@ -20,8 +20,9 @@ fn ms(n: u64) -> SimDuration {
 /// A scenario with every axis `run_scenario` takes drawn from `rng`: the
 /// seed-era ones (client, ACK mode, RTT, Δt, certificate size, loss
 /// pattern, seed) and the ones added after them (handshake class,
-/// congestion controller, 1–3 request streams, and iid loss as a fourth
-/// loss kind). A test that holds an axis still sets it afterwards.
+/// congestion controller, 1–3 request streams, iid loss as a fourth loss
+/// kind and a drop mask over the first four datagrams each way as a
+/// fifth). A test that holds an axis still sets it afterwards.
 fn scenario(rng: &mut SimRng) -> Scenario {
     let clients = all_clients();
     let client = clients[rng.gen_range(clients.len() as u64) as usize].clone();
@@ -36,11 +37,12 @@ fn scenario(rng: &mut SimRng) -> Scenario {
     if rng.gen_bool(0.5) {
         sc.cert_len = CERT_LARGE;
     }
-    sc.loss = match rng.gen_range(4) {
+    sc.loss = match rng.gen_range(5) {
         0 => LossSpec::None,
         1 => LossSpec::ServerFlightTail,
         2 => LossSpec::SecondClientFlight,
-        _ => LossSpec::Random(ImpairmentSpec::none().with_iid_loss(0.05)),
+        3 => LossSpec::Random(ImpairmentSpec::none().with_iid_loss(0.05)),
+        _ => LossSpec::Mask(rng.gen_range(16), rng.gen_range(16)),
     };
     sc.seed = rng.gen_range(1000);
     sc.handshake_class = HandshakeClass::ALL[rng.gen_range(3) as usize];
@@ -126,6 +128,55 @@ fn every_scenario_terminates() {
         oversize += observe_wire(&trace.datagrams, logs, &res.label);
     });
     println!("every_scenario_terminates: {oversize} client datagrams of 1,201 B (ROADMAP 14(a))");
+}
+
+/// The loss atlas's tier-1 slice (ROADMAP 15(b)): every pair of drop
+/// masks over the first four datagrams each way, for every client, under
+/// WFC and IACK, at Δt 0 and 20 ms — 8,192 runs. Each run ends completed
+/// or aborted, the link drops exactly the datagrams whose mask bit is set
+/// and the wire observer is clean.
+#[test]
+fn loss_atlas_slice() {
+    let modes = [
+        ServerAckMode::WaitForCertificate,
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+    ];
+    for client in all_clients() {
+        for mode in modes {
+            for delta_t in [0, 20] {
+                for masks in 0..256 {
+                    let (client_mask, server_mask) = (masks >> 4, masks & 0xF);
+                    let mut sc = Scenario::base(client.clone(), mode, HttpVersion::H1);
+                    sc.cert_delay = ms(delta_t);
+                    sc.loss = LossSpec::Mask(client_mask, server_mask);
+                    sc.capture_payloads = true;
+                    let (res, trace) = run_scenario_with_trace(&sc);
+                    let label = format!("{} Δt {delta_t} ms", res.label);
+                    assert!(
+                        res.completed || res.aborted,
+                        "{label}: neither completed nor aborted"
+                    );
+                    for d in &trace.datagrams {
+                        let from_client = d.from.index() == 1;
+                        let mask = if from_client {
+                            client_mask
+                        } else {
+                            server_mask
+                        };
+                        let bit = d.index < 64 && mask >> d.index & 1 == 1;
+                        assert_eq!(
+                            d.fate == DatagramFate::Dropped,
+                            bit,
+                            "{label}: datagram {} from the {}",
+                            d.index,
+                            if from_client { "client" } else { "server" }
+                        );
+                    }
+                    observe_wire(&trace.datagrams, [&res.client_log, &res.server_log], &label);
+                }
+            }
+        }
+    }
 }
 
 /// The wire observer: one pass over a run's capture, in send order,
