@@ -1,4 +1,11 @@
 //! The eight client profiles (paper Table 4 + §4 + Appendix E/F).
+//!
+//! A profile holds Table 4's values, Figure 11's metrics-update share and
+//! four quirk fields, the deviations §4.1, §4.2 and Appendix F use to
+//! explain per-client outliers. Each quirk moves a cell that the quirk
+//! table in `tests/paper_shapes.rs` pins. Appendix E's variance update
+//! order, variance omission and timestamp resolution moved no output and
+//! are not modelled.
 
 use rq_http::HttpVersion;
 use rq_qlog::MetricsExposure;
@@ -16,8 +23,6 @@ pub struct ClientProfile {
     pub flight2_datagrams: usize,
     /// Whether the stack implements HTTP/3 (go-x-net does not).
     pub supports_h3: bool,
-    /// RTT-variance formula deviation (aioquic, Appendix E).
-    pub aioquic_rttvar: bool,
     /// Smoothed-RTT mis-initialization value and per-run probability
     /// (go-x-net, §4.1: erroneous 90 ms initialization in part of runs).
     pub buggy_rtt_preinit: Option<(SimDuration, f64)>,
@@ -31,19 +36,15 @@ pub struct ClientProfile {
     pub quiche_h1_quirks: bool,
     /// Share of recovery:metrics updates exposed in qlog (Fig. 11).
     pub metrics_update_share: f64,
-    /// Whether qlog exposes the RTT variance (Appendix E).
-    pub exposes_rtt_variance: bool,
-    /// Qlog timestamp resolution in microseconds (Appendix E).
-    pub timestamp_resolution_us: u64,
 }
 
 impl ClientProfile {
     /// Compiles the profile into an endpoint configuration for one run.
     ///
     /// `http` gates the quiche HTTP/1.1-only quirks ("In our HTTP/3
-    /// measurements, we do not encounter this case", §4.2) and
-    /// `rtt_quirk_applies` resolves the probabilistic go-x-net
-    /// mis-initialization for this particular run.
+    /// measurements, we do not encounter this case", §4.2). Whether the
+    /// probabilistic go-x-net mis-initialization applies is drawn per run
+    /// by the testbed.
     pub fn endpoint_config(&self, http: HttpVersion) -> EndpointConfig {
         let mut cfg = EndpointConfig::rfc_default();
         cfg.name = self.name;
@@ -52,7 +53,6 @@ impl ClientProfile {
         cfg.probe_policy = ProbePolicy::Ping;
         cfg.quirks = ClientQuirks {
             buggy_rtt_preinit: self.buggy_rtt_preinit.map(|(d, _)| d),
-            aioquic_rttvar: self.aioquic_rttvar,
             no_probe_after_iack: self.no_probe_after_iack,
             ignore_iack_rtt: self.ignore_iack_rtt,
             drop_ping_reply_coalesced: self.quiche_h1_quirks && http == HttpVersion::H1,
@@ -62,12 +62,10 @@ impl ClientProfile {
         cfg
     }
 
-    /// qlog metrics-exposure fidelity for this stack.
+    /// The share of metrics updates this stack's qlog exposes.
     pub fn metrics_exposure(&self) -> MetricsExposure {
         MetricsExposure {
             update_share: self.metrics_update_share,
-            exposes_variance: self.exposes_rtt_variance,
-            timestamp_resolution_us: self.timestamp_resolution_us,
         }
     }
 }
@@ -84,21 +82,17 @@ pub fn all_clients() -> Vec<ClientProfile> {
             default_pto: ms(200),
             flight2_datagrams: 3,
             supports_h3: true,
-            aioquic_rttvar: true,
             buggy_rtt_preinit: None,
             no_probe_after_iack: false,
             ignore_iack_rtt: false,
             quiche_h1_quirks: false,
             metrics_update_share: 1.0,
-            exposes_rtt_variance: true,
-            timestamp_resolution_us: 1,
         },
         ClientProfile {
             name: "go-x-net",
             default_pto: ms(999),
             flight2_datagrams: 3,
             supports_h3: false,
-            aioquic_rttvar: false,
             // §4.1: high variation, partly erroneous smoothed-RTT init at
             // 90 ms; applies to roughly a third of runs.
             buggy_rtt_preinit: Some((ms(90), 0.33)),
@@ -106,92 +100,72 @@ pub fn all_clients() -> Vec<ClientProfile> {
             ignore_iack_rtt: false,
             quiche_h1_quirks: false,
             metrics_update_share: 1.0,
-            exposes_rtt_variance: true,
-            timestamp_resolution_us: 1000,
         },
         ClientProfile {
             name: "mvfst",
             default_pto: ms(100),
             flight2_datagrams: 3,
             supports_h3: true,
-            aioquic_rttvar: false,
             buggy_rtt_preinit: None,
             no_probe_after_iack: true,
             ignore_iack_rtt: false,
             quiche_h1_quirks: false,
             metrics_update_share: 1.0,
-            exposes_rtt_variance: false,
-            timestamp_resolution_us: 1,
         },
         ClientProfile {
             name: "neqo",
             default_pto: ms(300),
             flight2_datagrams: 2,
             supports_h3: true,
-            aioquic_rttvar: false,
             buggy_rtt_preinit: None,
             no_probe_after_iack: false,
             ignore_iack_rtt: false,
             quiche_h1_quirks: false,
             metrics_update_share: 0.4,
-            exposes_rtt_variance: false,
-            timestamp_resolution_us: 1,
         },
         ClientProfile {
             name: "ngtcp2",
             default_pto: ms(300),
             flight2_datagrams: 3,
             supports_h3: true,
-            aioquic_rttvar: false,
             buggy_rtt_preinit: None,
             no_probe_after_iack: false,
             ignore_iack_rtt: false,
             quiche_h1_quirks: false,
             metrics_update_share: 0.4,
-            exposes_rtt_variance: true,
-            timestamp_resolution_us: 1,
         },
         ClientProfile {
             name: "picoquic",
             default_pto: ms(250),
             flight2_datagrams: 4,
             supports_h3: true,
-            aioquic_rttvar: false,
             buggy_rtt_preinit: None,
             no_probe_after_iack: true,
             ignore_iack_rtt: true,
             quiche_h1_quirks: false,
             metrics_update_share: 0.35,
-            exposes_rtt_variance: false,
-            timestamp_resolution_us: 1,
         },
         ClientProfile {
             name: "quic-go",
             default_pto: ms(200),
             flight2_datagrams: 3,
             supports_h3: true,
-            aioquic_rttvar: false,
             buggy_rtt_preinit: None,
             no_probe_after_iack: false,
             ignore_iack_rtt: false,
             quiche_h1_quirks: false,
             metrics_update_share: 0.35,
-            exposes_rtt_variance: true,
-            timestamp_resolution_us: 1,
         },
         ClientProfile {
             name: "quiche",
             default_pto: ms(999),
             flight2_datagrams: 1,
             supports_h3: true,
-            aioquic_rttvar: false,
             buggy_rtt_preinit: None,
             no_probe_after_iack: false,
             ignore_iack_rtt: false,
             quiche_h1_quirks: true,
             metrics_update_share: 1.0,
-            exposes_rtt_variance: true,
-            timestamp_resolution_us: 1,
         },
     ]
 }
@@ -278,22 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn appendix_e_variance_exposure() {
-        for name in ["neqo", "mvfst", "picoquic"] {
-            assert!(
-                !client_by_name(name).unwrap().exposes_rtt_variance,
-                "{name}"
-            );
-        }
-        for name in ["aioquic", "go-x-net", "quiche", "quic-go", "ngtcp2"] {
-            assert!(client_by_name(name).unwrap().exposes_rtt_variance, "{name}");
-        }
-    }
-
-    #[test]
     fn metrics_exposure_compiles() {
         let e = client_by_name("picoquic").unwrap().metrics_exposure();
         assert!(e.update_share < 1.0);
-        assert!(!e.exposes_variance);
     }
 }

@@ -1,10 +1,11 @@
 //! Implementation behaviour profiles.
 //!
 //! One [`ClientProfile`] per client stack the paper emulates (Table 4,
-//! §4.1–4.2, Appendix E/F) and one [`ServerProfile`] per server stack in
-//! the ACK-delay study (Table 3). Each profile compiles to an
-//! `rq_quic::EndpointConfig` plus a qlog [`MetricsExposure`], so the
-//! protocol core stays implementation-agnostic.
+//! §4.1–4.2, Appendix F, Figure 11) and one [`ServerProfile`] per server
+//! stack in the ACK-delay study (Table 3). A client profile compiles to
+//! an `rq_quic::EndpointConfig` plus the share of metrics updates its
+//! qlog exposes (`rq_qlog::MetricsExposure`), so the protocol core stays
+//! implementation-agnostic.
 
 #![forbid(unsafe_code)]
 

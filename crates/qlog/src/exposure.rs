@@ -1,49 +1,27 @@
-//! Metrics-exposure fidelity (paper Appendix E).
+//! Metrics-exposure share (paper Figure 11, Appendix E).
 //!
-//! Implementations differ in which `recovery:metrics` updates reach the
-//! qlog output: aioquic, go-x-net, mvfst and quiche expose essentially all
-//! updates, while neqo, ngtcp2, picoquic and quic-go expose a fraction;
-//! neqo, mvfst and picoquic omit the RTT variance entirely. The analysis
-//! pipeline must therefore reconstruct missing values from packet events —
-//! exactly as the paper does.
+//! Implementations differ in how many `recovery:metrics` updates reach
+//! the qlog output: aioquic, go-x-net, mvfst and quiche expose
+//! essentially all updates, while neqo, ngtcp2, picoquic and quic-go
+//! expose a fraction. That share is the one number Figure 11 prints, and
+//! the one this module models. Appendix E's other exposure differences,
+//! an omitted RTT variance and coarse timestamps, change no figure and
+//! are not modelled.
 
-/// Exposure policy applied when an endpoint records a metrics update.
+/// Which share of a client's metrics updates its qlog exposes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsExposure {
     /// Fraction of metric updates that appear in the log (1.0 = all).
     pub update_share: f64,
-    /// Whether the RTT variance field is present in logged updates.
-    pub exposes_variance: bool,
-    /// Timestamp resolution in microseconds (paper: µs, ms and s
-    /// resolutions occur in the wild).
-    pub timestamp_resolution_us: u64,
-}
-
-impl Default for MetricsExposure {
-    fn default() -> Self {
-        MetricsExposure {
-            update_share: 1.0,
-            exposes_variance: true,
-            timestamp_resolution_us: 1,
-        }
-    }
 }
 
 impl MetricsExposure {
-    /// Full-fidelity exposure.
+    /// Every update exposed.
     pub fn full() -> Self {
-        Self::default()
+        MetricsExposure { update_share: 1.0 }
     }
 
-    /// Whether this exposure is the identity transform: every update
-    /// kept, variance kept, timestamps at native (≤ 1 µs) resolution.
-    /// Callers can skip per-event filtering/quantization entirely.
-    pub fn is_identity(&self) -> bool {
-        self.update_share >= 1.0 && self.exposes_variance && self.timestamp_resolution_us <= 1
-    }
-
-    /// How many of `total` metric updates survive the exposure filter,
-    /// without materializing the filtered log.
+    /// How many of `total` metric updates the log exposes.
     pub fn exposed_update_count(&self, total: usize) -> usize {
         if self.update_share >= 1.0 {
             return total;
@@ -54,26 +32,11 @@ impl MetricsExposure {
     /// Decides deterministically whether the `n`-th update is exposed.
     /// Uses a low-discrepancy accept rule so the exposed subset is spread
     /// evenly, like periodic logging in real stacks.
-    pub fn exposes_update(&self, n: usize) -> bool {
-        if self.update_share >= 1.0 {
-            return true;
-        }
-        if self.update_share <= 0.0 {
-            return false;
-        }
+    fn exposes_update(&self, n: usize) -> bool {
         // Accept update n iff the integer part of n*share advances.
         let prev = ((n as f64) * self.update_share).floor();
         let cur = ((n as f64 + 1.0) * self.update_share).floor();
         cur > prev
-    }
-
-    /// Quantizes a millisecond timestamp to this exposure's resolution.
-    pub fn quantize_ms(&self, ms: f64) -> f64 {
-        let res_ms = self.timestamp_resolution_us as f64 / 1000.0;
-        if res_ms <= 0.001 {
-            return ms;
-        }
-        (ms / res_ms).floor() * res_ms
     }
 }
 
@@ -89,29 +52,20 @@ mod tests {
 
     #[test]
     fn zero_share_exposes_nothing() {
-        let e = MetricsExposure {
-            update_share: 0.0,
-            ..MetricsExposure::default()
-        };
+        let e = MetricsExposure { update_share: 0.0 };
         assert!(!(0..100).any(|n| e.exposes_update(n)));
     }
 
     #[test]
     fn half_share_exposes_half() {
-        let e = MetricsExposure {
-            update_share: 0.5,
-            ..MetricsExposure::default()
-        };
+        let e = MetricsExposure { update_share: 0.5 };
         let count = (0..1000).filter(|&n| e.exposes_update(n)).count();
         assert_eq!(count, 500);
     }
 
     #[test]
     fn exposed_subset_is_spread_evenly() {
-        let e = MetricsExposure {
-            update_share: 0.25,
-            ..MetricsExposure::default()
-        };
+        let e = MetricsExposure { update_share: 0.25 };
         let idx: Vec<usize> = (0..40).filter(|&n| e.exposes_update(n)).collect();
         assert_eq!(idx.len(), 10);
         // Gaps of exactly 4 between consecutive exposed updates.
@@ -121,52 +75,14 @@ mod tests {
     }
 
     #[test]
-    fn identity_detection() {
-        assert!(MetricsExposure::full().is_identity());
-        for tweaked in [
-            MetricsExposure {
-                update_share: 0.9,
-                ..Default::default()
-            },
-            MetricsExposure {
-                exposes_variance: false,
-                ..Default::default()
-            },
-            MetricsExposure {
-                timestamp_resolution_us: 1000,
-                ..Default::default()
-            },
-        ] {
-            assert!(!tweaked.is_identity(), "{tweaked:?}");
-        }
-    }
-
-    #[test]
     fn exposed_count_matches_filter() {
         for share in [0.0, 0.25, 0.5, 0.77, 1.0] {
             let e = MetricsExposure {
                 update_share: share,
-                ..Default::default()
             };
             let explicit = (0..321).filter(|&n| e.exposes_update(n)).count();
             assert_eq!(e.exposed_update_count(321), explicit, "share {share}");
         }
         assert_eq!(MetricsExposure::full().exposed_update_count(0), 0);
-    }
-
-    #[test]
-    fn timestamp_quantization() {
-        let ms_res = MetricsExposure {
-            timestamp_resolution_us: 1000,
-            ..Default::default()
-        };
-        assert_eq!(ms_res.quantize_ms(12.73), 12.0);
-        let us_res = MetricsExposure::full();
-        assert_eq!(us_res.quantize_ms(12.73), 12.73);
-        let s_res = MetricsExposure {
-            timestamp_resolution_us: 1_000_000,
-            ..Default::default()
-        };
-        assert_eq!(s_res.quantize_ms(1234.0), 1000.0);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The paper's microscopic analysis is built on Qlog [draft-ietf-quic-qlog]
 //! `recovery:metrics` events: smoothed RTT and RTT variation as exposed by
-//! each implementation. Appendix E stresses that implementations differ in
-//! how *often* and how *completely* they expose these metrics — some never
-//! log the variance, some log only a fraction of updates. This crate
-//! reproduces both the event stream and that exposure fidelity, plus the
-//! PTO-reconstruction pipeline the paper uses to compare behaviours.
+//! each implementation. Implementations differ in how *often* they expose
+//! these metrics: some log only a fraction of updates (Figure 11,
+//! Appendix E). This crate reproduces the event stream, that exposure
+//! share ([`MetricsExposure`]), and the PTO-reconstruction pipeline the
+//! paper uses to compare behaviours.
 
 #![forbid(unsafe_code)]
 

@@ -74,7 +74,7 @@ pub enum AckDelayReport {
     Fixed(SimDuration),
 }
 
-/// Client-side behavioural quirks observed in the paper (§4, App. E/F).
+/// Client-side behavioural quirks observed in the paper (§4, App. F).
 /// All default to "well-behaved".
 #[derive(Debug, Clone, Default)]
 pub struct ClientQuirks {
@@ -83,8 +83,6 @@ pub struct ClientQuirks {
     /// instead of initializing ("smoothed RTT is initialized at 90 ms").
     /// Whether it applies to a given run is the driver's draw.
     pub buggy_rtt_preinit: Option<SimDuration>,
-    /// aioquic: non-standard rttvar update order.
-    pub aioquic_rttvar: bool,
     /// mvfst / picoquic: receiving an instant ACK does not cause the client
     /// to arm the deadlock-prevention PTO, so no probe packets are sent in
     /// response to an IACK (paper §4.1).

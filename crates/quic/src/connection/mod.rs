@@ -36,7 +36,7 @@ use std::rc::Rc;
 
 use bytes::{BufMut, Bytes};
 use rq_qlog::{EventData, EventLog, SpaceName};
-use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator, RttVariant};
+use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator};
 use rq_sim::{SimRng, SimTime};
 use rq_tls::{
     ClientConfig as TlsClientConfig, Level, ServerConfig as TlsServerConfig, TlsEvent, TlsSession,
@@ -272,9 +272,6 @@ impl Connection {
         let local_cid = derived_cid(seed, CID_KIND_CLIENT, 0);
         let original_dcid = derived_cid(seed, CID_KIND_ORIGINAL_DCID, 0);
         let mut rtt = RttEstimator::new(MAX_ACK_DELAY);
-        if cfg.quirks.aioquic_rttvar {
-            rtt = rtt.with_variant(RttVariant::AioquicOrder);
-        }
         if let Some(pre) = cfg.quirks.buggy_rtt_preinit.filter(|_| rtt_quirk_applies) {
             rtt = rtt.with_buggy_preinit(pre);
         }

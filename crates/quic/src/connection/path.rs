@@ -7,7 +7,7 @@
 use std::ops::Range;
 
 use rq_qlog::EventData;
-use rq_recovery::{CcState, RttEstimator, RttVariant};
+use rq_recovery::{CcState, RttEstimator};
 use rq_sim::{SimDuration, SimRng, SimTime};
 use rq_wire::{ConnectionId, Frame, FrameList};
 
@@ -400,11 +400,7 @@ impl Connection {
     /// RFC 9000 §9.4: RTT and congestion state do not carry over to a new
     /// path; both restart from initial values.
     fn reset_path_metrics(&mut self) {
-        let mut rtt = RttEstimator::new(MAX_ACK_DELAY);
-        if self.cfg.quirks.aioquic_rttvar {
-            rtt = rtt.with_variant(RttVariant::AioquicOrder);
-        }
-        self.rtt = rtt;
+        self.rtt = RttEstimator::new(MAX_ACK_DELAY);
         self.cc = self.cfg.cc_algorithm.build();
         self.last_cc_state = CcState::SlowStart;
     }

@@ -4,7 +4,8 @@
 //! experiment in the paper: 1-RTT handshakes over simulated TLS, the two
 //! server behaviours (wait-for-certificate vs instant ACK), the 3x
 //! anti-amplification limit, per-implementation packet coalescing, PTO
-//! probing policies, and the client quirks Appendix E/F documents.
+//! probing policies, and the client quirks of §4.1, §4.2 and Appendix F
+//! ([`ClientQuirks`]; each one moves a cell the paper-shape tests pin).
 
 #![forbid(unsafe_code)]
 

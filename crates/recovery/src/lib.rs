@@ -18,6 +18,6 @@ pub mod seqmap;
 
 pub use congestion::{persistent_congestion_duration, CcAlgorithm, CcState, CongestionController};
 pub use pto::{PtoState, RFC_DEFAULT_PTO};
-pub use rtt::{RttEstimator, RttVariant, GRANULARITY};
+pub use rtt::{RttEstimator, GRANULARITY};
 pub use sent::{AckOutcome, SentPacket, SentTracker, FLIGHT};
 pub use seqmap::SeqMap;

@@ -5,23 +5,16 @@
 //! the first sample-based PTO `3 x sample`. A server that waits for the
 //! certificate (WFC) inflates this first sample by Δt, so the client's
 //! first PTO is inflated by `3 x Δt` — exactly Figure 2's effect.
+//!
+//! Every client blends samples by RFC 9002 §5.3. aioquic's variance
+//! update order (paper Appendix E) is not modelled: it moved no figure
+//! cell. go-x-net's mis-initialization (§4.1) is
+//! [`RttEstimator::with_buggy_preinit`].
 
 use rq_sim::SimDuration;
 
 /// Timer granularity, `kGranularity` (RFC 9002 §6.1.2).
 pub const GRANULARITY: SimDuration = SimDuration::from_millis(1);
-
-/// Variations in how implementations compute the RTT variance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RttVariant {
-    /// RFC 9002 §5.3: rttvar is updated *before* smoothed_rtt, using the
-    /// pre-update smoothed value.
-    #[default]
-    Rfc9002,
-    /// aioquic's deviation (paper Appendix E): smoothed_rtt is updated
-    /// first, then rttvar uses the already-updated smoothed value.
-    AioquicOrder,
-}
 
 /// RTT state for one connection.
 #[derive(Debug, Clone)]
@@ -31,7 +24,6 @@ pub struct RttEstimator {
     rttvar: SimDuration,
     min_rtt: SimDuration,
     max_ack_delay: SimDuration,
-    variant: RttVariant,
     samples: usize,
     /// go-x-net quirk: when set, the estimator behaves as if a bogus
     /// default (e.g. 90 ms) had already been installed, so the first real
@@ -49,16 +41,9 @@ impl RttEstimator {
             rttvar: SimDuration::ZERO,
             min_rtt: SimDuration::ZERO,
             max_ack_delay,
-            variant: RttVariant::Rfc9002,
             samples: 0,
             buggy_preinit: None,
         }
-    }
-
-    /// Selects the variance-update variant (implementation quirk hook).
-    pub fn with_variant(mut self, variant: RttVariant) -> Self {
-        self.variant = variant;
-        self
     }
 
     /// Installs the go-x-net mis-initialization quirk: the first sample is
@@ -88,7 +73,7 @@ impl RttEstimator {
                     self.min_rtt = sample;
                     self.smoothed = Some(pre);
                     self.rttvar = pre.div(2);
-                    self.blend(sample, SimDuration::ZERO);
+                    self.blend(sample);
                 } else {
                     self.min_rtt = sample;
                     self.smoothed = Some(sample);
@@ -108,34 +93,22 @@ impl RttEstimator {
                 } else {
                     sample
                 };
-                self.blend(adjusted, SimDuration::ZERO);
+                self.blend(adjusted);
             }
         }
     }
 
-    fn blend(&mut self, adjusted: SimDuration, _unused: SimDuration) {
+    /// RFC 9002 §5.3: rttvar is updated before smoothed_rtt, against the
+    /// pre-update smoothed value.
+    fn blend(&mut self, adjusted: SimDuration) {
         let smoothed = self.smoothed.expect("blend requires initialized estimator");
-        match self.variant {
-            RttVariant::Rfc9002 => {
-                let diff = if smoothed > adjusted {
-                    smoothed - adjusted
-                } else {
-                    adjusted - smoothed
-                };
-                self.rttvar = self.rttvar.mul_f64(0.75) + diff.mul_f64(0.25);
-                self.smoothed = Some(smoothed.mul_f64(0.875) + adjusted.mul_f64(0.125));
-            }
-            RttVariant::AioquicOrder => {
-                let new_smoothed = smoothed.mul_f64(0.875) + adjusted.mul_f64(0.125);
-                let diff = if new_smoothed > adjusted {
-                    new_smoothed - adjusted
-                } else {
-                    adjusted - new_smoothed
-                };
-                self.rttvar = self.rttvar.mul_f64(0.75) + diff.mul_f64(0.25);
-                self.smoothed = Some(new_smoothed);
-            }
-        }
+        let diff = if smoothed > adjusted {
+            smoothed - adjusted
+        } else {
+            adjusted - smoothed
+        };
+        self.rttvar = self.rttvar.mul_f64(0.75) + diff.mul_f64(0.25);
+        self.smoothed = Some(smoothed.mul_f64(0.875) + adjusted.mul_f64(0.125));
     }
 
     /// Latest raw sample.
@@ -312,18 +285,6 @@ mod tests {
         // Blended: 90*7/8 + 33/8 = 82.875 — far above the real 33 ms.
         assert!((s - 82.875).abs() < 0.01, "smoothed {s}");
         assert!(r.pto_base().unwrap() > ms(90));
-    }
-
-    #[test]
-    fn aioquic_variant_differs_from_rfc() {
-        let mut a = RttEstimator::new(SimDuration::ZERO).with_variant(RttVariant::AioquicOrder);
-        let mut b = RttEstimator::new(SimDuration::ZERO);
-        for sample in [10u64, 30, 15, 40] {
-            a.update(ms(sample), SimDuration::ZERO, false);
-            b.update(ms(sample), SimDuration::ZERO, false);
-        }
-        assert_eq!(a.smoothed(), b.smoothed(), "smoothed path identical");
-        assert_ne!(a.rttvar(), b.rttvar(), "variance paths must diverge");
     }
 
     #[test]

@@ -168,9 +168,6 @@ pub(crate) fn full_result(
 ) -> RunResult {
     let client_log = std::mem::take(&mut client.log);
     let first_srtt_ms = client_log.metrics_updates().next().map(|(_, srtt, _)| srtt);
-    // Counting survivors of the client's exposure policy needs no
-    // filtered copy of the log (and for full-fidelity clients no
-    // filtering at all).
     let exposed_metric_updates = sc
         .client
         .metrics_exposure()
@@ -250,57 +247,11 @@ mod tests {
     use crate::scenario::LossSpec;
     use rq_http::HttpVersion;
     use rq_profiles::client_by_name;
-    use rq_qlog::{MetricsExposure, QlogEvent};
+    use rq_qlog::MetricsExposure;
     use rq_quic::ServerAckMode;
 
     const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
     const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
-
-    /// Applies a qlog exposure policy to a log: drops unexposed metrics
-    /// updates, hides the variance, quantizes timestamps (Appendix E) —
-    /// the materialized log the runner's count-only
-    /// `exposed_update_count` must agree with.
-    fn apply_exposure(log: &EventLog, exposure: MetricsExposure) -> EventLog {
-        if exposure.is_identity() {
-            return log.clone();
-        }
-        let mut out = EventLog::new(log.vantage.clone());
-        let mut metric_idx = 0usize;
-        for ev in &log.events {
-            match &ev.data {
-                EventData::MetricsUpdated {
-                    smoothed_rtt_ms,
-                    rtt_variance_ms,
-                    latest_rtt_ms,
-                    pto_count,
-                } => {
-                    let keep = exposure.exposes_update(metric_idx);
-                    metric_idx += 1;
-                    if !keep {
-                        continue;
-                    }
-                    out.events.push(QlogEvent {
-                        time_ms: exposure.quantize_ms(ev.time_ms),
-                        data: EventData::MetricsUpdated {
-                            smoothed_rtt_ms: *smoothed_rtt_ms,
-                            rtt_variance_ms: if exposure.exposes_variance {
-                                *rtt_variance_ms
-                            } else {
-                                None
-                            },
-                            latest_rtt_ms: *latest_rtt_ms,
-                            pto_count: *pto_count,
-                        },
-                    });
-                }
-                other => out.events.push(QlogEvent {
-                    time_ms: exposure.quantize_ms(ev.time_ms),
-                    data: other.clone(),
-                }),
-            }
-        }
-        out
-    }
 
     fn base(name: &str, mode: ServerAckMode, http: HttpVersion) -> Scenario {
         Scenario::base(client_by_name(name).unwrap(), mode, http)
@@ -440,30 +391,19 @@ mod tests {
 
     #[test]
     fn apply_exposure_identity_and_filter_agree_with_counts() {
-        // picoquic exposes a fraction of updates without variance; the
-        // materialized filtered log must agree with the count-only path
-        // the runner uses, and the identity path must be a plain copy.
+        // picoquic exposes a fraction of its updates: the runner's count
+        // is that share of the log's updates, and full exposure keeps all.
         let mut sc = base("picoquic", WFC, HttpVersion::H1);
         sc.file_size = 50 * 1024;
         let res = run_scenario(&sc);
+        let total = res.client_log.metrics_updates().count();
         let partial = sc.client.metrics_exposure();
-        assert!(!partial.is_identity());
-        let filtered = apply_exposure(&res.client_log, partial);
         assert_eq!(
-            filtered.metrics_updates().count(),
+            partial.exposed_update_count(total),
             res.exposed_metric_updates
         );
-        assert_eq!(
-            partial.exposed_update_count(res.client_log.metrics_updates().count()),
-            res.exposed_metric_updates
-        );
-        // Filtered updates hide the variance.
-        assert!(filtered.metrics_updates().all(|(_, _, var)| var.is_none()));
-
-        let full = MetricsExposure::full();
-        let copied = apply_exposure(&res.client_log, full);
-        assert_eq!(copied.events.len(), res.client_log.events.len());
-        assert_eq!(copied.events, res.client_log.events);
+        assert!(res.exposed_metric_updates < total);
+        assert_eq!(MetricsExposure::full().exposed_update_count(total), total);
     }
 
     #[test]
