@@ -5,13 +5,13 @@
 //! `REACKED_THREADS`.
 
 use rq_http::HttpVersion;
-use rq_profiles::ResumptionProfile;
 use rq_quic::ServerAckMode;
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
     rep_scenario, run_scenario, CcAlgorithm, HandshakeClass, LossSpec, MatrixCell, MigrationSpec,
     RunResult, Scenario, ScenarioMatrix, SweepScenarios,
 };
+use rq_tls::ServerResumption;
 
 use crate::{cell, delta_cell, median_by, quic_go, RunConfig, IACK, WFC};
 
@@ -182,11 +182,11 @@ pub(crate) fn impairment(cfg: &RunConfig) {
 /// WFC visibly pays the store round trip the abbreviated classes skip.
 const RESUMPTION_CERT_DELAY_MS: u64 = 50;
 
-fn resumption_base(class: HandshakeClass, profile: ResumptionProfile) -> Scenario {
+/// A resumption-sweep cell; its server issues tickets and accepts 0-RTT.
+fn resumption_base(class: HandshakeClass) -> Scenario {
     let mut sc = quic_go(WFC, HttpVersion::H1);
     sc.cert_delay = SimDuration::from_millis(RESUMPTION_CERT_DELAY_MS);
     sc.handshake_class = class;
-    sc.resumption = profile;
     sc
 }
 
@@ -203,7 +203,7 @@ pub(crate) fn resumption(cfg: &RunConfig) {
     let rtts = matrix_rtts();
     let classes = HandshakeClass::ALL;
 
-    let base = resumption_base(HandshakeClass::Full, ResumptionProfile::accepting());
+    let base = resumption_base(HandshakeClass::Full);
     let matrix = ScenarioMatrix::new(base)
         .ack_modes(&[WFC, IACK])
         .handshake_classes(&classes)
@@ -250,17 +250,24 @@ pub(crate) fn resumption(cfg: &RunConfig) {
         "0-RTT offers per server profile (WFC, rtt 50 ms):\n{:<20} {:>9} {:>9} {:>8} {:>8}",
         "profile", "ttfb", "hs", "resumed", "0rtt-ok"
     );
-    for profile in [
-        ResumptionProfile::accepting(),
-        ResumptionProfile::rejecting_early_data(),
-        ResumptionProfile::no_tickets(),
-    ] {
-        let mut sc = resumption_base(HandshakeClass::ZeroRtt, profile);
+    let zero_rtt = resumption_base(HandshakeClass::ZeroRtt);
+    let lifetime = zero_rtt.resumption.ticket_lifetime_secs;
+    let policies = [
+        ("resume-accepting", ServerResumption::accepting(lifetime)),
+        (
+            "resume-reject-0rtt",
+            ServerResumption::rejecting_early_data(lifetime),
+        ),
+        ("no-resumption", ServerResumption::disabled()),
+    ];
+    for (name, policy) in policies {
+        let mut sc = zero_rtt.clone();
+        sc.resumption = policy;
         sc.rtt = SimDuration::from_millis(50);
         let results = cfg.runner.run_repetitions(&sc, cfg.reps);
         println!(
             "{:<20} {} {} {:>7.0}% {:>7.0}%",
-            profile.name,
+            name,
             cell(median_by(&results, |r| r.ttfb_ms), 9, 1),
             cell(median_by(&results, |r| r.handshake_ms), 9, 1),
             share(&results, |r| r.resumed) * 100.0,

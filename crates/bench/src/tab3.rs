@@ -3,11 +3,13 @@
 //!
 //! Mirrors the paper's method: run a quic-go client against every server,
 //! capture the server's datagrams, and read the `ACK Delay` field of the
-//! first acknowledgment in the Initial and Handshake spaces.
+//! first acknowledgment in the Initial and Handshake spaces. It runs on
+//! the testbed's network and nodes, like every other run.
 
-use rq_profiles::ServerProfile;
-use rq_quic::{stream_id, ConnEvent, Connection, EndpointConfig};
-use rq_sim::{SimDuration, SimTime};
+use rq_http::HttpVersion;
+use rq_profiles::{client_by_name, ServerProfile};
+use rq_sim::{LinkConfig, Network, NodeId, SimDuration};
+use rq_testbed::{ClientNode, ServerNode, TestbedNode};
 use rq_wire::{Frame, PacketNumberSpace, PlainPacket};
 
 /// First-ACK delays observed in one handshake (ms).
@@ -20,63 +22,41 @@ pub struct FirstAckDelays {
     pub handshake_ms: Option<f64>,
 }
 
-/// Runs one in-memory handshake against `server_profile` and extracts the
-/// first ACK delays from the server's datagrams.
+/// Runs one handshake against `server_profile` and extracts the first
+/// ACK delays from the server's datagrams.
 pub fn measure_first_ack_delays(server_profile: &ServerProfile, seed: u64) -> FirstAckDelays {
-    let mut client_cfg = EndpointConfig::rfc_default();
-    client_cfg.name = "quic-go";
-    client_cfg.default_pto = SimDuration::from_millis(200);
-    let mut client = Connection::client(client_cfg, seed, false);
-    client.send_stream_data(stream_id::CLIENT_BIDI_0, b"GET /1 HTTP/1.1\r\n\r\n", true);
-
-    let mut server_cfg = server_profile.endpoint_config();
-    // The Table 3 study probes stock servers: certificate on hand.
-    let mut server: Option<Connection> = None;
-    let mut initial_ms = None;
-    let mut handshake_ms = None;
-
-    let mut now = SimTime::ZERO;
-    let step = SimDuration::from_millis(1);
-    server_cfg.cert_len = rq_tls::CERT_SMALL;
-    for _ in 0..60 {
-        while let Some(d) = client.poll_transmit(now) {
-            let srv = server.get_or_insert_with(|| {
-                let dcid = PlainPacket::decode(&d, 8)
-                    .map(|(p, _, _)| p.header.dcid)
-                    .unwrap();
-                Connection::server(server_cfg.clone(), seed ^ 0xABCD, dcid)
-            });
-            srv.handle_datagram(now, &d);
-        }
-        if let Some(srv) = server.as_mut() {
-            while let Some(ev) = srv.poll_event() {
-                if matches!(ev, ConnEvent::CertificateNeeded) {
-                    srv.certificate_ready(now);
-                }
-            }
-            while let Some(d) = srv.poll_transmit(now) {
-                scan_for_acks(&d, &mut initial_ms, &mut handshake_ms);
-                client.handle_datagram(now, &d);
-            }
-        }
-        while client.poll_event().is_some() {}
-        if client.is_confirmed() {
-            break;
-        }
-        now = now + step;
-        if client.poll_timeout().map(|t| t <= now).unwrap_or(false) {
-            client.handle_timeout(now);
-        }
-        if let Some(srv) = server.as_mut() {
-            if srv.poll_timeout().map(|t| t <= now).unwrap_or(false) {
-                srv.handle_timeout(now);
-            }
-        }
+    let (net, _, server) = run_against(server_profile, SimDuration::ZERO, seed);
+    let (mut initial_ms, mut handshake_ms) = (None, None);
+    let sent = net.trace.datagrams.iter().filter(|d| d.from == server);
+    for payload in sent.filter_map(|d| d.payload.as_deref()) {
+        scan_for_acks(payload, &mut initial_ms, &mut handshake_ms);
     }
     FirstAckDelays {
         initial_ms,
         handshake_ms,
     }
+}
+
+/// Runs quic-go's 10 KiB HTTP/1.1 GET against `server_profile` (store
+/// delay `cert_delay`, 9 ms RTT) to completion, capturing every payload.
+fn run_against(
+    server_profile: &ServerProfile,
+    cert_delay: SimDuration,
+    seed: u64,
+) -> (Network<TestbedNode>, NodeId, NodeId) {
+    let http = HttpVersion::H1;
+    let mut net = Network::new(true);
+    let server = ServerNode::new(server_profile.endpoint_config(), http, cert_delay, seed);
+    let server = net.add_node(server.into());
+    let client_cfg = client_by_name("quic-go")
+        .expect("quic-go is a client profile")
+        .endpoint_config(http);
+    let client = ClientNode::new(client_cfg, server, http, 10 * 1024, seed, false);
+    let client = net.add_node(client.into());
+    let link = LinkConfig::paper_default(SimDuration::from_micros(4500));
+    net.connect(client, server, link);
+    net.run(SimDuration::from_secs(60));
+    (net, client, server)
 }
 
 fn scan_for_acks(datagram: &[u8], initial_ms: &mut Option<f64>, handshake_ms: &mut Option<f64>) {
@@ -106,6 +86,7 @@ fn scan_for_acks(datagram: &[u8], initial_ms: &mut Option<f64>, handshake_ms: &m
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq_analysis::{first_pto_with_strategy, AckDelayStrategy};
     use rq_profiles::all_servers;
 
     fn server(name: &str) -> ServerProfile {
@@ -146,5 +127,49 @@ mod tests {
     fn s2n_delay_exceeds_typical_rtt() {
         let d = measure_first_ack_delays(&server("s2n-quic"), 5);
         assert!(d.initial_ms.unwrap() >= 14.0);
+    }
+
+    /// Appendix D across Table 3: RFC 9002 takes the first RTT sample as
+    /// measured, so whatever ACK Delay a server reports (0–14 ms), every
+    /// server that ACKs gives quic-go one first PTO per Δt. It sits a
+    /// fixed distance above the analytical first PTO, whatever report
+    /// accuracy the model assumes: three times the two Initial datagrams'
+    /// serialization at 10 Mbit/s. msquic ACKs nothing in the handshake
+    /// spaces, and the client has no RTT sample when the response ends.
+    #[test]
+    fn reported_ack_delay_leaves_the_first_pto_alone() {
+        for delta_ms in [0, 25] {
+            let delta = SimDuration::from_millis(delta_ms);
+            let mut reference: Option<(&str, f64)> = None;
+            let mut acking = 0;
+            for profile in all_servers() {
+                let (net, client, _) = run_against(&profile, delta, 1);
+                let node = net.node(client).and_then(TestbedNode::client).unwrap();
+                let pto = rq_qlog::first_pto_ms(&node.conn.borrow().log);
+                let name = profile.name;
+                if profile.initial_ack_delay.is_none() {
+                    assert_eq!(pto, None, "Δt {delta_ms} ms: {name} gave an RTT sample");
+                    continue;
+                }
+                acking += 1;
+                let pto = pto.unwrap_or_else(|| panic!("Δt {delta_ms} ms: {name} gave no sample"));
+                let (first, first_pto) = *reference.get_or_insert((name, pto));
+                assert_eq!(
+                    pto, first_pto,
+                    "Δt {delta_ms} ms: {name}'s first PTO {pto} ms, {first}'s {first_pto} ms"
+                );
+                for r in [0.0, 0.5, 1.0] {
+                    let model =
+                        first_pto_with_strategy(AckDelayStrategy::Rfc9002, 9.0, delta_ms as f64, r);
+                    let excess = pto - model;
+                    assert!(
+                        (excess - 5.7384).abs() < 1e-9,
+                        "Δt {delta_ms} ms, r {r}: {name}'s first PTO {pto} ms is {excess} ms \
+                         above the model"
+                    );
+                }
+            }
+            assert_eq!(acking, 15);
+        }
     }
 }

@@ -13,4 +13,4 @@ pub mod client;
 pub mod server;
 
 pub use client::{all_clients, client_by_name, ClientProfile};
-pub use server::{all_servers, ResumptionProfile, ServerProfile};
+pub use server::{all_servers, ServerProfile};

@@ -1,7 +1,9 @@
-//! The sixteen server profiles from the ACK-delay study (paper Table 3)
-//! plus the main testbed server (quic-go modified for IACK).
+//! The sixteen server profiles from the ACK-delay study (paper Table 3),
+//! each compiled to an [`AckDelayReport`] and a [`HandshakeAcks`], plus
+//! the main testbed server (quic-go modified for IACK). A server's
+//! resumption policy is `rq_tls::ServerResumption`, set per scenario.
 
-use rq_quic::{AckDelayReport, EndpointConfig, ServerAckMode};
+use rq_quic::{AckDelayReport, EndpointConfig, HandshakeAcks, ServerAckMode};
 use rq_sim::SimDuration;
 
 /// A server implementation profile for the ACK-delay study.
@@ -18,17 +20,18 @@ pub struct ServerProfile {
 }
 
 impl ServerProfile {
-    /// Compiles to an endpoint configuration (WFC with a pre-provisioned
-    /// certificate: the Table 3 study probes stock servers).
+    /// Compiles to an endpoint configuration: an RFC-default (WFC)
+    /// server reporting this profile's first-ACK delays.
     pub fn endpoint_config(&self) -> EndpointConfig {
         let mut cfg = EndpointConfig::rfc_default();
         cfg.name = self.name;
-        cfg.ack_mode = ServerAckMode::WaitForCertificate;
+        if let Some(d) = self.handshake_ack_delay {
+            cfg.handshake_acks = HandshakeAcks::Handshake(d);
+        }
         match self.initial_ack_delay {
-            None => cfg.no_initial_acks = true,
+            None => cfg.handshake_acks = HandshakeAcks::Never,
             Some(d) => cfg.ack_delay_report = AckDelayReport::Fixed(d),
         }
-        cfg.handshake_ack_delay_report = self.handshake_ack_delay.map(AckDelayReport::Fixed);
         cfg
     }
 }
@@ -123,73 +126,6 @@ pub fn all_servers() -> Vec<ServerProfile> {
     ]
 }
 
-/// Per-deployment session-resumption behaviour: whether tickets are
-/// offered at all, whether 0-RTT early data is accepted, and the
-/// advertised ticket lifetime. Real CDNs differ on all three (Cloudflare
-/// serves 0-RTT broadly, Meta disables it, some origins never issue
-/// tickets), which is what the testbed's handshake-class scenarios and
-/// the wild scan's resumption columns model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResumptionProfile {
-    /// Profile label used in scenario labels and tables.
-    pub name: &'static str,
-    /// Issue a NewSessionTicket after completed handshakes (and accept
-    /// the tickets back for abbreviated handshakes).
-    pub offers_tickets: bool,
-    /// Accept 0-RTT early data on resumed connections.
-    pub accepts_early_data: bool,
-    /// Lifetime advertised in issued tickets.
-    pub ticket_lifetime: SimDuration,
-}
-
-impl ResumptionProfile {
-    /// Tickets offered, resumption and 0-RTT accepted (the common CDN
-    /// front-end configuration).
-    pub fn accepting() -> Self {
-        ResumptionProfile {
-            name: "resume-accepting",
-            offers_tickets: true,
-            accepts_early_data: true,
-            ticket_lifetime: SimDuration::from_secs(7200),
-        }
-    }
-
-    /// Tickets offered but 0-RTT rejected: early data is answered only
-    /// after the (abbreviated) handshake, retransmitted as 1-RTT.
-    pub fn rejecting_early_data() -> Self {
-        ResumptionProfile {
-            name: "resume-reject-0rtt",
-            accepts_early_data: false,
-            ..ResumptionProfile::accepting()
-        }
-    }
-
-    /// No tickets at all: every connection runs the full handshake.
-    pub fn no_tickets() -> Self {
-        ResumptionProfile {
-            name: "no-resumption",
-            offers_tickets: false,
-            accepts_early_data: false,
-            ticket_lifetime: SimDuration::ZERO,
-        }
-    }
-
-    /// Compiles into the TLS-layer server policy. Ticket-issuing
-    /// profiles always *advertise* 0-RTT support; a non-accepting one
-    /// then rejects the attempt (the advertise-then-reject mismatch of
-    /// key rotation / load shedding), which is what drives the
-    /// reject/retransmit path.
-    pub fn server_resumption(&self) -> rq_tls::ServerResumption {
-        rq_tls::ServerResumption {
-            issue_tickets: self.offers_tickets,
-            accept_resumption: self.offers_tickets,
-            advertise_early_data: self.offers_tickets,
-            accept_early_data: self.accepts_early_data,
-            ticket_lifetime_secs: self.ticket_lifetime.as_secs_f64() as u32,
-        }
-    }
-}
-
 /// The testbed server (paper §3): quic-go modified to support instant ACK,
 /// with a configurable certificate size.
 pub fn testbed_server(ack_mode: ServerAckMode, cert_len: usize) -> EndpointConfig {
@@ -223,7 +159,7 @@ mod tests {
     #[test]
     fn msquic_sends_no_initial_acks() {
         let cfg = server("msquic").endpoint_config();
-        assert!(cfg.no_initial_acks);
+        assert_eq!(cfg.handshake_acks, HandshakeAcks::Never);
     }
 
     #[test]
@@ -252,17 +188,6 @@ mod tests {
         );
         let cfg = server("quiche").endpoint_config();
         assert!(matches!(cfg.ack_delay_report, AckDelayReport::Fixed(_)));
-    }
-
-    #[test]
-    fn resumption_profiles_compile_to_tls_policy() {
-        let acc = ResumptionProfile::accepting().server_resumption();
-        assert!(acc.issue_tickets && acc.accept_resumption && acc.accept_early_data);
-        assert_eq!(acc.ticket_lifetime_secs, 7200);
-        let rej = ResumptionProfile::rejecting_early_data().server_resumption();
-        assert!(rej.issue_tickets && rej.accept_resumption && !rej.accept_early_data);
-        let none = ResumptionProfile::no_tickets().server_resumption();
-        assert!(!none.issue_tickets && !none.accept_resumption);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! `rq-profiles` builds one [`EndpointConfig`] per emulated implementation;
 //! the connection state machine reads these knobs and nothing else, so the
-//! protocol core stays implementation-agnostic.
+//! protocol core stays implementation-agnostic. A client's resumption
+//! offer is the `rq_tls::ClientConfig` its TLS session starts from.
 
 use rq_sim::SimDuration;
 
@@ -63,8 +64,8 @@ pub enum ProbePolicy {
     RetransmitOldest,
 }
 
-/// How a server reports the `ACK Delay` field (paper Table 3: six stacks
-/// report 0, a `Fixed` zero; others report real or even inflated values).
+/// How an endpoint reports the `ACK Delay` field: clients `Actual`, every
+/// Table 3 server `Fixed` (six report 0, others real or inflated values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AckDelayReport {
     /// Report the actual host delay.
@@ -72,6 +73,19 @@ pub enum AckDelayReport {
     Actual,
     /// Report a fixed value regardless of the actual delay.
     Fixed(SimDuration),
+}
+
+/// Which handshake spaces a server ACKs in (Table 3's first-ACK columns).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HandshakeAcks {
+    /// No Initial or Handshake ACKs at all (msquic).
+    Never,
+    /// Initial-space ACKs only; the Handshake space goes at confirmation
+    /// unacknowledged (clients and 11 of the 16 stacks).
+    Initial,
+    /// Also ACK the client Finished in the Handshake space, reporting this
+    /// delay, before discarding it (haproxy, lsquic, mvfst, neqo, xquic).
+    Handshake(SimDuration),
 }
 
 /// Client-side behavioural quirks observed in the paper (§4, App. F).
@@ -118,27 +132,17 @@ pub struct EndpointConfig {
     pub probe_policy: ProbePolicy,
     /// Server ACK mode (ignored by clients).
     pub ack_mode: ServerAckMode,
-    /// How ACK Delay is reported in Initial-space ACKs (Table 3).
+    /// How ACK Delay is reported (Table 3; see [`HandshakeAcks`]).
     pub ack_delay_report: AckDelayReport,
-    /// Handshake-space ACK delay reporting (Table 3 servers report
-    /// different values per space). `Some` also makes a server ACK the
-    /// client Finished in the Handshake space before discarding it
-    /// (haproxy, lsquic, mvfst, neqo, xquic in Table 3; most stacks
-    /// discard first and never ACK there). `None` reports Handshake-space
-    /// ACKs by `ack_delay_report`.
-    pub handshake_ack_delay_report: Option<AckDelayReport>,
-    /// Never attach ACK frames in the Initial/Handshake spaces (msquic in
-    /// Table 3 "does not send Initial and Handshake ACKs").
-    pub no_initial_acks: bool,
+    /// Server: the handshake spaces it acknowledges in (Table 3).
+    pub handshake_acks: HandshakeAcks,
     /// Total certificate-message size (server; paper: 1,212 or 5,113 B).
     pub cert_len: usize,
     /// Client quirks.
     pub quirks: ClientQuirks,
-    /// Client: session ticket to offer for an abbreviated handshake.
-    pub session_ticket: Option<rq_tls::SessionTicket>,
-    /// Client: send queued stream data as 0-RTT early data with the
-    /// ticket (ignored without `session_ticket`).
-    pub enable_early_data: bool,
+    /// Client: the session ticket to offer and whether to send early data
+    /// under it, handed to TLS as is.
+    pub resume: rq_tls::ClientConfig,
     /// Server: resumption policy (ticket issuance, PSK and 0-RTT
     /// acceptance; disabled by default so full-handshake traces keep
     /// their exact wire image).
@@ -188,12 +192,10 @@ impl EndpointConfig {
             probe_policy: ProbePolicy::Ping,
             ack_mode: ServerAckMode::WaitForCertificate,
             ack_delay_report: AckDelayReport::Actual,
-            handshake_ack_delay_report: None,
-            no_initial_acks: false,
+            handshake_acks: HandshakeAcks::Initial,
             cert_len: rq_tls::CERT_SMALL,
             quirks: ClientQuirks::default(),
-            session_ticket: None,
-            enable_early_data: false,
+            resume: rq_tls::ClientConfig::full(),
             resumption: rq_tls::ServerResumption::disabled(),
             ticket_keys: rq_tls::TicketKeySchedule::default(),
             give_up_after: None,

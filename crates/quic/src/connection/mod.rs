@@ -38,9 +38,7 @@ use bytes::{BufMut, Bytes};
 use rq_qlog::{EventData, EventLog, SpaceName};
 use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator};
 use rq_sim::{SimRng, SimTime};
-use rq_tls::{
-    ClientConfig as TlsClientConfig, Level, ServerConfig as TlsServerConfig, TlsEvent, TlsSession,
-};
+use rq_tls::{Level, ServerConfig as TlsServerConfig, TlsEvent, TlsSession};
 use rq_wire::{ConnectionId, Header, PacketNumberSpace, PlainPacket};
 
 use crate::config::{
@@ -275,10 +273,7 @@ impl Connection {
         if let Some(pre) = cfg.quirks.buggy_rtt_preinit.filter(|_| rtt_quirk_applies) {
             rtt = rtt.with_buggy_preinit(pre);
         }
-        let mut tls = TlsSession::client(TlsClientConfig {
-            ticket: cfg.session_ticket.clone(),
-            early_data: cfg.enable_early_data && cfg.session_ticket.is_some(),
-        });
+        let mut tls = TlsSession::client(cfg.resume.clone());
         tls.start();
         Connection::new(cfg, seed, tls, rtt, local_cid, original_dcid)
     }
@@ -506,8 +501,7 @@ impl Connection {
                         }
                         // Some stacks ACK the client Finished in the
                         // Handshake space before discarding it (Table 3).
-                        let acks_handshake = self.cfg.handshake_ack_delay_report.is_some();
-                        if acks_handshake && !self.cfg.no_initial_acks {
+                        if let crate::HandshakeAcks::Handshake(_) = self.cfg.handshake_acks {
                             self.queue_ack(now, PacketNumberSpace::Handshake, false);
                         }
                         self.confirm();

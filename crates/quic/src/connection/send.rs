@@ -12,7 +12,7 @@ use rq_wire::{
 };
 
 use super::{space_in, space_name, CloseState, Connection, Role, MAX_DATAGRAM_SIZE};
-use crate::config::{AckDelayReport, ACK_ELICITING_THRESHOLD};
+use crate::config::{AckDelayReport, HandshakeAcks, ACK_ELICITING_THRESHOLD};
 use crate::space::Space;
 
 /// The frames of one datagram's packets, by packet number space: a
@@ -177,7 +177,7 @@ impl Connection {
             deadline_passed || self.role == Role::Server || self.handshake_complete
         };
         // msquic (Table 3): no ACK frames in Initial/Handshake spaces.
-        let never_acks = self.cfg.no_initial_acks
+        let never_acks = self.cfg.handshake_acks == HandshakeAcks::Never
             && self.role == Role::Server
             && space != PacketNumberSpace::Application;
         let attach_ack =
@@ -491,10 +491,12 @@ impl Connection {
     }
 
     fn report_ack_delay(&self, now: SimTime, idx: usize) -> u64 {
-        // The Handshake space may report by a policy of its own.
-        let handshake = self.cfg.handshake_ack_delay_report.filter(|_| idx == 1);
+        let report = match self.cfg.handshake_acks {
+            HandshakeAcks::Handshake(d) if idx == 1 => AckDelayReport::Fixed(d),
+            _ => self.cfg.ack_delay_report,
+        };
         let largest = self.space(idx).and_then(|sp| sp.recv.largest_recv_time);
-        match handshake.unwrap_or(self.cfg.ack_delay_report) {
+        match report {
             AckDelayReport::Fixed(d) => d.as_micros(),
             AckDelayReport::Actual => largest.map_or(0, |t| now.saturating_since(t).as_micros()),
         }

@@ -7,7 +7,7 @@ use rq_wire::{AckFrame, Frame, PacketSummary, PacketType, MIN_INITIAL_DATAGRAM};
 use super::path::{PathState, PATH_CHALLENGE_MAX_RETRIES};
 use super::send::pad_client_initial;
 use super::*;
-use crate::config::{AckDelayReport, ProbePolicy};
+use crate::config::{HandshakeAcks, ProbePolicy};
 use crate::streams::id as stream_id;
 
 fn ms(v: u64) -> SimDuration {
@@ -741,8 +741,10 @@ fn zero_rtt_request_delivered_before_handshake_completes() {
     let ticket = mint_ticket_via_priming(&server_cfg);
 
     let mut cfg = EndpointConfig::rfc_default();
-    cfg.session_ticket = Some(ticket);
-    cfg.enable_early_data = true;
+    cfg.resume = rq_tls::ClientConfig {
+        ticket: Some(ticket),
+        early_data: true,
+    };
     let mut c = Connection::client(cfg, 1, false);
     c.send_stream_data(stream_id::CLIENT_BIDI_0, b"GET / HTTP/1.1\r\n\r\n", true);
     let mut s = Connection::server(server_cfg, 3, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
@@ -787,8 +789,10 @@ fn rejected_early_data_is_retransmitted_as_one_rtt() {
     let ticket = mint_ticket_via_priming(&server_cfg);
 
     let mut cfg = EndpointConfig::rfc_default();
-    cfg.session_ticket = Some(ticket);
-    cfg.enable_early_data = true;
+    cfg.resume = rq_tls::ClientConfig {
+        ticket: Some(ticket),
+        early_data: true,
+    };
     let mut c = Connection::client(cfg, 1, false);
     c.send_stream_data(stream_id::CLIENT_BIDI_0, b"GET / HTTP/1.1\r\n\r\n", true);
     let mut s = Connection::server(server_cfg, 3, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
@@ -813,8 +817,10 @@ fn resumed_handshake_without_early_data_still_abbreviated() {
     let server_cfg = resuming_server_cfg(true);
     let ticket = mint_ticket_via_priming(&server_cfg);
     let mut cfg = EndpointConfig::rfc_default();
-    cfg.session_ticket = Some(ticket);
-    cfg.enable_early_data = false;
+    cfg.resume = rq_tls::ClientConfig {
+        ticket: Some(ticket),
+        early_data: false,
+    };
     let mut c = Connection::client(cfg, 1, false);
     let mut s = Connection::server(server_cfg, 3, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
     let fresh = exchange_until_quiet(&mut c, &mut s, at(0));
@@ -828,8 +834,10 @@ fn ticket_from_wrong_server_key_falls_back_to_full_handshake() {
     let server_cfg = resuming_server_cfg(true);
     let ticket = mint_ticket_via_priming(&server_cfg);
     let mut cfg = EndpointConfig::rfc_default();
-    cfg.session_ticket = Some(ticket);
-    cfg.enable_early_data = true;
+    cfg.resume = rq_tls::ClientConfig {
+        ticket: Some(ticket),
+        early_data: true,
+    };
     let mut c = Connection::client(cfg, 1, false);
     let mut other = server_cfg;
     other.ticket_keys.base_key ^= 0xDEAD;
@@ -908,7 +916,7 @@ fn confirmation_drops_the_handshake_state_on_both_sides() {
 #[test]
 fn handshake_space_ack_leaves_before_the_state_goes() {
     let mut cfg = EndpointConfig::rfc_default();
-    cfg.handshake_ack_delay_report = Some(AckDelayReport::Actual);
+    cfg.handshake_acks = HandshakeAcks::Handshake(SimDuration::ZERO);
     let mut c = client();
     let mut s = Connection::server(cfg, 2, derived_cid(1, CID_KIND_ORIGINAL_DCID, 0));
     let mut wire = Vec::new();

@@ -16,7 +16,9 @@ pub mod server;
 pub mod space;
 pub mod streams;
 
-pub use config::{AckDelayReport, ClientQuirks, EndpointConfig, ProbePolicy, ServerAckMode};
+pub use config::{
+    AckDelayReport, ClientQuirks, EndpointConfig, HandshakeAcks, ProbePolicy, ServerAckMode,
+};
 pub use connection::{
     derived_cid, server_busy_datagram, stateless_reset_datagram, stateless_retry_datagram,
     ConnEvent, ConnStats, Connection, Role, CID_KIND_RETRY, ERROR_GIVE_UP, ERROR_SERVER_BUSY,

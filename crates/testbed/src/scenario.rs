@@ -2,7 +2,7 @@
 //! with the handshake-class axis (full / resumed / 0-RTT).
 
 use rq_http::HttpVersion;
-use rq_profiles::{ClientProfile, ResumptionProfile};
+use rq_profiles::ClientProfile;
 use rq_quic::ServerAckMode;
 use rq_recovery::CcAlgorithm;
 use rq_sim::{DropIndices, FaultTimeline, ImpairmentSpec, SimDuration};
@@ -262,10 +262,10 @@ pub struct Scenario {
     pub probe_policy_override: Option<rq_quic::ProbePolicy>,
     /// Handshake class of the measured connection.
     pub handshake_class: HandshakeClass,
-    /// Server resumption behaviour, applied (together with ticket
-    /// issuance on the priming connection) whenever `handshake_class`
-    /// is not [`HandshakeClass::Full`].
-    pub resumption: ResumptionProfile,
+    /// Server resumption policy, applied (together with ticket issuance
+    /// on the priming connection) whenever `handshake_class` is not
+    /// [`HandshakeClass::Full`].
+    pub resumption: rq_tls::ServerResumption,
     /// Fault-injection axis (blackouts, crashes, give-up, reconnects).
     /// [`FaultSpec::none`] — the default — is byte-for-byte free.
     pub faults: FaultSpec,
@@ -285,6 +285,9 @@ pub struct Scenario {
     pub metrics_sample_every: Option<SimDuration>,
 }
 
+/// The ticket lifetime a scenario's server advertises: two hours.
+const TICKET_LIFETIME_SECS: u32 = 7200;
+
 impl Scenario {
     /// The paper's base configuration: 10 KB transfer, small certificate,
     /// no extra Δt, no loss.
@@ -303,7 +306,7 @@ impl Scenario {
             server_default_pto: None,
             probe_policy_override: None,
             handshake_class: HandshakeClass::Full,
-            resumption: ResumptionProfile::accepting(),
+            resumption: rq_tls::ServerResumption::accepting(TICKET_LIFETIME_SECS),
             faults: FaultSpec::none(),
             cc: CcAlgorithm::NewReno,
             streams: 1,

@@ -195,7 +195,6 @@ impl ServerLoadSpec {
     /// tickets minted under the epoch key of their (aged) minting time.
     pub fn plans(&self) -> Vec<ConnPlan> {
         let schedule = self.schedule();
-        let policy = self.base.resumption.server_resumption();
         self.arrival_times()
             .into_iter()
             .enumerate()
@@ -211,13 +210,12 @@ impl ServerLoadSpec {
                         sc.loss = LossSpec::Random(spec);
                     }
                 }
-                let ticket = if sc.handshake_class != HandshakeClass::Full
-                    && self.base.resumption.offers_tickets
-                {
-                    Some(self.synthetic_ticket(i, arrival, &schedule, &policy))
-                } else {
-                    None
-                };
+                let ticket =
+                    if sc.handshake_class != HandshakeClass::Full && self.base.resumption.tickets {
+                        Some(self.synthetic_ticket(i, arrival, &schedule))
+                    } else {
+                        None
+                    };
                 ConnPlan {
                     scenario: sc,
                     arrival,
@@ -236,7 +234,6 @@ impl ServerLoadSpec {
         i: usize,
         arrival: SimTime,
         schedule: &TicketKeySchedule,
-        policy: &rq_tls::ServerResumption,
     ) -> SessionTicket {
         let minted_ns = arrival
             .as_nanos()
@@ -250,8 +247,9 @@ impl ServerLoadSpec {
         SessionTicket {
             ticket: mint_ticket(key, &secret),
             secret,
-            lifetime_secs: policy.ticket_lifetime_secs,
-            early_data_allowed: policy.advertise_early_data,
+            lifetime_secs: self.base.resumption.ticket_lifetime_secs,
+            // Every issued ticket advertises 0-RTT.
+            early_data_allowed: true,
         }
     }
 }
@@ -587,7 +585,7 @@ pub(crate) fn drive_conn_plans(
         server_cfg.default_pto = pto;
     }
     if resumption_active {
-        server_cfg.resumption = base.resumption.server_resumption();
+        server_cfg.resumption = base.resumption;
     }
     server_cfg.ticket_keys = spec.schedule();
     let engine =
@@ -624,8 +622,10 @@ pub(crate) fn drive_conn_plans(
         if let Some(policy) = sc.probe_policy_override {
             client_cfg.probe_policy = policy;
         }
-        client_cfg.session_ticket = plan.ticket.take();
-        client_cfg.enable_early_data = sc.handshake_class == HandshakeClass::ZeroRtt;
+        client_cfg.resume = rq_tls::ClientConfig {
+            ticket: plan.ticket.take(),
+            early_data: sc.handshake_class == HandshakeClass::ZeroRtt,
+        };
         client_cfg.give_up_after = sc.faults.give_up_after;
         client_cfg.give_up_pto_count = sc.faults.give_up_pto_count;
         client_cfg.cid_pool = sc.migration.cid_pool;

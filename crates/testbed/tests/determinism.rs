@@ -3,13 +3,14 @@
 //! server ACK modes.
 
 use rq_http::HttpVersion;
-use rq_profiles::{client_by_name, ResumptionProfile};
+use rq_profiles::client_by_name;
 use rq_quic::ServerAckMode;
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
     median, run_repetitions, run_scenario, run_scenario_with_trace, HandshakeClass, LossSpec,
     RunResult, Scenario, SweepRunner, SweepScenarios,
 };
+use rq_tls::ServerResumption;
 
 /// The stochastic spec used by the determinism suite: every impairment
 /// family enabled at once, so any nondeterminism in the random path shows
@@ -118,9 +119,9 @@ fn same_seed_same_result_for_every_handshake_class() {
     // scenario seed, for both ACK modes and all resumption profiles.
     for class in HandshakeClass::ALL {
         for profile in [
-            ResumptionProfile::accepting(),
-            ResumptionProfile::rejecting_early_data(),
-            ResumptionProfile::no_tickets(),
+            ServerResumption::accepting(7200),
+            ServerResumption::rejecting_early_data(7200),
+            ServerResumption::disabled(),
         ] {
             for mode in [
                 ServerAckMode::WaitForCertificate,
@@ -137,8 +138,7 @@ fn same_seed_same_result_for_every_handshake_class() {
                 assert_eq!(
                     fingerprint(&a),
                     fingerprint(&b),
-                    "{class:?}/{}/{mode:?}",
-                    profile.name
+                    "{class:?}/{profile:?}/{mode:?}"
                 );
             }
         }

@@ -3,11 +3,12 @@
 //! ticketless servers, and the 0-RTT reject/retransmit path.
 
 use rq_http::HttpVersion;
-use rq_profiles::{client_by_name, ResumptionProfile};
+use rq_profiles::client_by_name;
 use rq_quic::ServerAckMode;
 use rq_sim::SimDuration;
 use rq_testbed::{run_scenario, HandshakeClass, Scenario};
 use rq_testkit::prop::cases;
+use rq_tls::ServerResumption;
 
 const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
 const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
@@ -19,7 +20,7 @@ fn base(mode: ServerAckMode) -> Scenario {
     sc
 }
 
-fn with_class(mode: ServerAckMode, class: HandshakeClass, prof: ResumptionProfile) -> Scenario {
+fn with_class(mode: ServerAckMode, class: HandshakeClass, prof: ServerResumption) -> Scenario {
     let mut sc = base(mode);
     sc.handshake_class = class;
     sc.resumption = prof;
@@ -31,17 +32,17 @@ fn class_ladder_zero_rtt_below_resumed_below_full() {
     let full = run_scenario(&with_class(
         WFC,
         HandshakeClass::Full,
-        ResumptionProfile::accepting(),
+        ServerResumption::accepting(7200),
     ));
     let resumed = run_scenario(&with_class(
         WFC,
         HandshakeClass::Resumed,
-        ResumptionProfile::accepting(),
+        ServerResumption::accepting(7200),
     ));
     let zero = run_scenario(&with_class(
         WFC,
         HandshakeClass::ZeroRtt,
-        ResumptionProfile::accepting(),
+        ServerResumption::accepting(7200),
     ));
     assert!(full.completed && resumed.completed && zero.completed);
     assert!(!full.resumed && resumed.resumed && zero.resumed);
@@ -74,14 +75,14 @@ fn resumption_collapses_the_wfc_iack_gap() {
         let w = run_scenario(&with_class(
             WFC,
             HandshakeClass::Resumed,
-            ResumptionProfile::accepting(),
+            ServerResumption::accepting(7200),
         ))
         .ttfb_ms
         .unwrap();
         let i = run_scenario(&with_class(
             IACK,
             HandshakeClass::Resumed,
-            ResumptionProfile::accepting(),
+            ServerResumption::accepting(7200),
         ))
         .ttfb_ms
         .unwrap();
@@ -96,11 +97,11 @@ fn resumption_collapses_the_wfc_iack_gap() {
 #[test]
 fn ticketless_server_falls_back_to_full_handshake() {
     for class in [HandshakeClass::Resumed, HandshakeClass::ZeroRtt] {
-        let res = run_scenario(&with_class(WFC, class, ResumptionProfile::no_tickets()));
+        let res = run_scenario(&with_class(WFC, class, ServerResumption::disabled()));
         let full = run_scenario(&with_class(
             WFC,
             HandshakeClass::Full,
-            ResumptionProfile::no_tickets(),
+            ServerResumption::disabled(),
         ));
         assert!(res.completed);
         assert!(!res.resumed, "{}: no ticket, no resumption", class.label());
@@ -111,7 +112,11 @@ fn ticketless_server_falls_back_to_full_handshake() {
 
 #[test]
 fn zero_rtt_labels_and_reissue() {
-    let sc = with_class(WFC, HandshakeClass::ZeroRtt, ResumptionProfile::accepting());
+    let sc = with_class(
+        WFC,
+        HandshakeClass::ZeroRtt,
+        ServerResumption::accepting(7200),
+    );
     assert!(sc.label().ends_with("/0rtt"));
     let res = run_scenario(&sc);
     // TTFB ≈ handshake time: the response races the handshake flight.
@@ -136,7 +141,7 @@ fn retry_composes_with_zero_rtt_resumption() {
     fn server_cfg() -> EndpointConfig {
         let mut cfg = EndpointConfig::rfc_default();
         cfg.ack_mode = WFC;
-        cfg.resumption = rq_tls::ServerResumption::rejecting_early_data(7200);
+        cfg.resumption = ServerResumption::rejecting_early_data(7200);
         cfg
     }
 
@@ -254,8 +259,10 @@ fn retry_composes_with_zero_rtt_resumption() {
     // Measured connection: 0-RTT offer against a Retry-ing server that
     // rejects early data.
     let mut cfg = EndpointConfig::rfc_default();
-    cfg.session_ticket = Some(ticket);
-    cfg.enable_early_data = true;
+    cfg.resume = rq_tls::ClientConfig {
+        ticket: Some(ticket),
+        early_data: true,
+    };
     let mut c = Connection::client(cfg, 1, false);
     c.send_stream_data(stream_id::CLIENT_BIDI_0, REQUEST, true);
     let mut s = Connection::server(server_cfg(), 3, c.original_dcid());
@@ -328,7 +335,7 @@ fn rejected_early_data_always_completes() {
         let mut sc = with_class(
             WFC,
             HandshakeClass::ZeroRtt,
-            ResumptionProfile::rejecting_early_data(),
+            ServerResumption::rejecting_early_data(7200),
         );
         sc.seed = 1 + rng.gen_range(9_999);
         let res = run_scenario(&sc);
@@ -345,7 +352,7 @@ fn classes_are_pure_functions_of_the_seed() {
     cases(8, |rng| {
         let seed = 1 + rng.gen_range(9_999);
         for class in HandshakeClass::ALL {
-            let mut sc = with_class(WFC, class, ResumptionProfile::accepting());
+            let mut sc = with_class(WFC, class, ServerResumption::accepting(7200));
             sc.seed = seed;
             let a = run_scenario(&sc);
             let b = run_scenario(&sc);

@@ -13,6 +13,9 @@
 //! Everything here is a pure function of its inputs: the same transcript
 //! and ticket key always produce the same ticket bytes, which is what
 //! keeps resumption scenarios byte-reproducible from the scenario seed.
+//!
+//! A server's whole resumption policy is one [`ServerResumption`]: the
+//! testbed's scenarios and sweeps name its presets directly.
 
 use crate::mac::{mac, DIGEST_LEN};
 
@@ -36,18 +39,17 @@ pub struct SessionTicket {
     pub early_data_allowed: bool,
 }
 
-/// Server-side resumption policy (the per-deployment behaviour
-/// `rq-profiles` models: tickets not offered, 0-RTT accepted or
-/// rejected, ticket lifetime).
+/// Server-side resumption policy: whether tickets are offered at all,
+/// whether 0-RTT early data is accepted, and the advertised ticket
+/// lifetime. Deployments differ on all three (some CDNs serve 0-RTT
+/// broadly, others disable it, some origins never issue tickets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerResumption {
-    /// Issue a NewSessionTicket after every completed handshake.
-    pub issue_tickets: bool,
-    /// Accept valid tickets for abbreviated (PSK) handshakes.
-    pub accept_resumption: bool,
-    /// Advertise 0-RTT support in issued tickets. A client only offers
-    /// early data when its ticket advertised it (RFC 8446 §4.2.10).
-    pub advertise_early_data: bool,
+    /// Issue a NewSessionTicket after every completed handshake,
+    /// advertising 0-RTT support in it, and accept valid tickets back for
+    /// abbreviated (PSK) handshakes. A client only offers early data
+    /// under a ticket that advertised it (RFC 8446 §4.2.10).
+    pub tickets: bool,
     /// Accept 0-RTT early data on resumed handshakes. Deployments can
     /// advertise support and still reject a given attempt (key rotation,
     /// load shedding) — that mismatch is the reject/retransmit path.
@@ -61,9 +63,7 @@ impl ServerResumption {
     /// bytes on the wire, so legacy traces stay byte-identical).
     pub fn disabled() -> Self {
         ServerResumption {
-            issue_tickets: false,
-            accept_resumption: false,
-            advertise_early_data: false,
+            tickets: false,
             accept_early_data: false,
             ticket_lifetime_secs: 0,
         }
@@ -72,9 +72,7 @@ impl ServerResumption {
     /// Tickets offered, resumption and 0-RTT accepted.
     pub fn accepting(ticket_lifetime_secs: u32) -> Self {
         ServerResumption {
-            issue_tickets: true,
-            accept_resumption: true,
-            advertise_early_data: true,
+            tickets: true,
             accept_early_data: true,
             ticket_lifetime_secs,
         }
@@ -356,14 +354,14 @@ mod tests {
     #[test]
     fn resumption_presets() {
         let acc = ServerResumption::accepting(7200);
-        assert!(acc.issue_tickets && acc.accept_resumption && acc.accept_early_data);
-        assert!(acc.advertise_early_data);
-        let rej = ServerResumption::rejecting_early_data(7200);
-        assert!(rej.issue_tickets && rej.accept_resumption && !rej.accept_early_data);
+        assert!(acc.tickets && acc.accept_early_data);
+        assert_eq!(acc.ticket_lifetime_secs, 7200);
         // Advertise-then-reject: the mismatch that exercises the 0-RTT
         // reject/retransmit path with an RFC-legal client offer.
-        assert!(rej.advertise_early_data);
+        let rej = ServerResumption::rejecting_early_data(7200);
+        assert!(rej.tickets && !rej.accept_early_data);
+        assert_eq!(rej.ticket_lifetime_secs, 7200);
         let off = ServerResumption::default();
-        assert!(!off.issue_tickets && !off.accept_resumption && !off.advertise_early_data);
+        assert!(!off.tickets && !off.accept_early_data);
     }
 }

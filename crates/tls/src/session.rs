@@ -425,7 +425,7 @@ impl TlsSession {
                 let mut keys = cfg.ticket_keys.accepted();
                 let secret = offer
                     .as_ref()
-                    .filter(|_| cfg.resumption.accept_resumption)
+                    .filter(|_| cfg.resumption.tickets)
                     .and_then(|(ticket, _)| keys.find_map(|key| open_ticket(key, ticket)));
                 if let Some(secret) = secret {
                     // Abbreviated handshake: no certificate, no Δt.
@@ -461,11 +461,12 @@ impl TlsSession {
                 // The resumption secret covers the client Finished too.
                 let secret = resumption_secret(&self.transcript.finish());
                 let cfg = self.server_cfg();
-                if cfg.resumption.issue_tickets {
+                if cfg.resumption.tickets {
+                    // Every ticket advertises 0-RTT, accepted or not.
                     let ticket = mint_ticket(cfg.ticket_keys.mint(), &secret);
                     let nst = HandshakeMessage::new_session_ticket(
                         cfg.resumption.ticket_lifetime_secs,
-                        cfg.resumption.advertise_early_data,
+                        true,
                         &ticket,
                     );
                     self.out[APPLICATION].reserve(nst.wire_len());

