@@ -1,15 +1,14 @@
 //! Deterministic sim-time metrics registry.
 //!
-//! Everything here is exact integer arithmetic over a `BTreeMap`, so a
-//! registry is a value: two runs that did the same work produce equal
+//! Everything here is exact integer arithmetic over a name-sorted list,
+//! so a registry is a value: two runs that did the same work produce equal
 //! registries, and merging per-shard registries in shard order yields
 //! the same bytes at any thread count. `merge` is a commutative monoid
 //! (`Registry::default()` is the identity), which the property tests
 //! pin.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Log2-bucketed integer histogram (65 buckets: one for zero, one per
 /// bit position; boxed, so a [`Metric`] is 48 bytes rather than 560).
@@ -137,13 +136,35 @@ impl Metric {
     }
 }
 
+/// Room the first metric makes for the rest: one run's whole export
+/// (48 names from the engine, the server and both connections) fits.
+const FIRST_ROOM: usize = 64;
+
 /// Hierarchical metrics registry. Names are `/`-separated paths
 /// (`"sim/events/datagram"`), a `&'static str` or a run-time `String`,
-/// stored only when new; iteration and rendering follow the `BTreeMap`
-/// order, so output is deterministic by construction.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// stored only when new; the metrics are kept sorted by name, one entry
+/// each, so iteration and rendering are deterministic by construction.
+/// A registry grows by one reservation for a whole run's export.
+#[derive(Clone, Default, PartialEq)]
 pub struct Registry {
-    metrics: BTreeMap<Cow<'static, str>, Metric>,
+    metrics: Vec<(Cow<'static, str>, Metric)>,
+}
+
+/// Shaped as the name-to-metric map a registry is.
+impl fmt::Debug for Registry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Map<'a>(&'a [(Cow<'static, str>, Metric)]);
+        impl fmt::Debug for Map<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(k, v)| (k, v)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Registry")
+            .field("metrics", &Map(&self.metrics))
+            .finish()
+    }
 }
 
 impl Registry {
@@ -151,57 +172,75 @@ impl Registry {
         Self::default()
     }
 
+    /// Where `name` is (`Ok`), or would go to keep the order (`Err`).
+    fn slot(&self, name: &str) -> Result<usize, usize> {
+        self.metrics.binary_search_by(|(k, _)| k.as_ref().cmp(name))
+    }
+
+    /// Inserts `metric` at `at`, the first insertion making room for a
+    /// whole export.
+    fn insert_at(&mut self, at: usize, name: Cow<'static, str>, metric: Metric) {
+        if self.metrics.capacity() == 0 {
+            self.metrics.reserve_exact(FIRST_ROOM);
+        }
+        self.metrics.insert(at, (name, metric));
+    }
+
+    /// The entry named `name`, inserted with `new()` when absent.
+    fn entry(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        new: impl FnOnce() -> Metric,
+    ) -> &mut (Cow<'static, str>, Metric) {
+        let name = name.into();
+        let at = match self.slot(&name) {
+            Ok(at) => at,
+            Err(at) => {
+                self.insert_at(at, name, new());
+                at
+            }
+        };
+        &mut self.metrics[at]
+    }
+
     /// Add to a counter, creating it at zero first.
     pub fn add(&mut self, name: impl Into<Cow<'static, str>>, by: u64) {
-        let name = name.into();
-        match self.metrics.get_mut(name.as_ref()) {
-            Some(Metric::Counter(c)) => *c += by,
-            Some(_) => panic!("metric kind mismatch adding to {name:?}"),
-            None => drop(self.metrics.insert(name, Metric::Counter(by))),
+        match self.entry(name, || Metric::Counter(0)) {
+            (_, Metric::Counter(c)) => *c += by,
+            (name, _) => panic!("metric kind mismatch adding to {name:?}"),
         }
     }
 
     /// Record a gauge observation: current level plus its high-water
     /// mark. Merging sums levels and maxes peaks.
     pub fn gauge(&mut self, name: impl Into<Cow<'static, str>>, level: i64, peak: i64) {
-        let name = name.into();
-        match self.metrics.get_mut(name.as_ref()) {
-            Some(Metric::Gauge { level: l, peak: p }) => {
+        match self.entry(name, || Metric::Gauge { level: 0, peak: 0 }) {
+            (_, Metric::Gauge { level: l, peak: p }) => {
                 *l += level;
                 *p = (*p).max(peak);
             }
-            Some(_) => panic!("metric kind mismatch gauging {name:?}"),
-            None => {
-                let peak = peak.max(0);
-                self.metrics.insert(name, Metric::Gauge { level, peak });
-            }
+            (name, _) => panic!("metric kind mismatch gauging {name:?}"),
         }
     }
 
     /// Record one observation into a histogram metric.
     pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, v: u64) {
-        let name = name.into();
-        match self.metrics.get_mut(name.as_ref()) {
-            Some(Metric::Histogram(h)) => h.observe(v),
-            Some(_) => panic!("metric kind mismatch observing {name:?}"),
-            None => {
-                let mut h = Histogram::default();
-                h.observe(v);
-                self.metrics.insert(name, Metric::Histogram(h));
-            }
+        match self.entry(name, || Metric::Histogram(Histogram::default())) {
+            (_, Metric::Histogram(h)) => h.observe(v),
+            (name, _) => panic!("metric kind mismatch observing {name:?}"),
         }
     }
 
     /// Counter value (zero if absent or a different kind).
     pub fn counter(&self, name: &str) -> u64 {
-        match self.metrics.get(name) {
+        match self.get(name) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         }
     }
 
     pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
+        self.slot(name).ok().map(|at| &self.metrics[at].1)
     }
 
     pub fn len(&self) -> usize {
@@ -220,11 +259,9 @@ impl Registry {
     /// kind mismatch — that is a naming bug, not data.
     pub fn merge(&mut self, other: &Registry) {
         for (name, m) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                Some(mine) => mine.merge(m, name),
-                None => {
-                    self.metrics.insert(name.clone(), m.clone());
-                }
+            match self.slot(name) {
+                Ok(at) => self.metrics[at].1.merge(m, name),
+                Err(at) => self.insert_at(at, name.clone(), m.clone()),
             }
         }
     }
@@ -233,8 +270,8 @@ impl Registry {
     pub fn render(&self) -> String {
         let width = self
             .metrics
-            .keys()
-            .map(|k| k.len())
+            .iter()
+            .map(|(k, _)| k.len())
             .max()
             .unwrap_or(0)
             .max(12);

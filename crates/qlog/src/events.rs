@@ -217,11 +217,46 @@ pub struct QlogEvent {
 /// steps and twice the bytes.
 const HANDSHAKE_EVENTS: usize = 64;
 
+/// Who wrote a log, rendered by `Display` as its label ("client:quic-go",
+/// "server:quic-go-iack", ...): an endpoint's role and static name, or a
+/// whole static label. Labelling a log builds no string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vantage {
+    /// The client endpoint of this name: `client:<name>`.
+    Client(&'static str),
+    /// The server endpoint of this name: `server:<name>`.
+    Server(&'static str),
+    /// Any other label, as it is.
+    Label(&'static str),
+}
+
+impl Default for Vantage {
+    fn default() -> Self {
+        Vantage::Label("")
+    }
+}
+
+impl From<&'static str> for Vantage {
+    fn from(label: &'static str) -> Self {
+        Vantage::Label(label)
+    }
+}
+
+impl std::fmt::Display for Vantage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Vantage::Client(name) => write!(f, "client:{name}"),
+            Vantage::Server(name) => write!(f, "server:{name}"),
+            Vantage::Label(label) => f.write_str(label),
+        }
+    }
+}
+
 /// An endpoint's event log for one connection.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    /// Vantage point label ("client:quic-go", "server:quic-go-iack", ...).
-    pub vantage: String,
+    /// Vantage point label.
+    pub vantage: Vantage,
     /// Events in record order.
     pub events: Vec<QlogEvent>,
     /// Nobody will read this log: `push` records nothing.
@@ -229,8 +264,8 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Creates a log for the given vantage label.
-    pub fn new(vantage: impl Into<String>) -> Self {
+    /// Creates a log for the given vantage (or label).
+    pub fn new(vantage: impl Into<Vantage>) -> Self {
         EventLog {
             vantage: vantage.into(),
             events: Vec::new(),
@@ -289,7 +324,7 @@ impl EventLog {
     /// Serializes to qlog-flavoured JSON (one trace).
     pub fn to_json(&self) -> String {
         Json::Object(vec![
-            ("vantage".into(), Json::str(&self.vantage)),
+            ("vantage".into(), Json::str(self.vantage.to_string())),
             (
                 "events".into(),
                 Json::Array(self.events.iter().map(QlogEvent::to_json_value).collect()),
@@ -500,7 +535,16 @@ mod tests {
         log.push_with(t(2), || unreachable!("an off log asks for no payload"));
         assert!(log.events.is_empty());
         assert_eq!(log.events.capacity(), 0, "an off log owns nothing");
-        assert_eq!(log.vantage, "server:test");
+        assert_eq!(log.vantage.to_string(), "server:test");
+        assert_eq!(
+            EventLog::new(Vantage::Server("test")).vantage.to_string(),
+            "server:test"
+        );
+        assert_eq!(
+            EventLog::new(Vantage::Client("neqo")).vantage.to_string(),
+            "client:neqo"
+        );
+        assert_eq!(EventLog::default().vantage.to_string(), "");
         // Default and `new` capture, and make room for a handshake at
         // the first event, not before.
         let mut log = EventLog::default().capturing(true);

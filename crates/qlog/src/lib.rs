@@ -15,6 +15,6 @@ pub mod exposure;
 pub mod json;
 pub mod metrics;
 
-pub use events::{EventData, EventLog, FrameSummary, QlogEvent, SpaceName};
+pub use events::{EventData, EventLog, FrameSummary, QlogEvent, SpaceName, Vantage};
 pub use exposure::MetricsExposure;
 pub use metrics::{first_pto_ms, packets_lost, pto_expirations};

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes};
-use rq_qlog::{EventData, EventLog, SpaceName};
+use rq_qlog::{EventData, EventLog, SpaceName, Vantage};
 use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator};
 use rq_sim::{SimRng, SimTime};
 use rq_tls::{Level, ServerConfig as TlsServerConfig, TlsEvent, TlsSession};
@@ -315,9 +315,10 @@ impl Connection {
         original_dcid: ConnectionId,
     ) -> Self {
         let role = tls.role();
-        let (role_name, peer_cid) = match role {
-            Role::Client => ("client", original_dcid),
-            Role::Server => ("server", ConnectionId::EMPTY), // learned from the client's SCID
+        let (vantage, peer_cid) = match role {
+            Role::Client => (Vantage::Client(cfg.name), original_dcid),
+            // The server learns the peer's CID from the client's SCID.
+            Role::Server => (Vantage::Server(cfg.name), ConnectionId::EMPTY),
         };
         let handshake = Handshake::new(role, &cfg, original_dcid, &mut tls);
         let mut app = Space::default();
@@ -337,7 +338,7 @@ impl Connection {
             original_dcid,
             ready_datagrams: VecDeque::new(),
             events: VecDeque::new(),
-            log: EventLog::new(format!("{role_name}:{}", cfg.name)).capturing(cfg.capture_qlog),
+            log: EventLog::new(vantage).capturing(cfg.capture_qlog),
             handshake_complete: false,
             handshake_done_pending: false,
             streams: StreamSet::new(INITIAL_MAX_DATA, INITIAL_MAX_STREAM_DATA),

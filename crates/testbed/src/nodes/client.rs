@@ -2,6 +2,7 @@
 //! reconnects a fault scenario asks for.
 
 use std::cell::RefCell;
+use std::fmt::Write;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -97,6 +98,9 @@ pub struct ClientNode {
     backoff_rng: Option<SimRng>,
 }
 
+/// Room for `/` and any `usize` in decimal.
+const PATH_ROOM: usize = 21;
+
 /// Queues a GET for `/<file_size>` on each of the request streams
 /// `streams` (indices into client bidi IDs 0, 4, 8, …); they ride in the
 /// second client flight (or as 0-RTT early data).
@@ -106,8 +110,10 @@ fn queue_requests(
     file_size: usize,
     streams: Range<usize>,
 ) {
+    let mut path = String::with_capacity(PATH_ROOM);
+    // Writing to a `String` cannot fail.
+    let _ = write!(path, "/{file_size}");
     for i in streams {
-        let path = format!("/{file_size}");
         let request = match http {
             HttpVersion::H1 => h1::H1Request::get(&path, "testbed.local").to_bytes(),
             HttpVersion::H3 => h3::request_bytes(&path, "testbed.local"),

@@ -174,12 +174,24 @@ impl Session {
         if req.responded {
             return;
         }
-        req.buf.extend_from_slice(data);
-        let path = match http {
-            HttpVersion::H1 => h1::H1Request::decode(&req.buf).map(|r| r.path),
-            HttpVersion::H3 => h3::parse_request_path(&req.buf),
+        // The body length the request's path names, once it parses.
+        let body_len = |request: &[u8]| {
+            let len = |path: &str| path.trim_start_matches('/').parse().ok();
+            match http {
+                HttpVersion::H1 => h1::H1Request::decode(request).and_then(|r| len(r.path)),
+                HttpVersion::H3 => h3::parse_request_path(request).and_then(|p| len(&p)),
+            }
         };
-        let Some(body_len) = path.and_then(|p| p.trim_start_matches('/').parse().ok()) else {
+        // A request that arrives whole is read where it arrived.
+        let whole = if req.buf.is_empty() {
+            body_len(data)
+        } else {
+            None
+        };
+        let Some(body_len) = whole.or_else(|| {
+            req.buf.extend_from_slice(data);
+            body_len(&req.buf)
+        }) else {
             return;
         };
         // Answered: the request bytes have said all they had to.

@@ -1,6 +1,8 @@
 //! Scenario definitions: the parameter space of the paper's §3, extended
 //! with the handshake-class axis (full / resumed / 0-RTT).
 
+use std::fmt::Write;
+
 use rq_http::HttpVersion;
 use rq_profiles::ClientProfile;
 use rq_quic::ServerAckMode;
@@ -288,6 +290,11 @@ pub struct Scenario {
 /// The ticket lifetime a scenario's server advertises: two hours.
 const TICKET_LIFETIME_SECS: u32 = 7200;
 
+/// The room a label starts with: the longest matrix label,
+/// `go-x-net/IACK/http/1.1/rtt100ms/SecondClientFlight` (50 bytes), fits
+/// in one allocation; a longer one (a `Random` loss spelled out) grows.
+const LABEL_ROOM: usize = 64;
+
 impl Scenario {
     /// The paper's base configuration: 10 KB transfer, small certificate,
     /// no extra Δt, no loss.
@@ -365,9 +372,13 @@ impl Scenario {
 
     /// Human-readable scenario id for tables. The handshake class is
     /// appended only when it deviates from the paper's full handshake,
-    /// so legacy labels stay byte-identical.
+    /// so legacy labels stay byte-identical. Written into one string
+    /// with room for every matrix label.
     pub fn label(&self) -> String {
-        let mut label = format!(
+        let mut label = String::with_capacity(LABEL_ROOM);
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            label,
             "{}/{}/{}/rtt{}ms/{:?}",
             self.client.name,
             self.ack_mode.label(),
@@ -376,18 +387,17 @@ impl Scenario {
             self.loss
         );
         if self.handshake_class != HandshakeClass::Full {
-            label.push('/');
-            label.push_str(self.handshake_class.label());
+            let _ = write!(label, "/{}", self.handshake_class.label());
         }
         if self.cc != CcAlgorithm::NewReno {
-            label.push('/');
-            label.push_str(self.cc.label());
+            let _ = write!(label, "/{}", self.cc.label());
         }
         if self.streams != 1 {
-            label.push_str(&format!("/x{}", self.streams));
+            let _ = write!(label, "/x{}", self.streams);
         }
         if let Some(at) = self.migration.at {
-            label.push_str(&format!(
+            let _ = write!(
+                label,
                 "/mig{}ms-{}ms{}",
                 at.as_millis(),
                 self.migration.new_rtt.as_millis(),
@@ -396,7 +406,7 @@ impl Scenario {
                 } else {
                     "-rebind"
                 }
-            ));
+            );
         }
         label
     }

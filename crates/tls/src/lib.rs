@@ -26,7 +26,7 @@ pub use resumption::{
     mint_ticket, open_ticket, ServerResumption, SessionTicket, TicketKeySchedule, TicketKeys,
     TICKET_LEN,
 };
-pub use session::{ClientConfig, Role, ServerConfig, TlsEvent, TlsSession};
+pub use session::{ClientConfig, Role, ServerConfig, TlsEvent, TlsEvents, TlsSession};
 
 /// Errors raised by the TLS layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -92,7 +92,8 @@ const FLAG_PSK_ACCEPTED: u8 = 0x01;
 /// SH flag: the server accepted the offered early data.
 const FLAG_EARLY_DATA_ACCEPTED: u8 = 0x02;
 
-/// A parsed handshake message.
+/// A received handshake message, as [`HandshakeMessage::decode`] cuts it
+/// from the crypto stream; what an endpoint sends is an [`Outgoing`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HandshakeMessage {
     /// Message type.
@@ -103,24 +104,9 @@ pub struct HandshakeMessage {
 }
 
 impl HandshakeMessage {
-    /// Total wire size (4-byte header + body).
-    pub fn wire_len(&self) -> usize {
-        4 + self.body.len()
-    }
-
-    /// Encodes header + body.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u8(self.ty.code());
-        let len = self.body.len();
-        assert!(len < 1 << 24);
-        buf.put_u8((len >> 16) as u8);
-        buf.put_u8((len >> 8) as u8);
-        buf.put_u8(len as u8);
-        buf.put_slice(&self.body);
-    }
-
     /// Decodes one message if a complete one is available; returns `None`
-    /// when more bytes are needed.
+    /// when more bytes are needed. On a `Bytes` cursor the body is a view
+    /// of the cursor's storage, not a copy.
     pub fn decode(buf: &mut impl Buf) -> Result<Option<HandshakeMessage>, TlsError> {
         if buf.remaining() < 4 {
             return Ok(None);
@@ -141,47 +127,6 @@ impl HandshakeMessage {
         }))
     }
 
-    /// Builds a ClientHello of `total_len` bytes carrying a 32-byte random.
-    pub fn client_hello(random: [u8; 32], total_len: usize) -> Self {
-        assert!(total_len >= 4 + 32, "ClientHello must fit its random");
-        HandshakeMessage {
-            ty: HandshakeType::ClientHello,
-            body: Bytes::build(total_len - 4, |mut body| {
-                body.put_slice(&random);
-                body.fill(0x43); // 'C' filler standing in for extensions
-            }),
-        }
-    }
-
-    /// Builds a resumption ClientHello of `total_len` bytes: the random,
-    /// the PSK marker + flags, and the opaque ticket, padded with the
-    /// regular extension filler (the PSK extension costs real bytes on
-    /// the wire, so the resumption CH is allowed to exceed `total_len`'s
-    /// floor only via its own framing).
-    pub fn client_hello_resumption(
-        random: [u8; 32],
-        total_len: usize,
-        ticket: &[u8; TICKET_LEN],
-        early_data: bool,
-    ) -> Self {
-        let floor = 4 + 32 + 2 + TICKET_LEN;
-        let total_len = total_len.max(floor);
-        HandshakeMessage {
-            ty: HandshakeType::ClientHello,
-            body: Bytes::build(total_len - 4, |mut body| {
-                body.put_slice(&random);
-                body.put_u8(RESUMPTION_MARKER);
-                body.put_u8(if early_data {
-                    FLAG_EARLY_DATA_OFFERED
-                } else {
-                    0
-                });
-                body.put_slice(ticket);
-                body.fill(0x43);
-            }),
-        }
-    }
-
     /// Parses a ClientHello body's resumption offer: `(ticket,
     /// early_data_offered)`, or `None` for a plain full-handshake CH.
     pub fn resumption_offer(&self) -> Option<([u8; TICKET_LEN], bool)> {
@@ -195,35 +140,6 @@ impl HandshakeMessage {
         let mut ticket = [0u8; TICKET_LEN];
         ticket.copy_from_slice(&self.body[34..34 + TICKET_LEN]);
         Some((ticket, early))
-    }
-
-    /// Builds a ServerHello carrying a 32-byte random.
-    pub fn server_hello(random: [u8; 32]) -> Self {
-        HandshakeMessage {
-            ty: HandshakeType::ServerHello,
-            body: Bytes::build(SERVER_HELLO_LEN - 4, |mut body| {
-                body.put_slice(&random);
-                body.fill(0x53); // 'S'
-            }),
-        }
-    }
-
-    /// Builds the ServerHello of an abbreviated (PSK-accepted) handshake,
-    /// flagging whether offered early data was accepted.
-    pub fn server_hello_resumed(random: [u8; 32], early_data_accepted: bool) -> Self {
-        let mut flags = FLAG_PSK_ACCEPTED;
-        if early_data_accepted {
-            flags |= FLAG_EARLY_DATA_ACCEPTED;
-        }
-        HandshakeMessage {
-            ty: HandshakeType::ServerHello,
-            body: Bytes::build(SERVER_HELLO_LEN - 4, |mut body| {
-                body.put_slice(&random);
-                body.put_u8(RESUMPTION_MARKER);
-                body.put_u8(flags);
-                body.fill(0x53);
-            }),
-        }
     }
 
     /// Parses a ServerHello body's resumption outcome:
@@ -243,23 +159,6 @@ impl HandshakeMessage {
         ))
     }
 
-    /// Builds a NewSessionTicket carrying the opaque ticket, its
-    /// lifetime, and the server's early-data support flag.
-    pub fn new_session_ticket(
-        lifetime_secs: u32,
-        early_data_allowed: bool,
-        ticket: &[u8; TICKET_LEN],
-    ) -> Self {
-        HandshakeMessage {
-            ty: HandshakeType::NewSessionTicket,
-            body: Bytes::build(NEW_SESSION_TICKET_LEN - 4, |mut body| {
-                body.put_u32(lifetime_secs);
-                body.put_u8(early_data_allowed as u8);
-                body.put_slice(ticket);
-            }),
-        }
-    }
-
     /// Parses a NewSessionTicket body:
     /// `(lifetime_secs, early_data_allowed, ticket)`.
     pub fn parse_new_session_ticket(&self) -> Option<(u32, bool, [u8; TICKET_LEN])> {
@@ -272,38 +171,134 @@ impl HandshakeMessage {
         ticket.copy_from_slice(&self.body[5..5 + TICKET_LEN]);
         Some((lifetime, early, ticket))
     }
+}
 
-    /// Builds EncryptedExtensions.
-    pub fn encrypted_extensions() -> Self {
-        HandshakeMessage {
-            ty: HandshakeType::EncryptedExtensions,
-            body: Bytes::build(ENCRYPTED_EXTENSIONS_LEN - 4, |body| body.fill(0x45)),
+/// A handshake message this endpoint sends. It is a description, not
+/// bytes: [`Outgoing::encode`] writes header and body straight into the
+/// flight being built, so a body never exists on its own.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Outgoing<'a> {
+    /// A ClientHello of `total_len` bytes carrying `random`; with a
+    /// ticket, the PSK marker, the early-data flag and the opaque ticket
+    /// follow the random (the PSK extension costs real bytes on the
+    /// wire, so the resumption CH may exceed `total_len` to fit them).
+    ClientHello {
+        random: [u8; 32],
+        total_len: usize,
+        ticket: Option<(&'a [u8; TICKET_LEN], bool)>,
+    },
+    /// A ServerHello carrying `random`; `resumed` holds the 0-RTT outcome
+    /// of an abbreviated (PSK-accepted) handshake.
+    ServerHello {
+        random: [u8; 32],
+        resumed: Option<bool>,
+    },
+    /// EncryptedExtensions.
+    EncryptedExtensions,
+    /// A Certificate message whose *total* size is the given length (the
+    /// paper quotes whole-chain sizes, e.g. 1,212 or 5,113 bytes).
+    Certificate(usize),
+    /// CertificateVerify.
+    CertificateVerify,
+    /// Finished with the given 32-byte verify-data.
+    Finished([u8; 32]),
+    /// A NewSessionTicket carrying the opaque ticket, its lifetime and
+    /// the server's early-data support flag.
+    NewSessionTicket {
+        lifetime_secs: u32,
+        early_data_allowed: bool,
+        ticket: &'a [u8; TICKET_LEN],
+    },
+}
+
+impl Outgoing<'_> {
+    fn ty(&self) -> HandshakeType {
+        match self {
+            Outgoing::ClientHello { .. } => HandshakeType::ClientHello,
+            Outgoing::ServerHello { .. } => HandshakeType::ServerHello,
+            Outgoing::EncryptedExtensions => HandshakeType::EncryptedExtensions,
+            Outgoing::Certificate(_) => HandshakeType::Certificate,
+            Outgoing::CertificateVerify => HandshakeType::CertificateVerify,
+            Outgoing::Finished(_) => HandshakeType::Finished,
+            Outgoing::NewSessionTicket { .. } => HandshakeType::NewSessionTicket,
         }
     }
 
-    /// Builds a Certificate message whose *total* size is `total_len`
-    /// (the paper quotes whole-chain sizes, e.g. 1,212 or 5,113 bytes).
-    pub fn certificate(total_len: usize) -> Self {
-        assert!(total_len > 4);
-        HandshakeMessage {
-            ty: HandshakeType::Certificate,
-            body: Bytes::build(total_len - 4, |body| body.fill(0x30)), // DER SEQUENCE filler
+    /// Total wire size (4-byte header + body).
+    pub(crate) fn wire_len(&self) -> usize {
+        match *self {
+            Outgoing::ClientHello {
+                total_len,
+                ticket: None,
+                ..
+            } => {
+                assert!(total_len >= 4 + 32, "ClientHello must fit its random");
+                total_len
+            }
+            Outgoing::ClientHello { total_len, .. } => total_len.max(4 + 32 + 2 + TICKET_LEN),
+            Outgoing::ServerHello { .. } => SERVER_HELLO_LEN,
+            Outgoing::EncryptedExtensions => ENCRYPTED_EXTENSIONS_LEN,
+            Outgoing::Certificate(total_len) => {
+                assert!(total_len > 4);
+                total_len
+            }
+            Outgoing::CertificateVerify => CERTIFICATE_VERIFY_LEN,
+            Outgoing::Finished(_) => FINISHED_LEN,
+            Outgoing::NewSessionTicket { .. } => NEW_SESSION_TICKET_LEN,
         }
     }
 
-    /// Builds CertificateVerify.
-    pub fn certificate_verify() -> Self {
-        HandshakeMessage {
-            ty: HandshakeType::CertificateVerify,
-            body: Bytes::build(CERTIFICATE_VERIFY_LEN - 4, |body| body.fill(0x56)),
-        }
-    }
-
-    /// Builds Finished with the given 32-byte verify-data.
-    pub fn finished(verify_data: [u8; 32]) -> Self {
-        HandshakeMessage {
-            ty: HandshakeType::Finished,
-            body: Bytes::copy_from_slice(&verify_data),
+    /// Writes the header and then the body, [`Outgoing::wire_len`] bytes
+    /// in all, to the front of `buf`, advancing it.
+    pub(crate) fn encode(&self, buf: &mut &mut [u8]) {
+        let len = self.wire_len() - 4;
+        assert!(len < 1 << 24);
+        buf.put_u8(self.ty().code());
+        buf.put_u8((len >> 16) as u8);
+        buf.put_u8((len >> 8) as u8);
+        buf.put_u8(len as u8);
+        // The body alone, so that each filler stops at its end.
+        let (mut body, rest) = std::mem::take(buf).split_at_mut(len);
+        *buf = rest;
+        match *self {
+            Outgoing::ClientHello { random, ticket, .. } => {
+                body.put_slice(&random);
+                if let Some((ticket, early_data)) = ticket {
+                    body.put_u8(RESUMPTION_MARKER);
+                    body.put_u8(if early_data {
+                        FLAG_EARLY_DATA_OFFERED
+                    } else {
+                        0
+                    });
+                    body.put_slice(ticket);
+                }
+                body.fill(0x43); // 'C' filler standing in for extensions
+            }
+            Outgoing::ServerHello { random, resumed } => {
+                body.put_slice(&random);
+                if let Some(early_data_accepted) = resumed {
+                    body.put_u8(RESUMPTION_MARKER);
+                    body.put_u8(if early_data_accepted {
+                        FLAG_PSK_ACCEPTED | FLAG_EARLY_DATA_ACCEPTED
+                    } else {
+                        FLAG_PSK_ACCEPTED
+                    });
+                }
+                body.fill(0x53); // 'S'
+            }
+            Outgoing::EncryptedExtensions => body.fill(0x45),
+            Outgoing::Certificate(_) => body.fill(0x30), // DER SEQUENCE filler
+            Outgoing::CertificateVerify => body.fill(0x56),
+            Outgoing::Finished(verify_data) => body.put_slice(&verify_data),
+            Outgoing::NewSessionTicket {
+                lifetime_secs,
+                early_data_allowed,
+                ticket,
+            } => {
+                body.put_u32(lifetime_secs);
+                body.put_u8(early_data_allowed as u8);
+                body.put_slice(ticket);
+            }
         }
     }
 }
@@ -312,125 +307,150 @@ impl HandshakeMessage {
 mod tests {
     use super::*;
 
-    fn roundtrip(m: HandshakeMessage) {
-        let mut buf = Vec::new();
-        m.encode(&mut buf);
-        assert_eq!(buf.len(), m.wire_len());
-        let mut slice = Bytes::from(buf);
-        let out = HandshakeMessage::decode(&mut slice).unwrap().unwrap();
-        assert_eq!(out, m);
-        assert_eq!(slice.remaining(), 0);
+    /// `m` as it goes on the wire.
+    fn encoded(m: Outgoing) -> Bytes {
+        Bytes::build(m.wire_len(), |mut buf| {
+            m.encode(&mut buf);
+            assert!(buf.is_empty(), "{m:?} fills exactly its wire length");
+        })
+    }
+
+    /// `m` encoded and decoded back: one whole message of its type.
+    fn roundtrip(m: Outgoing) -> HandshakeMessage {
+        let mut wire = encoded(m);
+        let out = HandshakeMessage::decode(&mut wire).unwrap().unwrap();
+        assert_eq!(out.ty, m.ty());
+        assert_eq!(out.body.len() + 4, m.wire_len());
+        assert_eq!(wire.remaining(), 0);
+        out
+    }
+
+    fn client_hello(ticket: Option<(&[u8; TICKET_LEN], bool)>) -> Outgoing<'_> {
+        Outgoing::ClientHello {
+            random: [9; 32],
+            total_len: DEFAULT_CLIENT_HELLO_LEN,
+            ticket,
+        }
     }
 
     #[test]
     fn all_messages_roundtrip() {
-        roundtrip(HandshakeMessage::client_hello(
-            [1; 32],
-            DEFAULT_CLIENT_HELLO_LEN,
-        ));
-        roundtrip(HandshakeMessage::server_hello([2; 32]));
-        roundtrip(HandshakeMessage::encrypted_extensions());
-        roundtrip(HandshakeMessage::certificate(CERT_SMALL));
-        roundtrip(HandshakeMessage::certificate(CERT_LARGE));
-        roundtrip(HandshakeMessage::certificate_verify());
-        roundtrip(HandshakeMessage::finished([3; 32]));
-        roundtrip(HandshakeMessage::client_hello_resumption(
-            [4; 32],
-            DEFAULT_CLIENT_HELLO_LEN,
-            &[0xEE; TICKET_LEN],
-            true,
-        ));
-        roundtrip(HandshakeMessage::server_hello_resumed([5; 32], false));
-        roundtrip(HandshakeMessage::new_session_ticket(
-            7200,
-            true,
-            &[0xDD; TICKET_LEN],
-        ));
+        let ticket = [0xEE; TICKET_LEN];
+        for m in [
+            client_hello(None),
+            client_hello(Some((&ticket, true))),
+            Outgoing::ServerHello {
+                random: [2; 32],
+                resumed: None,
+            },
+            Outgoing::ServerHello {
+                random: [5; 32],
+                resumed: Some(false),
+            },
+            Outgoing::EncryptedExtensions,
+            Outgoing::Certificate(CERT_SMALL),
+            Outgoing::Certificate(CERT_LARGE),
+            Outgoing::CertificateVerify,
+            Outgoing::Finished([3; 32]),
+            Outgoing::NewSessionTicket {
+                lifetime_secs: 7200,
+                early_data_allowed: true,
+                ticket: &ticket,
+            },
+        ] {
+            roundtrip(m);
+        }
+    }
+
+    #[test]
+    fn bodies_are_their_random_or_verify_data_then_filler() {
+        let ch = roundtrip(client_hello(None));
+        assert_eq!(ch.body[..32], [9; 32]);
+        assert!(ch.body[32..].iter().all(|&b| b == 0x43));
+        let fin = roundtrip(Outgoing::Finished([3; 32]));
+        assert_eq!(fin.body[..], [3; 32]);
+        let cert = roundtrip(Outgoing::Certificate(100));
+        assert!(cert.body.iter().all(|&b| b == 0x30));
+        let wire = encoded(Outgoing::EncryptedExtensions);
+        assert_eq!(wire[..4], [8, 0, 0, 66]);
+        assert!(wire[4..].iter().all(|&b| b == 0x45));
     }
 
     #[test]
     fn resumption_offer_roundtrip_and_absence() {
         let ticket = [0xAB; TICKET_LEN];
-        let ch = HandshakeMessage::client_hello_resumption(
-            [9; 32],
-            DEFAULT_CLIENT_HELLO_LEN,
-            &ticket,
-            true,
-        );
-        assert_eq!(ch.wire_len(), DEFAULT_CLIENT_HELLO_LEN);
+        let ch = roundtrip(client_hello(Some((&ticket, true))));
+        assert_eq!(ch.body.len() + 4, DEFAULT_CLIENT_HELLO_LEN);
         assert_eq!(ch.body[..32], [9; 32]);
         assert_eq!(ch.resumption_offer(), Some((ticket, true)));
-        let no_early = HandshakeMessage::client_hello_resumption(
-            [9; 32],
-            DEFAULT_CLIENT_HELLO_LEN,
-            &ticket,
-            false,
-        );
+        let no_early = roundtrip(client_hello(Some((&ticket, false))));
         assert_eq!(no_early.resumption_offer(), Some((ticket, false)));
         // A plain CH carries no offer (filler byte differs from the marker).
-        let plain = HandshakeMessage::client_hello([9; 32], DEFAULT_CLIENT_HELLO_LEN);
-        assert_eq!(plain.resumption_offer(), None);
+        assert_eq!(roundtrip(client_hello(None)).resumption_offer(), None);
+        // A short CH grows to fit its ticket.
+        let short = Outgoing::ClientHello {
+            random: [9; 32],
+            total_len: 40,
+            ticket: Some((&ticket, false)),
+        };
+        assert_eq!(short.wire_len(), 4 + 32 + 2 + TICKET_LEN);
+        assert_eq!(roundtrip(short).resumption_offer(), Some((ticket, false)));
     }
 
     #[test]
     fn resumption_outcome_flags() {
-        let sh = HandshakeMessage::server_hello_resumed([1; 32], true);
-        assert_eq!(sh.wire_len(), SERVER_HELLO_LEN);
-        assert_eq!(sh.resumption_outcome(), Some((true, true)));
-        let no_early = HandshakeMessage::server_hello_resumed([1; 32], false);
-        assert_eq!(no_early.resumption_outcome(), Some((true, false)));
-        assert_eq!(
-            HandshakeMessage::server_hello([1; 32]).resumption_outcome(),
-            None
-        );
+        let sh = |resumed| {
+            roundtrip(Outgoing::ServerHello {
+                random: [1; 32],
+                resumed,
+            })
+        };
+        assert_eq!(sh(Some(true)).body.len() + 4, SERVER_HELLO_LEN);
+        assert_eq!(sh(Some(true)).resumption_outcome(), Some((true, true)));
+        assert_eq!(sh(Some(false)).resumption_outcome(), Some((true, false)));
+        assert_eq!(sh(None).resumption_outcome(), None);
     }
 
     #[test]
     fn new_session_ticket_parses() {
         let ticket = [0x3C; TICKET_LEN];
-        let nst = HandshakeMessage::new_session_ticket(86_400, false, &ticket);
-        assert_eq!(nst.wire_len(), NEW_SESSION_TICKET_LEN);
+        let nst = roundtrip(Outgoing::NewSessionTicket {
+            lifetime_secs: 86_400,
+            early_data_allowed: false,
+            ticket: &ticket,
+        });
+        assert_eq!(nst.body.len() + 4, NEW_SESSION_TICKET_LEN);
         assert_eq!(
             nst.parse_new_session_ticket(),
             Some((86_400, false, ticket))
         );
         assert_eq!(
-            HandshakeMessage::finished([0; 32]).parse_new_session_ticket(),
+            roundtrip(Outgoing::Finished([0; 32])).parse_new_session_ticket(),
             None
         );
     }
 
     #[test]
     fn sizes_match_constants() {
+        assert_eq!(client_hello(None).wire_len(), DEFAULT_CLIENT_HELLO_LEN);
+        let sh = Outgoing::ServerHello {
+            random: [0; 32],
+            resumed: None,
+        };
+        assert_eq!(sh.wire_len(), SERVER_HELLO_LEN);
+        assert_eq!(Outgoing::Certificate(CERT_SMALL).wire_len(), CERT_SMALL);
+        assert_eq!(Outgoing::Certificate(CERT_LARGE).wire_len(), CERT_LARGE);
         assert_eq!(
-            HandshakeMessage::client_hello([0; 32], DEFAULT_CLIENT_HELLO_LEN).wire_len(),
-            DEFAULT_CLIENT_HELLO_LEN
-        );
-        assert_eq!(
-            HandshakeMessage::server_hello([0; 32]).wire_len(),
-            SERVER_HELLO_LEN
-        );
-        assert_eq!(
-            HandshakeMessage::certificate(CERT_SMALL).wire_len(),
-            CERT_SMALL
-        );
-        assert_eq!(
-            HandshakeMessage::certificate(CERT_LARGE).wire_len(),
-            CERT_LARGE
-        );
-        assert_eq!(
-            HandshakeMessage::certificate_verify().wire_len(),
+            Outgoing::CertificateVerify.wire_len(),
             CERTIFICATE_VERIFY_LEN
         );
-        assert_eq!(HandshakeMessage::finished([0; 32]).wire_len(), FINISHED_LEN);
+        assert_eq!(Outgoing::Finished([0; 32]).wire_len(), FINISHED_LEN);
     }
 
     #[test]
     fn partial_decode_returns_none() {
-        let m = HandshakeMessage::certificate(100);
-        let mut buf = Vec::new();
-        m.encode(&mut buf);
-        let mut partial = Bytes::copy_from_slice(&buf[..50]);
+        let wire = encoded(Outgoing::Certificate(100));
+        let mut partial = wire.slice(..50);
         assert_eq!(HandshakeMessage::decode(&mut partial).unwrap(), None);
         // Nothing consumed on partial decode.
         assert_eq!(partial.remaining(), 50);
@@ -438,10 +458,15 @@ mod tests {
 
     #[test]
     fn streaming_decode_across_messages() {
-        let mut buf = Vec::new();
-        HandshakeMessage::server_hello([9; 32]).encode(&mut buf);
-        HandshakeMessage::encrypted_extensions().encode(&mut buf);
-        let mut stream = Bytes::from(buf);
+        let sh = Outgoing::ServerHello {
+            random: [9; 32],
+            resumed: None,
+        };
+        let ee = Outgoing::EncryptedExtensions;
+        let mut stream = Bytes::build(sh.wire_len() + ee.wire_len(), |mut buf| {
+            sh.encode(&mut buf);
+            ee.encode(&mut buf);
+        });
         let m1 = HandshakeMessage::decode(&mut stream).unwrap().unwrap();
         let m2 = HandshakeMessage::decode(&mut stream).unwrap().unwrap();
         assert_eq!(m1.ty, HandshakeType::ServerHello);
@@ -451,8 +476,12 @@ mod tests {
 
     #[test]
     fn random_extraction() {
-        let m = HandshakeMessage::client_hello([7; 32], 200);
-        assert_eq!(m.body[..32], [7; 32]);
+        let ch = roundtrip(Outgoing::ClientHello {
+            random: [7; 32],
+            total_len: 200,
+            ticket: None,
+        });
+        assert_eq!(ch.body[..32], [7; 32]);
     }
 
     #[test]

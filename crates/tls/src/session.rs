@@ -2,8 +2,11 @@
 //!
 //! The QUIC connection feeds contiguous crypto-stream bytes per encryption
 //! level into [`TlsSession::read_crypto`] and drains flight bytes with
-//! [`TlsSession::take_output`]. The server pauses after the ClientHello
-//! until [`TlsSession::provide_certificate`] is called — this is the hook
+//! [`TlsSession::take_output`]. Each flight is built once, at its final
+//! length, with every message written in place and hashed into the
+//! transcript as it is; received bytes are read where they arrived. The
+//! server pauses after the ClientHello until
+//! [`TlsSession::provide_certificate`] is called — this is the hook
 //! the paper's Δt (frontend ↔ certificate store delay) attaches to, and
 //! what makes WFC vs IACK observable.
 //!
@@ -18,13 +21,18 @@
 //! After any completed handshake a ticket-issuing server queues a
 //! NewSessionTicket at the Application level (a 1-RTT CRYPTO frame).
 
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes};
 
 use crate::keys::{
     application_keys, early_keys, handshake_keys, resumption_secret, Level, LevelKeys,
 };
 use crate::mac::{Mac, DIGEST_LEN};
-use crate::messages::{HandshakeMessage, HandshakeType, DEFAULT_CLIENT_HELLO_LEN, FINISHED_LEN};
+use crate::messages::{
+    HandshakeMessage, HandshakeType, Outgoing, DEFAULT_CLIENT_HELLO_LEN, FINISHED_LEN,
+    NEW_SESSION_TICKET_LEN,
+};
 use crate::resumption::{
     mint_ticket, open_ticket, ServerResumption, SessionTicket, TicketKeySchedule, TicketKeys,
 };
@@ -115,6 +123,74 @@ pub enum TlsEvent {
     TicketIssued(SessionTicket),
 }
 
+/// The events one call surfaces, in order, as a list that derefs to
+/// `[TlsEvent]`. Inline up to four, the most one handshake message
+/// yields (a server accepting a ticket with early data); past that —
+/// only a peer's burst of NewSessionTickets read in one call — the
+/// list moves to the heap.
+pub struct TlsEvents {
+    /// `inline[..len]` are the events while `heap` is empty.
+    len: usize,
+    inline: [TlsEvent; TlsEvents::INLINE],
+    heap: Vec<TlsEvent>,
+}
+
+impl TlsEvents {
+    const INLINE: usize = 4;
+    /// What an unused inline slot holds.
+    const VACANT: TlsEvent = TlsEvent::HandshakeComplete;
+
+    fn new() -> Self {
+        TlsEvents {
+            len: 0,
+            inline: [Self::VACANT; Self::INLINE],
+            heap: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, ev: TlsEvent) {
+        if self.heap.is_empty() && self.len < Self::INLINE {
+            self.inline[self.len] = ev;
+            self.len += 1;
+            return;
+        }
+        if self.heap.is_empty() {
+            let inline = self.inline[..self.len].iter_mut();
+            self.heap = inline.map(|e| std::mem::replace(e, Self::VACANT)).collect();
+            self.len = 0;
+        }
+        self.heap.push(ev);
+    }
+}
+
+impl std::ops::Deref for TlsEvents {
+    type Target = [TlsEvent];
+    fn deref(&self) -> &[TlsEvent] {
+        if self.heap.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+}
+
+impl std::fmt::Debug for TlsEvents {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for TlsEvents {
+    type Item = TlsEvent;
+    type IntoIter = std::iter::Chain<
+        std::iter::Take<std::array::IntoIter<TlsEvent, { TlsEvents::INLINE }>>,
+        std::vec::IntoIter<TlsEvent>,
+    >;
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.into_iter().take(self.len).chain(self.heap)
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClientState {
     Start,
@@ -146,9 +222,11 @@ pub struct TlsSession {
     side: Side,
     /// The running transcript hash, under the all-zero key.
     transcript: Mac,
-    /// Pending output bytes per level (Initial, Handshake, Application).
-    out: [Vec<u8>; 3],
-    /// Reassembled-but-unparsed input per level.
+    /// Pending output per level (Initial, Handshake, Application): a
+    /// flight's whole storage, which `take_output` hands over as it is.
+    out: [Option<Arc<[u8]>>; 3],
+    /// Received-but-unparsed input per level: at most one partial
+    /// message, empty (and holding no storage) between messages.
     input: [Bytes; 3],
     handshake_keys: Option<LevelKeys>,
     application_keys: Option<LevelKeys>,
@@ -172,14 +250,28 @@ const INITIAL: usize = Level::Initial as usize;
 const HANDSHAKE: usize = Level::Handshake as usize;
 const APPLICATION: usize = Level::Application as usize;
 
-/// Encodes `msg` onto the end of `out` — reserving its size, unless the
-/// caller already reserved a whole flight's — and hashes the bytes just
-/// written into the transcript.
-fn queue(out: &mut Vec<u8>, transcript: &mut Mac, msg: &HandshakeMessage) {
-    let start = out.len();
-    out.reserve(msg.wire_len());
-    msg.encode(out);
-    transcript.update(&out[start..]);
+/// Queues the flight of `len` bytes that `write` fills in place: one
+/// allocation, at the flight's final length. A level sends one flight
+/// per handshake step, and the connection takes each before the next.
+fn send_flight(out: &mut Option<Arc<[u8]>>, len: usize, write: impl FnOnce(&mut [u8])) {
+    assert!(out.is_none(), "a flight is taken before the next is queued");
+    *out = Some(Bytes::build(len, write).into());
+}
+
+/// Writes `msg` at the front of `buf`, advancing it, and hashes the bytes
+/// just written into the transcript.
+fn put(buf: &mut &mut [u8], transcript: &mut Mac, msg: Outgoing) {
+    let (written, rest) = std::mem::take(buf).split_at_mut(msg.wire_len());
+    msg.encode(&mut &mut *written);
+    transcript.update(written);
+    *buf = rest;
+}
+
+/// Queues `msg` as a one-message flight, hashing it.
+fn queue(out: &mut Option<Arc<[u8]>>, transcript: &mut Mac, msg: Outgoing) {
+    send_flight(out, msg.wire_len(), |mut buf| {
+        put(&mut buf, transcript, msg)
+    });
 }
 
 impl TlsSession {
@@ -223,25 +315,22 @@ impl TlsSession {
     /// `early_data` the 0-RTT keys become available immediately.
     pub fn start(&mut self) {
         if let Side::Client(cfg, state @ ClientState::Start) = &mut self.side {
-            let ch = match &cfg.ticket {
-                Some(ticket) => {
-                    // RFC 8446 §4.2.10: early data may only be offered
-                    // under a ticket whose issuer advertised support.
-                    let offer_early = cfg.early_data && ticket.early_data_allowed;
-                    if offer_early {
-                        self.offered_early = true;
-                        self.early = Some(early_keys(&ticket.secret));
-                    }
-                    HandshakeMessage::client_hello_resumption(
-                        CLIENT_RANDOM,
-                        DEFAULT_CLIENT_HELLO_LEN,
-                        &ticket.ticket,
-                        offer_early,
-                    )
+            let ticket = cfg.ticket.as_ref().map(|ticket| {
+                // RFC 8446 §4.2.10: early data may only be offered
+                // under a ticket whose issuer advertised support.
+                let offer_early = cfg.early_data && ticket.early_data_allowed;
+                if offer_early {
+                    self.offered_early = true;
+                    self.early = Some(early_keys(&ticket.secret));
                 }
-                None => HandshakeMessage::client_hello(CLIENT_RANDOM, DEFAULT_CLIENT_HELLO_LEN),
+                (&ticket.ticket, offer_early)
+            });
+            let ch = Outgoing::ClientHello {
+                random: CLIENT_RANDOM,
+                total_len: DEFAULT_CLIENT_HELLO_LEN,
+                ticket,
             };
-            queue(&mut self.out[INITIAL], &mut self.transcript, &ch);
+            queue(&mut self.out[INITIAL], &mut self.transcript, ch);
             *state = ClientState::WaitServerHello;
         }
     }
@@ -255,17 +344,19 @@ impl TlsSession {
         };
         *state = ClientState::Start;
         self.transcript = Mac::new(&[0; DIGEST_LEN]);
-        self.out.iter_mut().for_each(Vec::clear);
+        self.out = Default::default();
         self.input = Default::default();
         self.offered_early = false;
         self.early = None;
         self.start();
     }
 
-    /// Feeds contiguous crypto bytes received at `level`. They are copied
-    /// into the level's own buffer: the message bodies cut from it never
-    /// keep the caller's datagram alive.
-    pub fn read_crypto(&mut self, level: Level, data: &[u8]) -> Result<Vec<TlsEvent>, TlsError> {
+    /// Feeds contiguous crypto bytes received at `level`. They are read
+    /// where they are — a view of the caller's storage, kept only while a
+    /// message split across calls waits for its rest, which is joined
+    /// with it into storage of its own — and no parsed message outlives
+    /// the call.
+    pub fn read_crypto(&mut self, level: Level, data: &Bytes) -> Result<TlsEvents, TlsError> {
         // Post-handshake messages (NewSessionTicket) flow server → client
         // only.
         if level == Level::Application && self.role() == Role::Server {
@@ -273,7 +364,7 @@ impl TlsSession {
         }
         let buf = &mut self.input[level as usize];
         *buf = if buf.is_empty() {
-            Bytes::copy_from_slice(data)
+            data.clone()
         } else {
             // Behind the partial message still waiting for these bytes.
             Bytes::build(buf.len() + data.len(), |mut joined| {
@@ -281,7 +372,7 @@ impl TlsSession {
                 joined.put_slice(data);
             })
         };
-        let mut events = Vec::new();
+        let mut events = TlsEvents::new();
         while self.advance(level, &mut events)? {}
         // Read to the end: let go of the storage instead of an empty view.
         let buf = &mut self.input[level as usize];
@@ -293,7 +384,7 @@ impl TlsSession {
 
     /// Handles the next message buffered at `level`; `false` when no
     /// complete one is.
-    fn advance(&mut self, level: Level, events: &mut Vec<TlsEvent>) -> Result<bool, TlsError> {
+    fn advance(&mut self, level: Level, events: &mut TlsEvents) -> Result<bool, TlsError> {
         let buf = &mut self.input[level as usize];
         let arrived = buf.clone();
         let Some(msg) = HandshakeMessage::decode(buf)? else {
@@ -327,7 +418,7 @@ impl TlsSession {
         state: ClientState,
         msg: &HandshakeMessage,
         level: Level,
-        events: &mut Vec<TlsEvent>,
+        events: &mut TlsEvents,
     ) -> Result<ClientState, TlsError> {
         use ClientState::*;
         use HandshakeType::*;
@@ -376,8 +467,8 @@ impl TlsSession {
                 self.application_keys = Some(application_keys(&th));
                 events.push(TlsEvent::KeysReady(Level::Application));
                 // Client Finished: verify-data = transcript hash.
-                let fin = HandshakeMessage::finished(th);
-                queue(&mut self.out[HANDSHAKE], &mut self.transcript, &fin);
+                let fin = Outgoing::Finished(th);
+                queue(&mut self.out[HANDSHAKE], &mut self.transcript, fin);
                 // The resumption secret covers the client Finished too.
                 let th_res = self.transcript.finish();
                 self.res_secret = Some(resumption_secret(&th_res));
@@ -413,7 +504,7 @@ impl TlsSession {
         state: ServerState,
         msg: &HandshakeMessage,
         level: Level,
-        events: &mut Vec<TlsEvent>,
+        events: &mut TlsEvents,
     ) -> Result<ServerState, TlsError> {
         Ok(match (state, msg.ty, level) {
             (ServerState::WaitClientHello, HandshakeType::ClientHello, Level::Initial) => {
@@ -464,13 +555,17 @@ impl TlsSession {
                 if cfg.resumption.tickets {
                     // Every ticket advertises 0-RTT, accepted or not.
                     let ticket = mint_ticket(cfg.ticket_keys.mint(), &secret);
-                    let nst = HandshakeMessage::new_session_ticket(
-                        cfg.resumption.ticket_lifetime_secs,
-                        true,
-                        &ticket,
+                    let nst = Outgoing::NewSessionTicket {
+                        lifetime_secs: cfg.resumption.ticket_lifetime_secs,
+                        early_data_allowed: true,
+                        ticket: &ticket,
+                    };
+                    // Post-handshake: outside the transcript.
+                    send_flight(
+                        &mut self.out[APPLICATION],
+                        NEW_SESSION_TICKET_LEN,
+                        |mut buf| nst.encode(&mut buf),
                     );
-                    self.out[APPLICATION].reserve(nst.wire_len());
-                    nst.encode(&mut self.out[APPLICATION]);
                 }
                 events.push(TlsEvent::HandshakeComplete);
                 ServerState::Complete
@@ -482,35 +577,38 @@ impl TlsSession {
     /// Emits SH + EE + (CERT + CV for a full handshake) + FIN, deriving
     /// handshake and application keys along the way. `resumed` carries
     /// the 0-RTT outcome of an abbreviated handshake.
-    fn emit_flight(&mut self, resumed: Option<bool>, events: &mut Vec<TlsEvent>) {
+    fn emit_flight(&mut self, resumed: Option<bool>, events: &mut TlsEvents) {
         // ServerHello at Initial level.
-        let sh = match resumed {
-            Some(early_accepted) => {
-                HandshakeMessage::server_hello_resumed(SERVER_RANDOM, early_accepted)
-            }
-            None => HandshakeMessage::server_hello(SERVER_RANDOM),
+        let sh = Outgoing::ServerHello {
+            random: SERVER_RANDOM,
+            resumed,
         };
-        queue(&mut self.out[INITIAL], &mut self.transcript, &sh);
+        queue(&mut self.out[INITIAL], &mut self.transcript, sh);
         let th = self.transcript.finish();
         self.handshake_keys = Some(handshake_keys(&th));
         events.push(TlsEvent::KeysReady(Level::Handshake));
 
-        // EE (+ CERT, CV) and FIN at Handshake level, under one
-        // reservation for the level's whole flight.
-        let ee = HandshakeMessage::encrypted_extensions();
-        let cert = resumed.is_none().then(|| {
-            let cert = HandshakeMessage::certificate(self.server_cfg().cert_len);
-            [cert, HandshakeMessage::certificate_verify()]
-        });
-        let middle = || std::iter::once(&ee).chain(cert.iter().flatten());
-        let flight: usize = middle().map(HandshakeMessage::wire_len).sum();
-        self.out[HANDSHAKE].reserve(flight + FINISHED_LEN);
-        for m in middle() {
-            queue(&mut self.out[HANDSHAKE], &mut self.transcript, m);
-        }
-        let th_fin = self.transcript.finish();
-        let fin = HandshakeMessage::finished(th_fin);
-        queue(&mut self.out[HANDSHAKE], &mut self.transcript, &fin);
+        // EE (+ CERT, CV) and FIN at Handshake level, one buffer for the
+        // level's whole flight. The Finished covers what precedes it.
+        let full = [
+            Outgoing::EncryptedExtensions,
+            Outgoing::Certificate(self.server_cfg().cert_len),
+            Outgoing::CertificateVerify,
+        ];
+        let middle = if resumed.is_some() { &full[..1] } else { &full };
+        let flight: usize = middle.iter().map(Outgoing::wire_len).sum();
+        let transcript = &mut self.transcript;
+        send_flight(
+            &mut self.out[HANDSHAKE],
+            flight + FINISHED_LEN,
+            |mut buf| {
+                for &m in middle {
+                    put(&mut buf, transcript, m);
+                }
+                let fin = Outgoing::Finished(transcript.finish());
+                put(&mut buf, transcript, fin);
+            },
+        );
         // Server can send 1-RTT data once its Finished is queued.
         let th_app = self.transcript.finish();
         self.application_keys = Some(application_keys(&th_app));
@@ -519,8 +617,8 @@ impl TlsSession {
 
     /// Server only: the certificate arrived from the store. Produces the
     /// ServerHello flight. Returns the resulting events.
-    pub fn provide_certificate(&mut self) -> Vec<TlsEvent> {
-        let mut events = Vec::new();
+    pub fn provide_certificate(&mut self) -> TlsEvents {
+        let mut events = TlsEvents::new();
         if let Side::Server(_, state @ ServerState::WaitCertProvision) = &mut self.side {
             *state = ServerState::WaitClientFinished;
             self.emit_flight(None, &mut events);
@@ -537,19 +635,15 @@ impl TlsSession {
         }
     }
 
-    /// Drains pending outgoing crypto bytes for `level`.
+    /// Drains pending outgoing crypto bytes for `level`: the flight's own
+    /// storage, handed over.
     pub fn take_output(&mut self, level: Level) -> Option<Bytes> {
-        let buf = &mut self.out[level as usize];
-        if buf.is_empty() {
-            None
-        } else {
-            Some(Bytes::from(std::mem::take(buf)))
-        }
+        self.out[level as usize].take().map(Bytes::from)
     }
 
     /// Peeks at the number of pending output bytes for `level`.
     pub fn pending_output(&self, level: Level) -> usize {
-        self.out[level as usize].len()
+        self.out[level as usize].as_ref().map_or(0, |out| out.len())
     }
 
     /// Keys for a level once available.

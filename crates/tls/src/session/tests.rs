@@ -3,8 +3,12 @@ use crate::messages::{CERT_LARGE, CERT_SMALL, NEW_SESSION_TICKET_LEN};
 
 /// Feeds `data` to `server` and, when the server asks for its
 /// certificate, provides it at once (a store with Δt = 0).
-fn serve(server: &mut TlsSession, level: Level, data: &[u8]) -> Vec<TlsEvent> {
-    let mut events = server.read_crypto(level, data).unwrap();
+fn serve(server: &mut TlsSession, level: Level, data: &Bytes) -> Vec<TlsEvent> {
+    let mut events: Vec<_> = server
+        .read_crypto(level, data)
+        .unwrap()
+        .into_iter()
+        .collect();
     if events.contains(&TlsEvent::NeedCertificate) {
         events.extend(server.provide_certificate());
     }
@@ -45,14 +49,14 @@ fn run_handshake(cert_len: usize) -> (TlsSession, TlsSession) {
     client.start();
     let ch = client.take_output(Level::Initial).unwrap();
     let ev = server.read_crypto(Level::Initial, &ch).unwrap();
-    assert_eq!(ev, vec![TlsEvent::NeedCertificate]);
+    assert_eq!(ev[..], [TlsEvent::NeedCertificate]);
     let ev2 = server.provide_certificate();
     assert!(ev2.contains(&TlsEvent::KeysReady(Level::Handshake)));
     assert!(ev2.contains(&TlsEvent::KeysReady(Level::Application)));
     let sh = server.take_output(Level::Initial).unwrap();
     let flight = server.take_output(Level::Handshake).unwrap();
     let ev = client.read_crypto(Level::Initial, &sh).unwrap();
-    assert_eq!(ev, vec![TlsEvent::KeysReady(Level::Handshake)]);
+    assert_eq!(ev[..], [TlsEvent::KeysReady(Level::Handshake)]);
     let ev = client.read_crypto(Level::Handshake, &flight).unwrap();
     assert!(ev.contains(&TlsEvent::KeysReady(Level::Application)));
     assert!(ev.contains(&TlsEvent::HandshakeComplete));
@@ -138,15 +142,16 @@ fn fragmented_delivery_still_completes() {
     client.start();
     let ch = client.take_output(Level::Initial).unwrap();
     // Deliver CH one byte at a time.
-    for b in ch.iter() {
-        serve(&mut server, Level::Initial, &[*b]);
+    for i in 0..ch.len() {
+        serve(&mut server, Level::Initial, &ch.slice(i..i + 1));
     }
     let sh = server.take_output(Level::Initial).unwrap();
     let flight = server.take_output(Level::Handshake).unwrap();
     client.read_crypto(Level::Initial, &sh).unwrap();
     // Deliver the handshake flight in 100-byte chunks.
-    for chunk in flight.chunks(100) {
-        client.read_crypto(Level::Handshake, chunk).unwrap();
+    for at in (0..flight.len()).step_by(100) {
+        let chunk = flight.slice(at..flight.len().min(at + 100));
+        client.read_crypto(Level::Handshake, &chunk).unwrap();
     }
     assert!(client.is_complete());
 }
@@ -156,9 +161,8 @@ fn out_of_order_message_rejected() {
     let mut client = TlsSession::client(ClientConfig::full());
     client.start();
     // Server Finished before ServerHello is a protocol violation.
-    let fin = HandshakeMessage::finished([0; 32]);
-    let mut enc = Vec::new();
-    fin.encode(&mut enc);
+    let fin = Outgoing::Finished([0; 32]);
+    let enc = Bytes::build(FINISHED_LEN, |mut buf| fin.encode(&mut buf));
     assert!(client.read_crypto(Level::Initial, &enc).is_err());
 }
 
@@ -189,7 +193,11 @@ fn ticket_issued_after_full_handshake() {
     assert_eq!(ticket.lifetime_secs, 7200);
     assert!(ticket.early_data_allowed);
     // The NST rides at the Application level, sized per the constant.
-    let nst = HandshakeMessage::new_session_ticket(7200, true, &ticket.ticket);
+    let nst = Outgoing::NewSessionTicket {
+        lifetime_secs: 7200,
+        early_data_allowed: true,
+        ticket: &ticket.ticket,
+    };
     assert_eq!(nst.wire_len(), NEW_SESSION_TICKET_LEN);
 }
 
@@ -395,4 +403,127 @@ fn resumed_handshake_reissues_tickets() {
         .filter(|e| matches!(e, TlsEvent::TicketIssued(_)))
         .collect();
     assert_eq!(fresh.len(), 1, "resumed handshakes mint fresh tickets");
+}
+
+/// Every byte both sides send, tagged by level and sender, through a
+/// ticket-issuing full handshake with either certificate and then a
+/// resumed one offering 0-RTT under the ticket the first issued.
+fn wire_of_three_handshakes() -> Vec<u8> {
+    let mut wire = Vec::new();
+    let cfg = |cert_len| ServerConfig {
+        cert_len,
+        resumption: ServerResumption::accepting(7200),
+        ..ServerConfig::default()
+    };
+    let mut run = |client_cfg: ClientConfig, server_cfg: ServerConfig| {
+        let mut tickets = Vec::new();
+        let mut client = TlsSession::client(client_cfg);
+        let mut server = TlsSession::server(server_cfg);
+        client.start();
+        loop {
+            let mut progress = false;
+            for lvl in [Level::Initial, Level::Handshake, Level::Application] {
+                if let Some(out) = client.take_output(lvl) {
+                    wire.push(lvl as u8);
+                    wire.extend_from_slice(&out);
+                    let events = server.read_crypto(lvl, &out).unwrap();
+                    if events.contains(&TlsEvent::NeedCertificate) {
+                        server.provide_certificate();
+                    }
+                    progress = true;
+                }
+                if let Some(out) = server.take_output(lvl) {
+                    wire.push(0x10 | lvl as u8);
+                    wire.extend_from_slice(&out);
+                    for ev in client.read_crypto(lvl, &out).unwrap() {
+                        if let TlsEvent::TicketIssued(t) = ev {
+                            tickets.push(t);
+                        }
+                    }
+                    progress = true;
+                }
+            }
+            if !progress {
+                break;
+            }
+        }
+        assert!(client.is_complete() && server.is_complete());
+        assert_eq!(tickets.len(), 1);
+        tickets.pop()
+    };
+    let ticket = run(ClientConfig::full(), cfg(CERT_SMALL));
+    run(ClientConfig::full(), cfg(CERT_LARGE));
+    run(
+        ClientConfig {
+            ticket,
+            early_data: true,
+        },
+        cfg(CERT_SMALL),
+    );
+    wire
+}
+
+#[test]
+fn flights_keep_their_bytes() {
+    // Pinned from the flights as built before messages were written in
+    // place: every message, filler byte and verify-data is unchanged,
+    // and so is every key and ticket derived from the transcript.
+    let wire = wire_of_three_handshakes();
+    assert_eq!(wire.len(), 8_715);
+    let digest = crate::mac::mac(&[0; DIGEST_LEN], &[&wire]);
+    assert_eq!(digest[..8], [207, 175, 236, 181, 85, 52, 228, 225]);
+}
+
+#[test]
+fn received_bytes_are_read_in_place_and_let_go() {
+    let mut client = TlsSession::client(ClientConfig::full());
+    let mut server = TlsSession::server(ServerConfig::default());
+    client.start();
+    let ch = client.take_output(Level::Initial).unwrap();
+    serve(&mut server, Level::Initial, &ch);
+    let flight = server.take_output(Level::Handshake).unwrap();
+    client
+        .read_crypto(Level::Initial, &server.take_output(Level::Initial).unwrap())
+        .unwrap();
+    // A whole message read leaves nothing behind.
+    assert!(server.input.iter().all(Bytes::is_empty));
+    // The first 100 bytes end inside the Certificate: the EE is read in
+    // place, the partial Certificate waits as a view of what arrived.
+    client
+        .read_crypto(Level::Handshake, &flight.slice(..100))
+        .unwrap();
+    assert_eq!(client.input[HANDSHAKE].len(), 100 - 70);
+    client
+        .read_crypto(Level::Handshake, &flight.slice(100..))
+        .unwrap();
+    assert!(client.is_complete());
+    assert!(client.input.iter().all(Bytes::is_empty));
+}
+
+#[test]
+fn a_burst_of_tickets_spills_past_the_inline_events() {
+    let (ticket, server_cfg) = prime_ticket(ServerResumption::accepting(7200));
+    let mut client = TlsSession::client(ClientConfig::full());
+    let mut server = TlsSession::server(server_cfg);
+    client.start();
+    pump(&mut client, &mut server);
+    // Six NewSessionTickets in one read: more events than fit inline.
+    let nst = Outgoing::NewSessionTicket {
+        lifetime_secs: 60,
+        early_data_allowed: false,
+        ticket: &ticket.ticket,
+    };
+    let burst = Bytes::build(6 * NEW_SESSION_TICKET_LEN, |mut buf| {
+        (0..6).for_each(|_| nst.encode(&mut buf))
+    });
+    let events = client.read_crypto(Level::Application, &burst).unwrap();
+    assert_eq!(events.len(), 6);
+    let lifetimes: Vec<_> = events
+        .into_iter()
+        .map(|e| match e {
+            TlsEvent::TicketIssued(t) => t.lifetime_secs,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(lifetimes, [60; 6]);
 }
