@@ -99,9 +99,8 @@ impl H1Response {
     /// Length of the header block: its fixed text and the digits of the
     /// two numbers in it.
     fn header_len(&self) -> usize {
-        let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
         let text: usize = HEADER_TEXT.iter().map(|t| t.len()).sum();
-        text + digits(self.status.into()) + digits(self.body_len)
+        text + decimal_len(self.status.into()) + decimal_len(self.body_len)
     }
 
     /// Full response: headers followed by a deterministic body, both
@@ -126,6 +125,11 @@ impl H1Response {
     pub fn encode(&self) -> Vec<u8> {
         self.to_bytes().to_vec()
     }
+}
+
+/// Digits in `n` written in decimal.
+pub(crate) fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Deterministic pseudo-random body content of `len` bytes (stands in for

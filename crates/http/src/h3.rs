@@ -4,8 +4,12 @@
 //! paper's HTTP/3 observable is the *timing* of the first SETTINGS STREAM
 //! frame and the response DATA frames, which this preserves.
 
+use std::io::Write;
+
 use bytes::{Buf, BufMut, Bytes};
 use rq_wire::VarInt;
+
+use crate::h1::decimal_len;
 
 /// Unidirectional stream types (RFC 9114 §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +75,7 @@ impl H3Frame {
     fn type_id(&self) -> u64 {
         match self {
             H3Frame::Data { .. } => DATA_TYPE,
-            H3Frame::Headers { .. } => 0x01,
+            H3Frame::Headers { .. } => HEADERS_TYPE,
             H3Frame::Settings { .. } => SETTINGS_TYPE,
         }
     }
@@ -107,11 +111,11 @@ impl H3Frame {
         let payload = peek.copy_to_bytes(len);
         *buf = peek;
         Some(match ty {
-            0x00 => H3Frame::Data { payload },
-            0x01 => H3Frame::Headers {
+            DATA_TYPE => H3Frame::Data { payload },
+            HEADERS_TYPE => H3Frame::Headers {
                 block: String::from_utf8_lossy(&payload).into_owned(),
             },
-            0x04 => H3Frame::Settings { payload },
+            SETTINGS_TYPE => H3Frame::Settings { payload },
             // Unknown frame types are skipped per RFC 9114 §9.
             _ => return H3Frame::decode(buf),
         })
@@ -120,6 +124,8 @@ impl H3Frame {
 
 /// Type of a DATA frame (RFC 9114 §7.2.1).
 const DATA_TYPE: u64 = 0x00;
+/// Type of a HEADERS frame (RFC 9114 §7.2.2).
+const HEADERS_TYPE: u64 = 0x01;
 /// Type of a SETTINGS frame (RFC 9114 §7.2.4).
 const SETTINGS_TYPE: u64 = 0x04;
 
@@ -135,52 +141,80 @@ fn frame_header_len(type_id: u64, payload_len: usize) -> usize {
 }
 
 /// Builds the bytes a server writes at the head of its control stream:
-/// the stream type then SETTINGS.
-pub fn control_stream_prelude() -> Vec<u8> {
-    let mut out = Vec::new();
-    VarInt::new(StreamType::Control.code())
-        .unwrap()
-        .encode(&mut out);
-    put_frame_header(&mut out, SETTINGS_TYPE, SETTINGS_PAYLOAD.len());
-    out.put_slice(SETTINGS_PAYLOAD);
-    out
+/// the stream type then SETTINGS, written in place in shared storage of
+/// their size — ready to be handed to a stream.
+pub fn control_stream_prelude() -> Bytes {
+    let stream_type = VarInt::new(StreamType::Control.code()).unwrap();
+    let len = stream_type.encoded_len()
+        + frame_header_len(SETTINGS_TYPE, SETTINGS_PAYLOAD.len())
+        + SETTINGS_PAYLOAD.len();
+    Bytes::build(len, |mut out| {
+        stream_type.encode(&mut out);
+        put_frame_header(&mut out, SETTINGS_TYPE, SETTINGS_PAYLOAD.len());
+        out.put_slice(SETTINGS_PAYLOAD);
+    })
 }
 
 /// Builds an HTTP/3 GET request (HEADERS frame) for `path`, written in
 /// place in shared storage of its size — ready to be handed to a stream.
 pub fn request_bytes(path: &str, host: &str) -> Bytes {
-    let block = format!(
-        ":method: GET\n:scheme: https\n:authority: {host}\n:path: {path}\nuser-agent: reacked-quicer/0.1"
-    );
-    let headers = H3Frame::Headers { block };
-    Bytes::build(headers.encoded_len(), |mut out| headers.encode(&mut out))
+    let block = [
+        ":method: GET\n:scheme: https\n:authority: ",
+        host,
+        "\n:path: ",
+        path,
+        "\nuser-agent: reacked-quicer/0.1",
+    ];
+    let block_len = block.iter().map(|part| part.len()).sum();
+    let len = frame_header_len(HEADERS_TYPE, block_len) + block_len;
+    Bytes::build(len, |mut out| {
+        put_frame_header(&mut out, HEADERS_TYPE, block_len);
+        block.iter().for_each(|part| out.put_slice(part.as_bytes()));
+    })
 }
+
+/// The text of a response's header block, before the body length.
+const RESPONSE_BLOCK: &str = ":status: 200\ncontent-length: ";
 
 /// Builds an HTTP/3 response: HEADERS then one DATA frame of `body_len`
 /// deterministic bytes, headers, frame header and body written in place
 /// in the shared storage that is returned — ready to be handed to a
 /// stream, and to the next one as a clone.
 pub fn response_bytes(body_len: usize) -> Bytes {
-    let headers = H3Frame::Headers {
-        block: format!(":status: 200\ncontent-length: {body_len}"),
-    };
-    let len = headers.encoded_len() + frame_header_len(DATA_TYPE, body_len) + body_len;
+    let block_len = RESPONSE_BLOCK.len() + decimal_len(body_len);
+    let len = frame_header_len(HEADERS_TYPE, block_len)
+        + block_len
+        + frame_header_len(DATA_TYPE, body_len)
+        + body_len;
     Bytes::build(len, |mut out| {
-        headers.encode(&mut out);
+        put_frame_header(&mut out, HEADERS_TYPE, block_len);
+        write!(out, "{RESPONSE_BLOCK}{body_len}").expect("the block fits its counted length");
         put_frame_header(&mut out, DATA_TYPE, body_len);
+        debug_assert_eq!(out.len(), body_len);
         crate::h1::fill_body(out);
     })
 }
 
-/// Extracts the `:path` pseudo-header from a request stream's bytes.
-pub fn parse_request_path(data: &[u8]) -> Option<String> {
-    let mut buf = Bytes::copy_from_slice(data);
-    while let Some(frame) = H3Frame::decode(&mut buf) {
-        if let H3Frame::Headers { block } = frame {
-            for line in block.lines() {
-                if let Some(p) = line.strip_prefix(":path: ") {
-                    return Some(p.to_string());
-                }
+/// Extracts the `:path` pseudo-header from a request stream's bytes, as
+/// a view of them: the first HEADERS frame's `:path` line, read up to the
+/// first incomplete frame.
+pub fn parse_request_path(data: &[u8]) -> Option<&str> {
+    let mut rest = data;
+    while let (Ok(ty), Ok(len)) = (VarInt::decode(&mut rest), VarInt::decode(&mut rest)) {
+        let payload = rest.get(..len.value() as usize)?;
+        rest = &rest[payload.len()..];
+        if ty.value() != HEADERS_TYPE {
+            continue;
+        }
+        // Line by line as `str::lines` reads: a `\r` before a `\n` is
+        // not part of the line.
+        for line in payload.split_inclusive(|&b| b == b'\n') {
+            let line = match line.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => line,
+            };
+            if let Some(path) = line.strip_prefix(b":path: ") {
+                return std::str::from_utf8(path).ok();
             }
         }
     }
@@ -229,11 +263,12 @@ mod tests {
     fn control_prelude_starts_with_stream_type() {
         let p = control_stream_prelude();
         assert_eq!(p[0], 0x00);
-        let mut rest = Bytes::copy_from_slice(&p[1..]);
+        let mut rest = p.slice(1..);
         match H3Frame::decode(&mut rest).unwrap() {
             H3Frame::Settings { payload } => assert_eq!(&payload[..], SETTINGS_PAYLOAD),
             other => panic!("{other:?}"),
         }
+        assert!(rest.is_empty(), "nothing after SETTINGS");
     }
 
     #[test]
@@ -242,9 +277,87 @@ mod tests {
         assert_eq!(parse_request_path(&req).unwrap(), "/10240");
     }
 
+    /// Paths whose block length crosses the one-, two- and four-byte
+    /// length varints.
+    fn path_lengths() -> impl Iterator<Item = usize> {
+        (0..=80).chain(16_290..=16_330).chain([70_000])
+    }
+
+    #[test]
+    fn request_is_the_formatted_headers_frame() {
+        for len in path_lengths() {
+            let path = "/".repeat(len.min(1)) + &"7".repeat(len.saturating_sub(1));
+            let mut expected = Vec::new();
+            H3Frame::Headers {
+                block: format!(
+                    ":method: GET\n:scheme: https\n:authority: h.example\n:path: {path}\nuser-agent: reacked-quicer/0.1"
+                ),
+            }
+            .encode(&mut expected);
+            let req = request_bytes(&path, "h.example");
+            assert_eq!(req, expected, "{len}");
+            // The path comes back as a view of the request's bytes.
+            let parsed = parse_request_path(&req).expect("a whole request parses");
+            assert_eq!(parsed, path, "{len}");
+            assert!(req.as_ptr_range().contains(&parsed.as_ptr()) || path.is_empty());
+        }
+    }
+
+    /// `parse_request_path` reads as the `String`-building reader it
+    /// replaced, kept here as the oracle: over frames of other types
+    /// first, a HEADERS frame without a path, `\r\n` line ends, a
+    /// trailing `\r`, and every cut of the stream.
+    #[test]
+    fn request_path_reads_as_the_frame_decoder_did() {
+        fn oracle(data: &[u8]) -> Option<String> {
+            let mut buf = Bytes::copy_from_slice(data);
+            while let Some(frame) = H3Frame::decode(&mut buf) {
+                if let H3Frame::Headers { block } = frame {
+                    for line in block.lines() {
+                        if let Some(p) = line.strip_prefix(":path: ") {
+                            return Some(p.to_string());
+                        }
+                    }
+                }
+            }
+            None
+        }
+        let headers = |block: &str| {
+            let mut out = Vec::new();
+            H3Frame::Headers {
+                block: block.into(),
+            }
+            .encode(&mut out);
+            out
+        };
+        let mut stream = Vec::new();
+        H3Frame::Data {
+            payload: Bytes::copy_from_slice(b":path: /no"),
+        }
+        .encode(&mut stream);
+        stream.extend([0x21, 0x01, 0x00]); // a reserved frame type
+        stream.extend(headers(":method: GET\r\nhost: x"));
+        stream.extend(headers(":method: GET\r\n:path: /10240\r\nx: y"));
+        for cut in 0..=stream.len() {
+            let data = &stream[..cut];
+            assert_eq!(
+                parse_request_path(data).map(str::to_string),
+                oracle(data),
+                "{cut}"
+            );
+        }
+        assert_eq!(parse_request_path(&stream), Some("/10240"));
+        let trailing = headers(":path: /7\r");
+        assert_eq!(
+            parse_request_path(&trailing).map(str::to_string),
+            oracle(&trailing)
+        );
+    }
+
     #[test]
     fn response_is_a_headers_frame_then_one_data_frame() {
-        for len in [0, 1, 63, 64, 10_240, 16_383, 16_384, 70_000] {
+        let lengths = (0..=300).chain([10_240, 16_383, 16_384, 70_000, 5 << 20]);
+        for len in lengths {
             let mut expected = Vec::new();
             H3Frame::Headers {
                 block: format!(":status: 200\ncontent-length: {len}"),

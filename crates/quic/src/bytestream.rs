@@ -5,9 +5,10 @@
 //! frame types (FIN, flow control, the retransmission-overlap signal)
 //! stays with [`crate::space::CryptoStream`] and [`crate::streams`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use bytes::{BufMut, Bytes};
+use rq_recovery::SmallDeque;
 
 /// A run of stream bytes and the offset of its first byte: the content
 /// of one CRYPTO or STREAM frame.
@@ -23,8 +24,9 @@ pub type Run = (u64, Bytes);
 #[derive(Debug, Default)]
 pub struct SendBuf {
     /// Written and not yet taken, oldest first; the front chunk is cut
-    /// from the front as bytes are taken.
-    chunks: VecDeque<Bytes>,
+    /// from the front as bytes are taken. A stream or a crypto level is
+    /// mostly written once, so its one chunk is held inline.
+    chunks: SmallDeque<Bytes>,
     /// Bytes written and not yet taken.
     len: usize,
     /// Stream offset of the next byte `take` hands out.

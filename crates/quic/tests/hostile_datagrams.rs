@@ -14,10 +14,20 @@
 //! A replayed datagram fails closed too: delivered a second time straight
 //! after the first, each of its packets is a duplicate that opens no new
 //! state, and the handshake still confirms at both ends.
+//!
+//! So does a correctly sealed packet whose ACK frame lies, in any space:
+//! one acknowledging packet numbers never sent, and one whose range count
+//! runs past the end of its datagram.
 
-use rq_quic::{ConnEvent, ConnStats, Connection, EndpointConfig, ServerAckMode};
+use std::collections::BTreeMap;
+
+use rq_qlog::EventData;
+use rq_quic::bytestream::Reassembler;
+use rq_quic::{ConnEvent, ConnStats, Connection, EndpointConfig, Role, ServerAckMode};
 use rq_sim::{SimDuration, SimRng, SimTime};
-use rq_wire::{Bytes, PlainPacket, AEAD_TAG_LEN};
+use rq_tls::mac::{mac, DIGEST_LEN};
+use rq_tls::{application_keys, handshake_keys, initial_keys, seal_tag, KeySide};
+use rq_wire::{AckFrame, Bytes, Frame, Header, PacketType, PlainPacket, AEAD_TAG_LEN};
 
 /// One delivered datagram: whether it went to the server, its bytes, and
 /// its receiver's counters right after it.
@@ -157,5 +167,165 @@ fn replayed_handshake_datagrams_open_no_new_state() {
         let run = handshake(mode, &request, &mut |_, _, _| {}, &mut replayed);
         assert!(run.len() >= 4, "{mode:?}: {} datagrams", run.len());
         assert_eq!(request_bytes, request.len() as u64, "{mode:?}");
+    }
+}
+
+/// Every packet of `datagram`, as the receiver's decoder reads it.
+fn packets(datagram: &Bytes) -> Vec<PlainPacket> {
+    let mut rest = datagram.clone();
+    let mut out = Vec::new();
+    while let Ok((pkt, _, _, used)) = PlainPacket::decode_with_payload(&rest, 8) {
+        rest = rest.slice(used..);
+        out.push(pkt);
+    }
+    out
+}
+
+/// Each space's keys, rebuilt from what crossed the wire, as anyone on
+/// the path could here: the Initial keys from the client's first DCID,
+/// the others from the handshake transcript, the zero-key hash of the TLS
+/// messages, which travel in CRYPTO frames in the clear (README
+/// "Substitutions").
+#[derive(Default)]
+struct Wiretap {
+    /// The CRYPTO streams in transcript order: the client's Initial (the
+    /// ClientHello), the server's Initial (the ServerHello) and the
+    /// server's Handshake flight.
+    crypto: [(Reassembler, Vec<u8>); 3],
+}
+
+impl Wiretap {
+    fn read(&mut self, from_server: bool, datagram: &Bytes) {
+        for pkt in packets(datagram) {
+            let stream = match (from_server, pkt.header.ty) {
+                (false, PacketType::Initial) => 0,
+                (true, PacketType::Initial) => 1,
+                (true, PacketType::Handshake) => 2,
+                _ => continue,
+            };
+            for frame in pkt.frames.iter() {
+                if let Frame::Crypto { offset, data } = frame {
+                    let (rx, stream) = &mut self.crypto[stream];
+                    stream.extend_from_slice(&rx.insert(*offset, data.clone()));
+                }
+            }
+        }
+    }
+
+    /// The key the sender seals packets of type `ty` with.
+    fn key(&self, to: &Connection, ty: PacketType) -> [u8; DIGEST_LEN] {
+        let [ch, sh, flight] = [0, 1, 2].map(|i| &self.crypto[i].1[..]);
+        let keys = match ty {
+            PacketType::Initial => initial_keys(to.original_dcid().as_slice()),
+            PacketType::Handshake => handshake_keys(&mac(&[0; DIGEST_LEN], &[ch, sh])),
+            _ => application_keys(&mac(&[0; DIGEST_LEN], &[ch, sh, flight])),
+        };
+        let sender = match to.role() {
+            Role::Client => KeySide::Server,
+            Role::Server => KeySide::Client,
+        };
+        *keys.for_side(sender)
+    }
+}
+
+/// A packet with `header` and `payload` as its frame bytes, sealed with
+/// `key`.
+fn forge(header: Header, payload: &[u8], key: &[u8; DIGEST_LEN]) -> Bytes {
+    let pn = header.pn;
+    let shell = PlainPacket::new(header, vec![Frame::Padding { len: payload.len() }]).unwrap();
+    let mut out = vec![0; shell.encoded_len()];
+    shell
+        .encode_sealed(&mut out, |_| seal_tag(key, pn, payload))
+        .unwrap();
+    let at = out.len() - AEAD_TAG_LEN - payload.len();
+    out[at..at + payload.len()].copy_from_slice(payload);
+    Bytes::from(out)
+}
+
+/// Forged packets are numbered from here, two per real packet, so none
+/// is a duplicate of another or of a real packet, and none stops a real
+/// one being delivered.
+const FORGED_PN: u64 = 1 << 24;
+
+/// The two lying ACK frames: one acknowledging every packet number up to
+/// 2^20, far past any the pair sends, and one announcing 1,000 ranges
+/// after its first and carrying none.
+fn hostile_acks() -> [Vec<u8>; 2] {
+    let mut never_sent = Vec::new();
+    Frame::Ack(AckFrame {
+        largest: 1 << 20,
+        ack_delay_us: 0,
+        first_range: 1 << 20,
+        ranges: Vec::new(),
+    })
+    .encode(&mut never_sent);
+    // Type, largest 0, delay 0, a two-byte range count of 1,000, first
+    // range 0, and the end of the datagram.
+    let past_the_end = vec![0x02, 0x00, 0x00, 0x43, 0xe8, 0x00];
+    [never_sent, past_the_end]
+}
+
+/// What an ACK frame moves at `conn`: RTT samples, packets declared
+/// lost, ACK frames that acknowledged something new (whatever frees bytes
+/// in flight) and packets opened per space.
+fn ack_state(conn: &Connection) -> (usize, u64, usize, [u64; 3]) {
+    let stats = conn.stats();
+    let samples = conn.rtt().sample_count();
+    (
+        samples,
+        stats.packets_lost,
+        conn.new_ack_packets(),
+        stats.packets_opened,
+    )
+}
+
+#[test]
+fn hostile_ack_frames_change_nothing_in_any_space() {
+    for mode in [
+        ServerAckMode::WaitForCertificate,
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+    ] {
+        let mut tap = Wiretap::default();
+        // Lying frames processed, by receiver and space.
+        let mut processed: BTreeMap<(bool, usize), usize> = BTreeMap::new();
+        let mut lie_to = |to: &mut Connection, now: SimTime, datagram: &Bytes| {
+            let to_client = to.role() == Role::Client;
+            tap.read(to_client, datagram);
+            for pkt in packets(datagram) {
+                let space = pkt.space().index();
+                let key = tap.key(to, pkt.header.ty);
+                for (lie, ack) in hostile_acks().iter().enumerate() {
+                    let mut header = pkt.header.clone();
+                    header.pn = FORGED_PN + 2 * header.pn + lie as u64;
+                    let before = ack_state(to);
+                    let logged = to.log.events.len();
+                    to.handle_datagram(now, &forge(header, ack, &key));
+                    let after = ack_state(to);
+                    let what = format!(
+                        "{mode:?}: lie {lie} to the {:?} in space {space}",
+                        to.role()
+                    );
+                    assert_eq!(after.0..=after.2, before.0..=before.2, "{what}");
+                    assert_eq!(to.poll_event(), None, "{what}");
+                    // The one lie that decodes opens its packet; its
+                    // arrival is all that is logged, and at a client the
+                    // first ACK-only Initial marks an instant ACK.
+                    let opened = after.3[space] - before.3[space];
+                    assert!(opened <= u64::from(lie == 0), "{what}");
+                    let events = &to.log.events[logged..];
+                    let arrivals = events.iter().filter(|e| match e.data {
+                        EventData::PacketReceived { .. } => true,
+                        EventData::InstantAck { sent: false } if to_client => false,
+                        _ => panic!("{what}: {events:?}"),
+                    });
+                    assert_eq!(arrivals.count() as u64, opened, "{what}");
+                    *processed.entry((to_client, space)).or_default() += opened as usize;
+                }
+            }
+        };
+        // `handshake` returns once both ends have confirmed.
+        let run = handshake(mode, &[0x52; 300], &mut lie_to, &mut |_, _, _| {});
+        assert!(run.len() >= 4, "{mode:?}: {} datagrams", run.len());
+        assert_eq!(processed.len(), 6, "{mode:?}: {processed:?}");
     }
 }

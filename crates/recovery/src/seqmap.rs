@@ -4,24 +4,25 @@
 //! from the front, and a connection holds one to three of them per table
 //! for most of its life. A `BTreeMap` spends an 11-slot leaf on the first
 //! of them; [`SeqMap`] is the same ordered map over one ring buffer sized
-//! by what it holds.
+//! by what it holds, whose first entry is inline.
 
-use std::collections::VecDeque;
 use std::ops::{Bound, RangeBounds};
 
+use crate::smalldeque::SmallDeque;
+
 /// A map from `u64` keys to `V`, iterated in key order like the
-/// `BTreeMap` it stands in for. Entries sit key-sorted in a `VecDeque`:
-/// a key above every other is appended, the front key is found without a
-/// search and leaves without moving anything, any other is a binary
-/// search and a shift of the shorter side.
+/// `BTreeMap` it stands in for. Entries sit key-sorted in a
+/// [`SmallDeque`]: a key above every other is appended, the front key is
+/// found without a search and leaves moving only the entry behind it, any
+/// other is a binary search and a shift of the shorter side.
 ///
-/// The first entry allocates room for `FIRST`: a table that is known to
-/// fill past `VecDeque`'s own first four names its size and is spared the
-/// regrowth. Storage is kept when the table empties and released by
-/// [`SeqMap::clear`].
+/// A table of one entry allocates nothing; the second makes room for
+/// `FIRST` in all: a table that is known to fill past `VecDeque`'s own
+/// first four names its size and is spared the regrowth. Storage is kept
+/// when the table empties and released by [`SeqMap::clear`].
 #[derive(Debug, Clone)]
 pub struct SeqMap<V, const FIRST: usize = 4> {
-    entries: VecDeque<(u64, V)>,
+    entries: SmallDeque<(u64, V), FIRST>,
 }
 
 impl<V, const FIRST: usize> Default for SeqMap<V, FIRST> {
@@ -34,7 +35,7 @@ impl<V, const FIRST: usize> SeqMap<V, FIRST> {
     /// An empty table; allocates nothing.
     pub const fn new() -> Self {
         SeqMap {
-            entries: VecDeque::new(),
+            entries: SmallDeque::new(),
         }
     }
 
@@ -53,7 +54,13 @@ impl<V, const FIRST: usize> SeqMap<V, FIRST> {
         match (self.entries.front(), self.entries.back()) {
             (_, Some((last, _))) if *last < key => Err(self.entries.len()),
             (Some((first, _)), _) if *first == key => Ok(0),
-            _ => self.entries.binary_search_by_key(&key, |(k, _)| *k),
+            _ => {
+                let i = self.entries.partition_point(|(k, _)| *k < key);
+                match self.entries.get(i) {
+                    Some((k, _)) if *k == key => Ok(i),
+                    _ => Err(i),
+                }
+            }
         }
     }
 
@@ -63,20 +70,12 @@ impl<V, const FIRST: usize> SeqMap<V, FIRST> {
         Some(&self.entries[i].1)
     }
 
-    /// Puts a new entry at index `at`, the first into room for `FIRST`.
-    fn insert_at(&mut self, at: usize, key: u64, value: V) {
-        if self.entries.capacity() == 0 {
-            self.entries.reserve_exact(FIRST);
-        }
-        self.entries.insert(at, (key, value));
-    }
-
     /// Sets the value at `key`, returning the one it replaces.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
         match self.search(key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
-                self.insert_at(i, key, value);
+                self.entries.insert(i, (key, value));
                 None
             }
         }
@@ -85,7 +84,7 @@ impl<V, const FIRST: usize> SeqMap<V, FIRST> {
     /// The value at `key`, which is `make()` if there was none.
     pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> V) -> &mut V {
         let i = self.search(key).unwrap_or_else(|i| {
-            self.insert_at(i, key, make());
+            self.entries.insert(i, (key, make()));
             i
         });
         &mut self.entries[i].1
@@ -113,7 +112,7 @@ impl<V, const FIRST: usize> SeqMap<V, FIRST> {
             Bound::Unbounded => self.entries.len(),
         };
         // An inverted range is empty, not a panic.
-        self.entries.range(lo..hi.max(lo)).map(|(k, v)| (*k, v))
+        self.entries.range(lo..hi).map(|(k, v)| (*k, v))
     }
 
     /// Every entry, in key order.
@@ -138,7 +137,7 @@ impl<V, const FIRST: usize> SeqMap<V, FIRST> {
 
     /// Drops every entry and releases the storage.
     pub fn clear(&mut self) {
-        self.entries = VecDeque::new();
+        self.entries = SmallDeque::new();
     }
 }
 
@@ -232,21 +231,24 @@ mod tests {
     #[test]
     fn storage_is_sized_by_first_kept_when_empty_and_freed_by_clear() {
         let mut table: SeqMap<u8, 8> = SeqMap::new();
-        assert_eq!(table.entries.capacity(), 0);
-        for pn in 0..8 {
+        table.insert(0, 0);
+        assert_eq!(table.entries.heap_capacity(), 0, "one entry is inline");
+        for pn in 1..8 {
             table.insert(pn, 0);
-            assert_eq!(table.entries.capacity(), 8);
+            assert_eq!(table.entries.heap_capacity(), 7, "eight in all");
         }
         for pn in 0..8 {
             table.remove(pn);
         }
         assert!(table.is_empty());
-        assert_eq!(table.entries.capacity(), 8, "an empty table keeps its room");
+        let kept = table.entries.heap_capacity();
+        assert_eq!(kept, 7, "an empty table keeps its room");
         table.clear();
-        assert_eq!(table.entries.capacity(), 0);
-        // The default is `VecDeque`'s own first allocation.
+        assert_eq!(table.entries.heap_capacity(), 0);
+        // The default is `VecDeque`'s own first allocation, four.
         let mut small: SeqMap<u8> = SeqMap::new();
         small.get_or_insert_with(0, || 1);
-        assert_eq!(small.entries.capacity(), 4);
+        small.get_or_insert_with(1, || 1);
+        assert_eq!(small.entries.heap_capacity(), 3);
     }
 }

@@ -140,7 +140,7 @@ impl Session {
         if !self.settings_sent && http == HttpVersion::H3 && conn.app_keys_available() {
             self.settings_sent = true;
             let prelude = h3::control_stream_prelude();
-            conn.send_stream_data(stream_id::SERVER_UNI_0, &prelude, false);
+            conn.send_stream_data_owned(stream_id::SERVER_UNI_0, prelude, false);
         }
     }
 
@@ -179,7 +179,7 @@ impl Session {
             let len = |path: &str| path.trim_start_matches('/').parse().ok();
             match http {
                 HttpVersion::H1 => h1::H1Request::decode(request).and_then(|r| len(r.path)),
-                HttpVersion::H3 => h3::parse_request_path(request).and_then(|p| len(&p)),
+                HttpVersion::H3 => h3::parse_request_path(request).and_then(len),
             }
         };
         // A request that arrives whole is read where it arrived.

@@ -10,13 +10,13 @@
 //! as in `benchmark/src/alloc.rs`, so two commits compare line by line.
 //!
 //! Run with:
-//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load|bulk|live]`
+//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load|bulk|live|h3]`
 //! (defaults: `quic-go iack 8 3`; release because `[profile.release]`
 //! keeps debug info, so inlined frames resolve to their own lines).
-//! Op `i` is `Scenario::base(client, mode, H1)` at seed `i`; with `load`
-//! the ops are the arrivals of one `run_server_load` instead, and with
-//! `bulk` each op is a 2 × 1 MiB H3/CUBIC download, where the data path
-//! does the asking.
+//! Op `i` is `Scenario::base(client, mode, H1)` at seed `i`, or with `h3`
+//! `Scenario::base(client, mode, H3)`; with `load` the ops are the
+//! arrivals of one `run_server_load` instead, and with `bulk` each op is
+//! a 2 × 1 MiB H3/CUBIC download, where the data path does the asking.
 //!
 //! `live` asks a different question — not what was requested over a run
 //! but what is *held* at its peak, by whom (the benchmark's
@@ -235,7 +235,7 @@ fn main() {
     let arg = |i: usize, default: &str| args.get(i).map_or(default, String::as_str).to_string();
     let usage = |what: &str| -> ! {
         eprintln!(
-            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load|bulk|live]"
+            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load|bulk|live|h3]"
         );
         std::process::exit(2);
     };
@@ -254,8 +254,8 @@ fn main() {
         .parse()
         .unwrap_or_else(|_| usage("depth is a count"));
     let shape = args.get(4).map(String::as_str);
-    if !matches!(shape, None | Some("load" | "bulk" | "live")) {
-        usage("the fifth argument can only be `load`, `bulk` or `live`");
+    if !matches!(shape, None | Some("load" | "bulk" | "live" | "h3")) {
+        usage("the fifth argument can only be `load`, `bulk`, `live` or `h3`");
     }
     if ops == 0 || depth == 0 {
         usage("ops and depth start at 1");
@@ -269,6 +269,8 @@ fn main() {
             cc: CcAlgorithm::Cubic,
             ..Scenario::base(client.clone(), mode, HttpVersion::H3)
         }
+    } else if shape == Some("h3") {
+        Scenario::base(client.clone(), mode, HttpVersion::H3)
     } else {
         Scenario::base(client.clone(), mode, HttpVersion::H1)
     };
@@ -312,7 +314,8 @@ fn main() {
         arg(1, "iack"),
         match shape {
             Some("load") => "run_server_load",
-            Some(_) => "run_scenario, 2 x 1 MiB H3 download",
+            Some("bulk") => "run_scenario, 2 x 1 MiB H3 download",
+            Some(_) => "run_scenario, H3",
             None => "run_scenario",
         },
         per_op(calls),
