@@ -16,8 +16,11 @@
 //!   owned: the stream adopts the `Bytes` and its STREAM frames are views
 //!   of it. [`Connection::send_stream_data`] is the same for a caller
 //!   that holds a `&[u8]`, copied once;
-//! * [`Connection::poll_transmit`] — drain outgoing UDP payloads, each
-//!   the one allocation its packets were encoded and sealed into;
+//! * [`Connection::poll_transmit_with`] — drain outgoing UDP payloads,
+//!   each the one buffer its packets were encoded and sealed into: a
+//!   spare of its length from the caller's [`rq_sim::Spares`] when one
+//!   waits, else one allocation. [`Connection::poll_transmit`] is the
+//!   same with no spares;
 //! * [`Connection::poll_timeout`] / [`Connection::handle_timeout`] — timer
 //!   management (loss detection, PTO, delayed ACKs);
 //! * [`Connection::poll_event`] — application-facing events.

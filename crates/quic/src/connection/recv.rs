@@ -61,12 +61,18 @@ impl Connection {
         }
 
         let mut rest = data;
+        let mut first_dcid = None;
         while !rest.is_empty() {
             let Ok((pkt, payload, tag, consumed)) = PlainPacket::decode_with_payload(&rest, 8)
             else {
                 return; // undecodable remainder: drop silently
             };
             rest.advance(consumed);
+            // A packet coalesced behind one for another connection ID is
+            // ignored (RFC 9000 §12.2).
+            if *first_dcid.get_or_insert(pkt.header.dcid) != pkt.header.dcid {
+                continue;
+            }
             let keys_missing = !self.accept_packet(now, &pkt, &payload, &tag, consumed);
             if let Some(hs) = self.handshake.as_deref_mut().filter(|_| keys_missing) {
                 hs.pending_packets.push((pkt, payload, tag, consumed));
@@ -200,8 +206,17 @@ impl Connection {
             self.peer_cid = pkt.header.scid;
         }
 
-        // Client: detect an instant ACK (pure-ACK Initial packet).
-        let iack = self.role == Role::Client && space == PacketNumberSpace::Initial && is_ack_only;
+        // Client: detect an instant ACK, a pure-ACK Initial packet that
+        // acknowledges a packet the client sent (a frame acknowledging
+        // one never sent is ignored whole, so it marks nothing either).
+        let acks_sent = |frame: &Frame| match frame {
+            Frame::Ack(ack) => self.space(idx).is_some_and(|sp| sp.has_sent(ack.largest)),
+            _ => false,
+        };
+        let iack = self.role == Role::Client
+            && space == PacketNumberSpace::Initial
+            && is_ack_only
+            && pkt.frames.iter().any(acks_sent);
         let hs = self.handshake.as_deref_mut();
         if let Some(hs) = hs.filter(|hs| iack && !hs.iack_received) {
             hs.iack_received = true;

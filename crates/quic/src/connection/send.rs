@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use rq_qlog::EventData;
 use rq_recovery::SentPacket;
-use rq_sim::SimTime;
+use rq_sim::{SimTime, Spares};
 use rq_tls::{seal_tag, KeySide};
 use rq_wire::{
     Frame, FrameList, Header, PacketNumberSpace, PacketType, PlainPacket, MIN_INITIAL_DATAGRAM,
@@ -28,8 +28,15 @@ fn solo(space: PacketNumberSpace, frames: impl IntoIterator<Item = Frame>) -> Pl
 }
 
 impl Connection {
-    /// Produces the next outgoing UDP datagram, or `None` when idle.
+    /// Produces the next outgoing UDP datagram, or `None` when idle:
+    /// [`Connection::poll_transmit_with`] with no spare storage.
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<Bytes> {
+        self.poll_transmit_with(now, &mut Spares::default())
+    }
+
+    /// Produces the next outgoing UDP datagram, or `None` when idle,
+    /// building it in `spares` when one of its length waits there.
+    pub fn poll_transmit_with(&mut self, now: SimTime, spares: &mut Spares) -> Option<Bytes> {
         // WFC server blocked on the certificate store: fully silent.
         let hs = self.handshake.as_deref();
         if hs.is_some_and(|hs| hs.waiting_for_cert) {
@@ -37,7 +44,7 @@ impl Connection {
         }
         if self.ready_datagrams.is_empty() {
             if self.is_closed() {
-                return self.build_close_datagram(now);
+                return self.build_close_datagram(now, spares);
             }
             // Client flight 2: emitted as an explicit datagram plan honoring
             // the per-implementation coalescing layout (Table 4).
@@ -45,12 +52,12 @@ impl Connection {
             let hs = self.handshake.as_deref_mut();
             if let Some(hs) = hs.filter(|hs| flight2 && !hs.flight2_sent) {
                 hs.flight2_sent = true;
-                self.build_client_flight2(now);
+                self.build_client_flight2(now, spares);
             }
         }
         let d = match self.ready_datagrams.pop_front() {
             Some(d) => d,
-            None => self.build_datagram(now)?,
+            None => self.build_datagram(now, spares)?,
         };
         self.note_datagram_sent(now, d.len());
         Some(d)
@@ -67,7 +74,7 @@ impl Connection {
     }
 
     /// Plans one generic datagram by greedily coalescing per-space packets.
-    fn build_datagram(&mut self, now: SimTime) -> Option<Bytes> {
+    fn build_datagram(&mut self, now: SimTime, spares: &mut Spares) -> Option<Bytes> {
         // Amplification gate (whole-datagram granularity).
         let amp = self.amplification_budget();
         if amp == 0 {
@@ -114,7 +121,7 @@ impl Connection {
             }
             return None;
         }
-        self.emit_datagram(now, &mut plan)
+        self.emit_datagram(now, &mut plan, spares)
     }
 
     /// True if any space has content waiting (used for the
@@ -287,8 +294,14 @@ impl Connection {
     /// what the space keeps — and otherwise worked on where it is: the
     /// datagram is the one allocation, made at its final length as the
     /// shared storage the simulator carries and the receiver decodes in
-    /// place. Leaves `plan` empty.
-    fn emit_datagram(&mut self, now: SimTime, plan: &mut Plan) -> Option<Bytes> {
+    /// place, and none when `spares` holds storage of that length.
+    /// Leaves `plan` empty.
+    fn emit_datagram(
+        &mut self,
+        now: SimTime,
+        plan: &mut Plan,
+        spares: &mut Spares,
+    ) -> Option<Bytes> {
         let mut pkts: [Option<PlainPacket>; 3] = [None, None, None];
         for (space, frames) in PacketNumberSpace::ALL.into_iter().zip(plan) {
             let Some(sp) = self.space_mut(space.index()).filter(|_| !frames.is_empty()) else {
@@ -303,7 +316,7 @@ impl Connection {
         }
         let len = pkts.iter().flatten().map(PlainPacket::encoded_len).sum();
         let mut written = 0;
-        let datagram = Bytes::build(len, |buf| {
+        let datagram = spares.build(len, |buf| {
             for pkt in pkts.iter_mut().flatten() {
                 written += self.seal_into(now, pkt, &mut buf[written..]);
             }
@@ -402,7 +415,7 @@ impl Connection {
     /// Builds the client's second flight according to the coalescing
     /// layout (Table 4): Initial ACK, Handshake FIN (+HS ACK), and the
     /// first 1-RTT packet, spread over `flight2_datagrams` datagrams.
-    fn build_client_flight2(&mut self, now: SimTime) {
+    fn build_client_flight2(&mut self, now: SimTime, spares: &mut Spares) {
         // Packet A: Initial ACK (if Initial space still alive).
         let mut pkt_a = FrameList::new();
         if self.space(0).is_some_and(Space::usable) {
@@ -435,7 +448,7 @@ impl Connection {
         };
         (groups[a][0], groups[b][1], groups[c][2]) = (pkt_a, pkt_b, pkt_c);
         for mut group in groups {
-            if let Some(dgram) = self.emit_datagram(now, &mut group) {
+            if let Some(dgram) = self.emit_datagram(now, &mut group, spares) {
                 self.ready_datagrams.push_back(dgram);
             }
         }
@@ -443,7 +456,7 @@ impl Connection {
 
     /// Sends the owed CONNECTION_CLOSE, once, in the highest available
     /// space.
-    fn build_close_datagram(&mut self, now: SimTime) -> Option<Bytes> {
+    fn build_close_datagram(&mut self, now: SimTime, spares: &mut Spares) -> Option<Bytes> {
         let CloseState::Owed(error_code, reason) =
             std::mem::replace(&mut self.closing, CloseState::Closed)
         else {
@@ -456,7 +469,7 @@ impl Connection {
             reason,
             app: false,
         };
-        self.emit_datagram(now, &mut solo(space, [frame]))
+        self.emit_datagram(now, &mut solo(space, [frame]), spares)
     }
 
     /// Queues a datagram of one packet carrying `space`'s ACK ahead of the
@@ -472,8 +485,9 @@ impl Connection {
         let padding = pad.then(|| Frame::Padding {
             len: MIN_INITIAL_DATAGRAM.saturating_sub(base),
         });
+        // Queued while a datagram is received, where no spares are at hand.
         let mut plan = solo(space, [ack].into_iter().chain(padding));
-        let Some(dgram) = self.emit_datagram(now, &mut plan) else {
+        let Some(dgram) = self.emit_datagram(now, &mut plan, &mut Spares::default()) else {
             return false;
         };
         self.ready_datagrams.push_back(dgram);

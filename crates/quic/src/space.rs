@@ -200,6 +200,11 @@ impl Space {
         self.discarded
     }
 
+    /// Whether packet number `pn` has been sent in this space.
+    pub fn has_sent(&self, pn: u64) -> bool {
+        pn < self.next_pn
+    }
+
     /// The packets in flight (read-only view).
     pub fn sent(&self) -> &SentTracker {
         &self.sent
@@ -220,7 +225,7 @@ impl Space {
     /// packets carried and requeues what the newly lost ones did. A frame
     /// acknowledging a packet never sent (forged or corrupt) changes nothing.
     pub fn on_ack(&mut self, ack: &AckFrame, now: SimTime, rtt: &RttEstimator) -> AckOutcome {
-        if ack.largest >= self.next_pn {
+        if !self.has_sent(ack.largest) {
             return AckOutcome::default();
         }
         let outcome = self

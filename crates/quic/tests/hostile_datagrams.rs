@@ -18,6 +18,10 @@
 //! So does a correctly sealed packet whose ACK frame lies, in any space:
 //! one acknowledging packet numbers never sent, and one whose range count
 //! runs past the end of its datagram.
+//!
+//! Packets coalesced out of space order still open, a later space's kept
+//! until the packet ahead of it in the datagram brings its keys, and a
+//! packet coalesced behind one for another connection ID opens nothing.
 
 use std::collections::BTreeMap;
 
@@ -27,7 +31,9 @@ use rq_quic::{ConnEvent, ConnStats, Connection, EndpointConfig, Role, ServerAckM
 use rq_sim::{SimDuration, SimRng, SimTime};
 use rq_tls::mac::{mac, DIGEST_LEN};
 use rq_tls::{application_keys, handshake_keys, initial_keys, seal_tag, KeySide};
-use rq_wire::{AckFrame, Bytes, Frame, Header, PacketType, PlainPacket, AEAD_TAG_LEN};
+use rq_wire::{
+    AckFrame, Bytes, ConnectionId, Frame, Header, PacketType, PlainPacket, AEAD_TAG_LEN,
+};
 
 /// One delivered datagram: whether it went to the server, its bytes, and
 /// its receiver's counters right after it.
@@ -307,18 +313,18 @@ fn hostile_ack_frames_change_nothing_in_any_space() {
                     );
                     assert_eq!(after.0..=after.2, before.0..=before.2, "{what}");
                     assert_eq!(to.poll_event(), None, "{what}");
-                    // The one lie that decodes opens its packet; its
-                    // arrival is all that is logged, and at a client the
-                    // first ACK-only Initial marks an instant ACK.
+                    // The one lie that decodes opens its packet, and its
+                    // arrival is all that is logged: at a client, an
+                    // ACK-only Initial acknowledging nothing it sent
+                    // marks no instant ACK.
                     let opened = after.3[space] - before.3[space];
                     assert!(opened <= u64::from(lie == 0), "{what}");
                     let events = &to.log.events[logged..];
-                    let arrivals = events.iter().filter(|e| match e.data {
-                        EventData::PacketReceived { .. } => true,
-                        EventData::InstantAck { sent: false } if to_client => false,
-                        _ => panic!("{what}: {events:?}"),
-                    });
-                    assert_eq!(arrivals.count() as u64, opened, "{what}");
+                    for event in events {
+                        let arrival = matches!(event.data, EventData::PacketReceived { .. });
+                        assert!(arrival, "{what}: {events:?}");
+                    }
+                    assert_eq!(events.len() as u64, opened, "{what}");
                     *processed.entry((to_client, space)).or_default() += opened as usize;
                 }
             }
@@ -327,5 +333,91 @@ fn hostile_ack_frames_change_nothing_in_any_space() {
         let run = handshake(mode, &[0x52; 300], &mut lie_to, &mut |_, _, _| {});
         assert!(run.len() >= 4, "{mode:?}: {} datagrams", run.len());
         assert_eq!(processed.len(), 6, "{mode:?}: {processed:?}");
+    }
+}
+
+/// `datagram` with its long-header packets in reverse space order and,
+/// behind them, `stranger`: a correctly sealed PING packet whose
+/// destination connection ID is not the first packet's. A short-header
+/// packet, which runs to the end of its datagram, stays last. Also
+/// returns the real packets in their new order.
+fn reverse_spaces(
+    datagram: &Bytes,
+    stranger: impl FnOnce(&Header) -> Bytes,
+) -> (Bytes, Vec<PlainPacket>) {
+    let mut rest = datagram.clone();
+    let (mut long, mut short) = (Vec::new(), None);
+    while let Ok((pkt, _, _, used)) = PlainPacket::decode_with_payload(&rest, 8) {
+        let bytes = rest.split_to(used);
+        match pkt.header.ty {
+            PacketType::OneRtt => short = Some((pkt, bytes)),
+            _ => long.push((pkt, bytes)),
+        }
+    }
+    long.reverse();
+    let forged = stranger(&long[0].0.header);
+    let at: usize = long.iter().map(|(_, bytes)| bytes.len()).sum();
+    let mut out = Vec::new();
+    for (_, bytes) in long.iter().chain(&short) {
+        out.extend_from_slice(bytes);
+    }
+    out.splice(at..at, forged.iter().copied());
+    let pkts = long.into_iter().chain(short).map(|(pkt, _)| pkt);
+    (Bytes::from(out), pkts.collect())
+}
+
+#[test]
+fn packets_coalesced_out_of_space_order_still_open() {
+    for mode in [
+        ServerAckMode::WaitForCertificate,
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+    ] {
+        let mut tap = Wiretap::default();
+        let (mut strangers, mut reversed) = (FORGED_PN, 0);
+        let mut recoalesce = |to: &mut Connection, now: SimTime, datagram: &Bytes| {
+            tap.read(to.role() == Role::Client, datagram);
+            if packets(datagram)
+                .iter()
+                .all(|p| p.header.ty == PacketType::OneRtt)
+            {
+                return;
+            }
+            let stranger = |first: &Header| {
+                let mut header = first.clone();
+                header.dcid = ConnectionId::from_u64(0xD1FF_E4E7);
+                assert_ne!(header.dcid, first.dcid);
+                header.pn = strangers;
+                strangers += 1;
+                let key = tap.key(to, header.ty);
+                forge(header, &[0x01], &key)
+            };
+            let (bytes, pkts) = reverse_spaces(datagram, stranger);
+            let spaces: Vec<usize> = pkts.iter().map(|p| p.space().index()).collect();
+            reversed += usize::from(spaces.windows(2).any(|w| w[0] > w[1]));
+            let before = to.stats().packets_opened;
+            to.handle_datagram(now, &bytes);
+            // Every real packet opens, a later space's ahead of the
+            // Initial whose CRYPTO brings its keys through the packets
+            // kept for later, but for an Initial behind a Handshake
+            // packet at a server, which drops its Initial keys on
+            // opening the first Handshake packet (RFC 9001 §4.9.1). The
+            // stranger opens nothing.
+            let mut want = [0u64; 3];
+            for (i, pkt) in pkts.iter().enumerate() {
+                let dropped = to.role() == Role::Server
+                    && pkt.header.ty == PacketType::Initial
+                    && pkts[..i]
+                        .iter()
+                        .any(|p| p.header.ty == PacketType::Handshake);
+                want[spaces[i]] += u64::from(!dropped);
+            }
+            let after = to.stats().packets_opened;
+            let opened = [0, 1, 2].map(|s| after[s] - before[s]);
+            assert_eq!(opened, want, "{mode:?}: {:?} got {spaces:?}", to.role());
+        };
+        // The real datagram follows as a replay, which opens nothing new.
+        let run = handshake(mode, &[0x52; 300], &mut recoalesce, &mut |_, _, _| {});
+        assert!(run.len() >= 4, "{mode:?}: {} datagrams", run.len());
+        assert!(reversed >= 1, "{mode:?}: no datagram coalesced two spaces");
     }
 }

@@ -7,6 +7,7 @@ use rq_wire::Bytes;
 
 use crate::link::{Link, LinkConfig, TransmitResult};
 use crate::node::{Context, Node, NodeId};
+use crate::spares::Spares;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DatagramFate, Trace};
 
@@ -40,6 +41,12 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Datagrams queued for delivery: the copies pushed less those
+    /// popped.
+    fn in_flight(&self) -> u64 {
+        self.datagrams_forwarded + self.datagrams_duplicated - self.datagram_events
+    }
+
     /// Export under `sim/` into a metrics registry.
     pub fn export(&self, reg: &mut rq_obs::Registry) {
         reg.add("sim/events/processed", self.events_processed);
@@ -152,6 +159,8 @@ pub struct Network<N: Node = Box<dyn Node>> {
     /// them on the network avoids two Vec allocations per event.
     scratch_sends: Vec<(NodeId, Bytes)>,
     scratch_timers: Vec<(SimTime, u64)>,
+    /// Storage of datagrams that are done with, for senders to build in.
+    spares: Spares,
 }
 
 impl<N: Node> Network<N> {
@@ -172,6 +181,7 @@ impl<N: Node> Network<N> {
             event_limit: 10_000_000,
             scratch_sends: Vec::with_capacity(8),
             scratch_timers: Vec::with_capacity(8),
+            spares: Spares::default(),
         }
     }
 
@@ -357,6 +367,9 @@ impl<N: Node> Network<N> {
             // in flight when the connection ended) evaporate.
             if self.nodes[node_id.0].is_none() {
                 self.stats.stale_events += 1;
+                if let EventKind::Datagram { payload, .. } = kind {
+                    self.spares.reclaim(payload, self.stats.in_flight());
+                }
                 continue;
             }
             // Hand the node the reusable effect buffers instead of
@@ -369,8 +382,12 @@ impl<N: Node> Network<N> {
                 timers: std::mem::take(&mut self.scratch_timers),
                 stop: false,
                 trace: &mut self.trace,
+                spares: &mut self.spares,
             };
             let node = self.nodes[node_id.0].as_mut().expect("checked live");
+            // The delivered datagram's storage, held across the callback
+            // to be taken back after it if the node kept no view of it.
+            let mut delivered = None;
             match kind {
                 EventKind::Datagram {
                     from,
@@ -378,6 +395,7 @@ impl<N: Node> Network<N> {
                     path: _,
                     payload,
                 } => {
+                    delivered = Some(Arc::clone(&payload));
                     node.on_datagram_owned(&mut ctx, from, Bytes::from(payload));
                 }
                 EventKind::Timer { token, .. } => {
@@ -396,6 +414,9 @@ impl<N: Node> Network<N> {
                 stop,
                 ..
             } = ctx;
+            if let Some(storage) = delivered {
+                self.spares.reclaim(storage, self.stats.in_flight());
+            }
             for (to, payload) in sends.drain(..) {
                 self.dispatch_send(node_id, to, payload);
             }
@@ -417,11 +438,15 @@ impl<N: Node> Network<N> {
     }
 
     fn dispatch_send(&mut self, from: NodeId, to: NodeId, payload: Bytes) {
+        // A whole datagram (what a connection emits) is its own storage:
+        // handing it over copies nothing.
+        let payload: Arc<[u8]> = payload.into();
         let Some(slot) = self.active_slot(from, to) else {
             // A send whose peer has been retired vanishes on the floor
             // (the datagram would have died with the link anyway); a send
             // between two *live* unconnected nodes is a harness bug.
             if self.nodes[from.0].is_none() || self.nodes[to.0].is_none() {
+                self.spares.reclaim(payload, self.stats.in_flight());
                 return;
             }
             panic!("no link between {from:?} and {to:?}");
@@ -444,9 +469,6 @@ impl<N: Node> Network<N> {
                     index,
                     false,
                 );
-                // A whole datagram (what a connection emits) is its own
-                // storage: handing it over copies nothing.
-                let payload: Arc<[u8]> = payload.into();
                 if let Some(dup_at) = duplicate {
                     self.trace.record_datagram(
                         from,
@@ -488,6 +510,7 @@ impl<N: Node> Network<N> {
                     index,
                     false,
                 );
+                self.spares.reclaim(payload, self.stats.in_flight());
             }
         }
     }

@@ -22,6 +22,7 @@ pub mod link;
 pub mod loss;
 pub mod node;
 pub mod rng;
+pub mod spares;
 pub mod time;
 pub mod trace;
 
@@ -32,5 +33,6 @@ pub use link::LinkConfig;
 pub use loss::{Direction, DropIndices};
 pub use node::{Context, Node, NodeId};
 pub use rng::{NormalDraw, SimRng};
+pub use spares::Spares;
 pub use time::{SimDuration, SimTime};
 pub use trace::{CaptureRecord, DatagramFate, Trace};

@@ -2,6 +2,7 @@
 
 use rq_wire::Bytes;
 
+use crate::spares::Spares;
 use crate::time::SimTime;
 use crate::trace::Trace;
 
@@ -98,6 +99,7 @@ pub struct Context<'a> {
     pub(crate) timers: Vec<(SimTime, u64)>,
     pub(crate) stop: bool,
     pub(crate) trace: &'a mut Trace,
+    pub(crate) spares: &'a mut Spares,
 }
 
 impl<'a> Context<'a> {
@@ -141,6 +143,12 @@ impl<'a> Context<'a> {
     /// Requests the engine to stop after this event completes.
     pub fn stop(&mut self) {
         self.stop = true;
+    }
+
+    /// Storage of delivered datagrams that no one holds any more: a
+    /// sender builds its next datagrams in it (see [`Spares`]).
+    pub fn spares(&mut self) -> &mut Spares {
+        self.spares
     }
 
     /// The shared capture trace (for recording application-level milestones

@@ -140,9 +140,10 @@ pub mod milestones {
 struct ConnDriver;
 
 impl ConnDriver {
-    /// Sends every datagram `conn` has ready to `peer`, then arms its
-    /// next deadline under `token` (one already past fires "now") and
-    /// stores it in `armed`.
+    /// Sends every datagram `conn` has ready to `peer`, each built in
+    /// the network's spare storage where it can be, then arms its next
+    /// deadline under `token` (one already past fires "now") and stores
+    /// it in `armed`.
     fn pump(
         conn: &mut Connection,
         armed: &mut Option<SimTime>,
@@ -151,7 +152,7 @@ impl ConnDriver {
         token: u64,
     ) {
         let now = ctx.now();
-        while let Some(datagram) = conn.poll_transmit(now) {
+        while let Some(datagram) = conn.poll_transmit_with(now, ctx.spares()) {
             ctx.send(peer, datagram);
         }
         *armed = conn.poll_timeout();
