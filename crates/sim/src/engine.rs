@@ -385,9 +385,6 @@ impl<N: Node> Network<N> {
                 spares: &mut self.spares,
             };
             let node = self.nodes[node_id.0].as_mut().expect("checked live");
-            // The delivered datagram's storage, held across the callback
-            // to be taken back after it if the node kept no view of it.
-            let mut delivered = None;
             match kind {
                 EventKind::Datagram {
                     from,
@@ -395,8 +392,11 @@ impl<N: Node> Network<N> {
                     path: _,
                     payload,
                 } => {
-                    delivered = Some(Arc::clone(&payload));
+                    // The storage is held across the callback and taken
+                    // back after it if the node kept no view of it.
+                    let storage = Arc::clone(&payload);
                     node.on_datagram_owned(&mut ctx, from, Bytes::from(payload));
+                    ctx.spares.reclaim(storage, self.stats.in_flight());
                 }
                 EventKind::Timer { token, .. } => {
                     node.on_timer(&mut ctx, token);
@@ -414,9 +414,6 @@ impl<N: Node> Network<N> {
                 stop,
                 ..
             } = ctx;
-            if let Some(storage) = delivered {
-                self.spares.reclaim(storage, self.stats.in_flight());
-            }
             for (to, payload) in sends.drain(..) {
                 self.dispatch_send(node_id, to, payload);
             }
