@@ -9,9 +9,10 @@
 //! * [`Connection::handle_datagram_on_path`] — feed a received UDP
 //!   payload, owned: the `Bytes` is the only buffer, the decoded CRYPTO
 //!   and STREAM payloads and what [`ConnEvent::StreamData`] delivers are
-//!   views of it. [`Connection::handle_datagram`] is the same for a
-//!   caller that holds a `&[u8]`: it copies the slice once into a
-//!   `Bytes` and runs the same code;
+//!   views of it. A datagram queued while it is received (the instant
+//!   ACK) is built in the caller's spares. [`Connection::handle_datagram`]
+//!   is the same for a caller that holds a `&[u8]` and no spares: it
+//!   copies the slice once into a `Bytes` and runs the same code;
 //! * [`Connection::send_stream_data_owned`] — queue application bytes,
 //!   owned: the stream adopts the `Bytes` and its STREAM frames are views
 //!   of it. [`Connection::send_stream_data`] is the same for a caller
@@ -40,7 +41,7 @@ use std::rc::Rc;
 use bytes::{BufMut, Bytes};
 use rq_qlog::{EventData, EventLog, SpaceName, Vantage};
 use rq_recovery::{CcState, CongestionController, PtoState, RttEstimator};
-use rq_sim::{SimRng, SimTime};
+use rq_sim::{SimRng, SimTime, Spares};
 use rq_tls::{Level, ServerConfig as TlsServerConfig, TlsEvent, TlsSession};
 use rq_wire::{ConnectionId, Header, PacketNumberSpace, PlainPacket};
 
@@ -427,7 +428,7 @@ impl Connection {
         self.events.pop_front()
     }
 
-    fn on_tls_event(&mut self, now: SimTime, ev: TlsEvent) {
+    fn on_tls_event(&mut self, now: SimTime, ev: TlsEvent, spares: &mut Spares) {
         match ev {
             TlsEvent::KeysReady(level) => {
                 let (idx, keys) = (level as usize, self.tls.keys(level).cloned());
@@ -437,14 +438,14 @@ impl Connection {
                 let space = space_name(PacketNumberSpace::ALL[idx]);
                 self.log.push(now, EventData::KeyInstalled { space });
                 // Newly decryptable packets may be buffered.
-                self.flush_pending(now);
+                self.flush_pending(now, spares);
             }
             TlsEvent::NeedCertificate => {
                 self.log.push(now, EventData::CertificateRequested);
                 self.events.push_back(ConnEvent::CertificateNeeded);
                 match self.cfg.ack_mode {
                     ServerAckMode::InstantAck { pad_to_mtu } => {
-                        if self.queue_ack(now, PacketNumberSpace::Initial, pad_to_mtu) {
+                        if self.queue_ack(now, PacketNumberSpace::Initial, pad_to_mtu, spares) {
                             self.log.push(now, EventData::InstantAck { sent: true });
                         }
                     }
@@ -467,7 +468,7 @@ impl Connection {
                     // Install the 0-RTT read keys; the CH datagram may
                     // carry (or be followed by) 0-RTT packets.
                     self.app.early_keys = self.tls.early_keys().cloned();
-                    self.flush_pending(now);
+                    self.flush_pending(now, spares);
                 }
             }
             TlsEvent::EarlyDataRejected => {
@@ -506,7 +507,7 @@ impl Connection {
                         // Some stacks ACK the client Finished in the
                         // Handshake space before discarding it (Table 3).
                         if let crate::HandshakeAcks::Handshake(_) = self.cfg.handshake_acks {
-                            self.queue_ack(now, PacketNumberSpace::Handshake, false);
+                            self.queue_ack(now, PacketNumberSpace::Handshake, false, spares);
                         }
                         self.confirm();
                     }
@@ -531,6 +532,10 @@ impl Connection {
     }
 
     /// Server driver callback: the certificate arrived from the store.
+    /// The flight it releases leaves with the next `poll_transmit_with`.
+    /// Nothing is built here at once (only a packet kept until its keys
+    /// came could ask for an ACK, and none that does is kept at this
+    /// point), so it takes no spares.
     pub fn certificate_ready(&mut self, now: SimTime) {
         assert_eq!(self.role, Role::Server);
         if let Some(hs) = self.handshake.as_deref_mut() {
@@ -539,7 +544,7 @@ impl Connection {
         self.log.push(now, EventData::CertificateReady);
         let events = self.tls.provide_certificate();
         for ev in events {
-            self.on_tls_event(now, ev);
+            self.on_tls_event(now, ev, &mut Spares::default());
         }
         self.pump_tls_output();
     }

@@ -9,7 +9,7 @@ use std::ops::Range;
 use rq_qlog::EventData;
 use rq_recovery::{CcState, RttEstimator};
 use rq_sim::{SimDuration, SimRng, SimTime};
-use rq_wire::{ConnectionId, Frame, FrameList};
+use rq_wire::{ConnectionId, Frame, FrameList, PlainPacket};
 
 use super::{derived_cid, Connection, Role, CID_KIND_CLIENT, CID_KIND_SERVER};
 use crate::config::MAX_ACK_DELAY;
@@ -259,23 +259,47 @@ impl Connection {
         }
     }
 
-    /// A datagram arrived on `path`. A server that can migrate treats a
-    /// new path as the peer moving — a NAT rebind or a migration it was
-    /// not told about — and caps and probes it (§9.3); everyone else
-    /// simply follows the route: their sends already ride the rebound
-    /// link. A followed path is exempt from the per-path cap, and path
-    /// 0's `validated` stays the handshake's to set.
-    pub(super) fn follow_datagram_path(&mut self, now: SimTime, path: u64) {
-        if path == self.paths.active_path {
+    /// A datagram arrived on `path`. A server whose handshake is complete
+    /// waits for a packet of it to open ([`Connection::follow_packet_path`]);
+    /// everyone else simply follows the route: their sends already ride
+    /// the rebound link.
+    pub(super) fn follow_datagram_path(&mut self, path: u64) {
+        if path == self.paths.active_path || self.moves_per_packet() {
             return;
         }
-        if self.role == Role::Server && self.cfg.cid_pool > 0 && self.handshake_complete {
+        self.follow(path);
+    }
+
+    /// A packet that arrived on `path` opened. A server whose handshake
+    /// is complete moves only for a packet that carries more than
+    /// probing frames (RFC 9000 §9.2, §9.3): a padded PATH_CHALLENGE
+    /// from an address the peer never used moves nothing. One that can
+    /// migrate treats the new path as the peer moving — a NAT rebind or
+    /// a migration it was not told about — and caps and probes it.
+    pub(super) fn follow_packet_path(&mut self, now: SimTime, path: u64, pkt: &PlainPacket) {
+        if path == self.paths.active_path || !self.moves_per_packet() || pkt.is_probing() {
+            return;
+        }
+        if self.cfg.cid_pool > 0 {
             self.enter_path(now, path, false);
         } else {
-            self.paths.active_path = path;
-            if path != 0 {
-                self.paths.ensure(path).validated = true;
-            }
+            self.follow(path);
+        }
+    }
+
+    /// Whether a new path is followed per opened packet, not per
+    /// datagram.
+    fn moves_per_packet(&self) -> bool {
+        self.role == Role::Server && self.handshake_complete
+    }
+
+    /// Makes `path` the active path, validated: a followed path is
+    /// exempt from the per-path cap, and path 0's `validated` stays the
+    /// handshake's to set.
+    fn follow(&mut self, path: u64) {
+        self.paths.active_path = path;
+        if path != 0 {
+            self.paths.ensure(path).validated = true;
         }
     }
 

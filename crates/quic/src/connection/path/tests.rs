@@ -24,11 +24,11 @@ fn pump_on_path(c: &mut Connection, s: &mut Connection, now: SimTime, path: u64)
     loop {
         let mut progress = false;
         while let Some(d) = c.poll_transmit(now) {
-            s.handle_datagram_on_path(now, d, path);
+            s.handle_datagram_on_path(now, d, path, &mut Spares::default());
             progress = true;
         }
         while let Some(d) = s.poll_transmit(now) {
-            c.handle_datagram_on_path(now, d, path);
+            c.handle_datagram_on_path(now, d, path, &mut Spares::default());
             progress = true;
         }
         if !progress {
@@ -156,7 +156,7 @@ fn unvalidated_path_is_amplification_limited() {
     c.migrate(now, 3);
     // Deliver exactly one client datagram on the new path, then stop.
     let d = c.poll_transmit(now).expect("challenge datagram");
-    s.handle_datagram_on_path(now, d.clone(), 3);
+    s.handle_datagram_on_path(now, d.clone(), 3, &mut Spares::default());
     let p = s.path_state(3).expect("server must track the new path");
     assert!(!p.validated);
     assert_eq!(
@@ -258,7 +258,7 @@ fn unvalidated_path_never_exceeds_three_times_received() {
         // client never sees them, so the path stays unvalidated.
         for _ in 0..1 + rng.gen_range(3) {
             let Some(d) = c.poll_transmit(now) else { break };
-            s.handle_datagram_on_path(now, d, path);
+            s.handle_datagram_on_path(now, d, path, &mut Spares::default());
             while s.poll_transmit(now).is_some() {}
             let p = s.path_state(path).expect("server tracks the new path");
             assert!(!p.validated, "path validated without a response");
@@ -361,8 +361,12 @@ impl GlobalCounters {
         }
     }
 
-    fn receive(&mut self, path: u64, len: usize) {
-        if path != self.active_path {
+    /// A datagram of `len` bytes on `path`, whose one packet carries
+    /// only probing frames if `probing`: a server whose handshake is
+    /// complete stays where it is for that.
+    fn receive(&mut self, path: u64, len: usize, probing: bool) {
+        let server_stays = self.role == Role::Server && self.handshake_complete && probing;
+        if path != self.active_path && !server_stays {
             self.active_path = path;
             if self.role == Role::Server && self.migrates && self.handshake_complete {
                 if !(path == 0 || self.ensure_path(path).validated) {
@@ -391,7 +395,8 @@ impl GlobalCounters {
 
 /// `Paths`, path 0 an ordinary entry, gives the reference model's budget
 /// after every step of a random walk over sends and receives on paths
-/// 0-4, route follows, peer path switches, migrations, PATH_RESPONSE
+/// 0-4 (each received datagram one packet, probing or not), route
+/// follows, peer path switches, migrations, PATH_RESPONSE
 /// validation (and stale echoes), and Retry / Handshake address
 /// validation, for both roles. Migrations go to paths 1-4, as every
 /// caller's do: path 0 starts validated for a client, so moving back to
@@ -422,9 +427,17 @@ fn budget_matches_the_global_counters() {
                         oracle.send(len);
                     }
                     1 => {
-                        conn.follow_datagram_path(now, path);
+                        let probing = rng.gen_bool(0.3);
+                        let frame = match probing {
+                            true => Frame::PathChallenge { data: 9 },
+                            false => Frame::Ping,
+                        };
+                        let cid = derived_cid(1, CID_KIND_ORIGINAL_DCID, 0);
+                        let packet = PlainPacket::new(Header::one_rtt(cid, 0), vec![frame]);
+                        conn.follow_datagram_path(path);
                         conn.paths.on_received(path, len);
-                        oracle.receive(path, len);
+                        conn.follow_packet_path(now, path, &packet.unwrap());
+                        oracle.receive(path, len, probing);
                     }
                     2 if path != 0 => {
                         conn.migrate(now, path);

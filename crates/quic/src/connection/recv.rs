@@ -4,7 +4,7 @@
 use bytes::{Buf, Bytes};
 use rq_qlog::EventData;
 use rq_recovery::{persistent_congestion_duration, SentPacket};
-use rq_sim::{SimDuration, SimTime};
+use rq_sim::{SimDuration, SimTime, Spares};
 use rq_tls::{verify_tag, KeySide};
 use rq_wire::{AckFrame, Frame, PacketNumberSpace, PacketType, PlainPacket};
 
@@ -18,11 +18,12 @@ use crate::space::Space;
 
 impl Connection {
     /// Processes one received UDP datagram (on the active path), copying
-    /// it once; a caller that owns the datagram passes it to
-    /// [`Connection::handle_datagram_on_path`] and saves the copy.
+    /// it once, with no spares; a caller that owns the datagram passes it
+    /// to [`Connection::handle_datagram_on_path`] and saves the copy.
     pub fn handle_datagram(&mut self, now: SimTime, data: &[u8]) {
         let path = self.paths.active();
-        self.handle_datagram_on_path(now, Bytes::copy_from_slice(data), path);
+        let data = Bytes::copy_from_slice(data);
+        self.handle_datagram_on_path(now, data, path, &mut Spares::default());
     }
 
     /// Processes one received UDP datagram that arrived on `path`.
@@ -30,12 +31,19 @@ impl Connection {
     /// the connection can notice the peer moving (RFC 9000 §9.5: a packet
     /// from a new address is an implicit migration/NAT rebind). `data` is
     /// decoded where it lies: frame payloads, and the stream bytes handed
-    /// to the application, are views of it.
-    pub fn handle_datagram_on_path(&mut self, now: SimTime, data: Bytes, path: u64) {
+    /// to the application, are views of it. A datagram queued while it is
+    /// received, as the instant ACK is, is built in `spares`.
+    pub fn handle_datagram_on_path(
+        &mut self,
+        now: SimTime,
+        data: Bytes,
+        path: u64,
+        spares: &mut Spares,
+    ) {
         if self.is_closed() {
             return;
         }
-        self.follow_datagram_path(now, path);
+        self.follow_datagram_path(path);
         // Fault-injection signals travel outside the packet codec (their
         // leading 0x00 byte fails the fixed-bit check of every real
         // packet). The connection dies silently: there is no point
@@ -73,17 +81,19 @@ impl Connection {
             if *first_dcid.get_or_insert(pkt.header.dcid) != pkt.header.dcid {
                 continue;
             }
-            let keys_missing = !self.accept_packet(now, &pkt, &payload, &tag, consumed);
+            let keys_missing =
+                !self.accept_packet(now, &pkt, &payload, &tag, consumed, path, spares);
             if let Some(hs) = self.handshake.as_deref_mut().filter(|_| keys_missing) {
                 hs.pending_packets.push((pkt, payload, tag, consumed));
             }
         }
         // Server address validation: a Handshake packet proves the client
         // owns the address (RFC 9000 §8.1).
-        self.flush_pending(now);
+        self.flush_pending(now, spares);
     }
 
-    /// Key-gates and authenticates one decoded packet. `payload` is the
+    /// Key-gates and authenticates one decoded packet, which arrived on
+    /// `path`. `payload` is the
     /// packet's frame bytes as they arrived: the tag is verified over the
     /// wire bytes, never over a re-encoding. `false` when the packet's
     /// keys are not there yet and the caller is to keep it for
@@ -96,6 +106,8 @@ impl Connection {
         payload: &[u8],
         tag: &[u8; 16],
         size: usize,
+        path: u64,
+        spares: &mut Spares,
     ) -> bool {
         let idx = pkt.space().index();
         if self.space(idx).is_none_or(Space::is_discarded) {
@@ -144,26 +156,37 @@ impl Connection {
         };
         let key = keys.for_side(peer_side);
         if verify_tag(key, pkt.header.pn, payload, tag) {
-            self.process_packet(now, pkt, size);
+            self.process_packet(now, pkt, size, path, spares);
         } // else forged/corrupt packet: drop
         true
     }
 
-    /// Re-processes buffered packets once keys become available.
-    pub(super) fn flush_pending(&mut self, now: SimTime) {
+    /// Re-processes buffered packets once keys become available. A kept
+    /// packet moves the connection to no path: it counts as arriving on
+    /// the active one.
+    pub(super) fn flush_pending(&mut self, now: SimTime, spares: &mut Spares) {
         let hs = self.handshake.as_deref_mut();
         let Some(hs) = hs.filter(|hs| !hs.pending_packets.is_empty()) else {
             return;
         };
         let mut pending = std::mem::take(&mut hs.pending_packets);
-        pending
-            .retain(|(pkt, payload, tag, size)| !self.accept_packet(now, pkt, payload, tag, *size));
+        let path = self.paths.active();
+        pending.retain(|(pkt, payload, tag, size)| {
+            !self.accept_packet(now, pkt, payload, tag, *size, path, spares)
+        });
         if let Some(hs) = self.handshake.as_deref_mut() {
             hs.pending_packets.append(&mut pending);
         }
     }
 
-    fn process_packet(&mut self, now: SimTime, pkt: &PlainPacket, size: usize) {
+    fn process_packet(
+        &mut self,
+        now: SimTime,
+        pkt: &PlainPacket,
+        size: usize,
+        path: u64,
+        spares: &mut Spares,
+    ) {
         let space = pkt.space();
         let idx = space.index();
         let ack_eliciting = pkt.is_ack_eliciting();
@@ -190,6 +213,7 @@ impl Connection {
             let deadline = now + window;
             recv.ack_deadline = Some(recv.ack_deadline.map_or(deadline, |d| d.min(deadline)));
         }
+        self.follow_packet_path(now, path, pkt);
         self.stats.packets_opened[idx] += 1;
         self.log.push_with(now, || EventData::PacketReceived {
             space: space_name(space),
@@ -231,7 +255,7 @@ impl Connection {
         }
 
         for frame in &pkt.frames {
-            self.process_frame(now, space, pkt, frame);
+            self.process_frame(now, space, pkt, frame, spares);
             if self.is_closed() {
                 return;
             }
@@ -244,6 +268,7 @@ impl Connection {
         space: PacketNumberSpace,
         pkt: &PlainPacket,
         frame: &Frame,
+        spares: &mut Spares,
     ) {
         let idx = space.index();
         match frame {
@@ -287,7 +312,7 @@ impl Connection {
                     match self.tls.read_crypto(level, &contiguous) {
                         Ok(events) => {
                             for ev in events {
-                                self.on_tls_event(now, ev);
+                                self.on_tls_event(now, ev, spares);
                             }
                         }
                         Err(_) => self.close(now, 0x0d, "tls protocol violation", true),

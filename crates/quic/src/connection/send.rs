@@ -474,8 +474,15 @@ impl Connection {
 
     /// Queues a datagram of one packet carrying `space`'s ACK ahead of the
     /// flight: the server's instant ACK, or the Handshake ACK some stacks
-    /// send for the client Finished (Table 3). `true` when it was queued.
-    pub(super) fn queue_ack(&mut self, now: SimTime, space: PacketNumberSpace, pad: bool) -> bool {
+    /// send for the client Finished (Table 3), built in `spares`. `true`
+    /// when it was queued.
+    pub(super) fn queue_ack(
+        &mut self,
+        now: SimTime,
+        space: PacketNumberSpace,
+        pad: bool,
+        spares: &mut Spares,
+    ) -> bool {
         let Some(ack) = self.take_ack_frame(now, space.index()) else {
             return false;
         };
@@ -485,9 +492,8 @@ impl Connection {
         let padding = pad.then(|| Frame::Padding {
             len: MIN_INITIAL_DATAGRAM.saturating_sub(base),
         });
-        // Queued while a datagram is received, where no spares are at hand.
         let mut plan = solo(space, [ack].into_iter().chain(padding));
-        let Some(dgram) = self.emit_datagram(now, &mut plan, &mut Spares::default()) else {
+        let Some(dgram) = self.emit_datagram(now, &mut plan, spares) else {
             return false;
         };
         self.ready_datagrams.push_back(dgram);

@@ -22,13 +22,17 @@
 //! Packets coalesced out of space order still open, a later space's kept
 //! until the packet ahead of it in the datagram brings its keys, and a
 //! packet coalesced behind one for another connection ID opens nothing.
+//!
+//! After confirmation, a correctly sealed PATH_CHALLENGE from a path the
+//! client never used moves the server nowhere, draws nothing onto that
+//! path, and the transfer on the real path completes.
 
 use std::collections::BTreeMap;
 
 use rq_qlog::EventData;
 use rq_quic::bytestream::Reassembler;
 use rq_quic::{ConnEvent, ConnStats, Connection, EndpointConfig, Role, ServerAckMode};
-use rq_sim::{SimDuration, SimRng, SimTime};
+use rq_sim::{SimDuration, SimRng, SimTime, Spares};
 use rq_tls::mac::{mac, DIGEST_LEN};
 use rq_tls::{application_keys, handshake_keys, initial_keys, seal_tag, KeySide};
 use rq_wire::{
@@ -419,5 +423,141 @@ fn packets_coalesced_out_of_space_order_still_open() {
         let run = handshake(mode, &[0x52; 300], &mut recoalesce, &mut |_, _, _| {});
         assert!(run.len() >= 4, "{mode:?}: {} datagrams", run.len());
         assert!(reversed >= 1, "{mode:?}: no datagram coalesced two spaces");
+    }
+}
+
+/// The path id the spoofed PATH_CHALLENGE arrives on: one the client
+/// never uses.
+const SPOOFED_PATH: u64 = 7;
+
+/// What a server did with a spoofed PATH_CHALLENGE: the bytes that
+/// arrived on the spoofed path, the bytes it sent while that path was
+/// its active one, whether the forged packet opened, and the response
+/// bytes the client received on the real path.
+struct SpoofedRun {
+    arrived: usize,
+    sent_there: usize,
+    opened: bool,
+    delivered: usize,
+}
+
+/// A pair with a server of `cid_pool` spare connection IDs confirms its
+/// handshake; then a correctly sealed 1-RTT datagram carrying only a
+/// PATH_CHALLENGE (padded to 1,200 bytes) reaches the server from
+/// [`SPOOFED_PATH`], and the server answers the client's request with
+/// `body` bytes on the real path. Asserts throughout that the server's
+/// active path stays the real one.
+fn spoofed_path_challenge(mode: ServerAckMode, cid_pool: usize, body: usize) -> SpoofedRun {
+    let mut cfg = EndpointConfig::rfc_default();
+    cfg.cid_pool = cid_pool;
+    let mut c = Connection::client(cfg.clone(), 1, false);
+    c.send_stream_data(0, b"GET /", true);
+    cfg.ack_mode = mode;
+    let mut s = Connection::server(cfg, 2, c.original_dcid());
+    let mut tap = Wiretap::default();
+    let mut one_rtt = None;
+    let mut run = SpoofedRun {
+        arrived: 0,
+        sent_there: 0,
+        opened: false,
+        delivered: 0,
+    };
+    let mut now = SimTime::ZERO;
+    for _ in 0..1_000 {
+        if s.is_confirmed() && run.arrived == 0 {
+            let header: Header = one_rtt.clone().expect("the client sent 1-RTT");
+            let mut payload = Vec::new();
+            Frame::PathChallenge { data: 0x5E0F }.encode(&mut payload);
+            payload.resize(1_200 - header.encoded_len() - AEAD_TAG_LEN, 0);
+            let key = tap.key(&s, PacketType::OneRtt);
+            let forged = forge(
+                Header {
+                    pn: FORGED_PN,
+                    ..header
+                },
+                &payload,
+                &key,
+            );
+            let opened = s.stats().packets_opened[2];
+            run.arrived += forged.len();
+            s.handle_datagram_on_path(now, forged, SPOOFED_PATH, &mut Spares::default());
+            run.opened = s.stats().packets_opened[2] == opened + 1;
+            assert_eq!(s.active_path(), 0, "{mode:?}, pool {cid_pool}");
+        }
+        let mut idle = true;
+        // The server sends first, so what it sends right after the
+        // spoofed datagram leaves before the client's next one arrives.
+        for to_server in [false, true] {
+            let (from, to) = if to_server {
+                (&mut c, &mut s)
+            } else {
+                (&mut s, &mut c)
+            };
+            while let Some(datagram) = from.poll_transmit(now) {
+                if !to_server && from.active_path() == SPOOFED_PATH {
+                    run.sent_there += datagram.len();
+                }
+                tap.read(!to_server, &datagram);
+                if to_server {
+                    let short = packets(&datagram).into_iter().map(|p| p.header);
+                    one_rtt = short
+                        .filter(|h| h.ty == PacketType::OneRtt)
+                        .last()
+                        .or(one_rtt);
+                }
+                // The real traffic rides path 0 both ways.
+                to.handle_datagram_on_path(now, datagram, 0, &mut Spares::default());
+                while let Some(ev) = to.poll_event() {
+                    match ev {
+                        ConnEvent::CertificateNeeded => to.certificate_ready(now),
+                        ConnEvent::StreamData {
+                            id: 0, fin: true, ..
+                        } if to_server => {
+                            to.send_stream_data(0, &vec![0x42; body], true);
+                        }
+                        ConnEvent::StreamData { data, fin, .. } if !to_server => {
+                            run.delivered += data.len();
+                            if fin {
+                                assert_eq!(s.active_path(), 0, "{mode:?}, pool {cid_pool}");
+                                return run;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                idle = false;
+            }
+        }
+        assert_eq!(s.active_path(), 0, "{mode:?}, pool {cid_pool}");
+        if idle {
+            now = [c.poll_timeout(), s.poll_timeout()]
+                .into_iter()
+                .flatten()
+                .min()
+                .expect("a pair mid-transfer has a timer armed");
+            for conn in [&mut c, &mut s] {
+                if conn.poll_timeout().is_some_and(|t| t <= now) {
+                    conn.handle_timeout(now);
+                }
+            }
+        }
+    }
+    panic!("{mode:?}, pool {cid_pool}: the transfer did not complete");
+}
+
+#[test]
+fn a_spoofed_path_challenge_moves_nothing() {
+    for mode in [
+        ServerAckMode::WaitForCertificate,
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+    ] {
+        for cid_pool in [0, 2] {
+            let body = 20_000;
+            let run = spoofed_path_challenge(mode, cid_pool, body);
+            let what = format!("{mode:?}, pool {cid_pool}");
+            assert!(run.opened, "{what}: the forged packet opens");
+            assert!(run.sent_there <= 3 * run.arrived, "{what}");
+            assert_eq!(run.delivered, body, "{what}");
+        }
     }
 }

@@ -108,6 +108,9 @@ enum EventKind {
 // table once.
 const QUEUE_CAPACITY: usize = 32;
 
+/// [`Network::event_limit`] of a new network.
+const EVENT_LIMIT: u64 = 10_000_000;
+
 // The heap sifts run keys; events wait in slots. A 24-byte key alone,
 // without runs, measured no gain on `bulk_transfer` (0.478 against
 // 0.484 s). Runs are the gain, since a burst of wake-ups re-armed to one
@@ -178,11 +181,61 @@ impl<N: Node> Network<N> {
             started: 0,
             trace: Trace::new(capture_payloads),
             stats: EngineStats::default(),
-            event_limit: 10_000_000,
+            event_limit: EVENT_LIMIT,
             scratch_sends: Vec::with_capacity(8),
             scratch_timers: Vec::with_capacity(8),
             spares: Spares::default(),
         }
+    }
+
+    /// Puts the network back in the state [`Network::new`] makes: no
+    /// nodes, links, reroutes or queued events; the clock, the counters
+    /// and the event limit at their starting values; a recording trace.
+    /// It keeps only storage: the node and link tables, the effect
+    /// buffers, the spare datagrams (with the storage of datagrams still
+    /// queued, once the nodes are gone), and the event queue and trace
+    /// up to the room `new` gives them, since those grow with a run's
+    /// length and the next run may be short. A caller that runs one
+    /// network after another on it asks the heap for little of that
+    /// again. Node IDs start at 0 again.
+    pub fn reset(&mut self, capture_payloads: bool) {
+        // Named field by field, so a new field needs a decision here.
+        let Network {
+            nodes,
+            links,
+            free_links,
+            link_index,
+            rerouted,
+            queue,
+            now,
+            started,
+            trace,
+            stats,
+            event_limit,
+            scratch_sends,
+            scratch_timers,
+            spares,
+        } = self;
+        // The nodes go first, so that what they held of a queued
+        // datagram lets go of its storage.
+        nodes.clear();
+        while let Some((_, _, kind)) = queue.pop() {
+            if let EventKind::Datagram { payload, .. } = kind {
+                spares.reclaim(payload, 0);
+            }
+        }
+        links.clear();
+        free_links.clear();
+        link_index.clear();
+        rerouted.clear();
+        queue.clear(QUEUE_CAPACITY);
+        *now = SimTime::ZERO;
+        *started = 0;
+        trace.reset(capture_payloads);
+        *stats = EngineStats::default();
+        *event_limit = EVENT_LIMIT;
+        // Handed to a callback and back, so empty between events.
+        debug_assert!(scratch_sends.is_empty() && scratch_timers.is_empty());
     }
 
     /// Adds a node, returning its ID.

@@ -17,6 +17,7 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::mem::take;
 
 use crate::time::SimTime;
 
@@ -68,6 +69,29 @@ impl<T> Queue<T> {
             seq: 0,
             len: 0,
         }
+    }
+
+    /// Drops every queued event and puts the queue back in the state
+    /// [`Queue::with_capacity`] makes, `seq` included, keeping the
+    /// tables' storage up to room for `n` events: what a deeper run grew
+    /// them by is given back.
+    pub(super) fn clear(&mut self, n: usize) {
+        let (mut runs, mut slots) = (take(&mut self.runs), take(&mut self.slots));
+        runs.clear();
+        runs.shrink_to(n);
+        slots.clear();
+        slots.shrink_to(n);
+        *self = Queue {
+            runs,
+            slots,
+            ..Queue::with_capacity(0)
+        };
+    }
+
+    /// `seq` of the next push.
+    #[cfg(test)]
+    pub(super) fn next_seq(&self) -> u64 {
+        self.seq
     }
 
     /// Queued events.

@@ -659,3 +659,171 @@ fn queue_pops_in_heap_order() {
         assert!(drawn >= 50, "{shape}: drawn {drawn} times");
     }
 }
+
+/// One callback as a [`Program`] node saw it.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Start(SimTime),
+    Datagram(SimTime, NodeId, u64, Vec<u8>),
+    Timer(SimTime, u64),
+    PathChange(SimTime, u64),
+}
+
+/// A node that answers every callback with sends and timers drawn from
+/// its own stream, building in the network's spares and now and then
+/// keeping a view of what it received, and logs what it saw.
+struct Program {
+    rng: crate::rng::SimRng,
+    peers: Vec<NodeId>,
+    budget: u32,
+    seen: Vec<Seen>,
+    kept: Vec<Bytes>,
+}
+
+impl Program {
+    fn act(&mut self, ctx: &mut Context<'_>) {
+        for _ in 0..self.rng.gen_range(3) {
+            if self.budget == 0 {
+                return;
+            }
+            self.budget -= 1;
+            if self.rng.gen_bool(0.6) {
+                let to = self.peers[self.rng.gen_range(self.peers.len() as u64) as usize];
+                let len = 1 + self.rng.gen_range(1_300) as usize;
+                let byte = self.rng.next_u64() as u8;
+                let datagram = ctx.spares().build(len, |buf| buf[len / 2] = byte);
+                ctx.send(to, datagram);
+            } else {
+                let after = SimDuration::from_micros(self.rng.gen_range(3_000));
+                ctx.set_timer_after(after, self.rng.gen_range(4));
+            }
+        }
+    }
+}
+
+impl Node for Program {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.seen.push(Seen::Start(ctx.now()));
+        self.act(ctx);
+    }
+
+    fn on_datagram(&mut self, _: &mut Context<'_>, _: NodeId, _: &[u8]) {
+        unreachable!("the engine delivers datagrams owned");
+    }
+
+    fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        let seen = Seen::Datagram(ctx.now(), from, ctx.path(), payload.to_vec());
+        self.seen.push(seen);
+        if self.rng.gen_bool(0.1) {
+            self.kept.push(payload.slice(payload.len() / 2..));
+        }
+        self.act(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.seen.push(Seen::Timer(ctx.now(), token));
+        self.act(ctx);
+    }
+
+    fn on_path_change(&mut self, ctx: &mut Context<'_>, path: u64) {
+        self.seen.push(Seen::PathChange(ctx.now(), path));
+        self.act(ctx);
+    }
+}
+
+/// Runs the program `seed` draws on `net` — two to five nodes, random
+/// links with drops, impairments and second paths, route flips, a node
+/// retired halfway — and returns everything observable: each node's
+/// callbacks, the trace, the counters and the queue's and clock's final
+/// state. With `dirty`, it also leaves behind what a reset must undo:
+/// no trace recording, a low event limit.
+fn run_program(net: &mut Network<Program>, seed: u64, dirty: bool) -> String {
+    let mut rng = crate::rng::SimRng::new(seed);
+    let n = 2 + rng.gen_range(4) as usize;
+    let ids: Vec<NodeId> = (0..n)
+        .map(|i| {
+            net.add_node(Program {
+                rng: crate::rng::SimRng::derive(seed, &[i as u64]),
+                peers: Vec::new(),
+                budget: 40,
+                seen: Vec::new(),
+                kept: Vec::new(),
+            })
+        })
+        .collect();
+    let mut peers = vec![Vec::new(); n];
+    for a in 0..n {
+        for b in a + 1..n {
+            if b != a + 1 && rng.gen_bool(0.5) {
+                continue;
+            }
+            let delay = 100 + rng.gen_range(5_000);
+            let mut link = LinkConfig::paper_default(SimDuration::from_micros(delay));
+            link.loss = DropIndices::new(rng.next_u64() & rng.next_u64(), rng.next_u64() & 0xF0);
+            if rng.gen_bool(0.5) {
+                let spec = crate::ImpairmentSpec::none()
+                    .with_iid_loss(0.1)
+                    .with_duplication(0.2)
+                    .with_uniform_jitter(SimDuration::from_millis(2));
+                link = link.with_impairment(spec, rng.next_u64());
+            }
+            net.connect(ids[a], ids[b], link);
+            if rng.gen_bool(0.3) {
+                let other = LinkConfig::paper_default(SimDuration::from_micros(2 * delay));
+                net.connect_path(ids[a], ids[b], 1, other);
+                let at = SimTime::ZERO + SimDuration::from_micros(rng.gen_range(20_000));
+                net.schedule_path_change(at, ids[a], ids[b], 1, rng.gen_bool(0.5));
+            }
+            peers[a].push(ids[b]);
+            peers[b].push(ids[a]);
+        }
+    }
+    for (id, peers) in ids.iter().zip(peers) {
+        net.nodes[id.0].as_mut().unwrap().peers = peers;
+    }
+    if dirty {
+        net.trace.recording = rng.gen_bool(0.5);
+        net.event_limit = 10 + rng.gen_range(40);
+    }
+    let half = SimTime::ZERO + SimDuration::from_micros(rng.gen_range(30_000));
+    net.prime();
+    let first = net.run_until(half);
+    let retired = net.retire_node(ids[rng.gen_range(n as u64) as usize]);
+    let last = net.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+    let seen: Vec<&Vec<Seen>> = net.nodes.iter().flatten().map(|p| &p.seen).collect();
+    format!(
+        "{first:?} {last:?} {:?} {seen:?} {:?} {:?} now {:?} started {} seq {} queued {} links {} {:?} {:?}",
+        retired.map(|p| p.seen),
+        net.trace,
+        net.stats,
+        net.now,
+        net.started,
+        net.queue.next_seq(),
+        net.queue.len(),
+        net.links.iter().flatten().count(),
+        net.link_index,
+        net.rerouted,
+    )
+}
+
+#[test]
+fn a_reset_network_runs_a_program_as_a_new_one_does() {
+    let mut stopped_early = 0;
+    rq_testkit::prop::cases(64, |rng| {
+        let (seed, other) = (rng.next_u64(), rng.next_u64());
+        let capture = rng.gen_bool(0.5);
+        let new = run_program(&mut Network::new(capture), seed, false);
+        let mut net = Network::new(!capture);
+        let before = run_program(&mut net, other, true);
+        stopped_early += u32::from(before.starts_with("EventLimit"));
+        net.reset(capture);
+        assert_eq!(run_program(&mut net, seed, false), new);
+        // Once more, from the state a clean run leaves.
+        net.reset(capture);
+        assert_eq!(run_program(&mut net, seed, false), new);
+    });
+    assert!(
+        stopped_early >= 10,
+        "{stopped_early} dirty runs hit the limit"
+    );
+}

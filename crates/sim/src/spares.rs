@@ -10,12 +10,17 @@
 //! the heap. Reuse is exact-length only, so a datagram is as long as its
 //! storage and the event queue carries it unchanged.
 //!
-//! The list holds at most one spare more than there are datagrams in
-//! flight, and never more than [`CAP`]: a delivery is what prompts a
-//! send, so storage past that would wait for sends that may not come.
-//! A transfer keeps the list full; a handshake's last flight, whose
-//! lengths no one sends again, leaves with the next deliveries instead of
-//! staying until the network goes.
+//! The list holds one spare more than there are datagrams in flight,
+//! but at least `FLOOR` and at most `CAP`. Within a run, a delivery
+//! is what prompts a send, so the datagrams in flight bound what the
+//! next sends can use. Past the end of a run, storage no longer waits
+//! for sends that may not come: the testbed keeps one network per
+//! thread and resets it for the thread's next run (`Network::reset`),
+//! whose handshake sends datagrams of the lengths the last one sent. The
+//! floor keeps a handshake's worth of storage for it; without the floor,
+//! the next run's first reclaim would trim the list back to one spare.
+//! Storage of lengths no later run sends waits in at most `FLOOR`
+//! buffers until newer storage pushes it out.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,6 +34,10 @@ use rq_wire::Bytes;
 /// full-sized ones (5,713.5 and 5,092), and a list per length cost a
 /// handshake one allocation per length it met.
 const CAP: usize = 64;
+
+/// Buffers kept whatever is in flight: the 23 datagrams of a
+/// handshake (`alloc_sites quic-go iack 1 2`) and one more.
+const FLOOR: usize = 24;
 
 /// Datagram storage no one holds, newest last.
 #[derive(Debug, Default)]
@@ -44,9 +53,13 @@ impl Spares {
         if Arc::get_mut(&mut storage).is_none() {
             return;
         }
-        let limit = in_flight.saturating_add(1).min(CAP as u64) as usize;
+        let limit = in_flight.saturating_add(1).clamp(FLOOR as u64, CAP as u64) as usize;
         while self.free.len() >= limit {
             self.free.pop_front();
+        }
+        if self.free.capacity() == 0 {
+            // Room for the floor at once, not in three growths.
+            self.free.reserve_exact(FLOOR);
         }
         self.free.push_back(storage);
     }
@@ -115,19 +128,29 @@ mod tests {
     #[test]
     fn the_list_holds_one_spare_more_than_is_in_flight() {
         let mut spares = Spares::default();
-        for len in [3, 4, 5] {
-            spares.reclaim(Bytes::build(len, |_| {}).into(), 10);
+        let in_flight = FLOOR as u64 + 3;
+        for len in 1..=FLOOR + 4 {
+            spares.reclaim(Bytes::build(len, |_| {}).into(), in_flight);
         }
-        spares.reclaim(Bytes::build(6, |_| {}).into(), 1);
-        assert_eq!(lens(&spares), [5, 6], "the oldest go first");
+        assert_eq!(spares.len(), FLOOR + 4, "one more than in flight");
+        spares.reclaim(Bytes::build(100, |_| {}).into(), FLOOR as u64 + 1);
+        let kept: Vec<usize> = (4..=FLOOR + 4).chain([100]).collect();
+        assert_eq!(lens(&spares), kept, "the oldest go first");
         // A miss builds new storage and leaves the list as it is.
-        assert_eq!(
-            &spares.build(7, |buf| buf[0] = 9)[..],
-            [9, 0, 0, 0, 0, 0, 0]
-        );
-        assert_eq!(lens(&spares), [5, 6]);
+        assert_eq!(&spares.build(200, |buf| buf[0] = 9)[..3], [9, 0, 0]);
+        assert_eq!(lens(&spares), kept);
         assert_eq!(spares.build(5, |_| {}).len(), 5);
-        assert_eq!(lens(&spares), [6]);
+        assert_eq!(spares.len(), FLOOR + 1);
+    }
+
+    #[test]
+    fn a_handshake_s_worth_stays_with_nothing_in_flight() {
+        let mut spares = Spares::default();
+        for len in 1..=FLOOR + 2 {
+            spares.reclaim(Bytes::build(len, |_| {}).into(), 0);
+        }
+        let kept: Vec<usize> = (3..=FLOOR + 2).collect();
+        assert_eq!(lens(&spares), kept, "the newest {FLOOR}");
     }
 
     #[test]

@@ -88,12 +88,19 @@ impl Trace {
     /// are stored in each record. Vectors are pre-sized for one handshake
     /// plus a short transfer (about 27 datagrams); longer runs grow them.
     pub fn new(capture_payloads: bool) -> Self {
-        Trace {
-            datagrams: Vec::with_capacity(32),
-            milestones: Vec::with_capacity(8),
-            capture_payloads,
-            ..Trace::default()
-        }
+        let mut trace = Trace::default();
+        trace.reset(capture_payloads);
+        trace
+    }
+
+    /// Empties the trace into the state [`Trace::new`] makes, keeping
+    /// the storage of its vectors up to the room `new` gives them: what
+    /// a longer run grew them by is given back.
+    pub(crate) fn reset(&mut self, capture_payloads: bool) {
+        empty_with_room(&mut self.datagrams, 32);
+        empty_with_room(&mut self.milestones, 8);
+        self.capture_payloads = capture_payloads;
+        self.recording = true;
     }
 
     /// Records one datagram offered to a link. The payload bytes are
@@ -204,6 +211,14 @@ impl Trace {
             .map(|d| d.size)
             .sum()
     }
+}
+
+/// Empties `entries` and leaves it room for `room` of them: storage past
+/// that is given back, storage short of it is made up.
+fn empty_with_room<T>(entries: &mut Vec<T>, room: usize) {
+    entries.clear();
+    entries.shrink_to(room);
+    entries.reserve(room);
 }
 
 #[cfg(test)]

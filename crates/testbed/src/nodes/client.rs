@@ -222,7 +222,7 @@ impl ClientNode {
         *self.conn.borrow_mut() = conn;
         self.responses.fill(Response::default());
         self.got_first_byte = false;
-        self.drive(ctx, |_| false);
+        self.drive(ctx, |_, _| false);
     }
 
     /// Records that the milestone `label` was reached now, in both of the
@@ -242,10 +242,14 @@ impl ClientNode {
     /// One callback's worth of work on the connection: `act` on it,
     /// handle the events that produced if it says there may be any, and
     /// pump.
-    fn drive(&mut self, ctx: &mut Context<'_>, act: impl FnOnce(&mut Connection) -> bool) {
+    fn drive(
+        &mut self,
+        ctx: &mut Context<'_>,
+        act: impl FnOnce(&mut Connection, &mut Context<'_>) -> bool,
+    ) {
         let cell = Rc::clone(&self.conn);
         let conn = &mut *cell.borrow_mut();
-        if act(conn) {
+        if act(conn, ctx) {
             self.drain_events(conn, ctx);
         }
         ConnDriver::pump(conn, &mut self.armed, ctx, self.server, TOKEN_CONN);
@@ -310,7 +314,7 @@ impl ClientNode {
 impl Node for ClientNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.mark(ctx, milestones::CLIENT_HELLO_SENT, |st| &mut st.hello_at);
-        self.drive(ctx, |_| false);
+        self.drive(ctx, |_, _| false);
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
@@ -319,8 +323,8 @@ impl Node for ClientNode {
 
     fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
         let (now, path) = (ctx.now(), ctx.path());
-        self.drive(ctx, |conn| {
-            conn.handle_datagram_on_path(now, payload, path);
+        self.drive(ctx, |conn, ctx| {
+            conn.handle_datagram_on_path(now, payload, path, ctx.spares());
             true
         });
     }
@@ -329,7 +333,7 @@ impl Node for ClientNode {
         // The OS told us the route moved (deliberate migration): rotate
         // the DCID and start validating the new path.
         let now = ctx.now();
-        self.drive(ctx, |conn| {
+        self.drive(ctx, |conn, _| {
             conn.migrate(now, path);
             true
         });
@@ -340,7 +344,7 @@ impl Node for ClientNode {
             TOKEN_RECONNECT if self.status.complete_at.is_none() => self.reconnect_now(ctx),
             TOKEN_CONN => {
                 if ConnDriver::wake(&mut self.conn.borrow_mut(), self.armed, ctx, TOKEN_CONN) {
-                    self.drive(ctx, |_| true);
+                    self.drive(ctx, |_, _| true);
                 }
             }
             _ => {}

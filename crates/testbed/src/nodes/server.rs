@@ -536,8 +536,8 @@ impl Node for ServerNode {
         };
         if self.admits(engine, peer, knock, header.as_ref(), ctx) {
             let path = ctx.path();
-            self.drive(engine, peer, ctx, key, |conn, _, _| {
-                conn.handle_datagram_on_path(now, payload, path);
+            self.drive(engine, peer, ctx, key, |conn, _, ctx| {
+                conn.handle_datagram_on_path(now, payload, path, ctx.spares());
                 true
             });
         }

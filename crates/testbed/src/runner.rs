@@ -82,7 +82,7 @@ pub struct RunResult {
 
 /// Runs one scenario to completion (or abort/time limit).
 pub fn run_scenario(sc: &Scenario) -> RunResult {
-    run_scenario_with_trace(sc).0
+    run_measured(sc, Detail::Full { trace: false }).0
 }
 
 /// Body size of the unmeasured priming connection: just enough to carry
@@ -101,12 +101,19 @@ const PRIMING_FILE_SIZE: usize = 1024;
 /// (`RunResult::resumed == false`). The whole two-connection composite
 /// stays a pure function of `Scenario::seed`.
 pub fn run_scenario_with_trace(sc: &Scenario) -> (RunResult, rq_sim::Trace) {
+    let (result, trace) = run_measured(sc, Detail::Full { trace: true });
+    (result, trace.expect("the trace was asked for"))
+}
+
+/// The measured connection of `sc`, after its priming connection if it
+/// has one, with the trace if `detail` asks for it.
+fn run_measured(sc: &Scenario, detail: Detail) -> (RunResult, Option<rq_sim::Trace>) {
     let ticket = match sc.handshake_class {
         HandshakeClass::Full => None,
         HandshakeClass::Resumed | HandshakeClass::ZeroRtt => prime_ticket(sc),
     };
     let resumption_active = sc.handshake_class != HandshakeClass::Full;
-    let (result, trace, _) = run_connection(sc, ticket, resumption_active);
+    let (result, trace, _) = run_connection(sc, ticket, resumption_active, detail);
     (result, trace)
 }
 
@@ -122,7 +129,7 @@ fn prime_ticket(sc: &Scenario) -> Option<rq_tls::SessionTicket> {
     // wild scan's per-probe streams) keeps the priming connection's
     // randomness uncorrelated with every measured repetition's.
     priming.seed = SimRng::derive(sc.seed, &[PRIMING_STREAM]).next_u64();
-    run_connection(&priming, None, true).2
+    run_connection(&priming, None, true, Detail::Full { trace: false }).2
 }
 
 /// Coordinate tag of the priming connection's seed stream.
@@ -132,12 +139,18 @@ const PRIMING_STREAM: u64 = 0x7E11_E7;
 /// scenario's server resumption profile (ticket issuance on priming
 /// runs, PSK/0-RTT acceptance on measured resumed runs); full-handshake
 /// scenarios keep resumption disabled so their wire image — and with it
-/// every pre-resumption golden file — is untouched.
+/// every pre-resumption golden file — is untouched. `detail` is full,
+/// with or without the trace.
 fn run_connection(
     sc: &Scenario,
     ticket: Option<rq_tls::SessionTicket>,
     resumption_active: bool,
-) -> (RunResult, rq_sim::Trace, Option<rq_tls::SessionTicket>) {
+    detail: Detail,
+) -> (
+    RunResult,
+    Option<rq_sim::Trace>,
+    Option<rq_tls::SessionTicket>,
+) {
     // The single pair is the N = 1 case of the many-connection driver:
     // one plan arriving at t = 0, fixed ticket key, no concurrency
     // limit, full detail.
@@ -147,7 +160,7 @@ fn run_connection(
         ticket,
     };
     let spec = ServerLoadSpec::single(sc.clone());
-    let out = drive_conn_plans(&spec, vec![plan], resumption_active, Detail::Full);
+    let out = drive_conn_plans(&spec, vec![plan], resumption_active, detail);
     let (mut result, trace, minted) = out.full.expect("full detail yields the run");
     result.metrics = out.metrics;
     (result, trace, minted)

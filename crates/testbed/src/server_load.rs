@@ -16,6 +16,9 @@
 //! sharded runner splits on a fixed shard size and folds shard reports
 //! in shard order.
 
+use std::cell::Cell;
+use std::mem::take;
+
 use rq_par::SweepRunner;
 use rq_quic::{
     ConnStats, Connection, OverloadPolicy, Role, ServerAccounting, ServerEngine, ERROR_GIVE_UP,
@@ -490,8 +493,8 @@ pub struct ServerLoadRun {
 pub(crate) enum Detail {
     /// The one connection's [`RunResult`] on top of its outcome: the
     /// same path plus qlogs, trace counts and the issued ticket — the
-    /// single-pair mode.
-    Full,
+    /// single-pair mode. With `trace`, the simulation trace too.
+    Full { trace: bool },
     /// Compact outcomes only; trace recording and both endpoints' qlog
     /// capture off (nothing here would read either), finished
     /// connections retired as the run goes so memory stays bounded by
@@ -510,8 +513,9 @@ pub(crate) struct DriveOutput {
     /// counters (`quic/client/`, `quic/server/`).
     pub metrics: rq_obs::Registry,
     /// [`Detail::Full`] only: the connection's full result, the
-    /// simulation trace, and the ticket the server issued it.
-    pub full: Option<(RunResult, rq_sim::Trace, Option<SessionTicket>)>,
+    /// simulation trace if asked for, and the ticket the server issued
+    /// it.
+    pub full: Option<(RunResult, Option<rq_sim::Trace>, Option<SessionTicket>)>,
 }
 
 /// A spawned, not-yet-retired client connection: the client node's
@@ -538,9 +542,37 @@ struct Drive {
     conn_deadline: SimDuration,
 }
 
+thread_local! {
+    /// The network this thread's drives run on, kept between drives so
+    /// that each drive after the first reuses its tables and datagram
+    /// storage. Empty before the thread's first drive and after one that
+    /// panicked: that drive's network went with it.
+    static NETWORK: Cell<Option<Network<TestbedNode>>> = const { Cell::new(None) };
+}
+
+/// This thread's network, in the state `Network::new(capture_payloads)`
+/// makes.
+fn take_network(capture_payloads: bool) -> Network<TestbedNode> {
+    match NETWORK.take() {
+        Some(mut net) => {
+            net.reset(capture_payloads);
+            net
+        }
+        None => Network::new(capture_payloads),
+    }
+}
+
+/// Keeps `net` for this thread's next drive, holding nothing of the
+/// last one but storage.
+fn put_back_network(mut net: Network<TestbedNode>) {
+    net.reset(false);
+    NETWORK.set(Some(net));
+}
+
 /// THE simulation driver: hosts every plan's client against one shared
-/// server (configured by `spec`) on a single event loop. `run_scenario`
-/// routes through here with one plan; `run_server_load` with many.
+/// server (configured by `spec`) on a single event loop, the thread's
+/// network. `run_scenario` routes through here with one plan;
+/// `run_server_load` with many.
 pub(crate) fn drive_conn_plans(
     spec: &ServerLoadSpec,
     mut plans: Vec<ConnPlan>,
@@ -548,10 +580,10 @@ pub(crate) fn drive_conn_plans(
     detail: Detail,
 ) -> DriveOutput {
     let base = &spec.base;
-    let full = detail == Detail::Full;
+    let full = matches!(detail, Detail::Full { .. });
     let n = plans.len();
     assert!(!full || n == 1, "full detail is the single-pair mode");
-    let mut net = Network::new(base.capture_payloads && full);
+    let mut net = take_network(base.capture_payloads && full);
     if !full {
         net.trace.recording = false;
     }
@@ -742,7 +774,8 @@ pub(crate) fn drive_conn_plans(
         let ids = (s.id, server_id);
         let conn = &mut client.conn.borrow_mut();
         let result = full_result(conn, sc, outcome, aborted, trace, ids, server_log);
-        (result, std::mem::take(&mut drive.net.trace), client.ticket)
+        let trace = (detail == Detail::Full { trace: true }).then(|| take(&mut drive.net.trace));
+        (result, trace, client.ticket)
     });
     drive.sweep(true);
 
@@ -755,10 +788,11 @@ pub(crate) fn drive_conn_plans(
     };
     drive.conn_totals.0.export(Role::Client, &mut metrics);
     drive.conn_totals.1.export(Role::Server, &mut metrics);
+    let Drive { net, outcomes, .. } = drive;
+    put_back_network(net);
 
     DriveOutput {
-        outcomes: drive
-            .outcomes
+        outcomes: outcomes
             .into_iter()
             .map(|o| o.expect("every plan produced an outcome"))
             .collect(),

@@ -14,6 +14,7 @@ use rq_profiles::server::testbed_server;
 use rq_quic::{ConnEvent, ConnStats, Connection, ServerAckMode};
 use rq_sim::{
     Direction, ImpairedFate, Impairment, ImpairmentSpec, LinkConfig, Network, SimDuration, SimTime,
+    Spares,
 };
 use rq_testbed::{ClientNode, ServerNode, TestbedNode};
 use rq_wire::{Bytes, Frame, PlainPacket};
@@ -140,14 +141,14 @@ fn run(http: HttpVersion, streams: usize, body: usize, v: Variant) -> Run {
         while wire.front().is_some_and(|w| w.0 <= now) {
             let (_, from_client, d) = wire.pop_front().unwrap();
             if !from_client {
-                client.handle_datagram_on_path(now, d, 0);
+                client.handle_datagram_on_path(now, d, 0, &mut Spares::default());
                 continue;
             }
             let srv = server.get_or_insert_with(|| {
                 let (first, _, _) = PlainPacket::decode(&d, 8).expect("client Initial decodes");
                 Connection::server(server_cfg.clone(), 7 ^ 0x5EED, first.header.dcid)
             });
-            srv.handle_datagram_on_path(now, d, 0);
+            srv.handle_datagram_on_path(now, d, 0, &mut Spares::default());
             while let Some(ev) = srv.poll_event() {
                 match ev {
                     ConnEvent::CertificateNeeded => srv.certificate_ready(now),

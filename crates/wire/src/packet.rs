@@ -109,6 +109,22 @@ impl PlainPacket {
             && self.frames.iter().any(|f| matches!(f, Frame::Ack(_)))
     }
 
+    /// True if every frame is a probing frame (RFC 9000 §9.1):
+    /// PATH_CHALLENGE, PATH_RESPONSE, NEW_CONNECTION_ID or PADDING. A
+    /// probing packet from a new address does not move a connection
+    /// there.
+    pub fn is_probing(&self) -> bool {
+        self.frames.iter().all(|f| {
+            matches!(
+                f,
+                Frame::PathChallenge { .. }
+                    | Frame::PathResponse { .. }
+                    | Frame::NewConnectionId { .. }
+                    | Frame::Padding { .. }
+            )
+        })
+    }
+
     /// Sum of frame encodings (excludes header and tag).
     pub fn payload_len(&self) -> usize {
         self.frames.iter().map(Frame::encoded_len).sum()

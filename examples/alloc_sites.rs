@@ -18,15 +18,26 @@
 //! arrivals of one `run_server_load` instead, and with `bulk` each op is
 //! a 2 × 1 MiB H3/CUBIC download, where the data path does the asking.
 //!
+//! The `run_scenario` modes (the default, `h3` and `bulk`) run one op of
+//! the same shape (seed 0) before the window opens, so the rows describe
+//! a warm thread, as in the benchmark's timed passes: the testbed keeps
+//! one simulated network per thread, and every run after the thread's
+//! first reuses its tables and datagram storage. A thread's first run
+//! pays for that set-up as well (`handshake_alloc.rs` pins both). `load`
+//! counts one `run_server_load` on a cold thread; its set-up is shared
+//! by all its arrivals.
+//!
 //! `live` asks a different question — not what was requested over a run
 //! but what is *held* at its peak, by whom (the benchmark's
 //! `peak_heap_mib`, broken down). The run is one `run_server_load` of
 //! `ops` arrivals in the benchmark's steady shape (200 µs apart on a
 //! 100 ms path, 30 % resumed, 20 % 0-RTT, a quarter under 2 % loss), so
-//! the pairs interleave, and it is made three times: once numbering
-//! every allocation and finding the number at which most bytes were
-//! live, once snapshotting the allocations live at that number, once
-//! capturing a backtrace for those only (about a tenth of them all). The
+//! the pairs interleave. One unwatched run sets up the thread's network
+//! (the storage it keeps is not counted), and the run is then made
+//! three times: once numbering every allocation and finding the number
+//! at which most bytes were live, once snapshotting the allocations live
+//! at that number, once capturing a backtrace for those only (about a
+//! tenth of them all). The
 //! passes must repeat each other — same count, same fold of every size —
 //! or the profiler says so and stops. Rows are allocations, KiB and
 //! share per site and sum to the peak; the header divides it by
@@ -290,6 +301,9 @@ fn main() {
         WINDOW.set(false);
         assert_eq!(run.outcomes.len(), ops as usize);
     } else {
+        let mut warm_up = base.clone();
+        warm_up.seed = 0;
+        assert!(run_scenario(&warm_up).completed, "seed 0 did not complete");
         for seed in 1..=ops {
             let mut sc = base.clone();
             sc.seed = seed;
@@ -359,6 +373,9 @@ fn live_census(mut base: Scenario, client: &str, mode: &str, ops: usize, depth: 
             run.report.accounting.peak_active,
         )
     };
+    // The thread's network is set up before the passes, which then
+    // start alike.
+    run_server_load(&spec);
     let (numbered, pairs) = pass(Census::default());
     let (snapshot, _) = pass(Census {
         snapshot_at: Some(numbered.peak_seq),
