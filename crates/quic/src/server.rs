@@ -255,11 +255,6 @@ impl ServerEngine {
         );
     }
 
-    /// Keys of all active connections, in ascending order.
-    pub fn active_keys(&self) -> Vec<u64> {
-        self.conns.keys().copied().collect()
-    }
-
     /// Admits or refuses a new connection whose first datagram carried
     /// `original_dcid`. `now_secs` (virtual seconds) selects the ticket
     /// key epoch the connection mints and accepts under.

@@ -1,13 +1,13 @@
-//! Seeded fault timelines: link blackouts and server freeze/crash events.
+//! Seeded fault timelines: link blackouts and server crashes.
 //!
 //! A [`FaultTimeline`] is a **pure function** of a fault seed (via
 //! [`SimRng::derive`]) and the mean event gaps of each fault class: the
-//! same seed always yields the same blackout windows, crash instants,
-//! and freeze intervals, so fault-injected runs are exactly as
-//! reproducible as fault-free ones. The timeline itself is inert data —
-//! links consult the blackout windows on every transmit, and higher
-//! layers (the testbed's server node) schedule the crash/freeze instants
-//! as timers on the existing event loop.
+//! same seed always yields the same blackout windows and crash instants,
+//! so fault-injected runs are exactly as reproducible as fault-free ones.
+//! The timeline itself is inert data — links consult the blackout
+//! windows on every transmit, and higher layers (the testbed's server
+//! node) schedule the crash instants as timers on the existing event
+//! loop.
 //!
 //! An empty timeline is free: no windows means no per-datagram checks
 //! beyond one slice emptiness test, no timers, and — crucially — no
@@ -21,8 +21,6 @@ use crate::time::{SimDuration, SimTime};
 const BLACKOUT_STREAM: u64 = 0xB1AC_0;
 /// Stream tag: server crash instants.
 const CRASH_STREAM: u64 = 0xC2A5_4;
-/// Stream tag: server freeze intervals.
-const FREEZE_STREAM: u64 = 0xF2EE_2E;
 
 /// One link blackout window: every datagram offered during
 /// `[start, end)` is dropped, in both directions.
@@ -42,27 +40,14 @@ impl Blackout {
     }
 }
 
-/// One server freeze interval: the frozen endpoint processes nothing
-/// (datagrams are dropped on the floor, timers are ignored) during
-/// `[start, end)`, but keeps all connection state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Freeze {
-    /// First frozen instant.
-    pub start: SimTime,
-    /// First instant after the thaw.
-    pub end: SimTime,
-}
-
-/// The concrete fault schedule of one run: blackout windows, crash
-/// instants, and freeze intervals, all in increasing time order.
+/// The concrete fault schedule of one run: blackout windows and crash
+/// instants, both in increasing time order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultTimeline {
     /// Link blackout windows.
     pub blackouts: Vec<Blackout>,
     /// Server crash instants (all connection state dropped).
     pub crashes: Vec<SimTime>,
-    /// Server freeze intervals (state kept, processing stalled).
-    pub freezes: Vec<Freeze>,
 }
 
 impl FaultTimeline {
@@ -73,24 +58,22 @@ impl FaultTimeline {
 
     /// Whether this timeline schedules any fault at all.
     pub fn is_empty(&self) -> bool {
-        self.blackouts.is_empty() && self.crashes.is_empty() && self.freezes.is_empty()
+        self.blackouts.is_empty() && self.crashes.is_empty()
     }
 
     /// Generates the timeline for `fault_seed` over `[0, horizon)`:
-    /// blackouts and freezes as `(mean_gap, duration)`, crashes as a
-    /// mean gap; `None` disables that class.
+    /// blackouts as `(mean_gap, duration)`, crashes as a mean gap;
+    /// `None` disables that class.
     ///
     /// Each fault class is an independent Poisson process on its own
     /// [`SimRng::derive`] stream, so enabling one class never shifts
-    /// another's schedule. Interval faults (blackouts, freezes) measure
-    /// the next gap from the *end* of the previous window, so windows
-    /// never overlap.
+    /// another's schedule. A blackout's next gap is measured from the
+    /// *end* of the previous window, so windows never overlap.
     pub fn generate(
         fault_seed: u64,
         horizon: SimDuration,
         blackout: Option<(SimDuration, SimDuration)>,
         crash_every: Option<SimDuration>,
-        freeze: Option<(SimDuration, SimDuration)>,
     ) -> Self {
         let windows = |stream, every| poisson_windows(fault_seed, stream, every, horizon);
         let crashes = crash_every.map(|gap| (gap, SimDuration::ZERO));
@@ -99,9 +82,6 @@ impl FaultTimeline {
                 .map(|(start, end)| Blackout { start, end })
                 .collect(),
             crashes: windows(CRASH_STREAM, crashes).map(|(at, _)| at).collect(),
-            freezes: windows(FREEZE_STREAM, freeze)
-                .map(|(start, end)| Freeze { start, end })
-                .collect(),
         }
     }
 }
@@ -140,7 +120,7 @@ mod tests {
 
     #[test]
     fn empty_profile_generates_empty_timeline() {
-        let t = FaultTimeline::generate(7, secs(100), None, None, None);
+        let t = FaultTimeline::generate(7, secs(100), None, None);
         assert!(t.is_empty());
         assert_eq!(t, FaultTimeline::none());
     }
@@ -149,8 +129,7 @@ mod tests {
     fn timeline_is_a_pure_function_of_the_seed() {
         let generate = |seed| {
             let blackout = Some((secs(5), SimDuration::from_millis(500)));
-            let freeze = Some((secs(11), SimDuration::from_millis(200)));
-            FaultTimeline::generate(seed, secs(120), blackout, Some(secs(20)), freeze)
+            FaultTimeline::generate(seed, secs(120), blackout, Some(secs(20)))
         };
         let a = generate(42);
         let b = generate(42);
@@ -163,8 +142,8 @@ mod tests {
     #[test]
     fn fault_classes_use_independent_streams() {
         let blackout = Some((secs(3), SimDuration::from_millis(100)));
-        let a = FaultTimeline::generate(9, secs(60), blackout, None, None);
-        let b = FaultTimeline::generate(9, secs(60), blackout, Some(secs(4)), None);
+        let a = FaultTimeline::generate(9, secs(60), blackout, None);
+        let b = FaultTimeline::generate(9, secs(60), blackout, Some(secs(4)));
         assert_eq!(
             a.blackouts, b.blackouts,
             "enabling crashes must not move the blackout schedule"
@@ -175,7 +154,7 @@ mod tests {
     #[test]
     fn windows_are_ordered_and_disjoint() {
         let blackout = Some((SimDuration::from_millis(300), SimDuration::from_millis(250)));
-        let t = FaultTimeline::generate(5, secs(30), blackout, None, None);
+        let t = FaultTimeline::generate(5, secs(30), blackout, None);
         assert!(t.blackouts.len() > 10);
         for w in &t.blackouts {
             assert!(w.start < w.end);

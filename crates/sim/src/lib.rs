@@ -27,7 +27,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{EngineStats, Network, RunOutcome};
-pub use fault::{Blackout, FaultTimeline, Freeze};
+pub use fault::{Blackout, FaultTimeline};
 pub use impair::{ImpairedFate, Impairment, ImpairmentSpec, Jitter, LossModel};
 pub use link::LinkConfig;
 pub use loss::{Direction, DropIndices};

@@ -174,24 +174,19 @@ impl ConnDriver {
         ctx: &mut Context<'_>,
         token: u64,
     ) -> bool {
-        let fired = Self::fire_due(conn, armed, ctx.now());
-        if let (false, Some(deadline)) = (fired, armed) {
-            ctx.set_timer(deadline, token);
-        }
-        fired
-    }
-
-    /// Runs `conn`'s timers if `armed`, the deadline its last pump armed,
-    /// has come, and says whether it had. [`ConnDriver::wake`] for a
-    /// timer wake-up; the server's thaw calls it directly, since its
-    /// drive pumps and re-arms every connection anyway.
-    fn fire_due(conn: &mut Connection, armed: Option<SimTime>, now: SimTime) -> bool {
         debug_assert_eq!(armed, conn.poll_timeout(), "stale armed deadline");
-        let due = armed.is_some_and(|deadline| deadline <= now);
-        if due {
-            conn.handle_timeout(now);
+        let now = ctx.now();
+        match armed {
+            Some(deadline) if deadline <= now => {
+                conn.handle_timeout(now);
+                true
+            }
+            Some(deadline) => {
+                ctx.set_timer(deadline, token);
+                false
+            }
+            None => false,
         }
-        due
     }
 }
 

@@ -20,12 +20,10 @@ use super::{milestones, ConnDriver, ResponseCache};
 /// Timer token kind bit: the certificate store answered.
 const TIMER_KIND_CERT: u64 = 1;
 
-/// Timer tokens of the server's fault timeline: the process crashes,
-/// freezes, thaws. The high bit keeps them clear of the per-connection
-/// tokens (peer keys are sim node indices and never come near it).
+/// Timer token of the server's fault timeline: the process crashes.
+/// The high bit keeps it clear of the per-connection tokens (peer keys
+/// are sim node indices and never come near it).
 const FAULT_CRASH: u64 = 1 << 63;
-const FAULT_FREEZE: u64 = FAULT_CRASH | 1;
-const FAULT_THAW: u64 = FAULT_CRASH | 2;
 
 /// Encodes a per-connection timer token: the peer key in the high bits,
 /// the timer kind in the low bit. Token values never influence event
@@ -222,16 +220,11 @@ pub struct ServerNode {
     /// Frontend ↔ certificate store delay Δt.
     cert_delay: SimDuration,
     seed: u64,
-    /// Scheduled crash/freeze events (empty in fault-free runs).
+    /// Scheduled crashes (empty in fault-free runs).
     faults: FaultTimeline,
     /// Crashes also rotate away old ticket-key epochs, so resumption
     /// tickets from before the crash degrade to full handshakes.
     forget_epochs: bool,
-    /// The server process is frozen: datagrams are dropped and timers
-    /// are swallowed until the thaw event. (A freeze's thaw timer is
-    /// armed at start-up, so it fires ahead of anything else due at the
-    /// instant the freeze ends.)
-    frozen: bool,
     /// The response every session asking for the same size is handed.
     responses: ResponseCache,
 }
@@ -272,12 +265,11 @@ impl ServerNode {
             seed,
             faults: FaultTimeline::none(),
             forget_epochs: false,
-            frozen: false,
             responses: ResponseCache::default(),
         }
     }
 
-    /// Arms the server with a fault timeline (crashes and freezes);
+    /// Arms the server with a fault timeline (its crashes);
     /// crashes also forget old ticket-key epochs if `forget_epochs`.
     pub fn with_faults(mut self, faults: FaultTimeline, forget_epochs: bool) -> Self {
         self.faults = faults;
@@ -435,26 +427,6 @@ impl ServerNode {
         }
     }
 
-    /// Runs what has gone due on the connection behind `key`: its
-    /// certificate-store timer, and its own timers if `timers` (the
-    /// thaw, which drives every connection).
-    fn catch_up(
-        &mut self,
-        engine: &mut ServerEngine,
-        peer: &mut PeerRecord,
-        ctx: &mut Context<'_>,
-        key: usize,
-        timers: bool,
-    ) {
-        let (now, http) = (ctx.now(), self.http);
-        self.drive(engine, peer, ctx, key, |conn, session, ctx| {
-            if session.cert_timer_at.is_some_and(|at| at <= now) {
-                session.deliver_certificate(conn, ctx, http);
-            }
-            timers && ConnDriver::fire_due(conn, session.armed, now)
-        });
-    }
-
     fn drain_events(
         &mut self,
         conn: &mut Connection,
@@ -497,10 +469,6 @@ impl Node for ServerNode {
         for at in &self.faults.crashes {
             ctx.set_timer(*at, FAULT_CRASH);
         }
-        for f in &self.faults.freezes {
-            ctx.set_timer(f.start, FAULT_FREEZE);
-            ctx.set_timer(f.end, FAULT_THAW);
-        }
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &[u8]) {
@@ -509,10 +477,6 @@ impl Node for ServerNode {
 
     fn on_datagram_owned(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
         let now = ctx.now();
-        if self.frozen {
-            // Frozen process: the kernel buffer overflows, packets die.
-            return;
-        }
         let (engine, control) = (Rc::clone(&self.engine), Rc::clone(&self.control));
         let (engine, control) = (&mut *engine.borrow_mut(), &mut *control.borrow_mut());
         // Admission reads only the first packet's header. A datagram is
@@ -568,27 +532,21 @@ impl Node for ServerNode {
                     peer.session = None;
                 }
             }
-            FAULT_FREEZE => self.frozen = true,
-            FAULT_THAW => {
-                self.frozen = false;
-                // Catch up on everything that went due while frozen, in
-                // key order.
-                for k in engine.active_keys() {
-                    if let Some(peer) = control.peer_mut(k as usize) {
-                        self.catch_up(engine, peer, ctx, k as usize, true);
-                    }
-                }
-            }
-            // Timers are swallowed while frozen; the thaw re-drives
-            // every overdue connection.
-            _ if self.frozen => {}
             _ => {
                 let key = (token >> 1) as usize;
                 let Some(peer) = control.peer_mut(key) else {
                     return;
                 };
                 if token & TIMER_KIND_CERT != 0 {
-                    self.catch_up(engine, peer, ctx, key, false);
+                    // The certificate store answered, unless a crash or a
+                    // reconnect has replaced the attempt that asked.
+                    let (now, http) = (ctx.now(), self.http);
+                    self.drive(engine, peer, ctx, key, |conn, session, ctx| {
+                        if session.cert_timer_at.is_some_and(|at| at <= now) {
+                            session.deliver_certificate(conn, ctx, http);
+                        }
+                        false
+                    });
                     return;
                 }
                 // A peer whose connection is gone (retired, or lost to a

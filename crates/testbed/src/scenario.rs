@@ -94,7 +94,7 @@ impl Default for ReconnectPolicy {
 }
 
 /// Fault-injection axis of a scenario: what breaks (link blackouts,
-/// server crashes and freezes) and how clients cope (give-up budgets,
+/// server crashes) and how clients cope (give-up budgets,
 /// reconnect policy). [`FaultSpec::none`] is the default everywhere and
 /// is guaranteed free: no timers, no random draws, no wire changes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,9 +104,6 @@ pub struct FaultSpec {
     pub blackout: Option<(SimDuration, SimDuration)>,
     /// Mean gap between server crash/restart events.
     pub crash_every: Option<SimDuration>,
-    /// Server freezes as `(mean_gap, duration)`: state kept, processing
-    /// stalled.
-    pub freeze: Option<(SimDuration, SimDuration)>,
     /// A crash also forgets previous ticket-key epochs, so outstanding
     /// tickets degrade to full handshakes on reconnect.
     pub forget_ticket_epochs: bool,
@@ -124,7 +121,6 @@ impl FaultSpec {
         FaultSpec {
             blackout: None,
             crash_every: None,
-            freeze: None,
             forget_ticket_epochs: false,
             give_up_after: None,
             give_up_pto_count: None,
@@ -139,13 +135,7 @@ impl FaultSpec {
 
     /// Generates the concrete seeded fault timeline over `[0, horizon)`.
     pub fn timeline(&self, fault_seed: u64, horizon: SimDuration) -> FaultTimeline {
-        FaultTimeline::generate(
-            fault_seed,
-            horizon,
-            self.blackout,
-            self.crash_every,
-            self.freeze,
-        )
+        FaultTimeline::generate(fault_seed, horizon, self.blackout, self.crash_every)
     }
 }
 

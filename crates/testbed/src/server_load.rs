@@ -41,7 +41,7 @@ const CLASS_STREAM: u64 = 0xC1A5_5;
 const TICKET_STREAM: u64 = 0x71C_E7;
 /// Stream tag: per-shard base seed.
 const SHARD_STREAM: u64 = 0x5AA2_D;
-/// Stream tag: fault-timeline seed (blackouts/crashes/freezes).
+/// Stream tag: fault-timeline seed (blackouts and crashes).
 const FAULT_STREAM: u64 = 0xFA_17;
 /// Stream tag: per-connection migration jitter + new-path impairment.
 const MIGRATION_STREAM: u64 = 0x4D1_6;

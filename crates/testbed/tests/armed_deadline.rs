@@ -4,10 +4,10 @@
 //! A timer wake-up before the deadline is answered from the deadline the
 //! connection's last pump armed, without asking the connection; a debug
 //! build checks the two agree on every wake-up that has the connection
-//! at hand. The cases below draw overload policy, crashes, freezes,
-//! blackouts, give-up budgets, reconnects, migration, the class mix and
-//! impairment together, so every way a connection is created, replaced,
-//! frozen or dropped runs under that check. The pinned event counts hold
+//! at hand. The cases below draw overload policy, crashes, blackouts,
+//! give-up budgets, reconnects, migration, the class mix and impairment
+//! together, so every way a connection is created, replaced or dropped
+//! runs under that check. The pinned event counts hold
 //! a release build to the same timer schedule: a slot gone stale re-arms
 //! a timer it should not, or misses one it should, and the counts move.
 
@@ -45,9 +45,6 @@ fn drawn_spec(rng: &mut SimRng) -> ServerLoadSpec {
     let faults = &mut sc.faults;
     if rng.gen_bool(0.5) {
         faults.crash_every = Some(ms(150 + rng.gen_range(1_350)));
-    }
-    if rng.gen_bool(0.5) {
-        faults.freeze = Some((ms(100 + rng.gen_range(700)), ms(50 + rng.gen_range(350))));
     }
     if rng.gen_bool(0.3) {
         faults.blackout = Some((ms(200 + rng.gen_range(600)), ms(50 + rng.gen_range(250))));
@@ -157,23 +154,6 @@ fn crash_and_reconnect_keep_the_timer_schedule() {
     assert!(run.report.accounting.crashes > 0);
     assert!(run.report.reconnects > 0);
     assert_eq!(events(&run), (3074, 2151));
-}
-
-#[test]
-fn freeze_and_thaw_keep_the_timer_schedule() {
-    let mut spec = ServerLoadSpec::new(
-        base(WFC, 8),
-        30,
-        ArrivalProcess::Poisson { mean_gap: ms(10) },
-    );
-    // 200 ms freezes at seeded gaps that end inside the run: each thaw
-    // catches up on the connection and certificate timers that went due
-    // while the server was frozen.
-    spec.base.faults.freeze = Some((ms(150), ms(200)));
-    spec.base.faults.give_up_after = Some(ms(4_000));
-    let run = checked_run(&spec);
-    assert!(run.report.fates.completed > 0);
-    assert_eq!(events(&run), (2860, 2041));
 }
 
 #[test]
