@@ -147,11 +147,6 @@ pub struct EndpointConfig {
     /// acceptance; disabled by default so full-handshake traces keep
     /// their exact wire image).
     pub resumption: rq_tls::ServerResumption,
-    /// Server: the schedule of keys minting and validating stateless
-    /// session tickets; the keys in force are resolved per accepted
-    /// connection. A fixed key (the default) serves the priming and the
-    /// resumed connection alike.
-    pub ticket_keys: rq_tls::TicketKeySchedule,
     /// Client: abandon the handshake this long after the first Initial
     /// leaves, closing with [`crate::connection::ERROR_GIVE_UP`]. `None`
     /// (the default) waits forever, like every stack in the paper's
@@ -197,7 +192,6 @@ impl EndpointConfig {
             quirks: ClientQuirks::default(),
             resume: rq_tls::ClientConfig::full(),
             resumption: rq_tls::ServerResumption::disabled(),
-            ticket_keys: rq_tls::TicketKeySchedule::default(),
             give_up_after: None,
             give_up_pto_count: None,
             cc_algorithm: rq_recovery::CcAlgorithm::NewReno,

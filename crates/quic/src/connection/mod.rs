@@ -283,29 +283,16 @@ impl Connection {
     }
 
     /// Creates a server connection for a new 4-tuple whose first datagram
-    /// carried `dcid` (Initial key derivation input), under the ticket
-    /// keys its schedule has in force at time 0.
+    /// carried `dcid` (Initial key derivation input).
     pub fn server(cfg: impl Into<Rc<EndpointConfig>>, seed: u64, dcid: ConnectionId) -> Self {
         let cfg = cfg.into();
-        Connection::accepted(cfg.ticket_keys.at(0), cfg, seed, dcid)
-    }
-
-    /// [`Connection::server`] under `ticket_keys`, the keys in force
-    /// when the server accepted it.
-    pub(crate) fn accepted(
-        ticket_keys: rq_tls::TicketKeys,
-        cfg: Rc<EndpointConfig>,
-        seed: u64,
-        original_dcid: ConnectionId,
-    ) -> Self {
         let local_cid = derived_cid(seed, CID_KIND_SERVER, 0);
         let tls = TlsSession::server(TlsServerConfig {
             cert_len: cfg.cert_len,
             resumption: cfg.resumption,
-            ticket_keys,
         });
         let rtt = RttEstimator::new(MAX_ACK_DELAY);
-        Connection::new(cfg, seed, tls, rtt, local_cid, original_dcid)
+        Connection::new(cfg, seed, tls, rtt, local_cid, dcid)
     }
 
     /// The state both roles start from; `client`/`server` supply what

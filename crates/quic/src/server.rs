@@ -2,19 +2,17 @@
 //!
 //! [`Connection`] is deliberately per-connection: it knows one peer, one
 //! handshake, one request. A production QUIC terminator, though, hosts
-//! thousands of those behind one listener that shares a ticket-key
-//! schedule, a CPU budget, and a concurrency ceiling — the regime where
+//! thousands of those behind one listener that shares a ticket key, a
+//! CPU budget, and a concurrency ceiling — the regime where
 //! the paper's WFC/IACK trade-off turns into a server-cost question
 //! (stateless instant ACKs are cheap; certificate flights and full
 //! handshakes are not). [`ServerEngine`] is that shared layer: it accepts
-//! or sheds incoming Initials, resolves each connection's ticket keys from
-//! the template's rotating schedule at accept time, and folds per-class
-//! handshake costs and queue-depth observations into a mergeable
-//! [`ServerAccounting`].
+//! or sheds incoming Initials and folds per-class handshake costs and
+//! queue-depth observations into a mergeable [`ServerAccounting`].
 //!
 //! Everything here is deterministic: admission depends only on the
-//! current active count, keys only on the schedule and the accept time,
-//! so a sharded simulation reproduces one big server exactly.
+//! current active count, so a sharded simulation reproduces one big
+//! server exactly.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -200,8 +198,7 @@ struct ConnSlot {
 }
 
 /// One server's shared state: the connection table, the admission policy,
-/// the endpoint configuration with its ticket-key schedule, and the cost
-/// accounting.
+/// the endpoint configuration, and the cost accounting.
 ///
 /// Connections are addressed by an opaque `u64` key chosen by the caller
 /// (the testbed uses the peer's sim `NodeId` index — QUIC's "demux by
@@ -223,10 +220,8 @@ pub struct ServerEngine {
 }
 
 impl ServerEngine {
-    /// A server sharing `template` with each accepted connection (which
-    /// holds the keys its ticket schedule has in force at accept time)
-    /// and shedding arrivals beyond `concurrency_limit` active
-    /// connections.
+    /// A server sharing `template` with each accepted connection and
+    /// shedding arrivals beyond `concurrency_limit` active connections.
     pub fn new(template: EndpointConfig, concurrency_limit: usize) -> Self {
         ServerEngine {
             template: Rc::new(template),
@@ -256,8 +251,7 @@ impl ServerEngine {
     }
 
     /// Admits or refuses a new connection whose first datagram carried
-    /// `original_dcid`. `now_secs` (virtual seconds) selects the ticket
-    /// key epoch the connection mints and accepts under.
+    /// `original_dcid`.
     ///
     /// `has_token` marks an Initial carrying a Retry token; `revisit`
     /// marks a re-knock from a client this engine already answered with
@@ -268,7 +262,6 @@ impl ServerEngine {
         key: u64,
         conn_seed: u64,
         original_dcid: ConnectionId,
-        now_secs: u64,
         has_token: bool,
         revisit: bool,
     ) -> AcceptOutcome {
@@ -300,9 +293,7 @@ impl ServerEngine {
         if revisit && has_token {
             self.accounting.retry_admitted += 1;
         }
-        let keys = self.template.ticket_keys.at(now_secs);
-        let mut conn =
-            Connection::accepted(keys, Rc::clone(&self.template), conn_seed, original_dcid);
+        let mut conn = Connection::server(Rc::clone(&self.template), conn_seed, original_dcid);
         // A deferred client re-knocks with the token its Retry handed
         // out; the connection must expect (and validate) it so the
         // address counts as validated from the first packet.
@@ -320,18 +311,13 @@ impl ServerEngine {
 
     /// The server process dies and restarts: every per-connection state
     /// machine is dropped on the floor (their clients get a
-    /// stateless-reset-style signal from the caller, or time out), and
-    /// with `forget_ticket_epochs` the restarted process also loses the
-    /// previous ticket-key epochs, so outstanding tickets degrade to
-    /// full handshakes. Returns the orphaned keys in ascending order.
-    pub fn crash_and_restart(&mut self, forget_ticket_epochs: bool) -> Vec<u64> {
+    /// stateless-reset-style signal from the caller, or time out). The
+    /// restarted process keeps its ticket key, so outstanding tickets
+    /// still resume. Returns the orphaned keys in ascending order.
+    pub fn crash_and_restart(&mut self) -> Vec<u64> {
         let orphans: Vec<u64> = std::mem::take(&mut self.conns).into_keys().collect();
         self.accounting.crashes += 1;
         self.accounting.reset_conns += orphans.len() as u64;
-        if forget_ticket_epochs {
-            let cfg = Rc::make_mut(&mut self.template);
-            cfg.ticket_keys = cfg.ticket_keys.forget_old_epochs();
-        }
         orphans
     }
 
@@ -387,21 +373,9 @@ mod tests {
     use super::*;
     use rq_qlog::EventLog;
     use rq_sim::SimTime;
-    use rq_tls::TicketKeySchedule;
 
     fn engine(limit: usize) -> ServerEngine {
-        ServerEngine::new(with_schedule(TicketKeySchedule::fixed(7)), limit)
-    }
-
-    fn with_schedule(ticket_keys: TicketKeySchedule) -> EndpointConfig {
-        EndpointConfig {
-            ticket_keys,
-            ..EndpointConfig::rfc_default()
-        }
-    }
-
-    fn accepted_keys(e: &ServerEngine, now_secs: u64) -> usize {
-        e.template.ticket_keys.at(now_secs).accepted().count()
+        ServerEngine::new(EndpointConfig::rfc_default(), limit)
     }
 
     fn dcid(n: u64) -> ConnectionId {
@@ -412,17 +386,14 @@ mod tests {
     fn sheds_beyond_concurrency_limit() {
         let mut e = engine(2);
         assert_eq!(
-            e.accept(1, 1, dcid(1), 0, false, false),
+            e.accept(1, 1, dcid(1), false, false),
             AcceptOutcome::Accepted
         );
         assert_eq!(
-            e.accept(2, 2, dcid(2), 0, false, false),
+            e.accept(2, 2, dcid(2), false, false),
             AcceptOutcome::Accepted
         );
-        assert_eq!(
-            e.accept(3, 3, dcid(3), 0, false, false),
-            AcceptOutcome::Shed
-        );
+        assert_eq!(e.accept(3, 3, dcid(3), false, false), AcceptOutcome::Shed);
         assert_eq!(e.conns.len(), 2);
         assert_eq!(e.accounting.arrivals, 3);
         assert_eq!(e.accounting.accepted, 2);
@@ -430,7 +401,7 @@ mod tests {
         // Retiring frees a slot; the next arrival is admitted again.
         assert!(e.retire(1, true).is_some());
         assert_eq!(
-            e.accept(4, 4, dcid(4), 0, false, false),
+            e.accept(4, 4, dcid(4), false, false),
             AcceptOutcome::Accepted
         );
         assert_eq!(e.accounting.completed, 1);
@@ -440,7 +411,7 @@ mod tests {
     fn depth_and_peak_tracking() {
         let mut e = engine(8);
         for k in 0..4u64 {
-            e.accept(k, k, dcid(k), 0, false, false);
+            e.accept(k, k, dcid(k), false, false);
         }
         // Depth samples: 0,1,2,3 at the four arrivals.
         assert_eq!(e.accounting.depth_sum, 6);
@@ -455,7 +426,7 @@ mod tests {
     #[test]
     fn handshake_cost_lands_once_and_only_when_established() {
         let mut e = engine(4);
-        e.accept(1, 1, dcid(1), 0, false, false);
+        e.accept(1, 1, dcid(1), false, false);
         // Handshake not complete: no cost.
         e.note_handshake_outcome(1);
         assert_eq!(e.accounting.cpu_cost, 0.0);
@@ -513,12 +484,12 @@ mod tests {
     fn retry_defer_answers_retry_then_admits_revisits() {
         let mut e = engine(1).with_overload_policy(OverloadPolicy::RetryDefer);
         assert_eq!(
-            e.accept(1, 1, dcid(1), 0, false, false),
+            e.accept(1, 1, dcid(1), false, false),
             AcceptOutcome::Accepted
         );
         // At the limit: deferred, no state committed.
         assert_eq!(
-            e.accept(2, 2, dcid(2), 0, false, false),
+            e.accept(2, 2, dcid(2), false, false),
             AcceptOutcome::RetryDefer
         );
         assert_eq!(e.conns.len(), 1);
@@ -526,17 +497,14 @@ mod tests {
         assert_eq!(e.accounting.shed, 0);
         // Still full: the tokened revisit keeps knocking, uncounted.
         assert_eq!(
-            e.accept(2, 2, dcid(2), 0, true, true),
+            e.accept(2, 2, dcid(2), true, true),
             AcceptOutcome::RetryDefer
         );
         assert_eq!(e.accounting.arrivals, 2);
         assert_eq!(e.accounting.retry_deferred, 1);
         // A slot frees: the revisit is admitted with the token expected.
         e.retire(1, true);
-        assert_eq!(
-            e.accept(2, 2, dcid(2), 0, true, true),
-            AcceptOutcome::Accepted
-        );
+        assert_eq!(e.accept(2, 2, dcid(2), true, true), AcceptOutcome::Accepted);
         assert_eq!(e.accounting.retry_admitted, 1);
         assert!(e.conn_mut(2).unwrap().use_retry);
     }
@@ -545,13 +513,10 @@ mod tests {
     fn close_with_backoff_refuses_explicitly() {
         let mut e = engine(1).with_overload_policy(OverloadPolicy::CloseWithBackoff);
         assert_eq!(
-            e.accept(1, 1, dcid(1), 0, false, false),
+            e.accept(1, 1, dcid(1), false, false),
             AcceptOutcome::Accepted
         );
-        assert_eq!(
-            e.accept(2, 2, dcid(2), 0, false, false),
-            AcceptOutcome::Busy
-        );
+        assert_eq!(e.accept(2, 2, dcid(2), false, false), AcceptOutcome::Busy);
         assert_eq!(e.accounting.busy_refused, 1);
         assert_eq!(e.accounting.shed, 0);
     }
@@ -560,31 +525,17 @@ mod tests {
     fn crash_drops_all_conns_in_sorted_key_order() {
         let mut e = engine(8);
         for k in [5u64, 1, 3] {
-            e.accept(k, k, dcid(k), 0, false, false);
+            e.accept(k, k, dcid(k), false, false);
         }
-        let orphans = e.crash_and_restart(false);
+        let orphans = e.crash_and_restart();
         assert_eq!(orphans, vec![1, 3, 5], "orphans must come out sorted");
         assert_eq!(e.conns.len(), 0);
         assert_eq!(e.accounting.crashes, 1);
         assert_eq!(e.accounting.reset_conns, 3);
         // The table is usable again immediately.
         assert_eq!(
-            e.accept(7, 7, dcid(7), 0, false, false),
+            e.accept(7, 7, dcid(7), false, false),
             AcceptOutcome::Accepted
-        );
-    }
-
-    #[test]
-    fn crash_can_forget_previous_ticket_epochs() {
-        let schedule = TicketKeySchedule::rotating(99, 100, 2);
-        let mut e = ServerEngine::new(with_schedule(schedule), 4);
-        assert_eq!(accepted_keys(&e, 250), 3);
-        e.crash_and_restart(true);
-        // Only the current epoch survives the restart.
-        assert_eq!(accepted_keys(&e, 250), 1);
-        assert_eq!(
-            e.template.ticket_keys.at(250).mint(),
-            schedule.at(250).mint()
         );
     }
 
@@ -602,7 +553,7 @@ mod tests {
         let mut client = Connection::client(EndpointConfig::rfc_default(), 1, false);
         let hello = client.poll_transmit(SimTime::ZERO).expect("client Initial");
         let first = rq_wire::Header::decode(&mut &hello[..], 8).unwrap().0;
-        e.accept(1, 9, first.dcid, 0, false, false);
+        e.accept(1, 9, first.dcid, false, false);
         let server = e.conn_mut(1).unwrap();
         server.handle_datagram_on_path(SimTime::ZERO, hello, 0, &mut rq_sim::Spares::default());
         while server.poll_event().is_some() {}
@@ -612,19 +563,11 @@ mod tests {
         server.log = EventLog::default();
         e.retire(1, false);
         assert_eq!(e.accounting.amp_blocked_conns, 1);
-        e.accept(2, 10, dcid(2), 0, false, false);
+        e.accept(2, 10, dcid(2), false, false);
         e.retire(2, false);
         assert_eq!(
             e.accounting.amp_blocked_conns, 1,
             "an idle conn never stalled"
         );
-    }
-
-    #[test]
-    fn epoch_keys_follow_the_schedule() {
-        let e = ServerEngine::new(with_schedule(TicketKeySchedule::rotating(99, 100, 1)), 4);
-        assert_eq!(e.template.ticket_keys.at(0).mint(), 99);
-        assert_ne!(e.template.ticket_keys.at(250).mint(), 99);
-        assert_eq!(accepted_keys(&e, 250), 2);
     }
 }

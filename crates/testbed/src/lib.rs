@@ -8,8 +8,8 @@
 //! Beyond the paper's one-pair-at-a-time runs, the `server_load` module
 //! hosts N concurrent connections on one shared event loop behind a
 //! single server engine — arrival processes, concurrency limits, load
-//! shedding, ticket-key rotation — with the legacy single-pair runner
-//! re-expressed as its N = 1 case.
+//! shedding, faults — with the legacy single-pair runner re-expressed as
+//! its N = 1 case.
 
 #![forbid(unsafe_code)]
 

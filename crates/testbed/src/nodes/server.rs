@@ -203,8 +203,8 @@ impl Session {
 
 /// Server endpoint node: one shared listener hosting any number of
 /// connections, each serving `GET /<n>`. Incoming datagrams are demuxed
-/// by sender `NodeId`; admission, ticket-key epochs, and cost accounting
-/// live in the [`ServerEngine`], everything else the node knows about a
+/// by sender `NodeId`; admission and cost accounting live in the
+/// [`ServerEngine`], everything else the node knows about a
 /// peer in that peer's record in the [`ServerControl`].
 /// A callback borrows both once and works on the connection and the
 /// record it resolved.
@@ -222,9 +222,6 @@ pub struct ServerNode {
     seed: u64,
     /// Scheduled crashes (empty in fault-free runs).
     faults: FaultTimeline,
-    /// Crashes also rotate away old ticket-key epochs, so resumption
-    /// tickets from before the crash degrade to full handshakes.
-    forget_epochs: bool,
     /// The response every session asking for the same size is handed.
     responses: ResponseCache,
 }
@@ -235,8 +232,6 @@ struct Knock {
     /// The engine's key for the sender: its `NodeId` index.
     key: u64,
     from: NodeId,
-    /// Arrival time in whole virtual seconds (selects the ticket key).
-    now_secs: u64,
 }
 
 impl ServerNode {
@@ -264,16 +259,13 @@ impl ServerNode {
             cert_delay,
             seed,
             faults: FaultTimeline::none(),
-            forget_epochs: false,
             responses: ResponseCache::default(),
         }
     }
 
-    /// Arms the server with a fault timeline (its crashes);
-    /// crashes also forget old ticket-key epochs if `forget_epochs`.
-    pub fn with_faults(mut self, faults: FaultTimeline, forget_epochs: bool) -> Self {
+    /// Arms the server with a fault timeline (its crashes).
+    pub fn with_faults(mut self, faults: FaultTimeline) -> Self {
         self.faults = faults;
-        self.forget_epochs = forget_epochs;
         self
     }
 
@@ -332,7 +324,7 @@ impl ServerNode {
                     header.is_some_and(|h| h.ty == PacketType::Initial && !h.token.is_empty());
                 let seed = peer.conn_seed;
                 let admitted = tokened
-                    && engine.accept(knock.key, seed, session.dcid, knock.now_secs, true, true)
+                    && engine.accept(knock.key, seed, session.dcid, true, true)
                         == AcceptOutcome::Accepted;
                 if admitted {
                     session.standing = Standing::Admitted;
@@ -363,8 +355,7 @@ impl ServerNode {
         // Derive the Initial keys from the client's DCID.
         let (dcid, has_token) = (header.dcid, !header.token.is_empty());
         let seed = peer.conn_seed;
-        let standing = match engine.accept(knock.key, seed, dcid, knock.now_secs, has_token, false)
-        {
+        let standing = match engine.accept(knock.key, seed, dcid, has_token, false) {
             AcceptOutcome::Accepted => Standing::Admitted,
             // Once shed, always shed: the server stays stateless for
             // this attempt, so retransmitted Initials cannot sneak in
@@ -496,7 +487,6 @@ impl Node for ServerNode {
         let knock = Knock {
             key: key as u64,
             from,
-            now_secs: now.as_nanos() / 1_000_000_000,
         };
         if self.admits(engine, peer, knock, header.as_ref(), ctx) {
             let path = ctx.path();
@@ -512,7 +502,7 @@ impl Node for ServerNode {
         let (engine, control) = (&mut *engine.borrow_mut(), &mut *control.borrow_mut());
         match token {
             FAULT_CRASH => {
-                let orphans = engine.crash_and_restart(self.forget_epochs);
+                let orphans = engine.crash_and_restart();
                 for k in orphans {
                     let Some(peer) = control.peer_mut(k as usize) else {
                         continue;

@@ -104,9 +104,6 @@ pub struct FaultSpec {
     pub blackout: Option<(SimDuration, SimDuration)>,
     /// Mean gap between server crash/restart events.
     pub crash_every: Option<SimDuration>,
-    /// A crash also forgets previous ticket-key epochs, so outstanding
-    /// tickets degrade to full handshakes on reconnect.
-    pub forget_ticket_epochs: bool,
     /// Client handshake deadline ([`rq_quic::EndpointConfig::give_up_after`]).
     pub give_up_after: Option<SimDuration>,
     /// Client consecutive-PTO give-up budget.
@@ -121,7 +118,6 @@ impl FaultSpec {
         FaultSpec {
             blackout: None,
             crash_every: None,
-            forget_ticket_epochs: false,
             give_up_after: None,
             give_up_pto_count: None,
             reconnect: None,

@@ -26,7 +26,7 @@ use rq_quic::{
 use rq_sim::{
     FaultTimeline, LinkConfig, Network, NodeId, RunOutcome, SimDuration, SimRng, SimTime,
 };
-use rq_tls::{mint_ticket, SessionTicket, TicketKeySchedule};
+use rq_tls::{mint_ticket, SessionTicket, TICKET_KEY};
 
 use crate::nodes::{ClientNode, PeerOutcome, ServerNode, TestbedNode};
 use crate::runner::{full_result, rep_scenario, RunResult};
@@ -109,14 +109,6 @@ pub struct ServerLoadSpec {
     /// Stochastic impairment applied to a seeded share of connections:
     /// `(share, spec)`.
     pub impaired: Option<(f64, rq_sim::ImpairmentSpec)>,
-    /// Ticket-key rotation period in virtual seconds (0 = fixed key).
-    pub rotation_period_secs: u64,
-    /// How many retired key epochs the server still accepts.
-    pub overlap_epochs: u32,
-    /// How long before its arrival a resuming connection's synthetic
-    /// ticket was minted — old enough and the minting epoch rotates out
-    /// of the accept window.
-    pub ticket_age: SimDuration,
     /// Per-connection virtual-time budget after arrival.
     pub conn_deadline: SimDuration,
     /// What the server does with arrivals beyond the concurrency limit:
@@ -126,7 +118,7 @@ pub struct ServerLoadSpec {
 }
 
 impl ServerLoadSpec {
-    /// A load spec with no shedding, no mixture, no rotation.
+    /// A load spec with no shedding and no mixture.
     pub fn new(base: Scenario, arrivals: usize, process: ArrivalProcess) -> Self {
         ServerLoadSpec {
             base,
@@ -135,9 +127,6 @@ impl ServerLoadSpec {
             concurrency_limit: usize::MAX,
             mix: None,
             impaired: None,
-            rotation_period_secs: 0,
-            overlap_epochs: 0,
-            ticket_age: SimDuration::from_secs(60),
             conn_deadline: SimDuration::from_secs(120),
             overload: OverloadPolicy::Shed,
         }
@@ -153,14 +142,6 @@ impl ServerLoadSpec {
                 mean_gap: SimDuration::from_millis(1),
             },
         )
-    }
-
-    /// The server's ticket-key schedule: the testbed server's own key,
-    /// rotating per [`Self::rotation_period_secs`] (never, at 0).
-    pub fn schedule(&self) -> TicketKeySchedule {
-        let fixed = rq_profiles::server::testbed_server(self.base.ack_mode, self.base.cert_len);
-        let base_key = fixed.ticket_keys.base_key;
-        TicketKeySchedule::rotating(base_key, self.rotation_period_secs, self.overlap_epochs)
     }
 
     /// Arrival times in virtual time: a pure function of `base.seed`
@@ -195,9 +176,8 @@ impl ServerLoadSpec {
 
     /// Expands the spec into per-connection plans: repetition-seeded
     /// scenarios with class/impairment draws and synthetic resumption
-    /// tickets minted under the epoch key of their (aged) minting time.
+    /// tickets minted under the server's key.
     pub fn plans(&self) -> Vec<ConnPlan> {
-        let schedule = self.schedule();
         self.arrival_times()
             .into_iter()
             .enumerate()
@@ -215,7 +195,7 @@ impl ServerLoadSpec {
                 }
                 let ticket =
                     if sc.handshake_class != HandshakeClass::Full && self.base.resumption.tickets {
-                        Some(self.synthetic_ticket(i, arrival, &schedule))
+                        Some(self.synthetic_ticket(i))
                     } else {
                         None
                     };
@@ -228,27 +208,17 @@ impl ServerLoadSpec {
             .collect()
     }
 
-    /// A ticket "minted" `ticket_age` before `arrival` under the key of
-    /// that epoch — which is exactly how key rotation bites: age a
-    /// ticket past `overlap_epochs` rotation periods and the server no
-    /// longer holds its key, forcing a full handshake.
-    fn synthetic_ticket(
-        &self,
-        i: usize,
-        arrival: SimTime,
-        schedule: &TicketKeySchedule,
-    ) -> SessionTicket {
-        let minted_ns = arrival
-            .as_nanos()
-            .saturating_sub(self.ticket_age.as_nanos());
-        let key = schedule.at(minted_ns / 1_000_000_000).mint();
+    /// The ticket connection `i` offers, as an earlier visit to this
+    /// server would have left it: a seeded secret sealed under the
+    /// server's key.
+    fn synthetic_ticket(&self, i: usize) -> SessionTicket {
         let mut rng = SimRng::derive(self.base.seed, &[TICKET_STREAM, i as u64]);
         let mut secret = [0u8; 32];
         for chunk in secret.chunks_mut(8) {
             chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
         }
         SessionTicket {
-            ticket: mint_ticket(key, &secret),
+            ticket: mint_ticket(TICKET_KEY, &secret),
             secret,
             lifetime_secs: self.base.resumption.ticket_lifetime_secs,
             // Every issued ticket advertises 0-RTT.
@@ -619,11 +589,10 @@ pub(crate) fn drive_conn_plans(
     if resumption_active {
         server_cfg.resumption = base.resumption;
     }
-    server_cfg.ticket_keys = spec.schedule();
     let engine =
         ServerEngine::new(server_cfg, spec.concurrency_limit).with_overload_policy(spec.overload);
     let server_node = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed)
-        .with_faults(timeline.clone(), base.faults.forget_ticket_epochs);
+        .with_faults(timeline.clone());
     let server_id = net.add_node(server_node.into());
     net.prime();
 

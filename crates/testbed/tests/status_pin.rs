@@ -103,7 +103,7 @@ impl Bed {
                 crashes,
                 ..FaultTimeline::none()
             };
-            server = server.with_faults(timeline, false);
+            server = server.with_faults(timeline);
         }
         let server = net.add_node(server.into());
         net.prime();

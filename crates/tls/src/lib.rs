@@ -23,8 +23,7 @@ pub use keys::{
 };
 pub use messages::{HandshakeMessage, HandshakeType, CERT_LARGE, CERT_SMALL};
 pub use resumption::{
-    mint_ticket, open_ticket, ServerResumption, SessionTicket, TicketKeySchedule, TicketKeys,
-    TICKET_LEN,
+    mint_ticket, open_ticket, ServerResumption, SessionTicket, TICKET_KEY, TICKET_LEN,
 };
 pub use session::{ClientConfig, Role, ServerConfig, TlsEvent, TlsEvents, TlsSession};
 

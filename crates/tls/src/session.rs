@@ -33,9 +33,7 @@ use crate::messages::{
     HandshakeMessage, HandshakeType, Outgoing, DEFAULT_CLIENT_HELLO_LEN, FINISHED_LEN,
     NEW_SESSION_TICKET_LEN,
 };
-use crate::resumption::{
-    mint_ticket, open_ticket, ServerResumption, SessionTicket, TicketKeySchedule, TicketKeys,
-};
+use crate::resumption::{mint_ticket, open_ticket, ServerResumption, SessionTicket, TICKET_KEY};
 use crate::TlsError;
 
 /// Endpoint role.
@@ -85,8 +83,6 @@ pub struct ServerConfig {
     pub cert_len: usize,
     /// Resumption policy: ticket issuance, PSK acceptance, 0-RTT.
     pub resumption: ServerResumption,
-    /// The keys minting and validating stateless session tickets.
-    pub ticket_keys: TicketKeys,
 }
 
 impl Default for ServerConfig {
@@ -94,7 +90,6 @@ impl Default for ServerConfig {
         ServerConfig {
             cert_len: crate::messages::CERT_SMALL,
             resumption: ServerResumption::disabled(),
-            ticket_keys: TicketKeySchedule::default().at(0),
         }
     }
 }
@@ -509,15 +504,12 @@ impl TlsSession {
         Ok(match (state, msg.ty, level) {
             (ServerState::WaitClientHello, HandshakeType::ClientHello, Level::Initial) => {
                 let offer = msg.resumption_offer();
-                let cfg = self.server_cfg();
-                // The window newest first, the minting key leading it; a
-                // ticket sealed under a retired key opens nowhere and
+                // A ticket sealed under another key opens nowhere and
                 // falls back to the full handshake below.
-                let mut keys = cfg.ticket_keys.accepted();
                 let secret = offer
                     .as_ref()
-                    .filter(|_| cfg.resumption.tickets)
-                    .and_then(|(ticket, _)| keys.find_map(|key| open_ticket(key, ticket)));
+                    .filter(|_| self.server_cfg().resumption.tickets)
+                    .and_then(|(ticket, _)| open_ticket(TICKET_KEY, ticket));
                 if let Some(secret) = secret {
                     // Abbreviated handshake: no certificate, no Δt.
                     self.resumed = true;
@@ -554,7 +546,7 @@ impl TlsSession {
                 let cfg = self.server_cfg();
                 if cfg.resumption.tickets {
                     // Every ticket advertises 0-RTT, accepted or not.
-                    let ticket = mint_ticket(cfg.ticket_keys.mint(), &secret);
+                    let ticket = mint_ticket(TICKET_KEY, &secret);
                     let nst = Outgoing::NewSessionTicket {
                         lifetime_secs: cfg.resumption.ticket_lifetime_secs,
                         early_data_allowed: true,

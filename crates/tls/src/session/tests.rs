@@ -235,35 +235,6 @@ fn resumed_handshake_skips_certificate_and_need_certificate() {
 }
 
 #[test]
-fn overlap_key_resumes_retired_key_falls_back() {
-    // A ticket minted under the *previous* epoch's key: accepted while
-    // that key sits in the overlap window, full handshake once the
-    // window drops it (the rotating-server behaviour the testbed's
-    // key schedule drives).
-    let (ticket, server_cfg) = prime_ticket(ServerResumption::accepting(7200));
-    let old_key = server_cfg.ticket_keys.mint();
-    // Epoch 0 of a schedule is its base key; `now_secs` 150 is epoch 1.
-    let run = |base_key: u64, overlap_epochs: u32, now_secs: u64| {
-        let mut client = TlsSession::client(ClientConfig {
-            ticket: Some(ticket.clone()),
-            ..ClientConfig::full()
-        });
-        let ticket_keys = TicketKeySchedule::rotating(base_key, 100, overlap_epochs).at(now_secs);
-        assert_ne!(ticket_keys.mint(), old_key, "the server has rotated");
-        let mut server = TlsSession::server(ServerConfig {
-            ticket_keys,
-            ..server_cfg.clone()
-        });
-        client.start();
-        pump(&mut client, &mut server);
-        server.is_resumed()
-    };
-    assert!(run(old_key, 1, 150), "overlap window resumes");
-    assert!(!run(old_key, 1, 250), "retired key falls back");
-    assert!(!run(old_key, 0, 150), "empty window falls back");
-}
-
-#[test]
 fn resumed_flight_is_much_smaller_than_full() {
     let (ticket, server_cfg) = prime_ticket(ServerResumption::accepting(7200));
     let flight_len = |ticket: Option<SessionTicket>| {

@@ -10,7 +10,7 @@
 use rq_testkit::prop::cases;
 use rq_tls::{
     early_keys, mint_ticket, open_ticket, resumption_secret, ClientConfig, Level, ServerConfig,
-    ServerResumption, SessionTicket, TicketKeySchedule, TlsEvent, TlsSession,
+    ServerResumption, SessionTicket, TlsEvent, TlsSession, TICKET_KEY,
 };
 
 fn secret_from(seed: u64) -> [u8; 32] {
@@ -87,20 +87,15 @@ fn secrets_and_early_keys_separate_by_transcript() {
     });
 }
 
-/// Runs a 0-RTT resumption offer of `ticket` against a server holding
-/// `server_keys`; returns whether it resumed and the client's events.
-fn offer(
-    ticket: SessionTicket,
-    server_keys: TicketKeySchedule,
-    now_secs: u64,
-) -> (bool, Vec<TlsEvent>) {
+/// Runs a 0-RTT resumption offer of `ticket` against a server accepting
+/// resumption; returns whether it resumed and the client's events.
+fn offer(ticket: SessionTicket) -> (bool, Vec<TlsEvent>) {
     let mut client = TlsSession::client(ClientConfig {
         ticket: Some(ticket),
         early_data: true,
     });
     let mut server = TlsSession::server(ServerConfig {
         resumption: ServerResumption::accepting(7200),
-        ticket_keys: server_keys.at(now_secs),
         ..ServerConfig::default()
     });
     client.start();
@@ -127,57 +122,32 @@ fn offer(
     (server.is_resumed(), client_events)
 }
 
-/// The ticket window in closed form: a ticket minted at `mint` under one
-/// server's schedule resumes at `accept` iff the accepting server has
-/// the same base key and `epoch(accept) - overlap <= epoch(mint) <=
-/// epoch(accept)`; otherwise the handshake completes in full and its
-/// 0-RTT offer is rejected. The same holds, with overlap 0, once a crash
-/// made the server forget its old epochs.
+/// One server, one key: a ticket resumes, and its 0-RTT offer is
+/// accepted, iff it was minted under the server's key. Under any other
+/// key the handshake completes in full and its 0-RTT offer is rejected.
 #[test]
-fn ticket_window_resumes_exactly_inside_the_overlap() {
+fn a_ticket_resumes_iff_minted_under_the_server_key() {
     cases(96, |rng| {
-        let base_key = rng.next_u64();
-        let period_secs = [0, 1, 60, 3600][rng.gen_range(4) as usize];
-        let overlap_epochs = rng.gen_range(4) as u32;
-        let span = 8 * period_secs.max(1);
-        let mint_secs = rng.gen_range(span);
-        let accept_secs = mint_secs + rng.gen_range(span);
-        let server_base = if rng.gen_bool(0.25) {
-            rng.next_u64()
+        let key = if rng.gen_bool(0.5) {
+            TICKET_KEY
         } else {
-            base_key
+            rng.next_u64()
         };
-        let minting = TicketKeySchedule::rotating(base_key, period_secs, overlap_epochs);
-        let keys = minting.at(mint_secs);
-        assert_eq!(
-            keys.accepted().next(),
-            Some(keys.mint()),
-            "minting key first"
-        );
         let secret = secret_from(rng.next_u64());
         let ticket = SessionTicket {
-            ticket: mint_ticket(keys.mint(), &secret),
+            ticket: mint_ticket(key, &secret),
             secret,
             lifetime_secs: 7200,
             early_data_allowed: true,
         };
-        let epoch = |t: u64| t.checked_div(period_secs).unwrap_or(0);
-        let accepting = TicketKeySchedule::rotating(server_base, period_secs, overlap_epochs);
-        for (schedule, overlap) in [
-            (accepting, overlap_epochs),
-            (accepting.forget_old_epochs(), 0),
-        ] {
-            let expected = server_base == base_key
-                && epoch(accept_secs) <= epoch(mint_secs) + overlap as u64
-                && epoch(mint_secs) <= epoch(accept_secs);
-            let (resumed, events) = offer(ticket.clone(), schedule, accept_secs);
-            assert_eq!(resumed, expected, "overlap {overlap}");
-            let early = if expected {
-                TlsEvent::EarlyDataAccepted
-            } else {
-                TlsEvent::EarlyDataRejected
-            };
-            assert!(events.contains(&early), "overlap {overlap}: {events:?}");
-        }
+        let expected = key == TICKET_KEY;
+        let (resumed, events) = offer(ticket);
+        assert_eq!(resumed, expected, "key {key:#x}");
+        let early = if expected {
+            TlsEvent::EarlyDataAccepted
+        } else {
+            TlsEvent::EarlyDataRejected
+        };
+        assert!(events.contains(&early), "key {key:#x}: {events:?}");
     });
 }
