@@ -11,8 +11,6 @@ use rq_quic::{stream_id, ConnEvent, Connection, EndpointConfig};
 use rq_sim::{Context, Node, NodeId, SimDuration, SimRng, SimTime};
 use rq_wire::Bytes;
 
-use crate::scenario::ReconnectPolicy;
-
 use super::{milestones, ConnDriver};
 
 /// Timer token: the connection's own timers.
@@ -21,6 +19,15 @@ const TOKEN_CONN: u64 = 1;
 const TOKEN_RECONNECT: u64 = 2;
 /// Stream tag: client reconnect-backoff jitter draws.
 const RECONNECT_STREAM: u64 = 0x2ECC_0;
+/// Most *re*-connect attempts a client makes.
+const RECONNECT_ATTEMPTS: u32 = 3;
+/// Backoff before the first reconnect; it doubles per attempt.
+const RECONNECT_BACKOFF: SimDuration = SimDuration::from_millis(200);
+/// Ceiling on the (pre-jitter) backoff.
+const RECONNECT_MAX_BACKOFF: SimDuration = SimDuration::from_secs(5);
+/// Multiplicative jitter amplitude: the backoff is scaled by a seeded
+/// uniform draw from `[1, 1 + RECONNECT_JITTER]`.
+const RECONNECT_JITTER: f64 = 0.2;
 
 /// Progress of one client connection, updated live by [`ClientNode`].
 ///
@@ -91,8 +98,9 @@ pub struct ClientNode {
     stop_when_done: bool,
     seed: u64,
     rtt_quirk_applies: bool,
-    /// Reconnect policy; `None` (default) dies on the first close.
-    reconnect: Option<ReconnectPolicy>,
+    /// Reconnect after a dead connection; `false` (default) dies on the
+    /// first close.
+    reconnect: bool,
     /// Seeded jitter stream, created lazily on the first reconnect so
     /// reconnect-free runs draw nothing.
     backoff_rng: Option<SimRng>,
@@ -147,7 +155,7 @@ impl ClientNode {
             stop_when_done: true,
             seed,
             rtt_quirk_applies,
-            reconnect: None,
+            reconnect: false,
             backoff_rng: None,
         }
     }
@@ -171,31 +179,30 @@ impl ClientNode {
         self
     }
 
-    /// Attaches a reconnect policy: when the connection dies short of a
-    /// response, the client rebuilds it after a jittered exponential
-    /// backoff, up to the policy's attempt cap.
-    pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = Some(policy);
+    /// Reconnects: when the connection dies short of a response, the
+    /// client rebuilds it after a jittered exponential backoff, up to
+    /// three times.
+    pub fn with_reconnect(mut self) -> Self {
+        self.reconnect = true;
         self
     }
 
     /// Schedules the next reconnect attempt, if the policy allows one.
     fn try_schedule_reconnect(&mut self, ctx: &mut Context<'_>) -> bool {
         let attempts = self.status.attempts;
-        let Some(policy) = self.reconnect.filter(|p| attempts < p.max_attempts) else {
+        if !self.reconnect || attempts >= RECONNECT_ATTEMPTS {
             return false;
-        };
+        }
         let seed = self.seed;
         let rng = self
             .backoff_rng
             .get_or_insert_with(|| SimRng::derive(seed, &[RECONNECT_STREAM]));
         let exp = attempts.min(20);
-        let base = policy
-            .base_backoff
+        let base = RECONNECT_BACKOFF
             .as_nanos()
             .saturating_mul(1u64 << exp)
-            .min(policy.max_backoff.as_nanos());
-        let scaled = (base as f64 * (1.0 + policy.jitter * rng.gen_f64())) as u64;
+            .min(RECONNECT_MAX_BACKOFF.as_nanos());
+        let scaled = (base as f64 * (1.0 + RECONNECT_JITTER * rng.gen_f64())) as u64;
         ctx.set_timer_after(SimDuration::from_nanos(scaled), TOKEN_RECONNECT);
         self.status.reconnect_pending = true;
         true

@@ -68,30 +68,11 @@ pub enum LossSpec {
 }
 
 /// Client reconnect policy after a dead connection: jittered exponential
-/// backoff with an attempt cap, the standard client-library shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReconnectPolicy {
-    /// Maximum *re*-connect attempts (0 = never reconnect).
-    pub max_attempts: u32,
-    /// Backoff before the first reconnect; doubles per attempt.
-    pub base_backoff: SimDuration,
-    /// Ceiling on the (pre-jitter) backoff.
-    pub max_backoff: SimDuration,
-    /// Multiplicative jitter amplitude: the delay is scaled by a seeded
-    /// uniform draw from `[1, 1 + jitter]`.
-    pub jitter: f64,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            max_attempts: 3,
-            base_backoff: SimDuration::from_millis(200),
-            max_backoff: SimDuration::from_secs(5),
-            jitter: 0.2,
-        }
-    }
-}
+/// backoff with an attempt cap, the standard client-library shape. There
+/// is one policy; its constants live with the client node that follows
+/// it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReconnectPolicy;
 
 /// Fault-injection axis of a scenario: what breaks (link blackouts,
 /// server crashes) and how clients cope (give-up budgets,

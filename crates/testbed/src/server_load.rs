@@ -644,8 +644,8 @@ pub(crate) fn drive_conn_plans(
         if !full {
             client_node = client_node.detached();
         }
-        if let Some(policy) = sc.faults.reconnect {
-            client_node = client_node.with_reconnect(policy);
+        if sc.faults.reconnect.is_some() {
+            client_node = client_node.with_reconnect();
         }
         let client_id = drive.net.add_node(client_node.into());
         drive

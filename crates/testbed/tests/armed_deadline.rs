@@ -55,10 +55,7 @@ fn drawn_spec(rng: &mut SimRng) -> ServerLoadSpec {
         faults.give_up_pto_count = Some(3 + rng.gen_range(3) as u32);
     }
     if rng.gen_bool(0.5) {
-        faults.reconnect = Some(ReconnectPolicy {
-            max_attempts: 1 + rng.gen_range(2) as u32,
-            ..ReconnectPolicy::default()
-        });
+        faults.reconnect = Some(ReconnectPolicy::default());
     }
     if rng.gen_bool(0.4) {
         let (at, rtt) = (ms(20 + rng.gen_range(180)), ms(10 + rng.gen_range(60)));

@@ -410,10 +410,7 @@ fn fates_partition_the_population_under_faults() {
         spec.base.faults.crash_every = Some(SimDuration::from_millis(crash_ms));
         spec.base.faults.give_up_pto_count = Some(4);
         if rng.gen_bool(0.5) {
-            spec.base.faults.reconnect = Some(ReconnectPolicy {
-                max_attempts: 2,
-                ..ReconnectPolicy::default()
-            });
+            spec.base.faults.reconnect = Some(ReconnectPolicy::default());
         }
         let run = run_server_load(&spec);
         assert_eq!(run.outcomes.len(), 15);

@@ -147,8 +147,8 @@ impl Bed {
         )
         .with_streams(sc.streams)
         .detached();
-        if let Some(policy) = sc.faults.reconnect {
-            client = client.with_reconnect(policy);
+        if sc.faults.reconnect.is_some() {
+            client = client.with_reconnect();
         }
         let id = self.net.add_node(client.into());
         let control = &self.server().control;
