@@ -76,7 +76,7 @@ fn ttfb_tail_cells(r: &ServerLoadReport) -> String {
 ///
 /// The paper measures WFC vs IACK one client–server pair at a time; a
 /// production IACK deployment answers thousands of concurrent handshakes
-/// sharing one CPU budget, one ticket-key schedule, and one concurrency
+/// sharing one CPU budget, one ticket key, and one concurrency
 /// ceiling. This experiment drives the many-connection server engine:
 /// a seeded arrival process spawns N full scenario connections against
 /// one shared server, and the engine folds per-class handshake CPU cost,

@@ -226,14 +226,6 @@ pub struct ServerNode {
     responses: ResponseCache,
 }
 
-/// One datagram's sender, as admission sees it.
-#[derive(Clone, Copy)]
-struct Knock {
-    /// The engine's key for the sender: its `NodeId` index.
-    key: u64,
-    from: NodeId,
-}
-
 impl ServerNode {
     /// Creates a single-pair server with the given endpoint config and
     /// Δt and no concurrency limit. This is the legacy constructor — its
@@ -269,24 +261,26 @@ impl ServerNode {
         self
     }
 
-    /// Decides whether a datagram from the peer recorded in `peer`, whose
-    /// first packet header is `header` (`None` if it does not parse), is
-    /// for a connection of ours — running the engine's admission path
-    /// for strangers and reconnecting peers, and answering refusals that
+    /// Decides whether a datagram from the peer node `from`, recorded in
+    /// `peer`, whose first packet header is `header` (`None` if it does
+    /// not parse), is for a connection of ours — running the engine's
+    /// admission path for strangers and reconnecting peers (the engine
+    /// keys a peer by its `NodeId` index), and answering refusals that
     /// deserve an answer.
     fn admits(
         &self,
         engine: &mut ServerEngine,
         peer: &mut PeerRecord,
-        knock: Knock,
+        from: NodeId,
         header: Option<&Header>,
         ctx: &mut Context<'_>,
     ) -> bool {
+        let key = from.index() as u64;
         let Some(session) = peer.session.as_mut() else {
             // A datagram without a parseable header fails closed: it is
             // dropped before admission, leaving no session and no arrival
             // behind, so the peer's real Initial still finds the door open.
-            return header.is_some_and(|h| self.admit_new(engine, peer, knock, h, ctx));
+            return header.is_some_and(|h| self.admit_new(engine, peer, from, h, ctx));
         };
         // An Initial under a *different* DCID than the one admission saw
         // is a fresh connection attempt (a reconnect), not a retransmit.
@@ -299,13 +293,13 @@ impl ServerNode {
                 // admission as a fresh arrival.
                 let stale = reconnect.filter(|h| {
                     h.token.is_empty()
-                        && engine.conn_mut(knock.key).is_some_and(|conn| {
+                        && engine.conn_mut(key).is_some_and(|conn| {
                             h.dcid != conn.original_dcid() && h.dcid != conn.local_cid()
                         })
                 });
                 if let Some(h) = stale {
-                    engine.retire(knock.key, false);
-                    return self.admit_new(engine, peer, knock, h, ctx);
+                    engine.retire(key, false);
+                    return self.admit_new(engine, peer, from, h, ctx);
                 }
                 // Late datagrams for a connection the driver has retired
                 // since go nowhere: they must not re-enter admission and
@@ -324,7 +318,7 @@ impl ServerNode {
                     header.is_some_and(|h| h.ty == PacketType::Initial && !h.token.is_empty());
                 let seed = peer.conn_seed;
                 let admitted = tokened
-                    && engine.accept(knock.key, seed, session.dcid, true, true)
+                    && engine.accept(key, seed, session.dcid, true, true)
                         == AcceptOutcome::Accepted;
                 if admitted {
                     session.standing = Standing::Admitted;
@@ -335,9 +329,7 @@ impl ServerNode {
             // A *reconnect* goes back into admission; retransmits of the
             // shed Initial stay dropped, preserving once-shed-always-shed
             // for them.
-            Standing::Shed => {
-                reconnect.is_some_and(|h| self.admit_new(engine, peer, knock, h, ctx))
-            }
+            Standing::Shed => reconnect.is_some_and(|h| self.admit_new(engine, peer, from, h, ctx)),
         }
     }
 
@@ -348,14 +340,15 @@ impl ServerNode {
         &self,
         engine: &mut ServerEngine,
         peer: &mut PeerRecord,
-        knock: Knock,
+        from: NodeId,
         header: &Header,
         ctx: &mut Context<'_>,
     ) -> bool {
+        let key = from.index() as u64;
         // Derive the Initial keys from the client's DCID.
         let (dcid, has_token) = (header.dcid, !header.token.is_empty());
         let seed = peer.conn_seed;
-        let standing = match engine.accept(knock.key, seed, dcid, has_token, false) {
+        let standing = match engine.accept(key, seed, dcid, has_token, false) {
             AcceptOutcome::Accepted => Standing::Admitted,
             // Once shed, always shed: the server stays stateless for
             // this attempt, so retransmitted Initials cannot sneak in
@@ -365,21 +358,18 @@ impl ServerNode {
             // an RTT echoing the token; by then capacity may have freed
             // up.
             AcceptOutcome::RetryDefer => {
-                let server_cid = derived_cid(self.seed, CID_KIND_RETRY, knock.key);
-                ctx.send(
-                    knock.from,
-                    stateless_retry_datagram(header.scid, server_cid),
-                );
+                let server_cid = derived_cid(self.seed, CID_KIND_RETRY, key);
+                ctx.send(from, stateless_retry_datagram(header.scid, server_cid));
                 Standing::Deferred
             }
             AcceptOutcome::Busy => {
-                ctx.send(knock.from, server_busy_datagram());
+                ctx.send(from, server_busy_datagram());
                 Standing::Shed
             }
         };
         peer.outcome.shed |= standing == Standing::Shed;
         peer.session = Some(Session {
-            node: knock.from,
+            node: from,
             standing,
             dcid,
             requests: SeqMap::new(),
@@ -484,11 +474,7 @@ impl Node for ServerNode {
             outcome: PeerOutcome::default(),
             session: None,
         });
-        let knock = Knock {
-            key: key as u64,
-            from,
-        };
-        if self.admits(engine, peer, knock, header.as_ref(), ctx) {
+        if self.admits(engine, peer, from, header.as_ref(), ctx) {
             let path = ctx.path();
             self.drive(engine, peer, ctx, key, |conn, _, ctx| {
                 conn.handle_datagram_on_path(now, payload, path, ctx.spares());

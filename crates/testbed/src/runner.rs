@@ -152,8 +152,7 @@ fn run_connection(
     Option<rq_tls::SessionTicket>,
 ) {
     // The single pair is the N = 1 case of the many-connection driver:
-    // one plan arriving at t = 0, fixed ticket key, no concurrency
-    // limit, full detail.
+    // one plan arriving at t = 0, no concurrency limit, full detail.
     let plan = ConnPlan {
         scenario: sc.clone(),
         arrival: SimTime::ZERO,

@@ -263,10 +263,11 @@ fn reconnects_recover_crashed_connections() {
 }
 
 #[test]
-fn a_black_hole_makes_clients_give_up() {
+fn frozen_server_makes_clients_give_up() {
     let mut spec = ServerLoadSpec::new(base(IACK, 8), 20, poisson(5));
-    // The first blackout lands ~50 ms in (seeded) and outlasts the run;
-    // clients burn their 3 s give-up budget against a black hole.
+    // The first blackout lands ~50 ms in (seeded) and outlasts the run,
+    // so to its clients the server is frozen: they burn their 3 s
+    // give-up budget against a black hole.
     spec.base.faults.blackout = Some((SimDuration::from_millis(50), SimDuration::from_secs(600)));
     spec.base.faults.give_up_after = Some(SimDuration::from_secs(3));
     let run = run_server_load(&spec);
