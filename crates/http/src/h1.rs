@@ -98,25 +98,33 @@ impl H1Response {
 
     /// Length of the header block: its fixed text and the digits of the
     /// two numbers in it.
-    fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         let text: usize = HEADER_TEXT.iter().map(|t| t.len()).sum();
         text + decimal_len(self.status.into()) + decimal_len(self.body_len)
+    }
+
+    /// Writes the header block over `out`, which is
+    /// [`H1Response::header_len`] bytes long.
+    pub(crate) fn write_header(&self, mut out: &mut [u8]) {
+        let [status_line, length_header, end] = HEADER_TEXT;
+        write!(
+            out,
+            "{status_line}{}{length_header}{}{end}",
+            self.status, self.body_len
+        )
+        .expect("the header fits the length counted for it");
+        debug_assert!(out.is_empty(), "the header fills the length counted for it");
     }
 
     /// Full response: headers followed by a deterministic body, both
     /// written in place in shared storage of the response's size — ready
     /// to be handed to a stream, and to the next one as a clone.
     pub fn to_bytes(&self) -> Bytes {
-        Bytes::build(self.header_len() + self.body_len, |mut out| {
-            let [status_line, length_header, end] = HEADER_TEXT;
-            write!(
-                out,
-                "{status_line}{}{length_header}{}{end}",
-                self.status, self.body_len
-            )
-            .expect("the header fits the length counted for it");
-            debug_assert_eq!(out.len(), self.body_len);
-            fill_body(out);
+        let header_len = self.header_len();
+        Bytes::build(header_len + self.body_len, |out| {
+            let (header, body) = out.split_at_mut(header_len);
+            self.write_header(header);
+            fill_body(body);
         })
     }
 

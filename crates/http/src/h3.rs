@@ -176,22 +176,33 @@ pub fn request_bytes(path: &str, host: &str) -> Bytes {
 /// The text of a response's header block, before the body length.
 const RESPONSE_BLOCK: &str = ":status: 200\ncontent-length: ";
 
+/// Length of what a response of `body_len` body bytes carries before
+/// its body: the HEADERS frame and the DATA frame's header.
+pub(crate) fn response_header_len(body_len: usize) -> usize {
+    let block_len = RESPONSE_BLOCK.len() + decimal_len(body_len);
+    frame_header_len(HEADERS_TYPE, block_len) + block_len + frame_header_len(DATA_TYPE, body_len)
+}
+
+/// Writes what a response of `body_len` body bytes carries before its
+/// body over `out`, which is [`response_header_len`] bytes long.
+pub(crate) fn write_response_header(mut out: &mut [u8], body_len: usize) {
+    let block_len = RESPONSE_BLOCK.len() + decimal_len(body_len);
+    put_frame_header(&mut out, HEADERS_TYPE, block_len);
+    write!(out, "{RESPONSE_BLOCK}{body_len}").expect("the block fits its counted length");
+    put_frame_header(&mut out, DATA_TYPE, body_len);
+    debug_assert!(out.is_empty(), "the header fills the length counted for it");
+}
+
 /// Builds an HTTP/3 response: HEADERS then one DATA frame of `body_len`
 /// deterministic bytes, headers, frame header and body written in place
 /// in the shared storage that is returned — ready to be handed to a
 /// stream, and to the next one as a clone.
 pub fn response_bytes(body_len: usize) -> Bytes {
-    let block_len = RESPONSE_BLOCK.len() + decimal_len(body_len);
-    let len = frame_header_len(HEADERS_TYPE, block_len)
-        + block_len
-        + frame_header_len(DATA_TYPE, body_len)
-        + body_len;
-    Bytes::build(len, |mut out| {
-        put_frame_header(&mut out, HEADERS_TYPE, block_len);
-        write!(out, "{RESPONSE_BLOCK}{body_len}").expect("the block fits its counted length");
-        put_frame_header(&mut out, DATA_TYPE, body_len);
-        debug_assert_eq!(out.len(), body_len);
-        crate::h1::fill_body(out);
+    let header_len = response_header_len(body_len);
+    Bytes::build(header_len + body_len, |out| {
+        let (header, body) = out.split_at_mut(header_len);
+        write_response_header(header, body_len);
+        crate::h1::fill_body(body);
     })
 }
 

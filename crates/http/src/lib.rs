@@ -39,4 +39,66 @@ impl HttpVersion {
             HttpVersion::H3 => "http/3",
         }
     }
+
+    /// Length of what a response of `body_len` body bytes carries before
+    /// its body: the HTTP/1.1 header block, or the HTTP/3 HEADERS frame
+    /// and the DATA frame's header. It never shrinks as `body_len` grows.
+    pub fn response_header_len(self, body_len: usize) -> usize {
+        match self {
+            HttpVersion::H1 => H1Response::ok(body_len).header_len(),
+            HttpVersion::H3 => h3::response_header_len(body_len),
+        }
+    }
+
+    /// Writes what a response of `body_len` body bytes carries before its
+    /// body over `out`, which is [`HttpVersion::response_header_len`]
+    /// bytes long. The body that follows is [`h1::fill_body`]'s bytes:
+    /// [`H1Response::to_bytes`] and [`h3::response_bytes`] are the two
+    /// written one after the other.
+    pub fn write_response_header(self, body_len: usize, out: &mut [u8]) {
+        match self {
+            HttpVersion::H1 => H1Response::ok(body_len).write_header(out),
+            HttpVersion::H3 => h3::write_response_header(out, body_len),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_response_is_its_header_then_the_body() {
+        // Decimal-digit and varint-length boundaries on either side.
+        let lens = [
+            0,
+            1,
+            9,
+            10,
+            63,
+            64,
+            99,
+            100,
+            16_383,
+            16_384,
+            70_000,
+            1 << 20,
+        ];
+        for http in [HttpVersion::H1, HttpVersion::H3] {
+            let mut shortest = 0;
+            for len in lens {
+                let header_len = http.response_header_len(len);
+                assert!(header_len >= shortest, "{http:?} {len}: the header shrank");
+                shortest = header_len;
+                let mut written = vec![0; header_len];
+                http.write_response_header(len, &mut written);
+                written.extend(h1::body_bytes(len));
+                let whole = match http {
+                    HttpVersion::H1 => H1Response::ok(len).to_bytes(),
+                    HttpVersion::H3 => h3::response_bytes(len),
+                };
+                assert_eq!(whole, written, "{http:?} {len}");
+            }
+        }
+    }
 }

@@ -17,18 +17,18 @@ struct MetricsPoint {
     pub pto_ms: f64,
 }
 
-/// Builds the PTO series from a log's metrics updates.
+/// The PTO series of a log's metrics updates, one point per update as
+/// it is read.
 ///
 /// When an implementation does not expose the RTT variance (Appendix E),
 /// it is reconstructed from the exposed smoothed-RTT sequence with the
 /// RFC 9002 recursion, seeding `var = srtt/2` at the first update — the
 /// same fallback the paper applies ("we calculate it from the sent and
 /// received packets instead").
-fn pto_series(log: &EventLog) -> Vec<MetricsPoint> {
-    let mut out = Vec::new();
+fn pto_points(log: &EventLog) -> impl Iterator<Item = MetricsPoint> + '_ {
     let mut recon_var: Option<f64> = None;
     let mut prev_srtt: Option<f64> = None;
-    for (ev, srtt, var) in log.metrics_updates() {
+    log.metrics_updates().map(move |(ev, srtt, var)| {
         let latest = match &ev.data {
             EventData::MetricsUpdated { latest_rtt_ms, .. } => *latest_rtt_ms,
             _ => unreachable!(),
@@ -47,21 +47,20 @@ fn pto_series(log: &EventLog) -> Vec<MetricsPoint> {
             }
         };
         prev_srtt = Some(srtt);
-        out.push(MetricsPoint {
+        MetricsPoint {
             time_ms: ev.time_ms,
             smoothed_rtt_ms: srtt,
             rtt_variance_ms: variance,
             pto_ms: srtt + (4.0 * variance).max(1.0),
-        });
-    }
-    out
+        }
+    })
 }
 
 /// The first PTO value (ms) derivable from a log, i.e. the PTO right after
 /// the first RTT sample — the quantity Figures 4 and 16 compare between
-/// IACK and WFC.
+/// IACK and WFC. Only the first metrics update is read.
 pub fn first_pto_ms(log: &EventLog) -> Option<f64> {
-    pto_series(log).first().map(|p| p.pto_ms)
+    pto_points(log).next().map(|p| p.pto_ms)
 }
 
 /// Number of `recovery:packet_lost` declarations in a log — how often
@@ -102,6 +101,10 @@ mod tests {
                 pto_count: 0,
             },
         );
+    }
+
+    fn pto_series(log: &EventLog) -> Vec<MetricsPoint> {
+        pto_points(log).collect()
     }
 
     #[test]

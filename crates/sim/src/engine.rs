@@ -336,6 +336,20 @@ impl<N: Node> Network<N> {
         self.started = self.started.max(node.0 + 1);
     }
 
+    /// Datagrams `from` has sent `to` over every path between them, as
+    /// their links counted them: delivered or dropped, the duplicating
+    /// channel's copies aside. What a recording trace's
+    /// [`Trace::sent_count`] says, without the trace; the links go when
+    /// either node is retired, and their counts with them.
+    pub fn sent_count(&self, from: NodeId, to: NodeId) -> usize {
+        let pair = (from.0, to.0, 0)..=(from.0, to.0, u64::MAX);
+        let slots = self.link_index.range(pair).map(|(_, &slot)| slot);
+        slots
+            .map(|slot| self.links[slot].as_ref().expect("indexed link is live"))
+            .map(|link| link.sent_by(from))
+            .sum()
+    }
+
     /// Retires a node: its slot is tombstoned, every link touching it is
     /// removed, and already-queued events addressed to it are silently
     /// skipped when they surface. Hands the node back to the caller,

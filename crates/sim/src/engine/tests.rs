@@ -122,8 +122,12 @@ fn drops_are_recorded_not_delivered() {
     // b's first ping (BtoA index 0) is dropped; nothing else happens.
     let outcome = net.run(SimDuration::from_secs(1));
     assert_eq!(outcome, RunOutcome::QueueEmpty);
-    assert_eq!(net.trace.dropped_count(b, a), 1);
+    let dropped = net.trace.datagrams.iter().map(|d| (d.from, d.fate));
+    assert_eq!(dropped.collect::<Vec<_>>(), [(b, DatagramFate::Dropped)]);
+    assert_eq!(net.stats.datagrams_dropped, 1);
     assert!(net.trace.milestones.is_empty());
+    // The link counted the dropped send as a send.
+    assert_eq!((net.sent_count(b, a), net.sent_count(a, b)), (1, 0));
 }
 
 #[test]
@@ -173,7 +177,9 @@ fn duplicating_channel_delivers_both_copies() {
     assert_eq!(at.len(), 2);
     assert_eq!(at[0], at[1]);
     assert_eq!(net.trace.sent_count(b, a), 1);
-    assert_eq!(net.trace.duplicated_count(b, a), 1);
+    assert_eq!(net.sent_count(b, a), 1, "the copy is not a send");
+    let copies = net.trace.datagrams.iter().filter(|d| d.duplicate);
+    assert_eq!(copies.count(), 1);
     assert_eq!(net.stats.datagrams_duplicated, 1);
 }
 
@@ -345,6 +351,12 @@ fn path_change_switches_delivery_profile() {
     let p1 = net.trace.all("rx/p1");
     assert_eq!(p1.len(), 1);
     assert!(p1[0] >= t(35) && p1[0] < t(36), "delivery ≈ send + 20 ms");
+    // The pair's count is the two links' together, as the trace's is.
+    assert_eq!(net.sent_count(b, a), net.trace.sent_count(b, a));
+    // Sends at 0, 5, …, 35 ms: three over path 0, five over path 1.
+    assert_eq!((net.sent_count(b, a), net.sent_count(a, b)), (8, 0));
+    net.retire_node(a);
+    assert_eq!(net.sent_count(b, a), 0, "the links went with the node");
 }
 
 #[test]

@@ -128,6 +128,12 @@ impl Link {
         }
     }
 
+    /// Datagrams `from` has offered this link: every one it sent this
+    /// way, dropped or not, the duplicating channel's copies aside.
+    pub(crate) fn sent_by(&self, from: NodeId) -> usize {
+        self.counters[self.direction_from(from) as usize]
+    }
+
     /// Offers a datagram for transmission at `now`, returning its fate and
     /// the per-direction index it was assigned. The payload is only ever
     /// borrowed: links never buffer datagram bytes.

@@ -104,8 +104,11 @@ impl Trace {
     }
 
     /// Records one datagram offered to a link. The payload bytes are
-    /// copied into the record only when `capture_payloads` is on; bulk
-    /// sweeps pay nothing per datagram beyond the fixed-size record.
+    /// copied into the record only when `capture_payloads` is on; the
+    /// record itself (88 bytes, in a list that doubles as it grows) is
+    /// paid for by every recording trace, so a run that returns no trace
+    /// switches `recording` off and pays nothing per datagram (the
+    /// links count what was sent: [`crate::Network::sent_count`]).
     /// `duplicate` marks the extra copy created by a duplicating
     /// impairment channel.
     pub fn record_datagram(
@@ -182,23 +185,6 @@ impl Trace {
         self.datagrams
             .iter()
             .filter(|d| d.from == from && d.to == to && !d.duplicate)
-            .count()
-    }
-
-    /// Number of extra copies the impairment channel fabricated from
-    /// `from` to `to`.
-    pub fn duplicated_count(&self, from: NodeId, to: NodeId) -> usize {
-        self.datagrams
-            .iter()
-            .filter(|d| d.from == from && d.to == to && d.duplicate)
-            .count()
-    }
-
-    /// Number of datagrams dropped from `from` to `to`.
-    pub fn dropped_count(&self, from: NodeId, to: NodeId) -> usize {
-        self.datagrams
-            .iter()
-            .filter(|d| d.from == from && d.to == to && d.fate == DatagramFate::Dropped)
             .count()
     }
 
@@ -293,7 +279,6 @@ mod tests {
             payload: None,
         });
         assert_eq!(t.sent_count(a, b), 2);
-        assert_eq!(t.dropped_count(a, b), 1);
         assert_eq!(t.bytes_sent(a, b), 1500);
         assert_eq!(t.sent_count(b, a), 0);
     }

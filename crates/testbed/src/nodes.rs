@@ -14,8 +14,11 @@
 //!
 //! The client node is in `client`, the server node in `server`. This file
 //! holds the node enum, the milestone labels, the one driver both pump
-//! their connections through, and the one-slot cache the server builds
-//! responses in.
+//! their connections through, and the thread's one storage the server
+//! answers requests from.
+
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use rq_http::{h1, h3, HttpVersion};
 use rq_quic::Connection;
@@ -190,31 +193,90 @@ impl ConnDriver {
     }
 }
 
-/// The last response a server built. One slot, keyed by the body
-/// length the request named (all a response depends on besides the
-/// server's one HTTP flavour): a server asked for the same object again
-/// — what a CDN edge sees — hands out a clone of the same storage, one
-/// asked for alternating sizes rebuilds each time. It never holds more
-/// than one response, however many sizes are asked for.
-#[derive(Debug, Default)]
+thread_local! {
+    /// This thread's responses, kept between runs like the thread's
+    /// network: every server node on the thread answers from them.
+    static RESPONSES: RefCell<ResponseCache> = const { RefCell::new(ResponseCache::new()) };
+}
+
+/// The encoded `http` response carrying `body_len` body bytes, from this
+/// thread's [`ResponseCache`].
+fn response(http: HttpVersion, body_len: usize) -> Bytes {
+    RESPONSES.with_borrow_mut(|cache| cache.get(http, body_len))
+}
+
+/// The responses a thread's servers hand out, all views of one storage:
+/// header room, then the longest body asked for so far. Byte `n` of a
+/// body is the same whatever its length ([`h1::fill_body`]), so a shorter
+/// body is a prefix of a longer one, and a response is the view from its
+/// header, written right-aligned before the body, to the end of its
+/// body. The sessions asking for the same response share one view's
+/// storage (what a CDN edge sees); one asking for another length or
+/// flavour has the header rewritten in place if no view of the storage
+/// is left, and its response built on its own if one is: a storage a
+/// live view shares is never rewritten. The storage is replaced only for
+/// a longer body than any before.
 struct ResponseCache {
-    last: Option<(usize, Bytes)>,
+    /// The storage: `room` bytes, then the body. `None` before the
+    /// thread's first response.
+    storage: Option<Arc<[u8]>>,
+    /// Room for the longest header of either flavour at the body's
+    /// length, which fits every shorter body's too.
+    room: usize,
+    /// The response whose header is written before the body.
+    written: Option<(HttpVersion, usize)>,
 }
 
 impl ResponseCache {
+    const fn new() -> Self {
+        ResponseCache {
+            storage: None,
+            room: 0,
+            written: None,
+        }
+    }
+
     /// The encoded `http` response carrying `body_len` body bytes.
     fn get(&mut self, http: HttpVersion, body_len: usize) -> Bytes {
-        match &self.last {
-            Some((len, response)) if *len == body_len => response.clone(),
-            _ => {
-                let response = match http {
-                    HttpVersion::H1 => h1::H1Response::ok(body_len).to_bytes(),
-                    HttpVersion::H3 => h3::response_bytes(body_len),
-                };
-                self.last = Some((body_len, response.clone()));
-                response
+        let header_len = http.response_header_len(body_len);
+        if self.written != Some((http, body_len)) {
+            let room = self.room;
+            if self
+                .storage
+                .as_ref()
+                .is_none_or(|s| s.len() - room < body_len)
+            {
+                self.grow(body_len);
             }
+            let storage = self.storage.as_mut().expect("grown to fit");
+            let Some(bytes) = Arc::get_mut(storage) else {
+                return built_alone(http, body_len);
+            };
+            let header = &mut bytes[self.room - header_len..self.room];
+            http.write_response_header(body_len, header);
+            self.written = Some((http, body_len));
         }
+        let storage = Arc::clone(self.storage.as_ref().expect("written"));
+        Bytes::from(storage).slice(self.room - header_len..self.room + body_len)
+    }
+
+    /// Replaces the storage with one whose body is `body_len` bytes long
+    /// and whose header room fits either flavour's header at that length.
+    /// Views of the old storage keep it for as long as they live.
+    fn grow(&mut self, body_len: usize) {
+        let header_len = |http: HttpVersion| http.response_header_len(body_len);
+        let room = header_len(HttpVersion::H1).max(header_len(HttpVersion::H3));
+        let storage = Bytes::build(room + body_len, |out| h1::fill_body(&mut out[room..]));
+        (self.storage, self.room, self.written) = (Some(storage.into()), room, None);
+    }
+}
+
+/// The encoded `http` response carrying `body_len` body bytes, in
+/// storage of its own.
+fn built_alone(http: HttpVersion, body_len: usize) -> Bytes {
+    match http {
+        HttpVersion::H1 => h1::H1Response::ok(body_len).to_bytes(),
+        HttpVersion::H3 => h3::response_bytes(body_len),
     }
 }
 
@@ -223,19 +285,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn response_cache_is_one_slot_keyed_by_body_length() {
-        for http in [HttpVersion::H1, HttpVersion::H3] {
-            let mut cache = ResponseCache::default();
-            let first = cache.get(http, 1000);
-            let other = cache.get(http, 2000);
-            let again = cache.get(http, 1000);
-            assert!(first.ends_with(&h1::body_bytes(1000)) && first.len() < 1100);
-            assert!(other.ends_with(&h1::body_bytes(2000)) && other.len() > 2000);
-            // A different size took the slot: the same bytes, built anew.
-            assert_eq!(again, first);
-            assert_ne!(again.as_ptr(), first.as_ptr());
-            // The next session asking for the same size shares storage.
-            assert_eq!(cache.get(http, 1000).as_ptr(), again.as_ptr());
+    fn responses_are_views_of_one_storage_never_rewritten_while_held() {
+        use HttpVersion::{H1, H3};
+        let mut cache = ResponseCache::new();
+        let in_storage = |cache: &ResponseCache, response: &Bytes| {
+            let storage = cache.storage.as_ref().expect("a response was asked for");
+            storage.as_ptr_range().contains(&response.as_ptr())
+        };
+        // Held once: the sessions asking for one response share it.
+        let first = cache.get(H1, 1000);
+        assert_eq!(first, built_alone(H1, 1000));
+        assert_eq!(cache.get(H1, 1000).as_ptr(), first.as_ptr());
+        assert!(in_storage(&cache, &first));
+        // Lengths that go up, down and back, the flavours interleaved,
+        // while every earlier response is still held: each is the
+        // response built on its own, and none rewrites one held.
+        let mut held = vec![(H1, 1000, first)];
+        for (http, len) in [
+            (H3, 5000),
+            (H1, 200),
+            (H3, 200),
+            (H1, 5000),
+            (H1, 1000),
+            (H3, 70_000),
+            (H1, 0),
+            (H3, 1000),
+        ] {
+            let response = cache.get(http, len);
+            held.push((http, len, response));
+            for (http, len, response) in &held {
+                assert_eq!(*response, built_alone(*http, *len), "{http:?} {len}");
+            }
         }
+        // A longer body replaced the storage; the responses asked for
+        // after that, while it was shared, were built on their own.
+        let [.., (_, _, longest), (_, _, empty), (_, _, last)] = &held[..] else {
+            unreachable!("nine responses");
+        };
+        assert!(in_storage(&cache, longest));
+        assert!(!in_storage(&cache, empty) && !in_storage(&cache, last));
+        // Once no view is held, every length up to the longest and either
+        // flavour is written in place, one after the other.
+        held.clear();
+        let before = cache.storage.as_ref().map(|s| s.len());
+        for (http, len) in [(H3, 200), (H1, 70_000), (H1, 5000), (H3, 0)] {
+            let response = cache.get(http, len);
+            assert_eq!(response, built_alone(http, len), "{http:?} {len}");
+            assert!(in_storage(&cache, &response), "{http:?} {len}");
+        }
+        assert_eq!(cache.storage.as_ref().map(|s| s.len()), before);
     }
 }

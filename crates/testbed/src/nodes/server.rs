@@ -15,7 +15,7 @@ use rq_recovery::SeqMap;
 use rq_sim::{Context, FaultTimeline, Node, NodeId, SimDuration, SimTime};
 use rq_wire::{Bytes, ConnectionId, Header, PacketType};
 
-use super::{milestones, ConnDriver, ResponseCache};
+use super::{milestones, response, ConnDriver};
 
 /// Timer token kind bit: the certificate store answered.
 const TIMER_KIND_CERT: u64 = 1;
@@ -159,15 +159,8 @@ impl Session {
 
     /// Request bytes arrived on stream `id`: once the request parses,
     /// answer it with a body of as many bytes as its path names, taken
-    /// from `responses`.
-    fn on_request_data(
-        &mut self,
-        conn: &mut Connection,
-        http: HttpVersion,
-        responses: &mut ResponseCache,
-        id: u64,
-        data: &[u8],
-    ) {
+    /// from the thread's responses.
+    fn on_request_data(&mut self, conn: &mut Connection, http: HttpVersion, id: u64, data: &[u8]) {
         let req = self.requests.get_or_insert_with(id, StreamReq::default);
         if req.responded {
             return;
@@ -197,7 +190,7 @@ impl Session {
             buf: Vec::new(),
             responded: true,
         };
-        conn.send_stream_data_owned(id, responses.get(http, body_len), true);
+        conn.send_stream_data_owned(id, response(http, body_len), true);
     }
 }
 
@@ -222,8 +215,6 @@ pub struct ServerNode {
     seed: u64,
     /// Scheduled crashes (empty in fault-free runs).
     faults: FaultTimeline,
-    /// The response every session asking for the same size is handed.
-    responses: ResponseCache,
 }
 
 impl ServerNode {
@@ -251,7 +242,6 @@ impl ServerNode {
             cert_delay,
             seed,
             faults: FaultTimeline::none(),
-            responses: ResponseCache::default(),
         }
     }
 
@@ -433,7 +423,7 @@ impl ServerNode {
                 // Any client-initiated bidi stream (0, 4, 8, …) carries
                 // a request.
                 ConnEvent::StreamData { id, data, .. } if id % 4 == 0 => {
-                    session.on_request_data(conn, self.http, &mut self.responses, id, &data);
+                    session.on_request_data(conn, self.http, id, &data);
                 }
                 ConnEvent::Closed { .. } => {
                     ctx.trace().milestone(me, now, milestones::CLOSED);

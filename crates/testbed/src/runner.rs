@@ -1,7 +1,7 @@
 //! Scenario execution and metric extraction.
 
 use rq_qlog::{first_pto_ms, EventData, EventLog};
-use rq_sim::{NodeId, SimRng, SimTime};
+use rq_sim::{EngineStats, SimRng, SimTime};
 
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
 use crate::server_load::{drive_conn_plans, ConnOutcome, ConnPlan, Detail, ServerLoadSpec};
@@ -166,16 +166,19 @@ fn run_connection(
 }
 
 /// Builds the [`RunResult`] of the retired connection `client`, which
-/// ran `sc` between the nodes `(client_id, server_id)`: the timing and
-/// handshake fields of its `outcome` plus what only the kept qlogs, the
-/// trace's datagram capture and the client's connection state can say.
+/// ran `sc`: the timing and handshake fields of its `outcome` plus what
+/// only the kept qlogs, the network's counts and the client's connection
+/// state can say. `sent` is the datagrams the client and the server sent
+/// each other, as their links counted them; `stats` is the network's,
+/// whose drops and duplicate copies are the pair's, since full detail
+/// runs one pair.
 pub(crate) fn full_result(
     client: &mut rq_quic::Connection,
     sc: &Scenario,
     outcome: &ConnOutcome,
     aborted: bool,
-    trace: &rq_sim::Trace,
-    (client_id, server_id): (NodeId, NodeId),
+    (client_datagrams, server_datagrams): (usize, usize),
+    stats: &EngineStats,
     server_log: EventLog,
 ) -> RunResult {
     let client_log = std::mem::take(&mut client.log);
@@ -206,12 +209,10 @@ pub(crate) fn full_result(
             .is_some(),
         client_packets_lost: rq_qlog::packets_lost(&client_log),
         server_packets_lost: rq_qlog::packets_lost(&server_log),
-        client_datagrams: trace.sent_count(client_id, server_id),
-        server_datagrams: trace.sent_count(server_id, client_id),
-        dropped_datagrams: trace.dropped_count(client_id, server_id)
-            + trace.dropped_count(server_id, client_id),
-        duplicated_datagrams: trace.duplicated_count(client_id, server_id)
-            + trace.duplicated_count(server_id, client_id),
+        client_datagrams,
+        server_datagrams,
+        dropped_datagrams: stats.datagrams_dropped as usize,
+        duplicated_datagrams: stats.datagrams_duplicated as usize,
         resumed: outcome.resumed,
         early_data_accepted: outcome.early_data_accepted,
         migrated: outcome.migrated,
@@ -441,6 +442,71 @@ mod tests {
         let out = runner.map(&rtts, |r| r * 2);
         assert_eq!(out, vec![2, 18, 40]);
         assert_eq!(SweepRunner::new(0).threads(), 1);
+    }
+
+    /// The PTO series of a log, all of it, as `first_pto_ms` once built
+    /// it to read its first point: the oracle of the lazy read.
+    fn pto_series(log: &EventLog) -> Vec<f64> {
+        let mut out = Vec::new();
+        let mut recon_var: Option<f64> = None;
+        let mut prev_srtt: Option<f64> = None;
+        for (ev, srtt, var) in log.metrics_updates() {
+            let latest = match &ev.data {
+                EventData::MetricsUpdated { latest_rtt_ms, .. } => *latest_rtt_ms,
+                _ => unreachable!(),
+            };
+            let variance = match var {
+                Some(v) => v,
+                None => {
+                    let v = match (recon_var, prev_srtt) {
+                        (None, _) => latest / 2.0,
+                        (Some(v), Some(ps)) => 0.75 * v + 0.25 * (ps - latest).abs(),
+                        (Some(v), None) => v,
+                    };
+                    recon_var = Some(v);
+                    v
+                }
+            };
+            prev_srtt = Some(srtt);
+            out.push(srtt + (4.0 * variance).max(1.0));
+        }
+        out
+    }
+
+    #[test]
+    fn first_pto_is_the_first_point_of_the_whole_series() {
+        use crate::ScenarioMatrix;
+        use rq_sim::SimDuration;
+        // The handshake matrix's cells, every client's exposure: hidden
+        // variances are rebuilt from the first update.
+        let ms = SimDuration::from_millis;
+        let (mut cells, mut read) = (0, 0);
+        for http in [HttpVersion::H1, HttpVersion::H3] {
+            let matrix = ScenarioMatrix::new(base("quic-go", WFC, http))
+                .clients(&rq_profiles::all_clients())
+                .ack_modes(&[WFC, IACK])
+                .rtts(&[ms(9), ms(100)])
+                .cert_lens(&[rq_tls::CERT_SMALL, rq_tls::CERT_LARGE])
+                .cert_delays(&[ms(0), ms(20)])
+                .losses(&[
+                    LossSpec::None,
+                    LossSpec::ServerFlightTail,
+                    LossSpec::SecondClientFlight,
+                ]);
+            for sc in matrix.build() {
+                let res = run_scenario(&sc);
+                let first = pto_series(&res.client_log).first().map(|pto| pto.to_bits());
+                assert_eq!(res.first_pto_ms.map(f64::to_bits), first, "{}", res.label);
+                (cells, read) = (cells + 1, read + usize::from(first.is_some()));
+            }
+        }
+        // The cells without one are picoquic's under IACK whose log
+        // holds no metrics update.
+        assert_eq!(cells, 768);
+        assert!(
+            read > cells * 9 / 10,
+            "{read} of {cells} cells have a first PTO"
+        );
     }
 
     #[test]

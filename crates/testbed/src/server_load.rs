@@ -462,8 +462,9 @@ pub struct ServerLoadRun {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Detail {
     /// The one connection's [`RunResult`] on top of its outcome: the
-    /// same path plus qlogs, trace counts and the issued ticket — the
-    /// single-pair mode. With `trace`, the simulation trace too.
+    /// same path plus qlogs, datagram counts and the issued ticket — the
+    /// single-pair mode. With `trace`, the simulation trace too, which
+    /// is recorded only then.
     Full { trace: bool },
     /// Compact outcomes only; trace recording and both endpoints' qlog
     /// capture off (nothing here would read either), finished
@@ -554,9 +555,9 @@ pub(crate) fn drive_conn_plans(
     let n = plans.len();
     assert!(!full || n == 1, "full detail is the single-pair mode");
     let mut net = take_network(base.capture_payloads && full);
-    if !full {
-        net.trace.recording = false;
-    }
+    // Only a returned trace is recorded: the full result reads the
+    // links' and the engine's counts instead.
+    net.trace.recording = detail == Detail::Full { trace: true };
     // The default event ceiling is sized for one connection; scale it
     // with the population (it stays a runaway backstop, not a budget).
     net.event_limit = net.event_limit.max(n as u64 * 20_000);
@@ -728,21 +729,26 @@ pub(crate) fn drive_conn_plans(
         }
     }
 
-    // Full detail is the aggregate path plus what only a kept trace and
-    // kept logs can say: the connection retires like any other and hands
-    // over its halves on the way out.
+    // Full detail is the aggregate path plus what only the links' counts
+    // and kept logs can say: the connection retires like any other and
+    // hands over its halves on the way out. Its links go with it, so
+    // their counts are read first.
     let full = full.then(|| {
         let s = drive.spawned.pop().expect("the one plan was spawned");
         let peer = drive.peer(&s);
+        let net = &drive.net;
+        let sent = (
+            net.sent_count(s.id, server_id),
+            net.sent_count(server_id, s.id),
+        );
         let (client, server) = drive.retire(&s, peer);
         let st = client.status;
         let outcome = drive.outcomes[s.plan_idx].as_ref().expect("just retired");
         let aborted = (st.close_code.is_some() || peer.closed) && st.complete_at.is_none();
         let server_log = server.map(|c| c.log).unwrap_or_default();
-        let (sc, trace) = (&plans[s.plan_idx].scenario, &drive.net.trace);
-        let ids = (s.id, server_id);
+        let (sc, stats) = (&plans[s.plan_idx].scenario, &drive.net.stats);
         let conn = &mut client.conn.borrow_mut();
-        let result = full_result(conn, sc, outcome, aborted, trace, ids, server_log);
+        let result = full_result(conn, sc, outcome, aborted, sent, stats, server_log);
         let trace = (detail == Detail::Full { trace: true }).then(|| take(&mut drive.net.trace));
         (result, trace, client.ticket)
     });

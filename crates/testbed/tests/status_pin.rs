@@ -356,6 +356,12 @@ fn status_and_milestones_agree_for_a_retry_deferred_peer() {
         let (from_trace, from_status) = bed.views(peer);
         assert_eq!(from_trace, from_status);
         assert!(from_status.completed, "{from_status:?}");
+        // The links count each peer's datagrams, the Retry among them,
+        // as the trace does: what a run that records no trace reports.
+        let (net, server) = (&bed.net, bed.server);
+        for (from, to) in [(peer.id, server), (server, peer.id)] {
+            assert_eq!(net.sent_count(from, to), net.trace.sent_count(from, to));
+        }
     }
     let waited = |p: &Peer| {
         let st = bed.status(p);

@@ -3,14 +3,17 @@
 
 use std::collections::HashMap;
 
+use reacked_quicer::http::{h3, H1Response};
 use reacked_quicer::prelude::*;
 use reacked_quicer::qlog::{EventData, EventLog, SpaceName};
 use reacked_quicer::quic::MAX_DATAGRAM_SIZE;
 use reacked_quicer::recovery::CcAlgorithm;
 use reacked_quicer::sim::{CaptureRecord, DatagramFate, SimRng};
-use reacked_quicer::testbed::{run_scenario_with_trace, HandshakeClass};
+use reacked_quicer::testbed::{
+    run_scenario_with_trace, FaultSpec, HandshakeClass, MigrationSpec, ReconnectPolicy, RunResult,
+};
 use reacked_quicer::tls::{CERT_LARGE, CERT_SMALL};
-use reacked_quicer::wire::{classify_datagram, PacketNumberSpace};
+use reacked_quicer::wire::{classify_datagram, Bytes, Frame, PacketNumberSpace, PlainPacket};
 use rq_testkit::prop::cases;
 
 fn ms(n: u64) -> SimDuration {
@@ -87,47 +90,226 @@ fn assert_handshake_lifecycle(log: &EventLog, label: &str) {
 }
 
 /// Every scenario either completes or aborts via the modeled quiche
-/// quirk — the state machines never wedge silently.
+/// quirk — the state machines never wedge silently. Each drawn case,
+/// over either HTTP flavour, and each of the explicit cases goes
+/// through [`check_run`].
 #[test]
 fn every_scenario_terminates() {
     let mut oversize = 0;
     cases(24, |rng| {
-        let sc = scenario(rng);
-        let (res, trace) = run_scenario_with_trace(&sc);
-        assert!(
-            res.completed || res.aborted,
-            "{}: neither completed nor aborted",
-            res.label
-        );
-        for log in [&res.client_log, &res.server_log] {
-            assert_handshake_lifecycle(log, &res.label);
+        let mut sc = scenario(rng);
+        if rng.gen_bool(0.5) {
+            sc.http = HttpVersion::H3;
         }
-
-        // The registry's counters say what the trace and the qlogs say:
-        // a reader of the wrong node or link would split them.
-        let count = |name| res.metrics.counter(name) as usize;
-        let dropped = count("sim/datagrams/dropped");
-        assert_eq!(dropped, res.dropped_datagrams, "{}", res.label);
-        let duplicated = count("sim/datagrams/duplicated");
-        assert_eq!(duplicated, res.duplicated_datagrams, "{}", res.label);
-        let offered = count("sim/datagrams/forwarded") + dropped;
-        assert_eq!(
-            offered,
-            res.client_datagrams + res.server_datagrams,
-            "{}",
-            res.label
-        );
-        let lost = (
-            count("quic/client/packets_lost"),
-            count("quic/server/packets_lost"),
-        );
-        let qlog_lost = (res.client_packets_lost, res.server_packets_lost);
-        assert_eq!(lost, qlog_lost, "{}", res.label);
-
-        let logs = [&res.client_log, &res.server_log];
-        oversize += observe_wire(&trace.datagrams, logs, &res.label);
+        oversize += check_run(&sc);
     });
+    for sc in explicit_cases() {
+        oversize += check_run(&sc);
+    }
     println!("every_scenario_terminates: {oversize} client datagrams of 1,201 B (ROADMAP 14(a))");
+}
+
+/// The axes the draw leaves out, a case each: bursty loss that also
+/// duplicates datagrams, a deliberate migration, and a server that
+/// crashes under a reconnecting client. Then responses whose length goes
+/// up, down and back, HTTP/1.1 and HTTP/3 interleaved, one after another
+/// on this thread, which answers them all from one storage.
+fn explicit_cases() -> Vec<Scenario> {
+    use HttpVersion::{H1, H3};
+    let quic_go = client_by_name("quic-go").unwrap();
+    let iack = ServerAckMode::InstantAck { pad_to_mtu: false };
+    let base = |http, file_size| Scenario {
+        file_size,
+        capture_payloads: true,
+        ..Scenario::base(quic_go.clone(), iack, http)
+    };
+    let bursty = ImpairmentSpec::none()
+        .with_gilbert_elliott(0.02, 0.3, 0.0, 0.5)
+        .with_duplication(0.05);
+    let mut out = vec![
+        Scenario {
+            loss: LossSpec::Random(bursty),
+            cc: CcAlgorithm::BbrLite,
+            streams: 2,
+            ..base(H3, 200 * 1024)
+        },
+        Scenario {
+            migration: MigrationSpec::deliberate_at(ms(30), ms(20)),
+            ..base(H1, 100 * 1024)
+        },
+        Scenario {
+            rtt: ms(40),
+            faults: FaultSpec {
+                crash_every: Some(ms(400)),
+                reconnect: Some(ReconnectPolicy),
+                ..FaultSpec::none()
+            },
+            ..base(H1, 512 * 1024)
+        },
+    ];
+    for (http, kib) in [(H1, 10), (H3, 300), (H1, 1), (H3, 1), (H1, 300), (H3, 10)] {
+        out.push(base(http, kib * 1024));
+    }
+    out
+}
+
+/// Runs `sc` with and without its trace and checks the run: it ends
+/// completed or aborted, each endpoint's handshake lifecycle holds, the
+/// run without the trace reports what the run with it does, the counts
+/// are the trace's, the registry agrees, each request stream delivered a
+/// prefix of its response and, for a run of one connection, the wire
+/// observer is clean. Returns the observer's count of 1,201-B client
+/// datagrams.
+fn check_run(sc: &Scenario) -> usize {
+    let (res, trace) = run_scenario_with_trace(sc);
+    assert!(
+        res.completed || res.aborted,
+        "{}: neither completed nor aborted",
+        res.label
+    );
+    for log in [&res.client_log, &res.server_log] {
+        assert_handshake_lifecycle(log, &res.label);
+    }
+    assert_same_result(&run_scenario(sc), &res);
+    assert_counts_are_the_traces(&res, &trace.datagrams);
+
+    // The registry's counters say what the trace and the qlogs say:
+    // a reader of the wrong node or link would split them.
+    let count = |name| res.metrics.counter(name) as usize;
+    let dropped = count("sim/datagrams/dropped");
+    assert_eq!(dropped, res.dropped_datagrams, "{}", res.label);
+    let duplicated = count("sim/datagrams/duplicated");
+    assert_eq!(duplicated, res.duplicated_datagrams, "{}", res.label);
+    let offered = count("sim/datagrams/forwarded") + dropped;
+    assert_eq!(
+        offered,
+        res.client_datagrams + res.server_datagrams,
+        "{}",
+        res.label
+    );
+    let lost = (
+        count("quic/client/packets_lost"),
+        count("quic/server/packets_lost"),
+    );
+    let qlog_lost = (res.client_packets_lost, res.server_packets_lost);
+    assert_eq!(lost, qlog_lost, "{}", res.label);
+
+    assert_responses_on_wire(sc, &trace.datagrams, &res);
+    // The observer reads one connection a pair: a reconnect follows a
+    // stateless reset, which is no QUIC packet, and starts its packet
+    // numbers over.
+    if sc.faults.reconnect.is_some() {
+        return 0;
+    }
+    observe_wire(
+        &trace.datagrams,
+        [&res.client_log, &res.server_log],
+        &res.label,
+    )
+}
+
+/// `plain`, from `run_scenario`, reports what `traced`, from
+/// `run_scenario_with_trace`, does: every field the benchmark's run
+/// fingerprint reads, and the duplicate copies.
+fn assert_same_result(plain: &RunResult, traced: &RunResult) {
+    let fields = |r: &RunResult| {
+        let ms = |v: Option<f64>| v.map(f64::to_bits);
+        (
+            (ms(r.ttfb_ms), ms(r.response_ms), ms(r.goodput_mbps)),
+            (r.completed, r.aborted, r.resumed),
+            (r.client_datagrams, r.server_datagrams, r.dropped_datagrams),
+            (r.client_log.events.len(), r.server_log.events.len()),
+            r.duplicated_datagrams,
+        )
+    };
+    assert_eq!(fields(plain), fields(traced), "{}", traced.label);
+}
+
+/// The datagram counts of `res` are what its trace's capture counts:
+/// sends each way (the duplicating channel's copies aside), drops and
+/// copies. The server is node 0, the client node 1.
+fn assert_counts_are_the_traces(res: &RunResult, datagrams: &[CaptureRecord]) {
+    let sent_by = |node| {
+        let sent = datagrams.iter().filter(|d| d.from.index() == node);
+        sent.filter(|d| !d.duplicate).count()
+    };
+    let dropped = datagrams.iter().filter(|d| d.fate == DatagramFate::Dropped);
+    let duplicated = datagrams.iter().filter(|d| d.duplicate).count();
+    assert_eq!(
+        (res.client_datagrams, res.server_datagrams),
+        (sent_by(1), sent_by(0)),
+        "{}",
+        res.label
+    );
+    assert_eq!(
+        (res.dropped_datagrams, res.duplicated_datagrams),
+        (dropped.count(), duplicated),
+        "{}",
+        res.label
+    );
+}
+
+/// Each request stream's bytes, reassembled from the STREAM frames of
+/// the server's delivered datagrams, are a byte-exact prefix of the
+/// response built on its own, and all of it once the run completed.
+fn assert_responses_on_wire(sc: &Scenario, datagrams: &[CaptureRecord], res: &RunResult) {
+    let response = match sc.http {
+        HttpVersion::H1 => H1Response::ok(sc.file_size).to_bytes(),
+        HttpVersion::H3 => h3::response_bytes(sc.file_size),
+    };
+    // Per request stream (client-initiated bidirectional: 0, 4, 8, ...),
+    // the bytes delivered at each offset, and the ranges delivered.
+    let mut bytes = vec![Vec::new(); sc.streams];
+    let mut ranges = vec![Vec::new(); sc.streams];
+    for d in datagrams.iter().filter(|d| d.from.index() == 0) {
+        if d.fate == DatagramFate::Dropped {
+            continue;
+        }
+        let payload = d.payload.as_deref().expect("payloads are captured");
+        let mut rest = Bytes::copy_from_slice(payload);
+        while !rest.is_empty() {
+            let Ok((packet, _, _, used)) = PlainPacket::decode_with_payload(&rest, 8) else {
+                break;
+            };
+            for frame in packet.frames.iter() {
+                let Frame::Stream {
+                    id, offset, data, ..
+                } = frame
+                else {
+                    continue;
+                };
+                if id % 4 != 0 {
+                    continue;
+                }
+                let stream = (id / 4) as usize;
+                let (at, end) = (*offset as usize, *offset as usize + data.len());
+                if bytes[stream].len() < end {
+                    bytes[stream].resize(end, 0);
+                }
+                bytes[stream][at..end].copy_from_slice(data);
+                ranges[stream].push((at, end));
+            }
+            rest = rest.slice(used..);
+        }
+    }
+    for (i, (bytes, mut ranges)) in bytes.into_iter().zip(ranges).enumerate() {
+        ranges.sort_unstable();
+        let prefix = ranges.iter().fold(0, |covered, &(at, end)| {
+            if at <= covered {
+                covered.max(end)
+            } else {
+                covered
+            }
+        });
+        let label = format!("{} stream {}", res.label, 4 * i);
+        assert!(
+            bytes[..prefix] == response[..prefix],
+            "{label}: the first {prefix} bytes delivered are not the response's"
+        );
+        if res.completed {
+            assert_eq!(prefix, response.len(), "{label}: delivered in part");
+        }
+    }
 }
 
 /// The loss atlas's tier-1 slice (ROADMAP 15(b)): every pair of drop
