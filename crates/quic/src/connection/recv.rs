@@ -586,9 +586,11 @@ impl Connection {
         if self.role != Role::Client {
             return; // clients only
         }
-        // Only one Retry per connection.
+        // At most one Retry, none after a server Initial (RFC 9000 §17.2.5.2).
         let hs = self.handshake.as_deref_mut();
-        let Some(hs) = hs.filter(|hs| !hs.iack_received && hs.token.is_empty()) else {
+        let Some(hs) =
+            hs.filter(|hs| hs.token.is_empty() && hs.spaces[0].recv.largest_recv_time.is_none())
+        else {
             return;
         };
         hs.token = pkt.header.token.clone();

@@ -15,6 +15,10 @@
 //! after the first, each of its packets is a duplicate that opens no new
 //! state, and the handshake still confirms at both ends.
 //!
+//! So does a Retry that comes after the server has spoken: once the
+//! client has processed a server Initial or a Retry, it discards any later
+//! Retry (RFC 9000 §17.2.5.2), and the handshake goes on as if none came.
+//!
 //! So does a correctly sealed packet whose ACK frame lies, in any space:
 //! one acknowledging packet numbers never sent, and one whose range count
 //! runs past the end of its datagram.
@@ -31,7 +35,9 @@ use std::collections::BTreeMap;
 
 use rq_qlog::EventData;
 use rq_quic::bytestream::Reassembler;
-use rq_quic::{ConnEvent, ConnStats, Connection, EndpointConfig, Role, ServerAckMode};
+use rq_quic::{
+    stateless_retry_datagram, ConnEvent, ConnStats, Connection, EndpointConfig, Role, ServerAckMode,
+};
 use rq_sim::{SimDuration, SimRng, SimTime, Spares};
 use rq_tls::mac::{mac, DIGEST_LEN};
 use rq_tls::{application_keys, handshake_keys, initial_keys, seal_tag, KeySide};
@@ -51,6 +57,18 @@ type Hook<'a> = &'a mut dyn FnMut(&mut Connection, SimTime, &Bytes);
 /// `before` each datagram's receiver and bytes just before the datagram
 /// itself is delivered and `after` them once its events are drained.
 fn handshake(mode: ServerAckMode, request: &[u8], before: Hook, after: Hook) -> Vec<Delivery> {
+    handshake_with(mode, false, request, before, after)
+}
+
+/// [`handshake`], the server first demanding a Retry round trip if
+/// `use_retry`.
+fn handshake_with(
+    mode: ServerAckMode,
+    use_retry: bool,
+    request: &[u8],
+    before: Hook,
+    after: Hook,
+) -> Vec<Delivery> {
     let mut cfg = EndpointConfig::rfc_default();
     // Every ACK processed logs the bytes in flight.
     cfg.metrics_sample_every = Some(SimDuration::ZERO);
@@ -60,6 +78,7 @@ fn handshake(mode: ServerAckMode, request: &[u8], before: Hook, after: Hook) -> 
     }
     cfg.ack_mode = mode;
     let mut s = Connection::server(cfg, 2, c.original_dcid());
+    s.use_retry = use_retry;
     let mut now = SimTime::ZERO;
     let mut log = Vec::new();
     for _ in 0..100 {
@@ -177,6 +196,36 @@ fn replayed_handshake_datagrams_open_no_new_state() {
         let run = handshake(mode, &request, &mut |_, _, _| {}, &mut replayed);
         assert!(run.len() >= 4, "{mode:?}: {} datagrams", run.len());
         assert_eq!(request_bytes, request.len() as u64, "{mode:?}");
+    }
+}
+
+#[test]
+fn a_retry_after_the_server_has_spoken_changes_nothing() {
+    for mode in [
+        ServerAckMode::WaitForCertificate,
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+    ] {
+        // The client's first datagram from the server is its first
+        // Initial (an ACK, with the ServerHello under WFC), or a genuine
+        // Retry; a second Retry from another server CID follows it.
+        for use_retry in [false, true] {
+            let noop = || |_: &mut Connection, _: SimTime, _: &Bytes| {};
+            let clean = handshake_with(mode, use_retry, &[], &mut noop(), &mut noop());
+            let mut fed = false;
+            let mut late_retry = |to: &mut Connection, now, _: &Bytes| {
+                if to.role() == Role::Client && !fed {
+                    fed = true;
+                    let server_cid = ConnectionId::from_u64(0x2E7);
+                    to.handle_datagram(now, &stateless_retry_datagram(to.local_cid(), server_cid));
+                }
+            };
+            let run = handshake_with(mode, use_retry, &[], &mut noop(), &mut late_retry);
+            assert!(fed, "{mode:?}, retry {use_retry}");
+            for (i, (want, got)) in clean.iter().zip(&run).enumerate() {
+                assert_eq!(want, got, "{mode:?}, retry {use_retry}, datagram {i}");
+            }
+            assert_eq!(clean.len(), run.len(), "{mode:?}, retry {use_retry}");
+        }
     }
 }
 

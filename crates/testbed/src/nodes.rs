@@ -14,10 +14,9 @@
 //!
 //! The client node is in `client`, the server node in `server`. This file
 //! holds the node enum, the milestone labels, the one driver both pump
-//! their connections through, and the thread's one storage the server
-//! answers requests from.
+//! their connections through, and the response storage a server node
+//! owns and answers requests from.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use rq_http::{h1, h3, HttpVersion};
@@ -193,19 +192,7 @@ impl ConnDriver {
     }
 }
 
-thread_local! {
-    /// This thread's responses, kept between runs like the thread's
-    /// network: every server node on the thread answers from them.
-    static RESPONSES: RefCell<ResponseCache> = const { RefCell::new(ResponseCache::new()) };
-}
-
-/// The encoded `http` response carrying `body_len` body bytes, from this
-/// thread's [`ResponseCache`].
-fn response(http: HttpVersion, body_len: usize) -> Bytes {
-    RESPONSES.with_borrow_mut(|cache| cache.get(http, body_len))
-}
-
-/// The responses a thread's servers hand out, all views of one storage:
+/// The responses a server node hands out, all views of one storage:
 /// header room, then the longest body asked for so far. Byte `n` of a
 /// body is the same whatever its length ([`h1::fill_body`]), so a shorter
 /// body is a prefix of a longer one, and a response is the view from its
@@ -215,10 +202,12 @@ fn response(http: HttpVersion, body_len: usize) -> Bytes {
 /// flavour has the header rewritten in place if no view of the storage
 /// is left, and its response built on its own if one is: a storage a
 /// live view shares is never rewritten. The storage is replaced only for
-/// a longer body than any before.
-struct ResponseCache {
+/// a longer body than any before. The driver lends the one it keeps
+/// between drives to each server it builds and takes it back after.
+#[derive(Default)]
+pub(crate) struct ResponseCache {
     /// The storage: `room` bytes, then the body. `None` before the
-    /// thread's first response.
+    /// first response.
     storage: Option<Arc<[u8]>>,
     /// Room for the longest header of either flavour at the body's
     /// length, which fits every shorter body's too.
@@ -228,14 +217,6 @@ struct ResponseCache {
 }
 
 impl ResponseCache {
-    const fn new() -> Self {
-        ResponseCache {
-            storage: None,
-            room: 0,
-            written: None,
-        }
-    }
-
     /// The encoded `http` response carrying `body_len` body bytes.
     fn get(&mut self, http: HttpVersion, body_len: usize) -> Bytes {
         let header_len = http.response_header_len(body_len);
@@ -287,7 +268,7 @@ mod tests {
     #[test]
     fn responses_are_views_of_one_storage_never_rewritten_while_held() {
         use HttpVersion::{H1, H3};
-        let mut cache = ResponseCache::new();
+        let mut cache = ResponseCache::default();
         let in_storage = |cache: &ResponseCache, response: &Bytes| {
             let storage = cache.storage.as_ref().expect("a response was asked for");
             storage.as_ptr_range().contains(&response.as_ptr())

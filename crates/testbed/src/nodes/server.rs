@@ -15,7 +15,7 @@ use rq_recovery::SeqMap;
 use rq_sim::{Context, FaultTimeline, Node, NodeId, SimDuration, SimTime};
 use rq_wire::{Bytes, ConnectionId, Header, PacketType};
 
-use super::{milestones, response, ConnDriver};
+use super::{milestones, ConnDriver, ResponseCache};
 
 /// Timer token kind bit: the certificate store answered.
 const TIMER_KIND_CERT: u64 = 1;
@@ -157,13 +157,12 @@ impl Session {
         self.maybe_send_settings(conn, http);
     }
 
-    /// Request bytes arrived on stream `id`: once the request parses,
-    /// answer it with a body of as many bytes as its path names, taken
-    /// from the thread's responses.
-    fn on_request_data(&mut self, conn: &mut Connection, http: HttpVersion, id: u64, data: &[u8]) {
+    /// Request bytes arrived on stream `id`: the body length its path
+    /// names, the first time the request parses, for the node to answer.
+    fn on_request_data(&mut self, http: HttpVersion, id: u64, data: &[u8]) -> Option<usize> {
         let req = self.requests.get_or_insert_with(id, StreamReq::default);
         if req.responded {
-            return;
+            return None;
         }
         // The body length the request's path names, once it parses.
         let body_len = |request: &[u8]| {
@@ -179,18 +178,16 @@ impl Session {
         } else {
             None
         };
-        let Some(body_len) = whole.or_else(|| {
+        let body_len = whole.or_else(|| {
             req.buf.extend_from_slice(data);
             body_len(&req.buf)
-        }) else {
-            return;
-        };
+        })?;
         // Answered: the request bytes have said all they had to.
         *req = StreamReq {
             buf: Vec::new(),
             responded: true,
         };
-        conn.send_stream_data_owned(id, response(http, body_len), true);
+        Some(body_len)
     }
 }
 
@@ -215,6 +212,8 @@ pub struct ServerNode {
     seed: u64,
     /// Scheduled crashes (empty in fault-free runs).
     faults: FaultTimeline,
+    /// The storage every response is a view of (a drive lends its own).
+    pub(crate) responses: ResponseCache,
 }
 
 impl ServerNode {
@@ -242,6 +241,7 @@ impl ServerNode {
             cert_delay,
             seed,
             faults: FaultTimeline::none(),
+            responses: ResponseCache::default(),
         }
     }
 
@@ -421,9 +421,12 @@ impl ServerNode {
                     }
                 }
                 // Any client-initiated bidi stream (0, 4, 8, …) carries
-                // a request.
+                // a request, answered from the node's responses.
                 ConnEvent::StreamData { id, data, .. } if id % 4 == 0 => {
-                    session.on_request_data(conn, self.http, id, &data);
+                    if let Some(len) = session.on_request_data(self.http, id, &data) {
+                        let response = self.responses.get(self.http, len);
+                        conn.send_stream_data_owned(id, response, true);
+                    }
                 }
                 ConnEvent::Closed { .. } => {
                     ctx.trace().milestone(me, now, milestones::CLOSED);

@@ -28,7 +28,7 @@ use rq_sim::{
 };
 use rq_tls::{mint_ticket, SessionTicket, TICKET_KEY};
 
-use crate::nodes::{ClientNode, PeerOutcome, ServerNode, TestbedNode};
+use crate::nodes::{ClientNode, PeerOutcome, ResponseCache, ServerNode, TestbedNode};
 use crate::runner::{full_result, rep_scenario, RunResult};
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
 use crate::stats::LatencyHistogram;
@@ -513,36 +513,45 @@ struct Drive {
     conn_deadline: SimDuration,
 }
 
-thread_local! {
-    /// The network this thread's drives run on, kept between drives so
-    /// that each drive after the first reuses its tables and datagram
-    /// storage. Empty before the thread's first drive and after one that
-    /// panicked: that drive's network went with it.
-    static NETWORK: Cell<Option<Network<TestbedNode>>> = const { Cell::new(None) };
+/// What a thread keeps between its drives, so that each drive after the
+/// first reuses its storage: the network's tables and datagrams, and the
+/// response storage a drive lends the server it builds.
+struct Kept {
+    net: Network<TestbedNode>,
+    responses: ResponseCache,
 }
 
-/// This thread's network, in the state `Network::new(capture_payloads)`
-/// makes.
-fn take_network(capture_payloads: bool) -> Network<TestbedNode> {
-    match NETWORK.take() {
-        Some(mut net) => {
-            net.reset(capture_payloads);
-            net
+thread_local! {
+    /// This thread's kept value. Empty before the thread's first drive
+    /// and after one that panicked: that drive's storage went with it.
+    static KEPT: Cell<Option<Kept>> = const { Cell::new(None) };
+}
+
+/// What this thread keeps, its network in the state
+/// `Network::new(capture_payloads)` makes.
+fn take_kept(capture_payloads: bool) -> Kept {
+    match KEPT.take() {
+        Some(mut kept) => {
+            kept.net.reset(capture_payloads);
+            kept
         }
-        None => Network::new(capture_payloads),
+        None => Kept {
+            net: Network::new(capture_payloads),
+            responses: ResponseCache::default(),
+        },
     }
 }
 
-/// Keeps `net` for this thread's next drive, holding nothing of the
-/// last one but storage.
-fn put_back_network(mut net: Network<TestbedNode>) {
+/// Keeps `net` and `responses` for this thread's next drive, holding
+/// nothing of the last one but storage.
+fn put_back(mut net: Network<TestbedNode>, responses: ResponseCache) {
     net.reset(false);
-    NETWORK.set(Some(net));
+    KEPT.set(Some(Kept { net, responses }));
 }
 
 /// THE simulation driver: hosts every plan's client against one shared
-/// server (configured by `spec`) on a single event loop, the thread's
-/// network. `run_scenario` routes through here with one plan;
+/// server (configured by `spec`) on a single event loop, on what the
+/// thread keeps. `run_scenario` routes through here with one plan;
 /// `run_server_load` with many.
 pub(crate) fn drive_conn_plans(
     spec: &ServerLoadSpec,
@@ -554,7 +563,7 @@ pub(crate) fn drive_conn_plans(
     let full = matches!(detail, Detail::Full { .. });
     let n = plans.len();
     assert!(!full || n == 1, "full detail is the single-pair mode");
-    let mut net = take_network(base.capture_payloads && full);
+    let Kept { mut net, responses } = take_kept(base.capture_payloads && full);
     // Only a returned trace is recorded: the full result reads the
     // links' and the engine's counts instead.
     net.trace.recording = detail == Detail::Full { trace: true };
@@ -592,8 +601,9 @@ pub(crate) fn drive_conn_plans(
     }
     let engine =
         ServerEngine::new(server_cfg, spec.concurrency_limit).with_overload_policy(spec.overload);
-    let server_node = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed)
+    let mut server_node = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed)
         .with_faults(timeline.clone());
+    server_node.responses = responses;
     let server_id = net.add_node(server_node.into());
     net.prime();
 
@@ -763,8 +773,11 @@ pub(crate) fn drive_conn_plans(
     };
     drive.conn_totals.0.export(Role::Client, &mut metrics);
     drive.conn_totals.1.export(Role::Server, &mut metrics);
+    let Some(TestbedNode::Server(server)) = drive.net.retire_node(server_id) else {
+        unreachable!("the server is retired once, here");
+    };
     let Drive { net, outcomes, .. } = drive;
-    put_back_network(net);
+    put_back(net, server.responses);
 
     DriveOutput {
         outcomes: outcomes
@@ -781,7 +794,7 @@ impl Drive {
     /// The server node, which is on the loop for the whole drive.
     fn server(&self) -> &ServerNode {
         let node = self.net.node(self.server_id).and_then(TestbedNode::server);
-        node.expect("the server is never retired")
+        node.expect("the server is retired only as the drive ends")
     }
 
     /// The server's word on how the connection of `s` went.

@@ -40,11 +40,13 @@ fn one_handshake_stays_under_its_ceiling() {
         assert!(result.completed);
         result
     });
-    // The thread's first run, so it sets up the thread's network and
-    // response storage too: each test runs on a thread of its own.
-    // Measured 77 calls / 66,978 bytes, debug and release alike, once a
-    // run that returns no trace records none (78 / 67,146 before, with
-    // a capture record per datagram). Earlier: 78 / 67,322 once the
+    // The thread's first run, so it sets up what the thread keeps, its
+    // network and the response storage the driver lends the server, too:
+    // each test runs on a thread of its own. Measured 77 calls / 67,018
+    // bytes, debug and release alike, once the server node's box held
+    // the lent storage (77 / 66,978 while the thread held it). Earlier:
+    // 77 / 66,978 once a run that returns no trace records none (78 /
+    // 67,146 before, with a capture record per datagram). Earlier: 78 / 67,322 once the
     // list of spare storage made room for a handshake's worth at once (79 / 67,130 while it
     // grew to fit). Earlier: 79 / 67,130 once the network handed
     // senders the storage of delivered datagrams no one held: two of
@@ -89,12 +91,15 @@ fn a_warm_handshake_stays_under_its_ceiling() {
     // The second identical run on one thread: the thread's network,
     // reset, keeps its tables and the storage of the first run's last
     // datagrams, and 21 of the 23 datagrams are built in storage a
-    // datagram of the same length left; the thread's response storage
-    // already holds the 10 KiB body. Measured 46 calls / 33,826 bytes,
-    // debug and release alike (77 / 66,978 on a new thread), once the
-    // response was kept by the thread and a run that returns no trace
-    // recorded none (48 / 44,498 before, with the response built anew
-    // and a capture record per datagram). Both ceilings leave 2 %.
+    // datagram of the same length left; the response storage the
+    // thread keeps, and the driver lends the server, already holds the
+    // 10 KiB body. Measured 46 calls / 33,866 bytes, debug and release
+    // alike (77 / 67,018 on a new thread), once the server node's box
+    // held the lent storage (46 / 33,826 while the thread held it).
+    // Earlier: 46 / 33,826 once the response was kept by the thread and a
+    // run that returns no trace recorded none (48 / 44,498 before, with
+    // the response built anew and a capture record per datagram). Both
+    // ceilings leave 2 %.
     assert!(calls <= 46, "{calls} allocations for a warm handshake");
     assert!(
         bytes <= 34_500,
@@ -183,8 +188,9 @@ fn a_warm_download_stays_under_its_ceiling() {
         cc: CcAlgorithm::Cubic,
         ..Scenario::base(client, iack, HttpVersion::H3)
     };
-    // The thread's first run sets up its network and response storage,
-    // as on any thread of a sweep: the second is what each later run asks.
+    // The thread's first run sets up what the thread keeps, its network
+    // and the response storage lent to each server, as on any thread of a
+    // sweep: the second is what each later run asks.
     assert!(run_scenario(&sc).completed);
     let mut datagrams = 0;
     let (calls, bytes) = requested_by(|| {

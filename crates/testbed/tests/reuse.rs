@@ -1,8 +1,11 @@
 //! A thread runs every scenario on one simulated network, reset between
-//! runs, so a run may follow any other on its thread. What it reads must
-//! not depend on that: each scenario of a varied set gives the same
-//! result, metrics and trace on a new thread and right after any other
-//! scenario of the set.
+//! runs, and its servers answer from one response storage, so a run may
+//! follow any other on its thread. What it reads must not depend on
+//! that: each scenario of a varied set gives the same result, metrics
+//! and trace on a new thread and right after any other scenario of the
+//! set, and every call of a seeded random sequence of those scenarios and
+//! two loaded servers (H1 and H3, each with a body length of its own)
+//! reads the same as on a new thread.
 
 use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
@@ -10,9 +13,10 @@ use rq_quic::ServerAckMode;
 use rq_recovery::CcAlgorithm;
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
-    run_scenario, run_scenario_with_trace, HandshakeClass, LossSpec, MigrationSpec,
-    ReconnectPolicy, Scenario,
+    run_scenario, run_scenario_with_trace, run_server_load, ArrivalProcess, ClassMix, ConnFate,
+    HandshakeClass, LossSpec, MigrationSpec, ReconnectPolicy, Scenario, ServerLoadSpec,
 };
+use rq_testkit::prop::cases;
 
 fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
@@ -86,4 +90,85 @@ fn a_run_reads_the_same_after_any_other_on_its_thread() {
             assert!(warm == fresh[j], "scenario {j} after scenario {i}");
         }
     }
+}
+
+/// One call a thread makes: a scenario's runs, or a loaded server's run.
+#[derive(Clone)]
+enum Call {
+    Scenario(Scenario),
+    Load(ServerLoadSpec),
+}
+
+impl Call {
+    /// What the call reads, in comparable form.
+    fn observe(&self) -> String {
+        match self {
+            Call::Scenario(sc) => observe(sc),
+            Call::Load(spec) => {
+                let run = run_server_load(spec);
+                let served = run
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.fate == ConnFate::Completed);
+                assert_eq!(served.count(), spec.arrivals, "{}", spec.base.label());
+                format!("{run:?}")
+            }
+        }
+    }
+}
+
+/// The seven scenarios, then two small loaded servers: an H1 one with a
+/// resumed and 0-RTT mix, and an H3 one whose body length no scenario
+/// asks for.
+fn calls() -> Vec<Call> {
+    let mut calls: Vec<Call> = scenarios().into_iter().map(Call::Scenario).collect();
+    let poisson = ArrivalProcess::Poisson { mean_gap: ms(3) };
+    let mut h1 = Scenario::base(
+        client_by_name("quic-go").unwrap(),
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+        HttpVersion::H1,
+    );
+    h1.seed = 5;
+    let mut h1 = ServerLoadSpec::new(h1, 12, poisson);
+    h1.mix = Some(ClassMix {
+        resumed: 0.3,
+        zero_rtt: 0.2,
+    });
+    let mut h3 = Scenario::base(
+        client_by_name("ngtcp2").unwrap(),
+        ServerAckMode::WaitForCertificate,
+        HttpVersion::H3,
+    );
+    (h3.seed, h3.file_size) = (6, 3000);
+    calls.extend([
+        Call::Load(h1),
+        Call::Load(ServerLoadSpec::new(h3, 8, poisson)),
+    ]);
+    calls
+}
+
+#[test]
+fn every_call_of_a_random_sequence_reads_as_on_a_new_thread() {
+    let calls = calls();
+    let fresh: Vec<String> = calls
+        .iter()
+        .map(|call| {
+            let call = call.clone();
+            on_a_new_thread(move || call.observe())
+        })
+        .collect();
+    cases(12, |rng| {
+        // Every call once, in a random order, then three more drawn
+        // again: the same call twice on one thread too.
+        let mut order: Vec<usize> = (0..calls.len()).collect();
+        rng.shuffle(&mut order);
+        order.extend((0..3).map(|_| rng.gen_range(calls.len() as u64) as usize));
+        let (calls, fresh) = (calls.clone(), fresh.clone());
+        on_a_new_thread(move || {
+            for (k, &i) in order.iter().enumerate() {
+                let read = calls[i].observe();
+                assert!(read == fresh[i], "call {i}, at {k} of {order:?}");
+            }
+        });
+    });
 }

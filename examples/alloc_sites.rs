@@ -21,21 +21,21 @@
 //! The `run_scenario` modes (the default, `h3` and `bulk`) run one op of
 //! the same shape (seed 0) before the window opens, so the rows describe
 //! a warm thread, as in the benchmark's timed passes: the testbed keeps
-//! one simulated network and one response storage per thread, and every
-//! run after the thread's first reuses its tables, its datagram storage
-//! and the response body. A thread's first run
-//! pays for that set-up as well (`handshake_alloc.rs` pins both). `load`
-//! counts one `run_server_load` on a cold thread; its set-up is shared
-//! by all its arrivals.
+//! one value per thread, a simulated network and the response storage
+//! the driver lends each run's server, and every run after the thread's
+//! first reuses its tables, its datagram storage and the response body.
+//! A thread's first run pays for that set-up as well
+//! (`handshake_alloc.rs` pins both). `load` counts one `run_server_load`
+//! on a cold thread; its set-up is shared by all its arrivals.
 //!
 //! `live` asks a different question — not what was requested over a run
 //! but what is *held* at its peak, by whom (the benchmark's
 //! `peak_heap_mib`, broken down). The run is one `run_server_load` of
 //! `ops` arrivals in the benchmark's steady shape (200 µs apart on a
 //! 100 ms path, 30 % resumed, 20 % 0-RTT, a quarter under 2 % loss), so
-//! the pairs interleave. One unwatched run sets up the thread's network
-//! and response storage (what they keep is not counted), and the run is then made
-//! three times: once numbering every allocation and finding the number
+//! the pairs interleave. One unwatched run sets up what the thread keeps,
+//! its network and response storage (not counted), and the run is then
+//! made three times: once numbering every allocation and finding the number
 //! at which most bytes were live, once snapshotting the allocations live
 //! at that number, once capturing a backtrace for those only (about a
 //! tenth of them all). The
