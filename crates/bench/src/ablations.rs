@@ -1,18 +1,14 @@
 //! Ablations of the paper's §5 discussion: each varies one knob of a
-//! figure's setup and reports the median TTFB per variant.
+//! figure's setup and reports the median TTFB per variant, each variant
+//! a cell of the ablation's one sweep.
 
 use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
 use rq_quic::{ProbePolicy, ServerAckMode};
 use rq_sim::SimDuration;
-use rq_testbed::{LossSpec, Scenario, SweepScenarios};
+use rq_testbed::{repetitions, run_scenario, LossSpec, Scenario};
 
 use crate::{cell, delta_cell, median_by, quic_go, RunConfig, IACK, WFC};
-
-/// Median TTFB over the configured repetitions of `sc`.
-fn median_ttfb(cfg: &RunConfig, sc: &Scenario) -> Option<f64> {
-    median_by(&cfg.runner.run_repetitions(sc, cfg.reps), |r| r.ttfb_ms)
-}
 
 /// Ablation (paper §5): padded instant ACKs. Cloudflare pads the IACK to
 /// probe the path MTU; the padding consumes anti-amplification budget,
@@ -24,17 +20,26 @@ pub(crate) fn padded_iack(cfg: &RunConfig) {
         "{:<10} {:>10} {:>12} {:>12} {:>14}",
         "client", "WFC", "IACK plain", "IACK padded", "padding cost"
     );
-    for name in ["neqo", "ngtcp2", "quic-go", "aioquic"] {
-        let client = client_by_name(name).unwrap();
-        let run = |mode: ServerAckMode| {
-            let mut sc = Scenario::base(client.clone(), mode, HttpVersion::H1);
+    let names = ["neqo", "ngtcp2", "quic-go", "aioquic"];
+    let modes = [
+        WFC,
+        ServerAckMode::InstantAck { pad_to_mtu: false },
+        ServerAckMode::InstantAck { pad_to_mtu: true },
+    ];
+    let mut cells = Vec::new();
+    for name in names {
+        for mode in modes {
+            let mut sc = Scenario::base(client_by_name(name).unwrap(), mode, HttpVersion::H1);
             sc.cert_len = rq_tls::CERT_LARGE;
             sc.cert_delay = SimDuration::from_millis(200);
-            median_ttfb(cfg, &sc)
-        };
-        let wfc = run(WFC);
-        let plain = run(ServerAckMode::InstantAck { pad_to_mtu: false });
-        let padded = run(ServerAckMode::InstantAck { pad_to_mtu: true });
+            cells.push(sc);
+        }
+    }
+    let jobs = repetitions(&cells, cfg.reps);
+    let ttfbs = cfg.runner.map(&jobs, |sc| run_scenario(sc).ttfb_ms);
+    for (name, row) in names.iter().zip(ttfbs.chunks(modes.len() * cfg.reps)) {
+        let median = |k: usize| median_by(&row[k * cfg.reps..][..cfg.reps], |t| *t);
+        let (wfc, plain, padded) = (median(0), median(1), median(2));
         println!(
             "{:<10} {} {} {} {}",
             name,
@@ -61,16 +66,22 @@ pub(crate) fn probe_policy(cfg: &RunConfig) {
         "{:<10} {:>12} {:>12} {:>12}",
         "client", "PING", "re-CH", "saving"
     );
-    for name in ["quic-go", "neqo", "aioquic", "ngtcp2"] {
-        let client = client_by_name(name).unwrap();
-        let run = |policy: Option<ProbePolicy>| {
-            let mut sc = Scenario::base(client.clone(), IACK, HttpVersion::H1);
+    let names = ["quic-go", "neqo", "aioquic", "ngtcp2"];
+    let policies = [None, Some(ProbePolicy::RetransmitOldest)];
+    let mut cells = Vec::new();
+    for name in names {
+        for policy in policies {
+            let mut sc = Scenario::base(client_by_name(name).unwrap(), IACK, HttpVersion::H1);
             sc.loss = LossSpec::ServerFlightTail;
             sc.probe_policy_override = policy;
-            median_ttfb(cfg, &sc)
-        };
-        let ping = run(None);
-        let rech = run(Some(ProbePolicy::RetransmitOldest));
+            cells.push(sc);
+        }
+    }
+    let jobs = repetitions(&cells, cfg.reps);
+    let ttfbs = cfg.runner.map(&jobs, |sc| run_scenario(sc).ttfb_ms);
+    for (name, row) in names.iter().zip(ttfbs.chunks(policies.len() * cfg.reps)) {
+        let median = |k: usize| median_by(&row[k * cfg.reps..][..cfg.reps], |t| *t);
+        let (ping, rech) = (median(0), median(1));
         println!(
             "{:<10} {} {} {}",
             name,
@@ -94,15 +105,21 @@ pub(crate) fn server_pto(cfg: &RunConfig) {
         "{:<16} {:>12} {:>12} {:>12}",
         "server PTO [ms]", "WFC", "IACK", "IACK-WFC"
     );
-    for pto_ms in [50u64, 100, 200, 400, 800] {
-        let run = |mode| {
+    let ptos_ms = [50u64, 100, 200, 400, 800];
+    let mut cells = Vec::new();
+    for pto_ms in ptos_ms {
+        for mode in [WFC, IACK] {
             let mut sc = quic_go(mode, HttpVersion::H1);
             sc.loss = LossSpec::ServerFlightTail;
             sc.server_default_pto = Some(SimDuration::from_millis(pto_ms));
-            median_ttfb(cfg, &sc)
-        };
-        let wfc = run(WFC);
-        let iack = run(IACK);
+            cells.push(sc);
+        }
+    }
+    let jobs = repetitions(&cells, cfg.reps);
+    let ttfbs = cfg.runner.map(&jobs, |sc| run_scenario(sc).ttfb_ms);
+    for (pto_ms, row) in ptos_ms.iter().zip(ttfbs.chunks(2 * cfg.reps)) {
+        let median = |k: usize| median_by(&row[k * cfg.reps..][..cfg.reps], |t| *t);
+        let (wfc, iack) = (median(0), median(1));
         println!(
             "{:<16} {} {} {}",
             pto_ms,

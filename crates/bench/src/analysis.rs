@@ -11,9 +11,9 @@ use rq_analysis::{
 use rq_http::HttpVersion;
 use rq_profiles::all_servers;
 use rq_sim::SimDuration;
-use rq_testbed::LossSpec;
+use rq_testbed::{repetitions, run_scenario, LossSpec};
 
-use crate::{quic_go, wfc_iack_pair, RunConfig, WFC};
+use crate::{median_by, quic_go, RunConfig, IACK, WFC};
 
 /// Figure 2: calculated evolution of the PTO, WFC vs IACK, assuming all
 /// subsequent packets arrive exactly after one RTT and the instant ACK is
@@ -112,7 +112,7 @@ pub(crate) fn tab02(cfg: &RunConfig) {
     }
 
     println!("\nTestbed cross-validation (quic-go client, small cert, 9 ms RTT):");
-    for (label, loss, expect) in [
+    let checks = [
         (
             "server-flight tail loss",
             LossSpec::ServerFlightTail,
@@ -124,12 +124,24 @@ pub(crate) fn tab02(cfg: &RunConfig) {
             Advice::Iack,
         ),
         ("no loss, Δt = 5 ms", LossSpec::None, Advice::Iack),
-    ] {
+    ];
+    // Per check: the WFC cell, then the IACK cell.
+    let mut cells = Vec::new();
+    for (_, loss, _) in checks {
         let mut sc = quic_go(WFC, HttpVersion::H1);
         sc.loss = loss;
         sc.cert_delay = SimDuration::from_millis(5);
-        let (wfc, iack, _) = wfc_iack_pair(&cfg.runner, &sc, cfg.reps);
-        let (w, i) = (wfc.unwrap(), iack.unwrap());
+        cells.push(sc.clone());
+        sc.ack_mode = IACK;
+        cells.push(sc);
+    }
+    let reps = cfg.reps;
+    let jobs = repetitions(&cells, reps);
+    let ttfbs = cfg.runner.map(&jobs, |sc| run_scenario(sc).ttfb_ms);
+    for ((label, _, expect), pair) in checks.into_iter().zip(ttfbs.chunks(2 * reps)) {
+        let (wfc, iack) = pair.split_at(reps);
+        let w = median_by(wfc, |t| *t).unwrap();
+        let i = median_by(iack, |t| *t).unwrap();
         let winner = if i < w { Advice::Iack } else { Advice::Wfc };
         println!(
             "  {label:<44} WFC {w:7.1} ms  IACK {i:7.1} ms  → {} (predicted {expect:?}, {})",

@@ -6,7 +6,12 @@
 //! captures, WFC/IACK pair figures, ablations, the wild scan, the
 //! longitudinal study, scenario sweeps and server-load runs; this file
 //! hosts the table and what the families share: the [`RunConfig`] knobs,
-//! cell formatting, the median rule and the WFC/IACK pair sweep.
+//! cell formatting and the median rule.
+//!
+//! A table that repeats scenario runs builds all its cells first, runs
+//! them in one sweep, `cfg.runner.map(&repetitions(&cells, cfg.reps), ..)`,
+//! whose closure keeps only what the table reads of each run, and renders
+//! from the results' `chunks(cfg.reps)`, one chunk per cell.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +19,7 @@ use rq_http::HttpVersion;
 use rq_obs::median;
 use rq_profiles::{all_clients, client_by_name, ClientProfile};
 use rq_quic::ServerAckMode;
-use rq_testbed::{rep_scenario, run_scenario, RunResult, Scenario, SweepRunner};
+use rq_testbed::Scenario;
 
 mod ablations;
 mod analysis;
@@ -277,54 +282,13 @@ pub(crate) fn delta_cell(from: Option<f64>, to: Option<f64>, width: usize) -> St
 /// The paper tables' aggregation rule: the median of one metric over a
 /// cell's repetitions, or `None` when fewer than half of them produced it
 /// (e.g. the quiche abort).
-pub(crate) fn median_by(
-    results: &[RunResult],
-    metric: impl Fn(&RunResult) -> Option<f64>,
-) -> Option<f64> {
-    let values: Vec<f64> = results.iter().filter_map(metric).collect();
-    if values.len() * 2 < results.len() {
+pub(crate) fn median_by<T>(runs: &[T], metric: impl Fn(&T) -> Option<f64>) -> Option<f64> {
+    let values: Vec<f64> = runs.iter().filter_map(metric).collect();
+    if values.len() * 2 < runs.len() {
         None
     } else {
         median(&values)
     }
-}
-
-/// Runs `reps` repetitions of `base` under WFC and under IACK and returns
-/// `(wfc_results, iack_results)`. Both modes' repetitions run in a single
-/// `2×reps` sweep so every worker stays busy; results are identical to a
-/// sequential run (seeds are per-repetition, order is preserved).
-pub(crate) fn run_pair(
-    runner: &SweepRunner,
-    base: &Scenario,
-    reps: usize,
-) -> (Vec<RunResult>, Vec<RunResult>) {
-    let mut wfc = base.clone();
-    wfc.ack_mode = WFC;
-    let mut iack = base.clone();
-    iack.ack_mode = IACK;
-    let cells: Vec<Scenario> = (0..reps)
-        .map(|i| rep_scenario(&wfc, i))
-        .chain((0..reps).map(|i| rep_scenario(&iack, i)))
-        .collect();
-    let mut results = runner.map(&cells, run_scenario);
-    let iack_results = results.split_off(reps);
-    (results, iack_results)
-}
-
-/// Runs the WFC/IACK pair for one client in a loss scenario and returns
-/// `(wfc_median_ttfb, iack_median_ttfb, iack_aborts)`.
-pub fn wfc_iack_pair(
-    runner: &SweepRunner,
-    base: &Scenario,
-    reps: usize,
-) -> (Option<f64>, Option<f64>, usize) {
-    let (wfc, iack) = run_pair(runner, base, reps);
-    let aborts = iack.iter().filter(|r| r.aborted).count();
-    (
-        median_by(&wfc, |r| r.ttfb_ms),
-        median_by(&iack, |r| r.ttfb_ms),
-        aborts,
-    )
 }
 
 /// The scenario most experiments beyond the client comparison vary: a
@@ -344,6 +308,7 @@ pub fn clients_for(http: HttpVersion) -> Vec<ClientProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq_testbed::{repetitions, run_scenario};
 
     #[test]
     fn clients_for_h3_excludes_go_x_net() {
@@ -354,12 +319,26 @@ mod tests {
     }
 
     #[test]
-    fn wfc_iack_pair_runs() {
-        let sc = quic_go(WFC, HttpVersion::H1);
-        let (w, i, ab) = wfc_iack_pair(&SweepRunner::new(1), &sc, 2);
-        assert!(w.is_some());
-        assert!(i.is_some());
-        assert_eq!(ab, 0);
+    fn a_pair_cell_has_both_medians_and_no_aborts() {
+        let cells = [
+            quic_go(WFC, HttpVersion::H1),
+            quic_go(IACK, HttpVersion::H1),
+        ];
+        let runs = rq_testbed::SweepRunner::new(1).map(&repetitions(&cells, 2), |sc| {
+            let r = run_scenario(sc);
+            (r.ttfb_ms, r.aborted)
+        });
+        let (wfc, iack) = runs.split_at(2);
+        assert!(median_by(wfc, |r| r.0).is_some());
+        assert!(median_by(iack, |r| r.0).is_some());
+        assert_eq!(iack.iter().filter(|r| r.1).count(), 0);
+    }
+
+    #[test]
+    fn median_by_drops_a_cell_with_fewer_than_half_its_values() {
+        let ttfbs = [Some(3.0), None, Some(1.0), None];
+        assert_eq!(median_by(&ttfbs, |t| *t), Some(2.0));
+        assert_eq!(median_by(&ttfbs[1..], |t| *t), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rq_http::HttpVersion;
 use rq_quic::{OverloadPolicy, ServerAckMode};
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
-    run_repetitions, run_server_load_sharded, ArrivalProcess, ClassMix, FaultSpec, HandshakeClass,
+    run_scenario, run_server_load_sharded, ArrivalProcess, ClassMix, FaultSpec, HandshakeClass,
     ReconnectPolicy, ServerLoadReport, ServerLoadSpec, DEFAULT_SHARD_ARRIVALS,
 };
 
@@ -345,7 +345,7 @@ pub(crate) fn fault_sweep(cfg: &RunConfig) {
 pub(crate) fn metrics_report(cfg: &RunConfig) {
     // Section 1: one clean handshake, every per-connection counter.
     println!("Single clean handshake (quic-go, WFC, HTTP/1.1, 10 KB):\n");
-    let result = run_repetitions(&quic_go(WFC, HttpVersion::H1), 1).remove(0);
+    let result = run_scenario(&quic_go(WFC, HttpVersion::H1));
     print!("{}", result.metrics.render());
 
     // Section 2: the mixed server-load population of exp_server_load —

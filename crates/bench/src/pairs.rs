@@ -4,9 +4,9 @@
 
 use rq_http::HttpVersion;
 use rq_sim::SimDuration;
-use rq_testbed::{LossSpec, Scenario};
+use rq_testbed::{repetitions, run_scenario, LossSpec, Scenario};
 
-use crate::{cell, clients_for, delta_cell, median_by, run_pair, wfc_iack_pair, RunConfig, WFC};
+use crate::{cell, clients_for, delta_cell, median_by, RunConfig, IACK, WFC};
 
 const H1_ONLY: &[HttpVersion] = &[HttpVersion::H1];
 const H1_AND_H3: &[HttpVersion] = &[HttpVersion::H1, HttpVersion::H3];
@@ -32,16 +32,35 @@ struct PairFigure {
 
 impl PairFigure {
     fn render(&self, cfg: &RunConfig) {
+        // Every (HTTP version, RTT, client) cell under WFC, then IACK.
+        let mut cells = Vec::new();
         for &http in self.https {
             for &rtt_ms in self.rtts_ms {
-                self.header(http, rtt_ms);
                 for client in clients_for(http) {
-                    let mut sc = Scenario::base(client.clone(), WFC, http);
+                    let mut sc = Scenario::base(client, WFC, http);
                     sc.rtt = SimDuration::from_millis(rtt_ms);
                     sc.loss = self.loss;
                     sc.cert_len = self.cert_len;
                     sc.cert_delay = SimDuration::from_millis(self.cert_delay_ms);
-                    let (wfc, iack, aborts) = wfc_iack_pair(&cfg.runner, &sc, cfg.reps);
+                    cells.push(sc.clone());
+                    sc.ack_mode = IACK;
+                    cells.push(sc);
+                }
+            }
+        }
+        let reps = cfg.reps;
+        let runs = cfg.runner.map(&repetitions(&cells, reps), |sc| {
+            let r = run_scenario(sc);
+            (r.ttfb_ms, r.aborted)
+        });
+        let mut pairs = runs.chunks(2 * reps);
+        for &http in self.https {
+            for &rtt_ms in self.rtts_ms {
+                self.header(http, rtt_ms);
+                for client in clients_for(http) {
+                    let (wfc, iack) = pairs.next().expect("a pair per row").split_at(reps);
+                    let aborts = iack.iter().filter(|(_, aborted)| *aborted).count();
+                    let (wfc, iack) = (median_by(wfc, |r| r.0), median_by(iack, |r| r.0));
                     let delta = if self.iack_minus_wfc {
                         delta_cell(wfc, iack, 9)
                     } else {
@@ -170,21 +189,34 @@ pub(crate) fn fig13(cfg: &RunConfig) {
 /// Δt = 4 ms like Figure 2.
 pub(crate) fn fig16(cfg: &RunConfig) {
     let rtts: [u64; 9] = [1, 9, 20, 50, 100, 150, 200, 250, 300];
+    let clients = clients_for(HttpVersion::H1);
+    // Per client, per RTT: the WFC cell, then the IACK cell.
+    let mut cells = Vec::new();
+    for client in &clients {
+        for rtt in rtts {
+            let mut sc = Scenario::base(client.clone(), WFC, HttpVersion::H1);
+            sc.rtt = SimDuration::from_millis(rtt);
+            sc.cert_delay = SimDuration::from_millis(4);
+            cells.push(sc.clone());
+            sc.ack_mode = IACK;
+            cells.push(sc);
+        }
+    }
+    let reps = cfg.reps;
+    let jobs = repetitions(&cells, reps);
+    let ptos = cfg.runner.map(&jobs, |sc| run_scenario(sc).first_pto_ms);
     print!("{:<10}", "client");
     for rtt in rtts {
         print!(" {:>8}", format!("{rtt}ms"));
     }
     println!();
-    for client in clients_for(HttpVersion::H1) {
+    for (client, row) in clients.iter().zip(ptos.chunks(2 * reps * rtts.len())) {
         print!("{:<10}", client.name);
-        for rtt in rtts {
-            let mut sc = Scenario::base(client.clone(), WFC, HttpVersion::H1);
-            sc.rtt = SimDuration::from_millis(rtt);
-            sc.cert_delay = SimDuration::from_millis(4);
-            let (wfc, iack) = run_pair(&cfg.runner, &sc, cfg.reps);
-            let wfc_pto = median_by(&wfc, |r| r.first_pto_ms);
-            let iack_pto = median_by(&iack, |r| r.first_pto_ms);
-            let improvement = wfc_pto.zip(iack_pto).map(|(w, i)| w - i);
+        for pair in row.chunks(2 * reps) {
+            let (wfc, iack) = pair.split_at(reps);
+            let improvement = median_by(wfc, |p| *p)
+                .zip(median_by(iack, |p| *p))
+                .map(|(w, i)| w - i);
             print!(" {}", cell(improvement, 8, 1));
         }
         println!();

@@ -8,8 +8,8 @@ use rq_http::HttpVersion;
 use rq_quic::ServerAckMode;
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
-    rep_scenario, run_scenario, CcAlgorithm, HandshakeClass, LossSpec, MatrixCell, MigrationSpec,
-    RunResult, Scenario, ScenarioMatrix, SweepScenarios,
+    rep_scenario, repetitions, run_scenario, CcAlgorithm, HandshakeClass, LossSpec, MigrationSpec,
+    RunResult, Scenario, ScenarioMatrix,
 };
 use rq_tls::ServerResumption;
 
@@ -41,13 +41,24 @@ fn ttfb_and_handshake_header() -> String {
     )
 }
 
+/// Runs `sc` and keeps what the sweeps below read: the result without
+/// its two qlogs (most of a result's 12 KiB) and its metrics.
+fn run_lean(sc: &Scenario) -> RunResult {
+    RunResult {
+        client_log: Default::default(),
+        server_log: Default::default(),
+        metrics: Default::default(),
+        ..run_scenario(sc)
+    }
+}
+
 /// The shared columns: WFC and IACK medians and their Δ (IACK − WFC),
 /// for TTFB and for the handshake time.
-fn ttfb_and_handshake_cells(wfc: &MatrixCell, iack: &MatrixCell) -> String {
-    let w_ttfb = median_by(&wfc.results, |r| r.ttfb_ms);
-    let i_ttfb = median_by(&iack.results, |r| r.ttfb_ms);
-    let w_hs = median_by(&wfc.results, |r| r.handshake_ms);
-    let i_hs = median_by(&iack.results, |r| r.handshake_ms);
+fn ttfb_and_handshake_cells(wfc: &[RunResult], iack: &[RunResult]) -> String {
+    let w_ttfb = median_by(wfc, |r| r.ttfb_ms);
+    let i_ttfb = median_by(iack, |r| r.ttfb_ms);
+    let w_hs = median_by(wfc, |r| r.handshake_ms);
+    let i_hs = median_by(iack, |r| r.handshake_ms);
     format!(
         "{} {} {} {} {} {}",
         cell(w_ttfb, 9, 1),
@@ -133,7 +144,9 @@ pub(crate) fn impairment(cfg: &RunConfig) {
         matrix.len(),
         cfg.reps
     );
-    let cells = matrix.run(&cfg.runner, cfg.reps);
+    let cells = matrix.build();
+    let runs = cfg.runner.map(&repetitions(&cells, cfg.reps), run_lean);
+    let cells: Vec<&[RunResult]> = runs.chunks(cfg.reps).collect();
 
     println!(
         "{:<16} {:>7} {} {:>9} {:>9} {:>8}",
@@ -149,15 +162,10 @@ pub(crate) fn impairment(cfg: &RunConfig) {
     let (n_rtt, n_loss) = (rtts.len(), losses.len());
     for (ri, rtt) in rtts.iter().enumerate() {
         for (li, (name, _)) in grid.iter().enumerate() {
-            let wfc = &cells[ri * n_loss + li];
-            let iack = &cells[(n_rtt + ri) * n_loss + li];
-            // Recovery activity: packets declared lost on either side
-            // (random drops mostly hit server flights, so the server
-            // count carries most declarations).
-            let lost_both = |r: &RunResult| r.client_packets_lost + r.server_packets_lost;
+            let (wfc, iack) = (cells[ri * n_loss + li], cells[(n_rtt + ri) * n_loss + li]);
             // Each count is averaged over the WFC and the IACK cell.
             let pair_mean = |count: fn(&RunResult) -> usize| {
-                (mean_per_run(&wfc.results, count) + mean_per_run(&iack.results, count)) / 2.0
+                (mean_per_run(wfc, count) + mean_per_run(iack, count)) / 2.0
             };
             println!(
                 "{:<16} {:>7} {} {:>9.1} {:>9.1} {:>8.1}",
@@ -165,7 +173,9 @@ pub(crate) fn impairment(cfg: &RunConfig) {
                 rtt.as_millis(),
                 ttfb_and_handshake_cells(wfc, iack),
                 pair_mean(|r| r.dropped_datagrams),
-                pair_mean(lost_both),
+                // Recovery activity on either side (random drops mostly
+                // hit server flights, so the server count carries most).
+                pair_mean(|r| r.client_packets_lost + r.server_packets_lost),
                 pair_mean(|r| r.duplicated_datagrams),
             );
         }
@@ -213,7 +223,28 @@ pub(crate) fn resumption(cfg: &RunConfig) {
         matrix.len(),
         cfg.reps
     );
-    let cells = matrix.run(&cfg.runner, cfg.reps);
+    // Server resumption profiles: what a 0-RTT offer gets from each. Their
+    // rows are three more cells of the same sweep, after the matrix's.
+    let zero_rtt = resumption_base(HandshakeClass::ZeroRtt);
+    let lifetime = zero_rtt.resumption.ticket_lifetime_secs;
+    let policies = [
+        ("resume-accepting", ServerResumption::accepting(lifetime)),
+        (
+            "resume-reject-0rtt",
+            ServerResumption::rejecting_early_data(lifetime),
+        ),
+        ("no-resumption", ServerResumption::disabled()),
+    ];
+    let mut cells = matrix.build();
+    for (_, policy) in policies {
+        let mut sc = zero_rtt.clone();
+        sc.resumption = policy;
+        sc.rtt = SimDuration::from_millis(50);
+        cells.push(sc);
+    }
+    let runs = cfg.runner.map(&repetitions(&cells, cfg.reps), run_lean);
+    let cells: Vec<&[RunResult]> = runs.chunks(cfg.reps).collect();
+    let (matrix_cells, profile_cells) = cells.split_at(matrix.len());
 
     println!(
         "{:<8} {:>7} {} {:>8} {:>8}",
@@ -225,14 +256,12 @@ pub(crate) fn resumption(cfg: &RunConfig) {
     );
     // Matrix order: ack mode (outer) → class → rtt (inner).
     let (n_class, n_rtt) = (classes.len(), rtts.len());
-    let cell_at = |mi: usize, ci: usize, ri: usize| -> &MatrixCell {
-        &cells[(mi * n_class + ci) * n_rtt + ri]
-    };
+    let cell_at = |mi: usize, ci: usize, ri: usize| matrix_cells[(mi * n_class + ci) * n_rtt + ri];
     for (ci, class) in classes.iter().enumerate() {
         for (ri, rtt) in rtts.iter().enumerate() {
             let wfc = cell_at(0, ci, ri);
             let iack = cell_at(1, ci, ri);
-            let both = || wfc.results.iter().chain(&iack.results);
+            let both = || wfc.iter().chain(iack);
             println!(
                 "{:<8} {:>7} {} {:>7.0}% {:>7.0}%",
                 class.label(),
@@ -245,33 +274,18 @@ pub(crate) fn resumption(cfg: &RunConfig) {
         println!();
     }
 
-    // Server resumption profiles: what a 0-RTT offer gets from each.
     println!(
         "0-RTT offers per server profile (WFC, rtt 50 ms):\n{:<20} {:>9} {:>9} {:>8} {:>8}",
         "profile", "ttfb", "hs", "resumed", "0rtt-ok"
     );
-    let zero_rtt = resumption_base(HandshakeClass::ZeroRtt);
-    let lifetime = zero_rtt.resumption.ticket_lifetime_secs;
-    let policies = [
-        ("resume-accepting", ServerResumption::accepting(lifetime)),
-        (
-            "resume-reject-0rtt",
-            ServerResumption::rejecting_early_data(lifetime),
-        ),
-        ("no-resumption", ServerResumption::disabled()),
-    ];
-    for (name, policy) in policies {
-        let mut sc = zero_rtt.clone();
-        sc.resumption = policy;
-        sc.rtt = SimDuration::from_millis(50);
-        let results = cfg.runner.run_repetitions(&sc, cfg.reps);
+    for ((name, _), runs) in policies.iter().zip(profile_cells) {
         println!(
             "{:<20} {} {} {:>7.0}% {:>7.0}%",
             name,
-            cell(median_by(&results, |r| r.ttfb_ms), 9, 1),
-            cell(median_by(&results, |r| r.handshake_ms), 9, 1),
-            share(&results, |r| r.resumed) * 100.0,
-            share(&results, |r| r.early_data_accepted == Some(true)) * 100.0,
+            cell(median_by(runs, |r| r.ttfb_ms), 9, 1),
+            cell(median_by(runs, |r| r.handshake_ms), 9, 1),
+            share(*runs, |r| r.resumed) * 100.0,
+            share(*runs, |r| r.early_data_accepted == Some(true)) * 100.0,
         );
     }
     println!(
@@ -369,7 +383,7 @@ pub(crate) fn transfer(cfg: &RunConfig) {
         cells.len(),
         jobs.len()
     );
-    let results = cfg.runner.map(&jobs, run_scenario);
+    let results = cfg.runner.map(&jobs, run_lean);
 
     println!(
         "{:<5} {:<6} {:<10} {:<8} {:>4} {:>9} {:>10} {:>9} {:>9}",
@@ -437,27 +451,33 @@ pub(crate) fn migration(cfg: &RunConfig) {
     println!(
         "{MIGRATION_FILE_SIZE} B download, {reps} reps/cell, medians; threads from REACKED_THREADS\n"
     );
-    println!(
-        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "cell", "ttfb", "resp", "download", "goodput", "migrated"
-    );
+    let mut labels = Vec::new();
+    let mut cells = Vec::new();
     for (mode, class) in SETUPS {
         for (mig_label, mig) in migration_axis() {
             let mut sc = quic_go(mode, HttpVersion::H1);
             sc.handshake_class = class;
             sc.file_size = MIGRATION_FILE_SIZE;
             sc.migration = mig;
-            let results = cfg.runner.run_repetitions(&sc, reps);
-            println!(
-                "{:<22} {} {} {} {} {:>6}/{reps}",
-                format!("{}/{mig_label}", setup_label(mode, class)),
-                cell(median_by(&results, |r| r.ttfb_ms), 9, 1),
-                cell(median_by(&results, |r| r.response_ms), 9, 1),
-                cell(median_by(&results, |r| r.download_complete_ms), 9, 1),
-                cell(median_by(&results, |r| r.goodput_mbps), 9, 2),
-                results.iter().filter(|r| r.migrated).count(),
-            );
+            labels.push(format!("{}/{mig_label}", setup_label(mode, class)));
+            cells.push(sc);
         }
+    }
+    let runs = cfg.runner.map(&repetitions(&cells, reps), run_lean);
+    println!(
+        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "cell", "ttfb", "resp", "download", "goodput", "migrated"
+    );
+    for (label, runs) in labels.iter().zip(runs.chunks(reps)) {
+        println!(
+            "{:<22} {} {} {} {} {:>6}/{reps}",
+            label,
+            cell(median_by(runs, |r| r.ttfb_ms), 9, 1),
+            cell(median_by(runs, |r| r.response_ms), 9, 1),
+            cell(median_by(runs, |r| r.download_complete_ms), 9, 1),
+            cell(median_by(runs, |r| r.goodput_mbps), 9, 2),
+            runs.iter().filter(|r| r.migrated).count(),
+        );
     }
     println!(
         "\nttfb/resp/download in ms (download = first response byte to last), goodput in \

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use rq_quic::{ProbePolicy, ServerAckMode};
     pub use rq_sim::{ImpairmentSpec, SimDuration};
     pub use rq_testbed::{
-        run_repetitions, run_scenario, LossSpec, MatrixCell, Scenario, ScenarioMatrix, SweepRunner,
+        repetitions, run_scenario, LossSpec, Scenario, ScenarioMatrix, SweepRunner,
     };
     pub use rq_wild::{scan, Population, Vantage};
 }

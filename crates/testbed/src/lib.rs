@@ -20,14 +20,12 @@ pub mod scenario;
 pub mod server_load;
 pub mod stats;
 
-pub use matrix::{MatrixCell, ScenarioMatrix};
+pub use matrix::ScenarioMatrix;
 pub use nodes::{ClientNode, ClientStatus, PeerOutcome, ServerControl, ServerNode, TestbedNode};
 pub use rq_obs::{median, percentile};
+pub use rq_par::{ProfileReport, ProfileSink, SweepRunner};
 pub use rq_recovery::{CcAlgorithm, CcState};
-pub use runner::{
-    rep_scenario, run_repetitions, run_scenario, run_scenario_with_trace, ProfileReport,
-    ProfileSink, RunResult, SweepRunner, SweepScenarios,
-};
+pub use runner::{rep_scenario, repetitions, run_scenario, run_scenario_with_trace, RunResult};
 pub use scenario::{FaultSpec, HandshakeClass, LossSpec, MigrationSpec, ReconnectPolicy, Scenario};
 pub use server_load::{
     run_server_load, run_server_load_sharded, ArrivalProcess, ClassMix, ConnFate, ConnOutcome,

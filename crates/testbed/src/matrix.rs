@@ -1,31 +1,27 @@
 //! Scenario matrices: a cross-product grammar over the testbed's
 //! parameter axes.
 //!
-//! The paper sweeps a handful of hand-picked scenario combinations; the
-//! ROADMAP's north star is "as many scenarios as you can imagine". A
-//! [`ScenarioMatrix`] expands a base [`Scenario`] along any subset of
+//! A [`ScenarioMatrix`] expands a base [`Scenario`] along any subset of
 //! axes — client profile, server ACK mode, handshake class, RTT,
-//! certificate size, certificate-store delay, and loss/impairment
-//! spec — into the full
-//! cross product, then fans all cells × repetitions out through one
-//! [`SweepRunner`] sweep so every worker stays busy. Cell order (and
-//! therefore output order) is the deterministic nested-loop order of the
-//! axes, independent of the thread count.
+//! certificate size, certificate-store delay, and loss/impairment spec —
+//! into its cells, in the deterministic nested-loop order of the axes. A
+//! sweep runs them as any table does: one `SweepRunner::map` over
+//! [`repetitions`](crate::repetitions) of the cells, read back per cell
+//! with `chunks(reps)`.
 
 use rq_profiles::ClientProfile;
 use rq_quic::ServerAckMode;
 use rq_sim::SimDuration;
 
-use crate::runner::{rep_scenario, run_scenario, RunResult, SweepRunner};
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
 
 /// A cross product of scenario axes, expanded from a base scenario.
 ///
 /// Every axis defaults to the single value of the base scenario; each
-/// `with_*` call replaces that axis with an explicit list. Axis order in
-/// the expansion (outermost first): clients, ack modes, handshake
-/// classes, RTTs, cert sizes, cert delays, losses. Every cell keeps the
-/// base scenario's congestion controller and migration.
+/// axis method (`clients`, `rtts`, …) replaces that axis with a list.
+/// Axis order in the expansion (outermost first): clients, ack modes,
+/// handshake classes, RTTs, cert sizes, cert delays, losses. Every cell
+/// keeps the base scenario's congestion controller and migration.
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
     base: Scenario,
@@ -36,22 +32,6 @@ pub struct ScenarioMatrix {
     cert_lens: Vec<usize>,
     cert_delays: Vec<SimDuration>,
     losses: Vec<LossSpec>,
-}
-
-/// One expanded matrix cell together with its repetition results.
-#[derive(Debug)]
-pub struct MatrixCell {
-    /// The cell's full scenario.
-    pub scenario: Scenario,
-    /// One result per repetition (seeds derived via [`rep_scenario`]).
-    pub results: Vec<RunResult>,
-}
-
-impl MatrixCell {
-    /// TTFBs of the completed repetitions, in repetition order.
-    pub fn ttfbs_ms(&self) -> Vec<f64> {
-        self.results.iter().filter_map(|r| r.ttfb_ms).collect()
-    }
 }
 
 impl ScenarioMatrix {
@@ -164,36 +144,6 @@ impl ScenarioMatrix {
         }
         out
     }
-
-    /// Runs every cell `reps` times through `runner` and regroups the
-    /// results per cell.
-    ///
-    /// All `len() × reps` runs go out as one flat sweep (cell-major
-    /// order), so the pool stays saturated even when individual cells are
-    /// smaller than the worker count; results are bit-identical for any
-    /// thread count because each repetition is a pure function of its
-    /// scenario (seeded via [`rep_scenario`]).
-    pub fn run(&self, runner: &SweepRunner, reps: usize) -> Vec<MatrixCell> {
-        assert!(reps > 0, "at least one repetition per cell");
-        let cells = self.build();
-        let jobs: Vec<Scenario> = cells
-            .iter()
-            .flat_map(|sc| (0..reps).map(move |i| rep_scenario(sc, i)))
-            .collect();
-        let mut results = runner.map(&jobs, run_scenario);
-        let mut out = Vec::with_capacity(cells.len());
-        // Drain back-to-front so each cell's chunk can be split off the
-        // tail without re-allocating.
-        for scenario in cells.into_iter().rev() {
-            let rest = results.split_off(results.len() - reps);
-            out.push(MatrixCell {
-                scenario,
-                results: rest,
-            });
-        }
-        out.reverse();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +151,6 @@ mod tests {
     use super::*;
     use rq_http::HttpVersion;
     use rq_profiles::client_by_name;
-    use rq_sim::ImpairmentSpec;
 
     const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
     const IACK: ServerAckMode = ServerAckMode::InstantAck { pad_to_mtu: false };
@@ -240,35 +189,6 @@ mod tests {
         // value.
         assert!(cells.iter().all(|c| c.cert_len == base().cert_len));
         assert!(cells.iter().all(|c| c.cc == base().cc));
-    }
-
-    #[test]
-    fn matrix_run_groups_by_cell_and_matches_direct_runs() {
-        let m = ScenarioMatrix::new(base())
-            .ack_modes(&[WFC, IACK])
-            .losses(&[
-                LossSpec::None,
-                LossSpec::Random(ImpairmentSpec::none().with_iid_loss(0.05)),
-            ]);
-        let reps = 2;
-        let cells = m.run(&SweepRunner::new(3), reps);
-        assert_eq!(cells.len(), 4);
-        for (cell, sc) in cells.iter().zip(m.build()) {
-            assert_eq!(cell.scenario.label(), sc.label());
-            assert_eq!(cell.results.len(), reps);
-            for (i, r) in cell.results.iter().enumerate() {
-                let direct = run_scenario(&rep_scenario(&sc, i));
-                assert_eq!(r.ttfb_ms, direct.ttfb_ms, "{} rep {i}", sc.label());
-                assert_eq!(r.client_datagrams, direct.client_datagrams);
-            }
-        }
-    }
-
-    #[test]
-    fn cell_metric_helpers() {
-        let m = ScenarioMatrix::new(base());
-        let cells = m.run(&SweepRunner::new(1), 3);
-        assert_eq!(cells[0].ttfbs_ms().len(), 3);
     }
 
     #[test]

@@ -223,41 +223,31 @@ pub(crate) fn full_result(
 }
 
 /// The scenario for repetition `i` of `sc`: identical parameters, the
-/// per-repetition seed. Both the sequential and the parallel sweep
-/// derive repetitions through this single function, which is what makes
-/// their outputs bit-identical.
+/// per-repetition seed. Every sweep derives its repetitions through this
+/// single function, which is what makes a sweep's output the same at any
+/// worker count.
 pub fn rep_scenario(sc: &Scenario, i: usize) -> Scenario {
     let mut s = sc.clone();
     s.seed = sc.seed.wrapping_add(i as u64 * 7919);
     s
 }
 
-/// Runs `n` repetitions with distinct seeds, sequentially.
-pub fn run_repetitions(sc: &Scenario, n: usize) -> Vec<RunResult> {
-    (0..n).map(|i| run_scenario(&rep_scenario(sc, i))).collect()
-}
-
-/// The generic sweep configuration now lives in `rq-par` (it is shared
-/// by the scenario harness here and the `rq-wild` macroscopic scan);
-/// re-exported so existing `rq_testbed::SweepRunner` users keep working.
-pub use rq_par::{ProfileReport, ProfileSink, SweepRunner};
-
-/// Scenario-specific sweeps on top of the generic [`SweepRunner`].
-pub trait SweepScenarios {
-    /// Parallel [`run_repetitions`]: same repetitions, same order.
-    fn run_repetitions(&self, sc: &Scenario, n: usize) -> Vec<RunResult>;
-}
-
-impl SweepScenarios for SweepRunner {
-    fn run_repetitions(&self, sc: &Scenario, n: usize) -> Vec<RunResult> {
-        self.run(n, |i| run_scenario(&rep_scenario(sc, i)))
-    }
+/// The jobs of `reps` repetitions of every cell, cell-major: job
+/// `c * reps + i` is `rep_scenario(&cells[c], i)`. A table is one
+/// `SweepRunner::map` over them, and its results' `chunks(reps)` are the
+/// cells, in order.
+pub fn repetitions(cells: &[Scenario], reps: usize) -> Vec<Scenario> {
+    cells
+        .iter()
+        .flat_map(|sc| (0..reps).map(move |i| rep_scenario(sc, i)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::LossSpec;
+    use crate::SweepRunner;
     use rq_http::HttpVersion;
     use rq_profiles::client_by_name;
     use rq_qlog::MetricsExposure;
@@ -394,11 +384,71 @@ mod tests {
 
     #[test]
     fn repetitions_vary_seed_but_stay_deterministic() {
-        let sc = base("quic-go", WFC, HttpVersion::H1);
-        let a = run_repetitions(&sc, 3);
-        let b = run_repetitions(&sc, 3);
+        let cells = [base("quic-go", WFC, HttpVersion::H1)];
+        let sweep = || SweepRunner::new(1).map(&repetitions(&cells, 3), run_scenario);
+        let (a, b) = (sweep(), sweep());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.ttfb_ms, y.ttfb_ms, "same seed ⇒ identical run");
+        }
+    }
+
+    #[test]
+    fn repetitions_are_cell_major() {
+        let cells = [
+            base("quic-go", WFC, HttpVersion::H1),
+            base("neqo", IACK, HttpVersion::H3),
+        ];
+        let jobs = repetitions(&cells, 3);
+        assert_eq!(jobs.len(), 6);
+        for (j, job) in jobs.iter().enumerate() {
+            let want = rep_scenario(&cells[j / 3], j % 3);
+            assert_eq!(
+                (job.label(), job.seed),
+                (want.label(), want.seed),
+                "job {j}"
+            );
+        }
+        assert!(repetitions(&cells, 0).is_empty());
+    }
+
+    /// The one sweep shape: three cells (lossy, resumed, migrating) × 3
+    /// repetitions in one `map`, read back by `chunks(reps)`, are the
+    /// per-cell runs, every field and both qlogs, at 1 and 4 workers.
+    #[test]
+    fn one_sweep_over_cells_equals_per_cell_runs() {
+        let ms = rq_sim::SimDuration::from_millis;
+        let mut lossy = base("quic-go", IACK, HttpVersion::H1);
+        lossy.loss = LossSpec::Random(rq_sim::ImpairmentSpec::none().with_iid_loss(0.05));
+        let mut resumed = base("neqo", WFC, HttpVersion::H3);
+        resumed.handshake_class = HandshakeClass::Resumed;
+        let mut migrating = base("quic-go", WFC, HttpVersion::H1);
+        migrating.file_size = 128 * 1024;
+        migrating.migration = crate::MigrationSpec::deliberate_at(ms(40), ms(25));
+        let cells = [lossy, resumed, migrating];
+        let reps = 3;
+        let direct: Vec<Vec<RunResult>> = cells
+            .iter()
+            .map(|sc| {
+                (0..reps)
+                    .map(|i| run_scenario(&rep_scenario(sc, i)))
+                    .collect()
+            })
+            .collect();
+        assert!(direct[0].iter().any(|r| r.dropped_datagrams > 0));
+        assert!(direct[1].iter().all(|r| r.resumed));
+        assert!(direct[2].iter().all(|r| r.migrated));
+        for threads in [1, 4] {
+            let runs = SweepRunner::new(threads).map(&repetitions(&cells, reps), run_scenario);
+            assert_eq!(runs.len(), cells.len() * reps);
+            for (c, (got, want)) in runs.chunks(reps).zip(&direct).enumerate() {
+                for (i, (x, y)) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        format!("{x:?}") == format!("{y:?}"),
+                        "threads {threads}: {} rep {i} (cell {c})",
+                        cells[c].label()
+                    );
+                }
+            }
         }
     }
 
@@ -422,9 +472,12 @@ mod tests {
     #[test]
     fn parallel_repetitions_match_sequential() {
         let sc = base("quic-go", WFC, HttpVersion::H1);
-        let seq = run_repetitions(&sc, 5);
+        let seq: Vec<RunResult> = (0..5)
+            .map(|i| run_scenario(&rep_scenario(&sc, i)))
+            .collect();
+        let jobs = repetitions(&[sc], 5);
         for threads in [1usize, 3] {
-            let par = SweepRunner::new(threads).run_repetitions(&sc, 5);
+            let par = SweepRunner::new(threads).map(&jobs, run_scenario);
             assert_eq!(par.len(), seq.len());
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.label, b.label, "threads {threads}");
@@ -478,9 +531,11 @@ mod tests {
         use crate::ScenarioMatrix;
         use rq_sim::SimDuration;
         // The handshake matrix's cells, every client's exposure: hidden
-        // variances are rebuilt from the first update.
+        // variances are rebuilt from the first update. Three repetitions
+        // of each, so that go-x-net's `buggy_rtt_preinit` draw applies in
+        // some.
         let ms = SimDuration::from_millis;
-        let (mut cells, mut read) = (0, 0);
+        let (mut cells, mut runs, mut read, mut off, mut missing) = (0, 0, 0, 0, 0);
         for http in [HttpVersion::H1, HttpVersion::H3] {
             let matrix = ScenarioMatrix::new(base("quic-go", WFC, http))
                 .clients(&rq_profiles::all_clients())
@@ -493,19 +548,48 @@ mod tests {
                     LossSpec::ServerFlightTail,
                     LossSpec::SecondClientFlight,
                 ]);
-            for sc in matrix.build() {
+            cells += matrix.len();
+            for sc in repetitions(&matrix.build(), 3) {
                 let res = run_scenario(&sc);
                 let first = pto_series(&res.client_log).first().map(|pto| pto.to_bits());
                 assert_eq!(res.first_pto_ms.map(f64::to_bits), first, "{}", res.label);
-                (cells, read) = (cells + 1, read + usize::from(first.is_some()));
+                (runs, read) = (runs + 1, read + usize::from(first.is_some()));
+                // The oracle (RFC 9002 §5.3, §6.2.1): the first PTO is the
+                // closed form of the first sample, but where a quirk-table
+                // row says the client's estimator is not RFC 9002's.
+                match res.first_pto_ms.zip(res.first_srtt_ms) {
+                    Some((pto, srtt)) => {
+                        let closed = rq_analysis::pto_evolution(srtt, srtt, 1)[0].pto_ms;
+                        if (pto - closed).abs() > 1e-6 {
+                            assert!(
+                                sc.client.buggy_rtt_preinit.is_some(),
+                                "{}: first PTO {pto} ms, closed form {closed} ms",
+                                res.label
+                            );
+                            off += 1;
+                        }
+                    }
+                    None => {
+                        assert!(
+                            sc.client.ignore_iack_rtt && sc.ack_mode != WFC,
+                            "{}: no first PTO",
+                            res.label
+                        );
+                        missing += 1;
+                    }
+                }
             }
         }
-        // The cells without one are picoquic's under IACK whose log
-        // holds no metrics update.
+        println!(
+            "first PTO vs closed form: {runs} runs of {cells} cells, {off} off \
+             (buggy_rtt_preinit), {missing} missing (ignore_iack_rtt under IACK)"
+        );
+        // The runs without one are picoquic's under IACK whose log holds
+        // no metrics update.
         assert_eq!(cells, 768);
         assert!(
-            read > cells * 9 / 10,
-            "{read} of {cells} cells have a first PTO"
+            read > runs * 9 / 10,
+            "{read} of {runs} runs have a first PTO"
         );
     }
 

@@ -12,7 +12,7 @@ use rq_sim::{DropIndices, FaultTimeline, ImpairmentSpec, SimDuration};
 /// Which handshake class the *measured* connection runs. Resumed and
 /// 0-RTT scenarios are two-connection runs: an unmeasured priming
 /// connection against the same server mints the session ticket, then the
-/// measured connection offers it (see `runner::prime_session_cache`).
+/// measured connection offers it (see `runner::prime_ticket`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandshakeClass {
     /// Full 1-RTT handshake (the paper's only class).

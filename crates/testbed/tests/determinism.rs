@@ -7,8 +7,8 @@ use rq_profiles::client_by_name;
 use rq_quic::ServerAckMode;
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
-    median, run_repetitions, run_scenario, run_scenario_with_trace, HandshakeClass, LossSpec,
-    RunResult, Scenario, SweepRunner, SweepScenarios,
+    median, rep_scenario, repetitions, run_scenario, run_scenario_with_trace, HandshakeClass,
+    LossSpec, RunResult, Scenario, SweepRunner,
 };
 use rq_tls::ServerResumption;
 
@@ -96,9 +96,12 @@ fn parallel_sweep_identical_to_sequential_for_every_spec() {
             sc.loss = loss;
             sc.seed = 7;
             let reps = 6;
-            let seq = run_repetitions(&sc, reps);
+            let seq: Vec<RunResult> = (0..reps)
+                .map(|i| run_scenario(&rep_scenario(&sc, i)))
+                .collect();
+            let jobs = repetitions(&[sc], reps);
             for threads in [1usize, 4] {
-                let par = SweepRunner::new(threads).run_repetitions(&sc, reps);
+                let par = SweepRunner::new(threads).map(&jobs, run_scenario);
                 assert_eq!(par.len(), seq.len(), "{loss:?}/{mode:?} x{threads}");
                 for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
                     assert_eq!(
@@ -155,9 +158,12 @@ fn handshake_class_sweep_parallel_matches_sequential() {
         );
         sc.handshake_class = class;
         let reps = 4;
-        let seq = run_repetitions(&sc, reps);
+        let seq: Vec<RunResult> = (0..reps)
+            .map(|i| run_scenario(&rep_scenario(&sc, i)))
+            .collect();
+        let jobs = repetitions(&[sc], reps);
         for threads in [1usize, 4] {
-            let par = SweepRunner::new(threads).run_repetitions(&sc, reps);
+            let par = SweepRunner::new(threads).map(&jobs, run_scenario);
             for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
                 assert_eq!(
                     fingerprint(a),

@@ -7,8 +7,8 @@ use rq_profiles::client_by_name;
 use rq_quic::ServerAckMode;
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
-    run_scenario, run_scenario_with_trace, run_server_load, ArrivalProcess, MigrationSpec,
-    RunResult, Scenario, ServerLoadSpec, SweepRunner, SweepScenarios,
+    repetitions, run_scenario, run_scenario_with_trace, run_server_load, ArrivalProcess,
+    MigrationSpec, RunResult, Scenario, ServerLoadSpec, SweepRunner,
 };
 
 const WFC: ServerAckMode = ServerAckMode::WaitForCertificate;
@@ -125,8 +125,9 @@ fn migrated_sweep_identical_across_thread_counts() {
     let mut sc = download_base();
     sc.migration =
         MigrationSpec::rebind_at(SimDuration::from_millis(80), SimDuration::from_millis(25));
-    let seq = SweepRunner::new(1).run_repetitions(&sc, 4);
-    let par = SweepRunner::new(4).run_repetitions(&sc, 4);
+    let jobs = repetitions(&[sc], 4);
+    let seq = SweepRunner::new(1).map(&jobs, run_scenario);
+    let par = SweepRunner::new(4).map(&jobs, run_scenario);
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(fingerprint(a), fingerprint(b));
     }

@@ -19,7 +19,8 @@ use rq_profiles::client_by_name;
 use rq_quic::{derived_cid, ServerAckMode};
 use rq_sim::SimDuration;
 use rq_testbed::{
-    run_scenario_with_trace, MigrationSpec, RunResult, Scenario, SweepRunner, SweepScenarios,
+    repetitions, run_scenario, run_scenario_with_trace, MigrationSpec, RunResult, Scenario,
+    SweepRunner,
 };
 use rq_testkit::prop::cases;
 
@@ -81,8 +82,9 @@ fn migrated_sweeps_are_thread_count_invariant() {
             MigrationSpec::rebind_at(flip, rtt)
         };
         sc.seed = 1 + rng.gen_range(9_999);
-        let seq = SweepRunner::new(1).run_repetitions(&sc, 3);
-        let par = SweepRunner::new(4).run_repetitions(&sc, 3);
+        let jobs = repetitions(&[sc], 3);
+        let seq = SweepRunner::new(1).map(&jobs, run_scenario);
+        let par = SweepRunner::new(4).map(&jobs, run_scenario);
         assert_eq!(seq.len(), par.len());
         for (x, y) in seq.iter().zip(&par) {
             assert_eq!(fingerprint(x), fingerprint(y));

@@ -21,7 +21,7 @@ use rq_recovery::congestion::MAX_DATAGRAM;
 use rq_recovery::{CcAlgorithm, RttEstimator};
 use rq_sim::{SimDuration, SimRng, SimTime};
 use rq_testbed::{
-    rep_scenario, run_scenario, run_server_load, FaultSpec, LossSpec, Scenario, ScenarioMatrix,
+    rep_scenario, repetitions, run_scenario, run_server_load, FaultSpec, LossSpec, Scenario,
     ServerLoadSpec, SweepRunner,
 };
 use rq_testkit::prop::cases;
@@ -249,23 +249,20 @@ fn transfer_matrix_is_thread_count_invariant() {
     sc.streams = 2;
     sc.loss =
         LossSpec::Random(rq_sim::ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.3, 0.0, 0.5));
-    // One single-cell matrix per controller: the matrix has no cc axis,
-    // each cell keeps its base scenario's.
-    let matrices: Vec<ScenarioMatrix> = CcAlgorithm::ALL
+    // One cell per controller, all repetitions in one sweep.
+    let cells: Vec<Scenario> = CcAlgorithm::ALL
         .iter()
-        .map(|&cc| ScenarioMatrix::new(Scenario { cc, ..sc.clone() }))
+        .map(|&cc| Scenario { cc, ..sc.clone() })
         .collect();
     let reps = 3;
-    let run = |threads| -> Vec<_> {
-        let runner = SweepRunner::new(threads);
-        matrices.iter().flat_map(|m| m.run(&runner, reps)).collect()
-    };
+    let jobs = repetitions(&cells, reps);
+    let run = |threads| SweepRunner::new(threads).map(&jobs, run_scenario);
     let (seq, par) = (run(1), run(4));
-    assert_eq!(seq.len(), 3);
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.scenario.label(), b.scenario.label());
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.ttfb_ms, y.ttfb_ms, "{}", a.scenario.label());
+    assert_eq!(seq.chunks(reps).len(), 3);
+    for (cell, (a, b)) in cells.iter().zip(seq.chunks(reps).zip(par.chunks(reps))) {
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.label, y.label);
+            assert_eq!(x.ttfb_ms, y.ttfb_ms, "{}", cell.label());
             assert_eq!(x.download_complete_ms, y.download_complete_ms);
             assert_eq!(x.goodput_mbps, y.goodput_mbps);
             assert_eq!(x.server_packets_lost, y.server_packets_lost);
@@ -275,8 +272,8 @@ fn transfer_matrix_is_thread_count_invariant() {
     // The controller axis actually changes the lossy data phase: at
     // least one repetition must differ somewhere across controllers.
     let fingerprints: Vec<Vec<Option<f64>>> = seq
-        .iter()
-        .map(|c| c.results.iter().map(|r| r.download_complete_ms).collect())
+        .chunks(reps)
+        .map(|c| c.iter().map(|r| r.download_complete_ms).collect())
         .collect();
     assert!(
         fingerprints.iter().any(|f| *f != fingerprints[0]),

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example impairment_matrix`
 
 use reacked_quicer::prelude::*;
-use reacked_quicer::testbed::{median, ScenarioMatrix, SweepRunner};
+use reacked_quicer::testbed::median;
 
 fn main() {
     let client = client_by_name("quic-go").unwrap();
@@ -28,9 +28,9 @@ fn main() {
         ),
     ];
 
-    // One matrix = the full cross product; one `run` = one saturated
-    // parallel sweep over all cells x repetitions.
-    let matrix = ScenarioMatrix::new(Scenario::base(
+    // One matrix = the full cross product; one `map` over its cells'
+    // repetitions = one saturated parallel sweep.
+    let cells = ScenarioMatrix::new(Scenario::base(
         client,
         ServerAckMode::WaitForCertificate,
         HttpVersion::H1,
@@ -39,25 +39,30 @@ fn main() {
         ServerAckMode::WaitForCertificate,
         ServerAckMode::InstantAck { pad_to_mtu: false },
     ])
-    .losses(&losses);
+    .losses(&losses)
+    .build();
 
     let reps = 9;
-    let cells = matrix.run(&SweepRunner::from_env(), reps);
+    let runner = SweepRunner::from_env();
+    let ttfbs = runner.map(&repetitions(&cells, reps), |sc| run_scenario(sc).ttfb_ms);
     println!(
         "{} cells x {reps} reps on {} thread(s)\n",
-        matrix.len(),
-        SweepRunner::from_env().threads()
+        cells.len(),
+        runner.threads()
     );
 
-    // Cell order is ack-mode-major, so the two halves line up per loss.
-    let (wfc_cells, iack_cells) = cells.split_at(losses.len());
+    // Cell order is ack-mode-major, so the two halves line up per loss;
+    // each cell is `reps` consecutive results.
+    let medians: Vec<f64> = ttfbs
+        .chunks(reps)
+        .map(|runs| median(&runs.iter().flatten().copied().collect::<Vec<_>>()).unwrap())
+        .collect();
+    let (wfc, iack) = medians.split_at(losses.len());
     println!("{:<38} {:>10} {:>10} {:>8}", "channel", "WFC", "IACK", "Δ");
-    for (w, i) in wfc_cells.iter().zip(iack_cells) {
-        let wm = median(&w.ttfbs_ms()).unwrap();
-        let im = median(&i.ttfbs_ms()).unwrap();
+    for ((loss, wm), im) in losses.iter().zip(wfc).zip(iack) {
         println!(
             "{:<38} {wm:>8.1}ms {im:>8.1}ms {:>+7.1}ms",
-            format!("{:?}", w.scenario.loss),
+            format!("{loss:?}"),
             im - wm
         );
     }
