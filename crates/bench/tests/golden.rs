@@ -69,8 +69,9 @@ fn assert_matches_golden(test: &str) {
             .env("REACKED_THREADS", &threads)
             .output()
             .unwrap_or_else(|e| panic!("failed to spawn exp {name}: {e}"));
-        let secs = started.elapsed().as_secs_f64();
-        println!("exp {name} threads={threads}: {secs:.1} s");
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        // On a line of its own: under `-q` the progress dots precede it.
+        println!("\nexp {name} threads={threads}: {ms:.1} ms");
         assert!(
             out.status.success(),
             "exp {name} (threads={threads}) exited with {:?}\nstderr:\n{}",

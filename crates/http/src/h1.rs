@@ -140,14 +140,6 @@ pub(crate) fn decimal_len(n: usize) -> usize {
     n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-/// Deterministic pseudo-random body content of `len` bytes (stands in for
-/// the paper's "randomly generated files").
-pub fn body_bytes(len: usize) -> Vec<u8> {
-    let mut out = vec![0; len];
-    fill_body(&mut out);
-    out
-}
-
 /// The body generator: byte `n` is the top byte of the `n + 1`-th state
 /// of the LCG `x ← A·x + C (mod 2³²)` from `BODY_SEED`.
 const BODY_SEED: u32 = 0x9E37_79B9;
@@ -170,9 +162,10 @@ const JUMP: (u32, u32) = {
     (a, c)
 };
 
-/// Writes the `out.len()` bytes of [`body_bytes`] over `out`, so an
-/// encoder generates the body where the response is being built: the
-/// serial LCG's bytes, `LANES` at a time.
+/// Writes the first `out.len()` bytes of the deterministic pseudo-random
+/// body (it stands in for the paper's "randomly generated files") over
+/// `out`, so an encoder generates the body where the response is being
+/// built: the serial LCG's bytes, `LANES` at a time.
 pub fn fill_body(out: &mut [u8]) {
     let mut lanes = [0u32; LANES];
     let mut x = BODY_SEED;
@@ -188,6 +181,14 @@ pub fn fill_body(out: &mut [u8]) {
     for (byte, lane) in chunks.into_remainder().iter_mut().zip(&lanes) {
         *byte = (*lane >> 24) as u8;
     }
+}
+
+/// The first `len` bytes of the body, for tests to compare against.
+#[cfg(test)]
+pub(crate) fn body_bytes(len: usize) -> Vec<u8> {
+    let mut out = vec![0; len];
+    fill_body(&mut out);
+    out
 }
 
 #[cfg(test)]

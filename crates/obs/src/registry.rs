@@ -78,7 +78,7 @@ impl Histogram {
     }
 
     /// Mean as exact-integer-derived float (deterministic formatting).
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -223,9 +223,8 @@ impl SweepRunner {
         self
     }
 
-    /// The attached profile sink, if any (used by sweep closures to
-    /// tag per-task setup spans).
-    pub fn profile(&self) -> Option<&ProfileSink> {
+    /// The attached profile sink, if any.
+    fn profile(&self) -> Option<&ProfileSink> {
         self.profile.as_deref()
     }
 

@@ -63,24 +63,6 @@ pub fn first_pto_ms(log: &EventLog) -> Option<f64> {
     pto_points(log).next().map(|p| p.pto_ms)
 }
 
-/// Number of `recovery:packet_lost` declarations in a log — how often
-/// loss recovery actually fired, the headline recovery-activity metric
-/// for stochastic-impairment sweeps.
-pub fn packets_lost(log: &EventLog) -> usize {
-    log.events
-        .iter()
-        .filter(|e| matches!(e.data, EventData::PacketLost { .. }))
-        .count()
-}
-
-/// Number of `recovery:loss_timer_updated` PTO expirations in a log.
-pub fn pto_expirations(log: &EventLog) -> usize {
-    log.events
-        .iter()
-        .filter(|e| matches!(e.data, EventData::PtoExpired { .. }))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +135,10 @@ mod tests {
     #[test]
     fn recovery_event_counters() {
         use crate::events::SpaceName;
+        let packets_lost =
+            |log: &EventLog| log.count(|d| matches!(d, EventData::PacketLost { .. }));
+        let pto_expirations =
+            |log: &EventLog| log.count(|d| matches!(d, EventData::PtoExpired { .. }));
         let mut log = EventLog::new("c");
         assert_eq!(packets_lost(&log), 0);
         assert_eq!(pto_expirations(&log), 0);

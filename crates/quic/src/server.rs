@@ -210,7 +210,7 @@ pub struct ServerEngine {
     template: Rc<EndpointConfig>,
     concurrency_limit: usize,
     /// What to do with arrivals beyond the limit.
-    pub overload: OverloadPolicy,
+    overload: OverloadPolicy,
     /// Ordered by key, so iterating it is deterministic. Slots are boxed:
     /// a tree node moves its entries on every split and merge, and a
     /// `Connection` is kilobytes.

@@ -70,7 +70,7 @@ impl RecvState {
     }
 
     /// Largest received packet number.
-    pub fn largest(&self) -> Option<u64> {
+    fn largest(&self) -> Option<u64> {
         self.ranges.front().map(|r| *r.end())
     }
 

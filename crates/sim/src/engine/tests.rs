@@ -7,6 +7,17 @@ fn link_exists<N: Node>(net: &Network<N>, a: NodeId, b: NodeId) -> bool {
         .is_some_and(|slot| net.links[slot].is_some())
 }
 
+/// Every time a milestone labelled `label` was recorded, by any node.
+fn all(trace: &Trace, label: &str) -> Vec<SimTime> {
+    let at_label = trace.milestones.iter().filter(|m| m.label == label);
+    at_label.map(|m| m.at).collect()
+}
+
+/// The first time a milestone labelled `label` was recorded, by any node.
+fn first(trace: &Trace, label: &str) -> Option<SimTime> {
+    all(trace, label).first().copied()
+}
+
 /// Test node: replies to every datagram with "pong" until a count is
 /// reached, records milestones on receipt.
 struct Ponger {
@@ -96,9 +107,9 @@ fn timers_fire_in_order() {
     let mut net = Network::new(false);
     let _ = net.add_node(Box::new(TimerNode { fired: Vec::new() }));
     assert_eq!(net.run(SimDuration::from_secs(1)), RunOutcome::QueueEmpty);
-    assert_eq!(net.trace.first("t1").unwrap().as_millis_f64(), 10.0);
-    assert_eq!(net.trace.first("t2").unwrap().as_millis_f64(), 20.0);
-    assert_eq!(net.trace.first("t3").unwrap().as_millis_f64(), 30.0);
+    assert_eq!(first(&net.trace, "t1").unwrap().as_millis_f64(), 10.0);
+    assert_eq!(first(&net.trace, "t2").unwrap().as_millis_f64(), 20.0);
+    assert_eq!(first(&net.trace, "t3").unwrap().as_millis_f64(), 30.0);
 }
 
 #[test]
@@ -169,7 +180,7 @@ fn duplicating_channel_delivers_both_copies() {
             .with_impairment(ImpairmentSpec::none().with_duplication(1.0), 1),
     );
     assert_eq!(net.run(SimDuration::from_secs(1)), RunOutcome::QueueEmpty);
-    assert_eq!(net.trace.all("rx").len(), 2);
+    assert_eq!(all(&net.trace, "rx").len(), 2);
     // The fabricated copy is a second handle on the one buffer.
     let at: Vec<_> = (net.trace.milestones.iter().map(|m| &m.label))
         .filter(|label| *label != "rx")
@@ -266,11 +277,11 @@ fn run_until_steps_and_resumes() {
     let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
     assert_eq!(net.run_until(t(12)), RunOutcome::TimeLimit);
     // Sends at 0,5,10 arrive at 1,6,11.
-    assert_eq!(net.trace.all("rx").len(), 3);
+    assert_eq!(all(&net.trace, "rx").len(), 3);
     assert_eq!(net.now(), t(12));
     // Resuming processes the already-queued later events.
     assert_eq!(net.run_until(t(22)), RunOutcome::TimeLimit);
-    assert_eq!(net.trace.all("rx").len(), 5);
+    assert_eq!(all(&net.trace, "rx").len(), 5);
 }
 
 #[test]
@@ -290,7 +301,7 @@ fn schedule_start_spawns_mid_run() {
     );
     net.schedule_start(late, t(20));
     assert_eq!(net.run_until(t(22)), RunOutcome::TimeLimit);
-    let rx = net.trace.all("rx");
+    let rx = all(&net.trace, "rx");
     assert_eq!(rx.len(), 1);
     assert!(rx[0] >= t(21) && rx[0] < t(22), "delivery ≈ start + delay");
 }
@@ -314,7 +325,7 @@ fn retired_nodes_absorb_events_and_drop_links() {
     assert!(!link_exists(&net, a, b));
     assert_eq!(net.run_until(t(30)), RunOutcome::TimeLimit);
     // Only the pre-retirement deliveries (t=1, t=6) were counted.
-    assert_eq!(net.trace.all("rx").len(), 2);
+    assert_eq!(all(&net.trace, "rx").len(), 2);
     // Retiring twice is a no-op.
     assert!(net.retire_node(a).is_none());
 }
@@ -347,8 +358,8 @@ fn path_change_switches_delivery_profile() {
     net.run_until(t(37));
     // Sends at 0, 5, 10 ride path 0 (≈1 ms); the send at 15 is the
     // first over path 1 and lands ≈20 ms later.
-    assert_eq!(net.trace.all("rx/p0").len(), 3);
-    let p1 = net.trace.all("rx/p1");
+    assert_eq!(all(&net.trace, "rx/p0").len(), 3);
+    let p1 = all(&net.trace, "rx/p1");
     assert_eq!(p1.len(), 1);
     assert!(p1[0] >= t(35) && p1[0] < t(36), "delivery ≈ send + 20 ms");
     // The pair's count is the two links' together, as the trace's is.
@@ -394,8 +405,8 @@ fn path_change_notifies_initiator() {
     net.run_until(t(20));
     // The callback fires at the flip time and its probe already rides
     // the new path.
-    assert_eq!(net.trace.first("migrate/p7"), Some(t(10)));
-    let rx = net.trace.all("rx");
+    assert_eq!(first(&net.trace, "migrate/p7"), Some(t(10)));
+    let rx = all(&net.trace, "rx");
     assert_eq!(rx.len(), 1);
     assert!(rx[0] >= t(13) && rx[0] < t(14), "probe took the 3 ms path");
 }
@@ -420,7 +431,7 @@ fn path_change_after_retirement_is_noop() {
     // The queued flip targets a retired pair: it must neither panic
     // nor resurrect the route.
     assert_eq!(net.run_until(t(30)), RunOutcome::TimeLimit);
-    assert_eq!(net.trace.all("rx").len(), 2);
+    assert_eq!(all(&net.trace, "rx").len(), 2);
 }
 
 #[test]
@@ -458,9 +469,9 @@ fn retirement_takes_every_path_and_leaves_neighbours_alone() {
     // Let what the retired peer had in flight land, then: two
     // chatterers left, one send each per 5 ms.
     net.run_until(t(9));
-    let before = net.trace.all("rx").len();
+    let before = all(&net.trace, "rx").len();
     net.run_until(t(14));
-    assert_eq!(net.trace.all("rx").len(), before + 2);
+    assert_eq!(all(&net.trace, "rx").len(), before + 2);
 
     // A newcomer takes over a freed slot; the table does not grow.
     let late = net.add_node(Box::new(Chatter { peer: hub }));
@@ -601,7 +612,7 @@ fn event_ceiling_stops_before_the_pop() {
     limited.event_limit = 1_000;
     assert_eq!(limited.run_until(t(50)), RunOutcome::TimeLimit);
     assert_eq!(limited.stats, whole.stats);
-    assert_eq!(limited.trace.all("rx"), whole.trace.all("rx"));
+    assert_eq!(all(&limited.trace, "rx"), all(&whole.trace, "rx"));
 }
 
 /// The run queue against the plain `(at, seq)` heap it replaced, as an

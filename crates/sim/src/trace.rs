@@ -153,29 +153,12 @@ impl Trace {
         });
     }
 
-    /// First occurrence time of a milestone with `label` (any node).
-    pub fn first(&self, label: &str) -> Option<SimTime> {
-        self.milestones
-            .iter()
-            .find(|m| m.label == label)
-            .map(|m| m.at)
-    }
-
     /// First occurrence time of `label` recorded by `node`.
     pub fn first_by(&self, node: NodeId, label: &str) -> Option<SimTime> {
         self.milestones
             .iter()
             .find(|m| m.node == node && m.label == label)
             .map(|m| m.at)
-    }
-
-    /// All occurrence times of `label`.
-    pub fn all(&self, label: &str) -> Vec<SimTime> {
-        self.milestones
-            .iter()
-            .filter(|m| m.label == label)
-            .map(|m| m.at)
-            .collect()
     }
 
     /// Number of datagrams sent from `from` to `to` (delivered or not).
@@ -186,16 +169,6 @@ impl Trace {
             .iter()
             .filter(|d| d.from == from && d.to == to && !d.duplicate)
             .count()
-    }
-
-    /// Total bytes sent from `from` to `to` (excluding fabricated
-    /// duplicate copies).
-    pub fn bytes_sent(&self, from: NodeId, to: NodeId) -> usize {
-        self.datagrams
-            .iter()
-            .filter(|d| d.from == from && d.to == to && !d.duplicate)
-            .map(|d| d.size)
-            .sum()
     }
 }
 
@@ -219,10 +192,11 @@ mod tests {
         t.milestone(n0, SimTime::from_nanos(5), "a");
         t.milestone(n1, SimTime::from_nanos(9), "a");
         t.milestone(n0, SimTime::from_nanos(12), "b");
-        assert_eq!(t.first("a"), Some(SimTime::from_nanos(5)));
+        assert_eq!(t.first_by(n0, "a"), Some(SimTime::from_nanos(5)));
         assert_eq!(t.first_by(n1, "a"), Some(SimTime::from_nanos(9)));
-        assert_eq!(t.first("missing"), None);
-        assert_eq!(t.all("a").len(), 2);
+        assert_eq!(t.first_by(n1, "b"), None);
+        assert_eq!(t.first_by(n0, "missing"), None);
+        assert_eq!(t.milestones.iter().filter(|m| m.label == "a").count(), 2);
     }
 
     #[test]
@@ -279,7 +253,8 @@ mod tests {
             payload: None,
         });
         assert_eq!(t.sent_count(a, b), 2);
-        assert_eq!(t.bytes_sent(a, b), 1500);
+        let bytes: usize = t.datagrams.iter().map(|d| d.size).sum();
+        assert_eq!(bytes, 1500);
         assert_eq!(t.sent_count(b, a), 0);
     }
 }

@@ -44,8 +44,8 @@ pub struct RunResult {
     pub server_amp_blocked: bool,
     /// The client observed an instant ACK.
     pub iack_observed: bool,
-    /// Packets the client's loss recovery declared lost
-    /// (`recovery:packet_lost` events in its qlog).
+    /// Packets the client's loss recovery declared lost (its
+    /// `ConnStats::packets_lost`; its qlog logs each one).
     pub client_packets_lost: usize,
     /// Packets the server's loss recovery declared lost; under random
     /// impairments most drops hit server flights, so this is where
@@ -166,21 +166,21 @@ fn run_connection(
 }
 
 /// Builds the [`RunResult`] of the retired connection `client`, which
-/// ran `sc`: the timing and handshake fields of its `outcome` plus what
-/// only the kept qlogs, the network's counts and the client's connection
-/// state can say. `sent` is the datagrams the client and the server sent
-/// each other, as their links counted them; `stats` is the network's,
-/// whose drops and duplicate copies are the pair's, since full detail
-/// runs one pair.
+/// ran `sc`, and of its `server` half: the fields of its `outcome` plus
+/// what only the kept qlogs, the two connections and the network's counts
+/// can say. `sent` is the datagrams the client and the server sent each
+/// other, as their links counted them; `stats` is the network's, whose
+/// drops and duplicate copies are the pair's, since full detail runs one pair.
 pub(crate) fn full_result(
     client: &mut rq_quic::Connection,
+    server: Option<rq_quic::Connection>,
     sc: &Scenario,
     outcome: &ConnOutcome,
     aborted: bool,
     (client_datagrams, server_datagrams): (usize, usize),
     stats: &EngineStats,
-    server_log: EventLog,
 ) -> RunResult {
+    let (server_stats, server_log) = server.map(|c| (c.stats(), c.log)).unwrap_or_default();
     let client_log = std::mem::take(&mut client.log);
     let first_srtt_ms = client_log.metrics_updates().next().map(|(_, srtt, _)| srtt);
     let exposed_metric_updates = sc
@@ -201,14 +201,12 @@ pub(crate) fn full_result(
         client_rtt_samples: client.rtt().sample_count(),
         client_new_ack_packets: client.new_ack_packets(),
         exposed_metric_updates,
-        server_amp_blocked: server_log
-            .first(|d| matches!(d, EventData::AmplificationBlocked { .. }))
-            .is_some(),
+        server_amp_blocked: server_stats.amp_stalls > 0,
         iack_observed: client_log
             .first(|d| matches!(d, EventData::InstantAck { sent: false }))
             .is_some(),
-        client_packets_lost: rq_qlog::packets_lost(&client_log),
-        server_packets_lost: rq_qlog::packets_lost(&server_log),
+        client_packets_lost: client.stats().packets_lost as usize,
+        server_packets_lost: server_stats.packets_lost as usize,
         client_datagrams,
         server_datagrams,
         dropped_datagrams: stats.datagrams_dropped as usize,

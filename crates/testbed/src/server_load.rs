@@ -755,10 +755,9 @@ pub(crate) fn drive_conn_plans(
         let st = client.status;
         let outcome = drive.outcomes[s.plan_idx].as_ref().expect("just retired");
         let aborted = (st.close_code.is_some() || peer.closed) && st.complete_at.is_none();
-        let server_log = server.map(|c| c.log).unwrap_or_default();
         let (sc, stats) = (&plans[s.plan_idx].scenario, &drive.net.stats);
         let conn = &mut client.conn.borrow_mut();
-        let result = full_result(conn, sc, outcome, aborted, sent, stats, server_log);
+        let result = full_result(conn, server, sc, outcome, aborted, sent, stats);
         let trace = (detail == Detail::Full { trace: true }).then(|| take(&mut drive.net.trace));
         (result, trace, client.ticket)
     });

@@ -127,13 +127,8 @@ impl Reservoir {
         }
     }
 
-    /// Exact number of values offered (not just retained).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
     /// The retained sample, in stream order.
-    pub fn sample(&self) -> &[f64] {
+    pub(crate) fn sample(&self) -> &[f64] {
         &self.values
     }
 
@@ -595,7 +590,7 @@ mod tests {
             left.merge(&right);
             assert_eq!(left, whole, "split at {split}");
         }
-        assert_eq!(whole.seen(), 100);
+        assert_eq!(whole.seen, 100);
         assert_eq!(whole.sample(), &stream[..10]);
     }
 

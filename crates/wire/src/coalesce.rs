@@ -91,23 +91,6 @@ pub struct DatagramInfo {
     pub size: usize,
 }
 
-impl DatagramInfo {
-    /// Total STREAM (application payload) bytes in this datagram.
-    pub fn stream_bytes(&self) -> usize {
-        self.packets.iter().map(|p| p.stream_bytes).sum()
-    }
-
-    /// True if any packet carries a PING frame.
-    pub fn has_ping(&self) -> bool {
-        self.packets.iter().any(|p| p.has_ping)
-    }
-
-    /// True if any packet is ack-eliciting.
-    pub fn ack_eliciting(&self) -> bool {
-        self.packets.iter().any(|p| p.ack_eliciting)
-    }
-}
-
 /// Decodes every packet in a UDP datagram and summarizes its content.
 ///
 /// `short_dcid_len` is the receiver CID length used for short headers.
@@ -210,7 +193,7 @@ mod tests {
         assert_eq!(info.packets.len(), 1);
         assert_eq!(info.packets[0].ty, PacketType::Initial);
         assert!(info.packets[0].ack_only);
-        assert!(!info.ack_eliciting());
+        assert!(!info.packets.iter().any(|p| p.ack_eliciting));
         assert_eq!(info.packets[0].crypto_bytes, 0);
     }
 
@@ -237,8 +220,9 @@ mod tests {
                 (PacketNumberSpace::Application, 0),
             ]
         );
-        assert_eq!(info.stream_bytes(), 200);
-        assert!(info.ack_eliciting());
+        let stream_bytes: usize = info.packets.iter().map(|p| p.stream_bytes).sum();
+        assert_eq!(stream_bytes, 200);
+        assert!(info.packets.iter().any(|p| p.ack_eliciting));
     }
 
     #[test]
@@ -246,7 +230,7 @@ mod tests {
         let ping = PlainPacket::new(Header::one_rtt(cid(1), 5), vec![Frame::Ping]).unwrap();
         let dgram = coalesce(&[(ping, TAG)]);
         let info = classify_datagram(&dgram, 8).unwrap();
-        assert!(info.has_ping());
+        assert!(info.packets[0].has_ping);
         assert_eq!(info.packets[0].pn, 5);
     }
 

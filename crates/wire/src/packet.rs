@@ -126,7 +126,7 @@ impl PlainPacket {
     }
 
     /// Sum of frame encodings (excludes header and tag).
-    pub fn payload_len(&self) -> usize {
+    fn payload_len(&self) -> usize {
         self.frames.iter().map(Frame::encoded_len).sum()
     }
 

@@ -173,8 +173,9 @@ fn check_run(sc: &Scenario) -> usize {
     assert_same_result(&run_scenario(sc), &res);
     assert_counts_are_the_traces(&res, &trace.datagrams);
 
-    // The registry's counters say what the trace and the qlogs say:
-    // a reader of the wrong node or link would split them.
+    // The registry's counters say what the trace, the connections'
+    // counters and the qlogs say: a reader of the wrong node, link or
+    // connection would split them.
     let count = |name| res.metrics.counter(name) as usize;
     let dropped = count("sim/datagrams/dropped");
     assert_eq!(dropped, res.dropped_datagrams, "{}", res.label);
@@ -191,8 +192,14 @@ fn check_run(sc: &Scenario) -> usize {
         count("quic/client/packets_lost"),
         count("quic/server/packets_lost"),
     );
-    let qlog_lost = (res.client_packets_lost, res.server_packets_lost);
-    assert_eq!(lost, qlog_lost, "{}", res.label);
+    let counted = (res.client_packets_lost, res.server_packets_lost);
+    assert_eq!(lost, counted, "{}", res.label);
+    let lost_events = |log: &EventLog| log.count(|d| matches!(d, EventData::PacketLost { .. }));
+    let logged = (lost_events(&res.client_log), lost_events(&res.server_log));
+    assert_eq!(counted, logged, "{}: lost packets", res.label);
+    let amp = |d: &EventData| matches!(d, EventData::AmplificationBlocked { .. });
+    let amp_logged = res.server_log.count(amp) > 0;
+    assert_eq!(res.server_amp_blocked, amp_logged, "{}: amp", res.label);
 
     assert_responses_on_wire(sc, &trace.datagrams, &res);
     // The observer reads one connection a pair: a reconnect follows a

@@ -1,14 +1,18 @@
 //! The public surface is what something calls (ROADMAP item 6(a)).
 //!
 //! Every `pub fn` (methods included), `pub const` and `pub static` in
-//! non-test code under `crates/*/src` and `vendor/*/src` must be named in
+//! non-test code under `crates/*/src` and `vendor/*/src` must be used in
 //! non-test code of some other file under those two, `examples/` or
-//! `benchmark/src`. Non-test code is a file with every `#[cfg(test)]` item
-//! cut out, and no `tests.rs`. A `pub use` re-export is not a use, and
-//! neither is a comment, a string or another item's declaration. The check
-//! is by name, not by path: a name used anywhere else clears every
-//! declaration of it. `crates/testkit` is the one exception: tests are its
-//! only callers, so for its items the integration-test files count too.
+//! `benchmark/src`. A `pub fn` is used where it is called or named by
+//! path: its name followed by `(` or `::<`, or preceded by `::`, so a
+//! field, a struct-literal field or a local of the same name is not a
+//! use. A `pub const` or `pub static` is used wherever its name appears.
+//! Non-test code is a file with every `#[cfg(test)]` item cut out, and no
+//! `tests.rs`. A `pub use` re-export is not a use, and neither is a
+//! comment, a string or another item's declaration. The check is by name,
+//! not by resolved path: a use anywhere else clears every declaration of
+//! that name. `crates/testkit` is the one exception: tests are its only
+//! callers, so for its items the integration-test files count too.
 //!
 //! An item that only a test in another crate needs is listed in
 //! `tests/public_surface.allow` with that test; an entry that is used now,
@@ -41,8 +45,9 @@ impl Source {
 /// `(path, name)` of a declaration, with the line it is on.
 type Flagged = BTreeMap<(String, String), usize>;
 
-/// Names and lines of the `pub fn`, `pub const` and `pub static` items.
-fn declarations(code: &str) -> Vec<(String, usize)> {
+/// Names and lines of the `pub fn`, `pub const` and `pub static` items,
+/// each with whether it is a `fn`.
+fn declarations(code: &str) -> Vec<(String, usize, bool)> {
     let w = words(code);
     let mut out = Vec::new();
     for k in 0..w.len() {
@@ -63,17 +68,20 @@ fn declarations(code: &str) -> Vec<(String, usize)> {
             _ => None,
         };
         if let Some(&(at, name)) = name {
-            out.push((name.to_string(), code[..at].matches('\n').count() + 1));
+            let line = code[..at].matches('\n').count() + 1;
+            out.push((name.to_string(), line, w[j].1 == "fn"));
         }
     }
     out
 }
 
-/// Every word `code` uses: not the name an item declares, and nothing in
-/// a `pub use` (or `pub(..) use`) statement.
-fn uses(code: &str) -> BTreeSet<&str> {
+/// Every word `code` uses, mapped to whether some use of it is a call or
+/// a path: followed by `(` or `::<`, or preceded by `::`. The name an item
+/// declares is not a use, and neither is anything in a `pub use` (or
+/// `pub(..) use`) statement.
+fn uses(code: &str) -> BTreeMap<&str, bool> {
     let w = words(code);
-    let mut out = BTreeSet::new();
+    let mut out = BTreeMap::new();
     let mut k = 0;
     while k < w.len() {
         let reexport = w[k].1 == "pub" && {
@@ -92,7 +100,12 @@ fn uses(code: &str) -> BTreeSet<&str> {
         }
         let declared = k > 0 && ["fn", "const", "static", "mut"].contains(&w[k - 1].1);
         if !declared {
-            out.insert(w[k].1);
+            let (at, word) = w[k];
+            let after = code[at + word.len()..].trim_start();
+            let called = after.starts_with('(')
+                || after.starts_with("::<")
+                || code[..at].trim_end().ends_with("::");
+            *out.entry(word).or_insert(false) |= called;
         }
         k += 1;
     }
@@ -114,19 +127,22 @@ fn flag(decls: &[&Source], callers: &[&Source], tests: &[&Source]) -> Flagged {
     out
 }
 
-/// Every declaration in `decls` whose name no file of `callers` other
-/// than its own uses.
+/// Every declaration in `decls` that no file of `callers` other than its
+/// own uses: a `fn` by call or path, a `const` or `static` by name.
 fn unused(decls: &[&Source], callers: &[&Source]) -> Flagged {
-    let used: Vec<(&str, BTreeSet<&str>)> = callers
+    let used: Vec<(&str, BTreeMap<&str, bool>)> = callers
         .iter()
         .map(|s| (s.path.as_str(), uses(&s.code)))
         .collect();
     let mut out = Flagged::new();
     for src in decls {
-        for (name, line) in declarations(&src.code) {
-            let elsewhere = used
-                .iter()
-                .any(|(path, words)| *path != src.path && words.contains(name.as_str()));
+        for (name, line, is_fn) in declarations(&src.code) {
+            let elsewhere = used.iter().any(|(path, words)| {
+                *path != src.path
+                    && words
+                        .get(name.as_str())
+                        .is_some_and(|&called| called || !is_fn)
+            });
             if !elsewhere {
                 out.entry((src.path.clone(), name)).or_insert(line);
             }
@@ -178,7 +194,7 @@ fn violations(flagged: &Flagged, allow: &[Allowed]) -> Vec<String> {
         .filter(|(key, _)| !listed.contains(*key))
         .map(|((path, name), line)| {
             format!(
-                "{path}:{line}: `pub` item `{name}` is named by no other file's \
+                "{path}:{line}: `pub` item `{name}` is used by no other file's \
                  non-test code: use it, narrow it, delete it, or allow-list it \
                  with the test that needs it"
             )
@@ -311,4 +327,27 @@ fn t() { a::tested(\"\"); }
         flagged.keys().map(|(_, n)| n.as_str()).collect::<Vec<_>>(),
         ["spare"]
     );
+
+    // A `fn` is used where it is called or named by path; a field, a
+    // struct-literal field or a local of the same name is not a use.
+    let seen = Source::new("a/seen.rs", "pub fn seen() -> u64 { 1 }\n");
+    let namesakes = Source::new(
+        "c/lib.rs",
+        "struct S { seen: u64 }
+fn f(x: &S) -> u64 { let seen = x.seen; S { seen: 1 }.seen + seen }
+",
+    );
+    let flagged = flag(&[&seen], &[&seen, &namesakes], &[]);
+    assert_eq!(
+        flagged.keys().map(|(_, n)| n.as_str()).collect::<Vec<_>>(),
+        ["seen"]
+    );
+    for caller in [
+        "fn g(y: &Y) -> u64 { y.seen() }",
+        "fn g() -> fn() -> u64 { a::seen }",
+    ] {
+        let caller = Source::new("d/lib.rs", caller);
+        let flagged = flag(&[&seen], &[&seen, &namesakes, &caller], &[]);
+        assert!(flagged.is_empty(), "{}: {flagged:?}", caller.code);
+    }
 }
