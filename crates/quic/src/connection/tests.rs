@@ -201,7 +201,7 @@ fn pad_routine_sizes() {
     let total = |pkts: &[PlainPacket]| -> usize {
         pkts.iter().map(PlainPacket::encoded_len).sum::<usize>()
     };
-    let ack = || Frame::Ack(AckFrame::single(0, 0));
+    let ack = || Frame::Ack(AckFrame::from_sorted_desc(&[0], 0));
     // A lone ClientHello-sized Initial lands on exactly 1200 bytes.
     let hello = Frame::Crypto {
         offset: 0,

@@ -14,7 +14,7 @@
 //! current active count, so a sharded simulation reproduces one big
 //! server exactly.
 
-use std::collections::BTreeMap;
+use std::mem::take;
 use std::rc::Rc;
 
 use rq_wire::ConnectionId;
@@ -192,8 +192,15 @@ pub enum AcceptOutcome {
     Busy,
 }
 
+/// Boxes of retired slots a renewed engine keeps: what a one-connection
+/// server asks for. A loaded server's others go, since the next server
+/// may be small, and its own retired slots serve its later admissions.
+const KEPT_SLOTS: usize = 1;
+
+/// One admitted connection's place in the table. A retired slot keeps
+/// its box, empty, for the next connection the engine admits.
 struct ConnSlot {
-    conn: Connection,
+    conn: Option<Connection>,
     costed: bool,
 }
 
@@ -211,10 +218,16 @@ pub struct ServerEngine {
     concurrency_limit: usize,
     /// What to do with arrivals beyond the limit.
     overload: OverloadPolicy,
-    /// Ordered by key, so iterating it is deterministic. Slots are boxed:
-    /// a tree node moves its entries on every split and merge, and a
+    /// Indexed by key, so it iterates in key order (keys are small and
+    /// dense: the testbed's are node indices). A slot is boxed, since a
     /// `Connection` is kilobytes.
-    conns: BTreeMap<u64, Box<ConnSlot>>,
+    conns: Vec<Option<Box<ConnSlot>>>,
+    /// Entries of `conns` that hold a slot.
+    active: usize,
+    /// Boxes of retired slots, each empty, for the next admissions: the
+    /// boxes themselves are what is kept.
+    #[allow(clippy::vec_box)]
+    free_slots: Vec<Box<ConnSlot>>,
     /// Running aggregates.
     pub accounting: ServerAccounting,
 }
@@ -223,11 +236,43 @@ impl ServerEngine {
     /// A server sharing `template` with each accepted connection and
     /// shedding arrivals beyond `concurrency_limit` active connections.
     pub fn new(template: EndpointConfig, concurrency_limit: usize) -> Self {
+        ServerEngine::new_in(None, template, concurrency_limit)
+    }
+
+    /// [`ServerEngine::new`], in the storage of the retired engine
+    /// `spare`: its configuration's cell, unless a connection still
+    /// shares it, its connection table and the box of a retired slot.
+    /// Nothing else of `spare` carries over, and `spare` is left holding
+    /// no connection.
+    pub fn new_in(
+        spare: Option<&mut ServerEngine>,
+        template: EndpointConfig,
+        concurrency_limit: usize,
+    ) -> Self {
+        let (mut conns, mut free_slots, template) = match spare {
+            Some(old) => {
+                // The connections go first: they share the configuration.
+                old.retire_all();
+                let template = match Rc::get_mut(&mut old.template) {
+                    Some(cell) => {
+                        *cell = template;
+                        Rc::clone(&old.template)
+                    }
+                    None => Rc::new(template),
+                };
+                (take(&mut old.conns), take(&mut old.free_slots), template)
+            }
+            None => (Vec::new(), Vec::new(), Rc::new(template)),
+        };
+        conns.clear();
+        free_slots.truncate(KEPT_SLOTS);
         ServerEngine {
-            template: Rc::new(template),
+            template,
             concurrency_limit: concurrency_limit.max(1),
             overload: OverloadPolicy::Shed,
-            conns: BTreeMap::new(),
+            conns,
+            active: 0,
+            free_slots,
             accounting: ServerAccounting::default(),
         }
     }
@@ -245,7 +290,7 @@ impl ServerEngine {
         self.accounting.export(reg);
         reg.gauge(
             "server/active_conns",
-            self.conns.len() as i64,
+            self.active as i64,
             self.accounting.peak_active as i64,
         );
     }
@@ -265,13 +310,13 @@ impl ServerEngine {
         has_token: bool,
         revisit: bool,
     ) -> AcceptOutcome {
-        let depth = self.conns.len() as u64;
+        let depth = self.active as u64;
         if !revisit {
             self.accounting.arrivals += 1;
             self.accounting.depth_sum += depth;
             self.accounting.depth_samples += 1;
         }
-        if self.conns.len() >= self.concurrency_limit {
+        if self.active >= self.concurrency_limit {
             return match self.overload {
                 OverloadPolicy::Shed => {
                     self.accounting.shed += 1;
@@ -300,13 +345,41 @@ impl ServerEngine {
         if has_token {
             conn.use_retry = true;
         }
-        let slot = ConnSlot {
-            conn,
-            costed: false,
-        };
-        self.conns.insert(key, Box::new(slot));
-        self.accounting.peak_active = self.accounting.peak_active.max(self.conns.len() as u64);
+        let key = key as usize;
+        // An admission under an active key replaces its connection.
+        self.take_slot(key);
+        let mut slot = self.free_slots.pop().unwrap_or_else(|| {
+            Box::new(ConnSlot {
+                conn: None,
+                costed: false,
+            })
+        });
+        (slot.conn, slot.costed) = (Some(conn), false);
+        if self.conns.len() <= key {
+            self.conns.resize_with(key + 1, || None);
+        }
+        self.conns[key] = Some(slot);
+        self.active += 1;
+        self.accounting.peak_active = self.accounting.peak_active.max(self.active as u64);
         AcceptOutcome::Accepted
+    }
+
+    /// Takes the slot of `key` out of the table, handing its connection
+    /// back and keeping its box.
+    fn take_slot(&mut self, key: usize) -> Option<Connection> {
+        let mut slot = self.conns.get_mut(key)?.take()?;
+        self.active -= 1;
+        let conn = slot.conn.take();
+        self.free_slots.push(slot);
+        conn
+    }
+
+    /// Drops every connection, returning their keys in ascending order.
+    fn retire_all(&mut self) -> Vec<u64> {
+        let keys = (0..self.conns.len()).filter(|&k| self.take_slot(k).is_some());
+        let keys: Vec<u64> = keys.map(|k| k as u64).collect();
+        debug_assert_eq!(self.active, 0);
+        keys
     }
 
     /// The server process dies and restarts: every per-connection state
@@ -315,7 +388,7 @@ impl ServerEngine {
     /// restarted process keeps its ticket key, so outstanding tickets
     /// still resume. Returns the orphaned keys in ascending order.
     pub fn crash_and_restart(&mut self) -> Vec<u64> {
-        let orphans: Vec<u64> = std::mem::take(&mut self.conns).into_keys().collect();
+        let orphans = self.retire_all();
         self.accounting.crashes += 1;
         self.accounting.reset_conns += orphans.len() as u64;
         orphans
@@ -323,21 +396,26 @@ impl ServerEngine {
 
     /// The connection behind `key`, if active.
     pub fn conn_mut(&mut self, key: u64) -> Option<&mut Connection> {
-        self.conns.get_mut(&key).map(|s| &mut s.conn)
+        let slot = self.conns.get_mut(key as usize)?.as_mut()?;
+        slot.conn.as_mut()
     }
 
     /// Accrues the handshake cost for `key` once its handshake completed;
     /// safe to call repeatedly (the cost lands exactly once).
     pub fn note_handshake_outcome(&mut self, key: u64) {
-        let Some(slot) = self.conns.get_mut(&key) else {
+        let Some(slot) = self.conns.get_mut(key as usize).and_then(Option::as_mut) else {
             return;
         };
-        if slot.costed || !slot.conn.is_established() {
+        let conn = slot
+            .conn
+            .as_ref()
+            .expect("an active slot holds its connection");
+        if slot.costed || !conn.is_established() {
             return;
         }
         slot.costed = true;
-        let resumed = slot.conn.is_resumed();
-        let zero_rtt = slot.conn.early_data_accepted() == Some(true);
+        let resumed = conn.is_resumed();
+        let zero_rtt = conn.early_data_accepted() == Some(true);
         if zero_rtt {
             self.accounting.zero_rtt_accepted += 1;
             self.accounting.cpu_cost += COST_ZERO_RTT;
@@ -353,7 +431,7 @@ impl ServerEngine {
     /// Removes `key` from the table, tallying it as completed or failed,
     /// and returns the connection for final inspection.
     pub fn retire(&mut self, key: u64, completed: bool) -> Option<Connection> {
-        let slot = self.conns.remove(&key)?;
+        let conn = self.take_slot(key as usize)?;
         if completed {
             self.accounting.completed += 1;
         } else {
@@ -361,10 +439,10 @@ impl ServerEngine {
         }
         // The counter and the `AmplificationBlocked` qlog event are
         // written together; the log may have been moved out by now.
-        if slot.conn.stats().amp_stalls > 0 {
+        if conn.stats().amp_stalls > 0 {
             self.accounting.amp_blocked_conns += 1;
         }
-        Some(slot.conn)
+        Some(conn)
     }
 }
 
@@ -394,7 +472,7 @@ mod tests {
             AcceptOutcome::Accepted
         );
         assert_eq!(e.accept(3, 3, dcid(3), false, false), AcceptOutcome::Shed);
-        assert_eq!(e.conns.len(), 2);
+        assert_eq!(e.active, 2);
         assert_eq!(e.accounting.arrivals, 3);
         assert_eq!(e.accounting.accepted, 2);
         assert_eq!(e.accounting.shed, 1);
@@ -492,7 +570,7 @@ mod tests {
             e.accept(2, 2, dcid(2), false, false),
             AcceptOutcome::RetryDefer
         );
-        assert_eq!(e.conns.len(), 1);
+        assert_eq!(e.active, 1);
         assert_eq!(e.accounting.retry_deferred, 1);
         assert_eq!(e.accounting.shed, 0);
         // Still full: the tokened revisit keeps knocking, uncounted.
@@ -529,7 +607,7 @@ mod tests {
         }
         let orphans = e.crash_and_restart();
         assert_eq!(orphans, vec![1, 3, 5], "orphans must come out sorted");
-        assert_eq!(e.conns.len(), 0);
+        assert_eq!(e.active, 0);
         assert_eq!(e.accounting.crashes, 1);
         assert_eq!(e.accounting.reset_conns, 3);
         // The table is usable again immediately.

@@ -631,14 +631,24 @@ mod tests {
     fn requeue_oldest_copies_the_oldest_ack_eliciting_packet() {
         let mut s = Space::default();
         assert!(!s.requeue_oldest(), "nothing sent");
-        send(&mut s, 0, vec![Frame::Ack(AckFrame::single(0, 0))], false);
+        send(
+            &mut s,
+            0,
+            vec![Frame::Ack(AckFrame::from_sorted_desc(&[0], 0))],
+            false,
+        );
         send(&mut s, 1, vec![Frame::Ping], false);
         assert!(
             !s.requeue_oldest(),
             "the oldest probe-worthy packet is a PING"
         );
         let mut s = Space::default();
-        send(&mut s, 0, vec![Frame::Ack(AckFrame::single(0, 0))], false);
+        send(
+            &mut s,
+            0,
+            vec![Frame::Ack(AckFrame::from_sorted_desc(&[0], 0))],
+            false,
+        );
         send(&mut s, 1, vec![stream(0, b"old", false)], false);
         send(&mut s, 2, vec![stream(3, b"new", false)], false);
         assert!(s.requeue_oldest());
@@ -657,11 +667,11 @@ mod tests {
             send(&mut s, ms, vec![Frame::Ping], false);
         }
         // An ACK from beyond what was sent changes nothing.
-        let forged = s.on_ack(&AckFrame::single(4, 0), at(9), &rtt());
+        let forged = s.on_ack(&AckFrame::from_sorted_desc(&[4], 0), at(9), &rtt());
         assert_eq!(forged, AckOutcome::default());
         assert_eq!(s.sent().tracked(), 4);
         // Acking pn 3 puts pn 0 past the packet threshold.
-        let outcome = s.on_ack(&AckFrame::single(3, 0), at(10), &rtt());
+        let outcome = s.on_ack(&AckFrame::from_sorted_desc(&[3], 0), at(10), &rtt());
         assert_eq!(outcome.lost.iter().map(|p| p.pn).collect::<Vec<_>>(), [0]);
         assert_eq!(
             requeued(&mut s),
@@ -691,7 +701,7 @@ mod tests {
         assert_eq!(of_2, [stream(1, b"b", false), Frame::MaxData { max: 9 }]);
         assert_eq!(s.carried.of(1).count() + s.carried.of(7).count(), 0);
         // Acknowledged from the middle: its neighbours keep theirs.
-        s.on_ack(&AckFrame::single(2, 0), at(5), &rtt());
+        s.on_ack(&AckFrame::from_sorted_desc(&[2], 0), at(5), &rtt());
         assert_eq!(pns(&s), [0, 3]);
         assert!(s.carried.take(3).eq([stream(2, b"c", true)]));
         assert!(s.requeue_oldest());
@@ -874,7 +884,7 @@ mod tests {
             stream(0, b"req", true),
             Frame::MaxData { max: 4096 },
             crypto.clone(),
-            Frame::Ack(AckFrame::single(0, 0)),
+            Frame::Ack(AckFrame::from_sorted_desc(&[0], 0)),
         ];
         assert_eq!(
             retransmittable(frames),

@@ -1,6 +1,5 @@
 //! The discrete-event engine: event queue, node registry, link registry.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rq_wire::Bytes;
@@ -121,6 +120,39 @@ const _: () = assert!(
     std::mem::size_of::<queue::Run>() <= 24 && std::mem::size_of::<queue::Slot<EventKind>>() <= 56
 );
 
+/// One end of a link, an entry of the list of links of the node at
+/// this end. The link in slot `s` has its ends at entries `2s` and
+/// `2s + 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkEnd {
+    /// The node at the other end.
+    peer: usize,
+    /// The path the link realizes.
+    path: u64,
+    /// The path the pair's traffic rides: the same at every end of the
+    /// pair's links, 0 until a path change moves it.
+    route: u64,
+    /// The entries before and after this one in the node's list
+    /// ([`NO_END`] at either end of it).
+    prev: usize,
+    next: usize,
+}
+
+/// The entry before the first and after the last of a node's list.
+const NO_END: usize = usize::MAX;
+
+/// A node's list of links: its first entry and its length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkList {
+    first: usize,
+    len: usize,
+}
+
+const EMPTY_LIST: LinkList = LinkList {
+    first: NO_END,
+    len: 0,
+};
+
 /// A network of nodes and links plus the event queue that drives them.
 ///
 /// Beyond the classic one-shot [`Network::run`], the engine supports the
@@ -142,12 +174,13 @@ pub struct Network<N: Node = Box<dyn Node>> {
     /// as its link lives.
     links: Vec<Option<Link>>,
     free_links: Vec<usize>,
-    /// Every link's slot under `(from, to, path)`, in both orientations.
-    /// Ordered, so all links of one node are one contiguous range.
-    link_index: BTreeMap<(usize, usize, u64), usize>,
-    /// The path a pair's traffic rides, for pairs a path change moved
-    /// off path 0 (both orientations).
-    rerouted: BTreeMap<(usize, usize), u64>,
+    /// The link index: both ends of each link slot's link, each an entry
+    /// of its node's list (`lists`, by node ID). A pair's links are found
+    /// in the shorter of its two lists (a client's one or two, not the
+    /// server's thousand), and a link goes in or out of both lists in
+    /// O(1); the entries take no storage but the slots'.
+    ends: Vec<LinkEnd>,
+    lists: Vec<LinkList>,
     queue: Queue<EventKind>,
     now: SimTime,
     /// Nodes whose Start event has already been queued.
@@ -174,8 +207,8 @@ impl<N: Node> Network<N> {
             nodes: Vec::new(),
             links: Vec::new(),
             free_links: Vec::new(),
-            link_index: BTreeMap::new(),
-            rerouted: BTreeMap::new(),
+            ends: Vec::new(),
+            lists: Vec::new(),
             queue: Queue::with_capacity(QUEUE_CAPACITY),
             now: SimTime::ZERO,
             started: 0,
@@ -191,21 +224,21 @@ impl<N: Node> Network<N> {
     /// Puts the network back in the state [`Network::new`] makes: no
     /// nodes, links, reroutes or queued events; the clock, the counters
     /// and the event limit at their starting values; a recording trace.
-    /// It keeps only storage: the node and link tables, the effect
-    /// buffers, the spare datagrams (with the storage of datagrams still
-    /// queued, once the nodes are gone), and the event queue and trace
-    /// up to the room `new` gives them, since those grow with a run's
-    /// length and the next run may be short. A caller that runs one
-    /// network after another on it asks the heap for little of that
-    /// again. Node IDs start at 0 again.
+    /// It keeps only storage: the node and link tables, the link index,
+    /// the effect buffers, the spare datagrams (with the storage of
+    /// datagrams still queued, once the nodes are gone), and the event
+    /// queue and trace up to the room `new` gives them, since those grow
+    /// with a run's length and the next run may be short. A caller that
+    /// runs one network after another on it asks the heap for little of
+    /// that again. Node IDs start at 0 again.
     pub fn reset(&mut self, capture_payloads: bool) {
         // Named field by field, so a new field needs a decision here.
         let Network {
             nodes,
             links,
             free_links,
-            link_index,
-            rerouted,
+            ends,
+            lists,
             queue,
             now,
             started,
@@ -226,8 +259,8 @@ impl<N: Node> Network<N> {
         }
         links.clear();
         free_links.clear();
-        link_index.clear();
-        rerouted.clear();
+        ends.clear();
+        lists.clear();
         queue.clear(QUEUE_CAPACITY);
         *now = SimTime::ZERO;
         *started = 0;
@@ -242,6 +275,7 @@ impl<N: Node> Network<N> {
     pub fn add_node(&mut self, node: N) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Some(node));
+        self.lists.push(EMPTY_LIST);
         id
     }
 
@@ -265,28 +299,84 @@ impl<N: Node> Network<N> {
     /// single-path network.
     pub fn connect_path(&mut self, a: NodeId, b: NodeId, path: u64, config: LinkConfig) {
         assert!(a != b, "cannot connect a node to itself");
-        if self.link_index.contains_key(&(a.0, b.0, path)) {
-            return;
+        let mut route = 0;
+        for (_, end) in self.ends_between(a, b) {
+            if end.path == path {
+                return;
+            }
+            route = end.route;
         }
         let link = Some(Link::on_path(a, path, config));
+        let end = |peer| LinkEnd {
+            peer,
+            path,
+            route,
+            prev: NO_END,
+            next: NO_END,
+        };
+        let ends = [end(b.0), end(a.0)];
         let slot = match self.free_links.pop() {
             Some(slot) => {
                 self.links[slot] = link;
+                self.ends[2 * slot..2 * slot + 2].copy_from_slice(&ends);
                 slot
             }
             None => {
                 self.links.push(link);
+                self.ends.extend(ends);
                 self.links.len() - 1
             }
         };
-        self.link_index.insert((a.0, b.0, path), slot);
-        self.link_index.insert((b.0, a.0, path), slot);
+        for (entry, node) in [(2 * slot, a.0), (2 * slot + 1, b.0)] {
+            let list = &mut self.lists[node];
+            self.ends[entry].next = list.first;
+            if let Some(next) = self.ends.get_mut(list.first) {
+                next.prev = entry;
+            }
+            (list.first, list.len) = (entry, list.len + 1);
+        }
+    }
+
+    /// The entries of every link between `a` and `b`, from whichever of
+    /// the two lists is shorter.
+    fn ends_between(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = (usize, &LinkEnd)> {
+        let (node, peer) = self.shorter(a, b);
+        let first = Some(self.lists[node].first).filter(|&entry| entry != NO_END);
+        let entries = std::iter::successors(first, |&entry| {
+            Some(self.ends[entry].next).filter(|&next| next != NO_END)
+        });
+        entries
+            .map(|entry| (entry, &self.ends[entry]))
+            .filter(move |(_, end)| end.peer == peer)
+    }
+
+    /// `(a, b)` if `a` has no more links than `b`, else `(b, a)`.
+    fn shorter(&self, a: NodeId, b: NodeId) -> (usize, usize) {
+        if self.lists[a.0].len <= self.lists[b.0].len {
+            (a.0, b.0)
+        } else {
+            (b.0, a.0)
+        }
     }
 
     /// Slot of the link currently carrying `from → to` traffic.
     fn active_slot(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let path = self.rerouted.get(&(from.0, to.0)).copied().unwrap_or(0);
-        self.link_index.get(&(from.0, to.0, path)).copied()
+        let mut ends = self.ends_between(from, to);
+        ends.find(|(_, end)| end.path == end.route)
+            .map(|(entry, _)| entry / 2)
+    }
+
+    /// Takes `entry` out of the list of `node`.
+    fn unlink(&mut self, node: usize, entry: usize) {
+        let LinkEnd { prev, next, .. } = self.ends[entry];
+        match self.ends.get_mut(prev) {
+            Some(before) => before.next = next,
+            None => self.lists[node].first = next,
+        }
+        if let Some(after) = self.ends.get_mut(next) {
+            after.prev = prev;
+        }
+        self.lists[node].len -= 1;
     }
 
     /// Schedules the route between `a` and `b` to flip to `path` at `at`.
@@ -314,11 +404,20 @@ impl<N: Node> Network<N> {
             return;
         }
         assert!(
-            self.link_index.contains_key(&(a.0, b.0, path)),
+            self.ends_between(a, b).any(|(_, end)| end.path == path),
             "no path {path} link between {a:?} and {b:?}"
         );
-        self.rerouted.insert((a.0, b.0), path);
-        self.rerouted.insert((b.0, a.0), path);
+        let (node, peer) = self.shorter(a, b);
+        let mut entry = self.lists[node].first;
+        while entry != NO_END {
+            let end = self.ends[entry];
+            if end.peer == peer {
+                // The other end of the link sits beside this one.
+                self.ends[entry].route = path;
+                self.ends[entry ^ 1].route = path;
+            }
+            entry = end.next;
+        }
     }
 
     /// Current virtual time.
@@ -342,8 +441,7 @@ impl<N: Node> Network<N> {
     /// [`Trace::sent_count`] says, without the trace; the links go when
     /// either node is retired, and their counts with them.
     pub fn sent_count(&self, from: NodeId, to: NodeId) -> usize {
-        let pair = (from.0, to.0, 0)..=(from.0, to.0, u64::MAX);
-        let slots = self.link_index.range(pair).map(|(_, &slot)| slot);
+        let slots = self.ends_between(from, to).map(|(entry, _)| entry / 2);
         slots
             .map(|slot| self.links[slot].as_ref().expect("indexed link is live"))
             .map(|link| link.sent_by(from))
@@ -357,14 +455,16 @@ impl<N: Node> Network<N> {
     /// already.
     pub fn retire_node(&mut self, id: NodeId) -> Option<N> {
         let node = self.nodes[id.0].take()?;
-        let mine = (id.0, 0, 0)..=(id.0, usize::MAX, u64::MAX);
-        while let Some((&(_, peer, path), &slot)) = self.link_index.range(mine.clone()).next() {
-            self.link_index.remove(&(id.0, peer, path));
-            self.link_index.remove(&(peer, id.0, path));
-            self.rerouted.remove(&(id.0, peer));
-            self.rerouted.remove(&(peer, id.0));
-            self.links[slot] = None;
-            self.free_links.push(slot);
+        loop {
+            let entry = self.lists[id.0].first;
+            if entry == NO_END {
+                break;
+            }
+            let peer = self.ends[entry].peer;
+            self.unlink(id.0, entry);
+            self.unlink(peer, entry ^ 1);
+            self.links[entry / 2] = None;
+            self.free_links.push(entry / 2);
         }
         Some(node)
     }

@@ -455,12 +455,18 @@ fn retirement_takes_every_path_and_leaves_neighbours_alone() {
     net.prime();
     net.run_until(t(7));
     assert_eq!(net.links.iter().flatten().count(), 4);
-    assert_eq!(net.rerouted.len(), 2);
+    let routes = |a, b| {
+        net.ends_between(a, b)
+            .map(|(_, end)| end.route)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(routes(peers[1], hub), [1, 1]);
+    assert_eq!(routes(hub, peers[0]), [0]);
 
     net.retire_node(peers[1]);
     assert_eq!(net.links.iter().flatten().count(), 2);
     assert_eq!(net.free_links.len(), 2);
-    assert!(net.rerouted.is_empty());
+    assert_eq!((net.lists[peers[1].0].len, net.lists[hub.0].len), (0, 2));
     assert!(!link_exists(&net, peers[1], hub));
     for p in [peers[0], peers[2]] {
         assert!(link_exists(&net, p, hub));
@@ -824,8 +830,8 @@ fn run_program(net: &mut Network<Program>, seed: u64, dirty: bool) -> String {
         net.queue.next_seq(),
         net.queue.len(),
         net.links.iter().flatten().count(),
-        net.link_index,
-        net.rerouted,
+        net.ends,
+        net.lists,
     )
 }
 

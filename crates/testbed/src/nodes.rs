@@ -10,7 +10,11 @@
 //! through the one [`ConnDriver`]. The network owns both by value, as a
 //! [`TestbedNode`]: the runner reads a node through
 //! [`rq_sim::Network::node`] while the run goes on and takes it back
-//! from [`rq_sim::Network::retire_node`] when it is over.
+//! from [`rq_sim::Network::retire_node`] when it is over. The driver
+//! keeps the server node and the client retired last, and builds the
+//! next of each in its storage (`ServerNode::with_engine_in`,
+//! `ClientNode::new_in`): the constructor sets every field, and only
+//! storage carries over.
 //!
 //! The client node is in `client`, the server node in `server`. This file
 //! holds the node enum, the milestone labels, the one driver both pump
@@ -202,8 +206,9 @@ impl ConnDriver {
 /// flavour has the header rewritten in place if no view of the storage
 /// is left, and its response built on its own if one is: a storage a
 /// live view shares is never rewritten. The storage is replaced only for
-/// a longer body than any before. The driver lends the one it keeps
-/// between drives to each server it builds and takes it back after.
+/// a longer body than any before. A server node built in the storage of
+/// a retired one takes over its responses, so a worker's drives share
+/// one.
 #[derive(Default)]
 pub(crate) struct ResponseCache {
     /// The storage: `room` bytes, then the body. `None` before the

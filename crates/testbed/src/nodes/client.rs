@@ -2,7 +2,8 @@
 //! reconnects a fault scenario asks for.
 
 use std::cell::RefCell;
-use std::fmt::Write;
+use std::io::Write;
+use std::mem::take;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -111,20 +112,26 @@ const PATH_ROOM: usize = 21;
 
 /// Queues a GET for `/<file_size>` on each of the request streams
 /// `streams` (indices into client bidi IDs 0, 4, 8, …); they ride in the
-/// second client flight (or as 0-RTT early data).
+/// second client flight (or as 0-RTT early data). The path is written on
+/// the stack.
 fn queue_requests(
     conn: &mut Connection,
     http: HttpVersion,
     file_size: usize,
     streams: Range<usize>,
 ) {
-    let mut path = String::with_capacity(PATH_ROOM);
-    // Writing to a `String` cannot fail.
-    let _ = write!(path, "/{file_size}");
+    if streams.is_empty() {
+        return;
+    }
+    let mut room = [0u8; PATH_ROOM];
+    let mut out = &mut room[..];
+    write!(out, "/{file_size}").expect("the room fits any usize");
+    let len = PATH_ROOM - out.len();
+    let path = std::str::from_utf8(&room[..len]).expect("ASCII digits");
     for i in streams {
         let request = match http {
-            HttpVersion::H1 => h1::H1Request::get(&path, "testbed.local").to_bytes(),
-            HttpVersion::H3 => h3::request_bytes(&path, "testbed.local"),
+            HttpVersion::H1 => h1::H1Request::get(path, "testbed.local").to_bytes(),
+            HttpVersion::H3 => h3::request_bytes(path, "testbed.local"),
         };
         conn.send_stream_data_owned(stream_id::CLIENT_BIDI_0 + 4 * i as u64, request, true);
     }
@@ -140,16 +147,47 @@ impl ClientNode {
         seed: u64,
         rtt_quirk_applies: bool,
     ) -> Self {
+        ClientNode::new_in(None, cfg, server, http, file_size, seed, rtt_quirk_applies)
+    }
+
+    /// [`ClientNode::new`], in the storage of the retired client `spare`
+    /// if there is one: its connection's cell, unless something else
+    /// shares it, and its response table. Nothing else of `spare`
+    /// carries over.
+    pub(crate) fn new_in(
+        spare: Option<&mut ClientNode>,
+        cfg: EndpointConfig,
+        server: NodeId,
+        http: HttpVersion,
+        file_size: usize,
+        seed: u64,
+        rtt_quirk_applies: bool,
+    ) -> Self {
         let mut conn = Connection::client(cfg, seed, rtt_quirk_applies);
         queue_requests(&mut conn, http, file_size, 0..1);
+        let (conn, mut responses) = match spare {
+            Some(old) => {
+                let conn = match Rc::get_mut(&mut old.conn) {
+                    Some(cell) => {
+                        *cell.get_mut() = conn;
+                        Rc::clone(&old.conn)
+                    }
+                    None => Rc::new(RefCell::new(conn)),
+                };
+                (conn, take(&mut old.responses))
+            }
+            None => (Rc::new(RefCell::new(conn)), Vec::with_capacity(1)),
+        };
+        responses.clear();
+        responses.push(Response::default());
         ClientNode {
-            conn: Rc::new(RefCell::new(conn)),
+            conn,
             armed: None,
             ticket: None,
             status: ClientStatus::default(),
             server,
             http,
-            responses: vec![Response::default()],
+            responses,
             expected_body: file_size,
             got_first_byte: false,
             stop_when_done: true,

@@ -3,7 +3,8 @@
 //! fault timeline.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::mem::take;
 use std::rc::Rc;
 
 use rq_http::{h1, h3, HttpVersion};
@@ -53,6 +54,11 @@ pub struct PeerOutcome {
     pub reset: bool,
 }
 
+/// Peer records a renewed server keeps room for: a single pair's, with
+/// room to spare. A loaded server's records are kilobytes per hundred
+/// peers, and the next server may be small.
+const PEER_ROOM: usize = 4;
+
 /// Driver-facing control surface of a [`ServerNode`]: what whoever
 /// orchestrates the simulation tells the server and reads back from it.
 #[derive(Debug, Default)]
@@ -60,7 +66,9 @@ pub struct ServerControl {
     /// Per-peer server connection seed (keyed by the peer's `NodeId`
     /// index). Peers without an entry use the node's own seed XOR
     /// `0x5EED`, which is exactly the legacy single-pair derivation.
-    pub conn_seeds: BTreeMap<usize, u64>,
+    /// Only ever looked up by key, so its order never shows, and a cleared
+    /// map keeps its storage.
+    pub conn_seeds: HashMap<usize, u64>,
     /// Everything the server node keeps per peer that ever knocked,
     /// indexed by `NodeId` index (dense, so a plain table: the driver
     /// reads an outcome per live connection per sweep). The node writes
@@ -212,8 +220,9 @@ pub struct ServerNode {
     seed: u64,
     /// Scheduled crashes (empty in fault-free runs).
     faults: FaultTimeline,
-    /// The storage every response is a view of (a drive lends its own).
-    pub(crate) responses: ResponseCache,
+    /// The storage every response is a view of (a server built in a
+    /// retired one's storage keeps its).
+    responses: ResponseCache,
 }
 
 impl ServerNode {
@@ -223,25 +232,61 @@ impl ServerNode {
     /// replaces.
     pub fn new(cfg: EndpointConfig, http: HttpVersion, cert_delay: SimDuration, seed: u64) -> Self {
         let engine = ServerEngine::new(cfg, usize::MAX);
-        ServerNode::with_engine(engine, http, cert_delay, seed)
+        ServerNode::with_engine_in(None, engine, http, cert_delay, seed)
     }
 
     /// Creates a server around `engine`, configured by the caller (the
-    /// many-connection driver's entry point), with an empty control block.
-    pub fn with_engine(
+    /// many-connection driver's entry point), with an empty control
+    /// block, in the storage of the retired server `spare` if there is
+    /// one: its engine and control cells, unless something else shares
+    /// them, the control's tables, cleared, and its response storage.
+    /// Nothing else of `spare` carries over. `spare`'s engine is expected
+    /// to have lent its storage to `engine` already
+    /// ([`ServerEngine::new_in`]).
+    pub(crate) fn with_engine_in(
+        spare: Option<&mut ServerNode>,
         engine: ServerEngine,
         http: HttpVersion,
         cert_delay: SimDuration,
         seed: u64,
     ) -> Self {
+        let (engine, control, responses) = match spare {
+            Some(old) => {
+                let engine = match Rc::get_mut(&mut old.engine) {
+                    Some(cell) => {
+                        *cell.get_mut() = engine;
+                        Rc::clone(&old.engine)
+                    }
+                    None => Rc::new(RefCell::new(engine)),
+                };
+                let control = match Rc::get_mut(&mut old.control) {
+                    Some(cell) => {
+                        // Named field by field, so a new field needs a
+                        // decision here.
+                        let ServerControl { conn_seeds, peers } = cell.get_mut();
+                        conn_seeds.clear();
+                        peers.clear();
+                        peers.shrink_to(PEER_ROOM);
+                        Rc::clone(&old.control)
+                    }
+                    None => Rc::default(),
+                };
+                (engine, control, take(&mut old.responses))
+            }
+            None => (
+                Rc::new(RefCell::new(engine)),
+                Rc::default(),
+                ResponseCache::default(),
+            ),
+        };
         ServerNode {
-            engine: Rc::new(RefCell::new(engine)),
-            control: Rc::default(),
+            engine,
+            control,
             http,
             cert_delay,
             seed,
             faults: FaultTimeline::none(),
-            responses: ResponseCache::default(),
+            responses,
         }
     }
 

@@ -4,7 +4,9 @@ use rq_qlog::{first_pto_ms, EventData, EventLog};
 use rq_sim::{EngineStats, SimRng, SimTime};
 
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
-use crate::server_load::{drive_conn_plans, ConnOutcome, ConnPlan, Detail, ServerLoadSpec};
+use crate::server_load::{
+    drive_conn_plans, on_this_thread, ConnOutcome, ConnPlan, Detail, ServerLoadSpec,
+};
 
 /// Metrics extracted from one run.
 #[derive(Debug)]
@@ -159,7 +161,8 @@ fn run_connection(
         ticket,
     };
     let spec = ServerLoadSpec::single(sc.clone());
-    let out = drive_conn_plans(&spec, vec![plan], resumption_active, detail);
+    let out =
+        on_this_thread(|worker| drive_conn_plans(worker, &spec, [plan], resumption_active, detail));
     let (mut result, trace, minted) = out.full.expect("full detail yields the run");
     result.metrics = out.metrics;
     (result, trace, minted)

@@ -7,6 +7,12 @@
 //! single-pair `run_scenario` is literally the N = 1 case of
 //! [`drive_conn_plans`], not a separate code path.
 //!
+//! A drive runs on a [`Worker`], each thread's one kept value: the
+//! network, the server node, the client node retired last and the
+//! driver's tables. A drive builds its nodes in the storage the last
+//! one left and gives everything back cleared but for storage, so a
+//! thread's drives after its first set nothing up again.
+//!
 //! Determinism contract: a [`ServerLoadSpec`] is a pure function of
 //! `base.seed`. Arrival times, per-connection handshake classes,
 //! impairment draws, and synthetic resumption tickets are all drawn from
@@ -28,10 +34,13 @@ use rq_sim::{
 };
 use rq_tls::{mint_ticket, SessionTicket, TICKET_KEY};
 
-use crate::nodes::{ClientNode, PeerOutcome, ResponseCache, ServerNode, TestbedNode};
+use crate::nodes::{ClientNode, PeerOutcome, ServerNode, TestbedNode};
 use crate::runner::{full_result, rep_scenario, RunResult};
 use crate::scenario::{HandshakeClass, LossSpec, Scenario};
-use crate::stats::LatencyHistogram;
+
+mod report;
+
+pub use report::{FateTally, ServerLoadReport};
 
 /// Stream tag: arrival-time schedule.
 const ARRIVAL_STREAM: u64 = 0x4C4F_4144; // "LOAD"
@@ -304,151 +313,6 @@ pub struct ConnOutcome {
     pub server_packets_lost: u64,
 }
 
-/// Server-side aggregate report: admission/cost accounting plus
-/// completed-connection latency tails. A monoid under [`merge`]
-/// (`ServerLoadReport::merge`), which is what the sharded runner folds.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServerLoadReport {
-    /// The engine's admission, handshake-class, and CPU-cost tallies.
-    pub accounting: ServerAccounting,
-    /// TTFB across completed connections.
-    pub ttfb: LatencyHistogram,
-    /// Handshake-completion latency across completed connections.
-    pub handshake: LatencyHistogram,
-    /// Arrival-to-response latency across served connections, reconnect
-    /// time included.
-    pub time_to_success: LatencyHistogram,
-    /// Data-phase (TTFB → last byte) latency across completed
-    /// connections.
-    pub download: LatencyHistogram,
-    /// Goodput across completed connections, in Mbit/s (the histogram's
-    /// "ms" buckets hold Mbps values).
-    pub goodput: LatencyHistogram,
-    /// Per-fate tallies (the failure taxonomy; sums to the plan count).
-    pub fates: FateTally,
-    /// Total completed reconnect attempts across the population.
-    pub reconnects: u64,
-    /// Connections that ended on a migrated path.
-    pub migrated: u64,
-    /// Deterministic metrics snapshot: sim-engine event/drop tallies and
-    /// per-space QUIC counters under `sim/`, `server/`, `quic/`,
-    /// plus the `load/lost_per_conn` histogram. Merges as a monoid, so
-    /// the snapshot is identical at any `REACKED_THREADS`.
-    pub metrics: rq_obs::Registry,
-}
-
-/// Counts of connections per terminal fate. A monoid under `merge`, so
-/// availability survives sharding.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FateTally {
-    /// Served on the first admission.
-    pub completed: u64,
-    /// Retry-deferred, then admitted and served.
-    pub retried_then_accepted: u64,
-    /// Refused admission (silent shed or busy close).
-    pub shed: u64,
-    /// Client abandoned the handshake (give-up budget).
-    pub gave_up: u64,
-    /// Dropped by a server crash and never recovered.
-    pub reset: u64,
-    /// Admitted but never completed.
-    pub failed: u64,
-}
-
-impl FateTally {
-    /// Tallies one fate.
-    pub fn record(&mut self, fate: ConnFate) {
-        match fate {
-            ConnFate::Completed => self.completed += 1,
-            ConnFate::RetriedThenAccepted => self.retried_then_accepted += 1,
-            ConnFate::Shed => self.shed += 1,
-            ConnFate::GaveUp => self.gave_up += 1,
-            ConnFate::Reset => self.reset += 1,
-            ConnFate::Failed => self.failed += 1,
-        }
-    }
-
-    /// Total connections tallied.
-    pub fn total(&self) -> u64 {
-        self.completed
-            + self.retried_then_accepted
-            + self.shed
-            + self.gave_up
-            + self.reset
-            + self.failed
-    }
-
-    /// Served fraction: connections that got their response, however
-    /// many Retries or reconnects it took.
-    pub fn availability(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.completed + self.retried_then_accepted) as f64 / total as f64
-    }
-
-    /// Elementwise sum (shard merge).
-    pub fn merge(&mut self, other: &FateTally) {
-        self.completed += other.completed;
-        self.retried_then_accepted += other.retried_then_accepted;
-        self.shed += other.shed;
-        self.gave_up += other.gave_up;
-        self.reset += other.reset;
-        self.failed += other.failed;
-    }
-}
-
-impl ServerLoadReport {
-    /// Folds one connection outcome into the tallies and histograms.
-    pub fn record(&mut self, o: &ConnOutcome) {
-        self.fates.record(o.fate);
-        self.reconnects += o.reconnects as u64;
-        if o.migrated {
-            self.migrated += 1;
-        }
-        if matches!(o.fate, ConnFate::Completed | ConnFate::RetriedThenAccepted) {
-            if let Some(ms) = o.ttfb_ms {
-                self.ttfb.record(ms);
-            }
-            if let Some(ms) = o.handshake_ms {
-                self.handshake.record(ms);
-            }
-            if let Some(ms) = o.time_to_success_ms {
-                self.time_to_success.record(ms);
-            }
-            if let Some(ms) = o.download_complete_ms {
-                self.download.record(ms);
-            }
-            if let Some(mbps) = o.goodput_mbps {
-                self.goodput.record(mbps);
-            }
-        }
-        self.metrics
-            .add("load/client_pto_expirations", o.pto_expirations);
-        self.metrics
-            .add("load/client_packets_lost", o.client_packets_lost);
-        self.metrics
-            .add("load/server_packets_lost", o.server_packets_lost);
-        self.metrics
-            .observe("load/lost_per_conn", o.client_packets_lost);
-    }
-
-    /// Folds another report into this one (shard merge).
-    pub fn merge(&mut self, other: &ServerLoadReport) {
-        self.accounting.merge(&other.accounting);
-        self.ttfb.merge(&other.ttfb);
-        self.handshake.merge(&other.handshake);
-        self.time_to_success.merge(&other.time_to_success);
-        self.download.merge(&other.download);
-        self.goodput.merge(&other.goodput);
-        self.fates.merge(&other.fates);
-        self.reconnects += other.reconnects;
-        self.migrated += other.migrated;
-        self.metrics.merge(&other.metrics);
-    }
-}
-
 /// Result of one (unsharded) server-load run.
 #[derive(Debug)]
 pub struct ServerLoadRun {
@@ -475,7 +339,7 @@ pub(crate) enum Detail {
 
 /// Everything a drive produces.
 pub(crate) struct DriveOutput {
-    /// One outcome per plan, in plan order.
+    /// [`Detail::Aggregate`] only: one outcome per plan, in plan order.
     pub outcomes: Vec<ConnOutcome>,
     pub accounting: ServerAccounting,
     /// Snapshot of every instrument the drive touched: sim-engine
@@ -501,69 +365,104 @@ struct Spawned {
     body_bytes: usize,
 }
 
-/// One drive's state: the event loop, which owns the server and every
-/// client still on it, and what the driver knows of those clients.
-struct Drive {
+/// Everything a drive sets up, owned by the worker that runs it: the
+/// network, the server node (its engine, control block and response
+/// storage in it), the client node retired last and the driver's
+/// tables. A drive builds each node in the storage of the one kept
+/// here, and everything comes back at the drive's end, cleared but for
+/// its storage, the way [`Network::reset`] leaves a network; so a
+/// single-pair drive after a worker's first asks the heap for none of it
+/// again. A loaded server's slot boxes and peer records beyond a single
+/// pair's are given back. What a drive reads never depends on the drive
+/// before it: each node is built by its constructor, which carries over
+/// storage and nothing else.
+pub(crate) struct Worker {
+    /// Reset between drives.
     net: Network<TestbedNode>,
-    server_id: NodeId,
+    /// The last drive's server node.
+    server: Option<Box<ServerNode>>,
+    /// The client node retired last.
+    client: Option<Box<ClientNode>>,
+    /// The drive's plans; the aggregate drive lets go of them once its
+    /// clients are on the loop.
+    plans: Vec<ConnPlan>,
+    /// The clients on the loop, in spawn order.
     spawned: Vec<Spawned>,
+    /// One slot per plan, filled as its connection retires.
     outcomes: Vec<Option<ConnOutcome>>,
+}
+
+thread_local! {
+    /// This thread's worker: empty before the thread's first drive,
+    /// during one, and after one that panicked (that drive's storage went
+    /// with it).
+    static WORKER: Cell<Option<Worker>> = const { Cell::new(None) };
+}
+
+/// Runs `f` on this thread's worker.
+pub(crate) fn on_this_thread<T>(f: impl FnOnce(&mut Worker) -> T) -> T {
+    let mut worker = WORKER.take().unwrap_or_else(|| Worker {
+        net: Network::new(false),
+        server: None,
+        client: None,
+        plans: Vec::new(),
+        spawned: Vec::new(),
+        outcomes: Vec::new(),
+    });
+    let out = f(&mut worker);
+    WORKER.set(Some(worker));
+    out
+}
+
+/// A box holding `value`: `spare`, refilled, if there is one.
+fn rebox<T>(spare: Option<Box<T>>, value: T) -> Box<T> {
+    match spare {
+        Some(mut boxed) => {
+            *boxed = value;
+            boxed
+        }
+        None => Box::new(value),
+    }
+}
+
+/// One drive's state: the worker, whose network owns the server and
+/// every client still on it, and what the drive has tallied.
+struct Drive<'w> {
+    /// The worker the drive runs on.
+    w: &'w mut Worker,
+    server_id: NodeId,
     /// (client, server) QUIC counter totals, folded in retirement order.
     conn_totals: (ConnStats, ConnStats),
     conn_deadline: SimDuration,
 }
 
-/// What a thread keeps between its drives, so that each drive after the
-/// first reuses its storage: the network's tables and datagrams, and the
-/// response storage a drive lends the server it builds.
-struct Kept {
-    net: Network<TestbedNode>,
-    responses: ResponseCache,
-}
-
-thread_local! {
-    /// This thread's kept value. Empty before the thread's first drive
-    /// and after one that panicked: that drive's storage went with it.
-    static KEPT: Cell<Option<Kept>> = const { Cell::new(None) };
-}
-
-/// What this thread keeps, its network in the state
-/// `Network::new(capture_payloads)` makes.
-fn take_kept(capture_payloads: bool) -> Kept {
-    match KEPT.take() {
-        Some(mut kept) => {
-            kept.net.reset(capture_payloads);
-            kept
-        }
-        None => Kept {
-            net: Network::new(capture_payloads),
-            responses: ResponseCache::default(),
-        },
-    }
-}
-
-/// Keeps `net` and `responses` for this thread's next drive, holding
-/// nothing of the last one but storage.
-fn put_back(mut net: Network<TestbedNode>, responses: ResponseCache) {
-    net.reset(false);
-    KEPT.set(Some(Kept { net, responses }));
-}
-
 /// THE simulation driver: hosts every plan's client against one shared
-/// server (configured by `spec`) on a single event loop, on what the
-/// thread keeps. `run_scenario` routes through here with one plan;
+/// server (configured by `spec`) on a single event loop, on `worker`'s
+/// set-up. `run_scenario` routes through here with one plan;
 /// `run_server_load` with many.
 pub(crate) fn drive_conn_plans(
+    worker: &mut Worker,
     spec: &ServerLoadSpec,
-    mut plans: Vec<ConnPlan>,
+    plans: impl IntoIterator<Item = ConnPlan>,
     resumption_active: bool,
     detail: Detail,
 ) -> DriveOutput {
     let base = &spec.base;
     let full = matches!(detail, Detail::Full { .. });
+    // In the worker's table if they fit; else in their own storage
+    // (collecting a `Vec` keeps its buffer).
+    let plans = plans.into_iter();
+    let mut plans = if worker.plans.capacity() >= plans.size_hint().0 {
+        let mut kept = take(&mut worker.plans);
+        kept.extend(plans);
+        kept
+    } else {
+        plans.collect()
+    };
     let n = plans.len();
     assert!(!full || n == 1, "full detail is the single-pair mode");
-    let Kept { mut net, responses } = take_kept(base.capture_payloads && full);
+    let net = &mut worker.net;
+    net.reset(base.capture_payloads && full);
     // Only a returned trace is recorded: the full result reads the
     // links' and the engine's counts instead.
     net.trace.recording = detail == Detail::Full { trace: true };
@@ -599,26 +498,36 @@ pub(crate) fn drive_conn_plans(
     if resumption_active {
         server_cfg.resumption = base.resumption;
     }
-    let engine =
-        ServerEngine::new(server_cfg, spec.concurrency_limit).with_overload_policy(spec.overload);
-    let mut server_node = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed)
-        .with_faults(timeline.clone());
-    server_node.responses = responses;
-    let server_id = net.add_node(server_node.into());
+    let mut spare = worker.server.take();
+    let engine = {
+        let mut retired = spare.as_ref().map(|s| s.engine.borrow_mut());
+        ServerEngine::new_in(retired.as_deref_mut(), server_cfg, spec.concurrency_limit)
+            .with_overload_policy(spec.overload)
+    };
+    let server_node = ServerNode::with_engine_in(
+        spare.as_deref_mut(),
+        engine,
+        base.http,
+        base.cert_delay,
+        base.seed,
+    )
+    .with_faults(timeline.clone());
+    let net = &mut worker.net;
+    let server_id = net.add_node(TestbedNode::Server(rebox(spare, server_node)));
     net.prime();
 
     let mut drive = Drive {
-        net,
+        w: worker,
         server_id,
-        spawned: Vec::new(),
-        outcomes: vec![None; n],
         conn_totals: Default::default(),
         conn_deadline: spec.conn_deadline,
     };
+    drive.w.outcomes.reserve_exact(n);
+    drive.w.outcomes.resize(n, None);
 
     for (i, plan) in plans.iter_mut().enumerate() {
         let (arrival, sc) = (plan.arrival, &plan.scenario);
-        drive.net.run_until(arrival);
+        drive.w.net.run_until(arrival);
         if !full {
             drive.sweep(false);
         }
@@ -643,7 +552,9 @@ pub(crate) fn drive_conn_plans(
         client_cfg.cid_pool = sc.migration.cid_pool;
         client_cfg.metrics_sample_every = sc.metrics_sample_every;
         client_cfg.capture_qlog = full;
-        let mut client_node = ClientNode::new(
+        let mut spare = drive.w.client.take();
+        let mut client_node = ClientNode::new_in(
+            spare.as_deref_mut(),
             client_cfg,
             server_id,
             sc.http,
@@ -658,14 +569,15 @@ pub(crate) fn drive_conn_plans(
         if sc.faults.reconnect.is_some() {
             client_node = client_node.with_reconnect();
         }
-        let client_id = drive.net.add_node(client_node.into());
-        drive
-            .server()
-            .control
-            .borrow_mut()
+        let client_node = TestbedNode::Client(rebox(spare, client_node));
+        let client_id = drive.w.net.add_node(client_node);
+        let mut control = drive.server().control.borrow_mut();
+        let stale = control
             .conn_seeds
             .insert(client_id.index(), sc.seed ^ 0x5EED);
-        let net = &mut drive.net;
+        debug_assert_eq!(stale, None, "a peer's seed is set once");
+        drop(control);
+        let net = &mut drive.w.net;
 
         // Direction AtoB = client → server (connect order below).
         let mut link = LinkConfig::paper_default(sc.one_way_delay());
@@ -699,7 +611,7 @@ pub(crate) fn drive_conn_plans(
             );
         }
         net.schedule_start(client_id, arrival);
-        drive.spawned.push(Spawned {
+        drive.w.spawned.push(Spawned {
             plan_idx: i,
             id: client_id,
             arrival,
@@ -716,7 +628,7 @@ pub(crate) fn drive_conn_plans(
     }
 
     if full || (spec.overload == OverloadPolicy::Shed && base.faults.is_none()) {
-        let _outcome = drive.net.run_until(end);
+        let _outcome = drive.w.net.run_until(end);
     } else {
         // Deferred admission and fault recovery both need the tail of
         // the run to keep making progress after the last arrival:
@@ -725,9 +637,9 @@ pub(crate) fn drive_conn_plans(
         // instead of once at the end. Fault-free `Shed` runs never take
         // this branch, keeping the legacy event stream byte-identical.
         let step = SimDuration::from_millis(250);
-        while drive.net.now() < end {
-            let next = (drive.net.now() + step).min(end);
-            let outcome = drive.net.run_until(next);
+        while drive.w.net.now() < end {
+            let next = (drive.w.net.now() + step).min(end);
+            let outcome = drive.w.net.run_until(next);
             drive.sweep(false);
             if matches!(outcome, RunOutcome::QueueEmpty | RunOutcome::EventLimit) {
                 // Nothing left to happen (no pending datagrams or
@@ -744,27 +656,31 @@ pub(crate) fn drive_conn_plans(
     // hands over its halves on the way out. Its links go with it, so
     // their counts are read first.
     let full = full.then(|| {
-        let s = drive.spawned.pop().expect("the one plan was spawned");
+        let s = drive.w.spawned.pop().expect("the one plan was spawned");
         let peer = drive.peer(&s);
-        let net = &drive.net;
+        let net = &drive.w.net;
         let sent = (
             net.sent_count(s.id, server_id),
             net.sent_count(server_id, s.id),
         );
-        let (client, server) = drive.retire(&s, peer);
+        let server = drive.retire(&s, peer);
+        let w = &mut *drive.w;
+        let client = w.client.as_mut().expect("just retired");
         let st = client.status;
-        let outcome = drive.outcomes[s.plan_idx].as_ref().expect("just retired");
+        let outcome = w.outcomes[s.plan_idx].as_ref().expect("just retired");
         let aborted = (st.close_code.is_some() || peer.closed) && st.complete_at.is_none();
-        let (sc, stats) = (&plans[s.plan_idx].scenario, &drive.net.stats);
-        let conn = &mut client.conn.borrow_mut();
-        let result = full_result(conn, server, sc, outcome, aborted, sent, stats);
-        let trace = (detail == Detail::Full { trace: true }).then(|| take(&mut drive.net.trace));
-        (result, trace, client.ticket)
+        let (sc, stats) = (&plans[s.plan_idx].scenario, &w.net.stats);
+        let result = {
+            let conn = &mut client.conn.borrow_mut();
+            full_result(conn, server, sc, outcome, aborted, sent, stats)
+        };
+        let trace = (detail == Detail::Full { trace: true }).then(|| take(&mut w.net.trace));
+        (result, trace, client.ticket.take())
     });
     drive.sweep(true);
 
     let mut metrics = rq_obs::Registry::default();
-    drive.net.stats.export(&mut metrics);
+    drive.w.net.stats.export(&mut metrics);
     let accounting = {
         let engine = drive.server().engine.borrow();
         engine.export_metrics(&mut metrics);
@@ -772,27 +688,40 @@ pub(crate) fn drive_conn_plans(
     };
     drive.conn_totals.0.export(Role::Client, &mut metrics);
     drive.conn_totals.1.export(Role::Server, &mut metrics);
-    let Some(TestbedNode::Server(server)) = drive.net.retire_node(server_id) else {
+    let w = drive.w;
+    let Some(TestbedNode::Server(server)) = w.net.retire_node(server_id) else {
         unreachable!("the server is retired once, here");
     };
-    let Drive { net, outcomes, .. } = drive;
-    put_back(net, server.responses);
+    w.server = Some(server);
+    w.net.reset(false);
+    plans.clear();
+    w.plans = plans;
+    let outcomes = if full.is_some() {
+        w.outcomes.clear();
+        Vec::new()
+    } else {
+        let outcomes = take(&mut w.outcomes).into_iter();
+        outcomes
+            .map(|o| o.expect("every plan produced an outcome"))
+            .collect()
+    };
 
     DriveOutput {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every plan produced an outcome"))
-            .collect(),
+        outcomes,
         accounting,
         metrics,
         full,
     }
 }
 
-impl Drive {
+impl Drive<'_> {
     /// The server node, which is on the loop for the whole drive.
     fn server(&self) -> &ServerNode {
-        let node = self.net.node(self.server_id).and_then(TestbedNode::server);
+        let node = self
+            .w
+            .net
+            .node(self.server_id)
+            .and_then(TestbedNode::server);
         node.expect("the server is retired only as the drive ends")
     }
 
@@ -804,10 +733,10 @@ impl Drive {
     /// Retires finished (or expired) connections — all that are left on
     /// the `final_pass` — so memory tracks the *active* set.
     fn sweep(&mut self, final_pass: bool) {
-        let now = self.net.now();
-        let mut spawned = std::mem::take(&mut self.spawned);
+        let now = self.w.net.now();
+        let mut spawned = take(&mut self.w.spawned);
         spawned.retain(|s| {
-            let client = self.net.node(s.id).and_then(TestbedNode::client);
+            let client = self.w.net.node(s.id).and_then(TestbedNode::client);
             let st = client.expect("a spawned client is live").status;
             let peer = self.peer(s);
             let expired = now >= s.arrival + self.conn_deadline;
@@ -819,16 +748,17 @@ impl Drive {
             self.retire(s, peer);
             false
         });
-        self.spawned = spawned;
+        self.w.spawned = spawned;
     }
 
     /// Takes one connection off the loop: turns the retired client's
     /// status and the server's word `peer` into its [`ConnOutcome`] (the
     /// one place the timing fields are derived), folds both halves'
-    /// counters into the totals, tallies the engine, and returns the
-    /// client node and the server-side connection it removed.
-    fn retire(&mut self, s: &Spawned, peer: PeerOutcome) -> (Box<ClientNode>, Option<Connection>) {
-        let client = match self.net.retire_node(s.id) {
+    /// counters into the totals, tallies the engine, keeps the client
+    /// node as the worker's retired one, and returns the server-side
+    /// connection it removed.
+    fn retire(&mut self, s: &Spawned, peer: PeerOutcome) -> Option<Connection> {
+        let client = match self.w.net.retire_node(s.id) {
             Some(TestbedNode::Client(client)) => client,
             _ => unreachable!("a spawned client is retired once"),
         };
@@ -861,7 +791,7 @@ impl Drive {
         let server_stats = server.as_ref().map(|c| c.stats()).unwrap_or_default();
         self.conn_totals.0.merge(&client_stats);
         self.conn_totals.1.merge(&server_stats);
-        self.outcomes[s.plan_idx] = Some(ConnOutcome {
+        self.w.outcomes[s.plan_idx] = Some(ConnOutcome {
             index: s.plan_idx,
             arrival: s.arrival,
             class: s.class,
@@ -883,7 +813,8 @@ impl Drive {
             server_packets_lost: server_stats.packets_lost,
         });
         drop(conn);
-        (client, server)
+        self.w.client = Some(client);
+        server
     }
 }
 
@@ -894,7 +825,9 @@ pub fn run_server_load(spec: &ServerLoadSpec) -> ServerLoadRun {
     let resumption_active = plans
         .iter()
         .any(|p| p.scenario.handshake_class != HandshakeClass::Full);
-    let out = drive_conn_plans(spec, plans, resumption_active, Detail::Aggregate);
+    let out = on_this_thread(|worker| {
+        drive_conn_plans(worker, spec, plans, resumption_active, Detail::Aggregate)
+    });
     let mut report = ServerLoadReport {
         accounting: out.accounting,
         metrics: out.metrics,

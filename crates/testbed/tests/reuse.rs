@@ -1,15 +1,19 @@
-//! A thread runs every scenario on one simulated network, reset between
-//! runs, and its servers answer from one response storage, so a run may
+//! A thread runs every drive on its one worker value: one simulated
+//! network, reset between runs, and the server node, engine, control
+//! block, response storage, retired client node and driver tables that
+//! each drive builds in the storage the last one left. So a run may
 //! follow any other on its thread. What it reads must not depend on
 //! that: each scenario of a varied set gives the same result, metrics
 //! and trace on a new thread and right after any other scenario of the
-//! set, and every call of a seeded random sequence of those scenarios and
-//! two loaded servers (H1 and H3, each with a body length of its own)
-//! reads the same as on a new thread.
+//! set; every call of a seeded random sequence of those scenarios and
+//! four loaded servers (H1 and H3, each with a body length of its own,
+//! one Retry-deferring and one refusing with busy closes) reads the same
+//! as on a new thread; and the whole sequence, run once on one worker,
+//! keeps both qlogs of every scenario.
 
 use rq_http::HttpVersion;
 use rq_profiles::client_by_name;
-use rq_quic::ServerAckMode;
+use rq_quic::{OverloadPolicy, ServerAckMode};
 use rq_recovery::CcAlgorithm;
 use rq_sim::{ImpairmentSpec, SimDuration};
 use rq_testbed::{
@@ -92,11 +96,12 @@ fn a_run_reads_the_same_after_any_other_on_its_thread() {
     }
 }
 
-/// One call a thread makes: a scenario's runs, or a loaded server's run.
+/// One call a thread makes: a scenario's runs, or a loaded server's run
+/// and how many of its arrivals it serves.
 #[derive(Clone)]
 enum Call {
     Scenario(Scenario),
-    Load(ServerLoadSpec),
+    Load(ServerLoadSpec, usize),
 }
 
 impl Call {
@@ -104,22 +109,23 @@ impl Call {
     fn observe(&self) -> String {
         match self {
             Call::Scenario(sc) => observe(sc),
-            Call::Load(spec) => {
+            Call::Load(spec, served) => {
                 let run = run_server_load(spec);
-                let served = run
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.fate == ConnFate::Completed);
-                assert_eq!(served.count(), spec.arrivals, "{}", spec.base.label());
+                let fates = run.outcomes.iter().map(|o| o.fate);
+                let got = fates
+                    .filter(|f| matches!(f, ConnFate::Completed | ConnFate::RetriedThenAccepted));
+                assert_eq!(got.count(), *served, "{}", spec.base.label());
                 format!("{run:?}")
             }
         }
     }
 }
 
-/// The seven scenarios, then two small loaded servers: an H1 one with a
-/// resumed and 0-RTT mix, and an H3 one whose body length no scenario
-/// asks for.
+/// The seven scenarios, then four small loaded servers: an H1 one with
+/// a resumed and 0-RTT mix, an H3 one whose body length no scenario asks
+/// for, and two with room for one connection at a time: one defers the
+/// others with a Retry, the other refuses them with a busy close, after
+/// which they back off and reconnect (one of them in vain).
 fn calls() -> Vec<Call> {
     let mut calls: Vec<Call> = scenarios().into_iter().map(Call::Scenario).collect();
     let poisson = ArrivalProcess::Poisson { mean_gap: ms(3) };
@@ -140,9 +146,29 @@ fn calls() -> Vec<Call> {
         HttpVersion::H3,
     );
     (h3.seed, h3.file_size) = (6, 3000);
+    let one_at_a_time = |seed, overload| {
+        let mut base = Scenario::base(
+            client_by_name("quic-go").unwrap(),
+            ServerAckMode::InstantAck { pad_to_mtu: false },
+            HttpVersion::H1,
+        );
+        base.seed = seed;
+        if overload == OverloadPolicy::CloseWithBackoff {
+            base.faults.reconnect = Some(ReconnectPolicy::default());
+        }
+        let mut spec = ServerLoadSpec::new(base, 4, poisson);
+        spec.concurrency_limit = 1;
+        spec.overload = overload;
+        spec.conn_deadline = SimDuration::from_secs(10);
+        spec
+    };
+    let retry = one_at_a_time(7, OverloadPolicy::RetryDefer);
+    let busy = one_at_a_time(8, OverloadPolicy::CloseWithBackoff);
     calls.extend([
-        Call::Load(h1),
-        Call::Load(ServerLoadSpec::new(h3, 8, poisson)),
+        Call::Load(h1, 12),
+        Call::Load(ServerLoadSpec::new(h3, 8, poisson), 8),
+        Call::Load(retry, 4),
+        Call::Load(busy, 3),
     ]);
     calls
 }
@@ -170,5 +196,38 @@ fn every_call_of_a_random_sequence_reads_as_on_a_new_thread() {
                 assert!(read == fresh[i], "call {i}, at {k} of {order:?}");
             }
         });
+    });
+}
+
+/// Both qlogs of a scenario's run, as JSON.
+fn qlogs(sc: &Scenario) -> (String, String) {
+    let result = run_scenario(sc);
+    (result.client_log.to_json(), result.server_log.to_json())
+}
+
+#[test]
+fn the_sequence_on_one_worker_keeps_both_qlogs() {
+    let calls = calls();
+    let fresh: Vec<Option<(String, String)>> = calls
+        .iter()
+        .map(|call| match call {
+            Call::Scenario(sc) => {
+                let sc = sc.clone();
+                Some(on_a_new_thread(move || qlogs(&sc)))
+            }
+            Call::Load(..) => None,
+        })
+        .collect();
+    // Once through, on one thread: every call on the thread's one worker.
+    on_a_new_thread(move || {
+        for (i, call) in calls.iter().enumerate() {
+            call.observe();
+            let (Call::Scenario(sc), Some((client, server))) = (call, &fresh[i]) else {
+                continue;
+            };
+            let (warm_client, warm_server) = qlogs(sc);
+            assert!(warm_client == *client, "call {i}: the client qlog");
+            assert!(warm_server == *server, "call {i}: the server qlog");
+        }
     });
 }

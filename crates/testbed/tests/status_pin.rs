@@ -96,8 +96,8 @@ impl Bed {
         let mut net = Network::new(false);
         let mut cfg = testbed_server(base.ack_mode, base.cert_len);
         cfg.cc_algorithm = base.cc;
-        let engine = ServerEngine::new(cfg, limit).with_overload_policy(overload);
-        let mut server = ServerNode::with_engine(engine, base.http, base.cert_delay, base.seed);
+        let mut server = ServerNode::new(cfg.clone(), base.http, base.cert_delay, base.seed);
+        *server.engine.borrow_mut() = ServerEngine::new(cfg, limit).with_overload_policy(overload);
         if !base.faults.is_none() {
             let timeline = FaultTimeline {
                 crashes,

@@ -142,7 +142,7 @@ mod tests {
     fn initial_ack() -> PlainPacket {
         PlainPacket::new(
             Header::initial(cid(1), cid(2), vec![], 0),
-            vec![Frame::Ack(AckFrame::single(0, 0))],
+            vec![Frame::Ack(AckFrame::from_sorted_desc(&[0], 0))],
         )
         .unwrap()
     }
@@ -151,7 +151,7 @@ mod tests {
         PlainPacket::new(
             Header::initial(cid(1), cid(2), vec![], 1),
             vec![
-                Frame::Ack(AckFrame::single(0, 0)),
+                Frame::Ack(AckFrame::from_sorted_desc(&[0], 0)),
                 Frame::Crypto {
                     offset: 0,
                     data: Bytes::from(vec![2u8; 90]),

@@ -44,16 +44,6 @@ pub struct AckFrame {
 }
 
 impl AckFrame {
-    /// Builds an ACK for a single packet number.
-    pub fn single(pn: u64, ack_delay_us: u64) -> Self {
-        AckFrame {
-            largest: pn,
-            ack_delay_us,
-            first_range: 0,
-            ranges: Vec::new(),
-        }
-    }
-
     /// Builds an ACK frame from a sorted-descending list of distinct packet
     /// numbers. Panics if `pns` is empty or unsorted.
     pub fn from_sorted_desc(pns: &[u64], ack_delay_us: u64) -> Self {
@@ -704,14 +694,14 @@ mod tests {
 
     #[test]
     fn ack_single_roundtrip() {
-        let f = Frame::Ack(AckFrame::single(9, 1600));
+        let f = Frame::Ack(AckFrame::from_sorted_desc(&[9], 1600));
         assert_eq!(roundtrip(f.clone()), f);
     }
 
     #[test]
     fn ack_delay_quantized_to_8us() {
         // 1601 µs is not a multiple of 8; the wire carries floor(1601/8)*8.
-        let f = Frame::Ack(AckFrame::single(9, 1601));
+        let f = Frame::Ack(AckFrame::from_sorted_desc(&[9], 1601));
         let out = roundtrip(f);
         match out {
             Frame::Ack(a) => assert_eq!(a.ack_delay_us, 1600),
@@ -849,7 +839,7 @@ mod tests {
 
     #[test]
     fn ack_eliciting_classification() {
-        assert!(!Frame::Ack(AckFrame::single(0, 0)).is_ack_eliciting());
+        assert!(!Frame::Ack(AckFrame::from_sorted_desc(&[0], 0)).is_ack_eliciting());
         assert!(!Frame::Padding { len: 4 }.is_ack_eliciting());
         assert!(!Frame::ConnectionClose {
             error_code: 0,

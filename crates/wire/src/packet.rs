@@ -314,7 +314,7 @@ mod tests {
                     data: Bytes::copy_from_slice(b"GET / HTTP/1.1\r\n"),
                     fin: false,
                 },
-                Frame::Ack(AckFrame::single(1, 0)),
+                Frame::Ack(AckFrame::from_sorted_desc(&[1], 0)),
             ],
         )
         .unwrap();
@@ -345,7 +345,7 @@ mod tests {
     fn ack_only_detection() {
         let iack = PlainPacket::new(
             Header::initial(cid(1), cid(2), vec![], 0),
-            vec![Frame::Ack(AckFrame::single(0, 0))],
+            vec![Frame::Ack(AckFrame::from_sorted_desc(&[0], 0))],
         )
         .unwrap();
         assert!(iack.is_ack_only());
@@ -354,7 +354,7 @@ mod tests {
         let padded_iack = PlainPacket::new(
             Header::initial(cid(1), cid(2), vec![], 0),
             vec![
-                Frame::Ack(AckFrame::single(0, 0)),
+                Frame::Ack(AckFrame::from_sorted_desc(&[0], 0)),
                 Frame::Padding { len: 1100 },
             ],
         )
@@ -365,7 +365,7 @@ mod tests {
         let sh = PlainPacket::new(
             Header::initial(cid(1), cid(2), vec![], 1),
             vec![
-                Frame::Ack(AckFrame::single(0, 0)),
+                Frame::Ack(AckFrame::from_sorted_desc(&[0], 0)),
                 Frame::Crypto {
                     offset: 0,
                     data: Bytes::copy_from_slice(&[2; 90]),

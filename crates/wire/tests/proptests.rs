@@ -204,7 +204,7 @@ fn packet_encoded_len_exact() {
         let n_pad = rng.gen_range(500) as usize;
         let crypto_len = rng.gen_range(900) as usize;
         let pn = rng.gen_range(1_000_000);
-        let mut frames = vec![Frame::Ack(AckFrame::single(pn, 0))];
+        let mut frames = vec![Frame::Ack(AckFrame::from_sorted_desc(&[pn], 0))];
         if crypto_len > 0 {
             frames.push(Frame::Crypto {
                 offset: 0,

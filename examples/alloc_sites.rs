@@ -21,11 +21,13 @@
 //! The `run_scenario` modes (the default, `h3` and `bulk`) run one op of
 //! the same shape (seed 0) before the window opens, so the rows describe
 //! a warm thread, as in the benchmark's timed passes: the testbed keeps
-//! one value per thread, a simulated network and the response storage
-//! the driver lends each run's server, and every run after the thread's
-//! first reuses its tables, its datagram storage and the response body.
-//! A thread's first run pays for that set-up as well
-//! (`handshake_alloc.rs` pins both). `load` counts one `run_server_load`
+//! one worker value per thread (a simulated network, the last run's
+//! server node with its engine and response storage, the client node
+//! retired last and the driver's tables), and every run after the
+//! thread's first builds its nodes in that storage and reuses the
+//! network's tables, its datagram storage and the response body. A
+//! thread's first run pays for that set-up as well (`handshake_alloc.rs`
+//! pins both). `load` counts one `run_server_load`
 //! on a cold thread; its set-up is shared by all its arrivals.
 //!
 //! `live` asks a different question — not what was requested over a run
@@ -33,8 +35,8 @@
 //! `peak_heap_mib`, broken down). The run is one `run_server_load` of
 //! `ops` arrivals in the benchmark's steady shape (200 µs apart on a
 //! 100 ms path, 30 % resumed, 20 % 0-RTT, a quarter under 2 % loss), so
-//! the pairs interleave. One unwatched run sets up what the thread keeps,
-//! its network and response storage (not counted), and the run is then
+//! the pairs interleave. One unwatched run sets up what the thread's
+//! worker keeps (not counted), and the run is then
 //! made three times: once numbering every allocation and finding the number
 //! at which most bytes were live, once snapshotting the allocations live
 //! at that number, once capturing a backtrace for those only (about a
