@@ -282,6 +282,21 @@ impl Connection {
         Connection::new(cfg, seed, tls, rtt, local_cid, original_dcid)
     }
 
+    /// Makes this connection, which is no longer needed, a new
+    /// [`Connection::client`]: `cfg` is written into the storage of its
+    /// configuration when nothing else shares that, so a client built in
+    /// a retired one's place asks the heap for no configuration.
+    pub fn replace_with_client(&mut self, cfg: EndpointConfig, seed: u64, rtt_quirk_applies: bool) {
+        let cfg = match Rc::get_mut(&mut self.cfg) {
+            Some(slot) => {
+                *slot = cfg;
+                Rc::clone(&self.cfg)
+            }
+            None => Rc::new(cfg),
+        };
+        *self = Connection::client(cfg, seed, rtt_quirk_applies);
+    }
+
     /// Creates a server connection for a new 4-tuple whose first datagram
     /// carried `dcid` (Initial key derivation input).
     pub fn server(cfg: impl Into<Rc<EndpointConfig>>, seed: u64, dcid: ConnectionId) -> Self {

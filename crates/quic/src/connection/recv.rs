@@ -485,8 +485,7 @@ impl Connection {
             return;
         }
         self.stats.packets_lost += lost.len() as u64;
-        let mut sizes = Vec::with_capacity(lost.len());
-        let mut latest_sent: Option<SimTime> = None;
+        let (mut lost_bytes, mut latest_sent) = (0, None::<SimTime>);
         for p in lost {
             self.log.push(
                 now,
@@ -496,12 +495,12 @@ impl Connection {
                 },
             );
             if p.in_flight {
-                sizes.push(p.size);
+                lost_bytes += p.size;
                 latest_sent = Some(latest_sent.map_or(p.time_sent, |t| t.max(p.time_sent)));
             }
         }
         if let Some(latest) = latest_sent {
-            self.cc.on_loss(&sizes, latest, now);
+            self.cc.on_loss(lost_bytes, latest, now);
             self.detect_persistent_congestion(now, lost, acked, prev_largest_acked);
         }
     }
@@ -523,16 +522,15 @@ impl Connection {
             return;
         };
         let threshold = persistent_congestion_duration(pto);
-        let mut times: Vec<SimTime> = lost
+        // `lost` is in packet-number order, which is send order.
+        let mut times = lost
             .iter()
             .filter(|p| p.ack_eliciting)
             .map(|p| p.time_sent)
-            .filter(|t| prev_largest_acked.map_or(true, |a| *t > a))
-            .collect();
-        if times.len() < 2 {
+            .filter(|t| prev_largest_acked.map_or(true, |a| *t > a));
+        let Some(first) = times.next() else {
             return;
-        }
-        times.sort_unstable();
+        };
         // Walk the lost sends in order, restarting the candidate span
         // whenever an ack-eliciting send the declaring frame acked falls
         // inside it.
@@ -541,10 +539,10 @@ impl Connection {
                 .iter()
                 .any(|a| a.ack_eliciting && prev < a.time_sent && a.time_sent < t)
         };
-        let mut start = times[0];
-        let mut prev = times[0];
+        let (mut start, mut prev) = (first, first);
         let mut established = false;
-        for &t in &times[1..] {
+        for t in times {
+            debug_assert!(prev <= t, "lost packets are in send order");
             if acked_inside(prev, t) {
                 start = t;
             }

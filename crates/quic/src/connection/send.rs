@@ -232,16 +232,14 @@ impl Connection {
                 frames.push(Frame::MaxData { max: v });
                 used += 9;
             }
-            for (sid, grant) in self.streams.stream_credit_updates() {
-                if used + 12 > max_payload {
-                    break;
+            self.streams.grant_stream_credit(|id, max| {
+                let fits = used + 12 <= max_payload;
+                if fits {
+                    frames.push(Frame::MaxStreamData { id, max });
+                    used += 12;
                 }
-                frames.push(Frame::MaxStreamData {
-                    id: sid,
-                    max: grant,
-                });
-                used += 12;
-            }
+                fits
+            });
             // Stream data, congestion-controlled.
             let cc_room = self.cc.available();
             let conn_fc = self.streams.conn_send_budget() as usize;

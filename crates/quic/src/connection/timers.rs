@@ -2,6 +2,7 @@
 //! handshake give-up and path validation, and what each does on expiry.
 
 use rq_qlog::EventData;
+use rq_recovery::Acked;
 use rq_sim::{SimDuration, SimTime};
 use rq_wire::{Frame, FrameList, PacketNumberSpace};
 
@@ -118,7 +119,7 @@ impl Connection {
         if self.loss_time().is_some_and(|lt| now >= lt) {
             for space in PacketNumberSpace::ALL {
                 let sp = space_in(&mut self.handshake, &mut self.app, space.index());
-                let lost = sp.map_or_else(Vec::new, |sp| sp.detect_lost(now, &self.rtt));
+                let lost = sp.map_or_else(Acked::default, |sp| sp.detect_lost(now, &self.rtt));
                 let largest_acked = self.largest_acked_sent_time;
                 self.on_packets_lost(now, space, &lost, &[], largest_acked);
             }

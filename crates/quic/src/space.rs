@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use std::ops::{Range, RangeInclusive};
 
 use bytes::Bytes;
-use rq_recovery::{AckOutcome, RttEstimator, SentPacket, SentTracker, SmallDeque, FLIGHT};
+use rq_recovery::{AckOutcome, Acked, RttEstimator, SentPacket, SentTracker, SmallDeque, FLIGHT};
 use rq_sim::SimTime;
 use rq_tls::LevelKeys;
 use rq_wire::{AckFrame, Frame, FrameList, PacketType};
@@ -240,7 +240,7 @@ impl Space {
 
     /// Time-threshold loss detection at `now` (the `loss_time` timer):
     /// requeues what the lost packets carried and returns them.
-    pub fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
+    pub fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Acked {
         let lost = self.sent.detect_time_lost(now, rtt);
         self.requeue_carried(&lost);
         lost

@@ -192,11 +192,13 @@ impl StreamSet {
     }
 
     /// Per-stream flow-control grants that are due: streams whose peer has
-    /// consumed more than half of the credit we last advertised. Returns
-    /// `(stream_id, new_limit)` pairs and records the new grants.
-    pub fn stream_credit_updates(&mut self) -> Vec<(u64, u64)> {
+    /// consumed more than half of the credit we last advertised. Offers
+    /// each `(stream_id, new_limit)` to `send`, in stream order, and
+    /// records the grant only when `send` says it went out: the first
+    /// refusal ends the round, and a grant left unsent is offered again
+    /// next time.
+    pub fn grant_stream_credit(&mut self, mut send: impl FnMut(u64, u64) -> bool) {
         let default = self.default_stream_credit;
-        let mut out = Vec::new();
         for (sid, rs) in self.recv.iter_mut() {
             if rs.fin_at.is_some() {
                 continue; // finished streams need no more credit
@@ -204,11 +206,12 @@ impl StreamSet {
             let granted = if rs.granted == 0 { default } else { rs.granted };
             if rs.delivered + default / 2 > granted {
                 let new_grant = rs.delivered + default;
+                if !send(sid, new_grant) {
+                    return;
+                }
                 rs.granted = new_grant;
-                out.push((sid, new_grant));
             }
         }
-        out
     }
 }
 

@@ -42,7 +42,7 @@ use rq_sim::{SimDuration, SimRng, SimTime, Spares};
 use rq_tls::mac::{mac, DIGEST_LEN};
 use rq_tls::{application_keys, handshake_keys, initial_keys, seal_tag, KeySide};
 use rq_wire::{
-    AckFrame, Bytes, ConnectionId, Frame, Header, PacketType, PlainPacket, AEAD_TAG_LEN,
+    AckFrame, AckRanges, Bytes, ConnectionId, Frame, Header, PacketType, PlainPacket, AEAD_TAG_LEN,
 };
 
 /// One delivered datagram: whether it went to the server, its bytes, and
@@ -315,7 +315,7 @@ fn hostile_acks() -> [Vec<u8>; 2] {
         largest: 1 << 20,
         ack_delay_us: 0,
         first_range: 1 << 20,
-        ranges: Vec::new(),
+        ranges: AckRanges::default(),
     })
     .encode(&mut never_sent);
     // Type, largest 0, delay 0, a two-byte range count of 1,000, first

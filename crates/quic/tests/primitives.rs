@@ -45,11 +45,11 @@ impl ExpandingTracker {
             .largest_acked
             .map_or(frame.largest, |l| l.max(frame.largest));
         self.largest_acked = Some(largest);
-        let (lost, rest) = std::mem::take(&mut self.sent).into_iter().partition(|p| {
+        let (lost, rest): (Vec<_>, _) = std::mem::take(&mut self.sent).into_iter().partition(|p| {
             p.pn <= largest
                 && (largest >= p.pn + K_PACKET_THRESHOLD || now >= p.time_sent + rtt.loss_delay())
         });
-        (out.lost, self.sent) = (lost, rest);
+        (out.lost, self.sent) = (lost.into_iter().collect(), rest);
         out
     }
 }

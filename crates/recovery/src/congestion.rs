@@ -335,12 +335,11 @@ impl CongestionController {
         }
     }
 
-    /// Processes one burst of lost in-flight packets; `now` starts a
-    /// recovery episode unless one already covers the loss.
-    pub fn on_loss(&mut self, sizes: &[usize], latest_loss_sent: SimTime, now: SimTime) {
-        for s in sizes {
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*s);
-        }
+    /// Processes one burst of lost in-flight packets, `lost_bytes` in
+    /// all; `now` starts a recovery episode unless one already covers the
+    /// loss.
+    pub fn on_loss(&mut self, lost_bytes: usize, latest_loss_sent: SimTime, now: SimTime) {
+        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(lost_bytes);
         if self
             .recovery_start
             .is_some_and(|start| latest_loss_sent <= start)
@@ -479,7 +478,7 @@ mod tests {
         for _ in 0..10 {
             cc.on_sent(1200);
         }
-        cc.on_loss(&[1200], at(5), at(10));
+        cc.on_loss(1200, at(5), at(10));
         assert_eq!(cc.cwnd(), INITIAL_WINDOW / 2);
         assert!(!cc.in_slow_start());
     }
@@ -490,13 +489,13 @@ mod tests {
         for _ in 0..10 {
             cc.on_sent(1200);
         }
-        cc.on_loss(&[1200], at(5), at(10));
+        cc.on_loss(1200, at(5), at(10));
         let after_first = cc.cwnd();
         // Second loss of a packet sent before recovery began: no change.
-        cc.on_loss(&[1200], at(6), at(12));
+        cc.on_loss(1200, at(6), at(12));
         assert_eq!(cc.cwnd(), after_first);
         // Loss of a packet sent after recovery start: new episode.
-        cc.on_loss(&[1200], at(20), at(25));
+        cc.on_loss(1200, at(20), at(25));
         assert_eq!(cc.cwnd(), after_first / 2);
     }
 
@@ -506,7 +505,7 @@ mod tests {
         for _ in 0..10 {
             cc.on_sent(1200);
         }
-        cc.on_loss(&[1200], at(5), at(10));
+        cc.on_loss(1200, at(5), at(10));
         let w = cc.cwnd();
         ack(&mut cc, at(8)); // sent before recovery start
         assert_eq!(cc.cwnd(), w);
@@ -518,7 +517,7 @@ mod tests {
     fn congestion_avoidance_grows_linearly() {
         let mut cc = CcAlgorithm::NewReno.build();
         cc.on_sent(1200);
-        cc.on_loss(&[1200], at(1), at(2)); // force out of slow start
+        cc.on_loss(1200, at(1), at(2)); // force out of slow start
         let w = cc.cwnd();
         assert!(!cc.in_slow_start());
         // Ack one window's worth: growth ≈ one MSS.
@@ -540,7 +539,7 @@ mod tests {
         let mut cc = CcAlgorithm::NewReno.build();
         for i in 0..20 {
             cc.on_sent(1200);
-            cc.on_loss(&[1200], at(100 * i + 1), at(100 * i + 2));
+            cc.on_loss(1200, at(100 * i + 1), at(100 * i + 2));
         }
         assert!(cc.cwnd() >= MIN_WINDOW);
     }
@@ -561,7 +560,7 @@ mod tests {
         for _ in 0..10 {
             cc.on_sent(1200);
         }
-        cc.on_loss(&[1200], at(5), at(10));
+        cc.on_loss(1200, at(5), at(10));
         let ssthresh = cc.cwnd();
         cc.on_persistent_congestion();
         assert!(cc.in_slow_start(), "below ssthresh again");
@@ -589,7 +588,7 @@ mod tests {
             cc.on_sent(1200);
         }
         let before = cc.cwnd();
-        cc.on_loss(&[1200], at(5), at(10));
+        cc.on_loss(1200, at(5), at(10));
         let floor = cc.cwnd();
         assert_eq!(
             floor,
@@ -616,7 +615,7 @@ mod tests {
             for i in 0..100u64 {
                 cc.on_sent(1200);
                 if i == 40 {
-                    cc.on_loss(&[1200], at(i), at(i + 1));
+                    cc.on_loss(1200, at(i), at(i + 1));
                 } else {
                     cc.on_ack(1200, at(i), at(i + 9), &rtt);
                 }
@@ -660,7 +659,7 @@ mod tests {
         }
         let before = cc.cwnd();
         cc.on_sent(1200);
-        cc.on_loss(&[1200], at(t), at(t + 1));
+        cc.on_loss(1200, at(t), at(t + 1));
         let after = cc.cwnd();
         assert!(
             after * 2 > before,
@@ -676,7 +675,7 @@ mod tests {
             let mut cc = algo.build();
             for i in 0..30u64 {
                 cc.on_sent(1200);
-                cc.on_loss(&[1200], at(10 * i + 1), at(10 * i + 2));
+                cc.on_loss(1200, at(10 * i + 1), at(10 * i + 2));
             }
             assert!(cc.cwnd() >= MIN_WINDOW, "{algo:?} broke the floor");
             cc.on_persistent_congestion();
@@ -701,7 +700,7 @@ mod tests {
         let mut cc = CcAlgorithm::NewReno.build();
         assert_eq!(cc.state(), CcState::SlowStart);
         cc.on_sent(1200);
-        cc.on_loss(&[1200], at(1), at(2));
+        cc.on_loss(1200, at(1), at(2));
         assert_eq!(cc.state(), CcState::Recovery);
         cc.on_sent(1200);
         ack(&mut cc, at(5));
@@ -715,7 +714,7 @@ mod tests {
             let mut cc = algo.build();
             cc.on_sent(1200);
             cc.on_sent(1200);
-            cc.on_loss(&[1200], at(1), at(2));
+            cc.on_loss(1200, at(1), at(2));
             assert_eq!(cc.state(), CcState::Recovery, "{algo:?}");
             // Sent at 1 ms, before the episode began at 2 ms.
             cc.on_ack(1200, at(1), at(12), &rtt);

@@ -21,6 +21,6 @@ pub mod smalldeque;
 pub use congestion::{persistent_congestion_duration, CcAlgorithm, CcState, CongestionController};
 pub use pto::{PtoState, RFC_DEFAULT_PTO};
 pub use rtt::{RttEstimator, GRANULARITY};
-pub use sent::{AckOutcome, SentPacket, SentTracker, FLIGHT};
+pub use sent::{AckOutcome, Acked, SentPacket, SentTracker, FLIGHT};
 pub use seqmap::SeqMap;
 pub use smalldeque::SmallDeque;

@@ -39,12 +39,14 @@ const VACANT: SentPacket = SentPacket {
     retx_token: 0,
 };
 
-/// The packets one ACK frame newly acknowledges, read as the
-/// `[SentPacket]` it derefs to. Of the ACK frames a handshake processes
-/// none newly acknowledges more than five packets, and a download's
-/// mostly two: the first [`Acked::INLINE`] live in the value itself and
-/// only a longer list (after loss, or a peer that acks rarely) moves to
-/// a `Vec`. The price is its size, 208 bytes where a `Vec` is 24.
+/// The packets one ACK frame newly acknowledges, or one loss detection
+/// declares lost, read as the `[SentPacket]` it derefs to. Of the ACK
+/// frames a handshake processes none newly acknowledges more than five
+/// packets, and a download's mostly two, and no loss burst of
+/// `alloc_sites`' lossy download (seed 1) is longer than five: the first
+/// [`Acked::INLINE`] live in the value itself and only a longer list
+/// (after loss, or a peer that acks rarely) moves to a `Vec`. The price
+/// is its size, 208 bytes where a `Vec` is 24.
 /// Equality sees the packets only, never where they are stored.
 #[derive(Debug)]
 pub struct Acked(AckedRepr);
@@ -135,8 +137,9 @@ impl FromIterator<SentPacket> for Acked {
 pub struct AckOutcome {
     /// Packets newly acknowledged (ascending pn).
     pub newly_acked: Acked,
-    /// Packets declared lost by the packet threshold or time threshold.
-    pub lost: Vec<SentPacket>,
+    /// Packets declared lost by the packet threshold or time threshold
+    /// (ascending pn, which is send order).
+    pub lost: Acked,
     /// RTT sample, present iff the largest acked packet is newly acked and
     /// at least one newly acked packet is ack-eliciting (RFC 9002 §5.1).
     pub rtt_sample: Option<SimDuration>,
@@ -259,17 +262,22 @@ impl SentTracker {
     /// and returns the packets below `largest_acked` by kPacketThreshold
     /// or older than the time threshold at `now`, and re-arms `loss_time`
     /// for the younger ones.
-    pub fn detect_time_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
+    pub fn detect_time_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Acked {
+        let mut lost = Acked::default();
         let Some(largest) = self.largest_acked else {
-            return Vec::new();
+            return lost;
         };
         let loss_delay = rtt.loss_delay();
-        let mut lost_pns = Vec::new();
         self.loss_time = None;
-        for (pn, p) in self.sent.range(..=largest) {
-            let lost_deadline = p.time_sent + loss_delay;
+        let mut from = 0;
+        loop {
+            let next = self.sent.range(from..=largest).next();
+            let Some((pn, sent_at)) = next.map(|(pn, p)| (pn, p.time_sent)) else {
+                break;
+            };
+            let lost_deadline = sent_at + loss_delay;
             if largest >= pn + PACKET_THRESHOLD || now >= lost_deadline {
-                lost_pns.push(pn);
+                lost.extend(self.remove(pn));
             } else {
                 // Earliest pending time-threshold loss.
                 self.loss_time = Some(
@@ -277,11 +285,9 @@ impl SentTracker {
                         .map_or(lost_deadline, |t| t.min(lost_deadline)),
                 );
             }
+            from = pn + 1;
         }
-        lost_pns
-            .into_iter()
-            .filter_map(|pn| self.remove(pn))
-            .collect()
+        lost
     }
 
     /// Stops tracking `pn` (acknowledged or lost) and takes it out of the

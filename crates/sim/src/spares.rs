@@ -32,7 +32,13 @@ use rq_wire::Bytes;
 /// per op where it made 9,792.5. A list that refused instead of evicting
 /// filled with ACK-sized buffers (8,256), one of 16 or 32 kept too few
 /// full-sized ones (5,713.5 and 5,092), and a list per length cost a
-/// handshake one allocation per length it met.
+/// handshake one allocation per length it met. No cap at all (one spare
+/// more than in flight, however many) read 2,077 where 64 read 3,893.5,
+/// but it saves allocations by holding memory: storage waiting between
+/// a delivery and the next send of its length. The live weight of a
+/// loaded server's client–server pair (`handshake_alloc.rs`) rose from
+/// 20,022 to 20,966 bytes, past its 20,600 ceiling, and `bulk_transfer`'s
+/// `peak_heap_mib` from 9.017 to 9.135.
 const CAP: usize = 64;
 
 /// Buffers kept whatever is in flight: the 23 datagrams of a

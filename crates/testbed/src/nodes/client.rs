@@ -151,9 +151,9 @@ impl ClientNode {
     }
 
     /// [`ClientNode::new`], in the storage of the retired client `spare`
-    /// if there is one: its connection's cell, unless something else
-    /// shares it, and its response table. Nothing else of `spare`
-    /// carries over.
+    /// if there is one: its connection's cell and that connection's
+    /// configuration, unless something else shares them, and its
+    /// response table. Nothing else of `spare` carries over.
     pub(crate) fn new_in(
         spare: Option<&mut ClientNode>,
         cfg: EndpointConfig,
@@ -163,21 +163,28 @@ impl ClientNode {
         seed: u64,
         rtt_quirk_applies: bool,
     ) -> Self {
-        let mut conn = Connection::client(cfg, seed, rtt_quirk_applies);
-        queue_requests(&mut conn, http, file_size, 0..1);
+        let fresh = |cfg| {
+            Rc::new(RefCell::new(Connection::client(
+                cfg,
+                seed,
+                rtt_quirk_applies,
+            )))
+        };
         let (conn, mut responses) = match spare {
             Some(old) => {
                 let conn = match Rc::get_mut(&mut old.conn) {
                     Some(cell) => {
-                        *cell.get_mut() = conn;
+                        cell.get_mut()
+                            .replace_with_client(cfg, seed, rtt_quirk_applies);
                         Rc::clone(&old.conn)
                     }
-                    None => Rc::new(RefCell::new(conn)),
+                    None => fresh(cfg),
                 };
                 (conn, take(&mut old.responses))
             }
-            None => (Rc::new(RefCell::new(conn)), Vec::with_capacity(1)),
+            None => (fresh(cfg), Vec::with_capacity(1)),
         };
+        queue_requests(&mut conn.borrow_mut(), http, file_size, 0..1);
         responses.clear();
         responses.push(Response::default());
         ClientNode {

@@ -18,7 +18,7 @@ use rq_quic::{ConnStats, Role, ServerAckMode, ServerEngine};
 use rq_recovery::CcAlgorithm;
 use rq_sim::{EngineStats, ImpairmentSpec, SimDuration, Trace};
 use rq_testbed::{
-    run_scenario, run_server_load, ArrivalProcess, ClassMix, Scenario, ServerLoadSpec,
+    run_scenario, run_server_load, ArrivalProcess, ClassMix, LossSpec, Scenario, ServerLoadSpec,
 };
 use rq_testkit::alloc::{peak_live_during, requested_by, Counting};
 use rq_tls::{
@@ -99,9 +99,12 @@ fn a_warm_handshake_stays_under_its_ceiling() {
     // control block and response storage (the 10 KiB body already in it),
     // the client node and its connection's cell, and the driver's tables
     // are built in what the first run left; the request's path is
-    // written on the stack. What is left is per connection or per
-    // result. Measured 29 calls / 26,240 bytes, debug and release alike
-    // (77 / 66,652 on a new thread), once the worker kept its nodes and
+    // written on the stack, and the client's configuration in the
+    // storage of the retired client's. What is left is per connection or
+    // per result. Measured 28 calls / 25,976 bytes, debug and release
+    // alike (77 / 66,652 on a new thread), once the client's
+    // configuration was written into the retired client's (29 / 26,240
+    // before). Earlier: 29 / 26,240 once the worker kept its nodes and
     // tables (46 / 33,866 before, with the server node, engine, client
     // node, driver tables, link index node and request path built anew).
     // Earlier: 46 / 33,866 once the server node's box held the lent
@@ -109,9 +112,9 @@ fn a_warm_handshake_stays_under_its_ceiling() {
     // the response was kept by the thread and a run that returns no
     // trace recorded none (48 / 44,498 before, with the response built
     // anew and a capture record per datagram). Both ceilings leave 2 %.
-    assert!(calls <= 29, "{calls} allocations for a warm handshake");
+    assert!(calls <= 28, "{calls} allocations for a warm handshake");
     assert!(
-        bytes <= 26_760,
+        bytes <= 26_500,
         "{bytes} bytes requested for a warm handshake"
     );
 }
@@ -227,8 +230,10 @@ fn a_warm_download_stays_under_its_ceiling() {
         per_kib <= 1.37,
         "{per_kib:.2} KiB requested per KiB delivered"
     );
-    // Per datagram sent, either way: 0.41 calls. 2,759 datagrams took
-    // 1,143 allocations (1,155 with a capture record list growing), and
+    // Per datagram sent, either way: 0.40 calls. 2,759 datagrams took
+    // 1,110 allocations (1,125 while an ACK frame with gaps kept its
+    // ranges in a `Vec` and loss detection collected into new ones,
+    // 1,155 with a capture record list growing), and
     // most of them are datagram storage: a datagram is built in the
     // storage of one delivered before it when the receiver kept no view
     // of that, so what is left is storage for the datagrams in flight at
@@ -236,12 +241,42 @@ fn a_warm_download_stays_under_its_ceiling() {
     // per datagram while each was built in storage of its own, 3.76
     // while every qlog packet event listed its frames and every ACK frame
     // collected its acked packets on the heap). The ceilings leave 2 %.
-    assert!(calls <= 1_166, "{calls} allocations for the download");
+    assert!(calls <= 1_132, "{calls} allocations for the download");
     let per_datagram = calls as f64 / datagrams as f64;
     assert!(
-        per_datagram <= 0.423,
+        per_datagram <= 0.41,
         "{per_datagram:.3} allocations per datagram"
     );
+}
+
+#[test]
+fn a_warm_lossy_download_stays_under_its_ceiling() {
+    // The benchmark's lossy `bulk_transfer` shape: under bursty loss
+    // most ACK frames carry gaps and loss detection runs on most of them.
+    let client = client_by_name("quic-go").unwrap();
+    let iack = ServerAckMode::InstantAck { pad_to_mtu: false };
+    let loss = ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.3, 0.0, 0.5);
+    let sc = Scenario {
+        streams: 2,
+        file_size: 1024 * 1024,
+        cc: CcAlgorithm::BbrLite,
+        loss: LossSpec::Random(loss),
+        ..Scenario::base(client, iack, HttpVersion::H3)
+    };
+    assert!(run_scenario(&sc).completed);
+    let (calls, _) = requested_by(|| {
+        let result = run_scenario(&sc);
+        assert!(result.completed);
+        result
+    });
+    // Measured 920 calls, debug and release alike: 2,530 while an ACK
+    // frame's lower ranges were a `Vec` both where the receiver built the
+    // frame and where the sender decoded it, and loss detection collected
+    // the lost packets' numbers, the packets, their sizes and their send
+    // times into four more. What is left is mostly datagram storage, as
+    // in the clean download, and acknowledged packets past an `Acked`'s
+    // inline five. The ceiling leaves 2 %.
+    assert!(calls <= 938, "{calls} allocations for the lossy download");
 }
 
 #[test]
@@ -268,9 +303,12 @@ fn a_live_connection_pair_stays_under_its_weight() {
     assert_eq!(pairs, 600, "every arrival is live at the peak");
     // Everything the run holds at its peak — both connections, the
     // datagrams in flight, the timer heap and the testbed's own records
-    // — per client–server pair. Measured 20,009 bytes, debug and release
-    // alike, with the response in the thread's storage, built in this
-    // run as each server once built its own (20,009 before too).
+    // — per client–server pair. Measured 20,022 bytes, debug and release
+    // alike, as before ACK ranges travelled as their wire encoding: a
+    // loaded server's clients are new nodes, so writing a client's
+    // configuration into a retired client's storage moves nothing here.
+    // Earlier: 20,009 with the response in the thread's storage, built in
+    // this run as each server once built its own (20,009 before too).
     // Earlier: 20,072 once delivered datagrams' storage waited in the
     // network's list of spares for the next sender (20,009 before, once the
     // sent-packet, received-range, send-queue and stream

@@ -77,9 +77,9 @@ fn drive(algo: CcAlgorithm, seed: u64, steps: usize) -> Vec<usize> {
                 let n = burst.min(outstanding.len());
                 if n > 0 {
                     let lost: Vec<(usize, SimTime)> = outstanding.drain(..n).collect();
-                    let sizes: Vec<usize> = lost.iter().map(|l| l.0).collect();
+                    let bytes = lost.iter().map(|l| l.0).sum();
                     let latest = lost.iter().map(|l| l.1).max().unwrap();
-                    cc.on_loss(&sizes, latest, now);
+                    cc.on_loss(bytes, latest, now);
                 }
             }
             _ => cc.on_persistent_congestion(),
@@ -157,7 +157,7 @@ fn flow(algo: CcAlgorithm, seed: u64, steps: usize) -> Vec<usize> {
         let sent = outstanding.pop_front().unwrap();
         now = now.max(sent + SimDuration::from_micros(40_000 + rng.gen_range(20_000)));
         if rng.gen_range(400) == 0 {
-            cc.on_loss(&[1200], sent, now);
+            cc.on_loss(1200, sent, now);
         } else {
             rtt.update(now.since(sent), SimDuration::ZERO, true);
             cc.on_ack(1200, sent, now, &rtt);

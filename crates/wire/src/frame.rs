@@ -18,16 +18,139 @@ use crate::{Result, WireError};
 /// acknowledged packets, counting downward from the previous range
 /// (RFC 9000 §19.3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AckRange {
+struct AckRange {
     /// Packets skipped below the smallest acked packet of the previous range.
-    pub gap: u64,
+    gap: u64,
     /// `length` field: number of acked packets in this range minus one.
-    pub len: u64,
+    len: u64,
+}
+
+/// An ACK frame's ranges below its first, held as their wire encoding:
+/// each range's gap and length as two varints in their shortest form, so
+/// two lists of the same ranges hold the same bytes, and equality and
+/// [`Frame::encoded_len`] never depend on the varint widths a peer chose.
+/// Up to 22 bytes (eleven ranges whose fields are below 64) live in the
+/// value itself; a longer list takes one heap buffer. Iterating decodes
+/// the pairs.
+#[derive(Clone, Default)]
+pub struct AckRanges(RangesRepr);
+
+#[derive(Clone)]
+enum RangesRepr {
+    /// `bytes[..len]` are the ranges, the rest zero.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_RANGES],
+    },
+    Heap(Box<[u8]>),
+}
+
+/// Range bytes held without a heap allocation: what a tag byte and a
+/// length byte leave of 24, which keeps `AckFrame` at 48 bytes and
+/// `Frame` at 56 (a packet's frame list holds three frames inline).
+const INLINE_RANGES: usize = 22;
+
+impl Default for RangesRepr {
+    fn default() -> Self {
+        RangesRepr::Inline {
+            len: 0,
+            bytes: [0; INLINE_RANGES],
+        }
+    }
+}
+
+impl AckRanges {
+    /// The wire encoding: gap/length varint pairs, highest range first.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            RangesRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            RangesRepr::Heap(bytes) => bytes,
+        }
+    }
+
+    /// Number of ranges: half the varints, counted by their length bits.
+    fn count(&self) -> u64 {
+        let mut rest = self.as_bytes();
+        let mut varints = 0;
+        while let Some(&first) = rest.first() {
+            rest = &rest[1 << (first >> 6)..];
+            varints += 1;
+        }
+        varints / 2
+    }
+
+    /// The ranges, highest first.
+    fn iter(&self) -> impl Iterator<Item = AckRange> + '_ {
+        let mut rest = self.as_bytes();
+        std::iter::from_fn(move || {
+            let gap = VarInt::decode(&mut rest).ok()?.value();
+            let len = VarInt::decode(&mut rest).expect("whole pairs").value();
+            Some(AckRange { gap, len })
+        })
+    }
+}
+
+impl PartialEq for AckRanges {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for AckRanges {}
+
+impl std::fmt::Debug for AckRanges {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Builds an [`AckRanges`] one range at a time, in the value until the
+/// ranges outgrow it.
+#[derive(Default)]
+struct RangesWriter {
+    inline: [u8; INLINE_RANGES],
+    len: usize,
+    /// Every byte so far, once they no longer fit inline.
+    heap: Vec<u8>,
+}
+
+impl RangesWriter {
+    /// Appends `range` in the shortest encoding of each field.
+    fn push(&mut self, range: AckRange) {
+        for field in [range.gap, range.len] {
+            let mut word = [0u8; 8];
+            let mut rest = &mut word[..];
+            VarInt::new(field)
+                .expect("ACK range fields fit a varint")
+                .encode(&mut rest);
+            let n = 8 - rest.len();
+            if self.heap.is_empty() && self.len + n <= INLINE_RANGES {
+                self.inline[self.len..self.len + n].copy_from_slice(&word[..n]);
+                self.len += n;
+            } else {
+                if self.heap.is_empty() {
+                    self.heap.extend_from_slice(&self.inline[..self.len]);
+                }
+                self.heap.extend_from_slice(&word[..n]);
+            }
+        }
+    }
+
+    fn finish(self) -> AckRanges {
+        AckRanges(if self.heap.is_empty() {
+            RangesRepr::Inline {
+                len: self.len as u8,
+                bytes: self.inline,
+            }
+        } else {
+            RangesRepr::Heap(self.heap.into_boxed_slice())
+        })
+    }
 }
 
 /// A decoded ACK frame.
 ///
-/// `ack_delay` is carried in microseconds already scaled by the peer's
+/// `ack_delay_us` is carried in microseconds already scaled by the peer's
 /// `ack_delay_exponent`; this crate stores the decoded microsecond value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AckFrame {
@@ -40,7 +163,7 @@ pub struct AckFrame {
     /// packets below `largest` that are also acked.
     pub first_range: u64,
     /// Additional lower ranges.
-    pub ranges: Vec<AckRange>,
+    pub ranges: AckRanges,
 }
 
 impl AckFrame {
@@ -62,20 +185,21 @@ impl AckFrame {
         let mut ranges = ranges.into_iter();
         let first = ranges.next()?;
         let mut smallest = *first.start();
-        let lower = ranges.map(|r| {
+        let mut lower = RangesWriter::default();
+        for r in ranges {
             // RFC 9000 §19.3.1 gap encoding.
             let gap = smallest.checked_sub(r.end() + 2);
             smallest = *r.start();
-            AckRange {
+            lower.push(AckRange {
                 gap: gap.expect("ranges must be descending with a gap between them"),
                 len: r.end() - r.start(),
-            }
-        });
+            });
+        }
         Some(AckFrame {
             largest: *first.end(),
             ack_delay_us,
             first_range: first.end() - first.start(),
-            ranges: lower.collect(),
+            ranges: lower.finish(),
         })
     }
 
@@ -285,15 +409,11 @@ impl Frame {
             Frame::Padding { len } => *len,
             Frame::Ping => 1,
             Frame::Ack(a) => {
-                let mut n = 1
-                    + vlen(a.largest)
+                1 + vlen(a.largest)
                     + vlen(a.ack_delay_us / ACK_DELAY_UNIT_US)
-                    + vlen(a.ranges.len() as u64)
-                    + vlen(a.first_range);
-                for r in &a.ranges {
-                    n += vlen(r.gap) + vlen(r.len);
-                }
-                n
+                    + vlen(a.ranges.count())
+                    + vlen(a.first_range)
+                    + a.ranges.as_bytes().len()
             }
             Frame::Crypto { offset, data } => {
                 1 + vlen(*offset) + vlen(data.len() as u64) + data.len()
@@ -344,12 +464,9 @@ impl Frame {
                 VarInt::new(a.ack_delay_us / ACK_DELAY_UNIT_US)
                     .unwrap()
                     .encode(buf);
-                VarInt::new(a.ranges.len() as u64).unwrap().encode(buf);
+                VarInt::new(a.ranges.count()).unwrap().encode(buf);
                 VarInt::new(a.first_range).unwrap().encode(buf);
-                for r in &a.ranges {
-                    VarInt::new(r.gap).unwrap().encode(buf);
-                    VarInt::new(r.len).unwrap().encode(buf);
-                }
+                buf.put_slice(a.ranges.as_bytes());
             }
             Frame::Crypto { offset, data } => {
                 buf.put_u8(0x06);
@@ -469,10 +586,10 @@ impl Frame {
                 let mut smallest = largest
                     .checked_sub(first_range)
                     .ok_or(WireError::MalformedAck)?;
-                // A range is at least two bytes: the count field cannot
-                // reserve more than the buffer could hold.
-                let mut ranges =
-                    Vec::with_capacity(range_count.min(buf.remaining() as u64 / 2) as usize);
+                // Each pair is written again in its shortest form, so the
+                // frame equals the one its ranges build, however wide the
+                // peer's varints; the count field reserves nothing.
+                let mut ranges = RangesWriter::default();
                 for _ in 0..range_count {
                     let gap = VarInt::decode(buf)?.value();
                     let len = VarInt::decode(buf)?.value();
@@ -492,7 +609,7 @@ impl Frame {
                     largest,
                     ack_delay_us,
                     first_range,
-                    ranges,
+                    ranges: ranges.finish(),
                 }))
             }
             0x06 => {
@@ -613,281 +730,4 @@ fn take_bytes<B: Buf>(buf: &mut B, len: usize) -> Result<Bytes> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(frame: Frame) -> Frame {
-        let mut buf = Vec::new();
-        frame.encode(&mut buf);
-        assert_eq!(
-            buf.len(),
-            frame.encoded_len(),
-            "encoded_len mismatch for {frame:?}"
-        );
-        let mut slice = &buf[..];
-        let out = Frame::decode(&mut slice).unwrap();
-        assert!(
-            slice.is_empty(),
-            "decode left {} bytes for {frame:?}",
-            slice.len()
-        );
-        out
-    }
-
-    #[test]
-    fn ping_roundtrip() {
-        assert_eq!(roundtrip(Frame::Ping), Frame::Ping);
-    }
-
-    #[test]
-    fn padding_merges() {
-        let f = Frame::Padding { len: 37 };
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn a_zero_run_decodes_as_one_padding_frame() {
-        for n in [1, 2, 37, 1200] {
-            let mut bytes = vec![0u8; n];
-            bytes.push(0x01);
-            let mut buf = &bytes[..];
-            assert_eq!(Frame::decode(&mut buf).unwrap(), Frame::Padding { len: n });
-            assert_eq!(Frame::decode(&mut buf).unwrap(), Frame::Ping);
-            assert!(buf.is_empty());
-            // A run to the end of the buffer is one frame too.
-            let mut tail = &bytes[..n];
-            assert_eq!(Frame::decode(&mut tail).unwrap(), Frame::Padding { len: n });
-            assert!(tail.is_empty());
-        }
-    }
-
-    #[test]
-    fn crypto_roundtrip() {
-        let f = Frame::Crypto {
-            offset: 1200,
-            data: Bytes::from(vec![7u8; 333]),
-        };
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn stream_roundtrip_with_offset_and_fin() {
-        let f = Frame::Stream {
-            id: 4,
-            offset: 65536,
-            data: Bytes::copy_from_slice(b"hello"),
-            fin: true,
-        };
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn stream_roundtrip_zero_offset() {
-        let f = Frame::Stream {
-            id: 0,
-            offset: 0,
-            data: Bytes::copy_from_slice(b"GET /"),
-            fin: false,
-        };
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn ack_single_roundtrip() {
-        let f = Frame::Ack(AckFrame::from_sorted_desc(&[9], 1600));
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn ack_delay_quantized_to_8us() {
-        // 1601 µs is not a multiple of 8; the wire carries floor(1601/8)*8.
-        let f = Frame::Ack(AckFrame::from_sorted_desc(&[9], 1601));
-        let out = roundtrip(f);
-        match out {
-            Frame::Ack(a) => assert_eq!(a.ack_delay_us, 1600),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn ack_multi_range_roundtrip() {
-        let ack = AckFrame::from_sorted_desc(&[20, 19, 18, 10, 9, 3], 0);
-        assert_eq!(ack.largest, 20);
-        assert_eq!(ack.first_range, 2);
-        assert_eq!(
-            ack.ranges,
-            [AckRange { gap: 6, len: 1 }, AckRange { gap: 4, len: 0 }]
-        );
-        assert_eq!(
-            AckFrame::from_ranges_desc([18..=20, 9..=10, 3..=3], 0).as_ref(),
-            Some(&ack)
-        );
-        assert_eq!(AckFrame::from_ranges_desc([], 0), None);
-        let acked: Vec<u64> = ack.acked_ranges().flat_map(Iterator::rev).collect();
-        assert_eq!(acked, vec![20, 19, 18, 10, 9, 3]);
-        let f = Frame::Ack(ack);
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn ack_acks_predicate() {
-        let ack = AckFrame::from_sorted_desc(&[7, 5, 4], 0);
-        assert!(ack.acks(7));
-        assert!(!ack.acks(6));
-        assert!(ack.acks(5));
-        assert!(ack.acks(4));
-        assert!(!ack.acks(3));
-    }
-
-    #[test]
-    fn malformed_ack_rejected() {
-        // first_range > largest.
-        let mut buf = Vec::new();
-        buf.put_u8(0x02);
-        VarInt::new(2).unwrap().encode(&mut buf);
-        VarInt::new(0).unwrap().encode(&mut buf);
-        VarInt::new(0).unwrap().encode(&mut buf);
-        VarInt::new(5).unwrap().encode(&mut buf);
-        let mut slice = &buf[..];
-        assert_eq!(Frame::decode(&mut slice), Err(WireError::MalformedAck));
-    }
-
-    #[test]
-    fn connection_close_roundtrip() {
-        let f = Frame::ConnectionClose {
-            error_code: 0x0a,
-            reason: "retired CID twice".into(),
-            app: false,
-        };
-        assert_eq!(roundtrip(f.clone()), f);
-        let g = Frame::ConnectionClose {
-            error_code: 0x100,
-            reason: String::new(),
-            app: true,
-        };
-        assert_eq!(roundtrip(g.clone()), g);
-    }
-
-    #[test]
-    fn new_connection_id_roundtrip() {
-        let f = Frame::NewConnectionId {
-            seq: 3,
-            retire_prior_to: 1,
-            cid: vec![1, 2, 3, 4, 5, 6, 7, 8],
-        };
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn retire_connection_id_roundtrip() {
-        let f = Frame::RetireConnectionId { seq: 2 };
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn path_challenge_response_roundtrip() {
-        for f in [
-            Frame::PathChallenge {
-                data: 0xDEAD_BEEF_CAFE_F00D,
-            },
-            Frame::PathResponse { data: 0 },
-            Frame::PathResponse { data: u64::MAX },
-        ] {
-            assert_eq!(roundtrip(f.clone()), f);
-        }
-    }
-
-    #[test]
-    fn path_frames_classification() {
-        use crate::header::PacketType::*;
-        let ch = Frame::PathChallenge { data: 1 };
-        let re = Frame::PathResponse { data: 1 };
-        assert!(ch.is_ack_eliciting());
-        assert!(re.is_ack_eliciting());
-        // RFC 9000 Table 3: PATH_CHALLENGE in 0-RTT and 1-RTT; PATH_RESPONSE
-        // only in 1-RTT; neither in Initial or Handshake packets.
-        assert!(!ch.permitted_in(Initial));
-        assert!(!ch.permitted_in(Handshake));
-        assert!(ch.permitted_in(ZeroRtt));
-        assert!(ch.permitted_in(OneRtt));
-        assert!(!re.permitted_in(ZeroRtt));
-        assert!(re.permitted_in(OneRtt));
-    }
-
-    #[test]
-    fn handshake_done_and_flow_control() {
-        for f in [
-            Frame::HandshakeDone,
-            Frame::MaxData { max: 1 << 20 },
-            Frame::MaxStreamData { id: 4, max: 99999 },
-            Frame::MaxStreams {
-                bidi: true,
-                max: 16,
-            },
-            Frame::MaxStreams {
-                bidi: false,
-                max: 3,
-            },
-            Frame::DataBlocked { limit: 4096 },
-            Frame::NewToken {
-                token: Bytes::copy_from_slice(&[9; 32]),
-            },
-        ] {
-            assert_eq!(roundtrip(f.clone()), f);
-        }
-    }
-
-    #[test]
-    fn ack_eliciting_classification() {
-        assert!(!Frame::Ack(AckFrame::from_sorted_desc(&[0], 0)).is_ack_eliciting());
-        assert!(!Frame::Padding { len: 4 }.is_ack_eliciting());
-        assert!(!Frame::ConnectionClose {
-            error_code: 0,
-            reason: String::new(),
-            app: false
-        }
-        .is_ack_eliciting());
-        assert!(Frame::Ping.is_ack_eliciting());
-        assert!(Frame::Crypto {
-            offset: 0,
-            data: Bytes::new()
-        }
-        .is_ack_eliciting());
-        assert!(Frame::HandshakeDone.is_ack_eliciting());
-    }
-
-    #[test]
-    fn frame_permissions_initial() {
-        use crate::header::PacketType::*;
-        assert!(Frame::Ping.permitted_in(Initial));
-        assert!(Frame::Crypto {
-            offset: 0,
-            data: Bytes::new()
-        }
-        .permitted_in(Initial));
-        assert!(!Frame::Stream {
-            id: 0,
-            offset: 0,
-            data: Bytes::new(),
-            fin: false
-        }
-        .permitted_in(Initial));
-        assert!(!Frame::HandshakeDone.permitted_in(Handshake));
-        assert!(Frame::HandshakeDone.permitted_in(OneRtt));
-        assert!(!Frame::ConnectionClose {
-            error_code: 0,
-            reason: String::new(),
-            app: true
-        }
-        .permitted_in(Initial));
-    }
-
-    #[test]
-    fn unknown_frame_type_rejected() {
-        let mut slice: &[u8] = &[0x21];
-        assert_eq!(
-            Frame::decode(&mut slice),
-            Err(WireError::InvalidFrameType(0x21))
-        );
-    }
-}
+mod tests;

@@ -34,7 +34,7 @@ pub mod varint;
 pub use bytes::Bytes;
 pub use coalesce::{classify_datagram, DatagramInfo, PacketSummary};
 pub use error::WireError;
-pub use frame::{AckFrame, AckRange, Frame};
+pub use frame::{AckFrame, AckRanges, Frame};
 pub use frame_list::FrameList;
 pub use header::{ConnectionId, Header, PacketType};
 pub use packet::{PacketNumberSpace, PlainPacket, AEAD_TAG_LEN};

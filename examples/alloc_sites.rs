@@ -10,15 +10,18 @@
 //! as in `benchmark/src/alloc.rs`, so two commits compare line by line.
 //!
 //! Run with:
-//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load|bulk|live|h3]`
+//! `cargo run --release --example alloc_sites -- [client] [wfc|iack] [ops] [depth] [load|bulk|lossy|live|h3]`
 //! (defaults: `quic-go iack 8 3`; release because `[profile.release]`
 //! keeps debug info, so inlined frames resolve to their own lines).
 //! Op `i` is `Scenario::base(client, mode, H1)` at seed `i`, or with `h3`
 //! `Scenario::base(client, mode, H3)`; with `load` the ops are the
 //! arrivals of one `run_server_load` instead, and with `bulk` each op is
-//! a 2 × 1 MiB H3/CUBIC download, where the data path does the asking.
+//! a 2 × 1 MiB H3/CUBIC download, where the data path does the asking;
+//! `lossy` is the benchmark's lossy download, 2 × 1 MiB H3 over BBR-lite
+//! under Gilbert–Elliott loss, where ACK frames carry gaps and loss
+//! detection runs.
 //!
-//! The `run_scenario` modes (the default, `h3` and `bulk`) run one op of
+//! The `run_scenario` modes (the default, `h3`, `bulk` and `lossy`) run one op of
 //! the same shape (seed 0) before the window opens, so the rows describe
 //! a warm thread, as in the benchmark's timed passes: the testbed keeps
 //! one worker value per thread (a simulated network, the last run's
@@ -249,7 +252,7 @@ fn main() {
     let arg = |i: usize, default: &str| args.get(i).map_or(default, String::as_str).to_string();
     let usage = |what: &str| -> ! {
         eprintln!(
-            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load|bulk|live|h3]"
+            "alloc_sites: {what}\nusage: alloc_sites [client] [wfc|iack] [ops] [depth] [load|bulk|lossy|live|h3]"
         );
         std::process::exit(2);
     };
@@ -268,8 +271,11 @@ fn main() {
         .parse()
         .unwrap_or_else(|_| usage("depth is a count"));
     let shape = args.get(4).map(String::as_str);
-    if !matches!(shape, None | Some("load" | "bulk" | "live" | "h3")) {
-        usage("the fifth argument can only be `load`, `bulk`, `live` or `h3`");
+    if !matches!(
+        shape,
+        None | Some("load" | "bulk" | "lossy" | "live" | "h3")
+    ) {
+        usage("the fifth argument can only be `load`, `bulk`, `lossy`, `live` or `h3`");
     }
     if ops == 0 || depth == 0 {
         usage("ops and depth start at 1");
@@ -281,6 +287,15 @@ fn main() {
             streams: 2,
             file_size: 1024 * 1024,
             cc: CcAlgorithm::Cubic,
+            ..Scenario::base(client.clone(), mode, HttpVersion::H3)
+        }
+    } else if shape == Some("lossy") {
+        let loss = ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.3, 0.0, 0.5);
+        Scenario {
+            streams: 2,
+            file_size: 1024 * 1024,
+            cc: CcAlgorithm::BbrLite,
+            loss: LossSpec::Random(loss),
             ..Scenario::base(client.clone(), mode, HttpVersion::H3)
         }
     } else if shape == Some("h3") {
@@ -332,6 +347,7 @@ fn main() {
         match shape {
             Some("load") => "run_server_load",
             Some("bulk") => "run_scenario, 2 x 1 MiB H3 download",
+            Some("lossy") => "run_scenario, 2 x 1 MiB H3 BBR-lite download under loss",
             Some(_) => "run_scenario, H3",
             None => "run_scenario",
         },
