@@ -606,6 +606,65 @@ mod tests {
         assert!(after > floor, "cubic must regrow: {after} <= {floor}");
     }
 
+    /// CUBIC after a loss against RFC 8312 itself: the curve
+    /// `W_cubic(t) = C·(t − K)³ + W_max` and the TCP-friendly
+    /// `W_est(t) = β·W_max + 3(1 − β)/(1 + β)·t/RTT` are computed here from
+    /// C = 0.4 and β = 0.7, not read from the controller. Under an ACK
+    /// clock of one window per RTT, `cwnd` stays in the band
+    /// `[max(W_cubic(t), W_est(t)), max(W_cubic(t + RTT), W_est(t))]`, give
+    /// or take `cwnd / MSS` bytes: each step is rounded down to a whole
+    /// byte, and each ack's spacing to a whole nanosecond. Where the curve
+    /// governs, `cwnd` is below `W_max` until one RTT before `K` and at
+    /// `W_max`, to that rounding, from one RTT after it.
+    #[test]
+    fn cubic_follows_the_rfc_8312_curve_after_a_loss() {
+        const C: f64 = 0.4;
+        const BETA: f64 = 0.7;
+        let mss = MAX_DATAGRAM as f64;
+        // At 100 ms the window follows the cubic curve; at 10 ms W_est
+        // grows faster and is the floor.
+        for rtt_ms in [100, 10] {
+            let rtt = rtt_with_sample(rtt_ms);
+            let r = rtt_ms as f64 / 1e3;
+            let mut cc = CcAlgorithm::Cubic.build();
+            while cc.cwnd() < 200 * MAX_DATAGRAM {
+                cc.on_sent(MAX_DATAGRAM);
+                cc.on_ack(MAX_DATAGRAM, at(0), at(1), &rtt);
+            }
+            let w_max = cc.cwnd() as f64;
+            cc.on_sent(MAX_DATAGRAM);
+            cc.on_loss(MAX_DATAGRAM, at(1), at(1));
+            let k = (w_max / mss * (1.0 - BETA) / C).cbrt();
+            let w_cubic = |t: f64| C * (t - k).powi(3) * mss + w_max;
+            let w_est = |t: f64| BETA * w_max + 3.0 * (1.0 - BETA) / (1.0 + BETA) * t / r * mss;
+            let curve_governs = w_est(k) < w_max;
+            // The first ack after the loss starts the epoch.
+            let epoch = at(1 + rtt_ms);
+            let (mut now, mut t) = (epoch, 0.0);
+            while t < k + 1.0 {
+                cc.on_sent(MAX_DATAGRAM);
+                cc.on_ack(MAX_DATAGRAM, now, now, &rtt);
+                let cwnd = cc.cwnd() as f64;
+                let tol = cwnd / mss;
+                let low = w_cubic(t).max(w_est(t)) - tol;
+                let high = w_cubic(t + r).max(w_est(t)) + tol;
+                let at_t = format!("RTT {rtt_ms} ms, t = {t:.3} s, K = {k:.3} s: cwnd {cwnd}");
+                assert!(
+                    low <= cwnd && cwnd <= high,
+                    "{at_t} outside [{low:.0}, {high:.0}]"
+                );
+                if curve_governs && t <= k - r {
+                    assert!(cwnd < w_max, "{at_t} reached W_max {w_max} early");
+                }
+                if curve_governs && t >= k + r {
+                    assert!(cwnd >= w_max - tol, "{at_t} short of W_max {w_max}");
+                }
+                now = now + SimDuration::from_nanos((r * 1e9 * mss / cwnd) as u64);
+                t = now.since(epoch).as_secs_f64();
+            }
+        }
+    }
+
     #[test]
     fn cubic_trace_is_deterministic() {
         let run = || {

@@ -15,6 +15,8 @@
 //! delivery schedule reproducible and lets property tests state exact
 //! invariants over one direction in isolation.
 
+use std::fmt;
+
 use crate::loss::Direction;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -171,23 +173,46 @@ impl ImpairmentSpec {
         check("reorder_probability", self.reorder_probability);
         check("duplicate_probability", self.duplicate_probability);
     }
+}
 
-    /// Compact human-readable label for tables (e.g. `iid5%+jit3ms`).
-    pub fn label(&self) -> String {
-        if self.is_noop() {
-            return "clean".to_string();
+impl Default for ImpairmentSpec {
+    fn default() -> Self {
+        ImpairmentSpec::none()
+    }
+}
+
+/// A probability as a percentage: a whole one bare, any other to 0.1 %.
+struct Pct(f64);
+
+impl fmt::Display for Pct {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pct = self.0 * 100.0;
+        if pct.fract() == 0.0 {
+            write!(f, "{pct:.0}%")
+        } else {
+            write!(f, "{pct:.1}%")
         }
-        let pct = |p: f64| {
-            if (p * 100.0).fract() == 0.0 {
-                format!("{:.0}%", p * 100.0)
-            } else {
-                format!("{:.1}%", p * 100.0)
-            }
+    }
+}
+
+impl fmt::Debug for ImpairmentSpec {
+    /// A compact label, `Impair(iid5%+jit3ms)` or `Impair(clean)`, that
+    /// keeps scenario labels and `{:?}`-formatted LossSpecs readable in
+    /// experiment output: each process present, joined by `+`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_noop() {
+            return f.write_str("Impair(clean)");
+        }
+        f.write_str("Impair(")?;
+        let mut sep = "";
+        let mut part = |f: &mut fmt::Formatter<'_>, args: fmt::Arguments<'_>| {
+            f.write_str(sep)?;
+            sep = "+";
+            f.write_fmt(args)
         };
-        let mut parts = Vec::new();
         match self.loss {
             LossModel::None => {}
-            LossModel::Iid { rate } => parts.push(format!("iid{}", pct(rate))),
+            LossModel::Iid { rate } => part(f, format_args!("iid{}", Pct(rate)))?,
             LossModel::GilbertElliott {
                 p_enter_bad,
                 p_exit_bad,
@@ -197,49 +222,25 @@ impl ImpairmentSpec {
                 // enter/exit transitions, then the bad-state (and, when
                 // nonzero, good-state) loss rates — specs differing only
                 // in severity must label differently.
-                let mut ge = format!(
-                    "ge{}/{}x{}",
-                    pct(p_enter_bad),
-                    pct(p_exit_bad),
-                    pct(loss_bad)
-                );
+                let (enter, exit, bad) = (Pct(p_enter_bad), Pct(p_exit_bad), Pct(loss_bad));
+                part(f, format_args!("ge{enter}/{exit}x{bad}"))?;
                 if loss_good > 0.0 {
-                    ge.push_str(&format!("(g{})", pct(loss_good)));
+                    write!(f, "(g{})", Pct(loss_good))?;
                 }
-                parts.push(ge);
             }
         }
         if self.reorder_probability > 0.0 {
-            parts.push(format!(
-                "ro{}@{:.0}ms",
-                pct(self.reorder_probability),
-                self.reorder_window.as_millis_f64()
-            ));
+            let window = self.reorder_window.as_millis_f64();
+            let p = Pct(self.reorder_probability);
+            part(f, format_args!("ro{p}@{window:.0}ms"))?;
         }
         if self.duplicate_probability > 0.0 {
-            parts.push(format!("dup{}", pct(self.duplicate_probability)));
+            part(f, format_args!("dup{}", Pct(self.duplicate_probability)))?;
         }
-        match self.jitter {
-            Jitter::None => {}
-            Jitter::Uniform { max } => {
-                parts.push(format!("jit{:.0}ms", max.as_millis_f64()));
-            }
+        if let Jitter::Uniform { max } = self.jitter {
+            part(f, format_args!("jit{:.0}ms", max.as_millis_f64()))?;
         }
-        parts.join("+")
-    }
-}
-
-impl Default for ImpairmentSpec {
-    fn default() -> Self {
-        ImpairmentSpec::none()
-    }
-}
-
-impl std::fmt::Debug for ImpairmentSpec {
-    // The compact label keeps scenario labels and `{:?}`-formatted
-    // LossSpecs readable in experiment output.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Impair({})", self.label())
+        f.write_str(")")
     }
 }
 
@@ -492,22 +493,27 @@ mod tests {
 
     #[test]
     fn labels_are_compact() {
-        assert_eq!(ImpairmentSpec::none().label(), "clean");
+        let label = |spec: ImpairmentSpec| format!("{spec:?}");
+        assert_eq!(label(ImpairmentSpec::none()), "Impair(clean)");
         let spec = ImpairmentSpec::none()
             .with_iid_loss(0.05)
             .with_reordering(0.1, SimDuration::from_millis(4))
             .with_duplication(0.01)
             .with_uniform_jitter(SimDuration::from_millis(3));
-        assert_eq!(spec.label(), "iid5%+ro10%@4ms+dup1%+jit3ms");
+        assert_eq!(label(spec), "Impair(iid5%+ro10%@4ms+dup1%+jit3ms)");
         let ge = ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.5, 0.0, 0.9);
-        assert_eq!(ge.label(), "ge2%/50%x90%");
+        assert_eq!(label(ge), "Impair(ge2%/50%x90%)");
         // Severity must be visible: same transitions, different loss rates
         // ⇒ different labels; a nonzero good-state rate is appended.
         let milder = ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.5, 0.0, 0.3);
-        assert_ne!(ge.label(), milder.label());
+        assert_ne!(label(ge), label(milder));
         let leaky = ImpairmentSpec::none().with_gilbert_elliott(0.02, 0.5, 0.05, 0.9);
-        assert_eq!(leaky.label(), "ge2%/50%x90%(g5%)");
-        assert_eq!(format!("{spec:?}"), format!("Impair({})", spec.label()));
+        assert_eq!(label(leaky), "Impair(ge2%/50%x90%(g5%))");
+        // A fractional percentage keeps one decimal.
+        let jittery = ImpairmentSpec::none()
+            .with_iid_loss(0.005)
+            .with_uniform_jitter(SimDuration::from_millis(3));
+        assert_eq!(label(jittery), "Impair(iid0.5%+jit3ms)");
     }
 
     #[test]

@@ -3,23 +3,21 @@
 //! Every `exp_<name>` they mention must be a row of
 //! `rq_bench::EXPERIMENTS` (a name ending in `_` or `*` is a prefix and
 //! must match at least one row), every `--example <name>` a file in
-//! `examples/`, and every `REACKED_*` variable a string literal in the
-//! non-test code of the two files that read the environment. A doc that
-//! drifts then fails the same way dead code does: fix the doc, not this
-//! check.
+//! `examples/`, and every `REACKED_*` variable a string literal on a line
+//! of non-test code of the two files that read the environment
+//! (`rust_source::ENV_READERS`, the only ones by the "Env knobs" design
+//! rule). A doc that drifts then fails the same way dead code does: fix
+//! the doc, not this check.
+
+#[allow(dead_code)] // reads only the environment readers' non-test code
+mod rust_source;
 
 use std::fs;
-use std::path::Path;
+
+use rust_source::{non_test_code, root, ENV_READERS};
 
 /// The documents checked, relative to the repository root.
 const DOCS: [&str; 2] = ["README.md", ".claude/skills/verify/SKILL.md"];
-
-/// The files allowed to read the environment (CI's "Env knobs" step).
-const ENV_READERS: [&str; 2] = ["crates/par/src/lib.rs", "crates/bench/src/config.rs"];
-
-fn root() -> &'static Path {
-    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
 
 fn read(path: &str) -> String {
     fs::read_to_string(root().join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
@@ -84,15 +82,18 @@ fn docs_name_only_what_exists() {
             (path.extension()? == "rs").then_some(stem)
         })
         .collect();
-    // Only code above a file's top-level tests counts as reading a knob.
-    let env_code: String = ENV_READERS
-        .iter()
-        .map(|path| {
-            let text = read(path);
-            let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
-            text[..end].to_string()
-        })
-        .collect();
+    // Only a line that carries non-test code counts as reading a knob; the
+    // literals on it are read as written.
+    let mut env_code = String::new();
+    for path in ENV_READERS {
+        let text = read(path);
+        for (line, code) in text.lines().zip(non_test_code(&text).lines()) {
+            if !code.trim().is_empty() {
+                env_code.push_str(line);
+                env_code.push('\n');
+            }
+        }
+    }
     let mut failures = Vec::new();
     for doc in DOCS {
         for line in drift(&read(doc), &experiments, &examples, &env_code) {

@@ -16,15 +16,17 @@
 //!
 //! An item that only a test in another crate needs is listed in
 //! `tests/public_surface.allow` with that test; an entry that is used now,
-//! or that no longer exists, fails as well, so the list can only shrink.
+//! or that no longer exists, fails as well, and so does a list of more
+//! than [`MAX_ALLOWED`] entries, so the list can only shrink.
 
+#[allow(dead_code)] // reads no ENV_READERS
 mod rust_source;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-use rust_source::{non_test_code, root, rs_files, words};
+use rust_source::{is_tests_file, non_test_code, root, rs_files, words};
 
 /// One source file: its path relative to the repo root and its non-test
 /// code, blanked so that only code is left.
@@ -159,6 +161,21 @@ struct Allowed {
     test: String,
 }
 
+/// The most entries the allow-list may hold: it once held four, and it
+/// may shrink, never grow.
+const MAX_ALLOWED: usize = 1;
+
+/// What is wrong with the length of `allow`: more than [`MAX_ALLOWED`].
+fn over_bound(allow: &[Allowed]) -> Option<String> {
+    (allow.len() > MAX_ALLOWED).then(|| {
+        format!(
+            "tests/public_surface.allow has {} entries, at most {MAX_ALLOWED} allowed: \
+             give the item a product caller or narrow it instead",
+            allow.len()
+        )
+    })
+}
+
 fn parse_allow(text: &str) -> Result<Vec<Allowed>, String> {
     let mut out = Vec::new();
     for (n, line) in text.lines().enumerate() {
@@ -214,7 +231,7 @@ fn violations(flagged: &Flagged, allow: &[Allowed]) -> Vec<String> {
 
 /// Every `.rs` file under `dir` (but `tests.rs`) as a [`Source`], sorted.
 fn collect(dir: &Path, out: &mut Vec<Source>) {
-    for p in rs_files(dir) {
+    for p in rs_files(dir).into_iter().filter(|p| !is_tests_file(p)) {
         let rel = p.strip_prefix(root()).unwrap().to_string_lossy();
         out.push(Source::new(&rel, &fs::read_to_string(&p).unwrap()));
     }
@@ -251,6 +268,7 @@ fn every_public_item_has_a_caller_or_an_allow_entry() {
     let allow_text = fs::read_to_string(root().join("tests/public_surface.allow")).unwrap();
     let allow = parse_allow(&allow_text).unwrap_or_else(|e| panic!("{e}"));
     let mut bad = violations(&flagged, &allow);
+    bad.extend(over_bound(&allow));
     for a in &allow {
         let (file, test) = a.test.split_once("::").unwrap_or((&a.test, ""));
         let text = fs::read_to_string(root().join(file)).unwrap_or_default();
@@ -316,6 +334,10 @@ fn t() { a::tested(\"\"); }
     assert!(bad[0].contains("`a/m.rs called` is stale"), "{}", bad[0]);
     assert!(bad[1].contains("`a/m.rs vanished` is stale"), "{}", bad[1]);
     assert!(parse_allow("a/m.rs LIMIT\n").is_err());
+    // The list may hold one entry, not the four it once held.
+    assert_eq!(over_bound(&allow[..1]), None);
+    let long = over_bound(&allow[..4]).unwrap_or_default();
+    assert!(long.contains("has 4 entries, at most 1"), "{long}");
 
     // ...but in the test-support crate, whose callers are tests, it does.
     let kit = Source::new(

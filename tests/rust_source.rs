@@ -1,7 +1,12 @@
 //! Rust source as the repo's structural rules read it
-//! (`public_surface.rs`, `dependencies.rs`): every `.rs` file under a
-//! directory, its non-test code with comments and literals blanked, and
-//! the identifier-shaped words of that code.
+//! (`public_surface.rs`, `dependencies.rs`, `design_rules.rs`, `docs.rs`):
+//! every `.rs` file under a directory, its non-test code with comments and
+//! literals blanked, the identifier-shaped words of that code, and the
+//! files that read the environment.
+//!
+//! `design_rules.rs` uses every item here, so an item no rule needs still
+//! fails the `-D warnings` build there; the other files that include this
+//! module use a part of it and allow the rest to go unused.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,7 +16,11 @@ pub fn root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// Every `.rs` file under `dir` except `tests.rs`, sorted.
+/// The files allowed to read the environment: rq-par's `REACKED_THREADS`
+/// and rq-bench's `RunConfig` (ROADMAP 6(e)).
+pub const ENV_READERS: [&str; 2] = ["crates/par/src/lib.rs", "crates/bench/src/config.rs"];
+
+/// Every `.rs` file under `dir`, sorted.
 pub fn rs_files(dir: &Path) -> Vec<PathBuf> {
     let mut entries: Vec<_> = fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
@@ -22,11 +31,17 @@ pub fn rs_files(dir: &Path) -> Vec<PathBuf> {
     for p in entries {
         if p.is_dir() {
             out.extend(rs_files(&p));
-        } else if p.extension().is_some_and(|x| x == "rs") && !p.ends_with("tests.rs") {
+        } else if p.extension().is_some_and(|x| x == "rs") {
             out.push(p);
         }
     }
     out
+}
+
+/// Whether `path` is a `tests.rs`: the body of a `#[cfg(test)] mod tests;`
+/// declared in another file, so test code throughout.
+pub fn is_tests_file(path: &Path) -> bool {
+    path.ends_with("tests.rs")
 }
 
 /// `text` with every `#[cfg(test)]` item, comment and string or char
